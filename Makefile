@@ -46,27 +46,31 @@ lint-json:
 # checkpoints and a torn log tail in one run, recovered output
 # bit-identical to the uninterrupted run), re-run the crash gate
 # race-free so its assertions are exercised under both schedulers, gate
-# the columnar ingest path against the committed allocation budget and
-# the column-resident store against the committed resident bytes/event
-# advantage over the row store (the race detector inflates allocation
+# the columnar ingest path against the committed allocation budget, the
+# column-resident store against the committed resident bytes/event
+# advantage over the row store and the checkpoint file against its
+# bytes-per-stored-SDE budget (the race detector inflates allocation
 # counts, so those gates run in a separate non-race pass), re-run the
 # shard-equivalence gate race-free (the N ∈ {1,2,4,8} × both-store grid
 # under chaos, the mid-run rebalance determinism tests and the tier
 # snapshot round-trip; the race pass above already exercises them under
 # the race scheduler), and finish with a short fuzz pass over the
-# factorization/solve, WAL-decode, store block-merge and
-# shard-assignment targets.
+# factorization/solve, WAL-decode, store block-merge,
+# shard-assignment, engine-snapshot-decode and checkpoint-decode
+# targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence' -count=1 .
-	$(GO) test -run 'TestAllocBudget|TestResidentBudget' -count=1 .
+	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 .
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
 
 # The chaos harness: the Dublin pipeline under deterministic fault
 # profiles, scored against its own fault-free run.
@@ -112,13 +116,17 @@ bench-shard:
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
 # in internal/linalg/testdata/fuzz, WAL frame/codec regressions in
-# streams/wal/testdata/fuzz, as permanent corpus seeds.
+# streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
+# regressions in rtec/testdata/fuzz and testdata/fuzz, as permanent
+# corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .
 
 # Regenerate every figure of the paper's evaluation into ./results.
 figures:

@@ -17,14 +17,19 @@ package insight
 // rot, or the chaos harness's injected corruption) is detected at load
 // time and recovery falls back to the previous retained checkpoint.
 //
-// Encoding reuses the WAL codec vocabulary (wal.Append* and the
-// sticky-error wal.Decoder); the engine snapshots and unacked reports
-// ride along as length-prefixed JSON blobs — both are plain exported
-// data whose JSON round-trip is exact (Go prints float64 in shortest
-// round-trippable form).
+// Layout (format 2). A fixed header — magic, CRC32C over every byte
+// after the CRC field, the format byte, the WAL replay offset and the
+// boundary cursor as fixed-width little-endian integers — so the
+// garbage collector learns a retained checkpoint's replay offset
+// without decoding any engine state, followed by the sections in the
+// shared codec vocabulary (internal/codec): stream cursors, pending
+// rows as WAL batch payloads, the engines' columnar binary snapshots
+// (rtec.EngineSnapshot.AppendBinary), the latest sensor/crowd readings
+// and the unacked reports (a few KB of JSON each).
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -32,13 +37,21 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/insight-dublin/insight/internal/codec"
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams/wal"
 )
 
 const (
 	ckptMagic  = "INSCKPT1"
-	ckptFormat = 1
+	ckptFormat = 2
+	// Fixed header offsets: magic, CRC32C of everything after it, format
+	// byte, WAL replay offset, boundary cursor.
+	ckptCRCAt    = len(ckptMagic)
+	ckptFormatAt = ckptCRCAt + 4
+	ckptOffsetAt = ckptFormatAt + 1
+	ckptNextQAt  = ckptOffsetAt + 8
+	ckptHeader   = ckptNextQAt + 8
 	// ckptKeep is how many recent checkpoints GC retains. Two, so a
 	// checkpoint corrupted after its rename always leaves a valid
 	// predecessor to fall back to.
@@ -111,107 +124,126 @@ type checkpoint struct {
 	reports        [][]byte      // JSON of fired-but-unacked reports, ascending Q
 }
 
-// encode renders the checkpoint file bytes: magic, CRC32C(body), body.
-func (c *checkpoint) encode() []byte {
-	body := []byte{ckptFormat}
-	body = wal.AppendVarint(body, int64(c.nextQ))
-	body = wal.AppendUvarint(body, uint64(c.walOffset))
-	body = wal.AppendUvarint(body, uint64(len(c.cursors)))
-	for _, cur := range c.cursors {
-		body = wal.AppendString(body, cur.id)
-		body = wal.AppendUvarint(body, uint64(cur.consumed))
-		body = wal.AppendVarint(body, int64(cur.watermark))
-	}
-	body = wal.AppendUvarint(body, uint64(len(c.pendingBatches)))
-	for _, pb := range c.pendingBatches {
-		body = wal.AppendUvarint(body, uint64(len(pb)))
-		body = append(body, pb...)
-	}
-	body = wal.AppendUvarint(body, uint64(len(c.engines)))
-	for _, es := range c.engines {
-		blob, err := json.Marshal(es)
-		if err != nil {
-			// EngineSnapshot is plain exported data; Marshal cannot fail.
-			panic(fmt.Sprintf("insight: marshal engine snapshot: %v", err))
-		}
-		body = wal.AppendUvarint(body, uint64(len(blob)))
-		body = append(body, blob...)
-	}
-	body = wal.AppendUvarint(body, uint64(len(c.traffic)))
-	for _, ts := range c.traffic {
-		body = wal.AppendString(body, ts.sensor)
-		body = wal.AppendVarint(body, int64(ts.vertex))
-		body = wal.AppendFloat(body, ts.flow)
-		body = wal.AppendVarint(body, int64(ts.t))
-	}
-	body = wal.AppendUvarint(body, uint64(len(c.crowd)))
-	for _, cs := range c.crowd {
-		body = wal.AppendString(body, cs.inter)
-		body = wal.AppendVarint(body, int64(cs.vertex))
-		body = wal.AppendBool(body, cs.congested)
-		body = wal.AppendVarint(body, int64(cs.t))
-	}
-	body = wal.AppendUvarint(body, uint64(len(c.reports)))
-	for _, rb := range c.reports {
-		body = wal.AppendUvarint(body, uint64(len(rb)))
-		body = append(body, rb...)
-	}
+// errUnsupportedFormat marks a checkpoint whose envelope is intact
+// (magic and CRC verify) but whose format this build cannot decode — an
+// operator problem to surface, not corruption to skip past.
+var errUnsupportedFormat = errors.New("unsupported checkpoint format")
 
-	out := make([]byte, 0, len(ckptMagic)+4+len(body))
-	out = append(out, ckptMagic...)
-	crc := crc32.Checksum(body, ckptCRC)
-	out = append(out, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	return append(out, body...)
+// encode appends the checkpoint file bytes to dst (callers pass a
+// reused buffer): header, sections, then the CRC patched in.
+func (c *checkpoint) encode(dst []byte) ([]byte, error) {
+	dst = append(dst, ckptMagic...)
+	dst = append(dst, 0, 0, 0, 0) // CRC, patched below
+	dst = append(dst, ckptFormat)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.walOffset))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.nextQ))
+	dst = codec.AppendUvarint(dst, uint64(len(c.cursors)))
+	for _, cur := range c.cursors {
+		dst = codec.AppendString(dst, cur.id)
+		dst = codec.AppendUvarint(dst, uint64(cur.consumed))
+		dst = codec.AppendVarint(dst, int64(cur.watermark))
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(c.pendingBatches)))
+	for _, pb := range c.pendingBatches {
+		dst = codec.AppendUvarint(dst, uint64(len(pb)))
+		dst = append(dst, pb...)
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(c.engines)))
+	for _, es := range c.engines {
+		// Fixed-width length, patched once the snapshot is in place: the
+		// snapshot encodes straight into the file buffer.
+		at := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
+		var err error
+		if dst, err = es.AppendBinary(dst); err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(c.traffic)))
+	for _, ts := range c.traffic {
+		dst = codec.AppendString(dst, ts.sensor)
+		dst = codec.AppendVarint(dst, int64(ts.vertex))
+		dst = codec.AppendFloat(dst, ts.flow)
+		dst = codec.AppendVarint(dst, int64(ts.t))
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(c.crowd)))
+	for _, cs := range c.crowd {
+		dst = codec.AppendString(dst, cs.inter)
+		dst = codec.AppendVarint(dst, int64(cs.vertex))
+		dst = codec.AppendBool(dst, cs.congested)
+		dst = codec.AppendVarint(dst, int64(cs.t))
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(c.reports)))
+	for _, rb := range c.reports {
+		dst = codec.AppendUvarint(dst, uint64(len(rb)))
+		dst = append(dst, rb...)
+	}
+	binary.LittleEndian.PutUint32(dst[ckptCRCAt:], crc32.Checksum(dst[ckptFormatAt:], ckptCRC))
+	return dst, nil
+}
+
+// checkpointOffset verifies a checkpoint file's envelope — magic, CRC,
+// format — and returns the WAL replay offset from its fixed header,
+// touching none of the sections. A CRC-valid file of another format
+// yields errUnsupportedFormat.
+func checkpointOffset(data []byte) (int64, error) {
+	if len(data) < ckptFormatAt+1 {
+		return 0, fmt.Errorf("insight: checkpoint of %d bytes is shorter than its header", len(data))
+	}
+	if string(data[:len(ckptMagic)]) != ckptMagic {
+		return 0, fmt.Errorf("insight: bad checkpoint magic %q", data[:len(ckptMagic)])
+	}
+	want := binary.LittleEndian.Uint32(data[ckptCRCAt:])
+	if got := crc32.Checksum(data[ckptFormatAt:], ckptCRC); got != want {
+		return 0, fmt.Errorf("insight: checkpoint CRC mismatch (got %08x, want %08x)", got, want)
+	}
+	if f := data[ckptFormatAt]; f != ckptFormat {
+		return 0, fmt.Errorf("insight: %w %d (this build reads format %d)", errUnsupportedFormat, f, ckptFormat)
+	}
+	if len(data) < ckptHeader {
+		return 0, fmt.Errorf("insight: checkpoint of %d bytes is shorter than its header", len(data))
+	}
+	return int64(binary.LittleEndian.Uint64(data[ckptOffsetAt:])), nil
 }
 
 // decodeCheckpoint validates and parses checkpoint file bytes.
 func decodeCheckpoint(data []byte) (*checkpoint, error) {
-	if len(data) < len(ckptMagic)+4 {
-		return nil, fmt.Errorf("insight: checkpoint of %d bytes is shorter than its header", len(data))
+	off, err := checkpointOffset(data)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("insight: bad checkpoint magic %q", data[:len(ckptMagic)])
+	c := &checkpoint{
+		walOffset: off,
+		nextQ:     Time(binary.LittleEndian.Uint64(data[ckptNextQAt:])),
 	}
-	crcB := data[len(ckptMagic) : len(ckptMagic)+4]
-	want := uint32(crcB[0]) | uint32(crcB[1])<<8 | uint32(crcB[2])<<16 | uint32(crcB[3])<<24
-	body := data[len(ckptMagic)+4:]
-	if got := crc32.Checksum(body, ckptCRC); got != want {
-		return nil, fmt.Errorf("insight: checkpoint CRC mismatch (got %08x, want %08x)", got, want)
-	}
-	d := wal.NewDecoder(body)
-	if d.Len() < 1 || body[0] != ckptFormat {
-		return nil, fmt.Errorf("insight: unknown checkpoint format")
-	}
-	d.Skip(1)
-	c := &checkpoint{}
-	c.nextQ = Time(d.Varint())
-	c.walOffset = int64(d.Uvarint())
-	nc := d.Count()
-	for i := 0; i < nc; i++ {
+	d := codec.NewDecoder(data[ckptHeader:])
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.cursors = append(c.cursors, streamCursor{
 			id:        d.String(),
 			consumed:  int64(d.Uvarint()),
 			watermark: Time(d.Varint()),
 		})
 	}
-	np := d.Count()
-	for i := 0; i < np; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.pendingBatches = append(c.pendingBatches, d.Bytes(d.Count()))
 	}
-	ne := d.Count()
-	for i := 0; i < ne; i++ {
-		blob := d.Bytes(d.Count())
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		size := d.Bytes(4)
 		if d.Err() != nil {
 			break
 		}
-		var es rtec.EngineSnapshot
-		if err := json.Unmarshal(blob, &es); err != nil {
-			return nil, fmt.Errorf("insight: checkpoint engine snapshot: %w", err)
+		blob := d.Bytes(int(binary.LittleEndian.Uint32(size)))
+		if d.Err() != nil {
+			break
 		}
-		c.engines = append(c.engines, &es)
+		es := &rtec.EngineSnapshot{}
+		if err := es.UnmarshalBinary(blob); err != nil {
+			return nil, fmt.Errorf("insight: checkpoint engine snapshot %d: %w", i, err)
+		}
+		c.engines = append(c.engines, es)
 	}
-	nt := d.Count()
-	for i := 0; i < nt; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.traffic = append(c.traffic, trafficSnap{
 			sensor: d.String(),
 			vertex: int(d.Varint()),
@@ -219,8 +251,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 			t:      Time(d.Varint()),
 		})
 	}
-	ncr := d.Count()
-	for i := 0; i < ncr; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.crowd = append(c.crowd, crowdSnap{
 			inter:     d.String(),
 			vertex:    int(d.Varint()),
@@ -228,8 +259,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 			t:         Time(d.Varint()),
 		})
 	}
-	nr := d.Count()
-	for i := 0; i < nr; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.reports = append(c.reports, d.Bytes(d.Count()))
 	}
 	if err := d.Err(); err != nil {
@@ -371,37 +401,48 @@ func listCheckpoints(dir string) ([]string, error) {
 }
 
 // loadLatestCheckpoint scans dir newest-first and returns the first
-// checkpoint that decodes cleanly, counting the corrupt ones it had to
-// skip. A nil checkpoint with nil error means a fresh start.
-func loadLatestCheckpoint(dir string) (ck *checkpoint, q Time, corrupt int, err error) {
+// checkpoint that decodes cleanly, recording in info what it loaded and
+// how many corrupt files it had to skip. A nil checkpoint with nil
+// error means a fresh start. A file that is intact but of a format this
+// build cannot read is an error, not a skip: falling back past it would
+// silently resume from older state — or, with nothing older, from a log
+// whose front the newer checkpoints already truncated.
+func loadLatestCheckpoint(dir string, info *RecoveryInfo) (*checkpoint, error) {
 	names, err := listCheckpoints(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, 0, nil
+			return nil, nil
 		}
-		return nil, 0, 0, err
+		return nil, err
 	}
 	for _, name := range names {
-		data, rerr := os.ReadFile(filepath.Join(dir, name))
-		if rerr != nil {
-			return nil, 0, corrupt, rerr
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
 		}
-		c, derr := decodeCheckpoint(data)
-		if derr != nil {
-			corrupt++
+		c, err := decodeCheckpoint(data)
+		if errors.Is(err, errUnsupportedFormat) {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		if err != nil {
+			info.CorruptCheckpoints++
 			continue
 		}
-		q, _ := parseCheckpointName(name)
-		return c, q, corrupt, nil
+		info.Resumed = true
+		info.CheckpointQ, _ = parseCheckpointName(name)
+		info.CheckpointBytes = int64(len(data))
+		return c, nil
 	}
-	return nil, 0, corrupt, nil
+	return nil, nil
 }
 
 // gcCheckpoints removes all but the ckptKeep newest checkpoints (and
 // any leftover temp files), then returns the WAL offset of the oldest
-// retained checkpoint — the front-truncation point for the log. A
-// negative return means no safe truncation point is known (e.g. the
-// oldest retained file is corrupt).
+// retained checkpoint — the front-truncation point for the log, read
+// from the file's fixed header once its CRC verifies; engine state is
+// never decoded here. A negative return means no safe truncation point
+// is known: the log is never truncated past an unreadable retained
+// checkpoint.
 func gcCheckpoints(dir string) (int64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -434,9 +475,9 @@ func gcCheckpoints(dir string) (int64, error) {
 	if err != nil {
 		return -1, err
 	}
-	c, err := decodeCheckpoint(data)
+	off, err := checkpointOffset(data)
 	if err != nil {
-		return -1, nil // corrupt retained checkpoint: no safe truncation
+		return -1, nil // unreadable retained checkpoint: no safe truncation
 	}
-	return c.walOffset, nil
+	return off, nil
 }

@@ -1,8 +1,9 @@
 // Command crashbench runs the crash-equivalence campaign — the same
 // kill → recover → resume loop behind TestCrashEquivalence — and
 // measures what recovery costs: per-epoch wall time to rebuild a
-// pipeline from the latest checkpoint plus WAL replay, how many log
-// records and SDE rows each recovery re-consumed, and whether the
+// pipeline from the latest checkpoint plus WAL replay, how large the
+// checkpoint it loaded was, how many log records and SDE rows each
+// recovery re-consumed, and whether the
 // union of reports across all crashed epochs fingerprints identically
 // to one uninterrupted run.
 //
@@ -38,6 +39,7 @@ type epochRow struct {
 	Fault           string  `json:"fault"`
 	Resumed         bool    `json:"resumed"`
 	CheckpointQ     int64   `json:"checkpoint_q"`
+	CheckpointBytes int64   `json:"checkpoint_bytes"`
 	ReplayedRecords int     `json:"replayed_records"`
 	ReplayedEvents  int     `json:"replayed_events"`
 	TornBytes       int64   `json:"torn_bytes"`
@@ -69,6 +71,8 @@ type benchOut struct {
 		MeanRecoveryMillis float64 `json:"mean_recovery_millis"`
 		MaxRecoveryMillis  float64 `json:"max_recovery_millis"`
 		MeanReplayRecords  float64 `json:"mean_replayed_records"`
+		MeanCkptBytes      float64 `json:"mean_checkpoint_bytes"`
+		MaxCkptBytes       int64   `json:"max_checkpoint_bytes"`
 	} `json:"summary"`
 	Epochs []epochRow `json:"epochs"`
 }
@@ -145,8 +149,8 @@ func main() {
 	bench.Config.Seed = *seed
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "epoch\tfault\tresumed\tckpt q\treplayed\tevents\ttorn B\trecovery\treports")
-	var sumMillis, sumReplay float64
+	fmt.Fprintln(w, "epoch\tfault\tresumed\tckpt q\tckpt B\treplayed\tevents\ttorn B\trecovery\treports")
+	var sumMillis, sumReplay, sumCkptBytes float64
 	resumed := 0
 	for i, ep := range res.Epochs {
 		row := epochRow{
@@ -154,6 +158,7 @@ func main() {
 			Fault:           ep.Fault,
 			Resumed:         ep.Recovery.Resumed,
 			CheckpointQ:     int64(ep.Recovery.CheckpointQ),
+			CheckpointBytes: ep.Recovery.CheckpointBytes,
 			ReplayedRecords: ep.Recovery.ReplayedRecords,
 			ReplayedEvents:  ep.Recovery.ReplayedEvents,
 			TornBytes:       ep.Recovery.TornBytes,
@@ -171,9 +176,11 @@ func main() {
 		if ep.Recovery.Resumed {
 			resumed++
 			sumReplay += float64(ep.Recovery.ReplayedRecords)
+			sumCkptBytes += float64(ep.Recovery.CheckpointBytes)
+			bench.Summary.MaxCkptBytes = max(bench.Summary.MaxCkptBytes, ep.Recovery.CheckpointBytes)
 		}
-		fmt.Fprintf(w, "%d\t%s\t%v\t%d\t%d\t%d\t%d\t%.2f ms\t%d\n",
-			i, ep.Fault, ep.Recovery.Resumed, int64(ep.Recovery.CheckpointQ),
+		fmt.Fprintf(w, "%d\t%s\t%v\t%d\t%d\t%d\t%d\t%d\t%.2f ms\t%d\n",
+			i, ep.Fault, ep.Recovery.Resumed, int64(ep.Recovery.CheckpointQ), ep.Recovery.CheckpointBytes,
 			ep.Recovery.ReplayedRecords, ep.Recovery.ReplayedEvents,
 			ep.Recovery.TornBytes, ep.RecoveryMillis, ep.Reports)
 	}
@@ -193,14 +200,16 @@ func main() {
 	}
 	if resumed > 0 {
 		bench.Summary.MeanReplayRecords = sumReplay / float64(resumed)
+		bench.Summary.MeanCkptBytes = sumCkptBytes / float64(resumed)
 	}
 
 	fmt.Printf("\n%d epochs: %d WAL kills, %d/%d/%d torn/after/corrupt checkpoints, %d combined\n",
 		len(res.Epochs), res.WALKills, res.TornCheckpoints, res.AfterCheckpoints,
 		res.CorruptCheckpoints, res.CombinedEpochs)
-	fmt.Printf("recovery: mean %.2f ms, max %.2f ms; mean replay %.1f of %d baseline records\n",
+	fmt.Printf("recovery: mean %.2f ms, max %.2f ms; mean replay %.1f of %d baseline records; checkpoint loaded: mean %.0f B, max %d B\n",
 		bench.Summary.MeanRecoveryMillis, bench.Summary.MaxRecoveryMillis,
-		bench.Summary.MeanReplayRecords, res.BaselineRecords)
+		bench.Summary.MeanReplayRecords, res.BaselineRecords,
+		bench.Summary.MeanCkptBytes, bench.Summary.MaxCkptBytes)
 	if len(res.Mismatches) > 0 {
 		for _, m := range res.Mismatches {
 			fmt.Println("MISMATCH:", m)

@@ -330,7 +330,7 @@ func RunCrashCampaign(ctx context.Context, opts CampaignOptions) (*CampaignResul
 // newest valid checkpoint's offset — offsets below the replay start
 // must stay immutable or the log would rewind under the checkpoint.
 func tearEpochTail(dir string, n int64) error {
-	ck, _, _, err := loadLatestCheckpoint(dir)
+	ck, err := loadLatestCheckpoint(dir, &RecoveryInfo{})
 	if err != nil {
 		return err
 	}

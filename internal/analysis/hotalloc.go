@@ -25,7 +25,7 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // reverts the batch path to per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
-	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol)$`),
+	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol|gatherRows|snapshotTypes|restoreType)$`),
 	"insight": regexp.MustCompile(`^(admitRows|ProcessBatch)$`),
 }
 

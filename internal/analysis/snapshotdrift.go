@@ -9,7 +9,7 @@ import (
 
 // SnapshotDrift proves the snapshot/restore contract structurally: for
 // every struct with a snapshot-side method (Snapshot, MarshalBinary,
-// encode*, snapshot*, *Snapshot) each field must be touched by the
+// AppendBinary, encode*, snapshot*, *Snapshot) each field must be touched by the
 // snapshot call closure, touched by the restore call closure (Restore,
 // UnmarshalBinary, restore*/decode*, plus package-level decode*/
 // restore*/load*/unmarshal* constructors returning the type), or be
@@ -45,7 +45,7 @@ type driftEntry struct {
 }
 
 func isSnapSideName(name string) bool {
-	return name == "Snapshot" || name == "MarshalBinary" || name == "encode" ||
+	return name == "Snapshot" || name == "MarshalBinary" || name == "AppendBinary" || name == "encode" ||
 		strings.HasPrefix(name, "snapshot") || strings.HasPrefix(name, "encode") ||
 		strings.HasSuffix(name, "Snapshot")
 }

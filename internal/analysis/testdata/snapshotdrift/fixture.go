@@ -105,3 +105,19 @@ func (w *wholesale) Restore(m map[string]blob) {
 		w.blobs[k] = v
 	}
 }
+
+// frame pairs the append-style binary codec names: AppendBinary is a
+// snapshot side, UnmarshalBinary its restore side.
+type frame struct {
+	seq  int
+	skip int
+}
+
+func (f *frame) AppendBinary(dst []byte) ([]byte, error) {
+	return append(dst, byte(f.seq)), nil
+}
+
+func (f *frame) UnmarshalBinary(data []byte) error {
+	f.seq, f.skip = int(data[0]), 0
+	return nil
+}

@@ -70,6 +70,8 @@ type RecoveryInfo struct {
 	Resumed bool
 	// CheckpointQ is the boundary cursor of the loaded checkpoint.
 	CheckpointQ Time
+	// CheckpointBytes is the size of the loaded checkpoint file.
+	CheckpointBytes int64
 	// WALFrontier is the log's append offset after recovery.
 	WALFrontier int64
 	// TornBytes counts torn-tail bytes discarded from the log.
@@ -210,6 +212,9 @@ type durableRuntime struct {
 	recent []*Report
 	// skipped counts source envelopes skipped at build time.
 	skipped int
+	// ckptBuf is the reused checkpoint file buffer: every checkpoint
+	// encodes into it and is written from it.
+	ckptBuf []byte
 }
 
 // noteConsumed runs at the top of rtecProcessor.ProcessBatch: the
@@ -258,7 +263,10 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 	if crashAt != nil {
 		crash = crashAt(ck.nextQ)
 	}
-	if err := writeCheckpointFile(rt.dir, ck.nextQ, ck.encode(), crash); err != nil {
+	if rt.ckptBuf, err = ck.encode(rt.ckptBuf[:0]); err != nil {
+		return err
+	}
+	if err := writeCheckpointFile(rt.dir, ck.nextQ, rt.ckptBuf, crash); err != nil {
 		return err
 	}
 	off, err := gcCheckpoints(rt.dir)
@@ -387,11 +395,10 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 		return nil, nil, errors.Join(err, log.Close())
 	}
 	info := &RecoveryInfo{TornBytes: log.Torn()}
-	ck, ckQ, corrupt, err := loadLatestCheckpoint(dur.Dir)
+	ck, err := loadLatestCheckpoint(dur.Dir, info)
 	if err != nil {
 		return fail(err)
 	}
-	info.CorruptCheckpoints = corrupt
 
 	proc := newRTECProcessor(s, from, until)
 	rt := &durableRuntime{
@@ -406,8 +413,6 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 
 	var replayFrom int64
 	if ck != nil {
-		info.Resumed = true
-		info.CheckpointQ = ckQ
 		if err := s.engines.Restore(ck.engines); err != nil {
 			return fail(err)
 		}

@@ -370,7 +370,7 @@ func (s *columnStore) compact(b *colBucket) {
 
 // gatherCol gathers the given rows of a column into a fresh column,
 // or nil if the attribute is absent on every row (the column is
-// dropped).
+// dropped). Absent cells gather as the kind's zero value.
 func gatherCol(c *BCol, ids []int32) *BCol {
 	n := len(ids)
 	out := &BCol{Name: c.Name, Kind: c.Kind}
@@ -395,48 +395,97 @@ func gatherCol(c *BCol, ids []int32) *BCol {
 	case ColFloat:
 		out.F = make([]float64, n)
 		for j, id := range ids {
-			out.F[j] = c.F[id]
+			if out.present(j) {
+				out.F[j] = c.F[id]
+			}
 		}
 	case ColInt:
 		out.I = make([]int64, n)
 		for j, id := range ids {
-			out.I[j] = c.I[id]
+			if out.present(j) {
+				out.I[j] = c.I[id]
+			}
 		}
 	case ColBool:
 		out.B = make([]bool, n)
 		for j, id := range ids {
-			out.B[j] = c.B[id]
+			if out.present(j) {
+				out.B[j] = c.B[id]
+			}
 		}
 	case ColIntGo:
 		out.N = make([]int, n)
 		for j, id := range ids {
-			out.N[j] = c.N[id]
+			if out.present(j) {
+				out.N[j] = c.N[id]
+			}
 		}
 	case ColAny:
 		out.A = make([]any, n)
 		for j, id := range ids {
-			if out.Present == nil || out.Present[j] {
+			if out.present(j) {
 				out.A[j] = c.A[id]
 			}
 		}
-	default: // ColStr: re-intern so evicted strings drop out
+	default: // ColStr: re-intern in first-use order so evicted strings drop out
 		out.SIdx = make([]uint32, n)
-		out.dict = make(map[string]uint32)
+		tr := unsetIDs(len(c.Dict))
 		for j, id := range ids {
-			if out.Present != nil && !out.Present[j] {
+			if !out.present(j) {
 				continue
 			}
-			v := c.Dict[c.SIdx[id]]
-			si, ok := out.dict[v]
-			if !ok {
-				si = uint32(len(out.Dict))
-				out.dict[v] = si
-				out.Dict = append(out.Dict, v)
+			si := c.SIdx[id]
+			if tr[si] == unsetID {
+				tr[si] = uint32(len(out.Dict))
+				out.Dict = append(out.Dict, c.Dict[si])
 			}
-			out.SIdx[j] = si
+			out.SIdx[j] = tr[si]
 		}
 	}
 	return out
+}
+
+// unsetID marks a dictionary entry a gather has not translated yet.
+const unsetID = ^uint32(0)
+
+// unsetIDs returns a dictionary translation table of n untranslated
+// entries: gathers re-intern in first-use order by table lookup, no
+// hashing.
+func unsetIDs(n int) []uint32 {
+	tr := make([]uint32, n)
+	for i := range tr {
+		tr[i] = unsetID
+	}
+	return tr
+}
+
+// repackAny rebuilds a gathered boxed column cell by cell through the
+// append path, which packs it again when the gathered values turn out
+// to share one type (the mismatching rows were evicted) and keeps it
+// boxed otherwise. Values of a type no column kind covers cannot be
+// snapshotted.
+func repackAny(c *BCol) (*BCol, error) {
+	var out BCol
+	opened := false
+	for j, v := range c.A {
+		ok := c.present(j)
+		if ok {
+			switch v.(type) {
+			case float64, int64, int, bool, string:
+			default:
+				return nil, fmt.Errorf("attribute %q has unsupported type %T", c.Name, v)
+			}
+		}
+		switch {
+		case opened:
+			out.appendCell(v, ok, j)
+		case ok:
+			out = newColFor(c.Name, v, j)
+			opened = true
+		}
+	}
+	out.dict = nil // the interning index is not part of the snapshot value
+	return &out, nil
 }
 
 // dirtyFloor returns the earliest late-arrival time across the given
@@ -476,59 +525,78 @@ func (s *columnStore) residentBytes() uint64 {
 	return total
 }
 
-// snapshotTypes flattens the live rows, in order, to the canonical
-// row-oriented snapshot form — byte-identical to what the row store
-// produces for the same state, which is what keeps checkpointed
-// recovery store-independent.
+// snapshotTypes gathers every bucket's live rows, in order, into the
+// canonical columnar snapshot form — packed cells move column by
+// column, no event is materialized.
 func (s *columnStore) snapshotTypes() ([]TypeSnapshot, error) {
 	types := make([]string, 0, len(s.types))
 	for typ := range s.types {
 		types = append(types, typ)
 	}
 	sort.Strings(types)
-	var out []TypeSnapshot
+	out := make([]TypeSnapshot, 0, len(types))
 	for _, typ := range types {
 		b := s.types[typ]
-		ts := TypeSnapshot{Type: typ, LateMin: b.lateMin, Events: make([]EventSnapshot, 0, len(b.order))}
-		for _, id := range b.order {
-			es, err := snapshotEvent(b.seg.blk.Event(int(id)))
-			if err != nil {
-				return nil, fmt.Errorf("rtec: snapshot of %s event at %d: %w", typ, b.seg.blk.Times[id], err)
-			}
-			ts.Events = append(ts.Events, es)
+		rows, err := gatherRows(&b.seg.blk, b.order)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, ts)
+		out = append(out, TypeSnapshot{LateMin: b.lateMin, Rows: rows})
 	}
 	return out, nil
 }
 
-// restoreType rebuilds one bucket from its snapshot. Snapshot order is
-// (time, arrival) order, so appends rebuild both indexes on their fast
-// paths.
-func (s *columnStore) restoreType(ts TypeSnapshot) error {
-	b := s.bucketOf(ts.Type)
-	b.lateMin = ts.LateMin
-	prev := Time(MinTime)
-	for i, es := range ts.Events {
-		if es.Time < prev {
-			return fmt.Errorf("rtec: snapshot events of %q not time-sorted at index %d", ts.Type, i)
+// gatherRows gathers the given rows of a dictionary-keyed block into a
+// fresh block in canonical snapshot form: the key dictionary and the
+// string dictionaries re-interned in first-use order, attributes no
+// gathered row carries dropped, presence masks kept only where a row
+// lacks the attribute, boxed columns kept only where the gathered
+// values really mix types, columns sorted by name. The result depends
+// on the gathered rows alone — not on dead rows, insertion history or
+// the column layout they were gathered from.
+func gatherRows(src *Block, ids []int32) (Block, error) {
+	n := len(ids)
+	out := Block{Type: src.Type, Times: make([]int64, n), KIdx: make([]uint32, n)}
+	tr := unsetIDs(len(src.KDict))
+	for j, id := range ids {
+		out.Times[j] = src.Times[id]
+		k := src.KIdx[id]
+		if tr[k] == unsetID {
+			tr[k] = uint32(len(out.KDict))
+			out.KDict = append(out.KDict, src.KDict[k])
 		}
-		prev = es.Time
-		ev, err := restoreEvent(ts.Type, es)
-		if err != nil {
-			return err
-		}
-		sg := &b.seg
-		id := int32(len(sg.blk.Times))
-		kid := sg.kidOf(ev.Key)
-		sg.blk.Times = append(sg.blk.Times, int64(ev.Time))
-		sg.blk.KIdx = append(sg.blk.KIdx, kid)
-		sg.appendAttrs(ev)
-		b.growKeys()
-		b.order = append(b.order, id)
-		b.byKid[kid] = append(b.byKid[kid], id)
+		out.KIdx[j] = tr[k]
 	}
-	return nil
+	for ci := range src.Cols {
+		c := gatherCol(&src.Cols[ci], ids)
+		if c == nil {
+			continue
+		}
+		if c.Kind == ColAny {
+			var err error
+			if c, err = repackAny(c); err != nil {
+				return Block{}, fmt.Errorf("rtec: snapshot of %s: %w", src.Type, err)
+			}
+		}
+		out.Cols = append(out.Cols, *c)
+	}
+	sort.Slice(out.Cols, func(i, j int) bool { return out.Cols[i].Name < out.Cols[j].Name })
+	return out, nil
+}
+
+// restoreType bulk-files the snapshot rows: one gather per column, one
+// order append, per-key filing on the append fast path. The snapshot's
+// dictionaries are re-interned, so the bucket never aliases it.
+func (s *columnStore) restoreType(ts *TypeSnapshot) {
+	n := ts.Rows.Len()
+	b := s.bucketOf(ts.Rows.Type)
+	b.lateMin = ts.LateMin
+	// Exact-size the row-indexed arrays (the value columns already are):
+	// a restored bucket is as tight as a freshly compacted one.
+	b.seg.blk.Times = make([]int64, 0, n)
+	b.seg.blk.KIdx = make([]uint32, 0, n)
+	b.order = make([]int32, 0, n)
+	s.insertRows(&ts.Rows, identityRows(n), false, 0)
 }
 
 // --- sdeBucket views ---

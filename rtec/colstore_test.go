@@ -1,6 +1,7 @@
 package rtec
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -212,16 +213,13 @@ func deliverChunk(t testing.TB, ee equivEngine, chunk []equivRow) {
 func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
 	t.Helper()
 	var ref *Result
-	var refSnap *EngineSnapshot
+	var refSnap []byte
 	for _, ee := range engines {
 		res, err := ee.e.Query(q)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, ee.name, err)
 		}
-		snap, err := ee.e.Snapshot()
-		if err != nil {
-			t.Fatalf("%s: %s: snapshot: %v", label, ee.name, err)
-		}
+		snap := engineBytes(t, ee.e)
 		if ref == nil {
 			ref, refSnap = res, snap
 			continue
@@ -241,8 +239,8 @@ func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
 			t.Fatalf("%s: %s input events = %d, %s = %d",
 				label, ee.name, res.Stats.InputEvents, engines[0].name, ref.Stats.InputEvents)
 		}
-		if !reflect.DeepEqual(refSnap, snap) {
-			t.Fatalf("%s: %s snapshot differs from %s:\nref: %+v\ngot: %+v",
+		if !bytes.Equal(refSnap, snap) {
+			t.Fatalf("%s: %s snapshot differs from %s:\nref: %x\ngot: %x",
 				label, ee.name, engines[0].name, refSnap, snap)
 		}
 	}
@@ -412,12 +410,8 @@ func TestSnapshotRoundTripLateMin(t *testing.T) {
 					t.Fatalf("restored dirty floor = %d, want %d", int64(got), int64(wantFloor))
 				}
 				// Restored snapshots are idempotent across store kinds.
-				snap2, err := r.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(snap, snap2) {
-					t.Fatalf("snapshot changed across restore:\nbefore: %+v\nafter:  %+v", snap, snap2)
+				if !bytes.Equal(snapBytes(t, snap), engineBytes(t, r)) {
+					t.Fatalf("snapshot bytes changed across restore")
 				}
 				// The next query incorporates the late region
 				// identically on both engines.
@@ -435,5 +429,76 @@ func TestSnapshotRoundTripLateMin(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRestoreResidentBytes pins the footprint of the bulk restore path:
+// a column-store engine restored from a snapshot holds the same rows in
+// the same packed kinds as the engine that wrote it — no boxed
+// fallback columns, no presence masks, no dead dictionary entries the
+// original does not have — so its resident bytes match the original's
+// (compacted, so both sides hold live rows only) within a few percent.
+func TestRestoreResidentBytes(t *testing.T) {
+	opts := Options{WorkingMemory: 400, Step: 100, RuleWorkers: 1, Store: StoreColumn, Profile: true}
+	orig, err := NewEngine(colEquivDefs(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var last *Result
+	for q := Time(100); q <= 1200; q += 100 {
+		rows := make([]equivRow, 600)
+		for i := range rows {
+			rows[i] = equivRow{
+				t:   int64(q) - 100 + int64(i)/6,
+				key: fmt.Sprintf("k%d", rng.Intn(40)),
+				attrs: map[string]any{
+					"level": rng.Float64(),
+					"alarm": rng.Intn(2) == 0,
+					"zone":  []string{"north", "south", "east"}[rng.Intn(3)],
+					"count": int64(rng.Intn(9)),
+				},
+			}
+		}
+		if err := orig.InputBlock(rowsToBlock(rows, true)); err != nil {
+			t.Fatal(err)
+		}
+		if last, err = orig.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := orig.store.(*columnStore)
+	for _, b := range cs.types {
+		cs.compact(b)
+	}
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewEngine(colEquivDefs(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	want, got := float64(orig.store.residentBytes()), float64(restored.store.residentBytes())
+	t.Logf("resident bytes: original %.0f (query-time %d), restored %.0f (%.3f×)", want, last.Stats.ResidentBytes, got, got/want)
+	if got < 0.95*want || got > 1.05*want {
+		t.Fatalf("restored engine holds %.0f resident bytes, original %.0f: outside ±5%%", got, want)
+	}
+	ra, err := orig.Query(1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := restored.Query(1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.Stats.ResidentBytes == 0 || rb.Stats.ResidentBytes == 0 {
+		t.Fatalf("profiled queries report no resident bytes")
+	}
+	if !reflect.DeepEqual(ra.Fluents, rb.Fluents) || !reflect.DeepEqual(ra.Derived, rb.Derived) {
+		t.Fatalf("post-restore query differs")
 	}
 }

@@ -58,9 +58,10 @@ const (
 // behaviourally identical through the accessor methods; code must not
 // read Attrs directly on events it did not build itself.
 type Event struct {
-	// Type is the bucket key: snapshots carry it once per bucket as
-	// TypeSnapshot.Type and restoreEvent stamps it back per event.
-	//state:derived carried per bucket as TypeSnapshot.Type
+	// Type is the bucket key: snapshots carry it once per bucket as the
+	// Type of TypeSnapshot.Rows, and restored events read it back from
+	// their block.
+	//state:derived carried per bucket as TypeSnapshot.Rows.Type
 	Type  string
 	Time  Time
 	Key   string

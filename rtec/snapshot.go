@@ -1,8 +1,10 @@
 package rtec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,49 +31,19 @@ import (
 // produce identical snapshots — which is what lets the chaos harness
 // compare checkpoints across runs byte for byte.
 
-// AttrKind is the dynamic type of one snapshotted event attribute.
-// Go's int and int64 are kept distinct so a restored map-backed event
-// returns the exact boxed type the original did from Event.Get.
-type AttrKind uint8
-
-const (
-	// AttrFloat is a float64 attribute.
-	AttrFloat AttrKind = iota
-	// AttrInt64 is an int64 attribute.
-	AttrInt64
-	// AttrInt is a Go int attribute.
-	AttrInt
-	// AttrBool is a bool attribute.
-	AttrBool
-	// AttrStr is a string attribute.
-	AttrStr
-)
-
-// Attr is one event attribute; Kind selects which value field is live.
-type Attr struct {
-	Name string
-	Kind AttrKind
-	F    float64
-	I    int64
-	B    bool
-	S    string
-}
-
-// EventSnapshot is one stored SDE. Columnar view events are flattened
-// to their attribute values — the restored event is map-backed, which
-// is behaviourally identical through the Event accessors.
-type EventSnapshot struct {
-	Time  Time
-	Key   string
-	Attrs []Attr
-}
-
-// TypeSnapshot is one SDE type's store bucket, events in store order
-// (time-sorted, arrival-stable).
+// TypeSnapshot is one SDE type's store bucket in the canonical columnar
+// form every store implementation hands out and takes back: the live
+// rows only, in store order (time-sorted, arrival-stable), so neither
+// compaction history nor dead dictionary entries ever show.
 type TypeSnapshot struct {
-	Type    string
 	LateMin Time
-	Events  []EventSnapshot
+	// Rows holds the bucket's rows column-wise. Keys is nil — entity
+	// keys are dictionary-encoded through KIdx/KDict, the dictionary in
+	// first-use order; Cols are sorted by name, string dictionaries in
+	// first-use order, a Present mask exists only where some row lacks
+	// the attribute, and a boxed (ColAny) column only where the rows'
+	// values really mix types.
+	Rows Block
 }
 
 // InstanceSnapshot is one fluent instance's un-clipped maximal
@@ -96,6 +68,18 @@ type SeenEntry struct {
 	Time Time
 }
 
+// Compare orders dedup entries by (type, key, time) — the canonical
+// snapshot order.
+func (a SeenEntry) Compare(b SeenEntry) int {
+	if c := strings.Compare(a.Type, b.Type); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Time, b.Time)
+}
+
 // EngineSnapshot is the restorable state of one Engine.
 type EngineSnapshot struct {
 	LastQ   Time
@@ -111,7 +95,7 @@ type EngineSnapshot struct {
 func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	s := &EngineSnapshot{LastQ: e.lastQ, Started: e.started}
 
-	// The store flattens itself to the canonical row-oriented form:
+	// The store hands its rows out in the canonical columnar form:
 	// identical engine states produce identical snapshots whichever
 	// store implementation is configured, so a checkpoint written by a
 	// row-store engine restores into a column-store one (and vice
@@ -147,71 +131,8 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	for id := range e.seen {
 		s.Seen = append(s.Seen, SeenEntry{Type: id.typ, Key: id.key, Time: id.time})
 	}
-	sort.Slice(s.Seen, func(i, j int) bool {
-		a, b := s.Seen[i], s.Seen[j]
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Time < b.Time
-	})
+	slices.SortFunc(s.Seen, SeenEntry.Compare)
 	return s, nil
-}
-
-// snapshotEvent flattens one stored event to its attribute values,
-// sorted by name — columnar views and map-backed events with the same
-// attributes produce the same snapshot, which keeps snapshots
-// idempotent across restore round trips.
-func snapshotEvent(ev Event) (EventSnapshot, error) {
-	es := EventSnapshot{Time: ev.Time, Key: ev.Key}
-	if ev.blk != nil {
-		row := int(ev.row)
-		for ci := range ev.blk.Cols {
-			c := &ev.blk.Cols[ci]
-			if !c.present(row) {
-				continue
-			}
-			a := Attr{Name: c.Name}
-			switch c.Kind {
-			case ColFloat:
-				a.Kind, a.F = AttrFloat, c.F[row]
-			case ColInt:
-				a.Kind, a.I = AttrInt64, c.I[row]
-			case ColBool:
-				a.Kind, a.B = AttrBool, c.B[row]
-			case ColIntGo:
-				a.Kind, a.I = AttrInt, int64(c.N[row])
-			case ColAny:
-				var err error
-				if a, err = attrFromValue(c.Name, c.A[row]); err != nil {
-					return es, err
-				}
-			default:
-				a.Kind, a.S = AttrStr, c.Dict[c.SIdx[row]]
-			}
-			es.Attrs = append(es.Attrs, a)
-		}
-		sort.Slice(es.Attrs, func(i, j int) bool { return es.Attrs[i].Name < es.Attrs[j].Name })
-		return es, nil
-	}
-	if len(ev.Attrs) == 0 {
-		return es, nil
-	}
-	names := make([]string, 0, len(ev.Attrs))
-	for name := range ev.Attrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a, err := attrFromValue(name, ev.Attrs[name])
-		if err != nil {
-			return es, err
-		}
-		es.Attrs = append(es.Attrs, a)
-	}
-	return es, nil
 }
 
 // CanonicalAttrs renders an event's attributes in a canonical,
@@ -225,75 +146,45 @@ func snapshotEvent(ev Event) (EventSnapshot, error) {
 // cannot be snapshotted either; they render with an error marker and
 // still compare deterministically.
 func CanonicalAttrs(ev Event) string {
-	es, err := snapshotEvent(ev)
-	if err != nil {
-		return "!" + err.Error()
+	n := len(ev.Attrs)
+	if ev.blk != nil {
+		n = len(ev.blk.Cols)
 	}
+	names := make([]string, 0, n)
+	for name := range ev.Attrs {
+		names = append(names, name)
+	}
+	if ev.blk != nil {
+		for ci := range ev.blk.Cols {
+			if c := &ev.blk.Cols[ci]; c.present(int(ev.row)) {
+				names = append(names, c.Name)
+			}
+		}
+	}
+	sort.Strings(names)
 	var b strings.Builder
-	for _, a := range es.Attrs {
-		b.WriteString(a.Name)
+	for _, name := range names {
+		b.WriteString(name)
 		b.WriteByte(0)
-		switch a.Kind {
-		case AttrFloat:
-			fmt.Fprintf(&b, "f:%016x", math.Float64bits(a.F))
-		case AttrInt64:
-			fmt.Fprintf(&b, "i:%d", a.I)
-		case AttrInt:
-			fmt.Fprintf(&b, "n:%d", a.I)
-		case AttrBool:
-			fmt.Fprintf(&b, "b:%t", a.B)
-		case AttrStr:
+		val, _ := ev.Get(name)
+		switch v := val.(type) {
+		case float64:
+			fmt.Fprintf(&b, "f:%016x", math.Float64bits(v))
+		case int64:
+			fmt.Fprintf(&b, "i:%d", v)
+		case int:
+			fmt.Fprintf(&b, "n:%d", v)
+		case bool:
+			fmt.Fprintf(&b, "b:%t", v)
+		case string:
 			b.WriteString("s:")
-			b.WriteString(a.S)
+			b.WriteString(v)
+		default:
+			return fmt.Sprintf("!attribute %q has unsupported type %T", name, v)
 		}
 		b.WriteByte(0x1e)
 	}
 	return b.String()
-}
-
-// attrFromValue boxes one attribute value into its snapshot form.
-func attrFromValue(name string, v any) (Attr, error) {
-	a := Attr{Name: name}
-	switch v := v.(type) {
-	case float64:
-		a.Kind, a.F = AttrFloat, v
-	case int64:
-		a.Kind, a.I = AttrInt64, v
-	case int:
-		a.Kind, a.I = AttrInt, int64(v)
-	case bool:
-		a.Kind, a.B = AttrBool, v
-	case string:
-		a.Kind, a.S = AttrStr, v
-	default:
-		return a, fmt.Errorf("attribute %q has unsupported type %T", name, v)
-	}
-	return a, nil
-}
-
-// restoreEvent rebuilds a map-backed event from its snapshot.
-func restoreEvent(typ string, es EventSnapshot) (Event, error) {
-	ev := Event{Type: typ, Time: es.Time, Key: es.Key}
-	if len(es.Attrs) > 0 {
-		ev.Attrs = make(map[string]any, len(es.Attrs))
-		for _, a := range es.Attrs {
-			switch a.Kind {
-			case AttrFloat:
-				ev.Attrs[a.Name] = a.F
-			case AttrInt64:
-				ev.Attrs[a.Name] = a.I
-			case AttrInt:
-				ev.Attrs[a.Name] = int(a.I)
-			case AttrBool:
-				ev.Attrs[a.Name] = a.B
-			case AttrStr:
-				ev.Attrs[a.Name] = a.S
-			default:
-				return ev, fmt.Errorf("rtec: attribute %q has unknown kind %d", a.Name, a.Kind)
-			}
-		}
-	}
-	return ev, nil
 }
 
 // Restore replaces the engine's state with a snapshot's. The engine
@@ -307,17 +198,20 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 	// so a checkpoint migrates between store kinds transparently.
 	store := newSDEStore(e.opts.Store)
 	restored := make(map[string]bool, len(s.Types))
-	for _, ts := range s.Types {
-		if !e.defs.IsSDE(ts.Type) {
-			return fmt.Errorf("rtec: snapshot type %q was not declared as an SDE", ts.Type)
+	for i := range s.Types {
+		ts := &s.Types[i]
+		typ := ts.Rows.Type
+		if !e.defs.IsSDE(typ) {
+			return fmt.Errorf("rtec: snapshot type %q was not declared as an SDE", typ)
 		}
-		if restored[ts.Type] {
-			return fmt.Errorf("rtec: duplicate snapshot type %q", ts.Type)
+		if restored[typ] {
+			return fmt.Errorf("rtec: duplicate snapshot type %q", typ)
 		}
-		restored[ts.Type] = true
-		if err := store.restoreType(ts); err != nil {
+		restored[typ] = true
+		if err := ts.Rows.validate(); err != nil {
 			return err
 		}
+		store.restoreType(ts)
 	}
 
 	prev := make(map[string]map[KV]List, len(s.Prev))
@@ -348,6 +242,82 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 	e.lastQ = s.LastQ
 	e.started = s.Started
 	return nil
+}
+
+// MoveRows moves the rows of one SDE type whose entity key satisfies
+// moved out of s and into dst — the row half of migrating keys between
+// two engines' snapshots. The moved rows merge into dst's bucket in
+// time order, dst's own rows first on ties, through the column store's
+// order merge; dst's dirty watermark takes the earlier of the two
+// buckets' (conservative: the restored engine starts cold anyway).
+func (s *EngineSnapshot) MoveRows(dst *EngineSnapshot, typ string, moved func(key string) bool) error {
+	from := s.typeIndex(typ)
+	if from < 0 {
+		return nil
+	}
+	src := &s.Types[from]
+	if err := src.Rows.validate(); err != nil {
+		return err
+	}
+	// One predicate call per dictionary entry, not per row.
+	goes := make([]bool, len(src.Rows.KDict))
+	for k, key := range src.Rows.KDict {
+		goes[k] = moved(key)
+	}
+	var stay, gone []int32
+	for i, kid := range src.Rows.KIdx {
+		if goes[kid] {
+			gone = append(gone, int32(i))
+		} else {
+			stay = append(stay, int32(i))
+		}
+	}
+	if len(gone) == 0 {
+		return nil
+	}
+	goneRows, err := gatherRows(&src.Rows, gone)
+	if err != nil {
+		return err
+	}
+	stayRows, err := gatherRows(&src.Rows, stay)
+	if err != nil {
+		return err
+	}
+
+	scratch := newColumnStore()
+	lateMin := src.LateMin
+	to := dst.typeIndex(typ)
+	if to >= 0 {
+		if err := dst.Types[to].Rows.validate(); err != nil {
+			return err
+		}
+		scratch.restoreType(&dst.Types[to])
+		if dst.Types[to].LateMin < lateMin {
+			lateMin = dst.Types[to].LateMin
+		}
+	}
+	scratch.insertRows(&goneRows, identityRows(len(gone)), false, 0)
+	scratch.bucketOf(typ).lateMin = lateMin
+	merged, err := scratch.snapshotTypes()
+	if err != nil {
+		return err
+	}
+	src.Rows = stayRows
+	if to >= 0 {
+		dst.Types[to] = merged[0]
+	} else {
+		dst.Types = append(dst.Types, merged[0])
+	}
+	return nil
+}
+
+func (s *EngineSnapshot) typeIndex(typ string) int {
+	for i := range s.Types {
+		if s.Types[i].Rows.Type == typ {
+			return i
+		}
+	}
+	return -1
 }
 
 // Snapshot captures every partition's engine state, in partition

@@ -1,15 +1,38 @@
 package rtec
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
+// snapBytes renders a snapshot in its canonical binary form — what the
+// byte-identity gates compare.
+func snapBytes(t testing.TB, s *EngineSnapshot) []byte {
+	t.Helper()
+	b, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatalf("encode snapshot: %v", err)
+	}
+	return b
+}
+
+// engineBytes snapshots an engine and renders the snapshot.
+func engineBytes(t testing.TB, e *Engine) []byte {
+	t.Helper()
+	s, err := e.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	return snapBytes(t, s)
+}
+
 // snapDefs compiles a definition set exercising every rule kind: a
 // simple fluent with inertia, an event rule feeding the Fresh dedup
 // set, and a static fluent over the simple one.
-func snapDefs(t *testing.T) *Definitions {
+func snapDefs(t testing.TB) *Definitions {
 	t.Helper()
 	defs, err := NewBuilder().
 		DeclareSDE("tick", "on", "off").
@@ -65,7 +88,7 @@ func snapDefs(t *testing.T) *Definitions {
 
 // snapFeed delivers a deterministic mixed map/columnar event load for
 // the window ending at query time q.
-func snapFeed(t *testing.T, e *Engine, q Time) {
+func snapFeed(t testing.TB, e *Engine, q Time) {
 	t.Helper()
 	base := q - 50
 	if err := e.Input(
@@ -166,7 +189,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, snap2) {
+	if !bytes.Equal(snapBytes(t, snap), snapBytes(t, snap2)) {
 		t.Fatalf("snapshot of restored engine differs:\n%+v\nvs\n%+v", snap, snap2)
 	}
 
@@ -193,37 +216,96 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotDeterministic is the canonical-bytes gate: one engine
+// state has exactly one binary snapshot — repeated snapshots, either
+// store kind, a column store before and after dead-row compaction, a
+// snapshot→restore→snapshot round trip through either store and a
+// decode→encode round trip all yield the same bytes.
 func TestSnapshotDeterministic(t *testing.T) {
-	e, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100, Step: 50})
+	mk := func(kind StoreKind) *Engine {
+		e, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100, Step: 50, Store: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Three windows: the first one's rows are evicted by the last
+		// query, so the column store carries dead rows (fewer than live
+		// ones — it has not compacted yet).
+		for q := Time(50); q <= 150; q += 50 {
+			snapFeed(t, e, q)
+			if _, err := e.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	col := mk(StoreColumn)
+	a, err := col.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapFeed(t, e, 50)
-	if _, err := e.Query(50); err != nil {
-		t.Fatal(err)
-	}
-	a, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
+	want := snapBytes(t, a)
+	if got := engineBytes(t, col); !bytes.Equal(want, got) {
 		t.Fatalf("repeated snapshots differ")
 	}
-	// Deterministic ordering, not just equality: types and fluents
-	// sorted by name.
+	// Deterministic ordering, not just equality: types, columns and
+	// fluents sorted by name.
 	for i := 1; i < len(a.Types); i++ {
-		if a.Types[i-1].Type >= a.Types[i].Type {
-			t.Fatalf("types not sorted: %q before %q", a.Types[i-1].Type, a.Types[i].Type)
+		if a.Types[i-1].Rows.Type >= a.Types[i].Rows.Type {
+			t.Fatalf("types not sorted: %q before %q", a.Types[i-1].Rows.Type, a.Types[i].Rows.Type)
+		}
+	}
+	for _, ts := range a.Types {
+		for i := 1; i < len(ts.Rows.Cols); i++ {
+			if ts.Rows.Cols[i-1].Name >= ts.Rows.Cols[i].Name {
+				t.Fatalf("%s columns not sorted: %q before %q", ts.Rows.Type, ts.Rows.Cols[i-1].Name, ts.Rows.Cols[i].Name)
+			}
 		}
 	}
 	for i := 1; i < len(a.Prev); i++ {
 		if a.Prev[i-1].Name >= a.Prev[i].Name {
 			t.Fatalf("fluents not sorted: %q before %q", a.Prev[i-1].Name, a.Prev[i].Name)
 		}
+	}
+
+	if got := engineBytes(t, mk(StoreRow)); !bytes.Equal(want, got) {
+		t.Fatalf("row-store snapshot differs from column-store snapshot of the same state")
+	}
+
+	cs := col.store.(*columnStore)
+	dead := 0
+	for _, b := range cs.types {
+		dead += b.dead
+		cs.compact(b)
+	}
+	if dead == 0 {
+		t.Fatalf("fixture carries no dead rows; the compaction leg tests nothing")
+	}
+	if got := engineBytes(t, col); !bytes.Equal(want, got) {
+		t.Fatalf("snapshot changed across dead-row compaction")
+	}
+
+	for _, kind := range []StoreKind{StoreRow, StoreColumn} {
+		r, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100, Step: 50, Store: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Restore(a); err != nil {
+			t.Fatal(err)
+		}
+		if got := engineBytes(t, r); !bytes.Equal(want, got) {
+			t.Fatalf("snapshot changed across a restore into the %v store", kind)
+		}
+	}
+
+	var decoded EngineSnapshot
+	if err := decoded.UnmarshalBinary(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapBytes(t, &decoded); !bytes.Equal(want, got) {
+		t.Fatalf("snapshot changed across decode→encode")
+	}
+	if !reflect.DeepEqual(a, &decoded) {
+		t.Fatalf("decoded snapshot differs:\n%+v\nvs\n%+v", a, &decoded)
 	}
 }
 
@@ -283,16 +365,37 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.Restore(&EngineSnapshot{
-		Types: []TypeSnapshot{{Type: "ghost"}},
+		Types: []TypeSnapshot{{Rows: Block{Type: "ghost"}}},
 	}); err == nil {
 		t.Fatalf("undeclared SDE type accepted")
 	}
-	if err := e.Restore(&EngineSnapshot{
-		Types: []TypeSnapshot{{Type: "tick", Events: []EventSnapshot{
-			{Time: 20, Key: "a"}, {Time: 10, Key: "a"},
-		}}},
-	}); err == nil {
-		t.Fatalf("unsorted snapshot events accepted")
+	tick := func(mut func(*Block)) *EngineSnapshot {
+		b := Block{
+			Type: "tick", Times: []int64{10, 20}, KIdx: []uint32{0, 0}, KDict: []string{"a"},
+			Cols: []BCol{{Name: "src", Kind: ColStr, SIdx: []uint32{0, 0}, Dict: []string{"bus"}}},
+		}
+		mut(&b)
+		return &EngineSnapshot{Types: []TypeSnapshot{{LateMin: MaxTime, Rows: b}}}
+	}
+	if err := e.Restore(tick(func(*Block) {})); err != nil {
+		t.Fatalf("well-formed rows rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*Block){
+		"unsorted rows":          func(b *Block) { b.Times[1] = 5 },
+		"transport-keyed rows":   func(b *Block) { b.Keys = []string{"a", "a"} },
+		"key id out of range":    func(b *Block) { b.KIdx[1] = 1 },
+		"short column":           func(b *Block) { b.Cols[0].SIdx = b.Cols[0].SIdx[:1] },
+		"short presence mask":    func(b *Block) { b.Cols[0].Present = []bool{true} },
+		"string id out of range": func(b *Block) { b.Cols[0].SIdx[0] = 3 },
+		"duplicate column":       func(b *Block) { b.Cols = append(b.Cols, b.Cols[0]) },
+		"unknown column kind":    func(b *Block) { b.Cols[0].Kind = ColAny + 1 },
+		"unsupported boxed value": func(b *Block) {
+			b.Cols[0] = BCol{Name: "src", Kind: ColAny, A: []any{1.5, []int{1}}}
+		},
+	} {
+		if err := e.Restore(tick(mut)); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 	if err := e.Restore(&EngineSnapshot{
 		Prev: []FluentSnapshot{{Name: "power", Instances: []InstanceSnapshot{
@@ -308,4 +411,88 @@ func TestRestoreValidation(t *testing.T) {
 	if _, err := e.Snapshot(); err == nil {
 		t.Fatalf("unsupported attribute type accepted")
 	}
+}
+
+// fuzzSeedSnapshots renders two real miniature snapshots: the mixed
+// map/columnar load of snapFeed (inertia and dedup state included) and
+// a randomized load whose partial, mixed-kind attribute sets exercise
+// presence masks and the boxed column kind.
+func fuzzSeedSnapshots(t testing.TB) [][]byte {
+	t.Helper()
+	plain, err := NewEngine(snapDefs(t), Options{WorkingMemory: 120, Step: 50, Store: StoreColumn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := Time(50); q <= 150; q += 50 {
+		snapFeed(t, plain, q)
+		if _, err := plain.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mixed, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60, Step: 20, Store: StoreColumn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		if err := mixed.Input(randomEquivRow(rng, 40).event()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := mixed.Query(40); err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{engineBytes(t, plain), engineBytes(t, mixed)}
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder:
+// nothing panics, whatever decodes passes Restore's validation and
+// re-encodes, and the re-encoding is a fixed point — it decodes to a
+// snapshot that encodes to the same bytes.
+func FuzzSnapshotDecode(f *testing.F) {
+	for _, seed := range fuzzSeedSnapshots(f) {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:len(seed)-1])
+		for _, at := range []int{1, len(seed) / 3, len(seed) / 2, len(seed) - 2} {
+			flipped := append([]byte(nil), seed...)
+			flipped[at] ^= 0x10
+			f.Add(flipped)
+		}
+	}
+	f.Add([]byte(nil))
+	defs := colEquivDefs(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s EngineSnapshot
+		if err := s.UnmarshalBinary(data); err != nil {
+			return
+		}
+		enc, err := s.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+		var again EngineSnapshot
+		if err := again.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if enc2 := snapBytes(t, &again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\nvs\n%x", enc, enc2)
+		}
+		// Restore either rejects the snapshot (undeclared type, invalid
+		// intervals) or files it — the same way into both stores, which
+		// then agree on the canonical bytes of what they hold.
+		var restored [][]byte
+		for _, kind := range []StoreKind{StoreRow, StoreColumn} {
+			e, err := NewEngine(defs, Options{WorkingMemory: 60, Step: 20, Store: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Restore(&s); err == nil {
+				restored = append(restored, engineBytes(t, e))
+			}
+		}
+		if len(restored) == 1 || (len(restored) == 2 && !bytes.Equal(restored[0], restored[1])) {
+			t.Fatalf("row and column stores disagree on a restored snapshot")
+		}
+	})
 }

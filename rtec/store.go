@@ -1,9 +1,6 @@
 package rtec
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // sdeStore is the engine's working memory: the time-indexed SDE
 // buckets a query window is extracted from. Two implementations
@@ -42,14 +39,15 @@ type sdeStore interface {
 	// long-lived structures (events, indexes, columns, dictionaries).
 	// O(stored events); the engine only calls it under Profile.
 	residentBytes() uint64
-	// snapshotTypes flattens every bucket to the canonical row-oriented
-	// snapshot form, types sorted by name — identical engine states
-	// produce identical snapshots regardless of store implementation.
+	// snapshotTypes hands out every bucket's live rows in the canonical
+	// columnar snapshot form, types sorted by name — identical engine
+	// states produce identical snapshots regardless of store
+	// implementation.
 	snapshotTypes() ([]TypeSnapshot, error)
-	// restoreType rebuilds one bucket from its snapshot (events
-	// must be time-sorted; the caller has validated type and
-	// uniqueness).
-	restoreType(ts TypeSnapshot) error
+	// restoreType rebuilds one bucket from its snapshot through the
+	// bulk block path (the caller has validated the rows, the type and
+	// its uniqueness). The store copies what it keeps.
+	restoreType(ts *TypeSnapshot)
 }
 
 // sdeBucket is the read-only window view of one type's bucket.
@@ -520,49 +518,40 @@ func blockResidentBytes(b *Block) uint64 {
 	return total
 }
 
-// snapshotTypes flattens the buckets to the canonical snapshot form,
-// types sorted by name.
+// snapshotTypes transposes the buckets into the canonical columnar
+// form by filing every event, in store order, into a scratch column
+// store and handing out its snapshot — the row store is the reference
+// implementation, so it shares the canonicalisation rather than the
+// speed of the column store's gather.
 func (s *eventStore) snapshotTypes() ([]TypeSnapshot, error) {
-	types := make([]string, 0, len(s.types))
-	for typ := range s.types {
-		types = append(types, typ)
-	}
-	sort.Strings(types)
-	var out []TypeSnapshot
-	for _, typ := range types {
-		b := s.types[typ]
-		ts := TypeSnapshot{Type: typ, LateMin: b.lateMin, Events: make([]EventSnapshot, 0, len(b.events))}
+	cols := newColumnStore()
+	for typ, b := range s.types {
+		cols.bucketOf(typ).lateMin = b.lateMin
 		for _, ev := range b.events {
-			es, err := snapshotEvent(ev)
-			if err != nil {
-				return nil, fmt.Errorf("rtec: snapshot of %s event at %d: %w", typ, int64(ev.Time), err)
-			}
-			ts.Events = append(ts.Events, es)
+			cols.insert(ev, false)
 		}
-		out = append(out, ts)
 	}
-	return out, nil
+	return cols.snapshotTypes()
 }
 
-// restoreType rebuilds one bucket from its snapshot; events must be
-// time-sorted (snapshots are taken in store order).
-func (s *eventStore) restoreType(ts TypeSnapshot) error {
-	b := &typeEvents{byKey: make(map[string][]Event), lateMin: ts.LateMin}
-	s.types[ts.Type] = b
-	prev := Time(MinTime)
-	for i, es := range ts.Events {
-		if es.Time < prev {
-			return fmt.Errorf("rtec: snapshot events of %q not time-sorted at index %d", ts.Type, i)
-		}
-		prev = es.Time
-		ev, err := restoreEvent(ts.Type, es)
-		if err != nil {
-			return err
-		}
-		b.events = append(b.events, ev)
-		// Per-key subsequences of a time-sorted bucket are
-		// time-sorted, so in-order appends rebuild byKey exactly.
-		b.byKey[ev.Key] = append(b.byKey[ev.Key], ev)
+// restoreType bulk-files the snapshot rows as view events over one
+// owned block; rows are time-sorted, so both indexes rebuild on their
+// append fast paths.
+func (s *eventStore) restoreType(ts *TypeSnapshot) {
+	src := ts.Rows
+	src.Keys = make([]string, src.Len())
+	for i, kid := range src.KIdx {
+		src.Keys[i] = src.KDict[kid]
 	}
-	return nil
+	s.types[src.Type] = &typeEvents{byKey: make(map[string][]Event), lateMin: ts.LateMin}
+	s.insertRows(&src, identityRows(src.Len()), false, 0)
+}
+
+// identityRows returns the row selection 0..n-1.
+func identityRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
 }

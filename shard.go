@@ -2,6 +2,7 @@ package insight
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -513,33 +514,13 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 		return fmt.Errorf("insight: migrate: snapshot shard %d: %w", to, err)
 	}
 
-	// 1. Owner-routed SDE rows: the migrated buses' move events.
-	for ti := range snapF.Types {
-		ts := &snapF.Types[ti]
-		if ts.Type != traffic.MoveType {
-			continue
-		}
-		stay := ts.Events[:0]
-		var go_ []rtec.EventSnapshot
-		for _, es := range ts.Events {
-			if moved[es.Key] {
-				go_ = append(go_, es)
-			} else {
-				stay = append(stay, es)
-			}
-		}
-		if len(go_) == 0 {
-			break
-		}
-		ts.Events = stay
-		dest := findOrAddType(snapT, traffic.MoveType)
-		dest.Events = mergeEventSnaps(dest.Events, go_)
-		if ts.LateMin < dest.LateMin {
-			// Conservative dirty floor; only the first (already cold,
-			// full-recompute) post-restore query sees it.
-			dest.LateMin = ts.LateMin
-		}
-		break
+	// 1. Owner-routed SDE rows: the migrated buses' move events, moved
+	// column-wise. Tie order against the destination's own rows is
+	// unobservable: transition and vote derivation are set-semantics
+	// folds, and per-key sub-orders are preserved (a bus's events only
+	// ever move together).
+	if err := snapF.MoveRows(snapT, traffic.MoveType, func(key string) bool { return moved[key] }); err != nil {
+		return fmt.Errorf("insight: migrate: move rows %d→%d: %w", from, to, err)
 	}
 
 	// 2. Owner-scoped fluent instances (noisy, trends, warnings).
@@ -605,16 +586,6 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 	return nil
 }
 
-func findOrAddType(snap *rtec.EngineSnapshot, typ string) *rtec.TypeSnapshot {
-	for i := range snap.Types {
-		if snap.Types[i].Type == typ {
-			return &snap.Types[i]
-		}
-	}
-	snap.Types = append(snap.Types, rtec.TypeSnapshot{Type: typ, LateMin: interval.MaxTime})
-	return &snap.Types[len(snap.Types)-1]
-}
-
 func findOrAddFluent(snap *rtec.EngineSnapshot, name string) *rtec.FluentSnapshot {
 	for i := range snap.Prev {
 		if snap.Prev[i].Name == name {
@@ -623,29 +594,6 @@ func findOrAddFluent(snap *rtec.EngineSnapshot, name string) *rtec.FluentSnapsho
 	}
 	snap.Prev = append(snap.Prev, rtec.FluentSnapshot{Name: name})
 	return &snap.Prev[len(snap.Prev)-1]
-}
-
-// mergeEventSnaps merges two time-sorted event snapshot runs, existing
-// events first on time ties. Tie order is unobservable: transition and
-// vote derivation are set-semantics folds, and per-key sub-orders are
-// preserved (a bus's events only ever move together).
-func mergeEventSnaps(a, b []rtec.EventSnapshot) []rtec.EventSnapshot {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]rtec.EventSnapshot, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Time < a[i].Time {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Snapshot captures the whole tier: every shard engine, the reduce
@@ -675,16 +623,7 @@ func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
 	for id := range t.seen {
 		s.Seen = append(s.Seen, rtec.SeenEntry{Type: id.typ, Key: id.key, Time: id.time})
 	}
-	sort.Slice(s.Seen, func(i, j int) bool {
-		a, b := s.Seen[i], s.Seen[j]
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Time < b.Time
-	})
+	slices.SortFunc(s.Seen, rtec.SeenEntry.Compare)
 	ovs := rtec.FluentSnapshot{Name: tierSnapOverrides}
 	for _, o := range t.assign.Overrides() {
 		ovs.Instances = append(ovs.Instances, rtec.InstanceSnapshot{Key: o.Key, Value: strconv.Itoa(o.Shard)})

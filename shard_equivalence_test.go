@@ -1,6 +1,7 @@
 package insight
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -345,9 +346,40 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("tier snapshot has %d parts, want %d (shards + reduce + tier state)", len(snaps), want)
 	}
 
-	sysB := mk(rtec.StoreRow) // snapshots are store-independent
-	if err := sysB.engines.Restore(snaps); err != nil {
+	// The restore goes through the binary form the checkpoint file
+	// carries, into the other store kind: snapshots are
+	// store-independent, and the restored tier's own snapshot is byte
+	// for byte the one it was restored from.
+	encode := func(snaps []*rtec.EngineSnapshot) [][]byte {
+		t.Helper()
+		out := make([][]byte, len(snaps))
+		for i, s := range snaps {
+			if out[i], err = s.AppendBinary(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	wire := encode(snaps)
+	decoded := make([]*rtec.EngineSnapshot, len(wire))
+	for i, b := range wire {
+		decoded[i] = &rtec.EngineSnapshot{}
+		if err := decoded[i].UnmarshalBinary(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sysB := mk(rtec.StoreRow)
+	if err := sysB.engines.Restore(decoded); err != nil {
 		t.Fatal(err)
+	}
+	snapsB, err := sysB.engines.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range encode(snapsB) {
+		if !bytes.Equal(b, wire[i]) {
+			t.Errorf("tier snapshot part %d changed across the column→bytes→row round trip", i)
+		}
 	}
 	var tail []dublin.SDE
 	for _, sde := range sdes {

@@ -1,10 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
+	"github.com/insight-dublin/insight/internal/codec"
 	"github.com/insight-dublin/insight/streams"
 )
 
@@ -19,175 +18,12 @@ import (
 // bit, which is what makes WAL replay feed the engines the exact
 // stream the original run consumed.
 //
-// The append-style primitives (AppendUvarint, AppendString, ...) and
-// the sticky-error Decoder are exported because the checkpoint writer
-// (package insight) encodes engine snapshots with the same vocabulary.
+// The append-style primitives and the sticky-error Decoder live in
+// internal/codec, shared with the engine snapshot and checkpoint
+// formats.
 
 // batchFormat is the record payload version byte.
 const batchFormat = 1
-
-// AppendUvarint appends v in unsigned varint form.
-func AppendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-// AppendVarint appends v in zig-zag varint form.
-func AppendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-// AppendString appends a length-prefixed string.
-func AppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// AppendFloat appends a float64 as its IEEE 754 bits, little-endian.
-func AppendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// AppendBool appends a bool as one byte.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// Decoder reads back what the Append helpers wrote. Errors are sticky:
-// the first truncation or bound violation poisons the decoder, every
-// later read returns zero values, and Err reports the failure — so
-// decode routines can run straight-line and check once at the end.
-type Decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-// NewDecoder wraps a payload.
-func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
-
-// Err returns the first decoding error, or nil.
-func (d *Decoder) Err() error { return d.err }
-
-// Len returns the number of undecoded bytes.
-func (d *Decoder) Len() int { return len(d.b) - d.off }
-
-func (d *Decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("wal: truncated uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Varint reads a zig-zag varint.
-func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("wal: truncated varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Count reads a uvarint bounded by the remaining payload size — the
-// defensive form for element counts, so corrupt input cannot demand a
-// multi-gigabyte allocation before the per-element reads fail.
-func (d *Decoder) Count() int {
-	v := d.Uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(d.Len()) {
-		d.fail("wal: count %d exceeds %d remaining payload bytes", v, d.Len())
-		return 0
-	}
-	return int(v)
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Count()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// Float reads a float64.
-func (d *Decoder) Float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.Len() < 8 {
-		d.fail("wal: truncated float at offset %d", d.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-// Bytes reads n raw bytes as a copy that does not alias the payload.
-func (d *Decoder) Bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > d.Len() {
-		d.fail("wal: %d raw bytes requested with %d remaining at offset %d", n, d.Len(), d.off)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:d.off+n])
-	d.off += n
-	return out
-}
-
-// Skip discards n bytes.
-func (d *Decoder) Skip(n int) {
-	if d.err != nil {
-		return
-	}
-	if n < 0 || n > d.Len() {
-		d.fail("wal: cannot skip %d bytes with %d remaining at offset %d", n, d.Len(), d.off)
-		return
-	}
-	d.off += n
-}
-
-// Bool reads a bool.
-func (d *Decoder) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.Len() < 1 {
-		d.fail("wal: truncated bool at offset %d", d.off)
-		return false
-	}
-	v := d.b[d.off] != 0
-	d.off++
-	return v
-}
 
 // batch payload flag bits.
 const (
@@ -199,10 +35,10 @@ const (
 // extended slice. The batch is read, not consumed.
 func EncodeBatch(dst []byte, b *streams.Batch) []byte {
 	dst = append(dst, batchFormat)
-	dst = AppendString(dst, b.Type)
-	dst = AppendString(dst, b.Source)
+	dst = codec.AppendString(dst, b.Type)
+	dst = codec.AppendString(dst, b.Source)
 	n := b.Len()
-	dst = AppendUvarint(dst, uint64(n))
+	dst = codec.AppendUvarint(dst, uint64(n))
 	flags := byte(0)
 	if b.Arrivals != nil {
 		flags |= flagArrivals
@@ -211,58 +47,48 @@ func EncodeBatch(dst []byte, b *streams.Batch) []byte {
 		flags |= flagKeyDict
 	}
 	dst = append(dst, flags)
-	dst = appendDeltas(dst, b.Times)
+	dst = codec.AppendDeltas(dst, b.Times)
 	if b.Arrivals != nil {
-		dst = appendDeltas(dst, b.Arrivals)
+		dst = codec.AppendDeltas(dst, b.Arrivals)
 	}
 	if b.KIdx != nil {
-		dst = AppendUvarint(dst, uint64(len(b.KDict)))
+		dst = codec.AppendUvarint(dst, uint64(len(b.KDict)))
 		for _, s := range b.KDict {
-			dst = AppendString(dst, s)
+			dst = codec.AppendString(dst, s)
 		}
 		for _, id := range b.KIdx {
-			dst = AppendUvarint(dst, uint64(id))
+			dst = codec.AppendUvarint(dst, uint64(id))
 		}
 	} else {
 		for _, k := range b.Keys {
-			dst = AppendString(dst, k)
+			dst = codec.AppendString(dst, k)
 		}
 	}
-	dst = AppendUvarint(dst, uint64(len(b.Cols)))
+	dst = codec.AppendUvarint(dst, uint64(len(b.Cols)))
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		dst = AppendString(dst, c.Name)
+		dst = codec.AppendString(dst, c.Name)
 		dst = append(dst, byte(c.Kind))
 		switch c.Kind {
 		case streams.ColFloat:
 			for _, v := range c.F {
-				dst = AppendFloat(dst, v)
+				dst = codec.AppendFloat(dst, v)
 			}
 		case streams.ColInt:
-			dst = appendDeltas(dst, c.I)
+			dst = codec.AppendDeltas(dst, c.I)
 		case streams.ColBool:
 			for _, v := range c.B {
-				dst = AppendBool(dst, v)
+				dst = codec.AppendBool(dst, v)
 			}
 		case streams.ColStr:
-			dst = AppendUvarint(dst, uint64(len(c.Dict)))
+			dst = codec.AppendUvarint(dst, uint64(len(c.Dict)))
 			for _, s := range c.Dict {
-				dst = AppendString(dst, s)
+				dst = codec.AppendString(dst, s)
 			}
 			for _, id := range c.SIdx {
-				dst = AppendUvarint(dst, uint64(id))
+				dst = codec.AppendUvarint(dst, uint64(id))
 			}
 		}
-	}
-	return dst
-}
-
-// appendDeltas writes an int64 column as first value + zig-zag deltas.
-func appendDeltas(dst []byte, vs []int64) []byte {
-	prev := int64(0)
-	for _, v := range vs {
-		dst = AppendVarint(dst, v-prev)
-		prev = v
 	}
 	return dst
 }
@@ -273,29 +99,23 @@ func appendDeltas(dst []byte, vs []int64) []byte {
 // validated, so arbitrary payload bytes yield an error, never a panic
 // or a malformed batch.
 func DecodeBatch(payload []byte) (*streams.Batch, error) {
-	d := NewDecoder(payload)
+	d := codec.NewDecoder(payload)
 	if d.Len() < 1 {
 		return nil, fmt.Errorf("wal: empty record payload")
 	}
 	if v := payload[0]; v != batchFormat {
 		return nil, fmt.Errorf("wal: unknown record format %d", v)
 	}
-	d.off = 1
+	d.Byte()
 	b := streams.NewBatch(d.String(), d.String())
 	n := d.Count()
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	flags := byte(0)
-	if d.Len() >= 1 {
-		flags = d.b[d.off]
-		d.off++
-	} else {
-		d.fail("wal: truncated batch flags")
-	}
-	b.Times = readDeltas(d, n)
+	flags := d.Byte()
+	b.Times = d.Deltas(n)
 	if flags&flagArrivals != 0 {
-		b.Arrivals = readDeltas(d, n)
+		b.Arrivals = d.Deltas(n)
 	}
 	if flags&flagKeyDict != 0 {
 		nd := d.Count()
@@ -307,11 +127,11 @@ func DecodeBatch(payload []byte) (*streams.Batch, error) {
 		keys := make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			id := d.Uvarint()
-			if d.err == nil && id >= uint64(len(dict)) {
-				d.fail("wal: key index %d outside dictionary of %d", id, len(dict))
+			if d.Err() == nil && id >= uint64(len(dict)) {
+				d.Fail("wal: key index %d outside dictionary of %d", id, len(dict))
 			}
-			if d.err != nil {
-				return nil, d.err
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			idx = append(idx, uint32(id))
 			keys = append(keys, dict[id])
@@ -325,20 +145,18 @@ func DecodeBatch(payload []byte) (*streams.Batch, error) {
 		b.Keys = keys
 	}
 	nc := d.Count()
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	for ci := 0; ci < nc; ci++ {
 		name := d.String()
-		if d.err == nil && b.Col(name) != nil {
+		if d.Err() == nil && b.Col(name) != nil {
 			return nil, fmt.Errorf("wal: duplicate column %q in record payload", name)
 		}
-		if d.Len() < 1 {
-			d.fail("wal: truncated column kind")
-			return nil, d.err
+		kind := streams.ColKind(d.Byte())
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
-		kind := streams.ColKind(d.b[d.off])
-		d.off++
 		var col *streams.Col
 		switch kind {
 		case streams.ColFloat:
@@ -349,7 +167,7 @@ func DecodeBatch(payload []byte) (*streams.Batch, error) {
 			}
 		case streams.ColInt:
 			col = b.IntCol(name)
-			col.I = readDeltas(d, n)
+			col.I = d.Deltas(n)
 		case streams.ColBool:
 			col = b.BoolCol(name)
 			col.B = make([]bool, 0, n)
@@ -366,20 +184,20 @@ func DecodeBatch(payload []byte) (*streams.Batch, error) {
 			col.SIdx = make([]uint32, 0, n)
 			for i := 0; i < n; i++ {
 				id := d.Uvarint()
-				if d.err == nil && id >= uint64(len(col.Dict)) {
-					d.fail("wal: string index %d outside dictionary of %d", id, len(col.Dict))
+				if d.Err() == nil && id >= uint64(len(col.Dict)) {
+					d.Fail("wal: string index %d outside dictionary of %d", id, len(col.Dict))
 				}
 				col.SIdx = append(col.SIdx, uint32(id))
 			}
 		default:
 			return nil, fmt.Errorf("wal: unknown column kind %d", kind)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes after batch payload", d.Len())
@@ -388,15 +206,4 @@ func DecodeBatch(payload []byte) (*streams.Batch, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// readDeltas reads n delta-encoded int64 values.
-func readDeltas(d *Decoder, n int) []int64 {
-	out := make([]int64, 0, n)
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		prev += d.Varint()
-		out = append(out, prev)
-	}
-	return out
 }
