@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-delay bench-gp bench-recovery bench-shard fuzz-short figures experiments clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-delay bench-gp bench-recovery bench-shard bench-e2e fuzz-short figures experiments clean
 
 all: build vet test
 
@@ -46,9 +46,11 @@ lint-json:
 # checkpoints and a torn log tail in one run, recovered output
 # bit-identical to the uninterrupted run), re-run the crash gate
 # race-free so its assertions are exercised under both schedulers, gate
-# the columnar ingest path against the committed allocation budget, the
-# column-resident store against the committed resident bytes/event
-# advantage over the row store and the checkpoint file against its
+# the columnar ingest path and the recognition path (the bus ×
+# intersection rules' derived events) against their committed
+# allocation budgets, the column-resident store against the committed
+# resident bytes/event advantage over the row store and the checkpoint
+# file against its
 # bytes-per-stored-SDE budget (the race detector inflates allocation
 # counts, so those gates run in a separate non-race pass), re-run the
 # shard-equivalence gate race-free (the N ∈ {1,2,4,8} × both-store grid
@@ -56,8 +58,8 @@ lint-json:
 # snapshot round-trip; the race pass above already exercises them under
 # the race scheduler), and finish with a short fuzz pass over the
 # factorization/solve, WAL-decode, store block-merge,
-# shard-assignment, engine-snapshot-decode and checkpoint-decode
-# targets.
+# shard-assignment, engine-snapshot-decode, checkpoint-decode and
+# close/4 spatial-index targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -71,6 +73,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 5s ./traffic
 
 # The chaos harness: the Dublin pipeline under deterministic fault
 # profiles, scored against its own fault-free run.
@@ -114,11 +117,18 @@ bench-gp:
 bench-shard:
 	$(GO) run ./cmd/shardbench -out BENCH_shard.json
 
+# The end-to-end benchmark BENCHMARK.json declares: four workloads
+# through the real pipeline, every rep a fresh process, end-to-end
+# metrics untraced then per-layer metrics traced (a few minutes). One
+# workload: go run ./cmd/e2ebench -workload dublin10x-recognize -trace 0
+bench-e2e:
+	$(GO) run ./cmd/e2ebench
+
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
 # in internal/linalg/testdata/fuzz, WAL frame/codec regressions in
 # streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
-# regressions in rtec/testdata/fuzz and testdata/fuzz, as permanent
-# corpus seeds.
+# regressions in rtec/testdata/fuzz and testdata/fuzz, spatial-index
+# regressions in traffic/testdata/fuzz, as permanent corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
@@ -127,6 +137,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 10s ./traffic
 
 # Regenerate every figure of the paper's evaluation into ./results.
 figures:

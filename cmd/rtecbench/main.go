@@ -5,11 +5,15 @@
 //
 // Usage:
 //
-//	rtecbench [-buses 942] [-sensors 966] [-runs 3] [-wm 10,30,50,70,90,110] [-step 0] [-full]
+//	rtecbench [-buses 942] [-sensors 966] [-city 1x] [-runs 3] [-wm 10,30,50,70,90,110] [-step 0] [-full]
+//	          [-cpuprofile file] [-memprofile file]
 //
 // The defaults reproduce the paper's full scale (942 buses, 966 SCATS
 // sensors); recognition times then land in the same regime as the
 // paper's Prolog implementation (single-digit seconds at WM = 110 min).
+// -city 10x runs dublin.Profile10x instead (9420 buses, 9660 sensors on
+// a ten times denser street grid; -buses and -sensors are ignored).
+// -cpuprofile and -memprofile write pprof profiles of the whole run.
 //
 // With -step N the benchmark switches to the sliding-window regime of
 // Figure 2 (WM > step): SDEs are delivered by arrival time and a query
@@ -34,6 +38,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,8 +69,41 @@ func main() {
 		full    = flag.Bool("full", false, "disable incremental overlap caching (full recompute baseline)")
 		batch   = flag.Bool("batch", false, "compare map-decode vs columnar-block ingest (uses the first -wm entry)")
 		store   = flag.String("store", "row", "RTEC working-memory store: row (per-event records) or column (resident column blocks)")
+		scale   = flag.String("city", "1x", "city profile: 1x (-buses/-sensors on the default street grid) or 10x (dublin.Profile10x)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer func() {
+			f, err := os.Create(*memProf)
+			if err != nil {
+				log.Fatal(err)
+			}
+			runtime.GC() // settle the live heap before sampling it
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				log.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}()
+	}
 
 	switch *store {
 	case "row":
@@ -85,7 +123,16 @@ func main() {
 		wms = append(wms, v)
 	}
 
-	city, err := dublin.NewCity(dublin.Config{Seed: *seed, NumBuses: *buses, NumSensors: *sensors})
+	cityCfg := dublin.Config{Seed: *seed, NumBuses: *buses, NumSensors: *sensors}
+	switch *scale {
+	case "1x":
+	case "10x":
+		cityCfg = dublin.Profile10x(*seed)
+		*buses, *sensors = cityCfg.NumBuses, cityCfg.NumSensors
+	default:
+		log.Fatalf("invalid -city %q (want 1x or 10x)", *scale)
+	}
+	city, err := dublin.NewCity(cityCfg)
 	if err != nil {
 		log.Fatal(err)
 	}

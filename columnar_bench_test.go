@@ -9,6 +9,7 @@ package insight
 // the committed per-event allocation budget.
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
@@ -560,5 +561,91 @@ func TestAllocBudget_ColumnarIngest(t *testing.T) {
 	if perEvent > allocBudgetPerEvent {
 		t.Errorf("columnar ingest allocates %.3f per event, budget %.2f — the zero-allocation path regressed",
 			perEvent, allocBudgetPerEvent)
+	}
+}
+
+// recognitionAllocBudget is the committed recognition allocation budget
+// the check target gates on: heap allocations of a steady-state
+// Engine.Query over a shard's Dublin rule set, per derived event in the
+// result. Deriving an event as an attribute map cost three objects and
+// up (the map, a boxed value or two, the vote key); as EventBlock views
+// it costs a share of a few column growths; what is left is the noisy
+// fluent's per-bus interval work, a vote key per new (bus, area) pair
+// and a canonical rendering per same-identity collision. Measured at
+// 0.74 (5.61 with map-backed events); 1.1 leaves room for map-growth
+// jitter without letting one object per event back in.
+const recognitionAllocBudget = 1.1
+
+// TestAllocBudget_Recognition is the allocation-regression gate of the
+// bus × intersection rules: a sliding-window engine on the column
+// store running the shard rule set (agree, disagree, busCongVote,
+// delayIncrease, noisy), measured over the queries after the first two
+// (which fill the window and the overlap caches). Only the bus stream is
+// fed: the per-sensor fluents allocate per fluent instance, not per
+// derived event, and would drown the figure.
+func TestAllocBudget_Recognition(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	// The 10x profile's street grid and sensor density — where a bus is
+	// close to a few instrumented junctions at every report — under a
+	// twentieth of its fleet and a tenth of its congestion hotspots (the
+	// generator's cost), to keep the test short.
+	cfg := dublin.Profile10x(1)
+	cfg.NumBuses, cfg.Hotspots = 471, 40
+	city, err := dublin.NewCity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := city.Registry(150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs, err := traffic.BuildShard(
+		traffic.Config{Registry: reg, NoisyPolicy: traffic.Pessimistic, Adaptive: true},
+		traffic.ShardPlan{OwnsSensor: func(string) bool { return true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wm, step = rtec.Time(600), rtec.Time(300)
+	e, err := rtec.NewEngine(defs, rtec.Options{WorkingMemory: wm, Step: step, Store: rtec.StoreColumn, RuleWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := rtec.Time(7 * 3600)
+	sdes := city.Collect(from, from+6*step)
+	var mallocs uint64
+	derived, cursor := 0, 0
+	for i := 1; i <= 6; i++ {
+		q := from + rtec.Time(i)*step
+		for ; cursor < len(sdes) && sdes[cursor].Arrival <= q; cursor++ {
+			if sdes[cursor].Event.Type != traffic.MoveType {
+				continue
+			}
+			if err := e.Input(sdes[cursor].Event); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 2 {
+			mallocs += after.Mallocs - before.Mallocs
+			derived += res.Stats.DerivedEvents
+		}
+	}
+	if derived < 50000 {
+		t.Fatalf("only %d derived events: the workload does not exercise the rules", derived)
+	}
+	perEvent := float64(mallocs) / float64(derived)
+	t.Logf("recognition: %d allocs for %d derived events, %.3f per event (budget %.2f)",
+		mallocs, derived, perEvent, recognitionAllocBudget)
+	if perEvent > recognitionAllocBudget {
+		t.Errorf("recognition allocates %.3f objects per derived event, budget %.2f — a per-event allocation is back",
+			perEvent, recognitionAllocBudget)
 	}
 }

@@ -63,7 +63,7 @@ func render(diags []Diagnostic) string {
 // goldenCases maps each analyzer to its fixture directory and the
 // import path it is loaded under. The import paths for nodeterminism,
 // hotalloc and durorder end in suffixes that match those analyzers'
-// package gates ("rtec", "internal/linalg", "wal"). A case may run a
+// package gates ("rtec", "internal/linalg", "traffic", "wal"). A case may run a
 // wider analyzer set than the one it is named for: stalelint only
 // judges rules whose analyzers ran, so its golden runs All.
 var goldenCases = []struct {
@@ -77,6 +77,7 @@ var goldenCases = []struct {
 	{HotAlloc, "hotalloc", "fixture/internal/linalg", nil},
 	{HotAlloc, "hotalloc_batch", "fixture/streams", nil},
 	{HotAlloc, "hotalloc_colstore", "fixture/colstore/rtec", nil},
+	{HotAlloc, "hotalloc_rules", "fixture/traffic", nil},
 	{FloatEq, "floateq", "fixture/floateq", nil},
 	{LockCopy, "lockcopy", "fixture/lockcopy", nil},
 	{ItemAlias, "itemalias", "fixture/itemalias", nil},

@@ -29,6 +29,19 @@ var batchPathFuncs = map[string]*regexp.Regexp{
 	"insight": regexp.MustCompile(`^(admitRows|ProcessBatch)$`),
 }
 
+// ruleClosurePkgs are the packages whose rtec rule closures — the
+// function literals bound to an EventRule's Derive or a SimpleFluent's
+// Transitions field — are held to the derived-event contract: per row
+// of the window they scan, no attribute map and no concatenated key.
+// One map[string]any per derived event (plus its boxed values) was a
+// third of recognition time on the 10x profile; rules derive into an
+// rtec.EventBlock instead.
+var ruleClosurePkgs = []string{"traffic"}
+
+// ruleClosureFields are the composite-literal keys whose function
+// literal values are rule closures.
+var ruleClosureFields = map[string]bool{"Derive": true, "Transitions": true}
+
 // itemMaterializers are the calls that rebuild a per-event (map or
 // view) representation from columnar data; calling one per row inside
 // a batch loop defeats the batching. Event/At/Slice cover the resident
@@ -55,13 +68,21 @@ var itemMaterializers = map[string]bool{
 // On the columnar batch path (batchPathFuncs) it additionally flags
 // per-row map construction and Item/Event materialization calls at any
 // loop depth: the zero-allocation contract of batched transport.
+//
+// In rule closures (ruleClosurePkgs) it flags map[string]any literals
+// and string concatenation in per-row code: loop bodies and callbacks
+// handed to a row iterator, at any depth, including local closures the
+// rule closure delegates to.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags allocations in the innermost loops of hot-path kernel functions and per-row map materialization in batch loops",
+	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, per-row map materialization in batch loops, and per-event attribute maps or key concatenation in rule closures",
 	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {
+	if pkgMatches(pass.Pkg.Path, ruleClosurePkgs) {
+		checkRuleClosures(pass)
+	}
 	var hotRe *regexp.Regexp
 	for suffix, re := range hotPathFuncs {
 		if pkgMatches(pass.Pkg.Path, []string{suffix}) {
@@ -106,6 +127,122 @@ func runHotAlloc(pass *Pass) {
 			}
 		}
 	}
+}
+
+// checkRuleClosures finds the package's rule closures and reports
+// per-event attribute maps and key concatenation in their per-row code.
+func checkRuleClosures(pass *Pass) {
+	info := pass.Pkg.Info
+	for _, f := range pass.Pkg.Files {
+		// Local closures by the variable they are bound to, so a rule
+		// closure that delegates — Derive: func(ctx) { return derive(ctx,
+		// true) } — is followed into the closure doing the work.
+		bound := make(map[types.Object]*ast.FuncLit)
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, rhs := range as.Rhs {
+				lit, isLit := rhs.(*ast.FuncLit)
+				id, isIdent := as.Lhs[i].(*ast.Ident)
+				if isLit && isIdent && info.ObjectOf(id) != nil {
+					bound[info.ObjectOf(id)] = lit
+				}
+			}
+			return true
+		})
+		// A closure several rules delegate to is reported once.
+		seen := make(map[*ast.FuncLit]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			kv, ok := n.(*ast.KeyValueExpr)
+			if !ok {
+				return true
+			}
+			key, isIdent := kv.Key.(*ast.Ident)
+			lit, isLit := kv.Value.(*ast.FuncLit)
+			if isIdent && isLit && ruleClosureFields[key.Name] {
+				seen[lit] = true
+				w := &ruleClosureWalk{pass: pass, field: key.Name, bound: bound, seen: seen}
+				w.walk(lit.Body, false)
+			}
+			return true
+		})
+	}
+}
+
+// ruleClosureWalk walks one rule closure, tracking whether the code at
+// hand runs once per row.
+type ruleClosureWalk struct {
+	pass  *Pass
+	field string // Derive or Transitions
+	bound map[types.Object]*ast.FuncLit
+	seen  map[*ast.FuncLit]bool
+}
+
+func (w *ruleClosureWalk) walk(n ast.Node, perRow bool) {
+	info := w.pass.Pkg.Info
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			w.walk(loopBody(n), true)
+			return false // the header runs once; the body was just walked
+		case *ast.FuncLit:
+			w.walk(n.Body, perRow)
+			return false
+		case *ast.CallExpr:
+			// A function literal handed to a call is a per-row callback
+			// (eachCloseMove's fn); a call of a local closure continues
+			// in that closure.
+			for _, arg := range n.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					w.walk(lit.Body, true)
+				} else {
+					w.walk(arg, perRow)
+				}
+			}
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+				if lit := w.bound[info.ObjectOf(id)]; lit != nil && !w.seen[lit] {
+					w.seen[lit] = true
+					w.walk(lit.Body, perRow)
+				}
+			} else {
+				w.walk(n.Fun, perRow)
+			}
+			return false
+		case *ast.CompositeLit:
+			if perRow && isAttrMap(info.TypeOf(n)) {
+				w.pass.Reportf(n.Pos(), "attribute map per event in a %s closure; derive into an rtec.EventBlock", w.field)
+				return false
+			}
+		case *ast.BinaryExpr:
+			if perRow && n.Op == token.ADD && isStringType(info.TypeOf(n)) {
+				w.pass.Reportf(n.Pos(), "string concatenation per event in a %s closure; build the key once per distinct value", w.field)
+			}
+		}
+		return true
+	})
+}
+
+// isAttrMap reports whether t is map[string]any, the event attribute map.
+func isAttrMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	m, ok := t.Underlying().(*types.Map)
+	if !ok {
+		return false
+	}
+	elem, isIface := m.Elem().Underlying().(*types.Interface)
+	return isStringType(m.Key()) && isIface && elem.Empty()
+}
+
+func isStringType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // checkBatchLoop reports per-row map construction and Item/Event
@@ -206,12 +343,8 @@ func checkHotLoop(pass *Pass, fn string, body *ast.BlockStmt) {
 				checkBoxing(pass, fn, n)
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD {
-				if tv, ok := info.Types[n]; ok {
-					if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						pass.Reportf(n.Pos(), "string concatenation allocates in the innermost loop of hot function %s", fn)
-					}
-				}
+			if n.Op == token.ADD && isStringType(info.TypeOf(n)) {
+				pass.Reportf(n.Pos(), "string concatenation allocates in the innermost loop of hot function %s", fn)
 			}
 		}
 		return true

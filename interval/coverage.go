@@ -1,6 +1,9 @@
 package interval
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // CoverageAtLeast returns the maximal intervals during which at least
 // n of the given lists hold simultaneously. It generalises
@@ -28,7 +31,7 @@ func CoverageAtLeast(n int, lists []List) List {
 	if len(bounds) == 0 {
 		return nil
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].t < bounds[j].t })
+	slices.SortFunc(bounds, func(a, b boundary) int { return cmp.Compare(a.t, b.t) })
 
 	var out []Span
 	count := 0

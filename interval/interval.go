@@ -15,8 +15,10 @@
 package interval
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -106,11 +108,11 @@ func Normalize(spans []Span) List {
 	if len(work) == 0 {
 		return nil
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].Start != work[j].Start {
-			return work[i].Start < work[j].Start
+	slices.SortFunc(work, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return work[i].End < work[j].End
+		return cmp.Compare(a.End, b.End)
 	})
 	out := List{work[0]}
 	for _, s := range work[1:] {
@@ -373,8 +375,8 @@ func Clip(l List, window Span) List {
 func FromTransitions(initiations, terminations []Time, holdsAtStart bool, start, horizon Time) List {
 	ini := append([]Time(nil), initiations...)
 	ter := append([]Time(nil), terminations...)
-	sort.Slice(ini, func(i, j int) bool { return ini[i] < ini[j] })
-	sort.Slice(ter, func(i, j int) bool { return ter[i] < ter[j] })
+	slices.Sort(ini)
+	slices.Sort(ter)
 
 	var out List
 	var cur Span

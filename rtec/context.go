@@ -2,6 +2,7 @@ package rtec
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/insight-dublin/insight/interval"
 )
@@ -36,10 +37,29 @@ type Context struct {
 	q      Time
 	view   Span // event visibility, ⊆ [Q-WM+1, Q+1); normally the full window
 
-	store        sdeStore                      // SDE buckets (read-only during a query); may be nil
-	derived      map[string][]Event            // derived events by type, time-sorted
-	derivedByKey map[string]map[string][]Event // type -> key -> time-sorted events
-	fluents      map[string]map[KV]List        // name -> instance -> maximal intervals
+	store   sdeStore                  // SDE buckets (read-only during a query); may be nil
+	derived map[string]*derivedEvents // derived events by type
+	fluents map[string]map[KV]List    // name -> instance -> maximal intervals
+}
+
+// derivedEvents is one derived type's events for the current query,
+// sorted by (time, key). No library rule reads a derived type by key,
+// so the per-key index is built by the first lookup that wants it;
+// rules of one stratum run concurrently, hence the Once.
+type derivedEvents struct {
+	evs       []Event
+	keyedOnce sync.Once
+	keyed     map[string][]Event // key -> time-sorted events
+}
+
+func (d *derivedEvents) byKey() map[string][]Event {
+	d.keyedOnce.Do(func() {
+		d.keyed = make(map[string][]Event)
+		for _, e := range d.evs {
+			d.keyed[e.Key] = append(d.keyed[e.Key], e)
+		}
+	})
+	return d.keyed
 }
 
 // Rows is a zero-copy window view: the time-sorted events of one type
@@ -110,12 +130,11 @@ func (r Rows) Slice() []Event {
 
 func newContext(q Time, window Span) *Context {
 	return &Context{
-		q:            q,
-		window:       window,
-		view:         Span{Start: window.Start, End: q + 1},
-		derived:      make(map[string][]Event),
-		derivedByKey: make(map[string]map[string][]Event),
-		fluents:      make(map[string]map[KV]List),
+		q:       q,
+		window:  window,
+		view:    Span{Start: window.Start, End: q + 1},
+		derived: make(map[string]*derivedEvents),
+		fluents: make(map[string]map[KV]List),
 	}
 }
 
@@ -144,8 +163,8 @@ func (c *Context) QueryTime() Time { return c.q }
 // occurrences inside the window, iterable without materializing
 // events. This is the columnar-aware counterpart of Events.
 func (c *Context) Rows(typ string) Rows {
-	if evs, ok := c.derived[typ]; ok {
-		return Rows{evs: sliceSpan(evs, c.view)}
+	if d, ok := c.derived[typ]; ok {
+		return Rows{evs: sliceSpan(d.evs, c.view)}
 	}
 	if c.store != nil {
 		if b := c.store.bucket(typ); b != nil {
@@ -157,8 +176,8 @@ func (c *Context) Rows(typ string) Rows {
 
 // RowsForKey is Rows restricted to one entity key.
 func (c *Context) RowsForKey(typ, key string) Rows {
-	if m, ok := c.derivedByKey[typ]; ok {
-		return Rows{evs: sliceSpan(m[key], c.view)}
+	if d, ok := c.derived[typ]; ok {
+		return Rows{evs: sliceSpan(d.byKey()[key], c.view)}
 	}
 	if c.store != nil {
 		if b := c.store.bucket(typ); b != nil {
@@ -190,9 +209,9 @@ func (c *Context) EventsForKey(typ, key string) []Event {
 // order must be run-stable for recognition output to be
 // deterministic.
 func (c *Context) EventKeys(typ string) []string {
-	if m, ok := c.derivedByKey[typ]; ok {
+	if d, ok := c.derived[typ]; ok {
 		var out []string
-		for k, evs := range m {
+		for k, evs := range d.byKey() {
 			if len(sliceSpan(evs, c.view)) > 0 {
 				out = append(out, k)
 			}
@@ -251,20 +270,15 @@ func (c *Context) ValueAt(fluent, key string, t Time) (string, bool) {
 	return "", false
 }
 
-// addEvents inserts derived events so higher strata can read them.
-// Events must be added before the stratum that reads them is
-// evaluated; the engine guarantees this ordering (strata are barriers).
+// addEvents files one derived type's events, already in sortEvents
+// order, so higher strata can read them. Events must be added before
+// the stratum that reads them is evaluated; the engine guarantees this
+// ordering (strata are barriers).
 func (c *Context) addEvents(typ string, events []Event) {
 	if len(events) == 0 {
 		return
 	}
-	sortEvents(events)
-	c.derived[typ] = events
-	keyed := make(map[string][]Event)
-	for _, e := range events {
-		keyed[e.Key] = append(keyed[e.Key], e)
-	}
-	c.derivedByKey[typ] = keyed
+	c.derived[typ] = &derivedEvents{evs: events}
 }
 
 func (c *Context) setFluent(name string, instances map[KV]List) {

@@ -89,7 +89,7 @@ type Engine struct {
 
 	// seen tracks derived event instances already reported, for
 	// Result.Fresh. Pruned as instances fall out of the window.
-	seen map[derivedID]bool
+	seen *SeenSet
 
 	// rowScratch is the reusable admitted-row buffer of inputBlock;
 	// sortKeys and rowCopy are the reusable buffers of its packed
@@ -97,12 +97,6 @@ type Engine struct {
 	rowScratch []int32  //state:transient reusable scratch
 	sortKeys   []uint64 //state:transient reusable scratch
 	rowCopy    []int32  //state:transient reusable scratch
-}
-
-type derivedID struct {
-	typ  string
-	key  string
-	time Time
 }
 
 // NewEngine builds an engine over a compiled definition set.
@@ -131,7 +125,7 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 		store: newSDEStore(opts.Store),
 		prev:  make(map[string]map[KV]List),
 		cache: make(map[string]*ruleCache),
-		seen:  make(map[derivedID]bool),
+		seen:  NewSeenSet(opts.WorkingMemory),
 	}, nil
 }
 
@@ -327,7 +321,10 @@ type ruleOutput struct {
 	trans  []Transition // simple: window-filtered transition points (next cache)
 	full   map[KV]List  // simple: un-clipped maximal intervals
 	static map[KV]List  // static: normalised instance intervals
-	events []Event      // event: in-window recognised instances
+	events []Event      // event: in-window recognised instances, in sortEvents order
+	// events[:headEnd] and events[tailStart:] were derived by this query;
+	// what lies between was spliced in from the previous query's cache.
+	headEnd, tailStart int
 }
 
 // Query evaluates all CE definitions at query time q. Query times must
@@ -412,20 +409,12 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			}
 			outs[i].static = norm
 		case kindEvent:
-			var inWindow []Event
 			if p, ok := e.planSplice(i, q, windowStart); ok {
-				inWindow = spliceEvents(rule, e.cache[rule.name], p, ctx, windowStart, q)
+				outs[i].events, outs[i].headEnd, outs[i].tailStart = spliceEvents(rule, e.cache[rule.name], p, ctx, windowStart, q)
 			} else {
-				evs := rule.event.Derive(ctx)
-				inWindow = evs[:0]
-				for _, ev := range evs {
-					if window.Contains(ev.Time) {
-						ev.Type = rule.name
-						inWindow = append(inWindow, ev)
-					}
-				}
+				evs := deriveIn(rule, ctx, window)
+				outs[i].events, outs[i].headEnd, outs[i].tailStart = evs, len(evs), len(evs)
 			}
-			outs[i].events = inWindow
 		}
 		if e.opts.Profile {
 			d := time.Since(ruleStart)
@@ -491,43 +480,20 @@ func (e *Engine) Query(q Time) (*Result, error) {
 		lo = hi
 	}
 
-	// Fresh derived events: not seen at any earlier query time. When
-	// the same identity (type, key, time) is derived more than once in
-	// one query with different attributes — e.g. two buses disagreeing
-	// with the same intersection at the same second — the survivor is
-	// the one with the smallest canonical attribute rendering, not
-	// whichever happened to be derived first: that makes the choice
-	// independent of derivation interleaving, so a sharded tier
-	// collapsing per-shard fresh sets picks the same survivor this
-	// single engine does (see CanonicalAttrs).
-	var fresh []Event
-	var freshIdx map[derivedID]int
-	for _, evs := range res.Derived {
-		for _, ev := range evs {
-			id := derivedID{typ: ev.Type, key: ev.Key, time: ev.Time}
-			if e.seen[id] {
-				if j, ok := freshIdx[id]; ok && CanonicalAttrs(ev) < CanonicalAttrs(fresh[j]) {
-					fresh[j] = ev
-				}
-				continue
-			}
-			e.seen[id] = true
-			if freshIdx == nil {
-				freshIdx = make(map[derivedID]int)
-			}
-			freshIdx[id] = len(fresh)
-			//lint:allow nodeterminism sortEvents below restores the total (time,type,key) order; surviving identities are unique
-			fresh = append(fresh, ev)
+	// Fresh derived events: not seen at any earlier query time. Only
+	// what this query derived is probed — events spliced in from the
+	// cache were filed by the query that derived them.
+	var fresh [][]Event // per event rule, in sortEvents order
+	for i := range e.defs.rules {
+		if o := &outs[i]; e.defs.rules[i].kind == kindEvent {
+			derived := len(o.events) - (o.tailStart - o.headEnd)
+			run := e.appendFresh(make([]Event, 0, derived), o.events[:o.headEnd])
+			fresh = append(fresh, e.appendFresh(run, o.events[o.tailStart:]))
 		}
 	}
-	sortEvents(fresh)
-	res.Fresh = fresh
+	res.Fresh = mergeEvents(fresh)
 	// Prune the seen set as instances fall out of reach.
-	for id := range e.seen {
-		if id.time <= q-wm {
-			delete(e.seen, id)
-		}
-	}
+	e.seen.Prune(q - wm)
 
 	for _, evs := range res.Derived {
 		res.Stats.DerivedEvents += len(evs)
@@ -553,11 +519,44 @@ func (e *Engine) Query(q Time) (*Result, error) {
 	return res, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// deriveIn runs an event rule against ctx and returns the instances
+// inside span, typed and in sortEvents order (the rule's own slice,
+// filtered in place).
+func deriveIn(rule *compiledRule, ctx *Context, span Span) []Event {
+	evs := rule.event.Derive(ctx)
+	out := evs[:0]
+	for _, ev := range evs {
+		if span.Contains(ev.Time) {
+			ev.Type = rule.name
+			out = append(out, ev)
+		}
 	}
-	return b
+	sortEvents(out)
+	return out
+}
+
+// appendFresh appends to fresh the events of evs — one rule's output,
+// in sortEvents order — whose identity (type, key, time) no earlier
+// query reported, and files those identities. When the same identity is
+// derived more than once in one query with different attributes — e.g.
+// two buses disagreeing with the same intersection at the same second —
+// the derivations are adjacent, and the survivor is the one with the
+// smallest canonical attribute rendering, not whichever happened to be
+// derived first: that makes the choice independent of derivation
+// interleaving, so a sharded tier collapsing per-shard fresh sets picks
+// the same survivor this single engine does (see CanonicalAttrs).
+func (e *Engine) appendFresh(fresh, evs []Event) []Event {
+	for lo := 0; lo < len(evs); {
+		hi := lo + 1
+		for hi < len(evs) && evs[hi].Time == evs[lo].Time && evs[hi].Key == evs[lo].Key {
+			hi++
+		}
+		if e.seen.Add(evs[lo].Type, evs[lo].Key, evs[lo].Time) {
+			fresh = append(fresh, evs[lo+CanonicalSurvivor(evs[lo:hi])])
+		}
+		lo = hi
+	}
+	return fresh
 }
 
 // Run evaluates at the regular query times start, start+Step,

@@ -131,7 +131,7 @@ func TestFreshSetPruned(t *testing.T) {
 		}
 	}
 	// The seen-set must not accumulate entries forever.
-	if n := len(e.seen); n > 2 {
+	if n := len(e.seen.Entries()); n > 2 {
 		t.Errorf("seen set grew to %d entries; pruning broken", n)
 	}
 }

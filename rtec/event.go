@@ -32,8 +32,10 @@
 package rtec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/insight-dublin/insight/interval"
 )
@@ -154,21 +156,105 @@ type KV struct {
 // TrueValue is the fluent value used by boolean fluents (F = true).
 const TrueValue = "true"
 
-// sortEvents orders events by time, breaking ties by arrival order
-// (stable sort over the input ordering).
 // sortEvents orders events by (Time, Type, Key) — a total order over
 // the distinct derived-event identities, so slices assembled from map
 // iteration come out bit-identical across runs. The sort is stable so
 // genuinely duplicated identities keep their arrival order.
+//
+// It only sorts what is unsorted: rules over the time-sorted window
+// views emit in time order, so usually only the runs of events sharing
+// a second need the (Type, Key) order, and an already ordered slice
+// costs one scan.
 func sortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+	var s eventSorter // scratch shared by the tie runs
+	for i := 1; i < len(events); i++ {
+		if events[i].Time < events[i-1].Time {
+			// Not even time-ordered: a rule that emits key by key.
+			s.sort(events)
+			return
 		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
+	}
+	for lo := 0; lo < len(events); {
+		hi := lo + 1
+		sorted := true
+		for ; hi < len(events) && events[hi].Time == events[lo].Time; hi++ {
+			sorted = sorted && CompareIdentity(&events[hi-1], &events[hi]) <= 0
 		}
-		return a.Key < b.Key
+		if !sorted {
+			s.sort(events[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// CompareIdentity orders events by identity — (Time, Type, Key) — the
+// order of every event list in a Result.
+func CompareIdentity(a, b *Event) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Type, b.Type); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
+}
+
+// eventSorter sorts events stably by CompareIdentity while moving each of
+// the 64-byte, pointer-carrying records only twice: it sorts a
+// permutation (position breaks ties, which is what makes it stable) and
+// then applies it through a scratch copy.
+type eventSorter struct {
+	perm []int32
+	tmp  []Event
+}
+
+func (s *eventSorter) sort(events []Event) {
+	s.perm = s.perm[:0]
+	for i := range events {
+		s.perm = append(s.perm, int32(i))
+	}
+	slices.SortFunc(s.perm, func(a, b int32) int {
+		if c := CompareIdentity(&events[a], &events[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	s.tmp = append(s.tmp[:0], events...)
+	for i, p := range s.perm {
+		events[i] = s.tmp[p]
+	}
+}
+
+// mergeEvents merges runs that are each in sortEvents order into one
+// slice in that order; on ties the earlier run's events come first.
+func mergeEvents(runs [][]Event) []Event {
+	n, live := 0, 0
+	for _, r := range runs {
+		n += len(r)
+		if len(r) > 0 {
+			runs[live] = r
+			live++
+		}
+	}
+	runs = runs[:live]
+	switch live {
+	case 0:
+		return nil
+	case 1:
+		return runs[0] // shared with the input, like every Result list
+	}
+	out := make([]Event, 0, n)
+	for len(runs) > 0 {
+		best := 0
+		for i := 1; i < len(runs); i++ {
+			if CompareIdentity(&runs[i][0], &runs[best][0]) < 0 {
+				best = i
+			}
+		}
+		out = append(out, runs[best][0])
+		if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
+			runs = slices.Delete(runs, best, best+1)
+		}
+	}
+	return out
 }

@@ -233,30 +233,19 @@ func spliceTransitions(rule *compiledRule, cache *ruleCache, p splicePlan, ctx *
 }
 
 // spliceEvents evaluates an event rule incrementally; the pieces are
-// merged back into time order (ties cannot straddle piece boundaries,
-// so stable per-piece order is preserved).
-func spliceEvents(rule *compiledRule, cache *ruleCache, p splicePlan, ctx *Context, windowStart, q Time) []Event {
-	out := make([]Event, 0, len(cache.evs))
+// concatenated in time order (ties cannot straddle piece boundaries,
+// and each piece is in sortEvents order, so the whole is). It also
+// returns where the recomputed head ends and the recomputed tail starts.
+func spliceEvents(rule *compiledRule, cache *ruleCache, p splicePlan, ctx *Context, windowStart, q Time) (out []Event, headEnd, tailStart int) {
+	out = make([]Event, 0, len(cache.evs))
 	if !p.headView.Empty() {
-		for _, ev := range rule.event.Derive(ctx.withView(p.headView)) {
-			if ev.Time >= windowStart && ev.Time < p.keepLo {
-				ev.Type = rule.name
-				out = append(out, ev)
-			}
-		}
+		out = append(out, deriveIn(rule, ctx.withView(p.headView), Span{Start: windowStart, End: p.keepLo})...)
 	}
-	for _, ev := range cache.evs {
-		if ev.Time >= windowStart && ev.Time >= p.keepLo && ev.Time <= p.keepHi {
-			out = append(out, ev)
-		}
-	}
-	for _, ev := range rule.event.Derive(ctx.withView(p.tailView)) {
-		if ev.Time > p.keepHi && ev.Time <= q {
-			ev.Type = rule.name
-			out = append(out, ev)
-		}
-	}
-	return out
+	headEnd = len(out)
+	out = append(out, sliceSpan(cache.evs, Span{Start: max(windowStart, p.keepLo), End: p.keepHi + 1})...)
+	tailStart = len(out)
+	out = append(out, deriveIn(rule, ctx.withView(p.tailView), Span{Start: p.keepHi + 1, End: q + 1})...)
+	return out, headEnd, tailStart
 }
 
 // cacheTransitions filters and value-defaults a full evaluation's

@@ -185,7 +185,7 @@ func randomStream(rng *rand.Rand, horizon Time, n int, maxDelay Time) []timedEve
 func canonEvents(evs []Event) []string {
 	out := make([]string, len(evs))
 	for i, e := range evs {
-		out[i] = fmt.Sprintf("%s|%s|%d|%v", e.Type, e.Key, int64(e.Time), e.Attrs)
+		out[i] = fmt.Sprintf("%s|%s|%d|%q", e.Type, e.Key, int64(e.Time), CanonicalAttrs(e))
 	}
 	sort.Strings(out)
 	return out

@@ -165,8 +165,9 @@ func (p *Partitioned) Query(q Time) ([]*Result, error) {
 	return results, nil
 }
 
-// MergeResults combines per-partition results for the same query time
-// into a single view: fluent instances and derived events are unioned.
+// MergeResults combines per-partition Query results for the same query
+// time into a single view: fluent instances and derived events are
+// unioned (event lists merged in the engines' (time, type, key) order).
 // Instances recognised in several partitions (which should not happen
 // with a consistent partition function) have their intervals unioned.
 func MergeResults(results []*Result) *Result {
@@ -194,10 +195,6 @@ func MergeResults(results []*Result) *Result {
 				}
 			}
 		}
-		for typ, evs := range r.Derived {
-			out.Derived[typ] = append(out.Derived[typ], evs...)
-		}
-		out.Fresh = append(out.Fresh, r.Fresh...)
 		out.Stats.InputEvents += r.Stats.InputEvents
 		out.Stats.DerivedEvents += r.Stats.DerivedEvents
 		out.Stats.FluentPeriods += r.Stats.FluentPeriods
@@ -218,9 +215,18 @@ func MergeResults(results []*Result) *Result {
 			}
 		}
 	}
-	for typ := range out.Derived {
-		sortEvents(out.Derived[typ])
+	// Every result's lists are in sortEvents order already: merge them.
+	derived := make(map[string][][]Event)
+	fresh := make([][]Event, 0, len(results))
+	for _, r := range results {
+		for typ, evs := range r.Derived {
+			derived[typ] = append(derived[typ], evs)
+		}
+		fresh = append(fresh, r.Fresh)
 	}
-	sortEvents(out.Fresh)
+	for typ, runs := range derived {
+		out.Derived[typ] = mergeEvents(runs)
+	}
+	out.Fresh = mergeEvents(fresh)
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/insight-dublin/insight/interval"
@@ -128,10 +129,7 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 		s.Prev = append(s.Prev, fs)
 	}
 
-	for id := range e.seen {
-		s.Seen = append(s.Seen, SeenEntry{Type: id.typ, Key: id.key, Time: id.time})
-	}
-	slices.SortFunc(s.Seen, SeenEntry.Compare)
+	s.Seen = e.seen.Entries()
 	return s, nil
 }
 
@@ -146,11 +144,8 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 // cannot be snapshotted either; they render with an error marker and
 // still compare deterministically.
 func CanonicalAttrs(ev Event) string {
-	n := len(ev.Attrs)
-	if ev.blk != nil {
-		n = len(ev.blk.Cols)
-	}
-	names := make([]string, 0, n)
+	var nameBuf [8]string
+	names := nameBuf[:0]
 	for name := range ev.Attrs {
 		names = append(names, name)
 	}
@@ -161,30 +156,90 @@ func CanonicalAttrs(ev Event) string {
 			}
 		}
 	}
-	sort.Strings(names)
-	var b strings.Builder
+	slices.Sort(names)
+	var buf [128]byte
+	b := buf[:0]
 	for _, name := range names {
-		b.WriteString(name)
-		b.WriteByte(0)
-		val, _ := ev.Get(name)
-		switch v := val.(type) {
-		case float64:
-			fmt.Fprintf(&b, "f:%016x", math.Float64bits(v))
-		case int64:
-			fmt.Fprintf(&b, "i:%d", v)
-		case int:
-			fmt.Fprintf(&b, "n:%d", v)
-		case bool:
-			fmt.Fprintf(&b, "b:%t", v)
-		case string:
-			b.WriteString("s:")
-			b.WriteString(v)
-		default:
+		b = append(append(b, name...), 0)
+		var ok bool
+		if ev.blk != nil {
+			b, ok = appendCanonicalCell(b, ev.blk.Column(name), int(ev.row))
+		} else {
+			b, ok = appendCanonicalValue(b, ev.Attrs[name])
+		}
+		if !ok {
+			v, _ := ev.Get(name)
 			return fmt.Sprintf("!attribute %q has unsupported type %T", name, v)
 		}
-		b.WriteByte(0x1e)
+		b = append(b, 0x1e)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendCanonicalCell renders one present block cell; packed cells
+// render straight from their column, without boxing.
+func appendCanonicalCell(b []byte, c *BCol, row int) ([]byte, bool) {
+	switch c.Kind {
+	case ColFloat:
+		return appendCanonicalFloat(b, c.F[row]), true
+	case ColInt:
+		return strconv.AppendInt(append(b, "i:"...), c.I[row], 10), true
+	case ColIntGo:
+		return strconv.AppendInt(append(b, "n:"...), int64(c.N[row]), 10), true
+	case ColBool:
+		return strconv.AppendBool(append(b, "b:"...), c.B[row]), true
+	case ColStr:
+		return append(append(b, "s:"...), c.Dict[c.SIdx[row]]...), true
+	}
+	return appendCanonicalValue(b, c.A[row])
+}
+
+// appendCanonicalValue renders one boxed attribute value, or reports
+// false for a type no column kind covers.
+func appendCanonicalValue(b []byte, v any) ([]byte, bool) {
+	switch v := v.(type) {
+	case float64:
+		return appendCanonicalFloat(b, v), true
+	case int64:
+		return strconv.AppendInt(append(b, "i:"...), v, 10), true
+	case int:
+		return strconv.AppendInt(append(b, "n:"...), int64(v), 10), true
+	case bool:
+		return strconv.AppendBool(append(b, "b:"...), v), true
+	case string:
+		return append(append(b, "s:"...), v...), true
+	}
+	return b, false
+}
+
+// appendCanonicalFloat renders a float by its exact bit pattern, as 16
+// hex digits.
+func appendCanonicalFloat(b []byte, v float64) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, "f:"...)
+	bits := math.Float64bits(v)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[bits>>shift&0xf])
+	}
+	return b
+}
+
+// CanonicalSurvivor picks, among derivations of one identity (type,
+// key, time), the one the Fresh dedup reports — the smallest
+// CanonicalAttrs, the first of equals — and returns its index. The
+// rendering is only paid when there is a choice to make.
+func CanonicalSurvivor(same []Event) int {
+	best := 0
+	if len(same) == 1 {
+		return best
+	}
+	bestAttrs := CanonicalAttrs(same[0])
+	for i := 1; i < len(same); i++ {
+		if c := CanonicalAttrs(same[i]); c < bestAttrs {
+			best, bestAttrs = i, c
+		}
+	}
+	return best
 }
 
 // Restore replaces the engine's state with a snapshot's. The engine
@@ -230,14 +285,9 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 		prev[fs.Name] = m
 	}
 
-	seen := make(map[derivedID]bool, len(s.Seen))
-	for _, se := range s.Seen {
-		seen[derivedID{typ: se.Type, key: se.Key, time: se.Time}] = true
-	}
-
 	e.store = store
 	e.prev = prev
-	e.seen = seen
+	e.seen.Restore(s.Seen)
 	e.cache = make(map[string]*ruleCache) // cold: first query recomputes in full
 	e.lastQ = s.LastQ
 	e.started = s.Started

@@ -2,7 +2,6 @@ package insight
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -23,14 +22,6 @@ type engineTier interface {
 	Query(q Time) ([]*rtec.Result, error)
 	Snapshot() ([]*rtec.EngineSnapshot, error)
 	Restore(snaps []*rtec.EngineSnapshot) error
-}
-
-// tierID is a derived-event identity for the tier-level Fresh dedup
-// (the cross-shard mirror of the engine's derivedID).
-type tierID struct {
-	typ  string
-	key  string
-	time Time
 }
 
 // Names of the tier-state pseudo-fluents inside the tier snapshot.
@@ -80,7 +71,7 @@ type shardTier struct {
 
 	// seen is the tier-level Fresh dedup set, pruned as identities
 	// fall out of the window.
-	seen map[tierID]bool
+	seen *rtec.SeenSet
 
 	// keyLoad counts routed move events per bus key since the last
 	// completed skew check — the deterministic rebalance signal.
@@ -107,8 +98,7 @@ type shardTier struct {
 	// mode). Output is identical either way.
 	serial bool //state:transient config (Config.ShardSerialEval)
 
-	scratch [][]int32    //state:transient per-shard row routing scratch buffers
-	voteBuf []rtec.Event //state:transient reusable vote collection buffer
+	scratch [][]int32 //state:transient per-shard row routing scratch buffers
 }
 
 // newShardTier assembles n shard engines plus the reduce engine.
@@ -124,7 +114,7 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 		assign:      assign,
 		shards:      make([]*rtec.Engine, n),
 		sensorOwner: make(map[string]int),
-		seen:        make(map[tierID]bool),
+		seen:        rtec.NewSeenSet(cfg.WorkingMemory),
 		keyLoad:     make(map[string]int),
 		factor:      cfg.RebalanceFactor,
 		minMoves:    cfg.RebalanceMinMoves,
@@ -273,34 +263,17 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 		}
 	}
 
-	// Strip the busCongVote plumbing out of the shard results and
-	// forward this boundary's fresh votes to the reduce engine. Vote
-	// identities are unique across shards (each bus has one owner and
-	// migration moves its dedup state along), so sorting by (time,
-	// key) makes the reduce input order independent of shard count.
-	votes := t.voteBuf[:0]
+	// Strip the busCongVote plumbing out of the shard results, collapse
+	// their Fresh sets and forward this boundary's fresh votes to the
+	// reduce engine as one block.
 	for _, res := range results {
 		delete(res.Derived, traffic.BusCongVote)
-		keep := res.Fresh[:0]
-		for _, ev := range res.Fresh {
-			if ev.Type == traffic.BusCongVote {
-				votes = append(votes, ev)
-			} else {
-				keep = append(keep, ev)
-			}
-		}
-		res.Fresh = keep
 	}
-	sort.Slice(votes, func(i, j int) bool {
-		if votes[i].Time != votes[j].Time {
-			return votes[i].Time < votes[j].Time
+	if votes := t.foldFresh(q, results); votes.Len() > 0 {
+		if err := t.reduce.InputBlock(votes); err != nil {
+			return nil, err
 		}
-		return votes[i].Key < votes[j].Key
-	})
-	if err := t.reduce.Input(votes...); err != nil {
-		return nil, err
 	}
-	t.voteBuf = votes[:0]
 	rres, err := t.reduce.Query(q)
 	if err != nil {
 		return nil, err
@@ -332,8 +305,6 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 		rres.Fluents[traffic.SourceDisagreement] = sd
 	}
 
-	t.dedupFresh(q, results)
-
 	var slowest time.Duration
 	for _, res := range results {
 		if res.Stats.Elapsed > slowest {
@@ -345,52 +316,70 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 	return append(results, rres), nil
 }
 
-// dedupFresh collapses same-identity derived events reported fresh by
-// several shards into the one canonical survivor (smallest
-// rtec.CanonicalAttrs) — the same choice a single engine makes among
-// same-identity derivations — and suppresses identities some shard
-// already reported at an earlier boundary (which happens when a
-// migrated bus's intersection-keyed disagreements are re-derived by
-// the new owner).
-func (t *shardTier) dedupFresh(q Time, results []*rtec.Result) {
-	type pick struct {
-		res, idx int
-		canon    string
-	}
-	best := make(map[tierID]pick)
-	for ri, res := range results {
-		for ei, ev := range res.Fresh {
-			id := tierID{typ: ev.Type, key: ev.Key, time: ev.Time}
-			if t.seen[id] {
+// foldFresh walks the shards' Fresh lists — each in (time, type, key)
+// order — as one merged sequence, so derivations of one identity by
+// different shards meet, and rewrites the lists in place:
+//
+//   - busCongVote events leave the results and are returned as one block
+//     for the reduce engine. Vote identities are unique across shards
+//     (each bus has one owner and migration moves its dedup state
+//     along), so the merged (time, key) order makes the reduce input
+//     independent of the shard count.
+//   - same-identity events reported fresh by several shards (two shards'
+//     buses disagreeing with the same intersection at the same second)
+//     collapse to the one canonical survivor a single engine keeps among
+//     same-identity derivations (rtec.CanonicalSurvivor), and identities
+//     some shard already reported at an earlier boundary are suppressed
+//     (a migrated bus's intersection-keyed disagreements re-derived by
+//     the new owner).
+func (t *shardTier) foldFresh(q Time, results []*rtec.Result) *rtec.Block {
+	votes := traffic.NewVoteBlock()
+	next := make([]int, len(results)) // read cursor per shard
+	kept := make([]int, len(results)) // write cursor per shard, never ahead of next
+	var same []rtec.Event             // the heads sharing the smallest identity
+	var from []int                    // and the shards they came from
+	for {
+		same, from = same[:0], from[:0]
+		for ri, res := range results {
+			if next[ri] == len(res.Fresh) {
 				continue
 			}
-			c := rtec.CanonicalAttrs(ev)
-			if p, ok := best[id]; !ok || c < p.canon {
-				best[id] = pick{res: ri, idx: ei, canon: c}
+			ev := &res.Fresh[next[ri]]
+			if len(same) > 0 {
+				switch c := rtec.CompareIdentity(ev, &same[0]); {
+				case c > 0:
+					continue
+				case c < 0:
+					same, from = same[:0], from[:0]
+				}
 			}
+			same, from = append(same, *ev), append(from, ri)
 		}
+		if len(same) == 0 {
+			break
+		}
+		for _, ri := range from {
+			next[ri]++
+		}
+		ev := same[0]
+		if ev.Type == traffic.BusCongVote {
+			area, _ := ev.Str("area")
+			congested, _ := ev.Bool("congested")
+			traffic.AddVote(votes, ev.Time, ev.Key, area, congested)
+			continue
+		}
+		if !t.seen.Add(ev.Type, ev.Key, ev.Time) {
+			continue
+		}
+		w := rtec.CanonicalSurvivor(same)
+		results[from[w]].Fresh[kept[from[w]]] = same[w]
+		kept[from[w]]++
 	}
 	for ri, res := range results {
-		keep := res.Fresh[:0]
-		for ei, ev := range res.Fresh {
-			id := tierID{typ: ev.Type, key: ev.Key, time: ev.Time}
-			if t.seen[id] {
-				continue
-			}
-			if p := best[id]; p.res == ri && p.idx == ei {
-				keep = append(keep, ev)
-			}
-		}
-		res.Fresh = keep
+		res.Fresh = res.Fresh[:kept[ri]]
 	}
-	for id := range best {
-		t.seen[id] = true
-	}
-	for id := range t.seen {
-		if id.time <= q-t.wm {
-			delete(t.seen, id)
-		}
-	}
+	t.seen.Prune(q - t.wm)
+	return votes.Block()
 }
 
 // maybeRebalance runs the deterministic skew check: once at least
@@ -620,10 +609,7 @@ func (t *shardTier) Snapshot() ([]*rtec.EngineSnapshot, error) {
 
 func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
 	s := &rtec.EngineSnapshot{}
-	for id := range t.seen {
-		s.Seen = append(s.Seen, rtec.SeenEntry{Type: id.typ, Key: id.key, Time: id.time})
-	}
-	slices.SortFunc(s.Seen, rtec.SeenEntry.Compare)
+	s.Seen = t.seen.Entries()
 	ovs := rtec.FluentSnapshot{Name: tierSnapOverrides}
 	for _, o := range t.assign.Overrides() {
 		ovs.Instances = append(ovs.Instances, rtec.InstanceSnapshot{Key: o.Key, Value: strconv.Itoa(o.Shard)})
@@ -705,10 +691,7 @@ func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
 	t.assign = assign
 	t.keyLoad = keyLoad
 	t.rebalances = rebalances
-	t.seen = make(map[tierID]bool, len(st.Seen))
-	for _, se := range st.Seen {
-		t.seen[tierID{typ: se.Type, key: se.Key, time: se.Time}] = true
-	}
+	t.seen.Restore(st.Seen)
 	t.rebuildSensorOwner()
 	return nil
 }

@@ -89,7 +89,7 @@ func TestIncrementalEquivalenceDublin(t *testing.T) {
 			canon := func(evs []rtec.Event) []string {
 				out := make([]string, len(evs))
 				for i, e := range evs {
-					out[i] = fmt.Sprintf("%s|%s|%d|%v", e.Type, e.Key, int64(e.Time), e.Attrs)
+					out[i] = fmt.Sprintf("%s|%s|%d|%q", e.Type, e.Key, int64(e.Time), rtec.CanonicalAttrs(e))
 				}
 				sort.Strings(out)
 				return out

@@ -333,40 +333,43 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 	// intersection (the crowdsourcing join key) and carry the bus in
 	// an attribute.
 	deriveMatches := func(ctx *rtec.Context, wantDisagree bool) []rtec.Event {
-		var out []rtec.Event
-		rows := ctx.Rows(MoveType)
-		for i := 0; i < rows.Len(); i++ {
-			e := rows.At(i)
-			pos, ok := eventPos(e)
-			if !ok {
-				continue
-			}
-			busSays, _ := e.Bool("congested")
-			for _, in := range reg.CloseTo(pos) {
-				scatsSays := ctx.HoldsAt(ScatsIntCongestion, in.ID, e.Time)
-				if busSays == scatsSays {
-					if !wantDisagree {
-						out = append(out, rtec.NewEvent(Agree, e.Time, e.Key, map[string]any{
-							"intersection": in.ID,
-						}))
-					}
-					continue
-				}
-				if wantDisagree {
-					val := Negative
-					if busSays {
-						val = Positive
-					}
-					out = append(out, rtec.NewEvent(Disagree, e.Time, in.ID, map[string]any{
-						"bus":   e.Key,
-						"value": val,
-						"lon":   in.Pos.Lon,
-						"lat":   in.Pos.Lat,
-					}))
-				}
+		var out *rtec.EventBlock
+		if wantDisagree {
+			out = rtec.NewEventBlock(Disagree,
+				rtec.BCol{Name: "bus", Kind: rtec.ColStr}, rtec.BCol{Name: "value", Kind: rtec.ColStr},
+				rtec.BCol{Name: "lon", Kind: rtec.ColFloat}, rtec.BCol{Name: "lat", Kind: rtec.ColFloat})
+		} else {
+			out = rtec.NewEventBlock(Agree, rtec.BCol{Name: "intersection", Kind: rtec.ColStr})
+			out.Grow(ctx.Rows(MoveType).Len()) // buses mostly agree with the sensors they pass
+		}
+		// scatsIntCongestion by intersection index, resolved once: each
+		// match then tests a list instead of hashing the fluent key.
+		scats := make([]rtec.List, len(reg.intersections))
+		for kv, l := range ctx.FluentInstances(ScatsIntCongestion) {
+			if i, ok := reg.byID[kv.Key]; ok {
+				scats[i] = l
 			}
 		}
-		return out
+		eachCloseMove(ctx, reg, false, func(e rtec.Event, busSays bool, i int32) {
+			in := &reg.intersections[i]
+			agrees := busSays == scats[i].Contains(e.Time)
+			switch {
+			case agrees && !wantDisagree:
+				out.Add(e.Time, e.Key)
+				out.Str(0, in.ID)
+			case !agrees && wantDisagree:
+				val := Negative
+				if busSays {
+					val = Positive
+				}
+				out.Add(e.Time, in.ID)
+				out.Str(0, e.Key)
+				out.Str(1, val)
+				out.Float(2, in.Pos.Lon)
+				out.Float(3, in.Pos.Lat)
+			}
+		})
+		return out.Events()
 	}
 	// Both compare the move event at T against the fluent value at T.
 	b.Event(rtec.EventRule{
@@ -396,12 +399,13 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Inputs:   []string{Disagree, Agree, CrowdType},
 		Locality: noisyLocality,
 		Transitions: func(ctx *rtec.Context) []rtec.Transition {
-			var out []rtec.Transition
+			agree, disagree := ctx.Events(Agree), ctx.Events(Disagree)
+			out := make([]rtec.Transition, 0, len(agree)+len(disagree))
 			// Source agreement always rehabilitates.
-			for _, e := range ctx.Events(Agree) {
+			for _, e := range agree {
 				out = append(out, rtec.TerminateAt(e.Key, e.Time))
 			}
-			for _, d := range ctx.Events(Disagree) {
+			for _, d := range disagree {
 				bus, _ := d.Str("bus")
 				busVal, _ := d.Str("value")
 				crowd := ctx.RowsForKey(CrowdType, d.Key)
@@ -450,25 +454,14 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 			Locality: rtec.Pointwise(), // move event at T (and, if Adaptive, noisy at T)
 			Transitions: func(ctx *rtec.Context) []rtec.Transition {
 				var out []rtec.Transition
-				rows := ctx.Rows(MoveType)
-				for i := 0; i < rows.Len(); i++ {
-					e := rows.At(i)
-					if cfg.Adaptive && ctx.HoldsAt(Noisy, e.Key, e.Time) {
-						continue // rule-set (3′): discard unreliable buses
+				// Adaptive is rule-set (3′): discard unreliable buses.
+				eachCloseMove(ctx, areas, cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
+					if congested {
+						out = append(out, rtec.InitiateAt(areas.intersections[a].ID, e.Time))
+					} else {
+						out = append(out, rtec.TerminateAt(areas.intersections[a].ID, e.Time))
 					}
-					pos, ok := eventPos(e)
-					if !ok {
-						continue
-					}
-					congested, _ := e.Bool("congested")
-					for _, a := range areas.CloseTo(pos) {
-						if congested {
-							out = append(out, rtec.InitiateAt(a.ID, e.Time))
-						} else {
-							out = append(out, rtec.TerminateAt(a.ID, e.Time))
-						}
-					}
-				}
+				})
 				return out
 			},
 		})
@@ -484,26 +477,25 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 			Inputs:   busInputs,
 			Locality: rtec.Pointwise(),
 			Derive: func(ctx *rtec.Context) []rtec.Event {
-				var out []rtec.Event
-				rows := ctx.Rows(MoveType)
-				for i := 0; i < rows.Len(); i++ {
-					e := rows.At(i)
-					if cfg.Adaptive && ctx.HoldsAt(Noisy, e.Key, e.Time) {
-						continue // rule-set (3′): discard unreliable buses
-					}
-					pos, ok := eventPos(e)
-					if !ok {
-						continue
-					}
-					congested, _ := e.Bool("congested")
-					for _, a := range areas.CloseTo(pos) {
-						out = append(out, rtec.NewEvent(BusCongVote, e.Time, VoteKey(e.Key, a.ID), map[string]any{
-							"area":      a.ID,
-							"congested": congested,
-						}))
-					}
+				out := NewVoteBlock()
+				out.Grow(ctx.Rows(MoveType).Len())
+				// A bus reports from the same few areas for minutes: build
+				// each (bus, area) key once per call, not once per vote.
+				type pair struct {
+					bus  string
+					area int32
 				}
-				return out
+				keys := make(map[pair]string)
+				eachCloseMove(ctx, areas, cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
+					area := areas.intersections[a].ID
+					key, ok := keys[pair{e.Key, a}]
+					if !ok {
+						key = VoteKey(e.Key, area)
+						keys[pair{e.Key, a}] = key
+					}
+					AddVote(out, e.Time, key, area, congested)
+				})
+				return out.Events()
 			},
 		})
 	}
@@ -548,15 +540,18 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Inputs:   []string{MoveType},
 		Locality: rtec.LocalWindow(cfg.DelayIncreaseWindow, 0),
 		Derive: func(ctx *rtec.Context) []rtec.Event {
-			var out []rtec.Event
+			out := rtec.NewEventBlock(DelayIncrease,
+				rtec.BCol{Name: "fromLon", Kind: rtec.ColFloat}, rtec.BCol{Name: "fromLat", Kind: rtec.ColFloat},
+				rtec.BCol{Name: "toLon", Kind: rtec.ColFloat}, rtec.BCol{Name: "toLat", Kind: rtec.ColFloat},
+				rtec.BCol{Name: "delayGrowth", Kind: rtec.ColInt})
 			for _, bus := range ctx.EventKeys(MoveType) {
 				evs := ctx.RowsForKey(MoveType, bus)
 				for i := 1; i < evs.Len(); i++ {
-					prev, cur := evs.At(i-1), evs.At(i)
-					dt := cur.Time - prev.Time
+					dt := evs.TimeAt(i) - evs.TimeAt(i-1)
 					if dt <= 0 || dt >= cfg.DelayIncreaseWindow {
 						continue
 					}
+					prev, cur := evs.At(i-1), evs.At(i)
 					pd, _ := prev.Int("delay")
 					cd, _ := cur.Int("delay")
 					if cd-pd <= cfg.DelayIncreaseSeconds {
@@ -566,14 +561,15 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 					fromLat, _ := prev.Float("lat")
 					toLon, _ := cur.Float("lon")
 					toLat, _ := cur.Float("lat")
-					out = append(out, rtec.NewEvent(DelayIncrease, cur.Time, bus, map[string]any{
-						"fromLon": fromLon, "fromLat": fromLat,
-						"toLon": toLon, "toLat": toLat,
-						"delayGrowth": cd - pd,
-					}))
+					out.Add(cur.Time, bus)
+					out.Float(0, fromLon)
+					out.Float(1, fromLat)
+					out.Float(2, toLon)
+					out.Float(3, toLat)
+					out.Int(4, cd-pd)
 				}
 			}
-			return out
+			return out.Events()
 		},
 	})
 

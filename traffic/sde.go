@@ -152,34 +152,26 @@ func (in Intersection) approaches() map[string][]string {
 }
 
 // Registry holds the SCATS intersections and provides the spatial
-// lookup behind the paper's close/4 predicate. It is immutable after
-// NewRegistry and safe for concurrent use.
+// lookup behind the paper's close/4 predicate (see closeindex.go). It is
+// immutable after NewRegistry and safe for concurrent use.
 type Registry struct {
 	intersections []Intersection
 	byID          map[string]int
-	grid          map[[2]int][]int // cell -> intersection indexes
-	cellLat       float64
-	cellLon       float64
+	grid          closeGrid
 	closeMeters   float64
 }
 
 // NewRegistry indexes the intersections for proximity lookups with the
 // given close-predicate threshold in meters.
 func NewRegistry(intersections []Intersection, closeMeters float64) (*Registry, error) {
-	if closeMeters <= 0 {
-		return nil, fmt.Errorf("traffic: close threshold must be positive, got %v", closeMeters)
+	if !(closeMeters > 0) || math.IsInf(closeMeters, 0) {
+		return nil, fmt.Errorf("traffic: close threshold must be positive and finite, got %v", closeMeters)
 	}
 	r := &Registry{
 		intersections: append([]Intersection(nil), intersections...),
 		byID:          make(map[string]int, len(intersections)),
-		grid:          make(map[[2]int][]int),
 		closeMeters:   closeMeters,
 	}
-	// Cell size a bit larger than the threshold: ~111.2 km per
-	// degree of latitude; longitude shrinks with cos(lat) (Dublin
-	// ≈ 0.6).
-	r.cellLat = closeMeters / 111200.0 * 1.2
-	r.cellLon = closeMeters / (111200.0 * 0.6) * 1.2
 	for i, in := range r.intersections {
 		if in.ID == "" {
 			return nil, fmt.Errorf("traffic: intersection %d has empty ID", i)
@@ -187,15 +179,13 @@ func NewRegistry(intersections []Intersection, closeMeters float64) (*Registry, 
 		if _, dup := r.byID[in.ID]; dup {
 			return nil, fmt.Errorf("traffic: duplicate intersection %q", in.ID)
 		}
+		if !in.Pos.Valid() {
+			return nil, fmt.Errorf("traffic: intersection %q has invalid position %v", in.ID, in.Pos)
+		}
 		r.byID[in.ID] = i
-		c := r.cell(in.Pos)
-		r.grid[c] = append(r.grid[c], i)
 	}
+	r.grid = newCloseGrid(r.intersections, closeMeters)
 	return r, nil
-}
-
-func (r *Registry) cell(p geo.Point) [2]int {
-	return [2]int{int(math.Floor(p.Lat / r.cellLat)), int(math.Floor(p.Lon / r.cellLon))}
 }
 
 // CloseMeters returns the close-predicate threshold.
@@ -215,20 +205,17 @@ func (r *Registry) Lookup(id string) (Intersection, bool) {
 
 // CloseTo returns the intersections within the close threshold of p,
 // implementing the paper's close(LonB, LatB, LonInt, LatInt)
-// predicate. The spatial grid keeps the lookup O(1) in the number of
-// intersections.
+// predicate, in registration order. It allocates the result; per-event
+// callers use AppendClose.
 func (r *Registry) CloseTo(p geo.Point) []Intersection {
-	c := r.cell(p)
-	var out []Intersection
-	for dLat := -1; dLat <= 1; dLat++ {
-		for dLon := -1; dLon <= 1; dLon++ {
-			for _, i := range r.grid[[2]int{c[0] + dLat, c[1] + dLon}] {
-				in := r.intersections[i]
-				if geo.Close(p, in.Pos, r.closeMeters) {
-					out = append(out, in)
-				}
-			}
-		}
+	var buf [8]int32
+	near := r.AppendClose(buf[:0], p)
+	if len(near) == 0 {
+		return nil
+	}
+	out := make([]Intersection, len(near))
+	for j, i := range near {
+		out[j] = r.intersections[i]
 	}
 	return out
 }
@@ -247,4 +234,32 @@ func eventPos(e rtec.Event) (geo.Point, bool) {
 		return geo.Point{}, false
 	}
 	return geo.LonLat(lon, lat), true
+}
+
+// eachCloseMove calls fn once per (move event, close area) pair of the
+// context's view, in event order then ascending area index: the join of
+// rule-sets (3)–(5) between bus reports and the places they are close/4
+// to. congested is the bus's own congestion flag; area indexes
+// index.Intersections(). skipNoisy drops the reports of buses for which
+// noisy holds at the time of the report.
+func eachCloseMove(ctx *rtec.Context, index *Registry, skipNoisy bool, fn func(e rtec.Event, congested bool, area int32)) {
+	rows := ctx.Rows(MoveType)
+	var near []int32 // reused across rows
+	for i := 0; i < rows.Len(); i++ {
+		e := rows.At(i)
+		if skipNoisy && ctx.HoldsAt(Noisy, e.Key, e.Time) {
+			continue
+		}
+		pos, ok := eventPos(e)
+		if !ok {
+			continue
+		}
+		if near = index.AppendClose(near[:0], pos); len(near) == 0 {
+			continue
+		}
+		congested, _ := e.Bool("congested")
+		for _, a := range near {
+			fn(e, congested, a)
+		}
+	}
 }

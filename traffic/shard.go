@@ -58,6 +58,22 @@ func VoteBus(key string) string {
 	return key
 }
 
+// NewVoteBlock starts a block of busCongVote events; fill it with
+// AddVote. Shard rules derive their votes into one, and the tier hands
+// the reduce engine each boundary's fresh votes as one.
+func NewVoteBlock() *rtec.EventBlock {
+	return rtec.NewEventBlock(BusCongVote,
+		rtec.BCol{Name: "area", Kind: rtec.ColStr}, rtec.BCol{Name: "congested", Kind: rtec.ColBool})
+}
+
+// AddVote appends one vote — key is VoteKey(bus, area) — to a block
+// started by NewVoteBlock.
+func AddVote(b *rtec.EventBlock, t rtec.Time, key, area string, congested bool) {
+	b.Add(t, key)
+	b.Str(0, area)
+	b.Bool(1, congested)
+}
+
 // BuildShard compiles the shard-local Dublin rule set: the single-
 // engine set with owner-scoped sensor fluents, busCongestion replaced
 // by busCongVote emission, and sourceDisagreement left to the tier.
