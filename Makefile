@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-delay bench-gp bench-recovery bench-shard bench-e2e fuzz-short figures experiments clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-delay bench-gp bench-recovery bench-e2e fuzz-short loc figures experiments clean
 
 all: build vet test
 
@@ -38,28 +38,32 @@ lint:
 lint-json:
 	$(GO) run ./cmd/insightlint -json
 
-# CI gate: vet everything, run the repo's own analyzer suite, run the
-# full module under the race detector (engine, rule sets, streams
-# supervision/shutdown, columnar batch equivalence/chaos tests, blocked
-# linalg worker pools, parallel grid search — including the
+# CI gate: vet everything, run the repo's own analyzer suite (its
+# batch-path rule covers the one admission routine of the root package
+# and the recorded-stream converter of package dublin), run the full
+# module under the race detector (engine, rule sets, streams
+# supervision/shutdown, batch chaos tests, blocked linalg worker pools,
+# parallel grid search — including the one-ingest-path gates: pipeline
+# ≡ direct loop by full report fingerprint on both tiers, block
+# admission ≡ the per-event reference with drops, duplicates and
+# re-ordered delivery, live ≡ replayed ≡ CSV round trip — and the
 # crash-equivalence campaign: 20+ WAL kills, torn/corrupt/fsync-crashed
 # checkpoints and a torn log tail in one run, recovered output
 # bit-identical to the uninterrupted run), re-run the crash gate
 # race-free so its assertions are exercised under both schedulers, gate
-# the columnar ingest path and the recognition path (the bus ×
+# the block ingest path and the recognition path (the bus ×
 # intersection rules' derived events) against their committed
-# allocation budgets, the column-resident store against the committed
-# resident bytes/event advantage over the row store and the checkpoint
-# file against its
-# bytes-per-stored-SDE budget (the race detector inflates allocation
-# counts, so those gates run in a separate non-race pass), re-run the
-# shard-equivalence gate race-free (the N ∈ {1,2,4,8} × both-store grid
-# under chaos, the mid-run rebalance determinism tests and the tier
-# snapshot round-trip; the race pass above already exercises them under
-# the race scheduler), and finish with a short fuzz pass over the
-# factorization/solve, WAL-decode, store block-merge,
-# shard-assignment, engine-snapshot-decode, checkpoint-decode and
-# close/4 spatial-index targets.
+# allocation budgets, the column store against the committed resident
+# bytes/event advantage over the row store (the named reference) and
+# the checkpoint file against its bytes-per-stored-SDE budget (the race
+# detector inflates allocation counts, so those gates run in a separate
+# non-race pass), re-run the shard-equivalence gate race-free (the
+# N ∈ {1,2,4,8} × both-store grid under chaos, the mid-run rebalance
+# determinism tests and the tier snapshot round-trip; the race pass
+# above already exercises them under the race scheduler), and finish
+# with a short fuzz pass over the factorization/solve, WAL-decode, store
+# block-merge, shard-assignment, engine-snapshot-decode,
+# checkpoint-decode and close/4 spatial-index targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -110,19 +114,18 @@ bench-gp:
 	$(GO) test -run '^$$' -bench 'BenchmarkGP_' -benchtime 1x \
 		-count=5 -json ./gp | tee BENCH_gp.json
 
-# The shard scaling bench: the N-way sharded recognition tier on the
-# 10× Dublin profile (9420 buses, 9660 sensors), modeled cluster
-# critical path per shard count, medians of 3 repetitions, committed as
-# BENCH_shard.json.
-bench-shard:
-	$(GO) run ./cmd/shardbench -out BENCH_shard.json
-
 # The end-to-end benchmark BENCHMARK.json declares: four workloads
 # through the real pipeline, every rep a fresh process, end-to-end
 # metrics untraced then per-layer metrics traced (a few minutes). One
 # workload: go run ./cmd/e2ebench -workload dublin10x-recognize -trace 0
 bench-e2e:
 	$(GO) run ./cmd/e2ebench
+
+# Go line counts, non-test and test, testdata excluded: the size a
+# simplicity change reports against (CHANGES.md quotes it per PR).
+loc:
+	@find . -name '*.go' -not -path '*/testdata/*' -not -name '*_test.go' | xargs cat | wc -l | xargs echo "non-test Go lines:"
+	@find . -name '*.go' -not -path '*/testdata/*' -name '*_test.go' | xargs cat | wc -l | xargs echo "test Go lines:    "
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
 # in internal/linalg/testdata/fuzz, WAL frame/codec regressions in

@@ -66,7 +66,9 @@ func runFig4(b *testing.B, wmMinutes int, adaptive bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		part, err := rtec.NewPartitioned(defs, rtec.Options{WorkingMemory: wm, Step: wm},
+		// The row store, by name: the committed Figure 4 series
+		// (BENCH_rtec.json) was measured on it.
+		part, err := rtec.NewPartitioned(defs, rtec.Options{WorkingMemory: wm, Step: wm, Store: rtec.StoreRow},
 			4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
 		if err != nil {
 			b.Fatal(err)
@@ -259,6 +261,7 @@ func runStepRatio(b *testing.B, forceFull bool) {
 					WorkingMemory:      wm,
 					Step:               step,
 					ForceFullRecompute: forceFull,
+					Store:              rtec.StoreRow, // as the committed series
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -8,13 +8,17 @@
 //
 // Profiles:
 //
-//	stall-scats  the scats-north mediator dies after its first SDE
+//	stall-scats  the scats-north mediator dies after its first batch
 //	stall-recover the scats-north mediator stalls, then reconnects
 //	drop         every stream loses 10% of its SDEs
 //	dup          every stream duplicates 10% of its SDEs
 //	delay        every stream reorders 20% of its SDEs
-//	flaky-proc   input validation fails 5% of items (skip-item
-//	             supervision dead-letters them)
+//	flaky-proc   input validation fails 5% of batch envelopes
+//	             (skip-item supervision dead-letters them)
+//
+// SDEs cross the pipeline as column batches: drop, dup and delay act
+// per row, stalls and processor faults per envelope (one batch per
+// stream per ≤ Step/2 of arrival time).
 //
 // Usage:
 //
@@ -121,7 +125,9 @@ func main() {
 			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 0},
 		}}},
 		{"stall-recover", insight.ChaosConfig{Streams: map[string]streams.FaultSpec{
-			"scats-north": {Seed: 1, StallAfter: 10, StallFor: 90},
+			// 5 swallowed envelopes ≈ 2250 s of stream time: past the
+			// default staleness bound, then the backlog floods out.
+			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
 		}}},
 		{"drop", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 2, DropProb: 0.10})}},
 		{"dup", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 3, DupProb: 0.10})}},

@@ -116,12 +116,11 @@ func main() {
 		// the headroom to spread -kills crash points across the log.
 		NewSystem: func() (*insight.System, error) {
 			return insight.New(insight.Config{
-				City:              city,
-				Seed:              7,
-				WorkingMemory:     1800,
-				Step:              450,
-				ColumnarTransport: true,
-				UnpacedReplay:     true,
+				City:          city,
+				Seed:          7,
+				WorkingMemory: 1800,
+				Step:          450,
+				UnpacedReplay: true,
 				Traffic: traffic.Config{
 					NoisyPolicy: traffic.Pessimistic,
 					Adaptive:    true,

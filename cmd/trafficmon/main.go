@@ -4,9 +4,14 @@
 // and periodic operator reports. Think of it as the demo the paper
 // presents, on a terminal instead of an interactive map.
 //
+// It drives the System's direct Run/RunReplay loop: generated or
+// recorded SDEs enter as column batches, each query time admits the
+// rows that have arrived by it as column blocks, and the engines keep
+// their working memory in the column store (insight.Config's default).
+//
 // Usage:
 //
-//	trafficmon [-from 7h] [-duration 2h] [-step 5m] [-wm 10m]
+//	trafficmon [-from 7h] [-duration 2h] [-step 5m] [-wm 20m]
 //	           [-buses 235] [-sensors 240] [-participants 20]
 //	           [-adaptive] [-json]
 //	           [-http :8080 [-pace 1s]]     # live operator dashboard
@@ -102,8 +107,8 @@ func main() {
 
 	start := rtec.Time(from.Seconds())
 	end := start + rtec.Time(duration.Seconds())
-	fmt.Printf("monitoring Dublin %02d:00-%02d:%02d — %d buses, %d sensors, %d volunteers, adaptive=%v\n",
-		int(from.Hours()), int(end)/3600, int(end)%3600/60, *buses, *sensors, len(vols), *adaptive)
+	fmt.Printf("monitoring Dublin %02d:%02d-%02d:%02d — %d buses, %d sensors, %d volunteers, adaptive=%v\n",
+		int(start)/3600, int(start)%3600/60, int(end)/3600, int(end)%3600/60, *buses, *sensors, len(vols), *adaptive)
 
 	// Optional dashboard.
 	var dash *dashboard.Server

@@ -1,8 +1,9 @@
 package insight
 
-// Benchmarks for the columnar event path: the same ingest → recognition
-// workload through per-item map transport and through typed columnar
-// blocks. `make bench-rtec` captures BenchmarkIngest alongside the
+// Benchmarks for the columnar event path at the engine boundary: the
+// same ingest → recognition workload delivered as map-backed events
+// (rtec's Input, which the system itself uses for crowd verdicts only)
+// and as typed columnar blocks. `make bench-rtec` captures BenchmarkIngest alongside the
 // Figure 4 sweep; `make bench-delay` captures BenchmarkDelayedIngest
 // (the WM > step delayed-arrival regime of Figure 2). The alloc-budget
 // test at the bottom is the regression gate `make check` runs against
@@ -35,9 +36,12 @@ func benchDefs(b *testing.B, city *dublin.City, adaptive bool) *rtec.Definitions
 	return defs
 }
 
+// benchPartitioned builds the ingest benches' engines on the row store,
+// by name: the committed BENCH_rtec.json / BENCH_delay.json series were
+// measured on it, and map-vs-block delivery is the variable under test.
 func benchPartitioned(b *testing.B, defs *rtec.Definitions, wm, step rtec.Time) *rtec.Partitioned {
 	b.Helper()
-	return benchPartitionedOpts(b, defs, rtec.Options{WorkingMemory: wm, Step: step})
+	return benchPartitionedOpts(b, defs, rtec.Options{WorkingMemory: wm, Step: step, Store: rtec.StoreRow})
 }
 
 func benchPartitionedOpts(b *testing.B, defs *rtec.Definitions, opts rtec.Options) *rtec.Partitioned {
@@ -58,8 +62,8 @@ func benchPartitionedOpts(b *testing.B, defs *rtec.Definitions, opts rtec.Option
 // column blocks directly). The recognition query still runs every
 // iteration (outside the timer, as in runFig4) so the store sees the
 // full ingest→recognition cycle; its work is identical on both sides
-// by construction (TestColumnarPipeline* pins the CE output
-// bit-identical). events/s and allocs/op here are the headline numbers
+// by construction (rtec.TestColumnStoreMatchesEventStore pins item ≡
+// block delivery bit-identical). events/s and allocs/op here are the headline numbers
 // of the columnar PR (see EXPERIMENTS.md); city942 is the paper's full
 // scale.
 func BenchmarkIngest(b *testing.B) {

@@ -39,7 +39,7 @@ import (
 type CampaignOptions struct {
 	// NewSystem builds a fresh System per epoch. It must be
 	// deterministic: every call must yield an identically configured
-	// system (same seeds, ColumnarTransport, no participants).
+	// system (same seeds, no participants).
 	NewSystem func() (*System, error)
 	// From, Until bound the SDE window.
 	From, Until Time

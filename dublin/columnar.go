@@ -1,6 +1,8 @@
 package dublin
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/insight-dublin/insight/geo"
@@ -36,9 +38,6 @@ type BatchedStream struct {
 // The batches come from the transport pool: the consumer releases
 // them.
 func (c *City) CollectBatches(from, until rtec.Time, maxRows int, maxSpan rtec.Time) []BatchedStream {
-	if maxRows <= 0 {
-		maxRows = 512
-	}
 	g := c.Stream(from, until)
 	var raws []rawSDE
 	for {
@@ -52,42 +51,206 @@ func (c *City) CollectBatches(from, until rtec.Time, maxRows int, maxSpan rtec.T
 	// the materialized stream.
 	sort.SliceStable(raws, func(i, j int) bool { return raws[i].arrival < raws[j].arrival })
 
-	out := []BatchedStream{{ID: "bus"}}
-	regionIdx := make([]int, geo.NumRegions)
-	for r := 0; r < int(geo.NumRegions); r++ {
-		regionIdx[r] = len(out)
-		out = append(out, BatchedStream{ID: "scats-" + geo.Region(r).String()})
-	}
-	open := make([]*streams.Batch, len(out))
-	first := make([]rtec.Time, len(out))
-	flush := func(si int) {
-		if open[si] != nil {
-			out[si].Batches = append(out[si].Batches, open[si])
-			open[si] = nil
-		}
-	}
+	sb := newStreamBatcher(maxRows, maxSpan)
 	for _, r := range raws {
-		si := 0
-		typ := traffic.MoveType
+		si, typ := 0, traffic.MoveType
 		if r.kind == 1 {
-			s := &c.sensors[r.index]
-			si = regionIdx[geo.RegionOf(s.Pos)]
-			typ = traffic.TrafficType
+			si, typ = 1+int(geo.RegionOf(c.sensors[r.index].Pos)), traffic.TrafficType
 		}
-		if b := open[si]; b != nil &&
-			(b.Len() >= maxRows || (maxSpan > 0 && r.arrival-first[si] > maxSpan)) {
-			flush(si)
-		}
-		if open[si] == nil {
-			open[si] = streams.GetBatch(typ, out[si].ID)
-			first[si] = r.arrival
-		}
-		g.appendRaw(open[si], r)
+		g.appendRaw(sb.rowBatch(si, typ, r.arrival), r)
 	}
-	for si := range open {
-		flush(si)
+	return sb.finish()
+}
+
+// streamBatcher cuts arrival-ordered rows into the five input streams'
+// transport batches: stream 0 is "bus", stream 1+r the SCATS stream of
+// region r. Both producers — the generator (CollectBatches) and the
+// recorded-stream converter (BatchSDEs) — cut through it, so a replayed
+// recording is batched exactly like the live collection.
+type streamBatcher struct {
+	maxRows int
+	maxSpan rtec.Time
+	out     []BatchedStream
+	open    []*streams.Batch
+	first   []rtec.Time // arrival of each open batch's first row
+}
+
+func newStreamBatcher(maxRows int, maxSpan rtec.Time) *streamBatcher {
+	if maxRows <= 0 {
+		maxRows = 512
 	}
-	return out
+	sb := &streamBatcher{maxRows: maxRows, maxSpan: maxSpan, out: []BatchedStream{{ID: "bus"}}}
+	for r := 0; r < int(geo.NumRegions); r++ {
+		sb.out = append(sb.out, BatchedStream{ID: "scats-" + geo.Region(r).String()})
+	}
+	sb.open = make([]*streams.Batch, len(sb.out))
+	sb.first = make([]rtec.Time, len(sb.out))
+	return sb
+}
+
+// rowBatch returns the batch the next row of stream si belongs in,
+// closing the open one first when the row would overflow maxRows or
+// stretch it past maxSpan of arrival time.
+func (sb *streamBatcher) rowBatch(si int, typ string, arrival rtec.Time) *streams.Batch {
+	if b := sb.open[si]; b != nil &&
+		(b.Len() >= sb.maxRows || (sb.maxSpan > 0 && arrival-sb.first[si] > sb.maxSpan)) {
+		sb.cut(si)
+	}
+	if sb.open[si] == nil {
+		sb.open[si] = streams.GetBatch(typ, sb.out[si].ID)
+		sb.first[si] = arrival
+	}
+	return sb.open[si]
+}
+
+// cut closes stream si's open batch, if any.
+func (sb *streamBatcher) cut(si int) {
+	if b := sb.open[si]; b != nil {
+		sb.out[si].Batches = append(sb.out[si].Batches, b)
+		sb.open[si] = nil
+	}
+}
+
+// finish closes every open batch and returns the streams.
+func (sb *streamBatcher) finish() []BatchedStream {
+	for si := range sb.open {
+		sb.cut(si)
+	}
+	return sb.out
+}
+
+// release returns every batch cut so far to the transport pool: the
+// error path of a producer that cannot finish.
+func (sb *streamBatcher) release() {
+	for _, bs := range sb.finish() {
+		for _, b := range bs.Batches {
+			b.Release()
+		}
+	}
+}
+
+// sdeCol is one attribute column of an SDE type's transport schema.
+type sdeCol struct {
+	name string
+	kind streams.ColKind
+}
+
+// sdeSchemas lists, per SDE type, the attribute columns in the order
+// appendRaw writes them — the contract a recorded SDE must meet to
+// travel as a batch row.
+var sdeSchemas = map[string][]sdeCol{
+	traffic.MoveType: {
+		{"line", streams.ColStr}, {"operator", streams.ColStr}, {"delay", streams.ColInt},
+		{"lon", streams.ColFloat}, {"lat", streams.ColFloat},
+		{"direction", streams.ColInt}, {"congested", streams.ColBool},
+	},
+	traffic.TrafficType: {
+		{"intersection", streams.ColStr}, {"approach", streams.ColStr},
+		{"density", streams.ColFloat}, {"flow", streams.ColFloat},
+		{"lon", streams.ColFloat}, {"lat", streams.ColFloat},
+	},
+}
+
+// colGoType names the Go type a recorded attribute must hold per column
+// kind.
+var colGoType = [...]string{streams.ColFloat: "float64", streams.ColInt: "int64", streams.ColBool: "bool", streams.ColStr: "string"}
+
+// BatchSDEs converts a recorded SDE stream — Collect output, a CSV
+// read-back, in any order — into the transport batches CollectBatches
+// would have emitted for it: the five input streams, rows in (stable)
+// arrival order, cut at maxRows rows and maxSpan of arrival time. It is
+// the one place a map-backed SDE becomes a batch row, and it refuses
+// what the columnar schema cannot carry: an event type that is neither
+// move nor traffic, a missing attribute, an attribute outside the
+// type's schema, or a value of the wrong kind (a slice or map above
+// all). On error nothing is retained; on success the consumer releases
+// the batches.
+func BatchSDEs(sdes []SDE, maxRows int, maxSpan rtec.Time) ([]BatchedStream, error) {
+	// Sort a permutation, and only when needed: Collect output and CSV
+	// files are already in arrival order.
+	var order []int32
+	if !sort.SliceIsSorted(sdes, func(i, j int) bool { return sdes[i].Arrival < sdes[j].Arrival }) {
+		order = make([]int32, len(sdes))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sort.SliceStable(order, func(i, j int) bool { return sdes[order[i]].Arrival < sdes[order[j]].Arrival })
+	}
+	sb := newStreamBatcher(maxRows, maxSpan)
+	for n := range sdes {
+		i := n
+		if order != nil {
+			i = int(order[n])
+		}
+		if err := sb.appendSDE(&sdes[i]); err != nil {
+			sb.release()
+			return nil, fmt.Errorf("dublin: recorded SDE %d: %w", i, err)
+		}
+	}
+	return sb.finish(), nil
+}
+
+// appendSDE validates one recorded SDE against its type's schema and
+// appends it to its stream's open batch. Validation completes before
+// the first cell is written, so a rejected SDE leaves no ragged row.
+func (sb *streamBatcher) appendSDE(sde *SDE) error {
+	ev := &sde.Event
+	schema, known := sdeSchemas[ev.Type]
+	if !known {
+		return fmt.Errorf("unknown event type %q (want %s or %s)", ev.Type, traffic.MoveType, traffic.TrafficType)
+	}
+	if sde.Arrival < 0 {
+		return fmt.Errorf("%v: negative arrival time %d", ev, int64(sde.Arrival))
+	}
+	var vals [8]any // widest schema: move, 7 columns
+	for ci, c := range schema {
+		v, ok := ev.Get(c.name)
+		if !ok {
+			return fmt.Errorf("%v: missing attribute %q", ev, c.name)
+		}
+		switch v.(type) {
+		case float64:
+			ok = c.kind == streams.ColFloat
+		case int64:
+			ok = c.kind == streams.ColInt
+		case bool:
+			ok = c.kind == streams.ColBool
+		case string:
+			ok = c.kind == streams.ColStr
+		default: // a slice, a map, a struct: nothing a column cell can hold
+			ok = false
+		}
+		if !ok {
+			return fmt.Errorf("%v: attribute %q holds a %T, want the scalar %s", ev, c.name, v, colGoType[c.kind])
+		}
+		vals[ci] = v
+	}
+	if len(ev.Attrs) > len(schema) {
+		for name := range ev.Attrs {
+			if !slices.ContainsFunc(schema, func(c sdeCol) bool { return c.name == name }) {
+				return fmt.Errorf("%v: attribute %q is not part of the %s schema", ev, name, ev.Type)
+			}
+		}
+	}
+	si := 0
+	if ev.Type == traffic.TrafficType {
+		si = 1 + PartitionOf(*ev)
+	}
+	b := sb.rowBatch(si, ev.Type, sde.Arrival)
+	b.Append(int64(ev.Time), int64(sde.Arrival), ev.Key)
+	for ci, c := range schema {
+		switch c.kind {
+		case streams.ColFloat:
+			b.FloatCol(c.name).AppendFloat(vals[ci].(float64))
+		case streams.ColInt:
+			b.IntCol(c.name).AppendInt(vals[ci].(int64))
+		case streams.ColBool:
+			b.BoolCol(c.name).AppendBool(vals[ci].(bool))
+		default:
+			b.StrCol(c.name).AppendStr(vals[ci].(string))
+		}
+	}
+	return nil
 }
 
 // appendRaw appends one raw event as a batch row, columns named and

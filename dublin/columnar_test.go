@@ -1,6 +1,9 @@
 package dublin
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/insight-dublin/insight/geo"
@@ -105,5 +108,98 @@ func TestCollectBatchesSpanCut(t *testing.T) {
 			}
 			b.Release()
 		}
+	}
+}
+
+// TestBatchSDEsMatchesCollectBatches pins the recorded-stream converter
+// to the generator's own batching: the recording of a window, in any
+// order, converts to exactly the batches CollectBatches cuts for that
+// window — same streams, same cuts, same cells, same column layout.
+func TestBatchSDEsMatchesCollectBatches(t *testing.T) {
+	const maxRows, span = 64, 120
+	recorded := mustCity(t, smallConfig()).Collect(0, 1800)
+	// Descending arrival with every same-arrival run kept in recording
+	// order: the stable sort must restore the recording exactly.
+	var reversed []SDE
+	for hi := len(recorded); hi > 0; {
+		lo := hi - 1
+		for lo > 0 && recorded[lo-1].Arrival == recorded[hi-1].Arrival {
+			lo--
+		}
+		reversed = append(reversed, recorded[lo:hi]...)
+		hi = lo
+	}
+
+	before := streams.LiveBatches()
+	want := mustCity(t, smallConfig()).CollectBatches(0, 1800, maxRows, span)
+	for name, sdes := range map[string][]SDE{"arrival order": recorded, "descending arrival": reversed} {
+		got, err := BatchSDEs(sdes, maxRows, span)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d streams, want %d", name, len(got), len(want))
+		}
+		for si := range want {
+			if got[si].ID != want[si].ID || len(got[si].Batches) != len(want[si].Batches) {
+				t.Fatalf("%s: stream %d is %s with %d batches, want %s with %d", name, si,
+					got[si].ID, len(got[si].Batches), want[si].ID, len(want[si].Batches))
+			}
+			for bi, g := range got[si].Batches {
+				w := want[si].Batches[bi]
+				if err := g.Check(); err != nil {
+					t.Fatalf("%s: stream %s batch %d: %v", name, w.Source, bi, err)
+				}
+				if g.Type != w.Type || g.Source != w.Source ||
+					!slices.Equal(g.Times, w.Times) || !slices.Equal(g.Arrivals, w.Arrivals) || !slices.Equal(g.Keys, w.Keys) {
+					t.Fatalf("%s: stream %s batch %d: row identity differs", name, w.Source, bi)
+				}
+				if len(g.Cols) != len(w.Cols) {
+					t.Fatalf("%s: stream %s batch %d: %d columns, want %d", name, w.Source, bi, len(g.Cols), len(w.Cols))
+				}
+				for ci := range w.Cols {
+					gc, wc := &g.Cols[ci], &w.Cols[ci]
+					if gc.Name != wc.Name || gc.Kind != wc.Kind {
+						t.Fatalf("%s: stream %s batch %d column %d is %s/%d, want %s/%d",
+							name, w.Source, bi, ci, gc.Name, gc.Kind, wc.Name, wc.Kind)
+					}
+					for i := 0; i < w.Len(); i++ {
+						if gc.Value(i) != wc.Value(i) {
+							t.Fatalf("%s: stream %s batch %d row %d column %s: %v, want %v",
+								name, w.Source, bi, i, wc.Name, gc.Value(i), wc.Value(i))
+						}
+					}
+				}
+				g.Release()
+			}
+		}
+	}
+	for _, bs := range want {
+		for _, b := range bs.Batches {
+			b.Release()
+		}
+	}
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d", live, before)
+	}
+}
+
+// TestBatchSDEsRejectsAndReleases: a recording with one SDE the schema
+// cannot carry converts to an error naming it, and the batches cut
+// before it go back to the pool.
+func TestBatchSDEsRejectsAndReleases(t *testing.T) {
+	recorded := mustCity(t, smallConfig()).Collect(0, 1800)
+	bad := len(recorded) - 1
+	recorded[bad].Event.Type = "tram"
+	before := streams.LiveBatches()
+	got, err := BatchSDEs(recorded, 16, 0)
+	if err == nil || got != nil {
+		t.Fatalf("BatchSDEs = %v, %v; want an error", got, err)
+	}
+	if want := fmt.Sprintf("recorded SDE %d", bad); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), `"tram"`) {
+		t.Errorf("error %q does not name %s and the type", err, want)
+	}
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: the failed conversion kept buffers", live, before)
 	}
 }

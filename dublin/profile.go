@@ -7,8 +7,7 @@ import "github.com/insight-dublin/insight/citygraph"
 // (the same bounding window, denser grid), 9420 buses and 9660 SCATS
 // sensors instead of 942/966, and proportionally more congestion
 // hotspots. This is the scale-out profile the sharded recognition tier
-// is benchmarked on (cmd/shardbench): one engine cannot keep up with
-// the bus feed at this density, N shards can.
+// is benchmarked on (cmd/e2ebench, workload dublin10x-recognize).
 func Profile10x(seed int64) Config {
 	return Config{
 		Seed:       seed,

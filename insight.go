@@ -21,7 +21,6 @@ package insight
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/insight-dublin/insight/crowd"
@@ -76,13 +75,6 @@ type Config struct {
 	// RebalanceMinMoves is the minimum number of routed moves before a
 	// skew check concludes. Default 64 × Shards.
 	RebalanceMinMoves int
-	// ShardSerialEval evaluates the shard engines one after another
-	// instead of concurrently. Measurement mode for cmd/shardbench: on a
-	// single-core host, concurrent shard queries time-slice and each
-	// engine's Elapsed absorbs the others' wait, so the modeled cluster
-	// critical path (max over shards) is only meaningful when every
-	// shard runs alone. Recognition output is identical either way.
-	ShardSerialEval bool
 	// Participants are the crowdsourcing volunteers. Crowdsourcing is
 	// disabled when empty.
 	Participants []SimParticipant
@@ -109,18 +101,17 @@ type Config struct {
 	WatermarkStaleness Time
 	// Seed drives the crowdsourcing simulation.
 	Seed int64
-	// Store selects the RTEC working-memory representation for every
-	// partition engine: rtec.StoreRow (the default) keeps one Event per
-	// stored SDE, rtec.StoreColumn keeps per-type column blocks with
-	// row-id key indexes (lower resident memory, identical recognition
-	// output — see DESIGN.md, "Columnar store internals").
+	// Store picks the reference working-memory representation by name:
+	// the zero value rtec.StoreColumn keeps per-type column blocks with
+	// row-id key indexes, rtec.StoreRow keeps one Event per stored SDE —
+	// identical recognition output at several times the resident bytes,
+	// kept as the reference the equivalence tests compare against (see
+	// DESIGN.md, "Columnar store internals").
 	Store rtec.StoreKind
-	// ColumnarTransport moves SDEs through the pipeline as typed
-	// columnar batches (streams.Batch) instead of one map-backed item
-	// per event: the generator emits batches natively and the
-	// monitoring processor feeds them to the engines as column blocks.
-	// Recognition output is identical either way; the columnar path
-	// exists purely for throughput (see DESIGN.md).
+	// ColumnarTransport is ignored.
+	//
+	// Deprecated: transport is always columnar; accepted and ignored so
+	// existing literals compile.
 	ColumnarTransport bool
 	// UnpacedReplay lets the replay sources run freely instead of
 	// aligning them on the shared virtual clock. Benchmark mode: the
@@ -143,11 +134,10 @@ type System struct {
 	qeeEngine *qee.Engine
 	roster    *crowd.Roster
 
-	gen     *dublin.Generator
-	genDone bool
-	primed  bool
-	inbox   []dublin.SDE // generated, not yet fed; sorted by arrival
-	next    *dublin.SDE  // lookahead from the generator
+	// adm holds the direct Step loop's collected-but-unadmitted rows;
+	// primed says Start or StartReplay filled it.
+	adm    admission
+	primed bool
 
 	lastTraffic  map[string]trafficReading // latest reading per sensor
 	lastCrowd    map[string]crowdReading   // latest verdict per intersection
@@ -313,42 +303,8 @@ func parseQueryTime(id string) (Time, bool) {
 	return 0, false
 }
 
-// feed pumps generated SDEs with Arrival <= q into the engines and
-// tracks the latest sensor readings for the traffic model.
-func (s *System) feed(q Time) (int, error) {
-	// Pull the occurrence-ordered generator far enough: any event
-	// occurring after q also arrives after q.
-	for !s.genDone {
-		if s.next == nil {
-			sde, ok := s.gen.Next()
-			if !ok {
-				s.genDone = true
-				break
-			}
-			s.next = &sde
-		}
-		if s.next.Event.Time > q {
-			break
-		}
-		s.inbox = append(s.inbox, *s.next)
-		s.next = nil
-	}
-	sort.SliceStable(s.inbox, func(i, j int) bool { return s.inbox[i].Arrival < s.inbox[j].Arrival })
-	fed := 0
-	for len(s.inbox) > 0 && s.inbox[0].Arrival <= q {
-		sde := s.inbox[0]
-		s.inbox = s.inbox[1:]
-		if err := s.engines.Input(sde.Event); err != nil {
-			return fed, err
-		}
-		fed++
-		if sde.Event.Type == traffic.TrafficType {
-			s.noteTraffic(sde.Event)
-		}
-	}
-	return fed, nil
-}
-
+// noteTraffic tracks the latest reading per sensor for the traffic
+// model.
 func (s *System) noteTraffic(e rtec.Event) {
 	v, ok := s.sensorVertex[e.Key]
 	if !ok {

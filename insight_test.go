@@ -1,13 +1,18 @@
 package insight
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/crowd/qee"
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/rtec"
+	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
 )
 
@@ -252,13 +257,16 @@ func TestQueryTimeIDRoundTrip(t *testing.T) {
 	}
 }
 
-// Replaying the recorded stream must reproduce the live run exactly.
+// Replaying the recorded stream must reproduce the live run exactly:
+// in arrival order, shuffled, and after a round trip through the CSV
+// exports — every recording reaches the engines through the one
+// SDE-to-batch converter.
 func TestReplayMatchesLive(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
-	mk := func() *System {
-		city := testCity(t)
+	run := func(recorded []dublin.SDE) []*Report {
+		t.Helper()
 		sys, err := New(Config{
-			City:          city,
+			City:          testCity(t),
 			WorkingMemory: 1800,
 			Step:          900,
 			Traffic:       traffic.Config{Adaptive: true, NoisyPolicy: traffic.Pessimistic},
@@ -266,43 +274,142 @@ func TestReplayMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys
+		var reports []*Report
+		note := func(r *Report) error {
+			reports = append(reports, r)
+			return nil
+		}
+		if recorded == nil {
+			err = sys.Run(context.Background(), from, until, note)
+		} else {
+			err = sys.RunReplay(context.Background(), recorded, from, until, note)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reports
+	}
+	same := func(label string, got, want []*Report) {
+		t.Helper()
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: %d reports, live %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if g, w := got[i].Fingerprint(), want[i].Fingerprint(); g != w {
+				t.Errorf("%s: step %d differs:\n  replay: %s\n  live:   %s", label, i, g, w)
+			}
+		}
 	}
 
-	live := mk()
-	var liveReports []*Report
-	if err := live.Run(context.Background(), from, until, func(r *Report) error {
-		liveReports = append(liveReports, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	replay := mk()
+	before := streams.LiveBatches()
+	live := run(nil)
 	recorded := testCity(t).Collect(from, until)
-	var replayReports []*Report
-	if err := replay.RunReplay(context.Background(), recorded, from, until, func(r *Report) error {
-		replayReports = append(replayReports, r)
-		return nil
-	}); err != nil {
+	same("arrival-ordered replay", run(recorded), live)
+
+	shuffled := append([]dublin.SDE(nil), recorded...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	// Only the order of same-arrival SDEs survives as a difference, and
+	// recognition does not depend on it.
+	same("shuffled replay", run(shuffled), live)
+
+	// The CSV exports keep six decimals of the coordinates, four of the
+	// density and two of the flow; on this city the rounding moves no
+	// reading across a threshold or a region border, so the read-back
+	// must replay to the live run's reports as well.
+	var busCSV, scatsCSV bytes.Buffer
+	if err := dublin.WriteBusCSV(&busCSV, recorded); err != nil {
 		t.Fatal(err)
 	}
-
-	if len(liveReports) != len(replayReports) {
-		t.Fatalf("live %d reports, replay %d", len(liveReports), len(replayReports))
+	if err := dublin.WriteScatsCSV(&scatsCSV, recorded); err != nil {
+		t.Fatal(err)
 	}
-	for i := range liveReports {
-		l, r := liveReports[i], replayReports[i]
-		if l.Q != r.Q || l.FedEvents != r.FedEvents {
-			t.Errorf("step %d: Q/FedEvents differ: (%d, %d) vs (%d, %d)",
-				i, l.Q, l.FedEvents, r.Q, r.FedEvents)
+	buses, err := dublin.ReadBusCSV(&busCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scats, err := dublin.ReadScatsCSV(&scatsCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBack := append(buses, scats...) // bus file first: not arrival order
+	if len(readBack) != len(recorded) {
+		t.Fatalf("CSV round trip kept %d of %d SDEs", len(readBack), len(recorded))
+	}
+	same("CSV replay", run(readBack), live)
+
+	if got := streams.LiveBatches(); got != before {
+		t.Errorf("live batches = %d, want %d: the direct loop leaked transport buffers", got, before)
+	}
+
+	t.Run("malformed", func(t *testing.T) { replayRejectsMalformed(t, recorded, from) })
+}
+
+// replayRejectsMalformed: a recording the columnar schema cannot carry
+// must be refused with an error — not panic, and not be routed silently
+// with cells missing.
+func replayRejectsMalformed(t *testing.T, good []dublin.SDE, from Time) {
+	until := from + 900
+	var bus, sensor int
+	for i, sde := range good {
+		if sde.Event.Type == traffic.MoveType {
+			bus = i
+		} else {
+			sensor = i
 		}
-		if join(l.CongestedIntersections) != join(r.CongestedIntersections) {
-			t.Errorf("step %d: congested intersections differ", i)
+	}
+	// mutate copies the recording with a private attribute map for SDE i.
+	mutate := func(i int, fn func(ev *rtec.Event)) []dublin.SDE {
+		out := append([]dublin.SDE(nil), good...)
+		attrs := make(map[string]any, len(out[i].Event.Attrs))
+		for k, v := range out[i].Event.Attrs {
+			attrs[k] = v
 		}
-		if join(l.NoisyBuses) != join(r.NoisyBuses) {
-			t.Errorf("step %d: noisy buses differ", i)
-		}
+		out[i].Event.Attrs = attrs
+		fn(&out[i].Event)
+		return out
+	}
+	cases := []struct {
+		name string
+		sdes []dublin.SDE
+		want string // substring of the error
+	}{
+		{"unknown type", mutate(bus, func(ev *rtec.Event) { ev.Type = "tram" }), `unknown event type "tram"`},
+		{"crowd SDE on an input stream", mutate(sensor, func(ev *rtec.Event) { ev.Type = traffic.CrowdType }), "unknown event type"},
+		{"slice-valued attribute", mutate(bus, func(ev *rtec.Event) { ev.Attrs["delay"] = []int64{1, 2} }), `attribute "delay" holds a []int64`},
+		{"map-valued attribute", mutate(sensor, func(ev *rtec.Event) { ev.Attrs["flow"] = map[string]any{} }), `attribute "flow" holds a map`},
+		{"wrong scalar kind", mutate(sensor, func(ev *rtec.Event) { ev.Attrs["density"] = "high" }), `attribute "density" holds a string`},
+		{"missing key", mutate(bus, func(ev *rtec.Event) { delete(ev.Attrs, "congested") }), `missing attribute "congested"`},
+		{"missing coordinates", mutate(sensor, func(ev *rtec.Event) { delete(ev.Attrs, "lon") }), `missing attribute "lon"`},
+		{"attribute outside the schema", mutate(bus, func(ev *rtec.Event) { ev.Attrs["speed"] = 3.5 }), `attribute "speed" is not part of the move schema`},
+		{"negative arrival", func() []dublin.SDE {
+			out := append([]dublin.SDE(nil), good...)
+			out[bus].Arrival = -1
+			return out
+		}(), "negative arrival"},
+	}
+	before := streams.LiveBatches()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(Config{City: testCity(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sys.RunReplay(context.Background(), tc.sdes, from, until, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunReplay error = %v, want one mentioning %q", err, tc.want)
+			}
+			if err := sys.StartReplay(tc.sdes); err == nil {
+				t.Error("StartReplay accepted the recording")
+			}
+			if _, err := sys.Step(context.Background(), from+900); err == nil {
+				t.Error("Step ran on a system whose replay was refused")
+			}
+			if got := streams.LiveBatches(); got != before {
+				t.Errorf("live batches = %d, want %d: the refused conversion kept buffers", got, before)
+			}
+		})
 	}
 }
 

@@ -76,6 +76,8 @@ var goldenCases = []struct {
 	{GoroutineLeak, "goroutineleak", "fixture/goroutineleak", nil},
 	{HotAlloc, "hotalloc", "fixture/internal/linalg", nil},
 	{HotAlloc, "hotalloc_batch", "fixture/streams", nil},
+	{HotAlloc, "hotalloc_admit", "fixture/insight", nil},
+	{HotAlloc, "hotalloc_convert", "fixture/dublin", nil},
 	{HotAlloc, "hotalloc_colstore", "fixture/colstore/rtec", nil},
 	{HotAlloc, "hotalloc_rules", "fixture/traffic", nil},
 	{FloatEq, "floateq", "fixture/floateq", nil},

@@ -26,7 +26,8 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
 	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol|gatherRows|snapshotTypes|restoreType)$`),
-	"insight": regexp.MustCompile(`^(admitRows|ProcessBatch)$`),
+	"insight": regexp.MustCompile(`^(admit|ProcessBatch)$`),
+	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches)$`),
 }
 
 // ruleClosurePkgs are the packages whose rtec rule closures — the

@@ -6,11 +6,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/insight-dublin/insight/dublin"
-	"github.com/insight-dublin/insight/geo"
-	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
-	"github.com/insight-dublin/insight/traffic"
 )
 
 // Pipeline assembles the system as a Streams data-flow graph, the
@@ -52,11 +48,9 @@ var pipelineStreamIDs = []string{"bus", "scats-central", "scats-north", "scats-w
 
 // Item attribute keys used by the pipeline.
 const (
-	itemEvent   = "event"   // rtec.Event payload
-	itemArrival = "arrival" // arrival time (int64)
-	itemSource  = "source"  // originating stream id
-	itemEOF     = "eof"     // end-of-stream punctuation
-	itemReport  = "report"  // *Report payload
+	itemSource = "source" // originating stream id
+	itemEOF    = "eof"    // end-of-stream punctuation
+	itemReport = "report" // *Report payload
 )
 
 // ChaosConfig configures deterministic fault injection for
@@ -67,17 +61,17 @@ type ChaosConfig struct {
 	// injected into that stream.
 	Streams map[string]streams.FaultSpec
 	// InputErrProb injects processor errors into the per-stream input
-	// validation processors with this probability. The input processes
-	// are then supervised with SkipItem, so affected SDEs are
-	// dead-lettered (visible via Topology.DeadLetters) instead of
-	// aborting the topology.
+	// validation processors with this probability, per batch envelope.
+	// The input processes are then supervised with SkipItem, so affected
+	// envelopes are dead-lettered (visible via Topology.DeadLetters)
+	// instead of aborting the topology.
 	InputErrProb float64
 	// Seed drives the injected-error sampling; each stream's FaultSpec
 	// carries its own seed.
 	Seed int64
 	// InputSupervision overrides the supervision policy of the
 	// per-stream input processes when InputErrProb > 0. Nil means
-	// SkipItem (faulty SDEs are dead-lettered). Note the zero Strategy
+	// SkipItem (faulty envelopes are dead-lettered). Note the zero Strategy
 	// is FailFast, so a non-nil policy must be fully specified.
 	InputSupervision *streams.SupervisionPolicy
 }
@@ -99,36 +93,6 @@ func (s *System) BuildChaosPipeline(from, until Time, chaos ChaosConfig) (*Pipel
 }
 
 func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durableRuntime) (*Pipeline, error) {
-	// Split into the paper's five input streams, each arrival-ordered
-	// (the global collection is arrival-sorted, so per-stream order is
-	// kept). With ColumnarTransport the generator emits typed batches
-	// natively — no per-event map is ever built on the ingest path;
-	// batch spans are capped at Step/2 (the pacer slack) so at most one
-	// query boundary can land inside a batch and watermark punctuation
-	// keeps its per-item granularity.
-	streamIDs := pipelineStreamIDs
-	perStream := make(map[string][]streams.Item, len(streamIDs))
-	if s.cfg.ColumnarTransport {
-		for _, bs := range s.city.CollectBatches(from, until, 512, s.cfg.Step/2) {
-			items := make([]streams.Item, 0, len(bs.Batches))
-			for _, b := range bs.Batches {
-				items = append(items, streams.BatchItem(b))
-			}
-			perStream[bs.ID] = items
-		}
-	} else {
-		for _, sde := range s.city.Collect(from, until) {
-			id := "bus"
-			if sde.Event.Type == traffic.TrafficType {
-				id = "scats-" + geo.Region(dublin.PartitionOf(sde.Event)).String()
-			}
-			perStream[id] = append(perStream[id], streams.Item{
-				itemEvent:   sde.Event,
-				itemArrival: int64(sde.Arrival),
-				itemSource:  id,
-			})
-		}
-	}
 	// End-of-stream punctuation: one trailing marker per stream lifts
 	// that stream's watermark past the final boundary as soon as it
 	// ends. Query boundaries that still become due simultaneously at
@@ -145,21 +109,21 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 	// like a dead mediator whose upstream keeps transmitting.
 	pacer := streams.NewPacer(int64(s.cfg.Step) / 2)
 	arrivalOf := func(it streams.Item) (int64, bool) {
-		if b, isBatch := streams.ItemBatch(it); isBatch {
-			if b.Len() == 0 || b.Arrivals == nil {
-				return 0, false
-			}
-			// Pace on the batch's first arrival; the Step/2 span cap
-			// keeps the whole batch within the pacer slack.
-			return b.Arrivals[0], true
+		b, isBatch := streams.ItemBatch(it)
+		if !isBatch || b.Len() == 0 || b.Arrivals == nil {
+			return 0, false // EOF punctuation carries no arrival
 		}
-		if it.Bool(itemEOF) {
-			return 0, false
-		}
-		return it.Int(itemArrival), true
+		// Pace on the batch's first arrival; the Step/2 span cap keeps
+		// the whole batch within the pacer slack.
+		return b.Arrivals[0], true
 	}
-	for _, id := range streamIDs {
-		items := perStream[id]
+	// The paper's five input streams, each arrival-ordered. The
+	// generator emits typed batches natively — no per-event map is ever
+	// built on the ingest path; batch spans are capped at Step/2 (the
+	// pacer slack) so at most one query boundary can land inside a batch
+	// and watermark punctuation keeps its per-row granularity.
+	for _, bs := range s.city.CollectBatches(from, until, transportBatchRows, s.cfg.Step/2) {
+		id, batches := bs.ID, bs.Batches
 		if dur != nil {
 			// Recovery: the cursors already account for these envelopes —
 			// the WAL replay re-consumed the ones past the checkpoint — so
@@ -167,16 +131,18 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 			// deterministic, so skipping a count is skipping those exact
 			// envelopes.
 			skip := int(dur.consumed[id])
-			if skip > len(items) {
-				return nil, fmt.Errorf("insight: recovery cursor for %q consumed %d envelopes but the collection replays only %d", id, skip, len(items))
+			if skip > len(batches) {
+				return nil, fmt.Errorf("insight: recovery cursor for %q consumed %d envelopes but the collection replays only %d", id, skip, len(batches))
 			}
-			for _, it := range items[:skip] {
-				if b, isBatch := streams.ItemBatch(it); isBatch {
-					b.Release()
-				}
+			for _, b := range batches[:skip] {
+				b.Release()
 			}
 			dur.skipped += skip
-			items = items[skip:]
+			batches = batches[skip:]
+		}
+		items := make([]streams.Item, 0, len(batches)+1)
+		for _, b := range batches {
+			items = append(items, streams.BatchItem(b))
 		}
 		items = append(items, streams.Item{itemSource: id, itemEOF: true})
 		var src streams.Source = streams.NewSliceSource(items...)
@@ -236,7 +202,7 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 	// whole instead of being expanded into per-row items.
 	validate := sdeValidator{}
 	chaosProcs := make(map[string]*streams.ChaosProcessor)
-	for _, id := range streamIDs {
+	for _, id := range pipelineStreamIDs {
 		proc := streams.Processor(validate)
 		if chaos.InputErrProb > 0 {
 			cp := streams.NewChaosProcessor(validate, streams.FaultSpec{
@@ -251,7 +217,7 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 		}
 		if chaos.InputErrProb > 0 {
 			// Injected input faults are contained by supervision: with
-			// the default SkipItem they cost the affected SDE, never the
+			// the default SkipItem they cost the affected envelope, never the
 			// topology; a caller-supplied policy (e.g. Restart, under
 			// which ChaosProcessor's per-attempt redraw makes the fault
 			// transient) overrides it.
@@ -339,18 +305,15 @@ func newRTECProcessor(s *System, from, until Time) *rtecProcessor {
 // modelling procedure is registered in the pipeline topology.
 type TrafficModelService func(MapConfig) (*FlowEstimate, error)
 
-// sdeValidator is the input-handling processor: it checks per-item
-// SDEs carry an event payload and batch envelopes satisfy the
-// row-length invariant, forwarding both unchanged.
+// sdeValidator is the input-handling processor: it checks batch
+// envelopes satisfy the row-length invariant and forwards them whole.
 type sdeValidator struct{}
 
-// Process validates one per-item SDE (or EOF punctuation).
+// Process forwards EOF punctuation, the only per-item traffic on an
+// input stream: SDEs travel as column batches.
 func (sdeValidator) Process(it streams.Item) (streams.Item, error) {
-	if it.Bool(itemEOF) {
-		return it, nil
-	}
-	if _, ok := it[itemEvent].(rtec.Event); !ok {
-		return nil, fmt.Errorf("insight: SDE item without event payload")
+	if !it.Bool(itemEOF) {
+		return nil, fmt.Errorf("insight: per-item SDE on stream %q: SDEs cross the pipeline as column batches", it.String(itemSource))
 	}
 	return it, nil
 }
@@ -394,18 +357,10 @@ type rtecProcessor struct {
 	staleness  Time
 	watermarks map[string]Time
 	degraded   map[string]bool
-	// pending buffers consumed SDEs until a query boundary admits
-	// them: at query time Q exactly the SDEs with arrival <= Q may
-	// have been delivered to the engines, as in a live deployment.
-	pending []pendingSDE
-	// pendingRows is the columnar counterpart of pending: row
-	// references into retained transport batches, in exact consumption
-	// order across streams, so boundary admission files events into
-	// the engine stores in the same order the per-item path would.
-	pendingRows []rowRef
-	// runRows is the reusable row buffer admitRows flushes in
-	// consecutive same-block runs.
-	runRows []int32
+	// adm buffers consumed rows until a query boundary admits them: at
+	// query time Q exactly the SDEs with arrival <= Q may have been
+	// delivered to the engines, as in a live deployment.
+	adm admission
 	// due holds evaluated reports awaiting emission: a processor maps
 	// one item to at most one item, so simultaneous boundaries drain
 	// one per subsequent item; whatever is still due when the input
@@ -415,45 +370,19 @@ type rtecProcessor struct {
 	// pipeline: consumption and boundary events are recorded as they
 	// happen, and checkpoints are written at the processor's safe
 	// points (never mid-batch, where rows past the firing one are in
-	// neither the engines nor pendingRows yet).
+	// neither the engines nor the pending set yet).
 	durable *durableRuntime
 }
 
-type pendingSDE struct {
-	event   rtec.Event
-	arrival Time
-}
-
-// pendingBlock retains one consumed transport batch until every row
-// has been admitted past a query boundary; the aliased rtec block is
-// what admission feeds to the engines. The batch is released (and the
-// alias dropped) when the last row is admitted, or by Flush for rows
-// beyond the final boundary.
-type pendingBlock struct {
-	batch   *streams.Batch
-	blk     *rtec.Block
-	pending int // rows not yet admitted
-}
-
-// rowRef addresses one not-yet-admitted row of a retained batch.
-type rowRef struct {
-	pb  *pendingBlock
-	row int32
-}
-
-// Process implements streams.Processor. SDE items are consumed; when
-// query boundaries become due their report items are emitted, one per
-// processed item.
+// Process implements streams.Processor for the one per-item input,
+// EOF punctuation: the ended stream's watermark lifts past the final
+// boundary, and the report items of boundaries that become due are
+// emitted, one per processed item.
 func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
-	src := it.String(itemSource)
-	if it.Bool(itemEOF) {
-		p.watermarks[src] = p.until + p.step // unblock the final boundaries
-	} else {
-		ev, _ := it[itemEvent].(rtec.Event)
-		arrival := Time(it.Int(itemArrival))
-		p.pending = append(p.pending, pendingSDE{event: ev, arrival: arrival})
-		p.watermarks[src] = arrival
+	if !it.Bool(itemEOF) {
+		return nil, fmt.Errorf("insight: monitoring process got a per-item SDE from %q: SDEs arrive as column batches", it.String(itemSource))
 	}
+	p.watermarks[it.String(itemSource)] = p.until + p.step // unblock the final boundaries
 	if err := p.fireDue(context.Background()); err != nil {
 		return nil, err
 	}
@@ -470,13 +399,13 @@ func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
 	return rep, nil
 }
 
-// ProcessBatch implements streams.BatchProcessor: the columnar
-// counterpart of Process. Rows are consumed strictly in order — each
-// row advances its stream's watermark and re-checks due boundaries
-// exactly as a per-item delivery of the same event would — so the
-// sequence of (admission, evaluation) steps, and with it the CE
-// output, is bit-identical to per-item transport. The batch is
-// retained until boundary admission has drained it.
+// ProcessBatch implements streams.BatchProcessor: the SDE input of the
+// monitoring process. Rows are consumed strictly in order — each row
+// advances its stream's watermark and re-checks due boundaries before
+// the next row joins the pending set — so the sequence of (admission,
+// evaluation) steps, and with it the CE output, is that of delivering
+// the same events one at a time. The batch is retained until boundary
+// admission has drained it.
 func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	if p.durable != nil {
 		// The envelope is consumed whatever recognition does with it;
@@ -488,7 +417,7 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 		b.Release()
 		return nil, nil
 	}
-	pb := &pendingBlock{batch: b, blk: dublin.Block(b), pending: n}
+	pb := retainBatch(b)
 	src := b.Source
 	if p.batchCantFire(src, b.Arrivals[n-1]) {
 		// No query boundary can become due anywhere inside this batch,
@@ -496,13 +425,11 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 		// joins the pending set and the stream's watermark ends at the
 		// batch's last arrival — exactly the state the per-row loop
 		// leaves behind.
-		for i := 0; i < n; i++ {
-			p.pendingRows = append(p.pendingRows, rowRef{pb: pb, row: int32(i)})
-		}
+		p.adm.push(pb, 0, n)
 		p.watermarks[src] = Time(b.Arrivals[n-1])
 	} else {
 		for i := 0; i < n; i++ {
-			p.pendingRows = append(p.pendingRows, rowRef{pb: pb, row: int32(i)})
+			p.adm.push(pb, i, i+1)
 			p.watermarks[src] = Time(b.Arrivals[i])
 			if err := p.fireDue(context.Background()); err != nil {
 				return nil, err
@@ -513,7 +440,7 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	p.due = nil
 	if p.durable != nil {
 		// Safe point: every row of every consumed record is now in the
-		// engines or in pendingRows. The reports in out are re-derivable
+		// engines or in the pending set. The reports in out are re-derivable
 		// if this errors — the epoch dies with them unemitted, and
 		// replay from the previous checkpoint re-fires their boundaries.
 		if err := p.durable.maybeCheckpoint(p); err != nil {
@@ -559,60 +486,6 @@ func (p *rtecProcessor) batchCantFire(src string, last int64) bool {
 		return false // every stream excluded; let fireDue decide
 	}
 	return watermark <= p.nextQ
-}
-
-// admitRows delivers every pending batch row with arrival <= q to the
-// engines, in pending order, flushing consecutive same-block runs as
-// one InputBlockRows call. Batches whose last row is admitted are
-// released back to the transport pool.
-func (p *rtecProcessor) admitRows(q Time) (int, error) {
-	if len(p.pendingRows) == 0 {
-		return 0, nil
-	}
-	fed := 0
-	kept := p.pendingRows[:0]
-	var runPB *pendingBlock
-	var drained []*pendingBlock
-	p.runRows = p.runRows[:0]
-	flushRun := func() error {
-		if runPB == nil || len(p.runRows) == 0 {
-			return nil
-		}
-		err := p.system.engines.InputBlockRows(runPB.blk, p.runRows)
-		p.runRows = p.runRows[:0]
-		return err
-	}
-	for _, ref := range p.pendingRows {
-		if Time(ref.pb.batch.Arrivals[ref.row]) > q {
-			kept = append(kept, ref)
-			continue
-		}
-		if ref.pb != runPB {
-			if err := flushRun(); err != nil {
-				return fed, err
-			}
-			runPB = ref.pb
-		}
-		p.runRows = append(p.runRows, ref.row)
-		if ref.pb.blk.Type == traffic.TrafficType {
-			//lint:allow hotalloc view Event is a stack value; noteTraffic reads two cells, no map is built
-			p.system.noteTraffic(ref.pb.blk.Event(int(ref.row)))
-		}
-		fed++
-		if ref.pb.pending--; ref.pb.pending == 0 {
-			drained = append(drained, ref.pb)
-		}
-	}
-	if err := flushRun(); err != nil {
-		return fed, err
-	}
-	p.pendingRows = kept
-	// Safe only now: the engines copied every admitted row above.
-	for _, pb := range drained {
-		pb.blk = nil
-		pb.batch.Release()
-	}
-	return fed, nil
 }
 
 // fireDue evaluates every query boundary the minimum arrival watermark
@@ -661,27 +534,10 @@ func (p *rtecProcessor) fireDue(ctx context.Context) error {
 		q := p.nextQ
 		p.nextQ += p.step
 		// Deliver exactly the SDEs that have arrived by q.
-		kept := p.pending[:0]
-		fed := 0
-		for _, ps := range p.pending {
-			if ps.arrival <= q {
-				if err := p.system.engines.Input(ps.event); err != nil {
-					return err
-				}
-				if ps.event.Type == traffic.TrafficType {
-					p.system.noteTraffic(ps.event)
-				}
-				fed++
-			} else {
-				kept = append(kept, ps)
-			}
-		}
-		p.pending = kept
-		fedRows, err := p.admitRows(q)
+		fed, err := p.adm.admit(p.system, q)
 		if err != nil {
 			return err
 		}
-		fed += fedRows
 		rep, err := p.system.evaluate(ctx, q, fed, false)
 		if err != nil {
 			return err
@@ -714,16 +570,8 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 			return nil, err
 		}
 	}
-	// Rows arriving after the final boundary are never admitted (the
-	// per-item path leaves their events in pending the same way);
-	// return their transport buffers to the pool.
-	for _, ref := range p.pendingRows {
-		if ref.pb.blk != nil {
-			ref.pb.blk = nil
-			ref.pb.batch.Release()
-		}
-	}
-	p.pendingRows = nil
+	// Rows arriving after the final boundary are never admitted.
+	p.adm.release()
 	out := p.due
 	p.due = nil
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
@@ -60,131 +61,13 @@ func compareReports(t *testing.T, label string, got, want []*Report) {
 	for i := range got {
 		gf, wf := ceFingerprint(got[i]), ceFingerprint(want[i])
 		if gf != wf {
-			t.Errorf("%s: report %d differs:\n--- columnar ---\n%s--- map ---\n%s", label, i, gf, wf)
+			t.Errorf("%s: report %d differs:\n--- got ---\n%s--- want ---\n%s", label, i, gf, wf)
 		}
 	}
-}
-
-// TestColumnarPipelineMatchesMapPipeline is the tentpole equivalence
-// check: the same city through per-item map transport and through
-// columnar batched transport must recognise bit-identical complex
-// events — crowdsourcing feedback loop included — and the columnar run
-// must return every transport buffer to the pool.
-func TestColumnarPipelineMatchesMapPipeline(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-
-	mkSystem := func(columnar bool) *System {
-		city := testCity(t)
-		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     1800,
-			Step:              900,
-			Participants:      testParticipants(city, 8),
-			ColumnarTransport: columnar,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-
-	run := func(columnar bool) []*Report {
-		pipe, err := mkSystem(columnar).BuildPipeline(from, until)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports, err := pipe.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-
-	mapReports := run(false)
-	if len(mapReports) == 0 {
-		t.Fatal("map-transport run produced no reports")
-	}
-	before := streams.LiveBatches()
-	colReports := run(true)
-	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: columnar run leaked transport buffers", live, before)
-	}
-	compareReports(t, "columnar vs map", colReports, mapReports)
-}
-
-// TestColumnarChaosDropDupMatchesMap runs the full chaos pipeline with
-// row-level drops and duplicates on every input stream, map vs
-// columnar transport. The injectors consume identical rng sequences in
-// both modes, so the faulted streams — and with them the recognition
-// output — must match exactly.
-func TestColumnarChaosDropDupMatchesMap(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
-	ids := []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"}
-	for i, id := range ids {
-		chaos.Streams[id] = streams.FaultSpec{
-			Seed:     100 + int64(i)*7,
-			DropProb: 0.05,
-			DupProb:  0.05,
-		}
-	}
-
-	run := func(columnar bool) ([]*Report, int, int) {
-		sys, err := New(Config{
-			City:              testCity(t),
-			Seed:              7,
-			WorkingMemory:     1800,
-			Step:              900,
-			ColumnarTransport: columnar,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := sys.BuildChaosPipeline(from, until, chaos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports, err := pipe.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dropped, duplicated := 0, 0
-		for _, cs := range pipe.Chaos {
-			st := cs.Stats()
-			dropped += st.Dropped
-			duplicated += st.Duplicated
-		}
-		return reports, dropped, duplicated
-	}
-
-	mapReports, mapDrops, mapDups := run(false)
-	if mapDrops == 0 || mapDups == 0 {
-		t.Fatalf("map run injected %d drops, %d dups: fault injection inert", mapDrops, mapDups)
-	}
-	before := streams.LiveBatches()
-	colReports, colDrops, colDups := run(true)
-	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: faulted columnar run leaked buffers", live, before)
-	}
-	if colDrops != mapDrops || colDups != mapDups {
-		t.Errorf("columnar faults (%d drops, %d dups) != map faults (%d drops, %d dups)",
-			colDrops, colDups, mapDrops, mapDups)
-	}
-	compareReports(t, "chaos columnar vs map", colReports, mapReports)
 }
 
 // rowEvent materializes row i of a transport batch as a map-backed
-// rtec event — the per-item representation of the same SDE.
+// rtec event — the per-event representation of the same SDE.
 func rowEvent(b *streams.Batch, i int) rtec.Event {
 	attrs := make(map[string]any, len(b.Cols))
 	for ci := range b.Cols {
@@ -194,15 +77,150 @@ func rowEvent(b *streams.Batch, i int) rtec.Event {
 	return rtec.NewEvent(b.Type, Time(b.Times[i]), b.Keys[i], attrs)
 }
 
-// mkRtecProcessor builds the monitoring processor the way
-// buildPipeline does, over a fresh crowdless system.
-func mkRtecProcessor(t *testing.T, from, until Time, ids []string) *rtecProcessor {
+// eventReference is the per-event statement of what the pipeline must
+// recognise; the system itself moves SDEs only as column blocks. Every
+// consumed row is materialized as a
+// map-backed event, waits until the strict arrival watermark (the
+// minimum over the five streams, no staleness bound) passes a query
+// boundary, and is then handed to the engines one event at a time
+// through engineTier.Input — the entry point the crowd verdict uses —
+// before the boundary is evaluated with the crowd loop inline, as the
+// synchronous Step loop does.
+type eventReference struct {
+	t          *testing.T
+	sys        *System
+	nextQ      Time
+	until      Time
+	watermarks map[string]Time
+	pending    []dublin.SDE
+	reports    []*Report
+}
+
+func newEventReference(t *testing.T, sys *System, from, until Time) *eventReference {
+	r := &eventReference{t: t, sys: sys, nextQ: from + sys.cfg.Step, until: until, watermarks: make(map[string]Time)}
+	for _, id := range pipelineStreamIDs {
+		r.watermarks[id] = from
+	}
+	return r
+}
+
+// consume takes the rows of b one at a time, in order; the batch stays
+// the caller's.
+func (r *eventReference) consume(b *streams.Batch) {
+	for i := 0; i < b.Len(); i++ {
+		r.pending = append(r.pending, dublin.SDE{Event: rowEvent(b, i), Arrival: Time(b.Arrivals[i])})
+		r.watermarks[b.Source] = Time(b.Arrivals[i])
+		r.fireDue()
+	}
+}
+
+// finish ends every stream and returns the reports of all boundaries.
+func (r *eventReference) finish() []*Report {
+	for id := range r.watermarks {
+		r.watermarks[id] = r.until + r.sys.cfg.Step
+	}
+	r.fireDue()
+	return r.reports
+}
+
+func (r *eventReference) fireDue() {
+	r.t.Helper()
+	watermark := r.watermarks[pipelineStreamIDs[0]]
+	for _, w := range r.watermarks {
+		watermark = min(watermark, w)
+	}
+	for ; r.nextQ <= r.until && watermark > r.nextQ; r.nextQ += r.sys.cfg.Step {
+		kept, fed := r.pending[:0], 0
+		for _, sde := range r.pending {
+			if sde.Arrival > r.nextQ {
+				kept = append(kept, sde)
+				continue
+			}
+			if err := r.sys.engines.Input(sde.Event); err != nil {
+				r.t.Fatal(err)
+			}
+			if sde.Event.Type == traffic.TrafficType {
+				r.sys.noteTraffic(sde.Event)
+			}
+			fed++
+		}
+		r.pending = kept
+		rep, err := r.sys.evaluate(context.Background(), r.nextQ, fed, true)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		r.reports = append(r.reports, rep)
+	}
+}
+
+// batchSources wraps each collected stream as a slice source of batch
+// envelopes, in pipelineStreamIDs order.
+func batchSources(collected []dublin.BatchedStream) []streams.Source {
+	srcs := make([]streams.Source, len(collected))
+	for i, bs := range collected {
+		items := make([]streams.Item, 0, len(bs.Batches))
+		for _, b := range bs.Batches {
+			items = append(items, streams.BatchItem(b))
+		}
+		srcs[i] = streams.NewSliceSource(items...)
+	}
+	return srcs
+}
+
+// drainMerged reads the sources to exhaustion through one deterministic
+// single-threaded merge — always the batch with the smallest head
+// arrival, ties by source order — handing each batch to fn, which owns
+// it. It returns the number of rows delivered.
+func drainMerged(t *testing.T, srcs []streams.Source, fn func(b *streams.Batch)) int {
+	t.Helper()
+	heads := make([]*streams.Batch, len(srcs))
+	advance := func(i int) {
+		heads[i] = nil
+		for heads[i] == nil {
+			it, ok := srcs[i].Read()
+			if !ok {
+				return
+			}
+			b, isBatch := streams.ItemBatch(it)
+			if !isBatch {
+				t.Fatalf("source %d emitted a non-batch item %v", i, it)
+			}
+			if b.Len() == 0 {
+				b.Release() // a batch the injector emptied
+				continue
+			}
+			heads[i] = b
+		}
+	}
+	for i := range srcs {
+		advance(i)
+	}
+	rows := 0
+	for {
+		pick := -1
+		for i, b := range heads {
+			if b != nil && (pick < 0 || b.Arrivals[0] < heads[pick].Arrivals[0]) {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			return rows
+		}
+		b := heads[pick]
+		rows += b.Len()
+		fn(b)
+		advance(pick)
+	}
+}
+
+func chaosTestSystem(t *testing.T, city *dublin.City, participants []SimParticipant) *System {
 	t.Helper()
 	sys, err := New(Config{
-		City:          testCity(t),
+		City:          city,
 		Seed:          7,
 		WorkingMemory: 1800,
 		Step:          900,
+		Participants:  participants,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,
 			Adaptive:    true,
@@ -211,18 +229,114 @@ func mkRtecProcessor(t *testing.T, from, until Time, ids []string) *rtecProcesso
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &rtecProcessor{
-		system:     sys,
-		step:       sys.cfg.Step,
-		nextQ:      from + sys.cfg.Step,
-		until:      until,
-		watermarks: make(map[string]Time, len(ids)),
-		degraded:   make(map[string]bool),
+	return sys
+}
+
+// TestPipelineMatchesPerEventReference is the transport equivalence
+// check: the same city through the batched pipeline and through the
+// per-event reference must recognise bit-identical complex events —
+// crowdsourcing feedback loop included — and the pipeline run must
+// return every transport buffer to the pool.
+func TestPipelineMatchesPerEventReference(t *testing.T) {
+	const from, until = 7 * 3600, 8 * 3600
+	city := testCity(t)
+
+	before := streams.LiveBatches()
+	pipe, err := chaosTestSystem(t, city, testParticipants(city, 8)).BuildPipeline(from, until)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range ids {
-		p.watermarks[id] = from
+	pipeReports, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: pipeline run leaked transport buffers", live, before)
+	}
+
+	ref := newEventReference(t, chaosTestSystem(t, city, testParticipants(city, 8)), from, until)
+	drainMerged(t, batchSources(city.CollectBatches(from, until, 512, 450)), func(b *streams.Batch) {
+		ref.consume(b)
+		b.Release()
+	})
+	refReports := ref.finish()
+	if len(refReports) == 0 {
+		t.Fatal("reference run produced no reports")
+	}
+	rounds := 0
+	for _, rep := range refReports {
+		rounds += len(rep.CrowdRounds)
+	}
+	if rounds == 0 {
+		t.Fatal("reference run triggered no crowd rounds: the feedback loop is not exercised")
+	}
+	compareReports(t, "pipeline vs per-event reference", pipeReports, refReports)
+}
+
+// TestChaosDropDupMatchesPerEventReference runs the full chaos pipeline
+// with row-level drops and duplicates on every input stream against the
+// per-event reference fed from identically seeded injectors. A stream's
+// fault sequence is a function of (seed, stream id, read order) alone,
+// so both sides see the same faulted rows — and must report the same
+// drop/dup counts and the same recognition output.
+func TestChaosDropDupMatchesPerEventReference(t *testing.T) {
+	const from, until = 7 * 3600, 8 * 3600
+	city := testCity(t)
+
+	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
+	for i, id := range pipelineStreamIDs {
+		chaos.Streams[id] = streams.FaultSpec{
+			Seed:     100 + int64(i)*7,
+			DropProb: 0.05,
+			DupProb:  0.05,
+		}
+	}
+	faults := func(srcs map[string]*streams.ChaosSource) (dropped, duplicated int) {
+		for _, cs := range srcs {
+			st := cs.Stats()
+			dropped += st.Dropped
+			duplicated += st.Duplicated
+		}
+		return dropped, duplicated
+	}
+
+	before := streams.LiveBatches()
+	pipe, err := chaosTestSystem(t, city, nil).BuildChaosPipeline(from, until, chaos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeReports, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: faulted pipeline run leaked buffers", live, before)
+	}
+	pipeDrops, pipeDups := faults(pipe.Chaos)
+	if pipeDrops == 0 || pipeDups == 0 {
+		t.Fatalf("pipeline run injected %d drops, %d dups: fault injection inert", pipeDrops, pipeDups)
+	}
+
+	injectors := make(map[string]*streams.ChaosSource)
+	srcs := batchSources(city.CollectBatches(from, until, 512, 450))
+	for i, id := range pipelineStreamIDs {
+		cs := streams.NewChaosSource(srcs[i], chaos.Streams[id].ForStream(id))
+		injectors[id], srcs[i] = cs, cs
+	}
+	ref := newEventReference(t, chaosTestSystem(t, city, nil), from, until)
+	drainMerged(t, srcs, func(b *streams.Batch) {
+		ref.consume(b)
+		b.Release()
+	})
+	refReports := ref.finish()
+	if refDrops, refDups := faults(injectors); refDrops != pipeDrops || refDups != pipeDups {
+		t.Errorf("pipeline faults (%d drops, %d dups) != reference faults (%d drops, %d dups)",
+			pipeDrops, pipeDups, refDrops, refDups)
+	}
+	compareReports(t, "chaos pipeline vs per-event reference", pipeReports, refReports)
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: reference injectors leaked buffers", live, before)
+	}
 }
 
 // TestColumnarChaosDelayRoundTrip is the reordering half of the chaos
@@ -234,138 +348,67 @@ func mkRtecProcessor(t *testing.T, from, until Time, ids []string) *rtecProcesso
 // buffers must all be back after the run (no aliasing after release).
 func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(8 * 3600)
-	const step = Time(900)
 
 	before := streams.LiveBatches()
 	city := testCity(t)
-	bstreams := city.CollectBatches(from, until, 512, step/2)
-	ids := make([]string, 0, len(bstreams))
 
 	// One seeded injector per stream: drops, duplicates and held-back
 	// rows re-delivered out of order.
-	type cursor struct {
-		id   string
-		src  *streams.ChaosSource
-		next *streams.Batch
-		done bool
-	}
-	cursors := make([]*cursor, 0, len(bstreams))
-	for i, bs := range bstreams {
-		ids = append(ids, bs.ID)
-		items := make([]streams.Item, 0, len(bs.Batches))
-		for _, b := range bs.Batches {
-			items = append(items, streams.BatchItem(b))
-		}
-		cursors = append(cursors, &cursor{
-			id: bs.ID,
-			src: streams.NewChaosSource(streams.NewSliceSource(items...), streams.FaultSpec{
-				Seed:      500 + int64(i)*13,
-				DropProb:  0.03,
-				DupProb:   0.03,
-				DelayProb: 0.08,
-				DelayMax:  4,
-			}),
+	srcs := batchSources(city.CollectBatches(from, until, 512, 450))
+	injectors := make([]*streams.ChaosSource, len(srcs))
+	for i := range srcs {
+		injectors[i] = streams.NewChaosSource(srcs[i], streams.FaultSpec{
+			Seed:      500 + int64(i)*13,
+			DropProb:  0.03,
+			DupProb:   0.03,
+			DelayProb: 0.08,
+			DelayMax:  4,
 		})
-	}
-	advance := func(c *cursor) {
-		it, ok := c.src.Read()
-		if !ok {
-			c.next, c.done = nil, true
-			return
-		}
-		b, isBatch := streams.ItemBatch(it)
-		if !isBatch {
-			t.Fatalf("stream %s: injector emitted a non-batch item", c.id)
-		}
-		c.next = b
-	}
-	for _, c := range cursors {
-		advance(c)
+		srcs[i] = injectors[i]
 	}
 
-	colProc := mkRtecProcessor(t, from, until, ids)
-	itemProc := mkRtecProcessor(t, from, until, ids)
-	var colReports, itemReports []*Report
-	collect := func(dst *[]*Report, items []streams.Item) {
+	proc := newRTECProcessor(chaosTestSystem(t, city, nil), from, until)
+	ref := newEventReference(t, chaosTestSystem(t, city, nil), from, until)
+	var procReports []*Report
+	collect := func(items []streams.Item) {
 		for _, it := range items {
 			rep, ok := it[itemReport].(*Report)
 			if !ok {
 				t.Fatalf("monitoring emitted a non-report item %v", it)
 			}
-			*dst = append(*dst, rep)
+			procReports = append(procReports, rep)
 		}
 	}
-
-	// Deterministic merge: always consume the batch with the smallest
-	// head arrival (ties by stream order) — one fixed interleaving both
-	// sides see.
-	faulted := 0
-	for {
-		pick := -1
-		for i, c := range cursors {
-			if c.done {
-				continue
-			}
-			if pick < 0 || c.next.Arrivals[0] < cursors[pick].next.Arrivals[0] {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		c := cursors[pick]
-		b := c.next
-		faulted += b.Len()
-
-		// Side B first: materialize the rows as per-item SDEs before
-		// side A consumes (and eventually releases) the batch.
-		for i := 0; i < b.Len(); i++ {
-			out, err := itemProc.Process(streams.Item{
-				itemEvent:   rowEvent(b, i),
-				itemArrival: b.Arrivals[i],
-				itemSource:  c.id,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out != nil {
-				collect(&itemReports, []streams.Item{out})
-			}
-		}
-		// Side A: the same batch through the native columnar path.
-		outs, err := colProc.ProcessBatch(b)
+	faulted := drainMerged(t, srcs, func(b *streams.Batch) {
+		// The reference first: it materializes the rows before the
+		// processor consumes (and eventually releases) the batch.
+		ref.consume(b)
+		outs, err := proc.ProcessBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect(&colReports, outs)
-		advance(c)
-	}
+		collect(outs)
+	})
 	if faulted == 0 {
 		t.Fatal("no rows survived fault injection")
 	}
 	delayed := 0
-	for _, c := range cursors {
-		delayed += c.src.Stats().Delayed
+	for _, cs := range injectors {
+		delayed += cs.Stats().Delayed
 	}
 	if delayed == 0 {
 		t.Fatal("no rows were re-ordered: delay injection inert")
 	}
 
-	colFlush, err := colProc.Flush()
+	flushed, err := proc.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect(&colReports, colFlush)
-	itemFlush, err := itemProc.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect(&itemReports, itemFlush)
-
-	if len(colReports) == 0 {
+	collect(flushed)
+	if len(procReports) == 0 {
 		t.Fatal("no reports produced")
 	}
-	compareReports(t, "delay chaos columnar vs per-item", colReports, itemReports)
+	compareReports(t, "delay chaos block admission vs per-event reference", procReports, ref.finish())
 	if live := streams.LiveBatches(); live != before {
 		t.Errorf("live batches = %d, want %d: delayed buffers not returned to the pool", live, before)
 	}

@@ -37,7 +37,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
 )
@@ -147,13 +146,10 @@ type walAppender struct {
 	buf []byte
 }
 
-// Process handles the per-item leftovers of batched transport — only
-// EOF punctuation is legal here.
+// Process forwards the one per-item input the validators let through,
+// EOF punctuation.
 func (a *walAppender) Process(it streams.Item) (streams.Item, error) {
-	if it.Bool(itemEOF) {
-		return it, nil
-	}
-	return nil, fmt.Errorf("insight: durable pipeline requires columnar transport, got per-item SDE from %q", it.String(itemSource))
+	return it, nil
 }
 
 // ProcessBatch logs the envelope, then forwards it. An append failure
@@ -229,7 +225,7 @@ func (rt *durableRuntime) noteConsumed(src string) {
 // noteBoundary runs as each query boundary fires, inside fireDue —
 // which may be mid-batch, where a checkpoint must NOT be taken (rows
 // of the current batch past the firing row are in neither the engines
-// nor pendingRows yet). It only records; maybeCheckpoint persists at
+// nor the pending set yet). It only records; maybeCheckpoint persists at
 // the next safe point.
 func (rt *durableRuntime) noteBoundary(rep *Report) {
 	rt.recent = append(rt.recent, rep)
@@ -239,7 +235,7 @@ func (rt *durableRuntime) noteBoundary(rep *Report) {
 // maybeCheckpoint runs at the processor's safe points — the end of
 // ProcessBatch, the end of Process, and Flush after the final fireDue —
 // where every consumed record is fully accounted for in engine state
-// plus pendingRows. It persists a checkpoint once enough boundaries
+// plus the pending set. It persists a checkpoint once enough boundaries
 // accumulated, then prunes checkpoints and the WAL prefix they no
 // longer need.
 func (rt *durableRuntime) maybeCheckpoint(p *rtecProcessor) error {
@@ -283,9 +279,6 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 
 // buildCheckpoint captures the processor's recovery state.
 func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error) {
-	if len(p.pending) != 0 {
-		return nil, fmt.Errorf("insight: durable checkpoint with %d per-item pending SDEs (columnar transport violated)", len(p.pending))
-	}
 	s := p.system
 	engines, err := s.engines.Snapshot()
 	if err != nil {
@@ -310,7 +303,7 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	}
 	// Consumed-but-unadmitted rows, re-encoded as mini-batches in exact
 	// pending order (consecutive rows of one retained batch coalesce):
-	// restoring them re-creates pendingRows row for row.
+	// restoring them re-creates the pending set row for row.
 	var run *streams.Batch
 	var runPB *pendingBlock
 	flushRun := func() {
@@ -321,7 +314,7 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 		run.Release()
 		run = nil
 	}
-	for _, ref := range p.pendingRows {
+	for _, ref := range p.adm.rows {
 		if run == nil || ref.pb != runPB {
 			flushRun()
 			runPB = ref.pb
@@ -363,13 +356,9 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 // newest valid checkpoint with the log replayed from the checkpoint's
 // offset. The returned RecoveryInfo describes what recovery did.
 //
-// Durable runs require ColumnarTransport (the WAL speaks the columnar
-// codec) and refuse a crowdsourcing-enabled system: participant
+// Durable runs refuse a crowdsourcing-enabled system: participant
 // queries are effectful, so replaying them would re-ask the crowd.
 func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pipeline, *RecoveryInfo, error) {
-	if !s.cfg.ColumnarTransport {
-		return nil, nil, fmt.Errorf("insight: durable pipeline requires ColumnarTransport")
-	}
 	if s.qeeEngine != nil {
 		return nil, nil, fmt.Errorf("insight: durable pipeline cannot drive crowdsourcing (replay would re-query participants)")
 	}
@@ -434,10 +423,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 			if err != nil {
 				return fail(fmt.Errorf("insight: checkpoint pending batch: %w", err))
 			}
-			pb := &pendingBlock{batch: b, blk: dublin.Block(b), pending: b.Len()}
-			for i := 0; i < b.Len(); i++ {
-				proc.pendingRows = append(proc.pendingRows, rowRef{pb: pb, row: int32(i)})
-			}
+			proc.adm.push(retainBatch(b), 0, b.Len())
 		}
 		for _, blob := range ck.reports {
 			rep := &Report{}

@@ -14,23 +14,22 @@ import (
 )
 
 // durableConfig is the system configuration durable runs use in these
-// tests: columnar (the WAL speaks the columnar codec), crowdless
-// (replay must not re-query participants), unpaced with a strict
-// watermark (deterministic and fast — no degradation possible, so
-// recognition output is a pure function of the SDE collection).
-// The column-resident store is selected so the whole durability suite
-// — checkpoints, crash recovery, fingerprint equivalence — runs
-// against the block-native working memory (checkpoints themselves are
-// store-representation-independent, see rtec snapshots).
+// tests: crowdless (replay must not re-query participants), unpaced
+// with a strict watermark (deterministic and fast — no degradation
+// possible, so recognition output is a pure function of the SDE
+// collection). The column-resident store is named explicitly so the
+// whole durability suite — checkpoints, crash recovery, fingerprint
+// equivalence — visibly runs against the block-native working memory
+// (checkpoints themselves are store-representation-independent, see
+// rtec snapshots).
 func durableConfig(city *dublin.City) Config {
 	return Config{
-		City:              city,
-		Seed:              7,
-		WorkingMemory:     1800,
-		Step:              900,
-		Store:             rtec.StoreColumn,
-		ColumnarTransport: true,
-		UnpacedReplay:     true,
+		City:          city,
+		Seed:          7,
+		WorkingMemory: 1800,
+		Step:          900,
+		Store:         rtec.StoreColumn,
+		UnpacedReplay: true,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,
 			Adaptive:    true,
@@ -147,24 +146,14 @@ func TestDurableMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestDurableRejectsUnsupportedSystems pins the preconditions: no
-// columnar transport and crowdsourcing-enabled systems must refuse to
+// TestDurableRejectsUnsupportedSystems pins the preconditions: a
+// crowdsourcing-enabled system and a missing directory must refuse to
 // build a durable pipeline instead of corrupting recovery semantics.
 func TestDurableRejectsUnsupportedSystems(t *testing.T) {
 	city := testCity(t)
 	cfg := durableConfig(city)
-	cfg.ColumnarTransport = false
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: t.TempDir()}); err == nil {
-		t.Error("per-item transport accepted")
-	}
-
-	cfg = durableConfig(city)
 	cfg.Participants = testParticipants(city, 4)
-	sys, err = New(cfg)
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,11 +171,12 @@ func TestPipelineLivenessRecoveredStream(t *testing.T) {
 	chaosSys := livenessSystem(t, staleness)
 	chaosPipe, err := chaosSys.BuildChaosPipeline(from, until, ChaosConfig{
 		Streams: map[string]streams.FaultSpec{
-			// Stall long enough to trip the staleness bound (the north
-			// stream carries one SDE every ~26 s, so 90 swallowed items
-			// span ~2400 s of virtual time), then reconnect mid-stream
-			// and flood the backlog out.
-			"scats-north": {Seed: 1, StallAfter: 10, StallFor: 90},
+			// Stall long enough to trip the staleness bound (the stall
+			// unit is the transport envelope, and the Step/2 span cap
+			// cuts the north stream into one batch per ~450 s, so 5
+			// swallowed envelopes span ~2250 s of virtual time), then
+			// reconnect mid-stream and flood the backlog out.
+			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
 		},
 	})
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-// restartSystem builds a paced, columnar, crowdless system with the
+// restartSystem builds a paced, crowdless system with the
 // watermark staleness bound armed. Pacing matters: the pacer keeps
 // every stream within Step/2 = 450 s of virtual time of the slowest
 // one, so a stream whose input process is busy retrying can never
@@ -24,7 +24,6 @@ func restartSystem(t *testing.T) *System {
 		Seed:               7,
 		WorkingMemory:      1800,
 		Step:               900,
-		ColumnarTransport:  true,
 		WatermarkStaleness: 1800,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,

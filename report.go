@@ -63,11 +63,13 @@ type Report struct {
 	// streams whose arrival watermark trailed the most advanced stream
 	// by more than Config.WatermarkStaleness (the transport-layer
 	// mirror of the paper's noisy-source self-adaptation). Empty in
-	// fault-free runs and in the direct (non-pipeline) Run loop.
+	// fault-free runs and in the direct Run/RunReplay loop, which
+	// admits the same column batches without a transport layer.
 	DegradedStreams []string
 	// WatermarkLag is the gap between the most advanced stream's
 	// arrival watermark and Q when this boundary fired — the boundary
-	// release latency in stream time. Zero in the direct Run loop.
+	// release latency in stream time. Zero in the direct Run/RunReplay
+	// loop: it has no watermarks, Step admits by query time alone.
 	WatermarkLag Time
 	// Stats aggregates engine statistics across partitions.
 	Stats rtec.Stats
@@ -116,35 +118,47 @@ func (r *Report) Summary() string {
 		len(r.Disagreements), len(r.NoisyBuses), len(r.CrowdRounds), len(r.Alerts))
 }
 
-// Start prepares the system to stream SDEs occurring in [from, until).
-// It must be called before Step; Run does it automatically.
+// Start prepares the system to stream SDEs occurring in [from, until):
+// the window's SDEs are collected as the five input streams' column
+// batches and wait for Step to admit them by arrival time. It must be
+// called before Step; Run does it automatically.
 func (s *System) Start(from, until Time) {
-	s.gen = s.city.Stream(from, until)
-	s.genDone = false
-	s.primed = true
-	s.next = nil
-	s.inbox = nil
+	s.prime(s.city.CollectBatches(from, until, transportBatchRows, 0))
 }
 
 // StartReplay primes the system with a pre-recorded stream (e.g. read
 // back from the CSV exports of package dublin) instead of the live
-// generator. The slice is copied; any order is accepted.
-func (s *System) StartReplay(sdes []dublin.SDE) {
-	s.gen = nil
-	s.genDone = true
-	s.primed = true
-	s.next = nil
-	s.inbox = append([]dublin.SDE(nil), sdes...)
+// generator. The recording is converted to column batches once, here;
+// any order is accepted, and an SDE the columnar schema cannot carry
+// (unknown type, missing or non-scalar attribute) is an error.
+func (s *System) StartReplay(sdes []dublin.SDE) error {
+	batched, err := dublin.BatchSDEs(sdes, transportBatchRows, 0)
+	if err != nil {
+		return err
+	}
+	s.prime(batched)
+	return nil
 }
 
-// Step feeds everything that has arrived by q, evaluates the CE
+// prime replaces the pending set with every row of the given streams.
+func (s *System) prime(batched []dublin.BatchedStream) {
+	s.adm.release()
+	for _, bs := range batched {
+		for _, b := range bs.Batches {
+			s.adm.push(retainBatch(b), 0, b.Len())
+		}
+	}
+	s.primed = true
+}
+
+// Step admits everything that has arrived by q, evaluates the CE
 // engines, runs the crowdsourcing loop on fresh disagreements and
 // returns the operator report.
 func (s *System) Step(ctx context.Context, q Time) (*Report, error) {
 	if !s.primed {
 		return nil, fmt.Errorf("insight: Step before Start or StartReplay")
 	}
-	fed, err := s.feed(q)
+	fed, err := s.adm.admit(s, q)
 	if err != nil {
 		return nil, err
 	}
@@ -302,28 +316,23 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 // from+2·Step, ..., until, calling fn with each report.
 func (s *System) Run(ctx context.Context, from, until Time, fn func(*Report) error) error {
 	s.Start(from, until)
-	for q := from + s.cfg.Step; q <= until; q += s.cfg.Step {
-		rep, err := s.Step(ctx, q)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			if err := fn(rep); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.steps(ctx, from, until, fn)
 }
 
 // RunReplay is Run over a pre-recorded stream: it evaluates at the
-// regular query times from+Step, ..., until, feeding the recorded SDEs
-// by their arrival times.
+// regular query times from+Step, ..., until, admitting the recorded
+// SDEs by their arrival times.
 func (s *System) RunReplay(ctx context.Context, sdes []dublin.SDE, from, until Time, fn func(*Report) error) error {
-	s.StartReplay(sdes)
+	if err := s.StartReplay(sdes); err != nil {
+		return err
+	}
+	return s.steps(ctx, from, until, fn)
+}
+
+// steps is the query loop of Run and RunReplay. Rows no query time
+// admitted go back to the transport pool when it ends.
+func (s *System) steps(ctx context.Context, from, until Time, fn func(*Report) error) error {
+	defer s.adm.release()
 	for q := from + s.cfg.Step; q <= until; q += s.cfg.Step {
 		rep, err := s.Step(ctx, q)
 		if err != nil {

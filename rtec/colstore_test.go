@@ -191,6 +191,33 @@ func newEquivEngines(t testing.TB, opts Options) []equivEngine {
 	}
 }
 
+// TestColumnStoreIsTheZeroValue pins which store an Options literal
+// that does not name one gets: the column store. The row store is the
+// reference, selected by name.
+func TestColumnStoreIsTheZeroValue(t *testing.T) {
+	if (Options{}).Store != StoreColumn {
+		t.Fatalf("Options{}.Store = %v, want %v", Options{}.Store, StoreColumn)
+	}
+	e, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.store.(*columnStore); !ok {
+		t.Errorf("default engine store is %T, want *columnStore", e.store)
+	}
+	if e, err = NewEngine(colEquivDefs(t), Options{WorkingMemory: 60, Store: StoreRow}); err != nil {
+		t.Fatal(err)
+	} else if _, ok := e.store.(*eventStore); !ok {
+		t.Errorf("StoreRow engine store is %T, want *eventStore", e.store)
+	}
+	if _, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60, Store: StoreRow + 1}); err == nil {
+		t.Error("unknown store kind accepted")
+	}
+	if StoreColumn.String() != "column" || StoreRow.String() != "row" {
+		t.Errorf("store names = %q, %q", StoreColumn, StoreRow)
+	}
+}
+
 func deliverChunk(t testing.TB, ee equivEngine, chunk []equivRow) {
 	t.Helper()
 	if ee.block {

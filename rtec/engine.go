@@ -35,11 +35,12 @@ type Options struct {
 	// of one stratum concurrently. 0 means GOMAXPROCS; 1 forces
 	// serial evaluation. Strata remain barriers either way.
 	RuleWorkers int
-	// Store selects the working-memory representation. The default
-	// StoreRow is the original row-resident event store; StoreColumn
-	// keeps working memory as per-type column segments with row-id
-	// indexes — same observable behaviour, a fraction of the resident
-	// bytes. See store.go.
+	// Store selects the working-memory representation. The zero value
+	// StoreColumn keeps working memory as per-type column segments with
+	// row-id indexes; StoreRow is the original row-resident event store
+	// — same observable behaviour at several times the resident bytes,
+	// kept as the reference the equivalence tests and FuzzMergeBlock
+	// compare the column store against. See store.go.
 	Store StoreKind
 }
 
@@ -47,18 +48,18 @@ type Options struct {
 type StoreKind uint8
 
 const (
+	// StoreColumn is the columnar-resident store, the default.
+	StoreColumn StoreKind = iota
 	// StoreRow is the row-resident event store (the equivalence
 	// reference).
-	StoreRow StoreKind = iota
-	// StoreColumn is the columnar-resident store.
-	StoreColumn
+	StoreRow
 )
 
 func (k StoreKind) String() string {
-	if k == StoreColumn {
-		return "column"
+	if k == StoreRow {
+		return "row"
 	}
-	return "row"
+	return "column"
 }
 
 // Engine is a windowed RTEC evaluator. It accumulates SDEs as they
@@ -113,7 +114,7 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 	if opts.RuleWorkers < 0 {
 		return nil, fmt.Errorf("rtec: rule workers must be non-negative, got %d", opts.RuleWorkers)
 	}
-	if opts.Store > StoreColumn {
+	if opts.Store > StoreRow {
 		return nil, fmt.Errorf("rtec: unknown store kind %d", opts.Store)
 	}
 	if opts.Step == 0 {

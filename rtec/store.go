@@ -66,10 +66,10 @@ type sdeBucket interface {
 
 // newSDEStore builds the store implementation opts.Store selects.
 func newSDEStore(kind StoreKind) sdeStore {
-	if kind == StoreColumn {
-		return newColumnStore()
+	if kind == StoreRow {
+		return newEventStore()
 	}
-	return newEventStore()
+	return newColumnStore()
 }
 
 // eventStore is the engine's time-indexed SDE store. Events are kept in

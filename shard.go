@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/insight-dublin/insight/interval"
 	"github.com/insight-dublin/insight/rtec"
@@ -15,7 +14,10 @@ import (
 // engineTier abstracts the recognition tier behind System: the legacy
 // fixed partitioning (*rtec.Partitioned, the paper's four-region
 // split) and the N-way sharded tier (shardTier) expose the same
-// surface to the feed/evaluate/checkpoint machinery.
+// surface to the admission/evaluate/checkpoint machinery. Input takes
+// the one SDE that is born map-backed inside the system, the crowd
+// verdict; everything from the input streams arrives through
+// InputBlockRows.
 type engineTier interface {
 	Input(events ...rtec.Event) error
 	InputBlockRows(b *rtec.Block, rows []int32) error
@@ -85,19 +87,6 @@ type shardTier struct {
 	minMoves   int //state:transient config (Config.RebalanceMinMoves)
 	rebalances int // carried in the ~shard/meta snapshot section
 
-	// critical accumulates the modeled distributed critical path:
-	// per boundary, the slowest shard's evaluation plus the reduce
-	// evaluation (shards run in parallel, the reduce after them).
-	// Measured wall time, not recognition state: a restored tier
-	// starts its own accumulation.
-	//state:transient modeled bench accumulator over measured elapsed times
-	critical time.Duration
-
-	// serial evaluates shards one after another instead of
-	// concurrently (Config.ShardSerialEval, the shardbench measurement
-	// mode). Output is identical either way.
-	serial bool //state:transient config (Config.ShardSerialEval)
-
 	scratch [][]int32 //state:transient per-shard row routing scratch buffers
 }
 
@@ -118,7 +107,6 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 		keyLoad:     make(map[string]int),
 		factor:      cfg.RebalanceFactor,
 		minMoves:    cfg.RebalanceMinMoves,
-		serial:      cfg.ShardSerialEval,
 	}
 	if t.minMoves <= 0 {
 		t.minMoves = 64 * n
@@ -242,21 +230,15 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 
 	results := make([]*rtec.Result, len(t.shards))
 	errs := make([]error, len(t.shards))
-	if t.serial {
-		for i, e := range t.shards {
+	var wg sync.WaitGroup
+	for i, e := range t.shards {
+		wg.Add(1)
+		go func(i int, e *rtec.Engine) {
+			defer wg.Done()
 			results[i], errs[i] = e.Query(q)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, e := range t.shards {
-			wg.Add(1)
-			go func(i int, e *rtec.Engine) {
-				defer wg.Done()
-				results[i], errs[i] = e.Query(q)
-			}(i, e)
-		}
-		wg.Wait()
+		}(i, e)
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -304,14 +286,6 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 	if sd != nil {
 		rres.Fluents[traffic.SourceDisagreement] = sd
 	}
-
-	var slowest time.Duration
-	for _, res := range results {
-		if res.Stats.Elapsed > slowest {
-			slowest = res.Stats.Elapsed
-		}
-	}
-	t.critical += slowest + rres.Stats.Elapsed
 
 	return append(results, rres), nil
 }
@@ -723,15 +697,4 @@ func (s *System) Rebalance(keys []string, to int) error {
 		return fmt.Errorf("insight: Rebalance requires Config.Shards > 0")
 	}
 	return t.RebalanceKeys(keys, to)
-}
-
-// ShardCriticalPath returns the accumulated modeled critical path of
-// the sharded tier: per boundary, the slowest shard's evaluation time
-// plus the reduce stage (shards evaluate in parallel in a deployment,
-// the reduce after the slowest of them). 0 on the legacy partitioning.
-func (s *System) ShardCriticalPath() time.Duration {
-	if t, ok := s.engines.(*shardTier); ok {
-		return t.critical
-	}
-	return 0
 }

@@ -90,16 +90,15 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	run := func(shards int, kind rtec.StoreKind) []*Report {
 		t.Helper()
 		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     wm,
-			Step:              wm / 2,
-			Partitions:        1, // single-engine reference when Shards == 0
-			Shards:            shards,
-			Store:             kind,
-			Participants:      testParticipants(city, 8),
-			ColumnarTransport: true,
-			UnpacedReplay:     true,
+			City:          city,
+			Seed:          7,
+			WorkingMemory: wm,
+			Step:          wm / 2,
+			Partitions:    1, // single-engine reference when Shards == 0
+			Shards:        shards,
+			Store:         kind,
+			Participants:  testParticipants(city, 8),
+			UnpacedReplay: true,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -251,7 +250,6 @@ func TestShardAutoRebalancePipeline(t *testing.T) {
 			RebalanceFactor:   factor,
 			RebalanceMinMoves: 40,
 			Store:             rtec.StoreColumn,
-			ColumnarTransport: true,
 			UnpacedReplay:     true,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
@@ -325,7 +323,9 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	}
 
 	sysA := mk(rtec.StoreColumn)
-	sysA.StartReplay(sdes)
+	if err := sysA.StartReplay(sdes); err != nil {
+		t.Fatal(err)
+	}
 	mid := from + 4*step
 	for q := from + step; q <= mid; q += step {
 		if _, err := sysA.Step(context.Background(), q); err != nil {
@@ -387,7 +387,9 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			tail = append(tail, sde)
 		}
 	}
-	sysB.StartReplay(tail)
+	if err := sysB.StartReplay(tail); err != nil {
+		t.Fatal(err)
+	}
 
 	var repA, repB []*Report
 	for q := mid + step; q <= until; q += step {
@@ -458,7 +460,9 @@ func TestShardRebalanceCounterSurvivesRestore(t *testing.T) {
 		}
 		sdes = append(sdes, sde)
 	}
-	sysA.StartReplay(sdes)
+	if err := sysA.StartReplay(sdes); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sysA.Step(context.Background(), from+step); err != nil {
 		t.Fatal(err)
 	}

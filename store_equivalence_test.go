@@ -50,14 +50,13 @@ func TestColumnStoreMatchesRowStoreGrid(t *testing.T) {
 	run := func(tc traffic.Config, step Time, kind rtec.StoreKind) []*Report {
 		t.Helper()
 		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     wm,
-			Step:              step,
-			Store:             kind,
-			ColumnarTransport: true,
-			UnpacedReplay:     true,
-			Traffic:           tc,
+			City:          city,
+			Seed:          7,
+			WorkingMemory: wm,
+			Step:          step,
+			Store:         kind,
+			UnpacedReplay: true,
+			Traffic:       tc,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +114,7 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 	before := streams.LiveBatches()
 	city := testCity(t)
 
-	mkProc := func(tc traffic.Config, step Time, kind rtec.StoreKind, ids []string) *rtecProcessor {
+	mkProc := func(tc traffic.Config, step Time, kind rtec.StoreKind) *rtecProcessor {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -128,18 +127,7 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &rtecProcessor{
-			system:     sys,
-			step:       step,
-			nextQ:      from + step,
-			until:      until,
-			watermarks: make(map[string]Time, len(ids)),
-			degraded:   make(map[string]bool),
-		}
-		for _, id := range ids {
-			p.watermarks[id] = from
-		}
-		return p
+		return newRTECProcessor(sys, from, until)
 	}
 
 	// cloneBatch copies a pooled batch row by row so two consuming
@@ -165,68 +153,22 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 	for _, rs := range gridRuleSets {
 		for _, step := range steps {
 			t.Run(fmt.Sprintf("%s/step=%d", rs.name, int64(step)), func(t *testing.T) {
-				bstreams := city.CollectBatches(from, until, 512, step/2)
-				type cursor struct {
-					id   string
-					src  *streams.ChaosSource
-					next *streams.Batch
-					done bool
-				}
-				ids := make([]string, 0, len(bstreams))
-				cursors := make([]*cursor, 0, len(bstreams))
-				for i, bs := range bstreams {
-					ids = append(ids, bs.ID)
-					items := make([]streams.Item, 0, len(bs.Batches))
-					for _, b := range bs.Batches {
-						items = append(items, streams.BatchItem(b))
-					}
-					cursors = append(cursors, &cursor{
-						id: bs.ID,
-						src: streams.NewChaosSource(streams.NewSliceSource(items...), streams.FaultSpec{
-							Seed:      300 + int64(i)*11,
-							DropProb:  0.03,
-							DelayProb: 0.10,
-							DelayMax:  4,
-						}),
+				srcs := batchSources(city.CollectBatches(from, until, 512, step/2))
+				injectors := make([]*streams.ChaosSource, len(srcs))
+				for i := range srcs {
+					injectors[i] = streams.NewChaosSource(srcs[i], streams.FaultSpec{
+						Seed:      300 + int64(i)*11,
+						DropProb:  0.03,
+						DelayProb: 0.10,
+						DelayMax:  4,
 					})
-				}
-				advance := func(c *cursor) {
-					it, ok := c.src.Read()
-					if !ok {
-						c.next, c.done = nil, true
-						return
-					}
-					b, isBatch := streams.ItemBatch(it)
-					if !isBatch {
-						t.Fatalf("stream %s: injector emitted a non-batch item", c.id)
-					}
-					c.next = b
-				}
-				for _, c := range cursors {
-					advance(c)
+					srcs[i] = injectors[i]
 				}
 
-				rowProc := mkProc(rs.cfg, step, rtec.StoreRow, ids)
-				colProc := mkProc(rs.cfg, step, rtec.StoreColumn, ids)
+				rowProc := mkProc(rs.cfg, step, rtec.StoreRow)
+				colProc := mkProc(rs.cfg, step, rtec.StoreColumn)
 				var rowReports, colReports []*Report
-				fed := 0
-				for {
-					pick := -1
-					for i, c := range cursors {
-						if c.done {
-							continue
-						}
-						if pick < 0 || c.next.Arrivals[0] < cursors[pick].next.Arrivals[0] {
-							pick = i
-						}
-					}
-					if pick < 0 {
-						break
-					}
-					c := cursors[pick]
-					b := c.next
-					fed += b.Len()
-
+				fed := drainMerged(t, srcs, func(b *streams.Batch) {
 					cp := cloneBatch(b)
 					outs, err := colProc.ProcessBatch(b)
 					if err != nil {
@@ -238,14 +180,13 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 						t.Fatal(err)
 					}
 					collect(&rowReports, outs)
-					advance(c)
-				}
+				})
 				if fed == 0 {
 					t.Fatal("no rows survived fault injection")
 				}
 				delayed := 0
-				for _, c := range cursors {
-					delayed += c.src.Stats().Delayed
+				for _, cs := range injectors {
+					delayed += cs.Stats().Delayed
 				}
 				if delayed == 0 {
 					t.Fatal("no rows were re-ordered: delay injection inert")
