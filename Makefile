@@ -39,37 +39,42 @@ lint-json:
 	$(GO) run ./cmd/insightlint -json
 
 # CI gate: vet everything, run the repo's own analyzer suite (its
-# batch-path rule covers the one admission routine of the root package
-# and the recorded-stream converter of package dublin), run the full
-# module under the race detector (engine, rule sets, streams
-# supervision/shutdown, batch chaos tests, blocked linalg worker pools,
-# parallel grid search — including the one-ingest-path gates: pipeline
-# ≡ direct loop by full report fingerprint on both tiers, block
-# admission ≡ the per-event reference with drops, duplicates and
-# re-ordered delivery, live ≡ replayed ≡ CSV round trip — and the
-# crash-equivalence campaign: 20+ WAL kills, torn/corrupt/fsync-crashed
-# checkpoints and a torn log tail in one run, recovered output
-# bit-identical to the uninterrupted run), re-run the crash gate
-# race-free so its assertions are exercised under both schedulers, gate
-# the block ingest path and the recognition path (the bus ×
-# intersection rules' derived events) against their committed
-# allocation budgets, the column store against the committed resident
-# bytes/event advantage over the row store (the named reference) and
-# the checkpoint file against its bytes-per-stored-SDE budget (the race
-# detector inflates allocation counts, so those gates run in a separate
-# non-race pass), re-run the shard-equivalence gate race-free (the
-# N ∈ {1,2,4,8} × both-store grid under chaos, the mid-run rebalance
-# determinism tests and the tier snapshot round-trip; the race pass
-# above already exercises them under the race scheduler), and finish
-# with a short fuzz pass over the factorization/solve, WAL-decode, store
-# block-merge, shard-assignment, engine-snapshot-decode,
-# checkpoint-decode and close/4 spatial-index targets.
+# batch-path rule covers the one admission routine and the sharded
+# tier's fold loops of the root package and the recorded-stream
+# converter of package dublin; snapshotdrift holds every tier field,
+# the tier-owned busCongestion inertia included, to the snapshot/restore
+# path), run the full module under the race detector (engine, rule sets,
+# the partial-fluent fold property, streams supervision/shutdown, batch
+# chaos tests, blocked linalg worker pools, parallel grid search —
+# including the one-ingest-path gates: pipeline ≡ direct loop by full
+# report fingerprint on both tiers, block admission ≡ the per-event
+# reference with drops, duplicates and re-ordered delivery, live ≡
+# replayed ≡ CSV round trip — and the crash-equivalence campaign: 20+
+# WAL kills, torn/corrupt/fsync-crashed checkpoints and a torn log tail
+# in one run, recovered output bit-identical to the uninterrupted run),
+# re-run the crash gate race-free so its assertions are exercised under
+# both schedulers, gate the block ingest path and the recognition path
+# (allocations per derived event or busCongestion point of the bus ×
+# intersection rules) against their committed allocation budgets, the
+# column store against the committed resident bytes/event advantage
+# over the row store (the named reference) and the checkpoint file
+# against its bytes-per-stored-input-SDE budget (the race detector
+# inflates allocation counts, so those gates run in a separate non-race
+# pass), re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
+# both-store grid under chaos — CE sets, events, every fluent's
+# intervals and the derived/period counts against the single engine —
+# the mid-run rebalance determinism tests, the tier snapshot round-trip
+# and the tier's elapsed-time accounting; the race pass above already
+# exercises them under the race scheduler), and finish with a short
+# fuzz pass over the factorization/solve, WAL-decode, store block-merge,
+# shard-assignment, engine-snapshot-decode, checkpoint-decode (format 3
+# seed corpus) and close/4 spatial-index targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence' -count=1 .
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 .
-	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip' -count=1 .
+	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal

@@ -17,15 +17,16 @@ package insight
 // rot, or the chaos harness's injected corruption) is detected at load
 // time and recovery falls back to the previous retained checkpoint.
 //
-// Layout (format 2). A fixed header — magic, CRC32C over every byte
+// Layout (format 3). A fixed header — magic, CRC32C over every byte
 // after the CRC field, the format byte, the WAL replay offset and the
 // boundary cursor as fixed-width little-endian integers — so the
 // garbage collector learns a retained checkpoint's replay offset
 // without decoding any engine state, followed by the sections in the
 // shared codec vocabulary (internal/codec): stream cursors, pending
 // rows as WAL batch payloads, the engines' columnar binary snapshots
-// (rtec.EngineSnapshot.AppendBinary), the latest sensor/crowd readings
-// and the unacked reports (a few KB of JSON each).
+// (rtec.EngineSnapshot.AppendBinary; on the sharded tier one per shard
+// plus the tier state), the latest sensor/crowd readings and the
+// unacked reports (a few KB of JSON each).
 
 import (
 	"encoding/binary"
@@ -44,7 +45,7 @@ import (
 
 const (
 	ckptMagic  = "INSCKPT1"
-	ckptFormat = 2
+	ckptFormat = 3
 	// Fixed header offsets: magic, CRC32C of everything after it, format
 	// byte, WAL replay offset, boundary cursor.
 	ckptCRCAt    = len(ckptMagic)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -56,8 +57,10 @@ func fuzzCity(t testing.TB) *dublin.City {
 
 // TestCheckpointBudget is the size gate of the checkpoint format: on
 // the test-scale product run a checkpoint costs at most 64 bytes per
-// stored SDE (the row-oriented JSON form cost about 450). Bytes are a
-// pure function of the state, so the gate has no noise band.
+// stored input SDE — every stored row is one, replicas included, since
+// no engine of the tier stores derived rows — and measures 27.0 (the
+// row-oriented JSON form cost about 450). Bytes are a pure function of
+// the state, so the gate has no noise band.
 func TestCheckpointBudget(t *testing.T) {
 	data := productCheckpoint(t, testCity(t))
 	ck, err := decodeCheckpoint(data)
@@ -98,9 +101,6 @@ func TestCheckpointBudget(t *testing.T) {
 func TestUnsupportedCheckpointFormat(t *testing.T) {
 	city := fuzzCity(t)
 	valid := productCheckpoint(t, city)
-	old := append([]byte(nil), valid...)
-	old[ckptFormatAt] = 1
-	binary.LittleEndian.PutUint32(old[ckptCRCAt:], crc32.Checksum(old[ckptFormatAt:], ckptCRC))
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0x40
 
@@ -111,35 +111,45 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	write(dir, 100, old)
-	write(dir, 200, old)
-	info := &RecoveryInfo{}
-	if _, err := loadLatestCheckpoint(dir, info); !errors.Is(err, errUnsupportedFormat) ||
-		!strings.Contains(err.Error(), "unsupported checkpoint format 1") {
-		t.Fatalf("format-1 directory: err = %v, want unsupported checkpoint format 1", err)
-	}
-	if info.CorruptCheckpoints != 0 {
-		t.Errorf("format-1 files counted as corrupt: %+v", info)
-	}
 	cfg := durableConfig(city)
 	cfg.Shards = 2
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: dir}); !errors.Is(err, errUnsupportedFormat) {
-		t.Fatalf("BuildDurablePipeline over a format-1 directory: err = %v", err)
-	}
-	if off, err := gcCheckpoints(dir); err != nil || off >= 0 {
-		t.Errorf("GC offered truncation point %d (err=%v) behind an unreadable checkpoint", off, err)
+	// Format 2 differs from this build's only in the engine sections it
+	// carries (it had one for a reduce engine): it must be refused by its
+	// format byte, never decoded and handed to a tier of another shape.
+	for _, format := range []byte{1, 2} {
+		old := append([]byte(nil), valid...)
+		old[ckptFormatAt] = format
+		binary.LittleEndian.PutUint32(old[ckptCRCAt:], crc32.Checksum(old[ckptFormatAt:], ckptCRC))
+		want := fmt.Sprintf("unsupported checkpoint format %d", format)
+
+		dir := t.TempDir()
+		write(dir, 100, old)
+		write(dir, 200, old)
+		info := &RecoveryInfo{}
+		if _, err := loadLatestCheckpoint(dir, info); !errors.Is(err, errUnsupportedFormat) ||
+			!strings.Contains(err.Error(), want) {
+			t.Fatalf("format-%d directory: err = %v, want %s", format, err, want)
+		}
+		if info.CorruptCheckpoints != 0 {
+			t.Errorf("format-%d files counted as corrupt: %+v", format, info)
+		}
+		if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: dir}); !errors.Is(err, errUnsupportedFormat) {
+			t.Fatalf("BuildDurablePipeline over a format-%d directory: err = %v", format, err)
+		}
+		if off, err := gcCheckpoints(dir); err != nil || off >= 0 {
+			t.Errorf("GC offered truncation point %d (err=%v) behind an unreadable format-%d checkpoint", off, err, format)
+		}
 	}
 
 	// A corrupt newest file still falls back to the valid one beneath.
-	dir = t.TempDir()
+	dir := t.TempDir()
 	write(dir, 100, valid)
 	write(dir, 200, corrupt)
-	info = &RecoveryInfo{}
+	info := &RecoveryInfo{}
 	ck, err := loadLatestCheckpoint(dir, info)
 	if err != nil || ck == nil {
 		t.Fatalf("corrupt-over-valid directory: ck=%v err=%v", ck, err)

@@ -1,8 +1,9 @@
 // Package hafix exercises the hotalloc batch-path scoping of the root
 // package. It is loaded under the import path "fixture/insight", so
-// the admission method admit and ProcessBatch form the batch path: no
-// per-row Event view or attribute map between the transport batches and
-// the engines.
+// the admission method admit, ProcessBatch and the sharded tier's fold
+// loops form the batch path: no per-row Event view or attribute map
+// between the transport batches and the engines, nor between the shards'
+// results and the merged one.
 package hafix
 
 // Event mirrors the engine's event record.
@@ -37,6 +38,26 @@ type processor struct{ adm admission }
 
 // ProcessBatch stays on the batch path.
 func (p *processor) ProcessBatch(b *Block) {
+	for i := range b.Keys {
+		_ = b.Event(i)
+	}
+}
+
+type tier struct{ areas []string }
+
+// foldBusCongestion is the tier's cross-shard fold: a map built per
+// area inside its loop is flagged.
+func (t *tier) foldBusCongestion() int {
+	n := 0
+	for _, a := range t.areas {
+		periods := map[string]int{a: 1}
+		n += len(periods)
+	}
+	return n
+}
+
+// foldFresh walks every shard's fresh events: no per-event view.
+func (t *tier) foldFresh(b *Block) {
 	for i := range b.Keys {
 		_ = b.Event(i)
 	}

@@ -392,8 +392,18 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			} else {
 				trans = cacheTransitions(rule.simple.Transitions(ctx), windowStart, q)
 			}
+			if rule.simple.Partial {
+				// Only the splice cache can still hold points at
+				// windowStart−1 (the events behind them are evicted), so an
+				// engine that recomputed in full has lost its share of that
+				// instant while one that spliced has not. Their effect is in
+				// the folder's inertia seed already; handing out a subset
+				// would override it.
+				trans = slices.DeleteFunc(trans, func(tr Transition) bool { return tr.Time < windowStart })
+			} else {
+				outs[i].full = FoldTransitions(e.prev[rule.name], window, q, trans)
+			}
 			outs[i].trans = trans
-			outs[i].full = evalSimpleFluent(trans, e.prev[rule.name], window, q)
 		case kindStatic:
 			inst := rule.static.HoldsFor(ctx)
 			norm := make(map[KV]List, len(inst))
@@ -464,11 +474,14 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			rule := &e.defs.rules[i]
 			switch rule.kind {
 			case kindSimple:
+				newCache[rule.name] = &ruleCache{q: q, trans: outs[i].trans}
+				if rule.simple.Partial {
+					break // points only: the fold happens where all parts meet
+				}
 				full := outs[i].full
 				ctx.setFluent(rule.name, full)
 				newPrev[rule.name] = full
 				res.Fluents[rule.name] = clipInstances(full, window)
-				newCache[rule.name] = &ruleCache{q: q, trans: outs[i].trans}
 			case kindStatic:
 				ctx.setFluent(rule.name, outs[i].static)
 				res.Fluents[rule.name] = clipInstances(outs[i].static, window)
@@ -581,11 +594,29 @@ func (e *Engine) Run(start, until Time, fn func(*Result) error) error {
 	return nil
 }
 
-// evalSimpleFluent turns a rule's transition points into maximal
-// interval lists under inertia. prev seeds the value at the window
-// start; initiating one value of a fluent instance terminates every
-// other value at the same instant.
-func evalSimpleFluent(trans []Transition, prev map[KV]List, window Span, q Time) map[KV]List {
+// Transitions returns the transition points the last Query derived for
+// a simple fluent, value-defaulted and restricted to what that query's
+// window can observe — for a partial fluent (SimpleFluent.Partial), the
+// engine's whole output for it, all at times inside the window. The
+// slice is the engine's own splice cache: read it, do not modify it, and
+// do not keep it across the next Query. Nil before the first query and
+// right after Restore.
+func (e *Engine) Transitions(fluent string) []Transition {
+	if c := e.cache[fluent]; c != nil {
+		return c.trans
+	}
+	return nil
+}
+
+// FoldTransitions turns a simple fluent's transition points at query
+// time q — handed over in any number of parts — into un-clipped maximal
+// interval lists under inertia: the fold the engine runs for every
+// simple fluent, and the one the holder of a partial fluent's parts runs
+// over all of them. prev — the previous query's return value — seeds the
+// value at the window start; initiating one value of a fluent instance
+// terminates every other value at the same instant. Only the set of
+// points matters: order, duplicates and the split into parts do not.
+func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transition) map[KV]List {
 	type pts struct {
 		ini []Time
 		ter []Time
@@ -608,22 +639,24 @@ func evalSimpleFluent(trans []Transition, prev map[KV]List, window Span, q Time)
 		return g
 	}
 
-	for _, tr := range trans {
-		if tr.Value == "" {
-			tr.Value = TrueValue
-		}
-		// Transitions must be observable in the window: the earliest
-		// effective point is windowStart−1 (whose effect begins at
-		// windowStart); anything after q cannot have been derived
-		// from window events.
-		if tr.Time < window.Start-1 || tr.Time > q {
-			continue
-		}
-		g := note(KV{Key: tr.Key, Value: tr.Value})
-		if tr.Kind == Initiate {
-			g.ini = append(g.ini, tr.Time)
-		} else {
-			g.ter = append(g.ter, tr.Time)
+	for _, trans := range parts {
+		for _, tr := range trans {
+			if tr.Value == "" {
+				tr.Value = TrueValue
+			}
+			// Transitions must be observable in the window: the earliest
+			// effective point is windowStart−1 (whose effect begins at
+			// windowStart); anything after q cannot have been derived
+			// from window events.
+			if tr.Time < window.Start-1 || tr.Time > q {
+				continue
+			}
+			g := note(KV{Key: tr.Key, Value: tr.Value})
+			if tr.Kind == Initiate {
+				g.ini = append(g.ini, tr.Time)
+			} else {
+				g.ter = append(g.ter, tr.Time)
+			}
 		}
 	}
 

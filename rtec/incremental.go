@@ -249,9 +249,10 @@ func spliceEvents(rule *compiledRule, cache *ruleCache, p splicePlan, ctx *Conte
 }
 
 // cacheTransitions filters and value-defaults a full evaluation's
-// transitions for reuse at the next query.
+// transitions for reuse at the next query (the rule's own slice,
+// filtered in place).
 func cacheTransitions(trans []Transition, windowStart, q Time) []Transition {
-	out := make([]Transition, 0, len(trans))
+	out := trans[:0]
 	for _, tr := range trans {
 		if tr.Time >= windowStart-1 && tr.Time <= q {
 			out = append(out, normTransition(tr))

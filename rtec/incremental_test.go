@@ -364,6 +364,21 @@ func TestMergeResultsSumsStats(t *testing.T) {
 	if m.Stats.InputEvents != 2 {
 		t.Fatalf("InputEvents = %d, want 2", m.Stats.InputEvents)
 	}
+
+	// Derived events and periods are counted on the merged view: an
+	// instance two engines computed from replicated input is one period,
+	// whatever the parts' own counts say.
+	replica := func() *Result {
+		return &Result{
+			Fluents: map[string]map[KV]List{"f": {{Key: "k", Value: TrueValue}: {{Start: 1, End: 5}}}},
+			Derived: map[string][]Event{"d": {NewEvent("d", 3, "k", nil)}},
+			Stats:   Stats{DerivedEvents: 7, FluentPeriods: 7},
+		}
+	}
+	m = MergeResults([]*Result{replica(), replica()})
+	if m.Stats.FluentPeriods != 1 || m.Stats.DerivedEvents != len(m.Derived["d"]) {
+		t.Fatalf("merged stats = %+v for %v / %v, want the merged view's counts", m.Stats, m.Fluents, m.Derived)
+	}
 }
 
 // TestParallelRuleCosts runs many same-stratum rules concurrently under

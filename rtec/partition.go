@@ -167,7 +167,8 @@ func (p *Partitioned) Query(q Time) ([]*Result, error) {
 
 // MergeResults combines per-partition Query results for the same query
 // time into a single view: fluent instances and derived events are
-// unioned (event lists merged in the engines' (time, type, key) order).
+// unioned (event lists merged in the engines' (time, type, key) order)
+// and the derived-event and period statistics are those of that view.
 // Instances recognised in several partitions (which should not happen
 // with a consistent partition function) have their intervals unioned.
 func MergeResults(results []*Result) *Result {
@@ -196,8 +197,6 @@ func MergeResults(results []*Result) *Result {
 			}
 		}
 		out.Stats.InputEvents += r.Stats.InputEvents
-		out.Stats.DerivedEvents += r.Stats.DerivedEvents
-		out.Stats.FluentPeriods += r.Stats.FluentPeriods
 		out.Stats.AllocBytes += r.Stats.AllocBytes
 		out.Stats.ResidentBytes += r.Stats.ResidentBytes
 		out.Stats.EvalGoroutines += r.Stats.EvalGoroutines
@@ -226,7 +225,15 @@ func MergeResults(results []*Result) *Result {
 	}
 	for typ, runs := range derived {
 		out.Derived[typ] = mergeEvents(runs)
+		out.Stats.DerivedEvents += len(out.Derived[typ])
 	}
 	out.Fresh = mergeEvents(fresh)
+	// Periods are counted on the merged view, not summed: an instance
+	// several engines computed from replicated input counts once.
+	for _, m := range out.Fluents {
+		for _, l := range m {
+			out.Stats.FluentPeriods += len(l)
+		}
+	}
 	return out
 }

@@ -86,11 +86,21 @@ type SimpleFluent struct {
 	// anything not listed is a programming error that may observe
 	// stale values.
 	Inputs []string
-	// Transitions derives the initiation/termination points.
+	// Transitions derives the initiation/termination points. The
+	// returned slice becomes the engine's (it is filtered in place).
 	Transitions func(ctx *Context) []Transition
 	// Locality optionally declares temporal locality, enabling
 	// incremental evaluation over overlapping windows.
 	Locality Locality
+	// Partial declares that this engine derives only part of the
+	// fluent's transition points — the rest come from other engines over
+	// the rest of the input. The engine derives and splice-caches the
+	// window's points exactly as for any simple fluent and hands them out
+	// (Engine.Transitions), but builds no intervals, keeps no inertia
+	// state and reports no Result.Fluents entry for it: whoever holds all
+	// the parts folds them together with FoldTransitions. No rule may
+	// read a partial fluent.
+	Partial bool
 }
 
 // StaticFluent defines a statically determined fluent: its maximal
@@ -251,6 +261,9 @@ func (b *Builder) Compile() (*Definitions, error) {
 		for _, in := range r.inputs {
 			if _, known := d.names[in]; !known {
 				return nil, fmt.Errorf("rtec: %q depends on unknown input %q (declare SDE types with DeclareSDE)", r.name, in)
+			}
+			if j, isRule := index[in]; isRule && all[j].simple != nil && all[j].simple.Partial {
+				return nil, fmt.Errorf("rtec: %q reads partial fluent %q, whose intervals this engine never builds", r.name, in)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"github.com/insight-dublin/insight/interval"
 	"github.com/insight-dublin/insight/rtec"
@@ -33,6 +34,7 @@ const (
 	tierSnapOverrides = "~shard/overrides"
 	tierSnapLoad      = "~shard/load"
 	tierSnapMeta      = "~shard/meta"
+	tierSnapBusCong   = "~shard/busCongestion"
 
 	tierMetaRebalances = "rebalances"
 )
@@ -45,9 +47,9 @@ const (
 //     SDEs are replicated to every shard;
 //   - each shard runs the shard-local rule set (traffic.BuildShard)
 //     over its own RTEC engine; shards evaluate concurrently;
-//   - a reduce engine (traffic.BuildReduce) folds the shards'
-//     busCongVote events into the city-wide busCongestion fluent, and
-//     the tier derives sourceDisagreement from the reduced fluent;
+//   - busCongestion is partial in every shard: the tier folds the
+//     shards' transition points into the city-wide fluent, under
+//     inertia state it owns, and derives sourceDisagreement from it;
 //   - a tier-level Fresh dedup collapses identical derived events
 //     reported by different shards (e.g. two shards' buses disagreeing
 //     with the same intersection at the same second) to the same
@@ -62,7 +64,6 @@ type shardTier struct {
 	reg    *traffic.Registry //state:transient config, injected at construction
 	assign *rtec.ShardMap
 	shards []*rtec.Engine
-	reduce *rtec.Engine
 
 	// sensorOwner snapshots the sensor→shard assignment for the
 	// OwnsSensor closures, which run during concurrent shard
@@ -74,6 +75,10 @@ type shardTier struct {
 	// seen is the tier-level Fresh dedup set, pruned as identities
 	// fall out of the window.
 	seen *rtec.SeenSet
+
+	// busPrev holds busCongestion's un-clipped maximal intervals from
+	// the previous query, per area: the inertia seed of the next fold.
+	busPrev map[rtec.KV]rtec.List
 
 	// keyLoad counts routed move events per bus key since the last
 	// completed skew check — the deterministic rebalance signal.
@@ -90,7 +95,7 @@ type shardTier struct {
 	scratch [][]int32 //state:transient per-shard row routing scratch buffers
 }
 
-// newShardTier assembles n shard engines plus the reduce engine.
+// newShardTier assembles the n shard engines.
 func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shardTier, error) {
 	n := cfg.Shards
 	assign, err := rtec.NewShardMap(n)
@@ -134,13 +139,6 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 		if t.shards[i], err = rtec.NewEngine(defs, opts); err != nil {
 			return nil, fmt.Errorf("insight: shard %d engine: %w", i, err)
 		}
-	}
-	rdefs, err := traffic.BuildReduce(tcfg)
-	if err != nil {
-		return nil, fmt.Errorf("insight: reduce rules: %w", err)
-	}
-	if t.reduce, err = rtec.NewEngine(rdefs, opts); err != nil {
-		return nil, fmt.Errorf("insight: reduce engine: %w", err)
 	}
 	t.rebuildSensorOwner()
 	return t, nil
@@ -219,11 +217,13 @@ func (t *shardTier) InputBlockRows(b *rtec.Block, rows []int32) error {
 	return nil
 }
 
-// Query evaluates every shard concurrently, folds their votes through
-// the reduce engine, derives the cross-shard CEs and collapses the
-// Fresh sets. The returned slice is the per-shard results followed by
-// the reduce result; MergeResults over it is the tier's merged view.
+// Query evaluates every shard concurrently, collapses their Fresh sets
+// and folds their busCongestion transition points into the cross-shard
+// CEs. The returned slice is the per-shard results followed by the
+// tier's own result, whose Stats.Elapsed is the wall time of the whole
+// call; MergeResults over it is the tier's merged view.
 func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
+	begin := time.Now() //lint:allow nodeterminism wall-clock feeds only Stats.Elapsed, never the recognition result
 	if err := t.maybeRebalance(); err != nil {
 		return nil, err
 	}
@@ -245,69 +245,71 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 		}
 	}
 
-	// Strip the busCongVote plumbing out of the shard results, collapse
-	// their Fresh sets and forward this boundary's fresh votes to the
-	// reduce engine as one block.
-	for _, res := range results {
-		delete(res.Derived, traffic.BusCongVote)
+	t.foldFresh(q, results)
+	// scatsIntCongestion reads only replicated input: every shard holds
+	// the same instances, so the first shard's stand for all.
+	tres := t.foldBusCongestion(q, results[0].Window, results[0].Fluents[traffic.ScatsIntCongestion])
+	tres.Stats.Elapsed = time.Since(begin)
+	return append(results, tres), nil
+}
+
+// foldBusCongestion builds the tier's own result: busCongestion folded
+// from the transition points the shards' last queries derived, and
+// sourceDisagreement taken from it. Each shard derived the points of
+// its own buses, so together the parts are the point set the single
+// engine derives over this window — late arrivals and retractions
+// included, since every shard re-derives what a late SDE can touch —
+// and a fluent's intervals depend only on that set and the inertia seed.
+func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.KV]rtec.List) *rtec.Result {
+	parts := make([][]rtec.Transition, len(t.shards))
+	for i, e := range t.shards {
+		parts[i] = e.Transitions(traffic.BusCongestion)
 	}
-	if votes := t.foldFresh(q, results); votes.Len() > 0 {
-		if err := t.reduce.InputBlock(votes); err != nil {
-			return nil, err
+	t.busPrev = rtec.FoldTransitions(t.busPrev, window, q, parts...)
+
+	res := &rtec.Result{Q: q, Window: window, Derived: map[string][]rtec.Event{}}
+	bus := make(map[rtec.KV]rtec.List, len(t.busPrev))
+	for kv, l := range t.busPrev {
+		if c := interval.Clip(l, window); len(c) > 0 {
+			bus[kv] = c
+			res.Stats.FluentPeriods += len(c)
 		}
 	}
-	rres, err := t.reduce.Query(q)
-	if err != nil {
-		return nil, err
-	}
+	res.Fluents = map[string]map[rtec.KV]rtec.List{traffic.BusCongestion: bus}
 
 	// sourceDisagreement = busCongestion \ scatsIntCongestion, per
 	// SCATS intersection, over the window. The single-engine rule
 	// computes the complement of the un-clipped lists and clips; over
 	// the window the two are pointwise equal, and both sides are
 	// normalized interval lists, so the representations coincide.
-	scats := results[0].Fluents[traffic.ScatsIntCongestion]
-	bus := rres.Fluents[traffic.BusCongestion]
-	var sd map[rtec.KV]rtec.List
+	sd := make(map[rtec.KV]rtec.List)
 	for _, in := range t.reg.Intersections() {
 		kv := rtec.KV{Key: in.ID, Value: rtec.TrueValue}
 		busI := bus[kv]
 		if len(busI) == 0 {
 			continue
 		}
-		scatsI := scats[kv]
-		if d := interval.RelativeComplementAll(busI, []interval.List{scatsI}); len(d) > 0 {
-			if sd == nil {
-				sd = make(map[rtec.KV]rtec.List)
-			}
+		if d := interval.RelativeComplementAll(busI, []interval.List{scats[kv]}); len(d) > 0 {
 			sd[kv] = d
+			res.Stats.FluentPeriods += len(d)
 		}
 	}
-	if sd != nil {
-		rres.Fluents[traffic.SourceDisagreement] = sd
+	if len(sd) > 0 {
+		res.Fluents[traffic.SourceDisagreement] = sd
 	}
-
-	return append(results, rres), nil
+	return res
 }
 
 // foldFresh walks the shards' Fresh lists — each in (time, type, key)
 // order — as one merged sequence, so derivations of one identity by
-// different shards meet, and rewrites the lists in place:
-//
-//   - busCongVote events leave the results and are returned as one block
-//     for the reduce engine. Vote identities are unique across shards
-//     (each bus has one owner and migration moves its dedup state
-//     along), so the merged (time, key) order makes the reduce input
-//     independent of the shard count.
-//   - same-identity events reported fresh by several shards (two shards'
-//     buses disagreeing with the same intersection at the same second)
-//     collapse to the one canonical survivor a single engine keeps among
-//     same-identity derivations (rtec.CanonicalSurvivor), and identities
-//     some shard already reported at an earlier boundary are suppressed
-//     (a migrated bus's intersection-keyed disagreements re-derived by
-//     the new owner).
-func (t *shardTier) foldFresh(q Time, results []*rtec.Result) *rtec.Block {
-	votes := traffic.NewVoteBlock()
+// different shards meet, and rewrites the lists in place: same-identity
+// events reported fresh by several shards (two shards' buses disagreeing
+// with the same intersection at the same second) collapse to the one
+// canonical survivor a single engine keeps among same-identity
+// derivations (rtec.CanonicalSurvivor), and identities some shard
+// already reported at an earlier boundary are suppressed (a migrated
+// bus's intersection-keyed disagreements re-derived by the new owner).
+func (t *shardTier) foldFresh(q Time, results []*rtec.Result) {
 	next := make([]int, len(results)) // read cursor per shard
 	kept := make([]int, len(results)) // write cursor per shard, never ahead of next
 	var same []rtec.Event             // the heads sharing the smallest identity
@@ -335,14 +337,7 @@ func (t *shardTier) foldFresh(q Time, results []*rtec.Result) *rtec.Block {
 		for _, ri := range from {
 			next[ri]++
 		}
-		ev := same[0]
-		if ev.Type == traffic.BusCongVote {
-			area, _ := ev.Str("area")
-			congested, _ := ev.Bool("congested")
-			traffic.AddVote(votes, ev.Time, ev.Key, area, congested)
-			continue
-		}
-		if !t.seen.Add(ev.Type, ev.Key, ev.Time) {
+		if !t.seen.Add(same[0].Type, same[0].Key, same[0].Time) {
 			continue
 		}
 		w := rtec.CanonicalSurvivor(same)
@@ -353,7 +348,6 @@ func (t *shardTier) foldFresh(q Time, results []*rtec.Result) *rtec.Block {
 		res.Fresh = res.Fresh[:kept[ri]]
 	}
 	t.seen.Prune(q - t.wm)
-	return votes.Block()
 }
 
 // maybeRebalance runs the deterministic skew check: once at least
@@ -456,10 +450,10 @@ func (t *shardTier) RebalanceKeys(keys []string, to int) error {
 // migrate moves the given keys' state from one shard to another
 // through the store-independent snapshot path: the owner-routed move
 // events, the owner-scoped fluent instances, and the dedup entries
-// keyed by a migrated key (or a vote key with a migrated bus prefix).
-// Both engines restart cold (Restore clears the splice caches), which
-// is also what makes the ownership flip safe: no cached rule output
-// computed under the old assignment survives it.
+// keyed by a migrated key. The tier's own busCongestion inertia is keyed
+// by area and stays put. Both engines restart cold (Restore clears the
+// splice caches), which is also what makes the ownership flip safe: no
+// cached rule output computed under the old assignment survives it.
 func (t *shardTier) migrate(keys []string, from, to int) error {
 	if from == to || len(keys) == 0 {
 		return nil
@@ -479,9 +473,9 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 
 	// 1. Owner-routed SDE rows: the migrated buses' move events, moved
 	// column-wise. Tie order against the destination's own rows is
-	// unobservable: transition and vote derivation are set-semantics
-	// folds, and per-key sub-orders are preserved (a bus's events only
-	// ever move together).
+	// unobservable: transition derivation is a set-semantics fold, and
+	// per-key sub-orders are preserved (a bus's events only ever move
+	// together).
 	if err := snapF.MoveRows(snapT, traffic.MoveType, func(key string) bool { return moved[key] }); err != nil {
 		return fmt.Errorf("insight: migrate: move rows %d→%d: %w", from, to, err)
 	}
@@ -511,13 +505,7 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 		fs.Instances = stay
 		dest := findOrAddFluent(snapT, fs.Name)
 		dest.Instances = append(dest.Instances, go_...)
-		sort.Slice(dest.Instances, func(i, j int) bool {
-			a, b := dest.Instances[i], dest.Instances[j]
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-			return a.Value < b.Value
-		})
+		sortInstances(dest.Instances)
 	}
 
 	// 3. Fresh-dedup entries owned by a migrated key, so the new owner
@@ -525,7 +513,7 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 	staySeen := snapF.Seen[:0]
 	var goSeen []rtec.SeenEntry
 	for _, se := range snapF.Seen {
-		if moved[traffic.VoteBus(se.Key)] {
+		if moved[se.Key] {
 			goSeen = append(goSeen, se)
 		} else {
 			staySeen = append(staySeen, se)
@@ -549,6 +537,17 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 	return nil
 }
 
+// sortInstances puts fluent instances in the canonical snapshot order.
+func sortInstances(insts []rtec.InstanceSnapshot) {
+	sort.Slice(insts, func(i, j int) bool {
+		a, b := insts[i], insts[j]
+		if a.Key != b.Key {
+			return a.Key < b.Key
+		}
+		return a.Value < b.Value
+	})
+}
+
 func findOrAddFluent(snap *rtec.EngineSnapshot, name string) *rtec.FluentSnapshot {
 	for i := range snap.Prev {
 		if snap.Prev[i].Name == name {
@@ -559,13 +558,13 @@ func findOrAddFluent(snap *rtec.EngineSnapshot, name string) *rtec.FluentSnapsho
 	return &snap.Prev[len(snap.Prev)-1]
 }
 
-// Snapshot captures the whole tier: every shard engine, the reduce
-// engine, and a trailing tier-state pseudo-snapshot holding the
-// cross-shard dedup set, the assignment overrides and the rebalance
-// counters — so a restored tier routes, dedups and rebalances exactly
-// like the original.
+// Snapshot captures the whole tier: every shard engine and a trailing
+// tier-state pseudo-snapshot holding the cross-shard dedup set, the
+// busCongestion inertia, the assignment overrides and the rebalance
+// counters — so a restored tier routes, dedups, folds and rebalances
+// exactly like the original.
 func (t *shardTier) Snapshot() ([]*rtec.EngineSnapshot, error) {
-	out := make([]*rtec.EngineSnapshot, 0, len(t.shards)+2)
+	out := make([]*rtec.EngineSnapshot, 0, len(t.shards)+1)
 	for i, e := range t.shards {
 		s, err := e.Snapshot()
 		if err != nil {
@@ -573,12 +572,7 @@ func (t *shardTier) Snapshot() ([]*rtec.EngineSnapshot, error) {
 		}
 		out = append(out, s)
 	}
-	rs, err := t.reduce.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("insight: reduce: %w", err)
-	}
-	out = append(out, rs, t.stateSnapshot())
-	return out, nil
+	return append(out, t.stateSnapshot()), nil
 }
 
 func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
@@ -600,23 +594,29 @@ func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
 	meta := rtec.FluentSnapshot{Name: tierSnapMeta, Instances: []rtec.InstanceSnapshot{
 		{Key: tierMetaRebalances, Value: strconv.Itoa(t.rebalances)},
 	}}
-	s.Prev = []rtec.FluentSnapshot{ovs, load, meta}
+	bus := rtec.FluentSnapshot{Name: tierSnapBusCong}
+	for kv, l := range t.busPrev {
+		bus.Instances = append(bus.Instances, rtec.InstanceSnapshot{Key: kv.Key, Value: kv.Value, Spans: l.Clone()})
+	}
+	sortInstances(bus.Instances)
+	s.Prev = []rtec.FluentSnapshot{ovs, load, meta, bus}
 	return s
 }
 
 // Restore replaces the tier's state from a Snapshot: len(shards)
-// engine snapshots, the reduce snapshot, then the tier state.
+// engine snapshots, then the tier state.
 func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
-	if len(snaps) != len(t.shards)+2 {
-		return fmt.Errorf("insight: %d snapshots for %d shards (+reduce, +tier state)", len(snaps), len(t.shards))
+	if len(snaps) != len(t.shards)+1 {
+		return fmt.Errorf("insight: %d snapshots for %d shards (+tier state)", len(snaps), len(t.shards))
 	}
-	st := snaps[len(t.shards)+1]
+	st := snaps[len(t.shards)]
 	assign, err := rtec.NewShardMap(len(t.shards))
 	if err != nil {
 		return err
 	}
 	keyLoad := make(map[string]int)
 	rebalances := 0
+	busPrev := make(map[rtec.KV]rtec.List)
 	for _, fs := range st.Prev {
 		switch fs.Name {
 		case tierSnapOverrides:
@@ -650,6 +650,13 @@ func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
 					return fmt.Errorf("insight: unknown tier snapshot meta key %q", inst.Key)
 				}
 			}
+		case tierSnapBusCong:
+			for _, inst := range fs.Instances {
+				if !inst.Spans.Valid() {
+					return fmt.Errorf("insight: tier snapshot busCongestion %q has invalid intervals", inst.Key)
+				}
+				busPrev[rtec.KV{Key: inst.Key, Value: inst.Value}] = inst.Spans.Clone()
+			}
 		default:
 			return fmt.Errorf("insight: unknown tier snapshot section %q", fs.Name)
 		}
@@ -659,12 +666,10 @@ func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
 			return fmt.Errorf("insight: shard %d: %w", i, err)
 		}
 	}
-	if err := t.reduce.Restore(snaps[len(t.shards)]); err != nil {
-		return fmt.Errorf("insight: reduce: %w", err)
-	}
 	t.assign = assign
 	t.keyLoad = keyLoad
 	t.rebalances = rebalances
+	t.busPrev = busPrev
 	t.seen.Restore(st.Seen)
 	t.rebuildSensorOwner()
 	return nil

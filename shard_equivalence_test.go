@@ -18,12 +18,13 @@ import (
 // sharded tier replicates sensor and crowd SDEs to every shard, so its
 // engine-level input count legitimately exceeds the single-engine
 // reference. Everything recognition produces — the CE sets, alerts,
-// crowd rounds, derived and fresh events, fed-event count — must still
-// match bit for bit.
+// crowd rounds, derived and fresh events, every fluent's intervals over
+// the window, the derived-event and period counts, fed-event count —
+// must still match bit for bit.
 func shardFingerprint(rep *Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Q=%d window=[%d,%d) fed=%d\n",
-		rep.Q, rep.Window.Start, rep.Window.End, rep.FedEvents)
+	fmt.Fprintf(&b, "Q=%d window=[%d,%d) fed=%d derivedEvents=%d fluentPeriods=%d\n",
+		rep.Q, rep.Window.Start, rep.Window.End, rep.FedEvents, rep.Stats.DerivedEvents, rep.Stats.FluentPeriods)
 	fmt.Fprintf(&b, "congested=%s\n", join(rep.CongestedIntersections))
 	fmt.Fprintf(&b, "busAreas=%s\n", join(rep.BusCongestionAreas))
 	fmt.Fprintf(&b, "disagree=%s\n", join(rep.Disagreements))
@@ -50,8 +51,28 @@ func shardFingerprint(rep *Report) string {
 		for _, ev := range rep.Result.Fresh {
 			fmt.Fprintf(&b, "fresh %s|%s|%d|%s\n", ev.Type, ev.Key, ev.Time, rtec.CanonicalAttrs(ev))
 		}
+		var periods []string
+		for name, insts := range rep.Result.Fluents {
+			for kv, l := range insts {
+				periods = append(periods, fmt.Sprintf("holds %s|%s|%s|%v\n", name, kv.Key, kv.Value, l))
+			}
+		}
+		sort.Strings(periods)
+		b.WriteString(strings.Join(periods, ""))
 	}
 	return b.String()
+}
+
+// carriedBusCongestion reports whether some area's busCongestion period
+// in rep begins at the window start: a period the events inside the
+// window did not initiate, carried in by the inertia seed.
+func carriedBusCongestion(rep *Report) bool {
+	for _, l := range rep.Result.Fluents[traffic.BusCongestion] {
+		if len(l) > 0 && l[0].Start == rep.Window.Start {
+			return true
+		}
+	}
+	return false
 }
 
 func compareShardReports(t *testing.T, label string, got, want []*Report) {
@@ -221,6 +242,11 @@ func TestShardRebalanceDeterminism(t *testing.T) {
 	if n := sys2.ShardRebalances(); n < 1 {
 		t.Fatalf("rebalances = %d, want >= 1", n)
 	}
+	// The tier's busCongestion inertia is keyed by area: migrating buses
+	// must leave it alone, and the boundary after the migration leans on it.
+	if after := moved[(mid-from)/step]; after.Q != mid+step || !carriedBusCongestion(after) {
+		t.Fatalf("q=%d: no area bus-congested across the migration: inertia path not exercised", after.Q)
+	}
 	for _, rep := range moved {
 		if len(rep.DegradedStreams) > 0 {
 			t.Errorf("q=%d: degraded streams %v after rebalance", rep.Q, rep.DegradedStreams)
@@ -342,8 +368,8 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 + 2; len(snaps) != want {
-		t.Fatalf("tier snapshot has %d parts, want %d (shards + reduce + tier state)", len(snaps), want)
+	if want := 3 + 1; len(snaps) != want {
+		t.Fatalf("tier snapshot has %d parts, want %d (shards + tier state)", len(snaps), want)
 	}
 
 	// The restore goes through the binary form the checkpoint file
@@ -413,11 +439,51 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	if !nonEmpty {
 		t.Fatal("post-checkpoint run recognised nothing: round-trip is vacuous")
 	}
+	// The first boundary after the restore starts from the tier-owned
+	// busCongestion inertia, which only the snapshot could have carried.
+	if !carriedBusCongestion(repA[0]) {
+		t.Fatal("no area bus-congested across the snapshot point: inertia path not exercised")
+	}
 	compareShardReports(t, "restored vs original", repB, repA)
 
 	// A wrong-arity restore must be rejected.
 	if err := sysB.engines.Restore(snaps[:3]); err == nil {
 		t.Error("restore with missing snapshots must error")
+	}
+}
+
+// TestShardTierElapsed: the tier's own result times the whole Query —
+// rebalance check, the parallel shard queries and the serial fold behind
+// them — so the merged Stats.Elapsed is the boundary's recognition time,
+// not the slowest shard's.
+func TestShardTierElapsed(t *testing.T) {
+	const from = Time(7 * 3600)
+	sys, err := New(Config{City: testCity(t), Seed: 7, WorkingMemory: 1800, Step: 900, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Start(from, from+900)
+	if _, err := sys.adm.admit(sys, from+900); err != nil {
+		t.Fatal(err)
+	}
+	results, err := sys.engines.Query(from + 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3+1 {
+		t.Fatalf("%d results, want 3 shards + the tier's own", len(results))
+	}
+	tier := results[3].Stats.Elapsed
+	if tier <= 0 {
+		t.Fatalf("tier result Elapsed = %v, want > 0", tier)
+	}
+	for i, res := range results[:3] {
+		if res.Stats.Elapsed > tier {
+			t.Errorf("shard %d Elapsed %v exceeds the tier's %v", i, res.Stats.Elapsed, tier)
+		}
+	}
+	if got := rtec.MergeResults(results).Stats.Elapsed; got != tier {
+		t.Errorf("merged Elapsed = %v, want the tier's %v", got, tier)
 	}
 }
 

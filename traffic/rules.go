@@ -179,14 +179,12 @@ func BuildWith(cfg Config, extend func(*rtec.Builder)) (*rtec.Definitions, error
 //     are computed only for sensors the plan owns — every shard sees
 //     all replicated traffic readings, but each sensor's fluent
 //     instances must live in exactly one shard;
-//   - busCongestion is replaced by the busCongVote event rule: the same
-//     per-move proximity matches, emitted as vote events for the reduce
-//     stage to fold instead of as local transitions (an area aggregates
-//     buses owned by different shards, so no single shard can run the
-//     fluent);
+//   - busCongestion, the same rule, is declared partial: an area
+//     aggregates buses owned by different shards, so a shard derives
+//     only its part of the transition points and the tier folds them;
 //   - sourceDisagreement is omitted: it reads busCongestion, which only
-//     exists after the reduce stage; the tier computes it from the
-//     reduced busCongestion and the (shard-identical) scatsIntCongestion.
+//     exists after that fold; the tier computes it from the folded
+//     busCongestion and the (shard-identical) scatsIntCongestion.
 func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.Definitions, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Registry == nil {
@@ -447,67 +445,38 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 	if cfg.Adaptive {
 		busInputs = append(busInputs, Noisy)
 	}
-	if plan == nil {
-		b.Simple(rtec.SimpleFluent{
-			Name:     BusCongestion,
-			Inputs:   busInputs,
-			Locality: rtec.Pointwise(), // move event at T (and, if Adaptive, noisy at T)
-			Transitions: func(ctx *rtec.Context) []rtec.Transition {
-				var out []rtec.Transition
-				// Adaptive is rule-set (3′): discard unreliable buses.
-				eachCloseMove(ctx, areas, cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
-					if congested {
-						out = append(out, rtec.InitiateAt(areas.intersections[a].ID, e.Time))
-					} else {
-						out = append(out, rtec.TerminateAt(areas.intersections[a].ID, e.Time))
-					}
-				})
-				return out
-			},
-		})
-	} else {
-		// Sharded: the identical per-move area matches, emitted as vote
-		// EVENTS keyed (bus, area) instead of fluent transitions. A vote
-		// time equals its move time, so the reduce engine's transition
-		// set over any window equals the transition set the single-engine
-		// fluent computes over that window — interval construction is
-		// order- and duplicate-insensitive, which makes the fold exact.
-		b.Event(rtec.EventRule{
-			Name:     BusCongVote,
-			Inputs:   busInputs,
-			Locality: rtec.Pointwise(),
-			Derive: func(ctx *rtec.Context) []rtec.Event {
-				out := NewVoteBlock()
-				out.Grow(ctx.Rows(MoveType).Len())
-				// A bus reports from the same few areas for minutes: build
-				// each (bus, area) key once per call, not once per vote.
-				type pair struct {
-					bus  string
-					area int32
+	// Sharded, the rule is partial: a shard sees only its own buses' moves,
+	// so it derives its part of each area's transition points and the tier
+	// folds the parts (a fluent's intervals depend only on the set of its
+	// points, so concatenating the shards' lists is exact).
+	b.Simple(rtec.SimpleFluent{
+		Name:     BusCongestion,
+		Inputs:   busInputs,
+		Locality: rtec.Pointwise(), // move event at T (and, if Adaptive, noisy at T)
+		Partial:  plan != nil,
+		Transitions: func(ctx *rtec.Context) []rtec.Transition {
+			// A move is mostly close to one area: one point per move.
+			out := make([]rtec.Transition, 0, ctx.Rows(MoveType).Len())
+			// Adaptive is rule-set (3′): discard unreliable buses.
+			eachCloseMove(ctx, areas, cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
+				if congested {
+					out = append(out, rtec.InitiateAt(areas.intersections[a].ID, e.Time))
+				} else {
+					out = append(out, rtec.TerminateAt(areas.intersections[a].ID, e.Time))
 				}
-				keys := make(map[pair]string)
-				eachCloseMove(ctx, areas, cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
-					area := areas.intersections[a].ID
-					key, ok := keys[pair{e.Key, a}]
-					if !ok {
-						key = VoteKey(e.Key, area)
-						keys[pair{e.Key, a}] = key
-					}
-					AddVote(out, e.Time, key, area, congested)
-				})
-				return out.Events()
-			},
-		})
-	}
+			})
+			return out
+		},
+	})
 
 	// --- sourceDisagreement ---------------------------------------------
 	// holdsFor(sourceDisagreement(Int)=true, I) ←
 	//   relative_complement_all(busCongestion(Int), [scatsIntCongestion(Int)]).
 	// Computed only for the locations of SCATS intersections. Sharded
-	// builds omit it: busCongestion only exists after the reduce stage,
-	// so the tier computes the relative complement itself from the
-	// reduced fluent (the pointwise identity makes that exact — see
-	// DESIGN.md, "Sharded recognition tier").
+	// builds omit it: busCongestion only exists once the tier has folded
+	// the shards' parts, so the tier computes the relative complement
+	// itself (the pointwise identity makes that exact — see DESIGN.md,
+	// "Sharded recognition tier").
 	if plan == nil {
 		b.Static(rtec.StaticFluent{
 			Name:   SourceDisagreement,

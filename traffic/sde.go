@@ -74,12 +74,6 @@ const (
 	FlowTrend               = "flowTrend"
 	DensityTrend            = "densityTrend"
 	NoisyScats              = "noisyScats"
-	// BusCongVote is the sharded decomposition of busCongestion: one
-	// vote event per (bus, area) proximity match, emitted by the shard
-	// owning the bus and folded back into the busCongestion fluent by
-	// the reduce stage (see shard.go). Never part of the single-engine
-	// rule set.
-	BusCongVote = "busCongVote"
 )
 
 // Move builds a bus SDE. bus identifies the vehicle; delay is in
