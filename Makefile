@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-delay bench-gp bench-recovery bench-e2e fuzz-short loc figures experiments clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-gp bench-recovery bench-e2e fuzz-short loc figures experiments clean
 
 all: build vet test
 
@@ -46,14 +46,16 @@ lint-json:
 # path), run the full module under the race detector (engine, rule sets,
 # the partial-fluent fold property, streams supervision/shutdown, batch
 # chaos tests, blocked linalg worker pools, parallel grid search —
-# including the one-ingest-path gates: pipeline ≡ direct loop by full
-# report fingerprint on both tiers, block admission ≡ the per-event
-# reference with drops, duplicates and re-ordered delivery, live ≡
-# replayed ≡ CSV round trip — and the crash-equivalence campaign: 20+
+# including the one-admission gates: pipeline ≡ direct loop by full
+# report fingerprint on both tiers, cursor admission ≡ the per-event
+# reference with drops, duplicates, re-ordered and late delivery,
+# boundary-equal stamps and streams degraded mid-batch, an envelope with
+# decreasing arrivals dead-lettered at the validator, live ≡ replayed ≡
+# CSV round trip — and the crash-equivalence campaign: 20+
 # WAL kills, torn/corrupt/fsync-crashed checkpoints and a torn log tail
 # in one run, recovered output bit-identical to the uninterrupted run),
-# re-run the crash gate race-free so its assertions are exercised under
-# both schedulers, gate the block ingest path and the recognition path
+# re-run the crash gate and the mid-block-cursor checkpoint round trip
+# race-free so their assertions are exercised under both schedulers, gate the block ingest path and the recognition path
 # (allocations per derived event or busCongestion point of the bus ×
 # intersection rules) against their committed allocation budgets, the
 # column store against the committed resident bytes/event advantage
@@ -63,8 +65,9 @@ lint-json:
 # pass), re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
 # both-store grid under chaos — CE sets, events, every fluent's
 # intervals and the derived/period counts against the single engine —
-# the mid-run rebalance determinism tests, the tier snapshot round-trip
-# and the tier's elapsed-time accounting; the race pass above already
+# the mid-run rebalance determinism tests, the tier snapshot round-trip,
+# the tier's elapsed-time accounting and the no-load-counts-while-
+# rebalancing-is-off bound; the race pass above already
 # exercises them under the race scheduler), and finish with a short
 # fuzz pass over the factorization/solve, WAL-decode, store block-merge,
 # shard-assignment, engine-snapshot-decode, checkpoint-decode (format 3
@@ -72,9 +75,9 @@ lint-json:
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestCrashEquivalence' -count=1 .
+	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 .
-	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed' -count=1 .
+	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardKeyLoadOffWithoutRebalancing' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
@@ -96,25 +99,18 @@ chaos:
 bench-recovery:
 	$(GO) run ./cmd/crashbench -out BENCH_recovery.json
 
-# The RTEC performance benches (Figure 4 sweep, the step-ratio
-# amortization bench, and the map-vs-columnar ingest benches — the
-# cold-window and steady-state regimes), 5 repetitions, as a JSON
-# event stream for later comparison.
+# The RTEC performance benches: the Figure 4 sweep and the step-ratio
+# amortization bench (both drive insight.System, the product path; the
+# FullRecompute variant is the test-side oracle comparison) and
+# steady-state block ingest into the column store, 5 repetitions, as a
+# JSON event stream for later comparison.
 bench-rtec:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig4_EventRecognition|BenchmarkStepRatio|BenchmarkIngest|BenchmarkSustainedIngest' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4_EventRecognition|BenchmarkStepRatio|BenchmarkSustainedIngest' \
 		-count=5 -timeout 60m -json . | tee BENCH_rtec.json
-
-# The Figure 2 regime ingest bench: map vs columnar delivery of
-# arrival-ordered SDEs across sliding-window boundaries, 5 repetitions,
-# as a JSON event stream for later comparison.
-bench-delay:
-	$(GO) test -run '^$$' -bench 'BenchmarkDelayedIngest' \
-		-count=5 -timeout 60m -json . | tee BENCH_delay.json
 
 # The GP linalg benches (kernel build, fit, predict-all, grid search at
 # n≈512, serial reference vs blocked/parallel kernels), 5 repetitions,
-# as a JSON event stream for later comparison. `go run ./cmd/gpbench`
-# prints the same stages as a human-readable speedup table.
+# as a JSON event stream for later comparison.
 bench-gp:
 	$(GO) test -run '^$$' -bench 'BenchmarkGP_' -benchtime 1x \
 		-count=5 -json ./gp | tee BENCH_gp.json

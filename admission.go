@@ -11,103 +11,78 @@ import (
 // producer cuts (generator, recorded-stream converter).
 const transportBatchRows = 512
 
-// admission is the one way an SDE reaches the engines: rows of retained
-// transport batches wait here, in consumption order, until a query time
-// admits everything that has arrived by it. The monitoring processor
-// pushes rows as the merge queue delivers them and admits at each
-// boundary it fires; the direct Step loop pushes the whole collection
-// at Start and admits at each Step.
+// admission is the one way an SDE reaches the engines: retained
+// transport batches wait here, in consumption order, each with a cursor
+// over its arrival-ordered rows, until a query time admits everything
+// that has arrived by it. The monitoring processor retains batches as
+// the merge queue delivers them and admits at each boundary it fires;
+// the direct Step loop retains the whole collection at Start and admits
+// at each Step.
 type admission struct {
-	// rows references the not-yet-admitted rows in exact consumption
-	// order across streams, so admission files events into the engine
-	// stores in that order.
-	rows []rowRef
-	// run is the reusable row buffer admit flushes in consecutive
-	// same-block runs.
+	// blocks holds the batches with rows still to admit, in exact
+	// consumption order across streams, so admission files events into
+	// the engine stores in that order.
+	blocks []*pendingBlock
+	// run is the reusable row-index buffer of one block's admitted range.
 	run []int32
 }
 
-// pendingBlock retains one consumed transport batch until every row
-// has been admitted; the aliased rtec block is what admission feeds to
-// the engines. The batch is released (and the alias dropped) when the
-// last row is admitted, or by release for rows no query time admits.
+// pendingBlock retains one transport batch until its last row has been
+// admitted; the aliased rtec block is what admission feeds to the
+// engines. Rows before next are in the engines; rows [next, consumed)
+// wait for a query time at or past their arrival; rows from consumed on
+// have not been consumed yet — the monitoring processor's per-row
+// watermark walk is still ahead of them — and no query time admits them.
 type pendingBlock struct {
-	batch   *streams.Batch
-	blk     *rtec.Block
-	pending int // rows not yet admitted
+	batch          *streams.Batch
+	blk            *rtec.Block
+	next, consumed int
 }
 
-// rowRef addresses one not-yet-admitted row of a retained batch.
-type rowRef struct {
-	pb  *pendingBlock
-	row int32
+// retain takes ownership of a batch, rows in arrival order, whose first
+// consumed rows are admissible.
+func (a *admission) retain(b *streams.Batch, consumed int) *pendingBlock {
+	pb := &pendingBlock{batch: b, blk: dublin.Block(b), consumed: consumed}
+	a.blocks = append(a.blocks, pb)
+	return pb
 }
 
-// retainBatch takes ownership of a non-empty batch; its rows join a
-// pending set through admission.push.
-func retainBatch(b *streams.Batch) *pendingBlock {
-	return &pendingBlock{batch: b, blk: dublin.Block(b), pending: b.Len()}
-}
-
-// push appends rows [from, to) of a retained batch to the pending set.
-func (a *admission) push(pb *pendingBlock, from, to int) {
-	for i := from; i < to; i++ {
-		a.rows = append(a.rows, rowRef{pb: pb, row: int32(i)})
-	}
-}
-
-// admit delivers every pending row with arrival <= q to the system's
-// engines, in pending order, flushing consecutive same-block runs as
-// one InputBlockRows call, and notes the sensor readings among them
-// for the traffic model. Batches whose last row is admitted return to
-// the transport pool.
+// admit delivers every consumed row with arrival <= q to the system's
+// engines, block by block in consumption order, each block's share as
+// one contiguous InputBlockRows range, and notes the sensor readings
+// among them for the traffic model. A batch whose last row is admitted
+// returns to the transport pool (the engines copy what they are given).
 func (a *admission) admit(s *System, q Time) (int, error) {
-	if len(a.rows) == 0 {
-		return 0, nil
-	}
 	fed := 0
-	kept := a.rows[:0]
-	var runPB *pendingBlock
-	var drained []*pendingBlock
-	a.run = a.run[:0]
-	flushRun := func() error {
-		if runPB == nil || len(a.run) == 0 {
-			return nil
-		}
-		err := s.engines.InputBlockRows(runPB.blk, a.run)
+	kept := a.blocks[:0]
+	for i, pb := range a.blocks {
+		arrivals := pb.batch.Arrivals
 		a.run = a.run[:0]
-		return err
-	}
-	for _, ref := range a.rows {
-		if Time(ref.pb.batch.Arrivals[ref.row]) > q {
-			kept = append(kept, ref)
-			continue
+		for r := pb.next; r < pb.consumed && Time(arrivals[r]) <= q; r++ {
+			a.run = append(a.run, int32(r))
 		}
-		if ref.pb != runPB {
-			if err := flushRun(); err != nil {
+		if len(a.run) > 0 {
+			if err := s.engines.InputBlockRows(pb.blk, a.run); err != nil {
+				a.blocks = append(kept, a.blocks[i:]...)
 				return fed, err
 			}
-			runPB = ref.pb
+			if pb.blk.Type == traffic.TrafficType {
+				for _, r := range a.run {
+					//lint:allow hotalloc view Event is a stack value; noteTraffic reads two cells, no map is built
+					s.noteTraffic(pb.blk.Event(int(r)))
+				}
+			}
+			fed += len(a.run)
+			pb.next += len(a.run)
 		}
-		a.run = append(a.run, ref.row)
-		if ref.pb.blk.Type == traffic.TrafficType {
-			//lint:allow hotalloc view Event is a stack value; noteTraffic reads two cells, no map is built
-			s.noteTraffic(ref.pb.blk.Event(int(ref.row)))
+		if pb.next == pb.batch.Len() {
+			pb.batch.Release()
+			continue
 		}
-		fed++
-		if ref.pb.pending--; ref.pb.pending == 0 {
-			drained = append(drained, ref.pb)
-		}
+		kept = append(kept, pb)
 	}
-	if err := flushRun(); err != nil {
-		return fed, err
-	}
-	a.rows = kept
-	// Safe only now: the engines copied every admitted row above.
-	for _, pb := range drained {
-		pb.blk = nil
-		pb.batch.Release()
-	}
+	clear(a.blocks[len(kept):])
+	a.blocks = kept
 	return fed, nil
 }
 
@@ -115,11 +90,8 @@ func (a *admission) admit(s *System, q Time) (int, error) {
 // final boundary, or the leftovers of an abandoned run) and returns
 // their transport buffers to the pool.
 func (a *admission) release() {
-	for _, ref := range a.rows {
-		if ref.pb.blk != nil {
-			ref.pb.blk = nil
-			ref.pb.batch.Release()
-		}
+	for _, pb := range a.blocks {
+		pb.batch.Release()
 	}
-	a.rows = nil
+	a.blocks = nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/streams/wal"
 )
 
 // productCheckpoint runs the durable pipeline in the product
@@ -58,7 +59,7 @@ func fuzzCity(t testing.TB) *dublin.City {
 // TestCheckpointBudget is the size gate of the checkpoint format: on
 // the test-scale product run a checkpoint costs at most 64 bytes per
 // stored input SDE — every stored row is one, replicas included, since
-// no engine of the tier stores derived rows — and measures 27.0 (the
+// no engine of the tier stores derived rows — and measures 26.9 (the
 // row-oriented JSON form cost about 450). Bytes are a pure function of
 // the state, so the gate has no noise band.
 func TestCheckpointBudget(t *testing.T) {
@@ -90,6 +91,95 @@ func TestCheckpointBudget(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Errorf("decode→encode changed the checkpoint file (%d → %d bytes)", len(data), len(again))
+	}
+}
+
+// TestCheckpointMidBlockCursors: a checkpoint taken while retained
+// blocks are partially admitted (next > 0) carries exactly the rest of
+// each — the epoch dies right after that checkpoint, the next one decodes
+// and restores it, and every report either epoch emits is the
+// uninterrupted run's.
+func TestCheckpointMidBlockCursors(t *testing.T) {
+	const from, until = 7 * 3600, 8 * 3600
+	city := testCity(t)
+	plain, err := durableSystem(t, city).BuildPipeline(from, until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	var crashed *Pipeline
+	partial, pendingRows := 0, 0
+	crashed, _, err = durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{
+		Dir: dir,
+		CheckpointFailpoint: func(q Time) CheckpointCrash {
+			if q != from+3*900 {
+				return CrashNone
+			}
+			// The second boundary's checkpoint is encoded and about to be
+			// written: this is the pending set it captured.
+			for _, pb := range crashed.durable.proc.adm.blocks {
+				if pb.next > 0 {
+					partial++
+				}
+				pendingRows += pb.consumed - pb.next
+			}
+			return CrashAfterCheckpoint
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crashed.Run(context.Background()); !errors.Is(err, wal.ErrCrashPoint) {
+		t.Fatalf("first epoch ended with %v, want the injected crash", err)
+	}
+	if partial == 0 {
+		t.Fatal("no retained block was partially admitted at the checkpoint: the cursor encoding is not exercised")
+	}
+	ck, err := loadLatestCheckpoint(dir, &RecoveryInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	for _, payload := range ck.pendingBatches {
+		b, err := wal.DecodeBatch(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored += b.Len()
+		b.Release()
+	}
+	if restored != pendingRows {
+		t.Errorf("checkpoint carries %d pending rows, the crashed epoch held %d in [next, consumed)", restored, pendingRows)
+	}
+	resumed, info, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Resumed || info.CheckpointQ != from+3*900 {
+		t.Fatalf("second epoch RecoveryInfo = %+v, want a resume from the crashed checkpoint", info)
+	}
+	if _, err := resumed.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[Time]string)
+	for _, pipe := range []*Pipeline{crashed, resumed} {
+		for _, it := range pipe.Reports.Items() {
+			rep := it[itemReport].(*Report)
+			got[rep.Q] = rep.Fingerprint()
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("epochs emitted %d distinct boundaries, uninterrupted run %d", len(got), len(want))
+	}
+	for _, rep := range want {
+		if got[rep.Q] != rep.Fingerprint() {
+			t.Errorf("q=%d diverged:\n  epochs: %s\n  plain:  %s", int64(rep.Q), got[rep.Q], rep.Fingerprint())
+		}
 	}
 }
 

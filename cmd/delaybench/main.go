@@ -11,17 +11,15 @@
 //
 // Usage:
 //
-//	delaybench [-step 5m] [-maxdelay 2m] [-hours 2] [-ratios 1,2,3] [-batch]
+//	delaybench [-step 5m] [-maxdelay 2m] [-hours 2] [-ratios 1,2,3]
 //
-// With -batch the SDEs reach the engine as columnar blocks — each
-// boundary delivers the newly-arrived rows of every stream with one
-// InputBlockRows call per touched block — instead of one Input call
-// per event. The loss accounting and the recognised fluents are
-// bit-identical either way (the columnar path is an ingest
-// optimisation, not a semantic change), so the table must not move.
+// Recognition runs through an insight.System with a single engine
+// (Partitions: 1): SDEs are admitted by arrival time at each query, as
+// in the deployed pipeline.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,6 +29,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	insight "github.com/insight-dublin/insight"
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/eval"
 	"github.com/insight-dublin/insight/interval"
@@ -49,7 +48,6 @@ func main() {
 		buses    = flag.Int("buses", 120, "bus fleet size")
 		sensors  = flag.Int("sensors", 120, "SCATS sensor count")
 		seed     = flag.Int64("seed", 2, "simulation seed")
-		batch    = flag.Bool("batch", false, "deliver SDEs as columnar blocks instead of per-item events")
 	)
 	flag.Parse()
 
@@ -62,36 +60,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg, err := city.Registry(150)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defs, err := traffic.Build(traffic.Config{Registry: reg})
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	from := rtec.Time(7 * 3600)
 	until := from + rtec.Time(*hours*3600)
 	stepT := rtec.Time(step.Seconds())
 	sdes := city.Collect(from, until)
-	var bstreams []dublin.BatchedStream
-	if *batch {
-		bstreams = city.CollectBatches(from, until, 512, 0)
-		defer func() {
-			for _, bs := range bstreams {
-				for _, bt := range bs.Batches {
-					bt.Release()
-				}
-			}
-		}()
-	}
 	fmt.Printf("Figure 2 ablation — delayed SDEs vs working memory size\n")
-	fmt.Printf("%d SDEs over %.1f h, mediator delay up to %s, step %s", len(sdes), *hours, maxDelay, step)
-	if *batch {
-		fmt.Printf(", columnar delivery")
-	}
-	fmt.Printf("\n\n")
+	fmt.Printf("%d SDEs over %.1f h, mediator delay up to %s, step %s\n\n", len(sdes), *hours, maxDelay, step)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "WM/step\tlost SDEs\tlost %\tscats F1\tscats recall")
@@ -113,38 +88,19 @@ func main() {
 		}
 
 		// (b) Recognition accuracy with that window.
-		engine, err := rtec.NewEngine(defs, rtec.Options{WorkingMemory: wm, Step: stepT})
+		sys, err := insight.New(insight.Config{City: city, WorkingMemory: wm, Step: stepT, Partitions: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
 		recognised := eval.NewTimeline()
-		cursor := 0
-		var feeds []blockFeed
-		if *batch {
-			feeds = newBlockFeeds(bstreams)
-		}
-		for q := from + stepT; q <= until; q += stepT {
-			if *batch {
-				for si := range feeds {
-					if err := feeds[si].feedUntil(engine, q); err != nil {
-						log.Fatal(err)
-					}
-				}
-			} else {
-				for cursor < len(sdes) && sdes[cursor].Arrival <= q {
-					if err := engine.Input(sdes[cursor].Event); err != nil {
-						log.Fatal(err)
-					}
-					cursor++
-				}
-			}
-			res, err := engine.Query(q)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for kv, l := range res.Fluents[traffic.ScatsCongestion] {
+		err = sys.Run(context.Background(), from, until, func(r *insight.Report) error {
+			for kv, l := range r.Result.Fluents[traffic.ScatsCongestion] {
 				recognised.Add(kv.Key, l)
 			}
+			return nil
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
 		var keys []string
 		sensorPos := make(map[string]int)
@@ -171,54 +127,6 @@ func main() {
 	fmt.Println("\nShape to check: with WM = step, every SDE delayed past its query")
 	fmt.Println("time is lost for good; WM = 2-3x step recovers effectively all of")
 	fmt.Println("them (Figure 2), at the recognition cost measured by rtecbench.")
-}
-
-// blockFeed walks the arrival-ordered rows of one batched stream for
-// sliding-window delivery: each feedUntil call hands the engine the
-// newly-arrived rows as block slices.
-type blockFeed struct {
-	blocks []*rtec.Block
-	arrs   [][]int64
-	bi, ri int
-	rows   []int32
-}
-
-// newBlockFeeds builds one cursor per batched stream; the blocks alias
-// the batches, so the batches must stay live while the feeds are used.
-func newBlockFeeds(bstreams []dublin.BatchedStream) []blockFeed {
-	feeds := make([]blockFeed, len(bstreams))
-	for si, bs := range bstreams {
-		for _, bt := range bs.Batches {
-			feeds[si].blocks = append(feeds[si].blocks, dublin.Block(bt))
-			feeds[si].arrs = append(feeds[si].arrs, bt.Arrivals)
-		}
-	}
-	return feeds
-}
-
-// feedUntil delivers every remaining row with arrival <= q, one
-// InputBlockRows call per touched block.
-func (c *blockFeed) feedUntil(engine *rtec.Engine, q rtec.Time) error {
-	for c.bi < len(c.blocks) {
-		blk := c.blocks[c.bi]
-		arr := c.arrs[c.bi]
-		c.rows = c.rows[:0]
-		for c.ri < blk.Len() && rtec.Time(arr[c.ri]) <= q {
-			c.rows = append(c.rows, int32(c.ri))
-			c.ri++
-		}
-		if len(c.rows) > 0 {
-			if err := engine.InputBlockRows(blk, c.rows); err != nil {
-				return err
-			}
-		}
-		if c.ri < blk.Len() {
-			return nil // head of this block is beyond q
-		}
-		c.bi++
-		c.ri = 0
-	}
-	return nil
 }
 
 // coveredByAnyQuery reports whether the SDE is inside the working

@@ -1,13 +1,9 @@
 package insight
 
-// Benchmarks for the columnar event path at the engine boundary: the
-// same ingest → recognition workload delivered as map-backed events
-// (rtec's Input, which the system itself uses for crowd verdicts only)
-// and as typed columnar blocks. `make bench-rtec` captures BenchmarkIngest alongside the
-// Figure 4 sweep; `make bench-delay` captures BenchmarkDelayedIngest
-// (the WM > step delayed-arrival regime of Figure 2). The alloc-budget
-// test at the bottom is the regression gate `make check` runs against
-// the committed per-event allocation budget.
+// The engine-boundary bench and budget gates of the columnar event
+// path: steady-state block ingest (`make bench-rtec` captures it next to
+// the Figure 4 sweep) and the allocation / resident-bytes regression
+// gates `make check` runs against their committed budgets.
 
 import (
 	"runtime"
@@ -19,149 +15,14 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-func benchDefs(b *testing.B, city *dublin.City, adaptive bool) *rtec.Definitions {
-	b.Helper()
-	reg, err := city.Registry(150)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defs, err := traffic.Build(traffic.Config{
-		Registry:    reg,
-		Adaptive:    adaptive,
-		NoisyPolicy: traffic.Pessimistic,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return defs
-}
-
-// benchPartitioned builds the ingest benches' engines on the row store,
-// by name: the committed BENCH_rtec.json / BENCH_delay.json series were
-// measured on it, and map-vs-block delivery is the variable under test.
-func benchPartitioned(b *testing.B, defs *rtec.Definitions, wm, step rtec.Time) *rtec.Partitioned {
-	b.Helper()
-	return benchPartitionedOpts(b, defs, rtec.Options{WorkingMemory: wm, Step: step, Store: rtec.StoreRow})
-}
-
-func benchPartitionedOpts(b *testing.B, defs *rtec.Definitions, opts rtec.Options) *rtec.Partitioned {
-	b.Helper()
-	part, err := rtec.NewPartitioned(defs, opts,
-		4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	part.SetBlockAssign(dublin.PartitionOfBlock)
-	return part
-}
-
-// BenchmarkIngest measures the ingest phase of one working-memory
-// window — the same delivered SDE batches entering the RTEC store
-// through the captured map path (decode every row into a map-backed
-// event, feed it per item) and through the columnar path (append the
-// column blocks directly). The recognition query still runs every
-// iteration (outside the timer, as in runFig4) so the store sees the
-// full ingest→recognition cycle; its work is identical on both sides
-// by construction (rtec.TestColumnStoreMatchesEventStore pins item ≡
-// block delivery bit-identical). events/s and allocs/op here are the headline numbers
-// of the columnar PR (see EXPERIMENTS.md); city942 is the paper's full
-// scale.
-func BenchmarkIngest(b *testing.B) {
-	const wm = rtec.Time(30 * 60)
-	from := rtec.Time(7 * 3600)
-
-	for _, scale := range []struct {
-		name           string
-		buses, sensors int
-	}{
-		{"city118", 118, 121},
-		{"city942", 942, 966},
-	} {
-		city, err := dublin.NewCity(dublin.Config{Seed: 1, NumBuses: scale.buses, NumSensors: scale.sensors})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defs := benchDefs(b, city, false)
-		bstreams := city.CollectBatches(from, from+wm, 512, 0)
-		n := 0
-		var batches []*streams.Batch
-		var blocks []*rtec.Block
-		for _, bs := range bstreams {
-			for _, batch := range bs.Batches {
-				batches = append(batches, batch)
-				blocks = append(blocks, dublin.Block(batch))
-				n += batch.Len()
-			}
-		}
-		b.Cleanup(func() {
-			for _, batch := range batches {
-				batch.Release()
-			}
-		})
-
-		b.Run(scale.name+"/map", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				part := benchPartitioned(b, defs, wm, wm)
-				b.StartTimer()
-				for _, batch := range batches {
-					rows := batch.Len()
-					for r := 0; r < rows; r++ {
-						attrs := make(map[string]any, len(batch.Cols))
-						for ci := range batch.Cols {
-							c := &batch.Cols[ci]
-							attrs[c.Name] = c.Value(r)
-						}
-						ev := rtec.NewEvent(batch.Type, rtec.Time(batch.Times[r]), batch.Keys[r], attrs)
-						if err := part.Input(ev); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.StopTimer()
-				if _, err := part.Query(from + wm); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(n), "events")
-		})
-
-		b.Run(scale.name+"/columnar", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				part := benchPartitioned(b, defs, wm, wm)
-				b.StartTimer()
-				for _, blk := range blocks {
-					if err := part.InputBlock(blk); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if _, err := part.Query(from + wm); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(n), "events")
-		})
-	}
-}
-
-// BenchmarkSustainedIngest measures steady-state ingest throughput at
-// the paper's full scale: one engine set runs across all iterations,
-// each pass feeds the next working-memory window (the shared batches
-// are time-shifted forward between passes) and the recognition query
-// runs after every pass (outside the timer) so eviction keeps the
-// store at its steady working set. Unlike BenchmarkIngest's cold-store
-// window, the numbers here exclude the one-time slice-growth transient
-// a continuously-running pipeline never repays. Map side decodes every
-// row into a map-backed event first — the representation cost the
-// columnar path removes.
+// BenchmarkSustainedIngest measures steady-state block ingest at the
+// paper's full scale: one engine set (column store, four regions) runs
+// across all iterations, each pass feeds the next working-memory window
+// (the shared batches are time-shifted forward between passes) and the
+// recognition query runs after every pass (outside the timer) so
+// eviction keeps the store at its steady working set — the numbers
+// exclude the one-time slice-growth transient a continuously running
+// pipeline never repays.
 func BenchmarkSustainedIngest(b *testing.B) {
 	const wm = rtec.Time(30 * 60)
 	from := rtec.Time(7 * 3600)
@@ -169,12 +30,18 @@ func BenchmarkSustainedIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defs := benchDefs(b, city, false)
-	bstreams := city.CollectBatches(from, from+wm, 512, 0)
+	reg, err := city.Registry(150)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defs, err := traffic.Build(traffic.Config{Registry: reg, NoisyPolicy: traffic.Pessimistic})
+	if err != nil {
+		b.Fatal(err)
+	}
 	n := 0
 	var batches []*streams.Batch
 	var blocks []*rtec.Block
-	for _, bs := range bstreams {
+	for _, bs := range city.CollectBatches(from, from+wm, 512, 0) {
 		for _, batch := range bs.Batches {
 			batches = append(batches, batch)
 			blocks = append(blocks, dublin.Block(batch))
@@ -186,86 +53,49 @@ func BenchmarkSustainedIngest(b *testing.B) {
 			batch.Release()
 		}
 	})
-	// shift is the total time offset applied to the shared batches (the
-	// blocks alias their slices, so both views advance together). Each
-	// pass feeds [from+shift, from+shift+wm) and then moves the data one
-	// window forward, so the store always ingests strictly new time — the
-	// regime the sorted-merge fast paths are built for — and eviction
-	// bounds memory at any -benchtime.
+	// Profile turns on the resident-store accounting (recorded outside
+	// the timer, at the per-window queries).
+	part, err := rtec.NewPartitioned(defs, rtec.Options{WorkingMemory: wm, Step: wm, Profile: true},
+		4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	part.SetBlockAssign(dublin.PartitionOfBlock)
+	// Each pass feeds [from+shift, from+shift+wm) and then moves the data
+	// one window forward (the blocks alias the batches' slices), so the
+	// store always ingests strictly new time and eviction bounds memory
+	// at any -benchtime. The first pass is the warm-up: store and pool
+	// slices reach their steady-state capacities before the timer starts.
 	var shift rtec.Time
-	shiftBatches := func(d rtec.Time) {
-		for _, batch := range batches {
-			for i := range batch.Times {
-				batch.Times[i] += int64(d)
-			}
-		}
-		shift += d
-	}
-
-	feedMap := func(b *testing.B, part *rtec.Partitioned) {
-		for _, batch := range batches {
-			rows := batch.Len()
-			for r := 0; r < rows; r++ {
-				attrs := make(map[string]any, len(batch.Cols))
-				for ci := range batch.Cols {
-					c := &batch.Cols[ci]
-					attrs[c.Name] = c.Value(r)
-				}
-				ev := rtec.NewEvent(batch.Type, rtec.Time(batch.Times[r]), batch.Keys[r], attrs)
-				if err := part.Input(ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	feedColumnar := func(b *testing.B, part *rtec.Partitioned) {
+	var resident uint64
+	pass := func() {
 		for _, blk := range blocks {
 			if err := part.InputBlock(blk); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-
-	for _, mode := range []struct {
-		name  string
-		feed  func(*testing.B, *rtec.Partitioned)
-		store rtec.StoreKind
-	}{
-		{"map", feedMap, rtec.StoreRow},
-		{"columnar", feedColumnar, rtec.StoreRow},
-		{"columnar-colstore", feedColumnar, rtec.StoreColumn},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			// Profile turns on the resident-store accounting (recorded
-			// outside the timer, at the per-window queries).
-			part := benchPartitionedOpts(b, defs, rtec.Options{
-				WorkingMemory: wm, Step: wm, Store: mode.store, Profile: true,
-			})
-			// Warm-up pass: store and pool slices reach their
-			// steady-state capacities before the timer starts.
-			mode.feed(b, part)
-			if _, err := part.Query(from + shift + wm); err != nil {
-				b.Fatal(err)
+		b.StopTimer()
+		results, err := part.Query(from + shift + wm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resident = rtec.MergeResults(results).Stats.ResidentBytes
+		for _, batch := range batches {
+			for i := range batch.Times {
+				batch.Times[i] += int64(wm)
 			}
-			shiftBatches(wm)
-			var resident uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mode.feed(b, part)
-				b.StopTimer()
-				results, err := part.Query(from + shift + wm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				resident = rtec.MergeResults(results).Stats.ResidentBytes
-				shiftBatches(wm)
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(n), "events")
-			b.ReportMetric(float64(resident)/float64(n), "res-B/event")
-		})
+		}
+		shift += wm
+		b.StartTimer()
 	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(n), "events")
+	b.ReportMetric(float64(resident)/float64(n), "res-B/event")
 }
 
 // residentAtSteadyState runs the sustained-ingest workload for a few
@@ -351,143 +181,6 @@ func TestResidentBudget(t *testing.T) {
 		t.Errorf("column store resident bytes = %d, want at least 1.5x below row store's %d",
 			colBytes, rowBytes)
 	}
-}
-
-// blockCursor walks the arrival-ordered rows of one batched stream for
-// sliding-window delivery.
-type blockCursor struct {
-	blocks []*rtec.Block
-	bi, ri int
-	rows   []int32
-}
-
-// feedUntil delivers every remaining row with arrival <= q to the
-// engines, using one InputBlockRows call per touched block.
-func (c *blockCursor) feedUntil(b *testing.B, part *rtec.Partitioned, arrivals [][]int64, q rtec.Time) int {
-	b.Helper()
-	fed := 0
-	for c.bi < len(c.blocks) {
-		blk := c.blocks[c.bi]
-		arr := arrivals[c.bi]
-		c.rows = c.rows[:0]
-		for c.ri < blk.Len() && rtec.Time(arr[c.ri]) <= q {
-			c.rows = append(c.rows, int32(c.ri))
-			c.ri++
-		}
-		if len(c.rows) > 0 {
-			if err := part.InputBlockRows(blk, c.rows); err != nil {
-				b.Fatal(err)
-			}
-			fed += len(c.rows)
-		}
-		if c.ri < blk.Len() {
-			return fed // head of this block is beyond q
-		}
-		c.bi++
-		c.ri = 0
-	}
-	return fed
-}
-
-// BenchmarkDelayedIngest measures the Figure 2 regime (WM = 2×step
-// with mediator delays, a query every step over one monitored hour):
-// map vs columnar delivery of exactly the SDEs that have arrived by
-// each boundary.
-func BenchmarkDelayedIngest(b *testing.B) {
-	const step = rtec.Time(5 * 60)
-	const wm = 2 * step
-	from := rtec.Time(7 * 3600)
-	until := from + 3600
-
-	mkCity := func(b *testing.B) *dublin.City {
-		city, err := dublin.NewCity(dublin.Config{
-			Seed:       1,
-			NumBuses:   118,
-			NumSensors: 121,
-			MaxDelay:   120,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return city
-	}
-
-	b.Run("map", func(b *testing.B) {
-		city := mkCity(b)
-		defs := benchDefs(b, city, false)
-		sdes := city.Collect(from, until)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			part := benchPartitioned(b, defs, wm, step)
-			b.StartTimer()
-			cursor := 0
-			for q := from + step; q <= until; q += step {
-				for cursor < len(sdes) && sdes[cursor].Arrival <= q {
-					if err := part.Input(sdes[cursor].Event); err != nil {
-						b.Fatal(err)
-					}
-					cursor++
-				}
-				b.StopTimer()
-				if _, err := part.Query(q); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		}
-		b.ReportMetric(float64(len(sdes)), "events")
-	})
-
-	b.Run("columnar", func(b *testing.B) {
-		city := mkCity(b)
-		defs := benchDefs(b, city, false)
-		bstreams := city.CollectBatches(from, until, 512, 0)
-		n := 0
-		var perStream [][]*rtec.Block
-		var perArr [][][]int64
-		for _, bs := range bstreams {
-			var blocks []*rtec.Block
-			var arrs [][]int64
-			for _, batch := range bs.Batches {
-				blocks = append(blocks, dublin.Block(batch))
-				arrs = append(arrs, batch.Arrivals)
-				n += batch.Len()
-			}
-			perStream = append(perStream, blocks)
-			perArr = append(perArr, arrs)
-		}
-		b.Cleanup(func() {
-			for _, bs := range bstreams {
-				for _, batch := range bs.Batches {
-					batch.Release()
-				}
-			}
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			part := benchPartitioned(b, defs, wm, step)
-			cursors := make([]blockCursor, len(perStream))
-			for si := range perStream {
-				cursors[si] = blockCursor{blocks: perStream[si]}
-			}
-			b.StartTimer()
-			for q := from + step; q <= until; q += step {
-				for si := range cursors {
-					cursors[si].feedUntil(b, part, perArr[si], q)
-				}
-				b.StopTimer()
-				if _, err := part.Query(q); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		}
-		b.ReportMetric(float64(n), "events")
-	})
 }
 
 // allocBudgetPerEvent is the committed ingest allocation budget the

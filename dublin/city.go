@@ -472,9 +472,9 @@ func PartitionOf(e rtec.Event) int {
 	return int(geo.RegionOf(geo.LonLat(lon, lat)))
 }
 
-// PartitionOfBlock is the block-level counterpart of PartitionOf for
-// rtec.Partitioned.SetBlockAssign: the coordinate columns are located
-// once per block, and the returned function assigns one row by
+// PartitionOfBlock is the block-level counterpart of PartitionOf, the
+// router rtec.Partitioned takes for blocks: the coordinate columns are
+// located once per block, and the returned function assigns one row by
 // indexing them directly — the same partition PartitionOf computes on
 // the row's view Event, including the float coercion and the Central
 // fallback for rows without coordinates.

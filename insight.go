@@ -60,11 +60,12 @@ type Config struct {
 	// Default geo.NumRegions (the paper's four city areas).
 	Partitions int
 	// Shards switches recognition to the N-way sharded tier: bus keys
-	// and sensors are rendezvous-assigned to Shards shard engines, a
-	// reduce engine folds the cross-shard busCongestion votes, and
-	// skew-driven rebalancing can migrate hot keys between shards (see
-	// DESIGN.md, "Sharded recognition tier"). 0 (the default) keeps the
-	// legacy fixed partitioning; Partitions is then ignored.
+	// and sensors are rendezvous-assigned to Shards shard engines, the
+	// tier folds the shards' busCongestion transition points into the
+	// cross-shard CE, and skew-driven rebalancing can migrate hot keys
+	// between shards (see DESIGN.md, "Sharded recognition tier"). 0 (the
+	// default) keeps the legacy fixed partitioning; with Shards > 0
+	// Partitions is ignored.
 	Shards int
 	// RebalanceFactor enables automatic skew-driven rebalancing on the
 	// sharded tier: when one shard has routed more than RebalanceFactor

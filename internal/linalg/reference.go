@@ -4,9 +4,9 @@ import "math"
 
 // This file retains the seed (naive, serial) implementations verbatim.
 // They are the ground truth for the property/fuzz equivalence suite,
-// the small-n fallback of the blocked kernels, and — via
-// Options{Reference: true} — the serial baseline that cmd/gpbench and
-// the gp benchmarks measure the blocked/parallel kernels against.
+// the small-n fallback of the blocked kernels, and — via the Reference
+// option — the serial baseline the gp benchmarks (make bench-gp) measure
+// the blocked/parallel kernels against.
 
 // naiveCholesky is the seed unblocked factorization: for each column,
 // a full-length dot against every earlier column. Returns the lower

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/insight-dublin/insight/streams"
@@ -293,7 +294,6 @@ func newRTECProcessor(s *System, from, until Time) *rtecProcessor {
 		until:      until,
 		staleness:  s.cfg.WatermarkStaleness,
 		watermarks: make(map[string]Time, len(pipelineStreamIDs)),
-		degraded:   make(map[string]bool),
 	}
 	for _, id := range pipelineStreamIDs {
 		p.watermarks[id] = from
@@ -318,13 +318,19 @@ func (sdeValidator) Process(it streams.Item) (streams.Item, error) {
 	return it, nil
 }
 
-// ProcessBatch validates a batch envelope and forwards it whole.
+// ProcessBatch validates a batch envelope and forwards it whole. The
+// monitoring process reads the last arrival as the batch's maximum and
+// admission walks a cursor over the rows, so arrival order is part of
+// the envelope contract (equal stamps — duplicates — are in order).
 func (sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
 	if b.Len() > 0 && b.Arrivals == nil {
 		return nil, fmt.Errorf("insight: SDE batch %q without arrival column", b.Type)
+	}
+	if !slices.IsSorted(b.Arrivals) {
+		return nil, fmt.Errorf("insight: SDE batch %q from %q has decreasing arrivals", b.Type, b.Source)
 	}
 	return []streams.Item{streams.BatchItem(b)}, nil
 }
@@ -354,12 +360,15 @@ type rtecProcessor struct {
 	// staleness is the per-stream liveness bound; 0 disables
 	// degradation (a silent stream then blocks query boundaries until
 	// end of stream, the strict-watermark behaviour).
-	staleness  Time
+	staleness Time
+	// watermarks holds the arrival watermark of each of the five input
+	// streams (pipelineStreamIDs), nothing else.
 	watermarks map[string]Time
-	degraded   map[string]bool
-	// adm buffers consumed rows until a query boundary admits them: at
-	// query time Q exactly the SDEs with arrival <= Q may have been
-	// delivered to the engines, as in a live deployment.
+	// degradedBuf is liveWatermark's reusable result buffer.
+	degradedBuf []string
+	// adm retains consumed batches until a query boundary admits their
+	// rows: at query time Q exactly the SDEs with arrival <= Q may have
+	// been delivered to the engines, as in a live deployment.
 	adm admission
 	// due holds evaluated reports awaiting emission: a processor maps
 	// one item to at most one item, so simultaneous boundaries drain
@@ -407,29 +416,32 @@ func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
 // the same events one at a time. The batch is retained until boundary
 // admission has drained it.
 func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
+	src := b.Source
+	if _, known := p.watermarks[src]; !known {
+		b.Release()
+		return nil, fmt.Errorf("insight: SDE batch from unknown stream %q", src)
+	}
 	if p.durable != nil {
 		// The envelope is consumed whatever recognition does with it;
 		// the cursor must say so before any boundary can fire.
-		p.durable.noteConsumed(b.Source)
+		p.durable.noteConsumed(src)
 	}
 	n := b.Len()
 	if n == 0 {
 		b.Release()
 		return nil, nil
 	}
-	pb := retainBatch(b)
-	src := b.Source
-	if p.batchCantFire(src, b.Arrivals[n-1]) {
+	if p.batchCantFire(src, b.Arrivals) {
 		// No query boundary can become due anywhere inside this batch,
-		// so the per-row watermark walk is unobservable: every row just
-		// joins the pending set and the stream's watermark ends at the
-		// batch's last arrival — exactly the state the per-row loop
-		// leaves behind.
-		p.adm.push(pb, 0, n)
+		// so the per-row watermark walk is unobservable: every row is
+		// consumed at once and the stream's watermark ends at the batch's
+		// last arrival — exactly the state the per-row loop leaves behind.
+		p.adm.retain(b, n)
 		p.watermarks[src] = Time(b.Arrivals[n-1])
 	} else {
+		pb := p.adm.retain(b, 0)
 		for i := 0; i < n; i++ {
-			p.adm.push(pb, i, i+1)
+			pb.consumed = i + 1
 			p.watermarks[src] = Time(b.Arrivals[i])
 			if err := p.fireDue(context.Background()); err != nil {
 				return nil, err
@@ -450,42 +462,59 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	return out, nil
 }
 
-// batchCantFire reports whether advancing src's arrival watermark to
-// last — the batch's final row — provably cannot release any query
+// liveWatermark is the one statement of the liveness rule over the
+// streams' arrival watermarks, src's taken as val when src is non-empty:
+// a stream trailing the most advanced one (maxW) by more than the
+// staleness bound is degraded and excluded from the minimum (live); it
+// rejoins as soon as its watermark catches back up. The most advanced
+// stream is never excluded, so live is always defined. The degraded ids
+// come in pipelineStreamIDs order, in a buffer the next call reuses.
+func (p *rtecProcessor) liveWatermark(src string, val Time) (live, maxW Time, degraded []string) {
+	at := func(id string) Time {
+		if id == src {
+			return val
+		}
+		return p.watermarks[id]
+	}
+	maxW = at(pipelineStreamIDs[0])
+	for _, id := range pipelineStreamIDs[1:] {
+		maxW = max(maxW, at(id))
+	}
+	live = maxW
+	degraded = p.degradedBuf[:0]
+	for _, id := range pipelineStreamIDs {
+		w := at(id)
+		if p.staleness > 0 && maxW-w > p.staleness {
+			degraded = append(degraded, id)
+			continue
+		}
+		live = min(live, w)
+	}
+	p.degradedBuf = degraded
+	return live, maxW, degraded
+}
+
+// batchCantFire reports whether consuming the batch — src's arrival
+// watermark stepping through arrivals — cannot release any query
 // boundary, in which case ProcessBatch may skip the per-row fireDue
-// walk. The check is conservative: it bounds the effective watermark
-// from above by giving src its final value and excluding the maximal
-// possible degraded set (degradation only ever excludes the laggards,
-// which raises the minimum). Degradation state itself is recomputed
-// from the current watermarks on every fireDue call, so skipping the
-// interim recomputations is unobservable.
-func (p *rtecProcessor) batchCantFire(src string, last int64) bool {
+// walk. Within the batch only src's watermark moves. If it only rises, a
+// rising src can leave the degraded set but not join it; while it is
+// excluded the live minimum is the one the previous fireDue exhausted,
+// and once it is included the other streams' exclusions only grow with
+// the maximum — so the minimum the last row leaves behind bounds every
+// interim one from above. A multi-row batch that starts behind its
+// stream's watermark (a late re-delivery) is walked: the step backwards
+// can degrade src itself and release a boundary the last row would not.
+func (p *rtecProcessor) batchCantFire(src string, arrivals []int64) bool {
 	if p.nextQ > p.until {
 		return true // no boundaries left; Flush owns the leftovers
 	}
-	maxW := Time(last)
-	for id, w := range p.watermarks {
-		if id != src && w > maxW {
-			maxW = w
-		}
+	n := len(arrivals)
+	if n > 1 && Time(arrivals[0]) < p.watermarks[src] {
+		return false
 	}
-	watermark := Time(0)
-	first := true
-	for id, w := range p.watermarks {
-		if id == src {
-			w = Time(last)
-		}
-		if p.staleness > 0 && maxW-w > p.staleness {
-			continue
-		}
-		if first || w < watermark {
-			watermark, first = w, false
-		}
-	}
-	if first {
-		return false // every stream excluded; let fireDue decide
-	}
-	return watermark <= p.nextQ
+	live, _, _ := p.liveWatermark(src, Time(arrivals[n-1]))
+	return live <= p.nextQ
 }
 
 // fireDue evaluates every query boundary the minimum arrival watermark
@@ -494,40 +523,7 @@ func (p *rtecProcessor) batchCantFire(src string, last int64) bool {
 // queue (modulo degraded streams, whose lateness is flagged on the
 // report instead of withholding it).
 func (p *rtecProcessor) fireDue(ctx context.Context) error {
-	// The liveness rule: a stream trailing the most advanced one by
-	// more than the staleness bound is degraded and excluded from the
-	// minimum; it rejoins as soon as its watermark catches back up.
-	maxW := Time(0)
-	first := true
-	for _, w := range p.watermarks {
-		if first || w > maxW {
-			maxW, first = w, false
-		}
-	}
-	if p.staleness > 0 {
-		for id, w := range p.watermarks {
-			if maxW-w > p.staleness {
-				p.degraded[id] = true
-			} else {
-				delete(p.degraded, id)
-			}
-		}
-	}
-	watermark := Time(0)
-	first = true
-	for id, w := range p.watermarks {
-		if p.degraded[id] {
-			continue
-		}
-		if first || w < watermark {
-			watermark, first = w, false
-		}
-	}
-	var degradedIDs []string
-	for id := range p.degraded {
-		degradedIDs = append(degradedIDs, id)
-	}
-	sort.Strings(degradedIDs)
+	watermark, maxW, degraded := p.liveWatermark("", 0)
 	// Strictly greater: with equal arrival timestamps the merge queue
 	// may still hold a sibling item stamped exactly at the boundary.
 	for p.nextQ <= p.until && watermark > p.nextQ {
@@ -542,7 +538,7 @@ func (p *rtecProcessor) fireDue(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		rep.DegradedStreams = append([]string(nil), degradedIDs...)
+		rep.DegradedStreams = append([]string(nil), degraded...)
 		rep.WatermarkLag = maxW - q
 		p.due = append(p.due, streams.Item{itemReport: rep})
 		if p.durable != nil {

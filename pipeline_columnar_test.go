@@ -80,8 +80,9 @@ func rowEvent(b *streams.Batch, i int) rtec.Event {
 // eventReference is the per-event statement of what the pipeline must
 // recognise; the system itself moves SDEs only as column blocks. Every
 // consumed row is materialized as a
-// map-backed event, waits until the strict arrival watermark (the
-// minimum over the five streams, no staleness bound) passes a query
+// map-backed event, waits until the arrival watermark (the minimum over
+// the five streams, less those trailing the most advanced one by more
+// than the system's staleness bound, if it has one) passes a query
 // boundary, and is then handed to the engines one event at a time
 // through engineTier.Input — the entry point the crowd verdict uses —
 // before the boundary is evaluated with the crowd loop inline, as the
@@ -125,8 +126,15 @@ func (r *eventReference) finish() []*Report {
 
 func (r *eventReference) fireDue() {
 	r.t.Helper()
-	watermark := r.watermarks[pipelineStreamIDs[0]]
+	maxW := r.watermarks[pipelineStreamIDs[0]]
 	for _, w := range r.watermarks {
+		maxW = max(maxW, w)
+	}
+	watermark := maxW
+	for _, w := range r.watermarks {
+		if stale := r.sys.cfg.WatermarkStaleness; stale > 0 && maxW-w > stale {
+			continue // degraded: not part of the minimum
+		}
 		watermark = min(watermark, w)
 	}
 	for ; r.nextQ <= r.until && watermark > r.nextQ; r.nextQ += r.sys.cfg.Step {
@@ -167,11 +175,30 @@ func batchSources(collected []dublin.BatchedStream) []streams.Source {
 	return srcs
 }
 
-// drainMerged reads the sources to exhaustion through one deterministic
-// single-threaded merge — always the batch with the smallest head
-// arrival, ties by source order — handing each batch to fn, which owns
-// it. It returns the number of rows delivered.
+// earliestHead picks the batch with the smallest head arrival, ties by
+// source order (-1 when every stream is exhausted): the deterministic
+// merge.
+func earliestHead(heads []*streams.Batch) int {
+	pick := -1
+	for i, b := range heads {
+		if b != nil && (pick < 0 || b.Arrivals[0] < heads[pick].Arrivals[0]) {
+			pick = i
+		}
+	}
+	return pick
+}
+
+// drainMerged is drainPicked through the deterministic merge.
 func drainMerged(t *testing.T, srcs []streams.Source, fn func(b *streams.Batch)) int {
+	t.Helper()
+	return drainPicked(t, srcs, earliestHead, fn)
+}
+
+// drainPicked reads the sources to exhaustion through one
+// single-threaded interleaving — pick chooses among the streams' head
+// batches (nil once a stream is exhausted) — handing each batch to fn,
+// which owns it. It returns the number of rows delivered.
+func drainPicked(t *testing.T, srcs []streams.Source, pick func(heads []*streams.Batch) int, fn func(b *streams.Batch)) int {
 	t.Helper()
 	heads := make([]*streams.Batch, len(srcs))
 	advance := func(i int) {
@@ -197,19 +224,14 @@ func drainMerged(t *testing.T, srcs []streams.Source, fn func(b *streams.Batch))
 	}
 	rows := 0
 	for {
-		pick := -1
-		for i, b := range heads {
-			if b != nil && (pick < 0 || b.Arrivals[0] < heads[pick].Arrivals[0]) {
-				pick = i
-			}
-		}
-		if pick < 0 {
+		i := pick(heads)
+		if i < 0 {
 			return rows
 		}
-		b := heads[pick]
+		b := heads[i]
 		rows += b.Len()
 		fn(b)
-		advance(pick)
+		advance(i)
 	}
 }
 
@@ -367,8 +389,31 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 		srcs[i] = injectors[i]
 	}
 
-	proc := newRTECProcessor(chaosTestSystem(t, city, nil), from, until)
-	ref := newEventReference(t, chaosTestSystem(t, city, nil), from, until)
+	procReports := processorVsReference(t, "delay chaos block admission vs per-event reference",
+		func() *System { return chaosTestSystem(t, city, nil) }, from, until, srcs, earliestHead)
+	if len(procReports) == 0 {
+		t.Fatal("no reports produced")
+	}
+	delayed := 0
+	for _, cs := range injectors {
+		delayed += cs.Stats().Delayed
+	}
+	if delayed == 0 {
+		t.Fatal("no rows were re-ordered: delay injection inert")
+	}
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: delayed buffers not returned to the pool", live, before)
+	}
+}
+
+// processorVsReference drives a monitoring processor (block cursors)
+// and the per-event reference, each over its own system from mk, through
+// the same consumption sequence, and holds the processor's reports to
+// the reference's, report for report. It returns the processor's.
+func processorVsReference(t *testing.T, label string, mk func() *System, from, until Time, srcs []streams.Source, pick func([]*streams.Batch) int) []*Report {
+	t.Helper()
+	proc := newRTECProcessor(mk(), from, until)
+	ref := newEventReference(t, mk(), from, until)
 	var procReports []*Report
 	collect := func(items []streams.Item) {
 		for _, it := range items {
@@ -379,7 +424,7 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 			procReports = append(procReports, rep)
 		}
 	}
-	faulted := drainMerged(t, srcs, func(b *streams.Batch) {
+	rows := drainPicked(t, srcs, pick, func(b *streams.Batch) {
 		// The reference first: it materializes the rows before the
 		// processor consumes (and eventually releases) the batch.
 		ref.consume(b)
@@ -389,27 +434,14 @@ func TestColumnarChaosDelayRoundTrip(t *testing.T) {
 		}
 		collect(outs)
 	})
-	if faulted == 0 {
-		t.Fatal("no rows survived fault injection")
+	if rows == 0 {
+		t.Fatalf("%s: no rows survived fault injection", label)
 	}
-	delayed := 0
-	for _, cs := range injectors {
-		delayed += cs.Stats().Delayed
-	}
-	if delayed == 0 {
-		t.Fatal("no rows were re-ordered: delay injection inert")
-	}
-
 	flushed, err := proc.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
 	collect(flushed)
-	if len(procReports) == 0 {
-		t.Fatal("no reports produced")
-	}
-	compareReports(t, "delay chaos block admission vs per-event reference", procReports, ref.finish())
-	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: delayed buffers not returned to the pool", live, before)
-	}
+	compareReports(t, label, procReports, ref.finish())
+	return procReports
 }

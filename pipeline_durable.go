@@ -301,28 +301,17 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 			watermark: p.watermarks[id],
 		})
 	}
-	// Consumed-but-unadmitted rows, re-encoded as mini-batches in exact
-	// pending order (consecutive rows of one retained batch coalesce):
-	// restoring them re-creates the pending set row for row.
-	var run *streams.Batch
-	var runPB *pendingBlock
-	flushRun := func() {
-		if run == nil {
-			return
+	// Consumed-but-unadmitted rows, each retained block's [next, consumed)
+	// re-encoded as a mini-batch, in pending order: restoring them
+	// re-creates the pending set row for row.
+	for _, pb := range p.adm.blocks {
+		run := streams.GetBatch(pb.batch.Type, pb.batch.Source)
+		for r := pb.next; r < pb.consumed; r++ {
+			run.AppendRowFrom(pb.batch, r)
 		}
 		ck.pendingBatches = append(ck.pendingBatches, wal.EncodeBatch(nil, run))
 		run.Release()
-		run = nil
 	}
-	for _, ref := range p.adm.rows {
-		if run == nil || ref.pb != runPB {
-			flushRun()
-			runPB = ref.pb
-			run = streams.GetBatch(ref.pb.batch.Type, ref.pb.batch.Source)
-		}
-		run.AppendRowFrom(ref.pb.batch, int(ref.row))
-	}
-	flushRun()
 	for sensor, tr := range s.lastTraffic {
 		ck.traffic = append(ck.traffic, trafficSnap{sensor: sensor, vertex: tr.vertex, flow: tr.flow, t: tr.t})
 	}
@@ -423,7 +412,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 			if err != nil {
 				return fail(fmt.Errorf("insight: checkpoint pending batch: %w", err))
 			}
-			proc.adm.push(retainBatch(b), 0, b.Len())
+			proc.adm.retain(b, b.Len())
 		}
 		for _, blob := range ck.reports {
 			rep := &Report{}

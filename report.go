@@ -145,7 +145,7 @@ func (s *System) prime(batched []dublin.BatchedStream) {
 	s.adm.release()
 	for _, bs := range batched {
 		for _, b := range bs.Batches {
-			s.adm.push(retainBatch(b), 0, b.Len())
+			s.adm.retain(b, b.Len())
 		}
 	}
 	s.primed = true
@@ -370,75 +370,6 @@ func holdingKeys(r *rtec.Result, fluent string, q Time) []string {
 		if kv.Value == rtec.TrueValue && insts[kv].Contains(q) {
 			out = append(out, kv.Key)
 		}
-	}
-	return out
-}
-
-// MergeReports aggregates per-shard (or per-site) reports for the same
-// query time into one operator view: CE key sets become sorted unions,
-// engine statistics are summed (Elapsed: max — shards evaluate in
-// parallel), WatermarkLag is the max over shards (the boundary is only
-// as fresh as the slowest site), DegradedStreams is the sorted union,
-// and FedEvents sum. Nil reports are skipped; returns nil when nothing
-// remains. Alerts, CrowdRounds and Result are concatenation-free
-// tier-level concerns and stay empty on the merged view.
-func MergeReports(reports []*Report) *Report {
-	var out *Report
-	degraded := make(map[string]bool)
-	union := func(dst *[]string, src []string) {
-		m := make(map[string]bool, len(*dst)+len(src))
-		for _, k := range *dst {
-			m[k] = true
-		}
-		for _, k := range src {
-			m[k] = true
-		}
-		merged := make([]string, 0, len(m))
-		for k := range m {
-			merged = append(merged, k)
-		}
-		sort.Strings(merged)
-		*dst = merged
-	}
-	for _, r := range reports {
-		if r == nil {
-			continue
-		}
-		if out == nil {
-			out = &Report{Q: r.Q, Window: r.Window}
-		}
-		union(&out.CongestedIntersections, r.CongestedIntersections)
-		union(&out.BusCongestionAreas, r.BusCongestionAreas)
-		union(&out.Disagreements, r.Disagreements)
-		union(&out.CongestionWarnings, r.CongestionWarnings)
-		union(&out.UnusualCongestion, r.UnusualCongestion)
-		union(&out.NoisyBuses, r.NoisyBuses)
-		for _, d := range r.DegradedStreams {
-			degraded[d] = true
-		}
-		if r.WatermarkLag > out.WatermarkLag {
-			out.WatermarkLag = r.WatermarkLag
-		}
-		out.Stats.InputEvents += r.Stats.InputEvents
-		out.Stats.DerivedEvents += r.Stats.DerivedEvents
-		out.Stats.FluentPeriods += r.Stats.FluentPeriods
-		out.Stats.AllocBytes += r.Stats.AllocBytes
-		out.Stats.ResidentBytes += r.Stats.ResidentBytes
-		out.Stats.EvalGoroutines += r.Stats.EvalGoroutines
-		if r.Stats.Elapsed > out.Stats.Elapsed {
-			out.Stats.Elapsed = r.Stats.Elapsed
-		}
-		out.FedEvents += r.FedEvents
-	}
-	if out == nil {
-		return nil
-	}
-	if len(degraded) > 0 {
-		out.DegradedStreams = make([]string, 0, len(degraded))
-		for d := range degraded {
-			out.DegradedStreams = append(out.DegradedStreams, d)
-		}
-		sort.Strings(out.DegradedStreams)
 	}
 	return out
 }

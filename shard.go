@@ -81,7 +81,8 @@ type shardTier struct {
 	busPrev map[rtec.KV]rtec.List
 
 	// keyLoad counts routed move events per bus key since the last
-	// completed skew check — the deterministic rebalance signal.
+	// completed skew check — the deterministic rebalance signal. Empty
+	// while automatic rebalancing is off.
 	keyLoad map[string]int
 	// factor triggers a rebalance when the loaded shard exceeds
 	// factor × average routed moves; <= 0 disables automatic
@@ -157,7 +158,9 @@ func (t *shardTier) rebuildSensorOwner() {
 func (t *shardTier) Input(events ...rtec.Event) error {
 	for _, ev := range events {
 		if ev.Type == traffic.MoveType {
-			t.keyLoad[ev.Key]++
+			if t.balancing() {
+				t.keyLoad[ev.Key]++
+			}
 			if err := t.shards[t.assign.Shard(ev.Key)].Input(ev); err != nil {
 				return err
 			}
@@ -190,9 +193,12 @@ func (t *shardTier) InputBlockRows(b *rtec.Block, rows []int32) error {
 	for i := range t.scratch {
 		t.scratch[i] = t.scratch[i][:0]
 	}
+	counting := t.balancing()
 	route := func(r int32) {
 		key := b.Key(int(r))
-		t.keyLoad[key]++
+		if counting {
+			t.keyLoad[key]++
+		}
 		i := t.assign.Shard(key)
 		t.scratch[i] = append(t.scratch[i], r)
 	}
@@ -350,6 +356,12 @@ func (t *shardTier) foldFresh(q Time, results []*rtec.Result) {
 	t.seen.Prune(q - t.wm)
 }
 
+// balancing reports whether automatic rebalancing is on. Only then are
+// routed moves counted: maybeRebalance is keyLoad's one reader and the
+// one place that clears it, so counting without it would grow the map
+// (and every checkpoint's load section) with every bus key ever seen.
+func (t *shardTier) balancing() bool { return t.factor > 0 && len(t.shards) > 1 }
+
 // maybeRebalance runs the deterministic skew check: once at least
 // minMoves moves have been routed since the last check, and the most
 // loaded shard exceeds factor × the average, the hottest keys migrate
@@ -357,7 +369,7 @@ func (t *shardTier) foldFresh(q Time, results []*rtec.Result) {
 // Driven purely by routed-event counts — never wall-clock — so the
 // same input stream rebalances identically on every run.
 func (t *shardTier) maybeRebalance() error {
-	if t.factor <= 0 || len(t.shards) < 2 {
+	if !t.balancing() {
 		return nil
 	}
 	total := 0

@@ -487,6 +487,35 @@ func TestShardTierElapsed(t *testing.T) {
 	}
 }
 
+// TestShardKeyLoadOffWithoutRebalancing: with automatic rebalancing off
+// nothing reads (or clears) the per-key routed-move counts, so none may
+// be kept — not in the tier, not in its snapshot's load section, which
+// every checkpoint carries.
+func TestShardKeyLoadOffWithoutRebalancing(t *testing.T) {
+	const from = Time(7 * 3600)
+	sys, err := New(Config{City: testCity(t), Seed: 7, WorkingMemory: 1800, Step: 900, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := 0
+	err = sys.Run(context.Background(), from, from+2*900, func(r *Report) error {
+		fed += r.FedEvents
+		return nil
+	})
+	if err != nil || fed == 0 {
+		t.Fatalf("two-boundary run fed %d SDEs (err=%v)", fed, err)
+	}
+	tier := sys.engines.(*shardTier)
+	if len(tier.keyLoad) != 0 {
+		t.Errorf("keyLoad holds %d keys with RebalanceFactor 0", len(tier.keyLoad))
+	}
+	for _, fs := range tier.stateSnapshot().Prev {
+		if fs.Name == tierSnapLoad && len(fs.Instances) != 0 {
+			t.Errorf("snapshot load section carries %d instances with RebalanceFactor 0", len(fs.Instances))
+		}
+	}
+}
+
 // TestShardRebalanceCounterSurvivesRestore pins the fix for a snapshot
 // drift caught by the snapshotdrift analyzer: shardTier.rebalances was
 // documented as captured but never serialized, so a restored tier
