@@ -62,24 +62,28 @@ lint-json:
 # over the row store (the named reference) and the checkpoint file
 # against its bytes-per-stored-input-SDE budget (the race detector
 # inflates allocation counts, so those gates run in a separate non-race
-# pass), re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
+# pass; gp's PredictAll is held to a constant number of slices there
+# too — the mean is a gather and one product, not a solve per vertex),
+# re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
 # both-store grid under chaos — CE sets, events, every fluent's
 # intervals and the derived/period counts against the single engine —
 # the mid-run rebalance determinism tests, the tier snapshot round-trip,
 # the tier's elapsed-time accounting and the no-load-counts-while-
 # rebalancing-is-off bound; the race pass above already
 # exercises them under the race scheduler), and finish with a short
-# fuzz pass over the factorization/solve, WAL-decode, store block-merge,
-# shard-assignment, engine-snapshot-decode, checkpoint-decode (format 3
-# seed corpus) and close/4 spatial-index targets.
+# fuzz pass over the factorization/solve, GP-fit ("error or all-finite
+# estimates"), WAL-decode, store block-merge, shard-assignment,
+# engine-snapshot-decode, checkpoint-decode (format 3 seed corpus) and
+# close/4 spatial-index targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
-	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 .
+	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardKeyLoadOffWithoutRebalancing' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
+	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
@@ -108,9 +112,10 @@ bench-rtec:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4_EventRecognition|BenchmarkStepRatio|BenchmarkSustainedIngest' \
 		-count=5 -timeout 60m -json . | tee BENCH_rtec.json
 
-# The GP linalg benches (kernel build, fit, predict-all, grid search at
-# n≈512, serial reference vs blocked/parallel kernels), 5 repetitions,
-# as a JSON event stream for later comparison.
+# The GP linalg benches (kernel build, fit, predict-all = the mean path,
+# predict = mean + variance, grid search at n≈512, serial reference vs
+# blocked/parallel kernels), 5 repetitions, as a JSON event stream for
+# later comparison.
 bench-gp:
 	$(GO) test -run '^$$' -bench 'BenchmarkGP_' -benchtime 1x \
 		-count=5 -json ./gp | tee BENCH_gp.json
@@ -129,13 +134,15 @@ loc:
 	@find . -name '*.go' -not -path '*/testdata/*' -name '*_test.go' | xargs cat | wc -l | xargs echo "test Go lines:    "
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
-# in internal/linalg/testdata/fuzz, WAL frame/codec regressions in
+# in internal/linalg/testdata/fuzz, GP-fit regressions in
+# gp/testdata/fuzz, WAL frame/codec regressions in
 # streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
 # regressions in rtec/testdata/fuzz and testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, as permanent corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
+	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec

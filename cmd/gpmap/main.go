@@ -81,8 +81,11 @@ func main() {
 		_, flow := city.SensorReading(s, at)
 		perVertex[s.Vertex] = append(perVertex[s.Vertex], flow)
 	}
+	// In sensor order, not map order: the grid search's fold assignment
+	// is a seeded permutation of this slice.
 	var obs []gp.Observation
-	for v, flows := range perVertex {
+	for _, v := range sensorVertices {
+		flows := perVertex[v]
 		var sum float64
 		for _, f := range flows {
 			sum += f

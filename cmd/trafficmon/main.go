@@ -126,11 +126,19 @@ func main() {
 	}
 
 	enc := json.NewEncoder(os.Stdout)
+	// The flow picture uses the crowd verdicts as pseudo-readings, as the
+	// benchmark's operator workload does. A failure leaves the last map
+	// on the dashboard and is logged once per distinct message.
+	flowCfg := insight.MapConfig{Alpha: 2, Beta: 1, SensorNoise: 2500, CrowdNoise: 1e4}
+	flowErrs := make(map[string]bool)
 	handle := func(r *insight.Report) error {
 		if dash != nil {
 			dash.Update(r)
-			if flows, err := sys.SparsityMap(2, 1, 2500); err == nil {
+			if flows, err := sys.FlowMap(flowCfg); err == nil {
 				dash.UpdateFlows(flows)
+			} else if !flowErrs[err.Error()] {
+				flowErrs[err.Error()] = true
+				log.Printf("flow map: %v", err)
 			}
 			time.Sleep(*pace)
 		}

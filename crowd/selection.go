@@ -1,8 +1,11 @@
 package crowd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,6 +32,11 @@ type Participant struct {
 type Roster struct {
 	mu           sync.RWMutex
 	participants map[string]Participant
+	// online is the ID-sorted view Online hands out copies of; nil
+	// after Register, SetLocation or SetOnline until the next Online
+	// rebuilds it. The roster changes rarely and is read once per
+	// crowdsourcing round.
+	online []Participant
 }
 
 // NewRoster returns an empty roster.
@@ -44,6 +52,7 @@ func (r *Roster) Register(p Participant) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.participants[p.ID] = p
+	r.online = nil
 	return nil
 }
 
@@ -57,6 +66,7 @@ func (r *Roster) SetLocation(id string, pos geo.Point) error {
 	}
 	p.Pos = pos
 	r.participants[id] = p
+	r.online = nil
 	return nil
 }
 
@@ -70,6 +80,7 @@ func (r *Roster) SetOnline(id string, online bool) error {
 	}
 	p.Online = online
 	r.participants[id] = p
+	r.online = nil
 	return nil
 }
 
@@ -82,18 +93,21 @@ func (r *Roster) Get(id string) (Participant, bool) {
 }
 
 // Online returns the currently reachable participants, sorted by ID
-// for determinism.
+// for determinism. The slice is the caller's: a Selection may reorder
+// or truncate it.
 func (r *Roster) Online() []Participant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Participant, 0, len(r.participants))
-	for _, p := range r.participants {
-		if p.Online {
-			out = append(out, p)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.online == nil {
+		r.online = make([]Participant, 0, len(r.participants))
+		for _, p := range r.participants {
+			if p.Online {
+				r.online = append(r.online, p) //lint:allow hotalloc presized; runs only after a mutator dropped the view
+			}
 		}
+		slices.SortFunc(r.online, func(a, b Participant) int { return strings.Compare(a.ID, b.ID) })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return slices.Clone(r.online)
 }
 
 // Len returns the number of registered participants.
@@ -118,34 +132,53 @@ func SelectAll(candidates []Participant, _ geo.Point) []Participant {
 }
 
 // SelectNearest returns a policy that picks the k participants closest
-// to the disagreement location, optionally restricted to maxMeters
-// (0 = no distance bound).
+// to the disagreement location, nearest first and ties by ID,
+// optionally restricted to maxMeters (0 = no distance bound). With
+// k > 0 it keeps a sorted shortlist of k while it scans instead of
+// sorting every candidate.
 func SelectNearest(k int, maxMeters float64) Selection {
 	return func(candidates []Participant, taskPos geo.Point) []Participant {
 		type scored struct {
-			p Participant
 			d float64
+			i int // index into candidates
 		}
-		eligible := make([]scored, 0, len(candidates))
-		for _, p := range candidates {
-			d := geo.Distance(p.Pos, taskPos)
-			if maxMeters > 0 && d > maxMeters {
+		order := func(a, b scored) int {
+			if c := cmp.Compare(a.d, b.d); c != 0 {
+				return c
+			}
+			return strings.Compare(candidates[a.i].ID, candidates[b.i].ID)
+		}
+		limit := len(candidates)
+		if k > 0 && k < limit {
+			limit = k
+		}
+		best := make([]scored, 0, limit)
+		for i := range candidates {
+			s := scored{d: geo.Distance(candidates[i].Pos, taskPos), i: i} //lint:allow hotalloc a two-word value on the stack
+			if maxMeters > 0 && s.d > maxMeters {
 				continue
 			}
-			eligible = append(eligible, scored{p, d})
-		}
-		sort.Slice(eligible, func(i, j int) bool {
-			if eligible[i].d != eligible[j].d { //lint:allow floateq exact compare inside a comparator: any consistent order is correct, ties fall through to ID
-				return eligible[i].d < eligible[j].d
+			if k <= 0 {
+				best = append(best, s) //lint:allow hotalloc presized to len(candidates)
+				continue
 			}
-			return eligible[i].p.ID < eligible[j].p.ID
-		})
-		if k > 0 && len(eligible) > k {
-			eligible = eligible[:k]
+			if len(best) == limit {
+				if order(s, best[limit-1]) >= 0 {
+					continue
+				}
+				best = best[:limit-1]
+			}
+			at, _ := slices.BinarySearchFunc(best, s, order)
+			best = append(best, s) //lint:allow hotalloc len < limit = cap: cannot grow
+			copy(best[at+1:], best[at:])
+			best[at] = s
 		}
-		out := make([]Participant, len(eligible))
-		for i, s := range eligible {
-			out[i] = s.p
+		if k <= 0 {
+			slices.SortFunc(best, order)
+		}
+		out := make([]Participant, len(best))
+		for i, s := range best {
+			out[i] = candidates[s.i]
 		}
 		return out
 	}

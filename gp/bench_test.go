@@ -9,7 +9,8 @@ import (
 )
 
 // The GP performance benches behind `make bench-gp` (BENCH_gp.json):
-// kernel build, fit, predict-all and grid search at city scale
+// kernel build, fit, predict-all (the mean path: what FlowMap pays),
+// predict (mean + variance, the opt-in path) and grid search at city scale
 // (n≈512 street-graph vertices), each in two modes —
 //
 //	serial:   Options{Reference: true} + Workers 1, the seed's naive
@@ -80,13 +81,19 @@ func BenchmarkGP_Fit(b *testing.B) {
 	}
 }
 
-func BenchmarkGP_PredictAll(b *testing.B) {
+// benchPredict times one prediction over every vertex of the 520-vertex
+// graph against 260 observed vertices.
+func benchPredict(b *testing.B, predict func(reg *Regression, all []int) error) {
 	g := benchGraph512()
 	kernel, err := RegularizedLaplacian(g, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	obs := benchObservations(g, 2)
+	all := make([]int, g.NumVertices())
+	for i := range all {
+		all[i] = i
+	}
 	for _, m := range benchModes {
 		b.Run(m.name, func(b *testing.B) {
 			prev := linalg.SetDefaultOptions(m.opts)
@@ -97,12 +104,30 @@ func BenchmarkGP_PredictAll(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := reg.PredictAll(); err != nil {
+				if err := predict(reg, all); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkGP_PredictAll is the mean path: one gather, one product.
+func BenchmarkGP_PredictAll(b *testing.B) {
+	benchPredict(b, func(reg *Regression, _ []int) error {
+		_, err := reg.PredictAll()
+		return err
+	})
+}
+
+// BenchmarkGP_Predict adds the variance: a forward and a backward
+// substitution per vertex. Nothing on the product path pays it; the
+// number stays so the cost of asking for it is known.
+func BenchmarkGP_Predict(b *testing.B) {
+	benchPredict(b, func(reg *Regression, all []int) error {
+		_, _, err := reg.Predict(all)
+		return err
+	})
 }
 
 func BenchmarkGP_GridSearch(b *testing.B) {

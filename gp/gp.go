@@ -125,12 +125,13 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("gp: no observations")
 	}
-	if noiseVar <= 0 {
-		return nil, fmt.Errorf("gp: noise variance must be positive, got %v", noiseVar)
+	if !(noiseVar > 0) || math.IsInf(noiseVar, 0) {
+		return nil, fmt.Errorf("gp: noise variance must be positive and finite, got %v", noiseVar)
 	}
 	// Combine duplicate observations of a vertex by inverse-variance
 	// weighting (plain averaging when all noises are equal), validate
-	// indexes and per-observation noises.
+	// indexes, values and per-observation noises: one non-finite reading
+	// would turn every estimate into NaN without an error.
 	type accum struct {
 		weighted  float64 // Σ v/σ²
 		precision float64 // Σ 1/σ²
@@ -140,12 +141,15 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 		if o.Vertex < 0 || o.Vertex >= k.n {
 			return nil, fmt.Errorf("gp: observation vertex %d out of range [0, %d)", o.Vertex, k.n)
 		}
+		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+			return nil, fmt.Errorf("gp: non-finite observation value %v at vertex %d", o.Value, o.Vertex)
+		}
 		ov := o.Noise
 		if ov == 0 {
 			ov = noiseVar
 		}
-		if ov < 0 {
-			return nil, fmt.Errorf("gp: negative observation noise %v at vertex %d", ov, o.Vertex)
+		if !(ov > 0) || math.IsInf(ov, 0) {
+			return nil, fmt.Errorf("gp: observation noise must be positive and finite, got %v at vertex %d", ov, o.Vertex)
 		}
 		a := sums[o.Vertex]
 		if a == nil {
@@ -178,6 +182,9 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	}
 	variance /= float64(len(y))
 	scale := math.Sqrt(variance)
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("gp: observations overflow on standardization (mean %v, variance %v)", mean, variance)
+	}
 	if scale < 1e-12 {
 		scale = 1 // constant observations: keep units as-is
 	}
@@ -210,22 +217,57 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 // Observed returns the observed vertex indexes, sorted.
 func (r *Regression) Observed() []int { return r.observed }
 
-// Predict returns the predictive mean and variance at the given
-// vertices.
-func (r *Regression) Predict(vertices []int) (mean, variance []float64, err error) {
-	mean = make([]float64, len(vertices))
-	variance = make([]float64, len(vertices))
-	cross := make([]float64, len(r.observed))
-	for i, v := range vertices {
+// crossCov gathers K_{V,u}, one contiguous row per requested vertex, in
+// the kernel matrix's own units (Kernel.scale is not applied: callers
+// fold it into one scalar after their products).
+func (r *Regression) crossCov(vertices []int) (*linalg.Matrix, error) {
+	for _, v := range vertices {
 		if v < 0 || v >= r.kernel.n {
-			return nil, nil, fmt.Errorf("gp: vertex %d out of range [0, %d)", v, r.kernel.n)
+			return nil, fmt.Errorf("gp: vertex %d out of range [0, %d)", v, r.kernel.n) //lint:allow hotalloc cold path: the error ends the call
 		}
-		for j, u := range r.observed {
-			cross[j] = r.kernel.At(v, u)
-		}
-		mean[i] = r.mean + r.scale*linalg.Dot(cross, r.alphaVec)
-		sol := r.chol.SolveVec(cross)
-		variance[i] = (r.kernel.At(v, v) - linalg.Dot(cross, sol)) * r.scale * r.scale
+	}
+	return r.kernel.k.Submatrix(vertices, r.observed), nil
+}
+
+// meanFrom maps K_{V,u} to the predictive mean in the observations'
+// units: one matrix–vector product with alphaVec, then one affine map
+// that undoes the kernel scale and the standardization together.
+func (r *Regression) meanFrom(cross *linalg.Matrix) []float64 {
+	mean := cross.MulVec(r.alphaVec)
+	f := r.scale * r.kernel.scale
+	for i, m := range mean {
+		mean[i] = r.mean + f*m
+	}
+	return mean
+}
+
+// Mean returns the predictive mean at the given vertices. It costs one
+// gather and one matrix–vector product, O(|V|·|u|); the variance, which
+// needs a triangular solve per vertex, is Predict's.
+func (r *Regression) Mean(vertices []int) ([]float64, error) {
+	cross, err := r.crossCov(vertices)
+	if err != nil {
+		return nil, err
+	}
+	return r.meanFrom(cross), nil
+}
+
+// Predict returns the predictive mean and variance at the given
+// vertices. The mean is Mean's; the variance adds one forward and one
+// backward substitution per vertex, O(|V|·|u|²) — callers that only
+// read the mean should call Mean.
+func (r *Regression) Predict(vertices []int) (mean, variance []float64, err error) {
+	cross, err := r.crossCov(vertices)
+	if err != nil {
+		return nil, nil, err
+	}
+	mean = r.meanFrom(cross)
+	variance = make([]float64, len(vertices))
+	ks, nu := r.kernel.scale, len(r.observed)
+	for i, v := range vertices {
+		row := cross.Data[i*nu : (i+1)*nu]
+		sol := r.chol.SolveVec(row)
+		variance[i] = (r.kernel.At(v, v) - ks*ks*linalg.Dot(row, sol)) * r.scale * r.scale
 		if variance[i] < 0 {
 			variance[i] = 0 // numerical floor
 		}
@@ -240,8 +282,7 @@ func (r *Regression) PredictAll() ([]float64, error) {
 	for i := range vertices {
 		vertices[i] = i
 	}
-	mean, _, err := r.Predict(vertices)
-	return mean, err
+	return r.Mean(vertices)
 }
 
 // GridSearchResult is the outcome of a hyperparameter search.
@@ -353,7 +394,7 @@ func GridSearchWith(g *citygraph.Graph, obs []Observation, alphas, betas []float
 				unitErr[ai][f] = err
 				return
 			}
-			mean, _, err := reg.Predict(vertices)
+			mean, err := reg.Mean(vertices)
 			if err != nil {
 				unitErr[ai][f] = err
 				return

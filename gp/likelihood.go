@@ -95,7 +95,7 @@ func trainRMSE(k *Kernel, obs []Observation, noiseVar float64) float64 {
 		vertices = append(vertices, v)
 	}
 	sort.Ints(vertices)
-	mean, _, err := reg.Predict(vertices)
+	mean, err := reg.Mean(vertices)
 	if err != nil {
 		return math.Inf(1)
 	}

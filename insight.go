@@ -305,12 +305,20 @@ func parseQueryTime(id string) (Time, bool) {
 }
 
 // noteTraffic tracks the latest reading per sensor for the traffic
-// model.
+// model. Rows are admitted in arrival order, so "latest" is decided by
+// event time: a delayed reading does not replace a newer one. A row
+// without a flow attribute is not a reading.
 func (s *System) noteTraffic(e rtec.Event) {
 	v, ok := s.sensorVertex[e.Key]
 	if !ok {
 		return
 	}
-	flow, _ := e.Float("flow")
+	flow, ok := e.Float("flow")
+	if !ok {
+		return
+	}
+	if cur, seen := s.lastTraffic[e.Key]; seen && e.Time < cur.t {
+		return
+	}
 	s.lastTraffic[e.Key] = trafficReading{vertex: v, flow: flow, t: e.Time}
 }

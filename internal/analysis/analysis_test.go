@@ -63,7 +63,8 @@ func render(diags []Diagnostic) string {
 // goldenCases maps each analyzer to its fixture directory and the
 // import path it is loaded under. The import paths for nodeterminism,
 // hotalloc and durorder end in suffixes that match those analyzers'
-// package gates ("rtec", "internal/linalg", "traffic", "wal"). A case may run a
+// package gates ("rtec", "internal/linalg", "traffic", "crowd", "gp",
+// "wal"). A case may run a
 // wider analyzer set than the one it is named for: stalelint only
 // judges rules whose analyzers ran, so its golden runs All.
 var goldenCases = []struct {
@@ -80,6 +81,8 @@ var goldenCases = []struct {
 	{HotAlloc, "hotalloc_convert", "fixture/dublin", nil},
 	{HotAlloc, "hotalloc_colstore", "fixture/colstore/rtec", nil},
 	{HotAlloc, "hotalloc_rules", "fixture/traffic", nil},
+	{HotAlloc, "hotalloc_crowd", "fixture/crowd", nil},
+	{HotAlloc, "hotalloc_gp", "fixture/gp", nil},
 	{FloatEq, "floateq", "fixture/floateq", nil},
 	{LockCopy, "lockcopy", "fixture/lockcopy", nil},
 	{ItemAlias, "itemalias", "fixture/itemalias", nil},

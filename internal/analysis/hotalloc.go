@@ -18,6 +18,24 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 	"rtec":            regexp.MustCompile(`^(window|windowForKey|sliceSpan|trimBefore|evict|dirtyFloor|insertSorted|dot4|rows|rowsForKey|countInSpan|idBounds|trimIDs)$`),
 }
 
+// perCallFuncs maps packages to the functions whose cost is paid whole
+// on every report or crowdsourcing round: gp's predictive mean is a
+// gather and one product — nothing allocated per vertex; crowd's roster
+// view and nearest-k policy run hundreds of times a boundary — nothing
+// allocated per candidate, and no reflective sort. Unlike the kernel
+// rule these hold at every loop depth (the per-vertex loop of a
+// predictor is an outer loop), closures the function returns included.
+var perCallFuncs = map[string]*regexp.Regexp{
+	"gp":    regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll)$`),
+	"crowd": regexp.MustCompile(`^(Online|SelectNearest)$`),
+}
+
+// reflectiveSorts are the package sort entry points that order through
+// reflection (Slice*) or an interface value (Sort, Stable): three
+// quarters of a crowdsourcing round before the roster kept its view
+// sorted.
+var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort": true, "Stable": true}
+
 // batchPathFuncs maps packages to the functions forming the columnar
 // batch path: the row loops whose whole point is that no per-event map
 // is ever built — in the root package also the sharded tier's fold loops
@@ -68,6 +86,10 @@ var itemMaterializers = map[string]bool{
 // see. Cold paths inside a hot loop (error/panic construction) are
 // fine — annotate them with //lint:allow hotalloc and a justification.
 //
+// In per-call functions (perCallFuncs) the same allocation sites are
+// flagged in every loop body, and a reflective package-sort call
+// (sort.Slice and friends) anywhere in the function.
+//
 // On the columnar batch path (batchPathFuncs) it additionally flags
 // per-row map construction and Item/Event materialization calls at any
 // loop depth: the zero-allocation contract of batched transport.
@@ -78,7 +100,7 @@ var itemMaterializers = map[string]bool{
 // rule closure delegates to.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, per-row map materialization in batch loops, and per-event attribute maps or key concatenation in rule closures",
+	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, allocations in any loop and reflective sorts in per-call functions, per-row map materialization in batch loops, and per-event attribute maps or key concatenation in rule closures",
 	Run:  runHotAlloc,
 }
 
@@ -86,21 +108,10 @@ func runHotAlloc(pass *Pass) {
 	if pkgMatches(pass.Pkg.Path, ruleClosurePkgs) {
 		checkRuleClosures(pass)
 	}
-	var hotRe *regexp.Regexp
-	for suffix, re := range hotPathFuncs {
-		if pkgMatches(pass.Pkg.Path, []string{suffix}) {
-			hotRe = re
-			break
-		}
-	}
-	var batchRe *regexp.Regexp
-	for suffix, re := range batchPathFuncs {
-		if pkgMatches(pass.Pkg.Path, []string{suffix}) {
-			batchRe = re
-			break
-		}
-	}
-	if hotRe == nil && batchRe == nil {
+	hotRe := scopeOf(hotPathFuncs, pass.Pkg.Path)
+	batchRe := scopeOf(batchPathFuncs, pass.Pkg.Path)
+	callRe := scopeOf(perCallFuncs, pass.Pkg.Path)
+	if hotRe == nil && batchRe == nil && callRe == nil {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
@@ -116,9 +127,12 @@ func runHotAlloc(pass *Pass) {
 					if body == nil || !innermostLoop(body) {
 						return true
 					}
-					checkHotLoop(pass, name, body)
+					checkHotLoop(pass, "the innermost loop of hot function "+name, body)
 					return true
 				})
+			}
+			if callRe != nil && callRe.MatchString(fd.Name.Name) {
+				checkPerCall(pass, name, fd.Body)
 			}
 			if batchRe != nil && batchRe.MatchString(fd.Name.Name) {
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -130,6 +144,37 @@ func runHotAlloc(pass *Pass) {
 			}
 		}
 	}
+}
+
+// scopeOf returns the function-name pattern scopes holds for the
+// package, or nil.
+func scopeOf(scopes map[string]*regexp.Regexp, importPath string) *regexp.Regexp {
+	for suffix, re := range scopes {
+		if pkgMatches(importPath, []string{suffix}) {
+			return re
+		}
+	}
+	return nil
+}
+
+// checkPerCall reports, in one per-call function, the allocation sites
+// of every loop body and the reflective sorts anywhere.
+func checkPerCall(pass *Pass, fn string, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if obj := calleeObj(pass.Pkg.Info, call); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sort" && reflectiveSorts[obj.Name()] {
+				pass.Reportf(call.Pos(), "sort.%s in per-call function %s orders through reflection or an interface on every call; keep the order or use slices.SortFunc", obj.Name(), fn)
+			}
+		}
+		return true
+	})
+	ast.Inspect(body, func(n ast.Node) bool {
+		if loop := loopBody(n); loop != nil {
+			checkHotLoop(pass, "a loop of per-call function "+fn, loop) // walks the nested loops too
+			return false
+		}
+		return true
+	})
 }
 
 // checkRuleClosures finds the package's rule closures and reports
@@ -324,13 +369,14 @@ func innermostLoop(body *ast.BlockStmt) bool {
 	return !inner
 }
 
-// checkHotLoop reports every allocation site directly inside body.
-func checkHotLoop(pass *Pass, fn string, body *ast.BlockStmt) {
+// checkHotLoop reports every allocation site directly inside body;
+// where names the loop in the message.
+func checkHotLoop(pass *Pass, where string, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
 	walkShallow(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
-			pass.Reportf(n.Pos(), "composite literal allocates in the innermost loop of hot function %s", fn)
+			pass.Reportf(n.Pos(), "composite literal allocates in %s", where)
 			return false // don't re-flag nested literals
 		case *ast.CallExpr:
 			switch {
@@ -339,15 +385,15 @@ func checkHotLoop(pass *Pass, fn string, body *ast.BlockStmt) {
 				// for its argument is the cold path.
 				return false
 			case isBuiltin(info, n, "make"):
-				pass.Reportf(n.Pos(), "make allocates in the innermost loop of hot function %s", fn)
+				pass.Reportf(n.Pos(), "make allocates in %s", where)
 			case isBuiltin(info, n, "append"):
-				pass.Reportf(n.Pos(), "append may grow its backing array in the innermost loop of hot function %s", fn)
+				pass.Reportf(n.Pos(), "append may grow its backing array in %s", where)
 			default:
-				checkBoxing(pass, fn, n)
+				checkBoxing(pass, where, n)
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringType(info.TypeOf(n)) {
-				pass.Reportf(n.Pos(), "string concatenation allocates in the innermost loop of hot function %s", fn)
+				pass.Reportf(n.Pos(), "string concatenation allocates in %s", where)
 			}
 		}
 		return true
@@ -356,7 +402,7 @@ func checkHotLoop(pass *Pass, fn string, body *ast.BlockStmt) {
 
 // checkBoxing flags call arguments that convert a concrete value to an
 // interface parameter — each such conversion may heap-allocate.
-func checkBoxing(pass *Pass, fn string, call *ast.CallExpr) {
+func checkBoxing(pass *Pass, where string, call *ast.CallExpr) {
 	info := pass.Pkg.Info
 	tv, ok := info.Types[call.Fun]
 	if !ok {
@@ -390,6 +436,6 @@ func checkBoxing(pass *Pass, fn string, call *ast.CallExpr) {
 		if _, argIface := at.Type.Underlying().(*types.Interface); argIface {
 			continue
 		}
-		pass.Reportf(arg.Pos(), "interface conversion (boxing) may allocate in the innermost loop of hot function %s", fn)
+		pass.Reportf(arg.Pos(), "interface conversion (boxing) may allocate in %s", where)
 	}
 }

@@ -1,0 +1,62 @@
+// Package hafix exercises the hotalloc scoping of package gp. It is
+// loaded under the import path "fixture/gp", so the mean path —
+// crossCov, meanFrom, Mean, PredictAll — is held to "a gather and one
+// product": nothing allocated per vertex.
+package hafix
+
+type regression struct {
+	observed []int
+	alpha    []float64
+	k        [][]float64
+}
+
+// Mean builds one cross-covariance row per vertex: the per-vertex make
+// is flagged.
+func (r *regression) Mean(vertices []int) []float64 {
+	mean := make([]float64, len(vertices))
+	for i, v := range vertices {
+		cross := make([]float64, len(r.observed))
+		for j, u := range r.observed {
+			cross[j] = r.k[v][u]
+		}
+		mean[i] = dot(cross, r.alpha)
+	}
+	return mean
+}
+
+// PredictAll grows its vertex list inside the loop: flagged.
+func (r *regression) PredictAll() []float64 {
+	var vertices []int
+	for i := range r.k {
+		vertices = append(vertices, i)
+	}
+	return r.Mean(vertices)
+}
+
+// meanFrom is the accepted shape: allocation outside, arithmetic inside.
+func (r *regression) meanFrom(cross [][]float64) []float64 {
+	mean := make([]float64, len(cross))
+	for i, row := range cross {
+		mean[i] = dot(row, r.alpha)
+	}
+	return mean
+}
+
+// Predict is the opt-in variance path, outside the scope: a solve
+// buffer per vertex passes.
+func (r *regression) Predict(vertices []int) []float64 {
+	variance := make([]float64, len(vertices))
+	for i := range vertices {
+		sol := make([]float64, len(r.observed))
+		variance[i] = dot(sol, sol)
+	}
+	return variance
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}

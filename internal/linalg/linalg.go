@@ -197,8 +197,10 @@ func (m *Matrix) Submatrix(rows, cols []int) *Matrix {
 	}
 	out := NewMatrix(len(rows), len(cols))
 	for i, ri := range rows {
+		src := m.Data[ri*m.Cols : (ri+1)*m.Cols]
+		dst := out.Data[i*len(cols) : (i+1)*len(cols)]
 		for j, cj := range cols {
-			out.Set(i, j, m.At(ri, cj))
+			dst[j] = src[cj]
 		}
 	}
 	return out

@@ -19,15 +19,18 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // FlowEstimate is the city-wide traffic picture of Figure 9: the GP
-// predictive mean at every street junction, with the junctions that
-// actually carry sensors listed separately.
+// predictive mean at every street junction, with the junctions the
+// model was conditioned on listed separately.
 type FlowEstimate struct {
 	// Values has one flow estimate per graph vertex.
 	Values []float64
-	// ObservedVertices are the junctions with at least one recent
-	// sensor reading.
+	// ObservedVertices are the junctions with at least one observation:
+	// a sensor's latest reading or, when MapConfig.CrowdNoise > 0, a
+	// crowd verdict's pseudo-reading. Sorted.
 	ObservedVertices []int
-	// Observations is the number of sensor readings used.
+	// Observations is the number of observations used, sensor readings
+	// plus (when MapConfig.CrowdNoise > 0) crowd pseudo-readings, before
+	// readings of the same junction are combined.
 	Observations int
 }
 
