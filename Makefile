@@ -39,15 +39,20 @@ lint-json:
 	$(GO) run ./cmd/insightlint -json
 
 # CI gate: vet everything, run the repo's own analyzer suite (its
-# batch-path rule covers the one admission routine and the sharded
-# tier's fold loops of the root package and the recorded-stream
+# batch-path rule covers the one admission routine, the monitoring
+# processor's boundary step and the sharded tier's fold loops of the
+# root package and the recorded-stream
 # converter of package dublin; snapshotdrift holds every tier field,
 # the tier-owned busCongestion inertia included, to the snapshot/restore
 # path), run the full module under the race detector (engine, rule sets,
 # the partial-fluent fold property, streams supervision/shutdown, batch
 # chaos tests, blocked linalg worker pools, parallel grid search —
-# including the one-admission gates: pipeline ≡ direct loop by full
-# report fingerprint on both tiers, cursor admission ≡ the per-event
+# including the one-loop gates: Run ≡ the per-event reference by full
+# fingerprint on both tiers with crowd rounds on, boundaries due together
+# (a recording that ends early, a dead mediator) each finished before the
+# next with their verdicts fed back, the report callback seeing exactly
+# its boundary, cancellation reaching a crowd round, every way out of a
+# run returning the transport buffers, cursor admission ≡ the per-event
 # reference with drops, duplicates, re-ordered and late delivery,
 # boundary-equal stamps and streams degraded mid-batch, an envelope with
 # decreasing arrivals dead-lettered at the validator, live ≡ replayed ≡
@@ -73,8 +78,10 @@ lint-json:
 # exercises them under the race scheduler), and finish with a short
 # fuzz pass over the factorization/solve, GP-fit ("error or all-finite
 # estimates"), WAL-decode, store block-merge, shard-assignment,
-# engine-snapshot-decode, checkpoint-decode (format 3 seed corpus) and
-# close/4 spatial-index targets.
+# engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
+# close/4 spatial-index and replay-CSV (readers never panic, what they
+# return batches to valid arrival-ordered envelopes or is refused)
+# targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -90,6 +97,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 5s ./traffic
+	$(GO) test -run '^$$' -fuzz FuzzReplayCSV -fuzztime 5s ./dublin
 
 # The chaos harness: the Dublin pipeline under deterministic fault
 # profiles, scored against its own fault-free run.
@@ -104,7 +112,8 @@ bench-recovery:
 	$(GO) run ./cmd/crashbench -out BENCH_recovery.json
 
 # The RTEC performance benches: the Figure 4 sweep and the step-ratio
-# amortization bench (both drive insight.System, the product path; the
+# amortization bench (both time Pipeline.Run over an insight.System, the
+# product path, collection and build outside the timer; the
 # FullRecompute variant is the test-side oracle comparison) and
 # steady-state block ingest into the column store, 5 repetitions, as a
 # JSON event stream for later comparison.
@@ -138,7 +147,8 @@ loc:
 # gp/testdata/fuzz, WAL frame/codec regressions in
 # streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
 # regressions in rtec/testdata/fuzz and testdata/fuzz, spatial-index
-# regressions in traffic/testdata/fuzz, as permanent corpus seeds.
+# regressions in traffic/testdata/fuzz, replay-CSV regressions in
+# dublin/testdata/fuzz, as permanent corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
@@ -149,6 +159,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 10s ./traffic
+	$(GO) test -run '^$$' -fuzz FuzzReplayCSV -fuzztime 10s ./dublin
 
 # Regenerate every figure of the paper's evaluation into ./results.
 figures:

@@ -14,10 +14,8 @@ const transportBatchRows = 512
 // admission is the one way an SDE reaches the engines: retained
 // transport batches wait here, in consumption order, each with a cursor
 // over its arrival-ordered rows, until a query time admits everything
-// that has arrived by it. The monitoring processor retains batches as
-// the merge queue delivers them and admits at each boundary it fires;
-// the direct Step loop retains the whole collection at Start and admits
-// at each Step.
+// that has arrived by it: the monitoring processor retains batches as
+// the merge queue delivers them and admits at each boundary it fires.
 type admission struct {
 	// blocks holds the batches with rows still to admit, in exact
 	// consumption order across streams, so admission files events into

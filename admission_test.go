@@ -152,47 +152,6 @@ func TestLateBatchDegradesItsOwnStream(t *testing.T) {
 	}
 }
 
-// TestDirectLoopCursors: the direct loop's pending set is one entry per
-// retained batch — not per pending row — and is empty after the run,
-// the rows that arrive past the final boundary released with the rest.
-func TestDirectLoopCursors(t *testing.T) {
-	const from, until = Time(7 * 3600), Time(10 * 3600)
-	city := testCity(t)
-	before := streams.LiveBatches()
-	batches, rows := 0, 0
-	for _, bs := range city.CollectBatches(from, until, transportBatchRows, 0) {
-		for _, b := range bs.Batches {
-			batches++
-			rows += b.Len()
-			b.Release()
-		}
-	}
-	sys, err := New(Config{City: city, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Start(from, until)
-	if got := len(sys.adm.blocks); got != batches || rows < 50*batches {
-		t.Fatalf("a primed 3-hour run holds %d pending entries for %d batches of %d rows", got, batches, rows)
-	}
-	fed := 0
-	if err := sys.steps(context.Background(), from, until, func(r *Report) error {
-		fed += r.FedEvents
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if fed == 0 || fed >= rows {
-		t.Errorf("fed %d of %d collected rows: want some, and some arriving past the final boundary", fed, rows)
-	}
-	if len(sys.adm.blocks) != 0 {
-		t.Errorf("%d blocks still retained after the run", len(sys.adm.blocks))
-	}
-	if live := streams.LiveBatches(); live != before {
-		t.Errorf("live batches = %d, want %d: rows past the final boundary were not released", live, before)
-	}
-}
-
 // TestDecreasingArrivalsDeadLettered: arrival order inside an envelope
 // is part of the transport contract the monitoring process relies on. A
 // sixth stream smuggles one bus envelope with its arrivals reversed into

@@ -40,11 +40,12 @@ func benchCity(b *testing.B) *dublin.City {
 	return city
 }
 
-// benchRun drives the product path — an insight.System admitting SDEs
-// by arrival at every Step — over [from, until) once per iteration.
-// Collection happens in Start, outside the timer: the timed region is
-// the run's boundaries (admission + recognition), nothing else. swap,
-// when set, replaces the fresh system's engines before the run.
+// benchRun drives the product path — the Streams pipeline over an
+// insight.System, SDEs admitted by arrival at every query boundary —
+// over [from, until) once per iteration. The pipeline is built, and the
+// window collected, outside the timer: the timed region is Pipeline.Run
+// (transport, admission, recognition), nothing else. swap, when set,
+// replaces the fresh system's engines before the build.
 func benchRun(b *testing.B, cfg Config, from, until Time, swap func(*System) engineTier) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,16 +57,19 @@ func benchRun(b *testing.B, cfg Config, from, until Time, swap func(*System) eng
 		if swap != nil {
 			sys.engines = swap(sys)
 		}
-		sys.Start(from, until)
-		fed := 0
+		pipe, err := sys.BuildPipeline(from, until)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
-		err = sys.steps(context.Background(), from, until, func(r *Report) error {
-			fed += r.FedEvents
-			return nil
-		})
+		reports, err := pipe.Run(context.Background())
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
+		}
+		fed := 0
+		for _, r := range reports {
+			fed += r.FedEvents
 		}
 		b.ReportMetric(float64(fed), "SDEs")
 		b.StartTimer()

@@ -4,10 +4,12 @@
 // and periodic operator reports. Think of it as the demo the paper
 // presents, on a terminal instead of an interactive map.
 //
-// It drives the System's direct Run/RunReplay loop: generated or
-// recorded SDEs enter as column batches, each query time admits the
-// rows that have arrived by it as column blocks, and the engines keep
-// their working memory in the column store (insight.Config's default).
+// System.Run and RunReplay are the Streams pipeline of Section 3:
+// generated or recorded SDEs enter as column batches on the five input
+// streams, each query time fires once every stream's arrival watermark
+// has passed it and admits the rows that have arrived by it, and the
+// report handler runs between boundaries, so the flow map it draws is
+// the system as of the report it is given.
 //
 // Usage:
 //

@@ -135,11 +135,6 @@ type System struct {
 	qeeEngine *qee.Engine
 	roster    *crowd.Roster
 
-	// adm holds the direct Step loop's collected-but-unadmitted rows;
-	// primed says Start or StartReplay filled it.
-	adm    admission
-	primed bool
-
 	lastTraffic  map[string]trafficReading // latest reading per sensor
 	lastCrowd    map[string]crowdReading   // latest verdict per intersection
 	sensorVertex map[string]int            // sensor ID -> graph vertex

@@ -38,15 +38,16 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 
 // batchPathFuncs maps packages to the functions forming the columnar
 // batch path: the row loops whose whole point is that no per-event map
-// is ever built — in the root package also the sharded tier's fold loops
-// over the shards' results, the serial tail of every boundary. Unlike
+// is ever built — in the root package also the monitoring processor's
+// boundary step (fireDue) and the sharded tier's fold loops over the
+// shards' results, the serial tail of every boundary. Unlike
 // the kernel rule above, these are checked at every loop depth — one
 // ItemAt or map construction per row silently reverts the batch path to
 // per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
 	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol|gatherRows|snapshotTypes|restoreType)$`),
-	"insight": regexp.MustCompile(`^(admit|ProcessBatch|foldFresh|foldBusCongestion)$`),
+	"insight": regexp.MustCompile(`^(admit|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
 	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches)$`),
 }
 

@@ -1,9 +1,9 @@
 // Package hafix exercises the hotalloc batch-path scoping of the root
 // package. It is loaded under the import path "fixture/insight", so
-// the admission method admit, ProcessBatch and the sharded tier's fold
-// loops form the batch path: no per-row Event view or attribute map
-// between the transport batches and the engines, nor between the shards'
-// results and the merged one.
+// the admission method admit, ProcessBatch, the boundary step fireDue
+// and the sharded tier's fold loops form the batch path: no per-row
+// Event view or attribute map between the transport batches and the
+// engines, nor between the shards' results and the merged one.
 package hafix
 
 // Event mirrors the engine's event record.
@@ -40,6 +40,18 @@ type processor struct{ adm admission }
 func (p *processor) ProcessBatch(b *Block) {
 	for i := range b.Keys {
 		_ = b.Event(i)
+	}
+}
+
+// fireDue is the boundary step: admission, evaluation and the crowd
+// rounds of each due boundary, in that order. A view Event per admitted
+// row there is flagged like anywhere else on the path.
+func (p *processor) fireDue(due []int) {
+	for range due {
+		p.adm.admit()
+		for _, r := range p.adm.rows {
+			_ = p.adm.blk.Event(int(r))
+		}
 	}
 }
 

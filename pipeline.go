@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/streams"
 )
 
@@ -17,17 +18,19 @@ import (
 //     stream, while the SDEs emitted by vehicle detectors of a SCATS
 //     system are referenced by four streams, one per region of Dublin
 //     city" — five sources feeding one SDE queue;
-//   - an event processing process whose processor embeds the RTEC
-//     engines, triggered by watermark punctuation: a query time fires
-//     once every input stream's arrival clock has passed it, which is
-//     exactly when all SDEs arriving by that query time have been
-//     merged (delayed SDEs are then handled by WM > step as usual);
-//   - a crowdsourcing process whose processor turns fresh disagreement
-//     CEs into participant queries and merges the responses;
+//   - a monitoring process whose processor embeds the RTEC engines,
+//     triggered by watermark punctuation: a query time fires once every
+//     input stream's arrival clock has passed it, which is exactly when
+//     all SDEs arriving by that query time have been merged (delayed
+//     SDEs are then handled by WM > step as usual). Crowdsourcing is
+//     part of that boundary step: the verdicts on q's fresh
+//     disagreements are fed back before q+Step is looked at (Figure 1's
+//     feedback edge), however many boundaries are due at once;
 //   - the traffic modelling procedure registered as a Streams service.
 //
 // Reports flow to the returned collector sink, one item per query time
-// under key "report".
+// under key "report" — or to the callback of System.Run and RunReplay,
+// which build and run this same graph: it is the only drive loop.
 type Pipeline struct {
 	Topology *streams.Topology
 	Reports  *streams.CollectorSink
@@ -37,7 +40,10 @@ type Pipeline struct {
 	// ChaosProcs holds the error-injecting input processors of a chaos
 	// pipeline with InputErrProb > 0, keyed by stream id.
 	ChaosProcs map[string]*streams.ChaosProcessor
-	system     *System
+	// proc is the monitoring processor, replay the five sources under
+	// any pacing and fault injection: Run returns what they still hold.
+	proc   *rtecProcessor
+	replay []*streams.SliceSource
 	// durable is the checkpoint coordinator of a durable pipeline
 	// (nil for BuildPipeline/BuildChaosPipeline).
 	durable *durableRuntime
@@ -78,11 +84,10 @@ type ChaosConfig struct {
 }
 
 // BuildPipeline constructs the Figure 1 data-flow graph over the
-// system for SDEs occurring in [from, until). Run it with
-// Pipeline.Topology.Run; afterwards Pipeline.Reports holds one item
-// per query time.
+// system for SDEs occurring in [from, until). Run it with Pipeline.Run;
+// afterwards Pipeline.Reports holds one item per query time.
 func (s *System) BuildPipeline(from, until Time) (*Pipeline, error) {
-	return s.buildPipeline(from, until, ChaosConfig{}, nil)
+	return s.BuildChaosPipeline(from, until, ChaosConfig{})
 }
 
 // BuildChaosPipeline is BuildPipeline with deterministic fault
@@ -90,15 +95,24 @@ func (s *System) BuildPipeline(from, until Time) (*Pipeline, error) {
 // Pipeline.Chaos exposes the per-stream injectors for fault
 // accounting.
 func (s *System) BuildChaosPipeline(from, until Time, chaos ChaosConfig) (*Pipeline, error) {
-	return s.buildPipeline(from, until, chaos, nil)
+	return s.buildPipeline(from, until, s.collect(from, until), chaos, nil, nil)
 }
 
-func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durableRuntime) (*Pipeline, error) {
+// collect cuts the window's SDEs into the five input streams' batches,
+// spans capped at Step/2 (the pacer slack): at most one query boundary
+// lands inside a batch and punctuation keeps its per-row granularity.
+func (s *System) collect(from, until Time) []dublin.BatchedStream {
+	return s.city.CollectBatches(from, until, transportBatchRows, s.cfg.Step/2)
+}
+
+// buildPipeline wires the graph over the five streams' arrival-ordered
+// batches, which it owns from here on; onReport, when set, takes the
+// reports in place of the operator sink (see rtecProcessor.onReport).
+func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream, chaos ChaosConfig, dur *durableRuntime, onReport func(*Report) error) (*Pipeline, error) {
 	// End-of-stream punctuation: one trailing marker per stream lifts
 	// that stream's watermark past the final boundary as soon as it
-	// ends. Query boundaries that still become due simultaneously at
-	// the very end are drained by the event processor's Flush when the
-	// merge queue is exhausted — no padding heuristic needed.
+	// ends; the monitoring processor's Flush fires what is still due
+	// when the merge queue is exhausted.
 	top := streams.NewTopology()
 	chaosSources := make(map[string]*streams.ChaosSource)
 	// Replay pacing: align the five sources on a shared virtual clock
@@ -118,12 +132,10 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 		// the whole batch within the pacer slack.
 		return b.Arrivals[0], true
 	}
-	// The paper's five input streams, each arrival-ordered. The
-	// generator emits typed batches natively — no per-event map is ever
-	// built on the ingest path; batch spans are capped at Step/2 (the
-	// pacer slack) so at most one query boundary can land inside a batch
-	// and watermark punctuation keeps its per-row granularity.
-	for _, bs := range s.city.CollectBatches(from, until, transportBatchRows, s.cfg.Step/2) {
+	// The paper's five input streams, each arrival-ordered, as typed
+	// batches — no per-event map is ever built on the ingest path.
+	var replay []*streams.SliceSource
+	for _, bs := range batched {
 		id, batches := bs.ID, bs.Batches
 		if dur != nil {
 			// Recovery: the cursors already account for these envelopes —
@@ -146,7 +158,9 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 			items = append(items, streams.BatchItem(b))
 		}
 		items = append(items, streams.Item{itemSource: id, itemEOF: true})
-		var src streams.Source = streams.NewSliceSource(items...)
+		slice := streams.NewSliceSource(items...)
+		replay = append(replay, slice)
+		var src streams.Source = slice
 		if !s.cfg.UnpacedReplay {
 			src = streams.NewPacedSource(src, pacer, id, int64(from), arrivalOf)
 		}
@@ -232,14 +246,9 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 		}
 	}
 
-	// The monitoring process: a sequence of two processors, as in the
-	// Streams idiom of "processes comprise a sequence of processors".
-	// The first embeds the RTEC engines with watermark punctuation and
-	// emits a report item per query boundary; the second is the
-	// crowdsourcing processor — it resolves the fresh disagreements of
-	// each report and feeds the verdicts back into the engines before
-	// the next boundary is evaluated, exactly like the synchronous
-	// loop (and like the paper's feedback edge in Figure 1).
+	// The monitoring process: one processor embedding the RTEC engines
+	// behind watermark punctuation; crowd rounds and their feedback are
+	// part of its boundary step (fireDue).
 	rtecProc := newRTECProcessor(s, from, until)
 	if dur != nil {
 		// The durable processor already exists: recovery restored its
@@ -247,21 +256,8 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 		// through it before the topology was wired.
 		rtecProc = dur.proc
 	}
-	crowdProc := streams.ProcessorFunc(func(it streams.Item) (streams.Item, error) {
-		rep, ok := it[itemReport].(*Report)
-		if !ok {
-			return nil, fmt.Errorf("insight: report item without payload")
-		}
-		if s.qeeEngine != nil {
-			rounds, err := s.resolveDisagreements(context.Background(), rep.Q, rep.Result)
-			if err != nil {
-				return nil, err
-			}
-			rep.CrowdRounds = rounds
-		}
-		return it, nil
-	})
-	if err := top.AddProcess("monitoring", sdeQueue, reportQueue, rtecProc, crowdProc); err != nil {
+	rtecProc.onReport = onReport
+	if err := top.AddProcess("monitoring", sdeQueue, reportQueue, rtecProc); err != nil {
 		return nil, err
 	}
 
@@ -278,7 +274,7 @@ func (s *System) buildPipeline(from, until Time, chaos ChaosConfig, dur *durable
 		return nil, err
 	}
 
-	return &Pipeline{Topology: top, Reports: sink, Chaos: chaosSources, ChaosProcs: chaosProcs, system: s, durable: dur}, nil
+	return &Pipeline{Topology: top, Reports: sink, Chaos: chaosSources, ChaosProcs: chaosProcs, proc: rtecProc, replay: replay, durable: dur}, nil
 }
 
 // newRTECProcessor constructs the monitoring processor over the window
@@ -290,6 +286,7 @@ func newRTECProcessor(s *System, from, until Time) *rtecProcessor {
 	p := &rtecProcessor{
 		system:     s,
 		step:       s.cfg.Step,
+		ctx:        context.Background(),
 		nextQ:      from + s.cfg.Step,
 		until:      until,
 		staleness:  s.cfg.WatermarkStaleness,
@@ -354,9 +351,18 @@ func (sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 // exact, only boundary release timing adapts.
 type rtecProcessor struct {
 	system *System
-	step   Time
-	nextQ  Time
-	until  Time
+	// ctx bounds the boundary step's crowd rounds: Pipeline.Run swaps the
+	// run's context in before the topology starts.
+	ctx context.Context
+	// onReport, when set, receives each report on the monitoring
+	// goroutine once its boundary is complete and before any row is
+	// admitted for the next: the system is as of the report's query time
+	// and nothing else touches it meanwhile. Such a run emits and retains
+	// no report; an error from it ends the run there.
+	onReport func(*Report) error
+	step     Time
+	nextQ    Time
+	until    Time
 	// staleness is the per-stream liveness bound; 0 disables
 	// degradation (a silent stream then blocks query boundaries until
 	// end of stream, the strict-watermark behaviour).
@@ -370,7 +376,7 @@ type rtecProcessor struct {
 	// rows: at query time Q exactly the SDEs with arrival <= Q may have
 	// been delivered to the engines, as in a live deployment.
 	adm admission
-	// due holds evaluated reports awaiting emission: a processor maps
+	// due holds completed reports awaiting emission: a processor maps
 	// one item to at most one item, so simultaneous boundaries drain
 	// one per subsequent item; whatever is still due when the input
 	// ends is released by Flush.
@@ -392,7 +398,7 @@ func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
 		return nil, fmt.Errorf("insight: monitoring process got a per-item SDE from %q: SDEs arrive as column batches", it.String(itemSource))
 	}
 	p.watermarks[it.String(itemSource)] = p.until + p.step // unblock the final boundaries
-	if err := p.fireDue(context.Background()); err != nil {
+	if err := p.fireDue(); err != nil {
 		return nil, err
 	}
 	if p.durable != nil {
@@ -443,7 +449,7 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 		for i := 0; i < n; i++ {
 			pb.consumed = i + 1
 			p.watermarks[src] = Time(b.Arrivals[i])
-			if err := p.fireDue(context.Background()); err != nil {
+			if err := p.fireDue(); err != nil {
 				return nil, err
 			}
 		}
@@ -517,16 +523,20 @@ func (p *rtecProcessor) batchCantFire(src string, arrivals []int64) bool {
 	return live <= p.nextQ
 }
 
-// fireDue evaluates every query boundary the minimum arrival watermark
-// across the live input streams has passed: at that point all SDEs
-// arriving by those boundaries have been consumed from the merge
-// queue (modulo degraded streams, whose lateness is flagged on the
-// report instead of withholding it).
-func (p *rtecProcessor) fireDue(ctx context.Context) error {
+// fireDue runs the boundary step for every query boundary the minimum
+// arrival watermark across the live input streams has passed: at that
+// point all SDEs arriving by those boundaries have been consumed from
+// the merge queue (modulo degraded streams, whose lateness is flagged on
+// the report instead of withholding it). One boundary at a time: when
+// several are due at once, q's crowd verdicts precede q+Step's evaluation.
+func (p *rtecProcessor) fireDue() error {
 	watermark, maxW, degraded := p.liveWatermark("", 0)
 	// Strictly greater: with equal arrival timestamps the merge queue
 	// may still hold a sibling item stamped exactly at the boundary.
 	for p.nextQ <= p.until && watermark > p.nextQ {
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
 		q := p.nextQ
 		p.nextQ += p.step
 		// Deliver exactly the SDEs that have arrived by q.
@@ -534,15 +544,20 @@ func (p *rtecProcessor) fireDue(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		rep, err := p.system.evaluate(ctx, q, fed, false)
+		rep, err := p.system.evaluate(p.ctx, q, fed)
 		if err != nil {
 			return err
 		}
 		rep.DegradedStreams = append([]string(nil), degraded...)
 		rep.WatermarkLag = maxW - q
-		p.due = append(p.due, streams.Item{itemReport: rep})
 		if p.durable != nil {
 			p.durable.noteBoundary(rep)
+		}
+		if p.onReport == nil {
+			//lint:allow hotalloc one report envelope per query boundary, not per row
+			p.due = append(p.due, streams.Item{itemReport: rep})
+		} else if err := p.onReport(rep); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -556,7 +571,7 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 	for id := range p.watermarks {
 		p.watermarks[id] = p.until + p.step
 	}
-	if err := p.fireDue(context.Background()); err != nil {
+	if err := p.fireDue(); err != nil {
 		return nil, err
 	}
 	if p.durable != nil {
@@ -574,9 +589,12 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 }
 
 // Run executes the pipeline and returns the reports in query-time
-// order.
+// order. Cancelling ctx stops it at the next item or boundary, crowd
+// rounds included; however it ends, every transport buffer is returned.
 func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
+	p.proc.ctx = ctx
 	err := p.Topology.Run(ctx)
+	p.release()
 	if p.durable != nil {
 		err = errors.Join(err, p.durable.log.Close())
 	}
@@ -594,4 +612,25 @@ func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Q < reports[j].Q })
 	return reports, nil
+}
+
+// release returns what the run did not get to — envelopes still in the
+// replay sources and the SDE queues, blocks the monitoring process
+// retained — to the pool: nothing after a clean run, all three after a
+// cancelled or failed one. The topology's goroutines are gone by now.
+func (p *Pipeline) release() {
+	for _, src := range p.replay {
+		for it, ok := src.Read(); ok; it, ok = src.Read() {
+			streams.Discard(it)
+		}
+	}
+	for _, id := range []string{"ingest", "sdes"} {
+		if q, ok := p.Topology.Queue(id); ok {
+			for q.Len() > 0 {
+				it, _ := q.Read()
+				streams.Discard(it)
+			}
+		}
+	}
+	p.proc.adm.release()
 }

@@ -2,6 +2,7 @@ package insight
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -85,8 +86,8 @@ func rowEvent(b *streams.Batch, i int) rtec.Event {
 // than the system's staleness bound, if it has one) passes a query
 // boundary, and is then handed to the engines one event at a time
 // through engineTier.Input — the entry point the crowd verdict uses —
-// before the boundary is evaluated with the crowd loop inline, as the
-// synchronous Step loop does.
+// before the boundary is evaluated, crowd rounds included, one boundary
+// at a time.
 type eventReference struct {
 	t          *testing.T
 	sys        *System
@@ -153,12 +154,24 @@ func (r *eventReference) fireDue() {
 			fed++
 		}
 		r.pending = kept
-		rep, err := r.sys.evaluate(context.Background(), r.nextQ, fed, true)
+		rep, err := r.sys.evaluate(context.Background(), r.nextQ, fed)
 		if err != nil {
 			r.t.Fatal(err)
 		}
 		r.reports = append(r.reports, rep)
 	}
+}
+
+// referenceReports is what the per-event reference recognises over the
+// given streams, consumed through the deterministic merge.
+func referenceReports(t *testing.T, sys *System, from, until Time, srcs []streams.Source) []*Report {
+	t.Helper()
+	ref := newEventReference(t, sys, from, until)
+	drainMerged(t, srcs, func(b *streams.Batch) {
+		ref.consume(b)
+		b.Release()
+	})
+	return ref.finish()
 }
 
 // batchSources wraps each collected stream as a slice source of batch
@@ -276,12 +289,8 @@ func TestPipelineMatchesPerEventReference(t *testing.T) {
 		t.Errorf("live batches = %d, want %d: pipeline run leaked transport buffers", live, before)
 	}
 
-	ref := newEventReference(t, chaosTestSystem(t, city, testParticipants(city, 8)), from, until)
-	drainMerged(t, batchSources(city.CollectBatches(from, until, 512, 450)), func(b *streams.Batch) {
-		ref.consume(b)
-		b.Release()
-	})
-	refReports := ref.finish()
+	refReports := referenceReports(t, chaosTestSystem(t, city, testParticipants(city, 8)), from, until,
+		batchSources(city.CollectBatches(from, until, 512, 450)))
 	if len(refReports) == 0 {
 		t.Fatal("reference run produced no reports")
 	}
@@ -293,6 +302,67 @@ func TestPipelineMatchesPerEventReference(t *testing.T) {
 		t.Fatal("reference run triggered no crowd rounds: the feedback loop is not exercised")
 	}
 	compareReports(t, "pipeline vs per-event reference", pipeReports, refReports)
+}
+
+// TestEveryWayOutReturnsTheBuffers: Run and RunReplay own the window's
+// transport batches from collection on, and give every one back however
+// the run ends — cleanly (rows arriving past the final boundary are
+// never admitted, and released), on a callback error, on cancellation.
+// The two aborted runs leave envelopes in the replay sources and the SDE
+// queue and blocks in the monitoring process's admission; the error
+// comes back comparable and fn is not called again.
+func TestEveryWayOutReturnsTheBuffers(t *testing.T) {
+	const from, until = Time(7 * 3600), Time(9 * 3600)
+	city := testCity(t)
+	rec := city.Collect(from, until)
+	errStop := errors.New("operator has seen enough")
+	exits := []struct {
+		name string
+		// leave is called with the second report and the run's cancel.
+		leave func(cancel context.CancelFunc) error
+		want  error
+	}{
+		{"clean", nil, nil},
+		{"callback error", func(context.CancelFunc) error { return errStop }, errStop},
+		{"cancellation", func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
+	}
+	for _, exit := range exits {
+		for _, replay := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/replay=%v", exit.name, replay), func(t *testing.T) {
+				sys := chaosTestSystem(t, city, testParticipants(city, 8))
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				calls, fed := 0, 0
+				fn := func(r *Report) error {
+					calls++
+					fed += r.FedEvents
+					if exit.leave != nil && calls == 2 {
+						return exit.leave(cancel)
+					}
+					return nil
+				}
+				before := streams.LiveBatches()
+				var err error
+				if replay {
+					err = sys.RunReplay(ctx, rec, from, until, fn)
+				} else {
+					err = sys.Run(ctx, from, until, fn)
+				}
+				if !errors.Is(err, exit.want) {
+					t.Errorf("run returned %v, want %v", err, exit.want)
+				}
+				if wantCalls := 2; exit.leave != nil && calls != wantCalls {
+					t.Errorf("fn called %d times, want %d: recognition went on after the run was over", calls, wantCalls)
+				}
+				if exit.leave == nil && (calls != int((until-from)/900) || fed == 0 || fed >= len(rec)) {
+					t.Errorf("%d reports fed %d of %d collected rows: want one per boundary, and some rows arriving past the last", calls, fed, len(rec))
+				}
+				if live := streams.LiveBatches(); live != before {
+					t.Errorf("live batches = %d, want %d", live, before)
+				}
+			})
+		}
+	}
 }
 
 // TestChaosDropDupMatchesPerEventReference runs the full chaos pipeline
@@ -345,12 +415,7 @@ func TestChaosDropDupMatchesPerEventReference(t *testing.T) {
 		cs := streams.NewChaosSource(srcs[i], chaos.Streams[id].ForStream(id))
 		injectors[id], srcs[i] = cs, cs
 	}
-	ref := newEventReference(t, chaosTestSystem(t, city, nil), from, until)
-	drainMerged(t, srcs, func(b *streams.Batch) {
-		ref.consume(b)
-		b.Release()
-	})
-	refReports := ref.finish()
+	refReports := referenceReports(t, chaosTestSystem(t, city, nil), from, until, srcs)
 	if refDrops, refDups := faults(injectors); refDrops != pipeDrops || refDups != pipeDups {
 		t.Errorf("pipeline faults (%d drops, %d dups) != reference faults (%d drops, %d dups)",
 			pipeDrops, pipeDups, refDrops, refDups)

@@ -479,7 +479,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 		}
 	}
 
-	pipe, err := s.buildPipeline(from, until, ChaosConfig{}, rt)
+	pipe, err := s.buildPipeline(from, until, s.collect(from, until), ChaosConfig{}, rt, nil)
 	if err != nil {
 		return fail(err)
 	}

@@ -8,21 +8,20 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-// TestPipelineMatchesDirectRun drives the same city through the
-// Streams data-flow graph (Section 3 architecture) and through the
-// direct Run loop, on the legacy partitioning and on the sharded tier,
-// and checks the two recognise the same thing boundary for boundary —
-// full report fingerprints, crowd rounds included: the pipeline's
-// watermark punctuation must admit exactly the SDEs that have arrived
-// by each query time, like the synchronous loop does through the same
-// admission routine.
-func TestPipelineMatchesDirectRun(t *testing.T) {
+// TestRunMatchesPerEventReference drives the same city through
+// System.Run — the Streams data-flow graph of Section 3, reports handed
+// to the callback — and through the per-event reference, on the legacy
+// partitioning and on the sharded tier, and checks the two recognise the
+// same thing boundary for boundary, crowd rounds included: the
+// pipeline's watermark punctuation must admit exactly the SDEs that have
+// arrived by each query time.
+func TestRunMatchesPerEventReference(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			city := testCity(t)
 			mkSystem := func() *System {
-				city := testCity(t)
 				sys, err := New(Config{
 					City:          city,
 					Seed:          7,
@@ -41,38 +40,31 @@ func TestPipelineMatchesDirectRun(t *testing.T) {
 				return sys
 			}
 
-			var directReports []*Report
+			var runReports []*Report
 			if err := mkSystem().Run(context.Background(), from, until, func(r *Report) error {
-				directReports = append(directReports, r)
+				runReports = append(runReports, r)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 
-			pipe, err := mkSystem().BuildPipeline(from, until)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pipeReports, err := pipe.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if len(pipeReports) != len(directReports) || len(pipeReports) == 0 {
-				t.Fatalf("pipeline produced %d reports, direct run %d", len(pipeReports), len(directReports))
-			}
+			refSys := mkSystem()
+			refReports := referenceReports(t, refSys, from, until, batchSources(refSys.collect(from, until)))
 			rounds := 0
-			for i := range pipeReports {
-				if got, want := pipeReports[i].Fingerprint(), directReports[i].Fingerprint(); got != want {
-					t.Errorf("boundary %d diverged:\n  pipeline: %s\n  direct:   %s", i, got, want)
-				}
-				rounds += len(directReports[i].CrowdRounds)
+			for _, rep := range refReports {
+				rounds += len(rep.CrowdRounds)
 			}
 			if rounds == 0 {
 				t.Error("no crowd rounds: the feedback loop is not part of the comparison")
 			}
+			compareReports(t, "Run vs per-event reference", runReports, refReports)
 
 			// The traffic modelling service is reachable from the topology.
+			pipe, err := refSys.BuildPipeline(from, until)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.release()
 			svc, ok := pipe.Topology.LookupService("trafficModel")
 			if !ok {
 				t.Fatal("trafficModel service not registered")

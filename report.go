@@ -63,13 +63,11 @@ type Report struct {
 	// streams whose arrival watermark trailed the most advanced stream
 	// by more than Config.WatermarkStaleness (the transport-layer
 	// mirror of the paper's noisy-source self-adaptation). Empty in
-	// fault-free runs and in the direct Run/RunReplay loop, which
-	// admits the same column batches without a transport layer.
+	// fault-free runs.
 	DegradedStreams []string
 	// WatermarkLag is the gap between the most advanced stream's
 	// arrival watermark and Q when this boundary fired — the boundary
-	// release latency in stream time. Zero in the direct Run/RunReplay
-	// loop: it has no watermarks, Step admits by query time alone.
+	// release latency in stream time.
 	WatermarkLag Time
 	// Stats aggregates engine statistics across partitions.
 	Stats rtec.Stats
@@ -118,58 +116,11 @@ func (r *Report) Summary() string {
 		len(r.Disagreements), len(r.NoisyBuses), len(r.CrowdRounds), len(r.Alerts))
 }
 
-// Start prepares the system to stream SDEs occurring in [from, until):
-// the window's SDEs are collected as the five input streams' column
-// batches and wait for Step to admit them by arrival time. It must be
-// called before Step; Run does it automatically.
-func (s *System) Start(from, until Time) {
-	s.prime(s.city.CollectBatches(from, until, transportBatchRows, 0))
-}
-
-// StartReplay primes the system with a pre-recorded stream (e.g. read
-// back from the CSV exports of package dublin) instead of the live
-// generator. The recording is converted to column batches once, here;
-// any order is accepted, and an SDE the columnar schema cannot carry
-// (unknown type, missing or non-scalar attribute) is an error.
-func (s *System) StartReplay(sdes []dublin.SDE) error {
-	batched, err := dublin.BatchSDEs(sdes, transportBatchRows, 0)
-	if err != nil {
-		return err
-	}
-	s.prime(batched)
-	return nil
-}
-
-// prime replaces the pending set with every row of the given streams.
-func (s *System) prime(batched []dublin.BatchedStream) {
-	s.adm.release()
-	for _, bs := range batched {
-		for _, b := range bs.Batches {
-			s.adm.retain(b, b.Len())
-		}
-	}
-	s.primed = true
-}
-
-// Step admits everything that has arrived by q, evaluates the CE
-// engines, runs the crowdsourcing loop on fresh disagreements and
-// returns the operator report.
-func (s *System) Step(ctx context.Context, q Time) (*Report, error) {
-	if !s.primed {
-		return nil, fmt.Errorf("insight: Step before Start or StartReplay")
-	}
-	fed, err := s.adm.admit(s, q)
-	if err != nil {
-		return nil, err
-	}
-	return s.evaluate(ctx, q, fed, true)
-}
-
-// evaluate queries the engines at q and assembles the report. When
-// resolve is set the crowdsourcing loop runs inline; the streams
-// pipeline passes false and runs it in a dedicated crowd processor
-// instead (Section 3's "crowdsourcing processes").
-func (s *System) evaluate(ctx context.Context, q Time, fed int, resolve bool) (*Report, error) {
+// evaluate queries the engines at q, assembles the report and — with
+// participants registered — runs the crowdsourcing rounds on the fresh
+// disagreements, feeding each verdict back to the engines: when it
+// returns, boundary q is complete.
+func (s *System) evaluate(ctx context.Context, q Time, fed int) (*Report, error) {
 	results, err := s.engines.Query(q)
 	if err != nil {
 		return nil, err
@@ -219,7 +170,7 @@ func (s *System) evaluate(ctx context.Context, q Time, fed int, resolve bool) (*
 		}
 	}
 
-	if resolve && s.qeeEngine != nil {
+	if s.qeeEngine != nil {
 		rounds, err := s.resolveDisagreements(ctx, q, merged)
 		if err != nil {
 			return nil, err
@@ -313,41 +264,37 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 }
 
 // Run evaluates the system at the regular query times from+Step,
-// from+2·Step, ..., until, calling fn with each report.
+// from+2·Step, ..., until over the generator's SDEs of [from, until),
+// calling fn with each report. It runs the Streams pipeline
+// (BuildPipeline); fn runs on the monitoring goroutine once boundary q
+// is complete and before any row is admitted for q+Step, so FlowMap,
+// Estimator and Rebalance called from it see the system as of q. An
+// error from fn, or ctx's when cancelled, ends the run and comes back
+// wrapped.
 func (s *System) Run(ctx context.Context, from, until Time, fn func(*Report) error) error {
-	s.Start(from, until)
-	return s.steps(ctx, from, until, fn)
+	return s.run(ctx, from, until, s.collect(from, until), fn)
 }
 
-// RunReplay is Run over a pre-recorded stream: it evaluates at the
-// regular query times from+Step, ..., until, admitting the recorded
-// SDEs by their arrival times.
+// RunReplay is Run over a pre-recorded stream (e.g. read back from the
+// CSV exports of package dublin), admitted by its arrival times. The
+// recording is converted to column batches once, here; any order is
+// accepted, and an SDE the columnar schema cannot carry (unknown type,
+// missing or non-scalar attribute) is an error.
 func (s *System) RunReplay(ctx context.Context, sdes []dublin.SDE, from, until Time, fn func(*Report) error) error {
-	if err := s.StartReplay(sdes); err != nil {
+	batched, err := dublin.BatchSDEs(sdes, transportBatchRows, s.cfg.Step/2)
+	if err != nil {
 		return err
 	}
-	return s.steps(ctx, from, until, fn)
+	return s.run(ctx, from, until, batched, fn)
 }
 
-// steps is the query loop of Run and RunReplay. Rows no query time
-// admitted go back to the transport pool when it ends.
-func (s *System) steps(ctx context.Context, from, until Time, fn func(*Report) error) error {
-	defer s.adm.release()
-	for q := from + s.cfg.Step; q <= until; q += s.cfg.Step {
-		rep, err := s.Step(ctx, q)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			if err := fn(rep); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+func (s *System) run(ctx context.Context, from, until Time, batched []dublin.BatchedStream, fn func(*Report) error) error {
+	pipe, err := s.buildPipeline(from, until, batched, ChaosConfig{}, nil, fn)
+	if err != nil {
+		return err
 	}
-	return nil
+	_, err = pipe.Run(ctx)
+	return err
 }
 
 func holdingKeys(r *rtec.Result, fluent string, q Time) []string {

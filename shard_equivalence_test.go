@@ -223,21 +223,18 @@ func TestShardRebalanceDeterminism(t *testing.T) {
 		keys = append(keys, s.ID)
 	}
 	sys2 := mk()
-	sys2.Start(from, until)
 	var moved []*Report
 	mid := from + (until-from)/2
-	for q := from + step; q <= until; q += step {
-		rep, err := sys2.Step(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := sys2.Run(context.Background(), from, until, func(rep *Report) error {
 		moved = append(moved, rep)
-		if q == mid {
-			to := (rtec.RendezvousShard(keys[0], 4) + 1) % 4
-			if err := sys2.Rebalance(keys, to); err != nil {
-				t.Fatal(err)
-			}
+		if rep.Q != mid {
+			return nil
 		}
+		// The callback runs between boundaries: the migration lands
+		// after mid is complete and before a row is admitted for mid+step.
+		return sys2.Rebalance(keys, (rtec.RendezvousShard(keys[0], 4)+1)%4)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n := sys2.ShardRebalances(); n < 1 {
 		t.Fatalf("rebalances = %d, want >= 1", n)
@@ -348,30 +345,14 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		return sys
 	}
 
-	sysA := mk(rtec.StoreColumn)
-	if err := sysA.StartReplay(sdes); err != nil {
-		t.Fatal(err)
-	}
+	// System A runs the whole window; at mid its callback — between
+	// boundaries, so the tier is exactly "after mid" — snapshots it and
+	// restores the snapshot into system B, which then runs the rest of the
+	// recording on its own.
 	mid := from + 4*step
-	for q := from + step; q <= mid; q += step {
-		if _, err := sysA.Step(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-		if q == from+2*step {
-			// Make the tier state non-trivial before the checkpoint.
-			if err := sysA.Rebalance([]string{city.Buses()[0].ID}, 2); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	snaps, err := sysA.engines.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3 + 1; len(snaps) != want {
-		t.Fatalf("tier snapshot has %d parts, want %d (shards + tier state)", len(snaps), want)
-	}
-
+	sysA, sysB := mk(rtec.StoreColumn), mk(rtec.StoreRow)
+	var snaps []*rtec.EngineSnapshot
+	var wire [][]byte
 	// The restore goes through the binary form the checkpoint file
 	// carries, into the other store kind: snapshots are
 	// store-independent, and the restored tier's own snapshot is byte
@@ -380,23 +361,42 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		t.Helper()
 		out := make([][]byte, len(snaps))
 		for i, s := range snaps {
+			var err error
 			if out[i], err = s.AppendBinary(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return out
 	}
-	wire := encode(snaps)
-	decoded := make([]*rtec.EngineSnapshot, len(wire))
-	for i, b := range wire {
-		decoded[i] = &rtec.EngineSnapshot{}
-		if err := decoded[i].UnmarshalBinary(b); err != nil {
-			t.Fatal(err)
+	var repA, repB []*Report
+	if err := sysA.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
+		switch {
+		case rep.Q == from+2*step:
+			// Make the tier state non-trivial before the checkpoint.
+			return sysA.Rebalance([]string{city.Buses()[0].ID}, 2)
+		case rep.Q == mid:
+			var err error
+			if snaps, err = sysA.engines.Snapshot(); err != nil {
+				return err
+			}
+			wire = encode(snaps)
+			decoded := make([]*rtec.EngineSnapshot, len(wire))
+			for i, b := range wire {
+				decoded[i] = &rtec.EngineSnapshot{}
+				if err := decoded[i].UnmarshalBinary(b); err != nil {
+					return err
+				}
+			}
+			return sysB.engines.Restore(decoded)
+		case rep.Q > mid:
+			repA = append(repA, rep)
 		}
-	}
-	sysB := mk(rtec.StoreRow)
-	if err := sysB.engines.Restore(decoded); err != nil {
+		return nil
+	}); err != nil {
 		t.Fatal(err)
+	}
+	if want := 3 + 1; len(snaps) != want {
+		t.Fatalf("tier snapshot has %d parts, want %d (shards + tier state)", len(snaps), want)
 	}
 	snapsB, err := sysB.engines.Snapshot()
 	if err != nil {
@@ -413,22 +413,11 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			tail = append(tail, sde)
 		}
 	}
-	if err := sysB.StartReplay(tail); err != nil {
+	if err := sysB.RunReplay(context.Background(), tail, mid, until, func(rep *Report) error {
+		repB = append(repB, rep)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
-	}
-
-	var repA, repB []*Report
-	for q := mid + step; q <= until; q += step {
-		ra, err := sysA.Step(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := sysB.Step(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repA = append(repA, ra)
-		repB = append(repB, rb)
 	}
 	nonEmpty := false
 	for _, rep := range repA {
@@ -462,8 +451,14 @@ func TestShardTierElapsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Start(from, from+900)
-	if _, err := sys.adm.admit(sys, from+900); err != nil {
+	var adm admission
+	defer adm.release()
+	for _, bs := range sys.collect(from, from+900) {
+		for _, b := range bs.Batches {
+			adm.retain(b, b.Len())
+		}
+	}
+	if _, err := adm.admit(sys, from+900); err != nil {
 		t.Fatal(err)
 	}
 	results, err := sys.engines.Query(from + 900)
@@ -555,10 +550,7 @@ func TestShardRebalanceCounterSurvivesRestore(t *testing.T) {
 		}
 		sdes = append(sdes, sde)
 	}
-	if err := sysA.StartReplay(sdes); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sysA.Step(context.Background(), from+step); err != nil {
+	if err := sysA.RunReplay(context.Background(), sdes, from, from+step, nil); err != nil {
 		t.Fatal(err)
 	}
 	buses := city.Buses()

@@ -107,14 +107,11 @@ func TestLatestReadingIsNewestNotLastAdmitted(t *testing.T) {
 		ev.Attrs["lon"], ev.Attrs["lat"] = sensor.Pos.Lon, sensor.Pos.Lat
 		sdes = append(sdes, dublin.SDE{Event: ev, Arrival: from + Time(800+10*i)})
 	}
-	if err := sys.StartReplay(sdes); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(sys.adm.blocks); n != 1 {
-		t.Fatalf("the three readings travel in %d blocks, want one", n)
-	}
-	rep, err := sys.Step(context.Background(), from+900)
-	if err != nil {
+	var rep *Report
+	if err := sys.RunReplay(context.Background(), sdes, from, from+900, func(r *Report) error {
+		rep = r
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if rep.FedEvents != 3 {

@@ -206,6 +206,14 @@ func poolFor(typ, source string) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
+// Discard gives up an item nobody will deliver: a batch envelope's
+// buffer goes back to the pool.
+func Discard(it Item) {
+	if b, isBatch := ItemBatch(it); isBatch {
+		b.Release()
+	}
+}
+
 // NewBatch builds an unpooled batch (tests, one-off producers).
 func NewBatch(typ, source string) *Batch {
 	return &Batch{Type: typ, Source: source}

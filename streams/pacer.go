@@ -144,6 +144,7 @@ func (s *PacedSource) ReadContext(ctx context.Context) (Item, bool) {
 	}
 	if t, has := s.timeOf(it); has {
 		if !s.pacer.Wait(ctx, s.id, t) {
+			Discard(it) // read, never delivered
 			return nil, false
 		}
 	}

@@ -244,8 +244,11 @@ func (p *Process) run(ctx context.Context, sup *supervisor) error {
 		if len(outs) == 0 || p.Output == nil {
 			continue
 		}
-		for _, out := range outs {
+		for i, out := range outs {
 			if err := p.emit(ctx, out); err != nil {
+				for _, lost := range outs[i:] {
+					Discard(lost) // the process dies holding these
+				}
 				return err
 			}
 		}
