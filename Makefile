@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check chaos bench-rtec bench-gp bench-recovery bench-e2e fuzz-short loc figures experiments clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e fuzz-short loc figures clean
 
 all: build vet test
 
@@ -60,8 +60,14 @@ lint-json:
 # WAL kills, torn/corrupt/fsync-crashed checkpoints and a torn log tail
 # in one run, recovered output bit-identical to the uninterrupted run),
 # re-run the crash gate and the mid-block-cursor checkpoint round trip
-# race-free so their assertions are exercised under both schedulers, gate the block ingest path and the recognition path
-# (allocations per derived event or busCongestion point of the bus ×
+# race-free so their assertions are exercised under both schedulers,
+# re-run the scored-figures gate race-free (cmd/figures: every number
+# the Figure 5/6 and extension tables score — veracity precision/recall/
+# F1 against the generator's ground truth, the Figure 2 ablation's lost
+# SDEs and scats F1, worker-selection accuracy, the chaos profiles
+# against their fault-free run — equal to testdata/scores.json, a drop
+# in a quality score named as a regression), gate the block ingest path
+# and the recognition path (allocations per derived event or busCongestion point of the bus ×
 # intersection rules) against their committed allocation budgets, the
 # column store against the committed resident bytes/event advantage
 # over the row store (the named reference) and the checkpoint file
@@ -79,13 +85,15 @@ lint-json:
 # fuzz pass over the factorization/solve, GP-fit ("error or all-finite
 # estimates"), WAL-decode, store block-merge, shard-assignment,
 # engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
-# close/4 spatial-index and replay-CSV (readers never panic, what they
-# return batches to valid arrival-ordered envelopes or is refused)
-# targets.
+# close/4 spatial-index, replay-CSV (readers never panic, what they
+# return batches to valid arrival-ordered envelopes or is refused) and
+# XML flow-definition (LoadXML refuses or builds, never panics, never
+# sizes a queue past its bound) targets.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
+	$(GO) test -count=1 ./cmd/figures
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardKeyLoadOffWithoutRebalancing' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
@@ -98,12 +106,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 5s ./traffic
 	$(GO) test -run '^$$' -fuzz FuzzReplayCSV -fuzztime 5s ./dublin
-
-# The chaos harness: the Dublin pipeline under deterministic fault
-# profiles, scored against its own fault-free run.
-chaos:
-	mkdir -p results
-	$(GO) run ./cmd/chaosbench          | tee results/chaos.txt
+	$(GO) test -run '^$$' -fuzz FuzzLoadXML -fuzztime 5s ./streams
 
 # The recovery bench: the crash-equivalence campaign as a measurement —
 # per-epoch recovery wall time and WAL replay volume across 20 kill →
@@ -148,7 +151,8 @@ loc:
 # streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
 # regressions in rtec/testdata/fuzz and testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV regressions in
-# dublin/testdata/fuzz, as permanent corpus seeds.
+# dublin/testdata/fuzz, XML flow-definition regressions in
+# streams/testdata/fuzz, as permanent corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
@@ -160,22 +164,18 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 10s ./traffic
 	$(GO) test -run '^$$' -fuzz FuzzReplayCSV -fuzztime 10s ./dublin
+	$(GO) test -run '^$$' -fuzz FuzzLoadXML -fuzztime 10s ./streams
 
-# Regenerate every figure of the paper's evaluation into ./results.
+# Regenerate every figure of the paper's evaluation and every extension
+# table into ./results: Figure 4, the crowdsourcing figures (5, 6) with
+# the scored extension tables (veracity, the Figure 2 ablation, worker
+# selection, chaos), Figures 7-9 and the dataset statistics.
 figures:
 	mkdir -p results
 	$(GO) run ./cmd/rtecbench           | tee results/fig4.txt
-	$(GO) run ./cmd/crowdbench          | tee results/fig5.txt
-	$(GO) run ./cmd/qeebench            | tee results/fig6.txt
+	$(GO) run ./cmd/figures             | tee results/figures.txt
 	$(GO) run ./cmd/gpmap -out results  | tee results/fig7-9.txt
 	$(GO) run ./cmd/datagen -stats      | tee results/dataset.txt
-
-# The extension experiments (ground-truth scoring, ablations).
-experiments:
-	mkdir -p results
-	$(GO) run ./cmd/veracitybench       | tee results/veracity.txt
-	$(GO) run ./cmd/delaybench          | tee results/delay.txt
-	$(GO) run ./cmd/selectionbench      | tee results/selection.txt
 
 clean:
 	rm -rf results

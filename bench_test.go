@@ -5,8 +5,8 @@ package insight
 // paper's full scale and print the figures' data series:
 //
 //	Figure 4 — cmd/rtecbench   (CE recognition time vs working memory)
-//	Figure 5 — cmd/crowdbench  (online EM estimation quality)
-//	Figure 6 — cmd/qeebench    (query execution engine latency)
+//	Figure 5 — cmd/figures     (online EM estimation quality)
+//	Figure 6 — cmd/figures     (query execution engine latency)
 //	Figures 7-9 — cmd/gpmap    (street network + GP flow estimates)
 
 import (
@@ -225,7 +225,7 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 // windows: with WM fixed at 20 min, smaller steps re-evaluate each SDE
 // more often (an SDE is inside WM/step consecutive windows). This is
 // the recognition-cost side of the Figure 2 trade-off whose benefit
-// cmd/delaybench measures.
+// cmd/figures' ablation table measures.
 func BenchmarkStepRatio(b *testing.B) {
 	runStepRatio(b, false)
 }

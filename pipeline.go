@@ -91,7 +91,8 @@ func (s *System) BuildPipeline(from, until Time) (*Pipeline, error) {
 }
 
 // BuildChaosPipeline is BuildPipeline with deterministic fault
-// injection on the input streams — the harness behind cmd/chaosbench.
+// injection on the input streams — the harness behind cmd/figures'
+// scenario rows (a zero ChaosConfig is the plain pipeline).
 // Pipeline.Chaos exposes the per-stream injectors for fault
 // accounting.
 func (s *System) BuildChaosPipeline(from, until Time, chaos ChaosConfig) (*Pipeline, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -407,6 +408,43 @@ func TestLoadXMLErrors(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if err := LoadXML(top, reg, strings.NewReader(c.def)); err == nil {
 				t.Error("want error")
+			}
+		})
+	}
+}
+
+func TestLoadXMLQueueCapacity(t *testing.T) {
+	cases := []struct {
+		capacity string
+		want     int // buffer size; 0: the document is refused
+	}{
+		{"-5", 1},
+		{"0", 1},
+		{"256", 256},
+		{strconv.Itoa(maxXMLQueueCapacity), maxXMLQueueCapacity},
+		{strconv.Itoa(maxXMLQueueCapacity + 1), 0},
+		{"1000000000", 0},
+	}
+	for _, c := range cases {
+		t.Run(c.capacity, func(t *testing.T) {
+			top := NewTopology()
+			def := `<application><queue id="q" capacity="` + c.capacity + `"/></application>`
+			err := LoadXML(top, NewRegistry(), strings.NewReader(def))
+			if c.want == 0 {
+				if err == nil || !strings.Contains(err.Error(), `"q"`) {
+					t.Fatalf("err = %v, want a refusal naming queue \"q\"", err)
+				}
+				if _, ok := top.Queue("q"); ok {
+					t.Error("refused queue was added")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, ok := top.Queue("q")
+			if !ok || cap(q.ch) != c.want {
+				t.Errorf("queue buffer = %d, want %d", cap(q.ch), c.want)
 			}
 		})
 	}

@@ -99,6 +99,11 @@ func (e xmlElem) params() (class string, params map[string]string) {
 	return class, params
 }
 
+// maxXMLQueueCapacity bounds a queue capacity a flow definition may
+// declare: the buffer is allocated when the document is loaded, so an
+// unchecked attribute would size an allocation by untrusted input.
+const maxXMLQueueCapacity = 1 << 16
+
 // LoadXML parses a flow definition and adds its queues, processes and
 // services to the topology. Inputs referenced by processes must
 // already exist in the topology (as streams or queues declared earlier
@@ -111,6 +116,9 @@ func LoadXML(t *Topology, reg *Registry, r io.Reader) error {
 	for _, q := range app.Queues {
 		if q.ID == "" {
 			return fmt.Errorf("streams: queue without id")
+		}
+		if q.Capacity > maxXMLQueueCapacity {
+			return fmt.Errorf("streams: queue %q capacity %d exceeds %d", q.ID, q.Capacity, maxXMLQueueCapacity)
 		}
 		if _, err := t.AddQueue(q.ID, q.Capacity); err != nil {
 			return err
