@@ -46,7 +46,9 @@ lint-json:
 # the tier-owned busCongestion inertia included, to the snapshot/restore
 # path), run the full module under the race detector (engine, rule sets,
 # the partial-fluent fold property, streams supervision/shutdown, batch
-# chaos tests, blocked linalg worker pools, parallel grid search —
+# chaos tests, blocked linalg worker pools, parallel grid search, the
+# 10× street graph's flow map held to its normal equations and to
+# under 1 MB of heap —
 # including the one-loop gates: Run ≡ the per-event reference by full
 # fingerprint on both tiers with crowd rounds on, boundaries due together
 # (a recording that ends early, a dead mediator) each finished before the
@@ -73,8 +75,10 @@ lint-json:
 # over the row store (the named reference) and the checkpoint file
 # against its bytes-per-stored-input-SDE budget (the race detector
 # inflates allocation counts, so those gates run in a separate non-race
-# pass; gp's PredictAll is held to a constant number of slices there
-# too — the mean is a gather and one product, not a solve per vertex),
+# pass; gp's PredictAll and MeanAll are held to a constant number of
+# slices there too — the dense mean is a gather and one product, the
+# sparse one a CG solve over the street graph whose allocations do not
+# grow with it),
 # re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
 # both-store grid under chaos — CE sets, events, every fluent's
 # intervals and the derived/period counts against the single engine —
@@ -83,7 +87,9 @@ lint-json:
 # rebalancing-is-off bound; the race pass above already
 # exercises them under the race scheduler), and finish with a short
 # fuzz pass over the factorization/solve, GP-fit ("error or all-finite
-# estimates"), WAL-decode, store block-merge, shard-assignment,
+# estimates"), GP sparse-vs-dense mean (MeanAll equals the dense
+# kernel's Fit + PredictAll within 1e-9 of the map, or both refuse),
+# WAL-decode, store block-merge, shard-assignment,
 # engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
 # return batches to valid arrival-ordered envelopes or is refused) and
@@ -99,6 +105,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 5s ./gp
+	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
@@ -146,8 +153,8 @@ loc:
 	@find . -name '*.go' -not -path '*/testdata/*' -name '*_test.go' | xargs cat | wc -l | xargs echo "test Go lines:    "
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
-# in internal/linalg/testdata/fuzz, GP-fit regressions in
-# gp/testdata/fuzz, WAL frame/codec regressions in
+# in internal/linalg/testdata/fuzz, GP-fit and sparse-vs-dense mean
+# regressions in gp/testdata/fuzz, WAL frame/codec regressions in
 # streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
 # regressions in rtec/testdata/fuzz and testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV regressions in
@@ -157,6 +164,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 10s ./gp
+	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec

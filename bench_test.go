@@ -165,9 +165,12 @@ func BenchmarkFig6_QEE(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9_GP measures the traffic modelling pass of Figure 9:
-// kernel construction, fitting on the SCATS readings and predicting
-// every junction of the street network.
+// BenchmarkFig9_GP measures the traffic modelling pass of Figure 9, the
+// posterior mean at every junction of the street network from the
+// SCATS readings, both ways: mean-all is the information-form solve
+// FlowMap runs (no kernel); kernel and fit+predict are the dense path
+// cmd/gpmap still takes for its uncertainty map — building the kernel,
+// fitting and predicting on it.
 func BenchmarkFig9_GP(b *testing.B) {
 	g := citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 20, GridY: 12, Seed: 3})
 	rng := rand.New(rand.NewSource(4))
@@ -178,6 +181,13 @@ func BenchmarkFig9_GP(b *testing.B) {
 			Value:  200 + rng.Float64()*1200,
 		})
 	}
+	b.Run("mean-all", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := gp.MeanAll(g, 2, 1, obs, 100); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := gp.RegularizedLaplacian(g, 2, 1); err != nil {

@@ -28,15 +28,22 @@ func main() {
 	g := city.Graph()
 	at := rtec.Time(8 * 3600) // morning rush snapshot
 
-	// Observations: one aggregated reading per sensor-carrying junction.
+	// Observations: one aggregated reading per sensor-carrying junction,
+	// in sensor order, not map order: the grid search's fold assignment
+	// is a seeded permutation of this slice.
 	perVertex := map[int][]float64{}
+	var sensorVertices []int
 	for i := range city.Sensors() {
 		s := &city.Sensors()[i]
 		_, flow := city.SensorReading(s, at)
+		if _, seen := perVertex[s.Vertex]; !seen {
+			sensorVertices = append(sensorVertices, s.Vertex)
+		}
 		perVertex[s.Vertex] = append(perVertex[s.Vertex], flow)
 	}
 	var obs []gp.Observation
-	for v, flows := range perVertex {
+	for _, v := range sensorVertices {
+		flows := perVertex[v]
 		var sum float64
 		for _, f := range flows {
 			sum += f
@@ -55,23 +62,15 @@ func main() {
 	fmt.Printf("grid search picked alpha=%.2f beta=%.2f (CV RMSE %.0f veh/h)\n",
 		search.Alpha, search.Beta, search.RMSE)
 
-	kernel, err := gp.RegularizedLaplacian(g, search.Alpha, search.Beta)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg, err := gp.Fit(kernel, obs, 2500)
-	if err != nil {
-		log.Fatal(err)
-	}
-	est, err := reg.PredictAll()
+	est, _, err := gp.MeanAll(g, search.Alpha, search.Beta, obs, 2500)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Score the estimates at UNOBSERVED junctions against ground truth.
 	observed := map[int]bool{}
-	for _, o := range obs {
-		observed[o.Vertex] = true
+	for _, v := range sensorVertices {
+		observed[v] = true
 	}
 	var mae, baselineMAE float64
 	var meanFlow float64
@@ -130,10 +129,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	sensorVertices := make([]int, 0, len(observed))
-	for v := range observed {
-		sensorVertices = append(sensorVertices, v)
-	}
 	if err := g.RenderSVG(f, citygraph.RenderOptions{
 		Values:  est,
 		Sensors: sensorVertices,

@@ -8,18 +8,22 @@ import (
 	"github.com/insight-dublin/insight/internal/linalg"
 )
 
-// The GP performance benches behind `make bench-gp` (BENCH_gp.json):
-// kernel build, fit, predict-all (the mean path: what FlowMap pays),
-// predict (mean + variance, the opt-in path) and grid search at city scale
-// (n≈512 street-graph vertices), each in two modes —
+// The GP performance benches behind `make bench-gp` (BENCH_gp.json) at
+// city scale (n≈512 street-graph vertices): the flow map's mean, sparse
+// against dense (MeanAll: what FlowMap pays); the dense path's kernel
+// build, fit, predict-all and predict (mean + variance, what cmd/gpmap
+// pays); and grid search. The dense stages and the search run in two
+// modes —
 //
 //	serial:   Options{Reference: true} + Workers 1, the seed's naive
 //	          kernels and sequential search (the baseline),
 //	blocked:  the default blocked/parallel kernels and parallel search.
 //
-// Mode is flipped through linalg.SetDefaultOptions, so the whole GP
+// Mode is flipped through linalg.SetDefaultOptions, so the whole dense
 // stack (Laplacian inversion, observed-block factorization, predictive
-// solves) switches implementation, not just one call site.
+// solves) switches implementation, not just one call site. The search's
+// units are MeanAll solves, which use no linalg kernel: there the modes
+// differ only in Workers.
 
 func benchGraph512() *citygraph.Graph {
 	// 520 vertices with the default Dublin structure (river gap,
@@ -127,6 +131,44 @@ func BenchmarkGP_Predict(b *testing.B) {
 	benchPredict(b, func(reg *Regression, all []int) error {
 		_, _, err := reg.Predict(all)
 		return err
+	})
+}
+
+// BenchmarkGP_MeanAll is the flow map both ways: the information-form
+// solve over the street graph (what FlowMap and each grid-search unit
+// pay) against the dense oracle with its kernel built (FlowMap's first
+// call before the solver) and reused (its later calls, with a cache).
+func BenchmarkGP_MeanAll(b *testing.B) {
+	g := benchGraph512()
+	obs := benchObservations(g, 2)
+	b.Run("sparse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := MeanAll(g, 2, 1, obs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense+kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := denseMeanAll(g, 2, 1, obs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	kernel, err := RegularizedLaplacian(g, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reg, err := Fit(kernel, obs, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := reg.PredictAll(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

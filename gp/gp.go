@@ -18,6 +18,12 @@
 //
 //	m = K_{ū,u}(K_{u,u} + σ²I)⁻¹ y
 //	Σ = K_{ū,ū} − K_{ū,u}(K_{u,u} + σ²I)⁻¹ K_{u,ū}
+//
+// Two paths compute it. MeanAll — the flow map, the grid search — never
+// forms K: it solves for the mean at every vertex against the sparse
+// precision β(L + I/α²) (precision.go). The dense Kernel, Fit and
+// Predict remain for the predictive variance, the likelihood, kernels
+// other than the regularized Laplacian, and as MeanAll's test oracle.
 package gp
 
 import (
@@ -25,7 +31,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 
 	"github.com/insight-dublin/insight/citygraph"
 	"github.com/insight-dublin/insight/internal/linalg"
@@ -59,15 +64,28 @@ type Kernel struct {
 	n     int
 }
 
-// RegularizedLaplacian builds K = [β(L + I/α²)]⁻¹ for the graph.
-// Both hyperparameters must be positive: α = 0 makes the regularizer
-// infinite and β = 0 makes the kernel unbounded.
-func RegularizedLaplacian(g *citygraph.Graph, alpha, beta float64) (*Kernel, error) {
+// checkModel validates what both the dense kernel and the sparse
+// precision are built from: a non-empty graph, and α, β positive and
+// finite with a positive, finite regularizer β/α². α = 0 makes the
+// regularizer infinite, β = 0 the kernel unbounded, and an α so large
+// that 1/α² rounds to 0 (+Inf included) leaves the singular Laplacian —
+// which a factorization may not notice and the sparse solve has none.
+func checkModel(g *citygraph.Graph, alpha, beta float64) error {
 	if g == nil || g.NumVertices() == 0 {
-		return nil, fmt.Errorf("gp: empty graph")
+		return fmt.Errorf("gp: empty graph")
 	}
-	if alpha <= 0 || beta <= 0 {
-		return nil, fmt.Errorf("gp: hyperparameters must be positive (alpha=%v, beta=%v)", alpha, beta)
+	reg := beta / (alpha * alpha)
+	if !(alpha > 0) || math.IsInf(alpha, 0) || !(beta > 0) || math.IsInf(beta, 0) || !(reg > 0) || math.IsInf(reg, 0) {
+		return fmt.Errorf("gp: hyperparameters must be positive and finite with a finite, positive β/α² (alpha=%v, beta=%v)", alpha, beta)
+	}
+	return nil
+}
+
+// RegularizedLaplacian builds K = [β(L + I/α²)]⁻¹ for the graph; see
+// checkModel for the hyperparameters it accepts.
+func RegularizedLaplacian(g *citygraph.Graph, alpha, beta float64) (*Kernel, error) {
+	if err := checkModel(g, alpha, beta); err != nil {
+		return nil, err
 	}
 	l := g.Laplacian()
 	l.AddDiag(1 / (alpha * alpha))
@@ -87,7 +105,7 @@ func (k *Kernel) At(i, j int) float64 { return k.scale * k.k.At(i, j) }
 // Rescale returns a view of the kernel with β multiplied by factor
 // (K' = K / factor), without re-inverting the Laplacian. The view
 // shares the underlying matrix — O(1) instead of the O(n²) clone the
-// seed paid per β — which is what lets GridSearch sweep β for free.
+// seed paid per β — which is what lets GridSearchML sweep β for free.
 func (k *Kernel) Rescale(factor float64) (*Kernel, error) {
 	if factor <= 0 {
 		return nil, fmt.Errorf("gp: rescale factor must be positive, got %v", factor)
@@ -122,82 +140,16 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	if k == nil {
 		return nil, fmt.Errorf("gp: nil kernel")
 	}
-	if len(obs) == 0 {
-		return nil, fmt.Errorf("gp: no observations")
+	st, err := standardize(k.n, obs, noiseVar)
+	if err != nil {
+		return nil, err
 	}
-	if !(noiseVar > 0) || math.IsInf(noiseVar, 0) {
-		return nil, fmt.Errorf("gp: noise variance must be positive and finite, got %v", noiseVar)
-	}
-	// Combine duplicate observations of a vertex by inverse-variance
-	// weighting (plain averaging when all noises are equal), validate
-	// indexes, values and per-observation noises: one non-finite reading
-	// would turn every estimate into NaN without an error.
-	type accum struct {
-		weighted  float64 // Σ v/σ²
-		precision float64 // Σ 1/σ²
-	}
-	sums := make(map[int]*accum)
-	for _, o := range obs {
-		if o.Vertex < 0 || o.Vertex >= k.n {
-			return nil, fmt.Errorf("gp: observation vertex %d out of range [0, %d)", o.Vertex, k.n)
-		}
-		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
-			return nil, fmt.Errorf("gp: non-finite observation value %v at vertex %d", o.Value, o.Vertex)
-		}
-		ov := o.Noise
-		if ov == 0 {
-			ov = noiseVar
-		}
-		if !(ov > 0) || math.IsInf(ov, 0) {
-			return nil, fmt.Errorf("gp: observation noise must be positive and finite, got %v at vertex %d", ov, o.Vertex)
-		}
-		a := sums[o.Vertex]
-		if a == nil {
-			a = &accum{}
-			sums[o.Vertex] = a
-		}
-		a.weighted += o.Value / ov
-		a.precision += 1 / ov
-	}
-	observed := make([]int, 0, len(sums))
-	for v := range sums {
-		observed = append(observed, v)
-	}
-	// Deterministic order.
-	sort.Ints(observed)
-	y := make([]float64, len(observed))
-	noises := make([]float64, len(observed))
-	var mean float64
-	for i, v := range observed {
-		a := sums[v]
-		y[i] = a.weighted / a.precision
-		noises[i] = 1 / a.precision
-		mean += y[i]
-	}
-	mean /= float64(len(y))
-	var variance float64
-	for i := range y {
-		y[i] -= mean
-		variance += y[i] * y[i]
-	}
-	variance /= float64(len(y))
-	scale := math.Sqrt(variance)
-	if math.IsNaN(scale) || math.IsInf(scale, 0) {
-		return nil, fmt.Errorf("gp: observations overflow on standardization (mean %v, variance %v)", mean, variance)
-	}
-	if scale < 1e-12 {
-		scale = 1 // constant observations: keep units as-is
-	}
-	for i := range y {
-		y[i] /= scale
-	}
-
-	kuu := k.k.Submatrix(observed, observed)
+	kuu := k.k.Submatrix(st.observed, st.observed)
 	if k.scale != 1 { //lint:allow floateq exact sentinel: Rescale sets 1 literally, meaning "no rescale applied"
 		kuu.Scale(k.scale)
 	}
-	for i, nv := range noises {
-		kuu.Add(i, i, nv/(scale*scale))
+	for i, nv := range st.noise {
+		kuu.Add(i, i, nv/(st.scale*st.scale))
 	}
 	chol, err := linalg.NewCholesky(kuu)
 	if err != nil {
@@ -205,13 +157,94 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	}
 	return &Regression{
 		kernel:   k,
-		observed: observed,
-		alphaVec: chol.SolveVec(y),
+		observed: st.observed,
+		alphaVec: chol.SolveVec(st.y),
 		chol:     chol,
-		mean:     mean,
-		scale:    scale,
+		mean:     st.mean,
+		scale:    st.scale,
 		noise:    noiseVar,
 	}, nil
+}
+
+// standardized is a set of observations as both paths condition on
+// them: validated, duplicates combined, values standardized.
+type standardized struct {
+	observed []int     // distinct observed vertices, sorted
+	y        []float64 // combined value per observed vertex, standardized
+	noise    []float64 // combined noise variance per observed vertex, in the observations' units
+	mean     float64   // empirical mean subtracted from y (the paper assumes zero mean)
+	scale    float64   // empirical std dividing y, so the kernel's O(1) scale fits
+}
+
+// standardize validates observations of an n-vertex graph — indexes,
+// values and per-observation noises: one non-finite reading would turn
+// every estimate into NaN without an error — combines duplicate
+// observations of a vertex by inverse-variance weighting (plain
+// averaging when all noises are equal) and standardizes the combined
+// values. It allocates a constant number of slices whatever the
+// observation count.
+func standardize(n int, obs []Observation, noiseVar float64) (standardized, error) {
+	if len(obs) == 0 {
+		return standardized{}, fmt.Errorf("gp: no observations")
+	}
+	if !(noiseVar > 0) || math.IsInf(noiseVar, 0) {
+		return standardized{}, fmt.Errorf("gp: noise variance must be positive and finite, got %v", noiseVar)
+	}
+	// Per vertex Σ v/σ² and Σ 1/σ², accumulated in observation order.
+	sums := make([]float64, 2*n)
+	weighted, prec := sums[:n], sums[n:]
+	distinct := 0
+	for _, o := range obs {
+		if o.Vertex < 0 || o.Vertex >= n {
+			return standardized{}, fmt.Errorf("gp: observation vertex %d out of range [0, %d)", o.Vertex, n) //lint:allow hotalloc cold path: the error ends the call
+		}
+		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+			return standardized{}, fmt.Errorf("gp: non-finite observation value %v at vertex %d", o.Value, o.Vertex) //lint:allow hotalloc cold path: the error ends the call
+		}
+		ov := o.Noise
+		if ov == 0 {
+			ov = noiseVar
+		}
+		if !(ov > 0) || math.IsInf(ov, 0) {
+			return standardized{}, fmt.Errorf("gp: observation noise must be positive and finite, got %v at vertex %d", ov, o.Vertex) //lint:allow hotalloc cold path: the error ends the call
+		}
+		if prec[o.Vertex] == 0 {
+			distinct++
+		}
+		weighted[o.Vertex] += o.Value / ov
+		prec[o.Vertex] += 1 / ov
+	}
+	st := standardized{
+		observed: make([]int, distinct),
+		y:        make([]float64, distinct),
+		noise:    make([]float64, distinct),
+	}
+	i := 0
+	for v, p := range prec {
+		if p > 0 {
+			st.observed[i], st.y[i], st.noise[i] = v, weighted[v]/p, 1/p
+			st.mean += st.y[i]
+			i++
+		}
+	}
+	st.mean /= float64(distinct)
+	var variance float64
+	for i := range st.y {
+		st.y[i] -= st.mean
+		variance += st.y[i] * st.y[i]
+	}
+	variance /= float64(distinct)
+	st.scale = math.Sqrt(variance)
+	if math.IsNaN(st.scale) || math.IsInf(st.scale, 0) {
+		return standardized{}, fmt.Errorf("gp: observations overflow on standardization (mean %v, variance %v)", st.mean, variance)
+	}
+	if st.scale < 1e-12 {
+		st.scale = 1 // constant observations: keep units as-is
+	}
+	for i := range st.y {
+		st.y[i] /= st.scale
+	}
+	return st, nil
 }
 
 // Observed returns the observed vertex indexes, sorted.
@@ -297,11 +330,10 @@ type GridSearchResult struct {
 
 // SearchOptions tune GridSearchWith.
 type SearchOptions struct {
-	// Workers bounds the goroutines used for the (α, fold) work units
-	// (and the per-α kernel builds). 0 means GOMAXPROCS; 1 is fully
-	// serial. The result is bit-identical for every Workers value:
-	// work units are independent and the best-(α, β) reduction is a
-	// serial scan in grid order.
+	// Workers bounds the goroutines used for the (α, β, fold) work
+	// units. 0 means GOMAXPROCS; 1 is fully serial. The result is
+	// bit-identical for every Workers value: work units are independent
+	// and the best-(α, β) reduction is a serial scan in grid order.
 	Workers int
 }
 
@@ -314,13 +346,13 @@ func GridSearch(g *citygraph.Graph, obs []Observation, alphas, betas []float64, 
 	return GridSearchWith(g, obs, alphas, betas, noiseVar, folds, seed, SearchOptions{})
 }
 
-// GridSearchWith is GridSearch with explicit options. The Laplacian is
-// inverted once per α (the O(n³) part, run in parallel across the α
-// grid); β values reuse it through O(1) rescale views; fold partitions
-// are materialized once up front (the seed rebuilt them for every
-// (α, β, fold) triple); and cross-validation fans out over (α, fold)
-// work units. Ties on RMSE resolve to the earliest (α, β) in grid
-// order, independent of scheduling.
+// GridSearchWith is GridSearch with explicit options. Each (α, β,
+// fold) unit scores its fold's held-out observations against one
+// information-form solve on the fold's training observations (MeanAll:
+// no kernel is built, so no Laplacian is inverted); fold partitions are
+// materialized once up front, and the units fan out over the workers.
+// Ties on RMSE resolve to the earliest (α, β) in grid order,
+// independent of scheduling.
 func GridSearchWith(g *citygraph.Graph, obs []Observation, alphas, betas []float64, noiseVar float64, folds int, seed int64, opt SearchOptions) (GridSearchResult, error) {
 	if len(alphas) == 0 || len(betas) == 0 {
 		return GridSearchResult{}, fmt.Errorf("gp: empty hyperparameter grid")
@@ -330,6 +362,14 @@ func GridSearchWith(g *citygraph.Graph, obs []Observation, alphas, betas []float
 	}
 	if len(obs) < folds {
 		return GridSearchResult{}, fmt.Errorf("gp: %d observations cannot fill %d folds", len(obs), folds)
+	}
+	// Every held-out vertex indexes a mean: validate all observations
+	// before any unit reads one.
+	if g == nil || g.NumVertices() == 0 {
+		return GridSearchResult{}, fmt.Errorf("gp: empty graph")
+	}
+	if _, err := standardize(g.NumVertices(), obs, noiseVar); err != nil {
+		return GridSearchResult{}, err
 	}
 	perm := rand.New(rand.NewSource(seed)).Perm(len(obs))
 	workers := opt.Workers
@@ -352,82 +392,40 @@ func GridSearchWith(g *citygraph.Graph, obs []Observation, alphas, betas []float
 		}
 	}
 
-	// One Laplacian inversion per α, in parallel.
-	bases := make([]*Kernel, len(alphas))
-	baseErr := make([]error, len(alphas))
-	linalg.ParallelFor(workers, len(alphas), func(ai int) {
-		bases[ai], baseErr[ai] = RegularizedLaplacian(g, alphas[ai], 1)
+	// Cross-validation over independent (α, β, fold) units, unit u =
+	// (ai·len(betas) + bi)·folds + f writing only its own cell.
+	sqErr := make([]float64, len(alphas)*len(betas)*folds)
+	unitErr := make([]error, len(sqErr))
+	linalg.ParallelFor(workers, len(sqErr), func(u int) {
+		ab, f := u/folds, u%folds
+		mean, _, err := MeanAll(g, alphas[ab/len(betas)], betas[ab%len(betas)], train[f], noiseVar)
+		if err != nil {
+			unitErr[u] = err
+			return
+		}
+		for _, o := range test[f] {
+			d := mean[o.Vertex] - o.Value
+			sqErr[u] += d * d
+		}
 	})
-	for _, err := range baseErr {
+	for _, err := range unitErr {
 		if err != nil {
 			return GridSearchResult{}, err
 		}
 	}
 
-	// Cross-validation over independent (α, fold) units; each unit
-	// scores every β against its fold, writing only its own cells.
-	type cell struct {
-		sqErr float64
-		count int
-	}
-	partial := make([][][]cell, len(alphas)) // [α][fold][β]
-	unitErr := make([][]error, len(alphas))
-	for ai := range alphas {
-		partial[ai] = make([][]cell, folds)
-		unitErr[ai] = make([]error, folds)
-	}
-	linalg.ParallelFor(workers, len(alphas)*folds, func(u int) {
-		ai, f := u/folds, u%folds
-		scores := make([]cell, len(betas))
-		vertices := make([]int, len(test[f]))
-		for i, o := range test[f] {
-			vertices[i] = o.Vertex
-		}
-		for bi, b := range betas {
-			k, err := bases[ai].Rescale(b)
-			if err != nil {
-				unitErr[ai][f] = err
-				return
-			}
-			reg, err := Fit(k, train[f], noiseVar)
-			if err != nil {
-				unitErr[ai][f] = err
-				return
-			}
-			mean, err := reg.Mean(vertices)
-			if err != nil {
-				unitErr[ai][f] = err
-				return
-			}
-			for i, o := range test[f] {
-				d := mean[i] - o.Value
-				scores[bi].sqErr += d * d
-				scores[bi].count++
-			}
-		}
-		partial[ai][f] = scores
-	})
-	for ai := range alphas {
-		for f := 0; f < folds; f++ {
-			if err := unitErr[ai][f]; err != nil {
-				return GridSearchResult{}, err
-			}
-		}
-	}
-
 	// Serial reduction in grid order: deterministic sums and a strict-<
 	// comparison make the winner independent of scheduling, with ties
-	// going to the earliest grid point.
+	// going to the earliest grid point. Every fold is scored once per
+	// grid point, so the squared errors are over all observations.
 	best := GridSearchResult{RMSE: math.Inf(1)}
 	for ai, a := range alphas {
 		for bi, b := range betas {
-			var sqErr float64
-			var count int
+			var sum float64
 			for f := 0; f < folds; f++ {
-				sqErr += partial[ai][f][bi].sqErr
-				count += partial[ai][f][bi].count
+				sum += sqErr[(ai*len(betas)+bi)*folds+f]
 			}
-			rmse := math.Sqrt(sqErr / float64(count))
+			rmse := math.Sqrt(sum / float64(len(obs)))
 			best.Evaluated++
 			if rmse < best.RMSE {
 				best.Alpha, best.Beta, best.RMSE = a, b, rmse

@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/insight-dublin/insight/citygraph"
@@ -20,19 +21,35 @@ func pathGraph(n int) *citygraph.Graph {
 	return g
 }
 
+// TestRegularizedLaplacianValidation: both paths refuse the same
+// graphs and hyperparameters. α = +Inf (or one so large 1/α² rounds to
+// 0) leaves the singular Laplacian, which InverseSPD used to accept.
 func TestRegularizedLaplacianValidation(t *testing.T) {
+	obs := []Observation{{Vertex: 0, Value: 1}, {Vertex: 2, Value: 3}}
+	for _, g := range []*citygraph.Graph{nil, citygraph.NewGraph()} {
+		if _, err := RegularizedLaplacian(g, 1, 1); err == nil {
+			t.Errorf("RegularizedLaplacian(%v graph) must error", g)
+		}
+		if _, _, err := MeanAll(g, 1, 1, obs, 1); err == nil {
+			t.Errorf("MeanAll(%v graph) must error", g)
+		}
+	}
 	g := pathGraph(3)
-	if _, err := RegularizedLaplacian(nil, 1, 1); err == nil {
-		t.Error("nil graph must error")
-	}
-	if _, err := RegularizedLaplacian(citygraph.NewGraph(), 1, 1); err == nil {
-		t.Error("empty graph must error")
-	}
-	if _, err := RegularizedLaplacian(g, 0, 1); err == nil {
-		t.Error("alpha = 0 must error")
-	}
-	if _, err := RegularizedLaplacian(g, 1, -1); err == nil {
-		t.Error("beta <= 0 must error")
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1}
+	for _, tc := range []struct{ alpha, beta []float64 }{
+		{append(bad, 1e200, 1e-200), []float64{1}},
+		{[]float64{1}, bad},
+	} {
+		for _, a := range tc.alpha {
+			for _, b := range tc.beta {
+				if _, err := RegularizedLaplacian(g, a, b); err == nil || !strings.Contains(err.Error(), "hyperparameters") {
+					t.Errorf("RegularizedLaplacian(α=%v, β=%v): err = %v, want the hyperparameter error", a, b, err)
+				}
+				if _, _, err := MeanAll(g, a, b, obs, 1); err == nil || !strings.Contains(err.Error(), "hyperparameters") {
+					t.Errorf("MeanAll(α=%v, β=%v): err = %v, want the hyperparameter error", a, b, err)
+				}
+			}
+		}
 	}
 }
 

@@ -176,9 +176,11 @@ func TestPredictVarianceClosedForm(t *testing.T) {
 }
 
 // TestGridSearchPinned pins the search on the package's two grid-search
-// fixtures to the values the per-fold Predict produced before the mean
-// path replaced it: the winner and the count exactly, the RMSE to the
-// last few ulps (the kernel scale now multiplies a sum, not each term).
+// fixtures to the values the dense per-fold Fit + Predict produced
+// before each unit became one MeanAll solve: the winner and the count
+// exactly, the RMSE within meanTolerance (the cross-validation mean is
+// the sparse solver's, not the dense oracle's). GridSearchML is still
+// dense and its RMSE stays pinned to a few ulps.
 func TestGridSearchPinned(t *testing.T) {
 	alphas, betas := []float64{0.5, 2, 8}, []float64{0.1, 1, 5}
 	path := pathGraph(12)
@@ -195,23 +197,23 @@ func TestGridSearchPinned(t *testing.T) {
 	for i := 0; i < dublin.NumVertices(); i += 3 {
 		dublinObs = append(dublinObs, Observation{Vertex: i, Value: 200 + 120*math.Sin(float64(i)/9)})
 	}
-	check := func(name string, got GridSearchResult, err error, want GridSearchResult) {
+	check := func(name string, got GridSearchResult, err error, want GridSearchResult, tol float64) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Alpha != want.Alpha || got.Beta != want.Beta || got.Evaluated != want.Evaluated || !relClose(got.RMSE, want.RMSE, 1e-12) { //lint:allow floateq grid points are chosen, not computed
+		if got.Alpha != want.Alpha || got.Beta != want.Beta || got.Evaluated != want.Evaluated || !relClose(got.RMSE, want.RMSE, tol) { //lint:allow floateq grid points are chosen, not computed
 			t.Errorf("%s: got %+v, want %+v", name, got, want)
 		}
 	}
 	for _, workers := range []int{1, 0} {
 		got, err := GridSearchWith(path, pathObs, alphas, betas, 0.5, 3, 1, SearchOptions{Workers: workers})
-		check("path", got, err, GridSearchResult{Alpha: 8, Beta: 0.1, RMSE: 11.702264459838036, Evaluated: 9})
+		check("path", got, err, GridSearchResult{Alpha: 8, Beta: 0.1, RMSE: 11.702264459838036, Evaluated: 9}, meanTolerance)
 		got, err = GridSearchWith(dublin, dublinObs, alphas, betas, 1, 4, 7, SearchOptions{Workers: workers})
-		check("dublin", got, err, GridSearchResult{Alpha: 2, Beta: 0.1, RMSE: 83.383796654003234, Evaluated: 9})
+		check("dublin", got, err, GridSearchResult{Alpha: 2, Beta: 0.1, RMSE: 83.383796654003234, Evaluated: 9}, meanTolerance)
 	}
 	got, err := GridSearchML(path, pathAll, alphas, betas, 0.5)
-	check("ml", got, err, GridSearchResult{Alpha: 8, Beta: 5, RMSE: 0.057055377017845132, Evaluated: 9})
+	check("ml", got, err, GridSearchResult{Alpha: 8, Beta: 5, RMSE: 0.057055377017845132, Evaluated: 9}, 1e-12)
 }
 
 // TestFitRejectsNonFinite: one NaN or ±Inf reading must be an error

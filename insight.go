@@ -27,7 +27,6 @@ import (
 	"github.com/insight-dublin/insight/crowd/qee"
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/geo"
-	"github.com/insight-dublin/insight/gp"
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/traffic"
 )
@@ -139,7 +138,6 @@ type System struct {
 	lastCrowd    map[string]crowdReading   // latest verdict per intersection
 	sensorVertex map[string]int            // sensor ID -> graph vertex
 	interVertex  map[string]int            // intersection ID -> graph vertex
-	kernels      map[[2]float64]*gp.Kernel
 }
 
 type crowdReading struct {
@@ -228,7 +226,6 @@ func New(cfg Config) (*System, error) {
 		lastCrowd:    make(map[string]crowdReading),
 		sensorVertex: make(map[string]int, len(cfg.City.Sensors())),
 		interVertex:  make(map[string]int),
-		kernels:      make(map[[2]float64]*gp.Kernel),
 	}
 	for _, sensor := range cfg.City.Sensors() {
 		s.sensorVertex[sensor.ID] = sensor.Vertex

@@ -20,13 +20,16 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 
 // perCallFuncs maps packages to the functions whose cost is paid whole
 // on every report or crowdsourcing round: gp's predictive mean is a
-// gather and one product — nothing allocated per vertex; crowd's roster
-// view and nearest-k policy run hundreds of times a boundary — nothing
-// allocated per candidate, and no reflective sort. Unlike the kernel
-// rule these hold at every loop depth (the per-vertex loop of a
-// predictor is an outer loop), closures the function returns included.
+// gather and one product, and the flow map's sparse solve (MeanAll: the
+// standardization, the CG iterations, the adjacency-list product) a
+// constant number of slices — nothing allocated per vertex or per
+// iteration; crowd's roster view and nearest-k policy run hundreds of
+// times a boundary — nothing allocated per candidate, and no reflective
+// sort. Unlike the kernel rule these hold at every loop depth (the
+// per-vertex loop of a predictor is an outer loop), closures the
+// function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
-	"gp":    regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll)$`),
+	"gp":    regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|standardize|solve|mulDot)$`),
 	"crowd": regexp.MustCompile(`^(Online|SelectNearest)$`),
 }
 

@@ -1,7 +1,9 @@
 // Package hafix exercises the hotalloc scoping of package gp. It is
 // loaded under the import path "fixture/gp", so the mean path —
 // crossCov, meanFrom, Mean, PredictAll — is held to "a gather and one
-// product": nothing allocated per vertex.
+// product", and the sparse solve — MeanAll, standardize, solve, mulDot
+// — to a constant number of slices: nothing allocated per vertex or per
+// iteration.
 package hafix
 
 type regression struct {
@@ -51,6 +53,36 @@ func (r *regression) Predict(vertices []int) []float64 {
 		variance[i] = dot(sol, sol)
 	}
 	return variance
+}
+
+type precision struct {
+	adj [][]int
+	w   []float64
+}
+
+// mulDot is the accepted shape of the solver's product: arithmetic over
+// the adjacency lists, nothing allocated.
+func (a *precision) mulDot(out, x []float64) float64 {
+	var xax float64
+	for i, nb := range a.adj {
+		s := (float64(len(nb)) + a.w[i]) * x[i]
+		for _, j := range nb {
+			s -= x[j]
+		}
+		out[i] = s
+		xax += x[i] * s
+	}
+	return xax
+}
+
+// solve allocates a fresh product vector per iteration: flagged.
+func (a *precision) solve(x, b []float64) {
+	for k := 0; k < 8; k++ {
+		q := make([]float64, len(b))
+		if a.mulDot(q, x) == 0 {
+			return
+		}
+	}
 }
 
 func dot(a, b []float64) float64 {

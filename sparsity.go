@@ -69,22 +69,13 @@ func (s *System) SparsityMap(alpha, beta, noiseVar float64) (*FlowEstimate, erro
 // conditions a GP with the regularized Laplacian kernel, and the
 // predictive mean is evaluated at every junction of the street
 // network, including the large parts of the city with no sensors at
-// all. Kernels are cached per (α, β).
+// all. The mean is one sparse solve over the street graph (gp.MeanAll):
+// no kernel is built and nothing is cached between calls.
 func (s *System) FlowMap(cfg MapConfig) (*FlowEstimate, error) {
 	if len(s.lastTraffic) == 0 {
 		return nil, fmt.Errorf("insight: no sensor readings ingested yet")
 	}
-	key := [2]float64{cfg.Alpha, cfg.Beta}
-	kernel, ok := s.kernels[key]
-	if !ok {
-		var err error
-		kernel, err = gp.RegularizedLaplacian(s.city.Graph(), cfg.Alpha, cfg.Beta)
-		if err != nil {
-			return nil, err
-		}
-		s.kernels[key] = kernel
-	}
-	// Observations are assembled in sorted-key order: gp.Fit averages
+	// Observations are assembled in sorted-key order: gp.MeanAll averages
 	// duplicate vertices with float accumulation, so the observation
 	// order must be run-stable for the flow estimates to be
 	// bit-identical across runs.
@@ -103,17 +94,13 @@ func (s *System) FlowMap(cfg MapConfig) (*FlowEstimate, error) {
 			obs = append(obs, gp.Observation{Vertex: c.vertex, Value: value, Noise: cfg.CrowdNoise})
 		}
 	}
-	reg, err := gp.Fit(kernel, obs, cfg.SensorNoise)
-	if err != nil {
-		return nil, err
-	}
-	values, err := reg.PredictAll()
+	values, observed, err := gp.MeanAll(s.city.Graph(), cfg.Alpha, cfg.Beta, obs, cfg.SensorNoise)
 	if err != nil {
 		return nil, err
 	}
 	return &FlowEstimate{
 		Values:           values,
-		ObservedVertices: reg.Observed(),
+		ObservedVertices: observed,
 		Observations:     len(obs),
 	}, nil
 }
