@@ -78,7 +78,8 @@ lint-json:
 # pass; gp's PredictAll and MeanAll are held to a constant number of
 # slices there too — the dense mean is a gather and one product, the
 # sparse one a CG solve over the street graph whose allocations do not
-# grow with it),
+# grow with it; rtec's FoldTransitions to a constant number of objects
+# per call whatever the number of fluent instances),
 # re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
 # both-store grid under chaos — CE sets, events, every fluent's
 # intervals and the derived/period counts against the single engine —
@@ -89,7 +90,9 @@ lint-json:
 # fuzz pass over the factorization/solve, GP-fit ("error or all-finite
 # estimates"), GP sparse-vs-dense mean (MeanAll equals the dense
 # kernel's Fit + PredictAll within 1e-9 of the map, or both refuse),
-# WAL-decode, store block-merge, shard-assignment,
+# WAL-decode, store block-merge, simple-fluent fold (FoldTransitions
+# equals a per-time-point holdsFor interpreter, whatever the points'
+# split into parts, order and duplicates), shard-assignment,
 # engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
 # return batches to valid arrival-ordered envelopes or is refused) and
@@ -100,7 +103,7 @@ check: lint
 	$(GO) test -race ./...
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
 	$(GO) test -count=1 ./cmd/figures
-	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp
+	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp ./rtec
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardKeyLoadOffWithoutRebalancing' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
@@ -108,6 +111,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
@@ -156,7 +160,9 @@ loc:
 # in internal/linalg/testdata/fuzz, GP-fit and sparse-vs-dense mean
 # regressions in gp/testdata/fuzz, WAL frame/codec regressions in
 # streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
-# regressions in rtec/testdata/fuzz and testdata/fuzz, spatial-index
+# regressions in rtec/testdata/fuzz and testdata/fuzz, simple-fluent
+# fold regressions (FoldTransitions against its per-time-point oracle)
+# in rtec/testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV regressions in
 # dublin/testdata/fuzz, XML flow-definition regressions in
 # streams/testdata/fuzz, as permanent corpus seeds.
@@ -167,6 +173,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .

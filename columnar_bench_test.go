@@ -268,12 +268,14 @@ func TestAllocBudget_ColumnarIngest(t *testing.T) {
 // busCongestion transition point handed to the tier. Deriving an event
 // as an attribute map cost three objects and up (the map, a boxed value
 // or two); as EventBlock views it costs a share of a few column growths;
-// what is left is the noisy fluent's per-bus interval work and a
-// canonical rendering per same-identity collision. Measured at 0.58
-// (0.74 when the points were vote events with a key per (bus, area)
-// pair, 5.61 with map-backed events); 0.85 leaves room for map-growth
-// jitter without letting one object per event back in.
-const recognitionAllocBudget = 0.85
+// the noisy fluent's per-bus interval work is a constant number of
+// slices per query since FoldTransitions stopped folding each instance
+// on its own; what is left is mostly a canonical rendering per
+// same-identity collision. Measured at 0.356 (0.58 with the per-instance
+// fold, 0.74 when the points were vote events with a key per (bus, area)
+// pair, 5.61 with map-backed events); 0.50 leaves room for map-growth
+// jitter without letting the per-instance fold back in.
+const recognitionAllocBudget = 0.50
 
 // TestAllocBudget_Recognition is the allocation-regression gate of the
 // bus × intersection rules: a sliding-window engine on the column

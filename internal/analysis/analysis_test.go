@@ -64,7 +64,7 @@ func render(diags []Diagnostic) string {
 // import path it is loaded under. The import paths for nodeterminism,
 // hotalloc and durorder end in suffixes that match those analyzers'
 // package gates ("rtec", "internal/linalg", "traffic", "crowd", "gp",
-// "wal"). A case may run a
+// "interval", "wal"). A case may run a
 // wider analyzer set than the one it is named for: stalelint only
 // judges rules whose analyzers ran, so its golden runs All.
 var goldenCases = []struct {
@@ -83,6 +83,8 @@ var goldenCases = []struct {
 	{HotAlloc, "hotalloc_rules", "fixture/traffic", nil},
 	{HotAlloc, "hotalloc_crowd", "fixture/crowd", nil},
 	{HotAlloc, "hotalloc_gp", "fixture/gp", nil},
+	{HotAlloc, "hotalloc_fold", "fixture/fold/rtec", nil},
+	{HotAlloc, "hotalloc_interval", "fixture/interval", nil},
 	{FloatEq, "floateq", "fixture/floateq", nil},
 	{LockCopy, "lockcopy", "fixture/lockcopy", nil},
 	{ItemAlias, "itemalias", "fixture/itemalias", nil},

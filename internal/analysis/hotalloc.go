@@ -25,12 +25,17 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // constant number of slices — nothing allocated per vertex or per
 // iteration; crowd's roster view and nearest-k policy run hundreds of
 // times a boundary — nothing allocated per candidate, and no reflective
-// sort. Unlike the kernel rule these hold at every loop depth (the
-// per-vertex loop of a predictor is an outer loop), closures the
-// function returns included.
+// sort; rtec's fold of a simple fluent's transition points and its
+// window clip run for every fluent at every query, and interval's
+// inertia kernel for every instance — slices sized once per call,
+// nothing allocated per instance or per point. Unlike the kernel rule
+// these hold at every loop depth (the per-vertex loop of a predictor is
+// an outer loop), closures the function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
-	"gp":    regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|standardize|solve|mulDot)$`),
-	"crowd": regexp.MustCompile(`^(Online|SelectNearest)$`),
+	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|standardize|solve|mulDot)$`),
+	"crowd":    regexp.MustCompile(`^(Online|SelectNearest)$`),
+	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances)$`),
+	"interval": regexp.MustCompile(`^AppendInertia$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through

@@ -373,60 +373,94 @@ func Clip(l List, window Span) List {
 // Both point slices may be unsorted and may contain duplicates; they
 // are not modified.
 func FromTransitions(initiations, terminations []Time, holdsAtStart bool, start, horizon Time) List {
-	ini := append([]Time(nil), initiations...)
-	ter := append([]Time(nil), terminations...)
-	slices.Sort(ini)
-	slices.Sort(ter)
-
-	var out List
-	var cur Span
-	open := false
-	if holdsAtStart {
-		cur = Span{Start: start}
-		open = true
+	pts := make([]Point, 0, len(initiations)+len(terminations))
+	for _, t := range initiations {
+		pts = append(pts, Point{Time: t, Init: true})
 	}
-	i, j := 0, 0
-	for i < len(ini) || j < len(ter) {
-		// Process the earliest remaining transition; termination
-		// wins ties so that initiate+terminate at the same instant
-		// yields no (or a closing) period, matching RTEC where a
-		// terminatedAt at T ends the period in progress at T.
-		var t Time
-		isInit := false
-		switch {
-		case j >= len(ter):
-			t, isInit = ini[i], true
-		case i >= len(ini):
-			t = ter[j]
-		case ini[i] < ter[j]:
-			t, isInit = ini[i], true
-		default:
-			t = ter[j]
+	for _, t := range terminations {
+		pts = append(pts, Point{Time: t})
+	}
+	slices.SortFunc(pts, ComparePoints)
+	if out := AppendInertia(nil, pts, holdsAtStart, start, horizon); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
+// Point is one transition point of a fluent instance: an initiation
+// when Init is set, a termination otherwise.
+type Point struct {
+	Time Time
+	Init bool
+}
+
+// ComparePoints orders points by time, a termination before an
+// initiation at the same time: the order AppendInertia folds them in,
+// so that a terminatedAt at T ends the period in progress at T and an
+// initiatedAt at T opens the next one — adjacent, hence merged.
+func ComparePoints(a, b Point) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	switch {
+	case a.Init == b.Init:
+		return 0
+	case a.Init:
+		return 1
+	}
+	return -1
+}
+
+// AppendInertia appends to dst the maximal intervals of one fluent
+// instance under the law of inertia, with the semantics of
+// FromTransitions: pts must be sorted by ComparePoints (duplicates are
+// harmless), holdsAtStart opens a period at start, and a period still
+// open after the last point extends to horizon. Adjacent periods are
+// merged as they are produced, never with the spans dst already held.
+// dst grows at most once, to room for one span per initiation plus the
+// seed: a caller that sized it so allocates nothing here.
+func AppendInertia(dst List, pts []Point, holdsAtStart bool, start, horizon Time) List {
+	bound := 0
+	if holdsAtStart {
+		bound = 1
+	}
+	for _, p := range pts {
+		if p.Init {
+			bound++
 		}
-		if isInit {
-			i++
-			if !open {
-				cur = Span{Start: t + 1}
-				open = true
-			}
-		} else {
-			j++
-			if open {
-				cur.End = t + 1
-				if !cur.Empty() {
-					out = append(out, cur)
-				}
-				open = false
-			}
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, bound)[:base+bound]
+	n := base
+	// put writes the period [from, end) after the spans of this instance
+	// so far, extending the last one instead when the period starts
+	// where it ends. Periods come out in time order and each starts no
+	// earlier than the previous one ends, so that is all Normalize
+	// would do.
+	put := func(from, end Time) {
+		switch {
+		case from >= end:
+		case n > base && from == dst[n-1].End:
+			dst[n-1].End = end
+		default:
+			dst[n] = Span{Start: from, End: end}
+			n++
+		}
+	}
+	open, from := holdsAtStart, start
+	for _, p := range pts {
+		switch {
+		case p.Init && !open:
+			open, from = true, p.Time+1
+		case !p.Init && open:
+			open = false
+			put(from, p.Time+1)
 		}
 	}
 	if open {
-		cur.End = horizon
-		if !cur.Empty() {
-			out = append(out, cur)
-		}
+		put(from, horizon)
 	}
-	return Normalize(out)
+	return dst[:n]
 }
 
 func minTime(a, b Time) Time {

@@ -165,7 +165,8 @@ func (s *System) evaluate(ctx context.Context, q Time, fed int) (*Report, error)
 			bus, _ := ev.Str("bus")
 			rep.Alerts = append(rep.Alerts, Alert{
 				Time: ev.Time, Kind: traffic.Disagree, Key: ev.Key,
-				Text: fmt.Sprintf("bus %s disagrees with SCATS at %s", bus, ev.Key),
+				// Concatenated, not formatted: one per fresh disagreement.
+				Text: "bus " + bus + " disagrees with SCATS at " + ev.Key,
 			})
 		}
 	}

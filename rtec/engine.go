@@ -481,10 +481,10 @@ func (e *Engine) Query(q Time) (*Result, error) {
 				full := outs[i].full
 				ctx.setFluent(rule.name, full)
 				newPrev[rule.name] = full
-				res.Fluents[rule.name] = clipInstances(full, window)
+				res.Fluents[rule.name] = ClipInstances(full, window)
 			case kindStatic:
 				ctx.setFluent(rule.name, outs[i].static)
-				res.Fluents[rule.name] = clipInstances(outs[i].static, window)
+				res.Fluents[rule.name] = ClipInstances(outs[i].static, window)
 			case kindEvent:
 				ctx.addEvents(rule.name, outs[i].events)
 				res.Derived[rule.name] = outs[i].events
@@ -606,104 +606,4 @@ func (e *Engine) Transitions(fluent string) []Transition {
 		return c.trans
 	}
 	return nil
-}
-
-// FoldTransitions turns a simple fluent's transition points at query
-// time q — handed over in any number of parts — into un-clipped maximal
-// interval lists under inertia: the fold the engine runs for every
-// simple fluent, and the one the holder of a partial fluent's parts runs
-// over all of them. prev — the previous query's return value — seeds the
-// value at the window start; initiating one value of a fluent instance
-// terminates every other value at the same instant. Only the set of
-// points matters: order, duplicates and the split into parts do not.
-func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transition) map[KV]List {
-	type pts struct {
-		ini []Time
-		ter []Time
-	}
-	groups := make(map[KV]*pts)
-	valuesByKey := make(map[string]map[string]bool)
-
-	note := func(kv KV) *pts {
-		g := groups[kv]
-		if g == nil {
-			g = &pts{}
-			groups[kv] = g
-			vs := valuesByKey[kv.Key]
-			if vs == nil {
-				vs = make(map[string]bool)
-				valuesByKey[kv.Key] = vs
-			}
-			vs[kv.Value] = true
-		}
-		return g
-	}
-
-	for _, trans := range parts {
-		for _, tr := range trans {
-			if tr.Value == "" {
-				tr.Value = TrueValue
-			}
-			// Transitions must be observable in the window: the earliest
-			// effective point is windowStart−1 (whose effect begins at
-			// windowStart); anything after q cannot have been derived
-			// from window events.
-			if tr.Time < window.Start-1 || tr.Time > q {
-				continue
-			}
-			g := note(KV{Key: tr.Key, Value: tr.Value})
-			if tr.Kind == Initiate {
-				g.ini = append(g.ini, tr.Time)
-			} else {
-				g.ter = append(g.ter, tr.Time)
-			}
-		}
-	}
-
-	// Carry over instances holding at the window start (inertia
-	// across windows).
-	holdsAtStart := make(map[KV]bool)
-	for kv, l := range prev {
-		if l.Contains(window.Start) {
-			holdsAtStart[kv] = true
-			note(kv)
-		}
-	}
-
-	// An initiation of value V at T terminates every other value of
-	// the same key at T.
-	for key, vs := range valuesByKey {
-		if len(vs) < 2 {
-			continue
-		}
-		for v := range vs {
-			g := groups[KV{Key: key, Value: v}]
-			for other := range vs {
-				if other == v {
-					continue
-				}
-				og := groups[KV{Key: key, Value: other}]
-				g.ter = append(g.ter, og.ini...)
-			}
-		}
-	}
-
-	out := make(map[KV]List, len(groups))
-	for kv, g := range groups {
-		l := interval.FromTransitions(g.ini, g.ter, holdsAtStart[kv], window.Start, interval.MaxTime)
-		if len(l) > 0 {
-			out[kv] = l
-		}
-	}
-	return out
-}
-
-func clipInstances(full map[KV]List, window Span) map[KV]List {
-	out := make(map[KV]List, len(full))
-	for kv, l := range full {
-		if c := interval.Clip(l, window); len(c) > 0 {
-			out[kv] = c
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package rtec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -189,10 +190,11 @@ func MergeResults(results []*Result) *Result {
 				out.Fluents[name] = m
 			}
 			for kv, l := range insts {
-				if existing, ok := m[kv]; ok {
-					m[kv] = interval.Union(existing, l)
-				} else {
+				// Replicated input gives every engine the same list.
+				if existing, ok := m[kv]; !ok {
 					m[kv] = l
+				} else if !slices.Equal(existing, l) {
+					m[kv] = interval.Union(existing, l)
 				}
 			}
 		}

@@ -274,12 +274,9 @@ func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.K
 	t.busPrev = rtec.FoldTransitions(t.busPrev, window, q, parts...)
 
 	res := &rtec.Result{Q: q, Window: window, Derived: map[string][]rtec.Event{}}
-	bus := make(map[rtec.KV]rtec.List, len(t.busPrev))
-	for kv, l := range t.busPrev {
-		if c := interval.Clip(l, window); len(c) > 0 {
-			bus[kv] = c
-			res.Stats.FluentPeriods += len(c)
-		}
+	bus := rtec.ClipInstances(t.busPrev, window)
+	for _, l := range bus {
+		res.Stats.FluentPeriods += len(l)
 	}
 	res.Fluents = map[string]map[rtec.KV]rtec.List{traffic.BusCongestion: bus}
 
