@@ -95,9 +95,14 @@ lint-json:
 # split into parts, order and duplicates), shard-assignment,
 # engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
-# return batches to valid arrival-ordered envelopes or is refused) and
-# XML flow-definition (LoadXML refuses or builds, never panics, never
-# sizes a queue past its bound) targets.
+# return batches to valid arrival-ordered envelopes or is refused),
+# ground-truth field (the indexed CongestionAt equals a linear scan over
+# every congestion center bit for bit, IsCongested agrees at the truth
+# threshold, at box and cell edges, poles, the antimeridian and
+# non-finite points) and XML flow-definition (LoadXML refuses or builds,
+# never panics, never sizes a queue past its bound) targets. The
+# generated stream itself is pinned by digest in the plain test pass
+# (dublin's TestGeneratedStreamPinned).
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -117,6 +122,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 5s ./traffic
 	$(GO) test -run '^$$' -fuzz FuzzReplayCSV -fuzztime 5s ./dublin
+	$(GO) test -run '^$$' -fuzz FuzzCongestionField -fuzztime 5s ./dublin
 	$(GO) test -run '^$$' -fuzz FuzzLoadXML -fuzztime 5s ./streams
 
 # The recovery bench: the crash-equivalence campaign as a measurement —
@@ -163,8 +169,8 @@ loc:
 # regressions in rtec/testdata/fuzz and testdata/fuzz, simple-fluent
 # fold regressions (FoldTransitions against its per-time-point oracle)
 # in rtec/testdata/fuzz, spatial-index
-# regressions in traffic/testdata/fuzz, replay-CSV regressions in
-# dublin/testdata/fuzz, XML flow-definition regressions in
+# regressions in traffic/testdata/fuzz, replay-CSV and ground-truth
+# field regressions in dublin/testdata/fuzz, XML flow-definition regressions in
 # streams/testdata/fuzz, as permanent corpus seeds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 10s ./internal/linalg
@@ -179,6 +185,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzCloseIndex -fuzztime 10s ./traffic
 	$(GO) test -run '^$$' -fuzz FuzzReplayCSV -fuzztime 10s ./dublin
+	$(GO) test -run '^$$' -fuzz FuzzCongestionField -fuzztime 10s ./dublin
 	$(GO) test -run '^$$' -fuzz FuzzLoadXML -fuzztime 10s ./streams
 
 # Regenerate every figure of the paper's evaluation and every extension

@@ -213,22 +213,38 @@ func BenchmarkFig9_GP(b *testing.B) {
 }
 
 // BenchmarkDatasetGeneration measures the synthetic stream generator
-// (the stand-in for the 13 GB Dublin feed).
+// (the stand-in for the 13 GB Dublin feed) the way BuildPipeline runs
+// it: CollectBatches into transport batches, from 07:00 on the morning
+// peak, at the paper's scale and at Profile10x. The city is built
+// outside the timer; ns/SDE is the generation cost per emitted row.
 func BenchmarkDatasetGeneration(b *testing.B) {
-	city := benchCity(b)
-	b.ResetTimer()
-	events := 0
-	for i := 0; i < b.N; i++ {
-		gen := city.Stream(0, 600)
-		for {
-			_, ok := gen.Next()
-			if !ok {
-				break
+	const from = 7 * 3600
+	for _, bc := range []struct {
+		name        string
+		cfg         dublin.Config
+		span, batch Time
+	}{
+		{"1x", dublin.Config{Seed: 42}, 900, 450},
+		{"10x", dublin.Profile10x(42), 120, 120},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			city, err := dublin.NewCity(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			events++
-		}
+			b.ResetTimer()
+			sdes := 0
+			for i := 0; i < b.N; i++ {
+				for _, bs := range city.CollectBatches(from, from+bc.span, transportBatchRows, bc.batch) {
+					for _, batch := range bs.Batches {
+						sdes += batch.Len()
+						batch.Release()
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sdes), "ns/SDE")
+		})
 	}
-	b.ReportMetric(float64(events)/float64(b.N), "SDEs/op")
 }
 
 // BenchmarkStepRatio measures the amortized cost of overlapping

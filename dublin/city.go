@@ -18,7 +18,6 @@ package dublin
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/insight-dublin/insight/citygraph"
@@ -153,6 +152,7 @@ type hotspot struct {
 	evening  float64 // center of the evening peak, hours
 	widthH   float64 // peak width, hours
 	baseline float64 // off-peak intensity
+	bounds
 }
 
 // Incident is a sudden localized congestion event (an accident or
@@ -165,8 +165,9 @@ type Incident struct {
 	Severity float64 // peak intensity in (0, 1]
 }
 
-// active reports the incident's temporal envelope at daily second t
-// (ramping up and down over 10% of the duration at each edge).
+// intensityAt returns the incident's temporal envelope at daily second
+// t (ramping up and down over 10% of the duration at each edge): at
+// most Severity, 0 outside the incident.
 func (in Incident) intensityAt(t rtec.Time) float64 {
 	if t < in.Start || t > in.Start+in.Duration {
 		return 0
@@ -193,7 +194,11 @@ type City struct {
 	intersections []traffic.Intersection
 	buses         []Bus
 	hotspots      []hotspot
+	field         fieldGrid // hotspots by reach
 	incidents     []Incident
+	// incidentBounds[i] pre-checks incidents[i]; incidents are few
+	// enough per day to scan.
+	incidentBounds []bounds
 }
 
 // NewCity builds the city for the configuration.
@@ -218,6 +223,7 @@ func NewCity(cfg Config) (*City, error) {
 	c.placeHotspots(r)
 	c.buildFleet(r)
 	c.scheduleIncidents(r)
+	c.field = newFieldGrid(c.hotspots)
 	return c, nil
 }
 
@@ -226,13 +232,15 @@ func (c *City) scheduleIncidents(r *rand.Rand) {
 	n := c.graph.NumVertices()
 	for i := 0; i < c.cfg.Incidents; i++ {
 		v := c.graph.Vertex(r.Intn(n))
-		c.incidents = append(c.incidents, Incident{
+		in := Incident{
 			Center:   v.Pos,
 			RadiusM:  300 + r.Float64()*400,
 			Start:    rtec.Time(r.Int63n(24 * 3600)),
 			Duration: rtec.Time(1800 + r.Int63n(3600)), // 30-90 min
 			Severity: 0.8 + r.Float64()*0.2,
-		})
+		}
+		c.incidents = append(c.incidents, in)
+		c.incidentBounds = append(c.incidentBounds, newBounds(in.Center, in.RadiusM, in.Severity))
 	}
 }
 
@@ -285,7 +293,7 @@ func (c *City) placeHotspots(r *rand.Rand) {
 	n := c.graph.NumVertices()
 	for i := 0; i < c.cfg.Hotspots; i++ {
 		v := c.graph.Vertex(r.Intn(n))
-		c.hotspots = append(c.hotspots, hotspot{
+		h := hotspot{
 			center:   v.Pos,
 			radiusM:  400 + r.Float64()*800,
 			peak:     0.75 + r.Float64()*0.25,
@@ -293,7 +301,9 @@ func (c *City) placeHotspots(r *rand.Rand) {
 			evening:  17.5 + r.NormFloat64()*0.5,
 			widthH:   1 + r.Float64(),
 			baseline: r.Float64() * 0.25,
-		})
+		}
+		h.bounds = newBounds(h.center, h.radiusM, h.maxTemporal())
+		c.hotspots = append(c.hotspots, h)
 	}
 }
 
@@ -360,60 +370,6 @@ func (c *City) Buses() []Bus { return c.buses }
 // the given close-predicate threshold in meters.
 func (c *City) Registry(closeMeters float64) (*traffic.Registry, error) {
 	return traffic.NewRegistry(c.intersections, closeMeters)
-}
-
-// CongestionAt returns the ground-truth congestion intensity in [0, 1]
-// at a location and absolute time (seconds). The field is a sum of
-// hotspot contributions, each following a double-peaked (morning and
-// evening rush hour) daily profile with Gaussian spatial decay.
-func (c *City) CongestionAt(p geo.Point, t rtec.Time) float64 {
-	hour := float64(t%(24*3600)) / 3600
-	var best float64
-	for i := range c.hotspots {
-		h := &c.hotspots[i]
-		d := geo.Distance(p, h.center)
-		if d > 3*h.radiusM {
-			continue
-		}
-		spatial := math.Exp(-d * d / (2 * h.radiusM * h.radiusM))
-		temporal := h.baseline +
-			(h.peak-h.baseline)*gauss(hour, h.morning, h.widthH) +
-			(h.peak-h.baseline)*gauss(hour, h.evening, h.widthH)
-		if v := spatial * temporal; v > best {
-			best = v
-		}
-	}
-	daily := t % (24 * 3600)
-	for i := range c.incidents {
-		in := &c.incidents[i]
-		temporal := in.intensityAt(daily)
-		if temporal == 0 {
-			continue
-		}
-		d := geo.Distance(p, in.Center)
-		if d > 3*in.RadiusM {
-			continue
-		}
-		spatial := math.Exp(-d * d / (2 * in.RadiusM * in.RadiusM))
-		if v := spatial * temporal; v > best {
-			best = v
-		}
-	}
-	if best > 1 {
-		best = 1
-	}
-	return best
-}
-
-func gauss(x, mu, sigma float64) float64 {
-	d := x - mu
-	return math.Exp(-d * d / (2 * sigma * sigma))
-}
-
-// IsCongested reports the ground truth congestion state at a location
-// and time.
-func (c *City) IsCongested(p geo.Point, t rtec.Time) bool {
-	return c.CongestionAt(p, t) >= CongestionTruthThreshold
 }
 
 // BusPosition returns where a bus is at an absolute time, interpolated

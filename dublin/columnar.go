@@ -1,9 +1,9 @@
 package dublin
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/insight-dublin/insight/geo"
 	"github.com/insight-dublin/insight/rtec"
@@ -39,26 +39,15 @@ type BatchedStream struct {
 // them.
 func (c *City) CollectBatches(from, until rtec.Time, maxRows int, maxSpan rtec.Time) []BatchedStream {
 	g := c.Stream(from, until)
-	var raws []rawSDE
-	for {
-		r, ok := g.nextRaw()
-		if !ok {
-			break
-		}
-		raws = append(raws, r)
-	}
-	// Arrival order, stable — the same permutation Collect applies to
-	// the materialized stream.
-	sort.SliceStable(raws, func(i, j int) bool { return raws[i].arrival < raws[j].arrival })
-
 	sb := newStreamBatcher(maxRows, maxSpan)
-	for _, r := range raws {
+	// The same arrival order, and the same drain, as Collect.
+	g.drain(func(r rawSDE) {
 		si, typ := 0, traffic.MoveType
 		if r.kind == 1 {
 			si, typ = 1+int(geo.RegionOf(c.sensors[r.index].Pos)), traffic.TrafficType
 		}
 		g.appendRaw(sb.rowBatch(si, typ, r.arrival), r)
-	}
+	})
 	return sb.finish()
 }
 
@@ -99,6 +88,12 @@ func (sb *streamBatcher) rowBatch(si int, typ string, arrival rtec.Time) *stream
 	if sb.open[si] == nil {
 		sb.open[si] = streams.GetBatch(typ, sb.out[si].ID)
 		sb.first[si] = arrival
+	} else if sb.open[si].Len() == 1 {
+		// The first row laid out the columns: size them all for a full
+		// cut now. Grown row by row, a batch allocates its bytes twice
+		// over, and over a whole collection that garbage is as large as
+		// the stream.
+		sb.open[si].Grow(sb.maxRows - 1)
 	}
 	return sb.open[si]
 }
@@ -169,12 +164,12 @@ func BatchSDEs(sdes []SDE, maxRows int, maxSpan rtec.Time) ([]BatchedStream, err
 	// Sort a permutation, and only when needed: Collect output and CSV
 	// files are already in arrival order.
 	var order []int32
-	if !sort.SliceIsSorted(sdes, func(i, j int) bool { return sdes[i].Arrival < sdes[j].Arrival }) {
+	if !slices.IsSortedFunc(sdes, func(a, b SDE) int { return cmp.Compare(a.Arrival, b.Arrival) }) {
 		order = make([]int32, len(sdes))
 		for i := range order {
 			order[i] = int32(i)
 		}
-		sort.SliceStable(order, func(i, j int) bool { return sdes[order[i]].Arrival < sdes[order[j]].Arrival })
+		slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(sdes[i].Arrival, sdes[j].Arrival) })
 	}
 	sb := newStreamBatcher(maxRows, maxSpan)
 	for n := range sdes {

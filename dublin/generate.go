@@ -3,7 +3,6 @@ package dublin
 import (
 	"container/heap"
 	"math/rand"
-	"sort"
 
 	"github.com/insight-dublin/insight/geo"
 	"github.com/insight-dublin/insight/rtec"
@@ -214,19 +213,60 @@ func (g *Generator) sensorRaw(i int, t rtec.Time) rawSDE {
 	return rawSDE{kind: 1, index: i, t: t, density: density, flow: flow}
 }
 
-// Collect materializes the SDEs of [from, until), sorted by arrival
-// time — the order a live system would receive them in. Suitable for
-// spans up to a few hours; use Stream for month-scale runs.
-func (c *City) Collect(from, until rtec.Time) []SDE {
-	var out []SDE
-	g := c.Stream(from, until)
+// drain hands every SDE of the generator's range to emit in arrival
+// order, ties in generation order — exactly the permutation a stable
+// sort of the Next sequence by arrival applies — without holding the
+// range. Occurrence times never decrease and an arrival is its
+// occurrence plus a delay in [0, MaxDelay], so once the generator
+// reaches time t every arrival before t is final. The SDEs not yet
+// final wait in a ring of MaxDelay+1 one-second buckets, each in
+// generation order: at most MaxDelay seconds of the stream.
+func (g *Generator) drain(emit func(rawSDE)) {
+	w := max(g.city.cfg.MaxDelay, 0) + 1
+	ring := make([][]rawSDE, w)
+	bucket := func(arrival rtec.Time) *[]rawSDE { return &ring[(arrival%w+w)%w] }
+	var cur rtec.Time // the earliest arrival second not yet emitted
+	pending := 0
+	flush := func() {
+		b := bucket(cur)
+		for _, r := range *b {
+			emit(r)
+		}
+		pending -= len(*b)
+		*b = (*b)[:0]
+		cur++
+	}
 	for {
-		sde, ok := g.Next()
+		r, ok := g.nextRaw()
 		if !ok {
 			break
 		}
-		out = append(out, sde)
+		for pending > 0 && cur < r.t {
+			flush()
+		}
+		if pending == 0 {
+			cur = r.t
+		}
+		b := bucket(r.arrival)
+		*b = append(*b, r)
+		pending++
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
+	for pending > 0 {
+		flush()
+	}
+}
+
+// Collect materializes the SDEs of [from, until) in arrival order — the
+// order a live system would receive them in — ties in occurrence order.
+// It holds the range's materialized events, one attribute map each, and
+// at most MaxDelay seconds of raw events besides: suitable for spans up
+// to a few hours; use Stream for month-scale runs, or CollectBatches for
+// the columnar form.
+func (c *City) Collect(from, until rtec.Time) []SDE {
+	var out []SDE
+	g := c.Stream(from, until)
+	g.drain(func(r rawSDE) {
+		out = append(out, SDE{Event: g.materialize(r), Arrival: r.arrival})
+	})
 	return out
 }

@@ -111,10 +111,3 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "  max mediator delay: %d s\n", int64(s.MaxDelay))
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -63,6 +63,37 @@ func Close(a, b Point, thresholdMeters float64) bool {
 	return Distance(a, b) <= thresholdMeters
 }
 
+// Reach bounds how far apart, in degrees of latitude and of longitude,
+// two valid WGS-84 points within meters of each other can lie when one of
+// them is at most absLat degrees from the equator. The great-circle
+// distance is never below the latitude difference; in longitude the
+// haversine gives
+//
+//	sin(dLon/2) <= sin(angle/2) / sqrt(cos(lat1)·cos(lat2)),
+//
+// bounded with the smallest cosine such a pair can see: that of absLat
+// pushed one distance poleward. A bound that does not hold — a distance
+// of half the globe or more, a pair that may pass over a pole — is +Inf.
+// Both are padded so that rounding in Distance at the threshold can never
+// put a pair Close accepts outside them. The longitude bound assumes the
+// pair does not straddle the antimeridian; that is the caller's to check.
+func Reach(meters, absLat float64) (dLat, dLon float64) {
+	const (
+		degrees = 180 / math.Pi
+		margin  = 1 + 1e-6
+	)
+	angle := meters / EarthRadiusMeters
+	dLat, dLon = math.Inf(1), math.Inf(1)
+	if angle < math.Pi {
+		dLat = angle * degrees * margin
+		poleward := absLat/degrees + angle
+		if s := math.Sin(angle/2) / math.Cos(poleward); poleward < math.Pi/2 && s < 1 {
+			dLon = 2 * math.Asin(s) * degrees * margin
+		}
+	}
+	return dLat, dLon
+}
+
 // Box is a latitude/longitude bounding window.
 type Box struct {
 	MinLat, MinLon float64

@@ -28,14 +28,18 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // sort; rtec's fold of a simple fluent's transition points and its
 // window clip run for every fluent at every query, and interval's
 // inertia kernel for every instance — slices sized once per call,
-// nothing allocated per instance or per point. Unlike the kernel rule
-// these hold at every loop depth (the per-vertex loop of a predictor is
-// an outer loop), closures the function returns included.
+// nothing allocated per instance or per point; dublin's ground-truth
+// field is asked about every generated bus report and SCATS reading and
+// every crowd participant's answer — it reads its static grid and
+// allocates nothing. Unlike the kernel rule these hold at every loop
+// depth (the per-vertex loop of a predictor is an outer loop), closures
+// the function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
 	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|standardize|solve|mulDot)$`),
 	"crowd":    regexp.MustCompile(`^(Online|SelectNearest)$`),
 	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
+	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through
@@ -48,7 +52,9 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 // batch path: the row loops whose whole point is that no per-event map
 // is ever built — in the root package also the monitoring processor's
 // boundary step (fireDue) and the sharded tier's fold loops over the
-// shards' results, the serial tail of every boundary. Unlike
+// shards' results, the serial tail of every boundary; in dublin the
+// generator's arrival drain, which hands raw SDEs on and never
+// materializes one itself. Unlike
 // the kernel rule above, these are checked at every loop depth — one
 // ItemAt or map construction per row silently reverts the batch path to
 // per-item cost.
@@ -56,7 +62,7 @@ var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
 	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol|gatherRows|snapshotTypes|restoreType)$`),
 	"insight": regexp.MustCompile(`^(admit|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
-	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches)$`),
+	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches|drain)$`),
 }
 
 // ruleClosurePkgs are the packages whose rtec rule closures — the

@@ -1,9 +1,11 @@
-// Package hcfix exercises the hotalloc batch-path scoping of package
-// dublin. It is loaded under the import path "fixture/dublin", so the
-// recorded-stream converter (BatchSDEs and its per-row appendSDE) and
-// CollectBatches form the batch path: a recorded SDE is read out of
-// the map it arrived in, never copied into a new one on its way into a
-// batch row.
+// Package hcfix exercises the hotalloc scoping of package dublin. It is
+// loaded under the import path "fixture/dublin", so the recorded-stream
+// converter (BatchSDEs and its per-row appendSDE), CollectBatches and
+// the generator's arrival drain form the batch path: a recorded SDE is
+// read out of the map it arrived in, never copied into a new one on its
+// way into a batch row, and the drain never materializes one. The
+// ground-truth field (CongestionAt, IsCongested) is per-call: nothing
+// allocated in its loops.
 package hcfix
 
 // Event mirrors the recorded event.
@@ -56,4 +58,42 @@ func Collect(keys []string) []Event {
 		out = append(out, NewEvent(k, map[string]any{"lon": 0.0}))
 	}
 	return out
+}
+
+// drain materializes each row before handing it on: flagged. Buffering
+// the rows it holds back is what it is for, and passes.
+func drain(keys []string, emit func(Event)) {
+	var held []string
+	for _, k := range keys {
+		held = append(held, k)
+		emit(NewEvent(k, nil))
+	}
+}
+
+// grid lists hotspot indexes per cell.
+type grid struct{ cells [][]int32 }
+
+// CongestionAt gathers the cell's candidates into a fresh slice before
+// scanning them: the per-candidate append is flagged.
+func (g *grid) CongestionAt(cell int, field []float64) float64 {
+	var cands []int32
+	for _, i := range g.cells[cell] {
+		cands = append(cands, i)
+	}
+	best := 0.0
+	for _, i := range cands {
+		best = max(best, field[i])
+	}
+	return best
+}
+
+// IsCongested reads the cell's list in place and returns at the first
+// witness: passes.
+func (g *grid) IsCongested(cell int, field []float64) bool {
+	for _, i := range g.cells[cell] {
+		if field[i] >= 0.7 {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package streams
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -284,6 +285,30 @@ func (b *Batch) Append(t, arrival int64, key string) {
 		b.kdict[key] = id
 	}
 	b.KIdx = append(b.KIdx, id)
+}
+
+// Grow makes room for n more rows in the row slices and in every column
+// the batch has so far, so a producer that knows how many rows a batch
+// will take appends them without regrowing each slice as it fills.
+func (b *Batch) Grow(n int) {
+	b.check()
+	b.Times = slices.Grow(b.Times, n)
+	b.Arrivals = slices.Grow(b.Arrivals, n)
+	b.Keys = slices.Grow(b.Keys, n)
+	b.KIdx = slices.Grow(b.KIdx, n)
+	for i := range b.Cols {
+		c := &b.Cols[i]
+		switch c.Kind {
+		case ColFloat:
+			c.F = slices.Grow(c.F, n)
+		case ColInt:
+			c.I = slices.Grow(c.I, n)
+		case ColBool:
+			c.B = slices.Grow(c.B, n)
+		default:
+			c.SIdx = slices.Grow(c.SIdx, n)
+		}
+	}
 }
 
 // col finds the named column, creating it with the given kind on first

@@ -80,6 +80,26 @@ func TestBatchAppendRowFrom(t *testing.T) {
 	dst.Release()
 }
 
+// TestBatchGrow: after the first row has laid out the columns, Grow
+// sizes the row slices and every column for the rows to come.
+func TestBatchGrow(t *testing.T) {
+	b := mkBatch("move", "grow-test", 1)
+	defer b.Release()
+	b.Grow(63)
+	caps := map[string]int{"Times": cap(b.Times), "Arrivals": cap(b.Arrivals), "Keys": cap(b.Keys), "KIdx": cap(b.KIdx)}
+	for _, c := range b.Cols {
+		caps[c.Name] = max(cap(c.F), cap(c.I), cap(c.B), cap(c.SIdx))
+	}
+	for name, c := range caps {
+		if c < 64 {
+			t.Errorf("%s: capacity %d after Grow(63) on one row, want >= 64", name, c)
+		}
+	}
+	if b.Len() != 1 {
+		t.Errorf("Grow changed the row count to %d", b.Len())
+	}
+}
+
 func TestBatchEnvelope(t *testing.T) {
 	b := NewBatch("traffic", "scats-north")
 	it := BatchItem(b)

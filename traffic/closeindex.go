@@ -26,13 +26,9 @@ type closeGrid struct {
 }
 
 const (
-	// reachMargin pads the exact per-axis bounds so that rounding in
-	// geo.Distance at the threshold can never make them reject a pair
-	// geo.Close accepts; cellMargin pads the cell size over the reach so
-	// rounding in the cell arithmetic can never put such a pair two cells
-	// apart.
-	reachMargin = 1 + 1e-6
-	cellMargin  = 1.01
+	// cellMargin pads the cell size over the reach so rounding in the
+	// cell arithmetic can never put a close pair two cells apart.
+	cellMargin = 1.01
 	// maxCellsPerPoint and minCells bound the grid: a registry whose
 	// extent is huge relative to the threshold gets coarser cells (more
 	// candidates per lookup, same answer) instead of an index larger
@@ -56,27 +52,14 @@ func newCloseGrid(ins []Intersection, closeMeters float64) closeGrid {
 	}
 	g.lat0, g.lon0 = minLat, minLon
 
-	// The great-circle distance is never below the latitude difference,
-	// so a close pair is at most the threshold's central angle apart in
-	// latitude. In longitude the haversine gives
-	//   sin(dLon/2) <= sin(angle/2) / sqrt(cos(lat1)·cos(lat2)),
-	// bounded with the smallest cosine any close pair can see: that of
-	// the registry's extreme latitude pushed one threshold poleward.
-	// Near a pole, or when the padded extent reaches the antimeridian
-	// (where close pairs wrap around), the bound is void and the
-	// longitude axis collapses to a single column.
-	const degrees = 180 / math.Pi
-	angle := closeMeters / geo.EarthRadiusMeters
-	g.reachLat, g.reachLon = math.Inf(1), math.Inf(1)
-	if angle < math.Pi {
-		g.reachLat = angle * degrees * reachMargin
-		poleward := math.Max(math.Abs(minLat), math.Abs(maxLat))/degrees + angle
-		if s := math.Sin(angle/2) / math.Cos(poleward); poleward < math.Pi/2 && s < 1 {
-			reach := 2 * math.Asin(s) * degrees * reachMargin
-			if minLon-reach*cellMargin >= -180 && maxLon+reach*cellMargin <= 180 {
-				g.reachLon = reach
-			}
-		}
+	// Every close pair has one end in the registry, so the registry's
+	// extreme latitude bounds the pair (geo.Reach). Near a pole, or when
+	// the padded extent reaches the antimeridian (where close pairs wrap
+	// around), the longitude bound is void and the longitude axis
+	// collapses to a single column.
+	g.reachLat, g.reachLon = geo.Reach(closeMeters, math.Max(math.Abs(minLat), math.Abs(maxLat)))
+	if !(minLon-g.reachLon*cellMargin >= -180 && maxLon+g.reachLon*cellMargin <= 180) {
+		g.reachLon = math.Inf(1)
 	}
 	g.cellLat, g.cellLon = g.reachLat*cellMargin, g.reachLon*cellMargin
 	budget := math.Max(minCells, maxCellsPerPoint*float64(len(ins)))
