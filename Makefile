@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e fuzz-short loc figures clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e bench-checkpoint fuzz-short loc figures clean
 
 all: build vet test
 
@@ -73,7 +73,8 @@ lint-json:
 # intersection rules) against their committed allocation budgets, the
 # column store against the committed resident bytes/event advantage
 # over the row store (the named reference) and the checkpoint file
-# against its bytes-per-stored-input-SDE budget (the race detector
+# against its bytes-per-stored-input-SDE budget, its pending records
+# carrying only the dictionary entries their rows use (the race detector
 # inflates allocation counts, so those gates run in a separate non-race
 # pass; gp's PredictAll and MeanAll are held to a constant number of
 # slices there too — the dense mean is a gather and one product, the
@@ -90,9 +91,12 @@ lint-json:
 # fuzz pass over the factorization/solve, GP-fit ("error or all-finite
 # estimates"), GP sparse-vs-dense mean (MeanAll equals the dense
 # kernel's Fit + PredictAll within 1e-9 of the map, or both refuse),
-# WAL-decode, store block-merge, simple-fluent fold (FoldTransitions
-# equals a per-time-point holdsFor interpreter, whatever the points'
-# split into parts, order and duplicates), shard-assignment,
+# WAL-decode, WAL range-encode (EncodeBatchRows equals EncodeBatch of a
+# fresh copy of the rows, byte for byte), store block-merge, simple-fluent
+# fold (FoldTransitions equals a per-time-point holdsFor interpreter,
+# whatever the points' split into parts, order and duplicates), Fresh
+# dedup snapshot (SeenSet.Entries equals a comparison sort of every
+# identity, through Add, Prune and Restore), shard-assignment,
 # engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
 # return batches to valid arrival-ordered envelopes or is refused),
@@ -115,8 +119,10 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
+	$(GO) test -run '^$$' -fuzz FuzzEncodeBatchRows -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
@@ -149,6 +155,13 @@ bench-gp:
 	$(GO) test -run '^$$' -bench 'BenchmarkGP_' -benchtime 1x \
 		-count=5 -json ./gp | tee BENCH_gp.json
 
+# One durable checkpoint of the 1× product run at its second boundary,
+# built (engine snapshots, pending rows) and encoded, with B/ckpt, the
+# Fresh dedup identities and the pending rows reported beside ns/op.
+# Profile it with: make bench-checkpoint BENCHFLAGS=-cpuprofile=cpu.prof
+bench-checkpoint:
+	$(GO) test -run '^$$' -bench BenchmarkCheckpoint -benchmem -count=5 $(BENCHFLAGS) .
+
 # The end-to-end benchmark BENCHMARK.json declares: four workloads
 # through the real pipeline, every rep a fresh process, end-to-end
 # metrics untraced then per-layer metrics traced (a few minutes). One
@@ -164,11 +177,12 @@ loc:
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
 # in internal/linalg/testdata/fuzz, GP-fit and sparse-vs-dense mean
-# regressions in gp/testdata/fuzz, WAL frame/codec regressions in
-# streams/wal/testdata/fuzz, engine-snapshot and checkpoint decoder
-# regressions in rtec/testdata/fuzz and testdata/fuzz, simple-fluent
-# fold regressions (FoldTransitions against its per-time-point oracle)
-# in rtec/testdata/fuzz, spatial-index
+# regressions in gp/testdata/fuzz, WAL frame/codec and range-encoder
+# regressions in streams/wal/testdata/fuzz, engine-snapshot and
+# checkpoint decoder regressions in rtec/testdata/fuzz and
+# testdata/fuzz, simple-fluent fold regressions (FoldTransitions against
+# its per-time-point oracle) and Fresh dedup snapshot regressions
+# (Entries against the comparison sort) in rtec/testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV and ground-truth
 # field regressions in dublin/testdata/fuzz, XML flow-definition regressions in
 # streams/testdata/fuzz, as permanent corpus seeds.
@@ -178,8 +192,10 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
+	$(GO) test -run '^$$' -fuzz FuzzEncodeBatchRows -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .

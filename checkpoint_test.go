@@ -9,10 +9,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
 )
 
@@ -57,11 +59,13 @@ func fuzzCity(t testing.TB) *dublin.City {
 }
 
 // TestCheckpointBudget is the size gate of the checkpoint format: on
-// the test-scale product run a checkpoint costs at most 64 bytes per
+// the test-scale product run a checkpoint costs at most 32 bytes per
 // stored input SDE — every stored row is one, replicas included, since
 // no engine of the tier stores derived rows — and measures 26.9 (the
 // row-oriented JSON form cost about 450). Bytes are a pure function of
-// the state, so the gate has no noise band.
+// the state, so the gate has no noise band. Every pending record's
+// dictionaries hold only what its rows use: a record encoded through a
+// recycled transport batch once carried the pool's whole vocabulary.
 func TestCheckpointBudget(t *testing.T) {
 	data := productCheckpoint(t, testCity(t))
 	ck, err := decodeCheckpoint(data)
@@ -78,9 +82,17 @@ func TestCheckpointBudget(t *testing.T) {
 		t.Fatalf("checkpoint holds only %d stored SDEs; the budget would be vacuous", stored)
 	}
 	per := float64(len(data)) / float64(stored)
-	t.Logf("checkpoint: %d bytes for %d stored SDEs = %.1f B/SDE", len(data), stored, per)
-	if per > 64 {
-		t.Errorf("checkpoint costs %.1f bytes per stored SDE, budget is 64", per)
+	t.Logf("checkpoint: %d bytes for %d stored SDEs = %.1f B/SDE, %d pending records", len(data), stored, per, len(ck.pendingBatches))
+	if per > 32 {
+		t.Errorf("checkpoint costs %.1f bytes per stored SDE, budget is 32", per)
+	}
+	if len(ck.pendingBatches) == 0 {
+		t.Fatal("checkpoint carries no pending record; the dictionary check would be vacuous")
+	}
+	for i, payload := range ck.pendingBatches {
+		if err := dictionariesUsed(payload); err != nil {
+			t.Errorf("pending record %d: %v", i, err)
+		}
 	}
 
 	// One state, one file: re-encoding the decoded checkpoint
@@ -92,6 +104,32 @@ func TestCheckpointBudget(t *testing.T) {
 	if !bytes.Equal(again, data) {
 		t.Errorf("decode→encode changed the checkpoint file (%d → %d bytes)", len(data), len(again))
 	}
+}
+
+// dictionariesUsed decodes a pending record and reports a key or string
+// dictionary entry none of its rows uses.
+func dictionariesUsed(payload []byte) error {
+	b, err := wal.DecodeBatch(payload)
+	if err != nil {
+		return err
+	}
+	unused := func(what string, dict []string, ids []uint32) error {
+		used := make([]bool, len(dict))
+		for _, id := range ids {
+			used[id] = true
+		}
+		if i := slices.Index(used, false); i >= 0 {
+			return fmt.Errorf("%s dictionary of %d rows holds %q, which no row uses (%d entries)", what, b.Len(), dict[i], len(dict))
+		}
+		return nil
+	}
+	errs := []error{unused("key", b.KDict, b.KIdx)}
+	for ci := range b.Cols {
+		if c := &b.Cols[ci]; c.Kind == streams.ColStr {
+			errs = append(errs, unused("column "+c.Name, c.Dict, c.SIdx))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // TestCheckpointMidBlockCursors: a checkpoint taken while retained

@@ -85,6 +85,7 @@ var goldenCases = []struct {
 	{HotAlloc, "hotalloc_gp", "fixture/gp", nil},
 	{HotAlloc, "hotalloc_fold", "fixture/fold/rtec", nil},
 	{HotAlloc, "hotalloc_interval", "fixture/interval", nil},
+	{HotAlloc, "hotalloc_wal", "fixture/wal", nil},
 	{FloatEq, "floateq", "fixture/floateq", nil},
 	{LockCopy, "lockcopy", "fixture/lockcopy", nil},
 	{ItemAlias, "itemalias", "fixture/itemalias", nil},

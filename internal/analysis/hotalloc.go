@@ -31,15 +31,20 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // nothing allocated per instance or per point; dublin's ground-truth
 // field is asked about every generated bus report and SCATS reading and
 // every crowd participant's answer — it reads its static grid and
-// allocates nothing. Unlike the kernel rule these hold at every loop
-// depth (the per-vertex loop of a predictor is an outer loop), closures
-// the function returns included.
+// allocates nothing. A durable checkpoint pays rtec's Fresh dedup
+// snapshot (Entries: the output and reused scratch sized per call,
+// nothing per identity) and wal's range encoder for every pending block
+// (EncodeBatchRows and its column writers: one remap table per call,
+// nothing per row or per dictionary entry). Unlike the kernel rule these
+// hold at every loop depth (the per-vertex loop of a predictor is an
+// outer loop), closures the function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
 	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|standardize|solve|mulDot)$`),
 	"crowd":    regexp.MustCompile(`^(Online|SelectNearest)$`),
-	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances)$`),
+	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances|Entries)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
+	"wal":      regexp.MustCompile(`^(EncodeBatchRows|appendDictRange|appendCells)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through

@@ -1,8 +1,11 @@
 // Package hffix exercises the hotalloc scoping of rtec's fold. It is
-// loaded under the import path "fixture/fold/rtec", so FoldTransitions
-// and ClipInstances are per-call functions: slices sized once per call,
-// nothing allocated per fluent instance or per point.
+// loaded under the import path "fixture/fold/rtec", so FoldTransitions,
+// ClipInstances and the Fresh dedup snapshot Entries are per-call
+// functions: slices sized once per call, nothing allocated per fluent
+// instance, per point or per identity.
 package hffix
+
+import "sort"
 
 type KV struct{ Key, Value string }
 
@@ -55,5 +58,30 @@ func clipEach(full map[KV][]Span) map[KV][]Span {
 	for kv, l := range full {
 		out[kv] = append([]Span(nil), l...)
 	}
+	return out
+}
+
+type SeenEntry struct {
+	Type, Key string
+	Time      int64
+}
+
+type SeenSet struct {
+	types map[string]map[string][]int64
+}
+
+// Entries appends one entry per identity and sorts through reflection:
+// the per-identity append, its composite literal and the reflective
+// sort are flagged.
+func (s *SeenSet) Entries() []SeenEntry {
+	var out []SeenEntry
+	for typ, keys := range s.types {
+		for key, times := range keys {
+			for _, t := range times {
+				out = append(out, SeenEntry{Type: typ, Key: key, Time: t})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -34,7 +34,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/insight-dublin/insight/streams"
@@ -154,9 +155,12 @@ func (a *walAppender) Process(it streams.Item) (streams.Item, error) {
 
 // ProcessBatch logs the envelope, then forwards it. An append failure
 // (a crash point above all) withholds the envelope from the SDE queue:
-// a record is consumed only if it is durable.
+// a record is consumed only if it is durable. The record is encoded
+// from the batch's rows, so the dictionary entries a recycled batch
+// keeps from earlier use never reach the log: its bytes, and with them
+// every WAL offset a checkpoint records, depend on the input alone.
 func (a *walAppender) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
-	a.buf = wal.EncodeBatch(a.buf[:0], b)
+	a.buf = wal.EncodeBatchRows(a.buf[:0], b, 0, b.Len())
 	_, end, err := a.log.Append(a.buf)
 	if err != nil {
 		return nil, err
@@ -293,7 +297,7 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	for id := range p.watermarks {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		ck.cursors = append(ck.cursors, streamCursor{
 			id:        id,
@@ -302,24 +306,19 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 		})
 	}
 	// Consumed-but-unadmitted rows, each retained block's [next, consumed)
-	// re-encoded as a mini-batch, in pending order: restoring them
-	// re-creates the pending set row for row.
+	// encoded straight from its batch as a mini-batch, in pending order:
+	// restoring them re-creates the pending set row for row.
 	for _, pb := range p.adm.blocks {
-		run := streams.GetBatch(pb.batch.Type, pb.batch.Source)
-		for r := pb.next; r < pb.consumed; r++ {
-			run.AppendRowFrom(pb.batch, r)
-		}
-		ck.pendingBatches = append(ck.pendingBatches, wal.EncodeBatch(nil, run))
-		run.Release()
+		ck.pendingBatches = append(ck.pendingBatches, wal.EncodeBatchRows(nil, pb.batch, pb.next, pb.consumed))
 	}
 	for sensor, tr := range s.lastTraffic {
 		ck.traffic = append(ck.traffic, trafficSnap{sensor: sensor, vertex: tr.vertex, flow: tr.flow, t: tr.t})
 	}
-	sort.Slice(ck.traffic, func(i, j int) bool { return ck.traffic[i].sensor < ck.traffic[j].sensor })
+	slices.SortFunc(ck.traffic, func(a, b trafficSnap) int { return strings.Compare(a.sensor, b.sensor) })
 	for inter, cr := range s.lastCrowd {
 		ck.crowd = append(ck.crowd, crowdSnap{inter: inter, vertex: cr.vertex, congested: cr.congested, t: cr.t})
 	}
-	sort.Slice(ck.crowd, func(i, j int) bool { return ck.crowd[i].inter < ck.crowd[j].inter })
+	slices.SortFunc(ck.crowd, func(a, b crowdSnap) int { return strings.Compare(a.inter, b.inter) })
 	// Fired-but-unacked reports ride along for re-emission; reports the
 	// sink has acknowledged are dropped from the carry set.
 	ackQ := rt.st.acked()

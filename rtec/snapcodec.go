@@ -51,14 +51,18 @@ func (s *EngineSnapshot) AppendBinary(dst []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
+	// Every string goes through one table; each field remembers its last
+	// string, so a run of equal strings — instances sorted by key, Seen
+	// entries grouped by type and key — probes the table once.
 	refs := make(refWriter)
+	var name, key, val refMemo
 	dst = codec.AppendUvarint(dst, uint64(len(s.Prev)))
 	for _, fs := range s.Prev {
-		dst = refs.append(dst, fs.Name)
+		dst = name.append(dst, refs, fs.Name)
 		dst = codec.AppendUvarint(dst, uint64(len(fs.Instances)))
 		for _, inst := range fs.Instances {
-			dst = refs.append(dst, inst.Key)
-			dst = refs.append(dst, inst.Value)
+			dst = key.append(dst, refs, inst.Key)
+			dst = val.append(dst, refs, inst.Value)
 			dst = codec.AppendUvarint(dst, uint64(len(inst.Spans)))
 			prev := Time(0)
 			for _, sp := range inst.Spans {
@@ -71,8 +75,8 @@ func (s *EngineSnapshot) AppendBinary(dst []byte) ([]byte, error) {
 	dst = codec.AppendUvarint(dst, uint64(len(s.Seen)))
 	prev := Time(0)
 	for _, se := range s.Seen {
-		dst = refs.append(dst, se.Type)
-		dst = refs.append(dst, se.Key)
+		dst = name.append(dst, refs, se.Type)
+		dst = key.append(dst, refs, se.Key)
 		dst = codec.AppendVarint(dst, int64(se.Time-prev))
 		prev = se.Time
 	}
@@ -393,12 +397,32 @@ func (b *Block) validate() error {
 // literal, later uses reference it by order of first use.
 type refWriter map[string]uint64
 
-func (w refWriter) append(dst []byte, s string) []byte {
+// append writes s and returns its reference id.
+func (w refWriter) append(dst []byte, s string) ([]byte, uint64) {
 	if id, ok := w[s]; ok {
-		return codec.AppendUvarint(dst, id+1)
+		return codec.AppendUvarint(dst, id+1), id
 	}
-	w[s] = uint64(len(w))
-	return codec.AppendString(append(dst, 0), s)
+	id := uint64(len(w))
+	w[s] = id
+	return codec.AppendString(append(dst, 0), s), id
+}
+
+// refMemo is one field's writer over a shared refWriter: it remembers
+// the last string it wrote, so a run of equal strings probes the table
+// once, and the bytes stay exactly refWriter's.
+type refMemo struct {
+	s   string
+	id  uint64
+	set bool
+}
+
+func (m *refMemo) append(dst []byte, w refWriter, s string) []byte {
+	if m.set && s == m.s {
+		return codec.AppendUvarint(dst, m.id+1)
+	}
+	dst, m.id = w.append(dst, s)
+	m.s, m.set = s, true
+	return dst
 }
 
 // refReader resolves what refWriter wrote.

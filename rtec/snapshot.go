@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -111,7 +110,7 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	for name := range e.prev {
 		fluents = append(fluents, name)
 	}
-	sort.Strings(fluents)
+	slices.Sort(fluents)
 	for _, name := range fluents {
 		fs := FluentSnapshot{Name: name}
 		for kv, l := range e.prev[name] {
@@ -119,12 +118,8 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 				Key: kv.Key, Value: kv.Value, Spans: l.Clone(),
 			})
 		}
-		sort.Slice(fs.Instances, func(i, j int) bool {
-			a, b := fs.Instances[i], fs.Instances[j]
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-			return a.Value < b.Value
+		slices.SortFunc(fs.Instances, func(a, b InstanceSnapshot) int {
+			return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Value, b.Value))
 		})
 		s.Prev = append(s.Prev, fs)
 	}

@@ -1,9 +1,12 @@
 package insight
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -548,12 +551,8 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 
 // sortInstances puts fluent instances in the canonical snapshot order.
 func sortInstances(insts []rtec.InstanceSnapshot) {
-	sort.Slice(insts, func(i, j int) bool {
-		a, b := insts[i], insts[j]
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Value < b.Value
+	slices.SortFunc(insts, func(a, b rtec.InstanceSnapshot) int {
+		return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Value, b.Value))
 	})
 }
 

@@ -67,28 +67,146 @@ func EncodeBatch(dst []byte, b *streams.Batch) []byte {
 	dst = codec.AppendUvarint(dst, uint64(len(b.Cols)))
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		dst = codec.AppendString(dst, c.Name)
-		dst = append(dst, byte(c.Kind))
-		switch c.Kind {
-		case streams.ColFloat:
-			for _, v := range c.F {
-				dst = codec.AppendFloat(dst, v)
-			}
-		case streams.ColInt:
-			dst = codec.AppendDeltas(dst, c.I)
-		case streams.ColBool:
-			for _, v := range c.B {
-				dst = codec.AppendBool(dst, v)
-			}
-		case streams.ColStr:
-			dst = codec.AppendUvarint(dst, uint64(len(c.Dict)))
-			for _, s := range c.Dict {
-				dst = codec.AppendString(dst, s)
-			}
-			for _, id := range c.SIdx {
-				dst = codec.AppendUvarint(dst, uint64(id))
-			}
+		dst = appendColHeader(dst, c)
+		if c.Kind != streams.ColStr {
+			dst = appendCells(dst, c, 0, c.Len())
+			continue
 		}
+		dst = codec.AppendUvarint(dst, uint64(len(c.Dict)))
+		for _, s := range c.Dict {
+			dst = codec.AppendString(dst, s)
+		}
+		for _, id := range c.SIdx {
+			dst = codec.AppendUvarint(dst, uint64(id))
+		}
+	}
+	return dst
+}
+
+// EncodeBatchRows appends the record payload of rows [lo, hi) of b to
+// dst: byte for byte what EncodeBatch writes for a fresh batch
+// (streams.NewBatch) holding copies of those rows (AppendRowFrom), so
+// the key and string dictionaries carry only the values the rows use,
+// in first-use order — never the entries a pooled batch accumulated
+// across recycling. The dictionaries are remapped by index, without
+// hashing a string, so the equality with a fresh copy needs b's
+// dictionaries to hold distinct strings, as every batch built by Append
+// and AppendStr (or decoded from their payloads) does; the rows
+// round-trip exactly either way. The batch is read, not consumed.
+func EncodeBatchRows(dst []byte, b *streams.Batch, lo, hi int) []byte {
+	n := hi - lo
+	dst = append(dst, batchFormat)
+	dst = codec.AppendString(dst, b.Type)
+	dst = codec.AppendString(dst, b.Source)
+	dst = codec.AppendUvarint(dst, uint64(n))
+	if n == 0 {
+		// A fresh batch with no rows has no arrival, key-index or column
+		// slices at all.
+		return append(dst, 0, 0)
+	}
+	flags := byte(flagKeyDict)
+	if b.Arrivals != nil {
+		flags |= flagArrivals
+	}
+	dst = append(dst, flags)
+	dst = codec.AppendDeltas(dst, b.Times[lo:hi])
+	if b.Arrivals != nil {
+		dst = codec.AppendDeltas(dst, b.Arrivals[lo:hi])
+	}
+	// One remap table serves the key dictionary and every string column:
+	// remap[old] is new+1 (0: not used yet), first lists the used old ids
+	// in first-use order, and remap is reset through first after each
+	// dictionary.
+	size := len(b.KDict)
+	for ci := range b.Cols {
+		size = max(size, len(b.Cols[ci].Dict))
+	}
+	scratch := make([]uint32, 2*size)
+	remap, first := scratch[:size], scratch[size:]
+	if b.KIdx != nil {
+		dst = appendDictRange(dst, b.KDict, b.KIdx[lo:hi], remap, first)
+	} else {
+		dst = appendKeysRange(dst, b.Keys[lo:hi])
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(b.Cols)))
+	for ci := range b.Cols {
+		c := &b.Cols[ci]
+		dst = appendColHeader(dst, c)
+		if c.Kind == streams.ColStr {
+			dst = appendDictRange(dst, c.Dict, c.SIdx[lo:hi], remap, first)
+		} else {
+			dst = appendCells(dst, c, lo, hi)
+		}
+	}
+	return dst
+}
+
+// appendColHeader appends a column's name and kind byte.
+func appendColHeader(dst []byte, c *streams.Col) []byte {
+	dst = codec.AppendString(dst, c.Name)
+	return append(dst, byte(c.Kind))
+}
+
+// appendCells appends rows [lo, hi) of a float, int or bool column.
+func appendCells(dst []byte, c *streams.Col, lo, hi int) []byte {
+	switch c.Kind {
+	case streams.ColFloat:
+		for _, v := range c.F[lo:hi] {
+			dst = codec.AppendFloat(dst, v)
+		}
+	case streams.ColInt:
+		dst = codec.AppendDeltas(dst, c.I[lo:hi])
+	case streams.ColBool:
+		for _, v := range c.B[lo:hi] {
+			dst = codec.AppendBool(dst, v)
+		}
+	}
+	return dst
+}
+
+// appendDictRange appends the dictionary block of ids — the entries of
+// dict they use in first-use order, then each id renumbered into it —
+// and leaves remap all zero again. remap and first have room for every
+// dict entry.
+func appendDictRange(dst []byte, dict []string, ids []uint32, remap, first []uint32) []byte {
+	used := uint32(0)
+	for _, id := range ids {
+		if remap[id] == 0 {
+			first[used] = id
+			used++
+			remap[id] = used
+		}
+	}
+	dst = codec.AppendUvarint(dst, uint64(used))
+	for _, id := range first[:used] {
+		dst = codec.AppendString(dst, dict[id])
+	}
+	for _, id := range ids {
+		dst = codec.AppendUvarint(dst, uint64(remap[id]-1))
+	}
+	for _, id := range first[:used] {
+		remap[id] = 0
+	}
+	return dst
+}
+
+// appendKeysRange is appendDictRange for plain keys (a batch without a
+// key dictionary): the rows' keys interned by value.
+func appendKeysRange(dst []byte, keys []string) []byte {
+	ids := make(map[string]uint32, len(keys))
+	var dict []string
+	for _, k := range keys {
+		if _, ok := ids[k]; !ok {
+			ids[k] = uint32(len(dict))
+			dict = append(dict, k)
+		}
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(dict)))
+	for _, k := range dict {
+		dst = codec.AppendString(dst, k)
+	}
+	for _, k := range keys {
+		dst = codec.AppendUvarint(dst, uint64(ids[k]))
 	}
 	return dst
 }
