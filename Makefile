@@ -46,7 +46,7 @@ lint-json:
 # the tier-owned busCongestion inertia included, to the snapshot/restore
 # path), run the full module under the race detector (engine, rule sets,
 # the partial-fluent fold property, streams supervision/shutdown, batch
-# chaos tests, blocked linalg worker pools, parallel grid search, the
+# chaos tests, the parallel grid search and per-vertex variance solves, the
 # 10× street graph's flow map held to its normal equations and to
 # under 1 MB of heap —
 # including the one-loop gates: Run ≡ the per-event reference by full
@@ -79,7 +79,8 @@ lint-json:
 # pass; gp's PredictAll and MeanAll are held to a constant number of
 # slices there too — the dense mean is a gather and one product, the
 # sparse one a CG solve over the street graph whose allocations do not
-# grow with it; rtec's FoldTransitions to a constant number of objects
+# grow with it — and VarianceAll to a constant number per worker,
+# nothing per vertex's solve; rtec's FoldTransitions to a constant number of objects
 # per call whatever the number of fluent instances),
 # re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
 # both-store grid under chaos — CE sets, events, every fluent's
@@ -88,9 +89,10 @@ lint-json:
 # the tier's elapsed-time accounting and the no-load-counts-while-
 # rebalancing-is-off bound; the race pass above already
 # exercises them under the race scheduler), and finish with a short
-# fuzz pass over the factorization/solve, GP-fit ("error or all-finite
-# estimates"), GP sparse-vs-dense mean (MeanAll equals the dense
-# kernel's Fit + PredictAll within 1e-9 of the map, or both refuse),
+# fuzz pass over the one dense factorization/solve (ErrNotSPD or a
+# backward-stable residual), GP-fit ("error or all-finite estimates"),
+# GP sparse-vs-dense maps (MeanAll and VarianceAll equal the dense
+# kernel's Fit + Predict within 1e-9 of each map, or all refuse),
 # WAL-decode, WAL range-encode (EncodeBatchRows equals EncodeBatch of a
 # fresh copy of the rows, byte for byte), store block-merge, simple-fluent
 # fold (FoldTransitions equals a per-time-point holdsFor interpreter,
@@ -147,10 +149,11 @@ bench-rtec:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4_EventRecognition|BenchmarkStepRatio|BenchmarkSustainedIngest' \
 		-count=5 -timeout 60m -json . | tee BENCH_rtec.json
 
-# The GP linalg benches (kernel build, fit, predict-all = the mean path,
-# predict = mean + variance, grid search at n≈512, serial reference vs
-# blocked/parallel kernels), 5 repetitions, as a JSON event stream for
-# later comparison.
+# The GP benches at n≈512: the flow map's mean and the uncertainty
+# map's variances, sparse (MeanAll, VarianceAll) against the dense
+# oracle; the dense stages (kernel build, fit, predict-all = the mean,
+# predict = mean + variance); grid search. 5 repetitions, as a JSON
+# event stream for later comparison.
 bench-gp:
 	$(GO) test -run '^$$' -bench 'BenchmarkGP_' -benchtime 1x \
 		-count=5 -json ./gp | tee BENCH_gp.json
@@ -176,8 +179,8 @@ loc:
 	@find . -name '*.go' -not -path '*/testdata/*' -name '*_test.go' | xargs cat | wc -l | xargs echo "test Go lines:    "
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
-# in internal/linalg/testdata/fuzz, GP-fit and sparse-vs-dense mean
-# regressions in gp/testdata/fuzz, WAL frame/codec and range-encoder
+# in internal/linalg/testdata/fuzz, GP-fit and sparse-vs-dense mean and
+# variance regressions in gp/testdata/fuzz, WAL frame/codec and range-encoder
 # regressions in streams/wal/testdata/fuzz, engine-snapshot and
 # checkpoint decoder regressions in rtec/testdata/fuzz and
 # testdata/fuzz, simple-fluent fold regressions (FoldTransitions against

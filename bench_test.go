@@ -165,12 +165,13 @@ func BenchmarkFig6_QEE(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9_GP measures the traffic modelling pass of Figure 9, the
-// posterior mean at every junction of the street network from the
-// SCATS readings, both ways: mean-all is the information-form solve
-// FlowMap runs (no kernel); kernel and fit+predict are the dense path
-// cmd/gpmap still takes for its uncertainty map — building the kernel,
-// fitting and predicting on it.
+// BenchmarkFig9_GP measures the traffic modelling pass of Figure 9 at
+// every junction of the street network from the SCATS readings, sparse
+// and dense: mean-all is the information-form solve FlowMap and
+// cmd/gpmap run for the flow map, variance-all the per-vertex solves
+// cmd/gpmap runs for its uncertainty map (no kernel either); kernel and
+// fit+predict are the dense oracle — building the kernel, fitting and
+// predicting the mean on it.
 func BenchmarkFig9_GP(b *testing.B) {
 	g := citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 20, GridY: 12, Seed: 3})
 	rng := rand.New(rand.NewSource(4))
@@ -184,6 +185,13 @@ func BenchmarkFig9_GP(b *testing.B) {
 	b.Run("mean-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := gp.MeanAll(g, 2, 1, obs, 100); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("variance-all", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := gp.VarianceAll(g, 2, 1, obs, 100); err != nil {
 				b.Fatal(err)
 			}
 		}

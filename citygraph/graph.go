@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"github.com/insight-dublin/insight/geo"
-	"github.com/insight-dublin/insight/internal/linalg"
 )
 
 // Vertex is a street junction.
@@ -116,22 +115,6 @@ func (g *Graph) NearestVertex(p geo.Point) (int, float64) {
 		}
 	}
 	return best, bestDist
-}
-
-// Laplacian returns the combinatorial Laplacian L = D − A of
-// Section 6, where A is the adjacency matrix and D the diagonal degree
-// matrix. The regularized Laplacian graph kernel of the traffic model
-// is built from this matrix.
-func (g *Graph) Laplacian() *linalg.Matrix {
-	n := len(g.vertices)
-	l := linalg.NewMatrix(n, n)
-	for _, e := range g.edges {
-		l.Add(e.A, e.B, -1)
-		l.Add(e.B, e.A, -1)
-		l.Add(e.A, e.A, 1)
-		l.Add(e.B, e.B, 1)
-	}
-	return l
 }
 
 // ConnectedComponents returns the vertex sets of the connected

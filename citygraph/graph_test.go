@@ -78,44 +78,6 @@ func TestNearestVertex(t *testing.T) {
 	}
 }
 
-func TestLaplacianProperties(t *testing.T) {
-	g := triangle()
-	l := g.Laplacian()
-	// Diagonal = degree; off-diagonal = -1 for edges.
-	for i := 0; i < 3; i++ {
-		if l.At(i, i) != 2 {
-			t.Errorf("L[%d,%d] = %v, want 2", i, i, l.At(i, i))
-		}
-	}
-	if l.At(0, 1) != -1 || l.At(1, 2) != -1 {
-		t.Error("off-diagonal entries must be -1 for edges")
-	}
-	// Rows sum to zero.
-	for i := 0; i < 3; i++ {
-		var sum float64
-		for j := 0; j < 3; j++ {
-			sum += l.At(i, j)
-		}
-		if sum != 0 {
-			t.Errorf("row %d sums to %v", i, sum)
-		}
-	}
-	if !l.Symmetric(0) {
-		t.Error("Laplacian must be symmetric")
-	}
-	// L is PSD: xᵀLx >= 0 equals sum over edges of (x_a - x_b)².
-	x := []float64{1, -2, 0.5}
-	lx := l.MulVec(x)
-	var quad float64
-	for i := range x {
-		quad += x[i] * lx[i]
-	}
-	want := (x[0]-x[1])*(x[0]-x[1]) + (x[1]-x[2])*(x[1]-x[2]) + (x[2]-x[0])*(x[2]-x[0])
-	if math.Abs(quad-want) > 1e-12 {
-		t.Errorf("xᵀLx = %v, want %v", quad, want)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := NewGraph()
 	a := g.AddVertex(geo.At(0, 0))

@@ -5,16 +5,20 @@
 //
 // It emits SVG files:
 //
-//	fig7-8_network.svg   street network with SCATS sensor dots
-//	fig9_estimates.svg   GP flow estimates at every junction
+//	fig7-8_network.svg     street network with SCATS sensor dots
+//	fig9_estimates.svg     GP flow estimates at every junction
+//	fig9b_uncertainty.svg  their predictive standard deviation
+//
+// Both maps are solved against the model's sparse precision
+// (gp.MeanAll, gp.VarianceAll); no dense kernel is built.
 //
 // Usage:
 //
 //	gpmap [-out .] [-sensors 966] [-hour 8] [-grid 4] [-alpha 0] [-beta 0]
 //
-// With -alpha/-beta left at 0 the hyperparameters are chosen by grid
-// search within [0, 10] (the paper's procedure); pass explicit values
-// to skip the search.
+// With -alpha and -beta left at 0 the hyperparameters are chosen by
+// grid search within [0, 10] (the paper's procedure); pass both to skip
+// the search. Passing only one is an error.
 package main
 
 import (
@@ -45,6 +49,10 @@ func main() {
 		seed    = flag.Int64("seed", 1, "city seed")
 	)
 	flag.Parse()
+	search, err := gridSearchWanted(*alpha, *beta)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	city, err := dublin.NewCity(dublin.Config{Seed: *seed, NumBuses: 1, NumSensors: *sensors})
 	if err != nil {
@@ -55,14 +63,7 @@ func main() {
 		g.NumVertices(), g.NumEdges())
 
 	// Figures 7-8: the network with SCATS locations as black dots.
-	sensorVertices := make([]int, 0, len(city.Sensors()))
-	seen := make(map[int]bool)
-	for _, s := range city.Sensors() {
-		if !seen[s.Vertex] {
-			seen[s.Vertex] = true
-			sensorVertices = append(sensorVertices, s.Vertex)
-		}
-	}
+	sensorVertices, obs := observations(city, rtec.Time(*hour*3600))
 	if err := renderSVG(filepath.Join(*outDir, "fig7-8_network.svg"), g, citygraph.RenderOptions{
 		Sensors: sensorVertices,
 		Title: fmt.Sprintf("Street network and SCATS locations (%d sensors on %d junctions)",
@@ -71,32 +72,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Aggregate one emission round of sensor readings at the chosen
-	// time of day ("the sensor readings are aggregated within fixed
-	// time intervals").
-	at := rtec.Time(*hour * 3600)
-	perVertex := make(map[int][]float64)
-	for i := range city.Sensors() {
-		s := &city.Sensors()[i]
-		_, flow := city.SensorReading(s, at)
-		perVertex[s.Vertex] = append(perVertex[s.Vertex], flow)
-	}
-	// In sensor order, not map order: the grid search's fold assignment
-	// is a seeded permutation of this slice.
-	var obs []gp.Observation
-	for _, v := range sensorVertices {
-		flows := perVertex[v]
-		var sum float64
-		for _, f := range flows {
-			sum += f
-		}
-		obs = append(obs, gp.Observation{Vertex: v, Value: sum / float64(len(flows))})
-	}
 	fmt.Printf("observations: %d junctions with sensors (of %d)\n", len(obs), g.NumVertices())
 
 	// Hyperparameters: explicit or by grid search within [0, 10].
 	a, b := *alpha, *beta
-	if a == 0 || b == 0 {
+	if search {
 		gridVals := gp.DefaultGrid(*grid)
 		res, err := gp.GridSearch(g, obs, gridVals, gridVals, *noise, 4, *seed)
 		if err != nil {
@@ -107,19 +87,7 @@ func main() {
 			a, b, res.RMSE, res.Evaluated)
 	}
 
-	kernel, err := gp.RegularizedLaplacian(g, a, b)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg, err := gp.Fit(kernel, obs, *noise)
-	if err != nil {
-		log.Fatal(err)
-	}
-	all := make([]int, g.NumVertices())
-	for i := range all {
-		all[i] = i
-	}
-	values, variances, err := reg.Predict(all)
+	values, stddev, err := flowMaps(g, a, b, obs, *noise)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,10 +105,6 @@ func main() {
 	// Companion uncertainty map: predictive standard deviation per
 	// junction — green where the model is confident (near sensors),
 	// red in the sparsely covered areas the component exists for.
-	stddev := make([]float64, len(variances))
-	for i, v := range variances {
-		stddev[i] = math.Sqrt(v)
-	}
 	if err := renderSVG(filepath.Join(*outDir, "fig9b_uncertainty.svg"), g, citygraph.RenderOptions{
 		Values:  stddev,
 		Sensors: sensorVertices,
@@ -163,6 +127,68 @@ func main() {
 		filepath.Join(*outDir, "fig7-8_network.svg"),
 		filepath.Join(*outDir, "fig9_estimates.svg"),
 		filepath.Join(*outDir, "fig9b_uncertainty.svg"))
+}
+
+// gridSearchWanted reports whether the -alpha and -beta flags leave the
+// hyperparameters to the grid search: both at 0. Setting only one is an
+// error naming the missing flag, since the search would discard it.
+func gridSearchWanted(alpha, beta float64) (bool, error) {
+	switch {
+	case alpha == 0 && beta == 0:
+		return true, nil
+	case beta == 0:
+		return false, fmt.Errorf("missing -beta: -alpha %v sets only one hyperparameter (pass both, or neither to grid-search)", alpha)
+	case alpha == 0:
+		return false, fmt.Errorf("missing -alpha: -beta %v sets only one hyperparameter (pass both, or neither to grid-search)", beta)
+	}
+	return false, nil
+}
+
+// observations aggregates one emission round of sensor readings at time
+// at ("the sensor readings are aggregated within fixed time intervals"):
+// the junctions with sensors in sensor order, and one observation per
+// junction, the mean of its sensors' flows — in sensor order, not map
+// order, since the grid search's fold assignment is a seeded
+// permutation of the observations.
+func observations(city *dublin.City, at rtec.Time) ([]int, []gp.Observation) {
+	var vertices []int
+	perVertex := make(map[int][]float64)
+	for i := range city.Sensors() {
+		s := &city.Sensors()[i]
+		if _, ok := perVertex[s.Vertex]; !ok {
+			vertices = append(vertices, s.Vertex)
+		}
+		_, flow := city.SensorReading(s, at)
+		perVertex[s.Vertex] = append(perVertex[s.Vertex], flow)
+	}
+	obs := make([]gp.Observation, 0, len(vertices))
+	for _, v := range vertices {
+		flows := perVertex[v]
+		var sum float64
+		for _, f := range flows {
+			sum += f
+		}
+		obs = append(obs, gp.Observation{Vertex: v, Value: sum / float64(len(flows))})
+	}
+	return vertices, obs
+}
+
+// flowMaps returns Figure 9's two maps, both solved against the sparse
+// precision: the posterior mean flow at every junction and its
+// predictive standard deviation.
+func flowMaps(g *citygraph.Graph, alpha, beta float64, obs []gp.Observation, noise float64) (mean, stddev []float64, err error) {
+	mean, _, err = gp.MeanAll(g, alpha, beta, obs, noise)
+	if err != nil {
+		return nil, nil, err
+	}
+	stddev, err = gp.VarianceAll(g, alpha, beta, obs, noise)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, v := range stddev {
+		stddev[i] = math.Sqrt(v)
+	}
+	return mean, stddev, nil
 }
 
 func renderSVG(path string, g *citygraph.Graph, opts citygraph.RenderOptions) error {

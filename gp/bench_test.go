@@ -5,25 +5,15 @@ import (
 	"testing"
 
 	"github.com/insight-dublin/insight/citygraph"
-	"github.com/insight-dublin/insight/internal/linalg"
 )
 
 // The GP performance benches behind `make bench-gp` (BENCH_gp.json) at
-// city scale (n≈512 street-graph vertices): the flow map's mean, sparse
-// against dense (MeanAll: what FlowMap pays); the dense path's kernel
-// build, fit, predict-all and predict (mean + variance, what cmd/gpmap
-// pays); and grid search. The dense stages and the search run in two
-// modes —
-//
-//	serial:   Options{Reference: true} + Workers 1, the seed's naive
-//	          kernels and sequential search (the baseline),
-//	blocked:  the default blocked/parallel kernels and parallel search.
-//
-// Mode is flipped through linalg.SetDefaultOptions, so the whole dense
-// stack (Laplacian inversion, observed-block factorization, predictive
-// solves) switches implementation, not just one call site. The search's
-// units are MeanAll solves, which use no linalg kernel: there the modes
-// differ only in Workers.
+// city scale (n≈512 street-graph vertices): the flow map's mean and
+// Figure 9's uncertainty map, each sparse (MeanAll, VarianceAll: what
+// FlowMap and cmd/gpmap pay) against the dense oracle; the dense path's
+// stages — kernel build, fit, predict-all (the mean) and predict (mean
+// + variance) — which the random-walk kernel ablation runs; and the
+// grid search, whose units are MeanAll solves.
 
 func benchGraph512() *citygraph.Graph {
 	// 520 vertices with the default Dublin structure (river gap,
@@ -39,29 +29,12 @@ func benchObservations(g *citygraph.Graph, every int) []Observation {
 	return obs
 }
 
-type benchMode struct {
-	name    string
-	opts    linalg.Options
-	workers int // SearchOptions.Workers for the grid search
-}
-
-var benchModes = []benchMode{
-	{name: "serial", opts: linalg.Options{Reference: true}, workers: 1},
-	{name: "blocked", opts: linalg.Options{}, workers: 0},
-}
-
 func BenchmarkGP_KernelBuild(b *testing.B) {
 	g := benchGraph512()
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			prev := linalg.SetDefaultOptions(m.opts)
-			defer linalg.SetDefaultOptions(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := RegularizedLaplacian(g, 2, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := RegularizedLaplacian(g, 2, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -72,16 +45,11 @@ func BenchmarkGP_Fit(b *testing.B) {
 		b.Fatal(err)
 	}
 	obs := benchObservations(g, 2) // 260 observed vertices
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			prev := linalg.SetDefaultOptions(m.opts)
-			defer linalg.SetDefaultOptions(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := Fit(kernel, obs, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fit(kernel, obs, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -93,26 +61,19 @@ func benchPredict(b *testing.B, predict func(reg *Regression, all []int) error) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	obs := benchObservations(g, 2)
+	reg, err := Fit(kernel, benchObservations(g, 2), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	all := make([]int, g.NumVertices())
 	for i := range all {
 		all[i] = i
 	}
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			prev := linalg.SetDefaultOptions(m.opts)
-			defer linalg.SetDefaultOptions(prev)
-			reg, err := Fit(kernel, obs, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := predict(reg, all); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := predict(reg, all); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -125,8 +86,7 @@ func BenchmarkGP_PredictAll(b *testing.B) {
 }
 
 // BenchmarkGP_Predict adds the variance: a forward and a backward
-// substitution per vertex. Nothing on the product path pays it; the
-// number stays so the cost of asking for it is known.
+// substitution per vertex.
 func BenchmarkGP_Predict(b *testing.B) {
 	benchPredict(b, func(reg *Regression, all []int) error {
 		_, _, err := reg.Predict(all)
@@ -172,20 +132,56 @@ func BenchmarkGP_MeanAll(b *testing.B) {
 	})
 }
 
+// BenchmarkGP_VarianceAll is Figure 9's uncertainty map both ways: one
+// sparse solve per vertex (what cmd/gpmap pays) against the dense
+// oracle, Fit + Predict over every vertex, with its kernel built and
+// reused.
+func BenchmarkGP_VarianceAll(b *testing.B) {
+	g := benchGraph512()
+	obs := benchObservations(g, 2)
+	all := make([]int, g.NumVertices())
+	for i := range all {
+		all[i] = i
+	}
+	b.Run("sparse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := VarianceAll(g, 2, 1, obs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense+kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := denseVarianceAll(g, 2, 1, obs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	kernel, err := RegularizedLaplacian(g, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reg, err := Fit(kernel, obs, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := reg.Predict(all); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkGP_GridSearch(b *testing.B) {
 	g := benchGraph512()
 	obs := benchObservations(g, 4) // 130 observed vertices
 	alphas := []float64{0.5, 2, 8}
 	betas := []float64{0.1, 1, 5}
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			prev := linalg.SetDefaultOptions(m.opts)
-			defer linalg.SetDefaultOptions(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := GridSearchWith(g, obs, alphas, betas, 1, 4, 1, SearchOptions{Workers: m.workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := GridSearch(g, obs, alphas, betas, 1, 4, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -19,11 +19,11 @@
 //	m = K_{ū,u}(K_{u,u} + σ²I)⁻¹ y
 //	Σ = K_{ū,ū} − K_{ū,u}(K_{u,u} + σ²I)⁻¹ K_{u,ū}
 //
-// Two paths compute it. MeanAll — the flow map, the grid search — never
-// forms K: it solves for the mean at every vertex against the sparse
-// precision β(L + I/α²) (precision.go). The dense Kernel, Fit and
-// Predict remain for the predictive variance, the likelihood, kernels
-// other than the regularized Laplacian, and as MeanAll's test oracle.
+// For the regularized Laplacian nothing forms K: MeanAll (the flow map,
+// the grid search) and VarianceAll (Figure 9's uncertainty map) solve
+// against the sparse precision β(L + I/α²) (precision.go). The dense
+// Kernel, Fit and Predict remain for kernels other than the regularized
+// Laplacian and as the sparse solves' test oracle.
 package gp
 
 import (
@@ -31,6 +31,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/insight-dublin/insight/citygraph"
 	"github.com/insight-dublin/insight/internal/linalg"
@@ -53,15 +55,11 @@ type Observation struct {
 	Noise  float64
 }
 
-// Kernel is a precomputed graph kernel over all vertices of a street
-// graph. Building it costs one SPD inversion (O(n³)); fitting and
-// predicting against it are then cheap, and the β hyperparameter is a
-// pure scaling that needs no recomputation: Rescale returns a view
-// that shares the matrix and folds the factor into every access.
+// Kernel is a precomputed dense graph kernel over all vertices of a
+// street graph: n² floats, against which fitting and predicting are
+// dense algebra.
 type Kernel struct {
-	k     *linalg.Matrix
-	scale float64 // multiplies every entry of k; 1 for a freshly built kernel
-	n     int
+	k *linalg.Matrix
 }
 
 // checkModel validates what both the dense kernel and the sparse
@@ -87,31 +85,20 @@ func RegularizedLaplacian(g *citygraph.Graph, alpha, beta float64) (*Kernel, err
 	if err := checkModel(g, alpha, beta); err != nil {
 		return nil, err
 	}
-	l := g.Laplacian()
+	l := laplacian(g)
 	l.AddDiag(1 / (alpha * alpha))
 	inv, err := linalg.InverseSPD(l.Scale(beta))
 	if err != nil {
 		return nil, fmt.Errorf("gp: kernel inversion: %w", err)
 	}
-	return &Kernel{k: inv, scale: 1, n: g.NumVertices()}, nil
+	return &Kernel{k: inv}, nil
 }
 
 // NumVertices returns the kernel dimension.
-func (k *Kernel) NumVertices() int { return k.n }
+func (k *Kernel) NumVertices() int { return k.k.Rows }
 
 // At returns the covariance k(x_i, x_j).
-func (k *Kernel) At(i, j int) float64 { return k.scale * k.k.At(i, j) }
-
-// Rescale returns a view of the kernel with β multiplied by factor
-// (K' = K / factor), without re-inverting the Laplacian. The view
-// shares the underlying matrix — O(1) instead of the O(n²) clone the
-// seed paid per β — which is what lets GridSearchML sweep β for free.
-func (k *Kernel) Rescale(factor float64) (*Kernel, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("gp: rescale factor must be positive, got %v", factor)
-	}
-	return &Kernel{k: k.k, scale: k.scale / factor, n: k.n}, nil
-}
+func (k *Kernel) At(i, j int) float64 { return k.k.At(i, j) }
 
 // Regression is a GP fitted to observations. Build with Fit.
 type Regression struct {
@@ -121,7 +108,6 @@ type Regression struct {
 	chol     *linalg.Cholesky
 	mean     float64 // empirical mean subtracted from y (paper assumes zero mean)
 	scale    float64 // empirical std dividing y, so the kernel's O(1) scale fits
-	noise    float64 // σ² in original units
 }
 
 // Fit conditions the GP on the observations. noiseVar is σ², the
@@ -140,14 +126,11 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	if k == nil {
 		return nil, fmt.Errorf("gp: nil kernel")
 	}
-	st, err := standardize(k.n, obs, noiseVar)
+	st, err := standardize(k.NumVertices(), obs, noiseVar)
 	if err != nil {
 		return nil, err
 	}
 	kuu := k.k.Submatrix(st.observed, st.observed)
-	if k.scale != 1 { //lint:allow floateq exact sentinel: Rescale sets 1 literally, meaning "no rescale applied"
-		kuu.Scale(k.scale)
-	}
 	for i, nv := range st.noise {
 		kuu.Add(i, i, nv/(st.scale*st.scale))
 	}
@@ -162,7 +145,6 @@ func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 		chol:     chol,
 		mean:     st.mean,
 		scale:    st.scale,
-		noise:    noiseVar,
 	}, nil
 }
 
@@ -250,26 +232,24 @@ func standardize(n int, obs []Observation, noiseVar float64) (standardized, erro
 // Observed returns the observed vertex indexes, sorted.
 func (r *Regression) Observed() []int { return r.observed }
 
-// crossCov gathers K_{V,u}, one contiguous row per requested vertex, in
-// the kernel matrix's own units (Kernel.scale is not applied: callers
-// fold it into one scalar after their products).
+// crossCov gathers K_{V,u}, one contiguous row per requested vertex.
 func (r *Regression) crossCov(vertices []int) (*linalg.Matrix, error) {
+	n := r.kernel.NumVertices()
 	for _, v := range vertices {
-		if v < 0 || v >= r.kernel.n {
-			return nil, fmt.Errorf("gp: vertex %d out of range [0, %d)", v, r.kernel.n) //lint:allow hotalloc cold path: the error ends the call
+		if v < 0 || v >= n {
+			return nil, fmt.Errorf("gp: vertex %d out of range [0, %d)", v, n) //lint:allow hotalloc cold path: the error ends the call
 		}
 	}
 	return r.kernel.k.Submatrix(vertices, r.observed), nil
 }
 
 // meanFrom maps K_{V,u} to the predictive mean in the observations'
-// units: one matrix–vector product with alphaVec, then one affine map
-// that undoes the kernel scale and the standardization together.
+// units: one matrix–vector product with alphaVec, then the affine map
+// that undoes the standardization.
 func (r *Regression) meanFrom(cross *linalg.Matrix) []float64 {
 	mean := cross.MulVec(r.alphaVec)
-	f := r.scale * r.kernel.scale
 	for i, m := range mean {
-		mean[i] = r.mean + f*m
+		mean[i] = r.mean + r.scale*m
 	}
 	return mean
 }
@@ -296,11 +276,11 @@ func (r *Regression) Predict(vertices []int) (mean, variance []float64, err erro
 	}
 	mean = r.meanFrom(cross)
 	variance = make([]float64, len(vertices))
-	ks, nu := r.kernel.scale, len(r.observed)
+	nu := len(r.observed)
 	for i, v := range vertices {
 		row := cross.Data[i*nu : (i+1)*nu]
 		sol := r.chol.SolveVec(row)
-		variance[i] = (r.kernel.At(v, v) - ks*ks*linalg.Dot(row, sol)) * r.scale * r.scale
+		variance[i] = (r.kernel.At(v, v) - linalg.Dot(row, sol)) * r.scale * r.scale
 		if variance[i] < 0 {
 			variance[i] = 0 // numerical floor
 		}
@@ -311,7 +291,7 @@ func (r *Regression) Predict(vertices []int) (mean, variance []float64, err erro
 // PredictAll returns the predictive mean at every vertex of the graph
 // (the city-wide flow picture of Figure 9).
 func (r *Regression) PredictAll() ([]float64, error) {
-	vertices := make([]int, r.kernel.n)
+	vertices := make([]int, r.kernel.NumVertices())
 	for i := range vertices {
 		vertices[i] = i
 	}
@@ -396,7 +376,7 @@ func GridSearchWith(g *citygraph.Graph, obs []Observation, alphas, betas []float
 	// (ai·len(betas) + bi)·folds + f writing only its own cell.
 	sqErr := make([]float64, len(alphas)*len(betas)*folds)
 	unitErr := make([]error, len(sqErr))
-	linalg.ParallelFor(workers, len(sqErr), func(u int) {
+	parallelFor(workers, len(sqErr), func(u int) {
 		ab, f := u/folds, u%folds
 		mean, _, err := MeanAll(g, alphas[ab/len(betas)], betas[ab%len(betas)], train[f], noiseVar)
 		if err != nil {
@@ -433,6 +413,40 @@ func GridSearchWith(g *citygraph.Graph, obs []Observation, alphas, betas []float
 		}
 	}
 	return best, nil
+}
+
+// parallelFor runs fn(i) for every i in [0, n) on up to workers
+// goroutines. Tasks are claimed from an atomic counter, so scheduling
+// is dynamic but outputs stay deterministic as long as distinct tasks
+// write disjoint data. workers <= 1 (or n <= 1) runs inline with no
+// goroutines at all.
+func parallelFor(workers, n int, fn func(int)) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // DefaultGrid returns the paper's [0, 10] search interval sampled at

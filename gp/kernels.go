@@ -53,7 +53,7 @@ func RandomWalkKernel(g *citygraph.Graph, a float64, p int) (*Kernel, error) {
 		return nil, fmt.Errorf("gp: random-walk a = %v below the PSD bound 2·maxDegree = %d", a, 2*maxDeg)
 	}
 
-	base := g.Laplacian().Scale(-1).AddDiag(a) // aI − L
+	base := laplacian(g).Scale(-1).AddDiag(a) // aI − L
 	k := base.Clone()
 	for i := 1; i < p; i++ {
 		k = k.Mul(base)
@@ -68,19 +68,20 @@ func RandomWalkKernel(g *citygraph.Graph, a float64, p int) (*Kernel, error) {
 	if maxDiag > 0 {
 		k.Scale(1 / maxDiag)
 	}
-	return &Kernel{k: k, scale: 1, n: g.NumVertices()}, nil
+	return &Kernel{k: k}, nil
 }
 
-// NewKernelFromMatrix wraps a caller-supplied covariance matrix as a
-// Kernel, for experimenting with kernels this package does not build
-// itself. The matrix must be square and symmetric; positive
-// definiteness is checked lazily at Fit time.
-func NewKernelFromMatrix(m *linalg.Matrix) (*Kernel, error) {
-	if m == nil || m.Rows == 0 || m.Rows != m.Cols {
-		return nil, fmt.Errorf("gp: kernel matrix must be square and non-empty")
+// laplacian returns the combinatorial Laplacian L = D − A of the street
+// graph (Section 6) as a dense n×n matrix, the base both dense kernels
+// are built from: the degree on the diagonal, −1 per street.
+func laplacian(g *citygraph.Graph) *linalg.Matrix {
+	n := g.NumVertices()
+	l := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		l.Set(i, i, float64(g.Degree(i)))
+		for _, j := range g.Neighbors(i) {
+			l.Set(i, j, -1)
+		}
 	}
-	if !m.Symmetric(1e-9) {
-		return nil, fmt.Errorf("gp: kernel matrix must be symmetric")
-	}
-	return &Kernel{k: m, scale: 1, n: m.Rows}, nil
+	return l
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/insight-dublin/insight/citygraph"
-	"github.com/insight-dublin/insight/internal/linalg"
 )
 
 func TestRandomWalkKernelValidation(t *testing.T) {
@@ -140,21 +139,41 @@ func TestKernelFamilyComparison(t *testing.T) {
 	}
 }
 
-func TestNewKernelFromMatrix(t *testing.T) {
-	if _, err := NewKernelFromMatrix(nil); err == nil {
-		t.Error("nil matrix must error")
+func TestLaplacianProperties(t *testing.T) {
+	g := pathGraph(3)
+	g.AddEdge(0, 2) // a triangle
+	l := laplacian(g)
+	// Diagonal = degree; off-diagonal = -1 for edges.
+	for i := 0; i < 3; i++ {
+		if l.At(i, i) != 2 {
+			t.Errorf("L[%d,%d] = %v, want 2", i, i, l.At(i, i))
+		}
 	}
-	if _, err := NewKernelFromMatrix(linalg.FromRows([][]float64{{1, 2, 3}})); err == nil {
-		t.Error("non-square matrix must error")
+	if l.At(0, 1) != -1 || l.At(1, 2) != -1 {
+		t.Error("off-diagonal entries must be -1 for edges")
 	}
-	if _, err := NewKernelFromMatrix(linalg.FromRows([][]float64{{1, 2}, {3, 1}})); err == nil {
-		t.Error("asymmetric matrix must error")
+	// Rows sum to zero.
+	for i := 0; i < 3; i++ {
+		var sum float64
+		for j := 0; j < 3; j++ {
+			sum += l.At(i, j)
+		}
+		if sum != 0 {
+			t.Errorf("row %d sums to %v", i, sum)
+		}
 	}
-	k, err := NewKernelFromMatrix(linalg.FromRows([][]float64{{2, 1}, {1, 2}}))
-	if err != nil {
-		t.Fatal(err)
+	if !l.Symmetric(0) {
+		t.Error("Laplacian must be symmetric")
 	}
-	if _, err := Fit(k, []Observation{{Vertex: 0, Value: 5}}, 0.1); err != nil {
-		t.Fatalf("custom kernel must be fittable: %v", err)
+	// L is PSD: xᵀLx >= 0 equals sum over edges of (x_a - x_b)².
+	x := []float64{1, -2, 0.5}
+	lx := l.MulVec(x)
+	var quad float64
+	for i := range x {
+		quad += x[i] * lx[i]
+	}
+	want := (x[0]-x[1])*(x[0]-x[1]) + (x[1]-x[2])*(x[1]-x[2]) + (x[2]-x[0])*(x[2]-x[0])
+	if math.Abs(quad-want) > 1e-12 {
+		t.Errorf("xᵀLx = %v, want %v", quad, want)
 	}
 }

@@ -17,17 +17,12 @@ func relClose(a, b, tol float64) bool {
 
 // TestMeanMatchesPredict holds the mean-only path to Predict's mean and
 // to the per-element formula it replaced (a Kernel.At per cross entry,
-// one Dot per vertex) — for random vertex subsets with duplicates, a
-// fresh and a rescaled kernel, heterogeneous noise, and both kernel
-// implementations under Fit's factorization.
+// one Dot per vertex) — for random vertex subsets with duplicates and
+// heterogeneous noise.
 func TestMeanMatchesPredict(t *testing.T) {
 	g := citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 12, GridY: 9, Seed: 5})
 	n := g.NumVertices()
-	base, err := RegularizedLaplacian(g, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := base.Rescale(3.5)
+	k, err := RegularizedLaplacian(g, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,50 +36,40 @@ func TestMeanMatchesPredict(t *testing.T) {
 		obs = append(obs, o)
 	}
 	obs = append(obs, Observation{Vertex: 4, Value: 900}) // a duplicate vertex
-	for _, opts := range []linalg.Options{{}, {Reference: true}} {
-		prev := linalg.SetDefaultOptions(opts)
-		for name, k := range map[string]*Kernel{"fresh": base, "rescaled": view} {
-			reg, err := Fit(k, obs, 2500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vertices := make([]int, 40)
-			for i := range vertices {
-				vertices[i] = rng.Intn(n)
-			}
-			vertices[7], vertices[8] = vertices[3], vertices[3]
-			mean, err := reg.Mean(vertices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pm, _, err := reg.Predict(vertices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all, err := reg.PredictAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cross := make([]float64, len(reg.observed))
-			for i, v := range vertices {
-				for j, u := range reg.observed {
-					cross[j] = k.At(v, u)
-				}
-				want := reg.mean + reg.scale*linalg.Dot(cross, reg.alphaVec)
-				if mean[i] != pm[i] || mean[i] != all[v] { //lint:allow floateq one implementation: the three entry points must agree bit for bit
-					t.Fatalf("%s %+v: vertex %d: Mean %v, Predict %v, PredictAll %v", name, opts, v, mean[i], pm[i], all[v])
-				}
-				if !relClose(mean[i], want, 1e-12) {
-					t.Errorf("%s %+v: vertex %d: mean %v, per-element reference %v", name, opts, v, mean[i], want)
-				}
-				if name == "fresh" && mean[i] != want { //lint:allow floateq scale 1 folds to the same operations in the same order
-					t.Errorf("%s %+v: vertex %d: mean %v not bit-identical to the reference %v", name, opts, v, mean[i], want)
-				}
-			}
-		}
-		linalg.SetDefaultOptions(prev)
+	reg, err := Fit(k, obs, 2500)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reg, err := Fit(base, obs, 2500)
+	vertices := make([]int, 40)
+	for i := range vertices {
+		vertices[i] = rng.Intn(n)
+	}
+	vertices[7], vertices[8] = vertices[3], vertices[3]
+	mean, err := reg.Mean(vertices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, _, err := reg.Predict(vertices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := reg.PredictAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := make([]float64, len(reg.observed))
+	for i, v := range vertices {
+		for j, u := range reg.observed {
+			cross[j] = k.At(v, u)
+		}
+		want := reg.mean + reg.scale*linalg.Dot(cross, reg.alphaVec)
+		if mean[i] != pm[i] || mean[i] != all[v] { //lint:allow floateq one implementation: the three entry points must agree bit for bit
+			t.Fatalf("vertex %d: Mean %v, Predict %v, PredictAll %v", v, mean[i], pm[i], all[v])
+		}
+		if mean[i] != want { //lint:allow floateq the product and the per-element form run the same operations in the same order
+			t.Errorf("vertex %d: mean %v not bit-identical to the per-element reference %v", v, mean[i], want)
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +83,14 @@ func TestMeanMatchesPredict(t *testing.T) {
 
 // TestPredictVarianceClosedForm checks Predict's variance against
 // Σ = K_vv − K_vu (K_uu + Σ_noise)⁻¹ K_uv assembled from the kernel's
-// entries and a dense inverse, on a fresh and a rescaled kernel with
-// heterogeneous noise.
+// entries and a dense inverse, with heterogeneous noise.
 func TestPredictVarianceClosedForm(t *testing.T) {
 	g := citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 8, GridY: 7, Seed: 2})
 	n := g.NumVertices()
 	if n > 60 {
 		t.Fatalf("fixture grew to %d vertices", n)
 	}
-	base, err := RegularizedLaplacian(g, 1.5, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := base.Rescale(0.4)
+	k, err := RegularizedLaplacian(g, 1.5, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,39 +118,37 @@ func TestPredictVarianceClosedForm(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	for name, k := range map[string]*Kernel{"fresh": base, "rescaled": view} {
-		reg, err := Fit(k, obs, noiseVar)
-		if err != nil {
-			t.Fatal(err)
+	reg, err := Fit(k, obs, noiseVar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := linalg.NewMatrix(len(obs), len(obs))
+	for i, oi := range obs {
+		for j, oj := range obs {
+			a.Set(i, j, s2*k.At(oi.Vertex, oj.Vertex))
 		}
-		a := linalg.NewMatrix(len(obs), len(obs))
-		for i, oi := range obs {
-			for j, oj := range obs {
-				a.Set(i, j, s2*k.At(oi.Vertex, oj.Vertex))
-			}
-			nv := oi.Noise
-			if nv == 0 { //lint:allow floateq zero is Observation.Noise's "use the default" sentinel
-				nv = noiseVar
-			}
-			a.Add(i, i, nv)
+		nv := oi.Noise
+		if nv == 0 { //lint:allow floateq zero is Observation.Noise's "use the default" sentinel
+			nv = noiseVar
 		}
-		inv, err := linalg.InverseSPD(a)
-		if err != nil {
-			t.Fatal(err)
+		a.Add(i, i, nv)
+	}
+	inv, err := linalg.InverseSPD(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, variance, err := reg.Predict(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := make([]float64, len(obs))
+	for v := 0; v < n; v++ {
+		for j, o := range obs {
+			cross[j] = s2 * k.At(v, o.Vertex)
 		}
-		_, variance, err := reg.Predict(all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cross := make([]float64, len(obs))
-		for v := 0; v < n; v++ {
-			for j, o := range obs {
-				cross[j] = s2 * k.At(v, o.Vertex)
-			}
-			want := s2*k.At(v, v) - linalg.Dot(cross, inv.MulVec(cross))
-			if !relClose(variance[v], want, 1e-9) {
-				t.Errorf("%s: vertex %d: variance %v, closed form %v", name, v, variance[v], want)
-			}
+		want := s2*k.At(v, v) - linalg.Dot(cross, inv.MulVec(cross))
+		if !relClose(variance[v], want, 1e-9) {
+			t.Errorf("vertex %d: variance %v, closed form %v", v, variance[v], want)
 		}
 	}
 }
@@ -179,41 +157,34 @@ func TestPredictVarianceClosedForm(t *testing.T) {
 // fixtures to the values the dense per-fold Fit + Predict produced
 // before each unit became one MeanAll solve: the winner and the count
 // exactly, the RMSE within meanTolerance (the cross-validation mean is
-// the sparse solver's, not the dense oracle's). GridSearchML is still
-// dense and its RMSE stays pinned to a few ulps.
+// the sparse solver's, not the dense oracle's).
 func TestGridSearchPinned(t *testing.T) {
 	alphas, betas := []float64{0.5, 2, 8}, []float64{0.1, 1, 5}
 	path := pathGraph(12)
-	var pathObs, pathAll []Observation
-	for i := 0; i < 12; i++ {
-		o := Observation{Vertex: i, Value: 50 + 30*math.Sin(float64(i)/3)}
-		pathAll = append(pathAll, o)
-		if i%2 == 0 {
-			pathObs = append(pathObs, o)
-		}
+	var pathObs []Observation
+	for i := 0; i < 12; i += 2 {
+		pathObs = append(pathObs, Observation{Vertex: i, Value: 50 + 30*math.Sin(float64(i)/3)})
 	}
 	dublin := citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 10, GridY: 7, Seed: 3})
 	var dublinObs []Observation
 	for i := 0; i < dublin.NumVertices(); i += 3 {
 		dublinObs = append(dublinObs, Observation{Vertex: i, Value: 200 + 120*math.Sin(float64(i)/9)})
 	}
-	check := func(name string, got GridSearchResult, err error, want GridSearchResult, tol float64) {
+	check := func(name string, got GridSearchResult, err error, want GridSearchResult) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Alpha != want.Alpha || got.Beta != want.Beta || got.Evaluated != want.Evaluated || !relClose(got.RMSE, want.RMSE, tol) { //lint:allow floateq grid points are chosen, not computed
+		if got.Alpha != want.Alpha || got.Beta != want.Beta || got.Evaluated != want.Evaluated || !relClose(got.RMSE, want.RMSE, meanTolerance) { //lint:allow floateq grid points are chosen, not computed
 			t.Errorf("%s: got %+v, want %+v", name, got, want)
 		}
 	}
 	for _, workers := range []int{1, 0} {
 		got, err := GridSearchWith(path, pathObs, alphas, betas, 0.5, 3, 1, SearchOptions{Workers: workers})
-		check("path", got, err, GridSearchResult{Alpha: 8, Beta: 0.1, RMSE: 11.702264459838036, Evaluated: 9}, meanTolerance)
+		check("path", got, err, GridSearchResult{Alpha: 8, Beta: 0.1, RMSE: 11.702264459838036, Evaluated: 9})
 		got, err = GridSearchWith(dublin, dublinObs, alphas, betas, 1, 4, 7, SearchOptions{Workers: workers})
-		check("dublin", got, err, GridSearchResult{Alpha: 2, Beta: 0.1, RMSE: 83.383796654003234, Evaluated: 9}, meanTolerance)
+		check("dublin", got, err, GridSearchResult{Alpha: 2, Beta: 0.1, RMSE: 83.383796654003234, Evaluated: 9})
 	}
-	got, err := GridSearchML(path, pathAll, alphas, betas, 0.5)
-	check("ml", got, err, GridSearchResult{Alpha: 8, Beta: 5, RMSE: 0.057055377017845132, Evaluated: 9}, 1e-12)
 }
 
 // TestFitRejectsNonFinite: one NaN or ±Inf reading must be an error

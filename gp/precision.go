@@ -3,6 +3,7 @@ package gp
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"github.com/insight-dublin/insight/citygraph"
 )
@@ -45,29 +46,89 @@ const (
 // slices. A solve that does not converge within the iteration cap is an
 // error naming the residual it reached, never an inaccurate map.
 func MeanAll(g *citygraph.Graph, alpha, beta float64, obs []Observation, noiseVar float64) (mean []float64, observed []int, err error) {
-	if err := checkModel(g, alpha, beta); err != nil {
-		return nil, nil, err
-	}
-	n := g.NumVertices()
-	st, err := standardize(n, obs, noiseVar)
+	a, st, work, err := system(g, alpha, beta, obs, noiseVar, 4)
 	if err != nil {
 		return nil, nil, err
 	}
-	work := make([]float64, 5*n)
-	a := precision{g: g, beta: beta, reg: beta / (alpha * alpha), w: work[:n]}
-	b := work[n : 2*n]
+	n := len(a.w)
+	b := work[:n]
 	for i, v := range st.observed {
-		a.w[v] = st.scale * st.scale / st.noise[i]
 		b[v] = a.w[v] * st.y[i]
 	}
 	mean = make([]float64, n)
-	if err := a.solve(mean, b, work[2*n:], cgMaxIterations); err != nil {
+	if err := a.solve(mean, b, work[n:], cgMaxIterations); err != nil {
 		return nil, nil, err
 	}
 	for i, m := range mean {
 		mean[i] = st.mean + st.scale*m
 	}
 	return mean, st.observed, nil
+}
+
+// VarianceAll returns the GP posterior variance at every vertex of g
+// under the model MeanAll solves — the variance Predict returns over
+// every vertex after Fit(RegularizedLaplacian(g, α, β), obs, noiseVar),
+// to the solver's tolerance — in the observations' units squared,
+// validating its inputs as MeanAll does. The posterior covariance in
+// standardized units is the inverse of MeanAll's system matrix,
+// (Q + HᵀD⁻¹H)⁻¹, so the variance at v is one solve against the unit
+// vector e_v read at v, times the squared standardization scale. The n
+// solves fan out over GOMAXPROCS workers with one scratch block each,
+// carved from one allocation: nothing is allocated per vertex. Every
+// solve is serial and fixed-order, so the result does not depend on the
+// worker count. The system matrix is a diagonally dominant M-matrix,
+// whose inverse is largest on the diagonal of each column, so the
+// stopping rule — relative to ‖x‖∞ — bounds the error of x_v itself.
+func VarianceAll(g *citygraph.Graph, alpha, beta float64, obs []Observation, noiseVar float64) ([]float64, error) {
+	workers := runtime.GOMAXPROCS(0)
+	a, st, work, err := system(g, alpha, beta, obs, noiseVar, 5*workers)
+	if err != nil {
+		return nil, err
+	}
+	n := len(a.w)
+	s2 := st.scale * st.scale
+	variance := make([]float64, n)
+	errs := make([]error, workers)
+	parallelFor(workers, workers, func(w int) {
+		own := work[5*w*n : 5*(w+1)*n]
+		x, b, scratch := own[:n], own[n:2*n], own[2*n:]
+		for v := w; v < n; v += workers {
+			clear(b)
+			b[v] = 1
+			if err := a.solve(x, b, scratch, cgMaxIterations); err != nil {
+				errs[w] = err
+				return
+			}
+			variance[v] = x[v] * s2
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return variance, nil
+}
+
+// system validates a model and its observations as MeanAll documents
+// and returns the information-form system matrix, the standardized
+// observations it was built from and k·n floats of zeroed scratch — the
+// matrix's observation weights and the scratch one allocation.
+func system(g *citygraph.Graph, alpha, beta float64, obs []Observation, noiseVar float64, k int) (precision, standardized, []float64, error) {
+	if err := checkModel(g, alpha, beta); err != nil {
+		return precision{}, standardized{}, nil, err
+	}
+	n := g.NumVertices()
+	st, err := standardize(n, obs, noiseVar)
+	if err != nil {
+		return precision{}, standardized{}, nil, err
+	}
+	work := make([]float64, (1+k)*n)
+	a := precision{g: g, beta: beta, reg: beta / (alpha * alpha), w: work[:n]}
+	for i, v := range st.observed {
+		a.w[v] = st.scale * st.scale / st.noise[i]
+	}
+	return a, st, work[n:], nil
 }
 
 // precision is the information-form system matrix

@@ -32,9 +32,32 @@ func denseMeanAll(g *citygraph.Graph, alpha, beta float64, obs []Observation, no
 	return reg.PredictAll()
 }
 
-// maxMeanDiff returns max_v |got_v − want_v| / max(1, max_v |want_v|).
-func maxMeanDiff(got, want []float64) float64 {
-	scale, diff := 1.0, 0.0
+// denseVarianceAll is VarianceAll's oracle: Predict's variance at every
+// vertex against the dense kernel, and the largest prior variance
+// K_vv·s² that variance was subtracted from.
+func denseVarianceAll(g *citygraph.Graph, alpha, beta float64, obs []Observation, noiseVar float64) (variance []float64, prior float64, err error) {
+	k, err := RegularizedLaplacian(g, alpha, beta)
+	if err != nil {
+		return nil, 0, err
+	}
+	reg, err := Fit(k, obs, noiseVar)
+	if err != nil {
+		return nil, 0, err
+	}
+	all := make([]int, g.NumVertices())
+	for i := range all {
+		all[i] = i
+		prior = math.Max(prior, k.At(i, i)*reg.scale*reg.scale)
+	}
+	_, variance, err = reg.Predict(all)
+	return variance, prior, err
+}
+
+// maxDiff returns max_v |got_v − want_v| / max(floor, max_v |want_v|):
+// the mean is compared relative to its largest value but at least 1,
+// the variance relative to its largest value.
+func maxDiff(got, want []float64, floor float64) float64 {
+	scale, diff := floor, 0.0
 	for v := range want {
 		scale = math.Max(scale, math.Abs(want[v]))
 		diff = math.Max(diff, math.Abs(got[v]-want[v]))
@@ -44,8 +67,9 @@ func maxMeanDiff(got, want []float64) float64 {
 
 // FuzzMeanVsDense: on a small connected graph (a path plus chords),
 // α, β ∈ (0, 10] and one to eight observations with their own noises,
-// the information-form mean equals the dense oracle within
-// meanTolerance, and the two paths refuse the same inputs.
+// the information-form mean and variance equal the dense oracle's within
+// meanTolerance of the map's largest value, and the paths refuse the
+// same inputs.
 func FuzzMeanVsDense(f *testing.F) {
 	f.Add(uint8(10), []byte{0, 5, 2, 9}, uint16(13106), uint16(6552), []byte{1, 20, 0, 7, 90, 40, 3, 200, 0})
 	f.Add(uint8(40), []byte{}, uint16(65535), uint16(0), []byte{0, 127, 255, 39, 128, 1})
@@ -81,14 +105,26 @@ func FuzzMeanVsDense(f *testing.F) {
 		const noiseVar = 100
 		want, errDense := denseMeanAll(g, alpha, beta, obs, noiseVar)
 		got, observed, errSparse := MeanAll(g, alpha, beta, obs, noiseVar)
-		if (errDense == nil) != (errSparse == nil) {
-			t.Fatalf("n=%d α=%v β=%v %v: dense err %v, sparse err %v", n, alpha, beta, obs, errDense, errSparse)
+		gotVar, errVar := VarianceAll(g, alpha, beta, obs, noiseVar)
+		if (errDense == nil) != (errSparse == nil) || (errDense == nil) != (errVar == nil) {
+			t.Fatalf("n=%d α=%v β=%v %v: dense err %v, sparse mean err %v, sparse variance err %v", n, alpha, beta, obs, errDense, errSparse, errVar)
 		}
 		if errDense != nil {
 			return
 		}
-		if d := maxMeanDiff(got, want); !(d <= meanTolerance) {
+		if d := maxDiff(got, want, 1); !(d <= meanTolerance) {
 			t.Fatalf("n=%d α=%v β=%v %v: sparse mean differs from dense by %.3g (relative), tolerance %g", n, alpha, beta, obs, d, meanTolerance)
+		}
+		wantVar, prior, err := denseVarianceAll(g, alpha, beta, obs, noiseVar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Predict subtracts a term as large as the prior variance, so the
+		// oracle is good only to rounding of the prior: where observations
+		// pin the posterior below 1e-3 of the prior, the scale is 1e-3 of
+		// the prior (1e-12 of it at meanTolerance).
+		if d := maxDiff(gotVar, wantVar, 1e-3*prior); !(d <= meanTolerance) {
+			t.Fatalf("n=%d α=%v β=%v %v: sparse variance differs from dense by %.3g (relative), tolerance %g", n, alpha, beta, obs, d, meanTolerance)
 		}
 		for i := 1; i < len(observed); i++ {
 			if observed[i] <= observed[i-1] {
@@ -121,11 +157,57 @@ func TestMeanAllMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := maxMeanDiff(got, want); d > meanTolerance {
+		if d := maxDiff(got, want, 1); d > meanTolerance {
 			t.Errorf("α=%v β=%v: sparse mean differs from dense by %.3g (relative)", h[0], h[1], d)
 		}
 		if len(observed) != g.NumVertices()/2+g.NumVertices()%2 {
 			t.Errorf("α=%v β=%v: %d observed vertices", h[0], h[1], len(observed))
+		}
+	}
+}
+
+// TestVarianceAllMatchesDense holds VarianceAll to Predict's variance on
+// the same graph, observations and hyperparameters as
+// TestMeanAllMatchesDense, and its bits to the worker count.
+func TestVarianceAllMatchesDense(t *testing.T) {
+	g := citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 12, GridY: 9, Seed: 5})
+	var obs []Observation
+	for i := 0; i < g.NumVertices(); i += 2 {
+		o := Observation{Vertex: i, Value: 600 + 400*math.Sin(float64(i)/7)}
+		if i%6 == 0 {
+			o.Noise = 9e3
+		}
+		obs = append(obs, o)
+	}
+	obs = append(obs, Observation{Vertex: 4, Value: 900})
+	for _, h := range [][2]float64{{2, 1}, {0.1, 0.1}, {10, 10}, {10, 0.1}, {0.1, 10}} {
+		want, _, err := denseVarianceAll(g, h[0], h[1], obs, 2500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := VarianceAll(g, h[0], h[1], obs, 2500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := maxDiff(got, want, 0); d > meanTolerance {
+			t.Errorf("α=%v β=%v: sparse variance differs from dense by %.3g (relative)", h[0], h[1], d)
+		}
+	}
+	want, err := VarianceAll(g, 2, 1, obs, 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := VarianceAll(g, 2, 1, obs, 2500)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if got[v] != want[v] { //lint:allow floateq every solve is serial and fixed-order: the bits must not depend on the worker count
+				t.Fatalf("GOMAXPROCS=%d: vertex %d variance %v, want %v", procs, v, got[v], want[v])
+			}
 		}
 	}
 }
@@ -261,5 +343,29 @@ func TestAllocBudget_MeanAll(t *testing.T) {
 	const budget = 6
 	if counts[0] != counts[1] || counts[1] > budget { //lint:allow floateq allocation counts are integers
 		t.Errorf("MeanAll allocates %v objects on the small graph and %v on the 520-vertex one, want equal and ≤ %d", counts[0], counts[1], budget)
+	}
+}
+
+// TestAllocBudget_VarianceAll: the per-vertex solves allocate nothing —
+// the call allocates MeanAll's slices plus a constant per worker,
+// whatever the graph size. The count depends on neither the
+// hyperparameters nor the observations; a precise reading at every
+// vertex makes each solve a few iterations.
+func TestAllocBudget_VarianceAll(t *testing.T) {
+	counts := make([]float64, 0, 2)
+	for _, g := range []*citygraph.Graph{
+		citygraph.GenerateDublin(citygraph.DublinConfig{GridX: 8, GridY: 7, Seed: 2}),
+		benchGraph512(),
+	} {
+		obs := benchObservations(g, 1)
+		counts = append(counts, testing.AllocsPerRun(1, func() {
+			if _, err := VarianceAll(g, 2, 1, obs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	budget := 10 + 2*runtime.GOMAXPROCS(0)
+	if counts[0] != counts[1] || counts[1] > float64(budget) { //lint:allow floateq allocation counts are integers
+		t.Errorf("VarianceAll allocates %v objects on the small graph and %v on the 520-vertex one, want equal and ≤ %d", counts[0], counts[1], budget)
 	}
 }

@@ -15,7 +15,7 @@
 // The rules encode the invariants PRs 1–3 established by convention:
 // seeded determinism (bit-identical recognition and kernel results
 // across Workers counts), goroutine/context hygiene in the streams
-// backbone, allocation-free blocked-kernel hot loops, tolerance-based
+// backbone, allocation-free kernel hot loops, tolerance-based
 // float comparison, and the Item-ownership contract the supervision /
 // dead-letter machinery depends on. cmd/insightlint is the driver;
 // `make lint` gates the tree on a clean run.

@@ -7,15 +7,15 @@ import (
 )
 
 // FloatEq flags == and != between floating-point operands. Exact float
-// comparison is almost always a latent bug in numeric code — the
-// blocked kernels and the GP likelihood are validated against a 1e-10
-// reference tolerance precisely because refactoring changes rounding.
+// comparison is almost always a latent bug in numeric code — the dense
+// kernels and the sparse GP solves are validated against tolerances
+// precisely because refactoring changes rounding.
 // Two idioms are exempt: x != x (the NaN test) and comparison against
 // an exact-zero literal (the "is it exactly the unset/singular value"
 // guard, which IEEE 754 represents exactly). Anything else either gets
 // a tolerance or an explicit //lint:allow floateq justification.
-// Test files are outside the framework's load set, so the
-// reference-equivalence harness is unaffected by construction.
+// Test files are outside the framework's load set, so the equivalence
+// tests are unaffected by construction.
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "flags exact ==/!= comparison of floating-point values",

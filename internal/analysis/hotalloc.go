@@ -21,9 +21,10 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // perCallFuncs maps packages to the functions whose cost is paid whole
 // on every report or crowdsourcing round: gp's predictive mean is a
 // gather and one product, and the flow map's sparse solve (MeanAll: the
-// standardization, the CG iterations, the adjacency-list product) a
-// constant number of slices — nothing allocated per vertex or per
-// iteration; crowd's roster view and nearest-k policy run hundreds of
+// standardization, the system set-up, the CG iterations, the
+// adjacency-list product) a constant number of slices — nothing
+// allocated per vertex or per iteration, nor per vertex's solve in the
+// uncertainty map (VarianceAll: scratch per worker); crowd's roster view and nearest-k policy run hundreds of
 // times a boundary — nothing allocated per candidate, and no reflective
 // sort; rtec's fold of a simple fluent's transition points and its
 // window clip run for every fluent at every query, and interval's
@@ -39,7 +40,7 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // hold at every loop depth (the per-vertex loop of a predictor is an
 // outer loop), closures the function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
-	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|standardize|solve|mulDot)$`),
+	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|VarianceAll|system|standardize|solve|mulDot)$`),
 	"crowd":    regexp.MustCompile(`^(Online|SelectNearest)$`),
 	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances|Entries)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
@@ -99,11 +100,11 @@ var itemMaterializers = map[string]bool{
 
 // HotAlloc flags allocation sites inside the innermost loop bodies of
 // hot-path functions: composite literals, make, append (which may
-// grow), string concatenation and interface boxing. PR 3's blocked
-// kernels get their throughput from allocation-free inner loops (the
-// 4-accumulator dot products, the tile sweeps); an alloc introduced
-// there is a silent multi-× regression the equivalence tests cannot
-// see. Cold paths inside a hot loop (error/panic construction) are
+// grow), string concatenation and interface boxing. The dense kernels
+// get their throughput from allocation-free inner loops (the
+// 4-accumulator dot products, the substitution sweeps); an alloc
+// introduced there is a silent multi-× regression the residual tests
+// cannot see. Cold paths inside a hot loop (error/panic construction) are
 // fine — annotate them with //lint:allow hotalloc and a justification.
 //
 // In per-call functions (perCallFuncs) the same allocation sites are

@@ -1,9 +1,9 @@
 // Package hafix exercises the hotalloc scoping of package gp. It is
 // loaded under the import path "fixture/gp", so the mean path —
 // crossCov, meanFrom, Mean, PredictAll — is held to "a gather and one
-// product", and the sparse solve — MeanAll, standardize, solve, mulDot
-// — to a constant number of slices: nothing allocated per vertex or per
-// iteration.
+// product", and the sparse solves — MeanAll, VarianceAll, system,
+// standardize, solve, mulDot — to a constant number of slices: nothing
+// allocated per vertex or per iteration.
 package hafix
 
 type regression struct {
@@ -83,6 +83,32 @@ func (a *precision) solve(x, b []float64) {
 			return
 		}
 	}
+}
+
+// system is the accepted shape of the solves' set-up: one allocation,
+// a loop that only writes into it.
+func system(n int, observed []int, noise []float64) precision {
+	a := precision{adj: make([][]int, n), w: make([]float64, n)}
+	for i, v := range observed {
+		a.w[v] = 1 / noise[i]
+	}
+	return a
+}
+
+// VarianceAll gives every vertex's solve a fresh right-hand side inside
+// the worker closure: flagged at its loop depth.
+func (a *precision) VarianceAll(workers int, run func(int, func(int))) []float64 {
+	n := len(a.adj)
+	variance := make([]float64, n)
+	run(workers, func(w int) {
+		for v := w; v < n; v += workers {
+			b := make([]float64, n)
+			b[v] = 1
+			a.solve(b, b)
+			variance[v] = b[v]
+		}
+	})
+	return variance
 }
 
 func dot(a, b []float64) float64 {

@@ -2,13 +2,12 @@ package linalg
 
 import "math"
 
-// dot4 is an inner product with four independent accumulators. The
-// naive kernels chain every subtraction through one register, so they
-// run at FP-add latency; splitting the chain lets the core overlap the
-// multiplies and is worth ~2-3× on the dot-shaped inner loops. The
-// summation order differs from a single chain, which is why the
-// equivalence suite compares against the reference with a tolerance
-// instead of bit equality.
+// dot4 is an inner product with four independent accumulators. A single
+// chain runs every subtraction through one register, at FP-add latency;
+// splitting the chain lets the core overlap the multiplies and is worth
+// ~2-3× on the dot-shaped inner loops. The summation order differs from
+// a single chain, which is why the tests compare against closed forms
+// and residuals with a tolerance instead of bit equality.
 func dot4(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -29,142 +28,45 @@ type Cholesky struct {
 	L *Matrix
 
 	// lt caches Lᵀ so back substitution reads rows (contiguous memory)
-	// instead of columns (stride-n loads). nil in Reference mode, where
-	// the seed column-walking substitution is retained.
+	// instead of columns (stride-n loads).
 	lt *Matrix
-	// opts are the options the factorization was built with; Solve
-	// reuses them for its own blocking and parallelism.
-	opts Options
 }
 
-// NewCholesky factorizes the SPD matrix a with the package-wide
-// default options. It returns ErrNotSPD if a is not square or a pivot
-// is non-positive.
+// NewCholesky factorizes the SPD matrix a, reading only its lower
+// triangle. Each entry of L is one contiguous row-prefix inner product
+// against an earlier row of L. It returns ErrNotSPD if a is not square
+// or a pivot is non-positive (or NaN).
 func NewCholesky(a *Matrix) (*Cholesky, error) {
-	return NewCholeskyWith(a, DefaultOptions())
-}
-
-// NewCholeskyWith factorizes the SPD matrix a using a right-looking
-// blocked algorithm: factorize the diagonal panel, triangular-solve
-// the panel rows below it in parallel, then apply the symmetric
-// rank-BlockSize trailing update over parallel tiles. Matrices no
-// larger than one block (and Reference mode) use the retained serial
-// reference code.
-//
-// The operation sequence per element does not depend on Workers, so
-// the factor is bit-identical for any worker count.
-func NewCholeskyWith(a *Matrix, opts Options) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrNotSPD
 	}
-	var l *Matrix
-	var err error
-	if opts.Reference || a.Rows <= opts.blockSize() {
-		l, err = naiveCholesky(a)
-	} else {
-		l, err = blockedCholesky(a, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c := &Cholesky{L: l, opts: opts}
-	if !opts.Reference {
-		c.lt = l.T()
-	}
-	return c, nil
-}
-
-// blockedCholesky is the right-looking blocked factorization. The
-// lower triangle of a is copied into l, then consumed panel by panel:
-//
-//	for each panel of nb columns:
-//	  1. factorize the nb×nb diagonal block (serial — O(n·nb²) total)
-//	  2. TRSM: rows below the panel solve against the diagonal block,
-//	     parallel over row blocks
-//	  3. SYRK: the trailing lower triangle subtracts the panel's outer
-//	     product, parallel over tiles
-//
-// Non-positive (or NaN) pivots surface in step 1 as ErrNotSPD, exactly
-// like the reference.
-func blockedCholesky(a *Matrix, opts Options) (*Matrix, error) {
 	n := a.Rows
-	nb := opts.blockSize()
-	workers := opts.workers()
 	l := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		copy(l.Data[i*n:i*n+i+1], a.Data[i*n:i*n+i+1])
 	}
-	for j0 := 0; j0 < n; j0 += nb {
-		j1 := min(j0+nb, n)
-		// 1. Diagonal block: unblocked factorization of l[j0:j1, j0:j1],
-		// whose entries already carry every update from earlier panels.
-		for j := j0; j < j1; j++ {
-			jrow := l.Data[j*n+j0 : j*n+j]
-			d := l.Data[j*n+j] - dot4(jrow, jrow)
-			if d <= 0 || math.IsNaN(d) {
-				return nil, ErrNotSPD
-			}
-			dj := math.Sqrt(d)
-			l.Data[j*n+j] = dj
-			for i := j + 1; i < j1; i++ {
-				irow := l.Data[i*n+j0 : i*n+j]
-				l.Data[i*n+j] = (l.Data[i*n+j] - dot4(irow, jrow)) / dj
-			}
+	for j := 0; j < n; j++ {
+		jrow := l.Data[j*n : j*n+j]
+		d := l.Data[j*n+j] - dot4(jrow, jrow)
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrNotSPD
 		}
-		if j1 == n {
-			break
+		dj := math.Sqrt(d)
+		l.Data[j*n+j] = dj
+		for i := j + 1; i < n; i++ {
+			irow := l.Data[i*n : i*n+j]
+			l.Data[i*n+j] = (l.Data[i*n+j] - dot4(irow, jrow)) / dj
 		}
-		// 2. TRSM: L21 = A21·L11⁻ᵀ, parallel over row blocks. Each row
-		// depends only on the finished diagonal block and on itself.
-		rows := n - j1
-		rowBlocks := (rows + nb - 1) / nb
-		ParallelFor(workers, rowBlocks, func(t int) {
-			i0 := j1 + t*nb
-			i1 := min(i0+nb, n)
-			for i := i0; i < i1; i++ {
-				for j := j0; j < j1; j++ {
-					irow := l.Data[i*n+j0 : i*n+j]
-					jrow := l.Data[j*n+j0 : j*n+j]
-					l.Data[i*n+j] = (l.Data[i*n+j] - dot4(irow, jrow)) / l.Data[j*n+j]
-				}
-			}
-		})
-		// 3. SYRK trailing update: l[i,k] -= l[i,panel]·l[k,panel] for
-		// j1 <= k <= i < n, parallel over lower-triangle tiles. Each
-		// element is written by exactly one tile.
-		tiles := make([][2]int, 0, rowBlocks*(rowBlocks+1)/2)
-		for ti := 0; ti < rowBlocks; ti++ {
-			for tk := 0; tk <= ti; tk++ {
-				tiles = append(tiles, [2]int{ti, tk}) //lint:allow hotalloc tile worklist, not the FLOP path; capacity is preallocated exactly
-			}
-		}
-		ParallelFor(workers, len(tiles), func(t int) {
-			i0 := j1 + tiles[t][0]*nb
-			i1 := min(i0+nb, n)
-			k0 := j1 + tiles[t][1]*nb
-			k1 := min(k0+nb, n)
-			for i := i0; i < i1; i++ {
-				kmax := min(k1, i+1)
-				irow := l.Data[i*n+j0 : i*n+j1]
-				for k := k0; k < kmax; k++ {
-					l.Data[i*n+k] -= dot4(irow, l.Data[k*n+j0:k*n+j1])
-				}
-			}
-		})
 	}
-	return l, nil
+	return &Cholesky{L: l, lt: l.T()}, nil
 }
 
 // SolveVec solves A·x = b for x given the factorization of A. The back
-// pass runs over the cached transpose, turning the seed's stride-n
-// column walk into contiguous row reads.
+// pass runs over the cached transpose, so both passes read rows.
 func (c *Cholesky) SolveVec(b []float64) []float64 {
 	n := c.L.Rows
 	if len(b) != n {
 		panic("linalg: dimension mismatch in SolveVec")
-	}
-	if c.lt == nil {
-		return naiveSolveVec(c.L, b)
 	}
 	// Forward substitution: L·y = b.
 	y := make([]float64, n)
@@ -181,121 +83,49 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 	return x
 }
 
-// Solve solves A·X = B for all columns of B at once. Columns are
-// partitioned across workers; within each partition the substitutions
-// run panel by panel so every L (and Lᵀ) row chunk is read once per
-// panel and applied to the whole column range — the multi-RHS
-// equivalent of a blocked TRSM. The seed solved column-at-a-time with
-// a fresh stride-n back pass per column.
-func (c *Cholesky) Solve(b *Matrix) *Matrix {
-	n := c.L.Rows
-	if b.Rows != n {
-		panic("linalg: dimension mismatch in Solve")
-	}
-	if c.lt == nil {
-		return naiveSolve(c.L, b)
-	}
-	out := b.Clone()
-	m := b.Cols
-	// Column chunk: wide enough to amortize the panel sweeps, narrow
-	// enough that a row chunk of X stays resident while L streams by.
-	chunk := c.opts.blockSize()
-	colBlocks := (m + chunk - 1) / chunk
-	ParallelFor(c.opts.workers(), colBlocks, func(t int) {
-		c0 := t * chunk
-		c1 := min(c0+chunk, m)
-		c.solveColumns(out, c0, c1)
-	})
-	return out
-}
-
-// solveColumns forward/back-substitutes columns [c0, c1) of x in
-// place, where x initially holds the right-hand sides.
-func (c *Cholesky) solveColumns(x *Matrix, c0, c1 int) {
+// Inverse returns A⁻¹ from the factorization, exploiting structure on
+// both sides: the forward result Y = L⁻¹ is lower triangular (rows
+// above each column are exact zeros), and A⁻¹ is symmetric, so the back
+// pass computes the lower triangle only and mirrors it — n³/3
+// multiply-adds instead of the n³ of a solve against the identity.
+func (c *Cholesky) Inverse() *Matrix {
 	l, lt := c.L, c.lt
 	n := l.Rows
-	m := x.Cols
-	nb := c.opts.blockSize()
-	// Forward: L·Y = B, panel by panel.
-	for p0 := 0; p0 < n; p0 += nb {
-		p1 := min(p0+nb, n)
-		for i := p0; i < p1; i++ {
-			xi := x.Data[i*m : (i+1)*m]
-			for k := p0; k < i; k++ {
-				lik := l.Data[i*n+k]
-				xk := x.Data[k*m : (k+1)*m]
-				for j := c0; j < c1; j++ {
-					xi[j] -= lik * xk[j]
-				}
-			}
-			d := l.Data[i*n+i]
-			for j := c0; j < c1; j++ {
-				xi[j] /= d
-			}
-		}
-		// Push the finished panel into every row below it.
-		for i := p1; i < n; i++ {
-			xi := x.Data[i*m : (i+1)*m]
-			for k := p0; k < p1; k++ {
-				lik := l.Data[i*n+k]
-				xk := x.Data[k*m : (k+1)*m]
-				for j := c0; j < c1; j++ {
-					xi[j] -= lik * xk[j]
-				}
-			}
-		}
-	}
-	// Backward: Lᵀ·X = Y, panels from the bottom up, rows of Lᵀ.
-	for p1 := n; p1 > 0; p1 -= nb {
-		p0 := max(p1-nb, 0)
-		for i := p1 - 1; i >= p0; i-- {
-			xi := x.Data[i*m : (i+1)*m]
-			for k := i + 1; k < p1; k++ {
-				lki := lt.Data[i*n+k]
-				xk := x.Data[k*m : (k+1)*m]
-				for j := c0; j < c1; j++ {
-					xi[j] -= lki * xk[j]
-				}
-			}
-			d := lt.Data[i*n+i]
-			for j := c0; j < c1; j++ {
-				xi[j] /= d
-			}
-		}
-		// Push the finished panel into every row above it.
-		for i := 0; i < p0; i++ {
-			xi := x.Data[i*m : (i+1)*m]
-			for k := p0; k < p1; k++ {
-				lki := lt.Data[i*n+k]
-				xk := x.Data[k*m : (k+1)*m]
-				for j := c0; j < c1; j++ {
-					xi[j] -= lki * xk[j]
-				}
-			}
-		}
-	}
-}
-
-// Inverse returns A⁻¹ from the factorization. Unlike the generic
-// Solve against Identity (the seed's path, still used in Reference
-// mode), the dedicated path exploits structure on both sides: the
-// forward result Y = L⁻¹ is lower triangular (rows above each column
-// are exact zeros), and A⁻¹ is symmetric, so the back pass computes
-// the lower triangle only and mirrors it — n³/3 multiply-adds instead
-// of n³, on top of the blocked row-major access.
-func (c *Cholesky) Inverse() *Matrix {
-	n := c.L.Rows
-	if c.lt == nil {
-		return c.Solve(Identity(n))
-	}
 	x := NewMatrix(n, n)
-	chunk := c.opts.blockSize()
-	colBlocks := (n + chunk - 1) / chunk
-	ParallelFor(c.opts.workers(), colBlocks, func(t int) {
-		c0 := t * chunk
-		c1 := min(c0+chunk, n)
-		c.inverseColumns(x, c0, c1)
-	})
+	// Forward: Y = L⁻¹. Row k of Y carries entries only up to column k.
+	for i := 0; i < n; i++ {
+		xi := x.Data[i*n : (i+1)*n]
+		lrow := l.Data[i*n : i*n+i]
+		for k, v := range lrow {
+			xk := x.Data[k*n : k*n+k+1]
+			for j, xkj := range xk {
+				xi[j] -= v * xkj
+			}
+		}
+		xi[i]++ // the identity right-hand side
+		d := l.Data[i*n+i]
+		for j := 0; j <= i; j++ {
+			xi[j] /= d
+		}
+	}
+	// Backward: Lᵀ·X = Y, lower triangle of X only (j <= i). Rows below
+	// i are already final and their entries at columns <= i+1 are exactly
+	// the ones read here.
+	for i := n - 1; i >= 0; i-- {
+		xi := x.Data[i*n : (i+1)*n]
+		ltrow := lt.Data[i*n : (i+1)*n]
+		for k := i + 1; k < n; k++ {
+			v := ltrow[k]
+			xk := x.Data[k*n : k*n+i+1]
+			for j, xkj := range xk {
+				xi[j] -= v * xkj
+			}
+		}
+		d := l.Data[i*n+i]
+		for j := 0; j <= i; j++ {
+			xi[j] /= d
+		}
+	}
 	// Mirror the computed lower triangle; the result is exactly
 	// symmetric by construction.
 	for i := 0; i < n; i++ {
@@ -304,63 +134,6 @@ func (c *Cholesky) Inverse() *Matrix {
 		}
 	}
 	return x
-}
-
-// inverseColumns computes columns [c0, c1) of A⁻¹ into x (zeroed on
-// entry), rows c0..n only — the strict upper triangle is left to the
-// caller's mirror step.
-func (c *Cholesky) inverseColumns(x *Matrix, c0, c1 int) {
-	l, lt := c.L, c.lt
-	n := l.Rows
-	// Forward: Y = L⁻¹ columns [c0, c1). Y[k, j] is zero for k < j, so
-	// rows before c0 contribute nothing and row k carries entries only
-	// up to column k.
-	for i := c0; i < n; i++ {
-		xi := x.Data[i*n : (i+1)*n]
-		lrow := l.Data[i*n : i*n+i]
-		for k := c0; k < i; k++ {
-			v := lrow[k]
-			xk := x.Data[k*n : k*n+min(c1, k+1)]
-			for j := c0; j < len(xk); j++ {
-				xi[j] -= v * xk[j]
-			}
-		}
-		if i < c1 {
-			xi[i]++ // the identity right-hand side
-		}
-		d := l.Data[i*n+i]
-		for j, jm := c0, min(c1, i+1); j < jm; j++ {
-			xi[j] /= d
-		}
-	}
-	// Backward: Lᵀ·X = Y, lower triangle of X only (j <= i). Rows
-	// below i are already final and their entries at columns <= i+1
-	// are exactly the ones read here.
-	for i := n - 1; i >= c0; i-- {
-		xi := x.Data[i*n : (i+1)*n]
-		ltrow := lt.Data[i*n : (i+1)*n]
-		jm := min(c1, i+1)
-		for k := i + 1; k < n; k++ {
-			v := ltrow[k]
-			xk := x.Data[k*n : (k+1)*n]
-			for j := c0; j < jm; j++ {
-				xi[j] -= v * xk[j]
-			}
-		}
-		d := l.Data[i*n+i]
-		for j := c0; j < jm; j++ {
-			xi[j] /= d
-		}
-	}
-}
-
-// LogDet returns log|A| from the factorization.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
 }
 
 // InverseSPD inverts a symmetric positive-definite matrix.

@@ -33,13 +33,6 @@ func fuzzMatrix(data []byte, n int) *Matrix {
 	return a
 }
 
-// fuzzOptions derives kernel options from two fuzz bytes, covering the
-// serial fallback, degenerate block 1, ragged tilings, and the worker
-// pool.
-func fuzzOptions(block, workers uint8) Options {
-	return Options{BlockSize: int(block % 40), Workers: int(workers % 4)}
-}
-
 func allFinite(v []float64) bool {
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -83,21 +76,21 @@ func FuzzCholesky(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		binary.LittleEndian.PutUint64(id3[(i*3+i)*8:], math.Float64bits(1))
 	}
-	f.Add(id3, uint8(3), uint8(8), uint8(2))
+	f.Add(id3, uint8(3))
 	neg := make([]byte, 8)
 	binary.LittleEndian.PutUint64(neg, math.Float64bits(-1))
-	f.Add(neg, uint8(1), uint8(0), uint8(0))
+	f.Add(neg, uint8(1))
 	nan := make([]byte, 4*8)
 	binary.LittleEndian.PutUint64(nan, math.Float64bits(math.NaN()))
-	f.Add(nan, uint8(2), uint8(1), uint8(3))
+	f.Add(nan, uint8(2))
 	huge := make([]byte, 8)
 	binary.LittleEndian.PutUint64(huge, math.Float64bits(1e300))
-	f.Add(huge, uint8(1), uint8(33), uint8(1))
+	f.Add(huge, uint8(1))
 
-	f.Fuzz(func(t *testing.T, data []byte, n, block, workers uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		size := int(n%16) + 1
 		a := fuzzMatrix(data, size)
-		c, err := NewCholeskyWith(a, fuzzOptions(block, workers))
+		c, err := NewCholesky(a)
 		if err != nil {
 			if !errors.Is(err, ErrNotSPD) {
 				t.Fatalf("non-ErrNotSPD failure: %v", err)
@@ -141,11 +134,11 @@ func FuzzCholesky(f *testing.F) {
 }
 
 func FuzzSolveVec(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(4), uint8(8), uint8(2))
-	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
-	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0, 128}, uint8(9), uint8(1), uint8(3))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(4))
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0, 128}, uint8(9))
 
-	f.Fuzz(func(t *testing.T, data []byte, n, block, workers uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		size := int(n%16) + 1
 		// Bounded entries symmetrized with a diagonal boost: usually SPD,
 		// so the success path (and its residual) gets real coverage, but
@@ -172,7 +165,7 @@ func FuzzSolveVec(f *testing.F) {
 				b[i] = (float64(data[off]) - 127.5) * 4
 			}
 		}
-		c, err := NewCholeskyWith(a, fuzzOptions(block, workers))
+		c, err := NewCholesky(a)
 		if err != nil {
 			if !errors.Is(err, ErrNotSPD) {
 				t.Fatalf("non-ErrNotSPD failure: %v", err)

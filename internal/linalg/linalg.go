@@ -1,16 +1,11 @@
-// Package linalg provides the dense linear algebra needed by the
-// Gaussian Process traffic-modelling component: matrices, Cholesky
-// factorization of symmetric positive-definite systems, triangular
-// solves and inversion. It is deliberately small — just enough for
-// K = [β(L + I/α²)]⁻¹ and the GP predictive equations of Section 6 —
-// and has no dependencies beyond the standard library.
-//
-// The hot kernels (Cholesky, Mul, multi-RHS Solve) are cache-blocked
-// and run on a bounded worker pool; see Options for the BlockSize and
-// Workers knobs and the determinism guarantees. The seed's naive
-// serial implementations are retained (reference.go) as the ground
-// truth for the property/fuzz equivalence suite and as the serial
-// baseline for benchmarks, reachable via Options{Reference: true}.
+// Package linalg provides the dense linear algebra the Gaussian
+// Process package keeps for its dense path: matrices, Cholesky
+// factorization of symmetric positive-definite systems, substitution and
+// inversion. The regularized-Laplacian model itself is solved sparse
+// (gp's precision solver); what stays dense — the random-walk kernel
+// ablation and the test oracle for the sparse solves — runs here, one
+// serial implementation per operation, with no dependencies beyond the
+// standard library.
 package linalg
 
 import (
@@ -89,47 +84,26 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns the matrix product m·o using the package-wide default
-// options.
-func (m *Matrix) Mul(o *Matrix) *Matrix { return m.MulWith(o, DefaultOptions()) }
-
-// MulWith returns the matrix product m·o, tiled over BlockSize panels
-// of the inner dimension and parallel over row blocks. Per output
-// element the inner products accumulate in the same k-order as the
-// reference, so the result is bit-identical to naiveMul for finite
-// inputs and independent of Workers.
-func (m *Matrix) MulWith(o *Matrix, opts Options) *Matrix {
+// Mul returns the matrix product m·o, row-major in i-k-j order so the
+// inner loop streams a row of o into a row of the result.
+func (m *Matrix) Mul(o *Matrix) *Matrix {
 	if m.Cols != o.Rows {
 		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	nb := opts.blockSize()
-	if opts.Reference || (m.Rows <= nb && m.Cols <= nb) {
-		return naiveMul(m, o)
-	}
 	out := NewMatrix(m.Rows, o.Cols)
-	rowBlocks := (m.Rows + nb - 1) / nb
-	ParallelFor(opts.workers(), rowBlocks, func(t int) {
-		i0 := t * nb
-		i1 := min(i0+nb, m.Rows)
-		// Panel the inner dimension so the nb touched rows of o stay
-		// cache-resident across the whole row block.
-		for k0 := 0; k0 < m.Cols; k0 += nb {
-			k1 := min(k0+nb, m.Cols)
-			for i := i0; i < i1; i++ {
-				mrow := m.Data[i*m.Cols+k0 : i*m.Cols+k1]
-				orow := out.Data[i*o.Cols : (i+1)*o.Cols]
-				for kk, mv := range mrow {
-					if mv == 0 {
-						continue
-					}
-					okRow := o.Data[(k0+kk)*o.Cols : (k0+kk+1)*o.Cols]
-					for j, ov := range okRow {
-						orow[j] += mv * ov
-					}
-				}
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		orow := out.Data[i*o.Cols : (i+1)*o.Cols]
+		for k, mv := range mrow {
+			if mv == 0 {
+				continue
+			}
+			okRow := o.Data[k*o.Cols : (k+1)*o.Cols]
+			for j, ov := range okRow {
+				orow[j] += mv * ov
 			}
 		}
-	})
+	}
 	return out
 }
 

@@ -2,8 +2,10 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,28 +231,22 @@ func TestCholeskyFactorReconstruction(t *testing.T) {
 
 func TestInverseSPD(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	a := randomSPD(r, 10)
-	inv, err := InverseSPD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Mul(inv); !matApproxEqual(got, Identity(10), 1e-8) {
-		t.Error("A·A⁻¹ != I")
-	}
-	if got := inv.Mul(a); !matApproxEqual(got, Identity(10), 1e-8) {
-		t.Error("A⁻¹·A != I")
-	}
-}
-
-func TestLogDet(t *testing.T) {
-	// det([[4, 0], [0, 9]]) = 36.
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqual(c.LogDet(), math.Log(36), 1e-12) {
-		t.Errorf("LogDet = %v, want %v", c.LogDet(), math.Log(36))
+	for _, n := range []int{1, 2, 10, 65} {
+		a := randomSPD(r, n)
+		inv, err := InverseSPD(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Mul(inv); !matApproxEqual(got, Identity(n), 1e-8) {
+			t.Errorf("n=%d: A·A⁻¹ != I", n)
+		}
+		if got := inv.Mul(a); !matApproxEqual(got, Identity(n), 1e-8) {
+			t.Errorf("n=%d: A⁻¹·A != I", n)
+		}
+		// The lower triangle is computed and mirrored: exactly symmetric.
+		if !inv.Symmetric(0) {
+			t.Errorf("n=%d: inverse not exactly symmetric", n)
+		}
 	}
 }
 
@@ -291,6 +287,39 @@ func TestQuickSolveSatisfiesSystem(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSubmatrixBoundsPanic(t *testing.T) {
+	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	cases := []struct {
+		rows, cols []int
+		want       string
+	}{
+		{[]int{0, 2}, []int{0}, "row index 2"},
+		{[]int{-1}, []int{0}, "row index -1"},
+		{[]int{0}, []int{5}, "column index 5"},
+		{[]int{1}, []int{-3}, "column index -3"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("Submatrix(%v, %v) must panic", tc.rows, tc.cols)
+					return
+				}
+				msg := fmt.Sprint(r)
+				if !strings.Contains(msg, "linalg: Submatrix") || !strings.Contains(msg, tc.want) {
+					t.Errorf("Submatrix(%v, %v) panic = %q, want mention of %q", tc.rows, tc.cols, msg, tc.want)
+				}
+			}()
+			a.Submatrix(tc.rows, tc.cols)
+		}()
+	}
+	// In-range index sets still work.
+	if got := a.Submatrix([]int{1}, []int{0, 1}); got.At(0, 1) != 4 {
+		t.Errorf("valid Submatrix broken: %+v", got)
 	}
 }
 
