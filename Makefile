@@ -86,9 +86,11 @@ lint-json:
 # both-store grid under chaos — CE sets, events, every fluent's
 # intervals and the derived/period counts against the single engine —
 # the mid-run rebalance determinism tests, the tier snapshot round-trip,
-# the tier's elapsed-time accounting and the no-load-counts-while-
-# rebalancing-is-off bound; the race pass above already
-# exercises them under the race scheduler), and finish with a short
+# the tier's elapsed-time accounting, the no-load-counts-while-
+# rebalancing-is-off bound and the scripted cross-shard Fresh dedup
+# cases — a late second shard's duplicate, a migrated bus's
+# re-derivation; the race pass above already exercises them under the
+# race scheduler), and finish with a short
 # fuzz pass over the one dense factorization/solve (ErrNotSPD or a
 # backward-stable residual), GP-fit ("error or all-finite estimates"),
 # GP sparse-vs-dense maps (MeanAll and VarianceAll equal the dense
@@ -97,7 +99,7 @@ lint-json:
 # fresh copy of the rows, byte for byte), store block-merge, simple-fluent
 # fold (FoldTransitions equals a per-time-point holdsFor interpreter,
 # whatever the points' split into parts, order and duplicates), Fresh
-# dedup snapshot (SeenSet.Entries equals a comparison sort of every
+# dedup snapshot (seenSet.Entries equals a comparison sort of every
 # identity, through Add, Prune and Restore), shard-assignment,
 # engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
@@ -115,7 +117,7 @@ check: lint
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
 	$(GO) test -count=1 ./cmd/figures
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp ./rtec
-	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardKeyLoadOffWithoutRebalancing' -count=1 .
+	$(GO) test -run 'TestShardEquivalenceGrid|TestShardRebalanceDeterminism|TestShardAutoRebalancePipeline|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardKeyLoadOffWithoutRebalancing|TestShardFreshDedupAcrossShards' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 5s ./gp

@@ -204,14 +204,15 @@ func oneXCity(tb testing.TB) *dublin.City {
 // process — the second time on a transport pool the first one warmed —
 // writes byte-identical checkpoint files; a pending record encoded
 // through a recycled batch would carry the pool's leftover dictionaries
-// and differ. The engine sections are pinned by digest (taken before the
-// snapshot encoder stopped sorting the Fresh dedup set), so the engine
-// snapshot bytes are also those of the comparison-sort encoder.
+// and differ. The engine sections are pinned by digest. The shard
+// sections are byte for byte those the comparison-sort encoder of the
+// Fresh dedup set wrote; the tier section's dedup list is empty, since
+// the shards' lists are the tier's whole dedup state.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	want := []string{
-		"f7ec20f46a7e12d7d71355de9e7dd93b7449a89cbfe28dee29d701a7ee3e28d6", // q=07:30
-		"e92af5db85c3326e8a20b06e8936afb661c72a09b052c01749f6d96d0ff9a283", // q=07:45
-		"29e49580ad1b02e516424fbdbb31bee802b880d5c0f0909c175677ec1feff7f3", // q=08:00
+		"0720af18239e495baa52e87b54b055c675ef9fe6e37fd9185c21b714d11b985a", // q=07:30
+		"f06faf95928809f2ec251e7d4945891164a4298e9a03cec032e722515f7d77b9", // q=07:45
+		"48c9a864811fd38e1772397928ef7b66c5c8f930f13ef91f4990d0a51e6793d4", // q=08:00
 	}
 	city := oneXCity(t)
 	var runs [2][][]byte
@@ -246,9 +247,9 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 // its second boundary (the deterministic state TestCheckpointBytesDeterministic
 // pins): build — engine snapshots, pending rows, readings — and encode
 // into the file bytes. Disk writes are not timed. Reports the file size
-// (B/ckpt), the Fresh dedup identities the engines and the tier hold
-// (seen) and the consumed-but-unadmitted rows (pending). A CPU profile
-// is one flag away: make bench-checkpoint BENCHFLAGS=-cpuprofile=cpu.prof
+// (B/ckpt), the Fresh dedup identities the shard engines hold (seen) and
+// the consumed-but-unadmitted rows (pending). A CPU profile is one flag
+// away: make bench-checkpoint BENCHFLAGS=-cpuprofile=cpu.prof
 func BenchmarkCheckpoint(b *testing.B) {
 	r := newDurableReplay(b, oneXCity(b))
 	if r.run(b, 2) {

@@ -46,8 +46,6 @@ type SimParticipant struct {
 type Config struct {
 	// City is the synthetic Dublin substrate. Required.
 	City *dublin.City
-	// CloseMeters is the close-predicate threshold. Default 150.
-	CloseMeters float64
 	// Traffic overrides CE thresholds; Registry is filled in from the
 	// city automatically.
 	Traffic traffic.Config
@@ -81,16 +79,11 @@ type Config struct {
 	// CrowdSelection picks whom to query; default
 	// crowd.SelectNearest(5, 0).
 	CrowdSelection crowd.Selection
-	// CrowdDeadline bounds each crowd query; default 0 (none).
-	CrowdDeadline time.Duration
 	// CrowdResponseTimeout bounds how long one participant's device
-	// may take to produce an answer before the round gives up on it
-	// (and retries, see CrowdRespondRetries). 0 waits forever — a dead
-	// worker then hangs the crowdsourcing round.
+	// may take to produce an answer before the round gives up on it and
+	// marks the worker failed. 0 waits forever — a dead worker then
+	// hangs the crowdsourcing round.
 	CrowdResponseTimeout time.Duration
-	// CrowdRespondRetries is the number of extra response attempts
-	// after a timeout before the worker is marked failed. Default 0.
-	CrowdRespondRetries int
 	// WatermarkStaleness is the pipeline's per-stream liveness bound:
 	// an input stream whose arrival watermark trails the most advanced
 	// stream by more than this is declared degraded and excluded from
@@ -152,13 +145,14 @@ type trafficReading struct {
 	t      Time
 }
 
+// closeMeters is the close predicate's threshold in metres: a bus
+// within it of a SCATS intersection is close to that intersection.
+const closeMeters = 150
+
 // New assembles a System.
 func New(cfg Config) (*System, error) {
 	if cfg.City == nil {
 		return nil, fmt.Errorf("insight: Config.City is required")
-	}
-	if cfg.CloseMeters == 0 {
-		cfg.CloseMeters = 150
 	}
 	if cfg.WorkingMemory == 0 {
 		cfg.WorkingMemory = 1800
@@ -173,7 +167,7 @@ func New(cfg Config) (*System, error) {
 		cfg.CrowdSelection = crowd.SelectNearest(5, 0)
 	}
 
-	registry, err := cfg.City.Registry(cfg.CloseMeters)
+	registry, err := cfg.City.Registry(closeMeters)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +230,6 @@ func New(cfg Config) (*System, error) {
 		s.qeeEngine = qee.NewEngine(qee.Options{
 			Seed:            cfg.Seed,
 			ResponseTimeout: cfg.CrowdResponseTimeout,
-			RespondRetries:  cfg.CrowdRespondRetries,
 		})
 		for i, p := range cfg.Participants {
 			if err := s.roster.Register(crowd.Participant{

@@ -69,18 +69,14 @@ type ChaosConfig struct {
 	Streams map[string]streams.FaultSpec
 	// InputErrProb injects processor errors into the per-stream input
 	// validation processors with this probability, per batch envelope.
-	// The input processes are then supervised with SkipItem, so affected
-	// envelopes are dead-lettered (visible via Topology.DeadLetters)
-	// instead of aborting the topology.
+	// The input processes ("input-" + stream id) are then supervised
+	// with SkipItem, so affected envelopes are dead-lettered (visible via
+	// Topology.DeadLetters) instead of aborting the topology; call
+	// Topology.Supervise on them before Run for another policy.
 	InputErrProb float64
 	// Seed drives the injected-error sampling; each stream's FaultSpec
 	// carries its own seed.
 	Seed int64
-	// InputSupervision overrides the supervision policy of the
-	// per-stream input processes when InputErrProb > 0. Nil means
-	// SkipItem (faulty envelopes are dead-lettered). Note the zero Strategy
-	// is FailFast, so a non-nil policy must be fully specified.
-	InputSupervision *streams.SupervisionPolicy
 }
 
 // BuildPipeline constructs the Figure 1 data-flow graph over the
@@ -232,16 +228,12 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 			return nil, err
 		}
 		if chaos.InputErrProb > 0 {
-			// Injected input faults are contained by supervision: with
-			// the default SkipItem they cost the affected envelope, never the
-			// topology; a caller-supplied policy (e.g. Restart, under
-			// which ChaosProcessor's per-attempt redraw makes the fault
-			// transient) overrides it.
-			policy := streams.SupervisionPolicy{Strategy: streams.SkipItem}
-			if chaos.InputSupervision != nil {
-				policy = *chaos.InputSupervision
-			}
-			if err := top.Supervise("input-"+id, policy); err != nil {
+			// Injected input faults are contained by supervision: under
+			// SkipItem they cost the affected envelope, never the
+			// topology. A caller wanting another policy (e.g. Restart,
+			// under which ChaosProcessor's per-attempt redraw makes the
+			// fault transient) calls Topology.Supervise before Run.
+			if err := top.Supervise("input-"+id, streams.SupervisionPolicy{Strategy: streams.SkipItem}); err != nil {
 				return nil, err
 			}
 		}

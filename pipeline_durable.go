@@ -47,11 +47,6 @@ type DurableOptions struct {
 	// Dir is the durability root: the WAL lives in Dir/wal, checkpoints
 	// in Dir itself. Required.
 	Dir string
-	// Sync is the WAL fsync policy. The default (SyncAlways) is what
-	// the crash-equivalence guarantee assumes.
-	Sync wal.SyncPolicy
-	// SegmentBytes is the WAL segment size (default 1 MiB).
-	SegmentBytes int64
 	// CheckpointEvery writes a checkpoint after this many query
 	// boundaries (default 1: every boundary).
 	CheckpointEvery int
@@ -360,11 +355,9 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 		return nil, nil, err
 	}
 	walDir := filepath.Join(dur.Dir, "wal")
-	log, err := wal.Open(walDir, wal.Options{
-		SegmentBytes: dur.SegmentBytes,
-		Sync:         dur.Sync,
-		Failpoint:    dur.WALFailpoint,
-	})
+	// Every append is fsynced: the crash-equivalence guarantee holds for
+	// no weaker policy.
+	log, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways, Failpoint: dur.WALFailpoint})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -61,19 +61,24 @@ func TestPipelineRestartLiveness(t *testing.T) {
 	chaosPipe, err := restartSystem(t).BuildChaosPipeline(from, until, ChaosConfig{
 		InputErrProb: 0.25,
 		Seed:         99,
-		InputSupervision: &streams.SupervisionPolicy{
-			Strategy: streams.Restart,
-			Retry: streams.RetryPolicy{
-				MaxAttempts: 12,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    time.Millisecond,
-				Multiplier:  1,
-			},
-			OnExhausted: streams.Escalate,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	restart := streams.SupervisionPolicy{
+		Strategy: streams.Restart,
+		Retry: streams.RetryPolicy{
+			MaxAttempts: 12,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    time.Millisecond,
+			Multiplier:  1,
+		},
+		OnExhausted: streams.Escalate,
+	}
+	for _, id := range []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"} {
+		if err := chaosPipe.Topology.Supervise("input-"+id, restart); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reports, err := chaosPipe.Run(context.Background())
 	if err != nil {

@@ -220,14 +220,13 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 			Question: fmt.Sprintf("Is there a traffic congestion at intersection %s?", ev.Key),
 			Answers:  []string{traffic.Positive, traffic.Negative},
 			Pos:      inter.Pos,
-			Deadline: s.cfg.CrowdDeadline,
 		}
 		exec, err := s.qeeEngine.Execute(ctx, query, selected)
 		if err != nil {
 			return nil, err
 		}
 		if len(exec.Answers) == 0 {
-			continue // everyone missed the deadline
+			continue // no participant answered
 		}
 		verdict, err := s.estimator.Process(exec.Task(prior))
 		if err != nil {

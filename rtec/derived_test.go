@@ -219,7 +219,7 @@ func TestSortEventsOrdersOnlyWhatIsUnsorted(t *testing.T) {
 }
 
 func TestSeenSetPrune(t *testing.T) {
-	s := NewSeenSet(64) // bucket width 2
+	s := newSeenSet(64) // bucket width 2
 	for _, tm := range []Time{-5, -4, 0, 1, 2, 3, 10} {
 		if !s.Add("x", "k", tm) || s.Add("x", "k", tm) {
 			t.Fatalf("Add(%d) must report new exactly once", tm)
@@ -231,10 +231,13 @@ func TestSeenSetPrune(t *testing.T) {
 	if got := s.Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Prune(2): %v, want %v", got, want)
 	}
+	if !s.Has("x", "k", 3) || s.Has("x", "k", 2) || s.Has("x", "j", 3) || s.Has("z", "k", 3) {
+		t.Error("Has disagrees with Entries after Prune(2)")
+	}
 	if !s.Add("y", "k", 1) {
 		t.Error("a pruned identity must be new again")
 	}
-	restored := NewSeenSet(64)
+	restored := newSeenSet(64)
 	restored.Restore(s.Entries())
 	if !reflect.DeepEqual(restored.Entries(), s.Entries()) {
 		t.Error("Restore(Entries()) does not round-trip")

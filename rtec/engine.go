@@ -90,7 +90,7 @@ type Engine struct {
 
 	// seen tracks derived event instances already reported, for
 	// Result.Fresh. Pruned as instances fall out of the window.
-	seen *SeenSet
+	seen *seenSet
 
 	// rowScratch is the reusable admitted-row buffer of inputBlock;
 	// sortKeys and rowCopy are the reusable buffers of its packed
@@ -126,7 +126,7 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 		store: newSDEStore(opts.Store),
 		prev:  make(map[string]map[KV]List),
 		cache: make(map[string]*ruleCache),
-		seen:  NewSeenSet(opts.WorkingMemory),
+		seen:  newSeenSet(opts.WorkingMemory),
 	}, nil
 }
 
@@ -571,6 +571,13 @@ func (e *Engine) appendFresh(fresh, evs []Event) []Event {
 		lo = hi
 	}
 	return fresh
+}
+
+// Reported reports whether some query of this engine already returned
+// the identity (typ, key, t) in Result.Fresh and it has not yet left
+// the working memory. It only reads: safe to call between queries.
+func (e *Engine) Reported(typ, key string, t Time) bool {
+	return e.seen.Has(typ, key, t)
 }
 
 // Run evaluates at the regular query times start, start+Step,

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// SeenSet is a Fresh dedup set: the derived-event identities (type,
+// seenSet is a Fresh dedup set: the derived-event identities (type,
 // key, time) some earlier query already reported. Identities are filed
 // per type in time buckets a fraction of the window wide, so pruning
 // what left the window drops whole buckets and scans at most one per
@@ -13,7 +13,7 @@ import (
 // probe hashes the key alone.
 //
 // Not safe for concurrent use.
-type SeenSet struct {
+type seenSet struct {
 	width Time //state:transient bucket width, fixed at construction from the window length
 	types map[string]*seenType
 	// lastTyp/last memoise the type lookup: callers probe in runs of one
@@ -46,13 +46,13 @@ type seenKey struct {
 	time Time
 }
 
-// NewSeenSet returns an empty set sized for a working memory of the
+// newSeenSet returns an empty set sized for a working memory of the
 // given length.
-func NewSeenSet(window Time) *SeenSet {
-	return &SeenSet{width: max(1, window/32), types: make(map[string]*seenType)}
+func newSeenSet(window Time) *seenSet {
+	return &seenSet{width: max(1, window/32), types: make(map[string]*seenType)}
 }
 
-func (s *SeenSet) bucketOf(t Time) Time {
+func (s *seenSet) bucketOf(t Time) Time {
 	b := t / s.width
 	if t%s.width < 0 {
 		b-- // floor, not truncation, for negative times
@@ -61,7 +61,7 @@ func (s *SeenSet) bucketOf(t Time) Time {
 }
 
 // Add files an identity and reports whether it was new.
-func (s *SeenSet) Add(typ, key string, t Time) bool {
+func (s *seenSet) Add(typ, key string, t Time) bool {
 	st := s.last
 	if st == nil || typ != s.lastTyp {
 		st = s.types[typ]
@@ -85,8 +85,18 @@ func (s *SeenSet) Add(typ, key string, t Time) bool {
 	return true
 }
 
+// Has reports whether the identity is filed. It writes nothing, not even
+// the type memo.
+func (s *seenSet) Has(typ, key string, t Time) bool {
+	if st := s.types[typ]; st != nil {
+		_, ok := st.buckets[s.bucketOf(t)][seenKey{key: key, time: t}]
+		return ok
+	}
+	return false
+}
+
 // Prune forgets every identity with time <= cutoff.
-func (s *SeenSet) Prune(cutoff Time) {
+func (s *seenSet) Prune(cutoff Time) {
 	edge := s.bucketOf(cutoff)
 	for typ, st := range s.types {
 		for bi, b := range st.buckets {
@@ -122,7 +132,7 @@ func (s *SeenSet) Prune(cutoff Time) {
 // sort, and each key's few times are sorted as integers. A type with n
 // entries over k keys costs n map probes and O(k log k) string
 // compares, not O(n log n).
-func (s *SeenSet) Entries() []SeenEntry {
+func (s *seenSet) Entries() []SeenEntry {
 	sc := &s.scratch
 	total, ti := 0, 0
 	sc.types = resized(sc.types, len(s.types))
@@ -223,7 +233,7 @@ func resized[T any](s []T, n int) []T {
 }
 
 // Restore replaces the set's contents with the given identities.
-func (s *SeenSet) Restore(entries []SeenEntry) {
+func (s *seenSet) Restore(entries []SeenEntry) {
 	s.types = make(map[string]*seenType)
 	s.last = nil
 	for _, se := range entries {

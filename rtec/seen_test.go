@@ -8,7 +8,7 @@ import (
 // entriesBySort is the collect-and-comparison-sort Entries the rank
 // ordering replaced: every identity gathered, then sorted by
 // SeenEntry.Compare. It is the oracle FuzzSeenEntries holds Entries to.
-func entriesBySort(s *SeenSet) []SeenEntry {
+func entriesBySort(s *seenSet) []SeenEntry {
 	var out []SeenEntry
 	for typ, st := range s.types {
 		for _, b := range st.buckets {
@@ -42,7 +42,7 @@ func FuzzSeenEntries(f *testing.F) {
 		if len(ops) > 4*64 {
 			ops = ops[:4*64] // every step re-checks the whole set
 		}
-		s := NewSeenSet(Time(window))
+		s := newSeenSet(Time(window))
 		check := func(step int) {
 			t.Helper()
 			want := entriesBySort(s)
@@ -65,7 +65,7 @@ func FuzzSeenEntries(f *testing.F) {
 			case 5:
 				s.Prune(tm)
 			case 6:
-				r := NewSeenSet(Time(window))
+				r := newSeenSet(Time(window))
 				r.Restore(s.Entries())
 				if got, want := r.Entries(), s.Entries(); !slices.Equal(got, want) {
 					t.Fatalf("step %d: Restore(Entries()) = %v, want %v", step, got, want)

@@ -64,14 +64,13 @@ type ShardOverride struct {
 }
 
 // ShardMap is a key→shard assignment: rendezvous hashing with an
-// override table layered on top for rebalanced keys, and a memo of
-// computed assignments. Not safe for concurrent use; the tier only
-// consults it between queries (routing and rebalancing are
+// override table layered on top for rebalanced keys. Shard only reads,
+// so concurrent lookups are safe while no override changes; the tier
+// changes overrides only between queries (routing and rebalancing are
 // single-threaded phases).
 type ShardMap struct {
 	n        int
 	override map[string]int
-	memo     map[string]int
 }
 
 // NewShardMap builds an assignment over n shards.
@@ -79,27 +78,15 @@ func NewShardMap(n int) (*ShardMap, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("rtec: shard count must be positive, got %d", n)
 	}
-	return &ShardMap{
-		n:        n,
-		override: make(map[string]int),
-		memo:     make(map[string]int),
-	}, nil
+	return &ShardMap{n: n, override: make(map[string]int)}, nil
 }
-
-// N returns the shard count.
-func (m *ShardMap) N() int { return m.n }
 
 // Shard returns the shard owning key.
 func (m *ShardMap) Shard(key string) int {
 	if s, ok := m.override[key]; ok {
 		return s
 	}
-	if s, ok := m.memo[key]; ok {
-		return s
-	}
-	s := RendezvousShard(key, m.n)
-	m.memo[key] = s
-	return s
+	return RendezvousShard(key, m.n)
 }
 
 // SetOverride pins key to shard. Pinning a key to its rendezvous-native
@@ -115,12 +102,6 @@ func (m *ShardMap) SetOverride(key string, shard int) error {
 	}
 	m.override[key] = shard
 	return nil
-}
-
-// ClearOverrides drops every override, reverting to pure rendezvous
-// assignment.
-func (m *ShardMap) ClearOverrides() {
-	m.override = make(map[string]int)
 }
 
 // Overrides returns the override table as (key, shard) pairs sorted by

@@ -53,31 +53,27 @@ const (
 //   - busCongestion is partial in every shard: the tier folds the
 //     shards' transition points into the city-wide fluent, under
 //     inertia state it owns, and derives sourceDisagreement from it;
-//   - a tier-level Fresh dedup collapses identical derived events
-//     reported by different shards (e.g. two shards' buses disagreeing
-//     with the same intersection at the same second) to the same
-//     canonical survivor a single engine would keep;
+//   - the tier collapses identical derived events reported fresh by
+//     different shards (e.g. two shards' buses disagreeing with the
+//     same intersection at the same second) to the canonical survivor a
+//     single engine would keep, and drops those another shard reported
+//     at an earlier boundary — it asks the shards' own dedup sets and
+//     keeps none;
 //   - skew-driven rebalancing migrates the hottest bus keys off an
 //     overloaded shard through the store-independent snapshot path.
+//
+// The tier holds only state no shard holds: the busCongestion inertia,
+// the assignment overrides, the routed-move counts and the rebalance
+// count.
 //
 // Not safe for concurrent use: like the engines beneath it, the tier
 // assumes one caller (the recognition processor).
 type shardTier struct {
-	wm     Time              //state:transient config (Config.WorkingMemory), set at construction
-	reg    *traffic.Registry //state:transient config, injected at construction
+	reg *traffic.Registry //state:transient config, injected at construction
+	// assign is read concurrently by the shards' OwnsSensor closures
+	// during evaluation; its overrides change only between queries.
 	assign *rtec.ShardMap
 	shards []*rtec.Engine
-
-	// sensorOwner snapshots the sensor→shard assignment for the
-	// OwnsSensor closures, which run during concurrent shard
-	// evaluation; it is rebuilt whenever overrides change (always
-	// between queries), so queries only ever read it.
-	//state:derived rebuilt from assign by rebuildSensorOwner
-	sensorOwner map[string]int
-
-	// seen is the tier-level Fresh dedup set, pruned as identities
-	// fall out of the window.
-	seen *rtec.SeenSet
 
 	// busPrev holds busCongestion's un-clipped maximal intervals from
 	// the previous query, per area: the inertia seed of the next fold.
@@ -107,15 +103,12 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 		return nil, err
 	}
 	t := &shardTier{
-		wm:          cfg.WorkingMemory,
-		reg:         reg,
-		assign:      assign,
-		shards:      make([]*rtec.Engine, n),
-		sensorOwner: make(map[string]int),
-		seen:        rtec.NewSeenSet(cfg.WorkingMemory),
-		keyLoad:     make(map[string]int),
-		factor:      cfg.RebalanceFactor,
-		minMoves:    cfg.RebalanceMinMoves,
+		reg:      reg,
+		assign:   assign,
+		shards:   make([]*rtec.Engine, n),
+		keyLoad:  make(map[string]int),
+		factor:   cfg.RebalanceFactor,
+		minMoves: cfg.RebalanceMinMoves,
 	}
 	if t.minMoves <= 0 {
 		t.minMoves = 64 * n
@@ -126,16 +119,8 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 		Store:         cfg.Store,
 	}
 	for i := range t.shards {
-		i := i
 		defs, err := traffic.BuildShard(tcfg, traffic.ShardPlan{
-			OwnsSensor: func(sensor string) bool {
-				if o, ok := t.sensorOwner[sensor]; ok {
-					return o == i
-				}
-				// Unknown sensor: pure rendezvous fallback (no memo,
-				// safe under concurrent evaluation).
-				return rtec.RendezvousShard(sensor, n) == i
-			},
+			OwnsSensor: func(sensor string) bool { return t.assign.Shard(sensor) == i },
 		})
 		if err != nil {
 			return nil, fmt.Errorf("insight: shard %d rules: %w", i, err)
@@ -144,16 +129,7 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 			return nil, fmt.Errorf("insight: shard %d engine: %w", i, err)
 		}
 	}
-	t.rebuildSensorOwner()
 	return t, nil
-}
-
-func (t *shardTier) rebuildSensorOwner() {
-	for _, in := range t.reg.Intersections() {
-		for _, s := range in.Sensors {
-			t.sensorOwner[s] = t.assign.Shard(s)
-		}
-	}
 }
 
 // Input routes events: moves to the owner shard, everything else to
@@ -254,7 +230,7 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 		}
 	}
 
-	t.foldFresh(q, results)
+	t.foldFresh(results)
 	// scatsIntCongestion reads only replicated input: every shard holds
 	// the same instances, so the first shard's stand for all.
 	tres := t.foldBusCongestion(q, results[0].Window, results[0].Fluents[traffic.ScatsIntCongestion])
@@ -314,8 +290,11 @@ func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.K
 // canonical survivor a single engine keeps among same-identity
 // derivations (rtec.CanonicalSurvivor), and identities some shard
 // already reported at an earlier boundary are suppressed (a migrated
-// bus's intersection-keyed disagreements re-derived by the new owner).
-func (t *shardTier) foldFresh(q Time, results []*rtec.Result) {
+// bus's disagreements re-derived by the new owner, a second shard's
+// late bus disagreeing with an intersection the first reported). A
+// shard reporting an identity fresh now did not hold it before, so it
+// was reported earlier exactly when another shard's dedup set holds it.
+func (t *shardTier) foldFresh(results []*rtec.Result) {
 	next := make([]int, len(results)) // read cursor per shard
 	kept := make([]int, len(results)) // write cursor per shard, never ahead of next
 	var same []rtec.Event             // the heads sharing the smallest identity
@@ -343,7 +322,7 @@ func (t *shardTier) foldFresh(q Time, results []*rtec.Result) {
 		for _, ri := range from {
 			next[ri]++
 		}
-		if !t.seen.Add(same[0].Type, same[0].Key, same[0].Time) {
+		if t.reportedBefore(&same[0], from) {
 			continue
 		}
 		w := rtec.CanonicalSurvivor(same)
@@ -353,7 +332,17 @@ func (t *shardTier) foldFresh(q Time, results []*rtec.Result) {
 	for ri, res := range results {
 		res.Fresh = res.Fresh[:kept[ri]]
 	}
-	t.seen.Prune(q - t.wm)
+}
+
+// reportedBefore reports whether a shard other than those reporting ev
+// fresh now (from) holds ev's identity in its dedup set.
+func (t *shardTier) reportedBefore(ev *rtec.Event, from []int) bool {
+	for i, e := range t.shards {
+		if !slices.Contains(from, i) && e.Reported(ev.Type, ev.Key, ev.Time) {
+			return true
+		}
+	}
+	return false
 }
 
 // balancing reports whether automatic rebalancing is on. Only then are
@@ -461,11 +450,13 @@ func (t *shardTier) RebalanceKeys(keys []string, to int) error {
 
 // migrate moves the given keys' state from one shard to another
 // through the store-independent snapshot path: the owner-routed move
-// events, the owner-scoped fluent instances, and the dedup entries
-// keyed by a migrated key. The tier's own busCongestion inertia is keyed
-// by area and stays put. Both engines restart cold (Restore clears the
-// splice caches), which is also what makes the ownership flip safe: no
-// cached rule output computed under the old assignment survives it.
+// events and the owner-scoped fluent instances. Dedup entries stay with
+// the old owner, which is where foldFresh finds them when the new owner
+// re-derives an event the old one reported. The tier's own busCongestion
+// inertia is keyed by area and stays put. Both engines restart cold
+// (Restore clears the splice caches), which is also what makes the
+// ownership flip safe: no cached rule output computed under the old
+// assignment survives it.
 func (t *shardTier) migrate(keys []string, from, to int) error {
 	if from == to || len(keys) == 0 {
 		return nil
@@ -520,20 +511,6 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 		sortInstances(dest.Instances)
 	}
 
-	// 3. Fresh-dedup entries owned by a migrated key, so the new owner
-	// does not re-report the old owner's derived events.
-	staySeen := snapF.Seen[:0]
-	var goSeen []rtec.SeenEntry
-	for _, se := range snapF.Seen {
-		if moved[se.Key] {
-			goSeen = append(goSeen, se)
-		} else {
-			staySeen = append(staySeen, se)
-		}
-	}
-	snapF.Seen = staySeen
-	snapT.Seen = append(snapT.Seen, goSeen...)
-
 	if err := t.shards[from].Restore(snapF); err != nil {
 		return fmt.Errorf("insight: migrate: restore shard %d: %w", from, err)
 	}
@@ -545,7 +522,6 @@ func (t *shardTier) migrate(keys []string, from, to int) error {
 			return err
 		}
 	}
-	t.rebuildSensorOwner()
 	return nil
 }
 
@@ -567,10 +543,11 @@ func findOrAddFluent(snap *rtec.EngineSnapshot, name string) *rtec.FluentSnapsho
 }
 
 // Snapshot captures the whole tier: every shard engine and a trailing
-// tier-state pseudo-snapshot holding the cross-shard dedup set, the
-// busCongestion inertia, the assignment overrides and the rebalance
-// counters — so a restored tier routes, dedups, folds and rebalances
-// exactly like the original.
+// tier-state pseudo-snapshot holding the busCongestion inertia, the
+// assignment overrides and the rebalance counters — so a restored tier
+// routes, dedups, folds and rebalances exactly like the original. The
+// pseudo-snapshot's dedup list is empty: the shards' lists beside it
+// are the tier's whole dedup state.
 func (t *shardTier) Snapshot() ([]*rtec.EngineSnapshot, error) {
 	out := make([]*rtec.EngineSnapshot, 0, len(t.shards)+1)
 	for i, e := range t.shards {
@@ -584,8 +561,6 @@ func (t *shardTier) Snapshot() ([]*rtec.EngineSnapshot, error) {
 }
 
 func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
-	s := &rtec.EngineSnapshot{}
-	s.Seen = t.seen.Entries()
 	ovs := rtec.FluentSnapshot{Name: tierSnapOverrides}
 	for _, o := range t.assign.Overrides() {
 		ovs.Instances = append(ovs.Instances, rtec.InstanceSnapshot{Key: o.Key, Value: strconv.Itoa(o.Shard)})
@@ -607,12 +582,13 @@ func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
 		bus.Instances = append(bus.Instances, rtec.InstanceSnapshot{Key: kv.Key, Value: kv.Value, Spans: l.Clone()})
 	}
 	sortInstances(bus.Instances)
-	s.Prev = []rtec.FluentSnapshot{ovs, load, meta, bus}
-	return s
+	return &rtec.EngineSnapshot{Prev: []rtec.FluentSnapshot{ovs, load, meta, bus}}
 }
 
 // Restore replaces the tier's state from a Snapshot: len(shards)
-// engine snapshots, then the tier state.
+// engine snapshots, then the tier state. The tier state's dedup list,
+// non-empty in snapshots of builds that kept a tier dedup set, is
+// ignored: it is the union of the shard lists beside it.
 func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
 	if len(snaps) != len(t.shards)+1 {
 		return fmt.Errorf("insight: %d snapshots for %d shards (+tier state)", len(snaps), len(t.shards))
@@ -678,8 +654,6 @@ func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
 	t.keyLoad = keyLoad
 	t.rebalances = rebalances
 	t.busPrev = busPrev
-	t.seen.Restore(st.Seen)
-	t.rebuildSensorOwner()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -309,7 +310,9 @@ func TestShardAutoRebalancePipeline(t *testing.T) {
 // TestShardTierSnapshotRoundTrip checks the tier's own checkpoint
 // surface: snapshotting a sharded system mid-run — rebalance overrides
 // and all — and restoring it into a fresh system (with the other store
-// kind) must continue bit-identically with the original.
+// kind) must continue bit-identically with the original. So must the
+// same snapshot with the tier dedup list earlier builds wrote — the
+// union of the shards' lists — which a restore ignores.
 func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	const step = Time(900)
@@ -350,7 +353,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	// restores the snapshot into system B, which then runs the rest of the
 	// recording on its own.
 	mid := from + 4*step
-	sysA, sysB := mk(rtec.StoreColumn), mk(rtec.StoreRow)
+	sysA, sysB, sysC := mk(rtec.StoreColumn), mk(rtec.StoreRow), mk(rtec.StoreColumn)
 	var snaps []*rtec.EngineSnapshot
 	var wire [][]byte
 	// The restore goes through the binary form the checkpoint file
@@ -368,7 +371,18 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		}
 		return out
 	}
-	var repA, repB []*Report
+	decode := func(wire [][]byte) []*rtec.EngineSnapshot {
+		t.Helper()
+		out := make([]*rtec.EngineSnapshot, len(wire))
+		for i, b := range wire {
+			out[i] = &rtec.EngineSnapshot{}
+			if err := out[i].UnmarshalBinary(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	var repA, repB, repC []*Report
 	if err := sysA.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
 		switch {
 		case rep.Q == from+2*step:
@@ -380,14 +394,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 				return err
 			}
 			wire = encode(snaps)
-			decoded := make([]*rtec.EngineSnapshot, len(wire))
-			for i, b := range wire {
-				decoded[i] = &rtec.EngineSnapshot{}
-				if err := decoded[i].UnmarshalBinary(b); err != nil {
-					return err
-				}
-			}
-			return sysB.engines.Restore(decoded)
+			return sysB.engines.Restore(decode(wire))
 		case rep.Q > mid:
 			repA = append(repA, rep)
 		}
@@ -407,6 +414,31 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("tier snapshot part %d changed across the column→bytes→row round trip", i)
 		}
 	}
+	legacy := decode(wire)
+	tierState := legacy[len(legacy)-1]
+	if len(tierState.Seen) != 0 {
+		t.Fatalf("tier state carries %d dedup identities, want none", len(tierState.Seen))
+	}
+	for _, s := range legacy[:len(legacy)-1] {
+		tierState.Seen = append(tierState.Seen, s.Seen...)
+	}
+	slices.SortFunc(tierState.Seen, rtec.SeenEntry.Compare)
+	tierState.Seen = slices.Compact(tierState.Seen)
+	if len(tierState.Seen) == 0 {
+		t.Fatal("the shards hold no dedup identities: legacy restore is vacuous")
+	}
+	if err := sysC.engines.Restore(legacy); err != nil {
+		t.Fatal(err)
+	}
+	snapsC, err := sysC.engines.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range encode(snapsC) {
+		if !bytes.Equal(b, wire[i]) {
+			t.Errorf("tier snapshot part %d differs after a restore from a tier dedup list", i)
+		}
+	}
 	var tail []dublin.SDE
 	for _, sde := range sdes {
 		if sde.Arrival > mid {
@@ -415,6 +447,12 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := sysB.RunReplay(context.Background(), tail, mid, until, func(rep *Report) error {
 		repB = append(repB, rep)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sysC.RunReplay(context.Background(), tail, mid, until, func(rep *Report) error {
+		repC = append(repC, rep)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -434,6 +472,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("no area bus-congested across the snapshot point: inertia path not exercised")
 	}
 	compareShardReports(t, "restored vs original", repB, repA)
+	compareShardReports(t, "restored with a tier dedup list vs original", repC, repA)
 
 	// A wrong-arity restore must be rejected.
 	if err := sysB.engines.Restore(snaps[:3]); err == nil {
@@ -576,4 +615,138 @@ func TestShardRebalanceCounterSurvivesRestore(t *testing.T) {
 	if got := sysB.ShardRebalances(); got != want {
 		t.Fatalf("restored tier reports %d rebalances, want %d", got, want)
 	}
+}
+
+// TestShardFreshDedupAcrossShards pins the tier's cross-shard Fresh
+// dedup on two scripted streams, each run through RunReplay at two
+// shards and compared with the single engine — fresh events and alerts
+// included. (a) Two buses owned by different shards disagree with one
+// intersection at the same second; the second bus's SDE arrives after
+// the boundary that reported the first. (b) A bus whose disagree and
+// delayIncrease were reported at q migrates in the report callback, and
+// its new owner re-derives both at q+Step. Either way a shard derives,
+// and sees as new, an identity another shard reported at an earlier
+// boundary: only the tier's dedup keeps it out of Result.Fresh.
+func TestShardFreshDedupAcrossShards(t *testing.T) {
+	const step = Time(900)
+	const from = Time(7 * 3600)
+	const until = from + 4*step
+	city := testCity(t)
+	inters := city.Intersections()
+
+	// Every sensor reports an empty road every minute, so no
+	// intersection is congested and a bus claiming congestion at one
+	// disagrees with it.
+	var scats []dublin.SDE
+	for ts := from; ts < until; ts += 60 {
+		for _, s := range city.Sensors() {
+			ev := traffic.Traffic(ts, s.ID, s.Intersection, s.Approach, 0, 0)
+			ev.Attrs["lon"], ev.Attrs["lat"] = s.Pos.Lon, s.Pos.Lat
+			scats = append(scats, dublin.SDE{Event: ev, Arrival: ts})
+		}
+	}
+	// Bus keys the rendezvous assignment puts on shard 0 and on shard 1.
+	var onShard [2]string
+	for i := 0; onShard[0] == "" || onShard[1] == ""; i++ {
+		id := fmt.Sprintf("scripted%d", i)
+		if s := rtec.RendezvousShard(id, 2); onShard[s] == "" {
+			onShard[s] = id
+		}
+	}
+	move := func(ts, arrival Time, bus string, delay int64, at traffic.Intersection) dublin.SDE {
+		return dublin.SDE{Event: traffic.Move(ts, bus, "L1", "op", delay, at.Pos, 0, true), Arrival: arrival}
+	}
+	hasDerived := func(rep *Report, typ, key string, ts Time, bus string) bool {
+		for _, ev := range rep.Result.Derived[typ] {
+			if ev.Key != key || ev.Time != ts {
+				continue
+			}
+			if b, _ := ev.Str("bus"); typ != traffic.Disagree || b == bus {
+				return true
+			}
+		}
+		return false
+	}
+	run := func(shards int, sdes []dublin.SDE, migrate map[Time]string) []*Report {
+		t.Helper()
+		sys, err := New(Config{
+			City:          city,
+			Seed:          7,
+			WorkingMemory: 2 * step,
+			Step:          step,
+			Partitions:    1, // single-engine reference when Shards == 0
+			Shards:        shards,
+			Store:         rtec.StoreColumn,
+			UnpacedReplay: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reports []*Report
+		if err := sys.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
+			reports = append(reports, rep)
+			if bus, ok := migrate[rep.Q]; ok && shards > 0 {
+				return sys.Rebalance([]string{bus}, 1-rtec.RendezvousShard(bus, 2))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return reports
+	}
+	at := func(reports []*Report, q Time) *Report {
+		t.Helper()
+		for _, rep := range reports {
+			if rep.Q == q {
+				return rep
+			}
+		}
+		t.Fatalf("no report at q=%d", q)
+		return nil
+	}
+
+	t.Run("two-shards-one-identity", func(t *testing.T) {
+		q := from + step
+		in, ts := inters[0], q-100
+		sdes := append(slices.Clone(scats),
+			move(ts, ts, onShard[0], 0, in),
+			move(ts, q+60, onShard[1], 0, in), // after q, inside the window of q+step
+		)
+		ref, got := run(0, sdes, nil), run(2, sdes, nil)
+		if !slices.ContainsFunc(at(ref, q).Result.Fresh, func(ev rtec.Event) bool {
+			return ev.Type == traffic.Disagree && ev.Key == in.ID && ev.Time == ts
+		}) {
+			t.Fatalf("q=%d: the first bus's disagreement is not fresh: script is vacuous", q)
+		}
+		if !hasDerived(at(got, q+step), traffic.Disagree, in.ID, ts, onShard[1]) {
+			t.Fatalf("q=%d: the second bus's shard did not derive the disagreement: script is vacuous", q+step)
+		}
+		compareShardReports(t, "cross-shard duplicate vs single engine", got, ref)
+	})
+
+	t.Run("migrated-bus", func(t *testing.T) {
+		q := from + 2*step
+		in, bus := inters[len(inters)/2], onShard[0]
+		t1, t2 := q-150, q-100 // delay grows by 120 s in 50 s: delayIncrease at t2
+		sdes := append(slices.Clone(scats),
+			move(t1, t1, bus, 0, in),
+			move(t2, t2, bus, 120, in),
+		)
+		ref, got := run(0, sdes, nil), run(2, sdes, map[Time]string{q: bus})
+		for _, typ := range []string{traffic.Disagree, traffic.DelayIncrease} {
+			key := in.ID
+			if typ == traffic.DelayIncrease {
+				key = bus
+			}
+			if !slices.ContainsFunc(at(ref, q).Result.Fresh, func(ev rtec.Event) bool {
+				return ev.Type == typ && ev.Key == key && ev.Time == t2
+			}) {
+				t.Fatalf("q=%d: %s(%s, %d) is not fresh: script is vacuous", q, typ, key, t2)
+			}
+			if !hasDerived(at(got, q+step), typ, key, t2, bus) {
+				t.Fatalf("q=%d: the new owner did not re-derive %s(%s, %d): script is vacuous", q+step, typ, key, t2)
+			}
+		}
+		compareShardReports(t, "migrated re-derivation vs single engine", got, ref)
+	})
 }
