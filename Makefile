@@ -58,9 +58,15 @@ lint-json:
 # reference with drops, duplicates, re-ordered and late delivery,
 # boundary-equal stamps and streams degraded mid-batch, an envelope with
 # decreasing arrivals dead-lettered at the validator, live ≡ replayed ≡
-# CSV round trip — and the crash-equivalence campaign: 20+
-# WAL kills, torn/corrupt/fsync-crashed checkpoints and a torn log tail
-# in one run, recovered output bit-identical to the uninterrupted run),
+# CSV round trip — and the crash-equivalence campaign: a seeded fault
+# script over the storage seam (internal/vfs) of 20 torn WAL appends, a
+# torn checkpoint with a torn log tail in the same crash, a corrupted, a
+# torn and a durable-then-killed checkpoint, every armed fault firing,
+# recovered output bit-identical to the uninterrupted run — and the
+# storage-error cases: ENOSPC on a WAL write, EIO on a WAL fsync and on a
+# checkpoint rename each fail Run with that error and recover on healthy
+# storage), re-run the crash campaign 20 more times under the race
+# detector (its fault schedule and counts are the same on every run),
 # re-run the crash gate and the mid-block-cursor checkpoint round trip
 # race-free so their assertions are exercised under both schedulers,
 # re-run the scored-figures gate race-free (cmd/figures: every number
@@ -114,6 +120,7 @@ lint-json:
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -run TestCrashEquivalence -count=20 .
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
 	$(GO) test -count=1 ./cmd/figures
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp ./rtec
@@ -135,11 +142,13 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzCongestionField -fuzztime 5s ./dublin
 	$(GO) test -run '^$$' -fuzz FuzzLoadXML -fuzztime 5s ./streams
 
-# The recovery bench: the crash-equivalence campaign as a measurement —
-# per-epoch recovery wall time and WAL replay volume across 20 kill →
-# recover → resume epochs, committed as BENCH_recovery.json.
+# Recovery of the 1× durable run killed right after its second
+# boundary's checkpoint (the kill cmd/e2ebench's insight.recover_ms
+# uses): BuildDurablePipeline on a fresh copy of the killed directory,
+# with the loaded checkpoint's bytes (B/ckpt) and the WAL records
+# replayed beside ns/op.
 bench-recovery:
-	$(GO) run ./cmd/crashbench -out BENCH_recovery.json
+	$(GO) test -run '^$$' -bench BenchmarkRecovery -benchmem -count=5 $(BENCHFLAGS) .
 
 # The RTEC performance benches: the Figure 4 sweep and the step-ratio
 # amortization bench (both time Pipeline.Run over an insight.System, the

@@ -14,8 +14,9 @@ package insight
 // previous checkpoint set or the new one, never a half-visible file
 // under the final name. Contents are guarded by a CRC32C over the
 // body, so a checkpoint corrupted after the rename (torn sector, bit
-// rot, or the chaos harness's injected corruption) is detected at load
-// time and recovery falls back to the previous retained checkpoint.
+// rot) is detected at load time and recovery falls back to the previous
+// retained checkpoint. Every file call goes through the internal/vfs
+// seam, where tests script their storage faults.
 //
 // Layout (format 3). A fixed header — magic, CRC32C over every byte
 // after the CRC field, the format byte, the WAL replay offset and the
@@ -39,8 +40,8 @@ import (
 	"strings"
 
 	"github.com/insight-dublin/insight/internal/codec"
+	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/rtec"
-	"github.com/insight-dublin/insight/streams/wal"
 )
 
 const (
@@ -61,27 +62,20 @@ const (
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// CheckpointCrash selects an injected failure mode for one checkpoint
-// write — the chaos harness's failpoints for the checkpoint path,
-// mirroring wal.Failpoint for the log path. Every mode ends the run
-// with wal.ErrCrashPoint (the simulated kill).
+// CheckpointCrash is what DurableOptions.CheckpointFailpoint asks of
+// one live checkpoint write. It exists for one caller: cmd/e2ebench
+// kills its durable run after a checkpoint to time recovery
+// (insight.recover_ms). Tests script storage faults through the
+// internal/vfs seam instead.
 type CheckpointCrash int
 
 const (
 	// CrashNone writes the checkpoint normally.
 	CrashNone CheckpointCrash = iota
-	// CrashTornCheckpoint dies halfway through the temp file: the torn
-	// .tmp artifact is ignored by recovery, which resumes from the
-	// previous checkpoint.
-	CrashTornCheckpoint
-	// CrashAfterCheckpoint dies right after the atomic rename: the
-	// checkpoint is durable but the epoch still ends, so recovery must
-	// resume from it with an (almost) empty replay.
+	// CrashAfterCheckpoint ends the run with wal.ErrCrashPoint right
+	// after the checkpoint became durable, before it is garbage
+	// collected against.
 	CrashAfterCheckpoint
-	// CrashCorruptCheckpoint completes the write, then flips one bit in
-	// the renamed file before dying: the CRC check must reject it and
-	// recovery must fall back to the previous checkpoint.
-	CrashCorruptCheckpoint
 )
 
 // streamCursor is one input stream's consumption state at a
@@ -292,102 +286,33 @@ func parseCheckpointName(name string) (Time, bool) {
 
 // writeCheckpointFile atomically persists encoded checkpoint bytes for
 // boundary cursor q under dir: temp file, fsync, rename, directory
-// fsync. A non-CrashNone mode injects the corresponding failure and
-// returns wal.ErrCrashPoint.
-func writeCheckpointFile(dir string, q Time, data []byte, crash CheckpointCrash) error {
+// fsync.
+func writeCheckpointFile(fsys vfs.FS, dir string, q Time, data []byte) error {
 	path := filepath.Join(dir, checkpointName(q))
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if crash == CrashTornCheckpoint {
-		if _, err := f.Write(data[:len(data)/2]); err != nil {
-			return closeDrop(f, err)
-		}
-		if err := f.Sync(); err != nil {
-			return closeDrop(f, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return fmt.Errorf("insight: killed mid-checkpoint %s (torn temp file): %w", checkpointName(q), wal.ErrCrashPoint)
-	}
 	if _, err := f.Write(data); err != nil {
-		return closeDrop(f, err)
+		return errors.Join(err, f.Close())
 	}
 	if err := f.Sync(); err != nil {
-		return closeDrop(f, err)
+		return errors.Join(err, f.Close())
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := fsys.Rename(tmp, path); err != nil {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	switch crash {
-	case CrashAfterCheckpoint:
-		return fmt.Errorf("insight: killed after checkpoint %s became durable: %w", checkpointName(q), wal.ErrCrashPoint)
-	case CrashCorruptCheckpoint:
-		if err := flipBit(path); err != nil {
-			return err
-		}
-		return fmt.Errorf("insight: killed after corrupting checkpoint %s: %w", checkpointName(q), wal.ErrCrashPoint)
-	}
-	return nil
-}
-
-// closeDrop closes f after a failed write, preferring the write error.
-func closeDrop(f *os.File, err error) error {
-	if cerr := f.Close(); cerr != nil && err == nil {
-		return cerr
-	}
-	return err
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		return closeDrop(d, err)
-	}
-	return d.Close()
-}
-
-// flipBit corrupts one byte in the middle of the file at path — the
-// chaos harness's post-rename corruption injection.
-func flipBit(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	data[len(data)/2] ^= 0x40
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		return closeDrop(f, err)
-	}
-	if err := f.Sync(); err != nil {
-		return closeDrop(f, err)
-	}
-	return f.Close()
+	return fsys.SyncDir(dir)
 }
 
 // listCheckpoints returns the checkpoint files under dir, newest (by
 // boundary cursor) first.
-func listCheckpoints(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
+func listCheckpoints(fsys vfs.FS, dir string) ([]string, error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -408,8 +333,8 @@ func listCheckpoints(dir string) ([]string, error) {
 // build cannot read is an error, not a skip: falling back past it would
 // silently resume from older state — or, with nothing older, from a log
 // whose front the newer checkpoints already truncated.
-func loadLatestCheckpoint(dir string, info *RecoveryInfo) (*checkpoint, error) {
-	names, err := listCheckpoints(dir)
+func loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpoint, error) {
+	names, err := listCheckpoints(fsys, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
@@ -417,7 +342,7 @@ func loadLatestCheckpoint(dir string, info *RecoveryInfo) (*checkpoint, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		data, err := fsys.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
@@ -444,8 +369,8 @@ func loadLatestCheckpoint(dir string, info *RecoveryInfo) (*checkpoint, error) {
 // never decoded here. A negative return means no safe truncation point
 // is known: the log is never truncated past an unreadable retained
 // checkpoint.
-func gcCheckpoints(dir string) (int64, error) {
-	ents, err := os.ReadDir(dir)
+func gcCheckpoints(fsys vfs.FS, dir string) (int64, error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return -1, err
 	}
@@ -453,7 +378,7 @@ func gcCheckpoints(dir string) (int64, error) {
 	for _, ent := range ents {
 		name := ent.Name()
 		if strings.HasSuffix(name, ".ck.tmp") {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 				return -1, err
 			}
 			continue
@@ -464,7 +389,7 @@ func gcCheckpoints(dir string) (int64, error) {
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names[min(len(names), ckptKeep):] {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 			return -1, err
 		}
 	}
@@ -472,7 +397,7 @@ func gcCheckpoints(dir string) (int64, error) {
 		return -1, nil
 	}
 	oldest := names[min(len(names), ckptKeep)-1]
-	data, err := os.ReadFile(filepath.Join(dir, oldest))
+	data, err := fsys.ReadFile(filepath.Join(dir, oldest))
 	if err != nil {
 		return -1, err
 	}

@@ -2,9 +2,12 @@ package insight
 
 import (
 	"cmp"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +16,7 @@ import (
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/internal/codec"
 	"github.com/insight-dublin/insight/streams"
+	"github.com/insight-dublin/insight/streams/wal"
 )
 
 // The 1× durable window: the product configuration at paper scale, as
@@ -295,4 +299,85 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 		report(b)
 	})
+}
+
+// BenchmarkRecovery times BuildDurablePipeline on the directory of the
+// 1× durable run killed right after its second boundary's checkpoint
+// became durable — the kill cmd/e2ebench's insight.recover_ms uses: load
+// that checkpoint, restore the engines, replay the log's tail and write
+// the recovery checkpoint. Every iteration recovers a fresh copy of the
+// killed run's directory; the copy is not timed. Reports the loaded
+// checkpoint's size (B/ckpt) and the WAL records replayed beside ns/op.
+// The replay volume depends on how far the appender ran ahead of the
+// monitoring process before the kill, so it can differ between runs.
+func BenchmarkRecovery(b *testing.B) {
+	city := oneXCity(b)
+	build := func(dur DurableOptions) (*Pipeline, *RecoveryInfo) {
+		cfg := durableConfig(city)
+		cfg.Shards = 2
+		sys, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipe, info, err := sys.BuildDurablePipeline(replayFrom, replayUntil, dur)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pipe, info
+	}
+	killed := b.TempDir()
+	pipe, _ := build(DurableOptions{Dir: killed, CheckpointFailpoint: func(q Time) CheckpointCrash {
+		if q > replayFrom+2*900 {
+			return CrashAfterCheckpoint
+		}
+		return CrashNone
+	}})
+	if _, err := pipe.Run(context.Background()); !errors.Is(err, wal.ErrCrashPoint) {
+		b.Fatalf("killed run ended with %v, want the injected crash", err)
+	}
+	// A cancelled Run is the only way to close a built pipeline's log.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var info *RecoveryInfo
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "recover")
+		copyTree(b, killed, dir)
+		b.StartTimer()
+		pipe, info = build(DurableOptions{Dir: dir})
+		b.StopTimer()
+		_, _ = pipe.Run(cancelled)
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(info.CheckpointBytes), "B/ckpt")
+	b.ReportMetric(float64(info.ReplayedRecords), "records")
+}
+
+// copyTree copies the regular files under src to dst.
+func copyTree(tb testing.TB, src, dst string) {
+	tb.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
 }

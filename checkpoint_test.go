@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
 )
@@ -38,7 +39,7 @@ func productCheckpoint(t testing.TB, city *dublin.City) []byte {
 	if _, err := pipe.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	names, err := listCheckpoints(dir)
+	names, err := listCheckpoints(vfs.OS{}, dir)
 	if err != nil || len(names) == 0 {
 		t.Fatalf("durable run left no checkpoint (err=%v)", err)
 	}
@@ -178,7 +179,7 @@ func TestCheckpointMidBlockCursors(t *testing.T) {
 	if partial == 0 {
 		t.Fatal("no retained block was partially admitted at the checkpoint: the cursor encoding is not exercised")
 	}
-	ck, err := loadLatestCheckpoint(dir, &RecoveryInfo{})
+	ck, err := loadLatestCheckpoint(vfs.OS{}, dir, &RecoveryInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 		write(dir, 100, old)
 		write(dir, 200, old)
 		info := &RecoveryInfo{}
-		if _, err := loadLatestCheckpoint(dir, info); !errors.Is(err, errUnsupportedFormat) ||
+		if _, err := loadLatestCheckpoint(vfs.OS{}, dir, info); !errors.Is(err, errUnsupportedFormat) ||
 			!strings.Contains(err.Error(), want) {
 			t.Fatalf("format-%d directory: err = %v, want %s", format, err, want)
 		}
@@ -268,7 +269,7 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 		if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: dir}); !errors.Is(err, errUnsupportedFormat) {
 			t.Fatalf("BuildDurablePipeline over a format-%d directory: err = %v", format, err)
 		}
-		if off, err := gcCheckpoints(dir); err != nil || off >= 0 {
+		if off, err := gcCheckpoints(vfs.OS{}, dir); err != nil || off >= 0 {
 			t.Errorf("GC offered truncation point %d (err=%v) behind an unreadable format-%d checkpoint", off, err, format)
 		}
 	}
@@ -278,14 +279,14 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	write(dir, 100, valid)
 	write(dir, 200, corrupt)
 	info := &RecoveryInfo{}
-	ck, err := loadLatestCheckpoint(dir, info)
+	ck, err := loadLatestCheckpoint(vfs.OS{}, dir, info)
 	if err != nil || ck == nil {
 		t.Fatalf("corrupt-over-valid directory: ck=%v err=%v", ck, err)
 	}
 	if info.CorruptCheckpoints != 1 || !info.Resumed || info.CheckpointQ != 100 || info.CheckpointBytes != int64(len(valid)) {
 		t.Errorf("fallback RecoveryInfo = %+v", info)
 	}
-	if off, err := gcCheckpoints(dir); err != nil || off != ck.walOffset {
+	if off, err := gcCheckpoints(vfs.OS{}, dir); err != nil || off != ck.walOffset {
 		t.Errorf("GC truncation point = %d (err=%v), want the retained checkpoint's %d", off, err, ck.walOffset)
 	}
 }

@@ -1,0 +1,381 @@
+package insight
+
+// Crash-equivalence campaign: the chaos harness behind the durability
+// gate. One campaign is a kill → recover → resume loop over a single
+// durable directory: every epoch builds a fresh System (the
+// process-death model — nothing in memory survives), runs it on a
+// faultFS armed with the epoch's one scripted fault, and lets the next
+// epoch recover from whatever the disk holds. The gate property is that
+// the union of reports emitted across all crashed epochs, deduplicated
+// by query time (newest wins — report emission is at-least-once),
+// fingerprints bit-identically to one uninterrupted run of the same
+// window.
+//
+// Failure schedule, a pure function of the seed:
+//   - WAL kills: a tear of the epoch's second or third write to the log;
+//   - then four checkpoint faults, each at the epoch's first checkpoint
+//     for a boundary at or past a point further into the window: a
+//     combined crash (a torn checkpoint whose death also leaves a torn
+//     frame at the end of the log, so recovery faces both at once), a
+//     rename followed by a corrupted file, a torn write, and a rename
+//     followed by death;
+//   - a clean epoch that must run to the end of the window.
+//
+// A fault keys to a count of storage calls or to a boundary, never to
+// how far the appender got, and a death stops every goroutine's storage
+// calls, the appender's included. Recovery checkpoints are checkpoints
+// like any other, so an epoch that dies in BuildDurablePipeline died of
+// its fault. Every fault therefore fires — a run that has not died
+// writes a checkpoint for every boundary up to the end of the window —
+// and an armed fault that does not fire fails the campaign. What still
+// varies with the schedule is how far the appender runs ahead of the
+// monitoring process before a death, so per-epoch replay volumes do.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"strings"
+	"syscall"
+	"testing"
+
+	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/streams/wal"
+)
+
+// campaignOptions configures runCrashCampaign.
+type campaignOptions struct {
+	// newSystem builds a fresh System per epoch. Every call must yield an
+	// identically configured system (same seeds, no participants).
+	newSystem func() (*System, error)
+	// from, until bound the SDE window.
+	from, until Time
+	// dir is the campaign root; the durable directory under test is
+	// dir/epochs, the uninterrupted reference runs in dir/baseline.
+	dir string
+	// kills is the number of WAL kill epochs.
+	kills int
+	// seed draws the tear sizes.
+	seed int64
+}
+
+// epochResult describes one campaign epoch.
+type epochResult struct {
+	// fault names the epoch's scripted fault: "wal-kill", "combined",
+	// "ckpt-corrupt", "ckpt-torn", "ckpt-after" or "clean".
+	fault string
+	// fired is true when the fault acted.
+	fired bool
+	// recovery is what BuildDurablePipeline reported entering the epoch,
+	// as far as it got.
+	recovery RecoveryInfo
+	// reports is the number of reports the epoch delivered to the
+	// operator sink before dying (or finishing).
+	reports int
+	// completed is true when the epoch ran to the end of the window.
+	completed bool
+}
+
+// campaignResult is the outcome of a crash-equivalence campaign.
+type campaignResult struct {
+	epochs []epochResult
+	// baselineRecords is the number of WAL records one uninterrupted
+	// run appends; an epoch with 0 < recovery.ReplayedRecords <
+	// baselineRecords proves recovery is incremental.
+	baselineRecords int
+	// baseline maps query time to the uninterrupted run's fingerprint.
+	baseline map[Time]string
+	// final maps query time to the newest crashed-run report.
+	final map[Time]*Report
+}
+
+// campaignSchedule is the campaign's fault sequence. Corrupt comes
+// first among the checkpoint faults so its poisoned checkpoint forces
+// the next recoveries onto the CRC-fallback path; after-sync comes last
+// so the clean epoch resumes from a durable checkpoint.
+func campaignSchedule(kills int) []string {
+	s := make([]string, 0, kills+5)
+	for i := 0; i < kills; i++ {
+		s = append(s, "wal-kill")
+	}
+	return append(s, "combined", "ckpt-corrupt", "ckpt-torn", "ckpt-after", "clean")
+}
+
+// campaignFault scripts epoch i's fault over the window [from, until).
+func campaignFault(name string, i int, rng *rand.Rand, from, until Time) fault {
+	// eighth(k) is k eighths into the window.
+	eighth := func(k Time) Time { return from + (until-from)*k/8 }
+	switch name {
+	case "wal-kill":
+		// The second or third write to the log, alternating: one or two
+		// records of durable progress per kill once the segment exists
+		// (epoch 0's first write is the new segment's header), so the
+		// kills sweep forward through the record sequence without
+		// outrunning it. The tear ranges from nothing written to the
+		// whole frame (written but unacknowledged: replay owns it).
+		return fault{op: opWrite, suffix: ".seg", n: 2 + i%2, act: actTear, k: rng.Int()}
+	case "combined":
+		return fault{op: opWrite, suffix: ".ck.tmp", minQ: eighth(4), n: 1, act: actTear, k: rng.Int(), tornTail: 1 + rng.Intn(256)}
+	case "ckpt-corrupt":
+		return fault{op: opRename, suffix: ".ck", minQ: eighth(5), n: 1, act: actCorrupt}
+	case "ckpt-torn":
+		return fault{op: opWrite, suffix: ".ck.tmp", minQ: eighth(6), n: 1, act: actTear, k: rng.Int()}
+	case "ckpt-after":
+		return fault{op: opRename, suffix: ".ck", minQ: eighth(7), n: 1, act: actDieAfter}
+	}
+	return fault{} // clean: acts at no call
+}
+
+// runCrashCampaign runs the baseline and the kill → recover → resume
+// loop. It fails when an epoch dies of anything but its fault, when an
+// armed fault does not fire, or when the clean epoch does not complete.
+func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResult, error) {
+	res := &campaignResult{
+		baseline: make(map[Time]string),
+		final:    make(map[Time]*Report),
+	}
+
+	// Uninterrupted reference run, on its own durable directory: same
+	// code path, no faults.
+	baseDir := filepath.Join(opts.dir, "baseline")
+	sys, err := opts.newSystem()
+	if err != nil {
+		return nil, err
+	}
+	pipe, _, err := sys.BuildDurablePipeline(opts.from, opts.until, DurableOptions{Dir: baseDir})
+	if err != nil {
+		return nil, err
+	}
+	baseline, err := pipe.Run(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("campaign baseline run: %w", err)
+	}
+	for _, rep := range baseline {
+		res.baseline[rep.Q] = rep.Fingerprint()
+	}
+	// The baseline consumed every envelope live, so its consumption
+	// counter is the total record count.
+	res.baselineRecords = pipe.durable.consumedIdx
+
+	epochDir := filepath.Join(opts.dir, "epochs")
+	rng := rand.New(rand.NewSource(opts.seed))
+	for i, name := range campaignSchedule(opts.kills) {
+		fsys := &faultFS{f: campaignFault(name, i, rng, opts.from, opts.until)}
+		sys, err := opts.newSystem()
+		if err != nil {
+			return nil, err
+		}
+		ep := epochResult{fault: name}
+		pipe, info, err := sys.BuildDurablePipeline(opts.from, opts.until, DurableOptions{Dir: epochDir, fs: fsys})
+		if info != nil {
+			ep.recovery = *info
+		}
+		if err == nil {
+			_, err = pipe.Run(ctx)
+			// The collector survives the crash (the operator saw these
+			// reports before the process died); newest epoch wins per Q.
+			for _, it := range pipe.Reports.Items() {
+				if rep, ok := it[itemReport].(*Report); ok {
+					res.final[rep.Q] = rep
+					ep.reports++
+				}
+			}
+		}
+		ep.fired, ep.completed = fsys.hasFired(), err == nil
+		res.epochs = append(res.epochs, ep)
+		switch {
+		case err != nil && !errors.Is(err, wal.ErrCrashPoint):
+			return nil, fmt.Errorf("epoch %d (%s) died of a real failure, not its fault: %w", i, name, err)
+		case name == "clean" && err != nil:
+			return nil, fmt.Errorf("epoch %d (clean) did not complete: %w", i, err)
+		case name != "clean" && !ep.fired:
+			return nil, fmt.Errorf("epoch %d (%s) completed with its armed fault unfired", i, name)
+		}
+	}
+	return res, nil
+}
+
+// mismatches lists every divergence between the crashed runs' union
+// and the baseline: a query time missing, a fingerprint differing, or a
+// query time the baseline never fired.
+func (res *campaignResult) mismatches() []string {
+	var out []string
+	for q, want := range res.baseline {
+		rep, ok := res.final[q]
+		if !ok {
+			out = append(out, fmt.Sprintf("q=%d: no report emitted by any epoch", int64(q)))
+			continue
+		}
+		if got := rep.Fingerprint(); got != want {
+			out = append(out, fmt.Sprintf("q=%d: fingerprint diverged\n  crashed:  %s\n  baseline: %s", int64(q), got, want))
+		}
+	}
+	for q := range res.final {
+		if _, ok := res.baseline[q]; !ok {
+			out = append(out, fmt.Sprintf("q=%d: crashed run invented a query time the baseline never fired", int64(q)))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestCrashEquivalence is the durability gate: 20 torn WAL appends
+// across the window, a combined torn-checkpoint-plus-torn-tail crash,
+// a corrupted, a torn and a durable-then-killed checkpoint, then a clean
+// run — after which the union of everything the crashing runs emitted
+// must fingerprint bit-identically to one uninterrupted run. The fault
+// schedule, and that each fault fired, is the same on every run.
+func TestCrashEquivalence(t *testing.T) {
+	const from, until = 7 * 3600, 8 * 3600
+	city, err := dublin.NewCity(dublin.Config{
+		Seed:             42,
+		NumBuses:         24,
+		NumSensors:       24,
+		Hotspots:         8,
+		NoisyBusFraction: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kills = 20
+	res, err := runCrashCampaign(context.Background(), campaignOptions{
+		// A finer step halves the batch span cap, roughly doubling the
+		// number of WAL records in the window — room for 20 kill epochs,
+		// each advancing the log by a record or two, with most of the
+		// window left for the checkpoint faults.
+		newSystem: func() (*System, error) {
+			cfg := durableConfig(city)
+			cfg.Step = 450
+			return New(cfg)
+		},
+		from:  from,
+		until: until,
+		dir:   t.TempDir(),
+		kills: kills,
+		seed:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.mismatches(); len(m) > 0 {
+		t.Errorf("crash equivalence violated (%d divergences):\n%s", len(m), strings.Join(m, "\n"))
+	}
+	schedule := campaignSchedule(kills)
+	if len(res.epochs) != len(schedule) {
+		t.Fatalf("campaign ran %d epochs, its schedule has %d", len(res.epochs), len(schedule))
+	}
+	for i, ep := range res.epochs {
+		r := ep.recovery
+		t.Logf("epoch %2d %-12s fired %-5v | resumed q=%d, replayed %d, torn %d B, corrupt %d | %d reports",
+			i, ep.fault, ep.fired, int64(r.CheckpointQ), r.ReplayedRecords, r.TornBytes, r.CorruptCheckpoints, ep.reports)
+		if clean := schedule[i] == "clean"; ep.fault != schedule[i] || ep.fired == clean || ep.completed != clean {
+			t.Errorf("epoch %d: fault %s fired %v completed %v, want %s fired %v completed %v",
+				i, ep.fault, ep.fired, ep.completed, schedule[i], !clean, clean)
+		}
+	}
+	if res.baselineRecords < 50 {
+		t.Errorf("baseline appended only %d WAL records -- too few to spread %d kills across", res.baselineRecords, kills)
+	}
+
+	incremental, corruptFallback := false, false
+	for i, ep := range res.epochs {
+		// Incremental recovery: some resumed epoch replayed a strict,
+		// non-empty part of the log.
+		if ep.recovery.Resumed && ep.recovery.ReplayedRecords > 0 && ep.recovery.ReplayedRecords < res.baselineRecords {
+			incremental = true
+		}
+		if ep.recovery.CorruptCheckpoints > 0 {
+			corruptFallback = true
+		}
+		// The recovery after the combined crash truncated the torn tail
+		// (the torn checkpoint's temp file is ignored).
+		if ep.fault == "combined" && res.epochs[i+1].recovery.TornBytes == 0 {
+			t.Error("recovery after the combined epoch saw no torn WAL tail")
+		}
+	}
+	if !incremental {
+		t.Error("no epoch demonstrated incremental recovery (0 < replayed < total)")
+	}
+	if !corruptFallback {
+		t.Error("no recovery fell back past a corrupt checkpoint")
+	}
+}
+
+// TestStorageErrors: an I/O error is not a crash. A full disk under a
+// WAL frame write, a failed WAL fsync and a failed checkpoint rename
+// each end Run with that error, not wal.ErrCrashPoint; every report the
+// operator sink received before it is the uninterrupted run's; and a
+// rerun on the same directory once storage is healthy completes, its
+// reports and the failed run's together (newest wins) equal to the
+// uninterrupted run.
+func TestStorageErrors(t *testing.T) {
+	const from, until = 7 * 3600, 8 * 3600
+	city := testCity(t)
+	plain, err := durableSystem(t, city).BuildPipeline(from, until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := plain.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := make(map[Time]string, len(reps))
+	for _, rep := range reps {
+		baseline[rep.Q] = rep.Fingerprint()
+	}
+	for _, tc := range []struct {
+		name string
+		f    fault
+	}{
+		// Write 1 is the new segment's header, sync 1 its fsync.
+		{"wal-write-enospc", fault{op: opWrite, suffix: ".seg", n: 8, act: actFail, k: 5, err: syscall.ENOSPC}},
+		{"wal-fsync-eio", fault{op: opSync, suffix: ".seg", n: 8, act: actFail, err: syscall.EIO}},
+		{"ckpt-rename-eio", fault{op: opRename, suffix: ".ck", n: 2, act: actFail, err: syscall.EIO}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &faultFS{f: tc.f}
+			pipe, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = pipe.Run(context.Background())
+			if !fsys.hasFired() {
+				t.Fatal("the scripted error never fired")
+			}
+			if !errors.Is(err, tc.f.err) || errors.Is(err, wal.ErrCrashPoint) {
+				t.Fatalf("Run returned %v, want %v and no crash point", err, tc.f.err)
+			}
+			final := make(map[Time]string, len(baseline))
+			for _, it := range pipe.Reports.Items() {
+				rep := it[itemReport].(*Report)
+				if got := rep.Fingerprint(); got != baseline[rep.Q] {
+					t.Errorf("q=%d received before the failure diverged:\n  got:  %s\n  want: %s", int64(rep.Q), got, baseline[rep.Q])
+				}
+				final[rep.Q] = rep.Fingerprint()
+			}
+			pipe, _, err = durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+			if err != nil {
+				t.Fatalf("recovery on healthy storage: %v", err)
+			}
+			rerun, err := pipe.Run(context.Background())
+			if err != nil {
+				t.Fatalf("rerun on healthy storage: %v", err)
+			}
+			for _, rep := range rerun {
+				final[rep.Q] = rep.Fingerprint()
+			}
+			if len(final) != len(baseline) {
+				t.Errorf("the two runs reported %d query times, the uninterrupted run %d", len(final), len(baseline))
+			}
+			for q, want := range baseline {
+				if final[q] != want {
+					t.Errorf("q=%d: union %q, want %q", int64(q), final[q], want)
+				}
+			}
+		})
+	}
+}

@@ -14,7 +14,8 @@ import (
 // crash), and in code that appends to the log, nothing is forwarded
 // downstream before the append — the consumed-implies-durable
 // invariant the crash-equivalence gate replays. The scan is linear per
-// function over write/sync/rename/append/forward events, with calls
+// function over write/sync/rename/append/forward events — os calls or
+// the same calls through a filesystem seam (fs.Rename, fs.SyncDir) — with calls
 // into same-package helpers resolved through the call closure (a call
 // to a helper that fsyncs counts as a sync at the call site).
 var DurOrder = &Analyzer{
@@ -166,8 +167,10 @@ func callEvents(pkg *Package, ix *funcIndex, call *ast.CallExpr, writes, syncs m
 	switch directCallName(pkg, call) {
 	case "Write", "WriteAt", "WriteString", "Truncate":
 		events = append(events, doEvent{pos: call.Pos(), kind: doWrite})
-	case "Sync":
+	case "Sync", "SyncDir":
 		events = append(events, doEvent{pos: call.Pos(), kind: doSync})
+	case "Rename": // a filesystem seam's (internal/vfs) rename
+		events = append(events, doEvent{pos: call.Pos(), kind: doRename})
 	case "Append":
 		events = append(events, doEvent{pos: call.Pos(), kind: doAppend})
 	case "Emit", "Forward", "Publish", "Push":

@@ -16,6 +16,7 @@ var errDropCallees = map[string]bool{
 	"WriteString": true,
 	"WriteAt":     true,
 	"Sync":        true,
+	"SyncDir":     true, // the storage seam's directory fsync (internal/vfs)
 	"Close":       true,
 	"Rename":      true,
 	"Truncate":    true,

@@ -87,3 +87,31 @@ func syncDir(path string) error {
 	defer d.Close()
 	return d.Sync()
 }
+
+// storage is a filesystem seam: its Rename and SyncDir count as the os
+// calls they stand for.
+type storage interface {
+	Rename(oldpath, newpath string) error
+	SyncDir(name string) error
+}
+
+// seamRenameSynced renames and syncs the directory through the seam:
+// clean.
+func seamRenameSynced(fs storage, f *os.File, tmp, final, dir string) error {
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp, final); err != nil {
+		return err
+	}
+	return fs.SyncDir(dir)
+}
+
+// seamRenameNoDirSync renames through the seam and never syncs the
+// directory: one finding.
+func seamRenameNoDirSync(fs storage, f *os.File, tmp, final string) error {
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return fs.Rename(tmp, final)
+}

@@ -4,7 +4,7 @@ package insight
 // SDE log and checkpointed recovery underneath, so a killed monitoring
 // process resumes from its last checkpoint and produces the same CE
 // stream an uninterrupted run would — bit-identical, the property the
-// crash-equivalence gate (crashcampaign.go) enforces.
+// crash-equivalence gate (TestCrashEquivalence) enforces.
 //
 // Topology. The five input streams feed their validators as usual, but
 // the validators write to an "ingest" queue drained by a single
@@ -38,6 +38,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
 )
@@ -50,13 +51,14 @@ type DurableOptions struct {
 	// CheckpointEvery writes a checkpoint after this many query
 	// boundaries (default 1: every boundary).
 	CheckpointEvery int
-	// WALFailpoint arms crash injection on the append path (chaos
-	// harness only).
-	WALFailpoint wal.Failpoint
-	// CheckpointFailpoint selects a crash mode per checkpoint write
-	// (chaos harness only); consulted with the checkpoint's boundary
-	// cursor.
+	// CheckpointFailpoint, consulted with each live checkpoint's
+	// boundary cursor before the write, can end the run right after that
+	// checkpoint is durable. Its one user is cmd/e2ebench's
+	// insight.recover_ms kill; tests script faults through fs.
 	CheckpointFailpoint func(q Time) CheckpointCrash
+	// fs carries every WAL and checkpoint file call; nil means the real
+	// filesystem.
+	fs vfs.FS
 }
 
 // RecoveryInfo reports what recovery found and did.
@@ -188,6 +190,7 @@ func (s *ackingSink) Write(it streams.Item) error {
 type durableRuntime struct {
 	opts DurableOptions
 	dir  string
+	fs   vfs.FS
 	log  *wal.Log
 	st   *durableState
 	proc *rtecProcessor
@@ -245,9 +248,8 @@ func (rt *durableRuntime) maybeCheckpoint(p *rtecProcessor) error {
 }
 
 // writeCheckpoint builds and persists a checkpoint unconditionally,
-// routing it through crashAt (nil means no injected failure — the
-// recovery-time checkpoint uses this so fault injection only targets
-// checkpoints written by the live pipeline).
+// consulting crashAt (nil for the recovery-time checkpoint:
+// CheckpointFailpoint kills only the live pipeline).
 func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) CheckpointCrash) error {
 	rt.boundaries = 0
 	ck, err := rt.buildCheckpoint(p)
@@ -261,10 +263,13 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 	if rt.ckptBuf, err = ck.encode(rt.ckptBuf[:0]); err != nil {
 		return err
 	}
-	if err := writeCheckpointFile(rt.dir, ck.nextQ, rt.ckptBuf, crash); err != nil {
+	if err := writeCheckpointFile(rt.fs, rt.dir, ck.nextQ, rt.ckptBuf); err != nil {
 		return err
 	}
-	off, err := gcCheckpoints(rt.dir)
+	if crash == CrashAfterCheckpoint {
+		return fmt.Errorf("insight: killed after checkpoint %s became durable: %w", checkpointName(ck.nextQ), wal.ErrCrashPoint)
+	}
+	off, err := gcCheckpoints(rt.fs, rt.dir)
 	if err != nil {
 		return err
 	}
@@ -337,7 +342,8 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 // [from, until), recovering from whatever dur.Dir holds: a fresh
 // directory starts clean, a crashed epoch's directory resumes from its
 // newest valid checkpoint with the log replayed from the checkpoint's
-// offset. The returned RecoveryInfo describes what recovery did.
+// offset. The returned RecoveryInfo describes what recovery did; when
+// recovery itself fails once the log is open, it says how far it got.
 //
 // Durable runs refuse a crowdsourcing-enabled system: participant
 // queries are effectful, so replaying them would re-ask the crowd.
@@ -357,15 +363,16 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	walDir := filepath.Join(dur.Dir, "wal")
 	// Every append is fsynced: the crash-equivalence guarantee holds for
 	// no weaker policy.
-	log, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways, Failpoint: dur.WALFailpoint})
+	fsys := vfs.Or(dur.fs)
+	log, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways, FS: fsys})
 	if err != nil {
 		return nil, nil, err
 	}
-	fail := func(err error) (*Pipeline, *RecoveryInfo, error) {
-		return nil, nil, errors.Join(err, log.Close())
-	}
 	info := &RecoveryInfo{TornBytes: log.Torn()}
-	ck, err := loadLatestCheckpoint(dur.Dir, info)
+	fail := func(err error) (*Pipeline, *RecoveryInfo, error) {
+		return nil, info, errors.Join(err, log.Close())
+	}
+	ck, err := loadLatestCheckpoint(fsys, dur.Dir, info)
 	if err != nil {
 		return fail(err)
 	}
@@ -374,6 +381,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	rt := &durableRuntime{
 		opts:     dur,
 		dir:      dur.Dir,
+		fs:       fsys,
 		log:      log,
 		st:       &durableState{},
 		proc:     proc,
@@ -461,10 +469,8 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	// repeated crashes — each recovery starts from the previous one's
 	// frontier instead of re-walking the whole log, so a crash loop
 	// still makes forward progress even when the replayed tail never
-	// crossed a query boundary. Injected checkpoint failures
-	// deliberately don't apply here: they model crashes of the live
-	// pipeline, and a build-time crash would mask the code path under
-	// test.
+	// crossed a query boundary. It goes through the same storage seam as
+	// every other write, so a fault scripted there can kill recovery too.
 	if info.ReplayedRecords > 0 {
 		if err := rt.writeCheckpoint(proc, nil); err != nil {
 			return fail(err)

@@ -166,95 +166,3 @@ func TestDurableRejectsUnsupportedSystems(t *testing.T) {
 		t.Error("empty Dir accepted")
 	}
 }
-
-// TestCrashEquivalence is the durability gate: a campaign of injected
-// kills — torn WAL records at 20+ points across the window, torn,
-// post-rename-corrupted and after-rename checkpoint crashes, and a
-// combined torn-checkpoint-plus-torn-tail epoch — after which the
-// union of everything the crashing runs emitted must fingerprint
-// bit-identically to one uninterrupted run.
-func TestCrashEquivalence(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-	city, err := dublin.NewCity(dublin.Config{
-		Seed:             42,
-		NumBuses:         24,
-		NumSensors:       24,
-		Hotspots:         8,
-		NoisyBusFraction: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCrashCampaign(context.Background(), CampaignOptions{
-		// A finer step halves the batch span cap, roughly doubling the
-		// number of WAL records in the window — enough that 20 kill
-		// epochs (each of which must durably advance past at least one
-		// record) can spread across the log without exhausting it.
-		NewSystem: func() (*System, error) {
-			cfg := durableConfig(city)
-			cfg.Step = 450
-			return New(cfg)
-		},
-		From:  from,
-		Until: until,
-		Dir:   t.TempDir(),
-		Kills: 20,
-		Seed:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mismatches) > 0 {
-		t.Errorf("crash equivalence violated (%d divergences):\n%s",
-			len(res.Mismatches), strings.Join(res.Mismatches, "\n"))
-	}
-	if !res.Completed {
-		t.Error("campaign never completed")
-	}
-	if res.WALKills < 20 {
-		t.Errorf("WAL kills = %d, want >= 20", res.WALKills)
-	}
-	if res.TornCheckpoints < 1 || res.AfterCheckpoints < 1 || res.CorruptCheckpoints < 1 {
-		t.Errorf("checkpoint crash modes = torn %d / after %d / corrupt %d, want >= 1 each",
-			res.TornCheckpoints, res.AfterCheckpoints, res.CorruptCheckpoints)
-	}
-	if res.CombinedEpochs < 1 {
-		t.Error("no combined torn-checkpoint + torn-tail epoch ran")
-	}
-	if res.BaselineRecords < 50 {
-		t.Errorf("baseline appended only %d WAL records -- too few to spread 20 kills across", res.BaselineRecords)
-	}
-
-	// Incremental recovery: at least one resumed epoch must have
-	// replayed a strict, non-empty subset of the log — recovery work is
-	// proportional to the post-checkpoint tail, not the whole stream.
-	incremental := false
-	for i, ep := range res.Epochs {
-		if ep.Recovery.Resumed && ep.Recovery.ReplayedRecords > 0 && ep.Recovery.ReplayedRecords < res.BaselineRecords {
-			incremental = true
-		}
-		// The epoch after the combined crash must have seen both
-		// artifacts: a torn WAL tail, with the torn checkpoint's temp
-		// file ignored.
-		if ep.Fault == "combined" && i+1 < len(res.Epochs) {
-			if res.Epochs[i+1].Recovery.TornBytes == 0 {
-				t.Error("recovery after the combined epoch saw no torn WAL tail")
-			}
-		}
-	}
-	if !incremental {
-		t.Error("no epoch demonstrated incremental recovery (0 < replayed < total)")
-	}
-
-	// The corrupt-checkpoint epoch must have forced a later recovery
-	// onto the CRC fallback path.
-	sawCorruptFallback := false
-	for _, ep := range res.Epochs {
-		if ep.Recovery.CorruptCheckpoints > 0 {
-			sawCorruptFallback = true
-		}
-	}
-	if !sawCorruptFallback {
-		t.Error("no recovery fell back past a corrupt checkpoint")
-	}
-}

@@ -21,6 +21,15 @@
 // corruption strictly inside the log (before another valid segment)
 // is not recoverable and is surfaced as an error with its offset.
 //
+// Failed writes. A frame the log could not write or fsync may sit
+// partly on disk, and a frame appended behind it would be cut off with it
+// by the next Open's torn-tail scan. So the first write-path error is
+// sticky: every later Append returns it, and reopening the log truncates
+// the partial frame.
+//
+// Storage calls go through an internal/vfs FS (Options.FS), the seam
+// tests use to tear, fail or kill a write at a scripted call.
+//
 // Durability policy. SyncAlways (the default) fsyncs after every
 // append, which is what makes "consumed implies durable" hold for the
 // pipeline's checkpoint offsets; SyncRotate amortizes the fsync to
@@ -38,6 +47,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"github.com/insight-dublin/insight/internal/vfs"
 )
 
 // SyncPolicy selects when the log fsyncs appended frames.
@@ -53,19 +64,12 @@ const (
 	SyncNever
 )
 
-// ErrCrashPoint is returned by Append (and by the checkpoint writer in
-// package insight) when an armed crash-injection failpoint fires; the
-// fault-injection harness matches it with errors.Is to distinguish a
-// simulated kill from a real I/O failure.
+// ErrCrashPoint marks a simulated kill: a test filesystem returns it
+// from every call once its scripted death has fired, and package
+// insight's checkpoint writer returns it when DurableOptions'
+// CheckpointFailpoint asks for one. Callers match it with errors.Is to
+// tell a simulated kill from a real I/O failure.
 var ErrCrashPoint = errors.New("wal: injected crash point")
-
-// Failpoint simulates a kill during an append. It is consulted before
-// each frame write with the record's start offset and full frame
-// length; returning kill=true makes Append write only tear bytes of
-// the frame (a torn tail, 0 <= tear < frame length), sync, and fail
-// with ErrCrashPoint. The log is dead afterwards — every later Append
-// fails — which models the process dying mid-write.
-type Failpoint func(start int64, frameLen int) (tear int, kill bool)
 
 const (
 	segMagic    = "INSWAL1\n"
@@ -86,15 +90,16 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy. Default SyncAlways.
 	Sync SyncPolicy
-	// Failpoint, when non-nil, arms crash injection (tests and the
-	// chaos harness only).
-	Failpoint Failpoint
+	// FS carries the Log's file calls; nil means the real filesystem.
+	// Creating the directory and OpenReader use the real filesystem.
+	FS vfs.FS
 }
 
 func (o Options) normalized() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
 	}
+	o.FS = vfs.Or(o.FS)
 	return o
 }
 
@@ -108,13 +113,12 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex
-	active    *os.File // current segment
-	base      int64    // logical offset of active's first record
-	size      int64    // frame bytes in active
-	lastStart int64    // logical offset of the most recent record
-	torn      int64    // bytes discarded from the tail at Open
-	dead      bool     // a failpoint fired; the "process" is gone
+	mu     sync.Mutex
+	active vfs.File // current segment, opened for append
+	base   int64    // logical offset of active's first record
+	size   int64    // frame bytes in active
+	torn   int64    // bytes discarded from the tail at Open
+	err    error    // the first write-path failure; sticky
 }
 
 type segmentInfo struct {
@@ -129,8 +133,8 @@ func segmentName(base int64) string {
 
 // listSegments returns the log's segments sorted by base offset,
 // validating names against headers and base contiguity.
-func listSegments(dir string) ([]segmentInfo, error) {
-	ents, err := os.ReadDir(dir)
+func listSegments(fsys vfs.FS, dir string) ([]segmentInfo, error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -167,12 +171,9 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// checkHeader validates a segment file's magic and base offset.
-func checkHeader(f *os.File, base int64) error {
-	var hdr [segHeader]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("wal: segment header: %w", err)
-	}
+// checkHeader validates a segment file's magic and base offset; data
+// holds at least the header.
+func checkHeader(hdr []byte, base int64) error {
 	if string(hdr[:8]) != segMagic {
 		return fmt.Errorf("wal: bad segment magic %q", hdr[:8])
 	}
@@ -196,24 +197,22 @@ func putU32(b []byte, v uint32) {
 }
 
 // scanFrames walks the frames of one segment's data and returns the
-// number of leading bytes forming valid frames, plus the start offset
-// (within data) of the last valid frame, or -1 if none.
-func scanFrames(data []byte) (valid int64, lastStart int64) {
-	off, lastStart := int64(0), int64(-1)
+// number of leading bytes forming valid frames.
+func scanFrames(data []byte) int64 {
+	off := int64(0)
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeader {
-			return off, lastStart
+			return off
 		}
 		n := int64(leUint32(rest))
 		if n > MaxRecord || frameHeader+n > int64(len(rest)) {
-			return off, lastStart
+			return off
 		}
 		payload := rest[frameHeader : frameHeader+n]
 		if crc32.Checksum(payload, castagnoli) != leUint32(rest[4:]) {
-			return off, lastStart
+			return off
 		}
-		lastStart = off
 		off += frameHeader + n
 	}
 }
@@ -226,11 +225,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, lastStart: -1}
+	l := &Log{dir: dir, opts: opts}
 	if len(segs) == 0 {
 		if err := l.openSegmentLocked(0); err != nil {
 			return nil, err
@@ -241,32 +240,31 @@ func Open(dir string, opts Options) (*Log, error) {
 	if last.frames == 0 && len(segs) > 1 && segs[len(segs)-2].frames == 0 {
 		return nil, fmt.Errorf("wal: multiple empty tail segments in %s", dir)
 	}
-	f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
+	data, err := opts.FS.ReadFile(last.path)
 	if err != nil {
 		return nil, err
 	}
-	info, err := f.Stat()
+	f, err := opts.FS.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, closeJoin(f, err)
+		return nil, err
 	}
-	if info.Size() < segHeader {
+	if len(data) < segHeader {
 		// Runt segment: rewrite the header in place.
+		if err := f.Truncate(0); err != nil {
+			return nil, closeJoin(f, err)
+		}
 		if err := writeHeader(f, last.base); err != nil {
 			return nil, closeJoin(f, err)
 		}
 		l.active, l.base, l.size = f, last.base, 0
-		l.torn = info.Size() // partial header counts as discarded tail
+		l.torn = int64(len(data)) // partial header counts as discarded tail
 		return l, nil
 	}
-	if err := checkHeader(f, last.base); err != nil {
+	if err := checkHeader(data, last.base); err != nil {
 		return nil, closeJoin(f, err)
 	}
-	data := make([]byte, last.frames)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, closeJoin(f, err)
-	}
-	valid, lastFrame := scanFrames(data)
-	if torn := last.frames - valid; torn > 0 {
+	valid := scanFrames(data[segHeader:])
+	if torn := int64(len(data)) - segHeader - valid; torn > 0 {
 		if err := f.Truncate(segHeader + valid); err != nil {
 			return nil, closeJoin(f, err)
 		}
@@ -275,37 +273,22 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		l.torn = torn
 	}
-	if _, err := f.Seek(segHeader+valid, io.SeekStart); err != nil {
-		return nil, closeJoin(f, err)
-	}
 	l.active, l.base, l.size = f, last.base, valid
-	if lastFrame >= 0 {
-		l.lastStart = last.base + lastFrame
-	} else if len(segs) > 1 {
-		// The last segment is empty; the previous one necessarily ends
-		// with a valid frame (it was fully scanned when written).
-		l.lastStart = last.base - 1 // position unknown; only ordering matters
-	}
 	return l, nil
 }
 
-func closeJoin(f *os.File, err error) error {
+func closeJoin(f vfs.File, err error) error {
 	return errors.Join(err, f.Close())
 }
 
-func writeHeader(f *os.File, base int64) error {
+// writeHeader writes and syncs a segment header into the empty file f.
+func writeHeader(f vfs.File, base int64) error {
 	var hdr [segHeader]byte
 	copy(hdr[:8], segMagic)
 	for i := 0; i < 8; i++ {
 		hdr[8+i] = byte(uint64(base) >> (8 * i))
 	}
-	if err := f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
-		return err
-	}
-	if _, err := f.Seek(segHeader, io.SeekStart); err != nil {
+	if _, err := f.Write(hdr[:]); err != nil {
 		return err
 	}
 	return f.Sync()
@@ -314,7 +297,7 @@ func writeHeader(f *os.File, base int64) error {
 // openSegmentLocked creates and activates the segment starting at base.
 func (l *Log) openSegmentLocked(base int64) error {
 	path := filepath.Join(l.dir, segmentName(base))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := l.opts.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
@@ -333,14 +316,6 @@ func (l *Log) Frontier() int64 {
 	return l.base + l.size
 }
 
-// LastStart returns the logical start offset of the most recent
-// record, or -1 when the log is empty.
-func (l *Log) LastStart() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastStart
-}
-
 // Torn returns the number of torn-tail bytes Open discarded.
 func (l *Log) Torn() int64 { return l.torn }
 
@@ -349,19 +324,20 @@ func (l *Log) Dir() string { return l.dir } //lint:allow lockguard dir is immuta
 
 // Append frames payload, writes it to the active segment and returns
 // the record's logical [start, end) offsets. With SyncAlways the
-// record is durable when Append returns.
+// record is durable when Append returns. After a failed write or sync
+// every Append returns that failure (see the package comment).
 func (l *Log) Append(payload []byte) (start, end int64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead {
-		return 0, 0, fmt.Errorf("wal: append after crash point: %w", ErrCrashPoint)
+	if l.err != nil {
+		return 0, 0, l.err
 	}
 	if len(payload) > MaxRecord {
 		return 0, 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord %d", len(payload), MaxRecord)
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			return 0, 0, err
+			return 0, 0, l.failLocked(err)
 		}
 	}
 	frame := make([]byte, frameHeader+len(payload))
@@ -369,34 +345,22 @@ func (l *Log) Append(payload []byte) (start, end int64, err error) {
 	putU32(frame[4:], crc32.Checksum(payload, castagnoli))
 	copy(frame[frameHeader:], payload)
 	start = l.base + l.size
-	if fp := l.opts.Failpoint; fp != nil {
-		if tear, kill := fp(start, len(frame)); kill {
-			if tear > len(frame) {
-				tear = len(frame)
-			}
-			l.dead = true
-			if tear > 0 {
-				if _, werr := l.active.Write(frame[:tear]); werr != nil {
-					return 0, 0, errors.Join(ErrCrashPoint, werr)
-				}
-			}
-			if serr := l.active.Sync(); serr != nil {
-				return 0, 0, errors.Join(ErrCrashPoint, serr)
-			}
-			return 0, 0, fmt.Errorf("wal: killed %d bytes into record at offset %d: %w", tear, start, ErrCrashPoint)
-		}
-	}
 	if _, err := l.active.Write(frame); err != nil {
-		return 0, 0, err
+		return 0, 0, l.failLocked(err)
 	}
 	if l.opts.Sync == SyncAlways {
 		if err := l.active.Sync(); err != nil {
-			return 0, 0, err
+			return 0, 0, l.failLocked(err)
 		}
 	}
 	l.size += int64(len(frame))
-	l.lastStart = start
 	return start, start + int64(len(frame)), nil
+}
+
+// failLocked records err as the log's sticky failure and returns it.
+func (l *Log) failLocked(err error) error {
+	l.err = fmt.Errorf("wal: append failed, reopen the log to continue: %w", err)
+	return l.err
 }
 
 // rotateLocked seals the active segment and starts the next one.
@@ -416,8 +380,8 @@ func (l *Log) rotateLocked() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead {
-		return nil
+	if l.err != nil {
+		return l.err
 	}
 	return l.active.Sync()
 }
@@ -430,7 +394,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if !l.dead && l.opts.Sync != SyncNever {
+	if l.err == nil && l.opts.Sync != SyncNever {
 		err = l.active.Sync()
 	}
 	err = errors.Join(err, l.active.Close())
@@ -445,7 +409,7 @@ func (l *Log) Close() error {
 func (l *Log) TruncateFront(offset int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	segs, err := listSegments(l.dir)
+	segs, err := listSegments(l.opts.FS, l.dir)
 	if err != nil {
 		return err
 	}
@@ -456,36 +420,10 @@ func (l *Log) TruncateFront(offset int64) error {
 		if seg.base+seg.frames > offset {
 			break
 		}
-		if err := os.Remove(seg.path); err != nil {
+		if err := l.opts.FS.Remove(seg.path); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// TearTail truncates up to n bytes off the active segment's end
-// without crossing the most recent record's start — a post-mortem
-// torn-write simulation hook for the chaos harness. It marks the log
-// dead; reopen it to continue.
-func (l *Log) TearTail(n int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.lastStart < l.base || l.size == 0 {
-		return fmt.Errorf("wal: no record in the active segment to tear")
-	}
-	if maxTear := l.base + l.size - l.lastStart - 1; n > maxTear {
-		n = maxTear
-	}
-	if n <= 0 {
-		return nil
-	}
-	if err := l.active.Truncate(segHeader + l.size - n); err != nil {
-		return err
-	}
-	if err := l.active.Sync(); err != nil {
-		return err
-	}
-	l.dead = true
 	return nil
 }
 
@@ -508,7 +446,7 @@ type Reader struct {
 // starting at or after from are returned in order; from must lie on a
 // record boundary (or at the log's start/frontier).
 func OpenReader(dir string, from int64) (*Reader, error) {
-	segs, err := listSegments(dir)
+	segs, err := listSegments(vfs.OS{}, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -537,31 +475,22 @@ func OpenReader(dir string, from int64) (*Reader, error) {
 }
 
 // load reads segment si's frame bytes into memory.
-func (r *Reader) load(si int) (err error) {
+func (r *Reader) load(si int) error {
 	seg := r.segs[si]
-	f, err := os.Open(seg.path)
+	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return err
 	}
-	defer func() { err = errors.Join(err, f.Close()) }()
-	info, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if info.Size() < segHeader {
+	if len(data) < segHeader {
 		// Runt tail segment: no header, no records.
 		r.si, r.data, r.base, r.off = si, nil, seg.base, 0
-		r.torn += info.Size()
+		r.torn += int64(len(data))
 		return nil
 	}
-	if err := checkHeader(f, seg.base); err != nil {
+	if err := checkHeader(data, seg.base); err != nil {
 		return err
 	}
-	data := make([]byte, info.Size()-segHeader)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return err
-	}
-	r.si, r.data, r.base, r.off = si, data, seg.base, 0
+	r.si, r.data, r.base, r.off = si, data[segHeader:], seg.base, 0
 	return nil
 }
 

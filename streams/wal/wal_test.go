@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
+	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/streams"
 )
 
@@ -190,7 +192,7 @@ func TestRotationAndReopen(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatalf("listSegments: %v", err)
 	}
@@ -234,7 +236,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// Simulate a torn append: garbage frame fragment at the tail.
-	segs, err := listSegments(dir)
+	segs, err := listSegments(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatalf("listSegments: %v", err)
 	}
@@ -285,7 +287,7 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(vfs.OS{}, dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("need >= 3 segments, got %d (err %v)", len(segs), err)
 	}
@@ -322,7 +324,7 @@ func TestTruncateFront(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	offsets := appendN(t, l, 30, 0)
-	segs, _ := listSegments(dir)
+	segs, _ := listSegments(vfs.OS{}, dir)
 	if len(segs) < 4 {
 		t.Fatalf("need >= 4 segments, got %d", len(segs))
 	}
@@ -330,7 +332,7 @@ func TestTruncateFront(t *testing.T) {
 	if err := l.TruncateFront(cut); err != nil {
 		t.Fatalf("TruncateFront: %v", err)
 	}
-	after, _ := listSegments(dir)
+	after, _ := listSegments(vfs.OS{}, dir)
 	if len(after) != len(segs)-2 {
 		t.Fatalf("%d segments after TruncateFront, want %d", len(after), len(segs)-2)
 	}
@@ -352,7 +354,7 @@ func TestTruncateFront(t *testing.T) {
 	if err := l.TruncateFront(l.Frontier()); err != nil {
 		t.Fatalf("TruncateFront(frontier): %v", err)
 	}
-	if left, _ := listSegments(dir); len(left) == 0 {
+	if left, _ := listSegments(vfs.OS{}, dir); len(left) == 0 {
 		t.Fatalf("TruncateFront removed the active segment")
 	}
 	if err := l.Close(); err != nil {
@@ -360,38 +362,85 @@ func TestTruncateFront(t *testing.T) {
 	}
 }
 
+// faultFS is a one-fault script over the real filesystem: the n-th
+// Write to a log file writes only its first k bytes, then either kills
+// the process (err nil: that call and every later Write or Sync fail
+// with ErrCrashPoint) or returns err and lets the process live on.
+type faultFS struct {
+	vfs.OS
+	n, k   int
+	err    error
+	writes int
+	dead   bool
+}
+
+type faultFile struct {
+	vfs.File
+	fs *faultFS
+}
+
+func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{File: f, fs: fs}, nil
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	fs := f.fs
+	if fs.dead {
+		return 0, ErrCrashPoint
+	}
+	if fs.writes++; fs.writes != fs.n {
+		return f.File.Write(p)
+	}
+	n, err := f.File.Write(p[:fs.k])
+	if err != nil {
+		return n, err
+	}
+	if fs.err != nil {
+		return n, fs.err
+	}
+	fs.dead = true
+	return n, ErrCrashPoint
+}
+
+func (f *faultFile) Sync() error {
+	if f.fs.dead {
+		return ErrCrashPoint
+	}
+	return f.File.Sync()
+}
+
+// TestFailpointKill: a kill half-way through a frame leaves the log
+// dead: the killed append and every later one fail with ErrCrashPoint.
+// Open truncates the torn half-frame, reports it in Torn, and every
+// acknowledged record survives.
 func TestFailpointKill(t *testing.T) {
 	dir := t.TempDir()
-	var armed bool
-	opts := Options{Failpoint: func(start int64, frameLen int) (int, bool) {
-		if armed {
-			return frameLen / 2, true // tear mid-frame
-		}
-		return 0, false
-	}}
-	l, err := Open(dir, opts)
+	rec := EncodeBatch(nil, testBatch(8, 42))
+	k := (frameHeader + len(rec)) / 2
+	// Write 1 is the new segment's header, writes 2-4 the three records.
+	l, err := Open(dir, Options{FS: &faultFS{n: 5, k: k}})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	offsets := appendN(t, l, 3, 0)
 	frontier := l.Frontier()
-	armed = true
-	_, _, err = l.Append(EncodeBatch(nil, testBatch(8, 42)))
-	if !errors.Is(err, ErrCrashPoint) {
-		t.Fatalf("armed Append: %v, want ErrCrashPoint", err)
+	if _, _, err := l.Append(rec); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("killed Append: %v, want ErrCrashPoint", err)
 	}
-	// The log is dead: later appends fail too.
 	if _, _, err := l.Append([]byte("x")); !errors.Is(err, ErrCrashPoint) {
 		t.Fatalf("append after kill: %v, want ErrCrashPoint", err)
 	}
 	_ = l.Close()
-	// Recovery: reopen truncates the torn half-frame.
 	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if l2.Torn() == 0 {
-		t.Fatalf("expected torn bytes after mid-frame kill")
+	if l2.Torn() != int64(k) {
+		t.Fatalf("Torn = %d after a kill %d bytes into a frame", l2.Torn(), k)
 	}
 	if l2.Frontier() != frontier {
 		t.Fatalf("frontier %d after recovery, want %d", l2.Frontier(), frontier)
@@ -405,38 +454,77 @@ func TestFailpointKill(t *testing.T) {
 	}
 }
 
+// TestTearTail: a tear 10 bytes into the fourth record's frame leaves a
+// torn tail. Open truncates it and reports it in Torn; the frontier
+// falls back to the torn record's start and the first three survive.
 func TestTearTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{FS: &faultFS{n: 5, k: 10}})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	offsets := appendN(t, l, 4, 0)
-	last := l.LastStart()
-	if last != offsets[3] {
-		t.Fatalf("LastStart %d, want %d", last, offsets[3])
-	}
-	if err := l.TearTail(10); err != nil {
-		t.Fatalf("TearTail: %v", err)
+	offsets := appendN(t, l, 3, 0)
+	torn := l.Frontier()
+	if _, _, err := l.Append(EncodeBatch(nil, testBatch(6, 300))); !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("torn Append: %v, want ErrCrashPoint", err)
 	}
 	_ = l.Close()
 	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if l2.Torn() == 0 {
-		t.Fatalf("expected torn bytes after TearTail")
+	if l2.Torn() != 10 {
+		t.Fatalf("Torn = %d after a 10-byte tear", l2.Torn())
 	}
-	// The torn record is gone; the prefix survives.
-	if l2.Frontier() != offsets[3] {
-		t.Fatalf("frontier %d after tear, want %d", l2.Frontier(), offsets[3])
+	if l2.Frontier() != torn {
+		t.Fatalf("frontier %d after tear, want %d", l2.Frontier(), torn)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	starts, _ := readAll(t, dir, 0)
-	if !reflect.DeepEqual(starts, offsets[:3]) {
-		t.Fatalf("post-tear read %v, want %v", starts, offsets[:3])
+	if !reflect.DeepEqual(starts, offsets) {
+		t.Fatalf("post-tear read %v, want %v", starts, offsets)
+	}
+}
+
+// TestWriteErrorMidFrame: a write that fails part-way through a frame
+// (ENOSPC) is not a kill, but the log must not append behind the partial
+// frame: the next Open's torn-tail scan would cut the later record off
+// with it. Every append after the failure returns it; reopening once
+// space is back truncates the partial frame, loses no acknowledged
+// record and appends again.
+func TestWriteErrorMidFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{FS: &faultFS{n: 4, k: 5, err: syscall.ENOSPC}})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	acked := appendN(t, l, 2, 0)
+	frontier := l.Frontier()
+	if _, _, err := l.Append(EncodeBatch(nil, testBatch(8, 42))); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Append into a full disk: %v, want ENOSPC", err)
+	}
+	if _, _, err := l.Append(EncodeBatch(nil, testBatch(3, 7))); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Append behind a partial frame: %v, want the sticky ENOSPC", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if l2.Torn() != 5 || l2.Frontier() != frontier {
+		t.Fatalf("reopen: torn %d, frontier %d; want 5, %d", l2.Torn(), l2.Frontier(), frontier)
+	}
+	acked = append(acked, appendN(t, l2, 1, 9)...)
+	if err := l2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	starts, _ := readAll(t, dir, 0)
+	if !reflect.DeepEqual(starts, acked) {
+		t.Fatalf("read %v, want every acknowledged record %v", starts, acked)
 	}
 }
 
