@@ -63,18 +63,26 @@ lint-json:
 # torn checkpoint with a torn log tail in the same crash, a corrupted, a
 # torn and a durable-then-killed checkpoint, every armed fault firing,
 # recovered output bit-identical to the uninterrupted run — and the
-# storage-error cases: ENOSPC on a WAL write, EIO on a WAL fsync and on a
-# checkpoint rename each fail Run with that error and recover on healthy
-# storage), re-run the crash campaign 20 more times under the race
+# storage-error cases: ENOSPC on a WAL write, EIO on a WAL fsync, segment
+# roll, torn-tail truncation and segment removal, and on a checkpoint
+# create, rename, removal and directory listing each fail the build or
+# Run with that error and recover on healthy storage — and the retention
+# case: a lone checkpoint rewritten in place and corrupted leaves the
+# whole log for a cold start), re-run the crash campaign 20 more times under the race
 # detector (its fault schedule and counts are the same on every run),
 # re-run the crash gate and the mid-block-cursor checkpoint round trip
 # race-free so their assertions are exercised under both schedulers,
 # re-run the scored-figures gate race-free (cmd/figures: every number
-# the Figure 5/6 and extension tables score — veracity precision/recall/
-# F1 against the generator's ground truth, the Figure 2 ablation's lost
-# SDEs and scats F1, worker-selection accuracy, the chaos profiles
-# against their fault-free run — equal to testdata/scores.json, a drop
-# in a quality score named as a regression), gate the block ingest path
+# the paper's figures and the extension tables score — Figure 4's SDEs,
+# derived events and fluent periods per working memory, static and
+# self-adaptive; Figures 5/6; Figure 9's street graph, grid-search α, β
+# and CV RMSE and flow-map range, its maps held to the dense Fit +
+# Predict; veracity precision/recall/F1 against the generator's ground
+# truth, the Figure 2 ablation's lost SDEs and scats F1, worker-selection
+# accuracy, the chaos profiles against their fault-free run — equal to
+# testdata/scores.json, a drop in a quality score named as a
+# regression; Figure 4 and chaos run twice, their scores independent of
+# the schedule), gate the block ingest path
 # and the recognition path (allocations per derived event or busCongestion point of the bus ×
 # intersection rules) against their committed allocation budgets, the
 # column store against the committed resident bytes/event advantage
@@ -219,15 +227,13 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzLoadXML -fuzztime 10s ./streams
 
 # Regenerate every figure of the paper's evaluation and every extension
-# table into ./results: Figure 4, the crowdsourcing figures (5, 6) with
-# the scored extension tables (veracity, the Figure 2 ablation, worker
-# selection, chaos), Figures 7-9 and the dataset statistics.
+# table into ./results: Figures 4-6 and 7-9 (the three SVG maps beside
+# the text) with the scored extension tables (veracity, the Figure 2
+# ablation, worker selection, chaos), then the dataset statistics.
 figures:
 	mkdir -p results
-	$(GO) run ./cmd/rtecbench           | tee results/fig4.txt
-	$(GO) run ./cmd/figures             | tee results/figures.txt
-	$(GO) run ./cmd/gpmap -out results  | tee results/fig7-9.txt
-	$(GO) run ./cmd/datagen -stats      | tee results/dataset.txt
+	$(GO) run ./cmd/figures -out results | tee results/figures.txt
+	$(GO) run ./cmd/datagen -stats       | tee results/dataset.txt
 
 clean:
 	rm -rf results

@@ -4,10 +4,10 @@ package insight
 // at test scale. The cmd/ binaries run the same experiments at the
 // paper's full scale and print the figures' data series:
 //
-//	Figure 4 — cmd/rtecbench   (CE recognition time vs working memory)
+//	Figure 4 — cmd/figures     (CE recognition time vs working memory)
 //	Figure 5 — cmd/figures     (online EM estimation quality)
 //	Figure 6 — cmd/figures     (query execution engine latency)
-//	Figures 7-9 — cmd/gpmap    (street network + GP flow estimates)
+//	Figures 7-9 — cmd/figures  (street network + GP flow estimates)
 
 import (
 	"context"
@@ -168,8 +168,8 @@ func BenchmarkFig6_QEE(b *testing.B) {
 // BenchmarkFig9_GP measures the traffic modelling pass of Figure 9 at
 // every junction of the street network from the SCATS readings, sparse
 // and dense: mean-all is the information-form solve FlowMap and
-// cmd/gpmap run for the flow map, variance-all the per-vertex solves
-// cmd/gpmap runs for its uncertainty map (no kernel either); kernel and
+// cmd/figures run for the flow map, variance-all the per-vertex solves
+// cmd/figures runs for its uncertainty map (no kernel either); kernel and
 // fit+predict are the dense oracle — building the kernel, fitting and
 // predicting the mean on it.
 func BenchmarkFig9_GP(b *testing.B) {

@@ -56,7 +56,8 @@ const (
 	ckptHeader   = ckptNextQAt + 8
 	// ckptKeep is how many recent checkpoints GC retains. Two, so a
 	// checkpoint corrupted after its rename always leaves a valid
-	// predecessor to fall back to.
+	// predecessor to fall back to — or, before a second exists, the
+	// whole log.
 	ckptKeep = 2
 )
 
@@ -368,7 +369,10 @@ func loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpo
 // from the file's fixed header once its CRC verifies; engine state is
 // never decoded here. A negative return means no safe truncation point
 // is known: the log is never truncated past an unreadable retained
-// checkpoint.
+// checkpoint, nor while fewer than ckptKeep checkpoints exist — a lone
+// checkpoint has no predecessor, and a recovery that crosses no
+// boundary rewrites it in place, so a cold start from offset 0 is its
+// fallback.
 func gcCheckpoints(fsys vfs.FS, dir string) (int64, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -393,10 +397,10 @@ func gcCheckpoints(fsys vfs.FS, dir string) (int64, error) {
 			return -1, err
 		}
 	}
-	if len(names) == 0 {
+	if len(names) < ckptKeep {
 		return -1, nil
 	}
-	oldest := names[min(len(names), ckptKeep)-1]
+	oldest := names[ckptKeep-1]
 	data, err := fsys.ReadFile(filepath.Join(dir, oldest))
 	if err != nil {
 		return -1, err

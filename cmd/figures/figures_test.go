@@ -29,7 +29,7 @@ var higherIsBetter = map[string]bool{
 // answers, and the extension tables score the same against the
 // generator's ground truth.
 func TestScores(t *testing.T) {
-	got, err := run(io.Discard)
+	got, err := run(io.Discard, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +56,26 @@ func TestScores(t *testing.T) {
 	}
 }
 
-// TestChaosScoresDeterministic runs the chaos table twice: its scored
-// columns must not depend on how the scheduler interleaves the five
-// input streams (the degraded and mean-lag columns may, and are not
+// TestPipelineScoresDeterministic runs each table that drives the full
+// pipeline twice — Figure 4 and chaos: their scored columns must not
+// depend on how the scheduler interleaves the five input streams (the
+// recognition times, degraded and mean-lag columns may, and are not
 // scored).
-func TestChaosScoresDeterministic(t *testing.T) {
-	var runs [2]scores
-	for i := range runs {
-		runs[i] = make(scores)
-		if err := chaos(&table{name: "chaos", out: io.Discard, scores: runs[i]}); err != nil {
-			t.Fatal(err)
+func TestPipelineScoresDeterministic(t *testing.T) {
+	for _, tb := range []struct {
+		name string
+		fn   func(*table) error
+	}{{"figure4", figure4}, {"chaos", chaos}} {
+		var runs [2]scores
+		for i := range runs {
+			runs[i] = make(scores)
+			if err := tb.fn(&table{name: tb.name, out: io.Discard, scores: runs[i]}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, msg := range diffScores(runs[0], runs[1]) {
-		t.Errorf("second run: %s", msg)
+		for _, msg := range diffScores(runs[0], runs[1]) {
+			t.Errorf("second run: %s", msg)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
@@ -10,31 +9,7 @@ import (
 	"github.com/insight-dublin/insight/rtec"
 )
 
-func TestGridSearchWanted(t *testing.T) {
-	for _, tc := range []struct {
-		alpha, beta float64
-		search      bool
-		missing     string // the flag the error must name; "" for no error
-	}{
-		{0, 0, true, ""},
-		{2, 2.5, false, ""},
-		{2, 0, false, "-beta"},
-		{0, 2.5, false, "-alpha"},
-	} {
-		search, err := gridSearchWanted(tc.alpha, tc.beta)
-		if tc.missing == "" {
-			if err != nil || search != tc.search {
-				t.Errorf("α=%v β=%v: search %v, err %v; want search %v, no error", tc.alpha, tc.beta, search, err, tc.search)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "missing "+tc.missing) {
-			t.Errorf("α=%v β=%v: err %v, want one naming the missing %s", tc.alpha, tc.beta, err, tc.missing)
-		}
-	}
-}
-
-// TestFigure9MatchesDense runs gpmap's computation with its defaults —
+// TestFigure9MatchesDense runs figure9's computation with its constants —
 // seed 1, 966 sensors, 08:00, a 4×4 grid, σ² = 2500 — and holds the
 // grid search to the (α, β) and CV RMSE it has always selected, and both
 // sparse maps to the dense kernel's Fit + Predict, each within 1e-9 of

@@ -1,15 +1,20 @@
-// Command figures prints the paper's crowdsourcing figures — Figure 5
-// (online EM, with batch-EM and γ ablations) and Figure 6 (QEE latency)
+// Command figures prints every figure of the paper's evaluation —
+// Figure 4 (CE recognition against working memory), Figure 5 (online
+// EM, with batch-EM and γ ablations), Figure 6 (QEE latency) and
+// Figures 7–9 (the street graph and the GP flow maps, written as SVGs)
 // — then the extension tables: veracity policies and the Figure 2
 // window/step ablation scored against the synthetic city's ground truth,
 // worker selection, and the pipeline under chaos scored against its
-// fault-free run. It takes no flags: every parameter is a row constant.
-// The package's test holds every scored number to testdata/scores.json;
-// the chaos table's degraded and mean-lag columns depend on scheduling
-// and are not scored.
+// fault-free run. Its one flag, -out (default "."), is the directory
+// the Figure 7–9 SVGs are written to; every model parameter is a row
+// constant. The package's test holds every scored number to
+// testdata/scores.json; Figure 4's recognition times and the chaos
+// table's degraded and mean-lag columns depend on the machine or on
+// scheduling and are not scored.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -22,7 +27,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	if _, err := run(os.Stdout); err != nil {
+	out := flag.String("out", ".", "directory the Figure 7–9 SVGs are written to")
+	flag.Parse()
+	if _, err := run(os.Stdout, *out); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -32,22 +39,25 @@ var tables = []struct {
 	name string
 	fn   func(*table) error
 }{
+	{"figure4", figure4},
 	{"figure5", figure5},
 	{"figure6", figure6},
+	{"figure9", figure9},
 	{"veracity", veracity},
 	{"delay", delay},
 	{"selection", selection},
 	{"chaos", chaos},
 }
 
-// run prints every table to out and returns the numbers they scored.
-func run(out io.Writer) (scores, error) {
+// run prints every table to out, writes the SVG maps into dir and
+// returns the numbers the tables scored.
+func run(out io.Writer, dir string) (scores, error) {
 	s := make(scores)
 	for i, tb := range tables {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
-		if err := tb.fn(&table{name: tb.name, out: out, scores: s}); err != nil {
+		if err := tb.fn(&table{name: tb.name, out: out, dir: dir, scores: s}); err != nil {
 			return nil, fmt.Errorf("%s: %w", tb.name, err)
 		}
 	}
@@ -58,10 +68,12 @@ func run(out io.Writer) (scores, error) {
 // shape of testdata/scores.json.
 type scores map[string]float64
 
-// table is one table being printed into out, recording what it scores.
+// table is one table being printed into out, recording what it scores;
+// a table that draws maps writes them into dir.
 type table struct {
 	name   string
 	out    io.Writer
+	dir    string
 	scores scores
 }
 

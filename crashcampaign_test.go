@@ -36,13 +36,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/streams/wal"
 )
 
@@ -304,17 +307,29 @@ func TestCrashEquivalence(t *testing.T) {
 	}
 }
 
-// TestStorageErrors: an I/O error is not a crash. A full disk under a
-// WAL frame write, a failed WAL fsync and a failed checkpoint rename
-// each end Run with that error, not wal.ErrCrashPoint; every report the
-// operator sink received before it is the uninterrupted run's; and a
-// rerun on the same directory once storage is healthy completes, its
-// reports and the failed run's together (newest wins) equal to the
-// uninterrupted run.
-func TestStorageErrors(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-	city := testCity(t)
-	plain, err := durableSystem(t, city).BuildPipeline(from, until)
+// TestCheckpointRetentionKeepsLog: a recovery whose replay crosses no
+// query boundary writes its checkpoint under the name of the one it
+// loaded. While that is the only checkpoint, the log must keep the
+// records before it: when the rewrite is corrupted, recovery falls back
+// to a cold start from offset 0, which needs the whole log.
+func TestCheckpointRetentionKeepsLog(t *testing.T) {
+	// An hour per boundary on a 400-bus city: the log rolls past its
+	// first 1 MiB segment before the first boundary.
+	const from, until = 7 * 3600, 10 * 3600
+	city, err := dublin.NewCity(dublin.Config{Seed: 42, NumBuses: 400, NumSensors: 400, Hotspots: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSystem := func() *System {
+		cfg := durableConfig(city)
+		cfg.WorkingMemory, cfg.Step = 3600, 3600
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	plain, err := newSystem().BuildPipeline(from, until)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,40 +337,166 @@ func TestStorageErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := make(map[Time]string, len(reps))
-	for _, rep := range reps {
-		baseline[rep.Q] = rep.Fingerprint()
+
+	dir := t.TempDir()
+	final := make(map[Time]string)
+	checkpoints := func() []string {
+		names, err := listCheckpoints(vfs.OS{}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
 	}
-	for _, tc := range []struct {
-		name string
-		f    fault
-	}{
-		// Write 1 is the new segment's header, sync 1 its fsync.
-		{"wal-write-enospc", fault{op: opWrite, suffix: ".seg", n: 8, act: actFail, k: 5, err: syscall.ENOSPC}},
-		{"wal-fsync-eio", fault{op: opSync, suffix: ".seg", n: 8, act: actFail, err: syscall.EIO}},
-		{"ckpt-rename-eio", fault{op: opRename, suffix: ".ck", n: 2, act: actFail, err: syscall.EIO}},
+	var first []string
+	for i, f := range []fault{
+		// The log's 100th write tears: the records before it, over 1 MiB
+		// and short of the first boundary, are durable; no checkpoint is.
+		{op: opWrite, suffix: ".seg", n: 100, act: actTear},
+		// Recovery replays them into the first checkpoint; the live run
+		// makes one more record durable, then dies.
+		{op: opWrite, suffix: ".seg", n: 2, act: actTear},
+		// Recovery replays that record, crosses no boundary and rewrites
+		// the checkpoint it loaded, corrupted as it is renamed.
+		{op: opRename, suffix: ".ck", n: 1, act: actCorrupt},
+		// No valid checkpoint is left: a cold start from offset 0.
+		{},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			fsys := &faultFS{f: tc.f}
-			pipe, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+		fsys := &faultFS{f: f}
+		pipe, info, err := newSystem().BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+		if err == nil {
+			_, err = pipe.Run(context.Background())
+			for _, it := range pipe.Reports.Items() {
+				rep := it[itemReport].(*Report)
+				final[rep.Q] = rep.Fingerprint()
+			}
+		}
+		clean := f == fault{}
+		if clean && err != nil || !clean && !errors.Is(err, wal.ErrCrashPoint) || fsys.hasFired() == clean {
+			t.Fatalf("epoch %d (%+v): fired %v, error %v", i, f, fsys.hasFired(), err)
+		}
+		switch i {
+		case 0:
+			segs, err := os.ReadDir(filepath.Join(dir, "wal"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = pipe.Run(context.Background())
+			if len(segs) < 2 || len(checkpoints()) > 0 {
+				t.Fatalf("first epoch left %d log segments and checkpoints %v, want a rolled log and none", len(segs), checkpoints())
+			}
+		case 1:
+			first = checkpoints()
+			if info.Resumed || len(first) != 1 {
+				t.Fatalf("second epoch resumed %v and left checkpoints %v, want a cold start and one", info.Resumed, first)
+			}
+		case 2:
+			q, _ := parseCheckpointName(first[0])
+			if got := checkpoints(); info.CheckpointQ != q || !slices.Equal(got, first) {
+				t.Fatalf("third epoch resumed q=%d and left %v, want %v rewritten", int64(info.CheckpointQ), got, first)
+			}
+		case 3:
+			if info.Resumed || info.CorruptCheckpoints != 1 {
+				t.Errorf("last epoch resumed %v past %d corrupt checkpoints, want a cold start past one", info.Resumed, info.CorruptCheckpoints)
+			}
+		}
+	}
+	for _, rep := range reps {
+		if want := rep.Fingerprint(); final[rep.Q] != want {
+			t.Errorf("q=%d: union %q, want %q", int64(rep.Q), final[rep.Q], want)
+		}
+	}
+}
+
+// TestStorageErrors: an I/O error is not a crash. A full disk under a
+// WAL frame write, a failed WAL fsync, segment roll, tail truncation or
+// segment removal, and a failed checkpoint create, rename, removal or
+// directory listing each end BuildDurablePipeline or Run with that
+// error, not wal.ErrCrashPoint; every report the operator sink received
+// before it is the uninterrupted run's; and a rerun on the same
+// directory once storage is healthy completes, its reports and the
+// failed run's together (newest wins) equal to the uninterrupted run.
+func TestStorageErrors(t *testing.T) {
+	const from, until = 7 * 3600, 8 * 3600
+	// busy is a city whose hour of input rolls the log past its first
+	// 1 MiB segment, which checkpoint GC then removes.
+	busy, err := dublin.NewCity(dublin.Config{Seed: 42, NumBuses: 400, NumSensors: 400, Hotspots: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cities := map[bool]*dublin.City{false: testCity(t), true: busy}
+	baselines := make(map[bool]map[Time]string)
+	for rolls, city := range cities {
+		plain, err := durableSystem(t, city).BuildPipeline(from, until)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := plain.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		baselines[rolls] = make(map[Time]string, len(reps))
+		for _, rep := range reps {
+			baselines[rolls][rep.Q] = rep.Fingerprint()
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		rolls bool  // on the busy city
+		crash fault // a first run dies of this, leaving the directory to the failing one
+		f     fault
+	}{
+		// Write 1 is the new segment's header, sync 1 its fsync.
+		{name: "wal-write-enospc", f: fault{op: opWrite, suffix: ".seg", n: 8, act: actFail, k: 5, err: syscall.ENOSPC}},
+		{name: "wal-fsync-eio", f: fault{op: opSync, suffix: ".seg", n: 8, act: actFail, err: syscall.EIO}},
+		// Open 1 creates the first segment.
+		{name: "wal-roll-open-eio", rolls: true, f: fault{op: opOpen, suffix: ".seg", n: 2, act: actFail, err: syscall.EIO}},
+		{name: "wal-torn-tail-truncate-eio",
+			crash: fault{op: opWrite, suffix: ".seg", n: 8, act: actTear, tornTail: 64},
+			f:     fault{op: opTruncate, suffix: ".seg", n: 1, act: actFail, err: syscall.EIO}},
+		{name: "wal-gc-remove-eio", rolls: true, f: fault{op: opRemove, suffix: ".seg", n: 1, act: actFail, err: syscall.EIO}},
+		{name: "ckpt-create-eio", f: fault{op: opOpen, suffix: ".ck.tmp", n: 2, act: actFail, err: syscall.EIO}},
+		{name: "ckpt-rename-eio", f: fault{op: opRename, suffix: ".ck", n: 2, act: actFail, err: syscall.EIO}},
+		// The third checkpoint's GC removes the first.
+		{name: "ckpt-gc-remove-eio", f: fault{op: opRemove, suffix: ".ck", n: 1, act: actFail, err: syscall.EIO}},
+		// Listings 1 and 2 are recovery's (log, then checkpoints), 3 the
+		// first checkpoint's GC.
+		{name: "ckpt-gc-readdir-eio", f: fault{op: opReadDir, n: 3, act: actFail, err: syscall.EIO}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			city, baseline := cities[tc.rolls], baselines[tc.rolls]
+			dir := t.TempDir()
+			final := make(map[Time]string, len(baseline))
+			// collect holds every report the operator sink received to the
+			// uninterrupted run's.
+			collect := func(pipe *Pipeline) {
+				for _, it := range pipe.Reports.Items() {
+					rep := it[itemReport].(*Report)
+					if got := rep.Fingerprint(); got != baseline[rep.Q] {
+						t.Errorf("q=%d received before the failure diverged:\n  got:  %s\n  want: %s", int64(rep.Q), got, baseline[rep.Q])
+					}
+					final[rep.Q] = rep.Fingerprint()
+				}
+			}
+			if tc.crash != (fault{}) {
+				pipe, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: &faultFS{f: tc.crash}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := pipe.Run(context.Background()); !errors.Is(err, wal.ErrCrashPoint) {
+					t.Fatalf("crashing run returned %v, want a crash point", err)
+				}
+				collect(pipe)
+			}
+			fsys := &faultFS{f: tc.f}
+			pipe, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+			if err == nil {
+				_, err = pipe.Run(context.Background())
+				collect(pipe)
+			}
 			if !fsys.hasFired() {
 				t.Fatal("the scripted error never fired")
 			}
 			if !errors.Is(err, tc.f.err) || errors.Is(err, wal.ErrCrashPoint) {
-				t.Fatalf("Run returned %v, want %v and no crash point", err, tc.f.err)
-			}
-			final := make(map[Time]string, len(baseline))
-			for _, it := range pipe.Reports.Items() {
-				rep := it[itemReport].(*Report)
-				if got := rep.Fingerprint(); got != baseline[rep.Q] {
-					t.Errorf("q=%d received before the failure diverged:\n  got:  %s\n  want: %s", int64(rep.Q), got, baseline[rep.Q])
-				}
-				final[rep.Q] = rep.Fingerprint()
+				t.Fatalf("the failing run returned %v, want %v and no crash point", err, tc.f.err)
 			}
 			pipe, _, err = durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
 			if err != nil {
@@ -369,7 +510,7 @@ func TestStorageErrors(t *testing.T) {
 				final[rep.Q] = rep.Fingerprint()
 			}
 			if len(final) != len(baseline) {
-				t.Errorf("the two runs reported %d query times, the uninterrupted run %d", len(final), len(baseline))
+				t.Errorf("the runs reported %d query times, the uninterrupted run %d", len(final), len(baseline))
 			}
 			for q, want := range baseline {
 				if final[q] != want {

@@ -18,7 +18,12 @@ const (
 	opWrite fsOp = iota + 1
 	opSync
 	opRename
-	// opOther is every other call; no fault acts at it.
+	opOpen
+	opTruncate
+	opRemove
+	opReadDir
+	// opOther is every other call (ReadFile, SyncDir); no fault acts at
+	// it.
 	opOther
 )
 
@@ -160,7 +165,7 @@ func flipMiddleBit(path string) error {
 
 func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	var f vfs.File
-	err := fs.at(opOther, name, nil, func([]byte) (err error) {
+	err := fs.at(opOpen, name, nil, func([]byte) (err error) {
 		f, err = vfs.OS{}.OpenFile(name, flag, perm)
 		if err == nil && strings.HasSuffix(name, ".seg") {
 			fs.walSeg = name
@@ -178,11 +183,11 @@ func (fs *faultFS) Rename(oldpath, newpath string) error {
 }
 
 func (fs *faultFS) Remove(name string) error {
-	return fs.at(opOther, name, nil, func([]byte) error { return os.Remove(name) })
+	return fs.at(opRemove, name, nil, func([]byte) error { return os.Remove(name) })
 }
 
 func (fs *faultFS) ReadDir(name string) (ents []os.DirEntry, err error) {
-	err = fs.at(opOther, name, nil, func([]byte) (err error) {
+	err = fs.at(opReadDir, name, nil, func([]byte) (err error) {
 		ents, err = os.ReadDir(name)
 		return err
 	})
@@ -217,7 +222,7 @@ func (f *faultFile) Write(p []byte) (n int, err error) {
 }
 
 func (f *faultFile) Truncate(size int64) error {
-	return f.fs.at(opOther, f.name, nil, func([]byte) error { return f.f.Truncate(size) })
+	return f.fs.at(opTruncate, f.name, nil, func([]byte) error { return f.f.Truncate(size) })
 }
 
 func (f *faultFile) Sync() error {

@@ -10,7 +10,7 @@ import (
 // The GP performance benches behind `make bench-gp` (BENCH_gp.json) at
 // city scale (n≈512 street-graph vertices): the flow map's mean and
 // Figure 9's uncertainty map, each sparse (MeanAll, VarianceAll: what
-// FlowMap and cmd/gpmap pay) against the dense oracle; the dense path's
+// FlowMap and cmd/figures pay) against the dense oracle; the dense path's
 // stages — kernel build, fit, predict-all (the mean) and predict (mean
 // + variance) — which the random-walk kernel ablation runs; and the
 // grid search, whose units are MeanAll solves.
@@ -133,7 +133,7 @@ func BenchmarkGP_MeanAll(b *testing.B) {
 }
 
 // BenchmarkGP_VarianceAll is Figure 9's uncertainty map both ways: one
-// sparse solve per vertex (what cmd/gpmap pays) against the dense
+// sparse solve per vertex (what cmd/figures pays) against the dense
 // oracle, Fit + Predict over every vertex, with its kernel built and
 // reused.
 func BenchmarkGP_VarianceAll(b *testing.B) {

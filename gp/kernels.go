@@ -19,7 +19,7 @@ import (
 // junctions. It gives a strictly local support (radius p), unlike the
 // regularized Laplacian's global decay — a meaningful ablation for the
 // traffic model (see GridSearch-style comparison in the tests and
-// cmd/gpmap).
+// examples/sparsitymap).
 
 // RandomWalkKernel builds K = (aI − L)^p for the graph. p must be at
 // least 1; a must make aI − L positive semi-definite, for which
