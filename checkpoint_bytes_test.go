@@ -214,9 +214,9 @@ func oneXCity(tb testing.TB) *dublin.City {
 // the shards' lists are the tier's whole dedup state.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	want := []string{
-		"0720af18239e495baa52e87b54b055c675ef9fe6e37fd9185c21b714d11b985a", // q=07:30
-		"f06faf95928809f2ec251e7d4945891164a4298e9a03cec032e722515f7d77b9", // q=07:45
-		"48c9a864811fd38e1772397928ef7b66c5c8f930f13ef91f4990d0a51e6793d4", // q=08:00
+		"4503be5b0dcac11e4d53dddbcf48abf78dd207e57d84596a5fdc2eddcf41ad00", // q=07:30
+		"a6823045bc22646cfc5b9135510efb1320bec9bfd368f30710203601f029ab62", // q=07:45
+		"ad6fc55b0b9d3c9233e5cc576ceed005049f69993922c35ee8cf0ef961058bae", // q=08:00
 	}
 	city := oneXCity(t)
 	var runs [2][][]byte

@@ -57,28 +57,16 @@ type Config struct {
 	// Default geo.NumRegions (the paper's four city areas).
 	Partitions int
 	// Shards switches recognition to the N-way sharded tier: bus keys
-	// and sensors are rendezvous-assigned to Shards shard engines, the
-	// tier folds the shards' busCongestion transition points into the
-	// cross-shard CE, and skew-driven rebalancing can migrate hot keys
-	// between shards (see DESIGN.md, "Sharded recognition tier"). 0 (the
-	// default) keeps the legacy fixed partitioning; with Shards > 0
-	// Partitions is ignored.
+	// and sensors are assigned to Shards shard engines by a fixed
+	// function of (key, Shards), and the tier folds the shards'
+	// busCongestion transition points into the cross-shard CE (see
+	// DESIGN.md, "Sharded recognition tier"). 0 (the default) keeps the
+	// legacy fixed partitioning; with Shards > 0 Partitions is ignored.
 	Shards int
-	// RebalanceFactor enables automatic skew-driven rebalancing on the
-	// sharded tier: when one shard has routed more than RebalanceFactor
-	// × the average number of bus moves since the last check, its
-	// hottest keys migrate to the least loaded shard. <= 0 (default)
-	// disables automatic rebalancing; System.Rebalance still works.
-	RebalanceFactor float64
-	// RebalanceMinMoves is the minimum number of routed moves before a
-	// skew check concludes. Default 64 × Shards.
-	RebalanceMinMoves int
-	// Participants are the crowdsourcing volunteers. Crowdsourcing is
-	// disabled when empty.
+	// Participants are the crowdsourcing volunteers; a round asks the
+	// five online ones nearest the disagreeing intersection.
+	// Crowdsourcing is disabled when empty.
 	Participants []SimParticipant
-	// CrowdSelection picks whom to query; default
-	// crowd.SelectNearest(5, 0).
-	CrowdSelection crowd.Selection
 	// CrowdResponseTimeout bounds how long one participant's device
 	// may take to produce an answer before the round gives up on it and
 	// marks the worker failed. 0 waits forever — a dead worker then
@@ -162,9 +150,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Partitions == 0 {
 		cfg.Partitions = int(geo.NumRegions)
-	}
-	if cfg.CrowdSelection == nil {
-		cfg.CrowdSelection = crowd.SelectNearest(5, 0)
 	}
 
 	registry, err := cfg.City.Registry(closeMeters)

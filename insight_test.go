@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/crowd/qee"
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/rtec"
@@ -68,7 +67,6 @@ func TestEndToEndMorningRush(t *testing.T) {
 			NoisyPolicy: traffic.Pessimistic,
 			Adaptive:    true,
 		},
-		CrowdSelection: crowd.SelectNearest(5, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -88,7 +88,9 @@ func TestPipelineLivenessStalledRegion(t *testing.T) {
 	}
 
 	// Same city, scats-north dead: the source stalls after its first
-	// item and never recovers.
+	// item and never recovers. The batches it swallows go back to the
+	// transport pool like every other: the run keeps none of them.
+	live := streams.LiveBatches()
 	chaosSys := livenessSystem(t, staleness)
 	chaosPipe, err := chaosSys.BuildChaosPipeline(from, until, ChaosConfig{
 		Streams: map[string]streams.FaultSpec{
@@ -101,6 +103,9 @@ func TestPipelineLivenessStalledRegion(t *testing.T) {
 	reports, err := chaosPipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := streams.LiveBatches(); got != live {
+		t.Errorf("live batches = %d after the run, want %d: the dead stream's swallowed batches were kept", got, live)
 	}
 
 	// A report for every query boundary, despite the silent stream.

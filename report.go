@@ -181,6 +181,10 @@ func (s *System) evaluate(ctx context.Context, q Time, fed int) (*Report, error)
 	return rep, nil
 }
 
+// crowdSelection picks whom a crowdsourcing round asks: the five online
+// participants nearest the disagreeing intersection.
+var crowdSelection = crowd.SelectNearest(5, 0)
+
 // resolveDisagreements runs one crowdsourcing round per intersection
 // with a fresh disagree event: selects participants near the
 // intersection, executes the MapReduce query, fuses the answers with
@@ -203,7 +207,7 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		if !ok {
 			continue
 		}
-		selected := s.cfg.CrowdSelection(s.roster.Online(), inter.Pos)
+		selected := crowdSelection(s.roster.Online(), inter.Pos)
 		if len(selected) == 0 {
 			continue
 		}
@@ -267,8 +271,8 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 // from+2·Step, ..., until over the generator's SDEs of [from, until),
 // calling fn with each report. It runs the Streams pipeline
 // (BuildPipeline); fn runs on the monitoring goroutine once boundary q
-// is complete and before any row is admitted for q+Step, so FlowMap,
-// Estimator and Rebalance called from it see the system as of q. An
+// is complete and before any row is admitted for q+Step, so FlowMap
+// and Estimator called from it see the system as of q. An
 // error from fn, or ctx's when cancelled, ends the run and comes back
 // wrapped.
 func (s *System) Run(ctx context.Context, from, until Time, fn func(*Report) error) error {

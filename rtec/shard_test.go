@@ -70,61 +70,6 @@ func TestRendezvousShardMinimalMovement(t *testing.T) {
 	}
 }
 
-func TestShardMap(t *testing.T) {
-	if _, err := NewShardMap(0); err == nil {
-		t.Error("NewShardMap(0) must error")
-	}
-	if _, err := NewShardMap(-3); err == nil {
-		t.Error("NewShardMap(-3) must error")
-	}
-	m, err := NewShardMap(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range shardKeys(100) {
-		if got, want := m.Shard(key), RendezvousShard(key, 4); got != want {
-			t.Fatalf("Shard(%q) = %d, want rendezvous %d", key, got, want)
-		}
-	}
-
-	// An override redirects exactly the pinned key.
-	key := "bus0001"
-	native := RendezvousShard(key, 4)
-	to := (native + 1) % 4
-	if err := m.SetOverride(key, to); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Shard(key); got != to {
-		t.Fatalf("overridden Shard(%q) = %d, want %d", key, got, to)
-	}
-	if got := m.Shard("bus0002"); got != RendezvousShard("bus0002", 4) {
-		t.Fatal("override leaked to another key")
-	}
-	ovs := m.Overrides()
-	if len(ovs) != 1 || ovs[0].Key != key || ovs[0].Shard != to {
-		t.Fatalf("Overrides() = %v", ovs)
-	}
-
-	// Pinning back to the native shard removes the override.
-	if err := m.SetOverride(key, native); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Overrides()) != 0 {
-		t.Fatalf("native-shard override not removed: %v", m.Overrides())
-	}
-	if got := m.Shard(key); got != native {
-		t.Fatalf("Shard(%q) = %d after override removal, want %d", key, got, native)
-	}
-
-	// Out-of-range overrides are rejected.
-	if err := m.SetOverride(key, 4); err == nil {
-		t.Error("SetOverride(4) on a 4-shard map must error")
-	}
-	if err := m.SetOverride(key, -1); err == nil {
-		t.Error("SetOverride(-1) must error")
-	}
-}
-
 // FuzzShardAssign is the property pin for the assignment function:
 // determinism, range safety, and minimal movement (a key either stays
 // put on reshard n→n+1 or lands on the new shard n).

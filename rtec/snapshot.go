@@ -289,82 +289,6 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 	return nil
 }
 
-// MoveRows moves the rows of one SDE type whose entity key satisfies
-// moved out of s and into dst — the row half of migrating keys between
-// two engines' snapshots. The moved rows merge into dst's bucket in
-// time order, dst's own rows first on ties, through the column store's
-// order merge; dst's dirty watermark takes the earlier of the two
-// buckets' (conservative: the restored engine starts cold anyway).
-func (s *EngineSnapshot) MoveRows(dst *EngineSnapshot, typ string, moved func(key string) bool) error {
-	from := s.typeIndex(typ)
-	if from < 0 {
-		return nil
-	}
-	src := &s.Types[from]
-	if err := src.Rows.validate(); err != nil {
-		return err
-	}
-	// One predicate call per dictionary entry, not per row.
-	goes := make([]bool, len(src.Rows.KDict))
-	for k, key := range src.Rows.KDict {
-		goes[k] = moved(key)
-	}
-	var stay, gone []int32
-	for i, kid := range src.Rows.KIdx {
-		if goes[kid] {
-			gone = append(gone, int32(i))
-		} else {
-			stay = append(stay, int32(i))
-		}
-	}
-	if len(gone) == 0 {
-		return nil
-	}
-	goneRows, err := gatherRows(&src.Rows, gone)
-	if err != nil {
-		return err
-	}
-	stayRows, err := gatherRows(&src.Rows, stay)
-	if err != nil {
-		return err
-	}
-
-	scratch := newColumnStore()
-	lateMin := src.LateMin
-	to := dst.typeIndex(typ)
-	if to >= 0 {
-		if err := dst.Types[to].Rows.validate(); err != nil {
-			return err
-		}
-		scratch.restoreType(&dst.Types[to])
-		if dst.Types[to].LateMin < lateMin {
-			lateMin = dst.Types[to].LateMin
-		}
-	}
-	scratch.insertRows(&goneRows, identityRows(len(gone)), false, 0)
-	scratch.bucketOf(typ).lateMin = lateMin
-	merged, err := scratch.snapshotTypes()
-	if err != nil {
-		return err
-	}
-	src.Rows = stayRows
-	if to >= 0 {
-		dst.Types[to] = merged[0]
-	} else {
-		dst.Types = append(dst.Types, merged[0])
-	}
-	return nil
-}
-
-func (s *EngineSnapshot) typeIndex(typ string) int {
-	for i := range s.Types {
-		if s.Types[i].Rows.Type == typ {
-			return i
-		}
-	}
-	return -1
-}
-
 // Snapshot captures every partition's engine state, in partition
 // order.
 func (p *Partitioned) Snapshot() ([]*EngineSnapshot, error) {

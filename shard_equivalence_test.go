@@ -172,147 +172,14 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	}
 }
 
-// TestShardRebalanceDeterminism pins the migration path: a run that
-// migrates live bus and sensor keys between shards mid-window must
-// produce bit-identical reports to the same run without any
-// rebalancing — no derived event dropped or duplicated across the
-// ownership flip.
-func TestShardRebalanceDeterminism(t *testing.T) {
-	const from, until = Time(7 * 3600), Time(9 * 3600)
-	const step = Time(900)
-	city := testCity(t)
-
-	mk := func() *System {
-		t.Helper()
-		sys, err := New(Config{
-			City:          city,
-			Seed:          7,
-			WorkingMemory: 1800,
-			Step:          step,
-			Shards:        4,
-			Store:         rtec.StoreColumn,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-
-	var base []*Report
-	sys := mk()
-	if err := sys.Run(context.Background(), from, until, func(r *Report) error {
-		base = append(base, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := sys.ShardRebalances(); n != 0 {
-		t.Fatalf("base run rebalanced %d times; automatic rebalancing should be off", n)
-	}
-
-	// Same run, but halfway through, three live buses and two live
-	// sensors migrate to the shard after their current one.
-	var keys []string
-	for _, b := range city.Buses()[:3] {
-		keys = append(keys, b.ID)
-	}
-	for _, s := range city.Sensors()[:2] {
-		keys = append(keys, s.ID)
-	}
-	sys2 := mk()
-	var moved []*Report
-	mid := from + (until-from)/2
-	if err := sys2.Run(context.Background(), from, until, func(rep *Report) error {
-		moved = append(moved, rep)
-		if rep.Q != mid {
-			return nil
-		}
-		// The callback runs between boundaries: the migration lands
-		// after mid is complete and before a row is admitted for mid+step.
-		return sys2.Rebalance(keys, (rtec.RendezvousShard(keys[0], 4)+1)%4)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := sys2.ShardRebalances(); n < 1 {
-		t.Fatalf("rebalances = %d, want >= 1", n)
-	}
-	// The tier's busCongestion inertia is keyed by area: migrating buses
-	// must leave it alone, and the boundary after the migration leans on it.
-	if after := moved[(mid-from)/step]; after.Q != mid+step || !carriedBusCongestion(after) {
-		t.Fatalf("q=%d: no area bus-congested across the migration: inertia path not exercised", after.Q)
-	}
-	for _, rep := range moved {
-		if len(rep.DegradedStreams) > 0 {
-			t.Errorf("q=%d: degraded streams %v after rebalance", rep.Q, rep.DegradedStreams)
-		}
-	}
-	compareShardReports(t, "rebalanced vs unrebalanced", moved, base)
-}
-
-// TestShardAutoRebalancePipeline runs the live columnar pipeline with
-// aggressive automatic skew-driven rebalancing and checks that (a) the
-// tier actually migrates keys, (b) no input stream degrades, and (c)
-// recognition stays bit-identical to the single-engine reference even
-// while keys move between shards during the run.
-func TestShardAutoRebalancePipeline(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-	city := testCity(t)
-
-	run := func(shards int, factor float64) ([]*Report, *System) {
-		t.Helper()
-		sys, err := New(Config{
-			City:              city,
-			Seed:              7,
-			WorkingMemory:     1800,
-			Step:              900,
-			Partitions:        1,
-			Shards:            shards,
-			RebalanceFactor:   factor,
-			RebalanceMinMoves: 40,
-			Store:             rtec.StoreColumn,
-			UnpacedReplay:     true,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := sys.BuildPipeline(from, until)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports, err := pipe.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports, sys
-	}
-
-	reference, _ := run(0, 0)
-	rebalanced, sys := run(4, 1.01)
-	if n := sys.ShardRebalances(); n < 1 {
-		t.Fatalf("rebalances = %d, want >= 1: skew trigger inert", n)
-	}
-	for _, rep := range rebalanced {
-		if len(rep.DegradedStreams) > 0 {
-			t.Errorf("q=%d: degraded streams %v", rep.Q, rep.DegradedStreams)
-		}
-	}
-	compareShardReports(t, "auto-rebalanced vs single engine", rebalanced, reference)
-}
-
 // TestShardTierSnapshotRoundTrip checks the tier's own checkpoint
-// surface: snapshotting a sharded system mid-run — rebalance overrides
-// and all — and restoring it into a fresh system (with the other store
-// kind) must continue bit-identically with the original. So must the
-// same snapshot with the tier dedup list earlier builds wrote — the
-// union of the shards' lists — which a restore ignores.
+// surface: snapshotting a sharded system mid-run and restoring it into
+// a fresh system (with the other store kind) must continue
+// bit-identically with the original. So must the same snapshot with the
+// tier dedup list earlier builds wrote — the union of the shards'
+// lists — which a restore ignores. A tier state carrying a section this
+// build does not keep, such as the key-migration overrides of builds
+// that rebalanced, is refused.
 func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	const step = Time(900)
@@ -385,9 +252,6 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	var repA, repB, repC []*Report
 	if err := sysA.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
 		switch {
-		case rep.Q == from+2*step:
-			// Make the tier state non-trivial before the checkpoint.
-			return sysA.Rebalance([]string{city.Buses()[0].ID}, 2)
 		case rep.Q == mid:
 			var err error
 			if snaps, err = sysA.engines.Snapshot(); err != nil {
@@ -478,11 +342,20 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	if err := sysB.engines.Restore(snaps[:3]); err == nil {
 		t.Error("restore with missing snapshots must error")
 	}
+	// So must a tier state that pins keys to shards other than their
+	// rendezvous owners: this build cannot route by it.
+	retired := decode(wire)
+	st := retired[len(retired)-1]
+	st.Prev = append(st.Prev, rtec.FluentSnapshot{Name: "~shard/overrides", Instances: []rtec.InstanceSnapshot{
+		{Key: city.Buses()[0].ID, Value: "2"},
+	}})
+	if err := sysB.engines.Restore(retired); err == nil || !strings.Contains(err.Error(), `"~shard/overrides"`) {
+		t.Errorf("restore of a tier state with an overrides section: err = %v, want it refused by name", err)
+	}
 }
 
 // TestShardTierElapsed: the tier's own result times the whole Query —
-// rebalance check, the parallel shard queries and the serial fold behind
-// them — so the merged Stats.Elapsed is the boundary's recognition time,
+// the parallel shard queries and the serial fold behind them — so the merged Stats.Elapsed is the boundary's recognition time,
 // not the slowest shard's.
 func TestShardTierElapsed(t *testing.T) {
 	const from = Time(7 * 3600)
@@ -521,112 +394,14 @@ func TestShardTierElapsed(t *testing.T) {
 	}
 }
 
-// TestShardKeyLoadOffWithoutRebalancing: with automatic rebalancing off
-// nothing reads (or clears) the per-key routed-move counts, so none may
-// be kept — not in the tier, not in its snapshot's load section, which
-// every checkpoint carries.
-func TestShardKeyLoadOffWithoutRebalancing(t *testing.T) {
-	const from = Time(7 * 3600)
-	sys, err := New(Config{City: testCity(t), Seed: 7, WorkingMemory: 1800, Step: 900, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := 0
-	err = sys.Run(context.Background(), from, from+2*900, func(r *Report) error {
-		fed += r.FedEvents
-		return nil
-	})
-	if err != nil || fed == 0 {
-		t.Fatalf("two-boundary run fed %d SDEs (err=%v)", fed, err)
-	}
-	tier := sys.engines.(*shardTier)
-	if len(tier.keyLoad) != 0 {
-		t.Errorf("keyLoad holds %d keys with RebalanceFactor 0", len(tier.keyLoad))
-	}
-	for _, fs := range tier.stateSnapshot().Prev {
-		if fs.Name == tierSnapLoad && len(fs.Instances) != 0 {
-			t.Errorf("snapshot load section carries %d instances with RebalanceFactor 0", len(fs.Instances))
-		}
-	}
-}
-
-// TestShardRebalanceCounterSurvivesRestore pins the fix for a snapshot
-// drift caught by the snapshotdrift analyzer: shardTier.rebalances was
-// documented as captured but never serialized, so a restored tier
-// reported zero migrations. The counter now rides in the ~shard/meta
-// section of the tier-state pseudo-snapshot.
-func TestShardRebalanceCounterSurvivesRestore(t *testing.T) {
-	const from = Time(7 * 3600)
-	const step = Time(900)
-	city := testCity(t)
-
-	mk := func() *System {
-		t.Helper()
-		sys, err := New(Config{
-			City:          city,
-			Seed:          7,
-			WorkingMemory: 1800,
-			Step:          step,
-			Shards:        3,
-			Traffic: traffic.Config{
-				NoisyPolicy: traffic.Pessimistic,
-				Adaptive:    true,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-
-	sysA := mk()
-	var sdes []dublin.SDE
-	gen := city.Stream(from, from+2*step)
-	for {
-		sde, ok := gen.Next()
-		if !ok {
-			break
-		}
-		sdes = append(sdes, sde)
-	}
-	if err := sysA.RunReplay(context.Background(), sdes, from, from+step, nil); err != nil {
-		t.Fatal(err)
-	}
-	buses := city.Buses()
-	if err := sysA.Rebalance([]string{buses[0].ID}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := sysA.Rebalance([]string{buses[1].ID}, 1); err != nil {
-		t.Fatal(err)
-	}
-	want := sysA.ShardRebalances()
-	if want == 0 {
-		t.Fatal("manual rebalances did not increment the counter: test is vacuous")
-	}
-
-	snaps, err := sysA.engines.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysB := mk()
-	if err := sysB.engines.Restore(snaps); err != nil {
-		t.Fatal(err)
-	}
-	if got := sysB.ShardRebalances(); got != want {
-		t.Fatalf("restored tier reports %d rebalances, want %d", got, want)
-	}
-}
-
 // TestShardFreshDedupAcrossShards pins the tier's cross-shard Fresh
-// dedup on two scripted streams, each run through RunReplay at two
-// shards and compared with the single engine — fresh events and alerts
-// included. (a) Two buses owned by different shards disagree with one
-// intersection at the same second; the second bus's SDE arrives after
-// the boundary that reported the first. (b) A bus whose disagree and
-// delayIncrease were reported at q migrates in the report callback, and
-// its new owner re-derives both at q+Step. Either way a shard derives,
-// and sees as new, an identity another shard reported at an earlier
-// boundary: only the tier's dedup keeps it out of Result.Fresh.
+// dedup on a scripted stream, run through RunReplay at two shards and
+// compared with the single engine — fresh events and alerts included.
+// Two buses owned by different shards disagree with one intersection at
+// the same second; the second bus's SDE arrives after the boundary that
+// reported the first. Its shard derives, and sees as new, an identity
+// the other shard reported at an earlier boundary: only the tier's
+// dedup keeps it out of Result.Fresh.
 func TestShardFreshDedupAcrossShards(t *testing.T) {
 	const step = Time(900)
 	const from = Time(7 * 3600)
@@ -656,18 +431,15 @@ func TestShardFreshDedupAcrossShards(t *testing.T) {
 	move := func(ts, arrival Time, bus string, delay int64, at traffic.Intersection) dublin.SDE {
 		return dublin.SDE{Event: traffic.Move(ts, bus, "L1", "op", delay, at.Pos, 0, true), Arrival: arrival}
 	}
-	hasDerived := func(rep *Report, typ, key string, ts Time, bus string) bool {
-		for _, ev := range rep.Result.Derived[typ] {
-			if ev.Key != key || ev.Time != ts {
-				continue
-			}
-			if b, _ := ev.Str("bus"); typ != traffic.Disagree || b == bus {
+	disagrees := func(rep *Report, key string, ts Time, bus string) bool {
+		for _, ev := range rep.Result.Derived[traffic.Disagree] {
+			if b, _ := ev.Str("bus"); ev.Key == key && ev.Time == ts && b == bus {
 				return true
 			}
 		}
 		return false
 	}
-	run := func(shards int, sdes []dublin.SDE, migrate map[Time]string) []*Report {
+	run := func(shards int, sdes []dublin.SDE) []*Report {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -685,9 +457,6 @@ func TestShardFreshDedupAcrossShards(t *testing.T) {
 		var reports []*Report
 		if err := sys.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
 			reports = append(reports, rep)
-			if bus, ok := migrate[rep.Q]; ok && shards > 0 {
-				return sys.Rebalance([]string{bus}, 1-rtec.RendezvousShard(bus, 2))
-			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -712,41 +481,15 @@ func TestShardFreshDedupAcrossShards(t *testing.T) {
 			move(ts, ts, onShard[0], 0, in),
 			move(ts, q+60, onShard[1], 0, in), // after q, inside the window of q+step
 		)
-		ref, got := run(0, sdes, nil), run(2, sdes, nil)
+		ref, got := run(0, sdes), run(2, sdes)
 		if !slices.ContainsFunc(at(ref, q).Result.Fresh, func(ev rtec.Event) bool {
 			return ev.Type == traffic.Disagree && ev.Key == in.ID && ev.Time == ts
 		}) {
 			t.Fatalf("q=%d: the first bus's disagreement is not fresh: script is vacuous", q)
 		}
-		if !hasDerived(at(got, q+step), traffic.Disagree, in.ID, ts, onShard[1]) {
+		if !disagrees(at(got, q+step), in.ID, ts, onShard[1]) {
 			t.Fatalf("q=%d: the second bus's shard did not derive the disagreement: script is vacuous", q+step)
 		}
 		compareShardReports(t, "cross-shard duplicate vs single engine", got, ref)
-	})
-
-	t.Run("migrated-bus", func(t *testing.T) {
-		q := from + 2*step
-		in, bus := inters[len(inters)/2], onShard[0]
-		t1, t2 := q-150, q-100 // delay grows by 120 s in 50 s: delayIncrease at t2
-		sdes := append(slices.Clone(scats),
-			move(t1, t1, bus, 0, in),
-			move(t2, t2, bus, 120, in),
-		)
-		ref, got := run(0, sdes, nil), run(2, sdes, map[Time]string{q: bus})
-		for _, typ := range []string{traffic.Disagree, traffic.DelayIncrease} {
-			key := in.ID
-			if typ == traffic.DelayIncrease {
-				key = bus
-			}
-			if !slices.ContainsFunc(at(ref, q).Result.Fresh, func(ev rtec.Event) bool {
-				return ev.Type == typ && ev.Key == key && ev.Time == t2
-			}) {
-				t.Fatalf("q=%d: %s(%s, %d) is not fresh: script is vacuous", q, typ, key, t2)
-			}
-			if !hasDerived(at(got, q+step), typ, key, t2, bus) {
-				t.Fatalf("q=%d: the new owner did not re-derive %s(%s, %d): script is vacuous", q+step, typ, key, t2)
-			}
-		}
-		compareShardReports(t, "migrated re-derivation vs single engine", got, ref)
 	})
 }

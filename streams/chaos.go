@@ -191,6 +191,7 @@ func (c *ChaosSource) ReadContext(ctx context.Context) (Item, bool) {
 			end := c.spec.StallAfter + c.spec.StallFor
 			if c.spec.StallFor <= 0 {
 				c.stats.Stalled++
+				Discard(it)
 				continue // stalled forever: swallow
 			}
 			if c.pulled <= end {

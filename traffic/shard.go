@@ -38,7 +38,7 @@ type ShardPlan struct {
 	// congestionInTheMake) are computed only for owned sensors, so each
 	// instance lives in exactly one shard. Required; it is called during
 	// concurrent shard evaluation and must be safe for concurrent use
-	// and stable between rebalances.
+	// and fixed for the engine's lifetime.
 	OwnsSensor func(sensor string) bool
 }
 
@@ -51,13 +51,4 @@ func BuildShard(cfg Config, plan ShardPlan) (*rtec.Definitions, error) {
 		return nil, fmt.Errorf("traffic: ShardPlan.OwnsSensor is required")
 	}
 	return buildRules(cfg, &plan, nil)
-}
-
-// OwnerScopedFluents lists the simple fluents whose instances live only
-// in the shard owning their key (a bus or a sensor). Rebalancing moves
-// exactly these instances with a migrated key; every other fluent is
-// either computed identically in all shards (sensor aggregates over
-// replicated inputs) or folded by the tier and keyed by area.
-func OwnerScopedFluents() []string {
-	return []string{Noisy, FlowTrend, DensityTrend, CongestionInMake}
 }
