@@ -70,7 +70,7 @@ lint-json:
 # case: a lone checkpoint rewritten in place and corrupted leaves the
 # whole log for a cold start), re-run the crash campaign 20 more times under the race
 # detector (its fault schedule and counts are the same on every run),
-# re-run the crash gate and the mid-block-cursor checkpoint round trip
+# re-run the crash gate and the mid-block-cursor checkpoint rebuild
 # race-free so their assertions are exercised under both schedulers,
 # re-run the scored-figures gate race-free (cmd/figures: every number
 # the paper's figures and the extension tables score — Figure 4's SDEs,
@@ -87,8 +87,8 @@ lint-json:
 # intersection rules) against their committed allocation budgets, the
 # column store against the committed resident bytes/event advantage
 # over the row store (the named reference) and the checkpoint file
-# against its bytes-per-stored-input-SDE budget, its pending records
-# carrying only the dictionary entries their rows use (the race detector
+# against its bytes-per-checkpoint budget — no SDE row, the log holds
+# them all (the race detector
 # inflates allocation counts, so those gates run in a separate non-race
 # pass; gp's PredictAll and MeanAll are held to a constant number of
 # slices there too — the dense mean is a gather and one product, the
@@ -107,13 +107,14 @@ lint-json:
 # backward-stable residual), GP-fit ("error or all-finite estimates"),
 # GP sparse-vs-dense maps (MeanAll and VarianceAll equal the dense
 # kernel's Fit + Predict within 1e-9 of each map, or all refuse),
-# WAL-decode, WAL range-encode (EncodeBatchRows equals EncodeBatch of a
-# fresh copy of the rows, byte for byte), store block-merge, simple-fluent
+# WAL-decode, WAL record-encode (EncodeBatch of a batch whose
+# dictionaries hold entries its rows do not use equals the dictionary
+# dump of a fresh copy of the rows, byte for byte), store block-merge, simple-fluent
 # fold (FoldTransitions equals a per-time-point holdsFor interpreter,
 # whatever the points' split into parts, order and duplicates), Fresh
 # dedup snapshot (seenSet.Entries equals a comparison sort of every
 # identity, through Add, Prune and Restore), shard-assignment,
-# engine-snapshot-decode, checkpoint-decode (format 3 seed corpus),
+# engine-snapshot-decode, checkpoint-decode (format 4 seed corpus),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
 # return batches to valid arrival-ordered envelopes or is refused),
 # ground-truth field (the indexed CongestionAt equals a linear scan over
@@ -136,7 +137,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 5s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
-	$(GO) test -run '^$$' -fuzz FuzzEncodeBatchRows -fuzztime 5s ./streams/wal
+	$(GO) test -run '^$$' -fuzz FuzzEncodeBatch -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 5s ./rtec
@@ -150,9 +151,10 @@ check: lint
 
 # Recovery of the 1× durable run killed right after its second
 # boundary's checkpoint (the kill cmd/e2ebench's insight.recover_ms
-# uses): BuildDurablePipeline on a fresh copy of the killed directory,
-# with the loaded checkpoint's bytes (B/ckpt) and the WAL records
-# replayed beside ns/op.
+# uses): BuildDurablePipeline on a fresh copy of the killed directory —
+# restore, rebuild of the working memory from the log's window, replay of
+# its tail — with the loaded checkpoint's bytes (B/ckpt), the SDE rows
+# re-read for the rebuild and the WAL records replayed beside ns/op.
 bench-recovery:
 	$(GO) test -run '^$$' -bench BenchmarkRecovery -benchmem -count=5 $(BENCHFLAGS) .
 
@@ -176,8 +178,9 @@ bench-gp:
 		-count=5 -json ./gp | tee BENCH_gp.json
 
 # One durable checkpoint of the 1× product run at its second boundary,
-# built (engine snapshots, pending rows) and encoded, with B/ckpt, the
-# Fresh dedup identities and the pending rows reported beside ns/op.
+# built (engine snapshots, window offset, readings) and encoded, with
+# B/ckpt, the Fresh dedup identities and the pending rows recovery
+# rebuilds reported beside ns/op.
 # Profile it with: make bench-checkpoint BENCHFLAGS=-cpuprofile=cpu.prof
 bench-checkpoint:
 	$(GO) test -run '^$$' -bench BenchmarkCheckpoint -benchmem -count=5 $(BENCHFLAGS) .
@@ -197,7 +200,7 @@ loc:
 
 # ~10s of coverage-guided fuzzing per target; linalg regressions land
 # in internal/linalg/testdata/fuzz, GP-fit and sparse-vs-dense mean and
-# variance regressions in gp/testdata/fuzz, WAL frame/codec and range-encoder
+# variance regressions in gp/testdata/fuzz, WAL frame/codec and record-encoder
 # regressions in streams/wal/testdata/fuzz, engine-snapshot and
 # checkpoint decoder regressions in rtec/testdata/fuzz and
 # testdata/fuzz, simple-fluent fold regressions (FoldTransitions against
@@ -212,7 +215,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzMeanVsDense -fuzztime 10s ./gp
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
-	$(GO) test -run '^$$' -fuzz FuzzEncodeBatchRows -fuzztime 10s ./streams/wal
+	$(GO) test -run '^$$' -fuzz FuzzEncodeBatch -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 10s ./rtec

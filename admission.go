@@ -35,12 +35,17 @@ type pendingBlock struct {
 	batch          *streams.Batch
 	blk            *rtec.Block
 	next, consumed int
+	// at is the WAL offset of the record that carried the batch in a
+	// durable pipeline: no checkpoint's window starts past it while the
+	// block is retained.
+	at int64
 }
 
 // retain takes ownership of a batch, rows in arrival order, whose first
-// consumed rows are admissible.
-func (a *admission) retain(b *streams.Batch, consumed int) *pendingBlock {
-	pb := &pendingBlock{batch: b, blk: dublin.Block(b), consumed: consumed}
+// consumed rows are admissible; at is its WAL record's offset (0 outside
+// durable pipelines).
+func (a *admission) retain(b *streams.Batch, consumed int, at int64) *pendingBlock {
+	pb := &pendingBlock{batch: b, blk: dublin.Block(b), consumed: consumed, at: at}
 	a.blocks = append(a.blocks, pb)
 	return pb
 }

@@ -1,13 +1,17 @@
 package insight
 
 // Checkpointed recovery for the durable pipeline. A checkpoint is one
-// atomically-written file capturing everything the monitoring process
-// needs to resume recognition from a query boundary: the boundary
-// cursor, the per-stream consumption cursors, the WAL offset from
-// which consumption must be replayed, the engines' restorable state
-// (rtec.EngineSnapshot), the rows consumed but not yet admitted past a
-// boundary, the system's latest sensor/crowd readings, and the reports
-// that were fired but not yet acknowledged by the operator sink.
+// atomically-written file holding what the monitoring process needs to
+// resume recognition from a query boundary and cannot recompute from the
+// write-ahead log: the boundary cursor, the per-stream consumption
+// cursors, the engines' inertia seeds and Fresh dedup sets
+// (rtec.EngineSnapshot), the system's latest sensor/crowd readings and
+// the reports that were fired but not yet acknowledged by the operator
+// sink. The engines' working memory and the rows consumed but not yet
+// admitted are a function of the logged SDE stream, so the checkpoint
+// names where in the log they start — the window offset — and the
+// boundaries that admitted rows from there on; recovery re-reads the
+// log from that offset and re-admits it (see BuildDurablePipeline).
 //
 // Atomicity. The file is written to a .tmp sibling, fsynced, renamed
 // into place and the directory fsynced — a crash leaves either the
@@ -18,13 +22,14 @@ package insight
 // retained checkpoint. Every file call goes through the internal/vfs
 // seam, where tests script their storage faults.
 //
-// Layout (format 3). A fixed header — magic, CRC32C over every byte
-// after the CRC field, the format byte, the WAL replay offset and the
-// boundary cursor as fixed-width little-endian integers — so the
-// garbage collector learns a retained checkpoint's replay offset
-// without decoding any engine state, followed by the sections in the
-// shared codec vocabulary (internal/codec): stream cursors, pending
-// rows as WAL batch payloads, the engines' columnar binary snapshots
+// Layout (format 4). A fixed header — magic, CRC32C over every byte
+// after the CRC field, the format byte, the window offset, the
+// consumption offset and the boundary cursor as fixed-width
+// little-endian integers — so the garbage collector learns a retained
+// checkpoint's window offset, the front of the log it needs, without
+// decoding anything else; then the sections in the shared codec
+// vocabulary (internal/codec): stream cursors, the boundaries fired
+// since the window offset, the engines' binary snapshots
 // (rtec.EngineSnapshot.AppendBinary; on the sharded tier one per shard
 // plus the tier state), the latest sensor/crowd readings and the
 // unacked reports (a few KB of JSON each).
@@ -46,14 +51,15 @@ import (
 
 const (
 	ckptMagic  = "INSCKPT1"
-	ckptFormat = 3
+	ckptFormat = 4
 	// Fixed header offsets: magic, CRC32C of everything after it, format
-	// byte, WAL replay offset, boundary cursor.
-	ckptCRCAt    = len(ckptMagic)
-	ckptFormatAt = ckptCRCAt + 4
-	ckptOffsetAt = ckptFormatAt + 1
-	ckptNextQAt  = ckptOffsetAt + 8
-	ckptHeader   = ckptNextQAt + 8
+	// byte, window offset, consumption offset, boundary cursor.
+	ckptCRCAt      = len(ckptMagic)
+	ckptFormatAt   = ckptCRCAt + 4
+	ckptWindowAt   = ckptFormatAt + 1
+	ckptConsumedAt = ckptWindowAt + 8
+	ckptNextQAt    = ckptConsumedAt + 8
+	ckptHeader     = ckptNextQAt + 8
 	// ckptKeep is how many recent checkpoints GC retains. Two, so a
 	// checkpoint corrupted after its rename always leaves a valid
 	// predecessor to fall back to — or, before a second exists, the
@@ -105,19 +111,32 @@ type crowdSnap struct {
 	t         Time
 }
 
+// boundaryFire is one query boundary the monitoring process fired: its
+// query time and the WAL end offset of the last record consumed when it
+// fired.
+type boundaryFire struct {
+	q   Time
+	end int64
+}
+
 // checkpoint is the decoded in-memory form of one checkpoint file.
 type checkpoint struct {
-	nextQ     Time
-	walOffset int64
-	cursors   []streamCursor // sorted by stream id
-	// pendingBatches are the consumed-but-unadmitted rows, re-encoded
-	// as WAL batch payloads in exact pending order (consecutive rows of
-	// one retained batch form one mini-batch).
-	pendingBatches [][]byte
-	engines        []*rtec.EngineSnapshot
-	traffic        []trafficSnap // sorted by sensor
-	crowd          []crowdSnap   // sorted by intersection
-	reports        [][]byte      // JSON of fired-but-unacked reports, ascending Q
+	nextQ Time
+	// windowOffset is the start of the oldest logged record holding a
+	// row the engines' stores or the pending set need; consumedOffset, the
+	// consumption offset, is where the records the checkpointed state has
+	// not consumed begin.
+	windowOffset   int64
+	consumedOffset int64
+	cursors        []streamCursor // sorted by stream id
+	// fires are the boundaries that fired after windowOffset, in firing
+	// order: re-admitting at each once the log is re-read to its end
+	// offset rebuilds the stores and the pending set row for row.
+	fires   []boundaryFire
+	engines []*rtec.EngineSnapshot
+	traffic []trafficSnap // sorted by sensor
+	crowd   []crowdSnap   // sorted by intersection
+	reports [][]byte      // JSON of fired-but-unacked reports, ascending Q
 }
 
 // errUnsupportedFormat marks a checkpoint whose envelope is intact
@@ -131,7 +150,8 @@ func (c *checkpoint) encode(dst []byte) ([]byte, error) {
 	dst = append(dst, ckptMagic...)
 	dst = append(dst, 0, 0, 0, 0) // CRC, patched below
 	dst = append(dst, ckptFormat)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.walOffset))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.windowOffset))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.consumedOffset))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.nextQ))
 	dst = codec.AppendUvarint(dst, uint64(len(c.cursors)))
 	for _, cur := range c.cursors {
@@ -139,10 +159,10 @@ func (c *checkpoint) encode(dst []byte) ([]byte, error) {
 		dst = codec.AppendUvarint(dst, uint64(cur.consumed))
 		dst = codec.AppendVarint(dst, int64(cur.watermark))
 	}
-	dst = codec.AppendUvarint(dst, uint64(len(c.pendingBatches)))
-	for _, pb := range c.pendingBatches {
-		dst = codec.AppendUvarint(dst, uint64(len(pb)))
-		dst = append(dst, pb...)
+	dst = codec.AppendUvarint(dst, uint64(len(c.fires)))
+	for _, f := range c.fires {
+		dst = codec.AppendVarint(dst, int64(f.q))
+		dst = codec.AppendVarint(dst, f.end)
 	}
 	dst = codec.AppendUvarint(dst, uint64(len(c.engines)))
 	for _, es := range c.engines {
@@ -180,8 +200,8 @@ func (c *checkpoint) encode(dst []byte) ([]byte, error) {
 }
 
 // checkpointOffset verifies a checkpoint file's envelope — magic, CRC,
-// format — and returns the WAL replay offset from its fixed header,
-// touching none of the sections. A CRC-valid file of another format
+// format — and returns the window offset from its fixed header, touching
+// none of the sections. A CRC-valid file of another format
 // yields errUnsupportedFormat.
 func checkpointOffset(data []byte) (int64, error) {
 	if len(data) < ckptFormatAt+1 {
@@ -200,7 +220,7 @@ func checkpointOffset(data []byte) (int64, error) {
 	if len(data) < ckptHeader {
 		return 0, fmt.Errorf("insight: checkpoint of %d bytes is shorter than its header", len(data))
 	}
-	return int64(binary.LittleEndian.Uint64(data[ckptOffsetAt:])), nil
+	return int64(binary.LittleEndian.Uint64(data[ckptWindowAt:])), nil
 }
 
 // decodeCheckpoint validates and parses checkpoint file bytes.
@@ -210,8 +230,9 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		return nil, err
 	}
 	c := &checkpoint{
-		walOffset: off,
-		nextQ:     Time(binary.LittleEndian.Uint64(data[ckptNextQAt:])),
+		windowOffset:   off,
+		consumedOffset: int64(binary.LittleEndian.Uint64(data[ckptConsumedAt:])),
+		nextQ:          Time(binary.LittleEndian.Uint64(data[ckptNextQAt:])),
 	}
 	d := codec.NewDecoder(data[ckptHeader:])
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
@@ -222,7 +243,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		})
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		c.pendingBatches = append(c.pendingBatches, d.Bytes(d.Count()))
+		c.fires = append(c.fires, boundaryFire{q: Time(d.Varint()), end: d.Varint()})
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		size := d.Bytes(4)
@@ -364,15 +385,16 @@ func loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpo
 }
 
 // gcCheckpoints removes all but the ckptKeep newest checkpoints (and
-// any leftover temp files), then returns the WAL offset of the oldest
+// any leftover temp files), then returns the window offset of the oldest
 // retained checkpoint — the front-truncation point for the log, read
-// from the file's fixed header once its CRC verifies; engine state is
-// never decoded here. A negative return means no safe truncation point
-// is known: the log is never truncated past an unreadable retained
-// checkpoint, nor while fewer than ckptKeep checkpoints exist — a lone
-// checkpoint has no predecessor, and a recovery that crosses no
-// boundary rewrites it in place, so a cold start from offset 0 is its
-// fallback.
+// from the file's fixed header once its CRC verifies: recovery from
+// either retained checkpoint re-reads the log from its window offset on.
+// Nothing else is decoded here. A negative return means no safe
+// truncation point is known: the log is never truncated past an
+// unreadable retained checkpoint, nor while fewer than ckptKeep
+// checkpoints exist — a lone checkpoint has no predecessor, and a
+// recovery that crosses no boundary rewrites it in place, so a cold
+// start from offset 0 is its fallback.
 func gcCheckpoints(fsys vfs.FS, dir string) (int64, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {

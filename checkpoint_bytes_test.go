@@ -15,6 +15,7 @@ import (
 
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/internal/codec"
+	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
 )
@@ -168,8 +169,8 @@ func engineSections(tb testing.TB, data []byte) [][]byte {
 	for i, n := 0, d.Count(); i < n; i++ { // cursors
 		_, _, _ = d.String(), d.Uvarint(), d.Varint()
 	}
-	for i, n := 0, d.Count(); i < n; i++ { // pending rows
-		d.Bytes(d.Count())
+	for i, n := 0, d.Count(); i < n; i++ { // fired boundaries
+		_, _ = d.Varint(), d.Varint()
 	}
 	var out [][]byte
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
@@ -206,23 +207,26 @@ func oneXCity(tb testing.TB) *dublin.City {
 // TestCheckpointBytesDeterministic: a checkpoint file is a pure function
 // of the recovery state. The same 1× durable run, driven twice in one
 // process — the second time on a transport pool the first one warmed —
-// writes byte-identical checkpoint files; a pending record encoded
-// through a recycled batch would carry the pool's leftover dictionaries
-// and differ. The engine sections are pinned by digest. The shard
-// sections are byte for byte those the comparison-sort encoder of the
-// Fresh dedup set wrote; the tier section's dedup list is empty, since
-// the shards' lists are the tier's whole dedup state.
+// writes byte-identical checkpoint files. The engine sections are pinned
+// by digest. The shard sections are byte for byte those the
+// comparison-sort encoder of the Fresh dedup set wrote; the tier
+// section's dedup list is empty, since the shards' lists are the tier's
+// whole dedup state. After every checkpoint the log still holds every
+// record from each retained checkpoint's window offset on.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	want := []string{
-		"4503be5b0dcac11e4d53dddbcf48abf78dd207e57d84596a5fdc2eddcf41ad00", // q=07:30
-		"a6823045bc22646cfc5b9135510efb1320bec9bfd368f30710203601f029ab62", // q=07:45
-		"ad6fc55b0b9d3c9233e5cc576ceed005049f69993922c35ee8cf0ef961058bae", // q=08:00
+		"fbd664774fa7ea14e746bb76ccc642cff56264446aa0f4bd2eb479b2484f2ed2", // q=07:30
+		"47367d40ed9e86b35adfe62bcfb3f5aa83828cba79aa211295f221ca5808d016", // q=07:45
+		"413fc9ddecbce6aadbe6e7cf822040c08d301296eb00b2eca0b9fd6451701329", // q=08:00
 	}
 	city := oneXCity(t)
 	var runs [2][][]byte
 	for i := range runs {
 		r := newDurableReplay(t, city)
-		r.run(t, 0)
+		for k := 1; !r.run(t, k); k++ {
+			r.checkLogFront(t)
+		}
+		r.checkLogFront(t)
 		runs[i] = r.ckpts
 		r.close()
 	}
@@ -234,7 +238,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("checkpoint %d: q=%d, %d bytes, %d pending records", i, ck.nextQ, len(data), len(ck.pendingBatches))
+		t.Logf("checkpoint %d: q=%d, %d bytes, window %d, consumed %d, %d fired boundaries", i, ck.nextQ, len(data), ck.windowOffset, ck.consumedOffset, len(ck.fires))
 		if i < len(runs[1]) && !slices.Equal(data, runs[1][i]) {
 			t.Errorf("checkpoint %d differs between two runs of the same input (%d vs %d bytes)", i, len(data), len(runs[1][i]))
 		}
@@ -247,13 +251,38 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 }
 
+// checkLogFront fails unless the log can be read from the window offset
+// of every checkpoint left in the run's directory: checkpoint GC never
+// truncates the log past a retained checkpoint's window.
+func (r *durableReplay) checkLogFront(tb testing.TB) {
+	tb.Helper()
+	names, err := listCheckpoints(vfs.OS{}, r.dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(r.dir, name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		off, err := checkpointOffset(data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := wal.OpenReader(filepath.Join(r.dir, "wal"), off); err != nil {
+			tb.Errorf("%s: the log cannot be read from its window offset %d: %v", name, off, err)
+		}
+	}
+}
+
 // BenchmarkCheckpoint measures one checkpoint of the 1× durable run at
 // its second boundary (the deterministic state TestCheckpointBytesDeterministic
-// pins): build — engine snapshots, pending rows, readings — and encode
+// pins): build — engine snapshots, window offset, readings — and encode
 // into the file bytes. Disk writes are not timed. Reports the file size
 // (B/ckpt), the Fresh dedup identities the shard engines hold (seen) and
-// the consumed-but-unadmitted rows (pending). A CPU profile is one flag
-// away: make bench-checkpoint BENCHFLAGS=-cpuprofile=cpu.prof
+// the consumed-but-unadmitted rows recovery rebuilds (pending). A CPU
+// profile is one flag away: make bench-checkpoint
+// BENCHFLAGS=-cpuprofile=cpu.prof
 func BenchmarkCheckpoint(b *testing.B) {
 	r := newDurableReplay(b, oneXCity(b))
 	if r.run(b, 2) {
@@ -304,10 +333,12 @@ func BenchmarkCheckpoint(b *testing.B) {
 // BenchmarkRecovery times BuildDurablePipeline on the directory of the
 // 1× durable run killed right after its second boundary's checkpoint
 // became durable — the kill cmd/e2ebench's insight.recover_ms uses: load
-// that checkpoint, restore the engines, replay the log's tail and write
+// that checkpoint, restore the engines, rebuild their working memory and
+// the pending set from the log's window, replay the log's tail and write
 // the recovery checkpoint. Every iteration recovers a fresh copy of the
 // killed run's directory; the copy is not timed. Reports the loaded
-// checkpoint's size (B/ckpt) and the WAL records replayed beside ns/op.
+// checkpoint's size (B/ckpt), the SDE rows re-read for the rebuild
+// (rebuilt) and the WAL records replayed beside ns/op.
 // The replay volume depends on how far the appender ran ahead of the
 // monitoring process before the kill, so it can differ between runs.
 func BenchmarkRecovery(b *testing.B) {
@@ -354,6 +385,7 @@ func BenchmarkRecovery(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(info.CheckpointBytes), "B/ckpt")
+	b.ReportMetric(float64(info.RebuiltEvents), "rebuilt")
 	b.ReportMetric(float64(info.ReplayedRecords), "records")
 }
 

@@ -15,8 +15,6 @@ import (
 
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/internal/vfs"
-	"github.com/insight-dublin/insight/streams"
-	"github.com/insight-dublin/insight/streams/wal"
 )
 
 // productCheckpoint runs the durable pipeline in the product
@@ -60,40 +58,28 @@ func fuzzCity(t testing.TB) *dublin.City {
 }
 
 // TestCheckpointBudget is the size gate of the checkpoint format: on
-// the test-scale product run a checkpoint costs at most 32 bytes per
-// stored input SDE — every stored row is one, replicas included, since
-// no engine of the tier stores derived rows — and measures 26.9 (the
-// row-oriented JSON form cost about 450). Bytes are a pure function of
-// the state, so the gate has no noise band. Every pending record's
-// dictionaries hold only what its rows use: a record encoded through a
-// recycled transport batch once carried the pool's whole vocabulary.
+// the test-scale product run the final checkpoint costs at most 16 KiB
+// and measures 9.2: 5.5 KiB of engine snapshots (clocks, inertia seeds,
+// dedup sets), the cursors, fired boundaries and readings, and 2.2 KiB
+// of JSON per report the sink has not acknowledged yet (one, as a rule)
+// — no SDE row: every stored and pending row is in the log.
 func TestCheckpointBudget(t *testing.T) {
 	data := productCheckpoint(t, testCity(t))
 	ck, err := decodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := 0
+	seen := 0
 	for _, es := range ck.engines {
-		for _, ts := range es.Types {
-			stored += ts.Rows.Len()
-		}
+		seen += len(es.Seen)
 	}
-	if stored < 1000 {
-		t.Fatalf("checkpoint holds only %d stored SDEs; the budget would be vacuous", stored)
+	if seen == 0 || len(ck.fires) == 0 {
+		t.Fatalf("checkpoint holds %d dedup identities and %d fired boundaries; the budget would be vacuous", seen, len(ck.fires))
 	}
-	per := float64(len(data)) / float64(stored)
-	t.Logf("checkpoint: %d bytes for %d stored SDEs = %.1f B/SDE, %d pending records", len(data), stored, per, len(ck.pendingBatches))
-	if per > 32 {
-		t.Errorf("checkpoint costs %.1f bytes per stored SDE, budget is 32", per)
-	}
-	if len(ck.pendingBatches) == 0 {
-		t.Fatal("checkpoint carries no pending record; the dictionary check would be vacuous")
-	}
-	for i, payload := range ck.pendingBatches {
-		if err := dictionariesUsed(payload); err != nil {
-			t.Errorf("pending record %d: %v", i, err)
-		}
+	t.Logf("checkpoint: %d bytes, %d dedup identities, %d fired boundaries since window offset %d (consumed to %d)",
+		len(data), seen, len(ck.fires), ck.windowOffset, ck.consumedOffset)
+	if len(data) > 16<<10 {
+		t.Errorf("checkpoint costs %d bytes, budget is %d", len(data), 16<<10)
 	}
 
 	// One state, one file: re-encoding the decoded checkpoint
@@ -107,110 +93,88 @@ func TestCheckpointBudget(t *testing.T) {
 	}
 }
 
-// dictionariesUsed decodes a pending record and reports a key or string
-// dictionary entry none of its rows uses.
-func dictionariesUsed(payload []byte) error {
-	b, err := wal.DecodeBatch(payload)
-	if err != nil {
-		return err
-	}
-	unused := func(what string, dict []string, ids []uint32) error {
-		used := make([]bool, len(dict))
-		for _, id := range ids {
-			used[id] = true
+// pendingRow is one consumed-but-unadmitted row of a retained block,
+// keyed by its WAL record.
+type pendingRow struct {
+	at       int64
+	row      int
+	t, arriv int64
+	key      string
+}
+
+// pendingRows lists the rows of the pending set and counts the blocks
+// partially admitted (next > 0).
+func pendingRows(blocks []*pendingBlock) (rows []pendingRow, partial int) {
+	for _, pb := range blocks {
+		if pb.next > 0 {
+			partial++
 		}
-		if i := slices.Index(used, false); i >= 0 {
-			return fmt.Errorf("%s dictionary of %d rows holds %q, which no row uses (%d entries)", what, b.Len(), dict[i], len(dict))
-		}
-		return nil
-	}
-	errs := []error{unused("key", b.KDict, b.KIdx)}
-	for ci := range b.Cols {
-		if c := &b.Cols[ci]; c.Kind == streams.ColStr {
-			errs = append(errs, unused("column "+c.Name, c.Dict, c.SIdx))
+		for r := pb.next; r < pb.consumed; r++ {
+			rows = append(rows, pendingRow{pb.at, r, pb.batch.Times[r], pb.batch.Arrivals[r], pb.batch.Keys[r]})
 		}
 	}
-	return errors.Join(errs...)
+	return rows, partial
 }
 
 // TestCheckpointMidBlockCursors: a checkpoint taken while retained
-// blocks are partially admitted (next > 0) carries exactly the rest of
-// each — the epoch dies right after that checkpoint, the next one decodes
-// and restores it, and every report either epoch emits is the
-// uninterrupted run's.
+// blocks are partially admitted (next > 0) is rebuilt to exactly that
+// pending set — the epoch dies right after that checkpoint, leaving the
+// log at its consumption offset, the next one rebuilds its window from
+// the log with nothing left to replay — and every report either epoch
+// emits is the uninterrupted run's.
 func TestCheckpointMidBlockCursors(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
 	city := testCity(t)
-	plain, err := durableSystem(t, city).BuildPipeline(from, until)
+	cfg := durableConfig(city)
+	cfg.Shards = 2
+	plain, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.Run(context.Background())
+	pipe, err := plain.BuildPipeline(replayFrom, replayUntil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	var crashed *Pipeline
-	partial, pendingRows := 0, 0
-	crashed, _, err = durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{
-		Dir: dir,
-		CheckpointFailpoint: func(q Time) CheckpointCrash {
-			if q != from+3*900 {
-				return CrashNone
-			}
-			// The second boundary's checkpoint is encoded and about to be
-			// written: this is the pending set it captured.
-			for _, pb := range crashed.durable.proc.adm.blocks {
-				if pb.next > 0 {
-					partial++
-				}
-				pendingRows += pb.consumed - pb.next
-			}
-			return CrashAfterCheckpoint
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := crashed.Run(context.Background()); !errors.Is(err, wal.ErrCrashPoint) {
-		t.Fatalf("first epoch ended with %v, want the injected crash", err)
-	}
-	if partial == 0 {
-		t.Fatal("no retained block was partially admitted at the checkpoint: the cursor encoding is not exercised")
-	}
-	ck, err := loadLatestCheckpoint(vfs.OS{}, dir, &RecoveryInfo{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := 0
-	for _, payload := range ck.pendingBatches {
-		b, err := wal.DecodeBatch(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored += b.Len()
-		b.Release()
-	}
-	if restored != pendingRows {
-		t.Errorf("checkpoint carries %d pending rows, the crashed epoch held %d in [next, consumed)", restored, pendingRows)
-	}
-	resumed, info, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Resumed || info.CheckpointQ != from+3*900 {
-		t.Fatalf("second epoch RecoveryInfo = %+v, want a resume from the crashed checkpoint", info)
-	}
-	if _, err := resumed.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	got := make(map[Time]string)
-	for _, pipe := range []*Pipeline{crashed, resumed} {
-		for _, it := range pipe.Reports.Items() {
-			rep := it[itemReport].(*Report)
-			got[rep.Q] = rep.Fingerprint()
-		}
+	crashed := newDurableReplay(t, city)
+	crashed.rt.proc.onReport = func(rep *Report) error {
+		crashed.rt.st.noteAck(rep.Q)
+		got[rep.Q] = rep.Fingerprint()
+		return nil
+	}
+	if crashed.run(t, 2) {
+		t.Fatal("the run ended before its second checkpoint")
+	}
+	before, partial := pendingRows(crashed.rt.proc.adm.blocks)
+	if partial == 0 {
+		t.Fatal("no retained block was partially admitted at the checkpoint: the rebuild of a cursor is not exercised")
+	}
+	crashed.close()
+
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, info, err := sys.BuildDurablePipeline(replayFrom, replayUntil, DurableOptions{Dir: crashed.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Resumed || info.CheckpointQ != crashed.written[1] || info.ReplayedRecords != 0 || info.RebuiltEvents == 0 {
+		t.Fatalf("second epoch RecoveryInfo = %+v, want a rebuild of the second checkpoint and nothing to replay", info)
+	}
+	if after, _ := pendingRows(resumed.durable.proc.adm.blocks); !slices.Equal(after, before) {
+		t.Errorf("the rebuild retained %d pending rows, the crashed epoch %d, or other ones", len(after), len(before))
+	}
+	reports, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reports {
+		got[rep.Q] = rep.Fingerprint()
 	}
 	if len(got) != len(want) {
 		t.Errorf("epochs emitted %d distinct boundaries, uninterrupted run %d", len(got), len(want))
@@ -246,10 +210,11 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Format 2 differs from this build's only in the engine sections it
-	// carries (it had one for a reduce engine): it must be refused by its
-	// format byte, never decoded and handed to a tier of another shape.
-	for _, format := range []byte{1, 2} {
+	// Formats 2 and 3 carried the engines' stores and the pending rows
+	// (2 also a reduce engine's section): they must be refused by their
+	// format byte, never decoded and handed to a recovery that would not
+	// rebuild what they hold.
+	for _, format := range []byte{1, 2, 3} {
 		old := append([]byte(nil), valid...)
 		old[ckptFormatAt] = format
 		binary.LittleEndian.PutUint32(old[ckptCRCAt:], crc32.Checksum(old[ckptFormatAt:], ckptCRC))
@@ -286,8 +251,8 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	if info.CorruptCheckpoints != 1 || !info.Resumed || info.CheckpointQ != 100 || info.CheckpointBytes != int64(len(valid)) {
 		t.Errorf("fallback RecoveryInfo = %+v", info)
 	}
-	if off, err := gcCheckpoints(vfs.OS{}, dir); err != nil || off != ck.walOffset {
-		t.Errorf("GC truncation point = %d (err=%v), want the retained checkpoint's %d", off, err, ck.walOffset)
+	if off, err := gcCheckpoints(vfs.OS{}, dir); err != nil || off != ck.windowOffset {
+		t.Errorf("GC truncation point = %d (err=%v), want the retained checkpoint's window offset %d", off, err, ck.windowOffset)
 	}
 }
 
@@ -323,8 +288,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if herr != nil || off != ck.walOffset {
-				t.Fatalf("header reader disagrees with the decoder: off=%d err=%v, decoded %d", off, herr, ck.walOffset)
+			if herr != nil || off != ck.windowOffset {
+				t.Fatalf("header reader disagrees with the decoder: off=%d err=%v, decoded %d", off, herr, ck.windowOffset)
 			}
 			enc, err := ck.encode(nil)
 			if err != nil {

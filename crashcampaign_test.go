@@ -159,9 +159,11 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 	for _, rep := range baseline {
 		res.baseline[rep.Q] = rep.Fingerprint()
 	}
-	// The baseline consumed every envelope live, so its consumption
-	// counter is the total record count.
-	res.baselineRecords = pipe.durable.consumedIdx
+	// The baseline consumed every envelope live, so its per-stream
+	// consumption cursors add up to the total record count.
+	for _, n := range pipe.durable.consumed {
+		res.baselineRecords += int(n)
+	}
 
 	epochDir := filepath.Join(opts.dir, "epochs")
 	rng := rand.New(rand.NewSource(opts.seed))
@@ -415,17 +417,31 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 // directory once storage is healthy completes, its reports and the
 // failed run's together (newest wins) equal to the uninterrupted run.
 func TestStorageErrors(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-	// busy is a city whose hour of input rolls the log past its first
-	// 1 MiB segment, which checkpoint GC then removes.
+	const from = 7 * 3600
+	// busy is a city whose two hours of input roll the log past its first
+	// 1 MiB segment, which checkpoint GC then removes. Its replay is
+	// paced: unpaced, a stream that runs ahead leaves rows in the log's
+	// first records that stay pending to the end of the window, and the
+	// retained checkpoints' window offsets never leave the first segment.
 	busy, err := dublin.NewCity(dublin.Config{Seed: 42, NumBuses: 400, NumSensors: 400, Hotspots: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cities := map[bool]*dublin.City{false: testCity(t), true: busy}
+	untils := map[bool]Time{false: 8 * 3600, true: 9 * 3600}
+	system := func(rolls bool) *System {
+		t.Helper()
+		cfg := durableConfig(cities[rolls])
+		cfg.UnpacedReplay = !rolls
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
 	baselines := make(map[bool]map[Time]string)
-	for rolls, city := range cities {
-		plain, err := durableSystem(t, city).BuildPipeline(from, until)
+	for rolls := range cities {
+		plain, err := system(rolls).BuildPipeline(from, untils[rolls])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +478,7 @@ func TestStorageErrors(t *testing.T) {
 		{name: "ckpt-gc-readdir-eio", f: fault{op: opReadDir, n: 3, act: actFail, err: syscall.EIO}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			city, baseline := cities[tc.rolls], baselines[tc.rolls]
+			until, baseline := untils[tc.rolls], baselines[tc.rolls]
 			dir := t.TempDir()
 			final := make(map[Time]string, len(baseline))
 			// collect holds every report the operator sink received to the
@@ -477,7 +493,7 @@ func TestStorageErrors(t *testing.T) {
 				}
 			}
 			if tc.crash != (fault{}) {
-				pipe, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: &faultFS{f: tc.crash}})
+				pipe, _, err := system(tc.rolls).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: &faultFS{f: tc.crash}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -487,7 +503,7 @@ func TestStorageErrors(t *testing.T) {
 				collect(pipe)
 			}
 			fsys := &faultFS{f: tc.f}
-			pipe, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+			pipe, _, err := system(tc.rolls).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
 			if err == nil {
 				_, err = pipe.Run(context.Background())
 				collect(pipe)
@@ -498,7 +514,7 @@ func TestStorageErrors(t *testing.T) {
 			if !errors.Is(err, tc.f.err) || errors.Is(err, wal.ErrCrashPoint) {
 				t.Fatalf("the failing run returned %v, want %v and no crash point", err, tc.f.err)
 			}
-			pipe, _, err = durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+			pipe, _, err = system(tc.rolls).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
 			if err != nil {
 				t.Fatalf("recovery on healthy storage: %v", err)
 			}

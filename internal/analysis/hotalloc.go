@@ -34,9 +34,9 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // every crowd participant's answer — it reads its static grid and
 // allocates nothing. A durable checkpoint pays rtec's Fresh dedup
 // snapshot (Entries: the output and reused scratch sized per call,
-// nothing per identity) and wal's range encoder for every pending block
-// (EncodeBatchRows and its column writers: one remap table per call,
-// nothing per row or per dictionary entry). Unlike the kernel rule these
+// nothing per identity), and every logged batch pays wal's record
+// encoder (EncodeBatch and its column writers: one remap table per
+// call, nothing per row or per dictionary entry). Unlike the kernel rule these
 // hold at every loop depth (the per-vertex loop of a predictor is an
 // outer loop), closures the function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
@@ -45,7 +45,7 @@ var perCallFuncs = map[string]*regexp.Regexp{
 	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances|Entries)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
-	"wal":      regexp.MustCompile(`^(EncodeBatchRows|appendDictRange|appendCells)$`),
+	"wal":      regexp.MustCompile(`^(EncodeBatch|appendDict|appendCells)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through
@@ -66,7 +66,7 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 // per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
-	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol|gatherRows|snapshotTypes|restoreType)$`),
+	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol)$`),
 	"insight": regexp.MustCompile(`^(admit|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
 	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches|drain)$`),
 }

@@ -1,7 +1,7 @@
 // Package hwfix exercises the hotalloc scoping of package wal. It is
-// loaded under the import path "fixture/wal", so the range encoder
-// EncodeBatchRows and its column writers appendDictRange and appendCells
-// are per-call functions: one remap table sized per call, nothing
+// loaded under the import path "fixture/wal", so the record encoder
+// EncodeBatch and its column writers appendDict and appendCells are
+// per-call functions: one remap table sized per call, nothing
 // allocated per row or per dictionary entry.
 package hwfix
 
@@ -11,12 +11,12 @@ type Col struct {
 	Dict []string
 }
 
-// EncodeBatchRows builds the range's dictionary by appending each first
+// EncodeBatch builds the record's dictionary by appending each first
 // use to a fresh slice: the append is flagged.
-func EncodeBatchRows(dst []byte, c *Col, lo, hi int) []byte {
+func EncodeBatch(dst []byte, c *Col) []byte {
 	remap := make([]uint32, len(c.Dict))
 	var used []string
-	for _, id := range c.SIdx[lo:hi] {
+	for _, id := range c.SIdx {
 		if remap[id] == 0 {
 			used = append(used, c.Dict[id])
 			remap[id] = uint32(len(used))
@@ -28,9 +28,9 @@ func EncodeBatchRows(dst []byte, c *Col, lo, hi int) []byte {
 	return dst
 }
 
-// appendDictRange is the accepted shape: the caller sized remap and
+// appendDict is the accepted shape: the caller sized remap and
 // first, the loops only index them.
-func appendDictRange(dst []byte, dict []string, ids, remap, first []uint32) []byte {
+func appendDict(dst []byte, dict []string, ids, remap, first []uint32) []byte {
 	used := uint32(0)
 	for _, id := range ids {
 		if remap[id] == 0 {

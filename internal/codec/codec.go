@@ -192,36 +192,3 @@ func (d *Decoder) Byte() byte {
 
 // Bool reads a bool.
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
-
-// AppendBits appends a bool sequence packed eight to a byte, first
-// entry in the low bit.
-func AppendBits(b []byte, vs []bool) []byte {
-	for i := 0; i < len(vs); i += 8 {
-		var x byte
-		for j, v := range vs[i:min(i+8, len(vs))] {
-			if v {
-				x |= 1 << j
-			}
-		}
-		b = append(b, x)
-	}
-	return b
-}
-
-// Bits reads n packed bools; padding bits in the last byte are ignored.
-func (d *Decoder) Bits(n int) []bool {
-	if d.err != nil {
-		return nil
-	}
-	nb := (n + 7) / 8
-	if n < 0 || nb > d.Len() {
-		d.Fail("codec: %d packed bits requested with %d bytes remaining at offset %d", n, d.Len(), d.off)
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.b[d.off+i/8]&(1<<(i%8)) != 0
-	}
-	d.off += nb
-	return out
-}

@@ -245,8 +245,9 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 	rtecProc := newRTECProcessor(s, from, until)
 	if dur != nil {
 		// The durable processor already exists: recovery restored its
-		// engines, cursors and pending rows and replayed the log tail
-		// through it before the topology was wired.
+		// engines and cursors, rebuilt their working memory and pending
+		// rows from the log and replayed the log tail through it before
+		// the topology was wired.
 		rtecProc = dur.proc
 	}
 	rtecProc.onReport = onReport
@@ -420,10 +421,11 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 		b.Release()
 		return nil, fmt.Errorf("insight: SDE batch from unknown stream %q", src)
 	}
+	var at int64
 	if p.durable != nil {
 		// The envelope is consumed whatever recognition does with it;
 		// the cursor must say so before any boundary can fire.
-		p.durable.noteConsumed(src)
+		at = p.durable.noteConsumed(src)
 	}
 	n := b.Len()
 	if n == 0 {
@@ -435,10 +437,10 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 		// so the per-row watermark walk is unobservable: every row is
 		// consumed at once and the stream's watermark ends at the batch's
 		// last arrival — exactly the state the per-row loop leaves behind.
-		p.adm.retain(b, n)
+		p.adm.retain(b, n, at)
 		p.watermarks[src] = Time(b.Arrivals[n-1])
 	} else {
-		pb := p.adm.retain(b, 0)
+		pb := p.adm.retain(b, 0, at)
 		for i := 0; i < n; i++ {
 			pb.consumed = i + 1
 			p.watermarks[src] = Time(b.Arrivals[i])
@@ -568,8 +570,8 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 		return nil, err
 	}
 	if p.durable != nil {
-		// Checkpoint before the leftover rows are released: encoding
-		// them needs their blocks still live.
+		// Checkpoint before the leftover rows are released: the window
+		// offset starts no later than the oldest of their records.
 		if err := p.durable.maybeCheckpoint(p); err != nil {
 			return nil, err
 		}
@@ -608,14 +610,18 @@ func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
 }
 
 // release returns what the run did not get to — envelopes still in the
-// replay sources and the SDE queues, blocks the monitoring process
-// retained — to the pool: nothing after a clean run, all three after a
-// cancelled or failed one. The topology's goroutines are gone by now.
+// replay sources, held back by their fault injectors and in the SDE
+// queues, blocks the monitoring process retained — to the pool: nothing
+// after a clean run, any of them after a cancelled or failed one. The
+// topology's goroutines are gone by now.
 func (p *Pipeline) release() {
 	for _, src := range p.replay {
 		for it, ok := src.Read(); ok; it, ok = src.Read() {
 			streams.Discard(it)
 		}
+	}
+	for _, cs := range p.Chaos {
+		cs.DiscardHeld()
 	}
 	for _, id := range []string{"ingest", "sdes"} {
 		if q, ok := p.Topology.Queue(id); ok {

@@ -365,6 +365,35 @@ func TestEveryWayOutReturnsTheBuffers(t *testing.T) {
 	}
 }
 
+// TestAbortedChaosRunReturnsTheBuffers: a chaos run cancelled after its
+// first report returns every transport buffer, those its fault injectors
+// still hold back included — rows a delay has not re-delivered yet, a
+// stalled mediator's backlog.
+func TestAbortedChaosRunReturnsTheBuffers(t *testing.T) {
+	const from, until = Time(7 * 3600), Time(9 * 3600)
+	city := testCity(t)
+	before := streams.LiveBatches()
+	pipe, err := chaosTestSystem(t, city, nil).BuildChaosPipeline(from, until, ChaosConfig{Streams: map[string]streams.FaultSpec{
+		"bus":         {Seed: 3, DelayProb: 0.5, DelayMax: 16},
+		"scats-north": {Seed: 3, StallAfter: 2, StallFor: 1000},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pipe.proc.onReport = func(*Report) error {
+		cancel()
+		return nil
+	}
+	if _, err := pipe.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run returned %v, want it cancelled", err)
+	}
+	if live := streams.LiveBatches(); live != before {
+		t.Errorf("live batches = %d, want %d: the aborted chaos run kept buffers", live, before)
+	}
+}
+
 // TestChaosDropDupMatchesPerEventReference runs the full chaos pipeline
 // with row-level drops and duplicates on every input stream against the
 // per-event reference fed from identically seeded injectors. A stream's

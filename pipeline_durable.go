@@ -13,19 +13,29 @@ package insight
 // consumption order equals append order and a consumed record is
 // always durable (SyncAlways). The monitoring process carries the same
 // rtecProcessor as the plain pipeline plus a checkpoint coordinator:
-// at query-boundary granularity it persists engine snapshots, stream
-// cursors, consumed-but-unadmitted rows and fired-but-unacked reports,
-// all keyed to a WAL offset.
+// at query-boundary granularity it persists what the log cannot
+// recompute — clocks, inertia seeds, dedup sets, stream cursors, latest
+// readings and fired-but-unacked reports — keyed to two WAL offsets:
+// the window offset, where the records holding the engines' working
+// memory and the consumed-but-unadmitted rows begin, and the
+// consumption offset, where the records the checkpoint has not consumed
+// begin.
 //
 // Recovery. BuildDurablePipeline loads the newest checkpoint that
-// passes its CRC (falling back across corrupt ones), restores the
-// engines and processor state, then replays the log from the
-// checkpoint's offset through the processor — re-consuming exactly the
-// records consumed after the checkpoint plus any appended-but-unread
-// tail — before wiring the live topology, whose sources skip the
-// envelopes the cursors already account for. Reports fired but not
-// acknowledged by the operator sink are re-emitted (at-least-once;
-// consumers dedupe by query time, keeping the newest).
+// passes its CRC (falling back across corrupt ones) and restores that
+// state. It then rebuilds the working memory and the pending set: it
+// re-reads the log from the window offset to the consumption offset,
+// retaining every record, and admits at each boundary the checkpoint
+// lists once the log is re-read to the offset that boundary fired at,
+// running no query — the original admission order, so the stores come
+// back row for row and what is still retained at the consumption offset
+// is the old pending set. From there the log is replayed through the
+// processor — re-consuming exactly the records consumed after the
+// checkpoint plus any appended-but-unread tail — before the live
+// topology is wired, whose sources skip the envelopes the cursors
+// already account for. Reports fired but not acknowledged by the
+// operator sink are re-emitted (at-least-once; consumers dedupe by query
+// time, keeping the newest).
 
 import (
 	"encoding/json"
@@ -39,6 +49,7 @@ import (
 	"sync"
 
 	"github.com/insight-dublin/insight/internal/vfs"
+	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
 )
@@ -76,8 +87,13 @@ type RecoveryInfo struct {
 	// CorruptCheckpoints counts checkpoint files that failed their CRC
 	// or decode and were skipped.
 	CorruptCheckpoints int
+	// RebuiltEvents counts the SDE rows re-read from the checkpoint's
+	// window offset to its consumption offset to rebuild the engines'
+	// working memory and the pending set.
+	RebuiltEvents int
 	// ReplayedRecords and ReplayedEvents count the WAL records (and the
-	// SDE rows they carry) re-consumed from the checkpoint's offset.
+	// SDE rows they carry) re-consumed from the checkpoint's consumption
+	// offset.
 	ReplayedRecords int
 	ReplayedEvents  int
 	// ReemittedReports counts fired-but-unacked reports restored from
@@ -89,23 +105,30 @@ type RecoveryInfo struct {
 }
 
 // durableState is the cross-goroutine slice of the durable runtime:
-// the wal-append process records append end offsets, the monitoring
-// process translates its consumption count into a WAL offset, and the
+// the wal-append process records what it appends, the monitoring
+// process translates its consumption count into WAL offsets, and the
 // operator sink acknowledges emitted reports.
 type durableState struct {
 	mu sync.Mutex
-	// base is the WAL frontier at epoch start; ends[i] is the end
-	// offset of the i-th record appended this epoch.
-	base int64
-	ends []int64
+	// recs holds, in log order, every record from offset front on that
+	// recovery read or the wal-append process appended.
+	front int64
+	recs  []walRecord
 	// ackQ is the newest query time the operator sink has received.
 	ackQ Time
 }
 
-func (st *durableState) noteAppend(end int64) {
+// walRecord is one logged record: its end offset and the latest
+// occurrence time among its rows.
+type walRecord struct {
+	end    int64
+	latest Time
+}
+
+func (st *durableState) noteAppend(end int64, latest Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.ends = append(st.ends, end)
+	st.recs = append(st.recs, walRecord{end: end, latest: latest})
 }
 
 func (st *durableState) noteAck(q Time) {
@@ -123,16 +146,44 @@ func (st *durableState) acked() Time {
 }
 
 // endOf returns the WAL offset every consumed record lies below:
-// records append before they are forwarded, so the i-th consumed
-// record of the epoch is the i-th appended one and consumed <=
-// len(ends) always holds when the consumer calls this.
+// records are noted before they are consumed, so the i-th consumed
+// record is recs[i-1] and consumed <= len(recs) always holds when the
+// consumer calls this.
 func (st *durableState) endOf(consumed int) int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if consumed == 0 {
-		return st.base
+		return st.front
 	}
-	return st.ends[consumed-1]
+	return st.recs[consumed-1].end
+}
+
+// window returns where the rebuild of a checkpoint over the first
+// consumed records starts reading: the start of the oldest of them that
+// holds a row occurring after horizon (older rows are gone from the
+// stores and would be dropped again) or that starts at pending (the
+// oldest record with rows still to admit, −1 for none) — the
+// consumption offset if none does. The records before it are forgotten
+// and their number returned: the next checkpoint's window starts no
+// earlier, since its horizon and oldest pending record do not.
+func (st *durableState) window(consumed int, horizon Time, pending int64) (int64, int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	i, at := 0, st.front
+	for ; i < consumed && st.recs[i].latest <= horizon && at != pending; i++ {
+		at = st.recs[i].end
+	}
+	st.recs, st.front = st.recs[i:], at
+	return at, i
+}
+
+// latest returns the latest occurrence time among b's rows.
+func latest(b *streams.Batch) Time {
+	t := rtec.MinTime
+	for _, bt := range b.Times {
+		t = max(t, Time(bt))
+	}
+	return t
 }
 
 // walAppender is the single-writer append process: batch envelopes are
@@ -157,12 +208,12 @@ func (a *walAppender) Process(it streams.Item) (streams.Item, error) {
 // keeps from earlier use never reach the log: its bytes, and with them
 // every WAL offset a checkpoint records, depend on the input alone.
 func (a *walAppender) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
-	a.buf = wal.EncodeBatchRows(a.buf[:0], b, 0, b.Len())
+	a.buf = wal.EncodeBatch(a.buf[:0], b)
 	_, end, err := a.log.Append(a.buf)
 	if err != nil {
 		return nil, err
 	}
-	a.st.noteAppend(end)
+	a.st.noteAppend(end, latest(b))
 	return []streams.Item{streams.BatchItem(b)}, nil
 }
 
@@ -197,11 +248,14 @@ type durableRuntime struct {
 	// consumed counts batch envelopes consumed per stream since the
 	// window origin — the source skip cursor of the next epoch.
 	consumed map[string]int64
-	// consumedIdx counts records consumed in the live epoch; indexes
-	// st.ends to translate consumption into a WAL offset.
+	// consumedIdx counts the records of st.recs consumed; indexes it to
+	// translate consumption into a WAL offset.
 	consumedIdx int
-	// live flips on when recovery replay is done: checkpoint writes and
-	// the epoch record count only make sense against the live log.
+	// fires lists the boundaries fired since the last checkpoint's
+	// window offset, in firing order.
+	fires []boundaryFire
+	// live flips on when recovery replay is done: checkpoint writes only
+	// make sense against the live log.
 	live bool
 	// boundaries counts query boundaries since the last checkpoint.
 	boundaries int
@@ -216,12 +270,12 @@ type durableRuntime struct {
 }
 
 // noteConsumed runs at the top of rtecProcessor.ProcessBatch: the
-// envelope is consumed no matter what recognition does with it.
-func (rt *durableRuntime) noteConsumed(src string) {
+// envelope is consumed no matter what recognition does with it. It
+// returns the WAL offset of the envelope's record.
+func (rt *durableRuntime) noteConsumed(src string) int64 {
 	rt.consumed[src]++
-	if rt.live {
-		rt.consumedIdx++
-	}
+	rt.consumedIdx++
+	return rt.st.endOf(rt.consumedIdx - 1)
 }
 
 // noteBoundary runs as each query boundary fires, inside fireDue —
@@ -231,6 +285,7 @@ func (rt *durableRuntime) noteConsumed(src string) {
 // the next safe point.
 func (rt *durableRuntime) noteBoundary(rep *Report) {
 	rt.recent = append(rt.recent, rep)
+	rt.fires = append(rt.fires, boundaryFire{q: rep.Q, end: rt.st.endOf(rt.consumedIdx)})
 	rt.boundaries++
 }
 
@@ -288,10 +343,25 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	if err != nil {
 		return nil, err
 	}
+	// The stores hold the admitted rows occurring after the last query
+	// time's horizon; the pending set, every retained block's rest.
+	pending := int64(-1)
+	if len(p.adm.blocks) > 0 {
+		pending = p.adm.blocks[0].at
+	}
+	window, forgotten := rt.st.window(rt.consumedIdx, p.nextQ-p.step-s.cfg.WorkingMemory, pending)
+	rt.consumedIdx -= forgotten
+	kept := 0
+	for kept < len(rt.fires) && rt.fires[kept].end <= window {
+		kept++
+	}
+	rt.fires = rt.fires[kept:]
 	ck := &checkpoint{
-		nextQ:     p.nextQ,
-		walOffset: rt.st.endOf(rt.consumedIdx),
-		engines:   engines,
+		nextQ:          p.nextQ,
+		windowOffset:   window,
+		consumedOffset: rt.st.endOf(rt.consumedIdx),
+		fires:          rt.fires,
+		engines:        engines,
 	}
 	ids := make([]string, 0, len(p.watermarks))
 	for id := range p.watermarks {
@@ -305,12 +375,6 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 			watermark: p.watermarks[id],
 		})
 	}
-	// Consumed-but-unadmitted rows, each retained block's [next, consumed)
-	// encoded straight from its batch as a mini-batch, in pending order:
-	// restoring them re-creates the pending set row for row.
-	for _, pb := range p.adm.blocks {
-		ck.pendingBatches = append(ck.pendingBatches, wal.EncodeBatchRows(nil, pb.batch, pb.next, pb.consumed))
-	}
 	for sensor, tr := range s.lastTraffic {
 		ck.traffic = append(ck.traffic, trafficSnap{sensor: sensor, vertex: tr.vertex, flow: tr.flow, t: tr.t})
 	}
@@ -322,31 +386,34 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	// Fired-but-unacked reports ride along for re-emission; reports the
 	// sink has acknowledged are dropped from the carry set.
 	ackQ := rt.st.acked()
-	kept := rt.recent[:0]
+	unacked := rt.recent[:0]
 	for _, rep := range rt.recent {
 		if rep.Q <= ackQ {
 			continue
 		}
-		kept = append(kept, rep)
+		unacked = append(unacked, rep)
 		blob, err := json.Marshal(rep)
 		if err != nil {
 			return nil, err
 		}
 		ck.reports = append(ck.reports, blob)
 	}
-	rt.recent = kept
+	rt.recent = unacked
 	return ck, nil
 }
 
 // BuildDurablePipeline constructs the durable pipeline for SDEs in
 // [from, until), recovering from whatever dur.Dir holds: a fresh
 // directory starts clean, a crashed epoch's directory resumes from its
-// newest valid checkpoint with the log replayed from the checkpoint's
-// offset. The returned RecoveryInfo describes what recovery did; when
-// recovery itself fails once the log is open, it says how far it got.
+// newest valid checkpoint, its working memory rebuilt from the log's
+// window and the log replayed from the checkpoint's consumption offset.
+// The returned RecoveryInfo describes what recovery did; when recovery
+// itself fails once the log is open, it says how far it got.
 //
 // Durable runs refuse a crowdsourcing-enabled system: participant
-// queries are effectful, so replaying them would re-ask the crowd.
+// queries are effectful, so replaying them would re-ask the crowd, and
+// the verdicts enter the engines through Input, not the log, so the
+// rebuild could not see them.
 func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pipeline, *RecoveryInfo, error) {
 	if s.qeeEngine != nil {
 		return nil, nil, fmt.Errorf("insight: durable pipeline cannot drive crowdsourcing (replay would re-query participants)")
@@ -389,30 +456,15 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	}
 	proc.durable = rt
 
-	var replayFrom int64
+	var readFrom int64
 	if ck != nil {
 		if err := s.engines.Restore(ck.engines); err != nil {
 			return fail(err)
-		}
-		s.lastTraffic = make(map[string]trafficReading, len(ck.traffic))
-		for _, ts := range ck.traffic {
-			s.lastTraffic[ts.sensor] = trafficReading{vertex: ts.vertex, flow: ts.flow, t: ts.t}
-		}
-		s.lastCrowd = make(map[string]crowdReading, len(ck.crowd))
-		for _, cs := range ck.crowd {
-			s.lastCrowd[cs.inter] = crowdReading{vertex: cs.vertex, congested: cs.congested, t: cs.t}
 		}
 		proc.nextQ = ck.nextQ
 		for _, cur := range ck.cursors {
 			proc.watermarks[cur.id] = cur.watermark
 			rt.consumed[cur.id] = cur.consumed
-		}
-		for _, payload := range ck.pendingBatches {
-			b, err := wal.DecodeBatch(payload)
-			if err != nil {
-				return fail(fmt.Errorf("insight: checkpoint pending batch: %w", err))
-			}
-			proc.adm.retain(b, b.Len())
 		}
 		for _, blob := range ck.reports {
 			rep := &Report{}
@@ -423,32 +475,84 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 			rt.recent = append(rt.recent, rep)
 		}
 		info.ReemittedReports = len(ck.reports)
-		replayFrom = ck.walOffset
+		rt.fires = ck.fires
+		readFrom = ck.windowOffset
 	}
 
-	// Replay the log from the checkpoint's offset through the processor
-	// — the exact consumption sequence of the crashed epoch's tail.
-	// Boundaries that become due re-fire with the same admitted sets;
-	// their reports stack behind the restored unacked ones. The live
-	// flag is still down, so noteConsumed advances only the per-stream
-	// cursors and maybeCheckpoint stays quiet.
-	stash := proc.due
-	proc.due = nil
-	reader, err := wal.OpenReader(walDir, replayFrom)
+	// Every record read joins the runtime's record list: the next
+	// checkpoint's window can start before the live epoch does.
+	rt.st.front = readFrom
+	reader, err := wal.OpenReader(walDir, readFrom)
 	if err != nil {
 		return fail(err)
 	}
+	next := func() (*streams.Batch, int64, error) {
+		payload, start, end, err := reader.Next()
+		if err != nil {
+			return nil, 0, err
+		}
+		b, err := wal.DecodeBatch(payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("insight: replay record at %d: %w", start, err)
+		}
+		rt.st.noteAppend(end, latest(b))
+		return b, start, nil
+	}
+
+	if ck != nil {
+		// Rebuild: re-read the window up to the consumption offset,
+		// retaining every record, and admit at each recorded boundary once
+		// the log is re-read to where it fired — the original admission
+		// order, no query run. The restored engines drop the rows at or
+		// before their horizon; what stays retained is the pending set.
+		fires := ck.fires
+		for rt.st.endOf(rt.consumedIdx) < ck.consumedOffset {
+			b, start, err := next()
+			if errors.Is(err, io.EOF) {
+				return fail(fmt.Errorf("insight: log ends before checkpoint %s's consumption offset %d", checkpointName(ck.nextQ), ck.consumedOffset))
+			}
+			if err != nil {
+				return fail(err)
+			}
+			rt.consumedIdx++
+			info.RebuiltEvents += b.Len()
+			if b.Len() == 0 {
+				b.Release()
+			} else {
+				proc.adm.retain(b, b.Len(), start)
+			}
+			for end := rt.st.endOf(rt.consumedIdx); len(fires) > 0 && fires[0].end <= end; fires = fires[1:] {
+				if _, err := proc.adm.admit(s, fires[0].q); err != nil {
+					return fail(err)
+				}
+			}
+		}
+		// The readings come back after the rebuild, whose admissions
+		// noted older ones.
+		s.lastTraffic = make(map[string]trafficReading, len(ck.traffic))
+		for _, ts := range ck.traffic {
+			s.lastTraffic[ts.sensor] = trafficReading{vertex: ts.vertex, flow: ts.flow, t: ts.t}
+		}
+		s.lastCrowd = make(map[string]crowdReading, len(ck.crowd))
+		for _, cs := range ck.crowd {
+			s.lastCrowd[cs.inter] = crowdReading{vertex: cs.vertex, congested: cs.congested, t: cs.t}
+		}
+	}
+
+	// Replay the rest of the log through the processor — the exact
+	// consumption sequence of the crashed epoch's tail. Boundaries that
+	// become due re-fire with the same admitted sets; their reports stack
+	// behind the restored unacked ones. The live flag is still down, so
+	// maybeCheckpoint stays quiet.
+	stash := proc.due
+	proc.due = nil
 	for {
-		payload, _, _, err := reader.Next()
+		b, _, err := next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return fail(err)
-		}
-		b, err := wal.DecodeBatch(payload)
-		if err != nil {
-			return fail(fmt.Errorf("insight: replay record: %w", err))
 		}
 		info.ReplayedRecords++
 		info.ReplayedEvents += b.Len()
@@ -461,8 +565,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	info.TornBytes += reader.Torn()
 	proc.due = stash
 	rt.live = true
-	rt.st.base = log.Frontier()
-	info.WALFrontier = rt.st.base
+	info.WALFrontier = log.Frontier()
 
 	// Recovery checkpoint: after any non-empty replay, persist the
 	// recovered state before going live. This bounds replay work across

@@ -1,7 +1,6 @@
 package rtec
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 )
@@ -459,35 +458,6 @@ func unsetIDs(n int) []uint32 {
 	return tr
 }
 
-// repackAny rebuilds a gathered boxed column cell by cell through the
-// append path, which packs it again when the gathered values turn out
-// to share one type (the mismatching rows were evicted) and keeps it
-// boxed otherwise. Values of a type no column kind covers cannot be
-// snapshotted.
-func repackAny(c *BCol) (*BCol, error) {
-	var out BCol
-	opened := false
-	for j, v := range c.A {
-		ok := c.present(j)
-		if ok {
-			switch v.(type) {
-			case float64, int64, int, bool, string:
-			default:
-				return nil, fmt.Errorf("attribute %q has unsupported type %T", c.Name, v)
-			}
-		}
-		switch {
-		case opened:
-			out.appendCell(v, ok, j)
-		case ok:
-			out = newColFor(c.Name, v, j)
-			opened = true
-		}
-	}
-	out.dict = nil // the interning index is not part of the snapshot value
-	return &out, nil
-}
-
 // dirtyFloor returns the earliest late-arrival time across the given
 // SDE types (see eventStore.dirtyFloor — the contract is shared).
 func (s *columnStore) dirtyFloor(sdeTypes map[string]bool) Time {
@@ -523,80 +493,6 @@ func (s *columnStore) residentBytes() uint64 {
 		}
 	}
 	return total
-}
-
-// snapshotTypes gathers every bucket's live rows, in order, into the
-// canonical columnar snapshot form — packed cells move column by
-// column, no event is materialized.
-func (s *columnStore) snapshotTypes() ([]TypeSnapshot, error) {
-	types := make([]string, 0, len(s.types))
-	for typ := range s.types {
-		types = append(types, typ)
-	}
-	sort.Strings(types)
-	out := make([]TypeSnapshot, 0, len(types))
-	for _, typ := range types {
-		b := s.types[typ]
-		rows, err := gatherRows(&b.seg.blk, b.order)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TypeSnapshot{LateMin: b.lateMin, Rows: rows})
-	}
-	return out, nil
-}
-
-// gatherRows gathers the given rows of a dictionary-keyed block into a
-// fresh block in canonical snapshot form: the key dictionary and the
-// string dictionaries re-interned in first-use order, attributes no
-// gathered row carries dropped, presence masks kept only where a row
-// lacks the attribute, boxed columns kept only where the gathered
-// values really mix types, columns sorted by name. The result depends
-// on the gathered rows alone — not on dead rows, insertion history or
-// the column layout they were gathered from.
-func gatherRows(src *Block, ids []int32) (Block, error) {
-	n := len(ids)
-	out := Block{Type: src.Type, Times: make([]int64, n), KIdx: make([]uint32, n)}
-	tr := unsetIDs(len(src.KDict))
-	for j, id := range ids {
-		out.Times[j] = src.Times[id]
-		k := src.KIdx[id]
-		if tr[k] == unsetID {
-			tr[k] = uint32(len(out.KDict))
-			out.KDict = append(out.KDict, src.KDict[k])
-		}
-		out.KIdx[j] = tr[k]
-	}
-	for ci := range src.Cols {
-		c := gatherCol(&src.Cols[ci], ids)
-		if c == nil {
-			continue
-		}
-		if c.Kind == ColAny {
-			var err error
-			if c, err = repackAny(c); err != nil {
-				return Block{}, fmt.Errorf("rtec: snapshot of %s: %w", src.Type, err)
-			}
-		}
-		out.Cols = append(out.Cols, *c)
-	}
-	sort.Slice(out.Cols, func(i, j int) bool { return out.Cols[i].Name < out.Cols[j].Name })
-	return out, nil
-}
-
-// restoreType bulk-files the snapshot rows: one gather per column, one
-// order append, per-key filing on the append fast path. The snapshot's
-// dictionaries are re-interned, so the bucket never aliases it.
-func (s *columnStore) restoreType(ts *TypeSnapshot) {
-	n := ts.Rows.Len()
-	b := s.bucketOf(ts.Rows.Type)
-	b.lateMin = ts.LateMin
-	// Exact-size the row-indexed arrays (the value columns already are):
-	// a restored bucket is as tight as a freshly compacted one.
-	b.seg.blk.Times = make([]int64, 0, n)
-	b.seg.blk.KIdx = make([]uint32, 0, n)
-	b.order = make([]int32, 0, n)
-	s.insertRows(&ts.Rows, identityRows(n), false, 0)
 }
 
 // --- sdeBucket views ---

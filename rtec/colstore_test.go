@@ -378,154 +378,3 @@ func FuzzMergeBlock(f *testing.F) {
 		}
 	})
 }
-
-// TestSnapshotRoundTripLateMin pins the dirty watermark across
-// save/restore for every (source store, destination store) pair: a
-// snapshot taken after late arrivals must restore — into either store
-// kind — with the watermark intact, so the first post-restore query
-// recomputes the late region exactly like the uninterrupted engine.
-func TestSnapshotRoundTripLateMin(t *testing.T) {
-	kinds := []StoreKind{StoreRow, StoreColumn}
-	for _, src := range kinds {
-		for _, dst := range kinds {
-			t.Run(fmt.Sprintf("%v-to-%v", src, dst), func(t *testing.T) {
-				opts := Options{WorkingMemory: 40, Step: 10, RuleWorkers: 1}
-				opts.Store = src
-				e, err := NewEngine(colEquivDefs(t), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed := func(e *Engine, rows ...equivRow) {
-					t.Helper()
-					for _, r := range rows {
-						if err := e.Input(r.event()); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				feed(e,
-					equivRow{t: 5, key: "k1", attrs: map[string]any{"level": 0.95, "alarm": true}},
-					equivRow{t: 12, key: "k2", attrs: map[string]any{"level": 0.2, "count": 3}},
-				)
-				if _, err := e.Query(20); err != nil {
-					t.Fatal(err)
-				}
-				// Late arrivals: at or before the last query time.
-				feed(e,
-					equivRow{t: 8, key: "k1", attrs: map[string]any{"zone": "north", "count": int64(1)}},
-					equivRow{t: 15, key: "k3", attrs: map[string]any{"level": 0.99}},
-				)
-				wantFloor := e.store.dirtyFloor(map[string]bool{"reading": true})
-				if wantFloor != 8 {
-					t.Fatalf("source dirty floor = %d, want 8", int64(wantFloor))
-				}
-
-				snap, err := e.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ropts := opts
-				ropts.Store = dst
-				r, err := NewEngine(colEquivDefs(t), ropts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Restore(snap); err != nil {
-					t.Fatal(err)
-				}
-				if got := r.store.dirtyFloor(map[string]bool{"reading": true}); got != wantFloor {
-					t.Fatalf("restored dirty floor = %d, want %d", int64(got), int64(wantFloor))
-				}
-				// Restored snapshots are idempotent across store kinds.
-				if !bytes.Equal(snapBytes(t, snap), engineBytes(t, r)) {
-					t.Fatalf("snapshot bytes changed across restore")
-				}
-				// The next query incorporates the late region
-				// identically on both engines.
-				a, err := e.Query(30)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := r.Query(30)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a.Fluents, b.Fluents) || !reflect.DeepEqual(a.Derived, b.Derived) {
-					t.Fatalf("post-restore query differs:\nsource:   %v %v\nrestored: %v %v",
-						a.Fluents, a.Derived, b.Fluents, b.Derived)
-				}
-			})
-		}
-	}
-}
-
-// TestRestoreResidentBytes pins the footprint of the bulk restore path:
-// a column-store engine restored from a snapshot holds the same rows in
-// the same packed kinds as the engine that wrote it — no boxed
-// fallback columns, no presence masks, no dead dictionary entries the
-// original does not have — so its resident bytes match the original's
-// (compacted, so both sides hold live rows only) within a few percent.
-func TestRestoreResidentBytes(t *testing.T) {
-	opts := Options{WorkingMemory: 400, Step: 100, RuleWorkers: 1, Store: StoreColumn, Profile: true}
-	orig, err := NewEngine(colEquivDefs(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	var last *Result
-	for q := Time(100); q <= 1200; q += 100 {
-		rows := make([]equivRow, 600)
-		for i := range rows {
-			rows[i] = equivRow{
-				t:   int64(q) - 100 + int64(i)/6,
-				key: fmt.Sprintf("k%d", rng.Intn(40)),
-				attrs: map[string]any{
-					"level": rng.Float64(),
-					"alarm": rng.Intn(2) == 0,
-					"zone":  []string{"north", "south", "east"}[rng.Intn(3)],
-					"count": int64(rng.Intn(9)),
-				},
-			}
-		}
-		if err := orig.InputBlock(rowsToBlock(rows, true)); err != nil {
-			t.Fatal(err)
-		}
-		if last, err = orig.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := orig.store.(*columnStore)
-	for _, b := range cs.types {
-		cs.compact(b)
-	}
-	snap, err := orig.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewEngine(colEquivDefs(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	want, got := float64(orig.store.residentBytes()), float64(restored.store.residentBytes())
-	t.Logf("resident bytes: original %.0f (query-time %d), restored %.0f (%.3f×)", want, last.Stats.ResidentBytes, got, got/want)
-	if got < 0.95*want || got > 1.05*want {
-		t.Fatalf("restored engine holds %.0f resident bytes, original %.0f: outside ±5%%", got, want)
-	}
-	ra, err := orig.Query(1300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := restored.Query(1300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Stats.ResidentBytes == 0 || rb.Stats.ResidentBytes == 0 {
-		t.Fatalf("profiled queries report no resident bytes")
-	}
-	if !reflect.DeepEqual(ra.Fluents, rb.Fluents) || !reflect.DeepEqual(ra.Derived, rb.Derived) {
-		t.Fatalf("post-restore query differs")
-	}
-}

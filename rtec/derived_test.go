@@ -97,10 +97,16 @@ func TestDerivedEventParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		feed := func(e *Engine, q Time) {
+			if err := e.Input(ev("ping", q-3, "a"), ev("ping", q-3, "b"), ev("ping", q-8, "a")); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for q := Time(10); q <= 40; q += 10 {
 			if q == 30 {
-				// Restore mid-run through the codec: the dedup set must
-				// come back, or the overlap would be reported fresh again.
+				// Restore mid-run through the codec and re-input what
+				// arrived so far: the dedup set must come back, or the
+				// overlap would be reported fresh again.
 				var snap EngineSnapshot
 				if err := snap.UnmarshalBinary(engineBytes(t, e)); err != nil {
 					t.Fatal(err)
@@ -111,10 +117,11 @@ func TestDerivedEventParity(t *testing.T) {
 				if err := e.Restore(&snap); err != nil {
 					t.Fatal(err)
 				}
+				for fed := Time(10); fed < q; fed += 10 {
+					feed(e, fed)
+				}
 			}
-			if err := e.Input(ev("ping", q-3, "a"), ev("ping", q-3, "b"), ev("ping", q-8, "a")); err != nil {
-				t.Fatal(err)
-			}
+			feed(e, q)
 			res, err := e.Query(q)
 			if err != nil {
 				t.Fatal(err)

@@ -73,7 +73,7 @@ type Engine struct {
 	defs *Definitions //state:transient compiled rule set, supplied at construction; Restore requires an identically-built engine
 	opts Options      //state:transient config, supplied at construction
 
-	store   sdeStore // time-indexed SDE buckets
+	store   sdeStore //state:derived rebuilt from the WAL by recovery
 	lastQ   Time
 	started bool
 

@@ -60,10 +60,7 @@ const (
 // behaviourally identical through the accessor methods; code must not
 // read Attrs directly on events it did not build itself.
 type Event struct {
-	// Type is the bucket key: snapshots carry it once per bucket as the
-	// Type of TypeSnapshot.Rows, and restored events read it back from
-	// their block.
-	//state:derived carried per bucket as TypeSnapshot.Rows.Type
+	// Type is the bucket key.
 	Type  string
 	Time  Time
 	Key   string

@@ -11,40 +11,28 @@ import (
 	"github.com/insight-dublin/insight/interval"
 )
 
-// Engine snapshots. A snapshot captures everything a Query's outcome
-// depends on besides the definitions and options: the SDE store, the
-// inertia seed (prev), the Fresh dedup set (seen) and the query clock.
-// Restoring it into a fresh engine with the same definitions and
-// options makes every subsequent Query bit-identical to the original
-// engine's — the checkpointed-recovery contract the durable pipeline
-// is built on.
+// Engine snapshots. A snapshot captures what a Query's outcome depends
+// on besides the definitions, the options and the SDEs in the working
+// memory: the inertia seed (prev), the Fresh dedup set (seen) and the
+// query clock. The working memory itself is not captured: it is a
+// function of the SDE stream — the SDEs that arrived by the last query
+// time and occurred in (LastQ−WM, LastQ] — so a restoring engine gets it
+// back by having those SDEs input again, which the durable pipeline does
+// from its write-ahead log. Restoring a snapshot into a fresh engine
+// with the same definitions and options and re-inputting that window
+// makes every subsequent Query bit-identical to the original engine's —
+// the checkpointed-recovery contract the durable pipeline is built on.
 //
 // The incremental splice cache is deliberately not captured: a
 // restored engine starts cold and recomputes its first window in full,
-// which the PR 1 equivalence harness pins to the incremental path's
-// output bit for bit. That keeps snapshots small and their format
-// independent of per-rule cache internals.
+// which the incremental-vs-full equivalence tests pin to the
+// incremental path's output bit for bit. That keeps snapshots small and
+// their format independent of per-rule cache internals.
 //
-// Every slice in a snapshot is deterministically ordered (types and
-// fluents by name, instances by key/value, seen entries by
-// type/key/time, events in store order), so identical engine states
-// produce identical snapshots — which is what lets the chaos harness
-// compare checkpoints across runs byte for byte.
-
-// TypeSnapshot is one SDE type's store bucket in the canonical columnar
-// form every store implementation hands out and takes back: the live
-// rows only, in store order (time-sorted, arrival-stable), so neither
-// compaction history nor dead dictionary entries ever show.
-type TypeSnapshot struct {
-	LateMin Time
-	// Rows holds the bucket's rows column-wise. Keys is nil — entity
-	// keys are dictionary-encoded through KIdx/KDict, the dictionary in
-	// first-use order; Cols are sorted by name, string dictionaries in
-	// first-use order, a Present mask exists only where some row lacks
-	// the attribute, and a boxed (ColAny) column only where the rows'
-	// values really mix types.
-	Rows Block
-}
+// Every slice in a snapshot is deterministically ordered (fluents by
+// name, instances by key/value, seen entries by type/key/time), so
+// identical engine states produce identical snapshots, whichever store
+// implementation is configured.
 
 // InstanceSnapshot is one fluent instance's un-clipped maximal
 // intervals from the last query (the law-of-inertia seed).
@@ -84,28 +72,16 @@ func (a SeenEntry) Compare(b SeenEntry) int {
 type EngineSnapshot struct {
 	LastQ   Time
 	Started bool
-	Types   []TypeSnapshot
 	Prev    []FluentSnapshot
 	Seen    []SeenEntry
 }
 
 // Snapshot captures the engine's restorable state. The engine is not
 // mutated; take snapshots between Query calls (the pipeline does so at
-// window boundaries), never concurrently with Input or Query.
+// window boundaries), never concurrently with Input or Query. The error
+// is always nil.
 func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 	s := &EngineSnapshot{LastQ: e.lastQ, Started: e.started}
-
-	// The store hands its rows out in the canonical columnar form:
-	// identical engine states produce identical snapshots whichever
-	// store implementation is configured, so a checkpoint written by a
-	// row-store engine restores into a column-store one (and vice
-	// versa) bit-identically.
-	types, err := e.store.snapshotTypes()
-	if err != nil {
-		return nil, err
-	}
-	s.Types = types
-
 	fluents := make([]string, 0, len(e.prev))
 	for name := range e.prev {
 		fluents = append(fluents, name)
@@ -239,31 +215,12 @@ func CanonicalSurvivor(same []Event) int {
 
 // Restore replaces the engine's state with a snapshot's. The engine
 // must have been built with the same definitions and options as the
-// snapshotted one; SDE types the definitions don't declare are
-// rejected. All previous state — store, inertia, dedup set, splice
-// caches — is discarded.
+// snapshotted one. All previous state — store, inertia, dedup set,
+// splice caches — is discarded, and the store is left empty: the
+// caller re-inputs the SDEs that arrived by s.LastQ and occurred after
+// s.LastQ−WM (Input and InputBlock drop anything older), in their
+// original admission order.
 func (e *Engine) Restore(s *EngineSnapshot) error {
-	// The rebuilt store is whatever kind the restoring engine is
-	// configured with — snapshots are store-representation-independent,
-	// so a checkpoint migrates between store kinds transparently.
-	store := newSDEStore(e.opts.Store)
-	restored := make(map[string]bool, len(s.Types))
-	for i := range s.Types {
-		ts := &s.Types[i]
-		typ := ts.Rows.Type
-		if !e.defs.IsSDE(typ) {
-			return fmt.Errorf("rtec: snapshot type %q was not declared as an SDE", typ)
-		}
-		if restored[typ] {
-			return fmt.Errorf("rtec: duplicate snapshot type %q", typ)
-		}
-		restored[typ] = true
-		if err := ts.Rows.validate(); err != nil {
-			return err
-		}
-		store.restoreType(ts)
-	}
-
 	prev := make(map[string]map[KV]List, len(s.Prev))
 	for _, fs := range s.Prev {
 		if _, dup := prev[fs.Name]; dup {
@@ -280,7 +237,7 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 		prev[fs.Name] = m
 	}
 
-	e.store = store
+	e.store = newSDEStore(e.opts.Store)
 	e.prev = prev
 	e.seen.Restore(s.Seen)
 	e.cache = make(map[string]*ruleCache) // cold: first query recomputes in full

@@ -155,8 +155,10 @@ func eventsEqual(a, b []Event) bool {
 }
 
 // TestSnapshotRestoreEquivalence pins the recovery contract: after
-// restoring a mid-run snapshot into a fresh engine, every subsequent
-// query is identical to the uninterrupted engine's.
+// restoring a mid-run snapshot into a fresh engine and re-inputting the
+// SDEs that arrived by its query time — the engine drops those at or
+// before LastQ−WM, so what it keeps is the window the original holds —
+// every subsequent query is identical to the uninterrupted engine's.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	defs := snapDefs(t)
 	opts := Options{WorkingMemory: 120, Step: 50}
@@ -181,6 +183,18 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
+	}
+	if b := restored.store.bucket("tick"); b != nil {
+		t.Fatal("Restore left rows in the store")
+	}
+	for q := Time(50); q <= 150; q += 50 {
+		snapFeed(t, restored, q)
+	}
+	for _, typ := range []string{"tick", "on", "off"} {
+		all := Span{Start: -MaxTime, End: MaxTime}
+		if a, b := orig.store.bucket(typ), restored.store.bucket(typ); a == nil || b == nil || a.countInSpan(all) != b.countInSpan(all) {
+			t.Fatalf("re-input rebuilt a different %s bucket", typ)
+		}
 	}
 
 	// A restored engine's snapshot reproduces the original snapshot
@@ -218,18 +232,14 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 
 // TestSnapshotDeterministic is the canonical-bytes gate: one engine
 // state has exactly one binary snapshot — repeated snapshots, either
-// store kind, a column store before and after dead-row compaction, a
-// snapshot→restore→snapshot round trip through either store and a
-// decode→encode round trip all yield the same bytes.
+// store kind, a snapshot→restore→snapshot round trip through either
+// store and a decode→encode round trip all yield the same bytes.
 func TestSnapshotDeterministic(t *testing.T) {
 	mk := func(kind StoreKind) *Engine {
 		e, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100, Step: 50, Store: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Three windows: the first one's rows are evicted by the last
-		// query, so the column store carries dead rows (fewer than live
-		// ones — it has not compacted yet).
 		for q := Time(50); q <= 150; q += 50 {
 			snapFeed(t, e, q)
 			if _, err := e.Query(q); err != nil {
@@ -247,20 +257,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if got := engineBytes(t, col); !bytes.Equal(want, got) {
 		t.Fatalf("repeated snapshots differ")
 	}
-	// Deterministic ordering, not just equality: types, columns and
-	// fluents sorted by name.
-	for i := 1; i < len(a.Types); i++ {
-		if a.Types[i-1].Rows.Type >= a.Types[i].Rows.Type {
-			t.Fatalf("types not sorted: %q before %q", a.Types[i-1].Rows.Type, a.Types[i].Rows.Type)
-		}
+	if len(a.Prev) == 0 || len(a.Seen) == 0 {
+		t.Fatalf("fixture snapshot carries %d fluents and %d dedup entries: the gate is vacuous", len(a.Prev), len(a.Seen))
 	}
-	for _, ts := range a.Types {
-		for i := 1; i < len(ts.Rows.Cols); i++ {
-			if ts.Rows.Cols[i-1].Name >= ts.Rows.Cols[i].Name {
-				t.Fatalf("%s columns not sorted: %q before %q", ts.Rows.Type, ts.Rows.Cols[i-1].Name, ts.Rows.Cols[i].Name)
-			}
-		}
-	}
+	// Deterministic ordering, not just equality: fluents sorted by name.
 	for i := 1; i < len(a.Prev); i++ {
 		if a.Prev[i-1].Name >= a.Prev[i].Name {
 			t.Fatalf("fluents not sorted: %q before %q", a.Prev[i-1].Name, a.Prev[i].Name)
@@ -269,19 +269,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 	if got := engineBytes(t, mk(StoreRow)); !bytes.Equal(want, got) {
 		t.Fatalf("row-store snapshot differs from column-store snapshot of the same state")
-	}
-
-	cs := col.store.(*columnStore)
-	dead := 0
-	for _, b := range cs.types {
-		dead += b.dead
-		cs.compact(b)
-	}
-	if dead == 0 {
-		t.Fatalf("fixture carries no dead rows; the compaction leg tests nothing")
-	}
-	if got := engineBytes(t, col); !bytes.Equal(want, got) {
-		t.Fatalf("snapshot changed across dead-row compaction")
 	}
 
 	for _, kind := range []StoreKind{StoreRow, StoreColumn} {
@@ -322,11 +309,12 @@ func TestPartitionedSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var evs []Event
 	for i := 0; i < 6; i++ {
-		ev := NewEvent("on", Time(5+i*7), fmt.Sprintf("dev-%d", i), nil)
-		if err := orig.Input(ev); err != nil {
-			t.Fatal(err)
-		}
+		evs = append(evs, NewEvent("on", Time(5+i*7), fmt.Sprintf("dev-%d", i), nil))
+	}
+	if err := orig.Input(evs...); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := orig.Query(50); err != nil {
 		t.Fatal(err)
@@ -343,6 +331,9 @@ func TestPartitionedSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := restored.Restore(snaps); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Input(evs...); err != nil {
 		t.Fatal(err)
 	}
 	ra, err := orig.Query(100)
@@ -365,58 +356,22 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.Restore(&EngineSnapshot{
-		Types: []TypeSnapshot{{Rows: Block{Type: "ghost"}}},
-	}); err == nil {
-		t.Fatalf("undeclared SDE type accepted")
-	}
-	tick := func(mut func(*Block)) *EngineSnapshot {
-		b := Block{
-			Type: "tick", Times: []int64{10, 20}, KIdx: []uint32{0, 0}, KDict: []string{"a"},
-			Cols: []BCol{{Name: "src", Kind: ColStr, SIdx: []uint32{0, 0}, Dict: []string{"bus"}}},
-		}
-		mut(&b)
-		return &EngineSnapshot{Types: []TypeSnapshot{{LateMin: MaxTime, Rows: b}}}
-	}
-	if err := e.Restore(tick(func(*Block) {})); err != nil {
-		t.Fatalf("well-formed rows rejected: %v", err)
-	}
-	for name, mut := range map[string]func(*Block){
-		"unsorted rows":          func(b *Block) { b.Times[1] = 5 },
-		"transport-keyed rows":   func(b *Block) { b.Keys = []string{"a", "a"} },
-		"key id out of range":    func(b *Block) { b.KIdx[1] = 1 },
-		"short column":           func(b *Block) { b.Cols[0].SIdx = b.Cols[0].SIdx[:1] },
-		"short presence mask":    func(b *Block) { b.Cols[0].Present = []bool{true} },
-		"string id out of range": func(b *Block) { b.Cols[0].SIdx[0] = 3 },
-		"duplicate column":       func(b *Block) { b.Cols = append(b.Cols, b.Cols[0]) },
-		"unknown column kind":    func(b *Block) { b.Cols[0].Kind = ColAny + 1 },
-		"unsupported boxed value": func(b *Block) {
-			b.Cols[0] = BCol{Name: "src", Kind: ColAny, A: []any{1.5, []int{1}}}
-		},
-	} {
-		if err := e.Restore(tick(mut)); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-	if err := e.Restore(&EngineSnapshot{
 		Prev: []FluentSnapshot{{Name: "power", Instances: []InstanceSnapshot{
 			{Key: "a", Value: "true", Spans: List{sp(30, 20)}},
 		}}},
 	}); err == nil {
 		t.Fatalf("invalid interval list accepted")
 	}
-	// Unsupported attribute types are a snapshot-time error.
-	if err := e.Input(NewEvent("tick", 5, "a", map[string]any{"bad": []int{1}})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Snapshot(); err == nil {
-		t.Fatalf("unsupported attribute type accepted")
+	if err := e.Restore(&EngineSnapshot{
+		Prev: []FluentSnapshot{{Name: "power"}, {Name: "power"}},
+	}); err == nil {
+		t.Fatalf("duplicate fluent accepted")
 	}
 }
 
 // fuzzSeedSnapshots renders two real miniature snapshots: the mixed
 // map/columnar load of snapFeed (inertia and dedup state included) and
-// a randomized load whose partial, mixed-kind attribute sets exercise
-// presence masks and the boxed column kind.
+// a randomized load over another definition set.
 func fuzzSeedSnapshots(t testing.TB) [][]byte {
 	t.Helper()
 	plain, err := NewEngine(snapDefs(t), Options{WorkingMemory: 120, Step: 50, Store: StoreColumn})
@@ -446,9 +401,8 @@ func fuzzSeedSnapshots(t testing.TB) [][]byte {
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder:
-// nothing panics, whatever decodes passes Restore's validation and
-// re-encodes, and the re-encoding is a fixed point — it decodes to a
-// snapshot that encodes to the same bytes.
+// nothing panics, whatever decodes re-encodes, and the re-encoding is a
+// fixed point — it decodes to a snapshot that encodes to the same bytes.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, seed := range fuzzSeedSnapshots(f) {
 		f.Add(seed)
@@ -478,9 +432,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if enc2 := snapBytes(t, &again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("re-encoding is not a fixed point:\n%x\nvs\n%x", enc, enc2)
 		}
-		// Restore either rejects the snapshot (undeclared type, invalid
-		// intervals) or files it — the same way into both stores, which
-		// then agree on the canonical bytes of what they hold.
+		// Restore either rejects the snapshot (invalid intervals, a
+		// duplicate fluent) or takes it — the same way into both stores,
+		// which then agree on the canonical bytes of what they hold.
 		var restored [][]byte
 		for _, kind := range []StoreKind{StoreRow, StoreColumn} {
 			e, err := NewEngine(defs, Options{WorkingMemory: 60, Step: 20, Store: kind})

@@ -17,8 +17,8 @@ import "sort"
 //     query time, which the incremental evaluator consults through
 //     dirtyFloor.
 //
-// Query-visible behaviour (window contents, key sets, dirty floors,
-// snapshots) must be bit-identical across implementations; the
+// Query-visible behaviour (window contents, key sets, dirty floors)
+// must be bit-identical across implementations; the
 // randomized store-equivalence tests pin this.
 type sdeStore interface {
 	// insert files one event; late marks events landing at or before
@@ -39,15 +39,6 @@ type sdeStore interface {
 	// long-lived structures (events, indexes, columns, dictionaries).
 	// O(stored events); the engine only calls it under Profile.
 	residentBytes() uint64
-	// snapshotTypes hands out every bucket's live rows in the canonical
-	// columnar snapshot form, types sorted by name — identical engine
-	// states produce identical snapshots regardless of store
-	// implementation.
-	snapshotTypes() ([]TypeSnapshot, error)
-	// restoreType rebuilds one bucket from its snapshot through the
-	// bulk block path (the caller has validated the rows, the type and
-	// its uniqueness). The store copies what it keeps.
-	restoreType(ts *TypeSnapshot)
 }
 
 // sdeBucket is the read-only window view of one type's bucket.
@@ -516,42 +507,4 @@ func blockResidentBytes(b *Block) uint64 {
 		}
 	}
 	return total
-}
-
-// snapshotTypes transposes the buckets into the canonical columnar
-// form by filing every event, in store order, into a scratch column
-// store and handing out its snapshot — the row store is the reference
-// implementation, so it shares the canonicalisation rather than the
-// speed of the column store's gather.
-func (s *eventStore) snapshotTypes() ([]TypeSnapshot, error) {
-	cols := newColumnStore()
-	for typ, b := range s.types {
-		cols.bucketOf(typ).lateMin = b.lateMin
-		for _, ev := range b.events {
-			cols.insert(ev, false)
-		}
-	}
-	return cols.snapshotTypes()
-}
-
-// restoreType bulk-files the snapshot rows as view events over one
-// owned block; rows are time-sorted, so both indexes rebuild on their
-// append fast paths.
-func (s *eventStore) restoreType(ts *TypeSnapshot) {
-	src := ts.Rows
-	src.Keys = make([]string, src.Len())
-	for i, kid := range src.KIdx {
-		src.Keys[i] = src.KDict[kid]
-	}
-	s.types[src.Type] = &typeEvents{byKey: make(map[string][]Event), lateMin: ts.LateMin}
-	s.insertRows(&src, identityRows(src.Len()), false, 0)
-}
-
-// identityRows returns the row selection 0..n-1.
-func identityRows(n int) []int32 {
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return rows
 }

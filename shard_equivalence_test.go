@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -174,8 +175,8 @@ func TestShardEquivalenceGrid(t *testing.T) {
 
 // TestShardTierSnapshotRoundTrip checks the tier's own checkpoint
 // surface: snapshotting a sharded system mid-run and restoring it into
-// a fresh system (with the other store kind) must continue
-// bit-identically with the original. So must the same snapshot with the
+// a fresh system (with the other store kind), the SDEs that arrived by
+// then re-admitted, must continue bit-identically with the original. So must the same snapshot with the
 // tier dedup list earlier builds wrote — the union of the shards'
 // lists — which a restore ignores. A tier state carrying a section this
 // build does not keep, such as the key-migration overrides of builds
@@ -249,6 +250,37 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		}
 		return out
 	}
+	// rebuild re-admits into a restored system the SDEs that arrived by
+	// mid, boundary by boundary as the original run admitted them — what
+	// durable recovery re-reads from its log; the engines drop the rows
+	// their working memory no longer holds.
+	rebuild := func(sys *System) error {
+		var adm admission
+		defer adm.release()
+		lo := Time(math.MinInt64)
+		for q := from + step; q <= mid; q += step {
+			var due []dublin.SDE
+			for _, sde := range sdes {
+				if sde.Arrival > lo && sde.Arrival <= q {
+					due = append(due, sde)
+				}
+			}
+			lo = q
+			batched, err := dublin.BatchSDEs(due, transportBatchRows, step/2)
+			if err != nil {
+				return err
+			}
+			for _, bs := range batched {
+				for _, b := range bs.Batches {
+					adm.retain(b, b.Len(), 0)
+				}
+			}
+			if _, err := adm.admit(sys, q); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var repA, repB, repC []*Report
 	if err := sysA.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
 		switch {
@@ -258,7 +290,10 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 				return err
 			}
 			wire = encode(snaps)
-			return sysB.engines.Restore(decode(wire))
+			if err := sysB.engines.Restore(decode(wire)); err != nil {
+				return err
+			}
+			return rebuild(sysB)
 		case rep.Q > mid:
 			repA = append(repA, rep)
 		}
@@ -292,6 +327,9 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("the shards hold no dedup identities: legacy restore is vacuous")
 	}
 	if err := sysC.engines.Restore(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := rebuild(sysC); err != nil {
 		t.Fatal(err)
 	}
 	snapsC, err := sysC.engines.Snapshot()
@@ -367,7 +405,7 @@ func TestShardTierElapsed(t *testing.T) {
 	defer adm.release()
 	for _, bs := range sys.collect(from, from+900) {
 		for _, b := range bs.Batches {
-			adm.retain(b, b.Len())
+			adm.retain(b, b.Len(), 0)
 		}
 	}
 	if _, err := adm.admit(sys, from+900); err != nil {

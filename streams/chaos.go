@@ -126,6 +126,25 @@ func (c *ChaosSource) Stats() ChaosStats {
 	return c.stats
 }
 
+// DiscardHeld returns every batch the source holds back — delivered
+// late by a delay, buffered by a stall or due for delivery — to the
+// transport pool, as Discard does for one item: what a reader that
+// stops early would never see. The wrapped source is not touched.
+func (c *ChaosSource) DiscardHeld() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, it := range c.ready {
+		Discard(it)
+	}
+	for _, h := range c.held {
+		Discard(h.it)
+	}
+	for _, it := range c.backlog {
+		Discard(it)
+	}
+	c.ready, c.held, c.backlog = nil, nil, nil
+}
+
 // Read implements Source, delivering the faulted stream.
 func (c *ChaosSource) Read() (Item, bool) {
 	return c.ReadContext(context.Background())

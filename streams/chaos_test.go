@@ -172,6 +172,47 @@ func TestChaosSourceStallBeyondEndFlushesBacklog(t *testing.T) {
 	}
 }
 
+// TestChaosSourceDiscardHeld: a reader that stops after a few items
+// leaves pooled batches in the source — rows held back by a delay and a
+// stall's backlog — and DiscardHeld returns every one to the pool.
+func TestChaosSourceDiscardHeld(t *testing.T) {
+	for name, spec := range map[string]FaultSpec{
+		"delay": {Seed: 5, DelayProb: 0.5, DelayMax: 16},
+		"stall": {Seed: 5, StallAfter: 2, StallFor: 1000},
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := LiveBatches()
+			var items []Item
+			for i := 0; i < 40; i++ {
+				b := GetBatch("TestSDE", "chaos")
+				for r := 0; r < 4; r++ {
+					b.Append(int64(10*i+r), int64(10*i+r), "k")
+				}
+				items = append(items, BatchItem(b))
+			}
+			slice := NewSliceSource(items...)
+			src := NewChaosSource(slice, spec)
+			for i := 0; i < 3; i++ {
+				it, ok := src.Read()
+				if !ok {
+					t.Fatal("the source ended early")
+				}
+				Discard(it)
+			}
+			for it, ok := slice.Read(); ok; it, ok = slice.Read() {
+				Discard(it)
+			}
+			if held := LiveBatches() - before; held == 0 {
+				t.Fatal("the source holds no batch after three reads: nothing to discard")
+			}
+			src.DiscardHeld()
+			if live := LiveBatches(); live != before {
+				t.Errorf("live batches = %d after DiscardHeld, want %d", live, before)
+			}
+		})
+	}
+}
+
 func TestChaosProcessorInjectsErrors(t *testing.T) {
 	pass := ProcessorFunc(func(it Item) (Item, error) { return it, nil })
 	cp := NewChaosProcessor(pass, FaultSpec{Seed: 5, ErrProb: 0.25})

@@ -32,69 +32,17 @@ const (
 )
 
 // EncodeBatch appends the record payload for b to dst and returns the
-// extended slice. The batch is read, not consumed.
+// extended slice: byte for byte what it writes for a fresh batch
+// (streams.NewBatch) holding copies of b's rows (AppendRowFrom), so the
+// key and string dictionaries carry only the values the rows use, in
+// first-use order — never the entries a pooled batch accumulated across
+// recycling. The dictionaries are remapped by index, without hashing a
+// string, so the equality with a fresh copy needs b's dictionaries to
+// hold distinct strings, as every batch built by Append and AppendStr
+// (or decoded from their payloads) does; the rows round-trip exactly
+// either way. The batch is read, not consumed.
 func EncodeBatch(dst []byte, b *streams.Batch) []byte {
-	dst = append(dst, batchFormat)
-	dst = codec.AppendString(dst, b.Type)
-	dst = codec.AppendString(dst, b.Source)
 	n := b.Len()
-	dst = codec.AppendUvarint(dst, uint64(n))
-	flags := byte(0)
-	if b.Arrivals != nil {
-		flags |= flagArrivals
-	}
-	if b.KIdx != nil {
-		flags |= flagKeyDict
-	}
-	dst = append(dst, flags)
-	dst = codec.AppendDeltas(dst, b.Times)
-	if b.Arrivals != nil {
-		dst = codec.AppendDeltas(dst, b.Arrivals)
-	}
-	if b.KIdx != nil {
-		dst = codec.AppendUvarint(dst, uint64(len(b.KDict)))
-		for _, s := range b.KDict {
-			dst = codec.AppendString(dst, s)
-		}
-		for _, id := range b.KIdx {
-			dst = codec.AppendUvarint(dst, uint64(id))
-		}
-	} else {
-		for _, k := range b.Keys {
-			dst = codec.AppendString(dst, k)
-		}
-	}
-	dst = codec.AppendUvarint(dst, uint64(len(b.Cols)))
-	for ci := range b.Cols {
-		c := &b.Cols[ci]
-		dst = appendColHeader(dst, c)
-		if c.Kind != streams.ColStr {
-			dst = appendCells(dst, c, 0, c.Len())
-			continue
-		}
-		dst = codec.AppendUvarint(dst, uint64(len(c.Dict)))
-		for _, s := range c.Dict {
-			dst = codec.AppendString(dst, s)
-		}
-		for _, id := range c.SIdx {
-			dst = codec.AppendUvarint(dst, uint64(id))
-		}
-	}
-	return dst
-}
-
-// EncodeBatchRows appends the record payload of rows [lo, hi) of b to
-// dst: byte for byte what EncodeBatch writes for a fresh batch
-// (streams.NewBatch) holding copies of those rows (AppendRowFrom), so
-// the key and string dictionaries carry only the values the rows use,
-// in first-use order — never the entries a pooled batch accumulated
-// across recycling. The dictionaries are remapped by index, without
-// hashing a string, so the equality with a fresh copy needs b's
-// dictionaries to hold distinct strings, as every batch built by Append
-// and AppendStr (or decoded from their payloads) does; the rows
-// round-trip exactly either way. The batch is read, not consumed.
-func EncodeBatchRows(dst []byte, b *streams.Batch, lo, hi int) []byte {
-	n := hi - lo
 	dst = append(dst, batchFormat)
 	dst = codec.AppendString(dst, b.Type)
 	dst = codec.AppendString(dst, b.Source)
@@ -109,9 +57,9 @@ func EncodeBatchRows(dst []byte, b *streams.Batch, lo, hi int) []byte {
 		flags |= flagArrivals
 	}
 	dst = append(dst, flags)
-	dst = codec.AppendDeltas(dst, b.Times[lo:hi])
+	dst = codec.AppendDeltas(dst, b.Times)
 	if b.Arrivals != nil {
-		dst = codec.AppendDeltas(dst, b.Arrivals[lo:hi])
+		dst = codec.AppendDeltas(dst, b.Arrivals)
 	}
 	// One remap table serves the key dictionary and every string column:
 	// remap[old] is new+1 (0: not used yet), first lists the used old ids
@@ -124,18 +72,18 @@ func EncodeBatchRows(dst []byte, b *streams.Batch, lo, hi int) []byte {
 	scratch := make([]uint32, 2*size)
 	remap, first := scratch[:size], scratch[size:]
 	if b.KIdx != nil {
-		dst = appendDictRange(dst, b.KDict, b.KIdx[lo:hi], remap, first)
+		dst = appendDict(dst, b.KDict, b.KIdx, remap, first)
 	} else {
-		dst = appendKeysRange(dst, b.Keys[lo:hi])
+		dst = appendKeys(dst, b.Keys)
 	}
 	dst = codec.AppendUvarint(dst, uint64(len(b.Cols)))
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
 		dst = appendColHeader(dst, c)
 		if c.Kind == streams.ColStr {
-			dst = appendDictRange(dst, c.Dict, c.SIdx[lo:hi], remap, first)
+			dst = appendDict(dst, c.Dict, c.SIdx, remap, first)
 		} else {
-			dst = appendCells(dst, c, lo, hi)
+			dst = appendCells(dst, c)
 		}
 	}
 	return dst
@@ -147,28 +95,28 @@ func appendColHeader(dst []byte, c *streams.Col) []byte {
 	return append(dst, byte(c.Kind))
 }
 
-// appendCells appends rows [lo, hi) of a float, int or bool column.
-func appendCells(dst []byte, c *streams.Col, lo, hi int) []byte {
+// appendCells appends the cells of a float, int or bool column.
+func appendCells(dst []byte, c *streams.Col) []byte {
 	switch c.Kind {
 	case streams.ColFloat:
-		for _, v := range c.F[lo:hi] {
+		for _, v := range c.F {
 			dst = codec.AppendFloat(dst, v)
 		}
 	case streams.ColInt:
-		dst = codec.AppendDeltas(dst, c.I[lo:hi])
+		dst = codec.AppendDeltas(dst, c.I)
 	case streams.ColBool:
-		for _, v := range c.B[lo:hi] {
+		for _, v := range c.B {
 			dst = codec.AppendBool(dst, v)
 		}
 	}
 	return dst
 }
 
-// appendDictRange appends the dictionary block of ids — the entries of
+// appendDict appends the dictionary block of ids — the entries of
 // dict they use in first-use order, then each id renumbered into it —
 // and leaves remap all zero again. remap and first have room for every
 // dict entry.
-func appendDictRange(dst []byte, dict []string, ids []uint32, remap, first []uint32) []byte {
+func appendDict(dst []byte, dict []string, ids []uint32, remap, first []uint32) []byte {
 	used := uint32(0)
 	for _, id := range ids {
 		if remap[id] == 0 {
@@ -190,9 +138,9 @@ func appendDictRange(dst []byte, dict []string, ids []uint32, remap, first []uin
 	return dst
 }
 
-// appendKeysRange is appendDictRange for plain keys (a batch without a
+// appendKeys is appendDict for plain keys (a batch without a
 // key dictionary): the rows' keys interned by value.
-func appendKeysRange(dst []byte, keys []string) []byte {
+func appendKeys(dst []byte, keys []string) []byte {
 	ids := make(map[string]uint32, len(keys))
 	var dict []string
 	for _, k := range keys {
