@@ -90,7 +90,11 @@ lint-json:
 # against its bytes-per-checkpoint budget — no SDE row, the log holds
 # them all (the race detector
 # inflates allocation counts, so those gates run in a separate non-race
-# pass; gp's PredictAll and MeanAll are held to a constant number of
+# pass, as do the boundary cost record's: every work count of the small
+# city's sharded run pinned per boundary — rows admitted and inserted,
+# Reported probes, fold points, crowd rounds, no close/4 join inside
+# recognition on any driver — the WAL's per-run totals, and a record
+# filled without an allocation; gp's PredictAll and MeanAll are held to a constant number of
 # slices there too — the dense mean is a gather and one product, the
 # sparse one a CG solve over the street graph whose allocations do not
 # grow with it — and VarianceAll to a constant number per worker,
@@ -131,6 +135,7 @@ check: lint
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
 	$(GO) test -count=1 ./cmd/figures
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp ./rtec
+	$(GO) test -run 'TestSpanCountsPinned|TestSpanRecordAllocatesNothing|TestSpanNoJoinsInRecognition' -count=1 .
 	$(GO) test -run 'TestShardEquivalenceGrid|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardFreshDedupAcrossShards' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg

@@ -186,7 +186,8 @@ func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 		t.Fatalf("reversed envelope has %d rows, arrivals %v", n, evil.Arrivals)
 	}
 
-	pipe, err := chaosTestSystem(t, city, nil).BuildPipeline(from, until)
+	sys := chaosTestSystem(t, city, nil)
+	pipe, err := sys.BuildPipeline(from, until)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 	if err := top.AddStream("smuggler", streams.NewSliceSource(streams.BatchItem(evil))); err != nil {
 		t.Fatal(err)
 	}
-	if err := top.AddProcess("input-smuggler", "smuggler", "sdes", sdeValidator{}); err != nil {
+	if err := top.AddProcess("input-smuggler", "smuggler", "sdes", sdeValidator{areas: sys.areas}); err != nil {
 		t.Fatal(err)
 	}
 	if err := top.Supervise("input-smuggler", streams.SupervisionPolicy{Strategy: streams.SkipItem}); err != nil {

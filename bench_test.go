@@ -288,7 +288,7 @@ func runStepRatio(b *testing.B, forceFull bool) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					return part
+					return partitionedTier{part}
 				}
 			}
 			// One engine, one monitored hour.

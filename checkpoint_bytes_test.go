@@ -106,12 +106,16 @@ func (r *durableReplay) run(tb testing.TB, stopAfter int) bool {
 	tb.Helper()
 	app := &walAppender{log: r.rt.log, st: r.rt.st}
 	p := r.rt.proc
+	validate := sdeValidator{areas: p.system.areas}
 	for r.fed < len(r.items) {
 		it := r.items[r.fed]
 		r.fed++
 		var err error
 		if b, ok := streams.ItemBatch(it); ok {
-			if _, err = app.ProcessBatch(b); err == nil {
+			if _, err = validate.ProcessBatch(b); err == nil {
+				_, err = app.ProcessBatch(b)
+			}
+			if err == nil {
 				_, err = p.ProcessBatch(b)
 			}
 		} else {

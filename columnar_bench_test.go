@@ -7,6 +7,7 @@ package insight
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/insight-dublin/insight/dublin"
@@ -195,9 +196,10 @@ func TestResidentBudget(t *testing.T) {
 const allocBudgetPerEvent = 0.25
 
 // TestAllocBudget_ColumnarIngest is the allocation-regression gate: it
-// measures allocations per event on the columnar ingest path and fails
-// when the committed budget is exceeded. Skipped under the race
-// detector, whose instrumentation allocates.
+// measures allocations per event on the columnar ingest path — move
+// blocks carrying the input stage's close/4 stamp, as the pipeline
+// admits them — and fails when the committed budget is exceeded.
+// Skipped under the race detector, whose instrumentation allocates.
 func TestAllocBudget_ColumnarIngest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -214,15 +216,25 @@ func TestAllocBudget_ColumnarIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	areas, err := traffic.AreaIndex(traffic.Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	from := rtec.Time(7 * 3600)
 	bstreams := city.CollectBatches(from, from+1800, 512, 0)
 	var blocks []*rtec.Block
 	events := 0
 	for _, bs := range bstreams {
 		for _, batch := range bs.Batches {
+			if _, err := (sdeValidator{areas: areas}).ProcessBatch(batch); err != nil {
+				t.Fatal(err)
+			}
 			blocks = append(blocks, dublin.Block(batch))
 			events += batch.Len()
 		}
+	}
+	if blocks[0].Column(traffic.CloseColumn) == nil {
+		t.Fatal("the move blocks carry no close stamp")
 	}
 	defer func() {
 		for _, bs := range bstreams {
@@ -282,8 +294,10 @@ const recognitionAllocBudget = 0.50
 // store running the shard rule set (agree, disagree, delayIncrease,
 // noisy, busCongestion's points), measured over the queries after the first two
 // (which fill the window and the overlap caches). Only the bus stream is
-// fed: the per-sensor fluents allocate per fluent instance, not per
-// derived event, and would drown the figure.
+// fed, as blocks admitted by arrival: stamped by the input stage, the
+// product path, and unstamped, where the rules join each move
+// themselves. The per-sensor fluents allocate per fluent instance, not
+// per derived event, and would drown the figure.
 func TestAllocBudget_Recognition(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -308,45 +322,78 @@ func TestAllocBudget_Recognition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wm, step = rtec.Time(600), rtec.Time(300)
-	e, err := rtec.NewEngine(defs, rtec.Options{WorkingMemory: wm, Step: step, Store: rtec.StoreColumn, RuleWorkers: 1})
+	areas, err := traffic.AreaIndex(traffic.Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const wm, step = rtec.Time(600), rtec.Time(300)
 	from := rtec.Time(7 * 3600)
-	sdes := city.Collect(from, from+6*step)
-	var mallocs uint64
-	derived, cursor := 0, 0
-	for i := 1; i <= 6; i++ {
-		q := from + rtec.Time(i)*step
-		for ; cursor < len(sdes) && sdes[cursor].Arrival <= q; cursor++ {
-			if sdes[cursor].Event.Type != traffic.MoveType {
-				continue
-			}
-			if err := e.Input(sdes[cursor].Event); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := e.Query(q)
-		if err != nil {
+	bstreams := city.CollectBatches(from, from+6*step, transportBatchRows, 0)
+	defer releaseAll(bstreams)
+	var stamped, bare []*rtec.Block
+	for _, b := range bstreams[0].Batches { // the bus stream
+		if _, err := (sdeValidator{areas: areas}).ProcessBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if i > 2 {
-			mallocs += after.Mallocs - before.Mallocs
-			derived += res.Stats.DerivedEvents + len(e.Transitions(traffic.BusCongestion))
-		}
+		blk := dublin.Block(b)
+		stripped := *blk
+		stripped.Cols = slices.DeleteFunc(slices.Clone(blk.Cols), func(c rtec.BCol) bool { return c.Name == traffic.CloseColumn })
+		stamped, bare = append(stamped, blk), append(bare, &stripped)
 	}
-	if derived < 50000 {
-		t.Fatalf("only %d derived events and points: the workload does not exercise the rules", derived)
-	}
-	perEvent := float64(mallocs) / float64(derived)
-	t.Logf("recognition: %d allocs for %d derived events and points, %.3f each (budget %.2f)",
-		mallocs, derived, perEvent, recognitionAllocBudget)
-	if perEvent > recognitionAllocBudget {
-		t.Errorf("recognition allocates %.3f objects per derived event or point, budget %.2f — a per-event allocation is back",
-			perEvent, recognitionAllocBudget)
+	for _, tc := range []struct {
+		name   string
+		blocks []*rtec.Block
+	}{{"stamped", stamped}, {"unstamped", bare}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := rtec.NewEngine(defs, rtec.Options{WorkingMemory: wm, Step: step, Store: rtec.StoreColumn, RuleWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mallocs uint64
+			var joins int64
+			derived := 0
+			next := make([]int, len(tc.blocks))
+			var rows []int32
+			for i := 1; i <= 6; i++ {
+				q := from + rtec.Time(i)*step
+				for bi, blk := range tc.blocks {
+					arrivals := bstreams[0].Batches[bi].Arrivals
+					rows = rows[:0]
+					for ; next[bi] < len(arrivals) && rtec.Time(arrivals[next[bi]]) <= q; next[bi]++ {
+						rows = append(rows, int32(next[bi]))
+					}
+					if len(rows) > 0 {
+						if err := e.InputBlockRows(blk, rows); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := e.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				joins += res.Stats.Joins
+				if i > 2 {
+					mallocs += after.Mallocs - before.Mallocs
+					derived += res.Stats.DerivedEvents + len(e.Transitions(traffic.BusCongestion))
+				}
+			}
+			if derived < 50000 {
+				t.Fatalf("only %d derived events and points: the workload does not exercise the rules", derived)
+			}
+			if (joins == 0) != (tc.name == "stamped") {
+				t.Fatalf("%d close/4 joins inside recognition", joins)
+			}
+			perEvent := float64(mallocs) / float64(derived)
+			t.Logf("recognition: %d allocs for %d derived events and points, %.3f each (budget %.2f)",
+				mallocs, derived, perEvent, recognitionAllocBudget)
+			if perEvent > recognitionAllocBudget {
+				t.Errorf("recognition allocates %.3f objects per derived event or point, budget %.2f — a per-event allocation is back",
+					perEvent, recognitionAllocBudget)
+			}
+		})
 	}
 }

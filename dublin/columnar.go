@@ -277,7 +277,10 @@ func (g *Generator) appendRaw(b *streams.Batch, r rawSDE) {
 // two columnar layouts are deliberately aligned, so the conversion
 // aliases the batch's slices instead of copying: the returned block is
 // valid only while the batch is live (the engine copies the rows it
-// admits, so handing an aliased block to InputBlock is safe).
+// admits, so handing an aliased block to InputBlock is safe). An
+// unfilled list column (see streams.ColIntList) is left out: a move
+// batch that has not been through the pipeline's input stage reaches
+// the rules unstamped, and they join its rows themselves.
 func Block(b *streams.Batch) *rtec.Block {
 	blk := &rtec.Block{
 		Type:  b.Type,
@@ -285,12 +288,15 @@ func Block(b *streams.Batch) *rtec.Block {
 		Keys:  b.Keys,
 		KIdx:  b.KIdx,
 		KDict: b.KDict,
-		Cols:  make([]rtec.BCol, len(b.Cols)),
+		Cols:  make([]rtec.BCol, 0, len(b.Cols)),
 	}
 	for i := range b.Cols {
 		sc := &b.Cols[i]
-		dc := &blk.Cols[i]
-		dc.Name = sc.Name
+		if sc.Unfilled() {
+			continue
+		}
+		blk.Cols = append(blk.Cols, rtec.BCol{Name: sc.Name})
+		dc := &blk.Cols[len(blk.Cols)-1]
 		switch sc.Kind {
 		case streams.ColFloat:
 			dc.Kind, dc.F = rtec.ColFloat, sc.F
@@ -300,6 +306,8 @@ func Block(b *streams.Batch) *rtec.Block {
 			dc.Kind, dc.B = rtec.ColBool, sc.B
 		case streams.ColStr:
 			dc.Kind, dc.SIdx, dc.Dict = rtec.ColStr, sc.SIdx, sc.Dict
+		case streams.ColIntList:
+			dc.Kind, dc.Ends, dc.L = rtec.ColIntList, sc.Ends, sc.L
 		}
 	}
 	return blk

@@ -106,9 +106,12 @@ type Config struct {
 
 // System is the assembled INSIGHT pipeline.
 type System struct {
-	cfg       Config
-	city      *dublin.City
-	registry  *traffic.Registry
+	cfg      Config
+	city     *dublin.City
+	registry *traffic.Registry
+	// areas is the rules' close/4 index (traffic.AreaIndex), against
+	// which the input stage stamps every move batch.
+	areas     *traffic.Registry
 	defs      *rtec.Definitions
 	engines   engineTier
 	estimator *crowd.Estimator
@@ -168,6 +171,10 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	areas, err := traffic.AreaIndex(tcfg)
+	if err != nil {
+		return nil, err
+	}
 	var engines engineTier
 	if cfg.Shards > 0 {
 		tier, err := newShardTier(cfg, tcfg, registry)
@@ -190,13 +197,14 @@ func New(cfg Config) (*System, error) {
 			of := dublin.PartitionOfBlock(b)
 			return func(i int) int { return of(i) % cfg.Partitions }
 		})
-		engines = part
+		engines = partitionedTier{part}
 	}
 
 	s := &System{
 		cfg:          cfg,
 		city:         cfg.City,
 		registry:     registry,
+		areas:        areas,
 		defs:         defs,
 		engines:      engines,
 		estimator:    crowd.NewEstimator(crowd.EstimatorOptions{}),

@@ -36,7 +36,10 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // snapshot (Entries: the output and reused scratch sized per call,
 // nothing per identity), and every logged batch pays wal's record
 // encoder (EncodeBatch and its column writers: one remap table per
-// call, nothing per row or per dictionary entry). Unlike the kernel rule these
+// call, nothing per row or per dictionary entry). The root package's
+// boundary cost record (Report.Span) is filled at every boundary and
+// every logged record: its clock and recorder allocate nothing at all.
+// Unlike the kernel rule these
 // hold at every loop depth (the per-vertex loop of a predictor is an
 // outer loop), closures the function returns included.
 var perCallFuncs = map[string]*regexp.Regexp{
@@ -46,6 +49,7 @@ var perCallFuncs = map[string]*regexp.Regexp{
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
 	"wal":      regexp.MustCompile(`^(EncodeBatch|appendDict|appendCells)$`),
+	"insight":  regexp.MustCompile(`^(start|mark|now|open|engineTimes|chargeLog|chargeAppend)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through

@@ -8,7 +8,9 @@ import (
 	"sort"
 
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/geo"
 	"github.com/insight-dublin/insight/streams"
+	"github.com/insight-dublin/insight/traffic"
 )
 
 // Pipeline assembles the system as a Streams data-flow graph, the
@@ -208,11 +210,12 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 		}
 	}
 
-	// Input handling processes: one per stream, validating and
-	// forwarding into the shared SDE queue. The validator is
-	// batch-aware: batch envelopes are schema-checked and forwarded
-	// whole instead of being expanded into per-row items.
-	validate := sdeValidator{}
+	// Input handling processes: one per stream, validating, stamping
+	// each move's close/4 join and forwarding into the shared SDE queue
+	// (through the log in a durable run, which then carries the stamp).
+	// The validator is batch-aware: batch envelopes are schema-checked
+	// and forwarded whole instead of being expanded into per-row items.
+	validate := sdeValidator{areas: s.areas}
 	chaosProcs := make(map[string]*streams.ChaosProcessor)
 	for _, id := range pipelineStreamIDs {
 		proc := streams.Processor(validate)
@@ -285,6 +288,7 @@ func newRTECProcessor(s *System, from, until Time) *rtecProcessor {
 		until:      until,
 		staleness:  s.cfg.WatermarkStaleness,
 		watermarks: make(map[string]Time, len(pipelineStreamIDs)),
+		rec:        newSpanRecorder(),
 	}
 	for _, id := range pipelineStreamIDs {
 		p.watermarks[id] = from
@@ -296,9 +300,12 @@ func newRTECProcessor(s *System, from, until Time) *rtecProcessor {
 // modelling procedure is registered in the pipeline topology.
 type TrafficModelService func(MapConfig) (*FlowEstimate, error)
 
-// sdeValidator is the input-handling processor: it checks batch
-// envelopes satisfy the row-length invariant and forwards them whole.
-type sdeValidator struct{}
+// sdeValidator is the input-handling processor: it stamps every move
+// batch with its close/4 join, checks batch envelopes satisfy the
+// batch invariants and forwards them whole.
+type sdeValidator struct {
+	areas *traffic.Registry // the rules' area index (traffic.AreaIndex)
+}
 
 // Process forwards EOF punctuation, the only per-item traffic on an
 // input stream: SDEs travel as column batches.
@@ -309,11 +316,17 @@ func (sdeValidator) Process(it streams.Item) (streams.Item, error) {
 	return it, nil
 }
 
-// ProcessBatch validates a batch envelope and forwards it whole. The
-// monitoring process reads the last arrival as the batch's maximum and
-// admission walks a cursor over the rows, so arrival order is part of
-// the envelope contract (equal stamps — duplicates — are in order).
-func (sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
+// ProcessBatch stamps and validates a batch envelope and forwards it
+// whole. The monitoring process reads the last arrival as the batch's
+// maximum and admission walks a cursor over the rows, so arrival order
+// is part of the envelope contract (equal stamps — duplicates — are in
+// order).
+func (v sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
+	if b.Type == traffic.MoveType && b.Len() > 0 {
+		if err := v.stampClose(b); err != nil {
+			return nil, err
+		}
+	}
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
@@ -324,6 +337,36 @@ func (sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 		return nil, fmt.Errorf("insight: SDE batch %q from %q has decreasing arrivals", b.Type, b.Source)
 	}
 	return []streams.Item{streams.BatchItem(b)}, nil
+}
+
+// stampClose is the pipeline's close/4 stage: it writes each move row's
+// traffic.CloseColumn, the ascending indexes of the areas within the
+// close threshold of its (lon, lat) — what the rules would otherwise
+// join at every query over every window the row sits in. The stage owns
+// the column: whatever the source put under that name is replaced, and
+// a recycled batch's column is refilled in its own buffers, sized once
+// per batch. A move batch without float lon and lat columns is refused:
+// no spatial rule could read its rows.
+func (v sdeValidator) stampClose(b *streams.Batch) error {
+	n := b.Len()
+	c := b.ListCol(traffic.CloseColumn) // before lon/lat: it may grow Cols
+	lon, lat := b.Col("lon"), b.Col("lat")
+	if lon == nil || lat == nil || lon.Kind != streams.ColFloat || lat.Kind != streams.ColFloat {
+		return fmt.Errorf("insight: move batch from %q without float lon and lat columns", b.Source)
+	}
+	if len(lon.F) != n || len(lat.F) != n {
+		return fmt.Errorf("insight: move batch from %q has %d lon and %d lat values for %d rows", b.Source, len(lon.F), len(lat.F), n)
+	}
+	if c.Kind != streams.ColIntList {
+		*c = streams.Col{Name: traffic.CloseColumn, Kind: streams.ColIntList}
+	}
+	c.Ends = slices.Grow(c.Ends[:0], n)
+	c.L = slices.Grow(c.L[:0], n) // most moves are close to one area or none
+	for i := 0; i < n; i++ {
+		c.L = v.areas.AppendClose(c.L, geo.LonLat(lon.F[i], lat.F[i]))
+		c.Ends = append(c.Ends, uint32(len(c.L)))
+	}
+	return nil
 }
 
 // rtecProcessor embeds the partitioned RTEC engines in the streams
@@ -381,6 +424,8 @@ type rtecProcessor struct {
 	// points (never mid-batch, where rows past the firing one are in
 	// neither the engines nor the pending set yet).
 	durable *durableRuntime
+	// rec fills each boundary's Report.Span.
+	rec *spanRecorder
 }
 
 // Process implements streams.Processor for the one per-item input,
@@ -529,17 +574,24 @@ func (p *rtecProcessor) fireDue() error {
 	// Strictly greater: with equal arrival timestamps the merge queue
 	// may still hold a sibling item stamped exactly at the boundary.
 	for p.nextQ <= p.until && watermark > p.nextQ {
+		rec := p.rec
+		rec.open()
+		if p.durable != nil {
+			p.durable.chargeLog(&rec.span)
+		}
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
 		q := p.nextQ
 		p.nextQ += p.step
+		rec.mark(&rec.span.Release)
 		// Deliver exactly the SDEs that have arrived by q.
 		fed, err := p.adm.admit(p.system, q)
 		if err != nil {
 			return err
 		}
-		rep, err := p.system.evaluate(p.ctx, q, fed)
+		rec.mark(&rec.span.Admit)
+		rep, err := p.system.evaluate(p.ctx, q, fed, rec)
 		if err != nil {
 			return err
 		}
@@ -548,12 +600,15 @@ func (p *rtecProcessor) fireDue() error {
 		if p.durable != nil {
 			p.durable.noteBoundary(rep)
 		}
+		rec.mark(&rec.span.Assemble)
+		rep.Span = rec.span
 		if p.onReport == nil {
 			//lint:allow hotalloc one report envelope per query boundary, not per row
 			p.due = append(p.due, streams.Item{itemReport: rep})
 		} else if err := p.onReport(rep); err != nil {
 			return err
 		}
+		rec.mark(&rec.next.Callback)
 	}
 	return nil
 }

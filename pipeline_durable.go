@@ -52,6 +52,7 @@ import (
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/streams/wal"
+	"github.com/insight-dublin/insight/traffic"
 )
 
 // DurableOptions configures the durable pipeline.
@@ -116,6 +117,10 @@ type durableState struct {
 	recs  []walRecord
 	// ackQ is the newest query time the operator sink has received.
 	ackQ Time
+	// The wal-append process's cost, records and frame bytes since the
+	// last boundary's record took them (chargeLog).
+	walCost              StageCost
+	walRecords, walBytes int64
 }
 
 // walRecord is one logged record: its end offset and the latest
@@ -129,6 +134,15 @@ func (st *durableState) noteAppend(end int64, latest Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.recs = append(st.recs, walRecord{end: end, latest: latest})
+}
+
+// chargeAppend adds one appended record's cost to the next record.
+func (st *durableState) chargeAppend(cost StageCost, bytes int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.walCost.add(cost)
+	st.walRecords++
+	st.walBytes += bytes
 }
 
 func (st *durableState) noteAck(q Time) {
@@ -177,6 +191,32 @@ func (st *durableState) window(consumed int, horizon Time, pending int64) (int64
 	return at, i
 }
 
+// checkCloseStamps refuses a logged move batch whose close/4 stamps the
+// rules could not have been given by the input stage: a list that does
+// not ascend or an index past the area index. The log is input from
+// outside the program; a record written before the stage existed
+// carries no stamp and replays through the rules' own join.
+func (s *System) checkCloseStamps(b *streams.Batch) error {
+	c := b.Col(traffic.CloseColumn)
+	if b.Type != traffic.MoveType || c == nil {
+		return nil
+	}
+	if c.Kind != streams.ColIntList {
+		return fmt.Errorf("insight: move column %q is of kind %d, not an int list", traffic.CloseColumn, c.Kind)
+	}
+	areas := int32(len(s.areas.Intersections()))
+	for i := range c.Ends {
+		prev := int32(-1)
+		for _, a := range c.List(i) {
+			if a <= prev || a >= areas {
+				return fmt.Errorf("insight: move row %d close stamp %v is not an ascending list of the %d area indexes", i, c.List(i), areas)
+			}
+			prev = a
+		}
+	}
+	return nil
+}
+
 // latest returns the latest occurrence time among b's rows.
 func latest(b *streams.Batch) Time {
 	t := rtec.MinTime
@@ -190,9 +230,10 @@ func latest(b *streams.Batch) Time {
 // logged before they are forwarded, EOF punctuation passes through
 // unlogged (it is derived from the collection window, not input).
 type walAppender struct {
-	log *wal.Log
-	st  *durableState
-	buf []byte
+	log   *wal.Log
+	st    *durableState
+	buf   []byte
+	clock *stageClock // the append stage's, on this process's goroutine
 }
 
 // Process forwards the one per-item input the validators let through,
@@ -208,11 +249,19 @@ func (a *walAppender) Process(it streams.Item) (streams.Item, error) {
 // keeps from earlier use never reach the log: its bytes, and with them
 // every WAL offset a checkpoint records, depend on the input alone.
 func (a *walAppender) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
+	if a.clock == nil {
+		a.clock = &stageClock{}
+		a.clock.sample[0].Name = heapAllocsMetric
+	}
+	a.clock.start()
 	a.buf = wal.EncodeBatch(a.buf[:0], b)
-	_, end, err := a.log.Append(a.buf)
+	start, end, err := a.log.Append(a.buf)
 	if err != nil {
 		return nil, err
 	}
+	var cost StageCost
+	a.clock.mark(&cost)
+	a.st.chargeAppend(cost, end-start)
 	a.st.noteAppend(end, latest(b))
 	return []streams.Item{streams.BatchItem(b)}, nil
 }
@@ -267,6 +316,8 @@ type durableRuntime struct {
 	// ckptBuf is the reused checkpoint file buffer: every checkpoint
 	// encodes into it and is written from it.
 	ckptBuf []byte
+	// syncs is the log's fsync count the last boundary's record saw.
+	syncs int64
 }
 
 // noteConsumed runs at the top of rtecProcessor.ProcessBatch: the
@@ -289,6 +340,18 @@ func (rt *durableRuntime) noteBoundary(rep *Report) {
 	rt.boundaries++
 }
 
+// chargeLog hands the log's work since the previous boundary to span:
+// the wal-append process's records, bytes and cost, and the fsyncs.
+func (rt *durableRuntime) chargeLog(span *Span) {
+	st := rt.st
+	st.mu.Lock()
+	span.WAL, span.WALRecords, span.WALBytes = st.walCost, st.walRecords, st.walBytes
+	st.walCost, st.walRecords, st.walBytes = StageCost{}, 0, 0
+	st.mu.Unlock()
+	syncs := rt.log.Syncs()
+	span.WALSyncs, rt.syncs = syncs-rt.syncs, syncs
+}
+
 // maybeCheckpoint runs at the processor's safe points — the end of
 // ProcessBatch, the end of Process, and Flush after the final fireDue —
 // where every consumed record is fully accounted for in engine state
@@ -307,6 +370,8 @@ func (rt *durableRuntime) maybeCheckpoint(p *rtecProcessor) error {
 // CheckpointFailpoint kills only the live pipeline).
 func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) CheckpointCrash) error {
 	rt.boundaries = 0
+	p.rec.clock.start()
+	defer p.rec.mark(&p.rec.next.Checkpoint)
 	ck, err := rt.buildCheckpoint(p)
 	if err != nil {
 		return err
@@ -321,6 +386,8 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 	if err := writeCheckpointFile(rt.fs, rt.dir, ck.nextQ, rt.ckptBuf); err != nil {
 		return err
 	}
+	p.rec.next.Checkpoints++
+	p.rec.next.CheckpointBytes += int64(len(rt.ckptBuf))
 	if crash == CrashAfterCheckpoint {
 		return fmt.Errorf("insight: killed after checkpoint %s became durable: %w", checkpointName(ck.nextQ), wal.ErrCrashPoint)
 	}
@@ -492,6 +559,9 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 			return nil, 0, err
 		}
 		b, err := wal.DecodeBatch(payload)
+		if err == nil {
+			err = s.checkCloseStamps(b)
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("insight: replay record at %d: %w", start, err)
 		}

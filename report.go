@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/crowd/qee"
@@ -71,6 +72,9 @@ type Report struct {
 	WatermarkLag Time
 	// Stats aggregates engine statistics across partitions.
 	Stats rtec.Stats
+	// Span is the boundary's cost record: per stage wall time and heap
+	// bytes, and the work counts.
+	Span Span
 	// FedEvents is the number of SDEs delivered this step.
 	FedEvents int
 	// Result is the merged cross-partition recognition result, for
@@ -81,7 +85,7 @@ type Report struct {
 
 // Fingerprint renders the report's recognized content as a canonical
 // string: the CE sets, alerts, crowd verdicts and fed-event count, but
-// none of the run-shaped diagnostics (Stats, WatermarkLag,
+// none of the run-shaped diagnostics (Stats, Span, WatermarkLag,
 // DegradedStreams) and not the raw Result. Two reports for the same
 // query time fingerprint equal exactly when recognition produced the
 // same output — the equality the crash-equivalence gate checks between
@@ -119,13 +123,17 @@ func (r *Report) Summary() string {
 // evaluate queries the engines at q, assembles the report and — with
 // participants registered — runs the crowdsourcing rounds on the fresh
 // disagreements, feeding each verdict back to the engines: when it
-// returns, boundary q is complete.
-func (s *System) evaluate(ctx context.Context, q Time, fed int) (*Report, error) {
-	results, err := s.engines.Query(q)
+// returns, boundary q is complete. It marks its stages on rec.
+func (s *System) evaluate(ctx context.Context, q Time, fed int, rec *spanRecorder) (*Report, error) {
+	results, err := s.engines.Query(q, rec)
 	if err != nil {
 		return nil, err
 	}
 	merged := rtec.MergeResults(results)
+	rec.mark(&rec.span.Merge)
+	rec.span.RowsAdmitted = fed
+	rec.span.RowsInserted = merged.Stats.InsertedRows
+	rec.span.Joins = merged.Stats.Joins
 
 	rep := &Report{Q: q, Window: merged.Window, Stats: merged.Stats, FedEvents: fed, Result: merged}
 	rep.CongestedIntersections = holdingKeys(merged, traffic.ScatsIntCongestion, q)
@@ -171,12 +179,15 @@ func (s *System) evaluate(ctx context.Context, q Time, fed int) (*Report, error)
 		}
 	}
 
+	rec.mark(&rec.span.Assemble)
+
 	if s.qeeEngine != nil {
-		rounds, err := s.resolveDisagreements(ctx, q, merged)
+		rounds, err := s.resolveDisagreements(ctx, q, merged, rec)
 		if err != nil {
 			return nil, err
 		}
 		rep.CrowdRounds = rounds
+		rec.mark(&rec.span.Crowd)
 	}
 	return rep, nil
 }
@@ -188,8 +199,9 @@ var crowdSelection = crowd.SelectNearest(5, 0)
 // resolveDisagreements runs one crowdsourcing round per intersection
 // with a fresh disagree event: selects participants near the
 // intersection, executes the MapReduce query, fuses the answers with
-// online EM, feeds the verdict back as a crowd SDE, and reports it.
-func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.Result) ([]CrowdResolution, error) {
+// online EM, feeds the verdict back as a crowd SDE, and reports it. Each
+// round asked is counted and timed on rec.
+func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.Result, rec *spanRecorder) ([]CrowdResolution, error) {
 	seen := make(map[string]bool)
 	var rounds []CrowdResolution
 	for _, ev := range merged.Fresh {
@@ -219,6 +231,7 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		} else {
 			prior = []float64{0.4, 0.6}
 		}
+		begin := time.Now() //lint:allow nodeterminism wall-clock feeds only Report.Span, never the recognition result
 		query := qee.Query{
 			ID:       queryTimeID(ev.Key, q),
 			Question: fmt.Sprintf("Is there a traffic congestion at intersection %s?", ev.Key),
@@ -229,6 +242,8 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		if err != nil {
 			return nil, err
 		}
+		rec.span.CrowdRounds++
+		rec.span.CrowdMax = max(rec.span.CrowdMax, time.Since(begin))
 		if len(exec.Answers) == 0 {
 			continue // no participant answered
 		}

@@ -25,6 +25,8 @@ func colLen(c *BCol) int {
 		return len(c.N)
 	case ColAny:
 		return len(c.A)
+	case ColIntList:
+		return len(c.Ends)
 	default:
 		return len(c.SIdx)
 	}
@@ -47,6 +49,8 @@ func cellValue(c *BCol, row int) (any, bool) {
 		return c.N[row], true
 	case ColAny:
 		return c.A[row], true
+	case ColIntList:
+		return c.list(row), true
 	default:
 		return c.Dict[c.SIdx[row]], true
 	}
@@ -86,6 +90,8 @@ func (c *BCol) appendZero() {
 		c.N = append(c.N, 0)
 	case ColAny:
 		c.A = append(c.A, nil)
+	case ColIntList:
+		c.Ends = append(c.Ends, uint32(len(c.L)))
 	default:
 		c.SIdx = append(c.SIdx, 0)
 	}
@@ -121,7 +127,7 @@ func (c *BCol) promoteToAny(n int) {
 	}
 	c.Kind = ColAny
 	c.A = a
-	c.F, c.I, c.B, c.N, c.SIdx, c.Dict, c.dict = nil, nil, nil, nil, nil, nil, nil
+	c.F, c.I, c.B, c.N, c.SIdx, c.Dict, c.dict, c.Ends, c.L = nil, nil, nil, nil, nil, nil, nil, nil, nil
 }
 
 // appendCell appends one cell: the value if the event carries the
@@ -165,6 +171,13 @@ func (c *BCol) appendCell(v any, ok bool, prior int) {
 			c.appendPresent()
 			return
 		}
+	case ColIntList:
+		if l, is := v.([]int32); is {
+			c.L = append(c.L, l...)
+			c.Ends = append(c.Ends, uint32(len(c.L)))
+			c.appendPresent()
+			return
+		}
 	case ColAny:
 		c.A = append(c.A, v)
 		c.appendPresent()
@@ -196,6 +209,9 @@ func newColFor(name string, v any, prior int) BCol {
 	case string:
 		c.Kind = ColStr
 		c.SIdx = make([]uint32, prior)
+	case []int32:
+		c.Kind = ColIntList
+		c.Ends = make([]uint32, prior)
 	default:
 		c.Kind = ColAny
 		c.A = make([]any, prior)
@@ -293,6 +309,8 @@ func newColFrom(sc *BCol, rows []int32, prior int) BCol {
 		c.N = make([]int, prior, prior+len(rows))
 	case ColAny:
 		c.A = make([]any, prior, prior+len(rows))
+	case ColIntList:
+		c.Ends = make([]uint32, prior, prior+len(rows))
 	default:
 		c.SIdx = make([]uint32, prior, prior+len(rows))
 	}
@@ -341,6 +359,11 @@ func (c *BCol) appendFrom(sc *BCol, rows []int32) {
 	case ColIntGo:
 		for _, r := range rows {
 			c.N = append(c.N, sc.N[r])
+		}
+	case ColIntList:
+		for _, r := range rows {
+			c.L = append(c.L, sc.list(int(r))...)
+			c.Ends = append(c.Ends, uint32(len(c.L)))
 		}
 	default: // ColStr: translate dictionary ids lazily
 		const unset = ^uint32(0)

@@ -426,6 +426,14 @@ func gatherCol(c *BCol, ids []int32) *BCol {
 				out.A[j] = c.A[id]
 			}
 		}
+	case ColIntList:
+		out.Ends = make([]uint32, n)
+		for j, id := range ids {
+			if out.present(j) {
+				out.L = append(out.L, c.list(int(id))...)
+			}
+			out.Ends[j] = uint32(len(out.L))
+		}
 	default: // ColStr: re-intern in first-use order so evicted strings drop out
 		out.SIdx = make([]uint32, n)
 		tr := unsetIDs(len(c.Dict))

@@ -31,6 +31,10 @@ const (
 	// values mix types (or use a type no packed column covers). Only
 	// the resident column store produces it.
 	ColAny
+	// ColIntList is a column of int32 lists: row i holds
+	// L[Ends[i-1]:Ends[i]] (from 0 for row 0). Its boxed form, in a
+	// map-backed event and through Event.Get, is a []int32.
+	ColIntList
 )
 
 // BCol is one named attribute column of a Block. Exactly one data
@@ -50,8 +54,10 @@ type BCol struct {
 	B       []bool
 	SIdx    []uint32
 	Dict    []string
-	N       []int // ColIntGo
-	A       []any // ColAny
+	N       []int    // ColIntGo
+	A       []any    // ColAny
+	Ends    []uint32 // ColIntList: per-row end offsets into L
+	L       []int32  // ColIntList: every row's values, back to back
 	Present []bool
 
 	// dict indexes Dict for find-or-add interning; only the resident
@@ -63,6 +69,15 @@ type BCol struct {
 // present reports whether the attribute is set on row.
 func (c *BCol) present(row int) bool {
 	return c.Present == nil || c.Present[row]
+}
+
+// list returns row's values of a ColIntList column, aliasing L.
+func (c *BCol) list(row int) []int32 {
+	start := uint32(0)
+	if row > 0 {
+		start = c.Ends[row-1]
+	}
+	return c.L[start:c.Ends[row]]
 }
 
 // Block is a columnar batch of same-typed SDEs: occurrence times and
@@ -154,6 +169,8 @@ func (b *Block) getAt(name string, row int) (any, bool) {
 		return c.N[row], true
 	case ColAny:
 		return c.A[row], true
+	case ColIntList:
+		return c.list(row), true
 	default:
 		return c.Dict[c.SIdx[row]], true
 	}
@@ -239,6 +256,27 @@ func (b *Block) strAt(name string, row int) (string, bool) {
 	return "", false
 }
 
+// listAt is the Event.IntList backend; like the map accessor it
+// accepts only the list kind (a boxed []int32 in a ColAny column).
+func (b *Block) listAt(name string, row int) ([]int32, bool) {
+	ci := b.colIndex(name)
+	if ci < 0 {
+		return nil, false
+	}
+	c := &b.Cols[ci]
+	if !c.present(row) {
+		return nil, false
+	}
+	switch c.Kind {
+	case ColIntList:
+		return c.list(row), true
+	case ColAny:
+		v, ok := c.A[row].([]int32)
+		return v, ok
+	}
+	return nil, false
+}
+
 func (b *Block) boolAt(name string, row int) (bool, bool) {
 	ci := b.colIndex(name)
 	if ci < 0 {
@@ -316,6 +354,12 @@ func copyRows(src *Block, rows []int32) *Block {
 			dc.A = make([]any, n)
 			for j, r := range rows {
 				dc.A[j] = sc.A[r]
+			}
+		case ColIntList:
+			dc.Ends = make([]uint32, n)
+			for j, r := range rows {
+				dc.L = append(dc.L, sc.list(int(r))...)
+				dc.Ends[j] = uint32(len(dc.L))
 			}
 		default:
 			dc.Dict = append([]string(nil), sc.Dict...)

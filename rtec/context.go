@@ -3,6 +3,7 @@ package rtec
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/insight-dublin/insight/interval"
 )
@@ -40,6 +41,9 @@ type Context struct {
 	store   sdeStore                  // SDE buckets (read-only during a query); may be nil
 	derived map[string]*derivedEvents // derived events by type
 	fluents map[string]map[KV]List    // name -> instance -> maximal intervals
+	// joins sums what the rules report through CountJoins; shared by
+	// every view of the query and by its concurrent rules.
+	joins *atomic.Int64
 }
 
 // derivedEvents is one derived type's events for the current query,
@@ -135,6 +139,7 @@ func newContext(q Time, window Span) *Context {
 		view:    Span{Start: window.Start, End: q + 1},
 		derived: make(map[string]*derivedEvents),
 		fluents: make(map[string]map[KV]List),
+		joins:   new(atomic.Int64),
 	}
 }
 
@@ -151,6 +156,16 @@ func (c *Context) withView(view Span) *Context {
 	cc := *c
 	cc.view = view.Intersect(c.view)
 	return &cc
+}
+
+// CountJoins adds n to the query's join count (Stats.Joins): a rule
+// that evaluates a costly relation between events — the Dublin rules'
+// close/4 spatial join — reports how many times it did, once per
+// evaluation rather than per row.
+func (c *Context) CountJoins(n int) {
+	if n != 0 {
+		c.joins.Add(int64(n))
+	}
 }
 
 // Window returns the working-memory span [Q−WM+1, Q+1).

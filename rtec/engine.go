@@ -98,6 +98,10 @@ type Engine struct {
 	rowScratch []int32  //state:transient reusable scratch
 	sortKeys   []uint64 //state:transient reusable scratch
 	rowCopy    []int32  //state:transient reusable scratch
+
+	// inserted counts the SDEs filed since the last query, for
+	// Stats.InsertedRows.
+	inserted int //state:transient work counter, reset by every query
 }
 
 // NewEngine builds an engine over a compiled definition set.
@@ -152,6 +156,7 @@ func (e *Engine) Input(events ...Event) error {
 		// an earlier query already evaluated that region, so cached
 		// overlap results touching it are stale.
 		e.store.insert(ev, e.started && ev.Time <= e.lastQ)
+		e.inserted++
 	}
 	return nil
 }
@@ -214,6 +219,7 @@ func (e *Engine) inputBlock(b *Block, rows []int32) error {
 		e.sortRows(b)
 	}
 	e.store.insertRows(b, e.rowScratch, e.started, e.lastQ)
+	e.inserted += len(e.rowScratch)
 	return nil
 }
 
@@ -292,6 +298,12 @@ type Stats struct {
 	// EvalGoroutines is the peak number of goroutines that evaluated
 	// rules concurrently (1 when every stratum ran serially).
 	EvalGoroutines int
+	// Joins is what the rules reported through Context.CountJoins.
+	Joins int64
+	// InsertedRows counts the SDEs the engine filed into its working
+	// memory since the previous query (rows too old for any window are
+	// not filed).
+	InsertedRows int
 }
 
 // HoldsAt reports whether a boolean fluent instance holds at t
@@ -517,6 +529,8 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			res.Stats.FluentPeriods += len(l)
 		}
 	}
+	res.Stats.Joins = ctx.joins.Load()
+	res.Stats.InsertedRows, e.inserted = e.inserted, 0
 	res.Stats.Elapsed = time.Since(begin)
 	if e.opts.Profile {
 		var memAfter runtime.MemStats

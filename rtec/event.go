@@ -127,6 +127,16 @@ func (e Event) Str(name string) (string, bool) {
 	return v, ok
 }
 
+// IntList returns an int32-list attribute, aliasing the event's
+// storage: the caller must not modify it.
+func (e Event) IntList(name string) ([]int32, bool) {
+	if e.blk != nil {
+		return e.blk.listAt(name, int(e.row))
+	}
+	v, ok := e.Attrs[name].([]int32)
+	return v, ok
+}
+
 // Bool returns a boolean attribute.
 func (e Event) Bool(name string) (bool, bool) {
 	if e.blk != nil {

@@ -202,6 +202,8 @@ func MergeResults(results []*Result) *Result {
 		out.Stats.AllocBytes += r.Stats.AllocBytes
 		out.Stats.ResidentBytes += r.Stats.ResidentBytes
 		out.Stats.EvalGoroutines += r.Stats.EvalGoroutines
+		out.Stats.Joins += r.Stats.Joins
+		out.Stats.InsertedRows += r.Stats.InsertedRows
 		if r.Stats.Elapsed > out.Stats.Elapsed {
 			out.Stats.Elapsed = r.Stats.Elapsed // parallel: max, not sum
 		}

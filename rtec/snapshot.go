@@ -161,6 +161,8 @@ func appendCanonicalCell(b []byte, c *BCol, row int) ([]byte, bool) {
 		return strconv.AppendBool(append(b, "b:"...), c.B[row]), true
 	case ColStr:
 		return append(append(b, "s:"...), c.Dict[c.SIdx[row]]...), true
+	case ColIntList:
+		return appendCanonicalList(b, c.list(row)), true
 	}
 	return appendCanonicalValue(b, c.A[row])
 }
@@ -179,8 +181,22 @@ func appendCanonicalValue(b []byte, v any) ([]byte, bool) {
 		return strconv.AppendBool(append(b, "b:"...), v), true
 	case string:
 		return append(append(b, "s:"...), v...), true
+	case []int32:
+		return appendCanonicalList(b, v), true
 	}
 	return b, false
+}
+
+// appendCanonicalList renders an int list as its comma-separated values.
+func appendCanonicalList(b []byte, l []int32) []byte {
+	b = append(b, "l:"...)
+	for i, v := range l {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
 }
 
 // appendCanonicalFloat renders a float by its exact bit pattern, as 16

@@ -502,6 +502,7 @@ func blockResidentBytes(b *Block) uint64 {
 		total += uint64(len(c.Name))
 		total += uint64(cap(c.F))*8 + uint64(cap(c.I))*8 + uint64(cap(c.B)) + uint64(cap(c.N))*8
 		total += uint64(cap(c.SIdx))*4 + uint64(cap(c.A))*sizeBox + uint64(cap(c.Present))
+		total += uint64(cap(c.Ends))*4 + uint64(cap(c.L))*4
 		for i := range c.Dict {
 			total += sizeString + uint64(len(c.Dict[i]))
 		}

@@ -23,9 +23,25 @@ import (
 type engineTier interface {
 	Input(events ...rtec.Event) error
 	InputBlockRows(b *rtec.Block, rows []int32) error
-	Query(q Time) ([]*rtec.Result, error)
+	// Query evaluates the engines at q, marking on rec the stages it
+	// runs — the engines' Query and the tier's folds — and their counts.
+	Query(q Time, rec *spanRecorder) ([]*rtec.Result, error)
 	Snapshot() ([]*rtec.EngineSnapshot, error)
 	Restore(snaps []*rtec.EngineSnapshot) error
+}
+
+// partitionedTier is the legacy fixed partitioning as an engineTier.
+type partitionedTier struct{ *rtec.Partitioned }
+
+// Query evaluates the partitions concurrently; the tier has no folds.
+func (p partitionedTier) Query(q Time, rec *spanRecorder) ([]*rtec.Result, error) {
+	results, err := p.Partitioned.Query(q)
+	rec.mark(&rec.span.Query)
+	if err != nil {
+		return nil, err
+	}
+	rec.engineTimes(results)
+	return results, nil
 }
 
 // tierSnapBusCong names the tier-state pseudo-fluent inside the tier
@@ -158,7 +174,7 @@ func (t *shardTier) InputBlockRows(b *rtec.Block, rows []int32) error {
 // CEs. The returned slice is the per-shard results followed by the
 // tier's own result, whose Stats.Elapsed is the wall time of the whole
 // call; MergeResults over it is the tier's merged view.
-func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
+func (t *shardTier) Query(q Time, rec *spanRecorder) ([]*rtec.Result, error) {
 	begin := time.Now() //lint:allow nodeterminism wall-clock feeds only Stats.Elapsed, never the recognition result
 
 	results := make([]*rtec.Result, len(t.shards))
@@ -172,16 +188,21 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 		}(i, e)
 	}
 	wg.Wait()
+	rec.mark(&rec.span.Query)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	rec.engineTimes(results)
 
-	t.foldFresh(results)
+	rec.span.ReportedProbes += t.foldFresh(results)
+	rec.mark(&rec.span.FoldFresh)
 	// scatsIntCongestion reads only replicated input: every shard holds
 	// the same instances, so the first shard's stand for all.
-	tres := t.foldBusCongestion(q, results[0].Window, results[0].Fluents[traffic.ScatsIntCongestion])
+	tres, points := t.foldBusCongestion(q, results[0].Window, results[0].Fluents[traffic.ScatsIntCongestion])
+	rec.span.FoldPoints += points
+	rec.mark(&rec.span.FoldBus)
 	tres.Stats.Elapsed = time.Since(begin)
 	return append(results, tres), nil
 }
@@ -193,10 +214,13 @@ func (t *shardTier) Query(q Time) ([]*rtec.Result, error) {
 // engine derives over this window — late arrivals and retractions
 // included, since every shard re-derives what a late SDE can touch —
 // and a fluent's intervals depend only on that set and the inertia seed.
-func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.KV]rtec.List) *rtec.Result {
+// It also returns the number of points folded.
+func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.KV]rtec.List) (*rtec.Result, int) {
 	parts := make([][]rtec.Transition, len(t.shards))
+	points := 0
 	for i, e := range t.shards {
 		parts[i] = e.Transitions(traffic.BusCongestion)
+		points += len(parts[i])
 	}
 	t.busPrev = rtec.FoldTransitions(t.busPrev, window, q, parts...)
 
@@ -227,7 +251,7 @@ func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.K
 	if len(sd) > 0 {
 		res.Fluents[traffic.SourceDisagreement] = sd
 	}
-	return res
+	return res, points
 }
 
 // foldFresh walks the shards' Fresh lists — each in (time, type, key)
@@ -242,7 +266,8 @@ func (t *shardTier) foldBusCongestion(q Time, window rtec.Span, scats map[rtec.K
 // reported). A
 // shard reporting an identity fresh now did not hold it before, so it
 // was reported earlier exactly when another shard's dedup set holds it.
-func (t *shardTier) foldFresh(results []*rtec.Result) {
+// It returns the number of dedup sets it probed.
+func (t *shardTier) foldFresh(results []*rtec.Result) (probes int) {
 	next := make([]int, len(results)) // read cursor per shard
 	kept := make([]int, len(results)) // write cursor per shard, never ahead of next
 	var same []rtec.Event             // the heads sharing the smallest identity
@@ -270,7 +295,8 @@ func (t *shardTier) foldFresh(results []*rtec.Result) {
 		for _, ri := range from {
 			next[ri]++
 		}
-		if t.reportedBefore(&same[0], from) {
+		reported, n := t.reportedBefore(&same[0], from)
+		if probes += n; reported {
 			continue
 		}
 		w := rtec.CanonicalSurvivor(same)
@@ -280,17 +306,24 @@ func (t *shardTier) foldFresh(results []*rtec.Result) {
 	for ri, res := range results {
 		res.Fresh = res.Fresh[:kept[ri]]
 	}
+	return probes
 }
 
 // reportedBefore reports whether a shard other than those reporting ev
-// fresh now (from) holds ev's identity in its dedup set.
-func (t *shardTier) reportedBefore(ev *rtec.Event, from []int) bool {
+// fresh now (from) holds ev's identity in its dedup set, and how many
+// sets it probed to find out.
+func (t *shardTier) reportedBefore(ev *rtec.Event, from []int) (bool, int) {
+	probes := 0
 	for i, e := range t.shards {
-		if !slices.Contains(from, i) && e.Reported(ev.Type, ev.Key, ev.Time) {
-			return true
+		if slices.Contains(from, i) {
+			continue
+		}
+		probes++
+		if e.Reported(ev.Type, ev.Key, ev.Time) {
+			return true, probes
 		}
 	}
-	return false
+	return false, probes
 }
 
 // Snapshot captures the whole tier: every shard engine and a trailing

@@ -411,7 +411,7 @@ func TestShardTierElapsed(t *testing.T) {
 	if _, err := adm.admit(sys, from+900); err != nil {
 		t.Fatal(err)
 	}
-	results, err := sys.engines.Query(from + 900)
+	results, err := sys.engines.Query(from+900, newSpanRecorder())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,16 @@ const (
 	// ColStr is a dictionary-encoded string column: SIdx holds per-row
 	// indexes into the small Dict table of distinct values.
 	ColStr
+	// ColIntList is a column of non-negative int32 lists: row i holds
+	// L[Ends[i-1]:Ends[i]] (from 0 for the first row), so a batch's
+	// lists share one flat value slice and a row costs one offset. It is
+	// written by a pipeline stage, not by the batch's producer, so a
+	// recycled batch comes back with the column empty while the producer
+	// refills the rows: such an unfilled column (no rows in a batch that
+	// has some, Col.Unfilled) is skipped by AppendRowFrom, ItemAt and
+	// the WAL record encoder until the stage refills it, and refused by
+	// Check.
+	ColIntList
 )
 
 // Col is one named column of a Batch. Exactly one of the data slices
@@ -54,6 +64,10 @@ type Col struct {
 	B    []bool
 	SIdx []uint32
 	Dict []string
+	// Ends and L hold a ColIntList column: per-row end offsets into the
+	// flat value slice L.
+	Ends []uint32
+	L    []int32
 
 	// dict is the interning index over Dict, built lazily on append.
 	dict map[string]uint32
@@ -68,6 +82,8 @@ func (c *Col) Len() int {
 		return len(c.I)
 	case ColBool:
 		return len(c.B)
+	case ColIntList:
+		return len(c.Ends)
 	default:
 		return len(c.SIdx)
 	}
@@ -100,13 +116,34 @@ func (c *Col) AppendStr(s string) {
 	c.SIdx = append(c.SIdx, idx)
 }
 
+// Unfilled reports whether the column is a list column holding no rows:
+// in a batch with rows, one its stage has not filled yet (see
+// ColIntList).
+func (c *Col) Unfilled() bool { return c.Kind == ColIntList && len(c.Ends) == 0 }
+
+// AppendList appends a row to a ColIntList column.
+func (c *Col) AppendList(vals ...int32) {
+	c.L = append(c.L, vals...)
+	c.Ends = append(c.Ends, uint32(len(c.L)))
+}
+
+// List returns the values of row i of a ColIntList column, aliasing
+// the column.
+func (c *Col) List(i int) []int32 {
+	start := uint32(0)
+	if i > 0 {
+		start = c.Ends[i-1]
+	}
+	return c.L[start:c.Ends[i]]
+}
+
 // Str returns the string value of row i of a ColStr column.
 func (c *Col) Str(i int) string { return c.Dict[c.SIdx[i]] }
 
 // Value returns the boxed value of row i, typed by Kind (float64,
-// int64, bool or string) — the compatibility bridge for map-shaped
-// consumers. It allocates for most values; batch-path code must read
-// the typed slices directly instead.
+// int64, bool, string or a copied []int32) — the compatibility bridge
+// for map-shaped consumers. It allocates for most values; batch-path
+// code must read the typed slices directly instead.
 func (c *Col) Value(i int) any {
 	switch c.Kind {
 	case ColFloat:
@@ -115,6 +152,8 @@ func (c *Col) Value(i int) any {
 		return c.I[i]
 	case ColBool:
 		return c.B[i]
+	case ColIntList:
+		return slices.Clone(c.List(i))
 	default:
 		return c.Dict[c.SIdx[i]]
 	}
@@ -128,6 +167,8 @@ func (c *Col) reset() {
 	c.I = c.I[:0]
 	c.B = c.B[:0]
 	c.SIdx = c.SIdx[:0]
+	c.Ends = c.Ends[:0]
+	c.L = c.L[:0]
 }
 
 // Batch is a typed columnar batch of events: one SDE type, one
@@ -305,6 +346,9 @@ func (b *Batch) Grow(n int) {
 			c.I = slices.Grow(c.I, n)
 		case ColBool:
 			c.B = slices.Grow(c.B, n)
+		case ColIntList:
+			c.Ends = slices.Grow(c.Ends, n)
+			c.L = slices.Grow(c.L, n)
 		default:
 			c.SIdx = slices.Grow(c.SIdx, n)
 		}
@@ -336,6 +380,9 @@ func (b *Batch) BoolCol(name string) *Col { return b.col(name, ColBool) }
 // StrCol returns the named string column, creating it if absent.
 func (b *Batch) StrCol(name string) *Col { return b.col(name, ColStr) }
 
+// ListCol returns the named int-list column, creating it if absent.
+func (b *Batch) ListCol(name string) *Col { return b.col(name, ColIntList) }
+
 // Col returns the named column, or nil.
 func (b *Batch) Col(name string) *Col {
 	for i := range b.Cols {
@@ -346,8 +393,12 @@ func (b *Batch) Col(name string) *Col {
 	return nil
 }
 
-// Check verifies the row-length invariant: every column (and the
-// optional arrival slice) has exactly one entry per row.
+// Check verifies the row-length invariant — every column (and the
+// optional arrival slice) has exactly one entry per row — and that
+// every index stays inside what it indexes: key and string indexes
+// inside their dictionaries, list offsets ascending up to the value
+// count, list values non-negative. A batch that passes can be read
+// through every accessor without a bounds panic.
 func (b *Batch) Check() error {
 	n := b.Len()
 	if len(b.Keys) != n {
@@ -365,10 +416,48 @@ func (b *Batch) Check() error {
 		}
 	}
 	for i := range b.Cols {
-		if got := b.Cols[i].Len(); got != n {
+		c := &b.Cols[i]
+		if got := c.Len(); got != n {
 			return fmt.Errorf("streams: batch %q column %q has %d values for %d rows",
-				b.Type, b.Cols[i].Name, got, n)
+				b.Type, c.Name, got, n)
 		}
+		if err := c.checkIndexes(); err != nil {
+			return fmt.Errorf("streams: batch %q column %q: %w", b.Type, c.Name, err)
+		}
+	}
+	return nil
+}
+
+// checkIndexes verifies a column's internal indexes: dictionary ids
+// inside the dictionary, list offsets ascending to len(L), list values
+// non-negative. Other kinds have none.
+func (c *Col) checkIndexes() error {
+	switch c.Kind {
+	case ColStr:
+		for _, id := range c.SIdx {
+			if int(id) >= len(c.Dict) {
+				return fmt.Errorf("string index %d outside dictionary of %d", id, len(c.Dict))
+			}
+		}
+	case ColIntList:
+		prev := uint32(0)
+		for i, end := range c.Ends {
+			if end < prev {
+				return fmt.Errorf("list offset %d at row %d below the previous %d", end, i, prev)
+			}
+			prev = end
+		}
+		if int(prev) != len(c.L) {
+			return fmt.Errorf("list offsets end at %d for %d values", prev, len(c.L))
+		}
+		for _, v := range c.L {
+			if v < 0 {
+				return fmt.Errorf("negative list value %d", v)
+			}
+		}
+	case ColFloat, ColInt, ColBool:
+	default:
+		return fmt.Errorf("unknown column kind %d", c.Kind)
 	}
 	return nil
 }
@@ -397,6 +486,9 @@ func (b *Batch) AppendRowFrom(src *Batch, i int) {
 	b.KIdx = append(b.KIdx, id)
 	for ci := range src.Cols {
 		sc := &src.Cols[ci]
+		if sc.Unfilled() {
+			continue // the stage that owns it has not run yet
+		}
 		dc := b.col(sc.Name, sc.Kind)
 		switch sc.Kind {
 		case ColFloat:
@@ -405,6 +497,8 @@ func (b *Batch) AppendRowFrom(src *Batch, i int) {
 			dc.I = append(dc.I, sc.I[i])
 		case ColBool:
 			dc.B = append(dc.B, sc.B[i])
+		case ColIntList:
+			dc.AppendList(sc.List(i)...)
 		default:
 			dc.AppendStr(sc.Dict[sc.SIdx[i]])
 		}
@@ -430,6 +524,9 @@ func (b *Batch) ItemAt(i int) Item {
 	it[RowKey] = b.Keys[i]
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
+		if c.Unfilled() {
+			continue
+		}
 		it[c.Name] = c.Value(i)
 	}
 	return it

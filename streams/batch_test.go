@@ -3,6 +3,7 @@ package streams
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -272,5 +273,81 @@ func TestChaosBatchRowFaulting(t *testing.T) {
 	}
 	if live := LiveBatches(); live != before {
 		t.Errorf("live batches = %d, want %d", live, before)
+	}
+}
+
+// TestBatchCheckIndexes: Check refuses every index a reader would
+// follow out of bounds — a string index past its column dictionary, a
+// list offset below its predecessor or ending short of or past the
+// values, a negative list value, a kind byte no reader knows.
+func TestBatchCheckIndexes(t *testing.T) {
+	mk := func() *Batch {
+		b := NewBatch("move", "bus")
+		for i := 0; i < 3; i++ {
+			b.Append(int64(i), int64(i), "k")
+			b.StrCol("line").AppendStr(fmt.Sprintf("L%d", i))
+			b.ListCol("close").AppendList([]int32{int32(i), int32(i + 4)}[:i]...)
+		}
+		return b
+	}
+	if err := mk().Check(); err != nil {
+		t.Fatalf("valid batch refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(b *Batch)
+		want   string
+	}{
+		{"string index past dictionary", func(b *Batch) { b.Col("line").SIdx[1] = 3 }, "outside dictionary"},
+		{"list offsets decrease", func(b *Batch) { c := b.Col("close"); c.Ends[1], c.Ends[2] = 3, 2 }, "below the previous"},
+		{"list offsets end short", func(b *Batch) { c := b.Col("close"); c.L = append(c.L, 9) }, "offsets end at"},
+		{"list offsets end past values", func(b *Batch) { c := b.Col("close"); c.L = c.L[:2] }, "offsets end at"},
+		{"negative list value", func(b *Batch) { b.Col("close").L[0] = -1 }, "negative"},
+		{"unknown kind", func(b *Batch) { b.Col("line").Kind = 9 }, "unknown column kind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := mk()
+			tc.mutate(b)
+			if err := b.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Check = %v, want an error about %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestBatchUnfilledListColumn: a recycled batch refilled by its producer
+// carries its stage-owned list column empty. Check refuses it, but row
+// copies and item views leave it out instead of indexing rows it lacks,
+// and a refilled copy reads back the lists once the stage has run.
+func TestBatchUnfilledListColumn(t *testing.T) {
+	b := GetBatch("move", "unfilled-test")
+	b.Append(1, 1, "k")
+	b.FloatCol("lon").AppendFloat(1)
+	b.ListCol("close").AppendList(4, 7)
+	b.Release()
+	b = GetBatch("move", "unfilled-test")
+	defer b.Release()
+	b.Append(2, 2, "k")
+	b.FloatCol("lon").AppendFloat(2)
+	c := b.Col("close")
+	if c == nil {
+		t.Skip("the pool handed back a fresh batch")
+	}
+	if !c.Unfilled() || b.Check() == nil {
+		t.Fatalf("recycled close column: unfilled %v, Check %v", c.Unfilled(), b.Check())
+	}
+	cp := NewBatch("move", "copy")
+	cp.AppendRowFrom(b, 0)
+	if cp.Col("close") != nil || cp.Check() != nil {
+		t.Fatalf("AppendRowFrom copied the unfilled column: %+v", cp.Cols)
+	}
+	if _, has := b.ItemAt(0)["close"]; has {
+		t.Fatal("ItemAt materialized the unfilled column")
+	}
+	c.AppendList(3)
+	filled := NewBatch("move", "copy")
+	filled.AppendRowFrom(b, 0)
+	if got := filled.Col("close"); got == nil || fmt.Sprint(got.List(0)) != "[3]" || filled.Check() != nil {
+		t.Fatalf("filled column copied as %+v", got)
 	}
 }

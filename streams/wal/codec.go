@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/insight-dublin/insight/internal/codec"
 	"github.com/insight-dublin/insight/streams"
@@ -12,7 +13,9 @@ import (
 // columnar layout: occurrence/arrival times as zig-zag delta varints
 // (arrival-ordered rows make the deltas tiny), entity keys through the
 // batch's key dictionary, and one typed column blob per attribute
-// column, with categorical columns keeping their dictionary encoding.
+// column, with categorical columns keeping their dictionary encoding
+// and int-list columns written as per-row lengths then the values, all
+// uvarints.
 // Decoding rebuilds an equivalent unpooled batch; round-tripping a
 // batch through EncodeBatch/DecodeBatch preserves every row bit for
 // bit, which is what makes WAL replay feed the engines the exact
@@ -76,9 +79,20 @@ func EncodeBatch(dst []byte, b *streams.Batch) []byte {
 	} else {
 		dst = appendKeys(dst, b.Keys)
 	}
-	dst = codec.AppendUvarint(dst, uint64(len(b.Cols)))
+	// A column its stage has not filled yet is not part of the rows
+	// (AppendRowFrom leaves it out too).
+	cols := len(b.Cols)
+	for ci := range b.Cols {
+		if b.Cols[ci].Unfilled() {
+			cols--
+		}
+	}
+	dst = codec.AppendUvarint(dst, uint64(cols))
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
+		if c.Unfilled() {
+			continue
+		}
 		dst = appendColHeader(dst, c)
 		if c.Kind == streams.ColStr {
 			dst = appendDict(dst, c.Dict, c.SIdx, remap, first)
@@ -95,7 +109,8 @@ func appendColHeader(dst []byte, c *streams.Col) []byte {
 	return append(dst, byte(c.Kind))
 }
 
-// appendCells appends the cells of a float, int or bool column.
+// appendCells appends the cells of a float, int, bool or int-list
+// column.
 func appendCells(dst []byte, c *streams.Col) []byte {
 	switch c.Kind {
 	case streams.ColFloat:
@@ -107,6 +122,15 @@ func appendCells(dst []byte, c *streams.Col) []byte {
 	case streams.ColBool:
 		for _, v := range c.B {
 			dst = codec.AppendBool(dst, v)
+		}
+	case streams.ColIntList:
+		start := uint32(0)
+		for _, end := range c.Ends {
+			dst = codec.AppendUvarint(dst, uint64(end-start))
+			start = end
+		}
+		for _, v := range c.L {
+			dst = codec.AppendUvarint(dst, uint64(v))
 		}
 	}
 	return dst
@@ -254,6 +278,29 @@ func DecodeBatch(payload []byte) (*streams.Batch, error) {
 					d.Fail("wal: string index %d outside dictionary of %d", id, len(col.Dict))
 				}
 				col.SIdx = append(col.SIdx, uint32(id))
+			}
+		case streams.ColIntList:
+			col = b.ListCol(name)
+			col.Ends = make([]uint32, 0, n)
+			total := 0
+			for i := 0; i < n && d.Err() == nil; i++ {
+				// Every value takes a byte at least, so the running total
+				// stays below the payload size.
+				if total += d.Count(); total > d.Len() {
+					d.Fail("wal: %d list values exceed %d remaining payload bytes", total, d.Len())
+				}
+				col.Ends = append(col.Ends, uint32(total))
+			}
+			if d.Err() != nil {
+				return nil, d.Err()
+			}
+			col.L = make([]int32, 0, total)
+			for i := 0; i < total; i++ {
+				v := d.Uvarint()
+				if d.Err() == nil && v > math.MaxInt32 {
+					d.Fail("wal: list value %d outside int32", v)
+				}
+				col.L = append(col.L, int32(v))
 			}
 		default:
 			return nil, fmt.Errorf("wal: unknown column kind %d", kind)

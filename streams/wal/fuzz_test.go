@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/insight-dublin/insight/internal/codec"
@@ -24,6 +25,7 @@ const (
 	rowsBool
 	rowsStr
 	rowsStr2
+	rowsList
 )
 
 // fuzzRowsBatch builds an n-row batch of the given shape, every value
@@ -48,7 +50,7 @@ func fuzzRowsBatch(n int, shape byte, data []byte) *streams.Batch {
 		bit  byte
 		name string
 		kind streams.ColKind
-	}{{rowsStr2, "line", streams.ColStr}, {rowsFloat, "flow", streams.ColFloat}, {rowsInt, "count", streams.ColInt}, {rowsBool, "congested", streams.ColBool}, {rowsStr, "area", streams.ColStr}} {
+	}{{rowsStr2, "line", streams.ColStr}, {rowsFloat, "flow", streams.ColFloat}, {rowsInt, "count", streams.ColInt}, {rowsBool, "congested", streams.ColBool}, {rowsStr, "area", streams.ColStr}, {rowsList, "close", streams.ColIntList}} {
 		if shape&c.bit != 0 {
 			switch c.kind {
 			case streams.ColFloat:
@@ -57,6 +59,8 @@ func fuzzRowsBatch(n int, shape byte, data []byte) *streams.Batch {
 				b.IntCol(c.name)
 			case streams.ColBool:
 				b.BoolCol(c.name)
+			case streams.ColIntList:
+				b.ListCol(c.name)
 			default:
 				b.StrCol(c.name)
 			}
@@ -86,6 +90,13 @@ func fuzzRowsBatch(n int, shape byte, data []byte) *streams.Batch {
 				c.AppendInt(int64(int8(next())) << (next() % 56))
 			case streams.ColBool:
 				c.AppendBool(next()&1 != 0)
+			case streams.ColIntList:
+				var vals [3]int32
+				k := int(next() % 4)
+				for i := range vals[:k] {
+					vals[i] = int32(next()) << (next() % 24)
+				}
+				c.AppendList(vals[:k]...)
 			default:
 				c.AppendStr(vocab[int(next())%len(vocab)])
 			}
@@ -118,6 +129,19 @@ func rowRange(b *streams.Batch, lo, hi int) {
 			c.I = c.I[lo:hi]
 		case streams.ColBool:
 			c.B = c.B[lo:hi]
+		case streams.ColIntList:
+			start, end := uint32(0), uint32(0)
+			if lo > 0 {
+				start = c.Ends[lo-1]
+			}
+			if hi > 0 {
+				end = c.Ends[hi-1]
+			}
+			ends := make([]uint32, 0, hi-lo)
+			for _, e := range c.Ends[lo:hi] {
+				ends = append(ends, e-start)
+			}
+			c.Ends, c.L = ends, c.L[start:max(start, end)]
 		default:
 			c.SIdx = c.SIdx[lo:hi]
 		}
@@ -183,13 +207,15 @@ func dumpEncode(dst []byte, b *streams.Batch) []byte {
 // arrivals and a key dictionary. The payload decodes to exactly those
 // rows.
 func FuzzEncodeBatch(f *testing.F) {
-	all := byte(rowsArrivals | rowsFloat | rowsInt | rowsBool | rowsStr | rowsStr2)
+	all := byte(rowsArrivals | rowsFloat | rowsInt | rowsBool | rowsStr | rowsStr2 | rowsList)
 	f.Add(uint8(20), uint8(0), uint8(20), all, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(20), uint8(7), uint8(5), all, []byte{9, 200, 3, 77, 5})
 	f.Add(uint8(12), uint8(4), uint8(0), all, []byte{1})
 	f.Add(uint8(0), uint8(0), uint8(0), all, []byte(nil))
 	f.Add(uint8(9), uint8(3), uint8(4), byte(rowsNoKeyDict|rowsStr), []byte{3, 1, 4, 1, 5, 9, 2, 6})
 	f.Add(uint8(30), uint8(10), uint8(10), byte(rowsFloat), []byte{0xff, 0xf8, 0, 1, 0x7f})
+	f.Add(uint8(16), uint8(5), uint8(6), byte(rowsArrivals|rowsList), []byte{3, 0, 2, 1, 0xff, 7, 9, 4})
+	f.Add(uint8(8), uint8(0), uint8(8), byte(rowsList|rowsStr), []byte{0, 3, 0xff, 0xff, 0xff, 23})
 	f.Fuzz(func(t *testing.T, n, lo, span uint8, shape byte, data []byte) {
 		b := fuzzRowsBatch(int(n)%128, shape, data)
 		l := int(lo) % (b.Len() + 1)
@@ -215,6 +241,11 @@ func FuzzEncodeBatch(f *testing.F) {
 		for r := 0; r < dec.Len(); r++ {
 			if dec.Times[r] != b.Times[r] || dec.Keys[r] != b.Keys[r] {
 				t.Fatalf("row %d decodes as (%d,%q), want (%d,%q)", r, dec.Times[r], dec.Keys[r], b.Times[r], b.Keys[r])
+			}
+			if c := b.Col("close"); c != nil {
+				if got, want := dec.Col("close").List(r), c.List(r); !slices.Equal(got, want) {
+					t.Fatalf("row %d list decodes as %v, want %v", r, got, want)
+				}
 			}
 		}
 	})

@@ -47,6 +47,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/insight-dublin/insight/internal/vfs"
 )
@@ -112,6 +113,10 @@ func (o Options) normalized() Options {
 type Log struct {
 	dir  string
 	opts Options
+
+	// syncs counts the write path's fsyncs since Open; atomic, so Syncs
+	// never waits for mu.
+	syncs atomic.Int64
 
 	mu     sync.Mutex
 	active vfs.File // current segment, opened for append
@@ -305,6 +310,7 @@ func (l *Log) openSegmentLocked(base int64) error {
 		return closeJoin(f, err)
 	}
 	l.active, l.base, l.size = f, base, 0
+	l.countSync() // the header's
 	return nil
 }
 
@@ -318,6 +324,23 @@ func (l *Log) Frontier() int64 {
 
 // Torn returns the number of torn-tail bytes Open discarded.
 func (l *Log) Torn() int64 { return l.torn }
+
+// Syncs returns the number of fsyncs the write path — appends, segment
+// rolls and Sync — has issued since Open. It takes no lock, so a reader
+// never waits behind an append's fsync.
+func (l *Log) Syncs() int64 { return l.syncs.Load() }
+
+// syncLocked fsyncs the active segment and counts it.
+func (l *Log) syncLocked() error {
+	if err := l.active.Sync(); err != nil {
+		return err
+	}
+	l.countSync()
+	return nil
+}
+
+// countSync counts one write-path fsync.
+func (l *Log) countSync() { l.syncs.Add(1) }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir } //lint:allow lockguard dir is immutable after Open
@@ -349,7 +372,7 @@ func (l *Log) Append(payload []byte) (start, end int64, err error) {
 		return 0, 0, l.failLocked(err)
 	}
 	if l.opts.Sync == SyncAlways {
-		if err := l.active.Sync(); err != nil {
+		if err := l.syncLocked(); err != nil {
 			return 0, 0, l.failLocked(err)
 		}
 	}
@@ -366,7 +389,7 @@ func (l *Log) failLocked(err error) error {
 // rotateLocked seals the active segment and starts the next one.
 func (l *Log) rotateLocked() error {
 	if l.opts.Sync != SyncNever {
-		if err := l.active.Sync(); err != nil {
+		if err := l.syncLocked(); err != nil {
 			return err
 		}
 	}
@@ -383,7 +406,7 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return l.err
 	}
-	return l.active.Sync()
+	return l.syncLocked()
 }
 
 // Close syncs (unless SyncNever) and closes the active segment.

@@ -24,7 +24,8 @@ func testBatch(n int, seed int64) *streams.Batch {
 	b.IntCol("count")
 	b.BoolCol("congested")
 	b.StrCol("line")
-	f, i, bo, s := b.Col("flow"), b.Col("count"), b.Col("congested"), b.Col("line")
+	b.ListCol("close")
+	f, i, bo, s, l := b.Col("flow"), b.Col("count"), b.Col("congested"), b.Col("line"), b.Col("close")
 	for r := 0; r < n; r++ {
 		t := seed + int64(r)*7
 		b.Append(t, t+int64(r%3), keys[r%len(keys)])
@@ -32,6 +33,7 @@ func testBatch(n int, seed int64) *streams.Batch {
 		i.AppendInt(int64(r*r) - 3)
 		bo.AppendBool(r%2 == 0)
 		s.AppendStr(keys[(r+1)%len(keys)])
+		l.AppendList([]int32{int32(r), int32(r) + 300}[:(r+1)%3]...)
 	}
 	return b
 }
@@ -59,7 +61,7 @@ func batchEqual(t *testing.T, a, b *streams.Batch) {
 			t.Fatalf("column %d mismatch: %s/%d vs %s/%d", ci, ca.Name, ca.Kind, cb.Name, cb.Kind)
 		}
 		for r := 0; r < a.Len(); r++ {
-			if ca.Value(r) != cb.Value(r) {
+			if !reflect.DeepEqual(ca.Value(r), cb.Value(r)) {
 				t.Fatalf("column %s row %d: %v vs %v", ca.Name, r, ca.Value(r), cb.Value(r))
 			}
 		}
@@ -596,5 +598,26 @@ func TestRuntTailSegmentRecovered(t *testing.T) {
 	starts, _ = readAll(t, dir, 0)
 	if len(starts) != len(offsets)+1 {
 		t.Fatalf("%d records after runt recovery, want %d", len(starts), len(offsets)+1)
+	}
+}
+
+// TestCodecRejectsBadList: a list column the encoder was handed broken —
+// offsets that fall back, a value outside int32's non-negative range —
+// writes a payload the decoder refuses, never a batch failing Check.
+func TestCodecRejectsBadList(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *streams.Col)
+	}{
+		{"offsets fall back", func(c *streams.Col) { c.Ends[2], c.Ends[3] = c.Ends[3], c.Ends[2] }},
+		{"negative value", func(c *streams.Col) { c.L[1] = -7 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := testBatch(8, 100)
+			tc.mutate(b.Col("close"))
+			if got, err := DecodeBatch(EncodeBatch(nil, b)); err == nil {
+				t.Fatalf("decoded a broken list column: %+v", got.Col("close"))
+			}
+		})
 	}
 }

@@ -156,6 +156,30 @@ func rushIntervals(rush [][2]float64, span interval.Span) interval.List {
 	return interval.Normalize(out)
 }
 
+// AreaIndex builds the spatial index of busCongestion's areas of
+// interest: cfg.Registry's SCATS intersections, in registry order, then
+// cfg.ExtraAreas. A SCATS intersection has the same index here as in
+// the registry, so the ascending close/4 list of a point holds its SCATS
+// intersections first — the part agree and disagree read — and the
+// whole list is what busCongestion reads. A move SDE stamped with that
+// list under CloseColumn skips the join in every rule.
+func AreaIndex(cfg Config) (*Registry, error) {
+	if cfg.Registry == nil {
+		return nil, fmt.Errorf("traffic: Config.Registry is required")
+	}
+	reg := cfg.Registry
+	areaList := make([]Intersection, 0, len(reg.Intersections())+len(cfg.ExtraAreas))
+	areaList = append(areaList, reg.Intersections()...)
+	for _, a := range cfg.ExtraAreas {
+		areaList = append(areaList, Intersection{ID: a.ID, Pos: a.Pos})
+	}
+	areas, err := NewRegistry(areaList, reg.CloseMeters())
+	if err != nil {
+		return nil, fmt.Errorf("traffic: building area index: %w", err)
+	}
+	return areas, nil
+}
+
 // Build compiles the Dublin CE definition set for the configuration.
 func Build(cfg Config) (*rtec.Definitions, error) {
 	return BuildWith(cfg, nil)
@@ -191,18 +215,11 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		return nil, fmt.Errorf("traffic: Config.Registry is required")
 	}
 	reg := cfg.Registry
-
-	// Areas of interest for busCongestion: every SCATS intersection
-	// plus the configured extra areas, in one spatial index.
-	areaList := make([]Intersection, 0, len(reg.Intersections())+len(cfg.ExtraAreas))
-	areaList = append(areaList, reg.Intersections()...)
-	for _, a := range cfg.ExtraAreas {
-		areaList = append(areaList, Intersection{ID: a.ID, Pos: a.Pos})
-	}
-	areas, err := NewRegistry(areaList, reg.CloseMeters())
+	areas, err := AreaIndex(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: building area index: %w", err)
+		return nil, err
 	}
+	scatsAreas := int32(len(reg.intersections)) // their prefix of the area index
 
 	b := rtec.NewBuilder().DeclareSDE(MoveType, TrafficType, CrowdType)
 
@@ -348,7 +365,7 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 				scats[i] = l
 			}
 		}
-		eachCloseMove(ctx, reg, false, func(e rtec.Event, busSays bool, i int32) {
+		eachCloseMove(ctx, areas, scatsAreas, false, func(e rtec.Event, busSays bool, i int32) {
 			in := &reg.intersections[i]
 			agrees := busSays == scats[i].Contains(e.Time)
 			switch {
@@ -458,7 +475,7 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 			// A move is mostly close to one area: one point per move.
 			out := make([]rtec.Transition, 0, ctx.Rows(MoveType).Len())
 			// Adaptive is rule-set (3′): discard unreliable buses.
-			eachCloseMove(ctx, areas, cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
+			eachCloseMove(ctx, areas, int32(len(areas.intersections)), cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
 				if congested {
 					out = append(out, rtec.InitiateAt(areas.intersections[a].ID, e.Time))
 				} else {

@@ -58,6 +58,14 @@ const (
 	CrowdType = "crowd"
 )
 
+// CloseColumn is the move attribute that carries the report's close/4
+// join precomputed: a []int32 of ascending indexes into
+// AreaIndex(cfg).Intersections(), the areas within the close threshold
+// of the report's (lon, lat). The pipeline's input stage stamps it on
+// every move batch, so the rules never evaluate the join themselves; a
+// move without it is joined against its position instead.
+const CloseColumn = "close"
+
 // Derived CE names.
 const (
 	ScatsCongestion         = "scatsCongestion"
@@ -231,29 +239,47 @@ func eventPos(e rtec.Event) (geo.Point, bool) {
 }
 
 // eachCloseMove calls fn once per (move event, close area) pair of the
-// context's view, in event order then ascending area index: the join of
-// rule-sets (3)–(5) between bus reports and the places they are close/4
-// to. congested is the bus's own congestion flag; area indexes
-// index.Intersections(). skipNoisy drops the reports of buses for which
-// noisy holds at the time of the report.
-func eachCloseMove(ctx *rtec.Context, index *Registry, skipNoisy bool, fn func(e rtec.Event, congested bool, area int32)) {
+// context's view with an area index below limit, in event order then
+// ascending area index: the join of rule-sets (3)–(5) between bus
+// reports and the places they are close/4 to. areas is the rule set's
+// AreaIndex; limit is its SCATS prefix for agree and disagree, its
+// length for busCongestion. congested is the bus's own congestion flag.
+// skipNoisy drops the reports of buses for which noisy holds at the
+// time of the report, probed only for reports close to some area.
+//
+// A move stamped under CloseColumn carries its close list; any other —
+// a map-backed Input event, a block that skipped the pipeline's input
+// stage, a log record older than the stamp — is joined here against its
+// position, and each such join is counted in the query's Stats.Joins.
+// Both paths yield the same pairs: the stamp is AppendClose's answer.
+func eachCloseMove(ctx *rtec.Context, areas *Registry, limit int32, skipNoisy bool, fn func(e rtec.Event, congested bool, area int32)) {
 	rows := ctx.Rows(MoveType)
-	var near []int32 // reused across rows
+	var near []int32 // the fallback's join, reused across rows
+	joins := 0
 	for i := 0; i < rows.Len(); i++ {
 		e := rows.At(i)
-		if skipNoisy && ctx.HoldsAt(Noisy, e.Key, e.Time) {
-			continue
+		close, stamped := e.IntList(CloseColumn)
+		if !stamped {
+			pos, ok := eventPos(e)
+			if !ok {
+				continue
+			}
+			near = areas.AppendClose(near[:0], pos)
+			joins++
+			close = near
 		}
-		pos, ok := eventPos(e)
-		if !ok {
-			continue
+		// Ascending, so the areas below limit are a prefix.
+		n := 0
+		for n < len(close) && close[n] < limit {
+			n++
 		}
-		if near = index.AppendClose(near[:0], pos); len(near) == 0 {
+		if n == 0 || skipNoisy && ctx.HoldsAt(Noisy, e.Key, e.Time) {
 			continue
 		}
 		congested, _ := e.Bool("congested")
-		for _, a := range near {
+		for _, a := range close[:n] {
 			fn(e, congested, a)
 		}
 	}
+	ctx.CountJoins(joins)
 }
