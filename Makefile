@@ -58,7 +58,9 @@ lint-json:
 # reference with drops, duplicates, re-ordered and late delivery,
 # boundary-equal stamps and streams degraded mid-batch, an envelope with
 # decreasing arrivals dead-lettered at the validator, live ≡ replayed ≡
-# CSV round trip — and the crash-equivalence campaign: a seeded fault
+# CSV round trip — and the crash-equivalence campaign, crowdless and
+# with participants (its crowd case: the EM estimator equal to the
+# uninterrupted run's and a round asked again after a recovery): a seeded fault
 # script over the storage seam (internal/vfs) of 20 torn WAL appends, a
 # torn checkpoint with a torn log tail in the same crash, a corrupted, a
 # torn and a durable-then-killed checkpoint, every armed fault firing,
@@ -118,7 +120,8 @@ lint-json:
 # whatever the points' split into parts, order and duplicates), Fresh
 # dedup snapshot (seenSet.Entries equals a comparison sort of every
 # identity, through Add, Prune and Restore), shard-assignment,
-# engine-snapshot-decode, checkpoint-decode (format 4 seed corpus),
+# engine-snapshot-decode, checkpoint-decode (format 5 seed corpus,
+# verdict and estimator sections included),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
 # return batches to valid arrival-ordered envelopes or is refused),
 # ground-truth field (the indexed CongestionAt equals a linear scan over

@@ -5,13 +5,17 @@ package insight
 // resume recognition from a query boundary and cannot recompute from the
 // write-ahead log: the boundary cursor, the per-stream consumption
 // cursors, the engines' inertia seeds and Fresh dedup sets
-// (rtec.EngineSnapshot), the system's latest sensor/crowd readings and
-// the reports that were fired but not yet acknowledged by the operator
-// sink. The engines' working memory and the rows consumed but not yet
-// admitted are a function of the logged SDE stream, so the checkpoint
-// names where in the log they start — the window offset — and the
-// boundaries that admitted rows from there on; recovery re-reads the
-// log from that offset and re-admits it (see BuildDurablePipeline).
+// (rtec.EngineSnapshot), the system's latest sensor/crowd readings, the
+// crowd's answers as far as recognition and the EM estimator used them
+// — the verdicts still in the window and every participant's learned
+// reliability — and the reports that were fired but not yet
+// acknowledged by the operator sink. The engines' working memory and
+// the rows consumed but not yet admitted are a function of the logged
+// SDE stream, so the checkpoint names where in the log they start — the
+// window offset — and the boundaries that admitted rows from there on;
+// recovery re-reads the log from that offset and re-admits it, filing
+// each boundary's verdicts after its admission (see
+// BuildDurablePipeline).
 //
 // Atomicity. The file is written to a .tmp sibling, fsynced, renamed
 // into place and the directory fsynced — a crash leaves either the
@@ -22,36 +26,41 @@ package insight
 // retained checkpoint. Every file call goes through the internal/vfs
 // seam, where tests script their storage faults.
 //
-// Layout (format 4). A fixed header — magic, CRC32C over every byte
+// Layout (format 5). A fixed header — magic, CRC32C over every byte
 // after the CRC field, the format byte, the window offset, the
 // consumption offset and the boundary cursor as fixed-width
 // little-endian integers — so the garbage collector learns a retained
 // checkpoint's window offset, the front of the log it needs, without
 // decoding anything else; then the sections in the shared codec
 // vocabulary (internal/codec): stream cursors, the boundaries fired
-// since the window offset, the engines' binary snapshots
-// (rtec.EngineSnapshot.AppendBinary; on the sharded tier one per shard
-// plus the tier state), the latest sensor/crowd readings and the
-// unacked reports (a few KB of JSON each).
+// since the window offset with their verdicts, the engines' binary
+// snapshots (rtec.EngineSnapshot.AppendBinary; on the sharded tier one
+// per shard plus the tier state), the latest sensor/crowd readings, the
+// estimator (crowd.Estimator.AppendBinary) and the unacked reports (a
+// few KB of JSON each). Readings name their sensor or intersection
+// only: the vertex is the city's, looked up on restore.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/internal/codec"
 	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/rtec"
+	"github.com/insight-dublin/insight/traffic"
 )
 
 const (
 	ckptMagic  = "INSCKPT1"
-	ckptFormat = 4
+	ckptFormat = 5
 	// Fixed header offsets: magic, CRC32C of everything after it, format
 	// byte, window offset, consumption offset, boundary cursor.
 	ckptCRCAt      = len(ckptMagic)
@@ -99,24 +108,23 @@ type streamCursor struct {
 // feeding the GP sparsity service.
 type trafficSnap struct {
 	sensor string
-	vertex int
 	flow   float64
 	t      Time
 }
 
 type crowdSnap struct {
 	inter     string
-	vertex    int
 	congested bool
 	t         Time
 }
 
 // boundaryFire is one query boundary the monitoring process fired: its
-// query time and the WAL end offset of the last record consumed when it
-// fired.
+// query time, the WAL end offset of the last record consumed when it
+// fired and the verdicts its crowd rounds fed back, in filing order.
 type boundaryFire struct {
-	q   Time
-	end int64
+	q        Time
+	end      int64
+	verdicts []crowdVerdict
 }
 
 // checkpoint is the decoded in-memory form of one checkpoint file.
@@ -129,14 +137,16 @@ type checkpoint struct {
 	windowOffset   int64
 	consumedOffset int64
 	cursors        []streamCursor // sorted by stream id
-	// fires are the boundaries that fired after windowOffset, in firing
-	// order: re-admitting at each once the log is re-read to its end
-	// offset rebuilds the stores and the pending set row for row.
-	fires   []boundaryFire
-	engines []*rtec.EngineSnapshot
-	traffic []trafficSnap // sorted by sensor
-	crowd   []crowdSnap   // sorted by intersection
-	reports [][]byte      // JSON of fired-but-unacked reports, ascending Q
+	// fires are the boundaries whose records or verdicts are in the
+	// window, in firing order: re-admitting at each once the log is
+	// re-read to its end offset, and filing its verdicts right after,
+	// rebuilds the stores and the pending set row for row.
+	fires     []boundaryFire
+	engines   []*rtec.EngineSnapshot
+	traffic   []trafficSnap // sorted by sensor
+	crowd     []crowdSnap   // sorted by intersection
+	estimator *crowd.Estimator
+	reports   [][]byte // JSON of fired-but-unacked reports, ascending Q
 }
 
 // errUnsupportedFormat marks a checkpoint whose envelope is intact
@@ -163,32 +173,45 @@ func (c *checkpoint) encode(dst []byte) ([]byte, error) {
 	for _, f := range c.fires {
 		dst = codec.AppendVarint(dst, int64(f.q))
 		dst = codec.AppendVarint(dst, f.end)
+		dst = codec.AppendUvarint(dst, uint64(len(f.verdicts)))
+		for _, v := range f.verdicts {
+			dst = codec.AppendString(dst, v.inter)
+			dst = codec.AppendString(dst, v.label)
+		}
 	}
-	dst = codec.AppendUvarint(dst, uint64(len(c.engines)))
-	for _, es := range c.engines {
-		// Fixed-width length, patched once the snapshot is in place: the
-		// snapshot encodes straight into the file buffer.
+	// Fixed-width lengths, patched once the section is in place: the
+	// snapshots encode straight into the file buffer.
+	sized := func(dst []byte, appendTo func([]byte) ([]byte, error)) ([]byte, error) {
 		at := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		var err error
-		if dst, err = es.AppendBinary(dst); err != nil {
+		dst, err := appendTo(append(dst, 0, 0, 0, 0))
+		if err != nil {
 			return nil, err
 		}
 		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+		return dst, nil
+	}
+	dst = codec.AppendUvarint(dst, uint64(len(c.engines)))
+	for _, es := range c.engines {
+		var err error
+		if dst, err = sized(dst, es.AppendBinary); err != nil {
+			return nil, err
+		}
 	}
 	dst = codec.AppendUvarint(dst, uint64(len(c.traffic)))
 	for _, ts := range c.traffic {
 		dst = codec.AppendString(dst, ts.sensor)
-		dst = codec.AppendVarint(dst, int64(ts.vertex))
 		dst = codec.AppendFloat(dst, ts.flow)
 		dst = codec.AppendVarint(dst, int64(ts.t))
 	}
 	dst = codec.AppendUvarint(dst, uint64(len(c.crowd)))
 	for _, cs := range c.crowd {
 		dst = codec.AppendString(dst, cs.inter)
-		dst = codec.AppendVarint(dst, int64(cs.vertex))
 		dst = codec.AppendBool(dst, cs.congested)
 		dst = codec.AppendVarint(dst, int64(cs.t))
+	}
+	dst, err := sized(dst, c.estimator.AppendBinary)
+	if err != nil {
+		return nil, err
 	}
 	dst = codec.AppendUvarint(dst, uint64(len(c.reports)))
 	for _, rb := range c.reports {
@@ -243,14 +266,29 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		})
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		c.fires = append(c.fires, boundaryFire{q: Time(d.Varint()), end: d.Varint()})
+		f := boundaryFire{q: Time(d.Varint()), end: d.Varint()}
+		if f.q >= c.nextQ {
+			d.Fail("insight: checkpoint fire q=%d at or past its boundary cursor %d", f.q, c.nextQ)
+		}
+		for j, m := 0, d.Count(); j < m && d.Err() == nil; j++ {
+			v := crowdVerdict{inter: d.String(), label: d.String()}
+			if v.label != traffic.Positive && v.label != traffic.Negative {
+				d.Fail("insight: checkpoint verdict %q at %s", v.label, v.inter)
+			}
+			f.verdicts = append(f.verdicts, v)
+		}
+		c.fires = append(c.fires, f)
 	}
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+	// sized reads a fixed-width length and the section it prefixes.
+	sized := func() []byte {
 		size := d.Bytes(4)
 		if d.Err() != nil {
-			break
+			return nil
 		}
-		blob := d.Bytes(int(binary.LittleEndian.Uint32(size)))
+		return d.Bytes(int(binary.LittleEndian.Uint32(size)))
+	}
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		blob := sized()
 		if d.Err() != nil {
 			break
 		}
@@ -261,20 +299,21 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		c.engines = append(c.engines, es)
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		c.traffic = append(c.traffic, trafficSnap{
-			sensor: d.String(),
-			vertex: int(d.Varint()),
-			flow:   d.Float(),
-			t:      Time(d.Varint()),
-		})
+		ts := trafficSnap{sensor: d.String(), flow: d.Float(), t: Time(d.Varint())}
+		if math.IsNaN(ts.flow) || math.IsInf(ts.flow, 0) {
+			d.Fail("insight: checkpoint flow %v at sensor %s", ts.flow, ts.sensor)
+		}
+		c.traffic = append(c.traffic, ts)
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		c.crowd = append(c.crowd, crowdSnap{
-			inter:     d.String(),
-			vertex:    int(d.Varint()),
-			congested: d.Bool(),
-			t:         Time(d.Varint()),
-		})
+		c.crowd = append(c.crowd, crowdSnap{inter: d.String(), congested: d.Bool(), t: Time(d.Varint())})
+	}
+	// The estimator options are those every System runs with.
+	c.estimator = crowd.NewEstimator(crowd.EstimatorOptions{})
+	if blob := sized(); d.Err() == nil {
+		if err := c.estimator.UnmarshalBinary(blob); err != nil {
+			return nil, fmt.Errorf("insight: checkpoint estimator: %w", err)
+		}
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.reports = append(c.reports, d.Bytes(d.Count()))
@@ -349,13 +388,14 @@ func listCheckpoints(fsys vfs.FS, dir string) ([]string, error) {
 }
 
 // loadLatestCheckpoint scans dir newest-first and returns the first
-// checkpoint that decodes cleanly, recording in info what it loaded and
-// how many corrupt files it had to skip. A nil checkpoint with nil
-// error means a fresh start. A file that is intact but of a format this
-// build cannot read is an error, not a skip: falling back past it would
+// checkpoint that decodes cleanly and names only sensors and
+// intersections of s's city, recording in info what it loaded and how
+// many corrupt files it had to skip. A nil checkpoint with nil error
+// means a fresh start. A file that is intact but of a format this build
+// cannot read is an error, not a skip: falling back past it would
 // silently resume from older state — or, with nothing older, from a log
 // whose front the newer checkpoints already truncated.
-func loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpoint, error) {
+func (s *System) loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpoint, error) {
 	names, err := listCheckpoints(fsys, dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -372,6 +412,9 @@ func loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpo
 		if errors.Is(err, errUnsupportedFormat) {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
+		if err == nil {
+			err = s.checkCity(c)
+		}
 		if err != nil {
 			info.CorruptCheckpoints++
 			continue
@@ -382,6 +425,30 @@ func loadLatestCheckpoint(fsys vfs.FS, dir string, info *RecoveryInfo) (*checkpo
 		return c, nil
 	}
 	return nil, nil
+}
+
+// checkCity refuses a checkpoint naming a sensor or intersection s's
+// city does not have: its reading would reach the traffic model with no
+// graph vertex, its verdict the engines with no position.
+func (s *System) checkCity(c *checkpoint) error {
+	for _, ts := range c.traffic {
+		if _, ok := s.sensorVertex[ts.sensor]; !ok {
+			return fmt.Errorf("insight: checkpoint reading of unknown sensor %q", ts.sensor)
+		}
+	}
+	for _, cs := range c.crowd {
+		if _, ok := s.interVertex[cs.inter]; !ok {
+			return fmt.Errorf("insight: checkpoint crowd reading of unknown intersection %q", cs.inter)
+		}
+	}
+	for _, f := range c.fires {
+		for _, v := range f.verdicts {
+			if _, ok := s.registry.Lookup(v.inter); !ok {
+				return fmt.Errorf("insight: checkpoint verdict of unknown intersection %q", v.inter)
+			}
+		}
+	}
+	return nil
 }
 
 // gcCheckpoints removes all but the ckptKeep newest checkpoints (and

@@ -175,6 +175,9 @@ func engineSections(tb testing.TB, data []byte) [][]byte {
 	}
 	for i, n := 0, d.Count(); i < n; i++ { // fired boundaries
 		_, _ = d.Varint(), d.Varint()
+		for j, m := 0, d.Count(); j < m; j++ { // their verdicts
+			_, _ = d.String(), d.String()
+		}
 	}
 	var out [][]byte
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,12 +20,15 @@ import (
 
 // productCheckpoint runs the durable pipeline in the product
 // configuration (2 shards, column store, a checkpoint per boundary)
-// over one test-scale hour and returns the newest checkpoint file it
-// left behind.
-func productCheckpoint(t testing.TB, city *dublin.City) []byte {
+// over one test-scale hour, with the given number of participants, and
+// returns the newest checkpoint file it left behind.
+func productCheckpoint(t testing.TB, city *dublin.City, participants int) []byte {
 	t.Helper()
 	cfg := durableConfig(city)
 	cfg.Shards = 2
+	if participants > 0 {
+		cfg.Participants = testParticipants(city, participants)
+	}
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +68,7 @@ func fuzzCity(t testing.TB) *dublin.City {
 // of JSON per report the sink has not acknowledged yet (one, as a rule)
 // — no SDE row: every stored and pending row is in the log.
 func TestCheckpointBudget(t *testing.T) {
-	data := productCheckpoint(t, testCity(t))
+	data := productCheckpoint(t, testCity(t), 0)
 	ck, err := decodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +197,7 @@ func TestCheckpointMidBlockCursors(t *testing.T) {
 // files keep the skip-and-fall-back behaviour.
 func TestUnsupportedCheckpointFormat(t *testing.T) {
 	city := fuzzCity(t)
-	valid := productCheckpoint(t, city)
+	valid := productCheckpoint(t, city, 0)
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0x40
 
@@ -211,10 +215,11 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Formats 2 and 3 carried the engines' stores and the pending rows
-	// (2 also a reduce engine's section): they must be refused by their
-	// format byte, never decoded and handed to a recovery that would not
-	// rebuild what they hold.
-	for _, format := range []byte{1, 2, 3} {
+	// (2 also a reduce engine's section), format 4 neither the crowd's
+	// verdicts nor the estimator: they must be refused by their format
+	// byte, never decoded and handed to a recovery that would not rebuild
+	// what they hold.
+	for _, format := range []byte{1, 2, 3, 4} {
 		old := append([]byte(nil), valid...)
 		old[ckptFormatAt] = format
 		binary.LittleEndian.PutUint32(old[ckptCRCAt:], crc32.Checksum(old[ckptFormatAt:], ckptCRC))
@@ -224,7 +229,7 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 		write(dir, 100, old)
 		write(dir, 200, old)
 		info := &RecoveryInfo{}
-		if _, err := loadLatestCheckpoint(vfs.OS{}, dir, info); !errors.Is(err, errUnsupportedFormat) ||
+		if _, err := sys.loadLatestCheckpoint(vfs.OS{}, dir, info); !errors.Is(err, errUnsupportedFormat) ||
 			!strings.Contains(err.Error(), want) {
 			t.Fatalf("format-%d directory: err = %v, want %s", format, err, want)
 		}
@@ -244,7 +249,7 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	write(dir, 100, valid)
 	write(dir, 200, corrupt)
 	info := &RecoveryInfo{}
-	ck, err := loadLatestCheckpoint(vfs.OS{}, dir, info)
+	ck, err := sys.loadLatestCheckpoint(vfs.OS{}, dir, info)
 	if err != nil || ck == nil {
 		t.Fatalf("corrupt-over-valid directory: ck=%v err=%v", ck, err)
 	}
@@ -256,6 +261,85 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	}
 }
 
+// crowdCheckpoint is the newest checkpoint of the test-scale product run
+// with eight participants: its fires carry verdicts and its estimator
+// section participants.
+func crowdCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	data := productCheckpoint(tb, testCity(tb), 8)
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	verdicts := 0
+	for _, f := range ck.fires {
+		verdicts += len(f.verdicts)
+	}
+	if verdicts == 0 || len(ck.estimator.Participants()) == 0 {
+		tb.Fatalf("crowd checkpoint holds %d verdicts and estimator %s", verdicts, ck.estimator)
+	}
+	return data
+}
+
+// TestCheckpointNamesTheCity: a checkpoint that passes its CRC but names
+// a sensor or intersection the city does not have, carries a
+// non-finite flow, a verdict that is neither positive nor negative or a
+// fire at its own boundary cursor is corrupt: recovery falls back past
+// it to the valid one beneath, as past a bad CRC.
+func TestCheckpointNamesTheCity(t *testing.T) {
+	city := testCity(t)
+	valid := crowdCheckpoint(t)
+	cfg := durableConfig(city)
+	cfg.Shards = 2
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstVerdict := func(c *checkpoint) *crowdVerdict {
+		for i := range c.fires {
+			if len(c.fires[i].verdicts) > 0 {
+				return &c.fires[i].verdicts[0]
+			}
+		}
+		return nil
+	}
+	for name, spoil := range map[string]func(c *checkpoint){
+		"unknown sensor":       func(c *checkpoint) { c.traffic[0].sensor = "nowhere" },
+		"NaN flow":             func(c *checkpoint) { c.traffic[0].flow = math.NaN() },
+		"infinite flow":        func(c *checkpoint) { c.traffic[0].flow = math.Inf(-1) },
+		"unknown intersection": func(c *checkpoint) { c.crowd[0].inter = "nowhere" },
+		"unknown verdict site": func(c *checkpoint) { firstVerdict(c).inter = "nowhere" },
+		"verdict label":        func(c *checkpoint) { firstVerdict(c).label = "maybe" },
+		"fire past the cursor": func(c *checkpoint) { c.fires[len(c.fires)-1].q = c.nextQ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ck, err := decodeCheckpoint(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ck.traffic) == 0 || len(ck.crowd) == 0 {
+				t.Fatalf("checkpoint holds %d sensor and %d crowd readings", len(ck.traffic), len(ck.crowd))
+			}
+			spoil(ck)
+			bad, err := ck.encode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for q, data := range map[Time][]byte{100: valid, 200: bad} {
+				if err := os.WriteFile(filepath.Join(dir, checkpointName(q)), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			info := &RecoveryInfo{}
+			got, err := sys.loadLatestCheckpoint(vfs.OS{}, dir, info)
+			if err != nil || got == nil || info.CheckpointQ != 100 || info.CorruptCheckpoints != 1 {
+				t.Errorf("loaded %v (err %v), RecoveryInfo %+v: want the valid checkpoint past one corrupt", got != nil, err, info)
+			}
+		})
+	}
+}
+
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint decoder
 // and the GC's header reader: nothing panics, the two agree on the
 // envelope, and whatever decodes re-encodes to a fixed point — bytes
@@ -263,7 +347,8 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 // their CRC patched so the fuzzer reaches the section decoders instead
 // of dying on the checksum.
 func FuzzCheckpointDecode(f *testing.F) {
-	seed := productCheckpoint(f, fuzzCity(f))
+	f.Add(crowdCheckpoint(f))
+	seed := productCheckpoint(f, fuzzCity(f), 0)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:ckptHeader])

@@ -9,7 +9,11 @@ package insight
 // the union of reports emitted across all crashed epochs, deduplicated
 // by query time (newest wins — report emission is at-least-once),
 // fingerprints bit-identically to one uninterrupted run of the same
-// window.
+// window — and, with participants, that the last epoch's EM estimator
+// equals the uninterrupted run's. Its participants answer as a function
+// of the question (error probability 0 or 1): their simulated RNG is no
+// system state a restarted process could resume, so a round a recovery
+// asks again must get the answers the crashed epoch got.
 //
 // Failure schedule, a pure function of the seed:
 //   - WAL kills: a tear of the epoch's second or third write to the log;
@@ -44,6 +48,7 @@ import (
 	"syscall"
 	"testing"
 
+	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/streams/wal"
@@ -52,7 +57,8 @@ import (
 // campaignOptions configures runCrashCampaign.
 type campaignOptions struct {
 	// newSystem builds a fresh System per epoch. Every call must yield an
-	// identically configured system (same seeds, no participants).
+	// identically configured system (same seeds, participants answering
+	// as a function of the question).
 	newSystem func() (*System, error)
 	// from, until bound the SDE window.
 	from, until Time
@@ -80,6 +86,11 @@ type epochResult struct {
 	reports int
 	// completed is true when the epoch ran to the end of the window.
 	completed bool
+	// resumedQueries counts the participant answers the EM estimator of
+	// the checkpoint the epoch resumed from had taken; ranQueries, those
+	// of the epoch's estimator when it died or finished. An epoch that
+	// resumes with fewer than its predecessor ran asks those rounds again.
+	resumedQueries, ranQueries int
 }
 
 // campaignResult is the outcome of a crash-equivalence campaign.
@@ -89,10 +100,13 @@ type campaignResult struct {
 	// run appends; an epoch with 0 < recovery.ReplayedRecords <
 	// baselineRecords proves recovery is incremental.
 	baselineRecords int
-	// baseline maps query time to the uninterrupted run's fingerprint.
+	// baseline maps query time to the uninterrupted run's campaignPrint.
 	baseline map[Time]string
 	// final maps query time to the newest crashed-run report.
 	final map[Time]*Report
+	// baselineEstimator and finalEstimator are the EM estimators of the
+	// uninterrupted run and of the clean epoch.
+	baselineEstimator, finalEstimator *crowd.Estimator
 }
 
 // campaignSchedule is the campaign's fault sequence. Corrupt comes
@@ -157,8 +171,9 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 		return nil, fmt.Errorf("campaign baseline run: %w", err)
 	}
 	for _, rep := range baseline {
-		res.baseline[rep.Q] = rep.Fingerprint()
+		res.baseline[rep.Q] = campaignPrint(rep)
 	}
+	res.baselineEstimator = sys.Estimator()
 	// The baseline consumed every envelope live, so its per-stream
 	// consumption cursors add up to the total record count.
 	for _, n := range pipe.durable.consumed {
@@ -174,6 +189,12 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 			return nil, err
 		}
 		ep := epochResult{fault: name}
+		// What the epoch's recovery will load, read beside its storage seam.
+		if ck, err := sys.loadLatestCheckpoint(vfs.OS{}, epochDir, &RecoveryInfo{}); err != nil {
+			return nil, err
+		} else if ck != nil {
+			ep.resumedQueries = answers(ck.estimator)
+		}
 		pipe, info, err := sys.BuildDurablePipeline(opts.from, opts.until, DurableOptions{Dir: epochDir, fs: fsys})
 		if info != nil {
 			ep.recovery = *info
@@ -190,7 +211,9 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 			}
 		}
 		ep.fired, ep.completed = fsys.hasFired(), err == nil
+		ep.ranQueries = answers(sys.Estimator())
 		res.epochs = append(res.epochs, ep)
+		res.finalEstimator = sys.Estimator()
 		switch {
 		case err != nil && !errors.Is(err, wal.ErrCrashPoint):
 			return nil, fmt.Errorf("epoch %d (%s) died of a real failure, not its fault: %w", i, name, err)
@@ -201,6 +224,23 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 		}
 	}
 	return res, nil
+}
+
+// campaignPrint is what the campaign holds a recovered report to: its
+// fingerprint and the number of SDEs in its window — which a rebuild
+// that lost a row, a crowd verdict included, changes even where
+// recognition happens to come out the same.
+func campaignPrint(rep *Report) string {
+	return fmt.Sprintf("%s inWindow=%d", rep.Fingerprint(), rep.Stats.InputEvents)
+}
+
+// answers counts the participant answers an estimator has taken.
+func answers(e *crowd.Estimator) int {
+	n := 0
+	for _, id := range e.Participants() {
+		n += e.Queries(id)
+	}
+	return n
 }
 
 // mismatches lists every divergence between the crashed runs' union
@@ -214,7 +254,7 @@ func (res *campaignResult) mismatches() []string {
 			out = append(out, fmt.Sprintf("q=%d: no report emitted by any epoch", int64(q)))
 			continue
 		}
-		if got := rep.Fingerprint(); got != want {
+		if got := campaignPrint(rep); got != want {
 			out = append(out, fmt.Sprintf("q=%d: fingerprint diverged\n  crashed:  %s\n  baseline: %s", int64(q), got, want))
 		}
 	}
@@ -232,19 +272,44 @@ func (res *campaignResult) mismatches() []string {
 // a corrupted, a torn and a durable-then-killed checkpoint, then a clean
 // run — after which the union of everything the crashing runs emitted
 // must fingerprint bit-identically to one uninterrupted run. The fault
-// schedule, and that each fault fired, is the same on every run.
+// schedule, and that each fault fired, is the same on every run. The
+// crowd case runs the campaign with Figure 1's loop on, on a city that
+// asks the crowd at every boundary: the clean epoch's EM estimator must
+// equal the uninterrupted run's, and some epoch must resume from a
+// checkpoint older than a round its predecessor ran.
 func TestCrashEquivalence(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
-	city, err := dublin.NewCity(dublin.Config{
-		Seed:             42,
-		NumBuses:         24,
-		NumSensors:       24,
-		Hotspots:         8,
-		NoisyBusFraction: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		city  dublin.Config
+		crowd bool
+	}{
+		{"crowdless", dublin.Config{Seed: 42, NumBuses: 24, NumSensors: 24, Hotspots: 8, NoisyBusFraction: 0.25}, false},
+		{"crowd", dublin.Config{Seed: 42, NumBuses: 48, NumSensors: 48, Hotspots: 8, NoisyBusFraction: 0.5}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			city, err := dublin.NewCity(tc.city)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var participants []SimParticipant
+			if tc.crowd {
+				// Every fourth always wrong, the rest always right: answers
+				// fixed by the question, reliabilities EM tells apart.
+				participants = testParticipants(city, 8)
+				for i := range participants {
+					participants[i].ErrorProb = 0
+					if i%4 == 3 {
+						participants[i].ErrorProb = 1
+					}
+				}
+			}
+			testCrashEquivalence(t, city, participants)
+		})
 	}
+}
+
+func testCrashEquivalence(t *testing.T, city *dublin.City, participants []SimParticipant) {
+	const from, until = 7 * 3600, 8 * 3600
 	const kills = 20
 	res, err := runCrashCampaign(context.Background(), campaignOptions{
 		// A finer step halves the batch span cap, roughly doubling the
@@ -254,6 +319,7 @@ func TestCrashEquivalence(t *testing.T) {
 		newSystem: func() (*System, error) {
 			cfg := durableConfig(city)
 			cfg.Step = 450
+			cfg.Participants = participants
 			return New(cfg)
 		},
 		from:  from,
@@ -306,6 +372,38 @@ func TestCrashEquivalence(t *testing.T) {
 	}
 	if !corruptFallback {
 		t.Error("no recovery fell back past a corrupt checkpoint")
+	}
+	if participants == nil {
+		return
+	}
+
+	rounds, asked := 0, 0
+	for _, rep := range res.final {
+		if rounds += len(rep.CrowdRounds); len(rep.CrowdRounds) > 0 {
+			asked++
+		}
+	}
+	if asked != len(res.baseline) {
+		t.Errorf("%d of %d boundaries asked the crowd (%d rounds): the campaign does not fault every round", asked, len(res.baseline), rounds)
+	}
+	sameEstimator(t, "clean epoch vs uninterrupted run", res.finalEstimator, res.baselineEstimator)
+	probs := make(map[float64]bool)
+	for _, id := range res.baselineEstimator.Participants() {
+		probs[res.baselineEstimator.ErrorProb(id)] = true
+	}
+	if len(probs) < 2 {
+		t.Errorf("EM learned one reliability for every participant: %s", res.baselineEstimator)
+	}
+	reasked := false
+	for i, ep := range res.epochs[1:] {
+		if ep.recovery.Resumed && ep.resumedQueries < res.epochs[i].ranQueries {
+			t.Logf("epoch %d resumed from %d answers, epoch %d had taken %d", i+1, ep.resumedQueries, i, res.epochs[i].ranQueries)
+			reasked = true
+		}
+	}
+	t.Logf("%d rounds on %d boundaries; %s", rounds, asked, res.baselineEstimator)
+	if !reasked {
+		t.Error("no epoch resumed from a checkpoint older than a round its predecessor ran: no round was asked again")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/insight-dublin/insight/geo"
+	"github.com/insight-dublin/insight/internal/codec"
 )
 
 var fourLabels = []string{"congestion", "no congestion", "accident", "roadworks"}
@@ -24,6 +25,8 @@ func TestTaskValidation(t *testing.T) {
 		{"prior length", Task{ID: "t", Labels: []string{"a", "b"}, Prior: []float64{1}}},
 		{"negative prior", Task{ID: "t", Labels: []string{"a", "b"}, Prior: []float64{-1, 2}}},
 		{"zero prior", Task{ID: "t", Labels: []string{"a", "b"}, Prior: []float64{0, 0}}},
+		{"NaN prior", Task{ID: "t", Labels: []string{"a", "b"}, Prior: []float64{math.NaN(), 0.5}}},
+		{"infinite prior", Task{ID: "t", Labels: []string{"a", "b"}, Prior: []float64{math.Inf(1), 0.5}}},
 		{"answer off label set", Task{ID: "t", Labels: []string{"a", "b"}, Answers: []Answer{{"p1", "c"}}}},
 	}
 	e := NewEstimator(EstimatorOptions{})
@@ -216,6 +219,69 @@ func TestEstimatesStayClamped(t *testing.T) {
 	}
 	if p > 0.05 {
 		t.Errorf("always-right participant estimate = %v, want near 0", p)
+	}
+}
+
+// TestEstimatorBinaryRoundTrip: the learned state survives
+// AppendBinary/UnmarshalBinary bit for bit, and the decoder refuses
+// what no run of Process can produce.
+func TestEstimatorBinaryRoundTrip(t *testing.T) {
+	e := NewEstimator(EstimatorOptions{})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		task := Task{ID: "t", Labels: fourLabels}
+		for _, id := range []string{"p1", "p2", "p3"} {
+			task.Answers = append(task.Answers, Answer{id, fourLabels[rng.Intn(len(fourLabels))]})
+		}
+		if _, err := e.Process(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := e.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewEstimator(EstimatorOptions{})
+	if err := got.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != e.String() {
+		t.Fatalf("round trip: %s, want %s", got, e)
+	}
+	for _, id := range e.Participants() {
+		if got.ErrorProb(id) != e.ErrorProb(id) || got.Queries(id) != e.Queries(id) {
+			t.Errorf("%s: p=%v n=%d, want p=%v n=%d", id, got.ErrorProb(id), got.Queries(id), e.ErrorProb(id), e.Queries(id))
+		}
+	}
+
+	entry := func(id string, p float64, n int64) []byte {
+		b := codec.AppendString(nil, id)
+		b = codec.AppendFloat(b, p)
+		return codec.AppendVarint(b, n)
+	}
+	state := func(entries ...[]byte) []byte {
+		b := codec.AppendUvarint(nil, uint64(len(entries)))
+		for _, e := range entries {
+			b = append(b, e...)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"NaN":        state(entry("p", math.NaN(), 1)),
+		"+Inf":       state(entry("p", math.Inf(1), 1)),
+		"below min":  state(entry("p", 0, 1)),
+		"above max":  state(entry("p", 1, 1)),
+		"negative n": state(entry("p", 0.3, -1)),
+		"repeated":   state(entry("p", 0.3, 1), entry("p", 0.2, 2)),
+		"truncated":  state(entry("p", 0.3, 1))[:5],
+		"trailing":   append(state(entry("p", 0.3, 1)), 0),
+	} {
+		if err := got.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if got.String() != e.String() {
+		t.Errorf("a refused decode changed the state: %s", got)
 	}
 }
 

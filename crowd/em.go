@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"github.com/insight-dublin/insight/internal/codec"
 )
 
 // GammaFunc is the stochastic approximation schedule γ_1, γ_2, ... of
@@ -66,7 +68,7 @@ func (o EstimatorOptions) withDefaults() EstimatorOptions {
 //
 // Estimator is not safe for concurrent use.
 type Estimator struct {
-	opts  EstimatorOptions
+	opts  EstimatorOptions //state:transient configuration, supplied to NewEstimator
 	state map[string]*participantState
 }
 
@@ -108,6 +110,54 @@ func (e *Estimator) Participants() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// AppendBinary appends the learned state — every participant's error
+// probability and query count, in ID order — to dst; UnmarshalBinary
+// reads it back. The options are not part of it: they come from
+// NewEstimator.
+func (e *Estimator) AppendBinary(dst []byte) ([]byte, error) {
+	ids := e.Participants()
+	dst = codec.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		s := e.state[id]
+		dst = codec.AppendString(dst, id)
+		dst = codec.AppendFloat(dst, s.errorProb)
+		dst = codec.AppendVarint(dst, int64(s.queries))
+	}
+	return dst, nil
+}
+
+// UnmarshalBinary replaces the learned state with AppendBinary's
+// encoding. It refuses a repeated participant, a negative query count
+// and an error probability that is not finite or lies outside
+// [MinErrorProb, MaxErrorProb] — no estimate Process can reach —
+// leaving the estimator as it was.
+func (e *Estimator) UnmarshalBinary(data []byte) error {
+	d := codec.NewDecoder(data)
+	state := make(map[string]*participantState)
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		id, p, q := d.String(), d.Float(), d.Varint()
+		switch {
+		case d.Err() != nil:
+		case state[id] != nil:
+			d.Fail("crowd: participant %q encoded twice", id)
+		case !(p >= e.opts.MinErrorProb && p <= e.opts.MaxErrorProb):
+			d.Fail("crowd: participant %q error probability %v outside [%v, %v]", id, p, e.opts.MinErrorProb, e.opts.MaxErrorProb)
+		case q < 0:
+			d.Fail("crowd: participant %q query count %d", id, q)
+		default:
+			state[id] = &participantState{errorProb: p, queries: int(q)}
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if d.Len() != 0 {
+		return fmt.Errorf("crowd: %d trailing bytes after estimator state", d.Len())
+	}
+	e.state = state
+	return nil
 }
 
 // Posterior computes the posterior distribution over a task's labels

@@ -18,6 +18,7 @@ package crowd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -78,8 +79,8 @@ func (t Task) validate() error {
 		}
 		var sum float64
 		for _, p := range t.Prior {
-			if p < 0 {
-				return fmt.Errorf("crowd: task %q has negative prior", t.ID)
+			if !(p >= 0) || math.IsInf(p, 1) {
+				return fmt.Errorf("crowd: task %q has prior %v: want finite and non-negative", t.ID, p)
 			}
 			sum += p
 		}

@@ -16,7 +16,7 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-func testCity(t *testing.T) *dublin.City {
+func testCity(t testing.TB) *dublin.City {
 	t.Helper()
 	city, err := dublin.NewCity(dublin.Config{
 		Seed:             42,

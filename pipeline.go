@@ -591,14 +591,14 @@ func (p *rtecProcessor) fireDue() error {
 			return err
 		}
 		rec.mark(&rec.span.Admit)
-		rep, err := p.system.evaluate(p.ctx, q, fed, rec)
+		rep, verdicts, err := p.system.evaluate(p.ctx, q, fed, rec)
 		if err != nil {
 			return err
 		}
 		rep.DegradedStreams = append([]string(nil), degraded...)
 		rep.WatermarkLag = maxW - q
 		if p.durable != nil {
-			p.durable.noteBoundary(rep)
+			p.durable.noteBoundary(rep, verdicts, rec.span.CrowdRounds > 0)
 		}
 		rec.mark(&rec.span.Assemble)
 		rep.Span = rec.span

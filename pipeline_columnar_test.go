@@ -90,9 +90,8 @@ func rowEvent(b *streams.Batch, i int) rtec.Event {
 // the five streams, less those trailing the most advanced one by more
 // than the system's staleness bound, if it has one) passes a query
 // boundary, and is then handed to the engines one event at a time
-// through engineTier.Input — the entry point the crowd verdict uses —
-// before the boundary is evaluated, crowd rounds included, one boundary
-// at a time.
+// (inputEvent) before the boundary is evaluated, crowd rounds included,
+// one boundary at a time.
 type eventReference struct {
 	t          *testing.T
 	sys        *System
@@ -150,7 +149,7 @@ func (r *eventReference) fireDue() {
 				kept = append(kept, sde)
 				continue
 			}
-			if err := r.sys.engines.Input(sde.Event); err != nil {
+			if err := inputEvent(r.sys.engines, sde.Event); err != nil {
 				r.t.Fatal(err)
 			}
 			if sde.Event.Type == traffic.TrafficType {
@@ -159,12 +158,34 @@ func (r *eventReference) fireDue() {
 			fed++
 		}
 		r.pending = kept
-		rep, err := r.sys.evaluate(context.Background(), r.nextQ, fed, newSpanRecorder())
+		rep, _, err := r.sys.evaluate(context.Background(), r.nextQ, fed, newSpanRecorder())
 		if err != nil {
 			r.t.Fatal(err)
 		}
 		r.reports = append(r.reports, rep)
 	}
+}
+
+// inputEvent files one map-backed event through the engines' per-event
+// entrance, routed as the tier routes a block row: on the four-region
+// partitioning by position, on the sharded tier a move to its bus's
+// shard and any other SDE to every shard.
+func inputEvent(tier engineTier, ev rtec.Event) error {
+	switch t := tier.(type) {
+	case partitionedTier:
+		return t.Partitioned.Input(ev)
+	case *shardTier:
+		if ev.Type == traffic.MoveType {
+			return t.shards[rtec.RendezvousShard(ev.Key, len(t.shards))].Input(ev)
+		}
+		for _, e := range t.shards {
+			if err := e.Input(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("no per-event entrance to a %T", tier)
 }
 
 // referenceReports is what the per-event reference recognises over the

@@ -15,7 +15,8 @@ package insight
 // rtecProcessor as the plain pipeline plus a checkpoint coordinator:
 // at query-boundary granularity it persists what the log cannot
 // recompute — clocks, inertia seeds, dedup sets, stream cursors, latest
-// readings and fired-but-unacked reports — keyed to two WAL offsets:
+// readings, the crowd verdicts still in the window, the EM estimator and
+// fired-but-unacked reports — keyed to two WAL offsets:
 // the window offset, where the records holding the engines' working
 // memory and the consumed-but-unadmitted rows begin, and the
 // consumption offset, where the records the checkpoint has not consumed
@@ -27,15 +28,20 @@ package insight
 // re-reads the log from the window offset to the consumption offset,
 // retaining every record, and admits at each boundary the checkpoint
 // lists once the log is re-read to the offset that boundary fired at,
-// running no query — the original admission order, so the stores come
-// back row for row and what is still retained at the consumption offset
-// is the old pending set. From there the log is replayed through the
-// processor — re-consuming exactly the records consumed after the
-// checkpoint plus any appended-but-unread tail — before the live
-// topology is wired, whose sources skip the envelopes the cursors
-// already account for. Reports fired but not acknowledged by the
-// operator sink are re-emitted (at-least-once; consumers dedupe by query
-// time, keeping the newest).
+// running no query, and files that boundary's verdicts right after — the
+// original admission order, so the stores come back row for row and what
+// is still retained at the consumption offset is the old pending set.
+// From there the log is replayed through the processor — re-consuming
+// exactly the records consumed after the checkpoint plus any
+// appended-but-unread tail — before the live topology is wired, whose
+// sources skip the envelopes the cursors already account for. A
+// boundary the replay re-fires asks the crowd again: its report never
+// left the process, since reports leave only after the safe point's
+// checkpoint and a boundary that asked the crowd is always checkpointed
+// there, so participants may be asked twice but recognition and the
+// operator see each round once. Reports fired but not acknowledged by
+// the operator sink are re-emitted (at-least-once; consumers dedupe by
+// query time, keeping the newest).
 
 import (
 	"encoding/json"
@@ -333,11 +339,15 @@ func (rt *durableRuntime) noteConsumed(src string) int64 {
 // which may be mid-batch, where a checkpoint must NOT be taken (rows
 // of the current batch past the firing row are in neither the engines
 // nor the pending set yet). It only records; maybeCheckpoint persists at
-// the next safe point.
-func (rt *durableRuntime) noteBoundary(rep *Report) {
+// the next safe point — whatever CheckpointEvery says when the boundary
+// asked the crowd, whose answers a replay could not reproduce.
+func (rt *durableRuntime) noteBoundary(rep *Report, verdicts []crowdVerdict, asked bool) {
 	rt.recent = append(rt.recent, rep)
-	rt.fires = append(rt.fires, boundaryFire{q: rep.Q, end: rt.st.endOf(rt.consumedIdx)})
+	rt.fires = append(rt.fires, boundaryFire{q: rep.Q, end: rt.st.endOf(rt.consumedIdx), verdicts: verdicts})
 	rt.boundaries++
+	if asked {
+		rt.boundaries = max(rt.boundaries, rt.opts.CheckpointEvery)
+	}
 }
 
 // chargeLog hands the log's work since the previous boundary to span:
@@ -416,10 +426,13 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	if len(p.adm.blocks) > 0 {
 		pending = p.adm.blocks[0].at
 	}
-	window, forgotten := rt.st.window(rt.consumedIdx, p.nextQ-p.step-s.cfg.WorkingMemory, pending)
+	horizon := p.nextQ - p.step - s.cfg.WorkingMemory
+	window, forgotten := rt.st.window(rt.consumedIdx, horizon, pending)
 	rt.consumedIdx -= forgotten
+	// A fire leaves once its records and its verdicts, stamped q+1, are
+	// both out of the window.
 	kept := 0
-	for kept < len(rt.fires) && rt.fires[kept].end <= window {
+	for kept < len(rt.fires) && rt.fires[kept].end <= window && rt.fires[kept].q+1 <= horizon {
 		kept++
 	}
 	rt.fires = rt.fires[kept:]
@@ -429,6 +442,7 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 		consumedOffset: rt.st.endOf(rt.consumedIdx),
 		fires:          rt.fires,
 		engines:        engines,
+		estimator:      s.estimator,
 	}
 	ids := make([]string, 0, len(p.watermarks))
 	for id := range p.watermarks {
@@ -443,11 +457,11 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 		})
 	}
 	for sensor, tr := range s.lastTraffic {
-		ck.traffic = append(ck.traffic, trafficSnap{sensor: sensor, vertex: tr.vertex, flow: tr.flow, t: tr.t})
+		ck.traffic = append(ck.traffic, trafficSnap{sensor: sensor, flow: tr.flow, t: tr.t})
 	}
 	slices.SortFunc(ck.traffic, func(a, b trafficSnap) int { return strings.Compare(a.sensor, b.sensor) })
 	for inter, cr := range s.lastCrowd {
-		ck.crowd = append(ck.crowd, crowdSnap{inter: inter, vertex: cr.vertex, congested: cr.congested, t: cr.t})
+		ck.crowd = append(ck.crowd, crowdSnap{inter: inter, congested: cr.congested, t: cr.t})
 	}
 	slices.SortFunc(ck.crowd, func(a, b crowdSnap) int { return strings.Compare(a.inter, b.inter) })
 	// Fired-but-unacked reports ride along for re-emission; reports the
@@ -476,15 +490,7 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 // window and the log replayed from the checkpoint's consumption offset.
 // The returned RecoveryInfo describes what recovery did; when recovery
 // itself fails once the log is open, it says how far it got.
-//
-// Durable runs refuse a crowdsourcing-enabled system: participant
-// queries are effectful, so replaying them would re-ask the crowd, and
-// the verdicts enter the engines through Input, not the log, so the
-// rebuild could not see them.
 func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pipeline, *RecoveryInfo, error) {
-	if s.qeeEngine != nil {
-		return nil, nil, fmt.Errorf("insight: durable pipeline cannot drive crowdsourcing (replay would re-query participants)")
-	}
 	if dur.Dir == "" {
 		return nil, nil, fmt.Errorf("insight: DurableOptions.Dir is required")
 	}
@@ -506,7 +512,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	fail := func(err error) (*Pipeline, *RecoveryInfo, error) {
 		return nil, info, errors.Join(err, log.Close())
 	}
-	ck, err := loadLatestCheckpoint(fsys, dur.Dir, info)
+	ck, err := s.loadLatestCheckpoint(fsys, dur.Dir, info)
 	if err != nil {
 		return fail(err)
 	}
@@ -528,6 +534,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 		if err := s.engines.Restore(ck.engines); err != nil {
 			return fail(err)
 		}
+		s.estimator = ck.estimator
 		proc.nextQ = ck.nextQ
 		for _, cur := range ck.cursors {
 			proc.watermarks[cur.id] = cur.watermark
@@ -572,11 +579,23 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	if ck != nil {
 		// Rebuild: re-read the window up to the consumption offset,
 		// retaining every record, and admit at each recorded boundary once
-		// the log is re-read to where it fired — the original admission
-		// order, no query run. The restored engines drop the rows at or
-		// before their horizon; what stays retained is the pending set.
+		// the log is re-read to where it fired, then file its verdicts —
+		// the original admission order, no query run. The restored engines
+		// drop the rows and verdicts at or before their horizon; what stays
+		// retained is the pending set.
 		fires := ck.fires
-		for rt.st.endOf(rt.consumedIdx) < ck.consumedOffset {
+		for {
+			for end := rt.st.endOf(rt.consumedIdx); len(fires) > 0 && fires[0].end <= end; fires = fires[1:] {
+				if _, err := proc.adm.admit(s, fires[0].q); err != nil {
+					return fail(err)
+				}
+				if err := s.fileVerdicts(fires[0].q, fires[0].verdicts); err != nil {
+					return fail(err)
+				}
+			}
+			if rt.st.endOf(rt.consumedIdx) >= ck.consumedOffset {
+				break
+			}
 			b, start, err := next()
 			if errors.Is(err, io.EOF) {
 				return fail(fmt.Errorf("insight: log ends before checkpoint %s's consumption offset %d", checkpointName(ck.nextQ), ck.consumedOffset))
@@ -591,21 +610,16 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 			} else {
 				proc.adm.retain(b, b.Len(), start)
 			}
-			for end := rt.st.endOf(rt.consumedIdx); len(fires) > 0 && fires[0].end <= end; fires = fires[1:] {
-				if _, err := proc.adm.admit(s, fires[0].q); err != nil {
-					return fail(err)
-				}
-			}
 		}
 		// The readings come back after the rebuild, whose admissions
 		// noted older ones.
 		s.lastTraffic = make(map[string]trafficReading, len(ck.traffic))
 		for _, ts := range ck.traffic {
-			s.lastTraffic[ts.sensor] = trafficReading{vertex: ts.vertex, flow: ts.flow, t: ts.t}
+			s.lastTraffic[ts.sensor] = trafficReading{vertex: s.sensorVertex[ts.sensor], flow: ts.flow, t: ts.t}
 		}
 		s.lastCrowd = make(map[string]crowdReading, len(ck.crowd))
 		for _, cs := range ck.crowd {
-			s.lastCrowd[cs.inter] = crowdReading{vertex: cs.vertex, congested: cs.congested, t: cs.t}
+			s.lastCrowd[cs.inter] = crowdReading{vertex: s.interVertex[cs.inter], congested: cs.congested, t: cs.t}
 		}
 	}
 

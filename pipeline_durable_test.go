@@ -1,12 +1,14 @@
 package insight
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
@@ -14,10 +16,10 @@ import (
 )
 
 // durableConfig is the system configuration durable runs use in these
-// tests: crowdless (replay must not re-query participants), unpaced
-// with a strict watermark (deterministic and fast — no degradation
-// possible, so recognition output is a pure function of the SDE
-// collection). The column-resident store is named explicitly so the
+// tests: crowdless unless a test adds participants, unpaced with a
+// strict watermark (deterministic and fast — no degradation possible,
+// so recognition output is a pure function of the SDE collection and,
+// with participants, of their answers). The column-resident store is named explicitly so the
 // whole durability suite — checkpoints, crash recovery, fingerprint
 // equivalence — visibly runs against the block-native working memory
 // (checkpoints themselves are store-representation-independent, see
@@ -46,14 +48,62 @@ func durableSystem(t *testing.T, city *dublin.City) *System {
 	return sys
 }
 
+// sameEstimator fails unless two estimators hold the same participants
+// with bit-identical error probabilities and equal query counts.
+func sameEstimator(t *testing.T, label string, got, want *crowd.Estimator) {
+	t.Helper()
+	g, err := got.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := want.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Errorf("%s: estimator diverged:\n  got:  %s\n  want: %s", label, got, want)
+	}
+}
+
 // TestDurableMatchesPlain: the durable pipeline — WAL, checkpoints and
 // all — must recognise exactly what the plain pipeline recognises, and
-// must not leak transport buffers.
+// must not leak transport buffers. With noisy participants on either
+// tier it asks the crowd exactly what the plain pipeline asks: reports
+// and the EM estimator equal.
 func TestDurableMatchesPlain(t *testing.T) {
-	const from, until = 7 * 3600, 8 * 3600
 	city := testCity(t)
+	crowdOn := func(shards int) func(*Config) {
+		return func(cfg *Config) {
+			cfg.Shards = shards
+			cfg.Participants = testParticipants(city, 8)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(*Config)
+	}{
+		{"crowdless", func(*Config) {}},
+		{"crowd/partitions", crowdOn(0)},
+		{"crowd/shards=2", crowdOn(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testDurableMatchesPlain(t, func() *System {
+				cfg := durableConfig(city)
+				tc.setup(&cfg)
+				sys, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			})
+		})
+	}
+}
 
-	plainPipe, err := durableSystem(t, city).BuildPipeline(from, until)
+func testDurableMatchesPlain(t *testing.T, newSystem func() *System) {
+	const from, until = 7 * 3600, 8 * 3600
+	plainSys := newSystem()
+	plainPipe, err := plainSys.BuildPipeline(from, until)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +114,19 @@ func TestDurableMatchesPlain(t *testing.T) {
 	if len(plain) == 0 {
 		t.Fatal("plain run produced no reports")
 	}
+	rounds := 0
+	for _, rep := range plain {
+		rounds += len(rep.CrowdRounds)
+	}
+	t.Logf("%d reports, %d crowd rounds", len(plain), rounds)
+	if asks := plainSys.qeeEngine != nil; asks != (rounds > 0) {
+		t.Fatalf("plain run asked the crowd %d times with participants %v", rounds, asks)
+	}
 
 	dir := t.TempDir()
 	before := streams.LiveBatches()
-	pipe, info, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+	durableSys := newSystem()
+	pipe, info, err := durableSys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +148,7 @@ func TestDurableMatchesPlain(t *testing.T) {
 			t.Errorf("q=%d diverged:\n  durable: %s\n  plain:   %s", int64(plain[i].Q), g, w)
 		}
 	}
+	sameEstimator(t, "durable vs plain", durableSys.Estimator(), plainSys.Estimator())
 
 	// The run left its durability artifacts behind: checkpoints in the
 	// root, WAL segments underneath.
@@ -116,7 +176,8 @@ func TestDurableMatchesPlain(t *testing.T) {
 	// Resuming a completed run must change nothing: the cursors skip
 	// every envelope, recognition state is already final, and the union
 	// of reports stays consistent with the baseline.
-	pipe2, info2, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+	resumedSys := newSystem()
+	pipe2, info2, err := resumedSys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,24 +205,13 @@ func TestDurableMatchesPlain(t *testing.T) {
 			t.Errorf("resumed q=%d diverged:\n  resumed: %s\n  plain:   %s", int64(rep.Q), got, want)
 		}
 	}
+	sameEstimator(t, "resumed vs plain", resumedSys.Estimator(), plainSys.Estimator())
 }
 
-// TestDurableRejectsUnsupportedSystems pins the preconditions: a
-// crowdsourcing-enabled system and a missing directory must refuse to
-// build a durable pipeline instead of corrupting recovery semantics.
+// TestDurableRejectsUnsupportedSystems pins the precondition: a
+// missing directory must refuse to build a durable pipeline.
 func TestDurableRejectsUnsupportedSystems(t *testing.T) {
-	city := testCity(t)
-	cfg := durableConfig(city)
-	cfg.Participants = testParticipants(city, 4)
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: t.TempDir()}); err == nil {
-		t.Error("crowdsourcing-enabled system accepted")
-	}
-
-	sys = durableSystem(t, city)
+	sys := durableSystem(t, testCity(t))
 	if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{}); err == nil {
 		t.Error("empty Dir accepted")
 	}

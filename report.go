@@ -28,8 +28,13 @@ type CrowdResolution struct {
 	QueryTime    Time
 	Queried      int
 	Verdict      crowd.Verdict
-	// Event is the crowd SDE injected back into the CEP component.
-	Event rtec.Event
+}
+
+// crowdVerdict is one verdict fed back to recognition: the
+// happensAt(crowd(LonInt, LatInt, Val), q+1) SDE of the round q asked,
+// the position the registry's.
+type crowdVerdict struct {
+	inter, label string
 }
 
 // Report is the outcome of one query-time evaluation of the whole
@@ -122,12 +127,13 @@ func (r *Report) Summary() string {
 
 // evaluate queries the engines at q, assembles the report and — with
 // participants registered — runs the crowdsourcing rounds on the fresh
-// disagreements, feeding each verdict back to the engines: when it
-// returns, boundary q is complete. It marks its stages on rec.
-func (s *System) evaluate(ctx context.Context, q Time, fed int, rec *spanRecorder) (*Report, error) {
+// disagreements, feeding their verdicts back to the engines: when it
+// returns, boundary q is complete. It also returns the verdicts, in the
+// order they were filed. It marks its stages on rec.
+func (s *System) evaluate(ctx context.Context, q Time, fed int, rec *spanRecorder) (*Report, []crowdVerdict, error) {
 	results, err := s.engines.Query(q, rec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	merged := rtec.MergeResults(results)
 	rec.mark(&rec.span.Merge)
@@ -181,15 +187,15 @@ func (s *System) evaluate(ctx context.Context, q Time, fed int, rec *spanRecorde
 
 	rec.mark(&rec.span.Assemble)
 
+	var verdicts []crowdVerdict
 	if s.qeeEngine != nil {
-		rounds, err := s.resolveDisagreements(ctx, q, merged, rec)
+		rep.CrowdRounds, verdicts, err = s.resolveDisagreements(ctx, q, merged, rec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rep.CrowdRounds = rounds
 		rec.mark(&rec.span.Crowd)
 	}
-	return rep, nil
+	return rep, verdicts, nil
 }
 
 // crowdSelection picks whom a crowdsourcing round asks: the five online
@@ -199,11 +205,13 @@ var crowdSelection = crowd.SelectNearest(5, 0)
 // resolveDisagreements runs one crowdsourcing round per intersection
 // with a fresh disagree event: selects participants near the
 // intersection, executes the MapReduce query, fuses the answers with
-// online EM, feeds the verdict back as a crowd SDE, and reports it. Each
-// round asked is counted and timed on rec.
-func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.Result, rec *spanRecorder) ([]CrowdResolution, error) {
+// online EM and reports the verdict. The verdicts are fed back as one
+// block of crowd SDEs and returned in that order. Each round asked is
+// counted and timed on rec.
+func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.Result, rec *spanRecorder) ([]CrowdResolution, []crowdVerdict, error) {
 	seen := make(map[string]bool)
 	var rounds []CrowdResolution
+	var verdicts []crowdVerdict
 	for _, ev := range merged.Fresh {
 		if ev.Type != traffic.Disagree || seen[ev.Key] {
 			continue
@@ -240,7 +248,7 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		}
 		exec, err := s.qeeEngine.Execute(ctx, query, selected)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rec.span.CrowdRounds++
 		rec.span.CrowdMax = max(rec.span.CrowdMax, time.Since(begin))
@@ -249,17 +257,9 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		}
 		verdict, err := s.estimator.Process(exec.Task(prior))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		// happensAt(crowd(LonInt, LatInt, Val), T): inject the verdict
-		// back. It is stamped one second after Q so it arrives for the
-		// NEXT window, like a real asynchronous crowd response.
-		crowdEv := traffic.CrowdVerdict(q+1, ev.Key, verdict.Best)
-		crowdEv.Attrs["lon"] = inter.Pos.Lon
-		crowdEv.Attrs["lat"] = inter.Pos.Lat
-		if err := s.engines.Input(crowdEv); err != nil {
-			return nil, err
-		}
+		verdicts = append(verdicts, crowdVerdict{inter: ev.Key, label: verdict.Best})
 		// The traffic modelling component can also use the verdict to
 		// resolve sparsity (Section 2): remember it as a congestion
 		// pseudo-reading for FlowMap.
@@ -275,11 +275,38 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 			QueryTime:    q,
 			Queried:      len(selected),
 			Verdict:      verdict,
-			Event:        crowdEv,
 		})
 	}
+	if err := s.fileVerdicts(q, verdicts); err != nil {
+		return nil, nil, err
+	}
 	sort.Slice(rounds, func(i, j int) bool { return rounds[i].Intersection < rounds[j].Intersection })
-	return rounds, nil
+	return rounds, verdicts, nil
+}
+
+// fileVerdicts feeds boundary q's verdicts back to the engines as one
+// block of crowd SDEs, in the given order, each stamped one second after
+// q so it arrives for the NEXT window, like a real asynchronous crowd
+// response. An intersection the registry does not hold is an error.
+func (s *System) fileVerdicts(q Time, verdicts []crowdVerdict) error {
+	if len(verdicts) == 0 {
+		return nil
+	}
+	eb := rtec.NewEventBlock(traffic.CrowdType,
+		rtec.BCol{Name: "value", Kind: rtec.ColStr},
+		rtec.BCol{Name: "lon", Kind: rtec.ColFloat},
+		rtec.BCol{Name: "lat", Kind: rtec.ColFloat})
+	for _, v := range verdicts {
+		inter, ok := s.registry.Lookup(v.inter)
+		if !ok {
+			return fmt.Errorf("insight: crowd verdict for unknown intersection %q", v.inter)
+		}
+		eb.Add(q+1, v.inter)
+		eb.Str(0, v.label)
+		eb.Float(1, inter.Pos.Lon)
+		eb.Float(2, inter.Pos.Lat)
+	}
+	return s.engines.InputBlockRows(eb.Block(), nil)
 }
 
 // Run evaluates the system at the regular query times from+Step,

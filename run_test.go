@@ -50,15 +50,29 @@ func dueTogetherSystem(t *testing.T, city *dublin.City, shards int) *System {
 }
 
 // withholdVerdicts is an engine tier that loses the crowd verdicts
-// stamped at one time point (Input is the verdicts' entry point, and
-// nothing else's on a System).
+// stamped at one time point: it files every other row of a crowd block.
 type withholdVerdicts struct {
 	engineTier
 	at Time
 }
 
-func (w withholdVerdicts) Input(evs ...rtec.Event) error {
-	return w.engineTier.Input(slices.DeleteFunc(evs, func(e rtec.Event) bool { return e.Time == w.at })...)
+func (w withholdVerdicts) InputBlockRows(b *rtec.Block, rows []int32) error {
+	if b.Type != traffic.CrowdType {
+		return w.engineTier.InputBlockRows(b, rows)
+	}
+	if rows != nil {
+		return fmt.Errorf("a crowd block filed by rows %v: the boundary step files its verdicts whole", rows)
+	}
+	var kept []int32
+	for r := range b.Len() {
+		if Time(b.Times[r]) != w.at {
+			kept = append(kept, int32(r))
+		}
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return w.engineTier.InputBlockRows(b, kept)
 }
 
 // TestRecordingEndsEarly: the recording's last arrival lies before the

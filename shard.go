@@ -16,12 +16,10 @@ import (
 // engineTier abstracts the recognition tier behind System: the legacy
 // fixed partitioning (*rtec.Partitioned, the paper's four-region
 // split) and the N-way sharded tier (shardTier) expose the same
-// surface to the admission/evaluate/checkpoint machinery. Input takes
-// the one SDE that is born map-backed inside the system, the crowd
-// verdict; everything from the input streams arrives through
-// InputBlockRows.
+// surface to the admission/evaluate/checkpoint machinery. Every SDE
+// arrives through InputBlockRows: the input streams' rows from
+// admission, the crowd verdicts from the boundary step.
 type engineTier interface {
-	Input(events ...rtec.Event) error
 	InputBlockRows(b *rtec.Block, rows []int32) error
 	// Query evaluates the engines at q, marking on rec the stages it
 	// runs — the engines' Query and the tier's folds — and their counts.
@@ -105,25 +103,6 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 		}
 	}
 	return t, nil
-}
-
-// Input routes events: moves to the owner shard, everything else to
-// every shard (replication).
-func (t *shardTier) Input(events ...rtec.Event) error {
-	for _, ev := range events {
-		if ev.Type == traffic.MoveType {
-			if err := t.shards[rtec.RendezvousShard(ev.Key, len(t.shards))].Input(ev); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, e := range t.shards {
-			if err := e.Input(ev); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // InputBlockRows routes the given rows of a columnar block: move blocks
