@@ -21,8 +21,10 @@ type admission struct {
 	// consumption order across streams, so admission files events into
 	// the engine stores in that order.
 	blocks []*pendingBlock
-	// run is the reusable row-index buffer of one block's admitted range.
-	run []int32
+	// cut is the reusable run list of one admission, one run per block
+	// with rows to admit; rows holds the runs' row indexes.
+	cut  []rtec.BlockRun
+	rows []int32
 }
 
 // pendingBlock retains one transport batch until its last row has been
@@ -51,32 +53,55 @@ func (a *admission) retain(b *streams.Batch, consumed int, at int64) *pendingBlo
 }
 
 // admit delivers every consumed row with arrival <= q to the system's
-// engines, block by block in consumption order, each block's share as
-// one contiguous InputBlockRows range, and notes the sensor readings
-// among them for the traffic model. A batch whose last row is admitted
-// returns to the transport pool (the engines copy what they are given).
-func (a *admission) admit(s *System, q Time) (int, error) {
-	fed := 0
-	kept := a.blocks[:0]
-	for i, pb := range a.blocks {
+// engines as one cut — each retained block's admissible rows one run,
+// in consumption order — which every engine files concurrently; their
+// filing times go on rec. Only after the engines are done does it
+// advance the cursors, note the sensor readings among the rows for the
+// traffic model and return each batch whose last row is admitted to the
+// transport pool: the engines copy what they are given, but not before
+// every one of them is done with it. If an engine refuses the cut,
+// nothing advances and every batch stays retained for release.
+func (a *admission) admit(s *System, q Time, rec *spanRecorder) (int, error) {
+	need := 0
+	for _, pb := range a.blocks {
+		need += pb.consumed - pb.next
+	}
+	if cap(a.rows) < need {
+		a.rows = make([]int32, 0, need) // the runs below slice it: it must not move
+	}
+	a.rows = a.rows[:0]
+	a.cut = a.cut[:0]
+	for _, pb := range a.blocks {
 		arrivals := pb.batch.Arrivals
-		a.run = a.run[:0]
+		lo := len(a.rows)
 		for r := pb.next; r < pb.consumed && Time(arrivals[r]) <= q; r++ {
-			a.run = append(a.run, int32(r))
+			a.rows = append(a.rows, int32(r))
 		}
-		if len(a.run) > 0 {
-			if err := s.engines.InputBlockRows(pb.blk, a.run); err != nil {
-				a.blocks = append(kept, a.blocks[i:]...)
-				return fed, err
-			}
+		if len(a.rows) > lo {
+			a.cut = append(a.cut, rtec.BlockRun{Block: pb.blk, Rows: a.rows[lo:]})
+		}
+	}
+	defer clear(a.cut) // the blocks go back to the pool
+	if len(a.cut) > 0 {
+		took, err := s.engines.InputCut(a.cut)
+		if err != nil {
+			return 0, err
+		}
+		rec.admitTimes(took)
+	}
+
+	runs := a.cut
+	kept := a.blocks[:0]
+	for _, pb := range a.blocks {
+		if len(runs) > 0 && runs[0].Block == pb.blk {
 			if pb.blk.Type == traffic.TrafficType {
-				for _, r := range a.run {
+				for _, r := range runs[0].Rows {
 					//lint:allow hotalloc view Event is a stack value; noteTraffic reads two cells, no map is built
 					s.noteTraffic(pb.blk.Event(int(r)))
 				}
 			}
-			fed += len(a.run)
-			pb.next += len(a.run)
+			pb.next += len(runs[0].Rows)
+			runs = runs[1:]
 		}
 		if pb.next == pb.batch.Len() {
 			pb.batch.Release()
@@ -86,7 +111,7 @@ func (a *admission) admit(s *System, q Time) (int, error) {
 	}
 	clear(a.blocks[len(kept):])
 	a.blocks = kept
-	return fed, nil
+	return len(a.rows), nil
 }
 
 // release drops the rows no query time admitted (arrivals past the

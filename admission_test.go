@@ -221,3 +221,51 @@ func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmitRefusedCut: an engine refusing a run of the boundary's cut —
+// an envelope of an SDE type the rules never declared, behind the
+// streams' own — makes admit return the engine's error on both tiers
+// with no cursor advanced, and releasing the aborted run's admission
+// returns every retained batch to the pool.
+func TestAdmitRefusedCut(t *testing.T) {
+	const from, q = Time(7 * 3600), Time(7*3600 + 900)
+	city := testCity(t)
+	for _, shards := range []int{0, 2} {
+		before := streams.LiveBatches()
+		sys, err := New(Config{City: city, Seed: 7, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var adm admission
+		for _, bs := range city.CollectBatches(from, q, transportBatchRows, 0) {
+			for _, b := range bs.Batches {
+				if _, err := (sdeValidator{areas: sys.areas}).ProcessBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				adm.retain(b, b.Len(), 0)
+			}
+		}
+		bogus := streams.GetBatch("bogus", "bus")
+		bogus.Append(int64(from)+60, int64(from)+60, "b1")
+		bogus.Append(int64(from)+120, int64(from)+120, "b2")
+		adm.retain(bogus, bogus.Len(), 0)
+		retained := len(adm.blocks)
+
+		_, err = adm.admit(sys, q, newSpanRecorder())
+		if err == nil || !strings.Contains(err.Error(), `"bogus" was not declared as an SDE`) {
+			t.Errorf("shards=%d: admit error = %v, want the engines' refusal of the bogus run", shards, err)
+		}
+		if len(adm.blocks) != retained {
+			t.Errorf("shards=%d: %d of %d batches still retained after the refusal", shards, len(adm.blocks), retained)
+		}
+		for _, pb := range adm.blocks {
+			if pb.next != 0 {
+				t.Fatalf("shards=%d: a refused cut advanced a cursor to %d", shards, pb.next)
+			}
+		}
+		adm.release()
+		if live := streams.LiveBatches(); live != before {
+			t.Errorf("shards=%d: live batches = %d after the aborted run, want %d", shards, live, before)
+		}
+	}
+}

@@ -49,7 +49,7 @@ var perCallFuncs = map[string]*regexp.Regexp{
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
 	"wal":      regexp.MustCompile(`^(EncodeBatch|appendDict|appendCells)$`),
-	"insight":  regexp.MustCompile(`^(start|mark|now|open|engineTimes|chargeLog|chargeAppend)$`),
+	"insight":  regexp.MustCompile(`^(start|mark|now|open|admitTimes|engineTimes|chargeLog|chargeAppend)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through
@@ -60,9 +60,12 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 
 // batchPathFuncs maps packages to the functions forming the columnar
 // batch path: the row loops whose whole point is that no per-event map
-// is ever built — in the root package also the monitoring processor's
-// boundary step (fireDue) and the sharded tier's fold loops over the
-// shards' results, the serial tail of every boundary; in dublin the
+// is ever built — in the root package also the tier's filing entrance
+// (InputCut), the monitoring processor's boundary step (fireDue) and
+// the sharded tier's fold loops over the shards' results, the serial
+// tail of every boundary; in rtec the cut's routing (InputCut,
+// routeRun) and the column store's deferred indexing (settle,
+// mergeIDs) beside its filing; in dublin the
 // generator's arrival drain, which hands raw SDEs on and never
 // materializes one itself. Unlike
 // the kernel rule above, these are checked at every loop depth — one
@@ -70,8 +73,8 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 // per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
-	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|insertRows|mergeOrder|appendCols|appendFrom|gatherCol)$`),
-	"insight": regexp.MustCompile(`^(admit|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
+	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|InputCut|routeRun|insertRows|settle|mergeIDs|appendCols|appendFrom|gatherCol)$`),
+	"insight": regexp.MustCompile(`^(admit|InputCut|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
 	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches|drain)$`),
 }
 

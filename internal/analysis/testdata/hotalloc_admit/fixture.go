@@ -1,9 +1,10 @@
 // Package hafix exercises the hotalloc batch-path scoping of the root
 // package. It is loaded under the import path "fixture/insight", so
-// the admission method admit, ProcessBatch, the boundary step fireDue
-// and the sharded tier's fold loops form the batch path: no per-row
-// Event view or attribute map between the transport batches and the
-// engines, nor between the shards' results and the merged one.
+// the admission method admit, the tier's filing entrance InputCut,
+// ProcessBatch, the boundary step fireDue and the sharded tier's fold
+// loops form the batch path: no per-row Event view or attribute map
+// between the transport batches and the engines, nor between the
+// shards' results and the merged one.
 package hafix
 
 // Event mirrors the engine's event record.
@@ -56,6 +57,18 @@ func (p *processor) fireDue(due []int) {
 }
 
 type tier struct{ areas []string }
+
+// InputCut is the tier's one filing entrance: routing a cut's rows by
+// their view Event is flagged.
+func (t *tier) InputCut(cut []*Block) int {
+	n := 0
+	for _, b := range cut {
+		for i := range b.Keys {
+			n += len(b.Event(i).Key)
+		}
+	}
+	return n
+}
 
 // foldBusCongestion is the tier's cross-shard fold: a map built per
 // area inside its loop is flagged.

@@ -1,7 +1,7 @@
 // Package hcfix exercises the hotalloc rule over the resident column
 // store's batch paths. It is loaded under the import path
-// "fixture/rtec", so insertRows / mergeOrder / appendFrom / gatherCol
-// form the columnar merge path: per-row Event materialization (Event,
+// "fixture/rtec", so insertRows / settle / mergeIDs / appendFrom /
+// gatherCol form the columnar merge path: per-row Event materialization (Event,
 // At, Slice calls) and per-row map construction are flagged at any
 // loop depth, while packed cell moves pass.
 package hcfix
@@ -60,10 +60,10 @@ func (s *store) insertRows(src *Block, rows []int32) {
 	}
 }
 
-// mergeOrder re-materializes each merged row (flagged) and builds a
+// mergeIDs re-materializes each merged row (flagged) and builds a
 // per-row map (flagged); the slice appends themselves are fine on the
 // batch path.
-func mergeOrder(dst []Event, src Rows) []Event {
+func mergeIDs(dst []Event, src Rows) []Event {
 	for i := 0; i < src.Len(); i++ {
 		dst = append(dst, src.At(i))
 		attrs := map[string]any{"row": i}
@@ -97,4 +97,15 @@ func copyView(src Rows) []Event {
 		out = append(out, src.At(i))
 	}
 	return out
+}
+
+// settle indexes the rows filed since the last read: keying each by
+// its view event is flagged.
+func (s *store) settle(blk *Block, from int) map[string][]int32 {
+	byKey := make(map[string][]int32)
+	for id := from; id < len(blk.Times); id++ {
+		k := blk.Event(id).Key
+		byKey[k] = append(byKey[k], int32(id))
+	}
+	return byKey
 }

@@ -586,7 +586,7 @@ func (p *rtecProcessor) fireDue() error {
 		p.nextQ += p.step
 		rec.mark(&rec.span.Release)
 		// Deliver exactly the SDEs that have arrived by q.
-		fed, err := p.adm.admit(p.system, q)
+		fed, err := p.adm.admit(p.system, q, rec)
 		if err != nil {
 			return err
 		}

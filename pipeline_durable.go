@@ -586,7 +586,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 		fires := ck.fires
 		for {
 			for end := rt.st.endOf(rt.consumedIdx); len(fires) > 0 && fires[0].end <= end; fires = fires[1:] {
-				if _, err := proc.adm.admit(s, fires[0].q); err != nil {
+				if _, err := proc.adm.admit(s, fires[0].q, proc.rec); err != nil {
 					return fail(err)
 				}
 				if err := s.fileVerdicts(fires[0].q, fires[0].verdicts); err != nil {

@@ -306,7 +306,8 @@ func (s *System) fileVerdicts(q Time, verdicts []crowdVerdict) error {
 		eb.Float(1, inter.Pos.Lon)
 		eb.Float(2, inter.Pos.Lat)
 	}
-	return s.engines.InputBlockRows(eb.Block(), nil)
+	_, err := s.engines.InputCut([]rtec.BlockRun{{Block: eb.Block()}})
+	return err
 }
 
 // Run evaluates the system at the regular query times from+Step,

@@ -76,6 +76,31 @@ func (c *BCol) appendPresent() {
 	}
 }
 
+// growCells makes room for n more cells in the column's value slice
+// and, if the column tracks presence, its Present mask (an int-list
+// column's flat values grow with its cells).
+func (c *BCol) growCells(n int) {
+	if c.Present != nil {
+		c.Present = grown(c.Present, n)
+	}
+	switch c.Kind {
+	case ColFloat:
+		c.F = grown(c.F, n)
+	case ColInt:
+		c.I = grown(c.I, n)
+	case ColBool:
+		c.B = grown(c.B, n)
+	case ColIntGo:
+		c.N = grown(c.N, n)
+	case ColAny:
+		c.A = grown(c.A, n)
+	case ColIntList:
+		c.Ends = grown(c.Ends, n)
+	default:
+		c.SIdx = grown(c.SIdx, n)
+	}
+}
+
 // appendZero appends the kind's zero cell (only meaningful together
 // with an absent mark).
 func (c *BCol) appendZero() {
@@ -286,6 +311,7 @@ func (sg *colSeg) appendCols(src *Block, rows []int32) {
 		c := &sg.blk.Cols[ci]
 		if n := colLen(c); n < rowCount {
 			c.ensurePresent(n)
+			c.growCells(rowCount - n)
 			for ; n < rowCount; n++ {
 				c.Present = append(c.Present, false)
 				c.appendZero()
@@ -321,11 +347,16 @@ func newColFrom(sc *BCol, rows []int32, prior int) BCol {
 	return c
 }
 
-// appendFrom appends the source rows' cells to the column.
+// appendFrom appends the source rows' cells to the column, growing
+// each of its slices at most once.
 func (c *BCol) appendFrom(sc *BCol, rows []int32) {
 	if c.Kind != sc.Kind && c.Kind != ColAny {
 		c.promoteToAny(colLen(c))
 	}
+	if sc.Present != nil && c.Kind != ColAny {
+		c.ensurePresent(colLen(c))
+	}
+	c.growCells(len(rows))
 	if c.Kind == ColAny {
 		for _, r := range rows {
 			v, ok := cellValue(sc, int(r))
@@ -339,9 +370,6 @@ func (c *BCol) appendFrom(sc *BCol, rows []int32) {
 			c.appendPresent()
 		}
 		return
-	}
-	if sc.Present != nil {
-		c.ensurePresent(colLen(c))
 	}
 	switch c.Kind {
 	case ColFloat:
@@ -361,6 +389,11 @@ func (c *BCol) appendFrom(sc *BCol, rows []int32) {
 			c.N = append(c.N, sc.N[r])
 		}
 	case ColIntList:
+		cells := 0
+		for _, r := range rows {
+			cells += len(sc.list(int(r)))
+		}
+		c.L = grown(c.L, cells)
 		for _, r := range rows {
 			c.L = append(c.L, sc.list(int(r))...)
 			c.Ends = append(c.Ends, uint32(len(c.L)))

@@ -24,6 +24,14 @@ import (
 // keeping existing ids ahead of new ones on time ties reproduces the
 // row store's arrival-stable order exactly.
 //
+// Indexing is deferred: filing appends to the columns (and lowers the
+// dirty watermark) only, and the first read after it — eviction at the
+// start of a query, a bucket view, the resident-bytes estimate — settles
+// the bucket, sorting every row filed since by (time, id) and merging
+// them into both indexes at once. A boundary's cut therefore re-merges
+// the late tail of order once per type, not once per block, and the
+// merge runs inside the engine's own query.
+//
 // Eviction trims the order prefix and the per-key lists; the dead
 // rows stay in the columns until they outnumber the live ones, at
 // which point the segment is compacted — columns, dictionaries and
@@ -34,12 +42,17 @@ import (
 // no Event is materialized unless a rule asks for one.
 type columnStore struct {
 	types map[string]*colBucket
-	// orderScratch is the reusable overlap buffer of mergeOrder;
+	// orderScratch is the reusable overlap buffer of mergeIDs;
 	// kidScratch holds the per-row resident key ids of one insertRows
-	// call; trScratch the per-source-dictionary translation table.
+	// call; trScratch the per-source-dictionary translation table;
+	// idScratch, sortKeys and idCopy are settle's new ids and the
+	// buffers of their packed time sort.
 	orderScratch []int32  //state:transient reusable scratch
 	kidScratch   []uint32 //state:transient reusable scratch
 	trScratch    []uint32 //state:transient reusable scratch
+	idScratch    []int32  //state:transient reusable scratch
+	sortKeys     []uint64 //state:transient reusable scratch
+	idCopy       []int32  //state:transient reusable scratch
 }
 
 // colBucket is one SDE type's resident state.
@@ -53,6 +66,10 @@ type colBucket struct {
 	// among events that arrived at or before the engine's last query
 	// time, since that query. MaxTime means no late arrivals.
 	lateMin Time
+	// indexed is the first row id not yet in order and byKid: rows
+	// from it on were filed since the last settle.
+	//state:transient index bookkeeping, every read settles it
+	indexed int
 	// dead counts evicted rows still physically present in seg.
 	// Snapshots flatten only live rows, so a restored bucket starts
 	// compacted with zero dead rows.
@@ -85,13 +102,14 @@ func (s *columnStore) bucketOf(typ string) *colBucket {
 	return b
 }
 
-// bucket returns the type's bucket as an sdeBucket view (untyped nil
-// on a miss, as the engine's nil checks require).
+// bucket returns the type's settled bucket as an sdeBucket view
+// (untyped nil on a miss, as the engine's nil checks require).
 func (s *columnStore) bucket(typ string) sdeBucket {
 	b := s.types[typ]
 	if b == nil {
 		return nil
 	}
+	s.settle(b)
 	return b
 }
 
@@ -113,19 +131,15 @@ func (b *colBucket) growKeys() {
 	}
 }
 
-// insert files one event: append a row to the segment, splice its id
-// into the order and per-key indexes.
+// insert files one event: append a row to the segment; the next read
+// indexes it.
 func (s *columnStore) insert(ev Event, late bool) {
 	b := s.bucketOf(ev.Type)
 	sg := &b.seg
-	id := int32(len(sg.blk.Times))
 	kid := sg.kidOf(ev.Key)
 	sg.blk.Times = append(sg.blk.Times, int64(ev.Time))
 	sg.blk.KIdx = append(sg.blk.KIdx, kid)
 	sg.appendAttrs(ev)
-	b.growKeys()
-	b.order = spliceID(b.order, sg.blk.Times, id)
-	b.byKid[kid] = spliceID(b.byKid[kid], sg.blk.Times, id)
 	if late && ev.Time < b.lateMin {
 		b.lateMin = ev.Time
 	}
@@ -148,10 +162,11 @@ func spliceID(ids []int32, times []int64, id int32) []int32 {
 }
 
 // insertRows bulk-files the given rows of a caller-owned block: one
-// append pass per column, one order merge, and per-key filing through
-// small-integer ids (a slice index per row — no hashing). rows must be
-// time-sorted, ties in arrival order; the resulting state is exactly
-// what row-by-row insert produces.
+// append pass per column, every resident slice grown at most once, key
+// ids through small-integer translation (a slice index per row — no
+// hashing). rows must be time-sorted, ties in arrival order; once
+// settled, the resulting state is exactly what row-by-row insert
+// produces.
 func (s *columnStore) insertRows(src *Block, rows []int32, started bool, lastQ Time) {
 	n := len(rows)
 	if n == 0 {
@@ -159,7 +174,6 @@ func (s *columnStore) insertRows(src *Block, rows []int32, started bool, lastQ T
 	}
 	b := s.bucketOf(src.Type)
 	sg := &b.seg
-	base := int32(len(sg.blk.Times))
 
 	// Times, key ids. Source dictionaries translate lazily — one
 	// interning per distinct key used, not per dictionary entry, so an
@@ -183,27 +197,13 @@ func (s *columnStore) insertRows(src *Block, rows []int32, started bool, lastQ T
 			kr[j] = sg.kidOf(src.Keys[r])
 		}
 	}
+	sg.blk.Times = grown(sg.blk.Times, n)
+	sg.blk.KIdx = grown(sg.blk.KIdx, n)
 	for j, r := range rows {
 		sg.blk.Times = append(sg.blk.Times, src.Times[r])
 		sg.blk.KIdx = append(sg.blk.KIdx, kr[j])
 	}
 	sg.appendCols(src, rows)
-	b.growKeys()
-
-	s.mergeOrder(b, base, n)
-
-	// Per-key filing: each key's rows arrive in time order, so the
-	// append fast path almost always hits; late rows splice.
-	times := sg.blk.Times
-	for j := 0; j < n; j++ {
-		id := base + int32(j)
-		lst := b.byKid[kr[j]]
-		if m := len(lst); m == 0 || times[lst[m-1]] <= times[id] {
-			b.byKid[kr[j]] = append(lst, id)
-		} else {
-			b.byKid[kr[j]] = spliceID(lst, times, id)
-		}
-	}
 
 	if started {
 		for _, r := range rows {
@@ -214,44 +214,90 @@ func (s *columnStore) insertRows(src *Block, rows []int32, started bool, lastQ T
 	}
 }
 
-// mergeOrder merges the n freshly appended ids (base..base+n−1, whose
-// times are sorted) into the order index. The common case — the rows
-// land entirely after the stored ones — is a pure bulk append;
-// otherwise only the overlapping tail is re-merged, existing ids kept
-// ahead of new ones on time ties.
-func (s *columnStore) mergeOrder(b *colBucket, base int32, n int) {
+// grown returns s with room for n more elements: reallocated at most
+// once, to at least twice its capacity, so a column filed block by
+// block is copied O(log rows) times, not once per 1.25× of append's
+// growth (compaction sizes the resident slices exactly).
+func grown[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	out := make(S, len(s), max(2*cap(s), len(s)+n))
+	copy(out, s)
+	return out
+}
+
+// settle indexes the rows filed since the last settle: their ids,
+// sorted by (time, id), merge into order at once and file into their
+// keys' lists. Ids grow in filing order, so the result is the (time,
+// arrival) order filing each block's rows straight into the indexes
+// produces.
+func (s *columnStore) settle(b *colBucket) {
 	times := b.seg.blk.Times
-	ord := b.order
-	t0 := times[base]
-	if len(ord) == 0 || times[ord[len(ord)-1]] <= t0 {
-		for j := 0; j < n; j++ {
-			ord = append(ord, base+int32(j))
-		}
-		b.order = ord
+	n := len(times)
+	if b.indexed == n {
 		return
+	}
+	ids := s.idScratch[:0]
+	for id := b.indexed; id < n; id++ {
+		ids = append(ids, int32(id))
+	}
+	if !timeSorted(ids, times) {
+		sortByTime(ids, times, &s.sortKeys, &s.idCopy)
+	}
+	b.order = s.mergeIDs(b.order, ids, times)
+
+	// Per-key filing: each key's rows come in time order, so the
+	// append fast path almost always hits; late rows splice.
+	b.growKeys()
+	kidx := b.seg.blk.KIdx
+	for _, id := range ids {
+		k := kidx[id]
+		lst := b.byKid[k]
+		if m := len(lst); m == 0 || times[lst[m-1]] <= times[id] {
+			b.byKid[k] = append(lst, id)
+		} else {
+			b.byKid[k] = spliceID(lst, times, id)
+		}
+	}
+	b.indexed = n
+	if cap(ids) > scratchInt32Floor && cap(ids) > 4*len(ids) {
+		ids = nil // decay an oversized burst
+	}
+	s.idScratch = ids
+}
+
+// mergeIDs merges ids — (time, id)-sorted, every one larger than any
+// in ord — into the order index ord. The common case, ids landing
+// entirely after the stored ones, is a pure bulk append; otherwise only
+// the overlapping tail is re-merged, stored ids kept ahead of new ones
+// on time ties.
+func (s *columnStore) mergeIDs(ord, ids []int32, times []int64) []int32 {
+	ord = grown(ord, len(ids))
+	t0 := times[ids[0]]
+	if len(ord) == 0 || times[ord[len(ord)-1]] <= t0 {
+		return append(ord, ids...)
 	}
 	cut := sort.Search(len(ord), func(i int) bool { return times[ord[i]] > t0 })
 	tail := append(s.orderScratch[:0], ord[cut:]...)
 	ord = ord[:cut]
 	i, j := 0, 0
-	for i < len(tail) && j < n {
-		if times[tail[i]] <= times[base+int32(j)] {
+	for i < len(tail) && j < len(ids) {
+		if times[tail[i]] <= times[ids[j]] {
 			ord = append(ord, tail[i])
 			i++
 		} else {
-			ord = append(ord, base+int32(j))
+			ord = append(ord, ids[j])
 			j++
 		}
 	}
 	ord = append(ord, tail[i:]...)
-	for ; j < n; j++ {
-		ord = append(ord, base+int32(j))
-	}
-	b.order = ord
+	ord = append(ord, ids[j:]...)
 	if cap(tail) > scratchInt32Floor && cap(tail) > 4*len(tail) {
 		tail = make([]int32, 0, 2*len(tail)) // decay an oversized overlap burst
 	}
 	s.orderScratch = tail
+	return ord
 }
 
 // resizeUint32 sizes the reusable buffer to n entries (contents
@@ -271,6 +317,7 @@ func resizeUint32(buf *[]uint32, n int) []uint32 {
 // rows outnumber live ones.
 func (s *columnStore) evict(cutoff Time) {
 	for typ, b := range s.types {
+		s.settle(b)
 		times := b.seg.blk.Times
 		k := 0
 		if len(b.order) > 0 && Time(times[b.order[0]]) <= cutoff {
@@ -318,9 +365,16 @@ func trimIDs(ids []int32, k int) []int32 {
 // values), row ids are renumbered densely in arrival order, and the
 // indexes remapped. Runs when dead rows outnumber live ones, so its
 // cost is amortised O(1) per evicted row.
+//
+// The segment refills to about twice its live rows before it is
+// compacted again, so the new slices are sized for that plus a quarter
+// of slack: sized exactly, the refill regrows them (by doubling) once,
+// and again whenever the cycle's filing overshoots twice the live rows
+// by one row — about three times the bytes per filed row.
 func (s *columnStore) compact(b *colBucket) {
 	old := b.seg
 	live := len(b.order)
+	room := 2*live + live/2
 
 	// Live ids in ascending id order = arrival order; dense
 	// renumbering in that order preserves every time tie-break.
@@ -333,7 +387,7 @@ func (s *columnStore) compact(b *colBucket) {
 	}
 
 	seg := colSeg{
-		blk:  Block{Type: old.blk.Type, Times: make([]int64, 0, live), KIdx: make([]uint32, 0, live)},
+		blk:  Block{Type: old.blk.Type, Times: make([]int64, 0, room), KIdx: make([]uint32, 0, room)},
 		kids: make(map[string]uint32, len(old.kids)),
 	}
 	for _, id := range ids {
@@ -341,7 +395,7 @@ func (s *columnStore) compact(b *colBucket) {
 		seg.blk.KIdx = append(seg.blk.KIdx, seg.kidOf(old.blk.KDict[old.blk.KIdx[id]]))
 	}
 	for ci := range old.blk.Cols {
-		if c := gatherCol(&old.blk.Cols[ci], ids); c != nil {
+		if c := gatherCol(&old.blk.Cols[ci], ids, room); c != nil {
 			seg.blk.Cols = append(seg.blk.Cols, *c)
 		}
 	}
@@ -364,19 +418,21 @@ func (s *columnStore) compact(b *colBucket) {
 	}
 	b.seg = seg
 	b.byKid = byKid
+	b.indexed = live
 	b.dead = 0
 }
 
-// gatherCol gathers the given rows of a column into a fresh column,
-// or nil if the attribute is absent on every row (the column is
-// dropped). Absent cells gather as the kind's zero value.
-func gatherCol(c *BCol, ids []int32) *BCol {
+// gatherCol gathers the given rows of a column into a fresh column
+// with room for as many cells in all, or nil if the attribute is absent
+// on every row (the column is dropped). Absent cells gather as the
+// kind's zero value.
+func gatherCol(c *BCol, ids []int32, room int) *BCol {
 	n := len(ids)
 	out := &BCol{Name: c.Name, Kind: c.Kind}
 	all := true
 	if c.Present != nil {
 		any := false
-		out.Present = make([]bool, n)
+		out.Present = make([]bool, n, room)
 		for j, id := range ids {
 			p := c.Present[id]
 			out.Present[j] = p
@@ -392,42 +448,49 @@ func gatherCol(c *BCol, ids []int32) *BCol {
 	}
 	switch c.Kind {
 	case ColFloat:
-		out.F = make([]float64, n)
+		out.F = make([]float64, n, room)
 		for j, id := range ids {
 			if out.present(j) {
 				out.F[j] = c.F[id]
 			}
 		}
 	case ColInt:
-		out.I = make([]int64, n)
+		out.I = make([]int64, n, room)
 		for j, id := range ids {
 			if out.present(j) {
 				out.I[j] = c.I[id]
 			}
 		}
 	case ColBool:
-		out.B = make([]bool, n)
+		out.B = make([]bool, n, room)
 		for j, id := range ids {
 			if out.present(j) {
 				out.B[j] = c.B[id]
 			}
 		}
 	case ColIntGo:
-		out.N = make([]int, n)
+		out.N = make([]int, n, room)
 		for j, id := range ids {
 			if out.present(j) {
 				out.N[j] = c.N[id]
 			}
 		}
 	case ColAny:
-		out.A = make([]any, n)
+		out.A = make([]any, n, room)
 		for j, id := range ids {
 			if out.present(j) {
 				out.A[j] = c.A[id]
 			}
 		}
 	case ColIntList:
-		out.Ends = make([]uint32, n)
+		out.Ends = make([]uint32, n, room)
+		cells := 0
+		for _, id := range ids {
+			cells += len(c.list(int(id)))
+		}
+		if n > 0 {
+			out.L = make([]int32, 0, cells*room/n)
+		}
 		for j, id := range ids {
 			if out.present(j) {
 				out.L = append(out.L, c.list(int(id))...)
@@ -435,7 +498,7 @@ func gatherCol(c *BCol, ids []int32) *BCol {
 			out.Ends[j] = uint32(len(out.L))
 		}
 	default: // ColStr: re-intern in first-use order so evicted strings drop out
-		out.SIdx = make([]uint32, n)
+		out.SIdx = make([]uint32, n, room)
 		tr := unsetIDs(len(c.Dict))
 		for j, id := range ids {
 			if !out.present(j) {
@@ -489,6 +552,7 @@ func (s *columnStore) clearDirty() {
 func (s *columnStore) residentBytes() uint64 {
 	var total uint64
 	for typ, b := range s.types {
+		s.settle(b)
 		total += uint64(len(typ)) + sizeMapSlot
 		total += blockResidentBytes(&b.seg.blk)
 		total += uint64(cap(b.order)) * 4

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -319,13 +321,20 @@ func TestColumnStoreMatchesEventStore(t *testing.T) {
 
 // FuzzMergeBlock drives the same randomized equivalence from fuzzed
 // bytes: each 4-byte group is one row (time delta, key, attribute
-// selector, value), every third chunk boundary queries and compares.
-// This pins insertRows — bulk column append, order merge, per-key
-// filing, with and without KIdx — to row-by-row insert on both stores.
+// selector, value). This pins insertRows — bulk column append, deferred
+// order and per-key indexing, with and without KIdx — to row-by-row
+// insert on both stores. A row may take the previous row's time, so
+// times tie across blocks; a chunk may go to every engine through the
+// per-event Input instead, between block deliveries; and after each
+// chunk one of the column store's settling read points — a query's
+// eviction, a bucket view, the resident-bytes estimate — is judged
+// against the row store.
 func FuzzMergeBlock(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 50, 1, 2, 3, 9, 9, 0xff, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{200, 5, 7, 9, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
+	f.Add([]byte{3, 1, 33, 7, 4, 2, 97, 1, 5, 3, 35, 2, 250, 0, 64, 9, 2, 1, 33, 8, 6, 3, 1, 129})
+	f.Add([]byte("00A0900000000000A0A0")) // a late row ties a stored one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
@@ -334,9 +343,11 @@ func FuzzMergeBlock(f *testing.F) {
 		clock := int64(0)
 		q := Time(0)
 		chunks := 0
+		last := int64(0)
 		for off := 0; off+4 <= len(data) && chunks < 64; off += 4 {
 			n := 1 + int(data[off])%6
 			chunk := make([]equivRow, 0, n)
+			sel := data[off+2]
 			for i := 0; i < n && off+4 <= len(data); i++ {
 				b0, b1, b2, b3 := data[off], data[off+1], data[off+2], data[off+3]
 				r := equivRow{
@@ -344,9 +355,13 @@ func FuzzMergeBlock(f *testing.F) {
 					key:   fmt.Sprintf("k%d", b1%4),
 					attrs: map[string]any{},
 				}
+				if b2&32 != 0 {
+					r.t = last // ties the previous row, in this block or the last
+				}
 				if r.t < 0 {
 					r.t = 0
 				}
+				last = r.t
 				if b2&1 != 0 {
 					r.attrs["level"] = float64(b3) / 255
 				}
@@ -367,14 +382,160 @@ func FuzzMergeBlock(f *testing.F) {
 			}
 			off -= 4 // outer loop advances once more
 			for _, ee := range engines {
+				if sel&64 != 0 {
+					ee.block = false // this chunk goes in per event
+				}
 				deliverChunk(t, ee, chunk)
 			}
 			clock += int64(data[off%len(data)]) % 12
 			chunks++
-			if nq := Time(clock); chunks%3 == 0 && nq > q {
+			label := fmt.Sprintf("chunk %d", chunks)
+			switch nq := Time(clock); {
+			case chunks%3 == 0 && nq > q:
 				q = nq
-				compareAt(t, engines, q, fmt.Sprintf("chunk %d q=%d", chunks, q))
+				compareAt(t, engines, q, fmt.Sprintf("%s q=%d", label, q))
+			case sel&128 != 0:
+				for _, ee := range engines {
+					ee.e.store.residentBytes()
+				}
+				compareBuckets(t, engines, label+" after residentBytes")
+			default:
+				compareBuckets(t, engines, label)
 			}
 		}
 	})
+}
+
+// compareBuckets reads every engine's bucket view directly — for the
+// column store a settling read — and demands the reference engine's
+// rows, keys and per-key rows, cell by cell.
+func compareBuckets(t testing.TB, engines []equivEngine, label string) {
+	t.Helper()
+	all := Span{Start: MinTime, End: MaxTime}
+	render := func(b sdeBucket) string {
+		if b == nil {
+			return ""
+		}
+		var sb bytes.Buffer
+		dump := func(rows Rows) {
+			for i := 0; i < rows.Len(); i++ {
+				ev := rows.At(i)
+				fmt.Fprintf(&sb, " %d/%s", rows.TimeAt(i), rows.KeyAt(i))
+				for _, name := range []string{"level", "alarm", "zone", "count"} {
+					if v, ok := ev.Get(name); ok {
+						fmt.Fprintf(&sb, "/%s=%T:%v", name, v, v)
+					}
+				}
+			}
+		}
+		dump(b.rows(all))
+		fmt.Fprintf(&sb, " count=%d keys=%v", b.countInSpan(all), b.keysInSpan(all))
+		for _, key := range b.keysInSpan(all) {
+			fmt.Fprintf(&sb, " [%s]", key)
+			dump(b.rowsForKey(key, all))
+		}
+		return sb.String()
+	}
+	ref := render(engines[0].e.store.bucket("reading"))
+	for _, ee := range engines[1:] {
+		if got := render(ee.e.store.bucket("reading")); got != ref {
+			t.Fatalf("%s: %s bucket differs from %s:\nref:%s\ngot:%s", label, ee.name, engines[0].name, ref, got)
+		}
+	}
+}
+
+// filingBytesBudget is the committed heap budget of the column store's
+// filing path, in bytes allocated per filed row: the columns' growth,
+// both indexes' and compaction's, over a sliding window of in-order and
+// late blocks. A row's resident cells and index entries take 41 bytes.
+// Growing each resident slice at most once per filing call, to at least
+// double its capacity, with compaction leaving room for the refill,
+// measures 117; append's 1.25× steps after every exact-size compaction
+// measured 234.
+const filingBytesBudget = 150
+
+// TestAllocBudget_ColumnStoreFiling files a multi-boundary stream —
+// 512-row blocks, a quarter of them late — into a column-store engine
+// whose one rule reads nothing, through several segment compactions,
+// and bounds the heap bytes allocated per filed row by filing and the
+// queries' eviction, indexing and compaction.
+func TestAllocBudget_ColumnStoreFiling(t *testing.T) {
+	defs, err := NewBuilder().
+		DeclareSDE("reading").
+		Event(EventRule{Name: "none", Inputs: []string{"reading"}, Derive: func(*Context) []Event { return nil }}).
+		Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		step       = 600
+		perStep    = 8 // blocks per boundary
+		blockRows  = 512
+		boundaries = 40
+	)
+	e, err := NewEngine(defs, Options{WorkingMemory: 4 * step, Step: step, RuleWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	zones := []string{"north", "south", "east", "west"}
+	blocks := make([][]*Block, boundaries)
+	for q := range blocks {
+		for k := 0; k < perStep; k++ {
+			rows := make([]equivRow, blockRows)
+			for i := range rows {
+				t := int64(q*step + (k*step)/perStep + rng.Intn(step/perStep))
+				if k%4 == 3 {
+					t -= int64(step) // a late block
+				}
+				rows[i] = equivRow{t: t, key: fmt.Sprintf("k%d", rng.Intn(300)), attrs: map[string]any{
+					"level": rng.Float64(), "count": int64(rng.Intn(100)), "zone": zones[rng.Intn(4)], "alarm": rng.Intn(2) == 0,
+				}}
+			}
+			sort.SliceStable(rows, func(i, j int) bool { return rows[i].t < rows[j].t })
+			blocks[q] = append(blocks[q], rowsToBlock(rows, true))
+		}
+	}
+	compactions := 0
+	seg := func() int {
+		if b := e.store.(*columnStore).types["reading"]; b != nil {
+			return len(b.seg.blk.Times)
+		}
+		return 0
+	}
+	run := func(q int) {
+		for _, blk := range blocks[q] {
+			if err := e.InputBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := seg()
+		if _, err := e.Query(Time((q + 1) * step)); err != nil {
+			t.Fatal(err)
+		}
+		if seg() < before {
+			compactions++
+		}
+	}
+	const warm = 8 // fill the window, reach the first compaction
+	for q := 0; q < warm; q++ {
+		run(q)
+	}
+	compactions = 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	for q := warm; q < boundaries; q++ {
+		run(q)
+	}
+	runtime.ReadMemStats(&ms)
+	rows := (boundaries - warm) * perStep * blockRows
+	perRow := float64(ms.TotalAlloc-start) / float64(rows)
+	t.Logf("column store filing: %.1f heap bytes per filed row over %d compactions (budget %d)", perRow, compactions, filingBytesBudget)
+	if compactions < 2 {
+		t.Fatalf("%d compactions over the measured boundaries, want at least 2", compactions)
+	}
+	if perRow > filingBytesBudget {
+		t.Errorf("filing allocates %.1f heap bytes per row, budget %d: the resident slices regrow too often", perRow, filingBytesBudget)
+	}
 }

@@ -208,34 +208,36 @@ func (e *Engine) inputBlock(b *Block, rows []int32) error {
 	// arrival-stable order is unique, the store ends up bit-identical
 	// to per-row insertion. Mediator jitter is bounded, so most blocks
 	// arrive already sorted and the sort is a single scan.
-	sorted := true
-	for i := 1; i < len(e.rowScratch); i++ {
-		if b.Times[e.rowScratch[i-1]] > b.Times[e.rowScratch[i]] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		e.sortRows(b)
+	if !timeSorted(e.rowScratch, b.Times) {
+		sortByTime(e.rowScratch, b.Times, &e.sortKeys, &e.rowCopy)
 	}
 	e.store.insertRows(b, e.rowScratch, e.started, e.lastQ)
 	e.inserted += len(e.rowScratch)
 	return nil
 }
 
-// sortRows stably sorts rowScratch by occurrence time. The hot path
+// timeSorted reports whether the row indexes rs are in times order.
+func timeSorted(rs []int32, times []int64) bool {
+	for i := 1; i < len(rs); i++ {
+		if times[rs[i-1]] > times[rs[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortByTime stably sorts the row indexes rs by times[r]. The hot path
 // packs (time − minTime, position) pairs into uint64 keys and sorts
 // those — branch-predictable integer comparisons, no closure calls —
-// with the position in the low bits carrying the stability tie-break.
-// Blocks whose time span overflows the packing (44 bits of delta, 20
-// bits of position — never with bounded mediator jitter) fall back to
-// the stable comparison sort.
-func (e *Engine) sortRows(b *Block) {
-	rs := e.rowScratch
-	minT := b.Times[rs[0]]
+// with the position in the low bits carrying the stability tie-break;
+// keys and cp are its reusable buffers. Runs whose time span overflows
+// the packing (44 bits of delta, 20 bits of position — never with
+// bounded mediator jitter) fall back to the stable comparison sort.
+func sortByTime(rs []int32, times []int64, keys *[]uint64, cp *[]int32) {
+	minT := times[rs[0]]
 	maxT := minT
 	for _, r := range rs[1:] {
-		if t := b.Times[r]; t < minT {
+		if t := times[r]; t < minT {
 			minT = t
 		} else if t > maxT {
 			maxT = t
@@ -243,18 +245,18 @@ func (e *Engine) sortRows(b *Block) {
 	}
 	const posBits = 20
 	if len(rs) >= 1<<posBits || uint64(maxT-minT) >= 1<<(64-posBits) {
-		sort.SliceStable(rs, func(i, j int) bool { return b.Times[rs[i]] < b.Times[rs[j]] })
+		sort.SliceStable(rs, func(i, j int) bool { return times[rs[i]] < times[rs[j]] })
 		return
 	}
-	keys := e.sortKeys[:0]
+	ks := (*keys)[:0]
 	for j, r := range rs {
-		keys = append(keys, uint64(b.Times[r]-minT)<<posBits|uint64(j))
+		ks = append(ks, uint64(times[r]-minT)<<posBits|uint64(j))
 	}
-	slices.Sort(keys)
-	e.sortKeys = keys
-	e.rowCopy = append(e.rowCopy[:0], rs...)
-	for j, k := range keys {
-		rs[j] = e.rowCopy[k&(1<<posBits-1)]
+	slices.Sort(ks)
+	*keys = ks
+	*cp = append((*cp)[:0], rs...)
+	for j, k := range ks {
+		rs[j] = (*cp)[k&(1<<posBits-1)]
 	}
 }
 

@@ -25,10 +25,8 @@ type Partitioned struct {
 	//state:transient routing function, supplied at construction
 	blockAssign func(*Block) func(int) int
 
-	// scratch holds the per-partition row lists InputBlock routes
-	// into; reused across calls (Input* calls must not be concurrent,
-	// matching the single-writer contract of the underlying engines).
-	scratch [][]int32 //state:transient reusable scratch
+	// fan files cuts into the engines, one goroutine per engine.
+	fan *Fanout //state:transient routing and filing scratch
 }
 
 // NewPartitioned builds n engines sharing the (immutable) definition
@@ -49,11 +47,12 @@ func NewPartitioned(defs *Definitions, opts Options, n int, assign func(Event) i
 		}
 		p.engines = append(p.engines, e)
 	}
+	p.fan = NewFanout(p.engines)
 	return p, nil
 }
 
 // SetBlockAssign installs a block-level partition router used by
-// InputBlock and InputBlockRows in place of the per-event assign
+// InputBlock and InputCut in place of the per-event assign
 // function. f is called once per block; the function it returns maps a
 // row index to a partition and must return, for every row, exactly the
 // partition assign returns for that row's view Event — the router is a
@@ -82,66 +81,28 @@ func (p *Partitioned) Input(events ...Event) error {
 	return nil
 }
 
-// InputBlock routes the rows of a columnar batch to their partitions.
-// Row order is preserved within each partition, so the per-engine
-// store ends up in exactly the state per-event routing produces.
+// InputBlock routes the rows of a columnar batch to their partitions:
+// a one-run InputCut.
 func (p *Partitioned) InputBlock(b *Block) error {
-	return p.inputBlock(b, nil)
+	_, err := p.InputCut([]BlockRun{{Block: b}})
+	return err
 }
 
-// InputBlockRows is InputBlock restricted to the given rows of b, in
-// the given order.
-func (p *Partitioned) InputBlockRows(b *Block, rows []int32) error {
-	return p.inputBlock(b, rows)
+// InputCut routes every run of a cut to its partitions and has each
+// engine file its share concurrently (see Fanout). Row order is
+// preserved within each partition, so the per-engine store ends up in
+// exactly the state per-event routing produces. It returns the
+// engines' filing times (see Fanout.InputCut).
+func (p *Partitioned) InputCut(cut []BlockRun) ([]time.Duration, error) {
+	return p.fan.InputCut(cut, p.owner)
 }
 
-func (p *Partitioned) inputBlock(b *Block, rows []int32) error {
-	if p.scratch == nil {
-		p.scratch = make([][]int32, len(p.engines))
-	}
-	for i := range p.scratch {
-		p.scratch[i] = p.scratch[i][:0]
-	}
-	var rowOf func(int) int
+// owner is the partition router of one block.
+func (p *Partitioned) owner(b *Block) func(int) int {
 	if p.blockAssign != nil {
-		rowOf = p.blockAssign(b)
+		return p.blockAssign(b)
 	}
-	route := func(r int32) error {
-		var i int
-		if rowOf != nil {
-			i = rowOf(int(r))
-		} else {
-			i = p.assign(b.Event(int(r)))
-		}
-		if i < 0 || i >= len(p.engines) {
-			return fmt.Errorf("rtec: event %v assigned to invalid partition %d", b.Event(int(r)), i)
-		}
-		p.scratch[i] = append(p.scratch[i], r)
-		return nil
-	}
-	if rows == nil {
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			if err := route(int32(r)); err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, r := range rows {
-			if err := route(r); err != nil {
-				return err
-			}
-		}
-	}
-	for i, part := range p.scratch {
-		if len(part) == 0 {
-			continue
-		}
-		if err := p.engines[i].InputBlockRows(b, part); err != nil {
-			return err
-		}
-	}
-	return nil
+	return func(r int) int { return p.assign(b.Event(r)) }
 }
 
 // Query evaluates every partition at query time q, concurrently, and

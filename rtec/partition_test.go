@@ -91,8 +91,30 @@ func TestPartitionedBlockRoutingErrors(t *testing.T) {
 	if err := p.InputBlock(blk); err == nil || !strings.Contains(err.Error(), "invalid partition") {
 		t.Errorf("InputBlock with out-of-range assign: err = %v", err)
 	}
-	if err := p.InputBlockRows(blk, []int32{1}); err == nil {
-		t.Error("InputBlockRows with out-of-range assign must error")
+	if _, err := p.InputCut([]BlockRun{{Block: blk, Rows: []int32{1}}}); err == nil {
+		t.Error("InputCut with out-of-range assign must error")
+	}
+
+	// A cut whose last run misroutes a row is refused whole: no engine
+	// files the runs before it.
+	p1, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(ev Event) int {
+		if ev.Key == "b" {
+			return 2
+		}
+		return 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.InputCut([]BlockRun{{Block: blk, Rows: []int32{0}}, {Block: blk}}); err == nil || !strings.Contains(err.Error(), "invalid partition") {
+		t.Errorf("InputCut misrouting its last run: err = %v", err)
+	}
+	res, err := p1.Query(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := MergeResults(res).Stats.InsertedRows; n != 0 {
+		t.Errorf("a refused cut filed %d rows", n)
 	}
 
 	// A block router that disagrees with the range contract is caught

@@ -20,6 +20,11 @@ import "sort"
 // Query-visible behaviour (window contents, key sets, dirty floors)
 // must be bit-identical across implementations; the
 // randomized store-equivalence tests pin this.
+//
+// Filing may defer indexing: insert and insertRows must update the
+// dirty watermark at once, but may leave the ordered and per-key
+// indexes behind, provided every read — evict, bucket, residentBytes —
+// first settles what was filed since. The column store does.
 type sdeStore interface {
 	// insert files one event; late marks events landing at or before
 	// the last query time.

@@ -50,29 +50,34 @@ func dueTogetherSystem(t *testing.T, city *dublin.City, shards int) *System {
 }
 
 // withholdVerdicts is an engine tier that loses the crowd verdicts
-// stamped at one time point: it files every other row of a crowd block.
+// stamped at one time point: it files every other row of a crowd run.
 type withholdVerdicts struct {
 	engineTier
 	at Time
 }
 
-func (w withholdVerdicts) InputBlockRows(b *rtec.Block, rows []int32) error {
-	if b.Type != traffic.CrowdType {
-		return w.engineTier.InputBlockRows(b, rows)
-	}
-	if rows != nil {
-		return fmt.Errorf("a crowd block filed by rows %v: the boundary step files its verdicts whole", rows)
-	}
-	var kept []int32
-	for r := range b.Len() {
-		if Time(b.Times[r]) != w.at {
-			kept = append(kept, int32(r))
+func (w withholdVerdicts) InputCut(cut []rtec.BlockRun) ([]time.Duration, error) {
+	var kept []rtec.BlockRun
+	for _, run := range cut {
+		b := run.Block
+		if b.Type != traffic.CrowdType {
+			kept = append(kept, run)
+			continue
+		}
+		if run.Rows != nil {
+			return nil, fmt.Errorf("a crowd block filed by rows %v: the boundary step files its verdicts whole", run.Rows)
+		}
+		var rows []int32
+		for r := range b.Len() {
+			if Time(b.Times[r]) != w.at {
+				rows = append(rows, int32(r))
+			}
+		}
+		if len(rows) > 0 {
+			kept = append(kept, rtec.BlockRun{Block: b, Rows: rows})
 		}
 	}
-	if len(kept) == 0 {
-		return nil
-	}
-	return w.engineTier.InputBlockRows(b, kept)
+	return w.engineTier.InputCut(kept)
 }
 
 // TestRecordingEndsEarly: the recording's last arrival lies before the

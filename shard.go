@@ -17,10 +17,13 @@ import (
 // fixed partitioning (*rtec.Partitioned, the paper's four-region
 // split) and the N-way sharded tier (shardTier) expose the same
 // surface to the admission/evaluate/checkpoint machinery. Every SDE
-// arrives through InputBlockRows: the input streams' rows from
-// admission, the crowd verdicts from the boundary step.
+// arrives through InputCut: the input streams' rows a boundary admits,
+// the crowd verdicts of the boundary step, the rebuild's admissions.
 type engineTier interface {
-	InputBlockRows(b *rtec.Block, rows []int32) error
+	// InputCut files a cut's runs, in order, into the engines — each
+	// engine its share, concurrently (rtec.Fanout) — and returns the
+	// engines' own filing times.
+	InputCut(cut []rtec.BlockRun) ([]time.Duration, error)
 	// Query evaluates the engines at q, marking on rec the stages it
 	// runs — the engines' Query and the tier's folds — and their counts.
 	Query(q Time, rec *spanRecorder) ([]*rtec.Result, error)
@@ -79,7 +82,7 @@ type shardTier struct {
 	// the previous query, per area: the inertia seed of the next fold.
 	busPrev map[rtec.KV]rtec.List
 
-	scratch [][]int32 //state:transient per-shard row routing scratch buffers
+	fan *rtec.Fanout //state:transient routing and filing scratch
 }
 
 // newShardTier assembles the n shard engines.
@@ -102,50 +105,24 @@ func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shar
 			return nil, fmt.Errorf("insight: shard %d engine: %w", i, err)
 		}
 	}
+	t.fan = rtec.NewFanout(t.shards)
 	return t, nil
 }
 
-// InputBlockRows routes the given rows of a columnar block: move blocks
-// are split per owner shard (order-preserving, like the legacy
-// partition router), replicated types go to every shard whole.
-func (t *shardTier) InputBlockRows(b *rtec.Block, rows []int32) error {
+// InputCut files a cut: move rows go to the shard owning their bus
+// (order-preserving, like the legacy partition router), replicated
+// types to every shard whole.
+func (t *shardTier) InputCut(cut []rtec.BlockRun) ([]time.Duration, error) {
+	return t.fan.InputCut(cut, t.owner)
+}
+
+// owner routes a move block's rows by bus and replicates the rest.
+func (t *shardTier) owner(b *rtec.Block) func(int) int {
 	if b.Type != traffic.MoveType {
-		for _, e := range t.shards {
-			if err := e.InputBlockRows(b, rows); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
-	if t.scratch == nil {
-		t.scratch = make([][]int32, len(t.shards))
-	}
-	for i := range t.scratch {
-		t.scratch[i] = t.scratch[i][:0]
-	}
-	route := func(r int32) {
-		i := rtec.RendezvousShard(b.Key(int(r)), len(t.scratch))
-		t.scratch[i] = append(t.scratch[i], r)
-	}
-	if rows == nil {
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			route(int32(r))
-		}
-	} else {
-		for _, r := range rows {
-			route(r)
-		}
-	}
-	for i, part := range t.scratch {
-		if len(part) == 0 {
-			continue
-		}
-		if err := t.shards[i].InputBlockRows(b, part); err != nil {
-			return err
-		}
-	}
-	return nil
+	n := len(t.shards)
+	return func(r int) int { return rtec.RendezvousShard(b.Key(r), n) }
 }
 
 // Query evaluates every shard concurrently, collapses their Fresh sets

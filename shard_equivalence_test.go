@@ -275,7 +275,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 					adm.retain(b, b.Len(), 0)
 				}
 			}
-			if _, err := adm.admit(sys, q); err != nil {
+			if _, err := adm.admit(sys, q, newSpanRecorder()); err != nil {
 				return err
 			}
 		}
@@ -408,7 +408,7 @@ func TestShardTierElapsed(t *testing.T) {
 			adm.retain(b, b.Len(), 0)
 		}
 	}
-	if _, err := adm.admit(sys, from+900); err != nil {
+	if _, err := adm.admit(sys, from+900, newSpanRecorder()); err != nil {
 		t.Fatal(err)
 	}
 	results, err := sys.engines.Query(from+900, newSpanRecorder())

@@ -16,16 +16,25 @@ import (
 // Each stage has its wall time and the heap bytes the whole process
 // allocated meanwhile (runtime/metrics "/gc/heap/allocs:bytes"): exact
 // for the serial stages, summed over the engines for the parallel
-// Query. A stage the tier or the run lacks — the folds without shards,
-// crowd rounds without participants, the log and the checkpoint
-// outside durable runs — reads 0.
+// Admit and Query. A stage the tier or the run lacks — the folds
+// without shards, crowd rounds without participants, the log and the
+// checkpoint outside durable runs — reads 0.
 type Span struct {
 	// The boundary step, in order.
 	Release StageCost // the watermark check that released the boundary
-	Admit   StageCost // admission.admit: the rows that arrived by q into the engines
+	// Admit is admission.admit: the rows that arrived by q into the
+	// engines, every engine filing its share concurrently — the call's
+	// wall time, and the heap bytes of every engine together. AdmitMax
+	// and AdmitSum are the slowest engine's and the sum of the engines'
+	// own filing times.
+	Admit              StageCost
+	AdmitMax, AdmitSum time.Duration
 	// Query is the engines' Query, concurrently: the call's wall time,
 	// and the heap bytes of every engine together. QueryMax and QuerySum
 	// are the slowest engine's and the sum of the engines' own times.
+	// Each engine's Query first indexes the rows filed since its last
+	// one (the column store's deferred order merge), so that is charged
+	// here, not to Admit.
 	Query              StageCost
 	QueryMax, QuerySum time.Duration
 	FoldFresh          StageCost // the sharded tier's cross-shard Fresh dedup
@@ -134,6 +143,14 @@ func (r *spanRecorder) open() {
 
 // mark ends the running stage, charging it to dst.
 func (r *spanRecorder) mark(dst *StageCost) { r.clock.mark(dst) }
+
+// admitTimes records the engines' own filing times.
+func (r *spanRecorder) admitTimes(took []time.Duration) {
+	for _, d := range took {
+		r.span.AdmitSum += d
+		r.span.AdmitMax = max(r.span.AdmitMax, d)
+	}
+}
 
 // engineTimes records the engines' own Query times.
 func (r *spanRecorder) engineTimes(results []*rtec.Result) {

@@ -10,14 +10,16 @@ import (
 )
 
 // TestSpanRecordAllocatesNothing: filling a boundary's cost record —
-// opening it, marking every stage, the engines' times, the log's and
-// the append's charges, handing it to the report — allocates nothing.
+// opening it, marking every stage, the engines' filing and query times,
+// the log's and the append's charges, handing it to the report —
+// allocates nothing.
 func TestSpanRecordAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	rec := newSpanRecorder()
 	results := []*rtec.Result{{Stats: rtec.Stats{Elapsed: time.Millisecond}}, {Stats: rtec.Stats{Elapsed: 2 * time.Millisecond}}}
+	filing := []time.Duration{3 * time.Millisecond, time.Millisecond}
 	st := &durableState{}
 	rep := &Report{}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -26,6 +28,7 @@ func TestSpanRecordAllocatesNothing(t *testing.T) {
 		for _, stage := range []*StageCost{&s.Release, &s.Admit, &s.Query, &s.FoldFresh, &s.FoldBus, &s.Merge, &s.Assemble, &s.Crowd} {
 			rec.mark(stage)
 		}
+		rec.admitTimes(filing)
 		rec.engineTimes(results)
 		st.chargeAppend(StageCost{Wall: time.Microsecond, HeapBytes: 64}, 128)
 		rep.Span = rec.span
@@ -36,6 +39,9 @@ func TestSpanRecordAllocatesNothing(t *testing.T) {
 	}
 	if rep.Span.QueryMax != 2*time.Millisecond || rep.Span.QuerySum != 3*time.Millisecond {
 		t.Errorf("engine times max %v sum %v, want 2ms and 3ms", rep.Span.QueryMax, rep.Span.QuerySum)
+	}
+	if rep.Span.AdmitMax != 3*time.Millisecond || rep.Span.AdmitSum != 4*time.Millisecond {
+		t.Errorf("engine filing times max %v sum %v, want 3ms and 4ms", rep.Span.AdmitMax, rep.Span.AdmitSum)
 	}
 }
 
@@ -59,7 +65,8 @@ func spanSystem(t *testing.T, participants int) *System {
 // TestSpanNoJoinsInRecognition: every System driver — BuildPipeline on
 // both tiers, BuildDurablePipeline, RunReplay — runs recognition on
 // stamped moves, so the record reads no close/4 join at any boundary,
-// while it does read admitted and inserted rows.
+// while it does read admitted and inserted rows and the engines' filing
+// times.
 func TestSpanNoJoinsInRecognition(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(8*3600 + 1800)
 	check := func(t *testing.T, reports []*Report) {
@@ -74,6 +81,9 @@ func TestSpanNoJoinsInRecognition(t *testing.T) {
 			}
 			if rep.Span.RowsAdmitted != rep.FedEvents || rep.Span.Query.Wall <= 0 {
 				t.Errorf("q=%d: record admitted %d of %d fed rows, query wall %v", rep.Q, rep.Span.RowsAdmitted, rep.FedEvents, rep.Span.Query.Wall)
+			}
+			if rep.Span.RowsAdmitted > 0 && (rep.Span.AdmitMax <= 0 || rep.Span.AdmitSum < rep.Span.AdmitMax) {
+				t.Errorf("q=%d: %d rows admitted with engine filing times max %v sum %v", rep.Q, rep.Span.RowsAdmitted, rep.Span.AdmitMax, rep.Span.AdmitSum)
 			}
 			rows += rep.Span.RowsInserted
 		}
