@@ -70,7 +70,11 @@ lint-json:
 # create, rename, removal and directory listing each fail the build or
 # Run with that error and recover on healthy storage — and the retention
 # case: a lone checkpoint rewritten in place and corrupted leaves the
-# whole log for a cold start), re-run the crash campaign 20 more times under the race
+# whole log for a cold start — and the bound cases, every source paced:
+# the busy city's retained log and the rows a resume rebuilds are flat
+# from 1 h to 3 h of run, and one engine fed a new key per SDE holds
+# resident bytes, inertia seeds, dedup identities, key dictionaries and
+# per-key index flat from 10 to 40 windows), re-run the crash campaign 20 more times under the race
 # detector (its fault schedule and counts are the same on every run),
 # re-run the crash gate and the mid-block-cursor checkpoint rebuild
 # race-free so their assertions are exercised under both schedulers,

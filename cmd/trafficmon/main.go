@@ -92,6 +92,7 @@ func main() {
 		Seed:          *seed,
 		WorkingMemory: rtec.Time(wm.Seconds()),
 		Step:          rtec.Time(step.Seconds()),
+		Shards:        4, // the tier the shard equivalence gates pin
 		Participants:  vols,
 		Traffic: traffic.Config{
 			Adaptive:    *adaptive,

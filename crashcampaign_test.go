@@ -407,6 +407,66 @@ func testCrashEquivalence(t *testing.T, city *dublin.City, participants []SimPar
 	}
 }
 
+// busyCity is a 400-bus, 400-sensor city: an hour of its input rolls
+// the log past its first 1 MiB segment.
+func busyCity(t *testing.T) *dublin.City {
+	t.Helper()
+	city, err := dublin.NewCity(dublin.Config{Seed: 42, NumBuses: 400, NumSensors: 400, Hotspots: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return city
+}
+
+// TestRetentionFlatInRunLength: windowing makes recognition cost
+// independent of history, and so must be the log the durable pipeline
+// keeps and the rows recovery re-reads. On the busy city, the log a
+// resume from the final checkpoint retains (its end minus the window
+// offset) and the rows that resume rebuilds the working memory from
+// after three hours stay within 1.5× of their value after one.
+// UnpacedReplay is set because it is ignored: free-running sources let
+// a stream run ahead, its rows stay pending in the log's first records
+// and pin the window offset there, and both numbers grow with the run.
+func TestRetentionFlatInRunLength(t *testing.T) {
+	const from = 7 * 3600
+	city := busyCity(t)
+	measure := func(until Time) (retained int64, rebuilt int) {
+		t.Helper()
+		dir := t.TempDir()
+		for resume := range 2 {
+			cfg := durableConfig(city)
+			cfg.UnpacedReplay = true
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, info, err := sys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resume == 1 {
+				if !info.Resumed {
+					t.Fatalf("until %d: no checkpoint to resume from", int64(until))
+				}
+				retained, rebuilt = info.WALFrontier-pipe.durable.st.front, info.RebuiltEvents
+			}
+			if _, err := pipe.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return retained, rebuilt
+	}
+	short, shortRows := measure(from + 3600)
+	long, longRows := measure(from + 3*3600)
+	t.Logf("retained log %d B after 1 h, %d B after 3 h; rebuilt rows %d, %d", short, long, shortRows, longRows)
+	if 2*long > 3*short {
+		t.Errorf("retained log grew %d → %d B from 1 h to 3 h, past 1.5×", short, long)
+	}
+	if 2*longRows > 3*shortRows {
+		t.Errorf("rows rebuilt on resume grew %d → %d from 1 h to 3 h, past 1.5×", shortRows, longRows)
+	}
+}
+
 // TestCheckpointRetentionKeepsLog: a recovery whose replay crosses no
 // query boundary writes its checkpoint under the name of the one it
 // loaded. While that is the only checkpoint, the log must keep the
@@ -416,10 +476,7 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 	// An hour per boundary on a 400-bus city: the log rolls past its
 	// first 1 MiB segment before the first boundary.
 	const from, until = 7 * 3600, 10 * 3600
-	city, err := dublin.NewCity(dublin.Config{Seed: 42, NumBuses: 400, NumSensors: 400, Hotspots: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
+	city := busyCity(t)
 	newSystem := func() *System {
 		cfg := durableConfig(city)
 		cfg.WorkingMemory, cfg.Step = 3600, 3600
@@ -516,22 +573,13 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 // failed run's together (newest wins) equal to the uninterrupted run.
 func TestStorageErrors(t *testing.T) {
 	const from = 7 * 3600
-	// busy is a city whose two hours of input roll the log past its first
-	// 1 MiB segment, which checkpoint GC then removes. Its replay is
-	// paced: unpaced, a stream that runs ahead leaves rows in the log's
-	// first records that stay pending to the end of the window, and the
-	// retained checkpoints' window offsets never leave the first segment.
-	busy, err := dublin.NewCity(dublin.Config{Seed: 42, NumBuses: 400, NumSensors: 400, Hotspots: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cities := map[bool]*dublin.City{false: testCity(t), true: busy}
+	// The busy city's two hours of input roll the log past its first
+	// 1 MiB segment, which checkpoint GC then removes.
+	cities := map[bool]*dublin.City{false: testCity(t), true: busyCity(t)}
 	untils := map[bool]Time{false: 8 * 3600, true: 9 * 3600}
 	system := func(rolls bool) *System {
 		t.Helper()
-		cfg := durableConfig(cities[rolls])
-		cfg.UnpacedReplay = !rolls
-		sys, err := New(cfg)
+		sys, err := New(durableConfig(cities[rolls]))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,13 +94,10 @@ type Config struct {
 	// Deprecated: transport is always columnar; accepted and ignored so
 	// existing literals compile.
 	ColumnarTransport bool
-	// UnpacedReplay lets the replay sources run freely instead of
-	// aligning them on the shared virtual clock. Benchmark mode: the
-	// pipeline then measures processing cost, not replay pacing.
-	// Recognition output is unaffected when WatermarkStaleness is 0
-	// (boundary admission filters by arrival time, so the interleaving
-	// never shows); with a staleness bound, free-running sources can
-	// spuriously degrade slower streams — keep pacing in that case.
+	// UnpacedReplay is ignored.
+	//
+	// Deprecated: every source is paced on the shared virtual clock;
+	// accepted and ignored so existing literals compile.
 	UnpacedReplay bool
 }
 

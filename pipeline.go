@@ -114,13 +114,16 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 	// when the merge queue is exhausted.
 	top := streams.NewTopology()
 	chaosSources := make(map[string]*streams.ChaosSource)
-	// Replay pacing: align the five sources on a shared virtual clock
-	// so no producer goroutine races a whole window ahead of the rest —
-	// the arrival interleaving a live deployment would deliver, and the
-	// ground the watermark staleness rule stands on. Chaos injection
-	// wraps *outside* the pacing, so a stalled mediator keeps pulling
-	// (and advancing the clock) while swallowing its items, exactly
-	// like a dead mediator whose upstream keeps transmitting.
+	// Replay pacing, the pipeline's one alignment and always on: align
+	// the five sources on a shared virtual clock so no producer
+	// goroutine races a whole window ahead of the rest — the arrival
+	// interleaving a live deployment would deliver, the ground the
+	// watermark staleness rule stands on, and what keeps a durable run's
+	// retained log flat in run length (DESIGN.md, "Replay alignment").
+	// Chaos injection wraps *outside* the pacing, so a stalled mediator
+	// keeps pulling (and advancing the clock) while swallowing its
+	// items, exactly like a dead mediator whose upstream keeps
+	// transmitting.
 	pacer := streams.NewPacer(int64(s.cfg.Step) / 2)
 	arrivalOf := func(it streams.Item) (int64, bool) {
 		b, isBatch := streams.ItemBatch(it)
@@ -159,10 +162,7 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 		items = append(items, streams.Item{itemSource: id, itemEOF: true})
 		slice := streams.NewSliceSource(items...)
 		replay = append(replay, slice)
-		var src streams.Source = slice
-		if !s.cfg.UnpacedReplay {
-			src = streams.NewPacedSource(src, pacer, id, int64(from), arrivalOf)
-		}
+		var src streams.Source = streams.NewPacedSource(slice, pacer, id, int64(from), arrivalOf)
 		if spec, faulty := chaos.Streams[id]; faulty {
 			// Child seed per stream: the fault sequence each stream
 			// experiences is a function of (spec seed, stream id) alone,

@@ -16,11 +16,12 @@ import (
 )
 
 // durableConfig is the system configuration durable runs use in these
-// tests: crowdless unless a test adds participants, unpaced with a
-// strict watermark (deterministic and fast — no degradation possible,
-// so recognition output is a pure function of the SDE collection and,
-// with participants, of their answers). The column-resident store is named explicitly so the
-// whole durability suite — checkpoints, crash recovery, fingerprint
+// tests: crowdless unless a test adds participants, with a strict
+// watermark (no degradation possible, so recognition output is a pure
+// function of the SDE collection and, with participants, of their
+// answers, whatever the sources' interleaving within the pacer's
+// slack). The column-resident store is named explicitly so the whole
+// durability suite — checkpoints, crash recovery, fingerprint
 // equivalence — visibly runs against the block-native working memory
 // (checkpoints themselves are store-representation-independent, see
 // rtec snapshots).
@@ -31,7 +32,6 @@ func durableConfig(city *dublin.City) Config {
 		WorkingMemory: 1800,
 		Step:          900,
 		Store:         rtec.StoreColumn,
-		UnpacedReplay: true,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,
 			Adaptive:    true,

@@ -121,7 +121,6 @@ func TestShardEquivalenceGrid(t *testing.T) {
 			Shards:        shards,
 			Store:         kind,
 			Participants:  testParticipants(city, 8),
-			UnpacedReplay: true,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -487,7 +486,6 @@ func TestShardFreshDedupAcrossShards(t *testing.T) {
 			Partitions:    1, // single-engine reference when Shards == 0
 			Shards:        shards,
 			Store:         rtec.StoreColumn,
-			UnpacedReplay: true,
 		})
 		if err != nil {
 			t.Fatal(err)

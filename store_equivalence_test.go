@@ -55,7 +55,6 @@ func TestColumnStoreMatchesRowStoreGrid(t *testing.T) {
 			WorkingMemory: wm,
 			Step:          step,
 			Store:         kind,
-			UnpacedReplay: true,
 			Traffic:       tc,
 		})
 		if err != nil {
