@@ -29,8 +29,11 @@ bench:
 
 # The repo's own analyzer suite (cmd/insightlint): determinism,
 # goroutine-leak, hot-path allocation, float-equality and lock/alias
-# rules over every package. Exits nonzero on any finding; suppress a
-# deliberate violation at the site with `//lint:allow rule reason`.
+# rules over every package, and the module-wide unusedapi rule (an
+# exported identifier no binary reaches, or a field no non-test code
+# sets, is a finding). Exits nonzero on any finding; suppress a
+# deliberate violation at the site with `//lint:allow rule reason` —
+# the reason is required (stalelint reports an allow without one).
 lint:
 	$(GO) run ./cmd/insightlint
 
@@ -38,13 +41,16 @@ lint:
 lint-json:
 	$(GO) run ./cmd/insightlint -json
 
-# CI gate: vet everything, run the repo's own analyzer suite (its
-# batch-path rule covers the one admission routine, the monitoring
+# CI gate: vet everything, run the repo's own analyzer suite (unusedapi
+# among its rules: every exported identifier used by a binary or kept
+# by a reasoned allow; its batch-path rule covers the one admission routine, the monitoring
 # processor's boundary step and the sharded tier's fold loops of the
 # root package and the recorded-stream
 # converter of package dublin; snapshotdrift holds every tier field,
 # the tier-owned busCongestion inertia included, to the snapshot/restore
-# path), run the full module under the race detector (engine, rule sets,
+# path), run the full module under the race detector (the README's five
+# Example functions — quickstart, congestion, crowdresolve,
+# sparsitymap, xmlpipeline — held to their // Output:, engine, rule sets,
 # the partial-fluent fold property, streams supervision/shutdown, batch
 # chaos tests, the parallel grid search and per-vertex variance solves, the
 # 10× street graph's flow map held to its normal equations and to

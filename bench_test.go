@@ -284,7 +284,7 @@ func runStepRatio(b *testing.B, forceFull bool) {
 				swap = func(sys *System) engineTier {
 					part, err := rtec.NewPartitioned(sys.defs,
 						rtec.Options{WorkingMemory: wm, Step: step, ForceFullRecompute: true},
-						1, func(rtec.Event) int { return 0 })
+						1, func(*rtec.Block) func(int) int { return func(int) int { return 0 } })
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -14,7 +14,6 @@ package citygraph
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/insight-dublin/insight/geo"
 )
@@ -83,39 +82,11 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Vertex returns the junction with the given ID.
 func (g *Graph) Vertex(id int) Vertex { return g.vertices[id] }
 
-// Vertices returns all junctions (shared slice; do not modify).
-func (g *Graph) Vertices() []Vertex { return g.vertices }
-
-// Edges returns all street segments (shared slice; do not modify).
-func (g *Graph) Edges() []Edge { return g.edges }
-
 // Neighbors returns the junctions adjacent to id (shared slice).
 func (g *Graph) Neighbors(id int) []int { return g.adj[id] }
 
 // Degree returns the number of streets meeting at junction id.
 func (g *Graph) Degree(id int) int { return len(g.adj[id]) }
-
-// HasEdge reports whether junctions a and b are directly connected.
-func (g *Graph) HasEdge(a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	return g.edgeSet[[2]int{a, b}]
-}
-
-// NearestVertex returns the junction closest to p by great-circle
-// distance, and that distance in meters. The paper maps SCATS sensor
-// locations "to their nearest neighbours within this street network"
-// (Section 7.3). It returns (-1, +Inf) on an empty graph.
-func (g *Graph) NearestVertex(p geo.Point) (int, float64) {
-	best, bestDist := -1, math.Inf(1)
-	for _, v := range g.vertices {
-		if d := geo.Distance(p, v.Pos); d < bestDist {
-			best, bestDist = v.ID, d
-		}
-	}
-	return best, bestDist
-}
 
 // ConnectedComponents returns the vertex sets of the connected
 // components, largest first by size.
@@ -149,12 +120,4 @@ func (g *Graph) ConnectedComponents() [][]int {
 		}
 	}
 	return comps
-}
-
-// Connected reports whether the whole network is one component.
-func (g *Graph) Connected() bool {
-	if len(g.vertices) == 0 {
-		return true
-	}
-	return len(g.ConnectedComponents()) == 1
 }

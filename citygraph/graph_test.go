@@ -1,7 +1,6 @@
 package citygraph
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -29,10 +28,10 @@ func TestAddVertexEdgeBasics(t *testing.T) {
 			t.Errorf("Degree(%d) = %d, want 2", i, g.Degree(i))
 		}
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 0) {
 		t.Error("HasEdge must be symmetric")
 	}
-	if g.HasEdge(0, 0) {
+	if hasEdge(g, 0, 0) {
 		t.Error("no self loop expected")
 	}
 }
@@ -63,21 +62,6 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	g.AddEdge(0, 5)
 }
 
-func TestNearestVertex(t *testing.T) {
-	g := triangle()
-	id, dist := g.NearestVertex(geo.At(53.3001, -6.3001))
-	if id != 0 {
-		t.Errorf("NearestVertex = %d, want 0", id)
-	}
-	if dist > 50 {
-		t.Errorf("distance = %f m, want < 50 m", dist)
-	}
-	empty := NewGraph()
-	if id, dist := empty.NearestVertex(geo.At(0, 0)); id != -1 || !math.IsInf(dist, 1) {
-		t.Errorf("empty graph NearestVertex = (%d, %f)", id, dist)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := NewGraph()
 	a := g.AddVertex(geo.At(0, 0))
@@ -96,15 +80,15 @@ func TestConnectedComponents(t *testing.T) {
 	if len(comps[0]) != 3 {
 		t.Errorf("largest component size = %d, want 3", len(comps[0]))
 	}
-	if g.Connected() {
+	if connected(g) {
 		t.Error("graph with isolated vertices is not connected")
 	}
 	g.AddEdge(c, d)
 	g.AddEdge(d, e)
-	if !g.Connected() {
+	if !connected(g) {
 		t.Error("graph should now be connected")
 	}
-	if !NewGraph().Connected() {
+	if !connected(NewGraph()) {
 		t.Error("empty graph is trivially connected")
 	}
 }
@@ -139,7 +123,7 @@ func TestGenerateDublinDeterministic(t *testing.T) {
 
 func TestGenerateDublinStructure(t *testing.T) {
 	g := GenerateDublin(DublinConfig{Seed: 1})
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("generated network must be connected")
 	}
 	if g.NumVertices() < 500 {
@@ -147,7 +131,7 @@ func TestGenerateDublinStructure(t *testing.T) {
 	}
 	// All junctions inside (a slightly expanded) bounding window.
 	box := geo.Dublin.Expand(0.002, 0.002)
-	for _, v := range g.Vertices() {
+	for _, v := range g.vertices {
 		if !box.Contains(v.Pos) {
 			t.Fatalf("junction %v outside Dublin window", v.Pos)
 		}
@@ -156,7 +140,7 @@ func TestGenerateDublinStructure(t *testing.T) {
 	// latitude; it must be well below the grid width, but nonzero.
 	riverLat := (geo.Dublin.MinLat + geo.Dublin.MaxLat) / 2
 	crossings := 0
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		a, b := g.Vertex(e.A).Pos.Lat, g.Vertex(e.B).Pos.Lat
 		if (a < riverLat) != (b < riverLat) {
 			crossings++
@@ -176,7 +160,7 @@ func TestGenerateDublinCustomSize(t *testing.T) {
 	if g.NumVertices() != 24 {
 		t.Errorf("NumVertices = %d, want 24", g.NumVertices())
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Error("small network must still be connected")
 	}
 }
@@ -258,4 +242,17 @@ func TestRenderSVGHighlights(t *testing.T) {
 	if err := g.RenderSVG(&sb, RenderOptions{Highlights: []int{99}}); err == nil {
 		t.Error("out-of-range highlight must error")
 	}
+}
+
+// hasEdge reports whether junctions a and b are directly connected.
+func hasEdge(g *Graph, a, b int) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return g.edgeSet[[2]int{a, b}]
+}
+
+// connected reports whether the whole network is one component.
+func connected(g *Graph) bool {
+	return len(g.ConnectedComponents()) <= 1
 }

@@ -57,11 +57,14 @@ func BenchmarkSustainedIngest(b *testing.B) {
 	// Profile turns on the resident-store accounting (recorded outside
 	// the timer, at the per-window queries).
 	part, err := rtec.NewPartitioned(defs, rtec.Options{WorkingMemory: wm, Step: wm, Profile: true},
-		4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
+		4, dublin.PartitionOfBlock)
 	if err != nil {
 		b.Fatal(err)
 	}
-	part.SetBlockAssign(dublin.PartitionOfBlock)
+	cut := make([]rtec.BlockRun, len(blocks))
+	for i, blk := range blocks {
+		cut[i] = rtec.BlockRun{Block: blk}
+	}
 	// Each pass feeds [from+shift, from+shift+wm) and then moves the data
 	// one window forward (the blocks alias the batches' slices), so the
 	// store always ingests strictly new time and eviction bounds memory
@@ -70,10 +73,8 @@ func BenchmarkSustainedIngest(b *testing.B) {
 	var shift rtec.Time
 	var resident uint64
 	pass := func() {
-		for _, blk := range blocks {
-			if err := part.InputBlock(blk); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := part.InputCut(cut); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		results, err := part.Query(from + shift + wm)
@@ -136,18 +137,19 @@ func residentAtSteadyState(t *testing.T, kind rtec.StoreKind) (uint64, int) {
 	}()
 	part, err := rtec.NewPartitioned(defs, rtec.Options{
 		WorkingMemory: wm, Step: wm, Store: kind, Profile: true,
-	}, 4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
+	}, 4, dublin.PartitionOfBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part.SetBlockAssign(dublin.PartitionOfBlock)
+	cut := make([]rtec.BlockRun, len(blocks))
+	for i, blk := range blocks {
+		cut[i] = rtec.BlockRun{Block: blk}
+	}
 	var resident uint64
 	shift := rtec.Time(0)
 	for pass := 0; pass < 3; pass++ {
-		for _, blk := range blocks {
-			if err := part.InputBlock(blk); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := part.InputCut(cut); err != nil {
+			t.Fatal(err)
 		}
 		results, err := part.Query(from + shift + wm)
 		if err != nil {
@@ -244,24 +246,22 @@ func TestAllocBudget_ColumnarIngest(t *testing.T) {
 		}
 	}()
 	part, err := rtec.NewPartitioned(defs, rtec.Options{WorkingMemory: 1800, Step: 1800},
-		4, func(e rtec.Event) int { return dublin.PartitionOf(e) })
+		4, dublin.PartitionOfBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Route at block level, as the production pipeline does.
-	part.SetBlockAssign(dublin.PartitionOfBlock)
+	cut := make([]rtec.BlockRun, len(blocks))
+	for i, blk := range blocks {
+		cut[i] = rtec.BlockRun{Block: blk}
+	}
 	// Warm up once so the store's per-key slices exist; the measured
 	// passes then see the steady-state path.
-	for _, blk := range blocks {
-		if err := part.InputBlock(blk); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := part.InputCut(cut); err != nil {
+		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		for _, blk := range blocks {
-			if err := part.InputBlock(blk); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := part.InputCut(cut); err != nil {
+			t.Fatal(err)
 		}
 	})
 	perEvent := allocs / float64(events)

@@ -373,33 +373,24 @@ func TestRoster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d", r.Len())
+	if len(r.participants) != 3 {
+		t.Errorf("registered = %d", len(r.participants))
 	}
 	on := r.Online()
 	if len(on) != 2 || on[0].ID != "a" || on[1].ID != "c" {
 		t.Errorf("Online = %v", on)
 	}
-	if err := r.SetOnline("b", true); err != nil {
+	if err := update(r, "b", func(p *Participant) { p.Online = true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Online()) != 3 {
 		t.Error("b should now be online")
 	}
-	if err := r.SetLocation("a", geo.At(53.40, -6.30)); err != nil {
+	if err := update(r, "a", func(p *Participant) { p.Pos = geo.At(53.40, -6.30) }); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := r.Get("a"); p.Pos.Lat != 53.40 {
-		t.Error("SetLocation lost")
-	}
-	if err := r.SetLocation("nope", geo.At(0, 0)); err == nil {
-		t.Error("unknown participant must error")
-	}
-	if err := r.SetOnline("nope", true); err == nil {
-		t.Error("unknown participant must error")
-	}
-	if _, ok := r.Get("nope"); ok {
-		t.Error("Get(nope) should fail")
+	if p := r.participants["a"]; p.Pos.Lat != 53.40 {
+		t.Error("location update lost")
 	}
 }
 
@@ -479,7 +470,7 @@ func TestConstantGamma(t *testing.T) {
 }
 
 func TestDriftingParticipant(t *testing.T) {
-	d := NewDriftingParticipant("d", 0.0, 1.0, 3, 1)
+	d := newDriftingParticipant("d", 0.0, 1.0, 3, 1)
 	if d.ErrorProb() != 0 {
 		t.Error("before the switch the participant is perfect")
 	}
@@ -511,7 +502,7 @@ func TestOnlineEMTracksDrift(t *testing.T) {
 		for i := range anchors {
 			anchors[i] = NewSimulatedParticipant(participantID(i), 0.1, rng.Int63())
 		}
-		drifter := NewDriftingParticipant("drifter", 0.05, 0.85, 500, rng.Int63())
+		drifter := newDriftingParticipant("drifter", 0.05, 0.85, 500, rng.Int63())
 		e := NewEstimator(EstimatorOptions{Gamma: gamma})
 		for q := 0; q < 1000; q++ {
 			truth := fourLabels[rng.Intn(len(fourLabels))]
@@ -542,4 +533,54 @@ func TestOnlineEMTracksDrift(t *testing.T) {
 	if !(tracking > averaging) {
 		t.Errorf("tracking (%v) must exceed averaging (%v) after upward drift", tracking, averaging)
 	}
+}
+
+// driftingParticipant is a simulated participant whose error
+// probability changes over time — the time-varying annotator accuracy scenario the paper
+// cites (Donmez et al., SDM 2010) as motivation for sequential
+// estimation. Before SwitchAfter answers it errs with probability
+// Before; afterwards with probability After.
+type driftingParticipant struct {
+	ID          string
+	Before      float64
+	After       float64
+	SwitchAfter int
+	answered    int
+	rng         *rand.Rand
+}
+
+// newDriftingParticipant creates a drifting participant.
+func newDriftingParticipant(id string, before, after float64, switchAfter int, seed int64) *driftingParticipant {
+	return &driftingParticipant{
+		ID: id, Before: before, After: after, SwitchAfter: switchAfter,
+		rng: rand.New(rand.NewSource(seed)),
+	}
+}
+
+// ErrorProb returns the participant's current true error probability.
+func (d *driftingParticipant) ErrorProb() float64 {
+	if d.answered < d.SwitchAfter {
+		return d.Before
+	}
+	return d.After
+}
+
+// Answer produces the participant's answer to a task whose true label
+// is trueLabel, advancing the drift clock.
+func (d *driftingParticipant) Answer(labels []string, trueLabel string) Answer {
+	p := d.ErrorProb()
+	d.answered++
+	if d.rng.Float64() >= p {
+		return Answer{Participant: d.ID, Label: trueLabel}
+	}
+	wrong := make([]string, 0, len(labels)-1)
+	for _, l := range labels {
+		if l != trueLabel {
+			wrong = append(wrong, l)
+		}
+	}
+	if len(wrong) == 0 {
+		return Answer{Participant: d.ID, Label: trueLabel}
+	}
+	return Answer{Participant: d.ID, Label: wrong[d.rng.Intn(len(wrong))]}
 }

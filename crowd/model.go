@@ -141,53 +141,3 @@ func (s *SimulatedParticipant) Answer(labels []string, trueLabel string) Answer 
 	}
 	return Answer{Participant: s.ID, Label: wrong[s.rng.Intn(len(wrong))]}
 }
-
-// DriftingParticipant is a participant whose error probability changes
-// over time — the time-varying annotator accuracy scenario the paper
-// cites (Donmez et al., SDM 2010) as motivation for sequential
-// estimation. Before SwitchAfter answers it errs with probability
-// Before; afterwards with probability After.
-type DriftingParticipant struct {
-	ID          string
-	Before      float64
-	After       float64
-	SwitchAfter int
-	answered    int
-	rng         *rand.Rand
-}
-
-// NewDriftingParticipant creates a drifting participant.
-func NewDriftingParticipant(id string, before, after float64, switchAfter int, seed int64) *DriftingParticipant {
-	return &DriftingParticipant{
-		ID: id, Before: before, After: after, SwitchAfter: switchAfter,
-		rng: rand.New(rand.NewSource(seed)),
-	}
-}
-
-// ErrorProb returns the participant's current true error probability.
-func (d *DriftingParticipant) ErrorProb() float64 {
-	if d.answered < d.SwitchAfter {
-		return d.Before
-	}
-	return d.After
-}
-
-// Answer produces the participant's answer to a task whose true label
-// is trueLabel, advancing the drift clock.
-func (d *DriftingParticipant) Answer(labels []string, trueLabel string) Answer {
-	p := d.ErrorProb()
-	d.answered++
-	if d.rng.Float64() >= p {
-		return Answer{Participant: d.ID, Label: trueLabel}
-	}
-	wrong := make([]string, 0, len(labels)-1)
-	for _, l := range labels {
-		if l != trueLabel {
-			wrong = append(wrong, l)
-		}
-	}
-	if len(wrong) == 0 {
-		return Answer{Participant: d.ID, Label: trueLabel}
-	}
-	return Answer{Participant: d.ID, Label: wrong[d.rng.Intn(len(wrong))]}
-}

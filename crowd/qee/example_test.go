@@ -41,30 +41,3 @@ func Example() {
 	// Output:
 	// reduce counts: yes=2 no=1
 }
-
-// A smartphone-sensor MapReduce round (Section 5.3): devices sample
-// their current speed; the reduce phase aggregates.
-func ExampleEngine_ExecuteSensor() {
-	engine := qee.NewEngine(qee.Options{Seed: 1})
-	speeds := map[string]float64{"taxi1": 14, "taxi2": 22, "taxi3": 18}
-	for id, v := range speeds {
-		v := v
-		if err := engine.ConnectSensor(qee.Device{
-			Participant: crowd.Participant{ID: id},
-			Network:     qee.WiFi,
-		}, func(qee.SensorQuery) (float64, time.Duration) { return v, 0 }); err != nil {
-			log.Fatal(err)
-		}
-	}
-	agg, err := engine.ExecuteSensor(context.Background(), qee.SensorQuery{
-		ID:     "speed@quays",
-		Metric: "speed-kmh",
-	}, []crowd.Participant{{ID: "taxi1"}, {ID: "taxi2"}, {ID: "taxi3"}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d samples, mean %.0f km/h (min %.0f, max %.0f)\n",
-		agg.Count, agg.Mean, agg.Min, agg.Max)
-	// Output:
-	// 3 samples, mean 18 km/h (min 14, max 22)
-}

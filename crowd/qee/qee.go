@@ -10,8 +10,7 @@
 // measurements of the paper's Figure 6 (trigger 38–55 ms regardless of
 // network; push notification 467/169/184 ms and task communication
 // 423/171/182 ms on 2G/3G/WiFi). Executions are timed on a virtual
-// clock by default, so regenerating the figure takes microseconds; set
-// Options.RealTime to actually sleep the sampled latencies.
+// clock, so regenerating the figure takes microseconds.
 package qee
 
 import (
@@ -68,7 +67,7 @@ type LatencyProfile struct {
 	// device retrieves the task and sends the answer back.
 	Comm map[Network]time.Duration
 	// Jitter is the relative standard deviation of the sampled push
-	// and communication latencies (default 0.15).
+	// and communication latencies.
 	Jitter float64
 }
 
@@ -101,6 +100,7 @@ type Query struct {
 	Pos geo.Point
 	// Deadline is the real-time response requirement deadline_q;
 	// zero means no deadline.
+	//lint:allow unusedapi deadline_q of Section 5.3: Execute marks answers later than it Missed
 	Deadline time.Duration
 }
 
@@ -128,13 +128,10 @@ type StepTiming struct {
 	// Missed reports that the worker's answer arrived after the
 	// query deadline and was excluded from the reduce phase.
 	Missed bool
-	// Failed reports that the worker produced no answer at all within
-	// the engine's ResponseTimeout across all attempts (a dead or hung
-	// device); it is excluded from the reduce phase.
+	// Failed reports that the worker produced no answer within the
+	// engine's ResponseTimeout (a dead or hung device); it is excluded
+	// from the reduce phase.
 	Failed bool
-	// Attempts is the number of Respond attempts made (1 unless the
-	// engine retried after timeouts).
-	Attempts int
 }
 
 // Total returns the end-to-end latency of the worker's map task.
@@ -166,23 +163,14 @@ func (e *Execution) Task(prior []float64) crowd.Task {
 
 // Options configures the engine.
 type Options struct {
-	// Profile is the latency model; zero value means PaperProfile.
-	Profile LatencyProfile
 	// Seed drives latency sampling.
 	Seed int64
-	// RealTime makes Execute actually sleep the sampled latencies
-	// (for end-to-end demos); by default time is virtual.
-	RealTime bool
 	// ResponseTimeout bounds the wall-clock time one device's Respond
-	// call may take before the engine gives up on it for this attempt.
-	// 0 (the default) waits forever — a dead worker then hangs the
-	// round. The abandoned Respond goroutine is orphaned, not killed;
-	// its eventual answer is discarded.
+	// call may take before the engine marks the worker Failed. 0 (the
+	// default) waits forever — a dead worker then hangs the round. The
+	// abandoned Respond goroutine is orphaned, not killed; its eventual
+	// answer is discarded.
 	ResponseTimeout time.Duration
-	// RespondRetries is the number of extra Respond attempts after a
-	// timeout before the worker is marked Failed and excluded from the
-	// reduce phase. Default 0 (one attempt only).
-	RespondRetries int
 }
 
 // Engine executes crowdsourcing queries against registered devices.
@@ -190,30 +178,18 @@ type Options struct {
 type Engine struct {
 	mu      sync.Mutex
 	devices map[string]Device
-	sensors map[string]sensorDevice
 	profile LatencyProfile
 	rng     *rand.Rand
-	real    bool
 	timeout time.Duration
-	retries int
 }
 
-// NewEngine builds a query execution engine.
+// NewEngine builds a query execution engine timed by PaperProfile.
 func NewEngine(opts Options) *Engine {
-	p := opts.Profile
-	if p.Push == nil {
-		p = PaperProfile()
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.15
-	}
 	return &Engine{
 		devices: make(map[string]Device),
-		profile: p,
+		profile: PaperProfile(),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
-		real:    opts.RealTime,
 		timeout: opts.ResponseTimeout,
-		retries: opts.RespondRetries,
 	}
 }
 
@@ -233,40 +209,6 @@ func (e *Engine) Connect(d Device) error {
 	return nil
 }
 
-// Disconnect removes a device.
-func (e *Engine) Disconnect(participantID string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.devices, participantID)
-}
-
-// Devices returns the connected participant IDs, sorted.
-func (e *Engine) Devices() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.devices))
-	for id := range e.devices {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EstimateComm returns the expected communication time for a
-// participant from the profile of their current network — the
-// comm_iq estimate of the deadline admission test, which "can be
-// estimated from the communication time of the tasks executed
-// previously in the participant's current location".
-func (e *Engine) EstimateComm(participantID string) (time.Duration, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	d, ok := e.devices[participantID]
-	if !ok {
-		return 0, false
-	}
-	return e.profile.Push[d.Network] + e.profile.Comm[d.Network], true
-}
-
 // sample draws a jittered latency around the mean.
 func (e *Engine) sample(mean time.Duration) time.Duration {
 	e.mu.Lock()
@@ -279,9 +221,8 @@ func (e *Engine) sample(mean time.Duration) time.Duration {
 }
 
 func (e *Engine) sampleTrigger() time.Duration {
-	// profile is write-once at construction; the mutex below guards rng,
-	// not the profile reads.
-	lo, hi := e.profile.TriggerMin, e.profile.TriggerMax //lint:allow lockguard profile is immutable after New
+	// profile is write-once at construction; the mutex below guards rng.
+	lo, hi := e.profile.TriggerMin, e.profile.TriggerMax
 	if hi <= lo {
 		return lo
 	}
@@ -292,39 +233,33 @@ func (e *Engine) sampleTrigger() time.Duration {
 }
 
 // respond obtains one worker's answer, bounded by the engine's
-// ResponseTimeout per attempt and retried up to RespondRetries times.
-// It reports failed = true when every attempt timed out (or the
-// context ended): a dead device cannot hang the round. An attempt's
-// Respond goroutine that outlives its timeout is abandoned; a late
-// answer is discarded.
-func (e *Engine) respond(ctx context.Context, w Device, q Query) (label string, think time.Duration, failed bool, attempts int) {
+// ResponseTimeout. It reports failed = true when the timeout fired (or
+// the context ended): a dead device cannot hang the round. A Respond
+// goroutine that outlives its timeout is abandoned; a late answer is
+// discarded.
+func (e *Engine) respond(ctx context.Context, w Device, q Query) (label string, think time.Duration, failed bool) {
 	if e.timeout <= 0 {
 		label, think = w.Respond(q)
-		return label, think, false, 1
+		return label, think, false
 	}
 	type answer struct {
 		label string
 		think time.Duration
 	}
-	maxAttempts := e.retries + 1
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		ch := make(chan answer, 1)
-		go func() {
-			l, th := w.Respond(q)
-			ch <- answer{l, th}
-		}()
-		timer := time.NewTimer(e.timeout)
-		select {
-		case a := <-ch:
-			timer.Stop()
-			return a.label, a.think, false, attempt
-		case <-ctx.Done():
-			timer.Stop()
-			return "", 0, true, attempt
-		case <-timer.C:
-		}
+	ch := make(chan answer, 1)
+	go func() {
+		l, th := w.Respond(q)
+		ch <- answer{l, th}
+	}()
+	timer := time.NewTimer(e.timeout)
+	defer timer.Stop()
+	select {
+	case a := <-ch:
+		return a.label, a.think, false
+	case <-ctx.Done():
+	case <-timer.C:
 	}
-	return "", 0, true, maxAttempts
+	return "", 0, true
 }
 
 // Execute runs the query against the selected participants: the map
@@ -334,8 +269,8 @@ func (e *Engine) respond(ctx context.Context, w Device, q Query) (label string, 
 // not connected are skipped; workers whose end-to-end time exceeds the
 // deadline are marked Missed and excluded from the reduce output, and
 // workers whose device never answers within the engine's
-// ResponseTimeout (after its bounded retries) are marked Failed and
-// likewise excluded — a dead participant cannot hang the round.
+// ResponseTimeout are marked Failed and likewise excluded — a dead
+// participant cannot hang the round.
 func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Participant) (*Execution, error) {
 	if len(q.Answers) < 2 {
 		return nil, fmt.Errorf("qee: query %q needs at least two possible answers", q.ID)
@@ -365,8 +300,7 @@ func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Particip
 			t := StepTiming{Participant: w.Participant.ID, Network: w.Network}
 			t.Trigger = e.sampleTrigger()
 			t.Push = e.sample(e.profile.Push[w.Network])
-			label, think, failed, attempts := e.respond(ctx, w, q)
-			t.Attempts = attempts
+			label, think, failed := e.respond(ctx, w, q)
 			if failed {
 				t.Failed = true
 				results <- mapResult{timing: t}
@@ -374,13 +308,6 @@ func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Particip
 			}
 			t.Think = think
 			t.Comm = e.sample(e.profile.Comm[w.Network])
-			if e.real {
-				select {
-				case <-time.After(t.Total()):
-				case <-ctx.Done():
-					return
-				}
-			}
 			if q.Deadline > 0 && t.Total() > q.Deadline {
 				t.Missed = true
 			}

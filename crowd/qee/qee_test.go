@@ -2,7 +2,6 @@ package qee
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -52,17 +51,6 @@ func TestConnectValidation(t *testing.T) {
 	}
 	if err := e.Connect(Device{Participant: crowd.Participant{ID: "x"}}); err == nil {
 		t.Error("nil Respond must error")
-	}
-}
-
-func TestDevicesAndDisconnect(t *testing.T) {
-	e := testEngine(t)
-	if got := e.Devices(); len(got) != 3 || got[0] != "w1" {
-		t.Errorf("Devices = %v", got)
-	}
-	e.Disconnect("w2")
-	if got := e.Devices(); len(got) != 2 {
-		t.Errorf("after Disconnect: %v", got)
 	}
 }
 
@@ -211,21 +199,6 @@ func TestLatencyProfileShape(t *testing.T) {
 	}
 }
 
-func TestEstimateComm(t *testing.T) {
-	e := testEngine(t)
-	d2g, ok := e.EstimateComm("w3")
-	if !ok {
-		t.Fatal("w3 should be connected")
-	}
-	dwifi, _ := e.EstimateComm("w1")
-	if d2g <= dwifi {
-		t.Errorf("2G estimate (%v) must exceed WiFi (%v)", d2g, dwifi)
-	}
-	if _, ok := e.EstimateComm("ghost"); ok {
-		t.Error("unknown participant must report !ok")
-	}
-}
-
 func TestExecutionToTask(t *testing.T) {
 	e := testEngine(t)
 	exec, err := e.Execute(context.Background(), testQuery, selected("w1", "w3"))
@@ -256,156 +229,14 @@ func TestNetworkString(t *testing.T) {
 	}
 }
 
-func TestRealTimeExecution(t *testing.T) {
-	e := NewEngine(Options{Seed: 5, RealTime: true})
-	if err := e.Connect(Device{
-		Participant: crowd.Participant{ID: "w"},
-		Network:     WiFi,
-		Respond:     fixedResponder("yes"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	exec, err := e.Execute(context.Background(), testQuery, selected("w"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if len(exec.Answers) != 1 {
-		t.Fatalf("answers = %v", exec.Answers)
-	}
-	// WiFi trigger+push+comm ≈ 400 ms; require at least half that to
-	// show the engine really slept.
-	if elapsed < 200*time.Millisecond {
-		t.Errorf("real-time execution returned too fast: %v", elapsed)
-	}
-}
-
-func TestRealTimeCancellation(t *testing.T) {
-	e := NewEngine(Options{Seed: 5, RealTime: true})
-	if err := e.Connect(Device{
-		Participant: crowd.Participant{ID: "w"},
-		Network:     TwoG,
-		Respond: func(Query) (string, time.Duration) {
-			return "yes", 5 * time.Second
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := e.Execute(ctx, testQuery, selected("w")); err == nil {
-		t.Error("cancelled execution must report the context error")
-	}
-}
-
-func TestConnectSensorValidation(t *testing.T) {
-	e := NewEngine(Options{})
-	if err := e.ConnectSensor(Device{}, nil); err == nil {
-		t.Error("empty ID must error")
-	}
-	if err := e.ConnectSensor(Device{Participant: crowd.Participant{ID: "x"}}, nil); err == nil {
-		t.Error("nil reader must error")
-	}
-}
-
-func TestExecuteSensorAggregates(t *testing.T) {
-	e := NewEngine(Options{Seed: 9})
-	speeds := map[string]float64{"w1": 12, "w2": 30, "w3": 18}
-	for id, v := range speeds {
-		v := v
-		err := e.ConnectSensor(Device{
-			Participant: crowd.Participant{ID: id},
-			Network:     WiFi,
-		}, func(SensorQuery) (float64, time.Duration) { return v, 0 })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := SensorQuery{ID: "speed@bridge", Metric: "speed-kmh", Pos: geo.At(53.34, -6.26)}
-	agg, err := e.ExecuteSensor(context.Background(), q, selected("w1", "w2", "w3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Count != 3 {
-		t.Fatalf("Count = %d", agg.Count)
-	}
-	if agg.Mean != 20 || agg.Min != 12 || agg.Max != 30 {
-		t.Errorf("aggregate = %+v", agg)
-	}
-	if agg.Readings["w2"] != 30 {
-		t.Errorf("Readings = %v", agg.Readings)
-	}
-	if len(agg.Timings) != 3 {
-		t.Errorf("Timings = %v", agg.Timings)
-	}
-}
-
-func TestExecuteSensorDeadline(t *testing.T) {
-	e := NewEngine(Options{Seed: 9})
-	if err := e.ConnectSensor(Device{
-		Participant: crowd.Participant{ID: "slow"}, Network: TwoG,
-	}, func(SensorQuery) (float64, time.Duration) { return 99, 10 * time.Second }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ConnectSensor(Device{
-		Participant: crowd.Participant{ID: "fast"}, Network: WiFi,
-	}, func(SensorQuery) (float64, time.Duration) { return 10, 0 }); err != nil {
-		t.Fatal(err)
-	}
-	agg, err := e.ExecuteSensor(context.Background(), SensorQuery{
-		ID: "q", Metric: "speed", Deadline: 2 * time.Second,
-	}, selected("slow", "fast"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Count != 1 || agg.Mean != 10 {
-		t.Errorf("aggregate = %+v", agg)
-	}
-}
-
-func TestExecuteSensorErrors(t *testing.T) {
-	e := NewEngine(Options{})
-	if _, err := e.ExecuteSensor(context.Background(), SensorQuery{ID: "q", Metric: "m"}, selected("ghost")); err == nil {
-		t.Error("no sensor workers must error")
-	}
-	if err := e.ConnectSensor(Device{
-		Participant: crowd.Participant{ID: "w"}, Network: WiFi,
-	}, func(SensorQuery) (float64, time.Duration) { return 1, 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ExecuteSensor(context.Background(), SensorQuery{ID: "q"}, selected("w")); err == nil {
-		t.Error("metric-less query must error")
-	}
-}
-
-func TestSensorCapableDeviceAlsoAnswersQuestions(t *testing.T) {
-	e := NewEngine(Options{Seed: 2})
-	if err := e.ConnectSensor(Device{
-		Participant: crowd.Participant{ID: "dual"},
-		Network:     ThreeG,
-		Respond:     fixedResponder("yes"),
-	}, func(SensorQuery) (float64, time.Duration) { return 3, 0 }); err != nil {
-		t.Fatal(err)
-	}
-	exec, err := e.Execute(context.Background(), testQuery, selected("dual"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exec.Answers) != 1 {
-		t.Errorf("dual device must answer questions too: %v", exec.Answers)
-	}
-}
-
 // TestExecuteDeadWorkerCannotHangRound: a device whose Respond blocks
 // forever must not stall Execute. With a ResponseTimeout set, the
-// round gives up on the dead worker after its bounded retries, marks
-// it Failed, and reduces the healthy workers' answers as usual.
+// round gives up on the dead worker, marks it Failed, and reduces the
+// healthy workers' answers as usual.
 func TestExecuteDeadWorkerCannotHangRound(t *testing.T) {
 	e := NewEngine(Options{
 		Seed:            3,
 		ResponseTimeout: 20 * time.Millisecond,
-		RespondRetries:  2,
 	})
 	hang := make(chan struct{}) // never closed: a hung device
 	if err := e.Connect(Device{
@@ -461,62 +292,14 @@ func TestExecuteDeadWorkerCannotHangRound(t *testing.T) {
 	if !deadTiming.Failed {
 		t.Error("dead worker not marked Failed")
 	}
-	if deadTiming.Attempts != 3 {
-		t.Errorf("dead worker Attempts = %d, want 3 (1 + 2 retries)", deadTiming.Attempts)
-	}
 	// The reduce phase excludes the failure and keeps the answers.
 	if len(exec.Answers) != 2 || exec.Counts["yes"] != 2 {
 		t.Errorf("Answers = %v, Counts = %v: want the 2 healthy answers reduced", exec.Answers, exec.Counts)
 	}
 }
 
-// TestRespondRetryRecovers: a device that times out once and then
-// answers is retried rather than declared dead.
-func TestRespondRetryRecovers(t *testing.T) {
-	e := NewEngine(Options{
-		Seed:            3,
-		ResponseTimeout: 50 * time.Millisecond,
-		RespondRetries:  3,
-	})
-	var mu sync.Mutex
-	calls := 0
-	if err := e.Connect(Device{
-		Participant: crowd.Participant{ID: "flaky"},
-		Network:     ThreeG,
-		Respond: func(Query) (string, time.Duration) {
-			mu.Lock()
-			calls++
-			first := calls == 1
-			mu.Unlock()
-			if first {
-				time.Sleep(2 * time.Second) // blows the first attempt's timeout
-			}
-			return "no", 0
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	exec, err := e.Execute(context.Background(), testQuery, selected("flaky"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exec.Timings) != 1 {
-		t.Fatalf("Timings = %d entries, want 1", len(exec.Timings))
-	}
-	ti := exec.Timings[0]
-	if ti.Failed {
-		t.Error("recovered worker marked Failed")
-	}
-	if ti.Attempts < 2 {
-		t.Errorf("Attempts = %d, want at least 2 (first timed out)", ti.Attempts)
-	}
-	if exec.Counts["no"] != 1 {
-		t.Errorf("Counts = %v, want the retried answer reduced", exec.Counts)
-	}
-}
-
 // TestRespondContextCancellation: cancelling the round releases a
-// worker parked on a dead device without waiting out the retries.
+// worker parked on a dead device without waiting out its timeout.
 func TestRespondContextCancellation(t *testing.T) {
 	e := NewEngine(Options{
 		Seed:            3,

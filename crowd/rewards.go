@@ -22,24 +22,14 @@ type RewardPolicy func(posterior float64) float64
 // agreement with the fused outcome earns close to base; answers the
 // crowd overrules earn close to nothing. It never pays negative
 // amounts (penalising volunteers drives them away).
+//
+//lint:allow unusedapi Section 7.2's quality-weighted reward; Example_crowdresolve pays with it
 func ProportionalReward(base float64) RewardPolicy {
 	return func(posterior float64) float64 {
 		if posterior < 0 {
 			return 0
 		}
 		return base * posterior
-	}
-}
-
-// ThresholdReward pays base for answers the fused posterior backs with
-// at least minPosterior, nothing otherwise (a simpler scheme platforms
-// like Mechanical Turk use: accept or reject).
-func ThresholdReward(base, minPosterior float64) RewardPolicy {
-	return func(posterior float64) float64 {
-		if posterior >= minPosterior {
-			return base
-		}
-		return 0
 	}
 }
 
@@ -51,6 +41,8 @@ type Ledger struct {
 }
 
 // NewLedger builds a ledger with the given policy.
+//
+//lint:allow unusedapi Section 7.2's reward ledger; Example_crowdresolve pays with it
 func NewLedger(policy RewardPolicy) (*Ledger, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("crowd: nil reward policy")
@@ -64,6 +56,8 @@ func NewLedger(policy RewardPolicy) (*Ledger, error) {
 
 // Credit applies the policy to every answer of a fused task. Call it
 // with the verdict returned by Estimator.Process for the same task.
+//
+//lint:allow unusedapi Section 7.2's reward ledger; Example_crowdresolve pays with it
 func (l *Ledger) Credit(task Task, verdict Verdict) error {
 	if len(verdict.Labels) != len(verdict.Posterior) {
 		return fmt.Errorf("crowd: malformed verdict for task %q", task.ID)
@@ -79,12 +73,6 @@ func (l *Ledger) Credit(task Task, verdict Verdict) error {
 	return nil
 }
 
-// Earned returns a participant's accumulated reward.
-func (l *Ledger) Earned(participant string) float64 { return l.earned[participant] }
-
-// Tasks returns how many tasks a participant was paid for.
-func (l *Ledger) Tasks(participant string) int { return l.tasks[participant] }
-
 // Balance is one row of the ledger.
 type Balance struct {
 	Participant string
@@ -93,6 +81,8 @@ type Balance struct {
 }
 
 // Balances returns all rows, highest earners first (ties by ID).
+//
+//lint:allow unusedapi Section 7.2's reward ledger; Example_crowdresolve pays with it
 func (l *Ledger) Balances() []Balance {
 	out := make([]Balance, 0, len(l.earned))
 	for id, e := range l.earned {

@@ -14,10 +14,6 @@ func TestRewardPolicies(t *testing.T) {
 	if got := p(-0.1); got != 0 {
 		t.Errorf("negative posterior must pay 0, got %v", got)
 	}
-	th := ThresholdReward(5, 0.8)
-	if th(0.85) != 5 || th(0.79) != 0 {
-		t.Error("ThresholdReward boundary wrong")
-	}
 }
 
 func TestLedgerValidation(t *testing.T) {
@@ -59,14 +55,14 @@ func TestLedgerCreditsByPosterior(t *testing.T) {
 	if err := ledger.Credit(task, verdict); err != nil {
 		t.Fatal(err)
 	}
-	if !(ledger.Earned("majority1") > ledger.Earned("outvoted")) {
+	if !(ledger.earned["majority1"] > ledger.earned["outvoted"]) {
 		t.Errorf("majority must out-earn the outvoted: %v vs %v",
-			ledger.Earned("majority1"), ledger.Earned("outvoted"))
+			ledger.earned["majority1"], ledger.earned["outvoted"])
 	}
-	if ledger.Tasks("majority1") != 1 || ledger.Tasks("outvoted") != 1 {
+	if ledger.tasks["majority1"] != 1 || ledger.tasks["outvoted"] != 1 {
 		t.Error("task counts wrong")
 	}
-	if ledger.Earned("stranger") != 0 || ledger.Tasks("stranger") != 0 {
+	if ledger.earned["stranger"] != 0 || ledger.tasks["stranger"] != 0 {
 		t.Error("unseen participants must have empty balances")
 	}
 }
@@ -105,8 +101,8 @@ func TestRewardsTrackQuality(t *testing.T) {
 	if balances[0].Participant != "good" || balances[2].Participant != "bad" {
 		t.Errorf("earning order wrong: %v", balances)
 	}
-	if !(ledger.Earned("good") > 1.5*ledger.Earned("bad")) {
+	if !(ledger.earned["good"] > 1.5*ledger.earned["bad"]) {
 		t.Errorf("reliable participant should earn much more: %v vs %v",
-			ledger.Earned("good"), ledger.Earned("bad"))
+			ledger.earned["good"], ledger.earned["bad"])
 	}
 }

@@ -27,14 +27,13 @@ type Participant struct {
 }
 
 // Roster is the registry of participants. It is safe for concurrent
-// use: the query execution engine reads it while location updates
-// stream in.
+// use: the query execution engine reads it while location and
+// connectivity updates (a Register of the changed record) stream in.
 type Roster struct {
 	mu           sync.RWMutex
 	participants map[string]Participant
 	// online is the ID-sorted view Online hands out copies of; nil
-	// after Register, SetLocation or SetOnline until the next Online
-	// rebuilds it. The roster changes rarely and is read once per
+	// after Register until the next Online rebuilds it. The roster changes rarely and is read once per
 	// crowdsourcing round.
 	online []Participant
 }
@@ -56,42 +55,6 @@ func (r *Roster) Register(p Participant) error {
 	return nil
 }
 
-// SetLocation updates a participant's position.
-func (r *Roster) SetLocation(id string, pos geo.Point) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.participants[id]
-	if !ok {
-		return fmt.Errorf("crowd: unknown participant %q", id)
-	}
-	p.Pos = pos
-	r.participants[id] = p
-	r.online = nil
-	return nil
-}
-
-// SetOnline updates a participant's connectivity.
-func (r *Roster) SetOnline(id string, online bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.participants[id]
-	if !ok {
-		return fmt.Errorf("crowd: unknown participant %q", id)
-	}
-	p.Online = online
-	r.participants[id] = p
-	r.online = nil
-	return nil
-}
-
-// Get returns a participant by ID.
-func (r *Roster) Get(id string) (Participant, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.participants[id]
-	return p, ok
-}
-
 // Online returns the currently reachable participants, sorted by ID
 // for determinism. The slice is the caller's: a Selection may reorder
 // or truncate it.
@@ -108,13 +71,6 @@ func (r *Roster) Online() []Participant {
 		slices.SortFunc(r.online, func(a, b Participant) int { return strings.Compare(a.ID, b.ID) })
 	}
 	return slices.Clone(r.online)
-}
-
-// Len returns the number of registered participants.
-func (r *Roster) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.participants)
 }
 
 // Selection is a worker-selection policy: given the online candidates

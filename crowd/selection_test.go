@@ -106,11 +106,11 @@ func TestRosterOnlineView(t *testing.T) {
 	if got := ids(r.Online()); got != "abc" {
 		t.Errorf("caller's mutation leaked into the next Online: %s", got)
 	}
-	if err := r.SetOnline("b", false); err != nil {
+	if err := update(r, "b", func(p *Participant) { p.Online = false }); err != nil {
 		t.Fatal(err)
 	}
 	if got := ids(r.Online()); got != "ac" {
-		t.Errorf("after SetOnline(b, false): %s", got)
+		t.Errorf("after b went offline: %s", got)
 	}
 	if err := r.Register(Participant{ID: "0", Online: true}); err != nil {
 		t.Fatal(err)
@@ -119,19 +119,19 @@ func TestRosterOnlineView(t *testing.T) {
 		t.Errorf("after Register(0): %s", got)
 	}
 	moved := geo.At(53.40, -6.30)
-	if err := r.SetLocation("c", moved); err != nil {
+	if err := update(r, "c", func(p *Participant) { p.Pos = moved }); err != nil {
 		t.Fatal(err)
 	}
 	if on := r.Online(); on[2].Pos != moved {
-		t.Errorf("after SetLocation(c): %v", on[2])
+		t.Errorf("after c moved: %v", on[2])
 	}
-	if err := r.SetOnline("0", false); err != nil {
+	if err := update(r, "0", func(p *Participant) { p.Online = false }); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SetOnline("a", false); err != nil {
+	if err := update(r, "a", func(p *Participant) { p.Online = false }); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SetOnline("c", false); err != nil {
+	if err := update(r, "c", func(p *Participant) { p.Online = false }); err != nil {
 		t.Fatal(err)
 	}
 	if on := r.Online(); on == nil || len(on) != 0 {
@@ -157,10 +157,10 @@ func TestRosterOnlineConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := fmt.Sprintf("p%02d", (i*7+w)%n)
-				if err := r.SetLocation(id, geo.At(53.30+float64(i%50)/1000, -6.26)); err != nil {
+				if err := update(r, id, func(p *Participant) { p.Pos = geo.At(53.30+float64(i%50)/1000, -6.26) }); err != nil {
 					t.Error(err)
 				}
-				if err := r.SetOnline(id, i%3 != 0); err != nil {
+				if err := update(r, id, func(p *Participant) { p.Online = i%3 != 0 }); err != nil {
 					t.Error(err)
 				}
 			}
@@ -186,4 +186,17 @@ func TestRosterOnlineConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// update re-registers a participant with one field changed: the way a
+// location or connectivity update reaches the roster.
+func update(r *Roster, id string, change func(*Participant)) error {
+	r.mu.RLock()
+	p, ok := r.participants[id]
+	r.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("unknown participant %q", id)
+	}
+	change(&p)
+	return r.Register(p)
 }

@@ -45,13 +45,13 @@ func TestInputCutMatchesSerialFiling(t *testing.T) {
 					if _, err := concurrent.engines.InputCut(cut); err != nil {
 						t.Fatal(err)
 					}
-					if err := fileSerially(serial.engines, cut); err != nil {
+					if err := fileSerially(serial, cut); err != nil {
 						t.Fatal(err)
 					}
 					for _, b := range batches {
 						b.Release()
 					}
-					got, want := tierEngines(concurrent.engines), tierEngines(serial.engines)
+					got, want := tierEngines(concurrent), tierEngines(serial)
 					inserted := 0
 					for i := range want {
 						g, err := got[i].Query(q)
@@ -112,8 +112,8 @@ func randomCut(t *testing.T, sys *System, rng *rand.Rand, lo, hi Time) ([]rtec.B
 // engine by engine, each engine given the run's rows it owns — on the
 // partitioned tier by position, on the sharded tier a move by its bus
 // and every other SDE everywhere.
-func fileSerially(tier engineTier, cut []rtec.BlockRun) error {
-	engines := tierEngines(tier)
+func fileSerially(sys *System, cut []rtec.BlockRun) error {
+	engines := tierEngines(sys)
 	n := len(engines)
 	for _, run := range cut {
 		b := run.Block
@@ -124,7 +124,7 @@ func fileSerially(tier engineTier, cut []rtec.BlockRun) error {
 			}
 		}
 		var owner func(int) int
-		switch tier.(type) {
+		switch sys.engines.(type) {
 		case partitionedTier:
 			of := dublin.PartitionOfBlock(b)
 			owner = func(r int) int { return of(r) % n }
@@ -151,11 +151,11 @@ func fileSerially(tier engineTier, cut []rtec.BlockRun) error {
 	return nil
 }
 
-// tierEngines lists a tier's engines in engine order.
-func tierEngines(tier engineTier) []*rtec.Engine {
-	switch t := tier.(type) {
+// tierEngines lists a system's engines in engine order.
+func tierEngines(sys *System) []*rtec.Engine {
+	switch t := sys.engines.(type) {
 	case partitionedTier:
-		out := make([]*rtec.Engine, t.NumPartitions())
+		out := make([]*rtec.Engine, sys.cfg.Partitions)
 		for i := range out {
 			out[i] = t.Engine(i)
 		}

@@ -100,7 +100,7 @@ func TestDashboardWithLiveData(t *testing.T) {
 	if last == nil {
 		t.Fatal("no reports produced")
 	}
-	flows, err := sys.SparsityMap(2, 1, 2500)
+	flows, err := sys.FlowMap(insight.MapConfig{Alpha: 2, Beta: 1, SensorNoise: 2500})
 	if err != nil {
 		t.Fatal(err)
 	}

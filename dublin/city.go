@@ -245,6 +245,8 @@ func (c *City) scheduleIncidents(r *rand.Rand) {
 }
 
 // Incidents returns the day's scheduled incidents (shared slice).
+//
+//lint:allow unusedapi the generated day's incident schedule, the ground truth tests stage scenarios at
 func (c *City) Incidents() []Incident { return c.incidents }
 
 // placeSensors distributes the SCATS detectors over junction
@@ -362,9 +364,6 @@ func (c *City) Sensors() []Sensor { return c.sensors }
 
 // Intersections returns the SCATS intersections (shared slice).
 func (c *City) Intersections() []traffic.Intersection { return c.intersections }
-
-// Buses returns the fleet (shared slice).
-func (c *City) Buses() []Bus { return c.buses }
 
 // Registry builds the traffic.Registry of the SCATS intersections with
 // the given close-predicate threshold in meters.

@@ -277,7 +277,7 @@ func (g *Generator) appendRaw(b *streams.Batch, r rawSDE) {
 // two columnar layouts are deliberately aligned, so the conversion
 // aliases the batch's slices instead of copying: the returned block is
 // valid only while the batch is live (the engine copies the rows it
-// admits, so handing an aliased block to InputBlock is safe). An
+// admits, so handing an aliased block to InputBlockRows is safe). An
 // unfilled list column (see streams.ColIntList) is left out: a move
 // batch that has not been through the pipeline's input stage reaches
 // the rules unstamped, and they join its rows themselves.

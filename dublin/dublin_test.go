@@ -42,7 +42,7 @@ func TestNewCityValidation(t *testing.T) {
 func TestCityDeterminism(t *testing.T) {
 	c1 := mustCity(t, smallConfig())
 	c2 := mustCity(t, smallConfig())
-	if len(c1.Sensors()) != len(c2.Sensors()) || len(c1.Buses()) != len(c2.Buses()) {
+	if len(c1.Sensors()) != len(c2.Sensors()) || len(c1.buses) != len(c2.buses) {
 		t.Fatal("same seed must build identical cities")
 	}
 	for i := range c1.Sensors() {
@@ -65,8 +65,8 @@ func TestCityDeterminism(t *testing.T) {
 
 func TestCityEntityCounts(t *testing.T) {
 	c := mustCity(t, smallConfig())
-	if len(c.Buses()) != 30 {
-		t.Errorf("buses = %d", len(c.Buses()))
+	if len(c.buses) != 30 {
+		t.Errorf("buses = %d", len(c.buses))
 	}
 	if len(c.Sensors()) != 40 {
 		t.Errorf("sensors = %d", len(c.Sensors()))
@@ -225,7 +225,7 @@ func TestSensorReadingCalibration(t *testing.T) {
 
 func TestBusMovement(t *testing.T) {
 	c := mustCity(t, smallConfig())
-	b := &c.Buses()[0]
+	b := &c.buses[0]
 	p0 := c.BusPosition(b, 0)
 	p1 := c.BusPosition(b, 40)
 	p2 := c.BusPosition(b, 80)
@@ -251,7 +251,7 @@ func TestBusMovement(t *testing.T) {
 func TestNoisyBusesExist(t *testing.T) {
 	c := mustCity(t, Config{Seed: 9, NumBuses: 200, NumSensors: 10, NoisyBusFraction: 0.10})
 	noisy := 0
-	for _, b := range c.Buses() {
+	for _, b := range c.buses {
 		if b.Noisy {
 			noisy++
 		}
@@ -473,11 +473,11 @@ func TestStreamCollectEquivalence(t *testing.T) {
 	var streamed []SDE
 	gen := c.Stream(0, 600)
 	for {
-		sde, ok := gen.Next()
+		raw, ok := gen.nextRaw()
 		if !ok {
 			break
 		}
-		streamed = append(streamed, sde)
+		streamed = append(streamed, SDE{Event: gen.materialize(raw), Arrival: raw.arrival})
 	}
 	collected := c.Collect(0, 600)
 	if len(streamed) != len(collected) {

@@ -95,17 +95,6 @@ type rawSDE struct {
 	flow    float64
 }
 
-// Next returns the next SDE in occurrence order. Dropped events
-// (mediator losses) are skipped transparently. ok is false when the
-// range is exhausted.
-func (g *Generator) Next() (SDE, bool) {
-	raw, ok := g.nextRaw()
-	if !ok {
-		return SDE{}, false
-	}
-	return SDE{Event: g.materialize(raw), Arrival: raw.arrival}, true
-}
-
 // nextRaw advances the generator by one emitted event, skipping
 // mediator drops. All randomness is drawn here (and in busRaw /
 // sensorRaw), in exactly the order of the historical per-event

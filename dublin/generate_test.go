@@ -50,7 +50,7 @@ func hashBatches(bstreams []BatchedStream) string {
 							putInt(h, 0)
 						}
 					default:
-						str(c.Str(i))
+						str(c.Dict[c.SIdx[i]])
 					}
 				}
 			}

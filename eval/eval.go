@@ -11,7 +11,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/insight-dublin/insight/interval"
 )
@@ -19,14 +18,6 @@ import (
 // Confusion is a binary confusion matrix over sampled time points.
 type Confusion struct {
 	TP, FP, FN, TN int
-}
-
-// Add accumulates another confusion matrix.
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.FN += o.FN
-	c.TN += o.TN
 }
 
 // Precision returns TP / (TP + FP); 1 when nothing was predicted.
@@ -95,17 +86,6 @@ func (t *Timeline) Add(key string, l interval.List) {
 
 // Get returns key's accumulated intervals.
 func (t *Timeline) Get(key string) interval.List { return t.spans[key] }
-
-// Keys returns the keys with any recognised interval, sorted so
-// scoring sweeps visit them in a run-stable order.
-func (t *Timeline) Keys() []string {
-	out := make([]string, 0, len(t.spans))
-	for k := range t.spans {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Score samples the span every step time points for every key and
 // compares the predicted timeline against the truth predicate.

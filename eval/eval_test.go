@@ -50,14 +50,6 @@ func TestConfusionDegenerate(t *testing.T) {
 	}
 }
 
-func TestConfusionAdd(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, FN: 3, TN: 4}
-	a.Add(Confusion{TP: 10, FP: 20, FN: 30, TN: 40})
-	if a != (Confusion{TP: 11, FP: 22, FN: 33, TN: 44}) {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
 func TestTimelineUnions(t *testing.T) {
 	tl := NewTimeline()
 	tl.Add("a", interval.List{sp(0, 10)})
@@ -70,8 +62,8 @@ func TestTimelineUnions(t *testing.T) {
 	if got := tl.Get("b"); !got.Equal(interval.List{sp(100, 110)}) {
 		t.Errorf("b = %v", got)
 	}
-	if len(tl.Keys()) != 2 {
-		t.Errorf("Keys = %v", tl.Keys())
+	if len(tl.spans) != 2 {
+		t.Errorf("keys = %v", tl.spans)
 	}
 	if tl.Get("missing") != nil {
 		t.Error("missing key must be empty")

@@ -112,6 +112,8 @@ func (b Box) Center() Point {
 }
 
 // Expand grows the box by the given margins in degrees.
+//
+//lint:allow unusedapi the probe windows around Dublin that the dublin and citygraph tests draw
 func (b Box) Expand(dLat, dLon float64) Box {
 	return Box{
 		MinLat: b.MinLat - dLat, MinLon: b.MinLon - dLon,

@@ -81,6 +81,8 @@ func checkModel(g *citygraph.Graph, alpha, beta float64) error {
 
 // RegularizedLaplacian builds K = [β(L + I/α²)]⁻¹ for the graph; see
 // checkModel for the hyperparameters it accepts.
+//
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
 func RegularizedLaplacian(g *citygraph.Graph, alpha, beta float64) (*Kernel, error) {
 	if err := checkModel(g, alpha, beta); err != nil {
 		return nil, err
@@ -122,6 +124,8 @@ type Regression struct {
 // units, so the β ∈ [0, 10] grid of the paper stays meaningful for
 // vehicle-per-hour flows). Predictions are mapped back to the original
 // units.
+//
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
 func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	if k == nil {
 		return nil, fmt.Errorf("gp: nil kernel")
@@ -230,6 +234,8 @@ func standardize(n int, obs []Observation, noiseVar float64) (standardized, erro
 }
 
 // Observed returns the observed vertex indexes, sorted.
+//
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
 func (r *Regression) Observed() []int { return r.observed }
 
 // crossCov gathers K_{V,u}, one contiguous row per requested vertex.
@@ -269,6 +275,8 @@ func (r *Regression) Mean(vertices []int) ([]float64, error) {
 // vertices. The mean is Mean's; the variance adds one forward and one
 // backward substitution per vertex, O(|V|·|u|²) — callers that only
 // read the mean should call Mean.
+//
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
 func (r *Regression) Predict(vertices []int) (mean, variance []float64, err error) {
 	cross, err := r.crossCov(vertices)
 	if err != nil {
@@ -290,6 +298,8 @@ func (r *Regression) Predict(vertices []int) (mean, variance []float64, err erro
 
 // PredictAll returns the predictive mean at every vertex of the graph
 // (the city-wide flow picture of Figure 9).
+//
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
 func (r *Regression) PredictAll() ([]float64, error) {
 	vertices := make([]int, r.kernel.NumVertices())
 	for i := range vertices {
@@ -314,6 +324,7 @@ type SearchOptions struct {
 	// units. 0 means GOMAXPROCS; 1 is fully serial. The result is
 	// bit-identical for every Workers value: work units are independent
 	// and the best-(α, β) reduction is a serial scan in grid order.
+	//lint:allow unusedapi tests prove the grid search deterministic across worker counts
 	Workers int
 }
 

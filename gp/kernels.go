@@ -19,7 +19,7 @@ import (
 // junctions. It gives a strictly local support (radius p), unlike the
 // regularized Laplacian's global decay — a meaningful ablation for the
 // traffic model (see GridSearch-style comparison in the tests and
-// examples/sparsitymap).
+// Example_sparsitymap).
 
 // RandomWalkKernel builds K = (aI − L)^p for the graph. p must be at
 // least 1; a must make aI − L positive semi-definite, for which
@@ -27,6 +27,8 @@ import (
 // applied automatically when a = 0. The result is normalized to unit
 // maximum diagonal so its scale is comparable to the regularized
 // Laplacian kernel.
+//
+//lint:allow unusedapi dense GP path: the random-walk kernel ablation (Example_sparsitymap)
 func RandomWalkKernel(g *citygraph.Graph, a float64, p int) (*Kernel, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, fmt.Errorf("gp: empty graph")

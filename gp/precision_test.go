@@ -299,11 +299,11 @@ func TestMeanAll10x(t *testing.T) {
 		diag[v] = beta/(alpha*alpha) + s*s*psum[v]
 		ax[v] = diag[v] * x[v]
 	}
-	for _, e := range g.Edges() {
-		ax[e.A] += beta * (x[e.A] - x[e.B])
-		ax[e.B] += beta * (x[e.B] - x[e.A])
-		diag[e.A] += beta
-		diag[e.B] += beta
+	for v := range ax {
+		for _, w := range g.Neighbors(v) {
+			ax[v] += beta * (x[v] - x[w])
+			diag[v] += beta
+		}
 	}
 	// The error bound the residual implies, as the solver states it:
 	// ‖M⁻¹r‖∞ / (1 − max_v β·deg_v/A_vv), relative to ‖x‖∞.

@@ -71,6 +71,7 @@ type Config struct {
 	// may take to produce an answer before the round gives up on it and
 	// marks the worker failed. 0 waits forever — a dead worker then
 	// hangs the crowdsourcing round.
+	//lint:allow unusedapi a silent device must not hang a crowd round; TestRunCancelledInsideACrowdRound sets it
 	CrowdResponseTimeout time.Duration
 	// WatermarkStaleness is the pipeline's per-stream liveness bound:
 	// an input stream whose arrival watermark trails the most advanced
@@ -184,16 +185,13 @@ func New(cfg Config) (*System, error) {
 			WorkingMemory: cfg.WorkingMemory,
 			Step:          cfg.Step,
 			Store:         cfg.Store,
-		}, cfg.Partitions, func(e rtec.Event) int {
-			return dublin.PartitionOf(e) % cfg.Partitions
+		}, cfg.Partitions, func(b *rtec.Block) func(int) int {
+			of := dublin.PartitionOfBlock(b)
+			return func(i int) int { return of(i) % cfg.Partitions }
 		})
 		if err != nil {
 			return nil, err
 		}
-		part.SetBlockAssign(func(b *rtec.Block) func(int) int {
-			of := dublin.PartitionOfBlock(b)
-			return func(i int) int { return of(i) % cfg.Partitions }
-		})
 		engines = partitionedTier{part}
 	}
 

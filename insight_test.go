@@ -125,7 +125,7 @@ func TestEndToEndMorningRush(t *testing.T) {
 	if len(sys.Estimator().Participants()) == 0 {
 		t.Error("estimator saw no participants")
 	}
-	if sys.Definitions() == nil || len(sys.Definitions().Names()) == 0 {
+	if sys.Definitions() == nil || sys.Definitions().Describe() == "" {
 		t.Error("compiled definitions must be exposed")
 	}
 
@@ -149,7 +149,7 @@ func TestEndToEndMorningRush(t *testing.T) {
 	}
 
 	// Traffic modelling over the ingested readings.
-	est, err := sys.SparsityMap(2, 1, 100)
+	est, err := sys.FlowMap(MapConfig{Alpha: 2, Beta: 1, SensorNoise: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSparsityMapRequiresData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.SparsityMap(2, 1, 100); err == nil {
+	if _, err := sys.FlowMap(MapConfig{Alpha: 2, Beta: 1, SensorNoise: 100}); err == nil {
 		t.Error("sparsity map without readings must error")
 	}
 }

@@ -6,7 +6,9 @@
 // it against compiled stdlib export data, and runs a table of
 // repo-specific analyzers (All) over each package. Analyzers are pure
 // functions over a loaded, type-checked package; they report
-// diagnostics through Pass.Reportf and never mutate anything. The
+// diagnostics through Pass.Reportf and never mutate anything. A
+// module-wide rule (unusedapi) also reads the run's other packages
+// through Pass.Module. The
 // framework owns everything else: file-set loading, build-constraint
 // filtering, per-package type checking, //lint:allow suppression
 // comments and deterministic diagnostic ordering — adding analyzer N+1
@@ -53,8 +55,25 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
+	Module   *Module // every package of the Run, for module-wide rules
 
 	diags []Diagnostic
+}
+
+// Module is the package set one Run judges. A module-wide rule reads
+// the other packages through it and memoises what it derives from them
+// once per Run rather than once per package.
+type Module struct {
+	Pkgs  []*Package
+	facts map[string]any
+}
+
+// memo returns build's value for key, computing it once per Module.
+func (m *Module) memo(key string, build func() any) any {
+	if _, ok := m.facts[key]; !ok {
+		m.facts[key] = build()
+	}
+	return m.facts[key]
 }
 
 // Reportf records a finding at pos.
@@ -79,6 +98,7 @@ var All = []*Analyzer{
 	SnapshotDrift,
 	LockGuard,
 	DurOrder,
+	UnusedAPI,
 	StaleLint,
 }
 
@@ -158,6 +178,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range All {
 		known[a.Name] = true
 	}
+	mod := &Module{Pkgs: pkgs, facts: make(map[string]any)}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sup := newSuppressor(pkg)
@@ -165,7 +186,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			if a.Name == StaleLint.Name {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Pkg: pkg}
+			pass := &Pass{Analyzer: a, Pkg: pkg, Module: mod}
 			a.Run(pass)
 			for _, d := range pass.diags {
 				if !sup.suppressed(d) {

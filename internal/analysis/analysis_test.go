@@ -123,6 +123,29 @@ func TestAnalyzerGolden(t *testing.T) {
 	}
 }
 
+// TestUnusedAPIGolden runs the module-wide rule over a two-package
+// fixture: lib, and app, the binary that uses it. stalelint runs too,
+// to report the allow that suppresses nothing.
+func TestUnusedAPIGolden(t *testing.T) {
+	lib := loadFixture(t, "unusedapi/lib", "fixture/unusedapi/lib")
+	app := loadFixture(t, "unusedapi/app", "fixture/unusedapi/app")
+	got := render(Run([]*Package{app, lib}, []*Analyzer{UnusedAPI, StaleLint}))
+	goldenPath := filepath.Join("testdata", "unusedapi", "expected.txt")
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestSuppression pins the three suppression-comment forms to
 // functions in the fixtures that violate their rule but must not be
 // reported: same-line, line-above, and doc-comment allows.

@@ -39,6 +39,8 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // call, nothing per row or per dictionary entry). The root package's
 // boundary cost record (Report.Span) is filled at every boundary and
 // every logged record: its clock and recorder allocate nothing at all.
+// Every paced replay batch pays streams' Pacer.Wait: a stream that may
+// emit at once registers no cancellation callback.
 // Unlike the kernel rule these
 // hold at every loop depth (the per-vertex loop of a predictor is an
 // outer loop), closures the function returns included.
@@ -48,6 +50,7 @@ var perCallFuncs = map[string]*regexp.Regexp{
 	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances|Entries)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
+	"streams":  regexp.MustCompile(`^Wait$`),
 	"wal":      regexp.MustCompile(`^(EncodeBatch|appendDict|appendCells)$`),
 	"insight":  regexp.MustCompile(`^(start|mark|now|open|admitTimes|engineTimes|chargeLog|chargeAppend)$`),
 }
@@ -72,8 +75,8 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 // ItemAt or map construction per row silently reverts the batch path to
 // per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
-	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatch)$`),
-	"rtec":    regexp.MustCompile(`^(copyRows|inputBlock|InputCut|routeRun|insertRows|settle|mergeIDs|appendCols|appendFrom|gatherCol)$`),
+	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatchLocked)$`),
+	"rtec":    regexp.MustCompile(`^(copyRows|InputBlockRows|InputCut|routeRun|insertRows|settle|mergeIDs|appendCols|appendFrom|gatherCol)$`),
 	"insight": regexp.MustCompile(`^(admit|InputCut|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
 	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches|drain)$`),
 }
@@ -107,7 +110,8 @@ var itemMaterializers = map[string]bool{
 
 // HotAlloc flags allocation sites inside the innermost loop bodies of
 // hot-path functions: composite literals, make, append (which may
-// grow), string concatenation and interface boxing. The dense kernels
+// grow), string concatenation, interface boxing and context.AfterFunc
+// registrations. The dense kernels
 // get their throughput from allocation-free inner loops (the
 // 4-accumulator dot products, the substitution sweeps); an alloc
 // introduced there is a silent multi-× regression the residual tests
@@ -408,6 +412,8 @@ func checkHotLoop(pass *Pass, where string, body *ast.BlockStmt) {
 			return false // don't re-flag nested literals
 		case *ast.CallExpr:
 			switch {
+			case isPkgCall(info, n, "context", "AfterFunc"):
+				pass.Reportf(n.Pos(), "context.AfterFunc allocates a registration in %s", where)
 			case isBuiltin(info, n, "panic"):
 				// A reached panic ends the loop: everything evaluated
 				// for its argument is the cold path.

@@ -67,12 +67,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Root returns the absolute module root directory.
-func (l *Loader) Root() string { return l.root }
-
-// ModulePath returns the module path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // moduleName extracts the module path from root/go.mod.
 func moduleName(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -225,12 +219,15 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// importPkg resolves one import: module-internal paths load from
-// source through the cache, everything else goes to the stdlib
-// importer.
+// importPkg resolves one import: a loaded package comes from the
+// cache, other module-internal paths load from source, everything else
+// goes to the stdlib importer.
 func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
+	}
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg.Types, nil // already loaded, e.g. a fixture package
 	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")

@@ -8,8 +8,9 @@ package analysis
 // which allow sites were never consulted. A rule is only judged when
 // its analyzer actually ran this invocation (running `-only floateq`
 // must not condemn every other allow in the tree); a rule name no
-// analyzer has ever registered is always reported. Allow sites naming
-// stalelint itself are exempt — a suppression of the staleness report
+// analyzer has ever registered is always reported, and so is an allow
+// that gives no reason. Allow sites naming stalelint itself are exempt
+// from the staleness judgement — a suppression of the staleness report
 // is consulted by the report, not by an analyzer pass.
 var StaleLint = &Analyzer{
 	Name: "stalelint",
@@ -24,6 +25,13 @@ var StaleLint = &Analyzer{
 func staleDiags(s *suppressor, ran, known map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, site := range s.sites {
+		if site.noReason {
+			out = append(out, Diagnostic{
+				Pos:     site.pos,
+				Rule:    StaleLint.Name,
+				Message: "//lint:allow " + site.rule + " gives no reason",
+			})
+		}
 		if site.used || site.rule == StaleLint.Name {
 			continue
 		}

@@ -17,9 +17,9 @@ import (
 //   - throughout a declaration, when the comment is part of a func or
 //     type doc comment.
 //
-// The justification text is free-form but expected by review
-// convention; the burn-down rule of this repo is that every allow
-// carries one.
+// The justification text is free-form but required: an allow without
+// one is a stalelint finding, so every kept violation is a written
+// decision.
 const allowPrefix = "//lint:allow"
 
 // allowSite is one (comment, rule) suppression. Every rule named on an
@@ -27,9 +27,10 @@ const allowPrefix = "//lint:allow"
 // one rule and stale for another. suppressed() marks the site it used;
 // stalelint reports the sites nothing used.
 type allowSite struct {
-	pos  token.Position // the comment's own position
-	rule string
-	used bool
+	pos      token.Position // the comment's own position
+	rule     string
+	used     bool
+	noReason bool // the comment names rules and nothing else
 }
 
 // suppressor answers "is this diagnostic allowed?" for one package and
@@ -52,18 +53,18 @@ type supSpan struct {
 	sites      []*allowSite
 }
 
-// parseAllow extracts the rule list from one comment, or nil. Order is
-// preserved so diagnostics about the comment stay byte-stable.
-func parseAllow(text string) []string {
+// parseAllow extracts the rule list from one comment, or nil, and
+// whether a justification follows it. Order is preserved so
+// diagnostics about the comment stay byte-stable.
+func parseAllow(text string) (rules []string, reason bool) {
 	rest, ok := strings.CutPrefix(text, allowPrefix)
 	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-		return nil
+		return nil, false
 	}
 	fields := strings.Fields(rest)
 	if len(fields) == 0 {
-		return nil
+		return nil, false
 	}
-	var rules []string
 	seen := make(map[string]bool)
 	for _, r := range strings.Split(fields[0], ",") {
 		if r = strings.TrimSpace(r); r != "" && !seen[r] {
@@ -71,7 +72,7 @@ func parseAllow(text string) []string {
 			rules = append(rules, r)
 		}
 	}
-	return rules
+	return rules, len(fields) > 1
 }
 
 func newSuppressor(pkg *Package) *suppressor {
@@ -82,7 +83,7 @@ func newSuppressor(pkg *Package) *suppressor {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rules := parseAllow(c.Text)
+				rules, reason := parseAllow(c.Text)
 				if rules == nil {
 					continue
 				}
@@ -93,7 +94,7 @@ func newSuppressor(pkg *Package) *suppressor {
 					s.lines[pos.Filename] = byLine
 				}
 				for _, r := range rules {
-					site := &allowSite{pos: pos, rule: r}
+					site := &allowSite{pos: pos, rule: r, noReason: !reason}
 					byLine[pos.Line] = append(byLine[pos.Line], site)
 					byComment[c] = append(byComment[c], site)
 					s.sites = append(s.sites, site)

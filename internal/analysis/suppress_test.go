@@ -8,23 +8,25 @@ import (
 
 func TestParseAllow(t *testing.T) {
 	cases := []struct {
-		text string
-		want []string
+		text   string
+		want   []string
+		reason bool
 	}{
-		{"//lint:allow floateq reason", []string{"floateq"}},
-		{"//lint:allow floateq", []string{"floateq"}},
-		{"//lint:allow\tfloateq tab separator", []string{"floateq"}},
-		{"//lint:allow floateq,lockcopy both", []string{"floateq", "lockcopy"}},
-		{"//lint:allow floateq,floateq,lockcopy deduped", []string{"floateq", "lockcopy"}},
-		{"//lint:allow floateq, lockcopy space splits the list", []string{"floateq"}},
-		{"//lint:allowfloateq no separator", nil},
-		{"//lint:allow", nil},
-		{"// lint:allow floateq not a directive", nil},
-		{"//lint:deny floateq wrong verb", nil},
+		{"//lint:allow floateq reason", []string{"floateq"}, true},
+		{"//lint:allow floateq", []string{"floateq"}, false},
+		{"//lint:allow\tfloateq tab separator", []string{"floateq"}, true},
+		{"//lint:allow floateq,lockcopy both", []string{"floateq", "lockcopy"}, true},
+		{"//lint:allow floateq,floateq,lockcopy deduped", []string{"floateq", "lockcopy"}, true},
+		{"//lint:allow floateq, lockcopy space splits the list", []string{"floateq"}, true},
+		{"//lint:allowfloateq no separator", nil, false},
+		{"//lint:allow", nil, false},
+		{"// lint:allow floateq not a directive", nil, false},
+		{"//lint:deny floateq wrong verb", nil, false},
 	}
 	for _, tc := range cases {
-		if got := parseAllow(tc.text); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseAllow(%q) = %v, want %v", tc.text, got, tc.want)
+		got, reason := parseAllow(tc.text)
+		if !reflect.DeepEqual(got, tc.want) || reason != tc.reason {
+			t.Errorf("parseAllow(%q) = %v, %v; want %v, %v", tc.text, got, reason, tc.want, tc.reason)
 		}
 	}
 }

@@ -1,8 +1,11 @@
 // Package hbfix exercises the hotalloc batch-path rule. It is loaded
 // under the import path "fixture/streams", so the functions named
-// AppendRowFrom and faultBatch form the columnar batch path and must
-// not materialize per-row maps — at any loop depth.
+// AppendRowFrom and faultBatchLocked form the columnar batch path and must
+// not materialize per-row maps — at any loop depth — and Wait is a
+// per-call function.
 package hbfix
+
+import "context"
 
 // Item mirrors the transport item: a per-event attribute map.
 type Item map[string]any
@@ -31,10 +34,10 @@ func (it Item) Clone() Item {
 	return out
 }
 
-// faultBatch re-materializes every row: the ItemAt and Clone calls are
+// faultBatchLocked re-materializes every row: the ItemAt and Clone calls are
 // flagged, and so is the map literal in the nested loop — batch rules
 // apply at every depth, not just the innermost.
-func faultBatch(b *Batch) []Item {
+func faultBatchLocked(b *Batch) []Item {
 	var out []Item
 	for i := 0; i < b.Len(); i++ {
 		it := b.ItemAt(i)
@@ -69,10 +72,21 @@ func copyOut(b *Batch) []Item {
 
 type pool struct{}
 
-// faultBatch (the method) carries a sanctioned materialization: the
+// faultBatchLocked (the method) carries a sanctioned materialization: the
 // suppression comment keeps it out of the diagnostics.
-func (pool) faultBatch(b *Batch) {
+func (pool) faultBatchLocked(b *Batch) {
 	for i := 0; i < b.Len(); i++ {
 		_ = b.ItemAt(i) //lint:allow hotalloc fixture: sanctioned materialization
+	}
+}
+
+// Wait is a per-call function: a context callback registered in its
+// loop is flagged; the allowed registration is not.
+func Wait(ctx context.Context, rounds int) {
+	for i := 0; i < rounds; i++ {
+		stop := context.AfterFunc(ctx, func() {})
+		stop()
+		stop = context.AfterFunc(ctx, func() {}) //lint:allow hotalloc fixture: the sanctioned slow path
+		stop()
 	}
 }

@@ -1,6 +1,6 @@
 // Package fixture exercises the stalelint analyzer: a live allow, a
 // stale allow, a multi-rule allow with one dead half and an unknown
-// rule name.
+// rule name, and an allow without a reason.
 package fixture
 
 // eq wants exact equality; its allow suppresses a real floateq finding
@@ -39,4 +39,9 @@ func keep(a, b float64) bool {
 	_ = a
 	_ = b
 	return false
+}
+
+// bare suppresses a live finding but gives no reason: reported.
+func bare(a, b float64) bool {
+	return a == b //lint:allow floateq
 }

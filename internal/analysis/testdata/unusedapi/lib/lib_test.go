@@ -1,0 +1,10 @@
+package lib
+
+import "testing"
+
+func TestLib(t *testing.T) {
+	o := Options{TestSet: 1}
+	if TestOnly()+o.TestSet != 3 {
+		t.Fatal("lib")
+	}
+}

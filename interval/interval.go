@@ -156,6 +156,8 @@ func (l List) Empty() bool { return len(l) == 0 }
 
 // Duration returns the total number of time points covered. Lists with
 // sentinel-bounded spans report a saturated duration.
+//
+//lint:allow unusedapi the interval algebra of the paper's Table 1
 func (l List) Duration() Time {
 	var total Time
 	for _, s := range l {
@@ -180,6 +182,8 @@ func (l List) Clone() List {
 
 // Equal reports whether two lists cover exactly the same time points.
 // Both lists must be valid (normalized).
+//
+//lint:allow unusedapi the interval algebra of the paper's Table 1
 func (l List) Equal(o List) bool {
 	if len(l) != len(o) {
 		return false
@@ -250,6 +254,8 @@ func Intersect(a, b List) List {
 // IntersectAll implements intersect_all(L, I) of RTEC Table 1: the
 // intersection of all the lists. Intersecting zero lists yields the
 // empty list (there is no universal interval in a windowed engine).
+//
+//lint:allow unusedapi the interval algebra of the paper's Table 1
 func IntersectAll(lists ...List) List {
 	if len(lists) == 0 {
 		return nil
@@ -266,6 +272,8 @@ func IntersectAll(lists ...List) List {
 
 // Complement returns the gaps of l inside the universe span: the time
 // points of universe not covered by l.
+//
+//lint:allow unusedapi the interval algebra of the paper's Table 1
 func Complement(l List, universe Span) List {
 	if universe.Empty() {
 		return nil
@@ -343,6 +351,8 @@ func RelativeComplementAll(base List, lists []List) List {
 // Clip restricts the list to the window span, cutting spans that cross
 // the window edges. RTEC's working-memory mechanism discards everything
 // outside (Q-WM, Q].
+//
+//lint:allow unusedapi the interval algebra of the paper's Table 1
 func Clip(l List, window Span) List {
 	if window.Empty() {
 		return nil
@@ -372,6 +382,8 @@ func Clip(l List, window Span) List {
 //
 // Both point slices may be unsorted and may contain duplicates; they
 // are not modified.
+//
+//lint:allow unusedapi the interval algebra of the paper's Table 1
 func FromTransitions(initiations, terminations []Time, holdsAtStart bool, start, horizon Time) List {
 	pts := make([]Point, 0, len(initiations)+len(terminations))
 	for _, t := range initiations {

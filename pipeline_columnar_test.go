@@ -149,7 +149,7 @@ func (r *eventReference) fireDue() {
 				kept = append(kept, sde)
 				continue
 			}
-			if err := inputEvent(r.sys.engines, sde.Event); err != nil {
+			if err := inputEvent(r.sys, sde.Event); err != nil {
 				r.t.Fatal(err)
 			}
 			if sde.Event.Type == traffic.TrafficType {
@@ -170,10 +170,10 @@ func (r *eventReference) fireDue() {
 // entrance, routed as the tier routes a block row: on the four-region
 // partitioning by position, on the sharded tier a move to its bus's
 // shard and any other SDE to every shard.
-func inputEvent(tier engineTier, ev rtec.Event) error {
-	switch t := tier.(type) {
+func inputEvent(sys *System, ev rtec.Event) error {
+	switch t := sys.engines.(type) {
 	case partitionedTier:
-		return t.Partitioned.Input(ev)
+		return t.Engine(dublin.PartitionOf(ev) % sys.cfg.Partitions).Input(ev)
 	case *shardTier:
 		if ev.Type == traffic.MoveType {
 			return t.shards[rtec.RendezvousShard(ev.Key, len(t.shards))].Input(ev)
@@ -185,7 +185,7 @@ func inputEvent(tier engineTier, ev rtec.Event) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("no per-event entrance to a %T", tier)
+	return fmt.Errorf("no per-event entrance to a %T", sys.engines)
 }
 
 // referenceReports is what the per-event reference recognises over the

@@ -119,7 +119,7 @@ func TestCardinalityBounded(t *testing.T) {
 			rows[i] = equivRow{t: tm, key: fmt.Sprintf("k%d", next), attrs: map[string]any{"level": rng.Float64()}}
 			next++
 		}
-		if err := e.InputBlock(rowsToBlock(rows, true)); err != nil {
+		if err := e.InputBlockRows(rowsToBlock(rows, true), nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Query(q); err != nil {

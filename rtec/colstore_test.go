@@ -11,7 +11,7 @@ import (
 )
 
 // colEquivDefs exercises every window access path a store must serve —
-// Rows, RowsForKey, EventKeys, the materializing Events/EventsForKey
+// Rows, RowsForKey, EventKeys, the materializing Events/RowsForKey(...).Slice()
 // compatibility API, and all accessor kinds — plus a second stratum
 // reading derived events through the Rows view.
 func colEquivDefs(t testing.TB) *Definitions {
@@ -50,7 +50,7 @@ func colEquivDefs(t testing.TB) *Definitions {
 				rows := ctx.Rows("reading")
 				for i := 0; i < rows.Len(); i++ {
 					if level, _ := rows.At(i).Float("level"); level > 0.9 {
-						out = append(out, NewEvent("spike", rows.TimeAt(i), rows.KeyAt(i), nil))
+						out = append(out, NewEvent("spike", rows.TimeAt(i), rows.At(i).Key, nil))
 					}
 				}
 				return out
@@ -62,7 +62,7 @@ func colEquivDefs(t testing.TB) *Definitions {
 			Derive: func(ctx *Context) []Event {
 				var out []Event
 				for _, key := range ctx.EventKeys("spike") {
-					evs := ctx.EventsForKey("spike", key)
+					evs := ctx.RowsForKey("spike", key).Slice()
 					for i := 1; i < len(evs); i++ {
 						if evs[i].Time-evs[i-1].Time <= 5 {
 							out = append(out, NewEvent("burst", evs[i].Time, key, nil))
@@ -169,7 +169,7 @@ func rowsToBlock(rows []equivRow, withKIdx bool) *Block {
 type equivEngine struct {
 	name  string
 	e     *Engine
-	block bool // deliver via InputBlock rather than Input
+	block bool // deliver via InputBlockRows rather than Input
 	kidx  bool // blocks carry a key dictionary
 }
 
@@ -223,7 +223,7 @@ func TestColumnStoreIsTheZeroValue(t *testing.T) {
 func deliverChunk(t testing.TB, ee equivEngine, chunk []equivRow) {
 	t.Helper()
 	if ee.block {
-		if err := ee.e.InputBlock(rowsToBlock(chunk, ee.kidx)); err != nil {
+		if err := ee.e.InputBlockRows(rowsToBlock(chunk, ee.kidx), nil); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -420,7 +420,7 @@ func compareBuckets(t testing.TB, engines []equivEngine, label string) {
 		dump := func(rows Rows) {
 			for i := 0; i < rows.Len(); i++ {
 				ev := rows.At(i)
-				fmt.Fprintf(&sb, " %d/%s", rows.TimeAt(i), rows.KeyAt(i))
+				fmt.Fprintf(&sb, " %d/%s", rows.TimeAt(i), rows.At(i).Key)
 				for _, name := range []string{"level", "alarm", "zone", "count"} {
 					if v, ok := ev.Get(name); ok {
 						fmt.Fprintf(&sb, "/%s=%T:%v", name, v, v)
@@ -505,7 +505,7 @@ func TestAllocBudget_ColumnStoreFiling(t *testing.T) {
 	}
 	run := func(q int) {
 		for _, blk := range blocks[q] {
-			if err := e.InputBlock(blk); err != nil {
+			if err := e.InputBlockRows(blk, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -84,7 +84,7 @@ func (c *BCol) list(row int) []int32 {
 // entity keys in flat slices, one BCol per attribute, all of equal
 // length. Times is []int64 rather than []Time so transport batches
 // (whose flat slices are untyped int64) convert without copying.
-// Blocks handed to InputBlock are read-only from the engine's
+// Blocks handed to InputBlockRows are read-only from the engine's
 // perspective; the engine copies what it keeps, so the caller may
 // recycle the block immediately after the call returns.
 type Block struct {
@@ -102,7 +102,7 @@ type Block struct {
 	// group rows by entity key with small-integer ids instead of
 	// hashing the key string per row; both may be nil, the key strings
 	// in Keys stay authoritative either way. KDict entries must be
-	// stable for the duration of the InputBlock call — the engine only
+	// stable for the duration of the InputBlockRows call — the engine only
 	// reads them transiently during insertion.
 	KIdx  []uint32
 	KDict []string
@@ -316,7 +316,7 @@ func copyRows(src *Block, rows []int32) *Block {
 		// Gather the key ids and alias the dictionary: both are only
 		// read during the insertion that immediately follows, and the
 		// source block is live for that long by contract (the caller
-		// may recycle it only after InputBlock returns). inputBlock
+		// may recycle it only after InputBlockRows returns). InputBlockRows
 		// drops them afterwards so the owned block never pins the
 		// transport dictionary.
 		dst.KIdx = make([]uint32, n)

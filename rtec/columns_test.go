@@ -214,7 +214,7 @@ func TestInputBlockMatchesInput(t *testing.T) {
 		if err := itemEng.Input(events(rs)...); err != nil {
 			t.Fatal(err)
 		}
-		if err := blockEng.InputBlock(block(rs)); err != nil {
+		if err := blockEng.InputBlockRows(block(rs), nil); err != nil {
 			t.Fatal(err)
 		}
 		ri, err := itemEng.Query(queries[ci])
@@ -241,13 +241,13 @@ func TestInputBlockRejectsUndeclared(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &Block{Type: "ghost", Times: []int64{1}, Keys: []string{"k"}}
-	if err := e.InputBlock(b); err == nil {
+	if err := e.InputBlockRows(b, nil); err == nil {
 		t.Fatal("undeclared SDE type accepted")
 	}
 }
 
 // TestInputBlockCopies checks the engine owns its rows: mutating the
-// source block after InputBlock must not change recognition.
+// source block after InputBlockRows must not change recognition.
 func TestInputBlockCopies(t *testing.T) {
 	e, err := NewEngine(levelDefs(t), Options{WorkingMemory: 40, Step: 20})
 	if err != nil {
@@ -264,7 +264,7 @@ func TestInputBlockCopies(t *testing.T) {
 			{Name: "zone", Kind: ColStr, SIdx: []uint32{0}, Dict: []string{"south"}},
 		},
 	}
-	if err := e.InputBlock(b); err != nil {
+	if err := e.InputBlockRows(b, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Scribble over the caller's block: recycle simulation.

@@ -35,7 +35,6 @@ type Span = interval.Span
 // query time; they are clipped in the engine's Result.
 type Context struct {
 	window Span // [Q-WM+1, Q+1)
-	q      Time
 	view   Span // event visibility, ⊆ [Q-WM+1, Q+1); normally the full window
 
 	store   sdeStore                  // SDE buckets (read-only during a query); may be nil
@@ -108,15 +107,6 @@ func (r Rows) TimeAt(i int) Time {
 	return r.evs[i].Time
 }
 
-// KeyAt returns the i-th event's entity key without materializing the
-// event.
-func (r Rows) KeyAt(i int) string {
-	if r.seg != nil {
-		return r.seg.blk.Key(int(r.ids[i]))
-	}
-	return r.evs[i].Key
-}
-
 // Slice materializes the view as an event slice. Over the row store
 // this is the shared backing slice (zero-copy, do not modify); over
 // the column store it allocates — columnar-aware rules should iterate
@@ -134,7 +124,6 @@ func (r Rows) Slice() []Event {
 
 func newContext(q Time, window Span) *Context {
 	return &Context{
-		q:       q,
 		window:  window,
 		view:    Span{Start: window.Start, End: q + 1},
 		derived: make(map[string]*derivedEvents),
@@ -171,9 +160,6 @@ func (c *Context) CountJoins(n int) {
 // Window returns the working-memory span [Q−WM+1, Q+1).
 func (c *Context) Window() Span { return c.window }
 
-// QueryTime returns the current query time Q.
-func (c *Context) QueryTime() Time { return c.q }
-
 // Rows returns the window view of an event type: the time-sorted
 // occurrences inside the window, iterable without materializing
 // events. This is the columnar-aware counterpart of Events.
@@ -208,14 +194,6 @@ func (c *Context) RowsForKey(typ, key string) Rows {
 // rules should use Rows instead.
 func (c *Context) Events(typ string) []Event {
 	return c.Rows(typ).Slice()
-}
-
-// EventsForKey returns the time-sorted occurrences of an event type
-// for one entity key. The returned slice is shared; do not modify.
-// Over the column store the slice is materialized per call —
-// columnar-aware rules should use RowsForKey instead.
-func (c *Context) EventsForKey(typ, key string) []Event {
-	return c.RowsForKey(typ, key).Slice()
 }
 
 // EventKeys returns the distinct entity keys that have occurrences of
@@ -272,17 +250,6 @@ func (c *Context) HoldsAt(fluent, key string, t Time) bool {
 // HoldsAtValue reports holdsAt(Fluent(Key) = Value, T).
 func (c *Context) HoldsAtValue(fluent, key, value string, t Time) bool {
 	return c.IntervalsValue(fluent, key, value).Contains(t)
-}
-
-// ValueAt returns the value V for which holdsAt(Fluent(Key)=V, T), if
-// any. Simple fluents hold at most one value at a time.
-func (c *Context) ValueAt(fluent, key string, t Time) (string, bool) {
-	for kv, l := range c.fluents[fluent] {
-		if kv.Key == key && l.Contains(t) {
-			return kv.Value, true
-		}
-	}
-	return "", false
 }
 
 // addEvents files one derived type's events, already in sortEvents

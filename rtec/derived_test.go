@@ -23,14 +23,14 @@ func parityDefs(t *testing.T, blockBacked bool) *Definitions {
 				BCol{Name: "urgent", Kind: ColBool}, BCol{Name: "source", Kind: ColStr})
 			var maps []Event
 			for i := 0; i < rows.Len(); i++ {
-				t, key := rows.TimeAt(i), rows.KeyAt(i)
+				t, key := rows.TimeAt(i), rows.At(i).Key
 				for _, source := range []string{"zeta", "alpha"} { // survivor is not the first derived
 					level, count, urgent := 0.5+float64(t), int64(t)*3, t%2 == 0
 					if blockBacked {
 						blk.Add(t, key)
 						blk.Float(0, level)
 						blk.Int(1, count)
-						blk.Bool(2, urgent)
+						blk.blk.Cols[2].B = append(blk.blk.Cols[2].B, urgent)
 						blk.Str(3, source)
 					} else {
 						maps = append(maps, NewEvent("alarm", t, key, map[string]any{

@@ -30,6 +30,7 @@ type Options struct {
 	// window at every query, exactly like the original engine. Use it
 	// to debug a rule whose declared Locality is suspect — the
 	// incremental and full paths must produce identical results.
+	//lint:allow unusedapi the full-recompute baseline the incremental engine is measured and tested against
 	ForceFullRecompute bool
 	// RuleWorkers bounds the goroutines evaluating independent rules
 	// of one stratum concurrently. 0 means GOMAXPROCS; 1 forces
@@ -134,9 +135,6 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 	}, nil
 }
 
-// Options returns the engine configuration.
-func (e *Engine) Options() Options { return e.opts }
-
 // Input delivers SDEs to the engine. Events may arrive in any order
 // and with delays; an event participates in every query whose window
 // contains its occurrence time, provided it has arrived by then.
@@ -161,23 +159,13 @@ func (e *Engine) Input(events ...Event) error {
 	return nil
 }
 
-// InputBlock delivers a columnar batch of SDEs: every row of the block
-// is filed, in row order, with exactly the semantics of Input — rows
-// too old to ever appear in a window again are skipped, rows at or
-// before the last query time are marked late. The engine copies the
-// admitted rows into a block it owns, so the caller may reuse b
-// immediately.
-func (e *Engine) InputBlock(b *Block) error {
-	return e.inputBlock(b, nil)
-}
-
-// InputBlockRows is InputBlock restricted to the given rows of b, in
-// the given order.
+// InputBlockRows delivers the given rows of a columnar batch of SDEs
+// (nil: every row), filed in the given order with exactly the
+// semantics of Input — rows too old to ever appear in a window again
+// are skipped, rows at or before the last query time are marked late.
+// The engine copies the admitted rows into a block it owns, so the
+// caller may reuse b immediately.
 func (e *Engine) InputBlockRows(b *Block, rows []int32) error {
-	return e.inputBlock(b, rows)
-}
-
-func (e *Engine) inputBlock(b *Block, rows []int32) error {
 	if !e.defs.IsSDE(b.Type) {
 		return fmt.Errorf("rtec: event type %q was not declared as an SDE", b.Type)
 	}
@@ -310,6 +298,8 @@ type Stats struct {
 
 // HoldsAt reports whether a boolean fluent instance holds at t
 // according to this result.
+//
+//lint:allow unusedapi reads a boolean fluent off a result; Example_crowdresolve and the rule tests use it
 func (r *Result) HoldsAt(fluent, key string, t Time) bool {
 	m := r.Fluents[fluent]
 	if m == nil {
@@ -320,6 +310,8 @@ func (r *Result) HoldsAt(fluent, key string, t Time) bool {
 
 // Intervals returns the clipped maximal intervals of a boolean fluent
 // instance in this result.
+//
+//lint:allow unusedapi reads a boolean fluent off a result; Example_crowdresolve and the rule tests use it
 func (r *Result) Intervals(fluent, key string) List {
 	m := r.Fluents[fluent]
 	if m == nil {
@@ -594,27 +586,6 @@ func (e *Engine) appendFresh(fresh, evs []Event) []Event {
 // the working memory. It only reads: safe to call between queries.
 func (e *Engine) Reported(typ, key string, t Time) bool {
 	return e.seen.Has(typ, key, t)
-}
-
-// Run evaluates at the regular query times start, start+Step,
-// start+2·Step, ... while until > query time, feeding each result to
-// the callback. It stops early if the callback returns an error.
-func (e *Engine) Run(start, until Time, fn func(*Result) error) error {
-	if e.opts.Step <= 0 {
-		return fmt.Errorf("rtec: Run requires a positive step")
-	}
-	for q := start; q <= until; q += e.opts.Step {
-		res, err := e.Query(q)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			if err := fn(res); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Transitions returns the transition points the last Query derived for

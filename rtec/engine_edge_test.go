@@ -1,7 +1,6 @@
 package rtec
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -146,26 +145,6 @@ func TestResultAccessorsNilSafety(t *testing.T) {
 	}
 }
 
-func TestRunPropagatesCallbackError(t *testing.T) {
-	e, _ := NewEngine(onOffDefs(t), Options{WorkingMemory: 10, Step: 10})
-	boom := errors.New("boom")
-	err := e.Run(10, 100, func(r *Result) error {
-		if r.Q >= 30 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("Run error = %v, want boom", err)
-	}
-	// Run with zero step is rejected (guarded before the loop).
-	e2, _ := NewEngine(onOffDefs(t), Options{WorkingMemory: 10, Step: 10})
-	e2.opts.Step = 0
-	if err := e2.Run(0, 10, nil); err == nil {
-		t.Error("zero step Run must error")
-	}
-}
-
 // Transitions reported outside the window are ignored rather than
 // corrupting the interval computation.
 func TestOutOfWindowTransitionsIgnored(t *testing.T) {
@@ -177,10 +156,11 @@ func TestOutOfWindowTransitionsIgnored(t *testing.T) {
 			Transitions: func(ctx *Context) []Transition {
 				// A buggy rule emitting transitions far outside the
 				// window in both directions, plus one valid.
+				q := ctx.Window().End - 1
 				return []Transition{
-					InitiateAt("x", ctx.QueryTime()-10_000),
-					InitiateAt("x", ctx.QueryTime()+10_000),
-					InitiateAt("x", ctx.QueryTime()-5),
+					InitiateAt("x", q-10_000),
+					InitiateAt("x", q+10_000),
+					InitiateAt("x", q-5),
 				}
 			},
 		}).
@@ -265,16 +245,16 @@ func TestProfileRuleCosts(t *testing.T) {
 func TestMergeResultsSumsRuleCosts(t *testing.T) {
 	defs := onOffDefs(t)
 	part, err := NewPartitioned(defs, Options{WorkingMemory: 100, Profile: true}, 2,
-		func(e Event) int {
+		byEvent(func(e Event) int {
 			if e.Key < "m" {
 				return 0
 			}
 			return 1
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Input(ev("on", 10, "a"), ev("on", 20, "z")); err != nil {
+	if err := inputEvents(part, ev("on", 10, "a"), ev("on", 20, "z")); err != nil {
 		t.Fatal(err)
 	}
 	results, err := part.Query(99)

@@ -69,12 +69,6 @@ func (b *EventBlock) Int(col int, v int64) {
 	c.I = append(c.I, v)
 }
 
-// Bool sets a ColBool cell of the event started by the last Add.
-func (b *EventBlock) Bool(col int, v bool) {
-	c := &b.blk.Cols[col]
-	c.B = append(c.B, v)
-}
-
 // Str sets a ColStr cell of the event started by the last Add. Values
 // are dictionary-encoded; a run of equal values (one bus matching
 // several intersections) costs no lookup.
@@ -87,7 +81,7 @@ func (b *EventBlock) Str(col int, v string) {
 	c.SIdx = append(c.SIdx, c.internStr(v))
 }
 
-// Block returns the built block, e.g. to hand to Engine.InputBlock. The
+// Block returns the built block, e.g. to hand to Engine.InputBlockRows. The
 // builder must not be used afterwards. It panics if some event lacks a
 // cell (or has two) in some column — a bug in the calling rule.
 func (b *EventBlock) Block() *Block {

@@ -76,7 +76,7 @@ func ExampleEventRule() {
 			Derive: func(ctx *rtec.Context) []rtec.Event {
 				var out []rtec.Event
 				for _, key := range ctx.EventKeys("reading") {
-					evs := ctx.EventsForKey("reading", key)
+					evs := ctx.RowsForKey("reading", key).Slice()
 					for i := 1; i < len(evs); i++ {
 						prev, _ := evs[i-1].Float("v")
 						cur, _ := evs[i].Float("v")

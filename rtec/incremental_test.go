@@ -47,7 +47,7 @@ func incDefs(t *testing.T) *Definitions {
 			var out []Transition
 			for _, e := range ctx.Events("a") {
 				confirmed := false
-				for _, c := range ctx.EventsForKey("b", e.Key) {
+				for _, c := range ctx.RowsForKey("b", e.Key).Slice() {
 					if dt := c.Time - e.Time; dt > 0 && dt <= la {
 						confirmed = true
 						break
@@ -85,7 +85,7 @@ func incDefs(t *testing.T) *Definitions {
 		Transitions: func(ctx *Context) []Transition {
 			var out []Transition
 			for _, key := range ctx.EventKeys("b") {
-				evs := ctx.EventsForKey("b", key)
+				evs := ctx.RowsForKey("b", key).Slice()
 				for i := 1; i < len(evs); i++ {
 					pv, _ := evs[i-1].Int("v")
 					cv, _ := evs[i].Int("v")
@@ -106,7 +106,7 @@ func incDefs(t *testing.T) *Definitions {
 		Derive: func(ctx *Context) []Event {
 			var out []Event
 			for _, key := range ctx.EventKeys("a") {
-				evs := ctx.EventsForKey("a", key)
+				evs := ctx.RowsForKey("a", key).Slice()
 				for i := 1; i < len(evs); i++ {
 					if dt := evs[i].Time - evs[i-1].Time; dt > 0 && dt < lb {
 						out = append(out, NewEvent("pair", evs[i].Time, key, nil))

@@ -54,7 +54,7 @@ func zoneDefs(t *testing.T, partial bool) *Definitions {
 			var out []Transition
 			for _, e := range ctx.Events("a") {
 				confirmed := false
-				for _, c := range ctx.EventsForKey("b", e.Key) {
+				for _, c := range ctx.RowsForKey("b", e.Key).Slice() {
 					if dt := c.Time - e.Time; dt > 0 && dt <= la {
 						confirmed = true
 						break

@@ -17,29 +17,28 @@ import (
 // the buses that go through that area" (Section 7.1).
 type Partitioned struct {
 	engines []*Engine
-	assign  func(Event) int //state:transient routing function, supplied at construction
-	// blockAssign, when set, routes block rows without materializing
+	// route maps block rows to partitions without materializing
 	// per-row view Events: it is called once per block and the
 	// returned function once per row, so column lookups are hoisted
-	// out of the row loop. Must agree with assign on every row.
-	//state:transient routing function, supplied at construction
-	blockAssign func(*Block) func(int) int
+	// out of the row loop.
+	route func(*Block) func(int) int //state:transient routing function, supplied at construction
 
 	// fan files cuts into the engines, one goroutine per engine.
 	fan *Fanout //state:transient routing and filing scratch
 }
 
 // NewPartitioned builds n engines sharing the (immutable) definition
-// set. assign maps each input event to a partition in [0, n); events
-// mapped outside that range are rejected by Input.
-func NewPartitioned(defs *Definitions, opts Options, n int, assign func(Event) int) (*Partitioned, error) {
+// set. route is called once per block; the function it returns maps a
+// row to a partition in [0, n), and InputCut refuses a cut with a row
+// mapped outside that range.
+func NewPartitioned(defs *Definitions, opts Options, n int, route func(*Block) func(int) int) (*Partitioned, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("rtec: partition count must be positive, got %d", n)
 	}
-	if assign == nil {
+	if route == nil {
 		return nil, fmt.Errorf("rtec: nil partition function")
 	}
-	p := &Partitioned{assign: assign}
+	p := &Partitioned{route: route}
 	for i := 0; i < n; i++ {
 		e, err := NewEngine(defs, opts)
 		if err != nil {
@@ -51,58 +50,19 @@ func NewPartitioned(defs *Definitions, opts Options, n int, assign func(Event) i
 	return p, nil
 }
 
-// SetBlockAssign installs a block-level partition router used by
-// InputBlock and InputCut in place of the per-event assign
-// function. f is called once per block; the function it returns maps a
-// row index to a partition and must return, for every row, exactly the
-// partition assign returns for that row's view Event — the router is a
-// performance hook, not a semantic one. Pass nil to fall back to
-// per-row Event routing.
-func (p *Partitioned) SetBlockAssign(f func(*Block) func(int) int) { p.blockAssign = f }
-
-// NumPartitions returns the number of engines.
-func (p *Partitioned) NumPartitions() int { return len(p.engines) }
-
 // Engine returns the i-th partition engine (for inspection; do not
 // drive it directly while using the Partitioned wrapper concurrently).
+//
+//lint:allow unusedapi one partition's engine, for the tests that hold InputCut to serial filing
 func (p *Partitioned) Engine(i int) *Engine { return p.engines[i] }
-
-// Input routes events to their partitions.
-func (p *Partitioned) Input(events ...Event) error {
-	for _, ev := range events {
-		i := p.assign(ev)
-		if i < 0 || i >= len(p.engines) {
-			return fmt.Errorf("rtec: event %v assigned to invalid partition %d", ev, i)
-		}
-		if err := p.engines[i].Input(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// InputBlock routes the rows of a columnar batch to their partitions:
-// a one-run InputCut.
-func (p *Partitioned) InputBlock(b *Block) error {
-	_, err := p.InputCut([]BlockRun{{Block: b}})
-	return err
-}
 
 // InputCut routes every run of a cut to its partitions and has each
 // engine file its share concurrently (see Fanout). Row order is
 // preserved within each partition, so the per-engine store ends up in
-// exactly the state per-event routing produces. It returns the
+// exactly the state filing row by row produces. It returns the
 // engines' filing times (see Fanout.InputCut).
 func (p *Partitioned) InputCut(cut []BlockRun) ([]time.Duration, error) {
-	return p.fan.InputCut(cut, p.owner)
-}
-
-// owner is the partition router of one block.
-func (p *Partitioned) owner(b *Block) func(int) int {
-	if p.blockAssign != nil {
-		return p.blockAssign(b)
-	}
-	return func(r int) int { return p.assign(b.Event(r)) }
+	return p.fan.InputCut(cut, p.route)
 }
 
 // Query evaluates every partition at query time q, concurrently, and

@@ -12,14 +12,14 @@ import (
 
 func TestNewPartitionedValidation(t *testing.T) {
 	defs := onOffDefs(t)
-	assign := func(Event) int { return 0 }
+	assign := byEvent(func(Event) int { return 0 })
 
 	cases := []struct {
 		name    string
 		defs    *Definitions
 		opts    Options
 		n       int
-		assign  func(Event) int
+		assign  func(*Block) func(int) int
 		wantSub string
 	}{
 		{"zero partitions", defs, Options{WorkingMemory: 10}, 0, assign, "partition count must be positive"},
@@ -46,37 +46,38 @@ func TestPartitionedInputRoutingErrors(t *testing.T) {
 
 	// Per-event routing: out-of-range assignments in both directions.
 	for _, bad := range []int{-1, 2, 99} {
-		p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(Event) int { return bad })
+		p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, byEvent(func(Event) int { return bad }))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Input(ev("on", 1, "x")); err == nil {
-			t.Errorf("assign→%d: Input must error", bad)
+		if err := inputEvents(p, ev("on", 1, "x")); err == nil {
+			t.Errorf("assign→%d: InputCut must error", bad)
 		} else if !strings.Contains(err.Error(), "invalid partition") {
 			t.Errorf("assign→%d: error %q does not mention the invalid partition", bad, err)
 		}
 	}
 
-	// A routing failure mid-batch reports the error without panicking,
-	// and earlier valid events stay routed.
-	p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(e Event) int {
+	// A routing failure mid-cut reports the error without panicking,
+	// and the cut is refused whole: the valid event before it is not
+	// filed either.
+	p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, byEvent(func(e Event) int {
 		if e.Key == "poison" {
 			return 7
 		}
 		return 0
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Input(ev("on", 1, "good"), ev("on", 2, "poison")); err == nil {
-		t.Fatal("poisoned batch must error")
+	if err := inputEvents(p, ev("on", 1, "good"), ev("on", 2, "poison")); err == nil {
+		t.Fatal("poisoned cut must error")
 	}
 	res, err := p.Query(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MergeResults(res); got.Stats.InputEvents != 1 {
-		t.Fatalf("events before the routing failure lost: InputEvents = %d, want 1", got.Stats.InputEvents)
+	if got := MergeResults(res); got.Stats.InputEvents != 0 {
+		t.Fatalf("a refused cut filed events: InputEvents = %d, want 0", got.Stats.InputEvents)
 	}
 }
 
@@ -84,12 +85,12 @@ func TestPartitionedBlockRoutingErrors(t *testing.T) {
 	defs := onOffDefs(t)
 	blk := &Block{Type: "on", Times: []int64{5, 6}, Keys: []string{"a", "b"}}
 
-	p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(Event) int { return -3 })
+	p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, byEvent(func(Event) int { return -3 }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.InputBlock(blk); err == nil || !strings.Contains(err.Error(), "invalid partition") {
-		t.Errorf("InputBlock with out-of-range assign: err = %v", err)
+	if _, err := p.InputCut([]BlockRun{{Block: blk}}); err == nil || !strings.Contains(err.Error(), "invalid partition") {
+		t.Errorf("InputCut with out-of-range assign: err = %v", err)
 	}
 	if _, err := p.InputCut([]BlockRun{{Block: blk, Rows: []int32{1}}}); err == nil {
 		t.Error("InputCut with out-of-range assign must error")
@@ -97,12 +98,12 @@ func TestPartitionedBlockRoutingErrors(t *testing.T) {
 
 	// A cut whose last run misroutes a row is refused whole: no engine
 	// files the runs before it.
-	p1, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(ev Event) int {
+	p1, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, byEvent(func(ev Event) int {
 		if ev.Key == "b" {
 			return 2
 		}
 		return 1
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,26 +120,20 @@ func TestPartitionedBlockRoutingErrors(t *testing.T) {
 
 	// A block router that disagrees with the range contract is caught
 	// per row as well.
-	p2, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(Event) int { return 0 })
+	p2, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(*Block) func(int) int {
+		return func(int) int { return 5 }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2.SetBlockAssign(func(*Block) func(int) int {
-		return func(int) int { return 5 }
-	})
-	if err := p2.InputBlock(blk); err == nil || !strings.Contains(err.Error(), "invalid partition") {
-		t.Errorf("InputBlock with out-of-range block router: err = %v", err)
-	}
-	// Clearing the router falls back to (valid) per-event routing.
-	p2.SetBlockAssign(nil)
-	if err := p2.InputBlock(blk); err != nil {
-		t.Fatalf("fallback per-event routing failed: %v", err)
+	if _, err := p2.InputCut([]BlockRun{{Block: blk}}); err == nil || !strings.Contains(err.Error(), "invalid partition") {
+		t.Errorf("InputCut with out-of-range block router: err = %v", err)
 	}
 }
 
 func TestPartitionedRestoreCountMismatch(t *testing.T) {
 	defs := onOffDefs(t)
-	p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 3, func(Event) int { return 0 })
+	p, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 3, byEvent(func(Event) int { return 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,5 +152,23 @@ func TestPartitionedRestoreCountMismatch(t *testing.T) {
 	}
 	if err := p.Restore(snaps); err != nil {
 		t.Errorf("exact restore failed: %v", err)
+	}
+}
+
+// inputEvents files attribute-free events through the tier's one
+// entrance, InputCut: a one-row run per event, in order.
+func inputEvents(p *Partitioned, evs ...Event) error {
+	cut := make([]BlockRun, len(evs))
+	for i, e := range evs {
+		cut[i] = BlockRun{Block: &Block{Type: e.Type, Times: []int64{int64(e.Time)}, Keys: []string{e.Key}}}
+	}
+	_, err := p.InputCut(cut)
+	return err
+}
+
+// byEvent routes a block's rows by their view Events.
+func byEvent(assign func(Event) int) func(*Block) func(int) int {
+	return func(b *Block) func(int) int {
+		return func(r int) int { return assign(b.Event(r)) }
 	}
 }

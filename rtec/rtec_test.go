@@ -126,7 +126,7 @@ func TestStratification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strata := defs.Strata()
+	strata := strataOf(defs)
 	if len(strata) != 3 {
 		t.Fatalf("strata = %v, want 3 levels", strata)
 	}
@@ -136,9 +136,8 @@ func TestStratification(t *testing.T) {
 	if !defs.IsSDE("sde") || defs.IsSDE("a") {
 		t.Error("IsSDE misclassifies")
 	}
-	names := defs.Names()
-	if len(names) != 4 {
-		t.Errorf("Names = %v", names)
+	if len(defs.names) != 4 {
+		t.Errorf("names = %v", defs.names)
 	}
 }
 
@@ -157,8 +156,8 @@ func TestEngineOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Options().Step != 10 {
-		t.Errorf("default step = %d, want WM", e.Options().Step)
+	if e.opts.Step != 10 {
+		t.Errorf("default step = %d, want WM", e.opts.Step)
 	}
 }
 
@@ -443,7 +442,7 @@ func TestDerivedEventsAndFresh(t *testing.T) {
 			Derive: func(ctx *Context) []Event {
 				var out []Event
 				for _, key := range ctx.EventKeys("tick") {
-					evs := ctx.EventsForKey("tick", key)
+					evs := ctx.RowsForKey("tick", key).Slice()
 					for i := 1; i < len(evs); i++ {
 						prev, cur := evs[i-1], evs[i]
 						pv, _ := prev.Float("v")
@@ -552,39 +551,21 @@ func TestEventRuleFeedsSimpleFluent(t *testing.T) {
 	}
 }
 
-func TestRunCallback(t *testing.T) {
-	e, _ := NewEngine(onOffDefs(t), Options{WorkingMemory: 20, Step: 10})
-	if err := e.Input(ev("on", 5, "tv")); err != nil {
-		t.Fatal(err)
-	}
-	var qs []Time
-	err := e.Run(10, 40, func(r *Result) error {
-		qs = append(qs, r.Q)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs) != 4 || qs[0] != 10 || qs[3] != 40 {
-		t.Errorf("query times = %v", qs)
-	}
-}
-
 func TestPartitionedEngine(t *testing.T) {
 	defs := onOffDefs(t)
-	part, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, func(e Event) int {
+	part, err := NewPartitioned(defs, Options{WorkingMemory: 100}, 2, byEvent(func(e Event) int {
 		if e.Key < "m" {
 			return 0
 		}
 		return 1
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.NumPartitions() != 2 {
+	if len(part.engines) != 2 {
 		t.Fatal("partition count")
 	}
-	if err := part.Input(
+	if err := inputEvents(part,
 		ev("on", 10, "alpha"), // partition 0
 		ev("on", 20, "zeta"),  // partition 1
 		ev("off", 50, "zeta"),
@@ -612,17 +593,17 @@ func TestPartitionedEngine(t *testing.T) {
 
 func TestPartitionedErrors(t *testing.T) {
 	defs := onOffDefs(t)
-	if _, err := NewPartitioned(defs, Options{WorkingMemory: 10}, 0, func(Event) int { return 0 }); err == nil {
+	if _, err := NewPartitioned(defs, Options{WorkingMemory: 10}, 0, byEvent(func(Event) int { return 0 })); err == nil {
 		t.Error("zero partitions must error")
 	}
 	if _, err := NewPartitioned(defs, Options{WorkingMemory: 10}, 2, nil); err == nil {
 		t.Error("nil assign must error")
 	}
-	p, err := NewPartitioned(defs, Options{WorkingMemory: 10}, 2, func(Event) int { return 7 })
+	p, err := NewPartitioned(defs, Options{WorkingMemory: 10}, 2, byEvent(func(Event) int { return 7 }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Input(ev("on", 1, "x")); err == nil {
+	if err := inputEvents(p, ev("on", 1, "x")); err == nil {
 		t.Error("out-of-range partition must error")
 	}
 }
@@ -664,26 +645,23 @@ func TestEventAttributeAccessors(t *testing.T) {
 	}
 }
 
-func TestContextValueAt(t *testing.T) {
+func TestContextHoldsAtValue(t *testing.T) {
 	ctx := newContext(100, sp(1, 101))
 	ctx.setFluent("light", map[KV]List{
 		{Key: "x", Value: "green"}: {sp(0, 50)},
 		{Key: "x", Value: "red"}:   {sp(50, 100)},
 	})
-	if v, ok := ctx.ValueAt("light", "x", 20); !ok || v != "green" {
-		t.Errorf("ValueAt(20) = %q, %v", v, ok)
+	if !ctx.HoldsAtValue("light", "x", "green", 20) || ctx.HoldsAtValue("light", "x", "red", 20) {
+		t.Error("at 20 the light must be green and only green")
 	}
-	if v, ok := ctx.ValueAt("light", "x", 60); !ok || v != "red" {
-		t.Errorf("ValueAt(60) = %q, %v", v, ok)
+	if !ctx.HoldsAtValue("light", "x", "red", 60) || ctx.HoldsAtValue("light", "x", "green", 60) {
+		t.Error("at 60 the light must be red and only red")
 	}
-	if _, ok := ctx.ValueAt("light", "x", 200); ok {
-		t.Error("ValueAt outside any interval must report !ok")
+	if ctx.HoldsAtValue("light", "x", "red", 200) || ctx.HoldsAtValue("light", "x", "green", 200) {
+		t.Error("outside any interval no value may hold")
 	}
-	if _, ok := ctx.ValueAt("light", "y", 20); ok {
-		t.Error("ValueAt for unknown key must report !ok")
-	}
-	if !ctx.HoldsAtValue("light", "x", "red", 60) {
-		t.Error("HoldsAtValue(red, 60) = false")
+	if ctx.HoldsAtValue("light", "y", "green", 20) {
+		t.Error("an unknown key must hold no value")
 	}
 }
 
@@ -715,4 +693,16 @@ func TestDescribe(t *testing.T) {
 			t.Errorf("Describe missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// strataOf groups the rule names by evaluation stratum, lowest first.
+func strataOf(d *Definitions) [][]string {
+	var out [][]string
+	for _, r := range d.rules {
+		for len(out) < r.stratum {
+			out = append(out, nil)
+		}
+		out[r.stratum-1] = append(out[r.stratum-1], r.name)
+	}
+	return out
 }

@@ -314,31 +314,8 @@ func (b *Builder) Compile() (*Definitions, error) {
 	return d, nil
 }
 
-// Names returns all defined names (SDEs and rules), for diagnostics.
-func (d *Definitions) Names() []string {
-	out := make([]string, 0, len(d.names))
-	for n := range d.names {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // IsSDE reports whether name was declared as an input SDE type.
 func (d *Definitions) IsSDE(name string) bool { return d.sdeTypes[name] }
-
-// Strata returns the rule names grouped by evaluation stratum, lowest
-// first, for diagnostics.
-func (d *Definitions) Strata() [][]string {
-	var out [][]string
-	for _, r := range d.rules {
-		for len(out) < r.stratum {
-			out = append(out, nil)
-		}
-		out[r.stratum-1] = append(out[r.stratum-1], r.name)
-	}
-	return out
-}
 
 // Describe renders the compiled definition set — SDE vocabulary and
 // rules in evaluation order with their kinds and dependencies — for

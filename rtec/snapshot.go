@@ -58,6 +58,8 @@ type SeenEntry struct {
 
 // Compare orders dedup entries by (type, key, time) — the canonical
 // snapshot order.
+//
+//lint:allow unusedapi the canonical (type, key, time) order of the dedup snapshot; FuzzSeenEntries' oracle sorts by it
 func (a SeenEntry) Compare(b SeenEntry) int {
 	if c := strings.Compare(a.Type, b.Type); c != 0 {
 		return c
@@ -234,7 +236,7 @@ func CanonicalSurvivor(same []Event) int {
 // snapshotted one. All previous state — store, inertia, dedup set,
 // splice caches — is discarded, and the store is left empty: the
 // caller re-inputs the SDEs that arrived by s.LastQ and occurred after
-// s.LastQ−WM (Input and InputBlock drop anything older), in their
+// s.LastQ−WM (Input and InputBlockRows drop anything older), in their
 // original admission order.
 func (e *Engine) Restore(s *EngineSnapshot) error {
 	prev := make(map[string]map[KV]List, len(s.Prev))

@@ -56,7 +56,7 @@ func snapDefs(t testing.TB) *Definitions {
 			Derive: func(ctx *Context) []Event {
 				var out []Event
 				for _, key := range ctx.EventKeys("tick") {
-					evs := ctx.EventsForKey("tick", key)
+					evs := ctx.RowsForKey("tick", key).Slice()
 					for i := 1; i < len(evs); i++ {
 						pv, _ := evs[i-1].Float("v")
 						cv, _ := evs[i].Float("v")
@@ -109,7 +109,7 @@ func snapFeed(t testing.TB, e *Engine, q Time) {
 			{Name: "n", Kind: ColInt, I: []int64{7, 8, 9, 10}},
 		},
 	}
-	if err := e.InputBlock(blk); err != nil {
+	if err := e.InputBlockRows(blk, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -305,7 +305,7 @@ func TestPartitionedSnapshotRestore(t *testing.T) {
 		}
 		return 1
 	}
-	orig, err := NewPartitioned(defs, opts, 2, assign)
+	orig, err := NewPartitioned(defs, opts, 2, byEvent(assign))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestPartitionedSnapshotRestore(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		evs = append(evs, NewEvent("on", Time(5+i*7), fmt.Sprintf("dev-%d", i), nil))
 	}
-	if err := orig.Input(evs...); err != nil {
+	if err := inputEvents(orig, evs...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := orig.Query(50); err != nil {
@@ -326,14 +326,14 @@ func TestPartitionedSnapshotRestore(t *testing.T) {
 	if len(snaps) != 2 {
 		t.Fatalf("%d snapshots, want 2", len(snaps))
 	}
-	restored, err := NewPartitioned(defs, opts, 2, assign)
+	restored, err := NewPartitioned(defs, opts, 2, byEvent(assign))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Restore(snaps); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Input(evs...); err != nil {
+	if err := inputEvents(restored, evs...); err != nil {
 		t.Fatal(err)
 	}
 	ra, err := orig.Query(100)

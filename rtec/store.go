@@ -71,7 +71,7 @@ func newSDEStore(kind StoreKind) sdeStore {
 // eventStore is the engine's time-indexed SDE store. Events are kept in
 // per-type buckets sorted by occurrence time (ties in arrival order, so
 // the ordering matches the engine's historical stable sort), with a
-// parallel per-key index for the EventsForKey joins. Window extraction
+// parallel per-key index for the RowsForKey joins. Window extraction
 // is a binary-search slice — no copying, no per-query re-sorting — and
 // eviction is an amortised O(log n) prefix trim.
 //

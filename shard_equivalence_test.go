@@ -185,15 +185,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	const step = Time(900)
 	city := testCity(t)
 
-	var sdes []dublin.SDE
-	gen := city.Stream(from, until)
-	for {
-		sde, ok := gen.Next()
-		if !ok {
-			break
-		}
-		sdes = append(sdes, sde)
-	}
+	sdes := city.Collect(from, until)
 
 	mk := func(kind rtec.StoreKind) *System {
 		t.Helper()
@@ -384,7 +376,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	retired := decode(wire)
 	st := retired[len(retired)-1]
 	st.Prev = append(st.Prev, rtec.FluentSnapshot{Name: "~shard/overrides", Instances: []rtec.InstanceSnapshot{
-		{Key: city.Buses()[0].ID, Value: "2"},
+		{Key: "bus33000", Value: "2"}, // the city's first bus
 	}})
 	if err := sysB.engines.Restore(retired); err == nil || !strings.Contains(err.Error(), `"~shard/overrides"`) {
 		t.Errorf("restore of a tier state with an overrides section: err = %v, want it refused by name", err)

@@ -57,12 +57,6 @@ const (
 	crowdFreeFlow      = 1250
 )
 
-// SparsityMap runs the traffic modelling component on the SCATS
-// readings only. See FlowMap for the crowdsourcing-augmented variant.
-func (s *System) SparsityMap(alpha, beta, noiseVar float64) (*FlowEstimate, error) {
-	return s.FlowMap(MapConfig{Alpha: alpha, Beta: beta, SensorNoise: noiseVar})
-}
-
 // FlowMap runs the traffic modelling component: the most recent
 // reading of every SCATS sensor (aggregated per junction) — and,
 // optionally, the latest crowd verdicts as noisier pseudo-readings —

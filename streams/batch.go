@@ -137,9 +137,6 @@ func (c *Col) List(i int) []int32 {
 	return c.L[start:c.Ends[i]]
 }
 
-// Str returns the string value of row i of a ColStr column.
-func (c *Col) Str(i int) string { return c.Dict[c.SIdx[i]] }
-
 // Value returns the boxed value of row i, typed by Kind (float64,
 // int64, bool, string or a copied []int32) — the compatibility bridge
 // for map-shaped consumers. It allocates for most values; batch-path
@@ -237,6 +234,8 @@ var liveBatches atomic.Int64
 // LiveBatches returns the number of pooled batches currently in use.
 // A balanced producer/consumer pair leaves the count where it found
 // it; tests use the delta to prove no batch leaked past a run.
+//
+//lint:allow unusedapi the batch pool's leak observable: the pipeline tests prove every run returns its transport buffers
 func LiveBatches() int64 { return liveBatches.Load() }
 
 func poolFor(typ, source string) *sync.Pool {

@@ -32,10 +32,10 @@ func TestBatchRoundTrip(t *testing.T) {
 	if got := it.String(RowType); got != "move" {
 		t.Errorf("type = %q", got)
 	}
-	if got := it.Int(RowTime); got != 103 {
+	if got := intOf(it, RowTime); got != 103 {
 		t.Errorf("time = %d", got)
 	}
-	if got := it.Int(RowArrival); got != 113 {
+	if got := intOf(it, RowArrival); got != 113 {
 		t.Errorf("arrival = %d", got)
 	}
 	if got := it.String(RowKey); got != "k0" {
@@ -47,7 +47,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if got := it.Float("density"); got != 0.3 {
 		t.Errorf("density = %v", got)
 	}
-	if got := it.Int("delay"); got != 6 {
+	if got := intOf(it, "delay"); got != 6 {
 		t.Errorf("delay = %d", got)
 	}
 	if it.Bool("congested") {
@@ -180,7 +180,7 @@ func TestBatchExpansionThroughChain(t *testing.T) {
 	if len(items) != 2 {
 		t.Fatalf("got %d items, want 2", len(items))
 	}
-	if got := items[0].Int(RowTime); got != 101 {
+	if got := intOf(items[0], RowTime); got != 101 {
 		t.Errorf("first surviving row time = %d, want 101", got)
 	}
 	if got := LiveBatches(); got != before {
@@ -200,7 +200,7 @@ func TestBatchAwareProcessorOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := sink.Items()
-	if len(items) != 1 || items[0].Int("rows") != 3 {
+	if len(items) != 1 || intOf(items[0], "rows") != 3 {
 		t.Fatalf("items = %v, want one summary of 3 rows", items)
 	}
 	if got := LiveBatches(); got != before {
@@ -237,7 +237,7 @@ func TestChaosBatchRowFaulting(t *testing.T) {
 		if !ok {
 			break
 		}
-		want = append(want, it.Int("i"))
+		want = append(want, intOf(it, "i"))
 	}
 
 	// Batched: the same 200 events in 4 batches of 50.

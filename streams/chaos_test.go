@@ -24,7 +24,7 @@ func TestChaosSourcePassthrough(t *testing.T) {
 		t.Fatalf("zero-fault spec delivered %d of 20 items", len(out))
 	}
 	for i, it := range out {
-		if it.Int("n") != int64(i) {
+		if intOf(it, "n") != int64(i) {
 			t.Fatalf("item %d = %v, order must be preserved", i, it)
 		}
 	}
@@ -40,7 +40,7 @@ func TestChaosSourceDeterministic(t *testing.T) {
 		src := NewChaosSource(NewSliceSource(numberedItems(200)...), spec)
 		var seq []int64
 		for _, it := range chaosDrainAll(src) {
-			seq = append(seq, it.Int("n"))
+			seq = append(seq, intOf(it, "n"))
 		}
 		return seq
 	}
@@ -60,7 +60,7 @@ func TestChaosSourceDeterministic(t *testing.T) {
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
-			if a[i] != c[i].Int("n") {
+			if a[i] != intOf(c[i], "n") {
 				same = false
 				break
 			}
@@ -92,7 +92,7 @@ func TestChaosSourceDuplicate(t *testing.T) {
 	}
 	counts := map[int64]int{}
 	for _, it := range out {
-		counts[it.Int("n")]++
+		counts[intOf(it, "n")]++
 	}
 	twice := 0
 	for _, c := range counts {
@@ -113,7 +113,7 @@ func TestChaosSourceDelayReorders(t *testing.T) {
 	}
 	inversions := 0
 	for i := 1; i < len(out); i++ {
-		if out[i].Int("n") < out[i-1].Int("n") {
+		if intOf(out[i], "n") < intOf(out[i-1], "n") {
 			inversions++
 		}
 	}
@@ -132,7 +132,7 @@ func TestChaosSourceStallForever(t *testing.T) {
 		t.Fatalf("dead source delivered %d items, want the 30 pre-stall ones", len(out))
 	}
 	for i, it := range out {
-		if it.Int("n") != int64(i) {
+		if intOf(it, "n") != int64(i) {
 			t.Fatalf("pre-stall item %d = %v", i, it)
 		}
 	}
@@ -150,7 +150,7 @@ func TestChaosSourceStallRecovers(t *testing.T) {
 	// Order must be fully preserved: the backlog floods out before the
 	// post-stall items.
 	for i, it := range out {
-		if it.Int("n") != int64(i) {
+		if intOf(it, "n") != int64(i) {
 			t.Fatalf("item %d = %v after recovery, want order preserved", i, it)
 		}
 	}
@@ -166,7 +166,7 @@ func TestChaosSourceStallBeyondEndFlushesBacklog(t *testing.T) {
 		t.Fatalf("stall past end of feed delivered %d items, want all 50", len(out))
 	}
 	for i, it := range out {
-		if it.Int("n") != int64(i) {
+		if intOf(it, "n") != int64(i) {
 			t.Fatalf("item %d = %v, want order preserved", i, it)
 		}
 	}

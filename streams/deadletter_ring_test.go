@@ -14,7 +14,7 @@ import (
 func TestDeadLetterRingBounded(t *testing.T) {
 	const total = maxDeadLetters + 300
 	alwaysFail := ProcessorFunc(func(it Item) (Item, error) {
-		return nil, fmt.Errorf("doomed item %d", it.Int("n"))
+		return nil, fmt.Errorf("doomed item %d", intOf(it, "n"))
 	})
 	top, out := buildLine(t, "worker", numberedItems(total), alwaysFail)
 	if err := top.Supervise("worker", SupervisionPolicy{Strategy: SkipItem}); err != nil {
@@ -39,8 +39,8 @@ func TestDeadLetterRingBounded(t *testing.T) {
 	}
 	// Newest maxDeadLetters items, oldest-first: n = total-max .. total-1.
 	for i, dl := range dead {
-		if want := int64(total - maxDeadLetters + i); dl.Item.Int("n") != want {
-			t.Fatalf("dead[%d].n = %d, want %d", i, dl.Item.Int("n"), want)
+		if want := int64(total - maxDeadLetters + i); intOf(dl.Item, "n") != want {
+			t.Fatalf("dead[%d].n = %d, want %d", i, intOf(dl.Item, "n"), want)
 		}
 		if dl.Process != "worker" {
 			t.Fatalf("dead[%d].Process = %q", i, dl.Process)
@@ -53,7 +53,7 @@ func TestDeadLetterRingBounded(t *testing.T) {
 func TestDeadLetterRingUnderCap(t *testing.T) {
 	boom := errors.New("boom")
 	failOdd := ProcessorFunc(func(it Item) (Item, error) {
-		if it.Int("n")%2 == 1 {
+		if intOf(it, "n")%2 == 1 {
 			return nil, boom
 		}
 		return it, nil
@@ -77,8 +77,8 @@ func TestDeadLetterRingUnderCap(t *testing.T) {
 		t.Fatalf("retained %d dead letters, want 10", len(dead))
 	}
 	for i, dl := range dead {
-		if want := int64(2*i + 1); dl.Item.Int("n") != want {
-			t.Fatalf("dead[%d].n = %d, want %d", i, dl.Item.Int("n"), want)
+		if want := int64(2*i + 1); intOf(dl.Item, "n") != want {
+			t.Fatalf("dead[%d].n = %d, want %d", i, intOf(dl.Item, "n"), want)
 		}
 	}
 }

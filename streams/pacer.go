@@ -69,30 +69,39 @@ func (p *Pacer) minOthersLocked(id string) (int64, bool) {
 
 // Wait blocks until stream id may emit an item timestamped t, i.e.
 // until t is within the slack bound of the slowest other live stream.
-// It returns false if the context is cancelled first.
+// It returns false if the context is cancelled first. A stream that may
+// emit at once allocates nothing; only one that has to wait registers
+// the wake-up that cancellation needs.
 func (p *Pacer) Wait(ctx context.Context, id string, t int64) bool {
-	stop := context.AfterFunc(ctx, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t > p.clock[id] {
 		p.clock[id] = t // announce before waiting: deadlock freedom
 		p.cond.Broadcast()
 	}
-	for {
-		if ctx.Err() != nil {
-			return false
+	var stop func() bool
+	admitted := false
+	for ctx.Err() == nil {
+		if min, constrained := p.minOthersLocked(id); !constrained || t <= min+p.slack {
+			admitted = true
+			break
 		}
-		min, constrained := p.minOthersLocked(id)
-		if !constrained || t <= min+p.slack {
-			return true
+		if stop == nil {
+			stop = context.AfterFunc(ctx, p.wake) //lint:allow hotalloc the slow path: one registration per Wait that blocks
 		}
 		p.cond.Wait()
 	}
+	if stop != nil {
+		stop()
+	}
+	return admitted
+}
+
+// wake rouses every waiting stream, so each re-checks its context.
+func (p *Pacer) wake() {
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 // Finish marks the stream as ended; it no longer constrains the

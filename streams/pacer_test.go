@@ -107,10 +107,32 @@ func TestPacerWaitCancellation(t *testing.T) {
 	}
 }
 
+// TestPacerWaitFreeAllocatesNothing: a stream within the slack bound
+// of every other emits at once and allocates nothing — the wake-up
+// cancellation needs is registered only by a Wait that blocks, which
+// TestPacerWaitCancellation covers.
+func TestPacerWaitFreeAllocatesNothing(t *testing.T) {
+	p := NewPacer(10)
+	p.Register("a", 0)
+	p.Register("b", 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	next := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		next = next%10 + 1
+		if !p.Wait(ctx, "a", next) {
+			t.Fatal("an unconstrained Wait refused")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an unconstrained Wait allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestPacedSourceAligns: two paced slice sources drained concurrently
 // stay within the slack bound; exhaustion of one frees the other.
 func TestPacedSourceAligns(t *testing.T) {
-	timeOf := func(it Item) (int64, bool) { return it.Int("t"), true }
+	timeOf := func(it Item) (int64, bool) { return intOf(it, "t"), true }
 	mkItems := func(n, step int) []Item {
 		items := make([]Item, n)
 		for i := range items {

@@ -29,6 +29,8 @@ func Filter(pred func(Item) bool) Processor {
 }
 
 // Map transforms every item (the function may return the same item).
+//
+//lint:allow unusedapi standard processor of the Streams framework (Section 3)
 func Map(f func(Item) Item) Processor {
 	return ProcessorFunc(func(it Item) (Item, error) {
 		return f(it), nil
@@ -132,11 +134,10 @@ func (c *Counter) Process(it Item) (Item, error) {
 	return out, nil
 }
 
-// Count returns the number of items seen so far.
-func (c *Counter) Count() int64 { return c.count.Load() }
-
 // RegisterStdProcessors adds the standard processor classes to a
 // registry for use in XML flow definitions.
+//
+//lint:allow unusedapi the XML topology loader's standard processors (Section 3)
 func RegisterStdProcessors(reg *Registry) error {
 	register := func(class string, f ProcessorFactory) error {
 		return reg.RegisterProcessor(class, f)

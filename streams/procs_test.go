@@ -47,13 +47,13 @@ func TestRename(t *testing.T) {
 	if _, ok := out[0]["a"]; ok {
 		t.Error("source key should be gone")
 	}
-	if out[0].Int("b") != 1 || out[0].Int("c") != 2 {
+	if intOf(out[0], "b") != 1 || intOf(out[0], "c") != 2 {
 		t.Errorf("Rename = %v", out[0])
 	}
 	// Missing source key passes through.
 	src := Item{"x": 1}
 	out = runThrough(t, p, src)
-	if out[0].Int("x") != 1 {
+	if intOf(out[0], "x") != 1 {
 		t.Error("item without source key must pass unchanged")
 	}
 }
@@ -61,7 +61,7 @@ func TestRename(t *testing.T) {
 func TestSelect(t *testing.T) {
 	p := Select("a", "b")
 	out := runThrough(t, p, Item{"a": 1, "b": 2, "c": 3})
-	if len(out[0]) != 2 || out[0].Int("a") != 1 {
+	if len(out[0]) != 2 || intOf(out[0], "a") != 1 {
 		t.Errorf("Select = %v", out[0])
 	}
 }
@@ -84,7 +84,7 @@ func TestSampleEvery(t *testing.T) {
 	if len(out) != 3 {
 		t.Fatalf("SampleEvery(3) kept %d of 9", len(out))
 	}
-	if out[0].Int("n") != 0 || out[1].Int("n") != 3 {
+	if intOf(out[0], "n") != 0 || intOf(out[1], "n") != 3 {
 		t.Errorf("kept wrong items: %v", out)
 	}
 	if p := SampleEvery(0); p == nil {
@@ -96,7 +96,7 @@ func TestLimitFirst(t *testing.T) {
 	p := LimitFirst(2)
 	items := []Item{{"n": 1}, {"n": 2}, {"n": 3}}
 	out := runThrough(t, p, items...)
-	if len(out) != 2 || out[1].Int("n") != 2 {
+	if len(out) != 2 || intOf(out[1], "n") != 2 {
 		t.Errorf("LimitFirst = %v", out)
 	}
 }
@@ -108,10 +108,10 @@ func TestSetAndCounter(t *testing.T) {
 	}
 	c := NewCounter("seq")
 	out = runThrough(t, c, Item{}, Item{}, Item{})
-	if c.Count() != 3 {
-		t.Errorf("Count = %d", c.Count())
+	if c.count.Load() != 3 {
+		t.Errorf("count = %d", c.count.Load())
 	}
-	if out[2].Int("seq") != 3 {
+	if intOf(out[2], "seq") != 3 {
 		t.Errorf("stamped sequence = %v", out[2])
 	}
 	silent := NewCounter("")
@@ -169,7 +169,7 @@ func TestRegisterStdProcessorsXML(t *testing.T) {
 		}
 		// select runs before count, so seq must survive select? No:
 		// count is last, so seq is stamped after selection.
-		if it.Int("seq") != int64(i+1) {
+		if intOf(it, "seq") != int64(i+1) {
 			t.Errorf("seq = %v", it)
 		}
 	}

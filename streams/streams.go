@@ -47,6 +47,8 @@ func (it Item) String(key string) string {
 // usual float64 way; uint64 values above math.MaxInt64 convert exactly
 // (no wraparound — the conversion goes straight to float64); a
 // json.Number that does not parse as a float yields 0.
+//
+//lint:allow unusedapi Item's typed accessor; Example_xmlpipeline's processor reads readings with it
 func (it Item) Float(key string) float64 {
 	switch v := it[key].(type) {
 	case float64:
@@ -71,45 +73,6 @@ func (it Item) Float(key string) float64 {
 			return 0
 		}
 		return f
-	}
-	return 0
-}
-
-// Int returns a numeric attribute as int64, coercing the same payload
-// types as Float.
-//
-// Truncation semantics: floats truncate toward zero (1.9 → 1,
-// -1.9 → -1); a uint or uint64 above math.MaxInt64 wraps (two's
-// complement conversion) — feeds do not produce such values, and
-// callers that could see them must range-check before coercing; a
-// json.Number is parsed as an int64 first and falls back to
-// parse-as-float-then-truncate, yielding 0 if neither parse succeeds.
-func (it Item) Int(key string) int64 {
-	switch v := it[key].(type) {
-	case int64:
-		return v
-	case int:
-		return int64(v)
-	case int32:
-		return int64(v)
-	case uint:
-		return int64(v)
-	case uint32:
-		return int64(v)
-	case uint64:
-		return int64(v)
-	case float64:
-		return int64(v)
-	case float32:
-		return int64(v)
-	case json.Number:
-		if n, err := v.Int64(); err == nil {
-			return n
-		}
-		if f, err := v.Float64(); err == nil {
-			return int64(f)
-		}
-		return 0
 	}
 	return 0
 }
@@ -288,9 +251,3 @@ func (c *CollectorSink) Len() int {
 	defer c.mu.Unlock()
 	return len(c.items)
 }
-
-// DiscardSink drops every item.
-type DiscardSink struct{}
-
-// Write discards the item.
-func (DiscardSink) Write(Item) error { return nil }

@@ -19,9 +19,6 @@ func TestItemAccessors(t *testing.T) {
 	if it.Float("f") != 1.5 || it.Float("i") != 7 || it.Float("n") != 3 {
 		t.Error("Float accessor")
 	}
-	if it.Int("i") != 7 || it.Int("f") != 1 || it.Int("n") != 3 {
-		t.Error("Int accessor")
-	}
 	if !it.Bool("b") || it.Bool("s") {
 		t.Error("Bool accessor")
 	}
@@ -37,17 +34,16 @@ func TestItemNumericCoercions(t *testing.T) {
 		name      string
 		value     any
 		wantFloat float64
-		wantInt   int64
 	}{
-		{"float64", float64(2.5), 2.5, 2},
-		{"float32", float32(1.5), 1.5, 1},
-		{"int", int(-4), -4, -4},
-		{"int32", int32(9), 9, 9},
-		{"int64", int64(12), 12, 12},
-		{"uint", uint(7), 7, 7},
-		{"string", "nope", 0, 0},
-		{"bool", true, 0, 0},
-		{"missing", nil, 0, 0},
+		{"float64", float64(2.5), 2.5},
+		{"float32", float32(1.5), 1.5},
+		{"int", int(-4), -4},
+		{"int32", int32(9), 9},
+		{"int64", int64(12), 12},
+		{"uint", uint(7), 7},
+		{"string", "nope", 0},
+		{"bool", true, 0},
+		{"missing", nil, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,9 +53,6 @@ func TestItemNumericCoercions(t *testing.T) {
 			}
 			if got := it.Float("v"); got != c.wantFloat {
 				t.Errorf("Float(%T %v) = %v, want %v", c.value, c.value, got, c.wantFloat)
-			}
-			if got := it.Int("v"); got != c.wantInt {
-				t.Errorf("Int(%T %v) = %v, want %v", c.value, c.value, got, c.wantInt)
 			}
 		})
 	}
@@ -73,7 +66,7 @@ func TestSliceSource(t *testing.T) {
 	if !ok1 || !ok2 || ok3 {
 		t.Fatal("SliceSource read sequence broken")
 	}
-	if it1.Int("n") != 1 || it2.Int("n") != 2 {
+	if intOf(it1, "n") != 1 || intOf(it2, "n") != 2 {
 		t.Error("items out of order")
 	}
 }
@@ -87,7 +80,7 @@ func TestQueueBasics(t *testing.T) {
 		t.Errorf("Len = %d", q.Len())
 	}
 	it, ok := q.Read()
-	if !ok || it.Int("n") != 1 {
+	if !ok || intOf(it, "n") != 1 {
 		t.Error("Read")
 	}
 	q.Close()
@@ -128,9 +121,6 @@ func TestCollectorSink(t *testing.T) {
 	}
 	if c.Len() != 3 || len(c.Items()) != 3 {
 		t.Error("collector miscounts")
-	}
-	if (DiscardSink{}).Write(Item{}) != nil {
-		t.Error("DiscardSink must accept everything")
 	}
 }
 
@@ -238,8 +228,8 @@ func TestTopologyProcessorError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := ProcessorFunc(func(it Item) (Item, error) {
-		if it.Int("n") >= 3 {
-			return nil, fmt.Errorf("boom at %d", it.Int("n"))
+		if intOf(it, "n") >= 3 {
+			return nil, fmt.Errorf("boom at %d", intOf(it, "n"))
 		}
 		return it, nil
 	})
@@ -499,4 +489,16 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	if count != producers*perProducer {
 		t.Errorf("consumed %d, want %d", count, producers*perProducer)
 	}
+}
+
+// intOf reads an integer attribute of a test item: an int a test
+// stored, or the int64 a Counter or a batch row carries.
+func intOf(it Item, key string) int64 {
+	switch v := it[key].(type) {
+	case int:
+		return int64(v)
+	case int64:
+		return v
+	}
+	return 0
 }

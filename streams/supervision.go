@@ -61,6 +61,7 @@ type ExhaustAction int
 // Exhaustion actions.
 const (
 	// Escalate aborts the topology with the last error (default).
+	//lint:allow unusedapi names the zero ExhaustAction, the default every policy falls back to
 	Escalate ExhaustAction = iota
 	// Isolate stops only the failing process: it is marked
 	// HealthFailed, its item is dead-lettered, its output queue closes
@@ -119,9 +120,11 @@ func (r RetryPolicy) Delay(attempt int) time.Duration {
 type SupervisionPolicy struct {
 	Strategy Strategy
 	// Retry configures the Restart strategy's backoff.
+	//lint:allow unusedapi process supervision of the Streams backbone; Topology.Health reports its outcome
 	Retry RetryPolicy
 	// OnExhausted decides what Restart does after Retry.MaxAttempts
 	// failed retries of the same item.
+	//lint:allow unusedapi process supervision of the Streams backbone; Topology.Health reports its outcome
 	OnExhausted ExhaustAction
 }
 

@@ -79,7 +79,7 @@ func numberedItems(n int) []Item {
 func transientFault(poison int, fails int) Processor {
 	var seen atomic.Int64
 	return ProcessorFunc(func(it Item) (Item, error) {
-		if it.Int("n") == int64(poison) && seen.Add(1) <= int64(fails) {
+		if intOf(it, "n") == int64(poison) && seen.Add(1) <= int64(fails) {
 			return nil, fmt.Errorf("transient fault on %d", poison)
 		}
 		return it, nil
@@ -114,7 +114,7 @@ func TestSupervisionRestartRecovers(t *testing.T) {
 
 func TestSupervisionRestartExhaustedEscalates(t *testing.T) {
 	always := ProcessorFunc(func(it Item) (Item, error) {
-		if it.Int("n") == 3 {
+		if intOf(it, "n") == 3 {
 			return nil, fmt.Errorf("permanent fault")
 		}
 		return it, nil
@@ -229,8 +229,8 @@ func TestSupervisionIsolateDrainsInput(t *testing.T) {
 
 func TestSupervisionSkipItemDeadLetters(t *testing.T) {
 	odd := ProcessorFunc(func(it Item) (Item, error) {
-		if it.Int("n")%2 == 1 {
-			return nil, fmt.Errorf("odd item %d", it.Int("n"))
+		if intOf(it, "n")%2 == 1 {
+			return nil, fmt.Errorf("odd item %d", intOf(it, "n"))
 		}
 		return it, nil
 	})
@@ -253,7 +253,7 @@ func TestSupervisionSkipItemDeadLetters(t *testing.T) {
 		t.Fatalf("dead letters = %d, want 5", len(dls))
 	}
 	for _, dl := range dls {
-		if dl.Item.Int("n")%2 != 1 || dl.Err == nil || dl.Process != "worker" {
+		if intOf(dl.Item, "n")%2 != 1 || dl.Err == nil || dl.Process != "worker" {
 			t.Errorf("malformed dead letter %+v", dl)
 		}
 	}
@@ -296,7 +296,7 @@ func TestQueueSurvivesWriterRestart(t *testing.T) {
 	var mu sync.Mutex
 	perItem := map[int64]int{}
 	flaky := ProcessorFunc(func(it Item) (Item, error) {
-		n := it.Int("n")
+		n := intOf(it, "n")
 		if n%10 != 7 {
 			return it, nil
 		}
@@ -483,7 +483,7 @@ func (p *pairBuffer) Process(it Item) (Item, error) {
 	if len(p.buf) < 2 {
 		return nil, nil
 	}
-	out := Item{"sum": p.buf[0].Int("n") + p.buf[1].Int("n")}
+	out := Item{"sum": intOf(p.buf[0], "n") + intOf(p.buf[1], "n")}
 	p.buf = nil
 	return out, nil
 }
@@ -492,7 +492,7 @@ func (p *pairBuffer) Flush() ([]Item, error) {
 	if len(p.buf) == 0 {
 		return nil, nil
 	}
-	out := []Item{{"sum": p.buf[0].Int("n")}}
+	out := []Item{{"sum": intOf(p.buf[0], "n")}}
 	p.buf = nil
 	return out, nil
 }
@@ -516,7 +516,7 @@ func TestProcessFlushOnExhaustion(t *testing.T) {
 			t.Errorf("item %v skipped the downstream processors", it)
 		}
 	}
-	if items[2].Int("sum") != 4 {
+	if intOf(items[2], "sum") != 4 {
 		t.Errorf("flushed tail = %v, want the lone item 4", items[2])
 	}
 }

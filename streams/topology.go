@@ -354,6 +354,8 @@ func (t *Topology) RegisterService(id string, s Service) error {
 }
 
 // LookupService retrieves a named service.
+//
+//lint:allow unusedapi the Streams framework's service lookup (Section 3)
 func (t *Topology) LookupService(id string) (Service, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -424,6 +426,8 @@ func (t *Topology) Supervise(processName string, policy SupervisionPolicy) error
 // Health returns the supervision state of every process, keyed by
 // process name, as of the current or most recent Run (idle states
 // before the first Run).
+//
+//lint:allow unusedapi ROADMAP item 15(b) gives it a caller: the dashboard's /healthz
 func (t *Topology) Health() map[string]ProcessHealth {
 	t.mu.Lock()
 	sup := t.sup

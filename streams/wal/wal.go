@@ -32,9 +32,8 @@
 //
 // Durability policy. SyncAlways (the default) fsyncs after every
 // append, which is what makes "consumed implies durable" hold for the
-// pipeline's checkpoint offsets; SyncRotate amortizes the fsync to
-// segment boundaries and SyncNever leaves flushing to the OS — both
-// trade the crash-equivalence guarantee for throughput and are meant
+// pipeline's checkpoint offsets; SyncNever leaves flushing to the OS,
+// trading the crash-equivalence guarantee for throughput, and is meant
 // for benchmarks.
 package wal
 
@@ -59,8 +58,6 @@ const (
 	// SyncAlways fsyncs after every append (default): an acknowledged
 	// record is durable.
 	SyncAlways SyncPolicy = iota
-	// SyncRotate fsyncs only when a segment fills up or the log closes.
-	SyncRotate
 	// SyncNever never fsyncs explicitly.
 	SyncNever
 )
@@ -342,9 +339,6 @@ func (l *Log) syncLocked() error {
 // countSync counts one write-path fsync.
 func (l *Log) countSync() { l.syncs.Add(1) }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir } //lint:allow lockguard dir is immutable after Open
-
 // Append frames payload, writes it to the active segment and returns
 // the record's logical [start, end) offsets. With SyncAlways the
 // record is durable when Append returns. After a failed write or sync
@@ -397,16 +391,6 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	return l.openSegmentLocked(l.base + l.size)
-}
-
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	return l.syncLocked()
 }
 
 // Close syncs (unless SyncNever) and closes the active segment.

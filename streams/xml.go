@@ -37,6 +37,8 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
+//
+//lint:allow unusedapi the XML topology loader of Section 3
 func NewRegistry() *Registry {
 	return &Registry{
 		processors: make(map[string]ProcessorFactory),
@@ -54,6 +56,8 @@ func (r *Registry) RegisterProcessor(class string, f ProcessorFactory) error {
 }
 
 // RegisterService adds a service class.
+//
+//lint:allow unusedapi the XML topology loader of Section 3
 func (r *Registry) RegisterService(class string, f ServiceFactory) error {
 	if _, dup := r.services[class]; dup {
 		return fmt.Errorf("streams: duplicate service class %q", class)
@@ -108,6 +112,8 @@ const maxXMLQueueCapacity = 1 << 16
 // services to the topology. Inputs referenced by processes must
 // already exist in the topology (as streams or queues declared earlier
 // in the same document).
+//
+//lint:allow unusedapi the XML topology loader of Section 3
 func LoadXML(t *Topology, reg *Registry, r io.Reader) error {
 	var app xmlApplication
 	if err := xml.NewDecoder(r).Decode(&app); err != nil {

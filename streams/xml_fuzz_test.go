@@ -11,7 +11,7 @@ import (
 // never panics — nor sizes an allocation by an attribute it has not
 // bounded.
 func FuzzLoadXML(f *testing.F) {
-	// examples/xmlpipeline's document (its congestion-flag class is not
+	// Example_xmlpipeline's document (its congestion-flag class is not
 	// in the standard registry, so this one is refused), a loadable
 	// variant of it, a huge queue and an unknown class.
 	f.Add([]byte(`

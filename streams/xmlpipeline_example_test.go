@@ -1,21 +1,10 @@
-// Xmlpipeline: the Streams framework used the way the paper describes
-// it (Section 3) — a data-flow graph declared in XML, standard
-// processors for cleaning, and an application-defined processor class
-// registered through the API ("adding customized processors is
-// realised by implementing the respective interfaces"). The pipeline
-// ingests a synthetic SCATS stream delivered as one columnar batch
-// (plus a couple of malformed per-item records, as real feeds have),
-// flags congested readings with a custom batch-aware processor that
-// appends a column instead of cloning one map per reading, and lets
-// the non-batch-aware cleaning stage receive the rows as lazily
-// materialized Items — the two transport representations coexisting in
-// one chain.
-package main
+package streams_test
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -24,7 +13,7 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-const flowDefinition = `
+const pipelineDefinition = `
 <application>
   <queue id="readings" capacity="256"/>
   <process id="ingest" input="scats" output="readings">
@@ -62,9 +51,20 @@ func (c *congestionFlag) ProcessBatch(b *streams.Batch) ([]streams.Item, error) 
 	return []streams.Item{streams.BatchItem(b)}, nil
 }
 
-func main() {
-	log.SetFlags(0)
-
+// Xmlpipeline: the Streams framework used the way the paper describes
+// it (Section 3) — a data-flow graph declared in XML, standard
+// processors for cleaning, and an application-defined processor class
+// registered through the API ("adding customized processors is
+// realised by implementing the respective interfaces"). The pipeline
+// ingests a synthetic SCATS stream delivered as one columnar batch
+// (plus a couple of malformed per-item records, as real feeds have),
+// flags congested readings with a custom batch-aware processor that
+// appends a column instead of cloning one map per reading, and lets
+// the non-batch-aware cleaning stage receive the rows as lazily
+// materialized Items — the two transport representations coexisting in
+// one chain.
+// Run it with: go test -run Example_xmlpipeline -v ./streams
+func Example_xmlpipeline() {
 	// Registry: the standard library plus our own processor class.
 	reg := streams.NewRegistry()
 	if err := streams.RegisterStdProcessors(reg); err != nil {
@@ -113,7 +113,7 @@ func main() {
 	if err := top.AddSink("out", sink); err != nil {
 		log.Fatal(err)
 	}
-	if err := streams.LoadXML(top, reg, strings.NewReader(flowDefinition)); err != nil {
+	if err := streams.LoadXML(top, reg, strings.NewReader(pipelineDefinition)); err != nil {
 		log.Fatal(err)
 	}
 	if err := top.Run(context.Background()); err != nil {
@@ -129,17 +129,19 @@ func main() {
 	fmt.Printf("ingested %d batched + %d stray records → %d clean readings, %d flagged congested\n",
 		rows, len(items)-1, sink.Len(), congested)
 
-	congestedSensors := map[string]bool{}
+	seen := map[string]bool{}
+	var congestedSensors []string
 	for _, it := range sink.Items() {
-		if it.Bool("congested") {
-			congestedSensors[it.String("key")] = true
+		if key := it.String("key"); it.Bool("congested") && !seen[key] {
+			seen[key] = true
+			congestedSensors = append(congestedSensors, key)
 		}
 	}
 	if len(congestedSensors) > 0 {
-		fmt.Print("congested sensors:")
-		for s := range congestedSensors {
-			fmt.Printf(" %s", s)
-		}
-		fmt.Println()
+		sort.Strings(congestedSensors)
+		fmt.Printf("congested sensors: %s\n", strings.Join(congestedSensors, " "))
 	}
+	// Output:
+	// ingested 249 batched + 2 stray records → 249 clean readings, 25 flagged congested
+	// congested sensors: scats0006 scats0011 scats0012 scats0031 scats0032 scats0042 scats0043 scats0044
 }

@@ -1,14 +1,9 @@
-// Congestion: using the CEP layer directly. This example scripts a
-// small scenario over two SCATS intersections and one bus line, builds
-// the paper's CE definitions PLUS a custom "gridlockRisk" complex
-// event on top of them, and walks through three query times, printing
-// the recognised fluents — including how a delayed SDE is recovered by
-// a window larger than the step (Figure 2 of the paper).
-package main
+package traffic_test
 
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"github.com/insight-dublin/insight/geo"
 	"github.com/insight-dublin/insight/interval"
@@ -16,9 +11,14 @@ import (
 	"github.com/insight-dublin/insight/traffic"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Congestion: using the CEP layer directly. This example scripts a
+// small scenario over two SCATS intersections and one bus line, builds
+// the paper's CE definitions PLUS a custom "gridlockRisk" complex
+// event on top of them, and walks through three query times, printing
+// the recognised fluents — including how a delayed SDE is recovered by
+// a window larger than the step (Figure 2 of the paper).
+// Run it with: go test -run Example_congestion -v ./traffic
+func Example_congestion() {
 	// Two intersections on the quays.
 	posA := geo.At(53.3466, -6.2756)
 	posB := geo.At(53.3471, -6.2621)
@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report(engine, 600)
+	printQuery(engine, 600)
 
 	// A DELAYED SDE: it occurred at t=580 (inside the previous step)
 	// but arrives only now. The 20-minute window still covers it.
@@ -74,8 +74,37 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report(engine, 1200)
-	report(engine, 1800)
+	printQuery(engine, 1200)
+	printQuery(engine, 1800)
+	// Output:
+	// — query time 600 (window [-599, 601), 6 SDEs)
+	//    holdsFor(scatsCongestion(s1)=true, [101, 601))
+	//    holdsFor(scatsCongestion(s2)=true, [101, 601))
+	//    holdsFor(scatsIntCongestion(bachelors-walk)=true, [101, 601))
+	//    holdsFor(busCongestion(bachelors-walk)=true, [121, 601))
+	//    holdsFor(gridlockRisk(bachelors-walk)=true, [401, 601))
+	//    happensAt(delayIncrease(bus33009, +130 s), 145)
+	//
+	// — query time 1200 (window [1, 1201), 9 SDEs)
+	//    holdsFor(scatsCongestion(s1)=true, [101, 821))
+	//    holdsFor(scatsCongestion(s2)=true, [101, 821))
+	//    holdsFor(scatsIntCongestion(bachelors-walk)=true, [101, 821))
+	//    holdsFor(busCongestion(bachelors-walk)=true, [121, 1201))
+	//    holdsFor(busCongestion(oconnell-bridge)=true, [581, 1201))
+	//    holdsFor(sourceDisagreement(bachelors-walk)=true, [821, 1201))
+	//    holdsFor(sourceDisagreement(oconnell-bridge)=true, [581, 1201))
+	//    holdsFor(gridlockRisk(bachelors-walk)=true, [401, 821))
+	//    happensAt(delayIncrease(bus33009, +130 s), 145)
+	//
+	// — query time 1800 (window [601, 1801), 2 SDEs)
+	//    holdsFor(scatsCongestion(s1)=true, [601, 821))
+	//    holdsFor(scatsCongestion(s2)=true, [601, 821))
+	//    holdsFor(scatsIntCongestion(bachelors-walk)=true, [601, 821))
+	//    holdsFor(busCongestion(bachelors-walk)=true, [601, 1801))
+	//    holdsFor(busCongestion(oconnell-bridge)=true, [601, 1801))
+	//    holdsFor(sourceDisagreement(bachelors-walk)=true, [821, 1801))
+	//    holdsFor(sourceDisagreement(oconnell-bridge)=true, [601, 1801))
+	//    holdsFor(gridlockRisk(bachelors-walk)=true, [601, 821))
 }
 
 // buildWithGridlock extends the paper's definition set with a custom
@@ -112,19 +141,30 @@ func buildWithGridlock(cfg traffic.Config) (*rtec.Definitions, error) {
 	})
 }
 
-func report(e *rtec.Engine, q rtec.Time) {
+// printQuery prints one query's fluents, each fluent's instances in
+// key order.
+func printQuery(e *rtec.Engine, q rtec.Time) {
 	res, err := e.Query(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("— query time %d (window %v, %d SDEs, %v)\n",
-		int64(q), res.Window, res.Stats.InputEvents, res.Stats.Elapsed.Round(1000))
+	fmt.Printf("— query time %d (window %v, %d SDEs)\n", int64(q), res.Window, res.Stats.InputEvents)
 	for _, fluent := range []string{
 		traffic.ScatsCongestion, traffic.ScatsIntCongestion,
 		traffic.BusCongestion, traffic.SourceDisagreement, "gridlockRisk",
 	} {
-		for kv, l := range res.Fluents[fluent] {
-			fmt.Printf("   holdsFor(%s(%s)=%s, %v)\n", fluent, kv.Key, kv.Value, l)
+		kvs := make([]rtec.KV, 0, len(res.Fluents[fluent]))
+		for kv := range res.Fluents[fluent] {
+			kvs = append(kvs, kv)
+		}
+		sort.Slice(kvs, func(i, j int) bool {
+			if kvs[i].Key != kvs[j].Key {
+				return kvs[i].Key < kvs[j].Key
+			}
+			return kvs[i].Value < kvs[j].Value
+		})
+		for _, kv := range kvs {
+			fmt.Printf("   holdsFor(%s(%s)=%s, %v)\n", fluent, kv.Key, kv.Value, res.Fluents[fluent][kv])
 		}
 	}
 	for _, ev := range res.Derived[traffic.DelayIncrease] {

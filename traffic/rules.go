@@ -30,6 +30,8 @@ const (
 // paper defines busCongestion(Lon, Lat) for arbitrary coordinates,
 // which "is very useful as there are numerous areas in the city that
 // do not have SCATS sensors".
+//
+//lint:allow unusedapi set only through Config.ExtraAreas, kept with it (Section 4.3)
 type Area struct {
 	ID  string
 	Pos geo.Point
@@ -42,6 +44,7 @@ type Config struct {
 
 	// ExtraAreas are additional areas of interest monitored by
 	// busCongestion beyond the SCATS intersections.
+	//lint:allow unusedapi busCongestion at non-SCATS areas (Section 4.3)
 	ExtraAreas []Area
 
 	// DensityThreshold is the upper_Density_threshold of rule-set
@@ -63,6 +66,7 @@ type Config struct {
 	// congestion (at least MinCongestedApproaches approaches). It also
 	// defines the scatsApproachCongestion fluent, keyed
 	// "intersection/approach".
+	//lint:allow unusedapi the structured intersection-congestion definition of Section 4.3
 	StructuredIntersections bool
 	// MinCongestedApproaches is the approach threshold of the
 	// structured definition, capped by the approach count. Default 2.

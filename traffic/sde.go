@@ -120,6 +120,8 @@ const (
 // CrowdVerdict builds a crowd SDE for the intersection: the output of
 // the crowdsourcing component stating whether there was a congestion
 // at the SCATS intersection according to the human crowd.
+//
+//lint:allow unusedapi the crowd verdict SDE; Example_crowdresolve feeds one back by hand
 func CrowdVerdict(t rtec.Time, intersection string, val string) rtec.Event {
 	return rtec.NewEvent(CrowdType, t, intersection, map[string]any{"value": val})
 }
@@ -209,6 +211,8 @@ func (r *Registry) Lookup(id string) (Intersection, bool) {
 // implementing the paper's close(LonB, LatB, LonInt, LatInt)
 // predicate, in registration order. It allocates the result; per-event
 // callers use AppendClose.
+//
+//lint:allow unusedapi close/4 of Section 4 as a plain query, the reference AppendClose is tested against
 func (r *Registry) CloseTo(p geo.Point) []Intersection {
 	var buf [8]int32
 	near := r.AppendClose(buf[:0], p)

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/insight-dublin/insight/geo"
@@ -506,14 +508,16 @@ func TestBuildStrataShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strata := defs.Strata()
 	// With Adaptive on, busCongestion must evaluate after noisy, which
 	// evaluates after disagree/agree, which evaluate after
-	// scatsIntCongestion, which evaluates after scatsCongestion.
+	// scatsIntCongestion, which evaluates after scatsCongestion. Describe
+	// lists every rule as "stratum N  name ...".
 	level := make(map[string]int)
-	for i, names := range strata {
-		for _, n := range names {
-			level[n] = i
+	for _, line := range strings.Split(defs.Describe(), "\n") {
+		var stratum int
+		var name string
+		if n, _ := fmt.Sscanf(line, "stratum %d %s", &stratum, &name); n == 2 {
+			level[name] = stratum
 		}
 	}
 	order := [][2]string{
