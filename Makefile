@@ -55,7 +55,7 @@ lint-json:
 # chaos tests, the parallel grid search and per-vertex variance solves, the
 # 10× street graph's flow map held to its normal equations and to
 # under 1 MB of heap —
-# including the one-loop gates: Run ≡ the per-event reference by full
+# including the one-loop gates: an OnReport run ≡ the per-event reference by full
 # fingerprint on both tiers with crowd rounds on, boundaries due together
 # (a recording that ends early, a dead mediator) each finished before the
 # next with their verdicts fed back, the report callback seeing exactly
@@ -80,7 +80,10 @@ lint-json:
 # the busy city's retained log and the rows a resume rebuilds are flat
 # from 1 h to 3 h of run, and one engine fed a new key per SDE holds
 # resident bytes, inertia seeds, dedup identities, key dictionaries and
-# per-key index flat from 10 to 40 windows), re-run the crash campaign 20 more times under the race
+# per-key index flat from 10 to 40 windows), re-run every Example three
+# times under the race detector (an output that depends on how the
+# scheduler interleaves goroutines shows as a mismatch), re-run the
+# crash campaign 20 more times under the race
 # detector (its fault schedule and counts are the same on every run),
 # re-run the crash gate and the mid-block-cursor checkpoint rebuild
 # race-free so their assertions are exercised under both schedulers,
@@ -144,6 +147,7 @@ lint-json:
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run '^Example' ./...
 	$(GO) test -race -run TestCrashEquivalence -count=20 .
 	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
 	$(GO) test -count=1 ./cmd/figures
@@ -169,7 +173,7 @@ check: lint
 
 # Recovery of the 1× durable run killed right after its second
 # boundary's checkpoint (the kill cmd/e2ebench's insight.recover_ms
-# uses): BuildDurablePipeline on a fresh copy of the killed directory —
+# uses): a durable System.Pipeline on a fresh copy of the killed directory —
 # restore, rebuild of the working memory from the log's window, replay of
 # its tail — with the loaded checkpoint's bytes (B/ckpt), the SDE rows
 # re-read for the rebuild and the WAL records replayed beside ns/op.

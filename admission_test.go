@@ -162,7 +162,7 @@ func TestLateBatchDegradesItsOwnStream(t *testing.T) {
 func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 	city := testCity(t)
-	clean, err := chaosTestSystem(t, city, nil).BuildPipeline(from, until)
+	clean, _, err := chaosTestSystem(t, city, nil).Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 	}
 
 	sys := chaosTestSystem(t, city, nil)
-	pipe, err := sys.BuildPipeline(from, until)
+	pipe, _, err := sys.Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func benchRun(b *testing.B, cfg Config, from, until Time, swap func(*System) eng
 		if swap != nil {
 			sys.engines = swap(sys)
 		}
-		pipe, err := sys.BuildPipeline(from, until)
+		pipe, _, err := sys.Pipeline(from, until, PipelineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func BenchmarkFig9_GP(b *testing.B) {
 }
 
 // BenchmarkDatasetGeneration measures the synthetic stream generator
-// (the stand-in for the 13 GB Dublin feed) the way BuildPipeline runs
+// (the stand-in for the 13 GB Dublin feed) the way System.Pipeline runs
 // it: CollectBatches into transport batches, from 07:00 on the morning
 // peak, at the paper's scale and at Profile10x. The city is built
 // outside the timer; ns/SDE is the generation cost per emitted row.

@@ -14,8 +14,7 @@ package insight
 // SDE stream, so the checkpoint names where in the log they start — the
 // window offset — and the boundaries that admitted rows from there on;
 // recovery re-reads the log from that offset and re-admits it, filing
-// each boundary's verdicts after its admission (see
-// BuildDurablePipeline).
+// each boundary's verdicts after its admission (see System.resume).
 //
 // Atomicity. The file is written to a .tmp sibling, fsynced, renamed
 // into place and the directory fsynced — a crash leaves either the

@@ -55,17 +55,17 @@ func newDurableReplay(tb testing.TB, city *dublin.City) *durableReplay {
 		tb.Fatal(err)
 	}
 	r := &durableReplay{dir: tb.TempDir()}
-	pipe, _, err := sys.BuildDurablePipeline(replayFrom, replayUntil, DurableOptions{
+	pipe, _, err := sys.Pipeline(replayFrom, replayUntil, PipelineOptions{Durable: &DurableOptions{
 		Dir: r.dir,
 		CheckpointFailpoint: func(q Time) CheckpointCrash {
 			r.written = append(r.written, q)
 			return CrashNone
 		},
-	})
+	}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.pipe, r.rt = pipe, pipe.durable
+	r.pipe, r.rt = pipe, pipe.proc.durable
 	r.rt.proc.onReport = func(rep *Report) error {
 		r.rt.st.noteAck(rep.Q)
 		return nil
@@ -337,7 +337,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkRecovery times BuildDurablePipeline on the directory of the
+// BenchmarkRecovery times a durable System.Pipeline build on the directory of the
 // 1× durable run killed right after its second boundary's checkpoint
 // became durable — the kill cmd/e2ebench's insight.recover_ms uses: load
 // that checkpoint, restore the engines, rebuild their working memory and
@@ -357,7 +357,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pipe, info, err := sys.BuildDurablePipeline(replayFrom, replayUntil, dur)
+		pipe, info, err := sys.Pipeline(replayFrom, replayUntil, PipelineOptions{Durable: &dur})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func productCheckpoint(t testing.TB, city *dublin.City, participants int) []byte
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	pipe, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: dir})
+	pipe, _, err := sys.Pipeline(7*3600, 8*3600, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCheckpointMidBlockCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := plain.BuildPipeline(replayFrom, replayUntil)
+	pipe, _, err := plain.Pipeline(replayFrom, replayUntil, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +163,14 @@ func TestCheckpointMidBlockCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, info, err := sys.BuildDurablePipeline(replayFrom, replayUntil, DurableOptions{Dir: crashed.dir})
+	resumed, info, err := sys.Pipeline(replayFrom, replayUntil, PipelineOptions{Durable: &DurableOptions{Dir: crashed.dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.Resumed || info.CheckpointQ != crashed.written[1] || info.ReplayedRecords != 0 || info.RebuiltEvents == 0 {
 		t.Fatalf("second epoch RecoveryInfo = %+v, want a rebuild of the second checkpoint and nothing to replay", info)
 	}
-	if after, _ := pendingRows(resumed.durable.proc.adm.blocks); !slices.Equal(after, before) {
+	if after, _ := pendingRows(resumed.proc.durable.proc.adm.blocks); !slices.Equal(after, before) {
 		t.Errorf("the rebuild retained %d pending rows, the crashed epoch %d, or other ones", len(after), len(before))
 	}
 	reports, err := resumed.Run(context.Background())
@@ -236,8 +236,8 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 		if info.CorruptCheckpoints != 0 {
 			t.Errorf("format-%d files counted as corrupt: %+v", format, info)
 		}
-		if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{Dir: dir}); !errors.Is(err, errUnsupportedFormat) {
-			t.Fatalf("BuildDurablePipeline over a format-%d directory: err = %v", format, err)
+		if _, _, err := sys.Pipeline(7*3600, 8*3600, PipelineOptions{Durable: &DurableOptions{Dir: dir}}); !errors.Is(err, errUnsupportedFormat) {
+			t.Fatalf("durable Pipeline over a format-%d directory: err = %v", format, err)
 		}
 		if off, err := gcCheckpoints(vfs.OS{}, dir); err != nil || off >= 0 {
 			t.Errorf("GC offered truncation point %d (err=%v) behind an unreadable format-%d checkpoint", off, err, format)

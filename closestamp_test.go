@@ -402,12 +402,12 @@ func TestReplayRefusesCorruptStamp(t *testing.T) {
 			t.Fatal("a generated batch carries a stamp before the input stage")
 		}
 		dir := logged(t, b)
-		pipe, info, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+		pipe, info, err := durableSystem(t, city).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer pipe.release()
-		defer pipe.durable.log.Close()
+		defer pipe.proc.durable.log.Close()
 		if info.ReplayedRecords != 1 {
 			t.Fatalf("replayed %d records, want the unstamped one", info.ReplayedRecords)
 		}
@@ -423,9 +423,9 @@ func TestReplayRefusesCorruptStamp(t *testing.T) {
 			t.Fatal("the first bus batch is close to nothing")
 		}
 		c.L[len(c.L)-1] = int32(len(sys.areas.Intersections()))
-		_, _, err := sys.BuildDurablePipeline(from, until, DurableOptions{Dir: logged(t, b)})
+		_, _, err := sys.Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: logged(t, b)}})
 		if err == nil || !strings.Contains(err.Error(), "replay record at 0") || !strings.Contains(err.Error(), "close stamp") {
-			t.Fatalf("BuildDurablePipeline = %v, want the record at offset 0 refused for its stamp", err)
+			t.Fatalf("durable Pipeline = %v, want the record at offset 0 refused for its stamp", err)
 		}
 	})
 }

@@ -15,7 +15,7 @@ import (
 // growing working memory (Step = WM) from the morning rush, static
 // against self-adaptive, on the paper's full-scale city split over the
 // four Dublin regions — an insight.System in its default configuration
-// driven through Run. The recognised counts are scored; the wall times
+// driven through Pipeline. The recognised counts are scored; the wall times
 // (Report.Stats.Elapsed, one run per point) are printed, not scored.
 func figure4(t *table) error {
 	const from = 7 * 3600
@@ -77,12 +77,16 @@ func recognise(city *dublin.City, adaptive bool, from, wm rtec.Time) (recognitio
 	if err != nil {
 		return r, err
 	}
-	err = sys.Run(context.Background(), from, from+wm, func(rep *insight.Report) error {
+	pipe, _, err := sys.Pipeline(from, from+wm, insight.PipelineOptions{OnReport: func(rep *insight.Report) error {
 		r.fed += rep.FedEvents
 		r.derived += rep.Stats.DerivedEvents
 		r.periods += rep.Stats.FluentPeriods
 		r.elapsed += rep.Stats.Elapsed
 		return nil
-	})
+	}})
+	if err != nil {
+		return r, err
+	}
+	_, err = pipe.Run(context.Background())
 	return r, err
 }

@@ -18,7 +18,7 @@ import (
 
 // scenario is one row of a table that runs the whole system: the city,
 // the settings the row makes (run adds City and Participants), a fault
-// profile (zero: the graph System.Run builds), the window and a target.
+// profile (zero: the plain graph), the window and a target.
 type scenario struct {
 	name         string
 	city         dublin.Config
@@ -77,7 +77,7 @@ func (sc scenario) run() ([]*insight.Report, *insight.Pipeline, eval.Confusion, 
 	if err != nil {
 		return nil, nil, conf, err
 	}
-	pipe, err := sys.BuildChaosPipeline(sc.from, sc.until, sc.chaos)
+	pipe, _, err := sys.Pipeline(sc.from, sc.until, insight.PipelineOptions{Chaos: sc.chaos})
 	if err != nil {
 		return nil, nil, conf, err
 	}

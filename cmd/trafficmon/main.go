@@ -4,12 +4,12 @@
 // and periodic operator reports. Think of it as the demo the paper
 // presents, on a terminal instead of an interactive map.
 //
-// System.Run and RunReplay are the Streams pipeline of Section 3:
-// generated or recorded SDEs enter as column batches on the five input
-// streams, each query time fires once every stream's arrival watermark
-// has passed it and admits the rows that have arrived by it, and the
-// report handler runs between boundaries, so the flow map it draws is
-// the system as of the report it is given.
+// System.Pipeline builds the Streams pipeline of Section 3: generated
+// or recorded SDEs enter as column batches on the five input streams,
+// each query time fires once every stream's arrival watermark has
+// passed it and admits the rows that have arrived by it, and the report
+// handler runs between boundaries, so the flow map it draws is the
+// system as of the report it is given.
 //
 // Usage:
 //
@@ -18,6 +18,7 @@
 //	           [-adaptive] [-json]
 //	           [-http :8080 [-pace 1s]]     # live operator dashboard
 //	           [-buscsv f1 -scatscsv f2]    # replay recorded streams
+//	           [-wal dir]                   # durable: log, checkpoint, resume
 //
 // With -http the operator dashboard of the paper's output requirement
 // ("a simple, intuitive interactive map to present all traffic
@@ -25,14 +26,21 @@
 // -pace per step. With -buscsv/-scatscsv the SDEs are replayed from
 // CSV files written by cmd/datagen instead of being generated live
 // (the city configuration must match the one the files were generated
-// with for ground-truth-dependent components to stay consistent).
+// with for ground-truth-dependent components to stay consistent). With
+// -wal every consumed SDE envelope is logged under dir and the system
+// checkpoints at each query boundary; a run started again on the same
+// directory and flags resumes from its last checkpoint, prints one line
+// saying what recovery did, and first re-prints the reports the killed
+// run may not have delivered (keep the newest report per query time).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -49,31 +57,42 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("trafficmon: ")
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the binary: it parses args, monitors and writes to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("trafficmon", flag.ContinueOnError)
 	var (
-		from         = flag.Duration("from", 7*time.Hour, "start time of day")
-		duration     = flag.Duration("duration", 2*time.Hour, "monitoring duration")
-		step         = flag.Duration("step", 5*time.Minute, "query step")
-		wm           = flag.Duration("wm", 20*time.Minute, "working memory (trend CEs need > 2 SCATS periods = 12 min)")
-		buses        = flag.Int("buses", 235, "bus fleet size (default: quarter scale)")
-		sensors      = flag.Int("sensors", 240, "SCATS sensor count")
-		participants = flag.Int("participants", 20, "crowdsourcing volunteers (0 disables)")
-		adaptive     = flag.Bool("adaptive", true, "self-adaptive recognition (rule-set 3')")
-		jsonOut      = flag.Bool("json", false, "emit reports as JSON lines")
-		incidents    = flag.Int("incidents", 0, "random daily traffic incidents to inject")
-		rules        = flag.Bool("rules", false, "print the compiled CE definition set and exit")
-		seed         = flag.Int64("seed", 1, "simulation seed")
-		httpAddr     = flag.String("http", "", "serve the operator dashboard on this address")
-		pace         = flag.Duration("pace", time.Second, "wall-clock delay per step in dashboard mode")
-		busCSV       = flag.String("buscsv", "", "replay bus SDEs from this CSV instead of generating")
-		scatsCSV     = flag.String("scatscsv", "", "replay SCATS SDEs from this CSV instead of generating")
+		from         = flags.Duration("from", 7*time.Hour, "start time of day")
+		duration     = flags.Duration("duration", 2*time.Hour, "monitoring duration")
+		step         = flags.Duration("step", 5*time.Minute, "query step")
+		wm           = flags.Duration("wm", 20*time.Minute, "working memory (trend CEs need > 2 SCATS periods = 12 min)")
+		buses        = flags.Int("buses", 235, "bus fleet size (default: quarter scale)")
+		sensors      = flags.Int("sensors", 240, "SCATS sensor count")
+		participants = flags.Int("participants", 20, "crowdsourcing volunteers (0 disables)")
+		adaptive     = flags.Bool("adaptive", true, "self-adaptive recognition (rule-set 3')")
+		jsonOut      = flags.Bool("json", false, "emit reports as JSON lines")
+		incidents    = flags.Int("incidents", 0, "random daily traffic incidents to inject")
+		rules        = flags.Bool("rules", false, "print the compiled CE definition set and exit")
+		seed         = flags.Int64("seed", 1, "simulation seed")
+		httpAddr     = flags.String("http", "", "serve the operator dashboard on this address")
+		pace         = flags.Duration("pace", time.Second, "wall-clock delay per step in dashboard mode")
+		busCSV       = flags.String("buscsv", "", "replay bus SDEs from this CSV instead of generating")
+		scatsCSV     = flags.String("scatscsv", "", "replay SCATS SDEs from this CSV instead of generating")
+		walDir       = flags.String("wal", "", "log SDEs and checkpoint under this directory, resuming from what it holds")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	city, err := dublin.NewCity(dublin.Config{
 		Seed: *seed, NumBuses: *buses, NumSensors: *sensors, Incidents: *incidents,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var vols []insight.SimParticipant
@@ -100,17 +119,17 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *rules {
-		fmt.Print(sys.Definitions().Describe())
-		return
+		_, err := fmt.Fprint(stdout, sys.Definitions().Describe())
+		return err
 	}
 
 	start := rtec.Time(from.Seconds())
 	end := start + rtec.Time(duration.Seconds())
-	fmt.Printf("monitoring Dublin %02d:%02d-%02d:%02d — %d buses, %d sensors, %d volunteers, adaptive=%v\n",
+	fmt.Fprintf(stdout, "monitoring Dublin %02d:%02d-%02d:%02d — %d buses, %d sensors, %d volunteers, adaptive=%v\n",
 		int(start)/3600, int(start)%3600/60, int(end)/3600, int(end)%3600/60, *buses, *sensors, len(vols), *adaptive)
 
 	// Optional dashboard.
@@ -118,23 +137,25 @@ func main() {
 	if *httpAddr != "" {
 		dash, err = dashboard.New(city, sys.Registry())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		srv := &http.Server{Addr: *httpAddr, Handler: dash.Handler()}
+		defer srv.Close()
 		go func() {
 			log.Printf("dashboard on http://%s/", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, dash.Handler()); err != nil {
+			if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 				log.Fatal(err)
 			}
 		}()
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	// The flow picture uses the crowd verdicts as pseudo-readings, as the
 	// benchmark's operator workload does. A failure leaves the last map
 	// on the dashboard and is logged once per distinct message.
 	flowCfg := insight.MapConfig{Alpha: 2, Beta: 1, SensorNoise: 2500, CrowdNoise: 1e4}
 	flowErrs := make(map[string]bool)
-	handle := func(r *insight.Report) error {
+	opt := insight.PipelineOptions{OnReport: func(r *insight.Report) error {
 		if dash != nil {
 			dash.Update(r)
 			if flows, err := sys.FlowMap(flowCfg); err == nil {
@@ -148,37 +169,57 @@ func main() {
 		if *jsonOut {
 			return enc.Encode(r)
 		}
-		fmt.Print(r.String())
-		return nil
+		_, err := fmt.Fprint(stdout, r.String())
+		return err
+	}}
+	if *walDir != "" {
+		opt.Durable = &insight.DurableOptions{Dir: *walDir}
 	}
-
 	if *busCSV != "" || *scatsCSV != "" {
-		sdes, err := readReplay(*busCSV, *scatsCSV)
-		if err != nil {
-			log.Fatal(err)
+		if opt.Replay, err = readReplay(*busCSV, *scatsCSV); err != nil {
+			return err
 		}
-		fmt.Printf("replaying %d recorded SDEs\n", len(sdes))
-		err = sys.RunReplay(context.Background(), sdes, start, end, handle)
-	} else {
-		err = sys.Run(context.Background(), start, end, handle)
+		fmt.Fprintf(stdout, "replaying %d recorded SDEs\n", len(opt.Replay))
 	}
+	pipe, info, err := sys.Pipeline(start, end, opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if info != nil {
+		fmt.Fprintln(stdout, recoveryLine(info))
+	}
+	if _, err := pipe.Run(ctx); err != nil {
+		return err
 	}
 
 	if *participants > 0 {
-		fmt.Println("\nparticipant reliability estimates (online EM):")
+		fmt.Fprintln(stdout, "\nparticipant reliability estimates (online EM):")
 		est := sys.Estimator()
 		for _, id := range est.Participants() {
-			fmt.Printf("  %s: error probability %.3f (%d queries)\n",
+			fmt.Fprintf(stdout, "  %s: error probability %.3f (%d queries)\n",
 				id, est.ErrorProb(id), est.Queries(id))
 		}
 	}
+	return nil
 }
 
-// readReplay loads and merges recorded SDE files.
+// recoveryLine renders what a durable start's recovery found and did,
+// every RecoveryInfo field.
+func recoveryLine(info *insight.RecoveryInfo) string {
+	state := "fresh start"
+	if info.Resumed {
+		state = "resumed"
+	}
+	return fmt.Sprintf("wal: %s at checkpoint q=%d (%d B); rebuilt %d events, replayed %d records (%d events), re-emitting %d reports; "+
+		"%d torn bytes, %d corrupt checkpoints, %d envelopes skipped; frontier %d",
+		state, int64(info.CheckpointQ), info.CheckpointBytes, info.RebuiltEvents, info.ReplayedRecords, info.ReplayedEvents,
+		info.ReemittedReports, info.TornBytes, info.CorruptCheckpoints, info.SkippedEnvelopes, info.WALFrontier)
+}
+
+// readReplay loads and merges recorded SDE files. The result is
+// non-nil even when the files hold no SDE: a nil Replay means generate.
 func readReplay(busPath, scatsPath string) ([]dublin.SDE, error) {
-	var out []dublin.SDE
+	out := []dublin.SDE{}
 	load := func(path string, read func(f *os.File) ([]dublin.SDE, error)) error {
 		if path == "" {
 			return nil

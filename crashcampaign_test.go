@@ -28,7 +28,7 @@ package insight
 // A fault keys to a count of storage calls or to a boundary, never to
 // how far the appender got, and a death stops every goroutine's storage
 // calls, the appender's included. Recovery checkpoints are checkpoints
-// like any other, so an epoch that dies in BuildDurablePipeline died of
+// like any other, so an epoch that dies in its durable build died of
 // its fault. Every fault therefore fires — a run that has not died
 // writes a checkpoint for every boundary up to the end of the window —
 // and an armed fault that does not fire fails the campaign. What still
@@ -78,7 +78,7 @@ type epochResult struct {
 	fault string
 	// fired is true when the fault acted.
 	fired bool
-	// recovery is what BuildDurablePipeline reported entering the epoch,
+	// recovery is what the durable build reported entering the epoch,
 	// as far as it got.
 	recovery RecoveryInfo
 	// reports is the number of reports the epoch delivered to the
@@ -162,7 +162,7 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 	if err != nil {
 		return nil, err
 	}
-	pipe, _, err := sys.BuildDurablePipeline(opts.from, opts.until, DurableOptions{Dir: baseDir})
+	pipe, _, err := sys.Pipeline(opts.from, opts.until, PipelineOptions{Durable: &DurableOptions{Dir: baseDir}})
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 	res.baselineEstimator = sys.Estimator()
 	// The baseline consumed every envelope live, so its per-stream
 	// consumption cursors add up to the total record count.
-	for _, n := range pipe.durable.consumed {
+	for _, n := range pipe.proc.durable.consumed {
 		res.baselineRecords += int(n)
 	}
 
@@ -195,7 +195,7 @@ func runCrashCampaign(ctx context.Context, opts campaignOptions) (*campaignResul
 		} else if ck != nil {
 			ep.resumedQueries = answers(ck.estimator)
 		}
-		pipe, info, err := sys.BuildDurablePipeline(opts.from, opts.until, DurableOptions{Dir: epochDir, fs: fsys})
+		pipe, info, err := sys.Pipeline(opts.from, opts.until, PipelineOptions{Durable: &DurableOptions{Dir: epochDir, fs: fsys}})
 		if info != nil {
 			ep.recovery = *info
 		}
@@ -440,7 +440,7 @@ func TestRetentionFlatInRunLength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pipe, info, err := sys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+			pipe, info, err := sys.Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -448,7 +448,7 @@ func TestRetentionFlatInRunLength(t *testing.T) {
 				if !info.Resumed {
 					t.Fatalf("until %d: no checkpoint to resume from", int64(until))
 				}
-				retained, rebuilt = info.WALFrontier-pipe.durable.st.front, info.RebuiltEvents
+				retained, rebuilt = info.WALFrontier-pipe.proc.durable.st.front, info.RebuiltEvents
 			}
 			if _, err := pipe.Run(context.Background()); err != nil {
 				t.Fatal(err)
@@ -486,7 +486,7 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 		}
 		return sys
 	}
-	plain, err := newSystem().BuildPipeline(from, until)
+	plain, _, err := newSystem().Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 		{},
 	} {
 		fsys := &faultFS{f: f}
-		pipe, info, err := newSystem().BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+		pipe, info, err := newSystem().Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir, fs: fsys}})
 		if err == nil {
 			_, err = pipe.Run(context.Background())
 			for _, it := range pipe.Reports.Items() {
@@ -566,7 +566,7 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 // TestStorageErrors: an I/O error is not a crash. A full disk under a
 // WAL frame write, a failed WAL fsync, segment roll, tail truncation or
 // segment removal, and a failed checkpoint create, rename, removal or
-// directory listing each end BuildDurablePipeline or Run with that
+// directory listing each end the durable build or Run with that
 // error, not wal.ErrCrashPoint; every report the operator sink received
 // before it is the uninterrupted run's; and a rerun on the same
 // directory once storage is healthy completes, its reports and the
@@ -587,7 +587,7 @@ func TestStorageErrors(t *testing.T) {
 	}
 	baselines := make(map[bool]map[Time]string)
 	for rolls := range cities {
-		plain, err := system(rolls).BuildPipeline(from, untils[rolls])
+		plain, _, err := system(rolls).Pipeline(from, untils[rolls], PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,7 +639,7 @@ func TestStorageErrors(t *testing.T) {
 				}
 			}
 			if tc.crash != (fault{}) {
-				pipe, _, err := system(tc.rolls).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: &faultFS{f: tc.crash}})
+				pipe, _, err := system(tc.rolls).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir, fs: &faultFS{f: tc.crash}}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -649,7 +649,7 @@ func TestStorageErrors(t *testing.T) {
 				collect(pipe)
 			}
 			fsys := &faultFS{f: tc.f}
-			pipe, _, err := system(tc.rolls).BuildDurablePipeline(from, until, DurableOptions{Dir: dir, fs: fsys})
+			pipe, _, err := system(tc.rolls).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir, fs: fsys}})
 			if err == nil {
 				_, err = pipe.Run(context.Background())
 				collect(pipe)
@@ -660,7 +660,7 @@ func TestStorageErrors(t *testing.T) {
 			if !errors.Is(err, tc.f.err) || errors.Is(err, wal.ErrCrashPoint) {
 				t.Fatalf("the failing run returned %v, want %v and no crash point", err, tc.f.err)
 			}
-			pipe, _, err = system(tc.rolls).BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+			pipe, _, err = system(tc.rolls).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 			if err != nil {
 				t.Fatalf("recovery on healthy storage: %v", err)
 			}

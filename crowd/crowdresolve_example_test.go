@@ -79,8 +79,6 @@ func Example_crowdresolve() {
 
 	// Five volunteers around the bridge, one of them unreliable. The
 	// ground truth is "no congestion".
-	// They connect in this order, so the engine's seeded latency draws
-	// are the same on every run.
 	volunteers := []struct {
 		id        string
 		errorProb float64
@@ -117,13 +115,13 @@ func Example_crowdresolve() {
 		fmt.Printf("   %s → %s\n", a.Participant, a.Label)
 	}
 	fmt.Printf("reduce phase counts: %v\n", exec.Counts)
-	// Each worker's trigger, push and communication latencies (Figure 6)
-	// are sampled as its map task runs, concurrently with the others, so
-	// the sampled values differ from run to run; their sum does not
-	// approach 2 s on any network.
+	// Each worker's trigger, push and communication latencies (Figure 6):
+	// sampled as its map task runs, concurrently with the others, each a
+	// pure function of the engine seed, the query, the worker and the
+	// step, so the same on every run.
 	for _, t := range exec.Timings {
-		fmt.Printf("   %-6s %-4s delivered in under 2 s: %v\n",
-			t.Participant, t.Network, t.Trigger+t.Push+t.Comm < 2*time.Second)
+		fmt.Printf("   %-6s %-4s trigger %v, push %v, communication %v\n", t.Participant, t.Network,
+			t.Trigger.Round(time.Millisecond), t.Push.Round(time.Millisecond), t.Comm.Round(time.Millisecond))
 	}
 
 	verdict, err := estimator.Process(exec.Task(nil))
@@ -182,11 +180,11 @@ func Example_crowdresolve() {
 	//    dara → negative
 	//    eoin → positive
 	// reduce phase counts: map[negative:4 positive:1]
-	//    anna   3G   delivered in under 2 s: true
-	//    brian  WiFi delivered in under 2 s: true
-	//    ciara  2G   delivered in under 2 s: true
-	//    dara   3G   delivered in under 2 s: true
-	//    eoin   WiFi delivered in under 2 s: true
+	//    anna   3G   trigger 38ms, push 160ms, communication 179ms
+	//    brian  WiFi trigger 52ms, push 226ms, communication 185ms
+	//    ciara  2G   trigger 38ms, push 435ms, communication 381ms
+	//    dara   3G   trigger 43ms, push 154ms, communication 156ms
+	//    eoin   WiFi trigger 49ms, push 170ms, communication 189ms
 	//
 	// online EM verdict: "negative" with confidence 0.964
 	// rewards for this task:

@@ -16,7 +16,7 @@ package qee
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -163,7 +163,9 @@ func (e *Execution) Task(prior []float64) crowd.Task {
 
 // Options configures the engine.
 type Options struct {
-	// Seed drives latency sampling.
+	// Seed drives latency sampling: each worker's trigger, push and
+	// communication latency on a query is a pure function of (Seed,
+	// query ID, participant ID, step).
 	Seed int64
 	// ResponseTimeout bounds the wall-clock time one device's Respond
 	// call may take before the engine marks the worker Failed. 0 (the
@@ -176,10 +178,10 @@ type Options struct {
 // Engine executes crowdsourcing queries against registered devices.
 // It is safe for concurrent use.
 type Engine struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards devices
 	devices map[string]Device
 	profile LatencyProfile
-	rng     *rand.Rand
+	seed    uint64
 	timeout time.Duration
 }
 
@@ -188,7 +190,7 @@ func NewEngine(opts Options) *Engine {
 	return &Engine{
 		devices: make(map[string]Device),
 		profile: PaperProfile(),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		seed:    uint64(opts.Seed),
 		timeout: opts.ResponseTimeout,
 	}
 }
@@ -209,27 +211,31 @@ func (e *Engine) Connect(d Device) error {
 	return nil
 }
 
-// sample draws a jittered latency around the mean.
-func (e *Engine) sample(mean time.Duration) time.Duration {
-	e.mu.Lock()
-	f := 1 + e.rng.NormFloat64()*e.profile.Jitter
-	e.mu.Unlock()
-	if f < 0.2 {
-		f = 0.2
+// uniform returns a draw in [0, 1) that is a pure function of the
+// engine seed, the query, the worker and the draw (0 the trigger, 1–2
+// the push, 3–4 the communication latency): SplitMix64's finaliser over
+// an FNV-1a hash of the key. Workers sample in their own goroutines, so
+// a shared generator would let the scheduler pick who gets which draw.
+func (e *Engine) uniform(query, worker string, draw uint64) float64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, part := range [2]string{query, worker} {
+		h = (h ^ uint64(len(part))) * prime // length-prefixed: ("ab","c") ≠ ("a","bc")
+		for i := 0; i < len(part); i++ {
+			h = (h ^ uint64(part[i])) * prime
+		}
 	}
-	return time.Duration(float64(mean) * f)
+	z := (h^draw)*prime + e.seed*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return float64((z^z>>31)>>11) / (1 << 53)
 }
 
-func (e *Engine) sampleTrigger() time.Duration {
-	// profile is write-once at construction; the mutex below guards rng.
-	lo, hi := e.profile.TriggerMin, e.profile.TriggerMax
-	if hi <= lo {
-		return lo
-	}
-	e.mu.Lock()
-	d := lo + time.Duration(e.rng.Int63n(int64(hi-lo)))
-	e.mu.Unlock()
-	return d
+// sample draws a jittered latency around the mean (Box–Muller over
+// draws draw and draw+1).
+func (e *Engine) sample(mean time.Duration, query, worker string, draw uint64) time.Duration {
+	n := math.Sqrt(-2*math.Log(1-e.uniform(query, worker, draw))) * math.Cos(2*math.Pi*e.uniform(query, worker, draw+1))
+	return time.Duration(float64(mean) * max(1+n*e.profile.Jitter, 0.2))
 }
 
 // respond obtains one worker's answer, bounded by the engine's
@@ -298,8 +304,9 @@ func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Particip
 		go func(w Device) {
 			defer wg.Done()
 			t := StepTiming{Participant: w.Participant.ID, Network: w.Network}
-			t.Trigger = e.sampleTrigger()
-			t.Push = e.sample(e.profile.Push[w.Network])
+			id, lo, hi := w.Participant.ID, e.profile.TriggerMin, e.profile.TriggerMax
+			t.Trigger = lo + time.Duration(e.uniform(q.ID, id, 0)*float64(hi-lo))
+			t.Push = e.sample(e.profile.Push[w.Network], q.ID, id, 1)
 			label, think, failed := e.respond(ctx, w, q)
 			if failed {
 				t.Failed = true
@@ -307,7 +314,7 @@ func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Particip
 				return
 			}
 			t.Think = think
-			t.Comm = e.sample(e.profile.Comm[w.Network])
+			t.Comm = e.sample(e.profile.Comm[w.Network], q.ID, id, 3)
 			if q.Deadline > 0 && t.Total() > q.Deadline {
 				t.Missed = true
 			}

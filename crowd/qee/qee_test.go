@@ -2,6 +2,8 @@ package qee
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -151,10 +153,14 @@ func TestLatencyProfileShape(t *testing.T) {
 	// Averages over many executions must reproduce the Figure 6
 	// decomposition: 2G slowest on push and comm, trigger flat across
 	// networks, end-to-end under a second even on 2G.
+	// The draws are keyed by query: 200 distinct queries, not one
+	// query 200 times.
 	e := testEngine(t)
 	var execs []*Execution
 	for i := 0; i < 200; i++ {
-		exec, err := e.Execute(context.Background(), testQuery, selected("w1", "w2", "w3"))
+		q := testQuery
+		q.ID = fmt.Sprintf("q%d", i)
+		exec, err := e.Execute(context.Background(), q, selected("w1", "w2", "w3"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,4 +339,39 @@ func TestRespondContextCancellation(t *testing.T) {
 		t.Fatal("Execute not released by cancellation")
 	}
 	close(hang)
+}
+
+// TestExecuteDrawsKeyed: a worker's latencies on a query are a pure
+// function of (seed, query ID, worker ID, step) — the same on a second
+// engine whatever order its devices connected in and however its map
+// tasks were scheduled, and different for another query.
+func TestExecuteDrawsKeyed(t *testing.T) {
+	e := testEngine(t)
+	run := func(e *Engine, id string) []StepTiming {
+		q := testQuery
+		q.ID = id
+		exec, err := e.Execute(context.Background(), q, selected("w1", "w2", "w3"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exec.Timings
+	}
+	want := run(e, "q1")
+	reversed := NewEngine(Options{Seed: 1})
+	for _, id := range []string{"w3", "w2", "w1"} {
+		e.mu.Lock()
+		d := e.devices[id]
+		e.mu.Unlock()
+		if err := reversed.Connect(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := run(reversed, "q1"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: timings %v, want %v", i, got, want)
+		}
+	}
+	if other := run(e, "q2"); reflect.DeepEqual(other, want) {
+		t.Errorf("query q2 drew q1's timings %v", want)
+	}
 }

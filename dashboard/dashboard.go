@@ -11,7 +11,7 @@
 //	/api/flows   the latest flow estimates as JSON
 //
 // The server holds only the most recent state; feed it from a
-// System.Run callback (see cmd/trafficmon -http).
+// PipelineOptions.OnReport callback (see cmd/trafficmon -http).
 package dashboard
 
 import (

@@ -88,17 +88,20 @@ func TestDashboardWithLiveData(t *testing.T) {
 	h := srv.Handler()
 
 	// Drive a morning-rush step through the system.
-	var last *insight.Report
-	err := sys.Run(context.Background(), 7*3600, 8*3600, func(r *insight.Report) error {
-		last = r
-		srv.Update(r)
-		return nil
-	})
+	pipe, _, err := sys.Pipeline(7*3600, 8*3600, insight.PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last == nil {
+	reports, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) == 0 {
 		t.Fatal("no reports produced")
+	}
+	last := reports[len(reports)-1]
+	for _, r := range reports {
+		srv.Update(r)
 	}
 	flows, err := sys.FlowMap(insight.MapConfig{Alpha: 2, Beta: 1, SensorNoise: 2500})
 	if err != nil {

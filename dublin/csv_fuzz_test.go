@@ -9,8 +9,8 @@ import (
 	"github.com/insight-dublin/insight/streams"
 )
 
-// FuzzReplayCSV holds the recorded-stream path — what System.RunReplay
-// is fed from disk — to its contract on arbitrary bytes: the CSV readers
+// FuzzReplayCSV holds the recorded-stream path — what a System.Pipeline
+// replay is fed from disk — to its contract on arbitrary bytes: the CSV readers
 // never panic; whatever SDEs they hand back, BatchSDEs either refuses
 // them or yields transport batches that pass Batch.Check with
 // non-decreasing arrivals (what the pipeline's validator demands of

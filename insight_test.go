@@ -74,10 +74,10 @@ func TestEndToEndMorningRush(t *testing.T) {
 
 	const from, until = 7 * 3600, 9 * 3600 // 07:00–09:00
 	var reports []*Report
-	err = sys.Run(context.Background(), from, until, func(r *Report) error {
+	err = runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{OnReport: func(r *Report) error {
 		reports = append(reports, r)
 		return nil
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,10 @@ func TestSystemWithoutCrowd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crowdRounds int
-	err = sys.Run(context.Background(), 8*3600, 9*3600, func(r *Report) error {
+	err = runToEnd(context.Background())(sys.Pipeline(8*3600, 9*3600, PipelineOptions{OnReport: func(r *Report) error {
 		crowdRounds += len(r.CrowdRounds)
 		return nil
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := streams.LiveBatches()
-	if err := sys.Run(ctx, 0, 7200, nil); !errors.Is(err, context.Canceled) {
+	if err := runToEnd(ctx)(sys.Pipeline(0, 7200, PipelineOptions{})); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
 	if got := streams.LiveBatches(); got != before {
@@ -272,9 +272,9 @@ func TestReplayMatchesLive(t *testing.T) {
 			return nil
 		}
 		if recorded == nil {
-			err = sys.Run(context.Background(), from, until, note)
+			err = runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{OnReport: note}))
 		} else {
-			err = sys.RunReplay(context.Background(), recorded, from, until, note)
+			err = runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{Replay: recorded, OnReport: note}))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -388,7 +388,7 @@ func replayRejectsMalformed(t *testing.T, good []dublin.SDE, from Time) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = sys.RunReplay(context.Background(), tc.sdes, from, until, nil)
+			err = runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{Replay: tc.sdes}))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("RunReplay error = %v, want one mentioning %q", err, tc.want)
 			}
@@ -425,7 +425,7 @@ func TestFullDaySoak(t *testing.T) {
 	}
 	steps := 0
 	var rushCongested, nightCongested int
-	err = sys.Run(context.Background(), 0, 24*3600, func(r *Report) error {
+	err = runToEnd(context.Background())(sys.Pipeline(0, 24*3600, PipelineOptions{OnReport: func(r *Report) error {
 		steps++
 		hour := float64(r.Q%(24*3600)) / 3600
 		if hour >= 7.5 && hour <= 9.5 {
@@ -439,7 +439,7 @@ func TestFullDaySoak(t *testing.T) {
 			return fmt.Errorf("window holds %d SDEs — retention leak?", r.Stats.InputEvents)
 		}
 		return nil
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,10 +488,10 @@ func TestIncidentDetection(t *testing.T) {
 			var unusual []string
 			from := inc.Start - 1800
 			until := inc.Start + inc.Duration
-			err = sys.Run(context.Background(), from, until, func(r *Report) error {
+			err = runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{OnReport: func(r *Report) error {
 				unusual = append(unusual, r.UnusualCongestion...)
 				return nil
-			})
+			}}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,13 +31,13 @@ import (
 //   - the traffic modelling procedure registered as a Streams service.
 //
 // Reports flow to the returned collector sink, one item per query time
-// under key "report" — or to the callback of System.Run and RunReplay,
-// which build and run this same graph: it is the only drive loop.
+// under key "report" — or to PipelineOptions.OnReport. System.Pipeline
+// is the one entrance to this graph.
 type Pipeline struct {
 	Topology *streams.Topology
 	Reports  *streams.CollectorSink
 	// Chaos holds the per-stream fault injectors of a chaos pipeline
-	// (empty for BuildPipeline), keyed by stream id.
+	// (empty without PipelineOptions.Chaos), keyed by stream id.
 	Chaos map[string]*streams.ChaosSource
 	// ChaosProcs holds the error-injecting input processors of a chaos
 	// pipeline with InputErrProb > 0, keyed by stream id.
@@ -46,9 +46,6 @@ type Pipeline struct {
 	// any pacing and fault injection: Run returns what they still hold.
 	proc   *rtecProcessor
 	replay []*streams.SliceSource
-	// durable is the checkpoint coordinator of a durable pipeline
-	// (nil for BuildPipeline/BuildChaosPipeline).
-	durable *durableRuntime
 }
 
 // pipelineStreamIDs are the paper's five input streams: one for all
@@ -62,8 +59,9 @@ const (
 	itemReport = "report" // *Report payload
 )
 
-// ChaosConfig configures deterministic fault injection for
-// BuildChaosPipeline.
+// ChaosConfig configures deterministic fault injection on the input
+// streams — the harness behind cmd/figures' scenario rows;
+// Pipeline.Chaos exposes the per-stream injectors for fault accounting.
 type ChaosConfig struct {
 	// Streams maps input stream ids ("bus", "scats-central",
 	// "scats-north", "scats-west", "scats-south") to the faults
@@ -81,33 +79,79 @@ type ChaosConfig struct {
 	Seed int64
 }
 
-// BuildPipeline constructs the Figure 1 data-flow graph over the
-// system for SDEs occurring in [from, until). Run it with Pipeline.Run;
-// afterwards Pipeline.Reports holds one item per query time.
-func (s *System) BuildPipeline(from, until Time) (*Pipeline, error) {
-	return s.BuildChaosPipeline(from, until, ChaosConfig{})
+// PipelineOptions selects what System.Pipeline builds; the zero value
+// is the plain run over the generator's SDEs, reports collected in
+// Pipeline.Reports.
+type PipelineOptions struct {
+	// Replay, when non-nil, replaces the generator's SDEs with a recorded
+	// stream (e.g. dublin's CSV read-backs) in any order, admitted by
+	// arrival; an SDE the columnar schema cannot carry is an error.
+	Replay []dublin.SDE
+	// Chaos injects deterministic faults into the input streams.
+	Chaos ChaosConfig
+	// Durable logs every consumed envelope ahead of recognition,
+	// checkpoints at boundaries and first recovers whatever Durable.Dir
+	// holds (resume). It refuses any chaos fault: recovery skips the
+	// envelopes its cursors count, which a dropping or duplicating
+	// injector breaks.
+	Durable *DurableOptions
+	// OnReport takes the reports in place of the collector, on the
+	// monitoring goroutine between boundaries (rtecProcessor.onReport).
+	// An error from it, or the run context's, ends the run and comes
+	// back wrapped. In a durable run it gets the restored and re-fired
+	// reports first, at the start of Pipeline.Run, and a report counts
+	// acknowledged once OnReport returns nil for it.
+	OnReport func(*Report) error
 }
 
-// BuildChaosPipeline is BuildPipeline with deterministic fault
-// injection on the input streams — the harness behind cmd/figures'
-// scenario rows (a zero ChaosConfig is the plain pipeline).
-// Pipeline.Chaos exposes the per-stream injectors for fault
-// accounting.
-func (s *System) BuildChaosPipeline(from, until Time, chaos ChaosConfig) (*Pipeline, error) {
-	return s.buildPipeline(from, until, s.collect(from, until), chaos, nil, nil)
+// Pipeline constructs the Figure 1 data-flow graph over the system for
+// SDEs occurring in [from, until), as opt selects; run it with
+// Pipeline.Run. The RecoveryInfo, nil unless opt.Durable is set, says
+// what recovery did — or, when it failed once the log was open, how far
+// it got.
+func (s *System) Pipeline(from, until Time, opt PipelineOptions) (*Pipeline, *RecoveryInfo, error) {
+	if opt.Durable == nil {
+		pipe, err := s.buildPipeline(from, until, opt, nil)
+		return pipe, nil, err
+	}
+	rt, info, err := s.resume(from, until, opt)
+	if err != nil {
+		return nil, info, err
+	}
+	pipe, err := s.buildPipeline(from, until, opt, rt)
+	if err != nil {
+		err = errors.Join(err, rt.log.Close())
+	}
+	return pipe, info, err
 }
+
+// BuildPipeline is Pipeline with no options. It is kept only because
+// the frozen cmd/e2ebench calls it; ROADMAP item 2(b) deletes it.
+func (s *System) BuildPipeline(from, until Time) (*Pipeline, error) {
+	return first(s.Pipeline(from, until, PipelineOptions{}))
+}
+
+// first drops a build's RecoveryInfo.
+func first(p *Pipeline, _ *RecoveryInfo, err error) (*Pipeline, error) { return p, err }
 
 // collect cuts the window's SDEs into the five input streams' batches,
 // spans capped at Step/2 (the pacer slack): at most one query boundary
 // lands inside a batch and punctuation keeps its per-row granularity.
+// dublin.BatchSDEs cuts a replay the same way.
 func (s *System) collect(from, until Time) []dublin.BatchedStream {
 	return s.city.CollectBatches(from, until, transportBatchRows, s.cfg.Step/2)
 }
 
-// buildPipeline wires the graph over the five streams' arrival-ordered
-// batches, which it owns from here on; onReport, when set, takes the
-// reports in place of the operator sink (see rtecProcessor.onReport).
-func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream, chaos ChaosConfig, dur *durableRuntime, onReport func(*Report) error) (*Pipeline, error) {
+// buildPipeline wires the graph over the window's SDEs, generated or
+// opt.Replay's, under dur when the pipeline is durable.
+func (s *System) buildPipeline(from, until Time, opt PipelineOptions, dur *durableRuntime) (*Pipeline, error) {
+	var batched []dublin.BatchedStream
+	var err error
+	if opt.Replay == nil {
+		batched = s.collect(from, until)
+	} else if batched, err = dublin.BatchSDEs(opt.Replay, transportBatchRows, s.cfg.Step/2); err != nil {
+		return nil, err
+	}
 	// End-of-stream punctuation: one trailing marker per stream lifts
 	// that stream's watermark past the final boundary as soon as it
 	// ends; the monitoring processor's Flush fires what is still due
@@ -152,7 +196,7 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 			for _, b := range batches[:skip] {
 				b.Release()
 			}
-			dur.skipped += skip
+			dur.info.SkippedEnvelopes += skip
 			batches = batches[skip:]
 		}
 		items := make([]streams.Item, 0, len(batches)+1)
@@ -163,7 +207,7 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 		slice := streams.NewSliceSource(items...)
 		replay = append(replay, slice)
 		var src streams.Source = streams.NewPacedSource(slice, pacer, id, int64(from), arrivalOf)
-		if spec, faulty := chaos.Streams[id]; faulty {
+		if spec, faulty := opt.Chaos.Streams[id]; faulty {
 			// Child seed per stream: the fault sequence each stream
 			// experiences is a function of (spec seed, stream id) alone,
 			// independent of how the scheduler interleaves the streams.
@@ -219,10 +263,10 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 	chaosProcs := make(map[string]*streams.ChaosProcessor)
 	for _, id := range pipelineStreamIDs {
 		proc := streams.Processor(validate)
-		if chaos.InputErrProb > 0 {
+		if opt.Chaos.InputErrProb > 0 {
 			cp := streams.NewChaosProcessor(validate, streams.FaultSpec{
-				Seed:    chaos.Seed,
-				ErrProb: chaos.InputErrProb,
+				Seed:    opt.Chaos.Seed,
+				ErrProb: opt.Chaos.InputErrProb,
 			}.ForStream(id))
 			chaosProcs[id] = cp
 			proc = cp
@@ -230,7 +274,7 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 		if err := top.AddProcess("input-"+id, id, inputOut, proc); err != nil {
 			return nil, err
 		}
-		if chaos.InputErrProb > 0 {
+		if opt.Chaos.InputErrProb > 0 {
 			// Injected input faults are contained by supervision: under
 			// SkipItem they cost the affected envelope, never the
 			// topology. A caller wanting another policy (e.g. Restart,
@@ -253,7 +297,7 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 		// the topology was wired.
 		rtecProc = dur.proc
 	}
-	rtecProc.onReport = onReport
+	rtecProc.onReport = opt.OnReport
 	if err := top.AddProcess("monitoring", sdeQueue, reportQueue, rtecProc); err != nil {
 		return nil, err
 	}
@@ -271,7 +315,7 @@ func (s *System) buildPipeline(from, until Time, batched []dublin.BatchedStream,
 		return nil, err
 	}
 
-	return &Pipeline{Topology: top, Reports: sink, Chaos: chaosSources, ChaosProcs: chaosProcs, proc: rtecProc, replay: replay, durable: dur}, nil
+	return &Pipeline{Topology: top, Reports: sink, Chaos: chaosSources, ChaosProcs: chaosProcs, proc: rtecProc, replay: replay}, nil
 }
 
 // newRTECProcessor constructs the monitoring processor over the window
@@ -391,11 +435,11 @@ type rtecProcessor struct {
 	// ctx bounds the boundary step's crowd rounds: Pipeline.Run swaps the
 	// run's context in before the topology starts.
 	ctx context.Context
-	// onReport, when set, receives each report on the monitoring
-	// goroutine once its boundary is complete and before any row is
-	// admitted for the next: the system is as of the report's query time
-	// and nothing else touches it meanwhile. Such a run emits and retains
-	// no report; an error from it ends the run there.
+	// onReport (PipelineOptions.OnReport), when set, receives each report
+	// on the monitoring goroutine once its boundary is complete and before
+	// any row is admitted for the next: the system is as of the report's
+	// query time and nothing else touches it meanwhile. Such a run emits
+	// and retains no report; an error from it ends the run there.
 	onReport func(*Report) error
 	step     Time
 	nextQ    Time
@@ -602,13 +646,31 @@ func (p *rtecProcessor) fireDue() error {
 		}
 		rec.mark(&rec.span.Assemble)
 		rep.Span = rec.span
-		if p.onReport == nil {
-			//lint:allow hotalloc one report envelope per query boundary, not per row
-			p.due = append(p.due, streams.Item{itemReport: rep})
-		} else if err := p.onReport(rep); err != nil {
+		//lint:allow hotalloc one report envelope per query boundary, not per row
+		p.due = append(p.due, streams.Item{itemReport: rep})
+		if err := p.deliverDue(); err != nil {
 			return err
 		}
 		rec.mark(&rec.next.Callback)
+	}
+	return nil
+}
+
+// deliverDue hands the reports waiting in due to onReport, oldest first:
+// each as its boundary fires, and at the start of Pipeline.Run those a
+// durable recovery restored or re-fired. A durable run acknowledges a
+// report once onReport returns nil, as ackingSink does a collector
+// write. Without onReport, due leaves through the graph.
+func (p *rtecProcessor) deliverDue() error {
+	for p.onReport != nil && len(p.due) > 0 {
+		rep := p.due[0][itemReport].(*Report)
+		p.due = p.due[1:]
+		if err := p.onReport(rep); err != nil {
+			return err
+		}
+		if p.durable != nil {
+			p.durable.st.noteAck(rep.Q)
+		}
 	}
 	return nil
 }
@@ -639,14 +701,18 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 }
 
 // Run executes the pipeline and returns the reports in query-time
-// order. Cancelling ctx stops it at the next item or boundary, crowd
-// rounds included; however it ends, every transport buffer is returned.
+// order (none with OnReport, which took them). Cancelling ctx stops it
+// at the next item or boundary, crowd rounds included; however it ends,
+// every transport buffer is returned.
 func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
 	p.proc.ctx = ctx
-	err := p.Topology.Run(ctx)
+	err := p.proc.deliverDue()
+	if err == nil {
+		err = p.Topology.Run(ctx)
+	}
 	p.release()
-	if p.durable != nil {
-		err = errors.Join(err, p.durable.log.Close())
+	if p.proc.durable != nil {
+		err = errors.Join(err, p.proc.durable.log.Close())
 	}
 	if err != nil {
 		return nil, err
@@ -662,6 +728,17 @@ func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Q < reports[j].Q })
 	return reports, nil
+}
+
+// runToEnd runs a freshly built pipeline to its end, passing a build
+// error through: runToEnd(ctx)(s.Pipeline(from, until, opt)).
+func runToEnd(ctx context.Context) func(*Pipeline, *RecoveryInfo, error) error {
+	return func(p *Pipeline, _ *RecoveryInfo, err error) error {
+		if err == nil {
+			_, err = p.Run(ctx)
+		}
+		return err
+	}
 }
 
 // release returns what the run did not get to — envelopes still in the

@@ -303,7 +303,7 @@ func TestPipelineMatchesPerEventReference(t *testing.T) {
 	city := testCity(t)
 
 	before := streams.LiveBatches()
-	pipe, err := chaosTestSystem(t, city, testParticipants(city, 8)).BuildPipeline(from, until)
+	pipe, _, err := chaosTestSystem(t, city, testParticipants(city, 8)).Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,8 @@ func TestPipelineMatchesPerEventReference(t *testing.T) {
 	compareReports(t, "pipeline vs per-event reference", pipeReports, refReports)
 }
 
-// TestEveryWayOutReturnsTheBuffers: Run and RunReplay own the window's
+// TestEveryWayOutReturnsTheBuffers: an OnReport run, generated or
+// replayed, owns the window's
 // transport batches from collection on, and give every one back however
 // the run ends — cleanly (rows arriving past the final boundary are
 // never admitted, and released), on a callback error, on cancellation.
@@ -370,9 +371,9 @@ func TestEveryWayOutReturnsTheBuffers(t *testing.T) {
 				before := streams.LiveBatches()
 				var err error
 				if replay {
-					err = sys.RunReplay(ctx, rec, from, until, fn)
+					err = runToEnd(ctx)(sys.Pipeline(from, until, PipelineOptions{Replay: rec, OnReport: fn}))
 				} else {
-					err = sys.Run(ctx, from, until, fn)
+					err = runToEnd(ctx)(sys.Pipeline(from, until, PipelineOptions{OnReport: fn}))
 				}
 				if !errors.Is(err, exit.want) {
 					t.Errorf("run returned %v, want %v", err, exit.want)
@@ -399,10 +400,10 @@ func TestAbortedChaosRunReturnsTheBuffers(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	city := testCity(t)
 	before := streams.LiveBatches()
-	pipe, err := chaosTestSystem(t, city, nil).BuildChaosPipeline(from, until, ChaosConfig{Streams: map[string]streams.FaultSpec{
+	pipe, _, err := chaosTestSystem(t, city, nil).Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{Streams: map[string]streams.FaultSpec{
 		"bus":         {Seed: 3, DelayProb: 0.5, DelayMax: 16},
 		"scats-north": {Seed: 3, StallAfter: 2, StallFor: 1000},
-	}})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestChaosDropDupMatchesPerEventReference(t *testing.T) {
 	}
 
 	before := streams.LiveBatches()
-	pipe, err := chaosTestSystem(t, city, nil).BuildChaosPipeline(from, until, chaos)
+	pipe, _, err := chaosTestSystem(t, city, nil).Pipeline(from, until, PipelineOptions{Chaos: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}

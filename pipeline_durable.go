@@ -22,7 +22,7 @@ package insight
 // consumption offset, where the records the checkpoint has not consumed
 // begin.
 //
-// Recovery. BuildDurablePipeline loads the newest checkpoint that
+// Recovery. System.Pipeline first loads the newest checkpoint that
 // passes its CRC (falling back across corrupt ones) and restores that
 // state. It then rebuilds the working memory and the pending set: it
 // re-reads the log from the window offset to the consumption offset,
@@ -41,7 +41,11 @@ package insight
 // there, so participants may be asked twice but recognition and the
 // operator see each round once. Reports fired but not acknowledged by
 // the operator sink are re-emitted (at-least-once; consumers dedupe by
-// query time, keeping the newest).
+// query time, keeping the newest). A run with PipelineOptions.OnReport
+// hands each report over as its boundary fires, before the safe point:
+// a crash in between re-fires that boundary and OnReport sees it again,
+// the newest per query time being the recovered run's. A report is
+// acknowledged once OnReport returns nil for it.
 
 import (
 	"encoding/json"
@@ -294,9 +298,7 @@ func (s *ackingSink) Write(it streams.Item) error {
 // are owned by the goroutine driving the rtecProcessor (recovery
 // replay first, then the monitoring process).
 type durableRuntime struct {
-	opts DurableOptions
-	dir  string
-	fs   vfs.FS
+	opts DurableOptions // fs resolved by vfs.Or
 	log  *wal.Log
 	st   *durableState
 	proc *rtecProcessor
@@ -317,8 +319,9 @@ type durableRuntime struct {
 	// recent holds fired reports not yet known acknowledged, ascending
 	// by query time; pruned against st.ackQ at checkpoint time.
 	recent []*Report
-	// skipped counts source envelopes skipped at build time.
-	skipped int
+	// info is what recovery found and did; the build adds the skipped
+	// envelopes.
+	info *RecoveryInfo
 	// ckptBuf is the reused checkpoint file buffer: every checkpoint
 	// encodes into it and is written from it.
 	ckptBuf []byte
@@ -393,7 +396,7 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 	if rt.ckptBuf, err = ck.encode(rt.ckptBuf[:0]); err != nil {
 		return err
 	}
-	if err := writeCheckpointFile(rt.fs, rt.dir, ck.nextQ, rt.ckptBuf); err != nil {
+	if err := writeCheckpointFile(rt.opts.fs, rt.opts.Dir, ck.nextQ, rt.ckptBuf); err != nil {
 		return err
 	}
 	p.rec.next.Checkpoints++
@@ -401,7 +404,7 @@ func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) C
 	if crash == CrashAfterCheckpoint {
 		return fmt.Errorf("insight: killed after checkpoint %s became durable: %w", checkpointName(ck.nextQ), wal.ErrCrashPoint)
 	}
-	off, err := gcCheckpoints(rt.fs, rt.dir)
+	off, err := gcCheckpoints(rt.opts.fs, rt.opts.Dir)
 	if err != nil {
 		return err
 	}
@@ -483,14 +486,26 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	return ck, nil
 }
 
-// BuildDurablePipeline constructs the durable pipeline for SDEs in
-// [from, until), recovering from whatever dur.Dir holds: a fresh
-// directory starts clean, a crashed epoch's directory resumes from its
-// newest valid checkpoint, its working memory rebuilt from the log's
-// window and the log replayed from the checkpoint's consumption offset.
-// The returned RecoveryInfo describes what recovery did; when recovery
-// itself fails once the log is open, it says how far it got.
+// BuildDurablePipeline is Pipeline with only Durable set. It is kept
+// only because the frozen cmd/e2ebench calls it; ROADMAP item 2(b)
+// deletes it.
 func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pipeline, *RecoveryInfo, error) {
+	return s.Pipeline(from, until, PipelineOptions{Durable: &dur})
+}
+
+// resume recovers the durable pipeline for SDEs in [from, until) from
+// whatever opt.Durable.Dir holds, before System.Pipeline wires the
+// graph; it refuses any chaos fault, whose drops and duplicates would
+// break the skip cursors' envelope counts. A fresh directory starts
+// clean, a crashed epoch's directory resumes
+// from its newest valid checkpoint, its working memory rebuilt from the
+// log's window and the log replayed from the checkpoint's consumption
+// offset. The returned runtime owns the open log.
+func (s *System) resume(from, until Time, opt PipelineOptions) (*durableRuntime, *RecoveryInfo, error) {
+	if len(opt.Chaos.Streams) > 0 || opt.Chaos.InputErrProb > 0 {
+		return nil, nil, errors.New("insight: a durable pipeline takes no chaos faults: its recovery cursors count consumed envelopes")
+	}
+	dur := *opt.Durable
 	if dur.Dir == "" {
 		return nil, nil, fmt.Errorf("insight: DurableOptions.Dir is required")
 	}
@@ -503,16 +518,16 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	walDir := filepath.Join(dur.Dir, "wal")
 	// Every append is fsynced: the crash-equivalence guarantee holds for
 	// no weaker policy.
-	fsys := vfs.Or(dur.fs)
-	log, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways, FS: fsys})
+	dur.fs = vfs.Or(dur.fs)
+	log, err := wal.Open(walDir, wal.Options{Sync: wal.SyncAlways, FS: dur.fs})
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &RecoveryInfo{TornBytes: log.Torn()}
-	fail := func(err error) (*Pipeline, *RecoveryInfo, error) {
+	fail := func(err error) (*durableRuntime, *RecoveryInfo, error) {
 		return nil, info, errors.Join(err, log.Close())
 	}
-	ck, err := s.loadLatestCheckpoint(fsys, dur.Dir, info)
+	ck, err := s.loadLatestCheckpoint(dur.fs, dur.Dir, info)
 	if err != nil {
 		return fail(err)
 	}
@@ -520,12 +535,11 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 	proc := newRTECProcessor(s, from, until)
 	rt := &durableRuntime{
 		opts:     dur,
-		dir:      dur.Dir,
-		fs:       fsys,
 		log:      log,
 		st:       &durableState{},
 		proc:     proc,
 		consumed: make(map[string]int64, len(pipelineStreamIDs)),
+		info:     info,
 	}
 	proc.durable = rt
 
@@ -664,10 +678,5 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 		}
 	}
 
-	pipe, err := s.buildPipeline(from, until, s.collect(from, until), ChaosConfig{}, rt, nil)
-	if err != nil {
-		return fail(err)
-	}
-	info.SkippedEnvelopes = rt.skipped
-	return pipe, info, nil
+	return rt, info, nil
 }

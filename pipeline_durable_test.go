@@ -3,6 +3,7 @@ package insight
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,12 +99,110 @@ func TestDurableMatchesPlain(t *testing.T) {
 			})
 		})
 	}
+	// Interrupted through OnReport — the run cancelled after its second
+	// report, or the second OnReport failing — and restarted on the same
+	// directory. Crowdless: a re-asked round draws fresh answers from
+	// the simulated participants, whose state no checkpoint holds.
+	for _, tc := range []struct {
+		name string
+		fail bool
+	}{{"onreport/cancelled", false}, {"onreport/failed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			testDurableOnReportRestart(t, func() *System { return durableSystem(t, city) }, tc.fail)
+		})
+	}
+}
+
+// errOnReport is the scripted OnReport failure.
+var errOnReport = errors.New("operator unavailable")
+
+// testDurableOnReportRestart stops a durable OnReport run at its second
+// report — cancelling the run from inside OnReport, or failing that
+// OnReport — restarts it on the same directory, and holds the newest
+// report per query time across both runs to the plain run's. A report
+// whose OnReport failed must come again after the restart.
+func testDurableOnReportRestart(t *testing.T, newSystem func() *System, fail bool) {
+	const from, until, k = 7 * 3600, 8 * 3600, 2
+	plain := plainFingerprints(t, newSystem(), from, until)
+	dir := t.TempDir()
+	newest := make(map[Time]string, len(plain))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	failed, n := Time(-1), 0
+	pipe, _, err := newSystem().Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}, OnReport: func(rep *Report) error {
+		if n++; n == k {
+			if fail {
+				failed = rep.Q
+				return errOnReport
+			}
+			cancel()
+		}
+		newest[rep.Q] = rep.Fingerprint()
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := context.Canceled
+	if fail {
+		want = errOnReport
+	}
+	if _, err := pipe.Run(ctx); !errors.Is(err, want) {
+		t.Fatalf("interrupted run: err = %v, want %v", err, want)
+	}
+
+	redelivered := false
+	pipe, info, err := newSystem().Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}, OnReport: func(rep *Report) error {
+		redelivered = redelivered || rep.Q == failed
+		newest[rep.Q] = rep.Fingerprint()
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("restart: %+v", *info)
+	if info.ReemittedReports != 0 {
+		t.Errorf("restart re-emits %d reports: OnReport accepted every report before a checkpoint was written, so none is unacknowledged", info.ReemittedReports)
+	}
+	if _, err := pipe.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if fail && !redelivered {
+		t.Errorf("q=%d failed in OnReport and was not delivered after the restart", int64(failed))
+	}
+	if len(newest) != len(plain) {
+		t.Errorf("interrupted and restarted runs delivered %d query times, plain %d", len(newest), len(plain))
+	}
+	for q, want := range plain {
+		if got := newest[q]; got != want {
+			t.Errorf("q=%d diverged:\n  restarted: %s\n  plain:     %s", int64(q), got, want)
+		}
+	}
+}
+
+// plainFingerprints runs the plain pipeline and returns each report's
+// fingerprint by query time.
+func plainFingerprints(t *testing.T, sys *System, from, until Time) map[Time]string {
+	t.Helper()
+	pipe, _, err := sys.Pipeline(from, until, PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byQ := make(map[Time]string, len(reps))
+	for _, rep := range reps {
+		byQ[rep.Q] = rep.Fingerprint()
+	}
+	return byQ
 }
 
 func testDurableMatchesPlain(t *testing.T, newSystem func() *System) {
 	const from, until = 7 * 3600, 8 * 3600
 	plainSys := newSystem()
-	plainPipe, err := plainSys.BuildPipeline(from, until)
+	plainPipe, _, err := plainSys.Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +225,7 @@ func testDurableMatchesPlain(t *testing.T, newSystem func() *System) {
 	dir := t.TempDir()
 	before := streams.LiveBatches()
 	durableSys := newSystem()
-	pipe, info, err := durableSys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+	pipe, info, err := durableSys.Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +248,26 @@ func testDurableMatchesPlain(t *testing.T, newSystem func() *System) {
 		}
 	}
 	sameEstimator(t, "durable vs plain", durableSys.Estimator(), plainSys.Estimator())
+
+	// Driven through OnReport instead of the collector: the same reports,
+	// in boundary order.
+	var delivered []*Report
+	onReportSys := newSystem()
+	if err := runToEnd(context.Background())(onReportSys.Pipeline(from, until, PipelineOptions{
+		Durable:  &DurableOptions{Dir: t.TempDir()},
+		OnReport: func(rep *Report) error { delivered = append(delivered, rep); return nil },
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if len(delivered) != len(plain) {
+		t.Fatalf("durable OnReport run delivered %d reports, plain fired %d", len(delivered), len(plain))
+	}
+	for i := range plain {
+		if g, w := delivered[i].Fingerprint(), plain[i].Fingerprint(); g != w {
+			t.Errorf("OnReport q=%d diverged:\n  durable: %s\n  plain:   %s", int64(plain[i].Q), g, w)
+		}
+	}
+	sameEstimator(t, "durable OnReport vs plain", onReportSys.Estimator(), plainSys.Estimator())
 
 	// The run left its durability artifacts behind: checkpoints in the
 	// root, WAL segments underneath.
@@ -177,7 +296,7 @@ func testDurableMatchesPlain(t *testing.T, newSystem func() *System) {
 	// every envelope, recognition state is already final, and the union
 	// of reports stays consistent with the baseline.
 	resumedSys := newSystem()
-	pipe2, info2, err := resumedSys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+	pipe2, info2, err := resumedSys.Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +327,23 @@ func testDurableMatchesPlain(t *testing.T, newSystem func() *System) {
 	sameEstimator(t, "resumed vs plain", resumedSys.Estimator(), plainSys.Estimator())
 }
 
-// TestDurableRejectsUnsupportedSystems pins the precondition: a
-// missing directory must refuse to build a durable pipeline.
+// TestDurableRejectsUnsupportedSystems pins the preconditions: a
+// missing directory, a chaos stream fault and injected input errors
+// each refuse to build a durable pipeline — recovery skips the
+// envelopes its cursors count, which an injector that drops or
+// duplicates envelopes would break.
 func TestDurableRejectsUnsupportedSystems(t *testing.T) {
 	sys := durableSystem(t, testCity(t))
-	if _, _, err := sys.BuildDurablePipeline(7*3600, 8*3600, DurableOptions{}); err == nil {
-		t.Error("empty Dir accepted")
+	for _, tc := range []struct {
+		name, want string
+		opt        PipelineOptions
+	}{
+		{"empty Dir", "Dir is required", PipelineOptions{Durable: &DurableOptions{}}},
+		{"stream fault", "chaos", PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}, Chaos: ChaosConfig{Streams: map[string]streams.FaultSpec{"bus": {Seed: 1, DropProb: 0.1}}}}},
+		{"input errors", "chaos", PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}, Chaos: ChaosConfig{InputErrProb: 0.1}}},
+	} {
+		if _, _, err := sys.Pipeline(7*3600, 8*3600, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

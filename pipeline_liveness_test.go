@@ -70,7 +70,7 @@ func TestPipelineLivenessStalledRegion(t *testing.T) {
 
 	// Fault-free baseline.
 	baselineSys := livenessSystem(t, staleness)
-	basePipe, err := baselineSys.BuildPipeline(from, until)
+	basePipe, _, err := baselineSys.Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestPipelineLivenessStalledRegion(t *testing.T) {
 	// transport pool like every other: the run keeps none of them.
 	live := streams.LiveBatches()
 	chaosSys := livenessSystem(t, staleness)
-	chaosPipe, err := chaosSys.BuildChaosPipeline(from, until, ChaosConfig{
+	chaosPipe, _, err := chaosSys.Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{
 		Streams: map[string]streams.FaultSpec{
 			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 0},
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPipelineLivenessRecoveredStream(t *testing.T) {
 	const staleness = 1800
 
 	baselineSys := livenessSystem(t, staleness)
-	basePipe, err := baselineSys.BuildPipeline(from, until)
+	basePipe, _, err := baselineSys.Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPipelineLivenessRecoveredStream(t *testing.T) {
 	}
 
 	chaosSys := livenessSystem(t, staleness)
-	chaosPipe, err := chaosSys.BuildChaosPipeline(from, until, ChaosConfig{
+	chaosPipe, _, err := chaosSys.Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{
 		Streams: map[string]streams.FaultSpec{
 			// Stall long enough to trip the staleness bound (the stall
 			// unit is the transport envelope, and the Step/2 span cap
@@ -183,7 +183,7 @@ func TestPipelineLivenessRecoveredStream(t *testing.T) {
 			// reconnect mid-stream and flood the backlog out.
 			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

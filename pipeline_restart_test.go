@@ -46,7 +46,7 @@ func restartSystem(t *testing.T) *System {
 func TestPipelineRestartLiveness(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 
-	basePipe, err := restartSystem(t).BuildPipeline(from, until)
+	basePipe, _, err := restartSystem(t).Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestPipelineRestartLiveness(t *testing.T) {
 		t.Fatal("baseline produced no reports")
 	}
 
-	chaosPipe, err := restartSystem(t).BuildChaosPipeline(from, until, ChaosConfig{
+	chaosPipe, _, err := restartSystem(t).Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{
 		InputErrProb: 0.25,
 		Seed:         99,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunMatchesPerEventReference drives the same city through
-// System.Run — the Streams data-flow graph of Section 3, reports handed
-// to the callback — and through the per-event reference, on the legacy
+// System.Pipeline — the Streams data-flow graph of Section 3, reports
+// handed to OnReport — and through the per-event reference, on the legacy
 // partitioning and on the sharded tier, and checks the two recognise the
 // same thing boundary for boundary, crowd rounds included: the
 // pipeline's watermark punctuation must admit exactly the SDEs that have
@@ -41,10 +41,10 @@ func TestRunMatchesPerEventReference(t *testing.T) {
 			}
 
 			var runReports []*Report
-			if err := mkSystem().Run(context.Background(), from, until, func(r *Report) error {
+			if err := runToEnd(context.Background())(mkSystem().Pipeline(from, until, PipelineOptions{OnReport: func(r *Report) error {
 				runReports = append(runReports, r)
 				return nil
-			}); err != nil {
+			}})); err != nil {
 				t.Fatal(err)
 			}
 
@@ -60,7 +60,7 @@ func TestRunMatchesPerEventReference(t *testing.T) {
 			compareReports(t, "Run vs per-event reference", runReports, refReports)
 
 			// The traffic modelling service is reachable from the topology.
-			pipe, err := refSys.BuildPipeline(from, until)
+			pipe, _, err := refSys.Pipeline(from, until, PipelineOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

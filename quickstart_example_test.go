@@ -59,12 +59,16 @@ func Example_quickstart() {
 	}
 
 	// Monitor 08:00–09:00.
-	err = sys.Run(context.Background(), 8*3600, 9*3600, func(r *insight.Report) error {
-		fmt.Print(r.String())
-		return nil
-	})
+	pipe, _, err := sys.Pipeline(8*3600, 9*3600, insight.PipelineOptions{})
 	if err != nil {
 		log.Fatal(err)
+	}
+	reports, err := pipe.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range reports {
+		fmt.Print(r.String())
 	}
 
 	// After the run, the traffic model fills in the rest of the city.

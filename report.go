@@ -310,38 +310,11 @@ func (s *System) fileVerdicts(q Time, verdicts []crowdVerdict) error {
 	return err
 }
 
-// Run evaluates the system at the regular query times from+Step,
-// from+2·Step, ..., until over the generator's SDEs of [from, until),
-// calling fn with each report. It runs the Streams pipeline
-// (BuildPipeline); fn runs on the monitoring goroutine once boundary q
-// is complete and before any row is admitted for q+Step, so FlowMap
-// and Estimator called from it see the system as of q. An
-// error from fn, or ctx's when cancelled, ends the run and comes back
-// wrapped.
-func (s *System) Run(ctx context.Context, from, until Time, fn func(*Report) error) error {
-	return s.run(ctx, from, until, s.collect(from, until), fn)
-}
-
-// RunReplay is Run over a pre-recorded stream (e.g. read back from the
-// CSV exports of package dublin), admitted by its arrival times. The
-// recording is converted to column batches once, here; any order is
-// accepted, and an SDE the columnar schema cannot carry (unknown type,
-// missing or non-scalar attribute) is an error.
+// RunReplay builds the pipeline over a recorded stream with fn as its
+// OnReport and runs it to the end. It is kept only because the frozen
+// cmd/e2ebench calls it; ROADMAP item 2(b) deletes it.
 func (s *System) RunReplay(ctx context.Context, sdes []dublin.SDE, from, until Time, fn func(*Report) error) error {
-	batched, err := dublin.BatchSDEs(sdes, transportBatchRows, s.cfg.Step/2)
-	if err != nil {
-		return err
-	}
-	return s.run(ctx, from, until, batched, fn)
-}
-
-func (s *System) run(ctx context.Context, from, until Time, batched []dublin.BatchedStream, fn func(*Report) error) error {
-	pipe, err := s.buildPipeline(from, until, batched, ChaosConfig{}, nil, fn)
-	if err != nil {
-		return err
-	}
-	_, err = pipe.Run(ctx)
-	return err
+	return runToEnd(ctx)(s.Pipeline(from, until, PipelineOptions{Replay: sdes, OnReport: fn}))
 }
 
 func holdingKeys(r *rtec.Result, fluent string, q Time) []string {

@@ -20,8 +20,8 @@ import (
 // Several boundaries due at once — a recording that ends before the
 // window does, a dead mediator whose stream only ends with the run — are
 // still one boundary step after another: the crowd verdicts of q are in
-// the engines when q+Step is evaluated. The tests below hold Run, RunReplay
-// and the chaos pipeline to the per-event reference in exactly that state.
+// the engines when q+Step is evaluated. The tests below hold OnReport runs,
+// generated and replayed, and the chaos pipeline to the per-event reference in exactly that state.
 
 const dueStep = Time(900)
 
@@ -98,10 +98,10 @@ func TestRecordingEndsEarly(t *testing.T) {
 			replay := func(sys *System) []*Report {
 				t.Helper()
 				var reports []*Report
-				if err := sys.RunReplay(context.Background(), rec, from, until, func(r *Report) error {
+				if err := runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{Replay: rec, OnReport: func(r *Report) error {
 					reports = append(reports, r)
 					return nil
-				}); err != nil {
+				}})); err != nil {
 					t.Fatal(err)
 				}
 				return reports
@@ -153,7 +153,7 @@ func TestDeadMediatorBoundariesDueTogether(t *testing.T) {
 	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{
 		"scats-central": {Seed: 5, StallAfter: 3}, // StallFor 0: never recovers
 	}}
-	pipe, err := dueTogetherSystem(t, city, 0).BuildChaosPipeline(from, until, chaos)
+	pipe, _, err := dueTogetherSystem(t, city, 0).Pipeline(from, until, PipelineOptions{Chaos: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCallbackSeesTheBoundaryItIsGiven(t *testing.T) {
 	var seen []Time
 	var observed []int
 	rounds := 0
-	if err := sys.RunReplay(context.Background(), rec, from, until, func(r *Report) error {
+	if err := runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{Replay: rec, OnReport: func(r *Report) error {
 		seen = append(seen, r.Q)
 		rounds += len(r.CrowdRounds)
 		est, err := sys.FlowMap(mcfg)
@@ -222,7 +222,7 @@ func TestCallbackSeesTheBoundaryItIsGiven(t *testing.T) {
 		observed = append(observed, est.Observations)
 		_ = sys.Estimator().Participants()
 		return nil
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
 	var want []Time
@@ -237,7 +237,7 @@ func TestCallbackSeesTheBoundaryItIsGiven(t *testing.T) {
 	}
 	for i, q := range want {
 		short := mk()
-		if err := short.RunReplay(context.Background(), rec, from, q, nil); err != nil {
+		if err := runToEnd(context.Background())(short.Pipeline(from, q, PipelineOptions{Replay: rec})); err != nil {
 			t.Fatal(err)
 		}
 		est, err := short.FlowMap(mcfg)
@@ -290,7 +290,7 @@ func TestRunCancelledInsideACrowdRound(t *testing.T) {
 	done := make(chan error, 1)
 	calls := 0
 	go func() {
-		done <- sys.Run(ctx, from, until, func(*Report) error { calls++; return nil })
+		done <- runToEnd(ctx)(sys.Pipeline(from, until, PipelineOptions{OnReport: func(*Report) error { calls++; return nil }}))
 	}()
 	select {
 	case <-asked:

@@ -129,7 +129,7 @@ func TestShardEquivalenceGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := sys.BuildChaosPipeline(from, until, chaos)
+		pipe, _, err := sys.Pipeline(from, until, PipelineOptions{Chaos: chaos})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		return nil
 	}
 	var repA, repB, repC []*Report
-	if err := sysA.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
+	if err := runToEnd(context.Background())(sysA.Pipeline(from, until, PipelineOptions{Replay: sdes, OnReport: func(rep *Report) error {
 		switch {
 		case rep.Q == mid:
 			var err error
@@ -289,7 +289,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			repA = append(repA, rep)
 		}
 		return nil
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
 	if want := 3 + 1; len(snaps) != want {
@@ -338,16 +338,16 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			tail = append(tail, sde)
 		}
 	}
-	if err := sysB.RunReplay(context.Background(), tail, mid, until, func(rep *Report) error {
+	if err := runToEnd(context.Background())(sysB.Pipeline(mid, until, PipelineOptions{Replay: tail, OnReport: func(rep *Report) error {
 		repB = append(repB, rep)
 		return nil
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := sysC.RunReplay(context.Background(), tail, mid, until, func(rep *Report) error {
+	if err := runToEnd(context.Background())(sysC.Pipeline(mid, until, PipelineOptions{Replay: tail, OnReport: func(rep *Report) error {
 		repC = append(repC, rep)
 		return nil
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
 	nonEmpty := false
@@ -424,7 +424,7 @@ func TestShardTierElapsed(t *testing.T) {
 }
 
 // TestShardFreshDedupAcrossShards pins the tier's cross-shard Fresh
-// dedup on a scripted stream, run through RunReplay at two shards and
+// dedup on a scripted stream, replayed through System.Pipeline at two shards and
 // compared with the single engine — fresh events and alerts included.
 // Two buses owned by different shards disagree with one intersection at
 // the same second; the second bus's SDE arrives after the boundary that
@@ -483,10 +483,10 @@ func TestShardFreshDedupAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		var reports []*Report
-		if err := sys.RunReplay(context.Background(), sdes, from, until, func(rep *Report) error {
+		if err := runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{Replay: sdes, OnReport: func(rep *Report) error {
 			reports = append(reports, rep)
 			return nil
-		}); err != nil {
+		}})); err != nil {
 			t.Fatal(err)
 		}
 		return reports

@@ -49,7 +49,7 @@ type Span struct {
 
 	// Stages that run after the record is handed out, or on another
 	// goroutine: each record carries what they did since the previous
-	// record was filled. Callback is the previous report's Run/RunReplay
+	// record was filled. Callback is the previous report's OnReport
 	// callback. WAL is the wal-append process — encode, append, fsync —
 	// whose heap bytes include what other goroutines allocated
 	// meanwhile. Checkpoint is build, encode, write and fsync.

@@ -62,8 +62,8 @@ func spanSystem(t *testing.T, participants int) *System {
 	return sys
 }
 
-// TestSpanNoJoinsInRecognition: every System driver — BuildPipeline on
-// both tiers, BuildDurablePipeline, RunReplay — runs recognition on
+// TestSpanNoJoinsInRecognition: every kind of System.Pipeline — plain
+// on both tiers, durable, a replay — runs recognition on
 // stamped moves, so the record reads no close/4 join at any boundary,
 // while it does read admitted and inserted rows and the engines' filing
 // times.
@@ -96,7 +96,7 @@ func TestSpanNoJoinsInRecognition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := sys.BuildPipeline(from, until)
+		pipe, _, err := sys.Pipeline(from, until, PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestSpanNoJoinsInRecognition(t *testing.T) {
 		check(t, reports)
 	})
 	t.Run("BuildPipeline/sharded", func(t *testing.T) {
-		pipe, err := spanSystem(t, 8).BuildPipeline(from, until)
+		pipe, _, err := spanSystem(t, 8).Pipeline(from, until, PipelineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSpanNoJoinsInRecognition(t *testing.T) {
 		check(t, reports)
 	})
 	t.Run("BuildDurablePipeline", func(t *testing.T) {
-		pipe, _, err := spanSystem(t, 0).BuildDurablePipeline(from, until, DurableOptions{Dir: t.TempDir()})
+		pipe, _, err := spanSystem(t, 0).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +143,10 @@ func TestSpanNoJoinsInRecognition(t *testing.T) {
 			t.Fatal(err)
 		}
 		var reports []*Report
-		if err := sys.RunReplay(context.Background(), city.Collect(from, until), from, until, func(rep *Report) error {
+		if err := runToEnd(context.Background())(sys.Pipeline(from, until, PipelineOptions{Replay: city.Collect(from, until), OnReport: func(rep *Report) error {
 			reports = append(reports, rep)
 			return nil
-		}); err != nil {
+		}})); err != nil {
 			t.Fatal(err)
 		}
 		check(t, reports)
@@ -182,7 +182,7 @@ func TestSpanCountsPinned(t *testing.T) {
 		{2275, 2434, 43, 55, 8, 0}, // 08:45
 		{2295, 2462, 38, 49, 9, 0},
 	}
-	pipe, err := spanSystem(t, 8).BuildPipeline(from, until)
+	pipe, _, err := spanSystem(t, 8).Pipeline(from, until, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ func TestFlowMapMatchesPredictReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := 0
-	if err := sys.Run(context.Background(), 7*3600, 8*3600, func(r *Report) error {
+	if err := runToEnd(context.Background())(sys.Pipeline(7*3600, 8*3600, PipelineOptions{OnReport: func(r *Report) error {
 		rounds += len(r.CrowdRounds)
 		return nil
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
 	if rounds == 0 || len(sys.lastCrowd) == 0 {
@@ -146,10 +146,10 @@ func TestLatestReadingIsNewestNotLastAdmitted(t *testing.T) {
 		sdes = append(sdes, dublin.SDE{Event: ev, Arrival: from + Time(800+10*i)})
 	}
 	var rep *Report
-	if err := sys.RunReplay(context.Background(), sdes, from, from+900, func(r *Report) error {
+	if err := runToEnd(context.Background())(sys.Pipeline(from, from+900, PipelineOptions{Replay: sdes, OnReport: func(r *Report) error {
 		rep = r
 		return nil
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
 	if rep.FedEvents != 3 {
@@ -207,7 +207,7 @@ func TestLatestReadingSurvivesCheckpoint(t *testing.T) {
 		t.Fatal("no sensor's last-admitted reading is older than its newest: the scenario does not exercise the bug")
 	}
 	dir := t.TempDir()
-	crashed, _, err := durableSystem(t, city).BuildDurablePipeline(from, until, DurableOptions{
+	crashed, _, err := durableSystem(t, city).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{
 		Dir: dir,
 		CheckpointFailpoint: func(q Time) CheckpointCrash {
 			if q == from+2*900 {
@@ -215,7 +215,7 @@ func TestLatestReadingSurvivesCheckpoint(t *testing.T) {
 			}
 			return CrashNone
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestLatestReadingSurvivesCheckpoint(t *testing.T) {
 		t.Fatalf("first epoch ended with %v, want the injected crash", err)
 	}
 	sys := durableSystem(t, city)
-	resumed, info, err := sys.BuildDurablePipeline(from, until, DurableOptions{Dir: dir})
+	resumed, info, err := sys.Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestColumnStoreMatchesRowStoreGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := sys.BuildChaosPipeline(from, until, chaos)
+		pipe, _, err := sys.Pipeline(from, until, PipelineOptions{Chaos: chaos})
 		if err != nil {
 			t.Fatal(err)
 		}
