@@ -25,13 +25,14 @@ package insight
 // retained checkpoint. Every file call goes through the internal/vfs
 // seam, where tests script their storage faults.
 //
-// Layout (format 5). A fixed header — magic, CRC32C over every byte
+// Layout (format 6). A fixed header — magic, CRC32C over every byte
 // after the CRC field, the format byte, the window offset, the
 // consumption offset and the boundary cursor as fixed-width
 // little-endian integers — so the garbage collector learns a retained
 // checkpoint's window offset, the front of the log it needs, without
 // decoding anything else; then the sections in the shared codec
-// vocabulary (internal/codec): stream cursors, the boundaries fired
+// vocabulary (internal/codec): the run's identity (runIdentity), stream
+// cursors, the boundaries fired
 // since the window offset with their verdicts, the engines' binary
 // snapshots (rtec.EngineSnapshot.AppendBinary; on the sharded tier one
 // per shard plus the tier state), the latest sensor/crowd readings, the
@@ -44,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -51,6 +53,7 @@ import (
 	"strings"
 
 	"github.com/insight-dublin/insight/crowd"
+	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/internal/codec"
 	"github.com/insight-dublin/insight/internal/vfs"
 	"github.com/insight-dublin/insight/rtec"
@@ -59,7 +62,7 @@ import (
 
 const (
 	ckptMagic  = "INSCKPT1"
-	ckptFormat = 5
+	ckptFormat = 6
 	// Fixed header offsets: magic, CRC32C of everything after it, format
 	// byte, window offset, consumption offset, boundary cursor.
 	ckptCRCAt      = len(ckptMagic)
@@ -126,8 +129,49 @@ type boundaryFire struct {
 	verdicts []crowdVerdict
 }
 
+// runIdentity names the run a checkpoint belongs to: the window of
+// SDE occurrence times the pipeline was built for and its input. The
+// stream cursors count envelopes of one collection of that window, so
+// only the run that wrote a checkpoint can resume from it.
+type runIdentity struct {
+	from, until Time
+	// replay is the FNV-1a digest of PipelineOptions.Replay
+	// (replayDigest); 0 for a generated stream.
+	replay uint64
+}
+
+func (r runIdentity) String() string {
+	input := "generated stream"
+	if r.replay != 0 {
+		input = fmt.Sprintf("replay %016x", r.replay)
+	}
+	return fmt.Sprintf("[%d, %d) from a %s", int64(r.from), int64(r.until), input)
+}
+
+// replayDigest is the FNV-1a digest of a recorded stream — every SDE's
+// arrival, identity and canonical attributes, in order — or 0 for none
+// (a generated stream).
+func replayDigest(sdes []dublin.SDE) uint64 {
+	if sdes == nil {
+		return 0
+	}
+	h := fnv.New64a()
+	var b []byte
+	for _, sd := range sdes {
+		ev := sd.Event
+		b = binary.AppendVarint(b[:0], int64(sd.Arrival))
+		b = binary.AppendVarint(b, int64(ev.Time))
+		b = append(append(b, ev.Type...), 0)
+		b = append(append(b, ev.Key...), 0)
+		b = append(append(b, rtec.CanonicalAttrs(ev)...), 0)
+		h.Write(b) //lint:allow errdrop a hash's Write never returns an error
+	}
+	return h.Sum64()
+}
+
 // checkpoint is the decoded in-memory form of one checkpoint file.
 type checkpoint struct {
+	run   runIdentity
 	nextQ Time
 	// windowOffset is the start of the oldest logged record holding a
 	// row the engines' stores or the pending set need; consumedOffset, the
@@ -162,6 +206,9 @@ func (c *checkpoint) encode(dst []byte) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.windowOffset))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.consumedOffset))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.nextQ))
+	dst = codec.AppendVarint(dst, int64(c.run.from))
+	dst = codec.AppendVarint(dst, int64(c.run.until))
+	dst = codec.AppendUvarint(dst, c.run.replay)
 	dst = codec.AppendUvarint(dst, uint64(len(c.cursors)))
 	for _, cur := range c.cursors {
 		dst = codec.AppendString(dst, cur.id)
@@ -257,6 +304,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		nextQ:          Time(binary.LittleEndian.Uint64(data[ckptNextQAt:])),
 	}
 	d := codec.NewDecoder(data[ckptHeader:])
+	c.run = runIdentity{from: Time(d.Varint()), until: Time(d.Varint()), replay: d.Uvarint()}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		c.cursors = append(c.cursors, streamCursor{
 			id:        d.String(),

@@ -170,7 +170,9 @@ func (r *durableReplay) close() {
 func engineSections(tb testing.TB, data []byte) [][]byte {
 	tb.Helper()
 	d := codec.NewDecoder(data[ckptHeader:])
-	for i, n := 0, d.Count(); i < n; i++ { // cursors
+	// The run identity, then the cursors.
+	_, _, _ = d.Varint(), d.Varint(), d.Uvarint()
+	for i, n := 0, d.Count(); i < n; i++ {
 		_, _, _ = d.String(), d.Uvarint(), d.Varint()
 	}
 	for i, n := 0, d.Count(); i < n; i++ { // fired boundaries

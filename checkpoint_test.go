@@ -216,10 +216,10 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	}
 	// Formats 2 and 3 carried the engines' stores and the pending rows
 	// (2 also a reduce engine's section), format 4 neither the crowd's
-	// verdicts nor the estimator: they must be refused by their format
-	// byte, never decoded and handed to a recovery that would not rebuild
-	// what they hold.
-	for _, format := range []byte{1, 2, 3, 4} {
+	// verdicts nor the estimator, format 5 not the run's identity: they
+	// must be refused by their format byte, never decoded and handed to a
+	// recovery that would not rebuild what they hold.
+	for _, format := range []byte{1, 2, 3, 4, 5} {
 		old := append([]byte(nil), valid...)
 		old[ckptFormatAt] = format
 		binary.LittleEndian.PutUint32(old[ckptCRCAt:], crc32.Checksum(old[ckptFormatAt:], ckptCRC))
@@ -258,6 +258,47 @@ func TestUnsupportedCheckpointFormat(t *testing.T) {
 	}
 	if off, err := gcCheckpoints(vfs.OS{}, dir); err != nil || off != ck.windowOffset {
 		t.Errorf("GC truncation point = %d (err=%v), want the retained checkpoint's window offset %d", off, err, ck.windowOffset)
+	}
+}
+
+// TestResumeRefusesAnotherRun: a durable directory resumes only the run
+// that wrote it. The stream cursors count envelopes of one collection,
+// so a restart over another window or another input would skip the
+// wrong envelopes — a 1 h run restarted as a 2 h one resumed and lost
+// half a boundary's SDEs without an error. Recovery refuses it, naming
+// both runs, and leaves the directory to the run that wrote it.
+func TestResumeRefusesAnotherRun(t *testing.T) {
+	city := fuzzCity(t)
+	const from, until = 7 * 3600, 8 * 3600
+	recorded := city.Collect(from, until)
+	dir := t.TempDir()
+	run := func(until Time, replay []dublin.SDE) (*Pipeline, *RecoveryInfo, error) {
+		return durableSystem(t, city).Pipeline(from, until, PipelineOptions{Replay: replay, Durable: &DurableOptions{Dir: dir}})
+	}
+	if err := runToEnd(context.Background())(run(until, recorded)); err != nil {
+		t.Fatal(err)
+	}
+	wrote := fmt.Sprintf("[25200, 28800) from a replay %016x", replayDigest(recorded))
+	for name, tc := range map[string]struct {
+		until  Time
+		replay []dublin.SDE
+		want   string
+	}{
+		"longer window":    {9 * 3600, recorded, fmt.Sprintf("[25200, 32400) from a replay %016x", replayDigest(recorded))},
+		"shorter replay":   {until, recorded[:len(recorded)-1], fmt.Sprintf("[25200, 28800) from a replay %016x", replayDigest(recorded[:len(recorded)-1]))},
+		"generated stream": {until, nil, "[25200, 28800) from a generated stream"},
+	} {
+		if _, _, err := run(tc.until, tc.replay); err == nil || !strings.Contains(err.Error(), wrote) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume err = %v, want a refusal naming %q and %q", name, err, wrote, tc.want)
+		}
+	}
+	var info *RecoveryInfo
+	if err := runToEnd(context.Background())(func() (*Pipeline, *RecoveryInfo, error) {
+		pipe, ri, err := run(until, recorded)
+		info = ri
+		return pipe, ri, err
+	}()); err != nil || !info.Resumed {
+		t.Fatalf("the run that wrote the directory: err = %v, RecoveryInfo %+v", err, info)
 	}
 }
 

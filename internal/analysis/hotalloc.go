@@ -28,8 +28,11 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // times a boundary — nothing allocated per candidate, and no reflective
 // sort; rtec's fold of a simple fluent's transition points and its
 // window clip run for every fluent at every query, and interval's
-// inertia kernel for every instance — slices sized once per call,
-// nothing allocated per instance or per point; dublin's ground-truth
+// inertia kernel for every instance — slices sized once per call (the
+// fold's instance table excepted: it starts at the previous query's
+// instances and grows by append in intern, a few hundred instances
+// against hundreds of thousands of points), nothing allocated per
+// point; dublin's ground-truth
 // field is asked about every generated bus report and SCATS reading and
 // every crowd participant's answer — it reads its static grid and
 // allocates nothing. A durable checkpoint pays rtec's Fresh dedup
@@ -84,10 +87,13 @@ var batchPathFuncs = map[string]*regexp.Regexp{
 // ruleClosurePkgs are the packages whose rtec rule closures — the
 // function literals bound to an EventRule's Derive or a SimpleFluent's
 // Transitions field — are held to the derived-event contract: per row
-// of the window they scan, no attribute map and no concatenated key.
-// One map[string]any per derived event (plus its boxed values) was a
-// third of recognition time on the 10x profile; rules derive into an
-// rtec.EventBlock instead.
+// of the window they scan, no attribute map, no concatenated key and no
+// view Event read by attribute name. One map[string]any per derived
+// event (plus its boxed values) was a third of recognition time on the
+// 10x profile; rules derive into an rtec.EventBlock instead. Building a
+// view Event per bus report and finding its columns by name was 17 % of
+// a late run's CPU in eachCloseMove alone; rules read a Rows.Col handle
+// instead.
 var ruleClosurePkgs = []string{"traffic"}
 
 // ruleClosureFields are the composite-literal keys whose function
@@ -126,13 +132,14 @@ var itemMaterializers = map[string]bool{
 // per-row map construction and Item/Event materialization calls at any
 // loop depth: the zero-allocation contract of batched transport.
 //
-// In rule closures (ruleClosurePkgs) it flags map[string]any literals
-// and string concatenation in per-row code: loop bodies and callbacks
-// handed to a row iterator, at any depth, including local closures the
-// rule closure delegates to.
+// In rule closures (ruleClosurePkgs) it flags map[string]any literals,
+// string concatenation and a Rows.At event read by a constant attribute
+// name in per-row code: loop bodies and callbacks handed to a row
+// iterator, at any depth, including local closures the rule closure
+// delegates to and the loops of package functions it calls.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, allocations in any loop and reflective sorts in per-call functions, per-row map materialization in batch loops, and per-event attribute maps or key concatenation in rule closures",
+	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, allocations in any loop and reflective sorts in per-call functions, per-row map materialization in batch loops, and per-event attribute maps, key concatenation or by-name reads of Rows.At events in rule closures",
 	Run:  runHotAlloc,
 }
 
@@ -210,9 +217,23 @@ func checkPerCall(pass *Pass, fn string, body *ast.BlockStmt) {
 }
 
 // checkRuleClosures finds the package's rule closures and reports
-// per-event attribute maps and key concatenation in their per-row code.
+// per-event attribute maps, key concatenation and by-name reads of
+// Rows.At events in their per-row code.
 func checkRuleClosures(pass *Pass) {
 	info := pass.Pkg.Info
+	// Package functions by their object, so a rule closure that calls a
+	// row iterator of its package (eachCloseMove) is followed into it.
+	decls := make(map[types.Object]*ast.FuncDecl)
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Body != nil {
+				decls[info.ObjectOf(fd.Name)] = fd
+			}
+		}
+	}
+	// A closure or function several rules delegate to is reported once.
+	seen := make(map[ast.Node]bool)
+	fromAt, reported := make(map[types.Object]token.Pos), make(map[token.Pos]bool)
 	for _, f := range pass.Pkg.Files {
 		// Local closures by the variable they are bound to, so a rule
 		// closure that delegates — Derive: func(ctx) { return derive(ctx,
@@ -232,8 +253,6 @@ func checkRuleClosures(pass *Pass) {
 			}
 			return true
 		})
-		// A closure several rules delegate to is reported once.
-		seen := make(map[*ast.FuncLit]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			kv, ok := n.(*ast.KeyValueExpr)
 			if !ok {
@@ -243,7 +262,7 @@ func checkRuleClosures(pass *Pass) {
 			lit, isLit := kv.Value.(*ast.FuncLit)
 			if isIdent && isLit && ruleClosureFields[key.Name] {
 				seen[lit] = true
-				w := &ruleClosureWalk{pass: pass, field: key.Name, bound: bound, seen: seen}
+				w := &ruleClosureWalk{pass: pass, field: key.Name, bound: bound, decls: decls, seen: seen, fromAt: fromAt, reported: reported}
 				w.walk(lit.Body, false)
 			}
 			return true
@@ -257,23 +276,51 @@ type ruleClosureWalk struct {
 	pass  *Pass
 	field string // Derive or Transitions
 	bound map[types.Object]*ast.FuncLit
-	seen  map[*ast.FuncLit]bool
+	decls map[types.Object]*ast.FuncDecl
+	seen  map[ast.Node]bool
+	// fromAt maps the variables holding a Rows.At event to the At call;
+	// reported holds the At calls already reported.
+	fromAt   map[types.Object]token.Pos
+	reported map[token.Pos]bool
 }
+
+// attrReaders are the Event accessors that find their column by name.
+var attrReaders = map[string]bool{"Float": true, "Int": true, "Bool": true, "Str": true, "IntList": true}
 
 func (w *ruleClosureWalk) walk(n ast.Node, perRow bool) {
 	info := w.pass.Pkg.Info
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			w.walk(loopBody(n), true)
-			return false // the header runs once; the body was just walked
+		case *ast.ForStmt:
+			for _, part := range []ast.Node{n.Init, n.Cond, n.Post} {
+				if part != nil {
+					w.walk(part, perRow)
+				}
+			}
+			w.walk(n.Body, true)
+			return false
+		case *ast.RangeStmt:
+			w.walk(n.X, perRow) // the header runs once
+			w.walk(n.Body, true)
+			return false
 		case *ast.FuncLit:
 			w.walk(n.Body, perRow)
 			return false
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				if at := w.rowsAt(rhs); at.IsValid() && len(n.Lhs) == len(n.Rhs) {
+					if obj := info.ObjectOf(identOf(n.Lhs[i])); obj != nil {
+						w.fromAt[obj] = at
+					}
+				}
+			}
 		case *ast.CallExpr:
+			if perRow {
+				w.checkByName(n)
+			}
 			// A function literal handed to a call is a per-row callback
-			// (eachCloseMove's fn); a call of a local closure continues
-			// in that closure.
+			// (eachCloseMove's fn); a call of a local closure or of a
+			// package function (eachCloseMove) continues there.
 			for _, arg := range n.Args {
 				if lit, ok := arg.(*ast.FuncLit); ok {
 					w.walk(lit.Body, true)
@@ -285,6 +332,12 @@ func (w *ruleClosureWalk) walk(n ast.Node, perRow bool) {
 				if lit := w.bound[info.ObjectOf(id)]; lit != nil && !w.seen[lit] {
 					w.seen[lit] = true
 					w.walk(lit.Body, perRow)
+				} else if fd := w.decls[info.ObjectOf(id)]; fd != nil && !w.seen[fd] {
+					// A package function is judged by its own loops: a
+					// helper a row calls (a cache miss's key builder)
+					// is not a row loop.
+					w.seen[fd] = true
+					w.walk(fd.Body, false)
 				}
 			} else {
 				w.walk(n.Fun, perRow)
@@ -302,6 +355,58 @@ func (w *ruleClosureWalk) walk(n ast.Node, perRow bool) {
 		}
 		return true
 	})
+}
+
+// identOf returns e as an identifier, or nil.
+func identOf(e ast.Expr) *ast.Ident {
+	id, _ := ast.Unparen(e).(*ast.Ident)
+	return id
+}
+
+// rowsAt returns the position of e when e is a Rows.At call, else
+// token.NoPos.
+func (w *ruleClosureWalk) rowsAt(e ast.Expr) token.Pos {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return token.NoPos
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "At" {
+		return token.NoPos
+	}
+	t := w.pass.Pkg.Info.TypeOf(sel.X)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); !ok || named.Obj().Name() != "Rows" {
+		return token.NoPos
+	}
+	return call.Pos()
+}
+
+// checkByName reports a per-row attribute read by constant name —
+// Float("flow") and the like — of an event Rows.At built: each such
+// read builds a view Event and looks its column up by name on every
+// row, where a handle from Rows.Col resolves the column once per view.
+// The finding sits on the At call, once per call.
+func (w *ruleClosureWalk) checkByName(call *ast.CallExpr) {
+	info := w.pass.Pkg.Info
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !attrReaders[sel.Sel.Name] || len(call.Args) != 1 {
+		return
+	}
+	if tv, ok := info.Types[call.Args[0]]; !ok || tv.Value == nil || !isStringType(tv.Type) {
+		return
+	}
+	at := w.rowsAt(sel.X)
+	if id := identOf(sel.X); id != nil && !at.IsValid() {
+		at = w.fromAt[info.ObjectOf(id)]
+	}
+	if !at.IsValid() || w.reported[at] {
+		return
+	}
+	w.reported[at] = true
+	w.pass.Reportf(at, "Rows.At per row, then %s read by name in a %s closure; read the column through a Rows.Col handle", sel.Sel.Name, w.field)
 }
 
 // isAttrMap reports whether t is map[string]any, the event attribute map.

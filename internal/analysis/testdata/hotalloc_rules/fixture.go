@@ -5,6 +5,9 @@
 // body or in a callback handed to a row iterator, directly or in a
 // local closure the rule delegates to — is flagged; the same
 // constructs once per call, and per row outside a rule closure, pass.
+// So is an event Rows.At builds per row and then reads by a constant
+// attribute name — also in a package function the rule calls; reading
+// the same column through a Rows.Col handle passes.
 package hrfix
 
 // Event mirrors the engine's event record.
@@ -132,4 +135,95 @@ func NotARule(rows []Event) []Event {
 		out = append(out, Event{Time: e.Time, Key: e.Key + "/z", Attrs: map[string]any{"bus": e.Key}})
 	}
 	return out
+}
+
+// Float mirrors the engine's by-name attribute accessor.
+func (e Event) Float(name string) (float64, bool) {
+	v, ok := e.Attrs[name].(float64)
+	return v, ok
+}
+
+// Rows mirrors the engine's window view and Column its column handle.
+type Rows struct{ evs []Event }
+
+func (r Rows) Len() int                      { return len(r.evs) }
+func (r Rows) At(i int) Event                { return r.evs[i] }
+func (r Rows) TimeAt(i int) int64            { return r.evs[i].Time }
+func (r Rows) Col(name string) Column        { return Column{rows: r, name: name} }
+func (c Column) Float(i int) (float64, bool) { return c.rows.evs[i].Float(c.name) }
+
+type Column struct {
+	rows Rows
+	name string
+}
+
+// ViewFluent is a fluent whose closure reads a window view.
+type ViewFluent struct {
+	Name        string
+	Transitions func(rows Rows) []Transition
+}
+
+// busyKeys is a row iterator of the package: a rule that calls it is
+// followed into it, so its per-row by-name read is flagged.
+func busyKeys(rows Rows) []string {
+	var out []string
+	for i := 0; i < rows.Len(); i++ {
+		e := rows.At(i)
+		if d, _ := e.Float("density"); d > 0.5 {
+			out = append(out, e.Key)
+		}
+	}
+	return out
+}
+
+// ViewRules declares the view-reading rule closures.
+func ViewRules() (ViewFluent, ViewFluent, ViewFluent) {
+	// An Event per row, its column found by name per row: flagged once
+	// per At call.
+	byName := ViewFluent{
+		Name: "byName",
+		Transitions: func(rows Rows) []Transition {
+			var out []Transition
+			for i := 0; i < rows.Len(); i++ {
+				e := rows.At(i)
+				d, _ := e.Float("density")
+				f, _ := e.Float("flow")
+				if p, _ := rows.At(i).Float("prev"); d > f && p > 0 {
+					out = append(out, Transition{Key: e.Key, Time: e.Time})
+				}
+			}
+			return out
+		},
+	}
+
+	// The columns resolved once per view, the rows read by index:
+	// passes.
+	handles := ViewFluent{
+		Name: "handles",
+		Transitions: func(rows Rows) []Transition {
+			var out []Transition
+			density, flow := rows.Col("density"), rows.Col("flow")
+			for i := 0; i < rows.Len(); i++ {
+				d, _ := density.Float(i)
+				f, _ := flow.Float(i)
+				if d > f {
+					out = append(out, Transition{Time: rows.TimeAt(i)})
+				}
+			}
+			return out
+		},
+	}
+
+	// The by-name read happens in a package function the rule calls.
+	delegated := ViewFluent{
+		Name: "delegated",
+		Transitions: func(rows Rows) []Transition {
+			var out []Transition
+			for _, key := range busyKeys(rows) {
+				out = append(out, Transition{Key: key})
+			}
+			return out
+		},
+	}
+	return byName, handles, delegated
 }

@@ -299,6 +299,7 @@ func (s *ackingSink) Write(it streams.Item) error {
 // replay first, then the monitoring process).
 type durableRuntime struct {
 	opts DurableOptions // fs resolved by vfs.Or
+	run  runIdentity    // stamped into every checkpoint
 	log  *wal.Log
 	st   *durableState
 	proc *rtecProcessor
@@ -440,6 +441,7 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 	}
 	rt.fires = rt.fires[kept:]
 	ck := &checkpoint{
+		run:            rt.run,
 		nextQ:          p.nextQ,
 		windowOffset:   window,
 		consumedOffset: rt.st.endOf(rt.consumedIdx),
@@ -496,7 +498,9 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 // resume recovers the durable pipeline for SDEs in [from, until) from
 // whatever opt.Durable.Dir holds, before System.Pipeline wires the
 // graph; it refuses any chaos fault, whose drops and duplicates would
-// break the skip cursors' envelope counts. A fresh directory starts
+// break the skip cursors' envelope counts, and a checkpoint written by
+// another run (another window or another input), whose cursors count
+// envelopes of another collection. A fresh directory starts
 // clean, a crashed epoch's directory resumes
 // from its newest valid checkpoint, its working memory rebuilt from the
 // log's window and the log replayed from the checkpoint's consumption
@@ -531,10 +535,16 @@ func (s *System) resume(from, until Time, opt PipelineOptions) (*durableRuntime,
 	if err != nil {
 		return fail(err)
 	}
+	run := runIdentity{from: from, until: until, replay: replayDigest(opt.Replay)}
+	if ck != nil && ck.run != run {
+		return fail(fmt.Errorf("insight: checkpoint %s was written by the run over %s; this run is over %s",
+			checkpointName(ck.nextQ), ck.run, run))
+	}
 
 	proc := newRTECProcessor(s, from, until)
 	rt := &durableRuntime{
 		opts:     dur,
+		run:      run,
 		log:      log,
 		st:       &durableState{},
 		proc:     proc,

@@ -32,10 +32,10 @@ func colLen(c *BCol) int {
 	}
 }
 
-// cellValue is getAt without the column lookup: the boxed value of one
-// cell and whether it is present.
+// cellValue is the Event.Get backend: the boxed value of one cell and
+// whether it is present (never, in a nil column).
 func cellValue(c *BCol, row int) (any, bool) {
-	if !c.present(row) {
+	if c == nil || !c.present(row) {
 		return nil, false
 	}
 	switch c.Kind {

@@ -148,43 +148,16 @@ func (b *Block) colIndex(name string) int {
 	return -1
 }
 
-// getAt is the Event.Get backend: the boxed value of one cell.
-func (b *Block) getAt(name string, row int) (any, bool) {
-	ci := b.colIndex(name)
-	if ci < 0 {
-		return nil, false
-	}
-	c := &b.Cols[ci]
-	if !c.present(row) {
-		return nil, false
-	}
-	switch c.Kind {
-	case ColFloat:
-		return c.F[row], true
-	case ColInt:
-		return c.I[row], true
-	case ColBool:
-		return c.B[row], true
-	case ColIntGo:
-		return c.N[row], true
-	case ColAny:
-		return c.A[row], true
-	case ColIntList:
-		return c.list(row), true
-	default:
-		return c.Dict[c.SIdx[row]], true
-	}
-}
+// The cell functions below are the one implementation of the
+// accessors' coercions: Event's accessors over a block and Rows.Col's
+// handle call them on a resolved column, and a boxed value — a
+// map-backed event's attribute or a ColAny cell — goes through the
+// same floatOf and intOf. A nil column is an absent attribute.
 
-// floatAt mirrors the map accessor's coercions: float64 and integer
-// attributes convert; strings and bools don't.
-func (b *Block) floatAt(name string, row int) (float64, bool) {
-	ci := b.colIndex(name)
-	if ci < 0 {
-		return 0, false
-	}
-	c := &b.Cols[ci]
-	if !c.present(row) {
+// floatAt reads a cell as Event.Float does: float64 and integer cells
+// convert; strings and bools don't.
+func (c *BCol) floatAt(row int) (float64, bool) {
+	if c == nil || !c.present(row) {
 		return 0, false
 	}
 	switch c.Kind {
@@ -195,26 +168,14 @@ func (b *Block) floatAt(name string, row int) (float64, bool) {
 	case ColIntGo:
 		return float64(c.N[row]), true
 	case ColAny:
-		switch v := c.A[row].(type) {
-		case float64:
-			return v, true
-		case int:
-			return float64(v), true
-		case int64:
-			return float64(v), true
-		}
+		return floatOf(c.A[row])
 	}
 	return 0, false
 }
 
-// intAt mirrors the map accessor's coercions (floats truncate).
-func (b *Block) intAt(name string, row int) (int64, bool) {
-	ci := b.colIndex(name)
-	if ci < 0 {
-		return 0, false
-	}
-	c := &b.Cols[ci]
-	if !c.present(row) {
+// intAt reads a cell as Event.Int does (floats truncate).
+func (c *BCol) intAt(row int) (int64, bool) {
+	if c == nil || !c.present(row) {
 		return 0, false
 	}
 	switch c.Kind {
@@ -225,25 +186,13 @@ func (b *Block) intAt(name string, row int) (int64, bool) {
 	case ColIntGo:
 		return int64(c.N[row]), true
 	case ColAny:
-		switch v := c.A[row].(type) {
-		case int64:
-			return v, true
-		case int:
-			return int64(v), true
-		case float64:
-			return int64(v), true
-		}
+		return intOf(c.A[row])
 	}
 	return 0, false
 }
 
-func (b *Block) strAt(name string, row int) (string, bool) {
-	ci := b.colIndex(name)
-	if ci < 0 {
-		return "", false
-	}
-	c := &b.Cols[ci]
-	if !c.present(row) {
+func (c *BCol) strAt(row int) (string, bool) {
+	if c == nil || !c.present(row) {
 		return "", false
 	}
 	switch c.Kind {
@@ -256,15 +205,10 @@ func (b *Block) strAt(name string, row int) (string, bool) {
 	return "", false
 }
 
-// listAt is the Event.IntList backend; like the map accessor it
-// accepts only the list kind (a boxed []int32 in a ColAny column).
-func (b *Block) listAt(name string, row int) ([]int32, bool) {
-	ci := b.colIndex(name)
-	if ci < 0 {
-		return nil, false
-	}
-	c := &b.Cols[ci]
-	if !c.present(row) {
+// listAt accepts only the list kind (a boxed []int32 in a ColAny
+// column).
+func (c *BCol) listAt(row int) ([]int32, bool) {
+	if c == nil || !c.present(row) {
 		return nil, false
 	}
 	switch c.Kind {
@@ -277,13 +221,8 @@ func (b *Block) listAt(name string, row int) ([]int32, bool) {
 	return nil, false
 }
 
-func (b *Block) boolAt(name string, row int) (bool, bool) {
-	ci := b.colIndex(name)
-	if ci < 0 {
-		return false, false
-	}
-	c := &b.Cols[ci]
-	if !c.present(row) {
+func (c *BCol) boolAt(row int) (bool, bool) {
+	if c == nil || !c.present(row) {
 		return false, false
 	}
 	switch c.Kind {
@@ -294,6 +233,33 @@ func (b *Block) boolAt(name string, row int) (bool, bool) {
 		return v, ok
 	}
 	return false, false
+}
+
+// floatOf coerces a boxed value for Float: float64 and the integer
+// types convert.
+func floatOf(v any) (float64, bool) {
+	switch v := v.(type) {
+	case float64:
+		return v, true
+	case int:
+		return float64(v), true
+	case int64:
+		return float64(v), true
+	}
+	return 0, false
+}
+
+// intOf coerces a boxed value for Int: floats truncate.
+func intOf(v any) (int64, bool) {
+	switch v := v.(type) {
+	case int64:
+		return v, true
+	case int:
+		return int64(v), true
+	case float64:
+		return int64(v), true
+	}
+	return 0, false
 }
 
 // copyRows gathers the given rows of src into a freshly allocated

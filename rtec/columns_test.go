@@ -2,6 +2,7 @@ package rtec
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -279,5 +280,124 @@ func TestInputBlockCopies(t *testing.T) {
 	iv, ok := res.Fluents["alert"][KV{Key: "s1", Value: TrueValue}]
 	if !ok || len(iv) == 0 {
 		t.Fatalf("alert fluent missing after source block mutation: %v", res.Fluents)
+	}
+}
+
+// TestColumnHandleMatchesAt holds every accessor of a Rows.Col handle to
+// the same accessor of At(i), on every row of every view: the column
+// store's segment views and the row store's event slices, Rows and
+// RowsForKey. The rows give the resident segment every column shape a
+// handle can meet — packed float, int, Go int, string, bool and list
+// columns, a column absent from some rows (a Present mask), a boxed
+// ColAny column mixing float64, int, int64, string, bool and list
+// values — and the names include one no row carries; reading each name
+// through every accessor exercises the int↔float coercions both ways.
+// The two stores' answers must also agree row for row.
+func TestColumnHandleMatchesAt(t *testing.T) {
+	attrs := []map[string]any{
+		{"level": 0.25, "count": int64(3), "n": 4, "zone": "north", "alarm": true, "close": []int32{1, 4}, "mixed": 2.75},
+		{"level": 0.75, "n": -1, "zone": "south", "alarm": false, "close": []int32{}, "mixed": 7},
+		{"level": -1.5, "count": int64(-2), "n": 0, "zone": "north", "alarm": true, "close": []int32{2}, "mixed": int64(-9)},
+		{"level": 3.0, "count": int64(8), "n": 12, "zone": "east", "alarm": false, "close": []int32{0, 3}, "mixed": "busy"},
+		{"level": 0.5, "n": 5, "zone": "south", "alarm": true, "close": []int32{5}, "mixed": true},
+		{"level": 9.9, "count": int64(1), "n": 2, "zone": "west", "alarm": false, "close": []int32{6}, "mixed": []int32{7, 8}},
+	}
+	keys := []string{"s1", "s2", "s1", "s3", "s2", "s1"}
+	names := []string{"level", "count", "n", "zone", "alarm", "close", "mixed", "missing"}
+	window := Span{Start: 1, End: 100}
+
+	type read struct {
+		key          string
+		t            Time
+		f            float64
+		fok          bool
+		i            int64
+		iok          bool
+		b, bok       bool
+		s            string
+		sok          bool
+		l            []int32
+		lok          bool
+		view, column string
+	}
+	// readAll reads every name of every row of one view through the
+	// handle, failing where it differs from At(i)'s accessor.
+	readAll := func(label string, rows Rows) []read {
+		var out []read
+		for _, name := range names {
+			h := rows.Col(name)
+			for i := 0; i < rows.Len(); i++ {
+				e := rows.At(i)
+				r := read{key: rows.KeyAt(i), t: rows.TimeAt(i), view: label, column: name}
+				if r.key != e.Key || r.t != e.Time {
+					t.Errorf("%s row %d: KeyAt, TimeAt = %s, %d; At = %s, %d", label, i, r.key, r.t, e.Key, e.Time)
+				}
+				r.f, r.fok = h.Float(i)
+				if f, ok := e.Float(name); r.f != f || r.fok != ok {
+					t.Errorf("%s row %d Float(%q): handle (%v, %v), At (%v, %v)", label, i, name, r.f, r.fok, f, ok)
+				}
+				r.i, r.iok = h.Int(i)
+				if n, ok := e.Int(name); r.i != n || r.iok != ok {
+					t.Errorf("%s row %d Int(%q): handle (%v, %v), At (%v, %v)", label, i, name, r.i, r.iok, n, ok)
+				}
+				r.b, r.bok = h.Bool(i)
+				if b, ok := e.Bool(name); r.b != b || r.bok != ok {
+					t.Errorf("%s row %d Bool(%q): handle (%v, %v), At (%v, %v)", label, i, name, r.b, r.bok, b, ok)
+				}
+				r.s, r.sok = h.Str(i)
+				if s, ok := e.Str(name); r.s != s || r.sok != ok {
+					t.Errorf("%s row %d Str(%q): handle (%q, %v), At (%q, %v)", label, i, name, r.s, r.sok, s, ok)
+				}
+				r.l, r.lok = h.IntList(i)
+				if l, ok := e.IntList(name); !slices.Equal(r.l, l) || r.lok != ok {
+					t.Errorf("%s row %d IntList(%q): handle (%v, %v), At (%v, %v)", label, i, name, r.l, r.lok, l, ok)
+				}
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+
+	var got [2][]read
+	for si, kind := range []StoreKind{StoreColumn, StoreRow} {
+		store := newSDEStore(kind)
+		for i, a := range attrs {
+			store.insert(NewEvent("reading", Time(10*(len(attrs)-i)), keys[i], a), false)
+		}
+		ctx := newStoreContext(99, window, store)
+		rows := ctx.Rows("reading")
+		if rows.Len() != len(attrs) {
+			t.Fatalf("store %d: view of %d rows, want %d", kind, rows.Len(), len(attrs))
+		}
+		if kind == StoreColumn {
+			// The segment has the shapes the test is about.
+			if rows.seg == nil {
+				t.Fatal("column-store view is not over its segment")
+			}
+			kinds := map[string]ColKind{}
+			for _, c := range rows.seg.blk.Cols {
+				kinds[c.Name] = c.Kind
+				if c.Name == "count" && c.Present == nil {
+					t.Error("count has no Present mask: no absent cell is read")
+				}
+			}
+			for name, want := range map[string]ColKind{"level": ColFloat, "count": ColInt, "n": ColIntGo, "zone": ColStr, "alarm": ColBool, "close": ColIntList, "mixed": ColAny} {
+				if kinds[name] != want {
+					t.Errorf("segment column %q is kind %d, want %d", name, kinds[name], want)
+				}
+			}
+		} else if rows.seg != nil {
+			t.Fatal("row-store view is over a segment")
+		}
+		got[si] = readAll("Rows", rows)
+		for _, key := range []string{"s1", "s2", "s3", "nobody"} {
+			got[si] = append(got[si], readAll("RowsForKey("+key+")", ctx.RowsForKey("reading", key))...)
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("column and row store handles differ:\n column %+v\n row    %+v", got[0], got[1])
+	}
+	if len(got[0]) != 2*len(attrs)*len(names) {
+		t.Errorf("%d reads, want %d", len(got[0]), 2*len(attrs)*len(names))
 	}
 }

@@ -70,8 +70,8 @@ func (d *derivedEvents) byKey() map[string][]Event {
 // materializing Event values. Over the row store it wraps the shared
 // event slice; over the column store it wraps the resident segment
 // plus a row-id sub-slice, and At builds the lightweight column view
-// on demand — rules that only need times, keys or single attributes
-// never pay for an Event at all.
+// on demand — rules that read times, keys and attributes through
+// TimeAt, KeyAt and Col's handles never pay for an Event at all.
 //
 // A Rows view is valid for the duration of the query that produced it;
 // do not retain it across queries (eviction and compaction may reuse
@@ -105,6 +105,79 @@ func (r Rows) TimeAt(i int) Time {
 		return Time(r.seg.blk.Times[r.ids[i]])
 	}
 	return r.evs[i].Time
+}
+
+// KeyAt returns the i-th event's entity key without materializing the
+// event.
+func (r Rows) KeyAt(i int) string {
+	if r.seg != nil {
+		return r.seg.blk.Key(int(r.ids[i]))
+	}
+	return r.evs[i].Key
+}
+
+// Col returns the view's handle on the named attribute column, resolved
+// once for every row the view holds: over the column store a view is
+// one resident segment, so the handle holds that segment's column and
+// each read indexes it; over an event slice (the row store, derived
+// events) each read falls back to the event's own accessor. Either way
+// a read returns what the same accessor of At(i) returns — coercions,
+// absent attributes and absent cells included.
+func (r Rows) Col(name string) Column {
+	h := Column{rows: r, name: name}
+	if r.seg != nil {
+		h.c = r.seg.blk.Column(name)
+	}
+	return h
+}
+
+// Column is a typed handle on one attribute column of a Rows view (see
+// Rows.Col). It is valid for as long as the view is.
+type Column struct {
+	rows Rows
+	name string
+	c    *BCol // the segment's column; nil when absent or over events
+}
+
+// Float is At(i).Float of the handle's attribute.
+func (h *Column) Float(i int) (float64, bool) {
+	if h.rows.seg == nil {
+		return h.rows.evs[i].Float(h.name)
+	}
+	return h.c.floatAt(int(h.rows.ids[i]))
+}
+
+// Int is At(i).Int of the handle's attribute.
+func (h *Column) Int(i int) (int64, bool) {
+	if h.rows.seg == nil {
+		return h.rows.evs[i].Int(h.name)
+	}
+	return h.c.intAt(int(h.rows.ids[i]))
+}
+
+// Bool is At(i).Bool of the handle's attribute.
+func (h *Column) Bool(i int) (bool, bool) {
+	if h.rows.seg == nil {
+		return h.rows.evs[i].Bool(h.name)
+	}
+	return h.c.boolAt(int(h.rows.ids[i]))
+}
+
+// Str is At(i).Str of the handle's attribute.
+func (h *Column) Str(i int) (string, bool) {
+	if h.rows.seg == nil {
+		return h.rows.evs[i].Str(h.name)
+	}
+	return h.c.strAt(int(h.rows.ids[i]))
+}
+
+// IntList is At(i).IntList of the handle's attribute, aliasing the
+// view's storage: the caller must not modify it.
+func (h *Column) IntList(i int) ([]int32, bool) {
+	if h.rows.seg == nil {
+		return h.rows.evs[i].IntList(h.name)
+	}
+	return h.c.listAt(int(h.rows.ids[i]))
 }
 
 // Slice materializes the view as an event slice. Over the row store

@@ -78,7 +78,7 @@ func NewEvent(typ string, t Time, key string, attrs map[string]any) Event {
 // Get returns a raw attribute and whether it was present.
 func (e Event) Get(name string) (any, bool) {
 	if e.blk != nil {
-		return e.blk.getAt(name, int(e.row))
+		return cellValue(e.blk.Column(name), int(e.row))
 	}
 	v, ok := e.Attrs[name]
 	return v, ok
@@ -88,40 +88,24 @@ func (e Event) Get(name string) (any, bool) {
 // attributes yield (0, false). Integer attributes are converted.
 func (e Event) Float(name string) (float64, bool) {
 	if e.blk != nil {
-		return e.blk.floatAt(name, int(e.row))
+		return e.blk.Column(name).floatAt(int(e.row))
 	}
-	switch v := e.Attrs[name].(type) {
-	case float64:
-		return v, true
-	case int:
-		return float64(v), true
-	case int64:
-		return float64(v), true
-	}
-	return 0, false
+	return floatOf(e.Attrs[name])
 }
 
 // Int returns an int64 attribute. Missing or differently-typed
 // attributes yield (0, false). Float attributes are truncated.
 func (e Event) Int(name string) (int64, bool) {
 	if e.blk != nil {
-		return e.blk.intAt(name, int(e.row))
+		return e.blk.Column(name).intAt(int(e.row))
 	}
-	switch v := e.Attrs[name].(type) {
-	case int64:
-		return v, true
-	case int:
-		return int64(v), true
-	case float64:
-		return int64(v), true
-	}
-	return 0, false
+	return intOf(e.Attrs[name])
 }
 
 // Str returns a string attribute.
 func (e Event) Str(name string) (string, bool) {
 	if e.blk != nil {
-		return e.blk.strAt(name, int(e.row))
+		return e.blk.Column(name).strAt(int(e.row))
 	}
 	v, ok := e.Attrs[name].(string)
 	return v, ok
@@ -131,7 +115,7 @@ func (e Event) Str(name string) (string, bool) {
 // storage: the caller must not modify it.
 func (e Event) IntList(name string) ([]int32, bool) {
 	if e.blk != nil {
-		return e.blk.listAt(name, int(e.row))
+		return e.blk.Column(name).listAt(int(e.row))
 	}
 	v, ok := e.Attrs[name].([]int32)
 	return v, ok
@@ -140,7 +124,7 @@ func (e Event) IntList(name string) ([]int32, bool) {
 // Bool returns a boolean attribute.
 func (e Event) Bool(name string) (bool, bool) {
 	if e.blk != nil {
-		return e.blk.boolAt(name, int(e.row))
+		return e.blk.Column(name).boolAt(int(e.row))
 	}
 	v, ok := e.Attrs[name].(bool)
 	return v, ok

@@ -25,7 +25,7 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 	}
 	f := fold{
 		heads:  make(map[string]int32, len(prev)),
-		groups: make([]foldGroup, 0, total+len(prev)),
+		groups: make([]foldGroup, 0, len(prev)),
 	}
 
 	// Intern each point's instance and count its points. Transitions
@@ -60,7 +60,11 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 	// windows).
 	for kv, l := range prev {
 		if l.Contains(window.Start) {
-			f.groups[f.intern(kv.Key, kv.Value)].holds = true
+			// Two statements: intern may grow f.groups, and Go leaves
+			// open whether f.groups[...] = reads the slice before or
+			// after the call.
+			g := f.intern(kv.Key, kv.Value)
+			f.groups[g].holds = true
 		}
 	}
 
@@ -145,7 +149,7 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 // group.
 type fold struct {
 	heads  map[string]int32 // key → its first group
-	groups []foldGroup      // sized for every point and held instance: never grows
+	groups []foldGroup      // grows by append in intern, one per instance
 }
 
 // foldGroup is one fluent instance of a fold.

@@ -1,6 +1,7 @@
 package rtec
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -117,6 +118,12 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 // cannot be snapshotted either; they render with an error marker and
 // still compare deterministically.
 func CanonicalAttrs(ev Event) string {
+	var buf [128]byte
+	return string(appendCanonicalAttrs(buf[:0], ev))
+}
+
+// appendCanonicalAttrs appends CanonicalAttrs(ev) to b.
+func appendCanonicalAttrs(b []byte, ev Event) []byte {
 	var nameBuf [8]string
 	names := nameBuf[:0]
 	for name := range ev.Attrs {
@@ -130,8 +137,7 @@ func CanonicalAttrs(ev Event) string {
 		}
 	}
 	slices.Sort(names)
-	var buf [128]byte
-	b := buf[:0]
+	start := len(b)
 	for _, name := range names {
 		b = append(append(b, name...), 0)
 		var ok bool
@@ -142,11 +148,11 @@ func CanonicalAttrs(ev Event) string {
 		}
 		if !ok {
 			v, _ := ev.Get(name)
-			return fmt.Sprintf("!attribute %q has unsupported type %T", name, v)
+			return fmt.Appendf(b[:start], "!attribute %q has unsupported type %T", name, v)
 		}
 		b = append(b, 0x1e)
 	}
-	return string(b)
+	return b
 }
 
 // appendCanonicalCell renders one present block cell; packed cells
@@ -216,16 +222,18 @@ func appendCanonicalFloat(b []byte, v float64) []byte {
 // CanonicalSurvivor picks, among derivations of one identity (type,
 // key, time), the one the Fresh dedup reports — the smallest
 // CanonicalAttrs, the first of equals — and returns its index. The
-// rendering is only paid when there is a choice to make.
+// rendering is only paid when there is a choice to make, into two
+// buffers reused across the candidates.
 func CanonicalSurvivor(same []Event) int {
 	best := 0
 	if len(same) == 1 {
 		return best
 	}
-	bestAttrs := CanonicalAttrs(same[0])
+	var bestBuf, candBuf [128]byte
+	bestAttrs, cand := appendCanonicalAttrs(bestBuf[:0], same[0]), candBuf[:0]
 	for i := 1; i < len(same); i++ {
-		if c := CanonicalAttrs(same[i]); c < bestAttrs {
-			best, bestAttrs = i, c
+		if cand = appendCanonicalAttrs(cand[:0], same[i]); bytes.Compare(cand, bestAttrs) < 0 {
+			best, bestAttrs, cand = i, cand, bestAttrs
 		}
 	}
 	return best

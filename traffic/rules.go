@@ -238,14 +238,14 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Transitions: func(ctx *rtec.Context) []rtec.Transition {
 			var out []rtec.Transition
 			rows := ctx.Rows(TrafficType)
+			density, flow := rows.Col("density"), rows.Col("flow")
 			for i := 0; i < rows.Len(); i++ {
-				e := rows.At(i)
-				d, _ := e.Float("density")
-				f, _ := e.Float("flow")
+				d, _ := density.Float(i)
+				f, _ := flow.Float(i)
 				if d >= cfg.DensityThreshold && f <= cfg.FlowThreshold {
-					out = append(out, rtec.InitiateAt(e.Key, e.Time))
+					out = append(out, rtec.InitiateAt(rows.KeyAt(i), rows.TimeAt(i)))
 				} else {
-					out = append(out, rtec.TerminateAt(e.Key, e.Time))
+					out = append(out, rtec.TerminateAt(rows.KeyAt(i), rows.TimeAt(i)))
 				}
 			}
 			return out
@@ -369,20 +369,20 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 				scats[i] = l
 			}
 		}
-		eachCloseMove(ctx, areas, scatsAreas, false, func(e rtec.Event, busSays bool, i int32) {
+		eachCloseMove(ctx, areas, scatsAreas, false, func(t rtec.Time, bus string, busSays bool, i int32) {
 			in := &reg.intersections[i]
-			agrees := busSays == scats[i].Contains(e.Time)
+			agrees := busSays == scats[i].Contains(t)
 			switch {
 			case agrees && !wantDisagree:
-				out.Add(e.Time, e.Key)
+				out.Add(t, bus)
 				out.Str(0, in.ID)
 			case !agrees && wantDisagree:
 				val := Negative
 				if busSays {
 					val = Positive
 				}
-				out.Add(e.Time, in.ID)
-				out.Str(0, e.Key)
+				out.Add(t, in.ID)
+				out.Str(0, bus)
 				out.Str(1, val)
 				out.Float(2, in.Pos.Lon)
 				out.Float(3, in.Pos.Lat)
@@ -428,24 +428,23 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 				bus, _ := d.Str("bus")
 				busVal, _ := d.Str("value")
 				crowd := ctx.RowsForKey(CrowdType, d.Key)
+				crowdValue := crowd.Col("value")
 				switch cfg.NoisyPolicy {
 				case Pessimistic:
 					// Rule-set (5): any disagreement initiates noisy.
 					out = append(out, rtec.InitiateAt(bus, d.Time))
 					for i := 0; i < crowd.Len(); i++ {
-						c := crowd.At(i)
-						crowdVal, _ := c.Str("value")
-						if dt := c.Time - d.Time; dt > 0 && dt < cfg.CrowdWindow && crowdVal == busVal {
+						crowdVal, _ := crowdValue.Str(i)
+						if dt := crowd.TimeAt(i) - d.Time; dt > 0 && dt < cfg.CrowdWindow && crowdVal == busVal {
 							// The crowd proves the bus correct:
 							// terminate at T′ (the crowd time).
-							out = append(out, rtec.TerminateAt(bus, c.Time))
+							out = append(out, rtec.TerminateAt(bus, crowd.TimeAt(i)))
 						}
 					}
 				default: // CrowdValidated, rule-set (4)
 					for i := 0; i < crowd.Len(); i++ {
-						c := crowd.At(i)
-						crowdVal, _ := c.Str("value")
-						dt := c.Time - d.Time
+						crowdVal, _ := crowdValue.Str(i)
+						dt := crowd.TimeAt(i) - d.Time
 						if dt <= 0 || dt >= cfg.CrowdWindow {
 							continue
 						}
@@ -479,11 +478,11 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 			// A move is mostly close to one area: one point per move.
 			out := make([]rtec.Transition, 0, ctx.Rows(MoveType).Len())
 			// Adaptive is rule-set (3′): discard unreliable buses.
-			eachCloseMove(ctx, areas, int32(len(areas.intersections)), cfg.Adaptive, func(e rtec.Event, congested bool, a int32) {
+			eachCloseMove(ctx, areas, int32(len(areas.intersections)), cfg.Adaptive, func(t rtec.Time, _ string, congested bool, a int32) {
 				if congested {
-					out = append(out, rtec.InitiateAt(areas.intersections[a].ID, e.Time))
+					out = append(out, rtec.InitiateAt(areas.intersections[a].ID, t))
 				} else {
-					out = append(out, rtec.TerminateAt(areas.intersections[a].ID, e.Time))
+					out = append(out, rtec.TerminateAt(areas.intersections[a].ID, t))
 				}
 			})
 			return out
@@ -536,22 +535,22 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 				rtec.BCol{Name: "delayGrowth", Kind: rtec.ColInt})
 			for _, bus := range ctx.EventKeys(MoveType) {
 				evs := ctx.RowsForKey(MoveType, bus)
+				delay, lon, lat := evs.Col("delay"), evs.Col("lon"), evs.Col("lat")
 				for i := 1; i < evs.Len(); i++ {
 					dt := evs.TimeAt(i) - evs.TimeAt(i-1)
 					if dt <= 0 || dt >= cfg.DelayIncreaseWindow {
 						continue
 					}
-					prev, cur := evs.At(i-1), evs.At(i)
-					pd, _ := prev.Int("delay")
-					cd, _ := cur.Int("delay")
+					pd, _ := delay.Int(i - 1)
+					cd, _ := delay.Int(i)
 					if cd-pd <= cfg.DelayIncreaseSeconds {
 						continue
 					}
-					fromLon, _ := prev.Float("lon")
-					fromLat, _ := prev.Float("lat")
-					toLon, _ := cur.Float("lon")
-					toLat, _ := cur.Float("lat")
-					out.Add(cur.Time, bus)
+					fromLon, _ := lon.Float(i - 1)
+					fromLat, _ := lat.Float(i - 1)
+					toLon, _ := lon.Float(i)
+					toLat, _ := lat.Float(i)
+					out.Add(evs.TimeAt(i), bus)
 					out.Float(0, fromLon)
 					out.Float(1, fromLat)
 					out.Float(2, toLon)
@@ -586,9 +585,10 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 						continue // sharded: the owner shard computes this sensor's trend
 					}
 					evs := ctx.RowsForKey(TrafficType, sensor)
+					col := evs.Col(attr)
 					for i := 1; i < evs.Len(); i++ {
-						prev, _ := evs.At(i - 1).Float(attr)
-						cur, _ := evs.At(i).Float(attr)
+						prev, _ := col.Float(i - 1)
+						cur, _ := col.Float(i)
 						value := TrendSteady
 						switch {
 						case prev == 0 && cur > 0:
@@ -648,19 +648,20 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Transitions: func(ctx *rtec.Context) []rtec.Transition {
 			var out []rtec.Transition
 			rows := ctx.Rows(TrafficType)
+			density, flow := rows.Col("density"), rows.Col("flow")
 			for i := 0; i < rows.Len(); i++ {
-				e := rows.At(i)
-				if plan != nil && !plan.OwnsSensor(e.Key) {
+				sensor, t := rows.KeyAt(i), rows.TimeAt(i)
+				if plan != nil && !plan.OwnsSensor(sensor) {
 					continue // sharded: the owner shard computes this sensor's warning
 				}
-				d, _ := e.Float("density")
-				f, _ := e.Float("flow")
+				d, _ := density.Float(i)
+				f, _ := flow.Float(i)
 				congested := d >= cfg.DensityThreshold && f <= cfg.FlowThreshold
-				rising := ctx.HoldsAtValue(DensityTrend, e.Key, TrendRising, e.Time)
+				rising := ctx.HoldsAtValue(DensityTrend, sensor, TrendRising, t)
 				if !congested && rising && d >= cfg.PreCongestionDensity {
-					out = append(out, rtec.InitiateAt(e.Key, e.Time))
+					out = append(out, rtec.InitiateAt(sensor, t))
 				} else {
-					out = append(out, rtec.TerminateAt(e.Key, e.Time))
+					out = append(out, rtec.TerminateAt(sensor, t))
 				}
 			}
 			return out
@@ -679,15 +680,14 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Transitions: func(ctx *rtec.Context) []rtec.Transition {
 			var out []rtec.Transition
 			rows := ctx.Rows(CrowdType)
+			value := rows.Col("value")
 			for i := 0; i < rows.Len(); i++ {
-				c := rows.At(i)
-				val, _ := c.Str("value")
-				crowdSaysCongestion := val == Positive
-				scatsSays := ctx.HoldsAt(ScatsIntCongestion, c.Key, c.Time)
-				if crowdSaysCongestion != scatsSays {
-					out = append(out, rtec.InitiateAt(c.Key, c.Time))
+				inter, t := rows.KeyAt(i), rows.TimeAt(i)
+				crowdSays, _ := value.Str(i)
+				if (crowdSays == Positive) != ctx.HoldsAt(ScatsIntCongestion, inter, t) {
+					out = append(out, rtec.InitiateAt(inter, t))
 				} else {
-					out = append(out, rtec.TerminateAt(c.Key, c.Time))
+					out = append(out, rtec.TerminateAt(inter, t))
 				}
 			}
 			return out

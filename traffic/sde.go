@@ -232,43 +232,41 @@ func ApproachKey(intersection, approach string) string {
 	return intersection + "/" + approach
 }
 
-// eventPos extracts the (lon, lat) attributes of a move event.
-func eventPos(e rtec.Event) (geo.Point, bool) {
-	lon, ok1 := e.Float("lon")
-	lat, ok2 := e.Float("lat")
-	if !ok1 || !ok2 {
-		return geo.Point{}, false
-	}
-	return geo.LonLat(lon, lat), true
-}
-
 // eachCloseMove calls fn once per (move event, close area) pair of the
 // context's view with an area index below limit, in event order then
 // ascending area index: the join of rule-sets (3)–(5) between bus
 // reports and the places they are close/4 to. areas is the rule set's
 // AreaIndex; limit is its SCATS prefix for agree and disagree, its
-// length for busCongestion. congested is the bus's own congestion flag.
-// skipNoisy drops the reports of buses for which noisy holds at the
-// time of the report, probed only for reports close to some area.
+// length for busCongestion. fn gets the report's time and bus and the
+// bus's own congestion flag. skipNoisy drops the reports of buses for
+// which noisy holds at the time of the report, probed only for reports
+// close to some area.
 //
 // A move stamped under CloseColumn carries its close list; any other —
 // a map-backed Input event, a block that skipped the pipeline's input
 // stage, a log record older than the stamp — is joined here against its
 // position, and each such join is counted in the query's Stats.Joins.
 // Both paths yield the same pairs: the stamp is AppendClose's answer.
-func eachCloseMove(ctx *rtec.Context, areas *Registry, limit int32, skipNoisy bool, fn func(e rtec.Event, congested bool, area int32)) {
+// Every read goes through the view's column handles; only the fallback
+// builds the report's Event.
+func eachCloseMove(ctx *rtec.Context, areas *Registry, limit int32, skipNoisy bool, fn func(t rtec.Time, key string, congested bool, area int32)) {
 	rows := ctx.Rows(MoveType)
+	// The columns and the noisy fluent are resolved once per view.
+	closeCol, congestedCol := rows.Col(CloseColumn), rows.Col("congested")
+	noisy := ctx.FluentInstances(Noisy)
 	var near []int32 // the fallback's join, reused across rows
 	joins := 0
 	for i := 0; i < rows.Len(); i++ {
-		e := rows.At(i)
-		close, stamped := e.IntList(CloseColumn)
+		close, stamped := closeCol.IntList(i)
 		if !stamped {
-			pos, ok := eventPos(e)
-			if !ok {
+			//lint:allow hotalloc the unstamped fallback: one Event per report it joins, which costs far more
+			e := rows.At(i)
+			lon, ok1 := e.Float("lon")
+			lat, ok2 := e.Float("lat")
+			if !ok1 || !ok2 {
 				continue
 			}
-			near = areas.AppendClose(near[:0], pos)
+			near = areas.AppendClose(near[:0], geo.LonLat(lon, lat))
 			joins++
 			close = near
 		}
@@ -277,12 +275,16 @@ func eachCloseMove(ctx *rtec.Context, areas *Registry, limit int32, skipNoisy bo
 		for n < len(close) && close[n] < limit {
 			n++
 		}
-		if n == 0 || skipNoisy && ctx.HoldsAt(Noisy, e.Key, e.Time) {
+		if n == 0 {
 			continue
 		}
-		congested, _ := e.Bool("congested")
+		t, key := rows.TimeAt(i), rows.KeyAt(i)
+		if skipNoisy && noisy[rtec.KV{Key: key, Value: rtec.TrueValue}].Contains(t) {
+			continue
+		}
+		congested, _ := congestedCol.Bool(i)
 		for _, a := range close[:n] {
-			fn(e, congested, a)
+			fn(t, key, congested, a)
 		}
 	}
 	ctx.CountJoins(joins)
