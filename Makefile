@@ -30,8 +30,10 @@ bench:
 # The repo's own analyzer suite (cmd/insightlint): determinism,
 # goroutine-leak, hot-path allocation, float-equality and lock/alias
 # rules over every package, and the module-wide unusedapi rule (an
-# exported identifier no binary reaches, or a field no non-test code
-# sets, is a finding). Exits nonzero on any finding; suppress a
+# exported identifier no binary reaches, a field no non-test code
+# sets, or a field non-test code sets and none reads — by selector,
+# struct tag, comparison or map key, or a JSON/template encoder — is a
+# finding). Exits nonzero on any finding; suppress a
 # deliberate violation at the site with `//lint:allow rule reason` —
 # the reason is required (stalelint reports an allow without one).
 lint:
@@ -43,7 +45,8 @@ lint-json:
 
 # CI gate: vet everything, run the repo's own analyzer suite (unusedapi
 # among its rules: every exported identifier used by a binary or kept
-# by a reasoned allow; its batch-path rule covers the one admission routine, the monitoring
+# by a reasoned allow, every field that is set also read; its
+# batch-path rule covers the one admission routine, the monitoring
 # processor's boundary step and the sharded tier's fold loops of the
 # root package and the recorded-stream
 # converter of package dublin; snapshotdrift holds every tier field,

@@ -20,7 +20,6 @@ import (
 
 // Vertex is a street junction.
 type Vertex struct {
-	ID  int
 	Pos geo.Point
 }
 
@@ -46,7 +45,7 @@ func NewGraph() *Graph {
 // AddVertex appends a junction at pos and returns its ID.
 func (g *Graph) AddVertex(pos geo.Point) int {
 	id := len(g.vertices)
-	g.vertices = append(g.vertices, Vertex{ID: id, Pos: pos})
+	g.vertices = append(g.vertices, Vertex{Pos: pos})
 	g.adj = append(g.adj, nil)
 	return id
 }

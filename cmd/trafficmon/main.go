@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"time"
@@ -132,21 +133,25 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "monitoring Dublin %02d:%02d-%02d:%02d — %d buses, %d sensors, %d volunteers, adaptive=%v\n",
 		int(start)/3600, int(start)%3600/60, int(end)/3600, int(end)%3600/60, *buses, *sensors, len(vols), *adaptive)
 
-	// Optional dashboard.
+	// Optional dashboard, bound before monitoring starts so that a busy
+	// address is run's error.
 	var dash *dashboard.Server
 	if *httpAddr != "" {
-		dash, err = dashboard.New(city, sys.Registry())
+		if dash, err = dashboard.New(city); err != nil {
+			return err
+		}
+		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Addr: *httpAddr, Handler: dash.Handler()}
+		srv := &http.Server{Handler: dash.Handler()}
 		defer srv.Close()
 		go func() {
-			log.Printf("dashboard on http://%s/", *httpAddr)
-			if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				log.Fatal(err)
+			if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("dashboard: %v", err)
 			}
 		}()
+		fmt.Fprintf(stdout, "dashboard on http://%s/\n", ln.Addr())
 	}
 
 	enc := json.NewEncoder(stdout)
@@ -164,7 +169,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				flowErrs[err.Error()] = true
 				log.Printf("flow map: %v", err)
 			}
-			time.Sleep(*pace)
+			pacer := time.NewTimer(*pace)
+			defer pacer.Stop()
+			select {
+			case <-pacer.C:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
 		if *jsonOut {
 			return enc.Encode(r)
@@ -184,6 +195,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	pipe, info, err := sys.Pipeline(start, end, opt)
 	if err != nil {
 		return err
+	}
+	if dash != nil {
+		dash.Watch(pipe.Topology)
 	}
 	if info != nil {
 		fmt.Fprintln(stdout, recoveryLine(info))

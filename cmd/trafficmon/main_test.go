@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	insight "github.com/insight-dublin/insight"
 	"github.com/insight-dublin/insight/rtec"
@@ -34,6 +38,81 @@ func (w *cancelAfter) Write(p []byte) (int, error) {
 		}
 	}
 	return w.Buffer.Write(p)
+}
+
+// dashboardRoutes are the routes trafficmon -http serves, each with
+// the content type it answers with.
+var dashboardRoutes = map[string]string{
+	"/":           "text/html; charset=utf-8",
+	"/map.svg":    "image/svg+xml",
+	"/api/report": "application/json",
+	"/api/flows":  "application/json",
+	"/healthz":    "application/json",
+}
+
+// routeCheck is a stdout that reads the dashboard's bound address from
+// the run's "dashboard on" line and, on the first JSON report line,
+// fetches every dashboard route: what each answered, by route.
+type routeCheck struct {
+	bytes.Buffer
+	base string
+	got  map[string]string
+}
+
+func (w *routeCheck) Write(p []byte) (int, error) {
+	if addr, ok := bytes.CutPrefix(p, []byte("dashboard on ")); ok {
+		w.base = strings.TrimSuffix(strings.TrimSpace(string(addr)), "/")
+	}
+	if bytes.HasPrefix(p, []byte("{")) && w.got == nil {
+		w.got = make(map[string]string)
+		client := &http.Client{Timeout: 10 * time.Second}
+		for route := range dashboardRoutes {
+			res, err := client.Get(w.base + route)
+			if err != nil {
+				w.got[route] = err.Error()
+				continue
+			}
+			res.Body.Close()
+			w.got[route] = fmt.Sprintf("%d %s", res.StatusCode, res.Header.Get("Content-Type"))
+		}
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestSmokeDashboard runs with -http on a free port: the run prints the
+// address it bound, and while monitoring every route answers 200 with
+// its content type. A busy address is run's error, before monitoring.
+func TestSmokeDashboard(t *testing.T) {
+	args := append(append([]string(nil), smokeArgs...), "-http", "127.0.0.1:0", "-pace", "0")
+	out := &routeCheck{}
+	if err := run(context.Background(), args, out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.base, "http://127.0.0.1:") || strings.HasSuffix(out.base, ":0") {
+		t.Fatalf("run printed no bound dashboard address:\n%s", out.String())
+	}
+	if len(reports(t, out.String())) != 4 {
+		t.Errorf("-http run printed %d reports, want 4", len(reports(t, out.String())))
+	}
+	for route, ct := range dashboardRoutes {
+		if got, want := out.got[route], "200 "+ct; got != want {
+			t.Errorf("GET %s = %q, want %q", route, got, want)
+		}
+	}
+
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	var busyOut bytes.Buffer
+	args = append(append([]string(nil), smokeArgs...), "-http", busy.Addr().String())
+	if err := run(context.Background(), args, &busyOut); err == nil {
+		t.Fatalf("-http on a busy address: run returned no error:\n%s", busyOut.String())
+	}
+	if reps := reports(t, busyOut.String()); len(reps) != 0 {
+		t.Errorf("-http on a busy address printed %d reports before failing", len(reps))
+	}
 }
 
 // reports decodes the JSON report lines of a run's output.

@@ -93,7 +93,11 @@ func PaperProfile() LatencyProfile {
 // Query is a crowdsourcing question in the paper's form:
 // query_q = {Question_q, [answer_1, ..., answer_n]}.
 type Query struct {
-	ID       string
+	ID string
+	// Question is the text a participant is asked; the report's crowd
+	// round and cmd/e2ebench's crowd probe write it, and the simulated
+	// participants answer from their position, not from the text.
+	//lint:allow unusedapi written by the report's crowd round and cmd/e2ebench; simulated participants do not read it
 	Question string
 	Answers  []string
 	// Pos is the disagreement location the query is about.

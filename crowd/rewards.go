@@ -37,7 +37,6 @@ func ProportionalReward(base float64) RewardPolicy {
 type Ledger struct {
 	policy RewardPolicy
 	earned map[string]float64
-	tasks  map[string]int
 }
 
 // NewLedger builds a ledger with the given policy.
@@ -50,7 +49,6 @@ func NewLedger(policy RewardPolicy) (*Ledger, error) {
 	return &Ledger{
 		policy: policy,
 		earned: make(map[string]float64),
-		tasks:  make(map[string]int),
 	}, nil
 }
 
@@ -68,7 +66,6 @@ func (l *Ledger) Credit(task Task, verdict Verdict) error {
 			return fmt.Errorf("crowd: answer %q of task %q not among verdict labels", a.Label, task.ID)
 		}
 		l.earned[a.Participant] += l.policy(verdict.Posterior[idx])
-		l.tasks[a.Participant]++
 	}
 	return nil
 }
@@ -77,7 +74,6 @@ func (l *Ledger) Credit(task Task, verdict Verdict) error {
 type Balance struct {
 	Participant string
 	Earned      float64
-	Tasks       int
 }
 
 // Balances returns all rows, highest earners first (ties by ID).
@@ -86,7 +82,7 @@ type Balance struct {
 func (l *Ledger) Balances() []Balance {
 	out := make([]Balance, 0, len(l.earned))
 	for id, e := range l.earned {
-		out = append(out, Balance{Participant: id, Earned: e, Tasks: l.tasks[id]})
+		out = append(out, Balance{Participant: id, Earned: e})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Earned != out[j].Earned { //lint:allow floateq exact compare inside a comparator: any consistent order is correct, ties fall through to ID

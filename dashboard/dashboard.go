@@ -9,9 +9,15 @@
 //	             dots, red rings on congested intersections
 //	/api/report  the latest operator report as JSON
 //	/api/flows   the latest flow estimates as JSON
+//	/healthz     the Streams supervision state as JSON: every process's
+//	             health, the retained dead letters and the latest
+//	             report's degraded streams and watermark lag; 503 when a
+//	             process has failed or a stream is degraded
 //
-// The server holds only the most recent state; feed it from a
-// PipelineOptions.OnReport callback (see cmd/trafficmon -http).
+// Every JSON route answers 503 with an {"error": …} body until it has
+// something to serve. The server holds only the most recent state;
+// feed it from a PipelineOptions.OnReport callback and hand it the
+// pipeline's topology with Watch (see cmd/trafficmon -http).
 package dashboard
 
 import (
@@ -24,29 +30,29 @@ import (
 	insight "github.com/insight-dublin/insight"
 	"github.com/insight-dublin/insight/citygraph"
 	"github.com/insight-dublin/insight/dublin"
-	"github.com/insight-dublin/insight/traffic"
+	"github.com/insight-dublin/insight/streams"
 )
 
 // Server renders the operator dashboard. Create with New, feed with
-// Update/UpdateFlows, mount with Handler.
+// Update/UpdateFlows, hand it the topology with Watch, mount with
+// Handler.
 type Server struct {
-	city        *dublin.City      //state:transient render-only config, injected at construction
-	registry    *traffic.Registry //state:transient render-only config, injected at construction
-	interVertex map[string]int    //state:derived intersection ID -> street-graph vertex, built in New
+	city        *dublin.City   //state:transient render-only config, injected at construction
+	interVertex map[string]int //state:derived intersection ID -> street-graph vertex, built in New
 
 	mu     sync.RWMutex
 	report *insight.Report
 	flows  *insight.FlowEstimate
+	top    *streams.Topology
 }
 
 // New builds a dashboard over the monitored city.
-func New(city *dublin.City, registry *traffic.Registry) (*Server, error) {
-	if city == nil || registry == nil {
-		return nil, fmt.Errorf("dashboard: city and registry are required")
+func New(city *dublin.City) (*Server, error) {
+	if city == nil {
+		return nil, fmt.Errorf("dashboard: city is required")
 	}
 	s := &Server{
 		city:        city,
-		registry:    registry,
 		interVertex: make(map[string]int),
 	}
 	for i := range city.Sensors() {
@@ -70,11 +76,19 @@ func (s *Server) UpdateFlows(f *insight.FlowEstimate) {
 	s.flows = f
 }
 
+// Watch publishes the supervision state of top, the topology of the
+// pipeline whose reports feed the server, at /healthz.
+func (s *Server) Watch(top *streams.Topology) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.top = top
+}
+
 // snapshot returns the current state under the read lock.
-func (s *Server) snapshot() (*insight.Report, *insight.FlowEstimate) {
+func (s *Server) snapshot() (*insight.Report, *insight.FlowEstimate, *streams.Topology) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.report, s.flows
+	return s.report, s.flows, s.top
 }
 
 // Handler returns the HTTP handler serving the dashboard.
@@ -84,6 +98,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /map.svg", s.serveMap)
 	mux.HandleFunc("GET /api/report", s.serveReport)
 	mux.HandleFunc("GET /api/flows", s.serveFlows)
+	mux.HandleFunc("GET /healthz", s.serveHealth)
 	return mux
 }
 
@@ -135,7 +150,7 @@ recognition {{.Report.Stats.Elapsed}}</p>
 </html>`))
 
 func (s *Server) serveIndex(w http.ResponseWriter, _ *http.Request) {
-	report, _ := s.snapshot()
+	report, _, _ := s.snapshot()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := indexTemplate.Execute(w, struct{ Report *insight.Report }{report}); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -143,7 +158,7 @@ func (s *Server) serveIndex(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) serveMap(w http.ResponseWriter, _ *http.Request) {
-	report, flows := s.snapshot()
+	report, flows, _ := s.snapshot()
 	g := s.city.Graph()
 
 	opts := citygraph.RenderOptions{Width: 900}
@@ -175,25 +190,91 @@ func (s *Server) intersectionVertex(id string) (int, bool) {
 }
 
 func (s *Server) serveReport(w http.ResponseWriter, _ *http.Request) {
-	report, _ := s.snapshot()
-	w.Header().Set("Content-Type", "application/json")
+	report, _, _ := s.snapshot()
 	if report == nil {
-		http.Error(w, `{"error": "no report yet"}`, http.StatusServiceUnavailable)
+		sendJSON(w, http.StatusServiceUnavailable, []byte(`{"error": "no report yet"}`), nil)
 		return
 	}
-	if err := json.NewEncoder(w).Encode(report); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	body, err := json.Marshal(report)
+	sendJSON(w, http.StatusOK, body, err)
 }
 
 func (s *Server) serveFlows(w http.ResponseWriter, _ *http.Request) {
-	_, flows := s.snapshot()
-	w.Header().Set("Content-Type", "application/json")
+	_, flows, _ := s.snapshot()
 	if flows == nil {
-		http.Error(w, `{"error": "no flow estimates yet"}`, http.StatusServiceUnavailable)
+		sendJSON(w, http.StatusServiceUnavailable, []byte(`{"error": "no flow estimates yet"}`), nil)
 		return
 	}
-	if err := json.NewEncoder(w).Encode(flows); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	body, err := json.Marshal(flows)
+	sendJSON(w, http.StatusOK, body, err)
+}
+
+// health is the /healthz document.
+type health struct {
+	// Healthy is false when a process has failed or the latest report
+	// lists a degraded stream.
+	Healthy bool
+	// Processes is Topology.Health by process name, each state by name;
+	// empty until Watch.
+	Processes   map[string]processHealth
+	DeadLetters []deadLetter
+	// Report is the latest report's stream state, nil before the first.
+	Report *streamHealth
+}
+
+// processHealth is a process's supervision state with the state by
+// name (the outer State shadows the embedded number in the JSON).
+type processHealth struct {
+	streams.ProcessHealth
+	State string
+}
+
+type deadLetter struct {
+	Process  string
+	Err      string
+	Attempts int
+}
+
+type streamHealth struct {
+	Q               insight.Time
+	DegradedStreams []string
+	WatermarkLag    insight.Time
+}
+
+func (s *Server) serveHealth(w http.ResponseWriter, _ *http.Request) {
+	report, _, top := s.snapshot()
+	doc := health{Healthy: true, Processes: make(map[string]processHealth), DeadLetters: []deadLetter{}}
+	if top != nil {
+		for name, h := range top.Health() {
+			doc.Processes[name] = processHealth{h, h.State.String()}
+			doc.Healthy = doc.Healthy && h.State != streams.HealthFailed
+		}
+		for _, dl := range top.DeadLetters() {
+			doc.DeadLetters = append(doc.DeadLetters, deadLetter{Process: dl.Process, Err: dl.Err.Error(), Attempts: dl.Attempts})
+		}
 	}
+	if report != nil {
+		doc.Report = &streamHealth{Q: report.Q, DegradedStreams: report.DegradedStreams, WatermarkLag: report.WatermarkLag}
+		doc.Healthy = doc.Healthy && len(report.DegradedStreams) == 0
+	}
+	status := http.StatusOK
+	if !doc.Healthy {
+		status = http.StatusServiceUnavailable
+	}
+	body, err := json.Marshal(doc)
+	sendJSON(w, status, body, err)
+}
+
+// sendJSON writes body, a route's JSON document, with status; err, the
+// error encoding the document returned, turns the response into a 500.
+// Error bodies go through here rather than http.Error, which would
+// reset the Content-Type to text/plain.
+func sendJSON(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		msg, _ := json.Marshal(err.Error())
+		status, body = http.StatusInternalServerError, append(append([]byte(`{"error": `), msg...), '}')
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
 }

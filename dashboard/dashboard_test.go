@@ -3,6 +3,7 @@ package dashboard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	insight "github.com/insight-dublin/insight"
 	"github.com/insight-dublin/insight/dublin"
+	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
 )
 
@@ -31,7 +33,7 @@ func testServer(t *testing.T) (*Server, *insight.System, *dublin.City) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(city, sys.Registry())
+	srv, err := New(city)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +54,36 @@ func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
-		t.Error("nil inputs must error")
+	if _, err := New(nil); err == nil {
+		t.Error("a nil city must error")
 	}
+}
+
+// getJSON fetches path and fails unless it answers want with a JSON
+// body labelled application/json.
+func getJSON(t *testing.T, h http.Handler, path string, want int) string {
+	t.Helper()
+	res, body := get(t, h, path)
+	if res.StatusCode != want {
+		t.Errorf("%s status = %d, want %d: %s", path, res.StatusCode, want, body)
+	}
+	if ct := res.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s Content-Type = %q, want application/json", path, ct)
+	}
+	if !json.Valid([]byte(body)) {
+		t.Errorf("%s body is not JSON: %q", path, body)
+	}
+	return body
+}
+
+// healthDoc decodes a /healthz body.
+func healthDoc(t *testing.T, body string) health {
+	t.Helper()
+	var doc health
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/healthz is not a health document: %v", err)
+	}
+	return doc
 }
 
 func TestDashboardBeforeFirstReport(t *testing.T) {
@@ -68,13 +97,11 @@ func TestDashboardBeforeFirstReport(t *testing.T) {
 	if !strings.Contains(body, "waiting for the first report") {
 		t.Error("index should state that no report exists yet")
 	}
-	res, _ = get(t, h, "/api/report")
-	if res.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("report status = %d, want 503", res.StatusCode)
-	}
-	res, _ = get(t, h, "/api/flows")
-	if res.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("flows status = %d, want 503", res.StatusCode)
+	getJSON(t, h, "/api/report", http.StatusServiceUnavailable)
+	getJSON(t, h, "/api/flows", http.StatusServiceUnavailable)
+	// Nothing has failed before a topology or a report exists.
+	if doc := healthDoc(t, getJSON(t, h, "/healthz", http.StatusOK)); !doc.Healthy || len(doc.Processes) != 0 || doc.Report != nil {
+		t.Errorf("/healthz before the first report = %+v", doc)
 	}
 	// The map renders even without data.
 	res, body = get(t, h, "/map.svg")
@@ -103,6 +130,7 @@ func TestDashboardWithLiveData(t *testing.T) {
 	for _, r := range reports {
 		srv.Update(r)
 	}
+	srv.Watch(pipe.Topology)
 	flows, err := sys.FlowMap(insight.MapConfig{Alpha: 2, Beta: 1, SensorNoise: 2500})
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +159,7 @@ func TestDashboardWithLiveData(t *testing.T) {
 		t.Error("sensor dots missing from flow-shaded map")
 	}
 
-	res, body = get(t, h, "/api/report")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("report status = %d", res.StatusCode)
-	}
+	body = getJSON(t, h, "/api/report", http.StatusOK)
 	var decoded struct {
 		Q         int64
 		FedEvents int
@@ -146,10 +171,7 @@ func TestDashboardWithLiveData(t *testing.T) {
 		t.Errorf("report JSON = %+v", decoded)
 	}
 
-	res, body = get(t, h, "/api/flows")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("flows status = %d", res.StatusCode)
-	}
+	body = getJSON(t, h, "/api/flows", http.StatusOK)
 	var flowsOut struct{ Values []float64 }
 	if err := json.Unmarshal([]byte(body), &flowsOut); err != nil {
 		t.Fatalf("flows not JSON: %v", err)
@@ -172,5 +194,100 @@ func TestDashboardMethodRouting(t *testing.T) {
 	res, _ := get(t, h, "/nope")
 	if res.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown path status = %d, want 404", res.StatusCode)
+	}
+}
+
+// A fault-free pipeline's topology is healthy at /healthz, which names
+// every process of the pipeline and the latest report's query time.
+func TestHealthzFaultFree(t *testing.T) {
+	srv, sys, _ := testServer(t)
+	pipe, _, err := sys.Pipeline(7*3600, 7*3600+1800, insight.PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := pipe.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Update(reports[len(reports)-1])
+	srv.Watch(pipe.Topology)
+
+	doc := healthDoc(t, getJSON(t, srv.Handler(), "/healthz", http.StatusOK))
+	if !doc.Healthy || len(doc.DeadLetters) != 0 {
+		t.Errorf("fault-free run: healthy = %v, dead letters %v", doc.Healthy, doc.DeadLetters)
+	}
+	want := pipe.Topology.Health()
+	if len(doc.Processes) != len(want) || len(want) == 0 {
+		t.Errorf("/healthz names %d processes, the pipeline has %d", len(doc.Processes), len(want))
+	}
+	for name, h := range want {
+		if got, ok := doc.Processes[name]; !ok || got.State != h.State.String() {
+			t.Errorf("process %q: /healthz %+v, topology %+v", name, got, h)
+		}
+	}
+	if doc.Report == nil || doc.Report.Q != reports[len(reports)-1].Q {
+		t.Errorf("/healthz report = %+v, want q=%d", doc.Report, reports[len(reports)-1].Q)
+	}
+}
+
+// A failed process turns /healthz to 503 and shows its last error; a
+// skipped item is a dead letter, not a failure.
+func TestHealthzFailedProcess(t *testing.T) {
+	items := []streams.Item{{"n": 0}, {"n": 1}}
+	line := func(name string, p streams.Processor) *streams.Topology {
+		top := streams.NewTopology()
+		if err := top.AddStream("in", streams.NewSliceSource(items...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := top.AddSink("out", streams.NewCollectorSink()); err != nil {
+			t.Fatal(err)
+		}
+		if err := top.AddProcess(name, "in", "out", p); err != nil {
+			t.Fatal(err)
+		}
+		return top
+	}
+	boom := streams.ProcessorFunc(func(streams.Item) (streams.Item, error) {
+		return nil, errors.New("sensor feed broken")
+	})
+
+	failed := line("validate", boom)
+	if err := failed.Run(context.Background()); err == nil {
+		t.Fatal("a fail-fast process error must end Run")
+	}
+	srv, _, _ := testServer(t)
+	srv.Watch(failed)
+	doc := healthDoc(t, getJSON(t, srv.Handler(), "/healthz", http.StatusServiceUnavailable))
+	got := doc.Processes["validate"]
+	if doc.Healthy || got.State != "failed" || !strings.Contains(got.LastError, "sensor feed broken") {
+		t.Errorf("failed process: healthy = %v, %+v", doc.Healthy, got)
+	}
+
+	skipping := line("validate", boom)
+	if err := skipping.Supervise("validate", streams.SupervisionPolicy{Strategy: streams.SkipItem}); err != nil {
+		t.Fatal(err)
+	}
+	if err := skipping.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv.Watch(skipping)
+	doc = healthDoc(t, getJSON(t, srv.Handler(), "/healthz", http.StatusOK))
+	if len(doc.DeadLetters) != len(items) || doc.Processes["validate"].Skipped != len(items) {
+		t.Fatalf("skip-item process: %+v", doc)
+	}
+	for _, dl := range doc.DeadLetters {
+		if dl.Process != "validate" || dl.Err != "sensor feed broken" || dl.Attempts != 1 {
+			t.Errorf("dead letter %+v", dl)
+		}
+	}
+}
+
+// A report that lists a degraded stream turns /healthz to 503.
+func TestHealthzDegradedStream(t *testing.T) {
+	srv, _, _ := testServer(t)
+	srv.Update(&insight.Report{Q: 7*3600 + 900, DegradedStreams: []string{"scats-north"}, WatermarkLag: 1200})
+	doc := healthDoc(t, getJSON(t, srv.Handler(), "/healthz", http.StatusServiceUnavailable))
+	if doc.Healthy || doc.Report == nil || len(doc.Report.DegradedStreams) != 1 || doc.Report.WatermarkLag != 1200 {
+		t.Errorf("degraded stream: %+v", doc)
 	}
 }

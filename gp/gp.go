@@ -82,7 +82,7 @@ func checkModel(g *citygraph.Graph, alpha, beta float64) error {
 // RegularizedLaplacian builds K = [β(L + I/α²)]⁻¹ for the graph; see
 // checkModel for the hyperparameters it accepts.
 //
-//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle
 func RegularizedLaplacian(g *citygraph.Graph, alpha, beta float64) (*Kernel, error) {
 	if err := checkModel(g, alpha, beta); err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ type Regression struct {
 // vehicle-per-hour flows). Predictions are mapped back to the original
 // units.
 //
-//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle
 func Fit(k *Kernel, obs []Observation, noiseVar float64) (*Regression, error) {
 	if k == nil {
 		return nil, fmt.Errorf("gp: nil kernel")
@@ -235,7 +235,7 @@ func standardize(n int, obs []Observation, noiseVar float64) (standardized, erro
 
 // Observed returns the observed vertex indexes, sorted.
 //
-//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle
 func (r *Regression) Observed() []int { return r.observed }
 
 // crossCov gathers K_{V,u}, one contiguous row per requested vertex.
@@ -276,7 +276,7 @@ func (r *Regression) Mean(vertices []int) ([]float64, error) {
 // backward substitution per vertex, O(|V|·|u|²) — callers that only
 // read the mean should call Mean.
 //
-//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle
 func (r *Regression) Predict(vertices []int) (mean, variance []float64, err error) {
 	cross, err := r.crossCov(vertices)
 	if err != nil {
@@ -299,7 +299,7 @@ func (r *Regression) Predict(vertices []int) (mean, variance []float64, err erro
 // PredictAll returns the predictive mean at every vertex of the graph
 // (the city-wide flow picture of Figure 9).
 //
-//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi dense GP path: the random-walk ablation and the sparse solver's oracle
 func (r *Regression) PredictAll() ([]float64, error) {
 	vertices := make([]int, r.kernel.NumVertices())
 	for i := range vertices {

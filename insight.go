@@ -94,11 +94,13 @@ type Config struct {
 	//
 	// Deprecated: transport is always columnar; accepted and ignored so
 	// existing literals compile.
+	//lint:allow unusedapi cmd/e2ebench's workload literal sets it; nothing reads it, by design
 	ColumnarTransport bool
 	// UnpacedReplay is ignored.
 	//
 	// Deprecated: every source is paced on the shared virtual clock;
 	// accepted and ignored so existing literals compile.
+	//lint:allow unusedapi cmd/e2ebench's workload literal sets it; nothing reads it, by design
 	UnpacedReplay bool
 }
 
@@ -247,9 +249,6 @@ func New(cfg Config) (*System, error) {
 	}
 	return s, nil
 }
-
-// Registry exposes the SCATS intersection registry.
-func (s *System) Registry() *traffic.Registry { return s.registry }
 
 // Definitions exposes the compiled CE definition set.
 func (s *System) Definitions() *rtec.Definitions { return s.defs }

@@ -133,7 +133,7 @@ func TestEndToEndMorningRush(t *testing.T) {
 	correct, total := 0, 0
 	for _, r := range reports {
 		for _, c := range r.CrowdRounds {
-			in, _ := sys.Registry().Lookup(c.Intersection)
+			in, _ := sys.registry.Lookup(c.Intersection)
 			want := traffic.Negative
 			if city.IsCongested(in.Pos, c.QueryTime) {
 				want = traffic.Positive

@@ -24,7 +24,6 @@ import (
 type Package struct {
 	Path  string // import path ("fixture/..." for test fixtures)
 	Name  string // package name from the source files
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files, build-constraint filtered, sorted by filename
 	Types *types.Package
@@ -209,7 +208,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	pkg := &Package{
 		Path:  importPath,
 		Name:  tpkg.Name(),
-		Dir:   abs,
 		Fset:  l.Fset,
 		Files: files,
 		Types: tpkg,

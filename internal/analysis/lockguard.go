@@ -42,7 +42,6 @@ type lgSite struct {
 
 type lgStat struct {
 	field     *types.Var
-	fieldPos  token.Pos
 	guarded   int
 	unguarded []lgSite
 }
@@ -55,7 +54,7 @@ func runLockGuard(pass *Pass) {
 	for _, tn := range sortedStructNames(sidx) {
 		d := sidx[tn]
 		mutexName := ""
-		fields := make(map[*types.Var]token.Pos)
+		fields := make(map[*types.Var]bool)
 		for _, f := range d.fields {
 			switch lp := lockPath(f.v.Type()); lp {
 			case "sync.Mutex", "sync.RWMutex":
@@ -63,7 +62,7 @@ func runLockGuard(pass *Pass) {
 					mutexName = f.v.Name()
 				}
 			case "":
-				fields[f.v] = f.ast.Pos()
+				fields[f.v] = true
 			}
 		}
 		if mutexName == "" || len(fields) == 0 {
@@ -97,7 +96,7 @@ func runLockGuard(pass *Pass) {
 				case lgAccess:
 					st := stats[ev.field]
 					if st == nil {
-						st = &lgStat{field: ev.field, fieldPos: fields[ev.field]}
+						st = &lgStat{field: ev.field}
 						stats[ev.field] = st
 					}
 					if depth > 0 {
@@ -140,7 +139,7 @@ func sortedStructNames(sidx map[*types.TypeName]*structDecl) []*types.TypeName {
 // collectLockEvents gathers, in one method body, the receiver-rooted
 // lock transitions and field accesses. Function literals are skipped:
 // a closure's locking context is its own problem.
-func collectLockEvents(pkg *Package, fd *ast.FuncDecl, fields map[*types.Var]token.Pos) []lgEvent {
+func collectLockEvents(pkg *Package, fd *ast.FuncDecl, fields map[*types.Var]bool) []lgEvent {
 	recvObj := receiverObj(pkg, fd)
 	if recvObj == nil {
 		return nil
@@ -173,7 +172,7 @@ func collectLockEvents(pkg *Package, fd *ast.FuncDecl, fields map[*types.Var]tok
 			if !ok {
 				return true
 			}
-			if _, tracked := fields[v]; tracked && rootIsReceiver(pkg, n.X, recvObj) {
+			if fields[v] && rootIsReceiver(pkg, n.X, recvObj) {
 				events = append(events, lgEvent{pos: n.Pos(), kind: lgAccess, field: v})
 			}
 			return true

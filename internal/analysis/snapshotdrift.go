@@ -28,7 +28,6 @@ var SnapshotDrift = &Analyzer{
 // snapPair is one struct with snapshot-side (and possibly restore-side)
 // entry points.
 type snapPair struct {
-	owner   *types.TypeName
 	snap    []*ast.FuncDecl
 	restore []*ast.FuncDecl
 }
@@ -41,7 +40,6 @@ type driftEntry struct {
 	snapUsed map[*types.Var]bool
 	restUsed map[*types.Var]bool
 	twoSided bool
-	oneSided bool
 }
 
 func isSnapSideName(name string) bool {
@@ -149,7 +147,7 @@ func runSnapshotDrift(pass *Pass) {
 	pairFor := func(tn *types.TypeName) *snapPair {
 		p := pairs[tn]
 		if p == nil {
-			p = &snapPair{owner: tn}
+			p = &snapPair{}
 			pairs[tn] = p
 		}
 		return p
@@ -235,8 +233,6 @@ func runSnapshotDrift(pass *Pass) {
 			}
 			if len(pair.restore) > 0 {
 				e.twoSided = true
-			} else {
-				e.oneSided = true
 			}
 		}
 	}

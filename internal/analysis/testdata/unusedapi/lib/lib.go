@@ -62,3 +62,48 @@ func Stale() {}
 
 // Limit is read by nobody: flagged.
 const Limit = 3
+
+// Reads exercises the read side; app sets every field.
+type Reads struct {
+	Selected int  // app reads it: not flagged
+	Unread   int  // set and never read: flagged
+	TestRead int  // read only by lib_test.go: flagged
+	Count    int  // only incremented, never read: flagged
+	Tagged   int  `json:"tagged"` // a struct tag counts as a read: not flagged
+	Via      *Via // app writes Via.V through it, which reads it: not flagged
+}
+
+// Via is reached through a pointer on an assignment's left side.
+type Via struct {
+	V int // written through Reads.Via, never read: flagged
+}
+
+// Encoded is the value app hands to encoding/json, which reads every
+// exported field it reaches: nothing below is flagged but Hidden.H.
+type Encoded struct {
+	Ptr   *Leaf
+	List  []Leaf
+	ByKey map[string]Leaf
+	Embedded
+	Skipped Hidden `json:"-"`
+}
+
+// Leaf is reached through a pointer, a slice and a map.
+type Leaf struct{ V int }
+
+// Embedded is promoted into Encoded.
+type Embedded struct{ E int }
+
+// Hidden sits behind a json:"-" field the encoder skips.
+type Hidden struct {
+	H int // flagged
+}
+
+// Page is template data: Execute reads its fields.
+type Page struct{ Title string }
+
+// Key is a map key: hashing reads every field.
+type Key struct{ A, B int }
+
+// Point is compared with ==, which reads every field.
+type Point struct{ X, Y int }

@@ -8,3 +8,9 @@ func TestLib(t *testing.T) {
 		t.Fatal("lib")
 	}
 }
+
+func TestReads(t *testing.T) {
+	if (Reads{TestRead: 1}).TestRead != 1 {
+		t.Fatal("reads")
+	}
+}

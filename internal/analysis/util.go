@@ -330,8 +330,6 @@ func derefType(t types.Type) types.Type {
 // order, each aligned with the ast.Field that declares it (the anchor
 // for //state: annotations and diagnostic positions).
 type structDecl struct {
-	obj    *types.TypeName
-	name   string
 	fields []structField
 }
 
@@ -367,7 +365,7 @@ func structIndex(pkg *Package) map[*types.TypeName]*structDecl {
 				if !ok {
 					continue
 				}
-				d := &structDecl{obj: obj, name: ts.Name.Name}
+				d := &structDecl{}
 				i := 0
 				for _, af := range astStruct.Fields.List {
 					n := len(af.Names)

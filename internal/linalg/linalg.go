@@ -34,7 +34,7 @@ func NewMatrix(rows, cols int) *Matrix {
 
 // Identity returns the n×n identity matrix.
 //
-//lint:allow unusedapi builds the references linalg's tests hold Mul and Inverse to; linalg stays whole with the dense GP oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi builds the references linalg's tests hold Mul and Inverse to; linalg stays whole with the dense GP oracle
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
@@ -45,7 +45,7 @@ func Identity(n int) *Matrix {
 
 // FromRows builds a matrix from row slices; all rows must have equal length.
 //
-//lint:allow unusedapi builds the matrices linalg's tests start from; linalg stays whole with the dense GP oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi builds the matrices linalg's tests start from; linalg stays whole with the dense GP oracle
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
 		return NewMatrix(0, 0)
@@ -138,7 +138,7 @@ func (m *Matrix) Scale(s float64) *Matrix {
 
 // AddMat adds o element-wise in place and returns m.
 //
-//lint:allow unusedapi dense matrix algebra kept whole with the GP oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi dense matrix algebra kept whole with the GP oracle
 func (m *Matrix) AddMat(o *Matrix) *Matrix {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic("linalg: dimension mismatch in AddMat")
@@ -188,7 +188,7 @@ func (m *Matrix) Submatrix(rows, cols []int) *Matrix {
 
 // Symmetric reports whether the matrix equals its transpose within tol.
 //
-//lint:allow unusedapi the symmetry check gp's kernel tests apply; linalg stays whole with the dense GP oracle (ROADMAP Parked, GP (c))
+//lint:allow unusedapi the symmetry check gp's kernel tests apply; linalg stays whole with the dense GP oracle
 func (m *Matrix) Symmetric(tol float64) bool {
 	if m.Rows != m.Cols {
 		return false

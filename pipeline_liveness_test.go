@@ -34,12 +34,12 @@ func livenessSystem(t *testing.T, staleness Time) *System {
 }
 
 // outsideRegion filters the intersections of a report that lie outside
-// the given region, using the system registry for positions.
+// the given region, using the system's registry for positions.
 func outsideRegion(t *testing.T, sys *System, inters []string, region geo.Region) []string {
 	t.Helper()
 	var out []string
 	for _, id := range inters {
-		inter, ok := sys.Registry().Lookup(id)
+		inter, ok := sys.registry.Lookup(id)
 		if !ok {
 			t.Fatalf("intersection %q not in registry", id)
 		}

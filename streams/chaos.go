@@ -78,7 +78,6 @@ func (s FaultSpec) ForStream(id string) FaultSpec {
 
 // ChaosStats counts the faults a wrapper has injected so far.
 type ChaosStats struct {
-	Emitted    int // items delivered downstream
 	Dropped    int // items lost to DropProb
 	Duplicated int // extra deliveries from DupProb
 	Delayed    int // items re-ordered by DelayProb
@@ -171,7 +170,6 @@ func (c *ChaosSource) ReadContext(ctx context.Context) (Item, bool) {
 		if len(c.ready) > 0 {
 			it := c.ready[0]
 			c.ready = c.ready[1:]
-			c.stats.Emitted++
 			return it, true
 		}
 		if c.srcDone {
@@ -233,7 +231,6 @@ func (c *ChaosSource) ReadContext(ctx context.Context) (Item, bool) {
 			if out == nil {
 				continue // every row dropped or held
 			}
-			c.stats.Emitted++
 			return out, true
 		}
 		if c.spec.DropProb > 0 && c.rng.Float64() < c.spec.DropProb {
@@ -249,7 +246,6 @@ func (c *ChaosSource) ReadContext(ctx context.Context) (Item, bool) {
 			c.stats.Duplicated++
 			c.ready = append(c.ready, it.Clone())
 		}
-		c.stats.Emitted++
 		return it, true
 	}
 }
@@ -333,8 +329,6 @@ func (c *ChaosProcessor) draw() (fail bool, n int) {
 	fail = c.spec.ErrProb > 0 && c.rng.Float64() < c.spec.ErrProb
 	if fail {
 		c.stats.Errors++
-	} else {
-		c.stats.Emitted++
 	}
 	return fail, c.seen
 }

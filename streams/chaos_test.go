@@ -29,8 +29,8 @@ func TestChaosSourcePassthrough(t *testing.T) {
 		}
 	}
 	s := src.Stats()
-	if s.Emitted != 20 || s.Dropped+s.Duplicated+s.Delayed+s.Stalled != 0 {
-		t.Errorf("stats = %+v, want 20 clean emissions", s)
+	if s.Dropped+s.Duplicated+s.Delayed+s.Stalled != 0 {
+		t.Errorf("stats = %+v, want no faults", s)
 	}
 }
 

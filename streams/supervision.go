@@ -184,6 +184,7 @@ type DeadLetter struct {
 	// Process is the name of the process that dead-lettered the item.
 	Process string
 	// Item is the offending item.
+	//lint:allow unusedapi the supervisor writes the condemned payload for whoever inspects a fault; /healthz shows the error, not the item
 	Item Item
 	// Err is the processor error that condemned it.
 	Err error

@@ -426,8 +426,6 @@ func (t *Topology) Supervise(processName string, policy SupervisionPolicy) error
 // Health returns the supervision state of every process, keyed by
 // process name, as of the current or most recent Run (idle states
 // before the first Run).
-//
-//lint:allow unusedapi ROADMAP item 15(b) gives it a caller: the dashboard's /healthz
 func (t *Topology) Health() map[string]ProcessHealth {
 	t.mu.Lock()
 	sup := t.sup
