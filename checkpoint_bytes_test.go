@@ -224,9 +224,9 @@ func oneXCity(tb testing.TB) *dublin.City {
 // record from each retained checkpoint's window offset on.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	want := []string{
-		"fbd664774fa7ea14e746bb76ccc642cff56264446aa0f4bd2eb479b2484f2ed2", // q=07:30
-		"47367d40ed9e86b35adfe62bcfb3f5aa83828cba79aa211295f221ca5808d016", // q=07:45
-		"413fc9ddecbce6aadbe6e7cf822040c08d301296eb00b2eca0b9fd6451701329", // q=08:00
+		"1d882a575b944291d937f9478401cec8ba5119eb28e0347d673d7b735be4f4c8", // q=07:30
+		"3a6cd9f834174bd7d64b24d44aa70a6027273697590cb478c5d1004cee917111", // q=07:45
+		"e5126db02ba8f1c633806ef99ba031ea2e64b5b00d2197d6215a185b2220a653", // q=08:00
 	}
 	city := oneXCity(t)
 	var runs [2][][]byte

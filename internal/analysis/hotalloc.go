@@ -42,6 +42,8 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // call, nothing per row or per dictionary entry). The root package's
 // boundary cost record (Report.Span) is filled at every boundary and
 // every logged record: its clock and recorder allocate nothing at all.
+// Report assembly pays holdingKeys per CE set, over every instance of
+// its fluent: the result sized once, no reflective sort.
 // Every paced replay batch pays streams' Pacer.Wait: a stream that may
 // emit at once registers no cancellation callback.
 // Unlike the kernel rule these
@@ -55,7 +57,7 @@ var perCallFuncs = map[string]*regexp.Regexp{
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
 	"streams":  regexp.MustCompile(`^Wait$`),
 	"wal":      regexp.MustCompile(`^(EncodeBatch|appendDict|appendCells)$`),
-	"insight":  regexp.MustCompile(`^(start|mark|now|open|admitTimes|engineTimes|chargeLog|chargeAppend)$`),
+	"insight":  regexp.MustCompile(`^(start|mark|now|open|admitTimes|engineTimes|chargeLog|chargeAppend|holdingKeys)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through

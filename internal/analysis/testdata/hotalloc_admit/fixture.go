@@ -4,8 +4,12 @@
 // ProcessBatch, the boundary step fireDue and the sharded tier's fold
 // loops form the batch path: no per-row Event view or attribute map
 // between the transport batches and the engines, nor between the
-// shards' results and the merged one.
+// shards' results and the merged one. holdingKeys, the report's CE
+// set builder, is a per-call function: no allocation in its loops and
+// no reflective sort.
 package hafix
+
+import "sort"
 
 // Event mirrors the engine's event record.
 type Event struct{ Key string }
@@ -93,4 +97,17 @@ func (a *admission) drain() {
 	for _, r := range a.rows {
 		_ = a.blk.Event(int(r))
 	}
+}
+
+// holdingKeys grows its result per holding instance and sorts it
+// through reflection: both are flagged.
+func holdingKeys(holds map[string]bool) []string {
+	var out []string
+	for k, h := range holds {
+		if h {
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -3,6 +3,7 @@ package insight
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -317,27 +318,29 @@ func (s *System) RunReplay(ctx context.Context, sdes []dublin.SDE, from, until T
 	return runToEnd(ctx)(s.Pipeline(from, until, PipelineOptions{Replay: sdes, OnReport: fn}))
 }
 
+// holdingKeys returns the keys of the fluent's instances holding at q,
+// sorted, so the report — and everything derived from it (alerts, crowd
+// rounds, dashboard output) — is byte-stable across runs.
 func holdingKeys(r *rtec.Result, fluent string, q Time) []string {
-	// Iterate the fluent instances in sorted key order rather than map
-	// order, so the report — and everything derived from it (alerts,
-	// crowd rounds, dashboard output) — is byte-stable across runs.
 	insts := r.Fluents[fluent]
-	kvs := make([]rtec.KV, 0, len(insts))
-	for kv := range insts {
-		kvs = append(kvs, kv)
-	}
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].Key != kvs[j].Key {
-			return kvs[i].Key < kvs[j].Key
-		}
-		return kvs[i].Value < kvs[j].Value
-	})
-	var out []string
-	for _, kv := range kvs {
-		if kv.Value == rtec.TrueValue && insts[kv].Contains(q) {
-			out = append(out, kv.Key)
+	holds := func(kv rtec.KV, l rtec.List) bool { return kv.Value == rtec.TrueValue && l.Contains(q) }
+	n := 0
+	for kv, l := range insts {
+		if holds(kv, l) {
+			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	out, i := make([]string, n), 0
+	for kv, l := range insts {
+		if holds(kv, l) {
+			out[i] = kv.Key
+			i++
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -245,7 +245,7 @@ func TestSeenSetPrune(t *testing.T) {
 		t.Error("a pruned identity must be new again")
 	}
 	restored := newSeenSet(64)
-	restored.Restore(s.Entries())
+	restored.Restore(s.Entries(), nil)
 	if !reflect.DeepEqual(restored.Entries(), s.Entries()) {
 		t.Error("Restore(Entries()) does not round-trip")
 	}

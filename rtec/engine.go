@@ -258,17 +258,19 @@ type Result struct {
 	// intervals clipped to the window.
 	Fluents map[string]map[KV]List
 	// Derived holds the derived events recognised in the window,
-	// per event type, time-sorted.
+	// per event type, time-sorted; internal types (EventRule.Internal)
+	// only in an engine's own result, not in a MergeResults view.
 	Derived map[string][]Event
-	// Fresh lists the derived events not reported by any earlier
-	// query, time-sorted — what a downstream consumer (e.g. the
-	// crowdsourcing component) should act on.
+	// Fresh lists the derived events of reported (not Internal) types
+	// that no earlier query reported, time-sorted — what a downstream
+	// consumer (e.g. the crowdsourcing component) should act on.
 	Fresh []Event
 	// Stats summarises the evaluation.
 	Stats Stats
 	// RuleCosts holds per-rule evaluation times when the engine runs
 	// with Options.Profile; nil otherwise.
 	RuleCosts map[string]time.Duration
+	internal  map[string]bool // internal event types: MergeResults counts them, merges none
 }
 
 // Stats summarises one evaluation.
@@ -361,10 +363,11 @@ func (e *Engine) Query(q Time) (*Result, error) {
 	ctx := newStoreContext(q, window, e.store)
 
 	res := &Result{
-		Q:       q,
-		Window:  window,
-		Fluents: make(map[string]map[KV]List),
-		Derived: make(map[string][]Event),
+		Q:        q,
+		Window:   window,
+		Fluents:  make(map[string]map[KV]List),
+		Derived:  make(map[string][]Event),
+		internal: e.defs.internal,
 	}
 	newPrev := make(map[string]map[KV]List, len(e.prev))
 	newCache := make(map[string]*ruleCache, len(e.cache))
@@ -502,10 +505,11 @@ func (e *Engine) Query(q Time) (*Result, error) {
 
 	// Fresh derived events: not seen at any earlier query time. Only
 	// what this query derived is probed — events spliced in from the
-	// cache were filed by the query that derived them.
-	var fresh [][]Event // per event rule, in sortEvents order
+	// cache were filed by the query that derived them. Internal events
+	// are never reported, so never filed.
+	var fresh [][]Event // per reported event rule, in sortEvents order
 	for i := range e.defs.rules {
-		if o := &outs[i]; e.defs.rules[i].kind == kindEvent {
+		if o, r := &outs[i], &e.defs.rules[i]; r.kind == kindEvent && !r.event.Internal {
 			derived := len(o.events) - (o.tailStart - o.headEnd)
 			run := e.appendFresh(make([]Event, 0, derived), o.events[:o.headEnd])
 			fresh = append(fresh, e.appendFresh(run, o.events[o.tailStart:]))

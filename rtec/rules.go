@@ -127,6 +127,11 @@ type EventRule struct {
 	// Locality optionally declares temporal locality, enabling
 	// incremental evaluation over overlapping windows.
 	Locality Locality
+	// Internal declares that its events are inputs to other rules, not
+	// recognition output: they reach the rules reading them and the
+	// engine's own Result.Derived, never Result.Fresh, the dedup set
+	// (Reported, snapshots) or a MergeResults view's Derived.
+	Internal bool
 }
 
 // Definitions is a compiled, stratified CE definition set. Build one
@@ -135,7 +140,8 @@ type Definitions struct {
 	sdeTypes map[string]bool
 	rules    []compiledRule // in evaluation order
 	names    map[string]ruleKind
-	meta     []ruleMeta // incremental-evaluation metadata, aligned with rules
+	meta     []ruleMeta      // incremental-evaluation metadata, aligned with rules
+	internal map[string]bool // event types declared EventRule.Internal
 }
 
 type ruleKind int
@@ -202,6 +208,7 @@ func (b *Builder) Compile() (*Definitions, error) {
 	d := &Definitions{
 		sdeTypes: make(map[string]bool),
 		names:    make(map[string]ruleKind),
+		internal: make(map[string]bool),
 	}
 	for _, t := range b.sdeTypes {
 		if _, dup := d.names[t]; dup {
@@ -248,6 +255,9 @@ func (b *Builder) Compile() (*Definitions, error) {
 		}
 		if err := add(kindEvent, r.Name, r.Inputs, compiledRule{event: r, locality: r.Locality}); err != nil {
 			return nil, err
+		}
+		if r.Internal {
+			d.internal[r.Name] = true
 		}
 	}
 

@@ -232,11 +232,14 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Restore replaces the set's contents with the given identities.
-func (s *seenSet) Restore(entries []SeenEntry) {
+// Restore replaces the set's contents with the given identities, less
+// those of the skipped (internal) types older snapshots may hold.
+func (s *seenSet) Restore(entries []SeenEntry, skip map[string]bool) {
 	s.types = make(map[string]*seenType)
 	s.last = nil
 	for _, se := range entries {
-		s.Add(se.Type, se.Key, se.Time)
+		if !skip[se.Type] {
+			s.Add(se.Type, se.Key, se.Time)
+		}
 	}
 }

@@ -66,14 +66,14 @@ func FuzzSeenEntries(f *testing.F) {
 				s.Prune(tm)
 			case 6:
 				r := newSeenSet(Time(window))
-				r.Restore(s.Entries())
+				r.Restore(s.Entries(), nil)
 				if got, want := r.Entries(), s.Entries(); !slices.Equal(got, want) {
 					t.Fatalf("step %d: Restore(Entries()) = %v, want %v", step, got, want)
 				}
 				r.scratch = s.scratch // keep warm scratch across the swap
 				s = r
 			case 7:
-				s.Restore(s.Entries())
+				s.Restore(s.Entries(), nil)
 			}
 			check(step)
 		}

@@ -265,7 +265,7 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 
 	e.store = newSDEStore(e.opts.Store)
 	e.prev = prev
-	e.seen.Restore(s.Seen)
+	e.seen.Restore(s.Seen, e.defs.internal)
 	e.cache = make(map[string]*ruleCache) // cold: first query recomputes in full
 	e.lastQ = s.LastQ
 	e.started = s.Started

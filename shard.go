@@ -66,7 +66,8 @@ const tierSnapBusCong = "~shard/busCongestion"
 //     same intersection at the same second) to the canonical survivor a
 //     single engine would keep, and drops those another shard reported
 //     at an earlier boundary — it asks the shards' own dedup sets and
-//     keeps none.
+//     keeps none. Internal events (agree) are never reported fresh, so
+//     they stay in the shard that derived them.
 //
 // Keys never move between shards, so each shard's window is a pure
 // function of the log, and the tier holds only state no shard holds:

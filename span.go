@@ -64,6 +64,7 @@ type Span struct {
 	RowsAdmitted    int   // SDE rows admitted at q
 	RowsInserted    int   // rows filed into working memory, summed over the engines
 	Joins           int64 // close/4 joins evaluated inside recognition (rtec.Stats.Joins)
+	FreshEvents     int   // events the engines reported fresh, summed before the cross-shard dedup
 	ReportedProbes  int   // Engine.Reported probes of the cross-shard Fresh dedup
 	FoldPoints      int   // busCongestion transition points into the tier's fold
 	WALRecords      int64
@@ -152,10 +153,11 @@ func (r *spanRecorder) admitTimes(took []time.Duration) {
 	}
 }
 
-// engineTimes records the engines' own Query times.
+// engineTimes records the engines' own Query times and Fresh counts.
 func (r *spanRecorder) engineTimes(results []*rtec.Result) {
 	for _, res := range results {
 		r.span.QuerySum += res.Stats.Elapsed
 		r.span.QueryMax = max(r.span.QueryMax, res.Stats.Elapsed)
+		r.span.FreshEvents += len(res.Fresh)
 	}
 }

@@ -156,31 +156,33 @@ func TestSpanNoJoinsInRecognition(t *testing.T) {
 // spanCounts are the record's work counts a boundary's input and the
 // configuration decide.
 type spanCounts struct {
-	admitted, inserted, probes, points, crowd int
-	joins                                     int64
+	admitted, inserted, fresh, probes, points, crowd int
+	joins                                            int64
 }
 
 func (c spanCounts) String() string {
-	return fmt.Sprintf("{%d, %d, %d, %d, %d, %d}", c.admitted, c.inserted, c.probes, c.points, c.crowd, c.joins)
+	return fmt.Sprintf("{%d, %d, %d, %d, %d, %d, %d}", c.admitted, c.inserted, c.fresh, c.probes, c.points, c.crowd, c.joins)
 }
 
 // TestSpanCountsPinned pins the record's work counts per boundary of
 // the small city's sharded run with crowd rounds — rows admitted, rows
-// inserted over both shards, Reported probes, fold points, crowd rounds
-// and close/4 joins — and the WAL's per-run totals under the
-// deterministic durable driver (per boundary they depend on how far
-// ingest ran ahead). A changed count is a changed amount of work.
+// inserted over both shards, events the shards reported fresh, Reported
+// probes, fold points, crowd rounds and close/4 joins — and the WAL's
+// per-run totals under the deterministic durable driver (per boundary
+// they depend on how far ingest ran ahead). A changed count is a
+// changed amount of work. With two shards, each fresh event is one
+// probe of the other shard's dedup set, unless both report it at once.
 func TestSpanCountsPinned(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	want := []spanCounts{
-		{2236, 2381, 30, 28, 8, 0}, // 07:15
-		{2281, 2445, 33, 58, 2, 0},
-		{2296, 2450, 30, 54, 5, 0}, // 07:45
-		{2285, 2443, 35, 49, 6, 0},
-		{2273, 2431, 38, 52, 10, 0}, // 08:15
-		{2287, 2456, 41, 55, 7, 0},
-		{2275, 2434, 43, 55, 8, 0}, // 08:45
-		{2295, 2462, 38, 49, 9, 0},
+		{2236, 2381, 9, 9, 28, 8, 0}, // 07:15
+		{2281, 2445, 4, 4, 58, 2, 0},
+		{2296, 2450, 6, 6, 54, 5, 0}, // 07:45
+		{2285, 2443, 9, 9, 49, 6, 0},
+		{2273, 2431, 15, 15, 52, 10, 0}, // 08:15
+		{2287, 2456, 14, 14, 55, 7, 0},
+		{2275, 2434, 15, 15, 55, 8, 0}, // 08:45
+		{2295, 2462, 17, 17, 49, 9, 0},
 	}
 	pipe, _, err := spanSystem(t, 8).Pipeline(from, until, PipelineOptions{})
 	if err != nil {
@@ -193,10 +195,10 @@ func TestSpanCountsPinned(t *testing.T) {
 	var got []spanCounts
 	for _, rep := range reports {
 		s := rep.Span
-		got = append(got, spanCounts{s.RowsAdmitted, s.RowsInserted, s.ReportedProbes, s.FoldPoints, s.CrowdRounds, s.Joins})
+		got = append(got, spanCounts{s.RowsAdmitted, s.RowsInserted, s.FreshEvents, s.ReportedProbes, s.FoldPoints, s.CrowdRounds, s.Joins})
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("per-boundary counts {admitted, inserted, probes, points, crowd, joins}:\n got %v\nwant %v", got, want)
+		t.Errorf("per-boundary counts {admitted, inserted, fresh, probes, points, crowd, joins}:\n got %v\nwant %v", got, want)
 	}
 
 	r := newDurableReplay(t, testCity(t))

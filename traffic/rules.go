@@ -397,11 +397,14 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Locality: rtec.Pointwise(),
 		Derive:   func(ctx *rtec.Context) []rtec.Event { return deriveMatches(ctx, true) },
 	})
+	// agree only feeds noisy below: nothing downstream of the engine
+	// reads it, so it is internal.
 	b.Event(rtec.EventRule{
 		Name:     Agree,
 		Inputs:   []string{MoveType, ScatsIntCongestion},
 		Locality: rtec.Pointwise(),
 		Derive:   func(ctx *rtec.Context) []rtec.Event { return deriveMatches(ctx, false) },
+		Internal: true,
 	})
 
 	// --- noisy: rule-sets (4) and (5) -----------------------------------

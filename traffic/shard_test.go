@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/insight-dublin/insight/geo"
@@ -27,7 +29,10 @@ func TestBuildShardValidation(t *testing.T) {
 
 // foldHarness runs the single-engine rule set next to two shard engines
 // whose busCongestion transition points are folded the way the tier
-// folds them, and compares the fluent at every query.
+// folds them, and compares the fluent at every query. It also compares
+// the union of the shards' agree events with the single engine's: agree
+// is internal, so this engine level is the last place both sides show
+// it.
 type foldHarness struct {
 	t      *testing.T
 	single *rtec.Engine
@@ -35,6 +40,7 @@ type foldHarness struct {
 	owners map[string]int // bus → shard
 	prev   map[rtec.KV]rtec.List
 	held   bool // busCongestion held somewhere at some query
+	agreed bool // some shard derived agree at some query
 }
 
 func newFoldHarness(t *testing.T, cfg Config, opts rtec.Options, owners map[string]int) *foldHarness {
@@ -88,6 +94,7 @@ func (h *foldHarness) query(q rtec.Time) map[rtec.KV]rtec.List {
 		h.t.Fatal(err)
 	}
 	var parts [][]rtec.Transition
+	var agree []string
 	for _, sh := range h.shards {
 		res, err := sh.Query(q)
 		if err != nil {
@@ -97,7 +104,13 @@ func (h *foldHarness) query(q rtec.Time) map[rtec.KV]rtec.List {
 			h.t.Fatal("shard engine computed busCongestion locally")
 		}
 		parts = append(parts, sh.Transitions(BusCongestion))
+		agree = append(agree, agreeLines(res)...)
 	}
+	slices.Sort(agree)
+	if want := agreeLines(want); !slices.Equal(agree, want) {
+		h.t.Errorf("q=%d: the shards' agree events %v, want the single engine's %v", q, agree, want)
+	}
+	h.agreed = h.agreed || len(agree) > 0
 	h.prev = rtec.FoldTransitions(h.prev, want.Window, q, parts...)
 	got := make(map[rtec.KV]rtec.List)
 	for kv, l := range h.prev {
@@ -116,6 +129,17 @@ func (h *foldHarness) query(q rtec.Time) map[rtec.KV]rtec.List {
 	}
 	h.held = h.held || len(wi) > 0
 	return wi
+}
+
+// agreeLines renders a result's agree events, sorted: identity and
+// attributes.
+func agreeLines(res *rtec.Result) []string {
+	var out []string
+	for _, ev := range res.Derived[Agree] {
+		out = append(out, fmt.Sprintf("%s|%d|%s", ev.Key, ev.Time, rtec.CanonicalAttrs(ev)))
+	}
+	slices.Sort(out)
+	return out
 }
 
 func twoAreaRegistry(t *testing.T) (*Registry, geo.Point, geo.Point) {
@@ -161,13 +185,14 @@ func TestShardFoldMatchesSingleEngine(t *testing.T) {
 	// still match the single engine, which sees the same late event.
 	h.feed(
 		testMove(55, "beta", i1, true),
+		testMove(100, "alpha", i2, false), // agrees with I2's sensor, on the other shard than beta
 		testMove(130, "beta", i2, false),
 	)
 	h.query(120)
 	h.query(180)
 
-	if !h.held {
-		t.Fatal("scenario never produced busCongestion: test is vacuous")
+	if !h.held || !h.agreed {
+		t.Fatalf("scenario produced busCongestion %v, agree %v: test is vacuous", h.held, h.agreed)
 	}
 }
 
@@ -203,4 +228,7 @@ func TestShardFoldRetractsNoisyBus(t *testing.T) {
 		t.Fatalf("q=120: want alpha's report at 10 kept and the one at 30 retracted, got %v", after)
 	}
 	h.query(180)
+	if !h.agreed {
+		t.Fatal("beta's report never agreed: the agree comparison is vacuous")
+	}
 }
