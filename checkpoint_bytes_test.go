@@ -222,6 +222,10 @@ func oneXCity(tb testing.TB) *dublin.City {
 // section's dedup list is empty, since the shards' lists are the tier's
 // whole dedup state. After every checkpoint the log still holds every
 // record from each retained checkpoint's window offset on.
+//
+// The reports' Span records charge every checkpoint but the last: a
+// record carries the checkpoints written since the previous record, and
+// the run's final checkpoint is written after its last report.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	want := []string{
 		"1d882a575b944291d937f9478401cec8ba5119eb28e0347d673d7b735be4f4c8", // q=07:30
@@ -230,8 +234,17 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 	city := oneXCity(t)
 	var runs [2][][]byte
+	var charged Span // summed over the first run's reports
 	for i := range runs {
 		r := newDurableReplay(t, city)
+		if i == 0 {
+			ack := r.rt.proc.onReport
+			r.rt.proc.onReport = func(rep *Report) error {
+				charged.Checkpoints += rep.Span.Checkpoints
+				charged.CheckpointBytes += rep.Span.CheckpointBytes
+				return ack(rep)
+			}
+		}
 		for k := 1; !r.run(t, k); k++ {
 			r.checkLogFront(t)
 		}
@@ -257,6 +270,14 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 	if len(runs[1]) != len(runs[0]) {
 		t.Errorf("second run wrote %d checkpoints, first %d", len(runs[1]), len(runs[0]))
+	}
+	var bytesBeforeLast int64
+	for _, data := range runs[0][:len(runs[0])-1] {
+		bytesBeforeLast += int64(len(data))
+	}
+	if charged.Checkpoints != len(runs[0])-1 || charged.CheckpointBytes != bytesBeforeLast {
+		t.Errorf("reports' Span records charge %d checkpoints of %d bytes, want %d of %d: all but the run's last",
+			charged.Checkpoints, charged.CheckpointBytes, len(runs[0])-1, bytesBeforeLast)
 	}
 }
 

@@ -36,8 +36,8 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // field is asked about every generated bus report and SCATS reading and
 // every crowd participant's answer — it reads its static grid and
 // allocates nothing. A durable checkpoint pays rtec's Fresh dedup
-// snapshot (Entries: the output and reused scratch sized per call,
-// nothing per identity), and every logged batch pays wal's record
+// snapshot (Entries: the output sized once per call, then one
+// comparison sort; nothing allocated per identity), and every logged batch pays wal's record
 // encoder (EncodeBatch and its column writers: one remap table per
 // call, nothing per row or per dictionary entry). The root package's
 // boundary cost record (Report.Span) is filled at every boundary and

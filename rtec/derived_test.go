@@ -3,6 +3,7 @@ package rtec
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -248,6 +249,59 @@ func TestSeenSetPrune(t *testing.T) {
 	restored.Restore(s.Entries(), nil)
 	if !reflect.DeepEqual(restored.Entries(), s.Entries()) {
 		t.Error("Restore(Entries()) does not round-trip")
+	}
+
+	// Snapshot order is (type, key, time) by bytes: empty strings,
+	// prefixes of one another, a NUL, upper before lower case, bytes
+	// above ASCII; negative times, equal times across keys and types, and
+	// times 2^40 apart, many buckets from each other.
+	const far = Time(1) << 40
+	s = newSeenSet(64)
+	for _, e := range []SeenEntry{
+		{"xy", "\xff", -3}, {"x", "a", 5}, {"", "é", 0}, {"disagree", "I17", -3 * far},
+		{"x", "a\x00", 5}, {"x", "ab", 5}, {"x", "a", -7}, {"x", "i17", 7 * far},
+		{"xy", "I17", 5}, {"", "a", 5}, {"disagree", "i17", 5}, {"x", "a", 2 * far},
+		{"x", "\xff", -far}, {"xy", "é", -1}, {"", "é", -far}, {"disagree", "I17", 5},
+		{"x", "I17", 5}, {"x", "ab", -2},
+	} {
+		if !s.Add(e.Type, e.Key, e.Time) || s.Add(e.Type, e.Key, e.Time) {
+			t.Fatalf("Add(%#v) must report new exactly once", e)
+		}
+	}
+	want = []SeenEntry{
+		{"", "a", 5}, {"", "é", -far}, {"", "é", 0},
+		{"disagree", "I17", -3 * far}, {"disagree", "I17", 5}, {"disagree", "i17", 5},
+		{"x", "I17", 5}, {"x", "a", -7}, {"x", "a", 5}, {"x", "a", 2 * far}, {"x", "a\x00", 5},
+		{"x", "ab", -2}, {"x", "ab", 5}, {"x", "i17", 7 * far}, {"x", "\xff", -far},
+		{"xy", "I17", 5}, {"xy", "é", -1}, {"xy", "\xff", -3},
+	}
+	if got := s.Entries(); !slices.Equal(got, want) {
+		t.Fatalf("Entries = %#v\nwant %#v", got, want)
+	}
+	// -2 and -1 share a bucket: the cutoff's bucket is scanned, not dropped.
+	s.Prune(-2)
+	want = []SeenEntry{
+		{"", "a", 5}, {"", "é", 0},
+		{"disagree", "I17", 5}, {"disagree", "i17", 5},
+		{"x", "I17", 5}, {"x", "a", 5}, {"x", "a", 2 * far}, {"x", "a\x00", 5},
+		{"x", "ab", 5}, {"x", "i17", 7 * far},
+		{"xy", "I17", 5}, {"xy", "é", -1},
+	}
+	if got := s.Entries(); !slices.Equal(got, want) {
+		t.Fatalf("after Prune(-2): %#v\nwant %#v", got, want)
+	}
+	restored = newSeenSet(64)
+	restored.Restore(s.Entries(), nil)
+	if got := restored.Entries(); !slices.Equal(got, want) {
+		t.Errorf("Restore(Entries()) = %#v\nwant %#v", got, want)
+	}
+	restored.Restore(s.Entries(), map[string]bool{"disagree": true})
+	want = slices.Concat(want[:2], want[4:])
+	if got := restored.Entries(); !slices.Equal(got, want) {
+		t.Errorf("Restore skipping disagree = %#v\nwant %#v", got, want)
+	}
+	if restored.Has("disagree", "I17", 5) || !restored.Has("xy", "é", -1) {
+		t.Error("Has disagrees with Entries after a skipping Restore")
 	}
 }
 

@@ -59,8 +59,6 @@ type SeenEntry struct {
 
 // Compare orders dedup entries by (type, key, time) — the canonical
 // snapshot order.
-//
-//lint:allow unusedapi the canonical (type, key, time) order of the dedup snapshot; FuzzSeenEntries' oracle sorts by it
 func (a SeenEntry) Compare(b SeenEntry) int {
 	if c := strings.Compare(a.Type, b.Type); c != 0 {
 		return c

@@ -52,7 +52,9 @@ type Span struct {
 	// record was filled. Callback is the previous report's OnReport
 	// callback. WAL is the wal-append process — encode, append, fsync —
 	// whose heap bytes include what other goroutines allocated
-	// meanwhile. Checkpoint is build, encode, write and fsync.
+	// meanwhile. Checkpoint is build, encode, write and fsync. What runs
+	// after the last boundary is on no record: the last report's
+	// callback, the WAL work after it and the run's final checkpoint.
 	Callback   StageCost
 	WAL        StageCost
 	Checkpoint StageCost
