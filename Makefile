@@ -165,6 +165,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzEncodeBatch -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 5s -fuzzminimizetime 1s .
@@ -228,7 +229,8 @@ loc:
 # regressions in streams/wal/testdata/fuzz, engine-snapshot and
 # checkpoint decoder regressions in rtec/testdata/fuzz and
 # testdata/fuzz, simple-fluent fold regressions (FoldTransitions against
-# its per-time-point oracle) in rtec/testdata/fuzz, spatial-index
+# its per-time-point oracle) and Fresh dedup snapshot regressions
+# (the bucketed set against a flat model) in rtec/testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV and ground-truth
 # field regressions in dublin/testdata/fuzz, XML flow-definition regressions in
 # streams/testdata/fuzz, as permanent corpus seeds.
@@ -241,6 +243,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeBatch -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime 1s .

@@ -1,23 +1,43 @@
 package rtec
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 	"testing"
 )
 
-// entriesBySort is the collect-and-comparison-sort Entries the rank
-// ordering replaced: every identity gathered, then sorted by
-// SeenEntry.Compare. It is the oracle FuzzSeenEntries holds Entries to.
-func entriesBySort(s *seenSet) []SeenEntry {
-	var out []SeenEntry
-	for typ, st := range s.types {
-		for _, b := range st.buckets {
-			for k := range b {
-				out = append(out, SeenEntry{Type: typ, Key: k.key, Time: k.time})
-			}
+// seenModel is the dedup set without its time buckets or type memo: one
+// flat set of identities, pruned by a full scan. It is the oracle
+// FuzzSeenEntries holds seenSet to.
+type seenModel map[SeenEntry]struct{}
+
+func (m seenModel) add(e SeenEntry) bool {
+	if _, dup := m[e]; dup {
+		return false
+	}
+	m[e] = struct{}{}
+	return true
+}
+
+func (m seenModel) prune(cutoff Time) {
+	for e := range m {
+		if e.Time <= cutoff {
+			delete(m, e)
 		}
 	}
-	slices.SortFunc(out, SeenEntry.Compare)
+}
+
+// entries lists the model in (type, key, time) order, compared field by
+// field here rather than through SeenEntry.Compare.
+func (m seenModel) entries() []SeenEntry {
+	var out []SeenEntry
+	for e := range m {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b SeenEntry) int {
+		return cmp.Or(strings.Compare(a.Type, b.Type), strings.Compare(a.Key, b.Key), cmp.Compare(a.Time, b.Time))
+	})
 	return out
 }
 
@@ -29,10 +49,12 @@ var (
 	seenFuzzKeys  = []string{"", "a", "ab", "a\x00", "b", "bus-1", "bus-10", "bus-2", "é", "\xff", "I17", "i17"}
 )
 
-// FuzzSeenEntries holds Entries to the comparison sort element for
-// element, over random types, keys and times — negative, equal across
-// keys and types, far apart — interleaved with Prune and with Restore
-// round trips, on one set whose scratch is reused throughout.
+// FuzzSeenEntries holds the bucketed set to the flat model over random
+// types, keys and times — negative, equal across keys and types, far
+// apart — interleaved with Prune, Restore round trips and Restores that
+// skip a type: Add reports new exactly when the model does, Entries
+// lists what the model holds in snapshot order, and Has finds each of
+// them.
 func FuzzSeenEntries(f *testing.F) {
 	f.Add(int64(64), []byte{0, 1, 2, 3, 0, 1, 3, 3, 1, 2, 0, 255, 5, 0, 0, 2, 6, 0, 0, 0, 0, 4, 4, 9})
 	f.Add(int64(1), []byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 7, 0, 0, 0})
@@ -43,15 +65,7 @@ func FuzzSeenEntries(f *testing.F) {
 			ops = ops[:4*64] // every step re-checks the whole set
 		}
 		s := newSeenSet(Time(window))
-		check := func(step int) {
-			t.Helper()
-			want := entriesBySort(s)
-			for pass := 0; pass < 2; pass++ { // the second pass runs on warm scratch
-				if got := s.Entries(); !slices.Equal(got, want) {
-					t.Fatalf("step %d pass %d: Entries = %v, comparison sort = %v", step, pass, got, want)
-				}
-			}
-		}
+		m := seenModel{}
 		for step := 0; len(ops) >= 4; step++ {
 			op, a, b, c := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
@@ -59,23 +73,37 @@ func FuzzSeenEntries(f *testing.F) {
 			if a&0x80 != 0 {
 				tm *= 1 << 40 // far apart: many buckets
 			}
+			typ := seenFuzzTypes[int(a&0x7f)%len(seenFuzzTypes)]
 			switch op % 8 {
 			case 0, 1, 2, 3, 4:
-				s.Add(seenFuzzTypes[int(a&0x7f)%len(seenFuzzTypes)], seenFuzzKeys[int(op>>3)%len(seenFuzzKeys)], tm)
+				e := SeenEntry{Type: typ, Key: seenFuzzKeys[int(op>>3)%len(seenFuzzKeys)], Time: tm}
+				if got, want := s.Add(e.Type, e.Key, e.Time), m.add(e); got != want {
+					t.Fatalf("step %d: Add(%#v) = %v, model %v", step, e, got, want)
+				}
 			case 5:
 				s.Prune(tm)
+				m.prune(tm)
 			case 6:
 				r := newSeenSet(Time(window))
 				r.Restore(s.Entries(), nil)
-				if got, want := r.Entries(), s.Entries(); !slices.Equal(got, want) {
-					t.Fatalf("step %d: Restore(Entries()) = %v, want %v", step, got, want)
-				}
-				r.scratch = s.scratch // keep warm scratch across the swap
 				s = r
 			case 7:
-				s.Restore(s.Entries(), nil)
+				s.Restore(s.Entries(), map[string]bool{typ: true})
+				for e := range m {
+					if e.Type == typ {
+						delete(m, e)
+					}
+				}
 			}
-			check(step)
+			want := m.entries()
+			if got := s.Entries(); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Entries = %#v\nmodel %#v", step, got, want)
+			}
+			for _, e := range want {
+				if !s.Has(e.Type, e.Key, e.Time) {
+					t.Fatalf("step %d: Has(%#v) = false", step, e)
+				}
+			}
 		}
 	})
 }
