@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e bench-checkpoint fuzz-short loc figures clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e bench-workload bench-checkpoint fuzz-short loc figures clean
 
 all: build vet test
 
@@ -216,6 +216,18 @@ bench-checkpoint:
 # workload: go run ./cmd/e2ebench -workload dublin10x-recognize -trace 0
 bench-e2e:
 	$(GO) run ./cmd/e2ebench
+
+# The four cmd/e2ebench workloads in-process through System.Pipeline
+# (BenchmarkWorkload), 3 runs each: per SDE every Report.Span stage's
+# wall ns and heap bytes and the engines' QuerySum/QueryMax, per run the
+# SDEs and the work counts. Each run's stream is generated outside the
+# timer and the run carries the profiler label workload=<name>, so
+#   make bench-workload WORKLOAD=dublin1x-late BENCHFLAGS=-cpuprofile=cpu.prof
+#   go tool pprof -tagfocus workload=dublin1x-late -top cpu.prof
+# profiles the late run alone.
+WORKLOAD ?= .
+bench-workload:
+	$(GO) test -run '^$$' -bench 'BenchmarkWorkload/$(WORKLOAD)' -benchtime 3x -count=1 $(BENCHFLAGS) .
 
 # Go line counts, non-test and test, testdata excluded: the size a
 # simplicity change reports against (CHANGES.md quotes it per PR).

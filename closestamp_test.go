@@ -178,8 +178,8 @@ func TestCloseStampAdversarialPoints(t *testing.T) {
 
 // resultDigest renders everything a Result holds that recognition
 // decides — fluent intervals, derived and fresh events with their
-// attributes — plus the partial fluents' transition points.
-func resultDigest(res *rtec.Result, e *rtec.Engine) string {
+// attributes — plus the given transition points of a partial fluent.
+func resultDigest(res *rtec.Result, trans []rtec.Transition) string {
 	var lines []string
 	for name, m := range res.Fluents {
 		for kv, l := range m {
@@ -195,7 +195,7 @@ func resultDigest(res *rtec.Result, e *rtec.Engine) string {
 	for _, ev := range res.Fresh {
 		lines = append(lines, fmt.Sprintf("N %s %s %d %s", ev.Type, ev.Key, ev.Time, rtec.CanonicalAttrs(ev)))
 	}
-	for _, tr := range e.Transitions(traffic.BusCongestion) {
+	for _, tr := range trans {
 		lines = append(lines, fmt.Sprintf("T %v", tr))
 	}
 	return strings.Join(lines, "\n")
@@ -289,7 +289,8 @@ func TestStampedRecognitionMatchesUnstamped(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					g, w := resultDigest(got, stamped), resultDigest(want, bare)
+					g := resultDigest(got, stamped.Transitions(traffic.BusCongestion))
+					w := resultDigest(want, bare.Transitions(traffic.BusCongestion))
 					if g != w {
 						t.Fatalf("q=%d: stamped and unstamped results differ:\n--- stamped ---\n%s\n--- unstamped ---\n%s", q, g, w)
 					}

@@ -289,6 +289,14 @@ func TestAllocBudget_ColumnarIngest(t *testing.T) {
 // jitter without letting the per-instance fold back in.
 const recognitionAllocBudget = 0.50
 
+// recognitionBytesBudget is the same gate's budget on heap bytes per
+// query (the TotalAlloc delta of queries 3–6, averaged). Measured at
+// 5.2–5.3 MB with the rules appending into transition buffers and the
+// folds working in scratch that each engine keeps across queries, and at
+// 6.9–7.0 MB when every query allocated them afresh; 6.0 MB leaves room
+// for map-growth jitter without letting the per-query buffers back in.
+const recognitionBytesBudget = 6.0e6
+
 // TestAllocBudget_Recognition is the allocation-regression gate of the
 // bus × intersection rules: a sliding-window engine on the column
 // store running the shard rule set (agree, disagree, delayIncrease,
@@ -297,7 +305,8 @@ const recognitionAllocBudget = 0.50
 // fed, as blocks admitted by arrival: stamped by the input stage, the
 // product path, and unstamped, where the rules join each move
 // themselves. The per-sensor fluents allocate per fluent instance, not
-// per derived event, and would drown the figure.
+// per derived event, and would drown the figure. Heap bytes are gated
+// per query.
 func TestAllocBudget_Recognition(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -349,7 +358,7 @@ func TestAllocBudget_Recognition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var mallocs uint64
+			var mallocs, bytes uint64
 			var joins int64
 			derived := 0
 			next := make([]int, len(tc.blocks))
@@ -378,6 +387,7 @@ func TestAllocBudget_Recognition(t *testing.T) {
 				joins += res.Stats.Joins
 				if i > 2 {
 					mallocs += after.Mallocs - before.Mallocs
+					bytes += after.TotalAlloc - before.TotalAlloc
 					derived += res.Stats.DerivedEvents + len(e.Transitions(traffic.BusCongestion))
 				}
 			}
@@ -390,6 +400,12 @@ func TestAllocBudget_Recognition(t *testing.T) {
 			perEvent := float64(mallocs) / float64(derived)
 			t.Logf("recognition: %d allocs for %d derived events and points, %.3f each (budget %.2f)",
 				mallocs, derived, perEvent, recognitionAllocBudget)
+			perQuery := float64(bytes) / 4
+			t.Logf("recognition: %.2f MB per query (budget %.1f)", perQuery/1e6, recognitionBytesBudget/1e6)
+			if perQuery > recognitionBytesBudget {
+				t.Errorf("recognition allocates %.2f MB per query, budget %.1f — a per-query buffer is back",
+					perQuery/1e6, recognitionBytesBudget/1e6)
+			}
 			if perEvent > recognitionAllocBudget {
 				t.Errorf("recognition allocates %.3f objects per derived event or point, budget %.2f — a per-event allocation is back",
 					perEvent, recognitionAllocBudget)

@@ -29,8 +29,8 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // sort; rtec's fold of a simple fluent's transition points and its
 // window clip run for every fluent at every query, and interval's
 // inertia kernel for every instance — slices sized once per call (the
-// fold's instance table excepted: it starts at the previous query's
-// instances and grows by append in intern, a few hundred instances
+// fold's scratch, which an engine keeps across queries, resized; its
+// instance table grows by append in intern, a few hundred instances
 // against hundreds of thousands of points), nothing allocated per
 // point; dublin's ground-truth
 // field is asked about every generated bus report and SCATS reading and
@@ -52,7 +52,7 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 var perCallFuncs = map[string]*regexp.Regexp{
 	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|VarianceAll|system|standardize|solve|mulDot)$`),
 	"crowd":    regexp.MustCompile(`^(Online|SelectNearest)$`),
-	"rtec":     regexp.MustCompile(`^(FoldTransitions|ClipInstances|Entries)$`),
+	"rtec":     regexp.MustCompile(`^(FoldTransitions|fold|ClipInstances|Entries)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
 	"streams":  regexp.MustCompile(`^Wait$`),
@@ -95,7 +95,10 @@ var batchPathFuncs = map[string]*regexp.Regexp{
 // 10x profile; rules derive into an rtec.EventBlock instead. Building a
 // view Event per bus report and finding its columns by name was 17 % of
 // a late run's CPU in eachCloseMove alone; rules read a Rows.Col handle
-// instead.
+// instead. A Transitions closure appends to the buffer the engine hands
+// it and keeps across queries: a transition slice of its own, made or
+// declared nil, was busCongestion's 36 MB of fresh, zeroed heap per
+// late run.
 var ruleClosurePkgs = []string{"traffic"}
 
 // ruleClosureFields are the composite-literal keys whose function
@@ -138,10 +141,12 @@ var itemMaterializers = map[string]bool{
 // string concatenation and a Rows.At event read by a constant attribute
 // name in per-row code: loop bodies and callbacks handed to a row
 // iterator, at any depth, including local closures the rule closure
-// delegates to and the loops of package functions it calls.
+// delegates to and the loops of package functions it calls; and
+// anywhere in a Transitions closure, a []Transition built with make or
+// declared nil.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, allocations in any loop and reflective sorts in per-call functions, per-row map materialization in batch loops, and per-event attribute maps, key concatenation or by-name reads of Rows.At events in rule closures",
+	Doc:  "flags allocations in the innermost loops of hot-path kernel functions, allocations in any loop and reflective sorts in per-call functions, per-row map materialization in batch loops, per-event attribute maps, key concatenation or by-name reads of Rows.At events in rule closures, and transition slices of their own in Transitions closures",
 	Run:  runHotAlloc,
 }
 
@@ -320,6 +325,9 @@ func (w *ruleClosureWalk) walk(n ast.Node, perRow bool) {
 			if perRow {
 				w.checkByName(n)
 			}
+			if w.field == "Transitions" && isBuiltin(info, n, "make") && isTransitionSlice(info.TypeOf(n)) {
+				w.pass.Reportf(n.Pos(), "[]Transition built with make in a Transitions closure; append to the buffer the engine hands the rule (slices.Grow for a size hint)")
+			}
 			// A function literal handed to a call is a per-row callback
 			// (eachCloseMove's fn); a call of a local closure or of a
 			// package function (eachCloseMove) continues there.
@@ -345,6 +353,14 @@ func (w *ruleClosureWalk) walk(n ast.Node, perRow bool) {
 				w.walk(n.Fun, perRow)
 			}
 			return false
+		case *ast.ValueSpec:
+			if w.field == "Transitions" && len(n.Values) == 0 {
+				for _, id := range n.Names {
+					if isTransitionSlice(info.TypeOf(id)) {
+						w.pass.Reportf(id.Pos(), "nil []Transition declared in a Transitions closure; append to the buffer the engine hands the rule")
+					}
+				}
+			}
 		case *ast.CompositeLit:
 			if perRow && isAttrMap(info.TypeOf(n)) {
 				w.pass.Reportf(n.Pos(), "attribute map per event in a %s closure; derive into an rtec.EventBlock", w.field)
@@ -409,6 +425,20 @@ func (w *ruleClosureWalk) checkByName(call *ast.CallExpr) {
 	}
 	w.reported[at] = true
 	w.pass.Reportf(at, "Rows.At per row, then %s read by name in a %s closure; read the column through a Rows.Col handle", sel.Sel.Name, w.field)
+}
+
+// isTransitionSlice reports whether t is a slice of a type named
+// Transition, rtec's fluent transition point.
+func isTransitionSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	named, ok := sl.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Transition"
 }
 
 // isAttrMap reports whether t is map[string]any, the event attribute map.

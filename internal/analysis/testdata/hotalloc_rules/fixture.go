@@ -7,8 +7,13 @@
 // constructs once per call, and per row outside a rule closure, pass.
 // So is an event Rows.At builds per row and then reads by a constant
 // attribute name — also in a package function the rule calls; reading
-// the same column through a Rows.Col handle passes.
+// the same column through a Rows.Col handle passes. A Transitions
+// closure that builds a transition slice of its own — with make or a nil
+// var — instead of appending to the buffer it is handed is flagged;
+// growing that buffer with slices.Grow passes.
 package hrfix
+
+import "slices"
 
 // Event mirrors the engine's event record.
 type Event struct {
@@ -31,7 +36,7 @@ type EventRule struct {
 
 type SimpleFluent struct {
 	Name        string
-	Transitions func(rows []Event) []Transition
+	Transitions func(rows []Event, out []Transition) []Transition
 }
 
 // Block mirrors the engine's event block builder.
@@ -103,8 +108,7 @@ func Rules(areas []string) (EventRule, EventRule, EventRule, SimpleFluent, Event
 	// Transitions closures are held to the same contract.
 	fluent := SimpleFluent{
 		Name: "fluent",
-		Transitions: func(rows []Event) []Transition {
-			var out []Transition
+		Transitions: func(rows []Event, out []Transition) []Transition {
 			for i := range rows {
 				out = append(out, Transition{Key: "k:" + rows[i].Key, Time: rows[i].Time})
 			}
@@ -160,7 +164,7 @@ type Column struct {
 // ViewFluent is a fluent whose closure reads a window view.
 type ViewFluent struct {
 	Name        string
-	Transitions func(rows Rows) []Transition
+	Transitions func(rows Rows, out []Transition) []Transition
 }
 
 // busyKeys is a row iterator of the package: a rule that calls it is
@@ -177,13 +181,12 @@ func busyKeys(rows Rows) []string {
 }
 
 // ViewRules declares the view-reading rule closures.
-func ViewRules() (ViewFluent, ViewFluent, ViewFluent) {
+func ViewRules() (ViewFluent, ViewFluent, ViewFluent, ViewFluent, ViewFluent, ViewFluent) {
 	// An Event per row, its column found by name per row: flagged once
 	// per At call.
 	byName := ViewFluent{
 		Name: "byName",
-		Transitions: func(rows Rows) []Transition {
-			var out []Transition
+		Transitions: func(rows Rows, out []Transition) []Transition {
 			for i := 0; i < rows.Len(); i++ {
 				e := rows.At(i)
 				d, _ := e.Float("density")
@@ -200,8 +203,7 @@ func ViewRules() (ViewFluent, ViewFluent, ViewFluent) {
 	// passes.
 	handles := ViewFluent{
 		Name: "handles",
-		Transitions: func(rows Rows) []Transition {
-			var out []Transition
+		Transitions: func(rows Rows, out []Transition) []Transition {
 			density, flow := rows.Col("density"), rows.Col("flow")
 			for i := 0; i < rows.Len(); i++ {
 				d, _ := density.Float(i)
@@ -217,13 +219,46 @@ func ViewRules() (ViewFluent, ViewFluent, ViewFluent) {
 	// The by-name read happens in a package function the rule calls.
 	delegated := ViewFluent{
 		Name: "delegated",
-		Transitions: func(rows Rows) []Transition {
-			var out []Transition
+		Transitions: func(rows Rows, out []Transition) []Transition {
 			for _, key := range busyKeys(rows) {
 				out = append(out, Transition{Key: key})
 			}
 			return out
 		},
 	}
-	return byName, handles, delegated
+	// A slice of its own, declared nil or made with a size hint, in
+	// place of the buffer the closure is handed: both flagged.
+	ownNil := ViewFluent{
+		Name: "ownNil",
+		Transitions: func(rows Rows, _ []Transition) []Transition {
+			var out []Transition
+			for i := 0; i < rows.Len(); i++ {
+				out = append(out, Transition{Time: rows.TimeAt(i)})
+			}
+			return out
+		},
+	}
+	ownMade := ViewFluent{
+		Name: "ownMade",
+		Transitions: func(rows Rows, _ []Transition) []Transition {
+			out := make([]Transition, 0, rows.Len())
+			for i := 0; i < rows.Len(); i++ {
+				out = append(out, Transition{Time: rows.TimeAt(i)})
+			}
+			return out
+		},
+	}
+
+	// The same size hint on the handed buffer: passes.
+	grown := ViewFluent{
+		Name: "grown",
+		Transitions: func(rows Rows, out []Transition) []Transition {
+			out = slices.Grow(out, rows.Len())
+			for i := 0; i < rows.Len(); i++ {
+				out = append(out, Transition{Time: rows.TimeAt(i)})
+			}
+			return out
+		},
+	}
+	return byName, handles, delegated, ownNil, ownMade, grown
 }

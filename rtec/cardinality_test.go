@@ -67,8 +67,7 @@ func TestCardinalityBounded(t *testing.T) {
 		Simple(SimpleFluent{
 			Name:   "alarm",
 			Inputs: []string{"reading"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, e := range ctx.Events("reading") {
 					if lvl, _ := e.Float("level"); lvl > 0.5 {
 						out = append(out, InitiateAt(e.Key, e.Time-60), TerminateAt(e.Key, e.Time))

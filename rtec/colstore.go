@@ -1,7 +1,6 @@
 package rtec
 
 import (
-	"slices"
 	"sort"
 )
 
@@ -178,10 +177,10 @@ func (s *columnStore) insertRows(src *Block, rows []int32, started bool, lastQ T
 	// Times, key ids. Source dictionaries translate lazily — one
 	// interning per distinct key used, not per dictionary entry, so an
 	// oversized transport dictionary doesn't bloat the resident one.
-	kr := resizeUint32(&s.kidScratch, n)
+	kr := resizeScratch(&s.kidScratch, n)
 	if src.KIdx != nil {
 		const unset = ^uint32(0)
-		tr := resizeUint32(&s.trScratch, len(src.KDict))
+		tr := resizeScratch(&s.trScratch, len(src.KDict))
 		for i := range tr {
 			tr[i] = unset
 		}
@@ -300,11 +299,11 @@ func (s *columnStore) mergeIDs(ord, ids []int32, times []int64) []int32 {
 	return ord
 }
 
-// resizeUint32 sizes the reusable buffer to n entries (contents
+// resizeScratch sizes the reusable buffer to n entries (contents
 // unspecified), decaying oversized capacity.
-func resizeUint32(buf *[]uint32, n int) []uint32 {
+func resizeScratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n || (cap(*buf) > scratchInt32Floor && cap(*buf) > 4*n) {
-		*buf = make([]uint32, n, max(n, min(cap(*buf)/2, 2*n)))
+		*buf = make([]T, n, max(n, min(cap(*buf)/2, 2*n)))
 		return *buf
 	}
 	*buf = (*buf)[:n]
@@ -377,13 +376,19 @@ func (s *columnStore) compact(b *colBucket) {
 	room := 2*live + live/2
 
 	// Live ids in ascending id order = arrival order; dense
-	// renumbering in that order preserves every time tie-break.
-	ids := make([]int32, live)
-	copy(ids, b.order)
-	slices.Sort(ids)
+	// renumbering in that order preserves every time tie-break. The
+	// live ids are a subset of [0, len(Times)): mark them in remap, then
+	// number them in one ascending pass.
 	remap := make([]int32, len(old.blk.Times))
-	for newID, id := range ids {
-		remap[id] = int32(newID)
+	for _, id := range b.order {
+		remap[id] = 1
+	}
+	ids := make([]int32, 0, live)
+	for id, mark := range remap {
+		if mark != 0 {
+			remap[id] = int32(len(ids))
+			ids = append(ids, int32(id))
+		}
 	}
 
 	seg := colSeg{

@@ -21,8 +21,7 @@ func colEquivDefs(t testing.TB) *Definitions {
 		Simple(SimpleFluent{
 			Name:   "alert",
 			Inputs: []string{"reading"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, key := range ctx.EventKeys("reading") {
 					rows := ctx.RowsForKey("reading", key)
 					for i := 0; i < rows.Len(); i++ {

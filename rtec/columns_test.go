@@ -124,8 +124,7 @@ func levelDefs(t *testing.T) *Definitions {
 		Simple(SimpleFluent{
 			Name:   "alert",
 			Inputs: []string{"reading"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, e := range ctx.Events("reading") {
 					level, _ := e.Float("level")
 					alarm, _ := e.Bool("alarm")

@@ -93,6 +93,13 @@ type Engine struct {
 	// Result.Fresh. Pruned as instances fall out of the window.
 	seen *seenSet
 
+	// spare holds, per rule (simple fluents only), the transition
+	// buffer the next query hands the rule: the splice cache the last
+	// query superseded. folds holds, per rule, the scratch of its fold.
+	// Nothing reachable from a Result points into either.
+	spare [][]Transition //state:transient reusable scratch
+	folds []foldScratch  //state:transient reusable scratch
+
 	// rowScratch is the reusable admitted-row buffer of inputBlock;
 	// sortKeys and rowCopy are the reusable buffers of its packed
 	// time sort.
@@ -132,6 +139,8 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 		prev:  make(map[string]map[KV]List),
 		cache: make(map[string]*ruleCache),
 		seen:  newSeenSet(opts.WorkingMemory),
+		spare: make([][]Transition, len(defs.rules)),
+		folds: make([]foldScratch, len(defs.rules)),
 	}, nil
 }
 
@@ -396,10 +405,12 @@ func (e *Engine) Query(q Time) (*Result, error) {
 		switch rule.kind {
 		case kindSimple:
 			var trans []Transition
+			buf := e.spare[i][:0]
+			e.spare[i] = nil
 			if p, ok := e.planSplice(i, q, windowStart); ok {
-				trans = spliceTransitions(rule, e.cache[rule.name], p, ctx, windowStart, q)
+				trans = spliceTransitions(buf, rule, e.cache[rule.name], p, ctx, windowStart, q)
 			} else {
-				trans = cacheTransitions(rule.simple.Transitions(ctx), windowStart, q)
+				trans = keepTransitions(rule.simple.Transitions(ctx, buf), 0, windowStart-1, q)
 			}
 			if rule.simple.Partial {
 				// Only the splice cache can still hold points at
@@ -410,7 +421,7 @@ func (e *Engine) Query(q Time) (*Result, error) {
 				// would override it.
 				trans = slices.DeleteFunc(trans, func(tr Transition) bool { return tr.Time < windowStart })
 			} else {
-				outs[i].full = FoldTransitions(e.prev[rule.name], window, q, trans)
+				outs[i].full = e.folds[i].fold(e.prev[rule.name], window, q, trans)
 			}
 			outs[i].trans = trans
 		case kindStatic:
@@ -483,6 +494,9 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			rule := &e.defs.rules[i]
 			switch rule.kind {
 			case kindSimple:
+				if old := e.cache[rule.name]; old != nil {
+					e.spare[i] = spareOf(old.trans)
+				}
 				newCache[rule.name] = &ruleCache{q: q, trans: outs[i].trans}
 				if rule.simple.Partial {
 					break // points only: the fold happens where all parts meet
@@ -545,6 +559,16 @@ func (e *Engine) Query(q Time) (*Result, error) {
 	return res, nil
 }
 
+// spareOf returns a superseded splice cache for reuse as the next
+// query's transition buffer, or nil when it is more than four times
+// larger than its last use: one burst must not pin its high-water mark.
+func spareOf(trans []Transition) []Transition {
+	if cap(trans) > scratchInt32Floor && cap(trans) > 4*len(trans) {
+		return nil
+	}
+	return trans
+}
+
 // deriveIn runs an event rule against ctx and returns the instances
 // inside span, typed and in sortEvents order (the rule's own slice,
 // filtered in place).
@@ -596,9 +620,10 @@ func (e *Engine) Reported(typ, key string, t Time) bool {
 // a simple fluent, value-defaulted and restricted to what that query's
 // window can observe — for a partial fluent (SimpleFluent.Partial), the
 // engine's whole output for it, all at times inside the window. The
-// slice is the engine's own splice cache: read it, do not modify it, and
-// do not keep it across the next Query. Nil before the first query and
-// right after Restore.
+// slice is the engine's own splice cache, valid until the next Query:
+// read it, do not modify it, and copy what must outlive that Query — the
+// query after it refills the same memory. Nil before the first query
+// and right after Restore.
 func (e *Engine) Transitions(fluent string) []Transition {
 	if c := e.cache[fluent]; c != nil {
 		return c.trans

@@ -153,15 +153,15 @@ func TestOutOfWindowTransitionsIgnored(t *testing.T) {
 		Simple(SimpleFluent{
 			Name:   "weird",
 			Inputs: []string{"tick"},
-			Transitions: func(ctx *Context) []Transition {
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				// A buggy rule emitting transitions far outside the
 				// window in both directions, plus one valid.
 				q := ctx.Window().End - 1
-				return []Transition{
+				return append(out,
 					InitiateAt("x", q-10_000),
 					InitiateAt("x", q+10_000),
 					InitiateAt("x", q-5),
-				}
+				)
 			},
 		}).
 		Compile()

@@ -16,8 +16,7 @@ func Example() {
 		Simple(rtec.SimpleFluent{
 			Name:   "occupied",
 			Inputs: []string{"enter", "exit"},
-			Transitions: func(ctx *rtec.Context) []rtec.Transition {
-				var out []rtec.Transition
+			Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 				for _, e := range ctx.Events("enter") {
 					out = append(out, rtec.InitiateAt(e.Key, e.Time))
 				}

@@ -19,20 +19,44 @@ import (
 // length, so that appending to one copies it instead of overwriting its
 // neighbour.
 func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transition) map[KV]List {
+	var s foldScratch
+	return s.fold(prev, window, q, parts...)
+}
+
+// foldScratch is the working memory of one fold: the instance table
+// (a group per (key, value), the values of a key chained from its first
+// group), each point's group, the flat point slice and the merge
+// scratch. An engine keeps one per simple fluent, so a query reuses the
+// previous query's instead of clearing fresh heap; nothing a fold
+// returns points into it.
+type foldScratch struct {
+	heads     map[string]int32 // key → its first group
+	headsHigh int              // most keys heads has held since it was made
+	groups    []foldGroup      // grows by append in intern, one per instance
+	of        []int32          // per point, its group; -1 when dropped
+	pts       []interval.Point
+	merge     []interval.Point
+}
+
+// fold is FoldTransitions over s's buffers. Each buffer is resized
+// with the decay of resizeScratch, and heads is dropped once it has
+// held more than four times the keys its last use needed.
+func (s *foldScratch) fold(prev map[KV]List, window Span, q Time, parts ...[]Transition) map[KV]List {
 	total := 0
 	for _, trans := range parts {
 		total += len(trans)
 	}
-	f := fold{
-		heads:  make(map[string]int32, len(prev)),
-		groups: make([]foldGroup, 0, len(prev)),
+	if s.heads == nil {
+		s.heads, s.headsHigh = make(map[string]int32, len(prev)), 0
 	}
+	clear(s.heads)
+	s.groups = resizeScratch(&s.groups, len(prev))[:0]
 
 	// Intern each point's instance and count its points. Transitions
 	// must be observable in the window: the earliest effective point is
 	// windowStart−1 (whose effect begins at windowStart); anything after
 	// q cannot have been derived from window events.
-	of := make([]int32, total) // per point, its group; -1 when dropped
+	of := resizeScratch(&s.of, total)
 	i, last := 0, int32(-1)
 	for _, trans := range parts {
 		for _, tr := range trans {
@@ -43,10 +67,10 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 					v = TrueValue
 				}
 				// Rules emit a key's points together: skip the lookup.
-				if last < 0 || f.groups[last].kv.Key != tr.Key || f.groups[last].kv.Value != v {
-					last = f.intern(tr.Key, v)
+				if last < 0 || s.groups[last].kv.Key != tr.Key || s.groups[last].kv.Value != v {
+					last = s.intern(tr.Key, v)
 				}
-				g := &f.groups[last]
+				g := &s.groups[last]
 				g.hi++
 				if tr.Kind == Initiate {
 					g.inits++
@@ -60,17 +84,17 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 	// windows).
 	for kv, l := range prev {
 		if l.Contains(window.Start) {
-			// Two statements: intern may grow f.groups, and Go leaves
-			// open whether f.groups[...] = reads the slice before or
+			// Two statements: intern may grow s.groups, and Go leaves
+			// open whether s.groups[...] = reads the slice before or
 			// after the call.
-			g := f.intern(kv.Key, kv.Value)
-			f.groups[g].holds = true
+			g := s.intern(kv.Key, kv.Value)
+			s.groups[g].holds = true
 		}
 	}
 
 	// Counting sort by group into one flat slice. It is stable, so each
 	// run keeps the order the rules emitted — mostly time order already.
-	groups := f.groups
+	groups := s.groups
 	n, spans := int32(0), 0
 	for j := range groups {
 		g := &groups[j]
@@ -80,7 +104,7 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 			spans++
 		}
 	}
-	pts := make([]interval.Point, n)
+	pts := resizeScratch(&s.pts, int(n))
 	i = 0
 	for _, trans := range parts {
 		for _, tr := range trans {
@@ -107,7 +131,7 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 			widest = max(widest, k)
 		}
 	}
-	scratch := make([]interval.Point, widest)
+	scratch := resizeScratch(&s.merge, widest)
 
 	// AppendInertia needs room for at most one span per initiation plus
 	// the seed, which is what spans counted: the arena never moves.
@@ -141,15 +165,10 @@ func FoldTransitions(prev map[KV]List, window Span, q Time, parts ...[]Transitio
 			out[g.kv] = arena[lo:hi:hi]
 		}
 	}
+	if s.headsHigh = max(s.headsHigh, len(s.heads)); s.headsHigh > scratchInt32Floor && s.headsHigh > 4*len(s.heads) {
+		s.heads = nil
+	}
 	return out
-}
-
-// fold interns the fluent instances of one FoldTransitions call: a
-// group per (key, value), the values of a key chained from its first
-// group.
-type fold struct {
-	heads  map[string]int32 // key → its first group
-	groups []foldGroup      // grows by append in intern, one per instance
 }
 
 // foldGroup is one fluent instance of a fold.
@@ -163,23 +182,23 @@ type foldGroup struct {
 
 // intern returns the group of (key, value), adding it — at the end of
 // its key's chain — if it is new.
-func (f *fold) intern(key, value string) int32 {
-	id := int32(len(f.groups))
-	head, ok := f.heads[key]
+func (s *foldScratch) intern(key, value string) int32 {
+	id := int32(len(s.groups))
+	head, ok := s.heads[key]
 	if !ok {
-		f.heads[key] = id
+		s.heads[key] = id
 		head = id
 	}
-	for g := head; ok; g = f.groups[g].next {
-		if f.groups[g].kv.Value == value {
+	for g := head; ok; g = s.groups[g].next {
+		if s.groups[g].kv.Value == value {
 			return g
 		}
-		if f.groups[g].next < 0 {
-			f.groups[g].next = id
+		if s.groups[g].next < 0 {
+			s.groups[g].next = id
 			break
 		}
 	}
-	f.groups = append(f.groups, foldGroup{kv: KV{Key: key, Value: value}, head: head, next: -1})
+	s.groups = append(s.groups, foldGroup{kv: KV{Key: key, Value: value}, head: head, next: -1})
 	return id
 }
 

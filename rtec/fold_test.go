@@ -86,7 +86,10 @@ func foldOracle(prev map[KV]List, window Span, q Time, trans []Transition) map[K
 // promise that only the set of points matters: the same points split
 // into parts, shuffled and partly duplicated fold the same. Every list
 // must be maximal and capped at its own length, so that appending to
-// one cannot overwrite a neighbour in the arena.
+// one cannot overwrite a neighbour in the arena. An engine folds each
+// query in the scratch of the last, so the input is also folded in a
+// scratch that first folded another shape — the shuffled parts, over
+// the next window, from another seed — and must fold as a fresh one.
 //
 // Input: byte 0 places the window, byte 1 sizes it, then two bytes per
 // record — a point, or (about one record in sixteen) a prev list.
@@ -151,7 +154,39 @@ func FuzzFoldTransitions(f *testing.F) {
 			parts, rest = append(parts, rest[:n]), rest[n:]
 		}
 		check(fmt.Sprintf("%d shuffled parts with duplicates", len(parts)), FoldTransitions(prev, window, q, parts...))
+
+		var s foldScratch
+		other := map[KV]List{{Key: "k3", Value: TrueValue}: {{Start: q, End: MaxTime}}}
+		s.fold(other, Span{Start: ws + wm, End: q + wm + 1}, q+wm, parts...)
+		check("scratch reused after another shape", s.fold(prev, window, q, trans))
 	})
+}
+
+// TestFoldScratchDecays: a fold's scratch sized by a burst — 10 000
+// instances — is given up once a fold needs less than a quarter of it,
+// and the small fold in the decayed scratch equals a fresh one.
+func TestFoldScratchDecays(t *testing.T) {
+	window := Span{Start: 1, End: 101}
+	burst := func(n int) []Transition {
+		var trans []Transition
+		for i := 0; i < n; i++ {
+			trans = append(trans, InitiateAt(fmt.Sprintf("k%d", i), Time(i%50)+1), TerminateAt(fmt.Sprintf("k%d", i), Time(i%50)+20))
+		}
+		return trans
+	}
+	var s foldScratch
+	s.fold(nil, window, 100, burst(10000))
+	if cap(s.pts) < 20000 || s.heads == nil {
+		t.Fatalf("the burst left %d point slots and heads %v", cap(s.pts), s.heads != nil)
+	}
+	small := burst(10)
+	got := s.fold(nil, window, 100, small)
+	if cap(s.pts) > 4*len(small) || cap(s.of) > 4*len(small) || s.heads != nil {
+		t.Errorf("after a fold of 10 instances the scratch keeps %d point and %d group-index slots, heads %v", cap(s.pts), cap(s.of), s.heads != nil)
+	}
+	if want := FoldTransitions(nil, window, 100, small); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("fold in decayed scratch = %v, fresh %v", got, want)
+	}
 }
 
 // TestAllocBudget_Fold: FoldTransitions allocates a constant number of

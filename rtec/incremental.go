@@ -1,5 +1,7 @@
 package rtec
 
+import "slices"
+
 // Incremental windowed evaluation (overlap caching).
 //
 // When the window slides by less than its length (Step < WM, the
@@ -206,26 +208,32 @@ func minT(a, b Time) Time {
 	return b
 }
 
-// spliceTransitions evaluates a simple fluent incrementally: cached
-// transitions inside the reusable region plus head/tail recomputes
-// against narrowed contexts. The result is equivalent to evaluating
-// the rule over the full window and is stored as the next cache.
-func spliceTransitions(rule *compiledRule, cache *ruleCache, p splicePlan, ctx *Context, windowStart, q Time) []Transition {
-	out := make([]Transition, 0, len(cache.trans))
+// spliceTransitions evaluates a simple fluent incrementally into out:
+// cached transitions inside the reusable region plus head/tail
+// recomputes against narrowed contexts, each appended by the rule and
+// then filtered in place. The result is equivalent to evaluating the
+// rule over the full window and is stored as the next cache.
+func spliceTransitions(out []Transition, rule *compiledRule, cache *ruleCache, p splicePlan, ctx *Context, windowStart, q Time) []Transition {
+	out = slices.Grow(out, len(cache.trans))
 	for _, tr := range cache.trans {
 		if tr.Time >= p.keepLo && tr.Time <= p.keepHi {
 			out = append(out, tr)
 		}
 	}
 	if !p.headView.Empty() {
-		for _, tr := range rule.simple.Transitions(ctx.withView(p.headView)) {
-			if tr.Time >= windowStart-1 && tr.Time < p.keepLo {
-				out = append(out, normTransition(tr))
-			}
-		}
+		n := len(out)
+		out = keepTransitions(rule.simple.Transitions(ctx.withView(p.headView), out), n, windowStart-1, p.keepLo-1)
 	}
-	for _, tr := range rule.simple.Transitions(ctx.withView(p.tailView)) {
-		if tr.Time > p.keepHi && tr.Time <= q {
+	n := len(out)
+	return keepTransitions(rule.simple.Transitions(ctx.withView(p.tailView), out), n, p.keepHi+1, q)
+}
+
+// keepTransitions keeps trans[:n] and, filtered in place, the points of
+// trans[n:] at times in [lo, hi], value-defaulted.
+func keepTransitions(trans []Transition, n int, lo, hi Time) []Transition {
+	out := trans[:n]
+	for _, tr := range trans[n:] {
+		if tr.Time >= lo && tr.Time <= hi {
 			out = append(out, normTransition(tr))
 		}
 	}
@@ -246,19 +254,6 @@ func spliceEvents(rule *compiledRule, cache *ruleCache, p splicePlan, ctx *Conte
 	tailStart = len(out)
 	out = append(out, deriveIn(rule, ctx.withView(p.tailView), Span{Start: p.keepHi + 1, End: q + 1})...)
 	return out, headEnd, tailStart
-}
-
-// cacheTransitions filters and value-defaults a full evaluation's
-// transitions for reuse at the next query (the rule's own slice,
-// filtered in place).
-func cacheTransitions(trans []Transition, windowStart, q Time) []Transition {
-	out := trans[:0]
-	for _, tr := range trans {
-		if tr.Time >= windowStart-1 && tr.Time <= q {
-			out = append(out, normTransition(tr))
-		}
-	}
-	return out
 }
 
 func normTransition(tr Transition) Transition {

@@ -27,8 +27,7 @@ func incDefs(t *testing.T) *Definitions {
 		Name:     "p",
 		Inputs:   []string{"a"},
 		Locality: Pointwise(),
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events("a") {
 				if v, _ := e.Int("v"); v > 0 {
 					out = append(out, InitiateAt(e.Key, e.Time))
@@ -43,8 +42,7 @@ func incDefs(t *testing.T) *Definitions {
 		Name:     "look",
 		Inputs:   []string{"a", "b"},
 		Locality: LocalWindow(0, la),
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events("a") {
 				confirmed := false
 				for _, c := range ctx.RowsForKey("b", e.Key).Slice() {
@@ -66,8 +64,7 @@ func incDefs(t *testing.T) *Definitions {
 		Name:     "multi",
 		Inputs:   []string{"a"},
 		Locality: Pointwise(),
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events("a") {
 				val := "lo"
 				if v, _ := e.Int("v"); v > 2 {
@@ -82,8 +79,7 @@ func incDefs(t *testing.T) *Definitions {
 		// Non-local: pairs consecutive "b" events at unbounded gaps.
 		Name:   "nonlocal",
 		Inputs: []string{"b"},
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, key := range ctx.EventKeys("b") {
 				evs := ctx.RowsForKey("b", key).Slice()
 				for i := 1; i < len(evs); i++ {
@@ -274,9 +270,8 @@ func TestSpliceEngages(t *testing.T) {
 		Name:     "f",
 		Inputs:   []string{"a"},
 		Locality: Pointwise(),
-		Transitions: func(ctx *Context) []Transition {
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			seen = append(seen, len(ctx.Events("a")))
-			var out []Transition
 			for _, e := range ctx.Events("a") {
 				out = append(out, InitiateAt(e.Key, e.Time))
 			}

@@ -24,8 +24,7 @@ func zoneDefs(t *testing.T, partial bool) *Definitions {
 	b := NewBuilder().DeclareSDE("a", "b")
 	b.Simple(SimpleFluent{
 		Name: "p", Inputs: []string{"a"}, Locality: Pointwise(), Partial: partial,
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events("a") {
 				if v, _ := e.Int("v"); v > 2 {
 					out = append(out, InitiateAt(zone(e), e.Time))
@@ -38,8 +37,7 @@ func zoneDefs(t *testing.T, partial bool) *Definitions {
 	})
 	b.Simple(SimpleFluent{
 		Name: "multi", Inputs: []string{"a"}, Locality: Pointwise(), Partial: partial,
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events("a") {
 				v, _ := e.Int("v")
 				val := [...]string{"lo", "mid", "hi"}[v/2]
@@ -50,8 +48,7 @@ func zoneDefs(t *testing.T, partial bool) *Definitions {
 	})
 	b.Simple(SimpleFluent{
 		Name: "look", Inputs: []string{"a", "b"}, Locality: LocalWindow(0, la), Partial: partial,
-		Transitions: func(ctx *Context) []Transition {
-			var out []Transition
+		Transitions: func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events("a") {
 				confirmed := false
 				for _, c := range ctx.RowsForKey("b", e.Key).Slice() {
@@ -194,7 +191,7 @@ func TestPartialFluentSurface(t *testing.T) {
 	b := NewBuilder().DeclareSDE("a")
 	b.Simple(SimpleFluent{
 		Name: "part", Inputs: []string{"a"}, Partial: true,
-		Transitions: func(*Context) []Transition { return nil },
+		Transitions: func(_ *Context, out []Transition) []Transition { return out },
 	})
 	b.Static(StaticFluent{
 		Name: "reader", Inputs: []string{"part"},

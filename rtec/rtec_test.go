@@ -18,8 +18,7 @@ func onOffDefs(t *testing.T) *Definitions {
 		Simple(SimpleFluent{
 			Name:   "power",
 			Inputs: []string{"on", "off"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, e := range ctx.Events("on") {
 					out = append(out, InitiateAt(e.Key, e.Time))
 				}
@@ -48,7 +47,7 @@ func TestBuilderCompileErrors(t *testing.T) {
 			"duplicate name",
 			func() *Builder {
 				return NewBuilder().DeclareSDE("a").Simple(SimpleFluent{
-					Name: "a", Transitions: func(*Context) []Transition { return nil },
+					Name: "a", Transitions: func(_ *Context, out []Transition) []Transition { return out },
 				})
 			},
 			"duplicate",
@@ -58,7 +57,7 @@ func TestBuilderCompileErrors(t *testing.T) {
 			func() *Builder {
 				return NewBuilder().Simple(SimpleFluent{
 					Name: "f", Inputs: []string{"ghost"},
-					Transitions: func(*Context) []Transition { return nil },
+					Transitions: func(_ *Context, out []Transition) []Transition { return out },
 				})
 			},
 			"unknown input",
@@ -88,7 +87,7 @@ func TestBuilderCompileErrors(t *testing.T) {
 			"empty name",
 			func() *Builder {
 				return NewBuilder().Simple(SimpleFluent{
-					Transitions: func(*Context) []Transition { return nil },
+					Transitions: func(_ *Context, out []Transition) []Transition { return out },
 				})
 			},
 			"empty name",
@@ -96,7 +95,7 @@ func TestBuilderCompileErrors(t *testing.T) {
 		{
 			"cycle",
 			func() *Builder {
-				tf := func(*Context) []Transition { return nil }
+				tf := func(_ *Context, out []Transition) []Transition { return out }
 				return NewBuilder().
 					Simple(SimpleFluent{Name: "a", Inputs: []string{"b"}, Transitions: tf}).
 					Simple(SimpleFluent{Name: "b", Inputs: []string{"a"}, Transitions: tf})
@@ -115,7 +114,7 @@ func TestBuilderCompileErrors(t *testing.T) {
 }
 
 func TestStratification(t *testing.T) {
-	tf := func(*Context) []Transition { return nil }
+	tf := func(_ *Context, out []Transition) []Transition { return out }
 	hf := func(*Context) map[KV]IntervalList { return nil }
 	defs, err := NewBuilder().
 		DeclareSDE("sde").
@@ -335,8 +334,7 @@ func TestMultiValueFluent(t *testing.T) {
 		Simple(SimpleFluent{
 			Name:   "light",
 			Inputs: []string{"setLight"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, e := range ctx.Events("setLight") {
 					color, _ := e.Str("color")
 					out = append(out, Transition{Kind: Initiate, Key: e.Key, Value: color, Time: e.Time})
@@ -371,9 +369,8 @@ func TestMultiValueFluent(t *testing.T) {
 
 func TestStaticFluentRelativeComplement(t *testing.T) {
 	// disagreement = busC \ scatsC, the sourceDisagreement pattern.
-	tf := func(evType string) func(ctx *Context) []Transition {
-		return func(ctx *Context) []Transition {
-			var out []Transition
+	tf := func(evType string) func(*Context, []Transition) []Transition {
+		return func(ctx *Context, out []Transition) []Transition {
 			for _, e := range ctx.Events(evType) {
 				up, _ := e.Bool("up")
 				if up {
@@ -520,8 +517,7 @@ func TestEventRuleFeedsSimpleFluent(t *testing.T) {
 		Simple(SimpleFluent{
 			Name:   "alarm",
 			Inputs: []string{"breach", "reset"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, e := range ctx.Events("breach") {
 					out = append(out, InitiateAt(e.Key, e.Time))
 				}
@@ -666,7 +662,7 @@ func TestContextHoldsAtValue(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	tf := func(*Context) []Transition { return nil }
+	tf := func(_ *Context, out []Transition) []Transition { return out }
 	hf := func(*Context) map[KV]IntervalList { return nil }
 	df := func(*Context) []Event { return nil }
 	defs, err := NewBuilder().

@@ -74,9 +74,10 @@ func LocalWindow(lookback, lookahead Time) Locality {
 // SimpleFluent defines a simple fluent in the sense of RTEC: its
 // maximal intervals are computed from initiation and termination
 // points under the law of inertia. Transitions is called once per
-// query with the window Context and returns all initiatedAt /
-// terminatedAt points the rule derives inside the window, in any
-// order. Initiating F(Key)=V implicitly terminates any other value of
+// query with the window Context — or, when the engine splices (see
+// Locality), once per recomputed piece with a narrowed view of it — and
+// appends all initiatedAt / terminatedAt points the rule derives there,
+// in any order. Initiating F(Key)=V implicitly terminates any other value of
 // F(Key) at the same instant (a fluent has one value at a time).
 type SimpleFluent struct {
 	// Name of the fluent (shared namespace with event types).
@@ -86,9 +87,12 @@ type SimpleFluent struct {
 	// anything not listed is a programming error that may observe
 	// stale values.
 	Inputs []string
-	// Transitions derives the initiation/termination points. The
-	// returned slice becomes the engine's (it is filtered in place).
-	Transitions func(ctx *Context) []Transition
+	// Transitions derives the initiation/termination points, appending
+	// them to out and returning the extended slice. out is a buffer the
+	// engine owns and reuses across queries: the rule must not read,
+	// modify or keep out or what it returns, only append (a size hint is
+	// slices.Grow(out, n)).
+	Transitions func(ctx *Context, out []Transition) []Transition
 	// Locality optionally declares temporal locality, enabling
 	// incremental evaluation over overlapping windows.
 	Locality Locality

@@ -39,8 +39,7 @@ func snapDefs(t testing.TB) *Definitions {
 		Simple(SimpleFluent{
 			Name:   "power",
 			Inputs: []string{"on", "off"},
-			Transitions: func(ctx *Context) []Transition {
-				var out []Transition
+			Transitions: func(ctx *Context, out []Transition) []Transition {
 				for _, e := range ctx.Events("on") {
 					out = append(out, InitiateAt(e.Key, e.Time))
 				}

@@ -246,7 +246,7 @@ func (s *eventStore) insertKeyGroups(b *typeEvents, blk *Block) {
 // pays none.
 const (
 	scratchEventFloor = 1 << 10 // Events (~72 B each)
-	scratchInt32Floor = 1 << 12 // int32 ids
+	scratchInt32Floor = 1 << 12 // int32 ids; also the entry floor of every other reused slice
 )
 
 // resizeInt32 sizes the reusable buffer to n zeroed entries, decaying

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/insight-dublin/insight/geo"
@@ -235,8 +236,7 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Name:     ScatsCongestion,
 		Inputs:   []string{TrafficType},
 		Locality: rtec.Pointwise(), // threshold test on the reading at T only
-		Transitions: func(ctx *rtec.Context) []rtec.Transition {
-			var out []rtec.Transition
+		Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 			rows := ctx.Rows(TrafficType)
 			density, flow := rows.Col("density"), rows.Col("flow")
 			for i := 0; i < rows.Len(); i++ {
@@ -420,9 +420,9 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Name:     Noisy,
 		Inputs:   []string{Disagree, Agree, CrowdType},
 		Locality: noisyLocality,
-		Transitions: func(ctx *rtec.Context) []rtec.Transition {
+		Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 			agree, disagree := ctx.Events(Agree), ctx.Events(Disagree)
-			out := make([]rtec.Transition, 0, len(agree)+len(disagree))
+			out = slices.Grow(out, len(agree)+len(disagree))
 			// Source agreement always rehabilitates.
 			for _, e := range agree {
 				out = append(out, rtec.TerminateAt(e.Key, e.Time))
@@ -477,9 +477,9 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Inputs:   busInputs,
 		Locality: rtec.Pointwise(), // move event at T (and, if Adaptive, noisy at T)
 		Partial:  plan != nil,
-		Transitions: func(ctx *rtec.Context) []rtec.Transition {
+		Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 			// A move is mostly close to one area: one point per move.
-			out := make([]rtec.Transition, 0, ctx.Rows(MoveType).Len())
+			out = slices.Grow(out, ctx.Rows(MoveType).Len())
 			// Adaptive is rule-set (3′): discard unreliable buses.
 			eachCloseMove(ctx, areas, int32(len(areas.intersections)), cfg.Adaptive, func(t rtec.Time, _ string, congested bool, a int32) {
 				if congested {
@@ -581,8 +581,7 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		return rtec.SimpleFluent{
 			Name:   name,
 			Inputs: []string{TrafficType},
-			Transitions: func(ctx *rtec.Context) []rtec.Transition {
-				var out []rtec.Transition
+			Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 				for _, sensor := range ctx.EventKeys(TrafficType) {
 					if plan != nil && !plan.OwnsSensor(sensor) {
 						continue // sharded: the owner shard computes this sensor's trend
@@ -648,8 +647,7 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Name:     CongestionInMake,
 		Inputs:   []string{TrafficType, DensityTrend},
 		Locality: rtec.Pointwise(),
-		Transitions: func(ctx *rtec.Context) []rtec.Transition {
-			var out []rtec.Transition
+		Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 			rows := ctx.Rows(TrafficType)
 			density, flow := rows.Col("density"), rows.Col("flow")
 			for i := 0; i < rows.Len(); i++ {
@@ -680,8 +678,7 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Name:     NoisyScats,
 		Inputs:   []string{CrowdType, ScatsIntCongestion},
 		Locality: rtec.Pointwise(), // crowd report at T vs the fluent value at T
-		Transitions: func(ctx *rtec.Context) []rtec.Transition {
-			var out []rtec.Transition
+		Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
 			rows := ctx.Rows(CrowdType)
 			value := rows.Col("value")
 			for i := 0; i < rows.Len(); i++ {
