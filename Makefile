@@ -242,7 +242,7 @@ loc:
 # checkpoint decoder regressions in rtec/testdata/fuzz and
 # testdata/fuzz, simple-fluent fold regressions (FoldTransitions against
 # its per-time-point oracle) and Fresh dedup snapshot regressions
-# (the bucketed set against a flat model) in rtec/testdata/fuzz, spatial-index
+# (the set against a plain model) in rtec/testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV and ground-truth
 # field regressions in dublin/testdata/fuzz, XML flow-definition regressions in
 # streams/testdata/fuzz, as permanent corpus seeds.

@@ -228,9 +228,9 @@ func oneXCity(tb testing.TB) *dublin.City {
 // the run's final checkpoint is written after its last report.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	want := []string{
-		"1d882a575b944291d937f9478401cec8ba5119eb28e0347d673d7b735be4f4c8", // q=07:30
-		"3a6cd9f834174bd7d64b24d44aa70a6027273697590cb478c5d1004cee917111", // q=07:45
-		"e5126db02ba8f1c633806ef99ba031ea2e64b5b00d2197d6215a185b2220a653", // q=08:00
+		"a76a095255f903edfd932d8ca158223ae0a020efa86a942268bec1835186b98f", // q=07:30
+		"e69a93ae9e118a2db5ed42842e0545edb8ebedda535f235332ba6d4c45a57533", // q=07:45
+		"7cbc924db797fcf2f647e09d9ad53a4b273838f12171975c129603b6f0d7f040", // q=08:00
 	}
 	city := oneXCity(t)
 	var runs [2][][]byte

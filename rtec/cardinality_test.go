@@ -23,11 +23,7 @@ func (e *Engine) footprint() engineFootprint {
 	for _, m := range e.prev {
 		f.seeds += len(m)
 	}
-	for _, st := range e.seen.types {
-		for _, b := range st.buckets {
-			f.seen += len(b)
-		}
-	}
+	f.seen = len(e.seen.ids)
 	for _, b := range e.store.(*columnStore).types {
 		f.keys += len(b.seg.blk.KDict)
 		f.interned += len(b.seg.kids)

@@ -315,11 +315,6 @@ func (c *Context) FluentInstances(fluent string) map[KV]List {
 	return c.fluents[fluent]
 }
 
-// HoldsAt reports holdsAt(Fluent(Key) = true, T).
-func (c *Context) HoldsAt(fluent, key string, t Time) bool {
-	return c.IntervalsValue(fluent, key, TrueValue).Contains(t)
-}
-
 // HoldsAtValue reports holdsAt(Fluent(Key) = Value, T).
 func (c *Context) HoldsAtValue(fluent, key, value string, t Time) bool {
 	return c.IntervalsValue(fluent, key, value).Contains(t)

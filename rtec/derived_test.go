@@ -227,7 +227,8 @@ func TestSortEventsOrdersOnlyWhatIsUnsorted(t *testing.T) {
 }
 
 func TestSeenSetPrune(t *testing.T) {
-	s := newSeenSet(64) // bucket width 2
+	all := map[string]bool{"": true, "x": true, "xy": true, "y": true, "disagree": true}
+	s := newSeenSet()
 	for _, tm := range []Time{-5, -4, 0, 1, 2, 3, 10} {
 		if !s.Add("x", "k", tm) || s.Add("x", "k", tm) {
 			t.Fatalf("Add(%d) must report new exactly once", tm)
@@ -245,8 +246,8 @@ func TestSeenSetPrune(t *testing.T) {
 	if !s.Add("y", "k", 1) {
 		t.Error("a pruned identity must be new again")
 	}
-	restored := newSeenSet(64)
-	restored.Restore(s.Entries(), nil)
+	restored := newSeenSet()
+	restored.Restore(s.Entries(), all)
 	if !reflect.DeepEqual(restored.Entries(), s.Entries()) {
 		t.Error("Restore(Entries()) does not round-trip")
 	}
@@ -254,9 +255,9 @@ func TestSeenSetPrune(t *testing.T) {
 	// Snapshot order is (type, key, time) by bytes: empty strings,
 	// prefixes of one another, a NUL, upper before lower case, bytes
 	// above ASCII; negative times, equal times across keys and types, and
-	// times 2^40 apart, many buckets from each other.
+	// times 2^40 apart.
 	const far = Time(1) << 40
-	s = newSeenSet(64)
+	s = newSeenSet()
 	for _, e := range []SeenEntry{
 		{"xy", "\xff", -3}, {"x", "a", 5}, {"", "é", 0}, {"disagree", "I17", -3 * far},
 		{"x", "a\x00", 5}, {"x", "ab", 5}, {"x", "a", -7}, {"x", "i17", 7 * far},
@@ -278,7 +279,6 @@ func TestSeenSetPrune(t *testing.T) {
 	if got := s.Entries(); !slices.Equal(got, want) {
 		t.Fatalf("Entries = %#v\nwant %#v", got, want)
 	}
-	// -2 and -1 share a bucket: the cutoff's bucket is scanned, not dropped.
 	s.Prune(-2)
 	want = []SeenEntry{
 		{"", "a", 5}, {"", "é", 0},
@@ -290,18 +290,19 @@ func TestSeenSetPrune(t *testing.T) {
 	if got := s.Entries(); !slices.Equal(got, want) {
 		t.Fatalf("after Prune(-2): %#v\nwant %#v", got, want)
 	}
-	restored = newSeenSet(64)
-	restored.Restore(s.Entries(), nil)
+	restored = newSeenSet()
+	restored.Restore(s.Entries(), all)
 	if got := restored.Entries(); !slices.Equal(got, want) {
 		t.Errorf("Restore(Entries()) = %#v\nwant %#v", got, want)
 	}
-	restored.Restore(s.Entries(), map[string]bool{"disagree": true})
+	delete(all, "disagree")
+	restored.Restore(s.Entries(), all)
 	want = slices.Concat(want[:2], want[4:])
 	if got := restored.Entries(); !slices.Equal(got, want) {
-		t.Errorf("Restore skipping disagree = %#v\nwant %#v", got, want)
+		t.Errorf("Restore of every output but disagree = %#v\nwant %#v", got, want)
 	}
 	if restored.Has("disagree", "I17", 5) || !restored.Has("xy", "é", -1) {
-		t.Error("Has disagrees with Entries after a skipping Restore")
+		t.Error("Has disagrees with Entries after a Restore that drops a type")
 	}
 }
 

@@ -89,7 +89,7 @@ type Engine struct {
 	//state:derived overlap cache, repopulated by the next query
 	cache map[string]*ruleCache
 
-	// seen tracks derived event instances already reported, for
+	// seen tracks output event instances already reported, for
 	// Result.Fresh. Pruned as instances fall out of the window.
 	seen *seenSet
 
@@ -138,7 +138,7 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 		store: newSDEStore(opts.Store),
 		prev:  make(map[string]map[KV]List),
 		cache: make(map[string]*ruleCache),
-		seen:  newSeenSet(opts.WorkingMemory),
+		seen:  newSeenSet(),
 		spare: make([][]Transition, len(defs.rules)),
 		folds: make([]foldScratch, len(defs.rules)),
 	}, nil
@@ -263,30 +263,28 @@ type Result struct {
 	// [Q−WM+1, Q+1).
 	Q      Time
 	Window Span
-	// Fluents holds, per fluent name and instance, the maximal
-	// intervals clipped to the window.
+	// Fluents holds, per output fluent (Builder.Output) and instance,
+	// the maximal intervals clipped to the window.
 	Fluents map[string]map[KV]List
-	// Derived holds the derived events recognised in the window,
-	// per event type, time-sorted; internal types (EventRule.Internal)
-	// only in an engine's own result, not in a MergeResults view.
+	// Derived holds the output events recognised in the window, per
+	// event type, time-sorted.
 	Derived map[string][]Event
-	// Fresh lists the derived events of reported (not Internal) types
-	// that no earlier query reported, time-sorted — what a downstream
-	// consumer (e.g. the crowdsourcing component) should act on.
+	// Fresh lists the output events that no earlier query reported,
+	// time-sorted — what a downstream consumer (e.g. the crowdsourcing
+	// component) should act on.
 	Fresh []Event
 	// Stats summarises the evaluation.
 	Stats Stats
 	// RuleCosts holds per-rule evaluation times when the engine runs
 	// with Options.Profile; nil otherwise.
 	RuleCosts map[string]time.Duration
-	internal  map[string]bool // internal event types: MergeResults counts them, merges none
 }
 
 // Stats summarises one evaluation.
 type Stats struct {
 	InputEvents   int           // SDEs inside the window
-	DerivedEvents int           // derived event instances recognised
-	FluentPeriods int           // maximal intervals across all fluents
+	DerivedEvents int           // output event instances recognised
+	FluentPeriods int           // maximal intervals across the output fluents
 	Elapsed       time.Duration // wall-clock evaluation time
 	// AllocBytes is the heap allocated during the evaluation
 	// (cumulative TotalAlloc delta). Recorded only under
@@ -372,11 +370,10 @@ func (e *Engine) Query(q Time) (*Result, error) {
 	ctx := newStoreContext(q, window, e.store)
 
 	res := &Result{
-		Q:        q,
-		Window:   window,
-		Fluents:  make(map[string]map[KV]List),
-		Derived:  make(map[string][]Event),
-		internal: e.defs.internal,
+		Q:       q,
+		Window:  window,
+		Fluents: make(map[string]map[KV]List),
+		Derived: make(map[string][]Event),
 	}
 	newPrev := make(map[string]map[KV]List, len(e.prev))
 	newCache := make(map[string]*ruleCache, len(e.cache))
@@ -504,26 +501,32 @@ func (e *Engine) Query(q Time) (*Result, error) {
 				full := outs[i].full
 				ctx.setFluent(rule.name, full)
 				newPrev[rule.name] = full
-				res.Fluents[rule.name] = ClipInstances(full, window)
+				if e.defs.outputs[rule.name] {
+					res.Fluents[rule.name] = ClipInstances(full, window)
+				}
 			case kindStatic:
 				ctx.setFluent(rule.name, outs[i].static)
-				res.Fluents[rule.name] = ClipInstances(outs[i].static, window)
+				if e.defs.outputs[rule.name] {
+					res.Fluents[rule.name] = ClipInstances(outs[i].static, window)
+				}
 			case kindEvent:
 				ctx.addEvents(rule.name, outs[i].events)
-				res.Derived[rule.name] = outs[i].events
+				if e.defs.outputs[rule.name] {
+					res.Derived[rule.name] = outs[i].events
+				}
 				newCache[rule.name] = &ruleCache{q: q, evs: outs[i].events}
 			}
 		}
 		lo = hi
 	}
 
-	// Fresh derived events: not seen at any earlier query time. Only
+	// Fresh output events: not seen at any earlier query time. Only
 	// what this query derived is probed — events spliced in from the
 	// cache were filed by the query that derived them. Internal events
 	// are never reported, so never filed.
-	var fresh [][]Event // per reported event rule, in sortEvents order
+	var fresh [][]Event // per output event rule, in sortEvents order
 	for i := range e.defs.rules {
-		if o, r := &outs[i], &e.defs.rules[i]; r.kind == kindEvent && !r.event.Internal {
+		if o, r := &outs[i], &e.defs.rules[i]; r.kind == kindEvent && e.defs.outputs[r.name] {
 			derived := len(o.events) - (o.tailStart - o.headEnd)
 			run := e.appendFresh(make([]Event, 0, derived), o.events[:o.headEnd])
 			fresh = append(fresh, e.appendFresh(run, o.events[o.tailStart:]))

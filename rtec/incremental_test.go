@@ -121,7 +121,7 @@ func incDefs(t *testing.T) *Definitions {
 		Derive: func(ctx *Context) []Event {
 			var out []Event
 			for _, e := range ctx.Events("pair") {
-				if ctx.HoldsAt("p", e.Key, e.Time) {
+				if ctx.HoldsAtValue("p", e.Key, TrueValue, e.Time) {
 					out = append(out, NewEvent("reader", e.Time, e.Key, nil))
 				}
 			}

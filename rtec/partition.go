@@ -90,9 +90,7 @@ func (p *Partitioned) Query(q Time) ([]*Result, error) {
 // MergeResults combines per-partition Query results for the same query
 // time into a single view: fluent instances and derived events are
 // unioned (event lists merged in the engines' (time, type, key) order)
-// and the derived-event and period statistics are those of that view —
-// except internal events (EventRule.Internal), which are only counted,
-// per result: each is derived by exactly one engine.
+// and the derived-event and period statistics are those of that view.
 // Instances recognised in several partitions (which should not happen
 // with a consistent partition function) have their intervals unioned.
 func MergeResults(results []*Result) *Result {
@@ -146,10 +144,6 @@ func MergeResults(results []*Result) *Result {
 	fresh := make([][]Event, 0, len(results))
 	for _, r := range results {
 		for typ, evs := range r.Derived {
-			if r.internal[typ] {
-				out.Stats.DerivedEvents += len(evs)
-				continue
-			}
 			derived[typ] = append(derived[typ], evs)
 		}
 		fresh = append(fresh, r.Fresh)

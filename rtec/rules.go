@@ -103,7 +103,7 @@ type SimpleFluent struct {
 	// (Engine.Transitions), but builds no intervals, keeps no inertia
 	// state and reports no Result.Fluents entry for it: whoever holds all
 	// the parts folds them together with FoldTransitions. No rule may
-	// read a partial fluent.
+	// read a partial fluent, and it is no output (Builder.Output).
 	Partial bool
 }
 
@@ -121,9 +121,9 @@ type StaticFluent struct {
 // IntervalList re-exports interval.List for rule signatures.
 type IntervalList = List
 
-// EventRule defines a derived (output) event type: Derive is called
-// once per query and returns the instances recognised inside the
-// window, e.g. the paper's delayIncrease, disagree and agree CEs.
+// EventRule defines a derived event type: Derive is called once per
+// query and returns the instances recognised inside the window, e.g.
+// the paper's delayIncrease, disagree and agree CEs.
 type EventRule struct {
 	Name   string
 	Inputs []string
@@ -131,11 +131,6 @@ type EventRule struct {
 	// Locality optionally declares temporal locality, enabling
 	// incremental evaluation over overlapping windows.
 	Locality Locality
-	// Internal declares that its events are inputs to other rules, not
-	// recognition output: they reach the rules reading them and the
-	// engine's own Result.Derived, never Result.Fresh, the dedup set
-	// (Reported, snapshots) or a MergeResults view's Derived.
-	Internal bool
 }
 
 // Definitions is a compiled, stratified CE definition set. Build one
@@ -145,7 +140,7 @@ type Definitions struct {
 	rules    []compiledRule // in evaluation order
 	names    map[string]ruleKind
 	meta     []ruleMeta      // incremental-evaluation metadata, aligned with rules
-	internal map[string]bool // event types declared EventRule.Internal
+	outputs  map[string]bool // derived types a Result reports (Builder.Output)
 }
 
 type ruleKind int
@@ -175,6 +170,7 @@ type Builder struct {
 	simple   []SimpleFluent
 	static   []StaticFluent
 	events   []EventRule
+	outputs  []string
 }
 
 // NewBuilder returns an empty definition builder.
@@ -206,13 +202,25 @@ func (b *Builder) Event(r EventRule) *Builder {
 	return b
 }
 
+// Output declares derived types as the set's outputs — RTEC's output
+// entities, what a Result reports. Every other derived type is
+// internal: it reaches the rules reading it, and an internal simple
+// fluent keeps its inertia, but it gets no Result.Fluents or
+// Result.Derived entry and is never fresh, deduplicated or merged. A
+// set that declares no outputs reports every derived type.
+func (b *Builder) Output(names ...string) *Builder {
+	b.outputs = append(b.outputs, names...)
+	return b
+}
+
 // Compile checks the definition set (unique names, known inputs,
-// acyclic dependencies) and produces the stratified Definitions.
+// acyclic dependencies, outputs that are derived and derived types that
+// something reads) and produces the stratified Definitions.
 func (b *Builder) Compile() (*Definitions, error) {
 	d := &Definitions{
 		sdeTypes: make(map[string]bool),
 		names:    make(map[string]ruleKind),
-		internal: make(map[string]bool),
+		outputs:  make(map[string]bool),
 	}
 	for _, t := range b.sdeTypes {
 		if _, dup := d.names[t]; dup {
@@ -260,9 +268,6 @@ func (b *Builder) Compile() (*Definitions, error) {
 		if err := add(kindEvent, r.Name, r.Inputs, compiledRule{event: r, locality: r.Locality}); err != nil {
 			return nil, err
 		}
-		if r.Internal {
-			d.internal[r.Name] = true
-		}
 	}
 
 	// Validate inputs and stratify with a longest-path layering over
@@ -271,14 +276,39 @@ func (b *Builder) Compile() (*Definitions, error) {
 	for i, r := range all {
 		index[r.name] = i
 	}
+	partial := func(r *compiledRule) bool { return r.simple != nil && r.simple.Partial }
+	read := make(map[string]bool)
 	for _, r := range all {
 		for _, in := range r.inputs {
 			if _, known := d.names[in]; !known {
 				return nil, fmt.Errorf("rtec: %q depends on unknown input %q (declare SDE types with DeclareSDE)", r.name, in)
 			}
-			if j, isRule := index[in]; isRule && all[j].simple != nil && all[j].simple.Partial {
+			if j, isRule := index[in]; isRule && partial(&all[j]) {
 				return nil, fmt.Errorf("rtec: %q reads partial fluent %q, whose intervals this engine never builds", r.name, in)
 			}
+			read[in] = true
+		}
+	}
+	for _, name := range b.outputs {
+		j, isRule := index[name]
+		switch {
+		case d.sdeTypes[name]:
+			return nil, fmt.Errorf("rtec: output %q is an SDE type, not a derived one", name)
+		case !isRule:
+			return nil, fmt.Errorf("rtec: output %q is not defined", name)
+		case partial(&all[j]):
+			return nil, fmt.Errorf("rtec: output %q is a partial fluent, whose intervals this engine never builds", name)
+		}
+		d.outputs[name] = true
+	}
+	for i := range all {
+		r := &all[i]
+		if len(b.outputs) == 0 && !partial(r) {
+			d.outputs[r.name] = true
+		}
+		// A partial fluent is read through Engine.Transitions.
+		if !d.outputs[r.name] && !read[r.name] && !partial(r) {
+			return nil, fmt.Errorf("rtec: %q is neither an output nor read by another rule", r.name)
 		}
 	}
 	const unset = -1
@@ -326,6 +356,17 @@ func (b *Builder) Compile() (*Definitions, error) {
 	d.rules = all
 	d.meta = computeMeta(d)
 	return d, nil
+}
+
+// inert reports whether name is a simple fluent this set folds under
+// inertia, whose intervals seed the next query (Engine.prev).
+func (d *Definitions) inert(name string) bool {
+	for i := range d.rules {
+		if r := &d.rules[i]; r.name == name {
+			return r.kind == kindSimple && !r.simple.Partial
+		}
+	}
+	return false
 }
 
 // IsSDE reports whether name was declared as an input SDE type.

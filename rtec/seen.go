@@ -3,104 +3,41 @@ package rtec
 import "slices"
 
 // seenSet is a Fresh dedup set: the derived-event identities (type,
-// key, time) some earlier query already reported. Identities are filed
-// per type in time buckets a fraction of the window wide, so pruning
-// what left the window drops whole buckets and scans at most one per
-// type — proportional to what expired, not to what is held — and a
-// probe hashes the key alone.
+// key, time) some earlier query already reported. It holds output
+// events only (Builder.Output), a few thousand identities per window,
+// so one flat map pruned by a full scan serves.
 //
 // Not safe for concurrent use.
 type seenSet struct {
-	width Time //state:transient bucket width, fixed at construction from the window length
-	types map[string]*seenType
-	// lastTyp/last memoise the type lookup: callers probe in runs of one
-	// type.
-	lastTyp string    //state:derived memo of the last types lookup
-	last    *seenType //state:derived memo of the last types lookup
+	ids map[SeenEntry]struct{}
 }
 
-type seenType struct {
-	buckets map[Time]map[seenKey]struct{} // by floor(time / width)
-}
-
-type seenKey struct {
-	key  string
-	time Time
-}
-
-// newSeenSet returns an empty set sized for a working memory of the
-// given length.
-func newSeenSet(window Time) *seenSet {
-	return &seenSet{width: max(1, window/32), types: make(map[string]*seenType)}
-}
-
-func (s *seenSet) bucketOf(t Time) Time {
-	b := t / s.width
-	if t%s.width < 0 {
-		b-- // floor, not truncation, for negative times
-	}
-	return b
+// newSeenSet returns an empty set.
+func newSeenSet() *seenSet {
+	return &seenSet{ids: make(map[SeenEntry]struct{})}
 }
 
 // Add files an identity and reports whether it was new.
 func (s *seenSet) Add(typ, key string, t Time) bool {
-	st := s.last
-	if st == nil || typ != s.lastTyp {
-		st = s.types[typ]
-		if st == nil {
-			st = &seenType{buckets: make(map[Time]map[seenKey]struct{})}
-			s.types[typ] = st
-		}
-		s.lastTyp, s.last = typ, st
-	}
-	bi := s.bucketOf(t)
-	b := st.buckets[bi]
-	if b == nil {
-		b = make(map[seenKey]struct{})
-		st.buckets[bi] = b
-	}
-	k := seenKey{key: key, time: t}
-	if _, dup := b[k]; dup {
+	id := SeenEntry{Type: typ, Key: key, Time: t}
+	if _, dup := s.ids[id]; dup {
 		return false
 	}
-	b[k] = struct{}{}
+	s.ids[id] = struct{}{}
 	return true
 }
 
-// Has reports whether the identity is filed. It writes nothing, not even
-// the type memo.
+// Has reports whether the identity is filed.
 func (s *seenSet) Has(typ, key string, t Time) bool {
-	if st := s.types[typ]; st != nil {
-		_, ok := st.buckets[s.bucketOf(t)][seenKey{key: key, time: t}]
-		return ok
-	}
-	return false
+	_, ok := s.ids[SeenEntry{Type: typ, Key: key, Time: t}]
+	return ok
 }
 
 // Prune forgets every identity with time <= cutoff.
 func (s *seenSet) Prune(cutoff Time) {
-	edge := s.bucketOf(cutoff)
-	for typ, st := range s.types {
-		for bi, b := range st.buckets {
-			switch {
-			case bi < edge:
-				delete(st.buckets, bi)
-			case bi == edge:
-				for k := range b {
-					if k.time <= cutoff {
-						delete(b, k)
-					}
-				}
-				if len(b) == 0 {
-					delete(st.buckets, bi)
-				}
-			}
-		}
-		if len(st.buckets) == 0 {
-			delete(s.types, typ)
-			if s.last == st {
-				s.last = nil
-			}
+	for id := range s.ids {
+		if id.Time <= cutoff {
+			delete(s.ids, id)
 		}
 	}
 }
@@ -108,38 +45,27 @@ func (s *seenSet) Prune(cutoff Time) {
 // Entries returns the held identities in canonical snapshot order
 // (type, key, time) — SeenEntry.Compare's order — in a new slice.
 func (s *seenSet) Entries() []SeenEntry {
-	total := 0
-	for _, st := range s.types {
-		for _, b := range st.buckets {
-			total += len(b)
-		}
-	}
-	if total == 0 {
+	if len(s.ids) == 0 {
 		return nil
 	}
-	out := make([]SeenEntry, total)
+	out := make([]SeenEntry, len(s.ids))
 	i := 0
-	for typ, st := range s.types {
-		for _, b := range st.buckets {
-			for k := range b {
-				e := &out[i]
-				e.Type, e.Key, e.Time = typ, k.key, k.time
-				i++
-			}
-		}
+	for id := range s.ids {
+		out[i] = id
+		i++
 	}
 	slices.SortFunc(out, SeenEntry.Compare)
 	return out
 }
 
-// Restore replaces the set's contents with the given identities, less
-// those of the skipped (internal) types older snapshots may hold.
-func (s *seenSet) Restore(entries []SeenEntry, skip map[string]bool) {
-	s.types = make(map[string]*seenType)
-	s.last = nil
+// Restore replaces the set's contents with the given identities of the
+// output types; those of other types, which snapshots written under
+// other definitions may hold, are dropped.
+func (s *seenSet) Restore(entries []SeenEntry, outputs map[string]bool) {
+	s.ids = make(map[SeenEntry]struct{}, len(entries))
 	for _, se := range entries {
-		if !skip[se.Type] {
-			s.Add(se.Type, se.Key, se.Time)
+		if outputs[se.Type] {
+			s.ids[se] = struct{}{}
 		}
 	}
 }

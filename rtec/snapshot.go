@@ -239,14 +239,19 @@ func CanonicalSurvivor(same []Event) int {
 
 // Restore replaces the engine's state with a snapshot's. The engine
 // must have been built with the same definitions and options as the
-// snapshotted one. All previous state — store, inertia, dedup set,
-// splice caches — is discarded, and the store is left empty: the
-// caller re-inputs the SDEs that arrived by s.LastQ and occurred after
-// s.LastQ−WM (Input and InputBlockRows drop anything older), in their
-// original admission order.
+// snapshotted one; what a snapshot written under other definitions
+// holds beyond them — the inertia of a fluent they do not fold, the
+// identities of a type they do not output — is dropped. All previous
+// state — store, inertia, dedup set, splice caches — is discarded, and
+// the store is left empty: the caller re-inputs the SDEs that arrived
+// by s.LastQ and occurred after s.LastQ−WM (Input and InputBlockRows
+// drop anything older), in their original admission order.
 func (e *Engine) Restore(s *EngineSnapshot) error {
 	prev := make(map[string]map[KV]List, len(s.Prev))
 	for _, fs := range s.Prev {
+		if !e.defs.inert(fs.Name) {
+			continue
+		}
 		if _, dup := prev[fs.Name]; dup {
 			return fmt.Errorf("rtec: duplicate snapshot fluent %q", fs.Name)
 		}
@@ -263,7 +268,7 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 
 	e.store = newSDEStore(e.opts.Store)
 	e.prev = prev
-	e.seen.Restore(s.Seen, e.defs.internal)
+	e.seen.Restore(s.Seen, e.defs.outputs)
 	e.cache = make(map[string]*ruleCache) // cold: first query recomputes in full
 	e.lastQ = s.LastQ
 	e.started = s.Started

@@ -138,6 +138,7 @@ func buildWithGridlock(cfg traffic.Config) (*rtec.Definitions, error) {
 				return out
 			},
 		})
+		b.Output("gridlockRisk")
 	})
 }
 

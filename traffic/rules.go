@@ -194,7 +194,8 @@ func Build(cfg Config) (*rtec.Definitions, error) {
 // register additional definitions on the same builder before
 // compilation — e.g. custom complex events layered over the library
 // fluents. The extension hook runs after every library definition has
-// been added.
+// been added. A definition it adds must be read by another rule or
+// declared an output (rtec.Builder.Output), as the library's are.
 func BuildWith(cfg Config, extend func(*rtec.Builder)) (*rtec.Definitions, error) {
 	return buildRules(cfg, nil, extend)
 }
@@ -204,7 +205,7 @@ func BuildWith(cfg Config, extend func(*rtec.Builder)) (*rtec.Definitions, error
 // shard-local variant — see shard.go for the decomposition contract).
 // With a plan, three things change and nothing else:
 //
-//   - per-sensor fluents (flowTrend, densityTrend, congestionInTheMake)
+//   - per-sensor fluents (densityTrend, congestionInTheMake)
 //     are computed only for sensors the plan owns — every shard sees
 //     all replicated traffic readings, but each sensor's fluent
 //     instances must live in exactly one shard;
@@ -213,7 +214,8 @@ func BuildWith(cfg Config, extend func(*rtec.Builder)) (*rtec.Definitions, error
 //     only its part of the transition points and the tier folds them;
 //   - sourceDisagreement is omitted: it reads busCongestion, which only
 //     exists after that fold; the tier computes it from the folded
-//     busCongestion and the (shard-identical) scatsIntCongestion.
+//     busCongestion and the (shard-identical) scatsIntCongestion. Neither
+//     is then an output of the shard set.
 func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.Definitions, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Registry == nil {
@@ -397,14 +399,12 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		Locality: rtec.Pointwise(),
 		Derive:   func(ctx *rtec.Context) []rtec.Event { return deriveMatches(ctx, true) },
 	})
-	// agree only feeds noisy below: nothing downstream of the engine
-	// reads it, so it is internal.
+	// agree only feeds noisy below: it is no output.
 	b.Event(rtec.EventRule{
 		Name:     Agree,
 		Inputs:   []string{MoveType, ScatsIntCongestion},
 		Locality: rtec.Pointwise(),
 		Derive:   func(ctx *rtec.Context) []rtec.Event { return deriveMatches(ctx, false) },
-		Internal: true,
 	})
 
 	// --- noisy: rule-sets (4) and (5) -----------------------------------
@@ -565,9 +565,10 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		},
 	})
 
-	// --- flow / density trends ---------------------------------------------
-	// Multi-valued fluents per sensor: rising / falling / steady, from
-	// the relative change between consecutive readings.
+	// --- densityTrend ------------------------------------------------------
+	// A multi-valued fluent per sensor: rising / falling / steady, from
+	// the relative change between consecutive readings. It feeds
+	// congestionInTheMake and is no output.
 	//
 	// Window sizing: a trend derived from the reading pair (r1, r2)
 	// holds from r2+1 onward, so CEs that test the trend AT a reading
@@ -611,7 +612,6 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 			},
 		}
 	}
-	b.Simple(trend(FlowTrend, "flow"))
 	b.Simple(trend(DensityTrend, "density"))
 
 	// --- unusualCongestion ---------------------------------------------
@@ -669,30 +669,14 @@ func buildRules(cfg Config, plan *ShardPlan, extend func(*rtec.Builder)) (*rtec.
 		},
 	})
 
-	// --- noisyScats (extension) ---------------------------------------------
-	// Crowd-based SCATS reliability: "Given the crowdsourced
-	// information, we can also evaluate the reliability of SCATS
-	// sensors" (end of Section 4.3). An intersection's sensor set is
-	// considered noisy while the crowd contradicts it.
-	b.Simple(rtec.SimpleFluent{
-		Name:     NoisyScats,
-		Inputs:   []string{CrowdType, ScatsIntCongestion},
-		Locality: rtec.Pointwise(), // crowd report at T vs the fluent value at T
-		Transitions: func(ctx *rtec.Context, out []rtec.Transition) []rtec.Transition {
-			rows := ctx.Rows(CrowdType)
-			value := rows.Col("value")
-			for i := 0; i < rows.Len(); i++ {
-				inter, t := rows.KeyAt(i), rows.TimeAt(i)
-				crowdSays, _ := value.Str(i)
-				if (crowdSays == Positive) != ctx.HoldsAt(ScatsIntCongestion, inter, t) {
-					out = append(out, rtec.InitiateAt(inter, t))
-				} else {
-					out = append(out, rtec.TerminateAt(inter, t))
-				}
-			}
-			return out
-		},
-	})
+	// What the Report, the crowd, the figures and the shard tier's fold
+	// read. Sharded, busCongestion is partial and sourceDisagreement the
+	// tier's.
+	b.Output(ScatsCongestion, ScatsIntCongestion, Noisy, CongestionInMake,
+		UnusualCongestion, Disagree, DelayIncrease)
+	if plan == nil {
+		b.Output(BusCongestion, SourceDisagreement)
+	}
 
 	if extend != nil {
 		extend(b)

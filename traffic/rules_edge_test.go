@@ -41,6 +41,7 @@ func TestBuildWithExtension(t *testing.T) {
 				return out
 			},
 		})
+		b.Output("customAlert")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,28 +74,28 @@ func TestBuildWithExtensionNameClash(t *testing.T) {
 }
 
 func TestTrendFromZeroBaseline(t *testing.T) {
-	e := newEngine(t, Config{})
+	e := newEngine(t, Config{}, DensityTrend)
 	mustInput(t, e,
 		Traffic(100, "s1", "i1", "A1", 0.0, 0),   // zero flow and density
 		Traffic(460, "s1", "i1", "A1", 0.2, 500), // both now positive
 		Traffic(820, "s1", "i1", "A1", 0.2, 500), // unchanged
 	)
 	res := query(t, e, 3599)
-	flow := res.Fluents[FlowTrend]
-	if !flow[rtec.KV{Key: "s1", Value: TrendRising}].Contains(500) {
+	dens := res.Fluents[DensityTrend]
+	if !dens[rtec.KV{Key: "s1", Value: TrendRising}].Contains(500) {
 		t.Error("0 -> positive must count as rising")
 	}
-	if !flow[rtec.KV{Key: "s1", Value: TrendSteady}].Contains(900) {
+	if !dens[rtec.KV{Key: "s1", Value: TrendSteady}].Contains(900) {
 		t.Error("unchanged reading must be steady")
 	}
 	// Zero to zero is steady, not rising.
-	e2 := newEngine(t, Config{})
+	e2 := newEngine(t, Config{}, DensityTrend)
 	mustInput(t, e2,
 		Traffic(100, "s1", "i1", "A1", 0.0, 0),
 		Traffic(460, "s1", "i1", "A1", 0.0, 0),
 	)
 	res2 := query(t, e2, 3599)
-	if !res2.Fluents[FlowTrend][rtec.KV{Key: "s1", Value: TrendSteady}].Contains(500) {
+	if !res2.Fluents[DensityTrend][rtec.KV{Key: "s1", Value: TrendSteady}].Contains(500) {
 		t.Error("0 -> 0 must be steady")
 	}
 }
@@ -231,7 +232,9 @@ func TestStructuredIntersectionCongestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs, err := Build(Config{Registry: reg, StructuredIntersections: true})
+	defs, err := BuildWith(Config{Registry: reg, StructuredIntersections: true}, func(b *rtec.Builder) {
+		b.Output(ScatsApproachCongestion)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +296,9 @@ func TestStructuredWithoutApproachMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs, err := Build(Config{Registry: reg, StructuredIntersections: true})
+	defs, err := BuildWith(Config{Registry: reg, StructuredIntersections: true}, func(b *rtec.Builder) {
+		b.Output(ScatsApproachCongestion)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

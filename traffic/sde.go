@@ -18,17 +18,18 @@
 //     crowd-validated form (rule-set 4) and the pessimistic form
 //     (rule-set 5);
 //   - delayIncrease — sharp increase in a bus's delay (Section 4.1);
-//   - flowTrend / densityTrend — per-sensor trend fluents for
-//     proactive decision-making;
+//   - densityTrend — the per-sensor density trend congestionInTheMake
+//     reads;
 //   - congestionInTheMake — elevated, still-rising density that has
 //     not crossed the congestion thresholds yet (the proactive
 //     monitoring of Section 1);
 //   - unusualCongestion — intersection congestion outside the expected
 //     rush hours (the INSIGHT project's unusual-event detection goal);
 //   - scatsApproachCongestion — the structured sensor → approach →
-//     intersection congestion hierarchy (Config.StructuredIntersections);
-//   - noisyScats — crowd-based SCATS reliability evaluation (sketched
-//     at the end of Section 4.3).
+//     intersection congestion hierarchy (Config.StructuredIntersections).
+//
+// agree, densityTrend and scatsApproachCongestion are internal: they
+// feed other rules and are no output of the set (rtec.Builder.Output).
 //
 // The package also defines the SDE vocabulary: constructors for the
 // move (bus), traffic (SCATS) and crowd input events, and the
@@ -79,9 +80,14 @@ const (
 	DelayIncrease           = "delayIncrease"
 	CongestionInMake        = "congestionInTheMake"
 	UnusualCongestion       = "unusualCongestion"
-	FlowTrend               = "flowTrend"
 	DensityTrend            = "densityTrend"
-	NoisyScats              = "noisyScats"
+)
+
+// Names of rules the set no longer defines: nothing read them. The
+// per-rule cost list of cmd/e2ebench still names them, where they read 0.
+const (
+	FlowTrend  = "flowTrend"
+	NoisyScats = "noisyScats"
 )
 
 // Move builds a bus SDE. bus identifies the vehicle; delay is in

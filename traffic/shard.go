@@ -3,12 +3,12 @@
 // and routes each bus's move events to the shard owning the bus. Under
 // that input contract the rule set splits exactly:
 //
-//   - sensor- and crowd-driven CEs (scatsCongestion, the intersection
-//     hierarchy, unusualCongestion, noisyScats) read only replicated
+//   - sensor-driven CEs (scatsCongestion, the intersection
+//     hierarchy, unusualCongestion) read only replicated
 //     inputs, so every shard computes identical instances and the
 //     merge is idempotent (interval union of equal lists);
 //   - per-entity CEs keyed by an owned entity (noisy, delayIncrease,
-//     disagree/agree, flow/density trends, congestionInTheMake) are
+//     disagree/agree, densityTrend, congestionInTheMake) are
 //     computed only in the owner shard, which holds every input the
 //     single engine would use for that entity;
 //   - busCongestion aggregates buses across shards, so every shard runs
@@ -34,8 +34,8 @@ import (
 // ShardPlan scopes one shard's rule build.
 type ShardPlan struct {
 	// OwnsSensor reports whether this shard owns a SCATS sensor key.
-	// Sensor-keyed per-entity fluents (flowTrend, densityTrend,
-	// congestionInTheMake) are computed only for owned sensors, so each
+	// Sensor-keyed per-entity fluents (densityTrend, congestionInTheMake)
+	// are computed only for owned sensors, so each
 	// instance lives in exactly one shard. Required; it is called during
 	// concurrent shard evaluation and must be safe for concurrent use
 	// and fixed for the engine's lifetime.
@@ -44,8 +44,9 @@ type ShardPlan struct {
 
 // BuildShard compiles the shard-local Dublin rule set: the single-
 // engine set with owner-scoped sensor fluents, busCongestion partial
-// (its transition points are the output, folded by the tier) and
-// sourceDisagreement left to the tier.
+// (its transition points are read through rtec.Engine.Transitions and
+// folded by the tier) and sourceDisagreement left to the tier; neither
+// is an output of the shard set.
 func BuildShard(cfg Config, plan ShardPlan) (*rtec.Definitions, error) {
 	if plan.OwnsSensor == nil {
 		return nil, fmt.Errorf("traffic: ShardPlan.OwnsSensor is required")

@@ -31,7 +31,8 @@ func TestBuildShardValidation(t *testing.T) {
 // whose busCongestion transition points are folded the way the tier
 // folds them, and compares the fluent at every query. It also compares
 // the union of the shards' agree events with the single engine's: agree
-// is internal, so this engine level is the last place both sides show
+// is internal to the product sets, so every set here declares it an
+// output as well, and the engine level is the one place both sides show
 // it.
 type foldHarness struct {
 	t      *testing.T
@@ -46,7 +47,8 @@ type foldHarness struct {
 func newFoldHarness(t *testing.T, cfg Config, opts rtec.Options, owners map[string]int) *foldHarness {
 	t.Helper()
 	h := &foldHarness{t: t, owners: owners, shards: make([]*rtec.Engine, 2)}
-	single, err := Build(cfg)
+	withAgree := func(b *rtec.Builder) { b.Output(Agree) }
+	single, err := BuildWith(cfg, withAgree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func newFoldHarness(t *testing.T, cfg Config, opts rtec.Options, owners map[stri
 	}
 	for i := range h.shards {
 		i := i
-		defs, err := BuildShard(cfg, ShardPlan{OwnsSensor: func(string) bool { return i == 0 }})
+		defs, err := buildRules(cfg, &ShardPlan{OwnsSensor: func(string) bool { return i == 0 }}, withAgree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,12 +31,14 @@ func testRegistry(t *testing.T) *Registry {
 	return reg
 }
 
-func newEngine(t *testing.T, cfg Config) *rtec.Engine {
+// newEngine builds an engine over the Dublin set for cfg, with the given
+// internal types declared outputs as well, so a test can read them.
+func newEngine(t *testing.T, cfg Config, outputs ...string) *rtec.Engine {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = testRegistry(t)
 	}
-	defs, err := Build(cfg)
+	defs, err := BuildWith(cfg, func(b *rtec.Builder) { b.Output(outputs...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +273,7 @@ func TestSourceDisagreement(t *testing.T) {
 }
 
 func TestDisagreeAgreeEvents(t *testing.T) {
-	e := newEngine(t, Config{})
+	e := newEngine(t, Config{}, Agree)
 	mustInput(t, e,
 		// SCATS congestion at i1 throughout [201, ...).
 		congestedReading(200, "s1", "i1"),
@@ -457,21 +459,15 @@ func TestDelayIncrease(t *testing.T) {
 	}
 }
 
-func TestFlowAndDensityTrends(t *testing.T) {
-	e := newEngine(t, Config{}) // epsilon = 0.10
+func TestDensityTrend(t *testing.T) {
+	e := newEngine(t, Config{}, DensityTrend) // epsilon = 0.10
 	mustInput(t, e,
 		Traffic(100, "s1", "i1", "A1", 0.20, 1000),
-		Traffic(460, "s1", "i1", "A1", 0.30, 1200), // density +50%, flow +20% → both rising
-		Traffic(820, "s1", "i1", "A1", 0.29, 700),  // density -3% → steady; flow -42% → falling
+		Traffic(460, "s1", "i1", "A1", 0.30, 1200), // density +50% → rising
+		Traffic(820, "s1", "i1", "A1", 0.29, 700),  // density -3% → steady
+		Traffic(1180, "s1", "i1", "A1", 0.20, 700), // density -31% → falling
 	)
 	res := query(t, e, 3599)
-	flow := res.Fluents[FlowTrend]
-	if !flow[rtec.KV{Key: "s1", Value: TrendRising}].Contains(500) {
-		t.Error("flow should be rising at 500")
-	}
-	if !flow[rtec.KV{Key: "s1", Value: TrendFalling}].Contains(900) {
-		t.Error("flow should be falling at 900")
-	}
 	dens := res.Fluents[DensityTrend]
 	if !dens[rtec.KV{Key: "s1", Value: TrendRising}].Contains(500) {
 		t.Error("density should be rising at 500")
@@ -479,27 +475,12 @@ func TestFlowAndDensityTrends(t *testing.T) {
 	if !dens[rtec.KV{Key: "s1", Value: TrendSteady}].Contains(900) {
 		t.Error("density should be steady at 900")
 	}
+	if !dens[rtec.KV{Key: "s1", Value: TrendFalling}].Contains(1200) {
+		t.Error("density should be falling at 1200")
+	}
 	// Values are mutually exclusive.
 	if dens[rtec.KV{Key: "s1", Value: TrendRising}].Contains(900) {
 		t.Error("rising must terminate when steady is initiated")
-	}
-}
-
-func TestNoisyScats(t *testing.T) {
-	e := newEngine(t, Config{})
-	mustInput(t, e,
-		// SCATS says i2 congested from 101.
-		congestedReading(100, "s3", "i2"),
-		// The crowd says no congestion at 200 → SCATS considered noisy.
-		CrowdVerdict(200, "i2", Negative),
-		// At 500 the crowd confirms congestion → rehabilitated.
-		CrowdVerdict(500, "i2", Positive),
-	)
-	res := query(t, e, 3599)
-	got := res.Intervals(NoisyScats, "i2")
-	want := rtec.List{{Start: 201, End: 501}}
-	if !got.Equal(want) {
-		t.Errorf("noisyScats = %v, want %v", got, want)
 	}
 }
 
