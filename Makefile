@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e bench-workload bench-checkpoint fuzz-short loc figures clean
+.PHONY: all build vet test test-short race cover bench lint lint-json check bench-rtec bench-gp bench-recovery bench-e2e bench-workload bench-pair bench-checkpoint fuzz-short loc figures clean
 
 all: build vet test
 
@@ -102,7 +102,8 @@ lint-json:
 # regression; Figure 4 and chaos run twice, their scores independent of
 # the schedule), gate the block ingest path
 # and the recognition path (allocations per derived event or busCongestion point of the bus ×
-# intersection rules) against their committed allocation budgets, the
+# intersection rules) and a crowd round (objects and bytes per round over
+# an hour of the operator workload) against their committed allocation budgets, the
 # column store against the committed resident bytes/event advantage
 # over the row store (the named reference) and the checkpoint file
 # against its bytes-per-checkpoint budget — no SDE row, the log holds
@@ -228,6 +229,38 @@ bench-e2e:
 WORKLOAD ?= .
 bench-workload:
 	$(GO) test -run '^$$' -bench 'BenchmarkWorkload/$(WORKLOAD)' -benchtime 3x -count=1 $(BENCHFLAGS) .
+
+# BenchmarkWorkload paired against another revision: BASE is exported
+# with git archive into a temporary directory (no worktree is left
+# registered), the current workload_bench_test.go is copied over its
+# own, both test binaries are built with go test -c, and PAIRS rounds
+# run the base and then the change (-benchtime PAIRTIME each, one
+# process per run). cmd/benchdiff then prints, per workload and metric,
+# both medians, the base's quartiles and the pairs the change won, and
+# first the work counts that differ. The two raw outputs stay in
+# PAIRDIR (a fresh temporary directory unless given). For example
+#   make bench-pair BASE=HEAD~1 WORKLOAD=dublin1x-operator
+BASE ?= HEAD
+PAIRS ?= 10
+PAIRTIME ?= 3x
+PAIRDIR ?=
+bench-pair:
+	@set -e; dir="$(PAIRDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
+	src=$$(mktemp -d); trap 'rm -rf "$$src"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$src"; \
+	cp workload_bench_test.go "$$src/"; \
+	(cd "$$src" && $(GO) test -c -o "$$dir/base.test" .); \
+	$(GO) test -c -o "$$dir/change.test" .; \
+	: > "$$dir/base.txt"; : > "$$dir/change.txt"; \
+	for i in $$(seq $(PAIRS)); do \
+		echo "pair $$i of $(PAIRS)"; \
+		for side in base change; do \
+			"$$dir/$$side.test" -test.run '^$$' -test.bench 'BenchmarkWorkload/$(WORKLOAD)' \
+				-test.benchtime $(PAIRTIME) -test.timeout 60m >> "$$dir/$$side.txt"; \
+		done; \
+	done; \
+	echo "raw runs in $$dir"; \
+	$(GO) run ./cmd/benchdiff "$$dir/base.txt" "$$dir/change.txt"
 
 # Go line counts, non-test and test, testdata excluded: the size a
 # simplicity change reports against (CHANGES.md quotes it per PR).

@@ -10,14 +10,19 @@
 // measurements of the paper's Figure 6 (trigger 38–55 ms regardless of
 // network; push notification 467/169/184 ms and task communication
 // 423/171/182 ms on 2G/3G/WiFi). Executions are timed on a virtual
-// clock, so regenerating the figure takes microseconds.
+// clock, so regenerating the figure takes microseconds, and a map task
+// runs in the caller: a round of five workers is five calls, no
+// goroutine. Only an engine with a ResponseTimeout, which guards
+// against devices that never answer, asks each device in a goroutine of
+// its own; the hung devices of one round then share one deadline.
 package qee
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -171,11 +176,13 @@ type Options struct {
 	// communication latency on a query is a pure function of (Seed,
 	// query ID, participant ID, step).
 	Seed int64
-	// ResponseTimeout bounds the wall-clock time one device's Respond
-	// call may take before the engine marks the worker Failed. 0 (the
-	// default) waits forever — a dead worker then hangs the round. The
-	// abandoned Respond goroutine is orphaned, not killed; its eventual
-	// answer is discarded.
+	// ResponseTimeout bounds the wall-clock time a round waits for its
+	// devices' Respond calls before the engine marks the workers that
+	// have not answered Failed; all of a round's devices share the one
+	// deadline. 0 (the default) calls each Respond in the caller and
+	// waits forever — a dead worker then hangs the round. An abandoned
+	// Respond goroutine is orphaned, not killed; its eventual answer is
+	// discarded.
 	ResponseTimeout time.Duration
 }
 
@@ -218,8 +225,8 @@ func (e *Engine) Connect(d Device) error {
 // uniform returns a draw in [0, 1) that is a pure function of the
 // engine seed, the query, the worker and the draw (0 the trigger, 1–2
 // the push, 3–4 the communication latency): SplitMix64's finaliser over
-// an FNV-1a hash of the key. Workers sample in their own goroutines, so
-// a shared generator would let the scheduler pick who gets which draw.
+// an FNV-1a hash of the key. A shared generator would make a worker's
+// latencies depend on the order the round asks its workers in.
 func (e *Engine) uniform(query, worker string, draw uint64) float64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -242,54 +249,77 @@ func (e *Engine) sample(mean time.Duration, query, worker string, draw uint64) t
 	return time.Duration(float64(mean) * max(1+n*e.profile.Jitter, 0.2))
 }
 
-// respond obtains one worker's answer, bounded by the engine's
-// ResponseTimeout. It reports failed = true when the timeout fired (or
-// the context ended): a dead device cannot hang the round. A Respond
-// goroutine that outlives its timeout is abandoned; a late answer is
-// discarded.
-func (e *Engine) respond(ctx context.Context, w Device, q Query) (label string, think time.Duration, failed bool) {
+// reply is one worker's response to a round: its label and think time,
+// or failed when it gave none within the ResponseTimeout.
+type reply struct {
+	label  string
+	think  time.Duration
+	failed bool
+}
+
+// respondAll obtains every worker's answer into replies, in workers'
+// order. Without a ResponseTimeout each Respond is a plain call in the
+// caller, one after another. With one, every Respond runs in its own
+// goroutine and all of them share one deadline: a round with k hung
+// devices ends after one timeout, not k. A worker with no answer by the
+// deadline (or by the end of ctx) is marked failed; its goroutine is
+// abandoned and its late answer discarded.
+func (e *Engine) respondAll(ctx context.Context, workers []Device, q Query, replies []reply) {
 	if e.timeout <= 0 {
-		label, think = w.Respond(q)
-		return label, think, false
+		for i, w := range workers {
+			replies[i].label, replies[i].think = w.Respond(q)
+		}
+		return
 	}
 	type answer struct {
+		i     int
 		label string
 		think time.Duration
 	}
-	ch := make(chan answer, 1)
-	go func() {
-		l, th := w.Respond(q)
-		ch <- answer{l, th}
-	}()
+	ch := make(chan answer, len(workers)) // buffered: an abandoned goroutine never blocks
+	for i, w := range workers {
+		replies[i].failed = true
+		go func() {
+			l, th := w.Respond(q)
+			ch <- answer{i, l, th}
+		}()
+	}
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
-	select {
-	case a := <-ch:
-		return a.label, a.think, false
-	case <-ctx.Done():
-	case <-timer.C:
+	for range workers {
+		select {
+		case a := <-ch:
+			replies[a.i] = reply{label: a.label, think: a.think}
+		case <-ctx.Done():
+			return
+		case <-timer.C:
+			return
+		}
 	}
-	return "", 0, true
 }
 
 // Execute runs the query against the selected participants: the map
-// phase dispatches one task per worker (concurrently, as the paper
-// uses MapReduce "to maximize parallelism"), and the reduce phase
-// merges the in-deadline answers into label counts. Workers that are
-// not connected are skipped; workers whose end-to-end time exceeds the
-// deadline are marked Missed and excluded from the reduce output, and
-// workers whose device never answers within the engine's
-// ResponseTimeout are marked Failed and likewise excluded — a dead
-// participant cannot hang the round.
+// phase runs one task per worker (the paper uses MapReduce "to maximize
+// parallelism"), and the reduce phase merges the in-deadline answers
+// into label counts. Map tasks are timed on the virtual clock, so
+// without a ResponseTimeout they run in the caller, one after another:
+// a simulated device answers at once, and the latencies it reports are
+// keyed draws, the same in any order. With a ResponseTimeout every
+// device answers in a goroutine of its own and the hung ones share one
+// deadline. Workers that are not connected are skipped; workers whose
+// end-to-end time exceeds the deadline are marked Missed and excluded
+// from the reduce output, and workers whose device never answers
+// within the engine's ResponseTimeout are marked Failed and likewise
+// excluded — a dead participant cannot hang the round.
 func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Participant) (*Execution, error) {
 	if len(q.Answers) < 2 {
 		return nil, fmt.Errorf("qee: query %q needs at least two possible answers", q.ID)
 	}
-	var workers []Device
+	workers := make([]Device, 0, len(selected))
 	e.mu.Lock()
 	for _, p := range selected {
 		if d, ok := e.devices[p.ID]; ok {
-			workers = append(workers, d)
+			workers = append(workers, d) //lint:allow hotalloc presized to len(selected)
 		}
 	}
 	e.mu.Unlock()
@@ -297,55 +327,36 @@ func (e *Engine) Execute(ctx context.Context, q Query, selected []crowd.Particip
 		return nil, fmt.Errorf("qee: no connected workers for query %q", q.ID)
 	}
 
-	type mapResult struct {
-		answer crowd.Answer
-		timing StepTiming
+	replies := make([]reply, len(workers))
+	e.respondAll(ctx, workers, q, replies)
+	exec := &Execution{
+		Query:   q,
+		Answers: make([]crowd.Answer, 0, len(workers)),
+		Counts:  make(map[string]int, len(q.Answers)),
+		Timings: make([]StepTiming, len(workers)),
 	}
-	results := make(chan mapResult, len(workers))
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w Device) {
-			defer wg.Done()
-			t := StepTiming{Participant: w.Participant.ID, Network: w.Network}
-			id, lo, hi := w.Participant.ID, e.profile.TriggerMin, e.profile.TriggerMax
-			t.Trigger = lo + time.Duration(e.uniform(q.ID, id, 0)*float64(hi-lo))
-			t.Push = e.sample(e.profile.Push[w.Network], q.ID, id, 1)
-			label, think, failed := e.respond(ctx, w, q)
-			if failed {
-				t.Failed = true
-				results <- mapResult{timing: t}
-				return
-			}
-			t.Think = think
-			t.Comm = e.sample(e.profile.Comm[w.Network], q.ID, id, 3)
-			if q.Deadline > 0 && t.Total() > q.Deadline {
-				t.Missed = true
-			}
-			results <- mapResult{
-				answer: crowd.Answer{Participant: w.Participant.ID, Label: label},
-				timing: t,
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(results)
-
-	exec := &Execution{Query: q, Counts: make(map[string]int)}
-	for r := range results {
-		exec.Timings = append(exec.Timings, r.timing)
-		if r.timing.Missed || r.timing.Failed {
+	for i, w := range workers { // the map phase's timings
+		t := &exec.Timings[i]
+		id, lo, hi := w.Participant.ID, e.profile.TriggerMin, e.profile.TriggerMax
+		t.Participant, t.Network = id, w.Network
+		t.Trigger = lo + time.Duration(e.uniform(q.ID, id, 0)*float64(hi-lo))
+		t.Push = e.sample(e.profile.Push[w.Network], q.ID, id, 1)
+		if t.Failed = replies[i].failed; t.Failed {
 			continue
 		}
-		exec.Answers = append(exec.Answers, r.answer)
-		exec.Counts[r.answer.Label]++ // reduce step
+		t.Think = replies[i].think
+		t.Comm = e.sample(e.profile.Comm[w.Network], q.ID, id, 3)
+		t.Missed = q.Deadline > 0 && t.Total() > q.Deadline
 	}
-	sort.Slice(exec.Timings, func(i, j int) bool {
-		return exec.Timings[i].Participant < exec.Timings[j].Participant
-	})
-	sort.Slice(exec.Answers, func(i, j int) bool {
-		return exec.Answers[i].Participant < exec.Answers[j].Participant
-	})
+	for i := range exec.Timings { // the reduce phase
+		if t := &exec.Timings[i]; !t.Missed && !t.Failed {
+			label := replies[i].label
+			exec.Answers = append(exec.Answers, crowd.Answer{Participant: t.Participant, Label: label}) //lint:allow hotalloc presized to len(workers); a two-string value
+			exec.Counts[label]++
+		}
+	}
+	slices.SortFunc(exec.Timings, func(a, b StepTiming) int { return strings.Compare(a.Participant, b.Participant) })
+	slices.SortFunc(exec.Answers, func(a, b crowd.Answer) int { return strings.Compare(a.Participant, b.Participant) })
 	if ctx.Err() != nil {
 		return exec, ctx.Err()
 	}

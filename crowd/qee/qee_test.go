@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -373,5 +375,92 @@ func TestExecuteDrawsKeyed(t *testing.T) {
 	}
 	if other := run(e, "q2"); reflect.DeepEqual(other, want) {
 		t.Errorf("query q2 drew q1's timings %v", want)
+	}
+}
+
+// TestExecuteRunsMapTasksInCaller: without a ResponseTimeout every map
+// task is a call in Execute's own goroutine — a Respond sees the
+// goroutine count from before the round — and the execution equals one
+// on an engine whose devices are asked in goroutines of their own.
+func TestExecuteRunsMapTasksInCaller(t *testing.T) {
+	e := NewEngine(Options{Seed: 1})
+	var seen []int
+	for _, id := range []string{"w1", "w2", "w3"} {
+		if err := e.Connect(Device{
+			Participant: crowd.Participant{ID: id},
+			Network:     WiFi,
+			Respond: func(Query) (string, time.Duration) {
+				seen = append(seen, runtime.NumGoroutine())
+				return "yes", time.Second
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	exec, err := e.Execute(context.Background(), testQuery, selected("w3", "w1", "w2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At most: an earlier test's released device may still be exiting.
+	if len(seen) != 3 || slices.Max(seen) > before {
+		t.Errorf("Respond saw %v goroutines, %d before the round: a map task ran outside the caller", seen, before)
+	}
+
+	timed := NewEngine(Options{Seed: 1, ResponseTimeout: time.Minute})
+	for _, id := range []string{"w1", "w2", "w3"} {
+		if err := timed.Connect(Device{Participant: crowd.Participant{ID: id}, Network: WiFi, Respond: func(Query) (string, time.Duration) { return "yes", time.Second }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := timed.Execute(context.Background(), testQuery, selected("w3", "w1", "w2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exec, want) {
+		t.Errorf("in the caller %+v, in goroutines %+v", exec, want)
+	}
+}
+
+// TestExecuteHungWorkersShareOneTimeout: three hung devices and a
+// 300 ms ResponseTimeout end the round after about one timeout, not
+// three, with the three marked Failed and the healthy answer reduced.
+func TestExecuteHungWorkersShareOneTimeout(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	e := NewEngine(Options{Seed: 3, ResponseTimeout: timeout})
+	hang := make(chan struct{})
+	defer close(hang)
+	for _, id := range []string{"dead1", "dead2", "dead3"} {
+		if err := e.Connect(Device{
+			Participant: crowd.Participant{ID: id},
+			Network:     TwoG,
+			Respond: func(Query) (string, time.Duration) {
+				<-hang
+				return "yes", 0
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Connect(Device{Participant: crowd.Participant{ID: "w1"}, Network: WiFi, Respond: fixedResponder("no")}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	exec, err := e.Execute(context.Background(), testQuery, selected("dead1", "dead2", "w1", "dead3"))
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took < timeout || took > 2*timeout {
+		t.Errorf("the round took %v with three hung devices, want one %v timeout (well under %v)", took, timeout, 3*timeout)
+	}
+	failed := 0
+	for _, tm := range exec.Timings {
+		if tm.Failed {
+			failed++
+		}
+	}
+	if failed != 3 || len(exec.Answers) != 1 || exec.Counts["no"] != 1 {
+		t.Errorf("%d failed, answers %v, counts %v: want the 3 hung devices failed and w1's answer reduced", failed, exec.Answers, exec.Counts)
 	}
 }

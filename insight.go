@@ -21,6 +21,8 @@ package insight
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/insight-dublin/insight/crowd"
@@ -117,6 +119,11 @@ type System struct {
 	estimator *crowd.Estimator
 	qeeEngine *qee.Engine
 	roster    *crowd.Roster
+	// panels memoizes, per intersection, whom its crowdsourcing rounds
+	// ask and what: crowdSelection over roster.Online() at the
+	// intersection, filled the first time a round asks there.
+	//state:derived the roster is registered only in New, so a panel never goes stale
+	panels map[string]crowdPanel
 
 	lastTraffic  map[string]trafficReading // latest reading per sensor
 	lastCrowd    map[string]crowdReading   // latest verdict per intersection
@@ -260,20 +267,23 @@ func (s *System) Estimator() *crowd.Estimator { return s.estimator }
 // simulated participants can consult the ground truth of the right
 // moment (a real participant would simply look at the street).
 func queryTimeID(inter string, t Time) string {
-	return fmt.Sprintf("%s@%d", inter, int64(t))
+	var buf [64]byte
+	b := append(append(buf[:0], inter...), '@')
+	return string(strconv.AppendInt(b, int64(t), 10))
 }
 
+// parseQueryTime reads the query time back out of a queryTimeID; every
+// simulated participant's answer calls it.
 func parseQueryTime(id string) (Time, bool) {
-	for i := len(id) - 1; i >= 0; i-- {
-		if id[i] == '@' {
-			var t int64
-			if _, err := fmt.Sscanf(id[i+1:], "%d", &t); err != nil {
-				return 0, false
-			}
-			return Time(t), true
-		}
+	i := strings.LastIndexByte(id, '@')
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	t, err := strconv.ParseInt(id[i+1:], 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return Time(t), true
 }
 
 // noteTraffic tracks the latest reading per sensor for the traffic

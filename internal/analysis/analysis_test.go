@@ -63,7 +63,7 @@ func render(diags []Diagnostic) string {
 // goldenCases maps each analyzer to its fixture directory and the
 // import path it is loaded under. The import paths for nodeterminism,
 // hotalloc and durorder end in suffixes that match those analyzers'
-// package gates ("rtec", "internal/linalg", "traffic", "crowd", "gp",
+// package gates ("rtec", "internal/linalg", "traffic", "crowd", "qee", "gp",
 // "interval", "wal"). A case may run a
 // wider analyzer set than the one it is named for: stalelint only
 // judges rules whose analyzers ran, so its golden runs All.
@@ -82,6 +82,7 @@ var goldenCases = []struct {
 	{HotAlloc, "hotalloc_colstore", "fixture/colstore/rtec", nil},
 	{HotAlloc, "hotalloc_rules", "fixture/traffic", nil},
 	{HotAlloc, "hotalloc_crowd", "fixture/crowd", nil},
+	{HotAlloc, "hotalloc_crowd/qee", "fixture/crowd/qee", nil},
 	{HotAlloc, "hotalloc_gp", "fixture/gp", nil},
 	{HotAlloc, "hotalloc_fold", "fixture/fold/rtec", nil},
 	{HotAlloc, "hotalloc_interval", "fixture/interval", nil},

@@ -43,7 +43,10 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 // boundary cost record (Report.Span) is filled at every boundary and
 // every logged record: its clock and recorder allocate nothing at all.
 // Report assembly pays holdingKeys per CE set, over every instance of
-// its fluent: the result sized once, no reflective sort.
+// its fluent: the result sized once, no reflective sort. Every crowd
+// round pays resolveDisagreements' loop body and qee's Execute, and
+// every simulated answer parseQueryTime: the rounds and the map tasks'
+// results go into slices sized once per call, and neither sort reflects.
 // Every paced replay batch pays streams' Pacer.Wait: a stream that may
 // emit at once registers no cancellation callback.
 // Unlike the kernel rule these
@@ -52,12 +55,13 @@ var hotPathFuncs = map[string]*regexp.Regexp{
 var perCallFuncs = map[string]*regexp.Regexp{
 	"gp":       regexp.MustCompile(`^(crossCov|meanFrom|Mean|PredictAll|MeanAll|VarianceAll|system|standardize|solve|mulDot)$`),
 	"crowd":    regexp.MustCompile(`^(Online|SelectNearest)$`),
+	"qee":      regexp.MustCompile(`^Execute$`),
 	"rtec":     regexp.MustCompile(`^(FoldTransitions|fold|ClipInstances|Entries)$`),
 	"interval": regexp.MustCompile(`^AppendInertia$`),
 	"dublin":   regexp.MustCompile(`^(CongestionAt|IsCongested)$`),
 	"streams":  regexp.MustCompile(`^Wait$`),
 	"wal":      regexp.MustCompile(`^(EncodeBatch|appendDict|appendCells)$`),
-	"insight":  regexp.MustCompile(`^(start|mark|now|open|admitTimes|engineTimes|chargeLog|chargeAppend|holdingKeys)$`),
+	"insight":  regexp.MustCompile(`^(start|mark|now|open|admitTimes|engineTimes|chargeLog|chargeAppend|holdingKeys|resolveDisagreements|parseQueryTime)$`),
 }
 
 // reflectiveSorts are the package sort entry points that order through

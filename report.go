@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -203,17 +202,60 @@ func (s *System) evaluate(ctx context.Context, q Time, fed int, rec *spanRecorde
 // participants nearest the disagreeing intersection.
 var crowdSelection = crowd.SelectNearest(5, 0)
 
+// crowdPanel is what every crowdsourcing round about one intersection
+// shares: the participants it asks and the question.
+type crowdPanel struct {
+	selected []crowd.Participant
+	question string
+}
+
+// panel returns the intersection's crowdPanel, selecting it the first
+// time a round asks there.
+func (s *System) panel(inter traffic.Intersection) crowdPanel {
+	if p, ok := s.panels[inter.ID]; ok {
+		return p
+	}
+	if s.panels == nil {
+		s.panels = make(map[string]crowdPanel)
+	}
+	p := crowdPanel{
+		selected: crowdSelection(s.roster.Online(), inter.Pos),
+		question: "Is there a traffic congestion at intersection " + inter.ID + "?",
+	}
+	s.panels[inter.ID] = p
+	return p
+}
+
+// The priors the CE component supplies (Section 5.1), skewed by what
+// the disagreeing bus claimed. The estimator only reads them.
+var (
+	priorBusPositive = []float64{0.6, 0.4}
+	priorBusNegative = []float64{0.4, 0.6}
+)
+
 // resolveDisagreements runs one crowdsourcing round per intersection
-// with a fresh disagree event: selects participants near the
-// intersection, executes the MapReduce query, fuses the answers with
+// with a fresh disagree event: asks the intersection's panel — the
+// participants near it — the MapReduce query, fuses the answers with
 // online EM and reports the verdict. The verdicts are fed back as one
 // block of crowd SDEs and returned in that order. Each round asked is
-// counted and timed on rec.
+// counted and timed on rec. Rounds run one after another in Fresh
+// order: a simulated participant draws its answer from a generator of
+// its own, so the order it is asked in is part of what it answers.
 func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.Result, rec *spanRecorder) ([]CrowdResolution, []crowdVerdict, error) {
-	seen := make(map[string]bool)
-	var rounds []CrowdResolution
-	var verdicts []crowdVerdict
-	for _, ev := range merged.Fresh {
+	n := 0 // the fresh disagreements bound the rounds
+	for i := range merged.Fresh {
+		if merged.Fresh[i].Type == traffic.Disagree {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil, nil
+	}
+	seen := make(map[string]bool, n)
+	rounds := make([]CrowdResolution, 0, n)
+	verdicts := make([]crowdVerdict, 0, n)
+	for i := range merged.Fresh {
+		ev := &merged.Fresh[i]
 		if ev.Type != traffic.Disagree || seen[ev.Key] {
 			continue
 		}
@@ -228,26 +270,22 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		if !ok {
 			continue
 		}
-		selected := crowdSelection(s.roster.Online(), inter.Pos)
-		if len(selected) == 0 {
+		panel := s.panel(inter)
+		if len(panel.selected) == 0 {
 			continue
 		}
-		// The CE component supplies the prior (Section 5.1): skew it
-		// by what the disagreeing bus claimed.
-		prior := []float64{0.5, 0.5}
+		prior := priorBusNegative
 		if v, _ := ev.Str("value"); v == traffic.Positive {
-			prior = []float64{0.6, 0.4}
-		} else {
-			prior = []float64{0.4, 0.6}
+			prior = priorBusPositive
 		}
 		begin := time.Now() //lint:allow nodeterminism wall-clock feeds only Report.Span, never the recognition result
-		query := qee.Query{
+		query := qee.Query{ //lint:allow hotalloc a value handed to Execute; its ID and Answers (which the round's verdict keeps) are the round's own
 			ID:       queryTimeID(ev.Key, q),
-			Question: fmt.Sprintf("Is there a traffic congestion at intersection %s?", ev.Key),
+			Question: panel.question,
 			Answers:  []string{traffic.Positive, traffic.Negative},
 			Pos:      inter.Pos,
 		}
-		exec, err := s.qeeEngine.Execute(ctx, query, selected)
+		exec, err := s.qeeEngine.Execute(ctx, query, panel.selected)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -260,28 +298,31 @@ func (s *System) resolveDisagreements(ctx context.Context, q Time, merged *rtec.
 		if err != nil {
 			return nil, nil, err
 		}
-		verdicts = append(verdicts, crowdVerdict{inter: ev.Key, label: verdict.Best})
+		verdicts = append(verdicts, crowdVerdict{inter: ev.Key, label: verdict.Best}) //lint:allow hotalloc presized to the fresh disagreements
 		// The traffic modelling component can also use the verdict to
 		// resolve sparsity (Section 2): remember it as a congestion
 		// pseudo-reading for FlowMap.
 		if v, ok := s.interVertex[ev.Key]; ok {
-			s.lastCrowd[ev.Key] = crowdReading{
+			s.lastCrowd[ev.Key] = crowdReading{ //lint:allow hotalloc a map value, stored in place
 				vertex:    v,
 				congested: verdict.Best == traffic.Positive,
 				t:         q,
 			}
 		}
-		rounds = append(rounds, CrowdResolution{
+		rounds = append(rounds, CrowdResolution{ //lint:allow hotalloc presized to the fresh disagreements
 			Intersection: ev.Key,
 			QueryTime:    q,
-			Queried:      len(selected),
+			Queried:      len(panel.selected),
 			Verdict:      verdict,
 		})
 	}
 	if err := s.fileVerdicts(q, verdicts); err != nil {
 		return nil, nil, err
 	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i].Intersection < rounds[j].Intersection })
+	if len(rounds) == 0 {
+		return nil, nil, nil // a report without a round carries none, as one without a disagreement
+	}
+	slices.SortFunc(rounds, func(a, b CrowdResolution) int { return strings.Compare(a.Intersection, b.Intersection) })
 	return rounds, verdicts, nil
 }
 

@@ -95,9 +95,12 @@ type Engine struct {
 
 	// spare holds, per rule (simple fluents only), the transition
 	// buffer the next query hands the rule: the splice cache the last
-	// query superseded. folds holds, per rule, the scratch of its fold.
-	// Nothing reachable from a Result points into either.
+	// query superseded; use, what the rule asks of a buffer per point it
+	// keeps, by which spareOf judges the spare. folds holds, per
+	// rule, the scratch of its fold. Nothing reachable from a Result
+	// points into spare or folds.
 	spare [][]Transition //state:transient reusable scratch
+	use   []spareUse     //state:transient sizing of the reusable scratch
 	folds []foldScratch  //state:transient reusable scratch
 
 	// rowScratch is the reusable admitted-row buffer of inputBlock;
@@ -140,6 +143,7 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 		cache: make(map[string]*ruleCache),
 		seen:  newSeenSet(),
 		spare: make([][]Transition, len(defs.rules)),
+		use:   make([]spareUse, len(defs.rules)),
 		folds: make([]foldScratch, len(defs.rules)),
 	}, nil
 }
@@ -335,6 +339,7 @@ func (r *Result) Intervals(fluent, key string) List {
 // of goroutine scheduling).
 type ruleOutput struct {
 	trans  []Transition // simple: window-filtered transition points (next cache)
+	grew   bool         // simple: the rule grew the buffer it was handed
 	full   map[KV]List  // simple: un-clipped maximal intervals
 	static map[KV]List  // static: normalised instance intervals
 	events []Event      // event: in-window recognised instances, in sortEvents order
@@ -421,6 +426,7 @@ func (e *Engine) Query(q Time) (*Result, error) {
 				outs[i].full = e.folds[i].fold(e.prev[rule.name], window, q, trans)
 			}
 			outs[i].trans = trans
+			outs[i].grew = cap(trans) > cap(buf)
 		case kindStatic:
 			inst := rule.static.HoldsFor(ctx)
 			norm := make(map[KV]List, len(inst))
@@ -491,8 +497,12 @@ func (e *Engine) Query(q Time) (*Result, error) {
 			rule := &e.defs.rules[i]
 			switch rule.kind {
 			case kindSimple:
+				kept := len(outs[i].trans)
+				if outs[i].grew {
+					e.use[i] = spareUse{asked: cap(outs[i].trans), kept: kept}
+				}
 				if old := e.cache[rule.name]; old != nil {
-					e.spare[i] = spareOf(old.trans)
+					e.spare[i] = spareOf(old.trans, e.use[i].of(kept))
 				}
 				newCache[rule.name] = &ruleCache{q: q, trans: outs[i].trans}
 				if rule.simple.Partial {
@@ -564,12 +574,32 @@ func (e *Engine) Query(q Time) (*Result, error) {
 
 // spareOf returns a superseded splice cache for reuse as the next
 // query's transition buffer, or nil when it is more than four times
-// larger than its last use: one burst must not pin its high-water mark.
-func spareOf(trans []Transition) []Transition {
-	if cap(trans) > scratchInt32Floor && cap(trans) > 4*len(trans) {
+// larger than use, what the rule asks of it: one burst must not pin its
+// high-water mark.
+func spareOf(trans []Transition, use int) []Transition {
+	if cap(trans) > scratchInt32Floor && cap(trans) > 4*use {
 		return nil
 	}
 	return trans
+}
+
+// spareUse is what a simple fluent asked of its transition buffer the
+// last time it grew one: the capacity it grew it to and the points it
+// kept. A rule's size hint shows only when the buffer grows, and it may
+// reserve more than the rule keeps — busCongestion reserves a slot per
+// move in view and keeps the third of them close to an area — so the
+// points alone undercount it, and a buffer sized by the hint sits at 3.4
+// to 4.2 times the points of every later query.
+type spareUse struct{ asked, kept int }
+
+// of returns what the rule asks of a buffer in a query that keeps n
+// points: n scaled by the capacity per kept point it last grew a buffer
+// to (n itself before it ever did).
+func (u spareUse) of(n int) int {
+	if u.kept == 0 {
+		return n
+	}
+	return n * u.asked / u.kept
 }
 
 // deriveIn runs an event rule against ctx and returns the instances

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // foldOracle is holdsFor by definition, one time point at a time and
@@ -186,6 +187,95 @@ func TestFoldScratchDecays(t *testing.T) {
 	}
 	if want := FoldTransitions(nil, window, 100, small); !maps.EqualFunc(got, want, slices.Equal) {
 		t.Errorf("fold in decayed scratch = %v, fresh %v", got, want)
+	}
+}
+
+// spareEngine builds an engine over one simple fluent that, at each
+// query, reserves hint() slots of the buffer it is handed and keeps n()
+// points (one per key, all at the window's one event), and returns it
+// with the fluent's rule index.
+func spareEngine(t *testing.T, n, hint func() int) (*Engine, int) {
+	t.Helper()
+	keys := make([]string, 100000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	b := NewBuilder().DeclareSDE("a")
+	b.Simple(SimpleFluent{
+		Name:   "f",
+		Inputs: []string{"a"},
+		Transitions: func(ctx *Context, out []Transition) []Transition {
+			out = slices.Grow(out, hint())
+			for _, e := range ctx.Events("a") {
+				for _, k := range keys[:n()] {
+					out = append(out, InitiateAt(k, e.Time))
+				}
+			}
+			return out
+		},
+	})
+	defs, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(defs, Options{WorkingMemory: 10, Step: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, slices.IndexFunc(defs.rules, func(r compiledRule) bool { return r.name == "f" })
+}
+
+// TestSpareKeepsSizeHint: a rule that reserves about four times the
+// points it keeps — busCongestion's slot per move in view, a third of
+// them kept — keeps its two transition buffers across consecutive
+// queries, at 3.4 to 4.2 times its points; a buffer blown up by one
+// burst is still dropped once the rule goes back to a few points.
+func TestSpareKeepsSizeHint(t *testing.T) {
+	query := func(e *Engine, q Time) {
+		t.Helper()
+		if err := e.Input(NewEvent("a", q-1, "x", nil)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const hint = 21000
+	points := []int{6100, 5000, 5600, 5200, 6000, 5100, 5300, 5000, 5900, 5050}
+	var k int
+	e, i := spareEngine(t, func() int { return points[k%len(points)] }, func() int { return hint })
+	var bufs []*Transition
+	for k = 0; k < 2*len(points); k++ {
+		query(e, Time(10*(k+1)))
+		if k < 2 {
+			continue // the two buffers are being made
+		}
+		if e.spare[i] == nil {
+			t.Fatalf("query %d, %d points in a %d-slot hint: the spare was dropped", k, points[k%len(points)], hint)
+		}
+		if p := unsafe.SliceData(e.spare[i]); !slices.Contains(bufs, p) {
+			bufs = append(bufs, p)
+		}
+	}
+	if len(bufs) != 2 {
+		t.Errorf("the rule went through %d transition buffers, want its first two", len(bufs))
+	}
+
+	burst := true
+	e, i = spareEngine(t, func() int {
+		if burst {
+			return 100000
+		}
+		return 10
+	}, func() int { return 40 })
+	query(e, 10)
+	burst = false
+	for q := Time(20); q <= 40; q += 10 {
+		query(e, q)
+	}
+	if c := cap(e.spare[i]); c >= 100000 {
+		t.Errorf("two idle queries after the burst the spare still holds %d slots", c)
 	}
 }
 
