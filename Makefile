@@ -153,7 +153,7 @@ check: lint
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '^Example' ./...
 	$(GO) test -race -run TestCrashEquivalence -count=20 .
-	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors' -count=1 .
+	$(GO) test -run 'TestCrashEquivalence|TestCheckpointMidBlockCursors|TestReportsLeaveOneWay|TestRecoveryCheckpointKilled' -count=1 .
 	$(GO) test -count=1 ./cmd/figures
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp ./rtec
 	$(GO) test -run 'TestSpanCountsPinned|TestSpanRecordAllocatesNothing|TestSpanNoJoinsInRecognition' -count=1 .

@@ -8,9 +8,9 @@ package insight
 // (rtec.EngineSnapshot), the system's latest sensor/crowd readings, the
 // crowd's answers as far as recognition and the EM estimator used them
 // — the verdicts still in the window and every participant's learned
-// reliability — and the reports that were fired but not yet
-// acknowledged by the operator sink. The engines' working memory and
-// the rows consumed but not yet admitted are a function of the logged
+// reliability. No report: each leaves as its boundary fires, before the
+// boundary's checkpoint (see pipeline_durable.go). The engines' working
+// memory and the rows consumed but not yet admitted are a function of the logged
 // SDE stream, so the checkpoint names where in the log they start — the
 // window offset — and the boundaries that admitted rows from there on;
 // recovery re-reads the log from that offset and re-admits it, filing
@@ -25,7 +25,7 @@ package insight
 // retained checkpoint. Every file call goes through the internal/vfs
 // seam, where tests script their storage faults.
 //
-// Layout (format 6). A fixed header — magic, CRC32C over every byte
+// Layout (format 7). A fixed header — magic, CRC32C over every byte
 // after the CRC field, the format byte, the window offset, the
 // consumption offset and the boundary cursor as fixed-width
 // little-endian integers — so the garbage collector learns a retained
@@ -35,10 +35,10 @@ package insight
 // cursors, the boundaries fired
 // since the window offset with their verdicts, the engines' binary
 // snapshots (rtec.EngineSnapshot.AppendBinary; on the sharded tier one
-// per shard plus the tier state), the latest sensor/crowd readings, the
-// estimator (crowd.Estimator.AppendBinary) and the unacked reports (a
-// few KB of JSON each). Readings name their sensor or intersection
-// only: the vertex is the city's, looked up on restore.
+// per shard plus the tier state), the latest sensor/crowd readings and
+// the estimator (crowd.Estimator.AppendBinary). Readings name their
+// sensor or intersection only: the vertex is the city's, looked up on
+// restore.
 
 import (
 	"encoding/binary"
@@ -62,7 +62,7 @@ import (
 
 const (
 	ckptMagic  = "INSCKPT1"
-	ckptFormat = 6
+	ckptFormat = 7
 	// Fixed header offsets: magic, CRC32C of everything after it, format
 	// byte, window offset, consumption offset, boundary cursor.
 	ckptCRCAt      = len(ckptMagic)
@@ -189,7 +189,6 @@ type checkpoint struct {
 	traffic   []trafficSnap // sorted by sensor
 	crowd     []crowdSnap   // sorted by intersection
 	estimator *crowd.Estimator
-	reports   [][]byte // JSON of fired-but-unacked reports, ascending Q
 }
 
 // errUnsupportedFormat marks a checkpoint whose envelope is intact
@@ -258,11 +257,6 @@ func (c *checkpoint) encode(dst []byte) ([]byte, error) {
 	dst, err := sized(dst, c.estimator.AppendBinary)
 	if err != nil {
 		return nil, err
-	}
-	dst = codec.AppendUvarint(dst, uint64(len(c.reports)))
-	for _, rb := range c.reports {
-		dst = codec.AppendUvarint(dst, uint64(len(rb)))
-		dst = append(dst, rb...)
 	}
 	binary.LittleEndian.PutUint32(dst[ckptCRCAt:], crc32.Checksum(dst[ckptFormatAt:], ckptCRC))
 	return dst, nil
@@ -361,9 +355,6 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		if err := c.estimator.UnmarshalBinary(blob); err != nil {
 			return nil, fmt.Errorf("insight: checkpoint estimator: %w", err)
 		}
-	}
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		c.reports = append(c.reports, d.Bytes(d.Count()))
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -30,9 +30,8 @@ const replayFrom, replayUntil = 7 * 3600, 7*3600 + 2700
 // topology — so the run is a pure function of the input: the five
 // streams' envelopes merged by first arrival (ties in stream order), each
 // appended to the WAL and then consumed by the monitoring processor, the
-// end-of-stream markers last. Every report is acknowledged as it fires
-// (an operator sink that never lags), so no report — whose Stats carry
-// wall-clock times — rides in a checkpoint.
+// end-of-stream markers last. Reports go to onReport as they fire, or
+// to pipe.Reports when it is nil.
 type durableReplay struct {
 	rt    *durableRuntime
 	pipe  *Pipeline
@@ -46,7 +45,7 @@ type durableReplay struct {
 	closed bool
 }
 
-func newDurableReplay(tb testing.TB, city *dublin.City) *durableReplay {
+func newDurableReplay(tb testing.TB, city *dublin.City, onReport func(*Report) error) *durableReplay {
 	tb.Helper()
 	cfg := durableConfig(city)
 	cfg.Shards = 2
@@ -55,7 +54,7 @@ func newDurableReplay(tb testing.TB, city *dublin.City) *durableReplay {
 		tb.Fatal(err)
 	}
 	r := &durableReplay{dir: tb.TempDir()}
-	pipe, _, err := sys.Pipeline(replayFrom, replayUntil, PipelineOptions{Durable: &DurableOptions{
+	pipe, _, err := sys.Pipeline(replayFrom, replayUntil, PipelineOptions{OnReport: onReport, Durable: &DurableOptions{
 		Dir: r.dir,
 		CheckpointFailpoint: func(q Time) CheckpointCrash {
 			r.written = append(r.written, q)
@@ -66,10 +65,6 @@ func newDurableReplay(tb testing.TB, city *dublin.City) *durableReplay {
 		tb.Fatal(err)
 	}
 	r.pipe, r.rt = pipe, pipe.proc.durable
-	r.rt.proc.onReport = func(rep *Report) error {
-		r.rt.st.noteAck(rep.Q)
-		return nil
-	}
 	type keyed struct {
 		it      streams.Item
 		arrival int64
@@ -236,7 +231,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	var runs [2][][]byte
 	var charged Span // summed over the first run's reports
 	for i := range runs {
-		r := newDurableReplay(t, city)
+		r := newDurableReplay(t, city, nil)
 		if i == 0 {
 			ack := r.rt.proc.onReport
 			r.rt.proc.onReport = func(rep *Report) error {
@@ -281,6 +276,38 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 }
 
+// TestReportsLeaveOneWay: a durable run hands every report over as its
+// boundary fires, to OnReport or to Pipeline.Reports alike, before the
+// boundary's checkpoint. The 1× durable run driven with an OnReport
+// callback and without one delivers the same fingerprint sequence and
+// writes byte-identical checkpoint files: no checkpoint carries a
+// report.
+func TestReportsLeaveOneWay(t *testing.T) {
+	city := oneXCity(t)
+	var viaCallback, viaCollector []string
+	cb := newDurableReplay(t, city, func(rep *Report) error {
+		viaCallback = append(viaCallback, rep.Fingerprint())
+		return nil
+	})
+	cb.run(t, 0)
+	col := newDurableReplay(t, city, nil)
+	col.run(t, 0)
+	for _, it := range col.pipe.Reports.Items() {
+		viaCollector = append(viaCollector, it[itemReport].(*Report).Fingerprint())
+	}
+	if len(viaCallback) == 0 || !slices.Equal(viaCallback, viaCollector) {
+		t.Errorf("OnReport got %d reports, the collector %d, or other ones", len(viaCallback), len(viaCollector))
+	}
+	if len(cb.ckpts) == 0 || len(cb.ckpts) != len(col.ckpts) {
+		t.Fatalf("%d checkpoints with OnReport, %d without", len(cb.ckpts), len(col.ckpts))
+	}
+	for i := range cb.ckpts {
+		if !slices.Equal(cb.ckpts[i], col.ckpts[i]) {
+			t.Errorf("checkpoint %d: %d B with OnReport, %d B without", i, len(cb.ckpts[i]), len(col.ckpts[i]))
+		}
+	}
+}
+
 // checkLogFront fails unless the log can be read from the window offset
 // of every checkpoint left in the run's directory: checkpoint GC never
 // truncates the log past a retained checkpoint's window.
@@ -314,7 +341,7 @@ func (r *durableReplay) checkLogFront(tb testing.TB) {
 // profile is one flag away: make bench-checkpoint
 // BENCHFLAGS=-cpuprofile=cpu.prof
 func BenchmarkCheckpoint(b *testing.B) {
-	r := newDurableReplay(b, oneXCity(b))
+	r := newDurableReplay(b, oneXCity(b), nil)
 	if r.run(b, 2) {
 		b.Fatal("the run ended before its second checkpoint")
 	}
@@ -364,8 +391,9 @@ func BenchmarkCheckpoint(b *testing.B) {
 // 1× durable run killed right after its second boundary's checkpoint
 // became durable — the kill cmd/e2ebench's insight.recover_ms uses: load
 // that checkpoint, restore the engines, rebuild their working memory and
-// the pending set from the log's window, replay the log's tail and write
-// the recovery checkpoint. Every iteration recovers a fresh copy of the
+// the pending set from the log's window and replay the log's tail. The
+// recovery checkpoint is Pipeline.Run's first write, not timed here.
+// Every iteration recovers a fresh copy of the
 // killed run's directory; the copy is not timed. Reports the loaded
 // checkpoint's size (B/ckpt), the SDE rows re-read for the rebuild
 // (rebuilt) and the WAL records replayed beside ns/op.

@@ -62,11 +62,11 @@ func fuzzCity(t testing.TB) *dublin.City {
 }
 
 // TestCheckpointBudget is the size gate of the checkpoint format: on
-// the test-scale product run the final checkpoint costs at most 16 KiB
-// and measures 9.2: 5.5 KiB of engine snapshots (clocks, inertia seeds,
-// dedup sets), the cursors, fired boundaries and readings, and 2.2 KiB
-// of JSON per report the sink has not acknowledged yet (one, as a rule)
-// — no SDE row: every stored and pending row is in the log.
+// the test-scale product run the final checkpoint costs at most 8 KiB
+// and measures 5.0: the engine snapshots (clocks, inertia seeds, dedup
+// sets), the cursors, fired boundaries and readings — no report, since
+// each leaves before its boundary's checkpoint, and no SDE row: every
+// stored and pending row is in the log.
 func TestCheckpointBudget(t *testing.T) {
 	data := productCheckpoint(t, testCity(t), 0)
 	ck, err := decodeCheckpoint(data)
@@ -82,8 +82,8 @@ func TestCheckpointBudget(t *testing.T) {
 	}
 	t.Logf("checkpoint: %d bytes, %d dedup identities, %d fired boundaries since window offset %d (consumed to %d)",
 		len(data), seen, len(ck.fires), ck.windowOffset, ck.consumedOffset)
-	if len(data) > 16<<10 {
-		t.Errorf("checkpoint costs %d bytes, budget is %d", len(data), 16<<10)
+	if len(data) > 8<<10 {
+		t.Errorf("checkpoint costs %d bytes, budget is %d", len(data), 8<<10)
 	}
 
 	// One state, one file: re-encoding the decoded checkpoint
@@ -144,14 +144,13 @@ func TestCheckpointMidBlockCursors(t *testing.T) {
 	}
 
 	got := make(map[Time]string)
-	crashed := newDurableReplay(t, city)
-	crashed.rt.proc.onReport = func(rep *Report) error {
-		crashed.rt.st.noteAck(rep.Q)
-		got[rep.Q] = rep.Fingerprint()
-		return nil
-	}
+	crashed := newDurableReplay(t, city, nil)
 	if crashed.run(t, 2) {
 		t.Fatal("the run ended before its second checkpoint")
+	}
+	for _, it := range crashed.pipe.Reports.Items() {
+		rep := it[itemReport].(*Report)
+		got[rep.Q] = rep.Fingerprint()
 	}
 	before, partial := pendingRows(crashed.rt.proc.adm.blocks)
 	if partial == 0 {

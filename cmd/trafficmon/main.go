@@ -224,10 +224,10 @@ func recoveryLine(info *insight.RecoveryInfo) string {
 	if info.Resumed {
 		state = "resumed"
 	}
-	return fmt.Sprintf("wal: %s at checkpoint q=%d (%d B); rebuilt %d events, replayed %d records (%d events), re-emitting %d reports; "+
+	return fmt.Sprintf("wal: %s at checkpoint q=%d (%d B); rebuilt %d events, replayed %d records (%d events); "+
 		"%d torn bytes, %d corrupt checkpoints, %d envelopes skipped; frontier %d",
 		state, int64(info.CheckpointQ), info.CheckpointBytes, info.RebuiltEvents, info.ReplayedRecords, info.ReplayedEvents,
-		info.ReemittedReports, info.TornBytes, info.CorruptCheckpoints, info.SkippedEnvelopes, info.WALFrontier)
+		info.TornBytes, info.CorruptCheckpoints, info.SkippedEnvelopes, info.WALFrontier)
 }
 
 // readReplay loads and merges recorded SDE files. The result is

@@ -47,6 +47,7 @@ var dashboardRoutes = map[string]string{
 	"/map.svg":    "image/svg+xml",
 	"/api/report": "application/json",
 	"/api/flows":  "application/json",
+	"/api/trace":  "application/json",
 	"/healthz":    "application/json",
 }
 

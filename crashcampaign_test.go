@@ -28,8 +28,8 @@ package insight
 // A fault keys to a count of storage calls or to a boundary, never to
 // how far the appender got, and a death stops every goroutine's storage
 // calls, the appender's included. Recovery checkpoints are checkpoints
-// like any other, so an epoch that dies in its durable build died of
-// its fault. Every fault therefore fires — a run that has not died
+// like any other, so an epoch that dies writing one, at the start of
+// Pipeline.Run, died of its fault. Every fault therefore fires — a run that has not died
 // writes a checkpoint for every boundary up to the end of the window —
 // and an armed fault that does not fire fails the campaign. What still
 // varies with the schedule is how far the appender runs ahead of the
@@ -559,6 +559,80 @@ func TestCheckpointRetentionKeepsLog(t *testing.T) {
 	for _, rep := range reps {
 		if want := rep.Fingerprint(); final[rep.Q] != want {
 			t.Errorf("q=%d: union %q, want %q", int64(rep.Q), final[rep.Q], want)
+		}
+	}
+}
+
+// TestRecoveryCheckpointKilled: Pipeline.Run delivers the reports a
+// recovery re-fired before it writes the recovery checkpoint. A first
+// run that never checkpoints is cancelled at its second report; the
+// second recovers by replaying the whole log, delivers every re-fired
+// boundary and dies tearing its recovery checkpoint; the third recovers
+// the same way, delivers every re-fired boundary again and runs to the
+// end. The newest report per query time over the three is the plain
+// run's.
+func TestRecoveryCheckpointKilled(t *testing.T) {
+	const from, until, k = 7 * 3600, 8 * 3600, 2
+	city := testCity(t)
+	plain := plainFingerprints(t, durableSystem(t, city), from, until)
+	dir := t.TempDir()
+	newest := make(map[Time]string, len(plain))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var first []Time
+	pipe, _, err := durableSystem(t, city).Pipeline(from, until, PipelineOptions{
+		Durable: &DurableOptions{Dir: dir, CheckpointEvery: 1 << 30},
+		OnReport: func(rep *Report) error {
+			if first = append(first, rep.Q); len(first) == k {
+				cancel()
+			}
+			newest[rep.Q] = rep.Fingerprint()
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("first run: err = %v, want it cancelled", err)
+	}
+	for i, f := range []fault{{op: opWrite, suffix: ".ck.tmp", n: 1, act: actTear, k: 4096}, {}} {
+		fsys := &faultFS{f: f}
+		pipe, info, err := durableSystem(t, city).Pipeline(from, until, PipelineOptions{Durable: &DurableOptions{Dir: dir, CheckpointEvery: 1 << 30, fs: fsys}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refired := len(pipe.proc.due)
+		if info.Resumed || info.ReplayedRecords == 0 || refired < k {
+			t.Fatalf("recovery %d re-fired %d boundaries, RecoveryInfo %+v: want a replay of the whole log re-firing at least %d", i+1, refired, *info, k)
+		}
+		t.Logf("recovery %d: replayed %d records, re-fired %d of %d boundaries", i+1, info.ReplayedRecords, refired, len(plain))
+		_, err = pipe.Run(context.Background())
+		clean := f == fault{}
+		if clean && err != nil || !clean && !errors.Is(err, wal.ErrCrashPoint) || fsys.hasFired() == clean {
+			t.Fatalf("recovery %d (%+v): fired %v, error %v", i+1, f, fsys.hasFired(), err)
+		}
+		delivered := make(map[Time]bool)
+		for _, it := range pipe.Reports.Items() {
+			rep := it[itemReport].(*Report)
+			delivered[rep.Q] = true
+			newest[rep.Q] = rep.Fingerprint()
+		}
+		if !clean && len(delivered) != refired {
+			t.Errorf("killed recovery delivered %d reports, re-fired %d: the topology ran or a re-fired report was lost", len(delivered), refired)
+		}
+		for _, q := range first {
+			if !delivered[q] {
+				t.Errorf("recovery %d did not deliver re-fired q=%d", i+1, int64(q))
+			}
+		}
+	}
+	if len(newest) != len(plain) {
+		t.Errorf("the runs delivered %d query times, the plain run %d", len(newest), len(plain))
+	}
+	for q, want := range plain {
+		if newest[q] != want {
+			t.Errorf("q=%d: newest %q, want %q", int64(q), newest[q], want)
 		}
 	}
 }

@@ -79,16 +79,17 @@ func TestCrowdPanelMemoized(t *testing.T) {
 // per-round allocation budget of the crowd stage (resolveDisagreements:
 // panel, query, map tasks, EM update, verdict filing), averaged over
 // the 1 630 rounds of an hour of the operator workload replayed on a
-// fresh System, the first ask of each intersection's panel (a roster
-// view and a nearest-five selection) included. Measured at 14.5 objects
-// and 5.55 kB per round with the panels memoized, the map tasks called
-// in the caller and the query ID built with strconv; 70.3 objects and
-// 16.2 kB when every round cloned the roster, selected again, started a
-// goroutine per worker and formatted its ID, question and query time
-// with fmt. The budgets leave about a quarter of headroom for map growth.
+// fresh System, the first ask of each intersection's panel (a
+// nearest-five selection from the online view New took) included.
+// Measured at 14.3 objects and 3.05 kB per round with one online view
+// for every panel; 14.5 objects and 5.55 kB when each panel's first ask
+// cloned the 200-participant roster; 70.3 objects and 16.2 kB when every
+// round cloned the roster, selected again, started a goroutine per
+// worker and formatted its ID, question and query time with fmt. The
+// budgets leave about a quarter of headroom for map growth.
 const (
 	crowdRoundObjectsBudget = 18
-	crowdRoundBytesBudget   = 7000
+	crowdRoundBytesBudget   = 4000
 )
 
 // TestAllocBudget_CrowdRound gates the objects and bytes one crowd round

@@ -9,15 +9,18 @@
 //	             dots, red rings on congested intersections
 //	/api/report  the latest operator report as JSON
 //	/api/flows   the latest flow estimates as JSON
+//	/api/trace   the last traceLen reports' query times and per-stage
+//	             cost records (Report.Span) as JSON, oldest first: each
+//	             boundary's latency budget stage by stage
 //	/healthz     the Streams supervision state as JSON: every process's
 //	             health, the retained dead letters and the latest
 //	             report's degraded streams and watermark lag; 503 when a
 //	             process has failed or a stream is degraded
 //
 // Every JSON route answers 503 with an {"error": …} body until it has
-// something to serve. The server holds only the most recent state;
-// feed it from a PipelineOptions.OnReport callback and hand it the
-// pipeline's topology with Watch (see cmd/trafficmon -http).
+// something to serve. The server holds only the most recent state and
+// the trace ring; feed it from a PipelineOptions.OnReport callback and
+// hand it the pipeline's topology with Watch (see cmd/trafficmon -http).
 package dashboard
 
 import (
@@ -44,6 +47,21 @@ type Server struct {
 	report *insight.Report
 	flows  *insight.FlowEstimate
 	top    *streams.Topology
+	// trace is a ring of the last traceLen reports' cost records; traced
+	// counts every report Update was given, so the oldest entry is at
+	// traced % traceLen once the ring is full.
+	trace  [traceLen]traceEntry //state:transient a display ring Update refills from the reports
+	traced int                  //state:transient the ring's write count, with trace
+}
+
+// traceLen is how many reports /api/trace holds: at the paper's 15-min
+// step, 16 hours of boundaries.
+const traceLen = 64
+
+// traceEntry is one report's entry in /api/trace.
+type traceEntry struct {
+	Q    insight.Time
+	Span insight.Span
 }
 
 // New builds a dashboard over the monitored city.
@@ -62,11 +80,14 @@ func New(city *dublin.City) (*Server, error) {
 	return s, nil
 }
 
-// Update publishes the latest operator report.
+// Update publishes the latest operator report and adds its cost record
+// to the trace.
 func (s *Server) Update(r *insight.Report) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.report = r
+	s.trace[s.traced%traceLen] = traceEntry{Q: r.Q, Span: r.Span}
+	s.traced++
 }
 
 // UpdateFlows publishes the latest traffic-model estimates.
@@ -98,6 +119,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /map.svg", s.serveMap)
 	mux.HandleFunc("GET /api/report", s.serveReport)
 	mux.HandleFunc("GET /api/flows", s.serveFlows)
+	mux.HandleFunc("GET /api/trace", s.serveTrace)
 	mux.HandleFunc("GET /healthz", s.serveHealth)
 	return mux
 }
@@ -206,6 +228,22 @@ func (s *Server) serveFlows(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	body, err := json.Marshal(flows)
+	sendJSON(w, http.StatusOK, body, err)
+}
+
+func (s *Server) serveTrace(w http.ResponseWriter, _ *http.Request) {
+	s.mu.RLock()
+	n := min(s.traced, traceLen)
+	entries := make([]traceEntry, n)
+	for i := range entries {
+		entries[i] = s.trace[(s.traced-n+i)%traceLen]
+	}
+	s.mu.RUnlock()
+	if n == 0 {
+		sendJSON(w, http.StatusServiceUnavailable, []byte(`{"error": "no report yet"}`), nil)
+		return
+	}
+	body, err := json.Marshal(entries)
 	sendJSON(w, http.StatusOK, body, err)
 }
 

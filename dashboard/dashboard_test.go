@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	insight "github.com/insight-dublin/insight"
 	"github.com/insight-dublin/insight/dublin"
@@ -99,6 +100,7 @@ func TestDashboardBeforeFirstReport(t *testing.T) {
 	}
 	getJSON(t, h, "/api/report", http.StatusServiceUnavailable)
 	getJSON(t, h, "/api/flows", http.StatusServiceUnavailable)
+	getJSON(t, h, "/api/trace", http.StatusServiceUnavailable)
 	// Nothing has failed before a topology or a report exists.
 	if doc := healthDoc(t, getJSON(t, h, "/healthz", http.StatusOK)); !doc.Healthy || len(doc.Processes) != 0 || doc.Report != nil {
 		t.Errorf("/healthz before the first report = %+v", doc)
@@ -178,6 +180,40 @@ func TestDashboardWithLiveData(t *testing.T) {
 	}
 	if len(flowsOut.Values) == 0 {
 		t.Error("flow JSON empty")
+	}
+}
+
+// TestDashboardTrace: /api/trace holds the last traceLen reports' query
+// times and cost records, oldest first, the ring wrapping past its
+// length.
+func TestDashboardTrace(t *testing.T) {
+	srv, _, _ := testServer(t)
+	h := srv.Handler()
+	const fed = traceLen + 5
+	for i := 0; i < fed; i++ {
+		var span insight.Span
+		span.Query.Wall = time.Duration(i) * time.Millisecond
+		span.CrowdRounds = i
+		srv.Update(&insight.Report{Q: insight.Time(900 * i), Span: span})
+		if i == 0 {
+			var one []traceEntry
+			if err := json.Unmarshal([]byte(getJSON(t, h, "/api/trace", http.StatusOK)), &one); err != nil || len(one) != 1 || one[0].Q != 0 {
+				t.Fatalf("trace after one report = %+v (err %v)", one, err)
+			}
+		}
+	}
+	var got []traceEntry
+	if err := json.Unmarshal([]byte(getJSON(t, h, "/api/trace", http.StatusOK)), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != traceLen {
+		t.Fatalf("trace holds %d entries, want %d", len(got), traceLen)
+	}
+	for j, e := range got {
+		i := fed - traceLen + j
+		if e.Q != insight.Time(900*i) || e.Span.Query.Wall != time.Duration(i)*time.Millisecond || e.Span.CrowdRounds != i {
+			t.Errorf("entry %d = q %d, Query %v, %d rounds; want report %d's", j, int64(e.Q), e.Span.Query.Wall, e.Span.CrowdRounds, i)
+		}
 	}
 }
 

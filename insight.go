@@ -119,9 +119,13 @@ type System struct {
 	estimator *crowd.Estimator
 	qeeEngine *qee.Engine
 	roster    *crowd.Roster
+	// online is roster.Online(), taken once in New: every panel is
+	// selected from it (crowdSelection does not reorder its input).
+	//state:derived the roster is registered only in New, so the view never goes stale
+	online []crowd.Participant
 	// panels memoizes, per intersection, whom its crowdsourcing rounds
-	// ask and what: crowdSelection over roster.Online() at the
-	// intersection, filled the first time a round asks there.
+	// ask and what: crowdSelection over online at the intersection,
+	// filled the first time a round asks there.
 	//state:derived the roster is registered only in New, so a panel never goes stale
 	panels map[string]crowdPanel
 
@@ -253,6 +257,7 @@ func New(cfg Config) (*System, error) {
 				return nil, err
 			}
 		}
+		s.online = s.roster.Online()
 	}
 	return s, nil
 }

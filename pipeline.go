@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/insight-dublin/insight/dublin"
 	"github.com/insight-dublin/insight/geo"
@@ -30,12 +29,14 @@ import (
 //     feedback edge), however many boundaries are due at once;
 //   - the traffic modelling procedure registered as a Streams service.
 //
-// Reports flow to the returned collector sink, one item per query time
-// under key "report" — or to PipelineOptions.OnReport. System.Pipeline
-// is the one entrance to this graph.
+// Each report is handed over on the monitoring goroutine as its boundary
+// fires: to PipelineOptions.OnReport, or else appended to Reports.
+// System.Pipeline is the one entrance to this graph.
 type Pipeline struct {
 	Topology *streams.Topology
-	Reports  *streams.CollectorSink
+	// Reports collects the reports of a run without OnReport, one item
+	// per query time under key "report", in query-time order.
+	Reports *streams.CollectorSink
 	// Chaos holds the per-stream fault injectors of a chaos pipeline
 	// (empty without PipelineOptions.Chaos), keyed by stream id.
 	Chaos map[string]*streams.ChaosSource
@@ -81,7 +82,11 @@ type ChaosConfig struct {
 
 // PipelineOptions selects what System.Pipeline builds; the zero value
 // is the plain run over the generator's SDEs, reports collected in
-// Pipeline.Reports.
+// Pipeline.Reports. Delivery is the same either way: each report leaves
+// as its boundary fires, before the boundary's checkpoint in a durable
+// run, so a crash in between re-fires that boundary and the report comes
+// again — at least once, the newest per query time being the recovered
+// run's.
 type PipelineOptions struct {
 	// Replay, when non-nil, replaces the generator's SDEs with a recorded
 	// stream (e.g. dublin's CSV read-backs) in any order, admitted by
@@ -98,9 +103,8 @@ type PipelineOptions struct {
 	// OnReport takes the reports in place of the collector, on the
 	// monitoring goroutine between boundaries (rtecProcessor.onReport).
 	// An error from it, or the run context's, ends the run and comes
-	// back wrapped. In a durable run it gets the restored and re-fired
-	// reports first, at the start of Pipeline.Run, and a report counts
-	// acknowledged once OnReport returns nil for it.
+	// back wrapped. In a durable run it gets the reports recovery
+	// re-fired first, at the start of Pipeline.Run.
 	OnReport func(*Report) error
 }
 
@@ -224,21 +228,6 @@ func (s *System) buildPipeline(from, until Time, opt PipelineOptions, dur *durab
 	if _, err := top.AddQueue(sdeQueue, 4096); err != nil {
 		return nil, err
 	}
-	reportQueue := "reports"
-	if _, err := top.AddQueue(reportQueue, 64); err != nil {
-		return nil, err
-	}
-	sink := streams.NewCollectorSink()
-	var opSink streams.Sink = sink
-	if dur != nil {
-		// Reports acknowledge on arrival at the operator: the checkpoint
-		// coordinator stops carrying them for re-emission.
-		opSink = &ackingSink{inner: sink, st: dur.st}
-	}
-	if err := top.AddSink("operator", opSink); err != nil {
-		return nil, err
-	}
-
 	// Durable runs interpose the write-ahead log between the validators
 	// and the SDE queue: one single-writer append process, so the log's
 	// record order is exactly the monitoring process's consumption
@@ -297,14 +286,14 @@ func (s *System) buildPipeline(from, until Time, opt PipelineOptions, dur *durab
 		// the topology was wired.
 		rtecProc = dur.proc
 	}
+	// Output handling: the monitoring process hands each report over
+	// itself, so it has no output queue.
+	sink := streams.NewCollectorSink()
 	rtecProc.onReport = opt.OnReport
-	if err := top.AddProcess("monitoring", sdeQueue, reportQueue, rtecProc); err != nil {
-		return nil, err
+	if rtecProc.onReport == nil {
+		rtecProc.onReport = func(rep *Report) error { return sink.Write(streams.Item{itemReport: rep}) }
 	}
-
-	// Output handling: forward finished reports to the operator sink.
-	forward := streams.ProcessorFunc(func(it streams.Item) (streams.Item, error) { return it, nil })
-	if err := top.AddProcess("operator-output", reportQueue, "operator", forward); err != nil {
+	if err := top.AddProcess("monitoring", sdeQueue, "", rtecProc); err != nil {
 		return nil, err
 	}
 
@@ -435,11 +424,11 @@ type rtecProcessor struct {
 	// ctx bounds the boundary step's crowd rounds: Pipeline.Run swaps the
 	// run's context in before the topology starts.
 	ctx context.Context
-	// onReport (PipelineOptions.OnReport), when set, receives each report
-	// on the monitoring goroutine once its boundary is complete and before
-	// any row is admitted for the next: the system is as of the report's
-	// query time and nothing else touches it meanwhile. Such a run emits
-	// and retains no report; an error from it ends the run there.
+	// onReport (PipelineOptions.OnReport, or an append to
+	// Pipeline.Reports) receives each report on the monitoring goroutine
+	// once its boundary is complete and before any row is admitted for the
+	// next: the system is as of the report's query time and nothing else
+	// touches it meanwhile. An error from it ends the run there.
 	onReport func(*Report) error
 	step     Time
 	nextQ    Time
@@ -457,11 +446,10 @@ type rtecProcessor struct {
 	// rows: at query time Q exactly the SDEs with arrival <= Q may have
 	// been delivered to the engines, as in a live deployment.
 	adm admission
-	// due holds completed reports awaiting emission: a processor maps
-	// one item to at most one item, so simultaneous boundaries drain
-	// one per subsequent item; whatever is still due when the input
-	// ends is released by Flush.
-	due []streams.Item
+	// due holds the reports a durable recovery re-fired before onReport
+	// was set; Pipeline.Run delivers them first. Live, a report is due
+	// only until fireDue delivers it.
+	due []*Report
 	// durable, when non-nil, is the checkpoint coordinator of a durable
 	// pipeline: consumption and boundary events are recorded as they
 	// happen, and checkpoints are written at the processor's safe
@@ -474,8 +462,7 @@ type rtecProcessor struct {
 
 // Process implements streams.Processor for the one per-item input,
 // EOF punctuation: the ended stream's watermark lifts past the final
-// boundary, and the report items of boundaries that become due are
-// emitted, one per processed item.
+// boundary and the boundaries that become due fire.
 func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
 	if !it.Bool(itemEOF) {
 		return nil, fmt.Errorf("insight: monitoring process got a per-item SDE from %q: SDEs arrive as column batches", it.String(itemSource))
@@ -489,12 +476,7 @@ func (p *rtecProcessor) Process(it streams.Item) (streams.Item, error) {
 			return nil, err
 		}
 	}
-	if len(p.due) == 0 {
-		return nil, nil
-	}
-	rep := p.due[0]
-	p.due = p.due[1:]
-	return rep, nil
+	return nil, nil
 }
 
 // ProcessBatch implements streams.BatchProcessor: the SDE input of the
@@ -538,18 +520,16 @@ func (p *rtecProcessor) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 			}
 		}
 	}
-	out := p.due
-	p.due = nil
 	if p.durable != nil {
 		// Safe point: every row of every consumed record is now in the
-		// engines or in the pending set. The reports in out are re-derivable
-		// if this errors — the epoch dies with them unemitted, and
-		// replay from the previous checkpoint re-fires their boundaries.
+		// engines or in the pending set. If this errors, the epoch dies
+		// and replay from the previous checkpoint re-fires the boundaries
+		// since, whose reports then come again.
 		if err := p.durable.maybeCheckpoint(p); err != nil {
-			return out, err
+			return nil, err
 		}
 	}
-	return out, nil
+	return nil, nil
 }
 
 // liveWatermark is the one statement of the liveness rule over the
@@ -642,12 +622,11 @@ func (p *rtecProcessor) fireDue() error {
 		rep.DegradedStreams = append([]string(nil), degraded...)
 		rep.WatermarkLag = maxW - q
 		if p.durable != nil {
-			p.durable.noteBoundary(rep, verdicts, rec.span.CrowdRounds > 0)
+			p.durable.noteBoundary(q, verdicts, rec.span.CrowdRounds > 0)
 		}
 		rec.mark(&rec.span.Assemble)
 		rep.Span = rec.span
-		//lint:allow hotalloc one report envelope per query boundary, not per row
-		p.due = append(p.due, streams.Item{itemReport: rep})
+		p.due = append(p.due, rep)
 		if err := p.deliverDue(); err != nil {
 			return err
 		}
@@ -658,27 +637,26 @@ func (p *rtecProcessor) fireDue() error {
 
 // deliverDue hands the reports waiting in due to onReport, oldest first:
 // each as its boundary fires, and at the start of Pipeline.Run those a
-// durable recovery restored or re-fired. A durable run acknowledges a
-// report once onReport returns nil, as ackingSink does a collector
-// write. Without onReport, due leaves through the graph.
+// durable recovery re-fired. It is the pipeline's one exit. Recovery
+// replays the log before onReport is set, so its re-fired reports wait.
 func (p *rtecProcessor) deliverDue() error {
-	for p.onReport != nil && len(p.due) > 0 {
-		rep := p.due[0][itemReport].(*Report)
-		p.due = p.due[1:]
+	if p.onReport == nil {
+		return nil
+	}
+	for _, rep := range p.due {
 		if err := p.onReport(rep); err != nil {
-			return err
-		}
-		if p.durable != nil {
-			p.durable.st.noteAck(rep.Q)
+			return err // the run ends here
 		}
 	}
+	clear(p.due)
+	p.due = p.due[:0]
 	return nil
 }
 
 // Flush implements streams.Flusher: when the merge queue is
 // exhausted, every input stream is over, so all remaining query
-// boundaries are due — lift the watermarks past the end and release
-// the backlog of reports in one go.
+// boundaries are due — lift the watermarks past the end and fire them
+// in one go.
 func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 	for id := range p.watermarks {
 		p.watermarks[id] = p.until + p.step
@@ -695,18 +673,21 @@ func (p *rtecProcessor) Flush() ([]streams.Item, error) {
 	}
 	// Rows arriving after the final boundary are never admitted.
 	p.adm.release()
-	out := p.due
-	p.due = nil
-	return out, nil
+	return nil, nil
 }
 
 // Run executes the pipeline and returns the reports in query-time
-// order (none with OnReport, which took them). Cancelling ctx stops it
-// at the next item or boundary, crowd rounds included; however it ends,
-// every transport buffer is returned.
+// order (none with OnReport, which took them). A durable run first
+// delivers the reports its recovery re-fired, then writes the recovery
+// checkpoint (durableRuntime.recovered). Cancelling ctx stops it at the
+// next item or boundary, crowd rounds included; however it ends, every
+// transport buffer is returned.
 func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
 	p.proc.ctx = ctx
 	err := p.proc.deliverDue()
+	if err == nil && p.proc.durable != nil {
+		err = p.proc.durable.recovered(p.proc)
+	}
 	if err == nil {
 		err = p.Topology.Run(ctx)
 	}
@@ -718,15 +699,10 @@ func (p *Pipeline) Run(ctx context.Context) ([]*Report, error) {
 		return nil, err
 	}
 	items := p.Reports.Items()
-	reports := make([]*Report, 0, len(items))
-	for _, it := range items {
-		rep, ok := it[itemReport].(*Report)
-		if !ok {
-			return nil, fmt.Errorf("insight: malformed report item %v", it)
-		}
-		reports = append(reports, rep)
+	reports := make([]*Report, len(items))
+	for i, it := range items {
+		reports[i] = it[itemReport].(*Report)
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Q < reports[j].Q })
 	return reports, nil
 }
 

@@ -536,33 +536,24 @@ func processorVsReference(t *testing.T, label string, mk func() *System, from, u
 	proc := newRTECProcessor(mk(), from, until)
 	ref := newEventReference(t, mk(), from, until)
 	var procReports []*Report
-	collect := func(items []streams.Item) {
-		for _, it := range items {
-			rep, ok := it[itemReport].(*Report)
-			if !ok {
-				t.Fatalf("monitoring emitted a non-report item %v", it)
-			}
-			procReports = append(procReports, rep)
-		}
+	proc.onReport = func(rep *Report) error {
+		procReports = append(procReports, rep)
+		return nil
 	}
 	rows := drainPicked(t, srcs, pick, func(b *streams.Batch) {
 		// The reference first: it materializes the rows before the
 		// processor consumes (and eventually releases) the batch.
 		ref.consume(b)
-		outs, err := proc.ProcessBatch(b)
-		if err != nil {
+		if _, err := proc.ProcessBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		collect(outs)
 	})
 	if rows == 0 {
 		t.Fatalf("%s: no rows survived fault injection", label)
 	}
-	flushed, err := proc.Flush()
-	if err != nil {
+	if _, err := proc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	collect(flushed)
 	compareReports(t, label, procReports, ref.finish())
 	return procReports
 }

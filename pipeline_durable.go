@@ -15,8 +15,8 @@ package insight
 // rtecProcessor as the plain pipeline plus a checkpoint coordinator:
 // at query-boundary granularity it persists what the log cannot
 // recompute — clocks, inertia seeds, dedup sets, stream cursors, latest
-// readings, the crowd verdicts still in the window, the EM estimator and
-// fired-but-unacked reports — keyed to two WAL offsets:
+// readings, the crowd verdicts still in the window and the EM estimator —
+// keyed to two WAL offsets:
 // the window offset, where the records holding the engines' working
 // memory and the consumed-but-unadmitted rows begin, and the
 // consumption offset, where the records the checkpoint has not consumed
@@ -34,21 +34,21 @@ package insight
 // From there the log is replayed through the processor — re-consuming
 // exactly the records consumed after the checkpoint plus any
 // appended-but-unread tail — before the live topology is wired, whose
-// sources skip the envelopes the cursors already account for. A
-// boundary the replay re-fires asks the crowd again: its report never
-// left the process, since reports leave only after the safe point's
-// checkpoint and a boundary that asked the crowd is always checkpointed
-// there, so participants may be asked twice but recognition and the
-// operator see each round once. Reports fired but not acknowledged by
-// the operator sink are re-emitted (at-least-once; consumers dedupe by
-// query time, keeping the newest). A run with PipelineOptions.OnReport
-// hands each report over as its boundary fires, before the safe point:
-// a crash in between re-fires that boundary and OnReport sees it again,
-// the newest per query time being the recovered run's. A report is
-// acknowledged once OnReport returns nil for it.
+// sources skip the envelopes the cursors already account for.
+// Pipeline.Run then delivers the reports the replay re-fired and writes
+// the recovery checkpoint before the topology starts.
+//
+// Delivery. Every report is handed over as its boundary fires, before
+// the safe point's checkpoint (rtecProcessor.deliverDue), so no
+// checkpoint carries a report. A crash in between re-fires that boundary
+// and the report comes again: delivery is at-least-once, and the newest
+// report per query time is the recovered run's. A boundary that asked the
+// crowd is checkpointed at the next safe point whatever CheckpointEvery
+// says, since a replay could not reproduce its answers; one the replay
+// re-fires asks the crowd again, and its round can reach the operator
+// twice.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -107,26 +107,20 @@ type RecoveryInfo struct {
 	// offset.
 	ReplayedRecords int
 	ReplayedEvents  int
-	// ReemittedReports counts fired-but-unacked reports restored from
-	// the checkpoint for re-emission.
-	ReemittedReports int
 	// SkippedEnvelopes counts source envelopes the cursors already
 	// accounted for, skipped instead of re-ingested.
 	SkippedEnvelopes int
 }
 
 // durableState is the cross-goroutine slice of the durable runtime:
-// the wal-append process records what it appends, the monitoring
-// process translates its consumption count into WAL offsets, and the
-// operator sink acknowledges emitted reports.
+// the wal-append process records what it appends, and the monitoring
+// process translates its consumption count into WAL offsets.
 type durableState struct {
 	mu sync.Mutex
 	// recs holds, in log order, every record from offset front on that
 	// recovery read or the wal-append process appended.
 	front int64
 	recs  []walRecord
-	// ackQ is the newest query time the operator sink has received.
-	ackQ Time
 	// The wal-append process's cost, records and frame bytes since the
 	// last boundary's record took them (chargeLog).
 	walCost              StageCost
@@ -153,20 +147,6 @@ func (st *durableState) chargeAppend(cost StageCost, bytes int64) {
 	st.walCost.add(cost)
 	st.walRecords++
 	st.walBytes += bytes
-}
-
-func (st *durableState) noteAck(q Time) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if q > st.ackQ {
-		st.ackQ = q
-	}
-}
-
-func (st *durableState) acked() Time {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.ackQ
 }
 
 // endOf returns the WAL offset every consumed record lies below:
@@ -276,24 +256,6 @@ func (a *walAppender) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	return []streams.Item{streams.BatchItem(b)}, nil
 }
 
-// ackingSink wraps the operator collector: a report is acknowledged
-// once it is in the collector, which lets the checkpoint coordinator
-// stop carrying it for re-emission.
-type ackingSink struct {
-	inner *streams.CollectorSink
-	st    *durableState
-}
-
-func (s *ackingSink) Write(it streams.Item) error {
-	if err := s.inner.Write(it); err != nil {
-		return err
-	}
-	if rep, ok := it[itemReport].(*Report); ok {
-		s.st.noteAck(rep.Q)
-	}
-	return nil
-}
-
 // durableRuntime is the checkpoint coordinator. All fields except st
 // are owned by the goroutine driving the rtecProcessor (recovery
 // replay first, then the monitoring process).
@@ -317,9 +279,6 @@ type durableRuntime struct {
 	live bool
 	// boundaries counts query boundaries since the last checkpoint.
 	boundaries int
-	// recent holds fired reports not yet known acknowledged, ascending
-	// by query time; pruned against st.ackQ at checkpoint time.
-	recent []*Report
 	// info is what recovery found and did; the build adds the skipped
 	// envelopes.
 	info *RecoveryInfo
@@ -345,9 +304,8 @@ func (rt *durableRuntime) noteConsumed(src string) int64 {
 // nor the pending set yet). It only records; maybeCheckpoint persists at
 // the next safe point — whatever CheckpointEvery says when the boundary
 // asked the crowd, whose answers a replay could not reproduce.
-func (rt *durableRuntime) noteBoundary(rep *Report, verdicts []crowdVerdict, asked bool) {
-	rt.recent = append(rt.recent, rep)
-	rt.fires = append(rt.fires, boundaryFire{q: rep.Q, end: rt.st.endOf(rt.consumedIdx), verdicts: verdicts})
+func (rt *durableRuntime) noteBoundary(q Time, verdicts []crowdVerdict, asked bool) {
+	rt.fires = append(rt.fires, boundaryFire{q: q, end: rt.st.endOf(rt.consumedIdx), verdicts: verdicts})
 	rt.boundaries++
 	if asked {
 		rt.boundaries = max(rt.boundaries, rt.opts.CheckpointEvery)
@@ -379,8 +337,23 @@ func (rt *durableRuntime) maybeCheckpoint(p *rtecProcessor) error {
 	return rt.writeCheckpoint(p, rt.opts.CheckpointFailpoint)
 }
 
+// recovered writes the recovery checkpoint after any non-empty replay,
+// persisting the recovered state before the run goes live. This bounds
+// replay work across repeated crashes — each recovery starts from the
+// previous one's frontier instead of re-walking the whole log, so a
+// crash loop still makes forward progress even when the replayed tail
+// never crossed a query boundary. Pipeline.Run calls it once the
+// re-fired reports are delivered. It goes through the same storage seam
+// as every other write, so a fault scripted there can kill it too.
+func (rt *durableRuntime) recovered(p *rtecProcessor) error {
+	if rt.info.ReplayedRecords == 0 {
+		return nil
+	}
+	return rt.writeCheckpoint(p, nil)
+}
+
 // writeCheckpoint builds and persists a checkpoint unconditionally,
-// consulting crashAt (nil for the recovery-time checkpoint:
+// consulting crashAt (nil for the recovery checkpoint:
 // CheckpointFailpoint kills only the live pipeline).
 func (rt *durableRuntime) writeCheckpoint(p *rtecProcessor, crashAt func(Time) CheckpointCrash) error {
 	rt.boundaries = 0
@@ -469,22 +442,6 @@ func (rt *durableRuntime) buildCheckpoint(p *rtecProcessor) (*checkpoint, error)
 		ck.crowd = append(ck.crowd, crowdSnap{inter: inter, congested: cr.congested, t: cr.t})
 	}
 	slices.SortFunc(ck.crowd, func(a, b crowdSnap) int { return strings.Compare(a.inter, b.inter) })
-	// Fired-but-unacked reports ride along for re-emission; reports the
-	// sink has acknowledged are dropped from the carry set.
-	ackQ := rt.st.acked()
-	unacked := rt.recent[:0]
-	for _, rep := range rt.recent {
-		if rep.Q <= ackQ {
-			continue
-		}
-		unacked = append(unacked, rep)
-		blob, err := json.Marshal(rep)
-		if err != nil {
-			return nil, err
-		}
-		ck.reports = append(ck.reports, blob)
-	}
-	rt.recent = unacked
 	return ck, nil
 }
 
@@ -564,15 +521,6 @@ func (s *System) resume(from, until Time, opt PipelineOptions) (*durableRuntime,
 			proc.watermarks[cur.id] = cur.watermark
 			rt.consumed[cur.id] = cur.consumed
 		}
-		for _, blob := range ck.reports {
-			rep := &Report{}
-			if err := json.Unmarshal(blob, rep); err != nil {
-				return fail(fmt.Errorf("insight: checkpoint report: %w", err))
-			}
-			proc.due = append(proc.due, streams.Item{itemReport: rep})
-			rt.recent = append(rt.recent, rep)
-		}
-		info.ReemittedReports = len(ck.reports)
 		rt.fires = ck.fires
 		readFrom = ck.windowOffset
 	}
@@ -649,11 +597,9 @@ func (s *System) resume(from, until Time, opt PipelineOptions) (*durableRuntime,
 
 	// Replay the rest of the log through the processor — the exact
 	// consumption sequence of the crashed epoch's tail. Boundaries that
-	// become due re-fire with the same admitted sets; their reports stack
-	// behind the restored unacked ones. The live flag is still down, so
+	// become due re-fire with the same admitted sets; their reports wait
+	// in proc.due for Pipeline.Run. The live flag is still down, so
 	// maybeCheckpoint stays quiet.
-	stash := proc.due
-	proc.due = nil
 	for {
 		b, _, err := next()
 		if errors.Is(err, io.EOF) {
@@ -664,29 +610,12 @@ func (s *System) resume(from, until Time, opt PipelineOptions) (*durableRuntime,
 		}
 		info.ReplayedRecords++
 		info.ReplayedEvents += b.Len()
-		outs, err := proc.ProcessBatch(b)
-		if err != nil {
+		if _, err := proc.ProcessBatch(b); err != nil {
 			return fail(err)
 		}
-		stash = append(stash, outs...)
 	}
 	info.TornBytes += reader.Torn()
-	proc.due = stash
 	rt.live = true
 	info.WALFrontier = log.Frontier()
-
-	// Recovery checkpoint: after any non-empty replay, persist the
-	// recovered state before going live. This bounds replay work across
-	// repeated crashes — each recovery starts from the previous one's
-	// frontier instead of re-walking the whole log, so a crash loop
-	// still makes forward progress even when the replayed tail never
-	// crossed a query boundary. It goes through the same storage seam as
-	// every other write, so a fault scripted there can kill recovery too.
-	if info.ReplayedRecords > 0 {
-		if err := rt.writeCheckpoint(proc, nil); err != nil {
-			return fail(err)
-		}
-	}
-
 	return rt, info, nil
 }

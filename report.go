@@ -219,7 +219,7 @@ func (s *System) panel(inter traffic.Intersection) crowdPanel {
 		s.panels = make(map[string]crowdPanel)
 	}
 	p := crowdPanel{
-		selected: crowdSelection(s.roster.Online(), inter.Pos),
+		selected: crowdSelection(s.online, inter.Pos),
 		question: "Is there a traffic congestion at intersection " + inter.ID + "?",
 	}
 	s.panels[inter.ID] = p

@@ -201,7 +201,7 @@ func TestSpanCountsPinned(t *testing.T) {
 		t.Errorf("per-boundary counts {admitted, inserted, fresh, probes, points, crowd, joins}:\n got %v\nwant %v", got, want)
 	}
 
-	r := newDurableReplay(t, testCity(t))
+	r := newDurableReplay(t, testCity(t), nil)
 	var wal [3]int64
 	ack := r.rt.proc.onReport
 	r.rt.proc.onReport = func(rep *Report) error {

@@ -113,7 +113,9 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 	before := streams.LiveBatches()
 	city := testCity(t)
 
-	mkProc := func(tc traffic.Config, step Time, kind rtec.StoreKind) *rtecProcessor {
+	// mkProc builds a monitoring processor that appends its reports to
+	// reports.
+	mkProc := func(tc traffic.Config, step Time, kind rtec.StoreKind, reports *[]*Report) *rtecProcessor {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -126,7 +128,12 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newRTECProcessor(sys, from, until)
+		p := newRTECProcessor(sys, from, until)
+		p.onReport = func(rep *Report) error {
+			*reports = append(*reports, rep)
+			return nil
+		}
+		return p
 	}
 
 	// cloneBatch copies a pooled batch row by row so two consuming
@@ -137,16 +144,6 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 			cp.AppendRowFrom(b, i)
 		}
 		return cp
-	}
-
-	collect := func(dst *[]*Report, items []streams.Item) {
-		for _, it := range items {
-			rep, ok := it[itemReport].(*Report)
-			if !ok {
-				t.Fatalf("monitoring emitted a non-report item %v", it)
-			}
-			*dst = append(*dst, rep)
-		}
 	}
 
 	for _, rs := range gridRuleSets {
@@ -164,21 +161,17 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 					srcs[i] = injectors[i]
 				}
 
-				rowProc := mkProc(rs.cfg, step, rtec.StoreRow)
-				colProc := mkProc(rs.cfg, step, rtec.StoreColumn)
 				var rowReports, colReports []*Report
+				rowProc := mkProc(rs.cfg, step, rtec.StoreRow, &rowReports)
+				colProc := mkProc(rs.cfg, step, rtec.StoreColumn, &colReports)
 				fed := drainMerged(t, srcs, func(b *streams.Batch) {
 					cp := cloneBatch(b)
-					outs, err := colProc.ProcessBatch(b)
-					if err != nil {
+					if _, err := colProc.ProcessBatch(b); err != nil {
 						t.Fatal(err)
 					}
-					collect(&colReports, outs)
-					outs, err = rowProc.ProcessBatch(cp)
-					if err != nil {
+					if _, err := rowProc.ProcessBatch(cp); err != nil {
 						t.Fatal(err)
 					}
-					collect(&rowReports, outs)
 				})
 				if fed == 0 {
 					t.Fatal("no rows survived fault injection")
@@ -191,16 +184,12 @@ func TestColumnStoreMatchesRowStoreDelayed(t *testing.T) {
 					t.Fatal("no rows were re-ordered: delay injection inert")
 				}
 
-				outs, err := colProc.Flush()
-				if err != nil {
+				if _, err := colProc.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				collect(&colReports, outs)
-				outs, err = rowProc.Flush()
-				if err != nil {
+				if _, err := rowProc.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				collect(&rowReports, outs)
 
 				if len(rowReports) == 0 {
 					t.Fatal("row-store run produced no reports")

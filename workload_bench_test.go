@@ -70,6 +70,9 @@ func (w *benchWorkload) config(city *dublin.City) Config {
 // (QuerySum-ns/SDE, QueryMax-ns/SDE), and per run the SDEs and the
 // work counts. Two runs of one build repeat every count exactly but the
 // WAL's and the checkpoints', which depend on the schedule (see Span).
+// The operator workload takes its reports through OnReport, with a
+// FlowMap each, as cmd/e2ebench's driveOperator does; the others read
+// them from Pipeline.Run, as its drivePipeline does.
 //
 // The city is built once, and each iteration's System and Pipeline —
 // stream generation, or the operator's replay conversion, included —
@@ -106,27 +109,34 @@ func BenchmarkWorkload(b *testing.B) {
 				if w.durable {
 					opt.Durable = &DurableOptions{Dir: filepath.Join(b.TempDir(), "run")}
 				}
-				opt.OnReport = func(rep *Report) error {
-					if w.operator {
+				take := func(rep *Report) {
+					sdes += rep.FedEvents
+					sum.add(&rep.Span)
+				}
+				if w.operator {
+					opt.OnReport = func(rep *Report) error {
 						if _, err := sys.FlowMap(MapConfig{Alpha: 2, Beta: 1, SensorNoise: 2500, CrowdNoise: 1e4}); err != nil {
 							return err
 						}
+						take(rep)
+						return nil
 					}
-					sdes += rep.FedEvents
-					sum.add(&rep.Span)
-					return nil
 				}
 				pipe, _, err := sys.Pipeline(w.from, w.until, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
+				var reports []*Report
 				b.StartTimer()
 				pprof.Do(context.Background(), pprof.Labels("workload", w.name), func(ctx context.Context) {
-					_, err = pipe.Run(ctx)
+					reports, err = pipe.Run(ctx)
 				})
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)
+				}
+				for _, rep := range reports {
+					take(rep)
 				}
 				if opt.Durable != nil {
 					if err := os.RemoveAll(opt.Durable.Dir); err != nil {
