@@ -100,7 +100,11 @@ lint-json:
 # accuracy, the chaos profiles against their fault-free run — equal to
 # testdata/scores.json, a drop in a quality score named as a
 # regression; Figure 4 and chaos run twice, their scores independent of
-# the schedule), gate the block ingest path
+# the schedule; every System-driven table — Figure 4, veracity, the
+# ablation, chaos — built by scenario.run on the shard tier and, in
+# TestFiguresAnswerAsOneEngine, run again on one engine (Partitions: 1),
+# the figure-level twin of TestShardEquivalenceGrid: equal report
+# fingerprints and scores), gate the block ingest path
 # and the recognition path (allocations per derived event or busCongestion point of the bus ×
 # intersection rules) and a crowd round (objects and bytes per round over
 # an hour of the operator workload) against their committed allocation budgets, the

@@ -77,8 +77,8 @@ func benchRun(b *testing.B, cfg Config, from, until Time, swap func(*System) eng
 }
 
 // runFig4 measures one CE recognition pass at the given working
-// memory, in static or self-adaptive mode: one window, one query, four
-// regional engines.
+// memory, in static or self-adaptive mode: one window, one query, on
+// the tier cmd/figures' figure4 table runs (four shards).
 func runFig4(b *testing.B, wmMinutes int, adaptive bool) {
 	wm := Time(wmMinutes * 60)
 	from := Time(7 * 3600)
@@ -86,6 +86,7 @@ func runFig4(b *testing.B, wmMinutes int, adaptive bool) {
 		City:          benchCity(b),
 		WorkingMemory: wm,
 		Step:          wm,
+		Shards:        4,
 		Traffic:       traffic.Config{Adaptive: adaptive, NoisyPolicy: traffic.Pessimistic},
 	}, from, from+wm, nil)
 }

@@ -8,9 +8,10 @@
 // fault-free run. Its one flag, -out (default "."), is the directory
 // the Figure 7–9 SVGs are written to; every model parameter is a row
 // constant. The package's test holds every scored number to
-// testdata/scores.json; Figure 4's recognition times and the chaos
-// table's degraded and mean-lag columns depend on the machine or on
-// scheduling and are not scored.
+// testdata/scores.json, and every table that runs the whole system (on
+// the shard tier, scenario.run) to one engine; Figure 4's recognition
+// times and the chaos table's degraded and mean-lag columns depend on
+// the machine or on scheduling and are not scored.
 package main
 
 import (
@@ -22,6 +23,8 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	insight "github.com/insight-dublin/insight"
 )
 
 func main() {
@@ -69,12 +72,17 @@ func run(out io.Writer, dir string) (scores, error) {
 type scores map[string]float64
 
 // table is one table being printed into out, recording what it scores;
-// a table that draws maps writes them into dir.
+// a table that draws maps writes them into dir. oneEngine runs its
+// scenarios on one engine (Partitions: 1) in place of the figures'
+// tier, and observe, when set, is handed each scenario's reports: the
+// reference and the hook TestFiguresAnswerAsOneEngine compares through.
 type table struct {
-	name   string
-	out    io.Writer
-	dir    string
-	scores scores
+	name      string
+	out       io.Writer
+	dir       string
+	scores    scores
+	oneEngine bool
+	observe   func(scenario string, reports []*insight.Report)
 }
 
 // grid returns a column writer over out with the header row written.

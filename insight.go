@@ -55,15 +55,20 @@ type Config struct {
 	// WM 1800 s, Step 900 s (window twice the step, absorbing
 	// mediator delays per Figure 2).
 	WorkingMemory, Step Time
-	// Partitions is the number of CE recognition partitions.
-	// Default geo.NumRegions (the paper's four city areas).
+	// Partitions is the number of CE recognition partitions, each SDE
+	// routed by its position. Default geo.NumRegions, the paper's four
+	// city areas: they do not answer as one engine does (DESIGN.md,
+	// "Sharded recognition tier") and stay the default only for the
+	// frozen benchmark harness; set Shards for the product's answers.
+	// Partitions: 1 is one engine, the equivalence tests' reference.
 	Partitions int
-	// Shards switches recognition to the N-way sharded tier: bus keys
-	// and sensors are assigned to Shards shard engines by a fixed
-	// function of (key, Shards), and the tier folds the shards'
-	// busCongestion transition points into the cross-shard CE (see
-	// DESIGN.md, "Sharded recognition tier"). 0 (the default) keeps the
-	// legacy fixed partitioning; with Shards > 0 Partitions is ignored.
+	// Shards switches recognition to the N-way sharded tier, which
+	// answers as one engine does at every shard count: bus keys and
+	// sensors are assigned to Shards shard engines by a fixed function
+	// of (key, Shards), and the tier folds the shards' busCongestion
+	// transition points into the cross-shard CE (see DESIGN.md,
+	// "Sharded recognition tier"). 0 (the default) keeps the region
+	// partitioning; with Shards > 0 Partitions is ignored.
 	Shards int
 	// Participants are the crowdsourcing volunteers; a round asks the
 	// five online ones nearest the disagreeing intersection.

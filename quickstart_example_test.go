@@ -48,6 +48,7 @@ func Example_quickstart() {
 		Seed:          1,
 		WorkingMemory: 1200, // 20 min window
 		Step:          600,  // 10 min step: late SDEs are still caught
+		Shards:        4,    // the sharded tier: answers as one engine does
 		Participants:  volunteers,
 		Traffic: traffic.Config{
 			Adaptive:    true, // rule-set (3′): drop unreliable buses
@@ -108,7 +109,7 @@ func Example_quickstart() {
 	//   [disagree] t=29940 bus bus33006 disagrees with SCATS at int0006
 	//   [crowd] int0006: "negative" (confidence 0.99, 5 participants)
 	//   [crowd] int0023: "negative" (confidence 1.00, 5 participants)
-	// Q=30600: 2524 SDEs, 3 congested intersections, 4 bus-congestion areas, 2 disagreements, 7 noisy buses, 3 crowd rounds, 14 alerts
+	// Q=30600: 2524 SDEs, 3 congested intersections, 3 bus-congestion areas, 1 disagreements, 7 noisy buses, 3 crowd rounds, 14 alerts
 	//   [congestionInTheMake] t=30600 density rising at sensor scats0008 — congestion in the make
 	//   [congestionInTheMake] t=30600 density rising at sensor scats0010 — congestion in the make
 	//   [congestionInTheMake] t=30600 density rising at sensor scats0024 — congestion in the make
@@ -126,7 +127,7 @@ func Example_quickstart() {
 	//   [crowd] int0012: "negative" (confidence 1.00, 5 participants)
 	//   [crowd] int0022: "negative" (confidence 1.00, 5 participants)
 	//   [crowd] int0023: "negative" (confidence 0.99, 5 participants)
-	// Q=31200: 2527 SDEs, 2 congested intersections, 4 bus-congestion areas, 2 disagreements, 8 noisy buses, 3 crowd rounds, 11 alerts
+	// Q=31200: 2527 SDEs, 2 congested intersections, 4 bus-congestion areas, 2 disagreements, 7 noisy buses, 3 crowd rounds, 11 alerts
 	//   [congestionInTheMake] t=31200 density rising at sensor scats0000 — congestion in the make
 	//   [congestionInTheMake] t=31200 density rising at sensor scats0017 — congestion in the make
 	//   [congestionInTheMake] t=31200 density rising at sensor scats0033 — congestion in the make
