@@ -161,7 +161,7 @@ check: lint
 	$(GO) test -count=1 ./cmd/figures
 	$(GO) test -run 'TestAllocBudget|TestResidentBudget|TestCheckpointBudget' -count=1 . ./gp ./rtec
 	$(GO) test -run 'TestSpanCountsPinned|TestSpanRecordAllocatesNothing|TestSpanNoJoinsInRecognition' -count=1 .
-	$(GO) test -run 'TestShardEquivalenceGrid|TestShardTierSnapshotRoundTrip|TestShardTierElapsed|TestShardFreshDedupAcrossShards' -count=1 .
+	$(GO) test -run 'TestShardEquivalenceGrid|TestShardTierSnapshotRoundTrip|TestShardTierRestoreRefuses|TestShardTierElapsed|TestShardFreshDedupAcrossShards' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzCholesky -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzSolveVec -fuzztime 5s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime 5s ./gp
@@ -238,8 +238,9 @@ bench-workload:
 # with git archive into a temporary directory (no worktree is left
 # registered), the current workload_bench_test.go is copied over its
 # own, both test binaries are built with go test -c, and PAIRS rounds
-# run the base and then the change (-benchtime PAIRTIME each, one
-# process per run). cmd/benchdiff then prints, per workload and metric,
+# run both (-benchtime PAIRTIME each, one process per run): odd pairs
+# run the base first, even pairs the change first, so an order effect
+# cannot read as a change. cmd/benchdiff then prints, per workload and metric,
 # both medians, the base's quartiles and the pairs the change won, and
 # first the work counts that differ. The two raw outputs stay in
 # PAIRDIR (a fresh temporary directory unless given). For example
@@ -258,7 +259,8 @@ bench-pair:
 	: > "$$dir/base.txt"; : > "$$dir/change.txt"; \
 	for i in $$(seq $(PAIRS)); do \
 		echo "pair $$i of $(PAIRS)"; \
-		for side in base change; do \
+		order="base change"; [ $$((i % 2)) -eq 1 ] || order="change base"; \
+		for side in $$order; do \
 			"$$dir/$$side.test" -test.run '^$$' -test.bench 'BenchmarkWorkload/$(WORKLOAD)' \
 				-test.benchtime $(PAIRTIME) -test.timeout 60m >> "$$dir/$$side.txt"; \
 		done; \

@@ -198,7 +198,7 @@ func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 	if err := top.AddProcess("input-smuggler", "smuggler", "sdes", sdeValidator{areas: sys.areas}); err != nil {
 		t.Fatal(err)
 	}
-	if err := top.Supervise("input-smuggler", streams.SupervisionPolicy{Strategy: streams.SkipItem}); err != nil {
+	if err := top.Supervise("input-smuggler", streams.SkipItem); err != nil {
 		t.Fatal(err)
 	}
 	got, err := pipe.Run(context.Background())
@@ -206,11 +206,8 @@ func TestDecreasingArrivalsDeadLettered(t *testing.T) {
 		t.Fatal(err)
 	}
 	dls := top.DeadLetters()
-	if len(dls) != 1 || dls[0].Process != "input-smuggler" || !strings.Contains(dls[0].Err.Error(), "decreasing arrivals") {
+	if len(dls) != 1 || dls[0].Process != "input-smuggler" || !strings.Contains(dls[0].Err.Error(), `batch "move" from "bus" has decreasing arrivals`) {
 		t.Fatalf("dead letters = %+v, want the reversed envelope rejected for its arrival order", dls)
-	}
-	if b, _ := streams.ItemBatch(dls[0].Item); b != evil {
-		t.Errorf("dead letter carries %v, want the reversed envelope", dls[0].Item)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d reports, clean run has %d", len(got), len(want))

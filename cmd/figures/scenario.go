@@ -30,7 +30,7 @@ type scenario struct {
 	city         dublin.Config
 	sys          insight.Config
 	participants int
-	chaos        insight.ChaosConfig
+	chaos        map[string]streams.FaultSpec
 	from, until  rtec.Time
 	target       target
 }
@@ -300,15 +300,17 @@ func coveredByAnyQuery(sde dublin.SDE, from, until, step, wm rtec.Time) bool {
 // scored.
 func chaos(t *table) error {
 	const staleness = 1800
-	everyStream := func(spec streams.FaultSpec) map[string]streams.FaultSpec {
+	// everyStream gives each stream spec, its seed stepped by seedStep
+	// from one stream to the next.
+	everyStream := func(spec streams.FaultSpec, seedStep int64) map[string]streams.FaultSpec {
 		out := make(map[string]streams.FaultSpec)
 		for _, id := range []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"} {
 			out[id] = spec
-			spec.Seed += 101
+			spec.Seed += seedStep
 		}
 		return out
 	}
-	row := func(name string, chaos insight.ChaosConfig) scenario {
+	row := func(name string, chaos map[string]streams.FaultSpec) scenario {
 		return scenario{
 			name: name,
 			city: dublin.Config{Seed: 42, NumBuses: 60, NumSensors: 60, Hotspots: 15, NoisyBusFraction: 0.25},
@@ -320,19 +322,20 @@ func chaos(t *table) error {
 		}
 	}
 	rows := []scenario{
-		row("fault-free", insight.ChaosConfig{}),
-		row("stall-scats", insight.ChaosConfig{Streams: map[string]streams.FaultSpec{
+		row("fault-free", nil),
+		row("stall-scats", map[string]streams.FaultSpec{
 			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 0},
-		}}),
-		row("stall-recover", insight.ChaosConfig{Streams: map[string]streams.FaultSpec{
+		}),
+		row("stall-recover", map[string]streams.FaultSpec{
 			// 5 swallowed envelopes ≈ 2250 s of stream time: past the
 			// staleness bound, then the backlog floods out.
 			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
-		}}),
-		row("drop", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 2, DropProb: 0.10})}),
-		row("dup", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 3, DupProb: 0.10})}),
-		row("delay", insight.ChaosConfig{Streams: everyStream(streams.FaultSpec{Seed: 4, DelayProb: 0.20, DelayMax: 16})}),
-		row("flaky-proc", insight.ChaosConfig{InputErrProb: 0.05, Seed: 5}),
+		}),
+		row("drop", everyStream(streams.FaultSpec{Seed: 2, DropProb: 0.10}, 101)),
+		row("dup", everyStream(streams.FaultSpec{Seed: 3, DupProb: 0.10}, 101)),
+		row("delay", everyStream(streams.FaultSpec{Seed: 4, DelayProb: 0.20, DelayMax: 16}, 101)),
+		// One seed for all five: ForStream parts the streams' draws.
+		row("flaky-proc", everyStream(streams.FaultSpec{Seed: 5, ErrProb: 0.05}, 0)),
 	}
 
 	fmt.Fprintf(t.out, "pipeline under chaos — %d buses, %d sensors, %.1f h, staleness %d s\n\n",

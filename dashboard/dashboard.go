@@ -267,10 +267,11 @@ type processHealth struct {
 	State string
 }
 
+// deadLetter is one retained dead letter: the process that skipped the
+// item and the error that condemned it. The item itself is not kept.
 type deadLetter struct {
-	Process  string
-	Err      string
-	Attempts int
+	Process string
+	Err     string
 }
 
 type streamHealth struct {
@@ -288,7 +289,7 @@ func (s *Server) serveHealth(w http.ResponseWriter, _ *http.Request) {
 			doc.Healthy = doc.Healthy && h.State != streams.HealthFailed
 		}
 		for _, dl := range top.DeadLetters() {
-			doc.DeadLetters = append(doc.DeadLetters, deadLetter{Process: dl.Process, Err: dl.Err.Error(), Attempts: dl.Attempts})
+			doc.DeadLetters = append(doc.DeadLetters, deadLetter{Process: dl.Process, Err: dl.Err.Error()})
 		}
 	}
 	if report != nil {

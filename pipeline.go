@@ -40,8 +40,8 @@ type Pipeline struct {
 	// Chaos holds the per-stream fault injectors of a chaos pipeline
 	// (empty without PipelineOptions.Chaos), keyed by stream id.
 	Chaos map[string]*streams.ChaosSource
-	// ChaosProcs holds the error-injecting input processors of a chaos
-	// pipeline with InputErrProb > 0, keyed by stream id.
+	// ChaosProcs holds the error-injecting input processors of the
+	// streams whose fault spec sets ErrProb, keyed by stream id.
 	ChaosProcs map[string]*streams.ChaosProcessor
 	// proc is the monitoring processor, replay the five sources under
 	// any pacing and fault injection: Run returns what they still hold.
@@ -60,26 +60,6 @@ const (
 	itemReport = "report" // *Report payload
 )
 
-// ChaosConfig configures deterministic fault injection on the input
-// streams — the harness behind cmd/figures' scenario rows;
-// Pipeline.Chaos exposes the per-stream injectors for fault accounting.
-type ChaosConfig struct {
-	// Streams maps input stream ids ("bus", "scats-central",
-	// "scats-north", "scats-west", "scats-south") to the faults
-	// injected into that stream.
-	Streams map[string]streams.FaultSpec
-	// InputErrProb injects processor errors into the per-stream input
-	// validation processors with this probability, per batch envelope.
-	// The input processes ("input-" + stream id) are then supervised
-	// with SkipItem, so affected envelopes are dead-lettered (visible via
-	// Topology.DeadLetters) instead of aborting the topology; call
-	// Topology.Supervise on them before Run for another policy.
-	InputErrProb float64
-	// Seed drives the injected-error sampling; each stream's FaultSpec
-	// carries its own seed.
-	Seed int64
-}
-
 // PipelineOptions selects what System.Pipeline builds; the zero value
 // is the plain run over the generator's SDEs, reports collected in
 // Pipeline.Reports. Delivery is the same either way: each report leaves
@@ -92,8 +72,14 @@ type PipelineOptions struct {
 	// stream (e.g. dublin's CSV read-backs) in any order, admitted by
 	// arrival; an SDE the columnar schema cannot carry is an error.
 	Replay []dublin.SDE
-	// Chaos injects deterministic faults into the input streams.
-	Chaos ChaosConfig
+	// Chaos injects deterministic faults into the input streams — the
+	// harness behind cmd/figures' chaos rows. It maps a stream id
+	// ("bus", "scats-central", "scats-north", "scats-west",
+	// "scats-south") to that stream's faults, seeded per stream by
+	// FaultSpec.ForStream: drop, duplicate, delay and stall on its
+	// source, and ErrProb on its input process, which then dead-letters
+	// the envelopes it fails (SkipItem; see Topology.DeadLetters).
+	Chaos map[string]streams.FaultSpec
 	// Durable logs every consumed envelope ahead of recognition,
 	// checkpoints at boundaries and first recovers whatever Durable.Dir
 	// holds (resume). It refuses any chaos fault: recovery skips the
@@ -211,7 +197,7 @@ func (s *System) buildPipeline(from, until Time, opt PipelineOptions, dur *durab
 		slice := streams.NewSliceSource(items...)
 		replay = append(replay, slice)
 		var src streams.Source = streams.NewPacedSource(slice, pacer, id, int64(from), arrivalOf)
-		if spec, faulty := opt.Chaos.Streams[id]; faulty {
+		if spec, faulty := opt.Chaos[id]; faulty {
 			// Child seed per stream: the fault sequence each stream
 			// experiences is a function of (spec seed, stream id) alone,
 			// independent of how the scheduler interleaves the streams.
@@ -252,24 +238,19 @@ func (s *System) buildPipeline(from, until Time, opt PipelineOptions, dur *durab
 	chaosProcs := make(map[string]*streams.ChaosProcessor)
 	for _, id := range pipelineStreamIDs {
 		proc := streams.Processor(validate)
-		if opt.Chaos.InputErrProb > 0 {
-			cp := streams.NewChaosProcessor(validate, streams.FaultSpec{
-				Seed:    opt.Chaos.Seed,
-				ErrProb: opt.Chaos.InputErrProb,
-			}.ForStream(id))
+		spec := opt.Chaos[id]
+		if spec.ErrProb > 0 {
+			cp := streams.NewChaosProcessor(validate, spec.ForStream(id))
 			chaosProcs[id] = cp
 			proc = cp
 		}
 		if err := top.AddProcess("input-"+id, id, inputOut, proc); err != nil {
 			return nil, err
 		}
-		if opt.Chaos.InputErrProb > 0 {
-			// Injected input faults are contained by supervision: under
-			// SkipItem they cost the affected envelope, never the
-			// topology. A caller wanting another policy (e.g. Restart,
-			// under which ChaosProcessor's per-attempt redraw makes the
-			// fault transient) calls Topology.Supervise before Run.
-			if err := top.Supervise("input-"+id, streams.SupervisionPolicy{Strategy: streams.SkipItem}); err != nil {
+		if spec.ErrProb > 0 {
+			// An injected input fault costs the affected envelope, never
+			// the topology.
+			if err := top.Supervise("input-"+id, streams.SkipItem); err != nil {
 				return nil, err
 			}
 		}
@@ -353,23 +334,32 @@ func (sdeValidator) Process(it streams.Item) (streams.Item, error) {
 // whole. The monitoring process reads the last arrival as the batch's
 // maximum and admission walks a cursor over the rows, so arrival order
 // is part of the envelope contract (equal stamps — duplicates — are in
-// order).
+// order). A refused envelope is released.
 func (v sdeValidator) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
+	if err := v.check(b); err != nil {
+		b.Release()
+		return nil, err
+	}
+	return []streams.Item{streams.BatchItem(b)}, nil
+}
+
+// check stamps b and checks it against the envelope contract.
+func (v sdeValidator) check(b *streams.Batch) error {
 	if b.Type == traffic.MoveType && b.Len() > 0 {
 		if err := v.stampClose(b); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := b.Check(); err != nil {
-		return nil, err
+		return err
 	}
 	if b.Len() > 0 && b.Arrivals == nil {
-		return nil, fmt.Errorf("insight: SDE batch %q without arrival column", b.Type)
+		return fmt.Errorf("insight: SDE batch %q without arrival column", b.Type)
 	}
 	if !slices.IsSorted(b.Arrivals) {
-		return nil, fmt.Errorf("insight: SDE batch %q from %q has decreasing arrivals", b.Type, b.Source)
+		return fmt.Errorf("insight: SDE batch %q from %q has decreasing arrivals", b.Type, b.Source)
 	}
-	return []streams.Item{streams.BatchItem(b)}, nil
+	return nil
 }
 
 // stampClose is the pipeline's close/4 stage: it writes each move row's

@@ -334,24 +334,36 @@ func TestPipelineMatchesPerEventReference(t *testing.T) {
 // replayed, owns the window's
 // transport batches from collection on, and give every one back however
 // the run ends — cleanly (rows arriving past the final boundary are
-// never admitted, and released), on a callback error, on cancellation.
-// The two aborted runs leave envelopes in the replay sources and the SDE
-// queue and blocks in the monitoring process's admission; the error
-// comes back comparable and fn is not called again.
+// never admitted, and released), on a callback error, on cancellation,
+// with envelopes an input fault dead-lettered, on an input processor's
+// error. The aborted runs leave envelopes in the replay sources and the
+// SDE queue and blocks in the monitoring process's admission; the error
+// comes back comparable and fn is not called again. The failed
+// envelopes belong to the processor that failed on them.
 func TestEveryWayOutReturnsTheBuffers(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	city := testCity(t)
 	rec := city.Collect(from, until)
 	errStop := errors.New("operator has seen enough")
+	flaky := make(map[string]streams.FaultSpec)
+	for _, id := range pipelineStreamIDs {
+		flaky[id] = streams.FaultSpec{Seed: 5, ErrProb: 0.2}
+	}
 	exits := []struct {
 		name string
 		// leave is called with the second report and the run's cancel.
 		leave func(cancel context.CancelFunc) error
-		want  error
+		// chaos fails input envelopes, which the input processes
+		// dead-letter, or end the run on under failFast.
+		chaos    map[string]streams.FaultSpec
+		failFast bool
+		want     error
 	}{
-		{"clean", nil, nil},
-		{"callback error", func(context.CancelFunc) error { return errStop }, errStop},
-		{"cancellation", func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
+		{"clean", nil, nil, false, nil},
+		{"callback error", func(context.CancelFunc) error { return errStop }, nil, false, errStop},
+		{"cancellation", func(cancel context.CancelFunc) error { cancel(); return nil }, nil, false, context.Canceled},
+		{"dead letters", nil, flaky, false, nil},
+		{"processor error", nil, flaky, true, streams.ErrInjected},
 	}
 	for _, exit := range exits {
 		for _, replay := range []bool{false, true} {
@@ -369,20 +381,33 @@ func TestEveryWayOutReturnsTheBuffers(t *testing.T) {
 					return nil
 				}
 				before := streams.LiveBatches()
-				var err error
+				opt := PipelineOptions{OnReport: fn, Chaos: exit.chaos}
 				if replay {
-					err = runToEnd(ctx)(sys.Pipeline(from, until, PipelineOptions{Replay: rec, OnReport: fn}))
-				} else {
-					err = runToEnd(ctx)(sys.Pipeline(from, until, PipelineOptions{OnReport: fn}))
+					opt.Replay = rec
 				}
+				pipe, _, err := sys.Pipeline(from, until, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exit.failFast {
+					for _, id := range pipelineStreamIDs {
+						if err := pipe.Topology.Supervise("input-"+id, streams.FailFast); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				_, err = pipe.Run(ctx)
 				if !errors.Is(err, exit.want) {
 					t.Errorf("run returned %v, want %v", err, exit.want)
 				}
 				if wantCalls := 2; exit.leave != nil && calls != wantCalls {
 					t.Errorf("fn called %d times, want %d: recognition went on after the run was over", calls, wantCalls)
 				}
-				if exit.leave == nil && (calls != int((until-from)/900) || fed == 0 || fed >= len(rec)) {
+				if exit.want == nil && (calls != int((until-from)/900) || fed == 0 || fed >= len(rec)) {
 					t.Errorf("%d reports fed %d of %d collected rows: want one per boundary, and some rows arriving past the last", calls, fed, len(rec))
+				}
+				if dead := len(pipe.Topology.DeadLetters()); (exit.chaos != nil && !exit.failFast) != (dead > 0) {
+					t.Errorf("%d dead letters", dead)
 				}
 				if live := streams.LiveBatches(); live != before {
 					t.Errorf("live batches = %d, want %d", live, before)
@@ -400,10 +425,10 @@ func TestAbortedChaosRunReturnsTheBuffers(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	city := testCity(t)
 	before := streams.LiveBatches()
-	pipe, _, err := chaosTestSystem(t, city, nil).Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{Streams: map[string]streams.FaultSpec{
+	pipe, _, err := chaosTestSystem(t, city, nil).Pipeline(from, until, PipelineOptions{Chaos: map[string]streams.FaultSpec{
 		"bus":         {Seed: 3, DelayProb: 0.5, DelayMax: 16},
 		"scats-north": {Seed: 3, StallAfter: 2, StallFor: 1000},
-	}}})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,9 +456,9 @@ func TestChaosDropDupMatchesPerEventReference(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 	city := testCity(t)
 
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
+	chaos := map[string]streams.FaultSpec{}
 	for i, id := range pipelineStreamIDs {
-		chaos.Streams[id] = streams.FaultSpec{
+		chaos[id] = streams.FaultSpec{
 			Seed:     100 + int64(i)*7,
 			DropProb: 0.05,
 			DupProb:  0.05,
@@ -468,7 +493,7 @@ func TestChaosDropDupMatchesPerEventReference(t *testing.T) {
 	injectors := make(map[string]*streams.ChaosSource)
 	srcs := batchSources(city.CollectBatches(from, until, 512, 450))
 	for i, id := range pipelineStreamIDs {
-		cs := streams.NewChaosSource(srcs[i], chaos.Streams[id].ForStream(id))
+		cs := streams.NewChaosSource(srcs[i], chaos[id].ForStream(id))
 		injectors[id], srcs[i] = cs, cs
 	}
 	refReports := referenceReports(t, chaosTestSystem(t, city, nil), from, until, srcs)

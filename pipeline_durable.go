@@ -233,11 +233,12 @@ func (a *walAppender) Process(it streams.Item) (streams.Item, error) {
 }
 
 // ProcessBatch logs the envelope, then forwards it. An append failure
-// (a crash point above all) withholds the envelope from the SDE queue:
-// a record is consumed only if it is durable. The record is encoded
-// from the batch's rows, so the dictionary entries a recycled batch
-// keeps from earlier use never reach the log: its bytes, and with them
-// every WAL offset a checkpoint records, depend on the input alone.
+// (a crash point above all) withholds the envelope from the SDE queue
+// and releases it: a record is consumed only if it is durable. The
+// record is encoded from the batch's rows, so the dictionary entries a
+// recycled batch keeps from earlier use never reach the log: its bytes,
+// and with them every WAL offset a checkpoint records, depend on the
+// input alone.
 func (a *walAppender) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	if a.clock == nil {
 		a.clock = &stageClock{}
@@ -247,6 +248,7 @@ func (a *walAppender) ProcessBatch(b *streams.Batch) ([]streams.Item, error) {
 	a.buf = wal.EncodeBatch(a.buf[:0], b)
 	start, end, err := a.log.Append(a.buf)
 	if err != nil {
+		b.Release()
 		return nil, err
 	}
 	var cost StageCost
@@ -463,7 +465,7 @@ func (s *System) BuildDurablePipeline(from, until Time, dur DurableOptions) (*Pi
 // log's window and the log replayed from the checkpoint's consumption
 // offset. The returned runtime owns the open log.
 func (s *System) resume(from, until Time, opt PipelineOptions) (*durableRuntime, *RecoveryInfo, error) {
-	if len(opt.Chaos.Streams) > 0 || opt.Chaos.InputErrProb > 0 {
+	if len(opt.Chaos) > 0 {
 		return nil, nil, errors.New("insight: a durable pipeline takes no chaos faults: its recovery cursors count consumed envelopes")
 	}
 	dur := *opt.Durable

@@ -336,8 +336,8 @@ func TestDurableRejectsUnsupportedSystems(t *testing.T) {
 		opt        PipelineOptions
 	}{
 		{"empty Dir", "Dir is required", PipelineOptions{Durable: &DurableOptions{}}},
-		{"stream fault", "chaos", PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}, Chaos: ChaosConfig{Streams: map[string]streams.FaultSpec{"bus": {Seed: 1, DropProb: 0.1}}}}},
-		{"input errors", "chaos", PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}, Chaos: ChaosConfig{InputErrProb: 0.1}}},
+		{"stream fault", "chaos", PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}, Chaos: map[string]streams.FaultSpec{"bus": {Seed: 1, DropProb: 0.1}}}},
+		{"input errors", "chaos", PipelineOptions{Durable: &DurableOptions{Dir: t.TempDir()}, Chaos: map[string]streams.FaultSpec{"bus": {Seed: 1, ErrProb: 0.1}}}},
 	} {
 		if _, _, err := sys.Pipeline(7*3600, 8*3600, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)

@@ -92,10 +92,8 @@ func TestPipelineLivenessStalledRegion(t *testing.T) {
 	// transport pool like every other: the run keeps none of them.
 	live := streams.LiveBatches()
 	chaosSys := livenessSystem(t, staleness)
-	chaosPipe, _, err := chaosSys.Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{
-		Streams: map[string]streams.FaultSpec{
-			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 0},
-		},
+	chaosPipe, _, err := chaosSys.Pipeline(from, until, PipelineOptions{Chaos: map[string]streams.FaultSpec{
+		"scats-north": {Seed: 1, StallAfter: 1, StallFor: 0},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -174,15 +172,13 @@ func TestPipelineLivenessRecoveredStream(t *testing.T) {
 	}
 
 	chaosSys := livenessSystem(t, staleness)
-	chaosPipe, _, err := chaosSys.Pipeline(from, until, PipelineOptions{Chaos: ChaosConfig{
-		Streams: map[string]streams.FaultSpec{
-			// Stall long enough to trip the staleness bound (the stall
-			// unit is the transport envelope, and the Step/2 span cap
-			// cuts the north stream into one batch per ~450 s, so 5
-			// swallowed envelopes span ~2250 s of virtual time), then
-			// reconnect mid-stream and flood the backlog out.
-			"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
-		},
+	chaosPipe, _, err := chaosSys.Pipeline(from, until, PipelineOptions{Chaos: map[string]streams.FaultSpec{
+		// Stall long enough to trip the staleness bound (the stall
+		// unit is the transport envelope, and the Step/2 span cap
+		// cuts the north stream into one batch per ~450 s, so 5
+		// swallowed envelopes span ~2250 s of virtual time), then
+		// reconnect mid-stream and flood the backlog out.
+		"scats-north": {Seed: 1, StallAfter: 1, StallFor: 5},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -150,9 +150,9 @@ func TestRecordingEndsEarly(t *testing.T) {
 func TestDeadMediatorBoundariesDueTogether(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(7*3600) + 6*dueStep
 	city := dueTogetherCity(t)
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{
+	chaos := map[string]streams.FaultSpec{
 		"scats-central": {Seed: 5, StallAfter: 3}, // StallFor 0: never recovers
-	}}
+	}
 	pipe, _, err := dueTogetherSystem(t, city, 0).Pipeline(from, until, PipelineOptions{Chaos: chaos})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestDeadMediatorBoundariesDueTogether(t *testing.T) {
 	refSys := dueTogetherSystem(t, city, 0)
 	srcs := batchSources(refSys.collect(from, until))
 	for i, id := range pipelineStreamIDs {
-		if spec, faulty := chaos.Streams[id]; faulty {
+		if spec, faulty := chaos[id]; faulty {
 			srcs[i] = streams.NewChaosSource(srcs[i], spec.ForStream(id))
 		}
 	}

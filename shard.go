@@ -312,19 +312,20 @@ func (t *shardTier) stateSnapshot() *rtec.EngineSnapshot {
 }
 
 // Restore replaces the tier's state from a Snapshot: len(shards)
-// engine snapshots, then the tier state. The tier state's dedup list,
-// non-empty in snapshots of builds that kept a tier dedup set, is
-// ignored: it is the union of the shard lists beside it. Any tier-state
-// section other than the busCongestion inertia — the assignment
-// overrides, routed-move counts and rebalance count of builds that
-// migrated keys among them — is refused: its shards' windows were cut
-// by an assignment this build cannot reproduce.
+// engine snapshots, then the tier state, which holds what
+// stateSnapshot writes and nothing else — the busCongestion inertia. A
+// tier state with a dedup list, a query time, a started flag or any
+// other section is refused.
 func (t *shardTier) Restore(snaps []*rtec.EngineSnapshot) error {
 	if len(snaps) != len(t.shards)+1 {
 		return fmt.Errorf("insight: %d snapshots for %d shards (+tier state)", len(snaps), len(t.shards))
 	}
+	st := snaps[len(t.shards)]
+	if len(st.Seen) > 0 || st.LastQ != 0 || st.Started {
+		return fmt.Errorf("insight: tier snapshot carries engine state (%d dedup identities, LastQ %d, Started %v)", len(st.Seen), st.LastQ, st.Started)
+	}
 	busPrev := make(map[rtec.KV]rtec.List)
-	for _, fs := range snaps[len(t.shards)].Prev {
+	for _, fs := range st.Prev {
 		if fs.Name != tierSnapBusCong {
 			return fmt.Errorf("insight: unknown tier snapshot section %q", fs.Name)
 		}

@@ -100,9 +100,9 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 	const wm = Time(1800)
 
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
+	chaos := map[string]streams.FaultSpec{}
 	for i, id := range []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"} {
-		chaos.Streams[id] = streams.FaultSpec{
+		chaos[id] = streams.FaultSpec{
 			Seed:     300 + int64(i)*11,
 			DropProb: 0.06,
 			DupProb:  0.06,
@@ -175,11 +175,8 @@ func TestShardEquivalenceGrid(t *testing.T) {
 // TestShardTierSnapshotRoundTrip checks the tier's own checkpoint
 // surface: snapshotting a sharded system mid-run and restoring it into
 // a fresh system (with the other store kind), the SDEs that arrived by
-// then re-admitted, must continue bit-identically with the original. So must the same snapshot with the
-// tier dedup list earlier builds wrote — the union of the shards'
-// lists — which a restore ignores. A tier state carrying a section this
-// build does not keep, such as the key-migration overrides of builds
-// that rebalanced, is refused.
+// then re-admitted, must continue bit-identically with the original.
+// The tier state holds the busCongestion inertia and nothing else.
 func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
 	const step = Time(900)
@@ -212,7 +209,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	// restores the snapshot into system B, which then runs the rest of the
 	// recording on its own.
 	mid := from + 4*step
-	sysA, sysB, sysC := mk(rtec.StoreColumn), mk(rtec.StoreRow), mk(rtec.StoreColumn)
+	sysA, sysB := mk(rtec.StoreColumn), mk(rtec.StoreRow)
 	var snaps []*rtec.EngineSnapshot
 	var wire [][]byte
 	// The restore goes through the binary form the checkpoint file
@@ -272,7 +269,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		}
 		return nil
 	}
-	var repA, repB, repC []*Report
+	var repA, repB []*Report
 	if err := runToEnd(context.Background())(sysA.Pipeline(from, until, PipelineOptions{Replay: sdes, OnReport: func(rep *Report) error {
 		switch {
 		case rep.Q == mid:
@@ -304,33 +301,8 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("tier snapshot part %d changed across the column→bytes→row round trip", i)
 		}
 	}
-	legacy := decode(wire)
-	tierState := legacy[len(legacy)-1]
-	if len(tierState.Seen) != 0 {
-		t.Fatalf("tier state carries %d dedup identities, want none", len(tierState.Seen))
-	}
-	for _, s := range legacy[:len(legacy)-1] {
-		tierState.Seen = append(tierState.Seen, s.Seen...)
-	}
-	slices.SortFunc(tierState.Seen, rtec.SeenEntry.Compare)
-	tierState.Seen = slices.Compact(tierState.Seen)
-	if len(tierState.Seen) == 0 {
-		t.Fatal("the shards hold no dedup identities: legacy restore is vacuous")
-	}
-	if err := sysC.engines.Restore(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := rebuild(sysC); err != nil {
-		t.Fatal(err)
-	}
-	snapsC, err := sysC.engines.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range encode(snapsC) {
-		if !bytes.Equal(b, wire[i]) {
-			t.Errorf("tier snapshot part %d differs after a restore from a tier dedup list", i)
-		}
+	if st := snaps[len(snaps)-1]; len(st.Seen) != 0 || st.LastQ != 0 || st.Started {
+		t.Fatalf("tier state carries engine state: %d dedup identities, LastQ %d, Started %v", len(st.Seen), st.LastQ, st.Started)
 	}
 	var tail []dublin.SDE
 	for _, sde := range sdes {
@@ -340,12 +312,6 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := runToEnd(context.Background())(sysB.Pipeline(mid, until, PipelineOptions{Replay: tail, OnReport: func(rep *Report) error {
 		repB = append(repB, rep)
-		return nil
-	}})); err != nil {
-		t.Fatal(err)
-	}
-	if err := runToEnd(context.Background())(sysC.Pipeline(mid, until, PipelineOptions{Replay: tail, OnReport: func(rep *Report) error {
-		repC = append(repC, rep)
 		return nil
 	}})); err != nil {
 		t.Fatal(err)
@@ -365,21 +331,43 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("no area bus-congested across the snapshot point: inertia path not exercised")
 	}
 	compareShardReports(t, "restored vs original", repB, repA)
-	compareShardReports(t, "restored with a tier dedup list vs original", repC, repA)
+}
 
-	// A wrong-arity restore must be rejected.
-	if err := sysB.engines.Restore(snaps[:3]); err == nil {
-		t.Error("restore with missing snapshots must error")
+// TestShardTierRestoreRefuses: a tier restore takes exactly what
+// Snapshot writes — one snapshot per shard, then a tier state holding
+// only the busCongestion inertia. Each hand-built snapshot below breaks
+// that in one field and is refused, by what it breaks.
+func TestShardTierRestoreRefuses(t *testing.T) {
+	sys, err := New(Config{City: testCity(t), Seed: 7, WorkingMemory: 1800, Step: 900, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// So must a tier state that pins keys to shards other than their
-	// rendezvous owners: this build cannot route by it.
-	retired := decode(wire)
-	st := retired[len(retired)-1]
-	st.Prev = append(st.Prev, rtec.FluentSnapshot{Name: "~shard/overrides", Instances: []rtec.InstanceSnapshot{
-		{Key: "bus33000", Value: "2"}, // the city's first bus
-	}})
-	if err := sysB.engines.Restore(retired); err == nil || !strings.Contains(err.Error(), `"~shard/overrides"`) {
-		t.Errorf("restore of a tier state with an overrides section: err = %v, want it refused by name", err)
+	for _, tc := range []struct {
+		name, want string
+		state      rtec.EngineSnapshot // the tier state; nil Prev: none
+		shards     int
+	}{
+		{"missing shard", "2 snapshots for 3 shards", rtec.EngineSnapshot{}, 1},
+		{"dedup list", "1 dedup identities", rtec.EngineSnapshot{Seen: []rtec.SeenEntry{{Type: "disagree", Key: "bus33000", Time: 7 * 3600}}}, 3},
+		{"query time", "LastQ 26100", rtec.EngineSnapshot{LastQ: 7*3600 + 900}, 3},
+		{"started", "Started true", rtec.EngineSnapshot{Started: true}, 3},
+		// The key-migration overrides of builds that rebalanced the tier:
+		// this build cannot route by them.
+		{"unknown section", `"~shard/overrides"`, rtec.EngineSnapshot{Prev: []rtec.FluentSnapshot{{Name: "~shard/overrides", Instances: []rtec.InstanceSnapshot{
+			{Key: "bus33000", Value: "2"},
+		}}}}, 3},
+		{"invalid inertia", "invalid intervals", rtec.EngineSnapshot{Prev: []rtec.FluentSnapshot{{Name: tierSnapBusCong, Instances: []rtec.InstanceSnapshot{
+			{Key: "area7", Value: "true", Spans: rtec.List{{Start: 900, End: 0}}},
+		}}}}, 3},
+	} {
+		snaps := make([]*rtec.EngineSnapshot, 0, tc.shards+1)
+		for range tc.shards {
+			snaps = append(snaps, &rtec.EngineSnapshot{})
+		}
+		snaps = append(snaps, &tc.state)
+		if err := sys.engines.Restore(snaps); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore = %v, want it refused with %q", tc.name, err, tc.want)
+		}
 	}
 }
 

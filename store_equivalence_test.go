@@ -37,9 +37,9 @@ func TestColumnStoreMatchesRowStoreGrid(t *testing.T) {
 	const wm = Time(1800)
 	steps := []Time{wm, wm / 2, wm / 4}
 
-	chaos := ChaosConfig{Streams: map[string]streams.FaultSpec{}}
+	chaos := map[string]streams.FaultSpec{}
 	for i, id := range []string{"bus", "scats-central", "scats-north", "scats-west", "scats-south"} {
-		chaos.Streams[id] = streams.FaultSpec{
+		chaos[id] = streams.FaultSpec{
 			Seed:     300 + int64(i)*11,
 			DropProb: 0.06,
 			DupProb:  0.06,

@@ -535,9 +535,10 @@ func (b *Batch) ItemAt(i int) Item {
 // processor implementing it receives whole batches instead of having
 // the chain expand them row by row. ProcessBatch may return any number
 // of items (reports, pass-through envelopes, nothing); each output is
-// piped through the rest of the chain. Ownership of the batch
-// transfers with the call: the implementation either forwards the
-// envelope downstream or consumes the rows and calls Release.
+// piped through the rest of the chain. A batch belongs to the
+// ProcessBatch it is handed, whatever that call returns: the
+// implementation forwards the envelope downstream or calls Release,
+// on an error as on success. Nothing retries a failed batch.
 type BatchProcessor interface {
 	ProcessBatch(*Batch) ([]Item, error)
 }

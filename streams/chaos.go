@@ -292,9 +292,7 @@ func (c *ChaosSource) faultBatchLocked(b *Batch) Item {
 }
 
 // ChaosProcessor wraps a Processor and injects errors with
-// spec.ErrProb. Retrying the same item redraws the sample, so under a
-// Restart supervision policy an injected fault behaves like a
-// transient failure.
+// spec.ErrProb.
 type ChaosProcessor struct {
 	mu    sync.Mutex
 	inner Processor
@@ -343,28 +341,29 @@ func (c *ChaosProcessor) Process(it Item) (Item, error) {
 }
 
 // ProcessBatch implements BatchProcessor: one injection draw per batch
-// (a transport fault hits the whole envelope), then the batch is
-// forwarded to the wrapped processor — natively when it is
-// batch-aware, otherwise row by row through its compatibility view.
+// (a transport fault hits the whole envelope, which it releases), then
+// the batch is forwarded to the wrapped processor — natively when it
+// is batch-aware, otherwise row by row through its compatibility view.
 func (c *ChaosProcessor) ProcessBatch(b *Batch) ([]Item, error) {
 	fail, n := c.draw()
 	if fail {
+		b.Release()
 		return nil, fmt.Errorf("%w (batch %d)", ErrInjected, n)
 	}
 	if bp, aware := c.inner.(BatchProcessor); aware {
 		return bp.ProcessBatch(b)
 	}
+	defer b.Release()
 	var outs []Item
 	rows := b.Len()
 	for i := 0; i < rows; i++ {
 		out, err := c.inner.Process(b.ItemAt(i))
 		if err != nil {
-			return outs, err
+			return nil, err
 		}
 		if out != nil {
 			outs = append(outs, out)
 		}
 	}
-	b.Release()
 	return outs, nil
 }

@@ -17,7 +17,7 @@ func TestDeadLetterRingBounded(t *testing.T) {
 		return nil, fmt.Errorf("doomed item %d", intOf(it, "n"))
 	})
 	top, out := buildLine(t, "worker", numberedItems(total), alwaysFail)
-	if err := top.Supervise("worker", SupervisionPolicy{Strategy: SkipItem}); err != nil {
+	if err := top.Supervise("worker", SkipItem); err != nil {
 		t.Fatal(err)
 	}
 	if err := top.Run(t.Context()); err != nil {
@@ -37,10 +37,11 @@ func TestDeadLetterRingBounded(t *testing.T) {
 	if len(dead) != maxDeadLetters {
 		t.Fatalf("retained %d dead letters, want %d", len(dead), maxDeadLetters)
 	}
-	// Newest maxDeadLetters items, oldest-first: n = total-max .. total-1.
+	// Newest maxDeadLetters items, oldest-first: n = total-max .. total-1,
+	// each told apart by the error that condemned it.
 	for i, dl := range dead {
-		if want := int64(total - maxDeadLetters + i); intOf(dl.Item, "n") != want {
-			t.Fatalf("dead[%d].n = %d, want %d", i, intOf(dl.Item, "n"), want)
+		if want := fmt.Sprintf("doomed item %d", total-maxDeadLetters+i); dl.Err == nil || dl.Err.Error() != want {
+			t.Fatalf("dead[%d].Err = %v, want %q", i, dl.Err, want)
 		}
 		if dl.Process != "worker" {
 			t.Fatalf("dead[%d].Process = %q", i, dl.Process)
@@ -53,13 +54,13 @@ func TestDeadLetterRingBounded(t *testing.T) {
 func TestDeadLetterRingUnderCap(t *testing.T) {
 	boom := errors.New("boom")
 	failOdd := ProcessorFunc(func(it Item) (Item, error) {
-		if intOf(it, "n")%2 == 1 {
-			return nil, boom
+		if n := intOf(it, "n"); n%2 == 1 {
+			return nil, fmt.Errorf("%w: item %d", boom, n)
 		}
 		return it, nil
 	})
 	top, out := buildLine(t, "worker", numberedItems(20), failOdd)
-	if err := top.Supervise("worker", SupervisionPolicy{Strategy: SkipItem}); err != nil {
+	if err := top.Supervise("worker", SkipItem); err != nil {
 		t.Fatal(err)
 	}
 	if err := top.Run(t.Context()); err != nil {
@@ -77,8 +78,8 @@ func TestDeadLetterRingUnderCap(t *testing.T) {
 		t.Fatalf("retained %d dead letters, want 10", len(dead))
 	}
 	for i, dl := range dead {
-		if want := int64(2*i + 1); intOf(dl.Item, "n") != want {
-			t.Fatalf("dead[%d].n = %d, want %d", i, intOf(dl.Item, "n"), want)
+		if want := fmt.Sprintf("boom: item %d", 2*i+1); !errors.Is(dl.Err, boom) || dl.Err.Error() != want {
+			t.Fatalf("dead[%d].Err = %v, want %q", i, dl.Err, want)
 		}
 	}
 }

@@ -1,42 +1,31 @@
 package streams
 
-import (
-	"math"
-	"sync"
-	"time"
-)
+import "sync"
 
 // Supervision of processes. The Streams backbone carries unreliable
 // urban sensor feeds (Section 2 of the paper lists volume, veracity
-// and velocity as the operational challenges), so a single failing
-// processor must not tear down the whole data-flow graph. Each
-// process carries a SupervisionPolicy deciding what happens when one
-// of its processors returns an error:
+// and velocity as the operational challenges), so a poisoned item must
+// not tear down the whole data-flow graph. Each process carries a
+// Strategy deciding what happens when one of its processors returns an
+// error:
 //
-//   - FailFast (the default) aborts the topology, the pre-supervision
-//     behaviour;
-//   - Restart re-runs the processor chain on the failing item after a
-//     capped exponential backoff, up to RetryPolicy.MaxAttempts extra
-//     attempts; what happens when the attempts are exhausted is decided
-//     by OnExhausted;
+//   - FailFast (the default) aborts the topology; a durable pipeline's
+//     write-ahead log and checkpoints recover the run;
 //   - SkipItem routes the failing item to the topology's dead-letter
 //     queue and continues with the next item.
 //
-// Queues survive a supervised writer being restarted: a writer counts
-// as live for queue-close accounting until it exits terminally, so
-// downstream readers never observe a premature end of stream while a
-// producer is merely backing off.
+// There is no in-process retry: every processor on the pipeline is
+// deterministic, so the same item fails the same way again. Recovery
+// is recomputation from logged input, not a retried operator.
 
-// Strategy selects how a process reacts to a processor error.
+// Strategy selects how a process reacts to a processor error. The zero
+// value is FailFast.
 type Strategy int
 
 // Supervision strategies.
 const (
 	// FailFast aborts the whole topology on the first processor error.
 	FailFast Strategy = iota
-	// Restart retries the processor chain on the failing item with
-	// backoff; see RetryPolicy and ExhaustAction.
-	Restart
 	// SkipItem dead-letters the failing item and continues.
 	SkipItem
 )
@@ -46,86 +35,10 @@ func (s Strategy) String() string {
 	switch s {
 	case FailFast:
 		return "fail-fast"
-	case Restart:
-		return "restart"
 	case SkipItem:
 		return "skip-item"
 	}
 	return "strategy(?)"
-}
-
-// ExhaustAction decides what a Restart policy does once its attempts
-// are exhausted.
-type ExhaustAction int
-
-// Exhaustion actions.
-const (
-	// Escalate aborts the topology with the last error (default).
-	//lint:allow unusedapi names the zero ExhaustAction, the default every policy falls back to
-	Escalate ExhaustAction = iota
-	// Isolate stops only the failing process: it is marked
-	// HealthFailed, its item is dead-lettered, its output queue closes
-	// once its co-writers finish, and its input is drained so upstream
-	// producers are not blocked — the rest of the graph keeps running.
-	Isolate
-)
-
-// RetryPolicy is a capped exponential backoff. It is deterministic
-// (jitter-free) so supervised runs stay reproducible under test.
-type RetryPolicy struct {
-	// MaxAttempts is the number of retries after the initial failure.
-	// Default 3.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry. Default 10ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 1s.
-	MaxDelay time.Duration
-	// Multiplier grows the delay between consecutive retries.
-	// Default 2.
-	Multiplier float64
-}
-
-func (r RetryPolicy) normalized() RetryPolicy {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BaseDelay <= 0 {
-		r.BaseDelay = 10 * time.Millisecond
-	}
-	if r.MaxDelay <= 0 {
-		r.MaxDelay = time.Second
-	}
-	if r.Multiplier < 1 {
-		r.Multiplier = 2
-	}
-	return r
-}
-
-// Delay returns the backoff before the attempt-th retry (1-based):
-// BaseDelay·Multiplier^(attempt-1), capped at MaxDelay.
-func (r RetryPolicy) Delay(attempt int) time.Duration {
-	r = r.normalized()
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := float64(r.BaseDelay) * math.Pow(r.Multiplier, float64(attempt-1))
-	if d > float64(r.MaxDelay) {
-		return r.MaxDelay
-	}
-	return time.Duration(d)
-}
-
-// SupervisionPolicy is the per-process fault-handling configuration.
-// The zero value is FailFast.
-type SupervisionPolicy struct {
-	Strategy Strategy
-	// Retry configures the Restart strategy's backoff.
-	//lint:allow unusedapi process supervision of the Streams backbone; Topology.Health reports its outcome
-	Retry RetryPolicy
-	// OnExhausted decides what Restart does after Retry.MaxAttempts
-	// failed retries of the same item.
-	//lint:allow unusedapi process supervision of the Streams backbone; Topology.Health reports its outcome
-	OnExhausted ExhaustAction
 }
 
 // HealthState is the lifecycle state of a process within a run.
@@ -137,13 +50,10 @@ const (
 	HealthIdle HealthState = iota
 	// HealthRunning: the process is pumping items.
 	HealthRunning
-	// HealthRetrying: the process hit a processor error and is backing
-	// off before a restart attempt.
-	HealthRetrying
 	// HealthDone: the process exited cleanly (input exhausted).
 	HealthDone
-	// HealthFailed: the process exited with a terminal error (either
-	// aborting the topology or isolated by its policy).
+	// HealthFailed: the process exited with a terminal error, which
+	// aborted the topology.
 	HealthFailed
 )
 
@@ -154,8 +64,6 @@ func (h HealthState) String() string {
 		return "idle"
 	case HealthRunning:
 		return "running"
-	case HealthRetrying:
-		return "retrying"
 	case HealthDone:
 		return "done"
 	case HealthFailed:
@@ -167,8 +75,6 @@ func (h HealthState) String() string {
 // ProcessHealth is the supervision view of one process.
 type ProcessHealth struct {
 	State HealthState
-	// Restarts counts retry attempts performed across all items.
-	Restarts int
 	// Skipped counts items routed to the dead-letter queue.
 	Skipped int
 	// DeadLettersDropped counts this process's dead letters that were
@@ -179,17 +85,14 @@ type ProcessHealth struct {
 	LastError string
 }
 
-// DeadLetter is one item a supervised process gave up on.
+// DeadLetter records one item a supervised process gave up on. It
+// keeps no payload: the item belonged to the processor that failed on
+// it, which has already given any batch buffer back to the pool.
 type DeadLetter struct {
 	// Process is the name of the process that dead-lettered the item.
 	Process string
-	// Item is the offending item.
-	//lint:allow unusedapi the supervisor writes the condemned payload for whoever inspects a fault; /healthz shows the error, not the item
-	Item Item
 	// Err is the processor error that condemned it.
 	Err error
-	// Attempts is how many times the processor chain was tried on it.
-	Attempts int
 }
 
 // maxDeadLetters bounds the retained dead letters per run. The buffer
@@ -234,20 +137,7 @@ func (s *supervisor) state(name string, st HealthState, err error) {
 	}
 }
 
-func (s *supervisor) retrying(name string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.health[name]
-	if h == nil {
-		h = &ProcessHealth{}
-		s.health[name] = h
-	}
-	h.State = HealthRetrying
-	h.Restarts++
-	h.LastError = err.Error()
-}
-
-func (s *supervisor) deadLetter(name string, it Item, err error, attempts int) {
+func (s *supervisor) deadLetter(name string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := s.health[name]
@@ -257,10 +147,7 @@ func (s *supervisor) deadLetter(name string, it Item, err error, attempts int) {
 	}
 	h.Skipped++
 	h.LastError = err.Error()
-	// Snapshot the item: the dead letter must stay readable as-is
-	// even if an upstream stage (a chaos duplicator, a retrying
-	// processor) keeps mutating the original map.
-	dl := DeadLetter{Process: name, Item: it.Clone(), Err: err, Attempts: attempts}
+	dl := DeadLetter{Process: name, Err: err}
 	if len(s.dead) < maxDeadLetters {
 		s.dead = append(s.dead, dl)
 		return

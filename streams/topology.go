@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Process is a node of the data flow graph: it reads items from its
@@ -17,7 +16,7 @@ type Process struct {
 	Input      Source
 	Processors []Processor
 	Output     Sink // optional; nil discards
-	Policy     SupervisionPolicy
+	Policy     Strategy
 
 	// outBuf is the reusable output accumulator of processItem: a
 	// single input item can fan out (a batch envelope expanding into
@@ -50,35 +49,15 @@ type Flusher interface {
 	Flush() ([]Item, error)
 }
 
-// isolatedError marks a terminal process error whose policy confines
-// the failure to the process itself instead of aborting the topology.
-type isolatedError struct{ err error }
-
-func (e isolatedError) Error() string { return e.err.Error() }
-func (e isolatedError) Unwrap() error { return e.err }
-
-// sleepCtx sleeps d, returning false if the context is cancelled
-// first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // applyFrom pipes the item through the processors starting at index
 // from, appending every surviving output to dst. A single input can
 // produce zero, one or many outputs: a batch envelope handed to a
 // non-batch-aware processor is expanded into its row items (each piped
 // through the rest of the chain, then the batch released), and a
-// BatchProcessor may emit several items per batch.
+// BatchProcessor may emit several items per batch. A batch belongs to
+// the ProcessBatch it is handed, whatever that call returns; on error
+// the outputs not yet piped on are discarded, and the caller discards
+// what reached dst.
 func (p *Process) applyFrom(from int, it Item, dst []Item) ([]Item, error) {
 	if from >= len(p.Processors) {
 		return append(dst, it), nil
@@ -86,15 +65,17 @@ func (p *Process) applyFrom(from int, it Item, dst []Item) ([]Item, error) {
 	proc := p.Processors[from]
 	if b, isBatch := ItemBatch(it); isBatch {
 		if bp, aware := proc.(BatchProcessor); aware {
-			// Ownership of the batch transfers to the processor.
 			outs, err := bp.ProcessBatch(b)
 			if err != nil {
 				return dst, err
 			}
-			for _, out := range outs {
+			for i, out := range outs {
 				var cErr error
 				dst, cErr = p.applyFrom(from+1, out, dst)
 				if cErr != nil {
+					for _, lost := range outs[i+1:] {
+						Discard(lost)
+					}
 					return dst, cErr
 				}
 			}
@@ -102,19 +83,15 @@ func (p *Process) applyFrom(from int, it Item, dst []Item) ([]Item, error) {
 		}
 		// Compatibility expansion: the processor is not batch-aware,
 		// so feed it the rows as lazily materialized Items. The rows
-		// are copies, so the batch can be released as soon as the last
-		// one has been piped. On error the batch is kept live: the
-		// supervision layer may dead-letter or retry the envelope.
+		// are copies, so the batch is released once the last one has
+		// been piped, or as soon as one fails.
 		n := b.Len()
-		for i := 0; i < n; i++ {
-			var cErr error
-			dst, cErr = p.applyFrom(from, b.ItemAt(i), dst)
-			if cErr != nil {
-				return dst, cErr
-			}
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			dst, err = p.applyFrom(from, b.ItemAt(i), dst)
 		}
 		b.Release()
-		return dst, nil
+		return dst, err
 	}
 	out, err := proc.Process(it)
 	if err != nil {
@@ -127,45 +104,25 @@ func (p *Process) applyFrom(from int, it Item, dst []Item) ([]Item, error) {
 }
 
 // processItem applies the processor chain under the process's
-// supervision policy, returning the surviving outputs in a buffer that
-// is only valid until the next call. An empty result with nil error
-// means the item was dropped (by the chain or by dead-lettering); for
-// supervision purposes a whole batch envelope counts as one item — a
-// failing batch is dead-lettered (and retried) as a unit.
-func (p *Process) processItem(ctx context.Context, sup *supervisor, it Item) ([]Item, error) {
+// strategy, returning the surviving outputs in a buffer that is only
+// valid until the next call. An empty result with nil error means the
+// item was dropped (by the chain or by dead-lettering); a whole batch
+// envelope counts as one item, dead-lettered as a unit. A failed
+// item's partial outputs are discarded.
+func (p *Process) processItem(sup *supervisor, it Item) ([]Item, error) {
 	out, err := p.applyFrom(0, it, p.outBuf[:0])
 	p.outBuf = out
 	if err == nil {
 		return out, nil
 	}
-	switch p.Policy.Strategy {
-	case SkipItem:
-		sup.deadLetter(p.Name, it, err, 1)
-		return nil, nil
-	case Restart:
-		retry := p.Policy.Retry.normalized()
-		for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
-			sup.retrying(p.Name, err)
-			if !sleepCtx(ctx, retry.Delay(attempt)) {
-				return nil, ctx.Err()
-			}
-			out, err = p.applyFrom(0, it, p.outBuf[:0])
-			p.outBuf = out
-			if err == nil {
-				sup.state(p.Name, HealthRunning, nil)
-				return out, nil
-			}
-		}
-		wrapped := fmt.Errorf("streams: process %q: %d attempts exhausted: %w",
-			p.Name, retry.MaxAttempts+1, err)
-		if p.Policy.OnExhausted == Isolate {
-			sup.deadLetter(p.Name, it, err, retry.MaxAttempts+1)
-			return nil, isolatedError{wrapped}
-		}
-		return nil, wrapped
-	default:
-		return nil, fmt.Errorf("streams: process %q: %w", p.Name, err)
+	for _, lost := range out {
+		Discard(lost)
 	}
+	if p.Policy == SkipItem {
+		sup.deadLetter(p.Name, err)
+		return nil, nil
+	}
+	return nil, fmt.Errorf("streams: process %q: %w", p.Name, err)
 }
 
 // emit writes an item to the process output (context-aware when the
@@ -216,7 +173,7 @@ func (p *Process) flush(ctx context.Context) error {
 }
 
 // run pumps the process until its input is exhausted or the context
-// is cancelled, applying the supervision policy to processor errors.
+// is cancelled, applying its strategy to processor errors.
 func (p *Process) run(ctx context.Context, sup *supervisor) error {
 	for {
 		select {
@@ -237,7 +194,7 @@ func (p *Process) run(ctx context.Context, sup *supervisor) error {
 			}
 			return p.flush(ctx)
 		}
-		outs, err := p.processItem(ctx, sup, it)
+		outs, err := p.processItem(sup, it)
 		if err != nil {
 			return err
 		}
@@ -251,24 +208,6 @@ func (p *Process) run(ctx context.Context, sup *supervisor) error {
 				}
 				return err
 			}
-		}
-	}
-}
-
-// drain consumes and discards a source until it ends or the context is
-// cancelled. It keeps upstream producers of an isolated process from
-// blocking on a full queue nobody reads any more.
-func drain(ctx context.Context, src Source) {
-	cs, isCtx := src.(ContextSource)
-	for {
-		var ok bool
-		if isCtx {
-			_, ok = cs.ReadContext(ctx)
-		} else {
-			_, ok = src.Read()
-		}
-		if !ok || ctx.Err() != nil {
-			return
 		}
 	}
 }
@@ -409,14 +348,14 @@ func (t *Topology) AddProcess(name, inputID, outputID string, processors ...Proc
 	return nil
 }
 
-// Supervise sets the supervision policy of a named process. It must be
-// called after AddProcess and before Run.
-func (t *Topology) Supervise(processName string, policy SupervisionPolicy) error {
+// Supervise sets the strategy of a named process. It must be called
+// after AddProcess and before Run.
+func (t *Topology) Supervise(processName string, strategy Strategy) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, p := range t.processes {
 		if p.Name == processName {
-			p.Policy = policy
+			p.Policy = strategy
 			return nil
 		}
 	}
@@ -459,11 +398,10 @@ func (t *Topology) DeadLetters() []DeadLetter {
 // producers finish, which cascades shutdown through the graph) or the
 // context is cancelled.
 //
-// Failure handling follows each process's supervision policy: only
-// fail-fast errors (and exhausted Restart policies with the Escalate
-// action) abort the topology; isolated and skipped failures are
-// recorded in Health and DeadLetters while the rest of the graph keeps
-// running. Run returns all aborting process errors joined with
+// Failure handling follows each process's strategy: a fail-fast error
+// aborts the topology; a skipped item is recorded in Health and
+// DeadLetters while the graph keeps running. Run returns all aborting
+// process errors joined with
 // errors.Join, preferring root causes: cancellation errors
 // (context.Canceled, context.DeadlineExceeded) induced by the unwind
 // are dropped from the joined error whenever a root cause exists.
@@ -499,20 +437,12 @@ func (t *Topology) Run(ctx context.Context) error {
 		wg.Add(1)
 		go func(p *Process) {
 			defer wg.Done()
-			err := p.run(ctx, sup)
-			var iso isolatedError
-			switch {
-			case err == nil:
-				sup.state(p.Name, HealthDone, nil)
-			case errors.As(err, &iso):
-				// Confined failure: record it, keep the input flowing
-				// for the other consumers/producers, don't abort.
-				sup.state(p.Name, HealthFailed, iso.err)
-				go drain(ctx, p.Input)
-			default:
+			if err := p.run(ctx, sup); err != nil {
 				sup.state(p.Name, HealthFailed, err)
 				errs <- err
 				cancel() // unwind the rest of the graph
+			} else {
+				sup.state(p.Name, HealthDone, nil)
 			}
 			// Release the writer count only after a fatal error has
 			// cancelled the context: a closed queue means end-of-stream
