@@ -54,7 +54,10 @@ lint-json:
 # path), run the full module under the race detector (the README's five
 # Example functions — quickstart, congestion, crowdresolve,
 # sparsitymap, xmlpipeline — held to their // Output:, engine, rule sets,
-# the partial-fluent fold property, streams supervision/shutdown, batch
+# the partial-fluent fold property, the Dublin rule library held to the
+# test-only Event Calculus spec at every boundary (every rule-set variant,
+# WM/Step 1, 2 and 4, late, dropped and duplicated rows), streams
+# supervision/shutdown, batch
 # chaos tests, the parallel grid search and per-vertex variance solves, the
 # 10× street graph's flow map held to its normal equations and to
 # under 1 MB of heap —
@@ -108,8 +111,8 @@ lint-json:
 # and the recognition path (allocations per derived event or busCongestion point of the bus ×
 # intersection rules) and a crowd round (objects and bytes per round over
 # an hour of the operator workload) against their committed allocation budgets, the
-# column store against the committed resident bytes/event advantage
-# over the row store (the named reference) and the checkpoint file
+# column store against its committed resident bytes/event budget and
+# the checkpoint file
 # against its bytes-per-checkpoint budget — no SDE row, the log holds
 # them all (the race detector
 # inflates allocation counts, so those gates run in a separate non-race
@@ -123,8 +126,8 @@ lint-json:
 # grow with it — and VarianceAll to a constant number per worker,
 # nothing per vertex's solve; rtec's FoldTransitions to a constant number of objects
 # per call whatever the number of fluent instances),
-# re-run the shard gates race-free (the N ∈ {1,2,4,8} ×
-# both-store grid under chaos — CE sets, events, every fluent's
+# re-run the shard gates race-free (the N ∈ {1,2,4,8} grid
+# under chaos — CE sets, events, every fluent's
 # intervals and the derived/period counts against the single engine —
 # the tier snapshot round-trip, the tier's elapsed-time accounting and
 # the scripted cross-shard Fresh dedup case — a late second shard's
@@ -136,12 +139,18 @@ lint-json:
 # kernel's Fit + Predict within 1e-9 of each map, or all refuse),
 # WAL-decode, WAL record-encode (EncodeBatch of a batch whose
 # dictionaries hold entries its rows do not use equals the dictionary
-# dump of a fresh copy of the rows, byte for byte), store block-merge, simple-fluent
+# dump of a fresh copy of the rows, byte for byte), store block-merge
+# (filing, indexing and eviction against a sorted-slice model of the
+# filed rows), engine-vs-spec (random stratified rule sets over
+# random delayed, duplicated and out-of-order streams, WM/Step 1, 2
+# and 4: Fluents, Derived and Fresh equal to the test-only Event
+# Calculus spec at every query, also with a partial fluent split over
+# K engines and folded, and across a snapshot round trip), simple-fluent
 # fold (FoldTransitions equals a per-time-point holdsFor interpreter,
 # whatever the points' split into parts, order and duplicates), Fresh
 # dedup snapshot (seenSet.Entries equals a comparison sort of every
 # identity, through Add, Prune and Restore), shard-assignment,
-# engine-snapshot-decode, checkpoint-decode (format 5 seed corpus,
+# engine-snapshot-decode, checkpoint-decode (format 7 seed corpus,
 # verdict and estimator sections included),
 # close/4 spatial-index, replay-CSV (readers never panic, what they
 # return batches to valid arrival-ordered envelopes or is refused),
@@ -169,6 +178,7 @@ check: lint
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzEncodeBatch -fuzztime 5s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 5s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 5s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 5s ./rtec
@@ -280,7 +290,8 @@ loc:
 # regressions in streams/wal/testdata/fuzz, engine-snapshot and
 # checkpoint decoder regressions in rtec/testdata/fuzz and
 # testdata/fuzz, simple-fluent fold regressions (FoldTransitions against
-# its per-time-point oracle) and Fresh dedup snapshot regressions
+# its per-time-point oracle), engine-vs-spec regressions and Fresh dedup
+# snapshot regressions
 # (the set against a plain model) in rtec/testdata/fuzz, spatial-index
 # regressions in traffic/testdata/fuzz, replay-CSV and ground-truth
 # field regressions in dublin/testdata/fuzz, XML flow-definition regressions in
@@ -293,6 +304,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzEncodeBatch -fuzztime 10s ./streams/wal
 	$(GO) test -run '^$$' -fuzz FuzzMergeBlock -fuzztime 10s ./rtec
+	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzFoldTransitions -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzSeenEntries -fuzztime 10s ./rtec
 	$(GO) test -run '^$$' -fuzz FuzzShardAssign -fuzztime 10s ./rtec

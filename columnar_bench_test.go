@@ -101,9 +101,9 @@ func BenchmarkSustainedIngest(b *testing.B) {
 }
 
 // residentAtSteadyState runs the sustained-ingest workload for a few
-// windows on one store kind and returns the resident store bytes the
-// last query reported, plus the per-window event count.
-func residentAtSteadyState(t *testing.T, kind rtec.StoreKind) (uint64, int) {
+// windows and returns the resident store bytes the last query
+// reported, plus the per-window event count.
+func residentAtSteadyState(t *testing.T) (uint64, int) {
 	t.Helper()
 	const wm = rtec.Time(30 * 60)
 	from := rtec.Time(7 * 3600)
@@ -136,7 +136,7 @@ func residentAtSteadyState(t *testing.T, kind rtec.StoreKind) (uint64, int) {
 		}
 	}()
 	part, err := rtec.NewPartitioned(defs, rtec.Options{
-		WorkingMemory: wm, Step: wm, Store: kind, Profile: true,
+		WorkingMemory: wm, Profile: true,
 	}, 4, dublin.PartitionOfBlock)
 	if err != nil {
 		t.Fatal(err)
@@ -166,23 +166,25 @@ func residentAtSteadyState(t *testing.T, kind rtec.StoreKind) (uint64, int) {
 	return resident, n
 }
 
-// TestResidentBudget is the resident-memory gate of the columnar
-// store: at ingest steady state (eviction active, identical workload)
-// the column-resident store must hold at least 1.5× fewer estimated
-// resident bytes per event than the row store.
+// residentBudgetPerEvent is the committed resident-memory budget of
+// the column store, in estimated resident bytes per event of the
+// window at ingest steady state. It measured 144.2; the bound it
+// replaces — 1.5 times below the row store's 224.3 on the same
+// workload — came to 149.5.
+const residentBudgetPerEvent = 149
+
+// TestResidentBudget is the resident-memory gate of the column store:
+// at ingest steady state (eviction active) it must hold at most
+// residentBudgetPerEvent estimated resident bytes per event.
 func TestResidentBudget(t *testing.T) {
-	rowBytes, n := residentAtSteadyState(t, rtec.StoreRow)
-	colBytes, _ := residentAtSteadyState(t, rtec.StoreColumn)
-	if rowBytes == 0 || colBytes == 0 {
-		t.Fatalf("resident accounting inert: row=%d column=%d", rowBytes, colBytes)
+	bytes, n := residentAtSteadyState(t)
+	if bytes == 0 || n == 0 {
+		t.Fatalf("resident accounting inert: %d bytes over %d events", bytes, n)
 	}
-	t.Logf("resident store bytes at steady state: row=%d (%.1f B/event), column=%d (%.1f B/event), ratio=%.2fx",
-		rowBytes, float64(rowBytes)/float64(n), colBytes, float64(colBytes)/float64(n),
-		float64(rowBytes)/float64(colBytes))
-	// colBytes*3 <= rowBytes*2  <=>  rowBytes/colBytes >= 1.5
-	if colBytes*3 > rowBytes*2 {
-		t.Errorf("column store resident bytes = %d, want at least 1.5x below row store's %d",
-			colBytes, rowBytes)
+	perEvent := float64(bytes) / float64(n)
+	t.Logf("resident store bytes at steady state: %d (%.1f B/event, budget %d)", bytes, perEvent, residentBudgetPerEvent)
+	if perEvent > residentBudgetPerEvent {
+		t.Errorf("column store holds %.1f resident bytes per event, budget %d", perEvent, residentBudgetPerEvent)
 	}
 }
 
@@ -354,7 +356,7 @@ func TestAllocBudget_Recognition(t *testing.T) {
 		blocks []*rtec.Block
 	}{{"stamped", stamped}, {"unstamped", bare}} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := rtec.NewEngine(defs, rtec.Options{WorkingMemory: wm, Step: step, Store: rtec.StoreColumn, RuleWorkers: 1})
+			e, err := rtec.NewEngine(defs, rtec.Options{WorkingMemory: wm, RuleWorkers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,12 +90,12 @@ type Config struct {
 	WatermarkStaleness Time
 	// Seed drives the crowdsourcing simulation.
 	Seed int64
-	// Store picks the reference working-memory representation by name:
-	// the zero value rtec.StoreColumn keeps per-type column blocks with
-	// row-id key indexes, rtec.StoreRow keeps one Event per stored SDE —
-	// identical recognition output at several times the resident bytes,
-	// kept as the reference the equivalence tests compare against (see
-	// DESIGN.md, "Columnar store internals").
+	// Store is ignored: every engine keeps its working memory in the
+	// column store (DESIGN.md, "Columnar store internals").
+	//
+	// Deprecated: one store; accepted and ignored so existing literals
+	// compile.
+	//lint:allow unusedapi cmd/e2ebench's workload literal sets it; nothing reads it, by design
 	Store rtec.StoreKind
 	// ColumnarTransport is ignored.
 	//
@@ -199,11 +199,7 @@ func New(cfg Config) (*System, error) {
 		}
 		engines = tier
 	} else {
-		part, err := rtec.NewPartitioned(defs, rtec.Options{
-			WorkingMemory: cfg.WorkingMemory,
-			Step:          cfg.Step,
-			Store:         cfg.Store,
-		}, cfg.Partitions, func(b *rtec.Block) func(int) int {
+		part, err := rtec.NewPartitioned(defs, rtec.Options{WorkingMemory: cfg.WorkingMemory}, cfg.Partitions, func(b *rtec.Block) func(int) int {
 			of := dublin.PartitionOfBlock(b)
 			return func(i int) int { return of(i) % cfg.Partitions }
 		})

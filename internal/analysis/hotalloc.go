@@ -15,7 +15,7 @@ import (
 // builds result maps.
 var hotPathFuncs = map[string]*regexp.Regexp{
 	"internal/linalg": regexp.MustCompile(`.*`),
-	"rtec":            regexp.MustCompile(`^(window|windowForKey|sliceSpan|trimBefore|evict|dirtyFloor|insertSorted|dot4|rows|rowsForKey|countInSpan|idBounds|trimIDs)$`),
+	"rtec":            regexp.MustCompile(`^(sliceSpan|evict|dirtyFloor|dot4|rows|rowsForKey|countInSpan|idBounds|trimIDs)$`),
 }
 
 // perCallFuncs maps packages to the functions whose cost is paid whole
@@ -85,7 +85,7 @@ var reflectiveSorts = map[string]bool{"Slice": true, "SliceStable": true, "Sort"
 // per-item cost.
 var batchPathFuncs = map[string]*regexp.Regexp{
 	"streams": regexp.MustCompile(`^(AppendRowFrom|faultBatchLocked)$`),
-	"rtec":    regexp.MustCompile(`^(copyRows|InputBlockRows|InputCut|routeRun|insertRows|settle|mergeIDs|appendCols|appendFrom|gatherCol)$`),
+	"rtec":    regexp.MustCompile(`^(InputBlockRows|InputCut|routeRun|insertRows|settle|mergeIDs|appendCols|appendFrom|gatherCol)$`),
 	"insight": regexp.MustCompile(`^(admit|InputCut|ProcessBatch|fireDue|foldFresh|foldBusCongestion)$`),
 	"dublin":  regexp.MustCompile(`^(BatchSDEs|appendSDE|CollectBatches|drain)$`),
 }

@@ -11,7 +11,6 @@ import (
 
 	"github.com/insight-dublin/insight/crowd"
 	"github.com/insight-dublin/insight/dublin"
-	"github.com/insight-dublin/insight/rtec"
 	"github.com/insight-dublin/insight/streams"
 	"github.com/insight-dublin/insight/traffic"
 )
@@ -21,18 +20,13 @@ import (
 // watermark (no degradation possible, so recognition output is a pure
 // function of the SDE collection and, with participants, of their
 // answers, whatever the sources' interleaving within the pacer's
-// slack). The column-resident store is named explicitly so the whole
-// durability suite — checkpoints, crash recovery, fingerprint
-// equivalence — visibly runs against the block-native working memory
-// (checkpoints themselves are store-representation-independent, see
-// rtec snapshots).
+// slack).
 func durableConfig(city *dublin.City) Config {
 	return Config{
 		City:          city,
 		Seed:          7,
 		WorkingMemory: 1800,
 		Step:          900,
-		Store:         rtec.StoreColumn,
 		Traffic: traffic.Config{
 			NoisyPolicy: traffic.Pessimistic,
 			Adaptive:    true,

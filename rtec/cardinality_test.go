@@ -24,7 +24,7 @@ func (e *Engine) footprint() engineFootprint {
 		f.seeds += len(m)
 	}
 	f.seen = len(e.seen.ids)
-	for _, b := range e.store.(*columnStore).types {
+	for _, b := range e.store.types {
 		f.keys += len(b.seg.blk.KDict)
 		f.interned += len(b.seg.kids)
 		f.byKid += len(b.byKid)

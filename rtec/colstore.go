@@ -4,9 +4,19 @@ import (
 	"sort"
 )
 
-// columnStore is the columnar-resident working memory: instead of
-// exploding every ingested block into 72-byte Event rows (duplicated
-// once more by the per-key index), each SDE type keeps one resident
+// columnStore is the engine's working memory: the time-indexed SDE
+// buckets a query window is extracted from. Its observable contract:
+//
+//   - per-type buckets ordered by (occurrence time, arrival), so the
+//     order is unique and insertion strategy never shows;
+//   - a per-key index whose per-key sub-sequences follow the same
+//     order;
+//   - the per-type "dirty watermark" (lateMin): the earliest
+//     occurrence time among events that arrived at or before the last
+//     query time, which the incremental evaluator consults through
+//     dirtyFloor.
+//
+// Instead of one Event row per SDE, each SDE type keeps one resident
 // column segment — packed time, key-id and attribute columns — plus
 // two row-id indexes:
 //
@@ -16,12 +26,11 @@ import (
 //     arrivals splice into order (and the per-key lists), never into
 //     the columns.
 //   - byKid: per key id, the row ids of that key's events,
-//     time-sorted. Replaces the per-key Event copies of the row store
-//     with 4 bytes per event.
+//     time-sorted, 4 bytes per event.
 //
 // Arrival order is the row-id order: ids grow monotonically, so
-// keeping existing ids ahead of new ones on time ties reproduces the
-// row store's arrival-stable order exactly.
+// keeping existing ids ahead of new ones on time ties gives the
+// arrival-stable order.
 //
 // Indexing is deferred: filing appends to the columns (and lowers the
 // dirty watermark) only, and the first read after it — eviction at the
@@ -101,9 +110,9 @@ func (s *columnStore) bucketOf(typ string) *colBucket {
 	return b
 }
 
-// bucket returns the type's settled bucket as an sdeBucket view
-// (untyped nil on a miss, as the engine's nil checks require).
-func (s *columnStore) bucket(typ string) sdeBucket {
+// bucket returns the type's settled bucket, or nil if the store holds
+// no events of the type.
+func (s *columnStore) bucket(typ string) *colBucket {
 	b := s.types[typ]
 	if b == nil {
 		return nil
@@ -131,7 +140,8 @@ func (b *colBucket) growKeys() {
 }
 
 // insert files one event: append a row to the segment; the next read
-// indexes it.
+// indexes it. late marks events landing at or before the last query
+// time.
 func (s *columnStore) insert(ev Event, late bool) {
 	b := s.bucketOf(ev.Type)
 	sg := &b.seg
@@ -146,7 +156,7 @@ func (s *columnStore) insert(ev Event, late bool) {
 
 // spliceID places id after every id with an occurrence time <= its
 // own. New ids are always larger than stored ones, so on time ties the
-// existing ids stay ahead — (time, arrival) order, like insertSorted.
+// existing ids stay ahead — (time, arrival) order.
 func spliceID(ids []int32, times []int64, id int32) []int32 {
 	t := times[id]
 	n := len(ids)
@@ -165,7 +175,8 @@ func spliceID(ids []int32, times []int64, id int32) []int32 {
 // ids through small-integer translation (a slice index per row — no
 // hashing). rows must be time-sorted, ties in arrival order; once
 // settled, the resulting state is exactly what row-by-row insert
-// produces.
+// produces. The store copies what it keeps, so the caller may recycle
+// src afterwards.
 func (s *columnStore) insertRows(src *Block, rows []int32, started bool, lastQ Time) {
 	n := len(rows)
 	if n == 0 {
@@ -535,7 +546,9 @@ func unsetIDs(n int) []uint32 {
 }
 
 // dirtyFloor returns the earliest late-arrival time across the given
-// SDE types (see eventStore.dirtyFloor — the contract is shared).
+// SDE types, or MaxTime if none of them received late events since the
+// last query. Cached rule outputs the late region can influence (at or
+// after floor − effective lookahead) must be recomputed.
 func (s *columnStore) dirtyFloor(sdeTypes map[string]bool) Time {
 	floor := MaxTime
 	for typ := range sdeTypes {
@@ -546,14 +559,34 @@ func (s *columnStore) dirtyFloor(sdeTypes map[string]bool) Time {
 	return floor
 }
 
+// clearDirty resets the late watermarks; the engine calls it once per
+// completed query.
 func (s *columnStore) clearDirty() {
 	for _, b := range s.types {
 		b.lateMin = MaxTime
 	}
 }
 
+// Scratch buffers are sized by the largest burst ever seen; one
+// oversized burst (a delayed region flushing at once) must not pin that
+// high-water mark forever. Buffers above the floor that a use fills to
+// less than a quarter of capacity are reallocated at twice the need —
+// the next burst pays one allocation, steady state pays none.
+const scratchInt32Floor = 1 << 12 // int32 ids; also the entry floor of every other reused slice
+
+// Per-entry cost constants for the resident-bytes estimates, fixed so
+// the accounting is platform-independent (64-bit layout assumed).
+const (
+	sizeString  = 16 // string header
+	sizeSlice   = 24 // slice header
+	sizeMapSlot = 48 // rough per-entry map overhead incl. buckets
+	sizeBox     = 16 // boxed interface value on the heap
+)
+
 // residentBytes estimates the long-lived heap per bucket: the column
-// segment, the two row-id indexes and the key dictionary.
+// segment, the two row-id indexes and the key dictionary. It is an
+// estimate, not an allocator audit: O(stored events), and the engine
+// only calls it under Profile.
 func (s *columnStore) residentBytes() uint64 {
 	var total uint64
 	for typ, b := range s.types {
@@ -572,7 +605,28 @@ func (s *columnStore) residentBytes() uint64 {
 	return total
 }
 
-// --- sdeBucket views ---
+// blockResidentBytes estimates the heap pinned by a segment's block
+// (whose keys live in KIdx/KDict: Keys is nil).
+func blockResidentBytes(b *Block) uint64 {
+	total := uint64(cap(b.Times)) * 8
+	total += uint64(cap(b.KIdx)) * 4
+	for i := range b.KDict {
+		total += sizeString + uint64(len(b.KDict[i]))
+	}
+	for ci := range b.Cols {
+		c := &b.Cols[ci]
+		total += uint64(len(c.Name))
+		total += uint64(cap(c.F))*8 + uint64(cap(c.I))*8 + uint64(cap(c.B)) + uint64(cap(c.N))*8
+		total += uint64(cap(c.SIdx))*4 + uint64(cap(c.A))*sizeBox + uint64(cap(c.Present))
+		total += uint64(cap(c.Ends))*4 + uint64(cap(c.L))*4
+		for i := range c.Dict {
+			total += sizeString + uint64(len(c.Dict[i]))
+		}
+	}
+	return total
+}
+
+// --- bucket views ---
 
 // idBounds restricts a time-sorted id list to [span.Start, span.End),
 // mirroring sliceSpan.
@@ -595,6 +649,8 @@ func (b *colBucket) idBounds(ids []int32, span Span) (int, int) {
 	return lo, hi
 }
 
+// rows returns the events with occurrence time in span, as a zero-copy
+// view in (time, arrival) order.
 func (b *colBucket) rows(span Span) Rows {
 	lo, hi := b.idBounds(b.order, span)
 	if lo >= hi {
@@ -603,6 +659,7 @@ func (b *colBucket) rows(span Span) Rows {
 	return Rows{seg: &b.seg, ids: b.order[lo:hi]}
 }
 
+// rowsForKey is rows restricted to one entity key.
 func (b *colBucket) rowsForKey(key string, span Span) Rows {
 	kid, ok := b.seg.kids[key]
 	if !ok {
@@ -615,6 +672,8 @@ func (b *colBucket) rowsForKey(key string, span Span) Rows {
 	return Rows{seg: &b.seg, ids: b.byKid[kid][lo:hi]}
 }
 
+// keysInSpan returns the distinct entity keys with events in span,
+// sorted.
 func (b *colBucket) keysInSpan(span Span) []string {
 	var out []string
 	for kid := range b.byKid {
@@ -626,6 +685,7 @@ func (b *colBucket) keysInSpan(span Span) []string {
 	return out
 }
 
+// countInSpan returns the number of events in span.
 func (b *colBucket) countInSpan(span Span) int {
 	lo, hi := b.idBounds(b.order, span)
 	return hi - lo

@@ -2,10 +2,12 @@ package rtec
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -163,8 +165,8 @@ func rowsToBlock(rows []equivRow, withKIdx bool) *Block {
 	return b
 }
 
-// equivEngines builds one engine per (store kind, delivery mode)
-// combination.
+// equivEngine is one column-store engine and the way the equivalence
+// tests deliver to it.
 type equivEngine struct {
 	name  string
 	e     *Engine
@@ -172,50 +174,21 @@ type equivEngine struct {
 	kidx  bool // blocks carry a key dictionary
 }
 
+// newEquivEngines builds one engine per delivery mode: per event, and
+// as blocks with and without a key dictionary.
 func newEquivEngines(t testing.TB, opts Options) []equivEngine {
 	t.Helper()
-	mk := func(kind StoreKind) *Engine {
-		o := opts
-		o.Store = kind
-		e, err := NewEngine(colEquivDefs(t), o)
+	mk := func() *Engine {
+		e, err := NewEngine(colEquivDefs(t), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
 	return []equivEngine{
-		{name: "row/item", e: mk(StoreRow)},
-		{name: "row/block", e: mk(StoreRow), block: true, kidx: true},
-		{name: "column/item", e: mk(StoreColumn)},
-		{name: "column/block", e: mk(StoreColumn), block: true, kidx: true},
-		{name: "column/block-nokidx", e: mk(StoreColumn), block: true},
-	}
-}
-
-// TestColumnStoreIsTheZeroValue pins which store an Options literal
-// that does not name one gets: the column store. The row store is the
-// reference, selected by name.
-func TestColumnStoreIsTheZeroValue(t *testing.T) {
-	if (Options{}).Store != StoreColumn {
-		t.Fatalf("Options{}.Store = %v, want %v", Options{}.Store, StoreColumn)
-	}
-	e, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.store.(*columnStore); !ok {
-		t.Errorf("default engine store is %T, want *columnStore", e.store)
-	}
-	if e, err = NewEngine(colEquivDefs(t), Options{WorkingMemory: 60, Store: StoreRow}); err != nil {
-		t.Fatal(err)
-	} else if _, ok := e.store.(*eventStore); !ok {
-		t.Errorf("StoreRow engine store is %T, want *eventStore", e.store)
-	}
-	if _, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60, Store: StoreRow + 1}); err == nil {
-		t.Error("unknown store kind accepted")
-	}
-	if StoreColumn.String() != "column" || StoreRow.String() != "row" {
-		t.Errorf("store names = %q, %q", StoreColumn, StoreRow)
+		{name: "item", e: mk()},
+		{name: "block", e: mk(), block: true, kidx: true},
+		{name: "block-nokidx", e: mk(), block: true},
 	}
 }
 
@@ -236,9 +209,43 @@ func deliverChunk(t testing.TB, ee equivEngine, chunk []equivRow) {
 	}
 }
 
+// bucketModel is the working memory by definition: every filed row
+// whose time is after the last query's cutoff, in (time, arrival)
+// order. A row the engine drops as too old is never filed.
+type bucketModel struct {
+	wm      Time
+	lastQ   Time
+	started bool
+	rows    []equivRow // filed, in arrival order
+}
+
+// file records a delivered chunk, in delivery order.
+func (m *bucketModel) file(chunk []equivRow) {
+	for _, r := range chunk {
+		if m.started && Time(r.t) <= m.lastQ-m.wm {
+			continue
+		}
+		m.rows = append(m.rows, r)
+	}
+}
+
+// query evicts what a query at q evicts.
+func (m *bucketModel) query(q Time) {
+	m.lastQ, m.started = q, true
+	m.rows = slices.DeleteFunc(m.rows, func(r equivRow) bool { return Time(r.t) <= q-m.wm })
+}
+
+// sorted returns the held rows in (time, arrival) order.
+func (m *bucketModel) sorted() []equivRow {
+	out := slices.Clone(m.rows)
+	slices.SortStableFunc(out, func(a, b equivRow) int { return cmp.Compare(a.t, b.t) })
+	return out
+}
+
 // compareAt queries every engine at q and demands identical
-// recognition output, stats and store snapshots.
-func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
+// recognition output, stats and snapshots, and every bucket equal to
+// the model's after the query's eviction.
+func compareAt(t testing.TB, engines []equivEngine, m *bucketModel, q Time, label string) {
 	t.Helper()
 	var ref *Result
 	var refSnap []byte
@@ -272,73 +279,41 @@ func compareAt(t testing.TB, engines []equivEngine, q Time, label string) {
 				label, ee.name, engines[0].name, refSnap, snap)
 		}
 	}
+	m.query(q)
+	compareBuckets(t, engines, m, label+" after the query")
 }
 
-// TestColumnStoreMatchesEventStore is the randomized store-equivalence
-// property: the same delayed, out-of-order stream delivered per-item
-// and as columnar blocks (with and without key dictionaries) into
-// row-resident and column-resident engines must produce bit-identical
-// recognition output and bit-identical snapshots at every query — over
-// enough windows that eviction, segment compaction and the overlap
-// merge all trigger repeatedly.
-func TestColumnStoreMatchesEventStore(t *testing.T) {
-	const (
-		wm   = Time(60)
-		step = Time(20)
-		span = int64(600)
-	)
-	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		engines := newEquivEngines(t, Options{WorkingMemory: wm, Step: step, RuleWorkers: 1})
-
-		q := Time(0)
-		clock := int64(0)
-		for clock < span {
-			n := 1 + rng.Intn(8)
-			chunk := make([]equivRow, n)
-			for i := range chunk {
-				r := randomEquivRow(rng, 40)
-				// Cluster around the advancing clock with jitter both
-				// ways: late arrivals, ties and out-of-order rows.
-				r.t += clock - 20
-				if r.t < 0 {
-					r.t = 0
-				}
-				chunk[i] = r
-			}
-			for _, ee := range engines {
-				deliverChunk(t, ee, chunk)
-			}
-			clock += int64(rng.Intn(20))
-			if nq := Time(clock); nq >= q+step {
-				q = nq
-				compareAt(t, engines, q, fmt.Sprintf("trial %d q=%d", trial, q))
-			}
-		}
-	}
-}
-
-// FuzzMergeBlock drives the same randomized equivalence from fuzzed
-// bytes: each 4-byte group is one row (time delta, key, attribute
-// selector, value). This pins insertRows — bulk column append, deferred
-// order and per-key indexing, with and without KIdx — to row-by-row
-// insert on both stores. A row may take the previous row's time, so
-// times tie across blocks; a chunk may go to every engine through the
-// per-event Input instead, between block deliveries; and after each
-// chunk one of the column store's settling read points — a query's
-// eviction, a bucket view, the resident-bytes estimate — is judged
-// against the row store.
+// FuzzMergeBlock holds the column store's filing, indexing and
+// eviction to its definition, from fuzzed bytes: each 4-byte group is
+// one row (time delta, key, attribute selector, value). insertRows —
+// bulk column append, deferred order and per-key indexing, with and
+// without KIdx — and row-by-row insert must both hold exactly the
+// model's rows (bucketModel), cell by cell. A row may take the previous
+// row's time, so times tie across blocks; a chunk may go to every
+// engine through the per-event Input instead, between block
+// deliveries; and after each chunk one of the store's settling read
+// points — a query's eviction, a bucket view, the resident-bytes
+// estimate — is judged against the model.
 func FuzzMergeBlock(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 50, 1, 2, 3, 9, 9, 0xff, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{200, 5, 7, 9, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
 	f.Add([]byte{3, 1, 33, 7, 4, 2, 97, 1, 5, 3, 35, 2, 250, 0, 64, 9, 2, 1, 33, 8, 6, 3, 1, 129})
 	f.Add([]byte("00A0900000000000A0A0")) // a late row ties a stored one
+	// Long runs: some sixty chunks over a dozen windows, so eviction and
+	// segment compaction recur.
+	for seed := int64(1); seed <= 4; seed++ {
+		long := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(long)
+		f.Add(long)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
 		}
-		engines := newEquivEngines(t, Options{WorkingMemory: 30, Step: 10, RuleWorkers: 1})
+		const wm = 30
+		engines := newEquivEngines(t, Options{WorkingMemory: wm, RuleWorkers: 1})
+		model := &bucketModel{wm: wm}
 		clock := int64(0)
 		q := Time(0)
 		chunks := 0
@@ -386,59 +361,79 @@ func FuzzMergeBlock(f *testing.F) {
 				}
 				deliverChunk(t, ee, chunk)
 			}
+			model.file(chunk)
 			clock += int64(data[off%len(data)]) % 12
 			chunks++
 			label := fmt.Sprintf("chunk %d", chunks)
 			switch nq := Time(clock); {
 			case chunks%3 == 0 && nq > q:
 				q = nq
-				compareAt(t, engines, q, fmt.Sprintf("%s q=%d", label, q))
+				compareAt(t, engines, model, q, fmt.Sprintf("%s q=%d", label, q))
 			case sel&128 != 0:
 				for _, ee := range engines {
 					ee.e.store.residentBytes()
 				}
-				compareBuckets(t, engines, label+" after residentBytes")
+				compareBuckets(t, engines, model, label+" after residentBytes")
 			default:
-				compareBuckets(t, engines, label)
+				compareBuckets(t, engines, model, label)
 			}
 		}
 	})
 }
 
-// compareBuckets reads every engine's bucket view directly — for the
-// column store a settling read — and demands the reference engine's
-// rows, keys and per-key rows, cell by cell.
-func compareBuckets(t testing.TB, engines []equivEngine, label string) {
+// compareBuckets reads every engine's bucket view directly — a
+// settling read — and demands the model's rows, keys and per-key rows,
+// cell by cell.
+func compareBuckets(t testing.TB, engines []equivEngine, m *bucketModel, label string) {
 	t.Helper()
 	all := Span{Start: MinTime, End: MaxTime}
-	render := func(b sdeBucket) string {
-		if b == nil {
-			return ""
-		}
-		var sb bytes.Buffer
-		dump := func(rows Rows) {
-			for i := 0; i < rows.Len(); i++ {
-				ev := rows.At(i)
-				fmt.Fprintf(&sb, " %d/%s", rows.TimeAt(i), rows.At(i).Key)
-				for _, name := range []string{"level", "alarm", "zone", "count"} {
-					if v, ok := ev.Get(name); ok {
-						fmt.Fprintf(&sb, "/%s=%T:%v", name, v, v)
-					}
-				}
+	attrNames := []string{"level", "alarm", "zone", "count"}
+	var want bytes.Buffer
+	dumpRow := func(sb *bytes.Buffer, tm Time, key string, get func(string) (any, bool)) {
+		fmt.Fprintf(sb, " %d/%s", tm, key)
+		for _, name := range attrNames {
+			if v, ok := get(name); ok {
+				fmt.Fprintf(sb, "/%s=%T:%v", name, v, v)
 			}
 		}
-		dump(b.rows(all))
-		fmt.Fprintf(&sb, " count=%d keys=%v", b.countInSpan(all), b.keysInSpan(all))
-		for _, key := range b.keysInSpan(all) {
-			fmt.Fprintf(&sb, " [%s]", key)
-			dump(b.rowsForKey(key, all))
-		}
-		return sb.String()
 	}
-	ref := render(engines[0].e.store.bucket("reading"))
-	for _, ee := range engines[1:] {
-		if got := render(ee.e.store.bucket("reading")); got != ref {
-			t.Fatalf("%s: %s bucket differs from %s:\nref:%s\ngot:%s", label, ee.name, engines[0].name, ref, got)
+	rows := m.sorted()
+	var keys []string
+	for _, r := range rows {
+		dumpRow(&want, Time(r.t), r.key, r.event().Get)
+		if !slices.Contains(keys, r.key) {
+			keys = append(keys, r.key)
+		}
+	}
+	slices.Sort(keys)
+	fmt.Fprintf(&want, " count=%d keys=%v", len(rows), keys)
+	for _, key := range keys {
+		fmt.Fprintf(&want, " [%s]", key)
+		for _, r := range rows {
+			if r.key == key {
+				dumpRow(&want, Time(r.t), r.key, r.event().Get)
+			}
+		}
+	}
+	for _, ee := range engines {
+		var got bytes.Buffer
+		if b := ee.e.store.bucket("reading"); b != nil {
+			dump := func(rows Rows) {
+				for i := 0; i < rows.Len(); i++ {
+					dumpRow(&got, rows.TimeAt(i), rows.KeyAt(i), rows.At(i).Get)
+				}
+			}
+			dump(b.rows(all))
+			fmt.Fprintf(&got, " count=%d keys=%v", b.countInSpan(all), b.keysInSpan(all))
+			for _, key := range b.keysInSpan(all) {
+				fmt.Fprintf(&got, " [%s]", key)
+				dump(b.rowsForKey(key, all))
+			}
+		} else {
+			fmt.Fprintf(&got, " count=0 keys=[]")
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: %s bucket differs from the model:\nwant:%s\ngot: %s", label, ee.name, want.String(), got.String())
 		}
 	}
 }
@@ -497,7 +492,7 @@ func TestAllocBudget_ColumnStoreFiling(t *testing.T) {
 	}
 	compactions := 0
 	seg := func() int {
-		if b := e.store.(*columnStore).types["reading"]; b != nil {
+		if b := e.store.types["reading"]; b != nil {
 			return len(b.seg.blk.Times)
 		}
 		return 0

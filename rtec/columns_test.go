@@ -89,30 +89,6 @@ func TestBlockViewCrossKindCoercion(t *testing.T) {
 	}
 }
 
-func TestCopyRowsGathers(t *testing.T) {
-	src := testBlock()
-	dst := copyRows(src, []int32{2, 0})
-	if dst.Len() != 2 {
-		t.Fatalf("len = %d, want 2", dst.Len())
-	}
-	for di, si := range []int{2, 0} {
-		view, twin := dst.Event(di), mapTwin(src, si)
-		for _, name := range []string{"level", "count", "alarm", "zone"} {
-			gv, _ := view.Get(name)
-			wv, _ := twin.Get(name)
-			if gv != wv || view.Time != twin.Time || view.Key != twin.Key {
-				t.Errorf("dst row %d %s = %v, want %v", di, name, gv, wv)
-			}
-		}
-	}
-	// The copy must not alias the source columns.
-	src.Times[2] = 999
-	src.Cols[0].F[2] = -1
-	if dst.Times[0] != 30 || dst.Cols[0].F[0] != 0.9 {
-		t.Error("copyRows aliased the source block")
-	}
-}
-
 // levelDefs recognises an "alert" fluent keyed by sensor, initiated
 // when level > 0.5 and alarm is set, terminated when the zone reads
 // "north" with a non-negative count — exercising every accessor kind
@@ -284,14 +260,14 @@ func TestInputBlockCopies(t *testing.T) {
 
 // TestColumnHandleMatchesAt holds every accessor of a Rows.Col handle to
 // the same accessor of At(i), on every row of every view: the column
-// store's segment views and the row store's event slices, Rows and
-// RowsForKey. The rows give the resident segment every column shape a
+// store's segment views and a derived-events view's event slices, Rows
+// and RowsForKey. The rows give the resident segment every column shape a
 // handle can meet — packed float, int, Go int, string, bool and list
 // columns, a column absent from some rows (a Present mask), a boxed
 // ColAny column mixing float64, int, int64, string, bool and list
 // values — and the names include one no row carries; reading each name
 // through every accessor exercises the int↔float coercions both ways.
-// The two stores' answers must also agree row for row.
+// The two views' answers must also agree row for row.
 func TestColumnHandleMatchesAt(t *testing.T) {
 	attrs := []map[string]any{
 		{"level": 0.25, "count": int64(3), "n": 4, "zone": "north", "alarm": true, "close": []int32{1, 4}, "mixed": 2.75},
@@ -358,17 +334,28 @@ func TestColumnHandleMatchesAt(t *testing.T) {
 	}
 
 	var got [2][]read
-	for si, kind := range []StoreKind{StoreColumn, StoreRow} {
-		store := newSDEStore(kind)
-		for i, a := range attrs {
-			store.insert(NewEvent("reading", Time(10*(len(attrs)-i)), keys[i], a), false)
+	for si, onStore := range []bool{true, false} {
+		var ctx *Context
+		if onStore {
+			store := newColumnStore()
+			for i, a := range attrs {
+				store.insert(NewEvent("reading", Time(10*(len(attrs)-i)), keys[i], a), false)
+			}
+			ctx = newStoreContext(99, window, store)
+		} else {
+			// The same rows as derived events: a time-sorted slice.
+			evs := make([]Event, len(attrs))
+			for i, a := range attrs {
+				evs[len(attrs)-1-i] = NewEvent("reading", Time(10*(len(attrs)-i)), keys[i], a)
+			}
+			ctx = newContext(99, window)
+			ctx.addEvents("reading", evs)
 		}
-		ctx := newStoreContext(99, window, store)
 		rows := ctx.Rows("reading")
 		if rows.Len() != len(attrs) {
-			t.Fatalf("store %d: view of %d rows, want %d", kind, rows.Len(), len(attrs))
+			t.Fatalf("view %d: %d rows, want %d", si, rows.Len(), len(attrs))
 		}
-		if kind == StoreColumn {
+		if onStore {
 			// The segment has the shapes the test is about.
 			if rows.seg == nil {
 				t.Fatal("column-store view is not over its segment")
@@ -386,7 +373,7 @@ func TestColumnHandleMatchesAt(t *testing.T) {
 				}
 			}
 		} else if rows.seg != nil {
-			t.Fatal("row-store view is over a segment")
+			t.Fatal("derived-events view is over a segment")
 		}
 		got[si] = readAll("Rows", rows)
 		for _, key := range []string{"s1", "s2", "s3", "nobody"} {
@@ -394,7 +381,7 @@ func TestColumnHandleMatchesAt(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
-		t.Errorf("column and row store handles differ:\n column %+v\n row    %+v", got[0], got[1])
+		t.Errorf("column-store and derived-events handles differ:\n column  %+v\n derived %+v", got[0], got[1])
 	}
 	if len(got[0]) != 2*len(attrs)*len(names) {
 		t.Errorf("%d reads, want %d", len(got[0]), 2*len(attrs)*len(names))

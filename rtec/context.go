@@ -20,8 +20,8 @@ type Span = interval.Span
 // the window return no data, mirroring RTEC's discarding of SDEs that
 // took place before or on Q−WM.
 //
-// SDE lookups are zero-copy views over the engine's time-indexed event
-// store; derived events are filed by the engine as strata complete.
+// SDE lookups are zero-copy views over the engine's column store;
+// derived events are filed by the engine as strata complete.
 // During incremental evaluation the engine hands rules a context whose
 // event visibility is narrowed to the region being recomputed (view);
 // fluent lookups are never narrowed — interval lists always cover the
@@ -37,7 +37,7 @@ type Context struct {
 	window Span // [Q-WM+1, Q+1)
 	view   Span // event visibility, ⊆ [Q-WM+1, Q+1); normally the full window
 
-	store   sdeStore                  // SDE buckets (read-only during a query); may be nil
+	store   *columnStore              // SDE buckets (read-only during a query); may be nil
 	derived map[string]*derivedEvents // derived events by type
 	fluents map[string]map[KV]List    // name -> instance -> maximal intervals
 	// joins sums what the rules report through CountJoins; shared by
@@ -67,7 +67,7 @@ func (d *derivedEvents) byKey() map[string][]Event {
 
 // Rows is a zero-copy window view: the time-sorted events of one type
 // (or one type and key) inside the window, iterable without
-// materializing Event values. Over the row store it wraps the shared
+// materializing Event values. Over derived events it wraps the shared
 // event slice; over the column store it wraps the resident segment
 // plus a row-id sub-slice, and At builds the lightweight column view
 // on demand — rules that read times, keys and attributes through
@@ -77,7 +77,7 @@ func (d *derivedEvents) byKey() map[string][]Event {
 // do not retain it across queries (eviction and compaction may reuse
 // the underlying storage).
 type Rows struct {
-	evs []Event // row store and derived events
+	evs []Event // derived events
 	seg *colSeg // column store; nil when evs is the backing
 	ids []int32 // row ids into seg, (time, arrival)-sorted
 }
@@ -119,8 +119,8 @@ func (r Rows) KeyAt(i int) string {
 // Col returns the view's handle on the named attribute column, resolved
 // once for every row the view holds: over the column store a view is
 // one resident segment, so the handle holds that segment's column and
-// each read indexes it; over an event slice (the row store, derived
-// events) each read falls back to the event's own accessor. Either way
+// each read indexes it; over an event slice (derived events) each read
+// falls back to the event's own accessor. Either way
 // a read returns what the same accessor of At(i) returns — coercions,
 // absent attributes and absent cells included.
 func (r Rows) Col(name string) Column {
@@ -180,7 +180,7 @@ func (h *Column) IntList(i int) ([]int32, bool) {
 	return h.c.listAt(int(h.rows.ids[i]))
 }
 
-// Slice materializes the view as an event slice. Over the row store
+// Slice materializes the view as an event slice. Over derived events
 // this is the shared backing slice (zero-copy, do not modify); over
 // the column store it allocates — columnar-aware rules should iterate
 // the view instead.
@@ -205,7 +205,7 @@ func newContext(q Time, window Span) *Context {
 	}
 }
 
-func newStoreContext(q Time, window Span, store sdeStore) *Context {
+func newStoreContext(q Time, window Span, store *columnStore) *Context {
 	c := newContext(q, window)
 	c.store = store
 	return c
@@ -333,4 +333,23 @@ func (c *Context) addEvents(typ string, events []Event) {
 
 func (c *Context) setFluent(name string, instances map[KV]List) {
 	c.fluents[name] = instances
+}
+
+// sliceSpan restricts a time-sorted slice to [span.Start, span.End).
+func sliceSpan(evs []Event, span Span) []Event {
+	if len(evs) == 0 || span.Empty() {
+		return nil
+	}
+	lo := 0
+	if evs[0].Time < span.Start {
+		lo = sort.Search(len(evs), func(i int) bool { return evs[i].Time >= span.Start })
+	}
+	hi := len(evs)
+	if hi > lo && evs[hi-1].Time >= span.End {
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return evs[lo+i].Time >= span.End })
+	}
+	if lo >= hi {
+		return nil
+	}
+	return evs[lo:hi]
 }

@@ -16,10 +16,11 @@ type Options struct {
 	// WorkingMemory (WM) is the window length: at query time Q only
 	// SDEs in (Q−WM, Q] are considered. Must be positive.
 	WorkingMemory Time
-	// Step is the intended temporal distance between consecutive
-	// query times (Q_i − Q_{i−1}). It is advisory — Query takes the
-	// query time explicitly — but Run uses it, and making WM larger
-	// than Step is what lets delayed SDEs be incorporated (Fig. 2).
+	// Step is unread beyond refusing a negative one: Query takes each
+	// query time explicitly, and the step between them is the caller's
+	// (a WM larger than the step is what lets delayed SDEs be
+	// incorporated, Fig. 2). It stays so cmd/e2ebench's literal
+	// compiles.
 	Step Time
 	// Profile makes every Query record per-rule evaluation times in
 	// Result.RuleCosts and allocation totals in Stats.AllocBytes, for
@@ -36,45 +37,42 @@ type Options struct {
 	// of one stratum concurrently. 0 means GOMAXPROCS; 1 forces
 	// serial evaluation. Strata remain barriers either way.
 	RuleWorkers int
-	// Store selects the working-memory representation. The zero value
-	// StoreColumn keeps working memory as per-type column segments with
-	// row-id indexes; StoreRow is the original row-resident event store
-	// — same observable behaviour at several times the resident bytes,
-	// kept as the reference the equivalence tests and FuzzMergeBlock
-	// compare the column store against. See store.go.
+	// Store is ignored: working memory is always the column store
+	// (colstore.go).
+	//
+	// Deprecated: one store; accepted and ignored so existing literals
+	// compile.
+	//lint:allow unusedapi cmd/e2ebench's probe literal sets it; nothing reads it, by design
 	Store StoreKind
 }
 
-// StoreKind selects a working-memory implementation.
+// StoreKind named a working-memory implementation.
+//
+// Deprecated: one store; accepted and ignored so existing literals
+// compile.
 type StoreKind uint8
 
+// The store kinds Options.Store once chose between.
+//
+// Deprecated: one store; accepted and ignored so existing literals
+// compile.
 const (
-	// StoreColumn is the columnar-resident store, the default.
 	StoreColumn StoreKind = iota
-	// StoreRow is the row-resident event store (the equivalence
-	// reference).
 	StoreRow
 )
-
-func (k StoreKind) String() string {
-	if k == StoreRow {
-		return "row"
-	}
-	return "column"
-}
 
 // Engine is a windowed RTEC evaluator. It accumulates SDEs as they
 // arrive (possibly delayed and out of order) and computes, at each
 // query time, the maximal intervals of every defined fluent and the
 // occurrences of every derived event type within the working memory.
 //
-// An Engine is not safe for concurrent use; partition the stream over
-// several engines (see Partitioned) for parallel recognition.
+// An Engine is not safe for concurrent use; route the stream over
+// several engines (see Fanout) for parallel recognition.
 type Engine struct {
 	defs *Definitions //state:transient compiled rule set, supplied at construction; Restore requires an identically-built engine
 	opts Options      //state:transient config, supplied at construction
 
-	store   sdeStore //state:derived rebuilt from the WAL by recovery
+	store   *columnStore //state:derived rebuilt from the WAL by recovery
 	lastQ   Time
 	started bool
 
@@ -129,16 +127,10 @@ func NewEngine(defs *Definitions, opts Options) (*Engine, error) {
 	if opts.RuleWorkers < 0 {
 		return nil, fmt.Errorf("rtec: rule workers must be non-negative, got %d", opts.RuleWorkers)
 	}
-	if opts.Store > StoreRow {
-		return nil, fmt.Errorf("rtec: unknown store kind %d", opts.Store)
-	}
-	if opts.Step == 0 {
-		opts.Step = opts.WorkingMemory
-	}
 	return &Engine{
 		defs:  defs,
 		opts:  opts,
-		store: newSDEStore(opts.Store),
+		store: newColumnStore(),
 		prev:  make(map[string]map[KV]List),
 		cache: make(map[string]*ruleCache),
 		seen:  newSeenSet(),
@@ -203,8 +195,8 @@ func (e *Engine) InputBlockRows(b *Block, rows []int32) error {
 	if len(e.rowScratch) == 0 {
 		return nil
 	}
-	// Sort the admitted rows by occurrence time, stably, so the owned
-	// block meets insertBlock's contract. Delivery (arrival) order is
+	// Sort the admitted rows by occurrence time, stably, so they meet
+	// insertRows' contract. Delivery (arrival) order is
 	// preserved on ties, and since a bucket's time-sorted
 	// arrival-stable order is unique, the store ends up bit-identical
 	// to per-row insertion. Mediator jitter is bounded, so most blocks
@@ -295,7 +287,7 @@ type Stats struct {
 	// Options.Profile; 0 otherwise.
 	AllocBytes uint64
 	// ResidentBytes estimates the heap resident in the SDE store's
-	// long-lived structures after eviction (see sdeStore). Recorded
+	// long-lived structures after eviction (see columnStore). Recorded
 	// only under Options.Profile; 0 otherwise.
 	ResidentBytes uint64
 	// EvalGoroutines is the peak number of goroutines that evaluated

@@ -151,12 +151,8 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := NewEngine(defs, Options{WorkingMemory: 10, Step: -1}); err == nil {
 		t.Error("negative step must error")
 	}
-	e, err := NewEngine(defs, Options{WorkingMemory: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.opts.Step != 10 {
-		t.Errorf("default step = %d, want WM", e.opts.Step)
+	if _, err := NewEngine(defs, Options{WorkingMemory: 10, RuleWorkers: -1}); err == nil {
+		t.Error("negative rule workers must error")
 	}
 }
 

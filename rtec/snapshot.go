@@ -32,8 +32,7 @@ import (
 //
 // Every slice in a snapshot is deterministically ordered (fluents by
 // name, instances by key/value, seen entries by type/key/time), so
-// identical engine states produce identical snapshots, whichever store
-// implementation is configured.
+// identical engine states produce identical snapshots.
 
 // InstanceSnapshot is one fluent instance's un-clipped maximal
 // intervals from the last query (the law-of-inertia seed).
@@ -266,7 +265,7 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 		prev[fs.Name] = m
 	}
 
-	e.store = newSDEStore(e.opts.Store)
+	e.store = newColumnStore()
 	e.prev = prev
 	e.seen.Restore(s.Seen, e.defs.outputs)
 	e.cache = make(map[string]*ruleCache) // cold: first query recomputes in full

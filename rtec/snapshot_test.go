@@ -230,12 +230,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 }
 
 // TestSnapshotDeterministic is the canonical-bytes gate: one engine
-// state has exactly one binary snapshot — repeated snapshots, either
-// store kind, a snapshot→restore→snapshot round trip through either
-// store and a decode→encode round trip all yield the same bytes.
+// state has exactly one binary snapshot — repeated snapshots, a second
+// engine fed the same, a snapshot→restore→snapshot round trip and a
+// decode→encode round trip all yield the same bytes.
 func TestSnapshotDeterministic(t *testing.T) {
-	mk := func(kind StoreKind) *Engine {
-		e, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100, Step: 50, Store: kind})
+	mk := func() *Engine {
+		e, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 		return e
 	}
-	col := mk(StoreColumn)
+	col := mk()
 	a, err := col.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -266,21 +266,19 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 	}
 
-	if got := engineBytes(t, mk(StoreRow)); !bytes.Equal(want, got) {
-		t.Fatalf("row-store snapshot differs from column-store snapshot of the same state")
+	if got := engineBytes(t, mk()); !bytes.Equal(want, got) {
+		t.Fatalf("a second engine fed the same snapshots differently")
 	}
 
-	for _, kind := range []StoreKind{StoreRow, StoreColumn} {
-		r, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100, Step: 50, Store: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Restore(a); err != nil {
-			t.Fatal(err)
-		}
-		if got := engineBytes(t, r); !bytes.Equal(want, got) {
-			t.Fatalf("snapshot changed across a restore into the %v store", kind)
-		}
+	r, err := NewEngine(snapDefs(t), Options{WorkingMemory: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(a); err != nil {
+		t.Fatal(err)
+	}
+	if got := engineBytes(t, r); !bytes.Equal(want, got) {
+		t.Fatalf("snapshot changed across a restore")
 	}
 
 	var decoded EngineSnapshot
@@ -373,7 +371,7 @@ func TestRestoreValidation(t *testing.T) {
 // a randomized load over another definition set.
 func fuzzSeedSnapshots(t testing.TB) [][]byte {
 	t.Helper()
-	plain, err := NewEngine(snapDefs(t), Options{WorkingMemory: 120, Step: 50, Store: StoreColumn})
+	plain, err := NewEngine(snapDefs(t), Options{WorkingMemory: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +381,7 @@ func fuzzSeedSnapshots(t testing.TB) [][]byte {
 			t.Fatal(err)
 		}
 	}
-	mixed, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60, Step: 20, Store: StoreColumn})
+	mixed, err := NewEngine(colEquivDefs(t), Options{WorkingMemory: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,20 +430,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point:\n%x\nvs\n%x", enc, enc2)
 		}
 		// Restore either rejects the snapshot (invalid intervals, a
-		// duplicate fluent) or takes it — the same way into both stores,
-		// which then agree on the canonical bytes of what they hold.
-		var restored [][]byte
-		for _, kind := range []StoreKind{StoreRow, StoreColumn} {
-			e, err := NewEngine(defs, Options{WorkingMemory: 60, Step: 20, Store: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Restore(&s); err == nil {
-				restored = append(restored, engineBytes(t, e))
-			}
+		// duplicate fluent) or takes it, and then snapshots what it
+		// kept.
+		e, err := NewEngine(defs, Options{WorkingMemory: 60})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(restored) == 1 || (len(restored) == 2 && !bytes.Equal(restored[0], restored[1])) {
-			t.Fatalf("row and column stores disagree on a restored snapshot")
+		if err := e.Restore(&s); err == nil {
+			engineBytes(t, e)
 		}
 	})
 }

@@ -90,11 +90,7 @@ type shardTier struct {
 func newShardTier(cfg Config, tcfg traffic.Config, reg *traffic.Registry) (*shardTier, error) {
 	n := cfg.Shards
 	t := &shardTier{reg: reg, shards: make([]*rtec.Engine, n)}
-	opts := rtec.Options{
-		WorkingMemory: cfg.WorkingMemory,
-		Step:          cfg.Step,
-		Store:         cfg.Store,
-	}
+	opts := rtec.Options{WorkingMemory: cfg.WorkingMemory}
 	for i := range t.shards {
 		defs, err := traffic.BuildShard(tcfg, traffic.ShardPlan{
 			OwnsSensor: func(sensor string) bool { return rtec.RendezvousShard(sensor, n) == i },

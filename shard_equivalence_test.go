@@ -94,8 +94,9 @@ func compareShardReports(t *testing.T, label string, got, want []*Report) {
 // pipeline — crowdsourcing loop included, chaos dropping and
 // duplicating rows on every stream — must recognise bit-identical
 // complex events through the N-way sharded recognition tier at every
-// shard count and with either store kind, compared against the
-// single-engine reference (the legacy path with one partition).
+// shard count, compared against the single-engine reference (the
+// legacy path with one partition). Every engine keeps its working
+// memory in the column store, the one the subtests are named for.
 func TestShardEquivalenceGrid(t *testing.T) {
 	const from, until = 7 * 3600, 8 * 3600
 	const wm = Time(1800)
@@ -110,7 +111,7 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	}
 
 	city := testCity(t)
-	run := func(shards int, kind rtec.StoreKind) []*Report {
+	run := func(shards int) []*Report {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -119,7 +120,6 @@ func TestShardEquivalenceGrid(t *testing.T) {
 			Step:          wm / 2,
 			Partitions:    1, // single-engine reference when Shards == 0
 			Shards:        shards,
-			Store:         kind,
 			Participants:  testParticipants(city, 8),
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
@@ -148,7 +148,7 @@ func TestShardEquivalenceGrid(t *testing.T) {
 		return reports
 	}
 
-	reference := run(0, rtec.StoreRow)
+	reference := run(0)
 	if len(reference) == 0 {
 		t.Fatal("reference run produced no reports")
 	}
@@ -163,19 +163,16 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 4, 8} {
-		for _, kind := range []rtec.StoreKind{rtec.StoreRow, rtec.StoreColumn} {
-			t.Run(fmt.Sprintf("shards=%d/store=%v", n, kind), func(t *testing.T) {
-				compareShardReports(t, fmt.Sprintf("%d shards vs single engine", n),
-					run(n, kind), reference)
-			})
-		}
+		t.Run(fmt.Sprintf("shards=%d/store=column", n), func(t *testing.T) {
+			compareShardReports(t, fmt.Sprintf("%d shards vs single engine", n), run(n), reference)
+		})
 	}
 }
 
 // TestShardTierSnapshotRoundTrip checks the tier's own checkpoint
 // surface: snapshotting a sharded system mid-run and restoring it into
-// a fresh system (with the other store kind), the SDEs that arrived by
-// then re-admitted, must continue bit-identically with the original.
+// a fresh system, the SDEs that arrived by then re-admitted, must
+// continue bit-identically with the original.
 // The tier state holds the busCongestion inertia and nothing else.
 func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	const from, until = Time(7 * 3600), Time(9 * 3600)
@@ -184,7 +181,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 
 	sdes := city.Collect(from, until)
 
-	mk := func(kind rtec.StoreKind) *System {
+	mk := func() *System {
 		t.Helper()
 		sys, err := New(Config{
 			City:          city,
@@ -192,7 +189,6 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 			WorkingMemory: 1800,
 			Step:          step,
 			Shards:        3,
-			Store:         kind,
 			Traffic: traffic.Config{
 				NoisyPolicy: traffic.Pessimistic,
 				Adaptive:    true,
@@ -209,13 +205,12 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	// restores the snapshot into system B, which then runs the rest of the
 	// recording on its own.
 	mid := from + 4*step
-	sysA, sysB := mk(rtec.StoreColumn), mk(rtec.StoreRow)
+	sysA, sysB := mk(), mk()
 	var snaps []*rtec.EngineSnapshot
 	var wire [][]byte
 	// The restore goes through the binary form the checkpoint file
-	// carries, into the other store kind: snapshots are
-	// store-independent, and the restored tier's own snapshot is byte
-	// for byte the one it was restored from.
+	// carries, and the restored tier's own snapshot is byte for byte the
+	// one it was restored from.
 	encode := func(snaps []*rtec.EngineSnapshot) [][]byte {
 		t.Helper()
 		out := make([][]byte, len(snaps))
@@ -298,7 +293,7 @@ func TestShardTierSnapshotRoundTrip(t *testing.T) {
 	}
 	for i, b := range encode(snapsB) {
 		if !bytes.Equal(b, wire[i]) {
-			t.Errorf("tier snapshot part %d changed across the column→bytes→row round trip", i)
+			t.Errorf("tier snapshot part %d changed across the bytes round trip", i)
 		}
 	}
 	if st := snaps[len(snaps)-1]; len(st.Seen) != 0 || st.LastQ != 0 || st.Started {
@@ -465,7 +460,6 @@ func TestShardFreshDedupAcrossShards(t *testing.T) {
 			Step:          step,
 			Partitions:    1, // single-engine reference when Shards == 0
 			Shards:        shards,
-			Store:         rtec.StoreColumn,
 		})
 		if err != nil {
 			t.Fatal(err)
