@@ -244,8 +244,9 @@ func (m *bucketModel) sorted() []equivRow {
 
 // compareAt queries every engine at q and demands identical
 // recognition output, stats and snapshots, and every bucket equal to
-// the model's after the query's eviction.
-func compareAt(t testing.TB, engines []equivEngine, m *bucketModel, q Time, label string) {
+// the model's after the query's eviction. It returns the first
+// engine's result.
+func compareAt(t testing.TB, engines []equivEngine, m *bucketModel, q Time, label string) *Result {
 	t.Helper()
 	var ref *Result
 	var refSnap []byte
@@ -281,6 +282,69 @@ func compareAt(t testing.TB, engines []equivEngine, m *bucketModel, q Time, labe
 	}
 	m.query(q)
 	compareBuckets(t, engines, m, label+" after the query")
+	return ref
+}
+
+// TestColumnStoreMatchesEventStore runs the three delivery modes —
+// per event, blocks with a key dictionary, blocks without — through
+// twenty seeded streams of some thirty windows each, rows clustered
+// round an advancing clock with jitter both ways (late arrivals, ties,
+// out-of-order rows), so eviction and segment compaction recur. At
+// every query the engines must agree with one another (compareAt), hold
+// exactly the model's rows, and answer what the Event Calculus spec
+// (spec_test.go) answers for the same deliveries. The name is the one
+// the test had when its reference was the row-resident event store.
+func TestColumnStoreMatchesEventStore(t *testing.T) {
+	const (
+		wm   = Time(60)
+		step = Time(20)
+		span = int64(600)
+	)
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		engines := newEquivEngines(t, Options{WorkingMemory: wm, RuleWorkers: 1})
+		model := &bucketModel{wm: wm}
+		ref := newSpec(colEquivDefs(t), wm)
+		var fed []specSDE
+
+		q := Time(0)
+		clock := int64(0)
+		queries, fresh := 0, 0
+		for clock < span {
+			n := 1 + rng.Intn(8)
+			chunk := make([]equivRow, n)
+			for i := range chunk {
+				r := randomEquivRow(rng, 40)
+				// Cluster around the advancing clock with jitter both
+				// ways: late arrivals, ties and out-of-order rows.
+				r.t += clock - 20
+				if r.t < 0 {
+					r.t = 0
+				}
+				chunk[i] = r
+				fed = append(fed, specSDE{Ev: r.event(), Arrival: Time(clock)})
+			}
+			for _, ee := range engines {
+				deliverChunk(t, ee, chunk)
+			}
+			model.file(chunk)
+			clock += int64(rng.Intn(20))
+			if nq := Time(clock); nq >= q+step {
+				q = nq
+				label := fmt.Sprintf("trial %d q=%d", trial, q)
+				got := compareAt(t, engines, model, q, label)
+				want := ref.Query(fed, q)
+				if d := specDiff(got, want); d != "" {
+					t.Fatalf("%s: engines differ from the spec, %s", label, d)
+				}
+				queries++
+				fresh += len(want.Fresh)
+			}
+		}
+		if queries < 10 || fresh == 0 {
+			t.Fatalf("trial %d: %d queries, %d fresh events: the comparison is vacuous", trial, queries, fresh)
+		}
+	}
 }
 
 // FuzzMergeBlock holds the column store's filing, indexing and
